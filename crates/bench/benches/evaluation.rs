@@ -1,23 +1,24 @@
 //! Criterion benchmarks — one per table and figure of the paper's
 //! evaluation. Each benchmark times the computation that regenerates its
 //! experiment's data (on a representative slice where the full sweep
-//! takes minutes); the `reproduce` binary prints the complete reports.
+//! takes minutes); `cosmic-bench reproduce` prints the complete reports.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cosmic_bench::figures;
+use cosmic_bench::figures::{self, FigureCtx};
 use cosmic_bench::harness::AccelKind;
 use cosmic_core::cosmic_ml::BenchmarkId;
+use cosmic_core::cosmic_telemetry::TraceSink;
 
 fn bench_tables(c: &mut Criterion) {
     let mut g = c.benchmark_group("tables");
     g.sample_size(10);
     g.bench_function("table1_benchmarks", |b| {
-        b.iter(|| black_box(figures::table1_benchmarks::run().len()))
+        b.iter(|| black_box(figures::table1_benchmarks::run(&FigureCtx::default()).len()))
     });
     g.bench_function("table2_platforms", |b| {
-        b.iter(|| black_box(figures::table2_platforms::run().len()))
+        b.iter(|| black_box(figures::table2_platforms::run(&FigureCtx::default()).len()))
     });
     g.bench_function("table3_utilization_row", |b| {
         b.iter(|| black_box(figures::table3_utilization::row(BenchmarkId::Tumor)))
@@ -47,7 +48,13 @@ fn bench_cluster_figures(c: &mut Criterion) {
         b.iter(|| black_box(figures::fig12_minibatch::sweep(BenchmarkId::Face)))
     });
     g.bench_function("fig13_breakdown_point", |b| {
-        b.iter(|| black_box(figures::fig13_breakdown::compute_fraction(BenchmarkId::Face, 10_000)))
+        b.iter(|| {
+            black_box(figures::fig13_breakdown::compute_fraction(
+                BenchmarkId::Face,
+                10_000,
+                &TraceSink::new(),
+            ))
+        })
     });
     g.bench_function("fig14_sources_split", |b| {
         b.iter(|| black_box(figures::fig14_sources::split(BenchmarkId::Face)))
@@ -71,7 +78,9 @@ fn bench_accelerator_figures(c: &mut Criterion) {
         b.iter(|| black_box(figures::fig16_dse::space(BenchmarkId::Tumor).points.len()))
     });
     g.bench_function("fig17_tabla_comparison", |b| {
-        b.iter(|| black_box(figures::fig17_tabla::comparison(BenchmarkId::Tumor)))
+        b.iter(|| {
+            black_box(figures::fig17_tabla::comparison(BenchmarkId::Tumor, &TraceSink::new()))
+        })
     });
     g.finish();
 }

@@ -6,6 +6,7 @@
 
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_training_time_s, geomean, spark_training_time_s, AccelKind, EPOCHS};
 
 /// The five system configurations of the figure (the 4-CPU-Spark
@@ -35,7 +36,7 @@ pub fn speedups(id: BenchmarkId) -> [f64; 5] {
 }
 
 /// Renders the figure as a markdown table with a geomean row.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 7 — Speedup over 4-node Spark (baseline: 4-CPU-Spark)\n\n\
          | benchmark | 8-Spark | 16-Spark | 4-FPGA | 8-FPGA | 16-FPGA |\n\
@@ -97,7 +98,7 @@ mod tests {
     #[test]
     fn report_renders_all_rows() {
         // Uses every benchmark; relies on the process-wide plan cache.
-        let report = run();
+        let report = run(&FigureCtx::default());
         for id in BenchmarkId::all() {
             assert!(report.contains(&id.to_string()), "{id} missing");
         }

@@ -5,6 +5,7 @@
 
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_training_time_s, geomean, spark_training_time_s, AccelKind, EPOCHS};
 
 /// `(cosmic_8, cosmic_16, spark_8, spark_16)` self-relative speedups.
@@ -20,7 +21,7 @@ pub fn scaling(id: BenchmarkId) -> (f64, f64, f64, f64) {
 }
 
 /// Renders the figure.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 8 — Scalability vs own 4-node configuration\n\n\
          | benchmark | CoSMIC 8 | CoSMIC 16 | Spark 8 | Spark 16 |\n\

@@ -7,6 +7,7 @@
 
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_training_time_s, geomean, AccelKind, EPOCHS};
 
 /// Nodes in the in-depth sensitivity cluster (paper: the local 3-node
@@ -22,7 +23,7 @@ pub fn speedups(id: BenchmarkId) -> [f64; 3] {
 }
 
 /// Renders the figure.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 9 — System-wide speedup over 3-FPGA-CoSMIC\n\n\
          | benchmark | P-ASIC-F | P-ASIC-G | GPU |\n\

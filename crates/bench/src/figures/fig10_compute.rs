@@ -7,6 +7,7 @@
 
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_node_rps, geomean, AccelKind};
 
 /// Per-node gradient-throughput ratios over the FPGA for
@@ -18,7 +19,7 @@ pub fn speedups(id: BenchmarkId) -> [f64; 3] {
 }
 
 /// Renders the figure.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 10 — Computation speedup over FPGA (no system software)\n\n\
          | benchmark | P-ASIC-F | P-ASIC-G | GPU |\n\

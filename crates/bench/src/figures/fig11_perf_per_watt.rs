@@ -7,6 +7,7 @@ use cosmic_core::cosmic_arch::{AcceleratorSpec, CpuSpec, GpuSpec, Platform};
 use cosmic_core::cosmic_baseline::power::{cluster_power_w, perf_per_watt};
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_training_time_s, geomean, AccelKind, EPOCHS};
 
 /// Nodes in the comparison cluster.
@@ -35,7 +36,7 @@ pub fn ratios(id: BenchmarkId) -> [f64; 3] {
 }
 
 /// Renders the figure.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 11 — Performance-per-Watt vs the 3-GPU system\n\n\
          | benchmark | FPGA | P-ASIC-F | P-ASIC-G |\n\

@@ -7,6 +7,7 @@
 
 use cosmic_core::cosmic_ml::BenchmarkId;
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_training_time_s, geomean, spark_training_time_s, AccelKind, EPOCHS};
 
 /// The swept mini-batch sizes.
@@ -42,7 +43,7 @@ pub fn cosmic_over_spark(b: usize, ids: &[BenchmarkId]) -> f64 {
 }
 
 /// Renders the figure.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 12 — Performance vs mini-batch size (3 nodes; baseline: 3-node Spark b=10,000)\n\n\
          | benchmark | system | b=500 | b=1k | b=5k | b=10k | b=50k | b=100k |\n\

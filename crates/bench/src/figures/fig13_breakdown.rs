@@ -8,6 +8,7 @@ use cosmic_core::cosmic_ml::{suite::WORD_BYTES, BenchmarkId};
 use cosmic_core::cosmic_runtime::{ClusterTiming, FaultTimingModel, NodeCompute};
 use cosmic_core::cosmic_telemetry::TraceSink;
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_node_rps, AccelKind};
 
 /// The swept mini-batch sizes (as in Figure 12).
@@ -17,19 +18,9 @@ pub const BATCHES: [usize; 6] = [500, 1_000, 5_000, 10_000, 50_000, 100_000];
 pub const NODES: usize = 3;
 
 /// Compute fraction of the iteration time for one benchmark at one batch
-/// size.
-pub fn compute_fraction(id: BenchmarkId, minibatch: usize) -> f64 {
-    let bench = id.benchmark();
-    let timing = ClusterTiming::commodity(NODES, 1);
-    let node = NodeCompute { records_per_sec: cosmic_node_rps(id, AccelKind::Fpga, minibatch) };
-    let exchange = bench.exchanged_params(minibatch.div_ceil(NODES)) * WORD_BYTES;
-    let it = timing.model(minibatch, node, exchange).evaluate().unwrap_or_default();
-    it.compute_s / it.total_s()
-}
-
-/// [`compute_fraction`] that also books the iteration's phase spans and
-/// wire-byte counters into `sink` (fault-free timing model).
-pub fn compute_fraction_traced(id: BenchmarkId, minibatch: usize, sink: &TraceSink) -> f64 {
+/// size, booking the iteration's phase spans and wire-byte counters
+/// into `sink` (fault-free timing model).
+pub fn compute_fraction(id: BenchmarkId, minibatch: usize, sink: &TraceSink) -> f64 {
     let bench = id.benchmark();
     let timing = ClusterTiming::commodity(NODES, 1);
     let node = NodeCompute { records_per_sec: cosmic_node_rps(id, AccelKind::Fpga, minibatch) };
@@ -47,18 +38,14 @@ pub fn compute_fraction_traced(id: BenchmarkId, minibatch: usize, sink: &TraceSi
 /// Mean compute fraction across all ten benchmarks.
 pub fn mean_compute_fraction(minibatch: usize) -> f64 {
     let ids = BenchmarkId::all();
-    ids.iter().map(|&id| compute_fraction(id, minibatch)).sum::<f64>() / ids.len() as f64
+    let sink = TraceSink::new();
+    ids.iter().map(|&id| compute_fraction(id, minibatch, &sink)).sum::<f64>() / ids.len() as f64
 }
 
-/// Renders the figure.
-pub fn run() -> String {
-    run_traced(&TraceSink::new())
-}
-
-/// [`run`] with telemetry: every per-benchmark cell books its iteration
-/// spans and wire bytes into `sink` (the mean row reuses the untraced
-/// path so counters are not double-booked).
-pub fn run_traced(sink: &TraceSink) -> String {
+/// Renders the figure: every per-benchmark cell books its iteration
+/// spans and wire bytes into the context's sink (the mean row discards
+/// its telemetry so counters are not double-booked).
+pub fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 13 — Fraction of 3-FPGA-CoSMIC runtime (compute vs communication)\n\n\
          | benchmark | b=500 | b=1k | b=5k | b=10k | b=50k | b=100k |\n\
@@ -67,7 +54,7 @@ pub fn run_traced(sink: &TraceSink) -> String {
     for id in BenchmarkId::all() {
         let cells: Vec<String> = BATCHES
             .iter()
-            .map(|&b| format!("{:.0}%", 100.0 * compute_fraction_traced(id, b, sink)))
+            .map(|&b| format!("{:.0}%", 100.0 * compute_fraction(id, b, &ctx.sink)))
             .collect();
         out.push_str(&format!("| {id} | {} |\n", cells.join(" | ")));
     }
@@ -82,11 +69,15 @@ pub fn run_traced(sink: &TraceSink) -> String {
 mod tests {
     use super::*;
 
+    fn fraction(id: BenchmarkId, minibatch: usize) -> f64 {
+        compute_fraction(id, minibatch, &TraceSink::new())
+    }
+
     #[test]
     fn compute_share_grows_with_batch_size() {
         for id in [BenchmarkId::Mnist, BenchmarkId::Stock, BenchmarkId::Tumor] {
-            let small = compute_fraction(id, 500);
-            let large = compute_fraction(id, 100_000);
+            let small = fraction(id, 500);
+            let large = fraction(id, 100_000);
             assert!(large > small, "{id}: {small:.2} -> {large:.2}");
         }
     }
@@ -96,10 +87,8 @@ mod tests {
         // Paper: 12% at b=500, 95% at b=100k. Tolerant band on the mean of
         // three cheap benchmarks.
         let ids = [BenchmarkId::Stock, BenchmarkId::Texture, BenchmarkId::Tumor];
-        let small: f64 =
-            ids.iter().map(|&i| compute_fraction(i, 500)).sum::<f64>() / ids.len() as f64;
-        let large: f64 =
-            ids.iter().map(|&i| compute_fraction(i, 100_000)).sum::<f64>() / ids.len() as f64;
+        let small: f64 = ids.iter().map(|&i| fraction(i, 500)).sum::<f64>() / ids.len() as f64;
+        let large: f64 = ids.iter().map(|&i| fraction(i, 100_000)).sum::<f64>() / ids.len() as f64;
         assert!(small < 0.5, "b=500 must be communication-dominated: {small:.2}");
         assert!(large > 0.5, "b=100k must be compute-dominated: {large:.2}");
     }
@@ -107,20 +96,8 @@ mod tests {
     #[test]
     fn fractions_are_valid() {
         for &b in &BATCHES {
-            let f = compute_fraction(BenchmarkId::Face, b);
+            let f = fraction(BenchmarkId::Face, b);
             assert!((0.0..=1.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn traced_fraction_matches_untraced_and_books_spans() {
-        use cosmic_core::cosmic_telemetry::{counters, names};
-        let sink = TraceSink::new();
-        let traced = compute_fraction_traced(BenchmarkId::Tumor, 1_000, &sink);
-        let plain = compute_fraction(BenchmarkId::Tumor, 1_000);
-        assert_eq!(traced, plain, "fault-free traced model must equal iteration()");
-        assert!(sink.validate_tree().is_ok());
-        assert!(sink.spans().iter().any(|s| s.name == names::ITERATION));
-        assert!(sink.sums()[counters::NET_BYTES_LEVEL1] > 0.0);
     }
 }

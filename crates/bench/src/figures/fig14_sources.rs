@@ -9,6 +9,7 @@ use cosmic_core::cosmic_baseline::SparkModel;
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, suite::WORD_BYTES, BenchmarkId};
 use cosmic_core::cosmic_runtime::{ClusterTiming, NodeCompute};
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_node_rps, geomean, AccelKind};
 
 /// Nodes in the comparison.
@@ -38,7 +39,7 @@ pub fn split(id: BenchmarkId) -> (f64, f64) {
 }
 
 /// Renders the figure.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 14 — Speedup breakdown: FPGAs vs specialized system software (3 nodes)\n\n\
          | benchmark | FPGA (compute) | system software |\n\

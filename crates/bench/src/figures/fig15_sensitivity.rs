@@ -11,6 +11,7 @@ use cosmic_core::cosmic_arch::AcceleratorSpec;
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 use cosmic_core::cosmic_planner;
 
+use crate::figures::FigureCtx;
 use crate::harness::full_dfg;
 
 /// Swept PE counts (rows × 16 columns), up to the full 768-PE fabric.
@@ -54,7 +55,7 @@ pub fn bw_sensitivity(id: BenchmarkId) -> Vec<(f64, f64)> {
 }
 
 /// Renders the figure.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 15(a) — Speedup vs number of PEs (normalized to 32 PEs)\n\n\
          | benchmark | 32 | 64 | 128 | 256 | 512 | 768 |\n\

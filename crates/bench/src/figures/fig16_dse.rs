@@ -10,6 +10,7 @@ use cosmic_core::cosmic_arch::AcceleratorSpec;
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 use cosmic_core::cosmic_planner::dse::{self, DesignSpace};
 
+use crate::figures::FigureCtx;
 use crate::harness::full_dfg;
 
 /// The four benchmarks the paper plots.
@@ -22,7 +23,7 @@ pub fn space(id: BenchmarkId) -> DesignSpace {
 }
 
 /// Renders the figure.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from("## Figure 16 — Design-space exploration (normalized to T1xR1)\n");
     for id in BENCHES {
         let ds = space(id);

@@ -7,19 +7,24 @@
 //! transfers logarithmic.
 
 use cosmic_core::cosmic_arch::{AcceleratorSpec, Geometry};
-use cosmic_core::cosmic_compiler::{
-    estimate, estimate_traced, BusModel, CompileOptions, MappingStrategy,
-};
+use cosmic_core::cosmic_compiler::{estimate, BusModel, CompileOptions, MappingStrategy};
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 use cosmic_core::cosmic_planner;
 use cosmic_core::cosmic_telemetry::{Layer, TraceSink};
 
+use crate::figures::FigureCtx;
 use crate::harness::{full_dfg, geomean};
 
 /// `(speedup, cosmic_transfers, tabla_transfers)` at the planned design
-/// point's geometry.
-pub fn comparison(id: BenchmarkId) -> (f64, u64, u64) {
-    let dfg = full_dfg(id);
+/// point's geometry. Records both compilation pipelines (a `Dsl`-layer
+/// `lower` span around the shared DFG lookup, then one `compile` span
+/// tree per mapper) and their static counters into `sink`.
+pub fn comparison(id: BenchmarkId, sink: &TraceSink) -> (f64, u64, u64) {
+    let dfg = {
+        let guard = sink.span(Layer::Dsl, "lower");
+        guard.arg("benchmark", &id.to_string());
+        full_dfg(id)
+    };
     let spec = AcceleratorSpec::fpga_vu9p();
     // Head-to-head on the full UltraScale+ fabric with the same PEs
     // (paper §7.2) — single-threaded, since TABLA has no multi-threading.
@@ -30,6 +35,7 @@ pub fn comparison(id: BenchmarkId) -> (f64, u64, u64) {
         dfg,
         geometry,
         &CompileOptions { strategy: MappingStrategy::DataFirst, ..CompileOptions::default() },
+        sink,
     );
     // TABLA: operation-first mapping over a single flat shared bus.
     let tabla = estimate(
@@ -40,42 +46,6 @@ pub fn comparison(id: BenchmarkId) -> (f64, u64, u64) {
             words_per_cycle: None,
             bus: BusModel::FlatShared,
         },
-    );
-    (
-        tabla.cycles_per_record() as f64 / cosmic.cycles_per_record() as f64,
-        cosmic.transfers(),
-        tabla.transfers(),
-    )
-}
-
-/// [`comparison`] that also records both compilation pipelines (a
-/// `Dsl`-layer `lower` span around the shared DFG lookup, then one
-/// `compile` span tree per mapper) and their static counters into
-/// `sink`.
-pub fn comparison_traced(id: BenchmarkId, sink: &TraceSink) -> (f64, u64, u64) {
-    let dfg = {
-        let guard = sink.span(Layer::Dsl, "lower");
-        guard.arg("benchmark", &id.to_string());
-        full_dfg(id)
-    };
-    let spec = AcceleratorSpec::fpga_vu9p();
-    let _ = cosmic_planner::plan(dfg, &spec, DEFAULT_MINIBATCH); // warm shared caches
-    let geometry = Geometry::new(spec.max_rows(), spec.columns);
-
-    let cosmic = estimate_traced(
-        dfg,
-        geometry,
-        &CompileOptions { strategy: MappingStrategy::DataFirst, ..CompileOptions::default() },
-        sink,
-    );
-    let tabla = estimate_traced(
-        dfg,
-        geometry,
-        &CompileOptions {
-            strategy: MappingStrategy::OpFirst,
-            words_per_cycle: None,
-            bus: BusModel::FlatShared,
-        },
         sink,
     );
     (
@@ -85,14 +55,10 @@ pub fn comparison_traced(id: BenchmarkId, sink: &TraceSink) -> (f64, u64, u64) {
     )
 }
 
-/// Renders the figure.
-pub fn run() -> String {
-    run_traced(&TraceSink::new())
-}
-
-/// [`run`] with telemetry: every head-to-head compilation books its
-/// `compile`/`map`/`schedule` spans and static counters into `sink`.
-pub fn run_traced(sink: &TraceSink) -> String {
+/// Renders the figure: every head-to-head compilation books its
+/// `compile`/`map`/`schedule` spans and static counters into the
+/// context's sink.
+pub fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 17 — CoSMIC template architecture vs TABLA (same PEs, UltraScale+)\n\n\
          | benchmark | speedup | CoSMIC transfers/record | TABLA transfers/record |\n\
@@ -100,7 +66,7 @@ pub fn run_traced(sink: &TraceSink) -> String {
     );
     let mut speedups = Vec::new();
     for id in BenchmarkId::all() {
-        let (s, ct, tt) = comparison_traced(id, sink);
+        let (s, ct, tt) = comparison(id, &ctx.sink);
         out.push_str(&format!("| {id} | {s:.1} | {ct} | {tt} |\n"));
         speedups.push(s);
     }
@@ -119,27 +85,17 @@ mod tests {
     #[test]
     fn cosmic_beats_tabla_on_cheap_benchmarks() {
         for id in [BenchmarkId::Stock, BenchmarkId::Tumor, BenchmarkId::Face] {
-            let (s, ct, tt) = comparison(id);
+            let (s, ct, tt) = comparison(id, &TraceSink::new());
             assert!(s > 1.0, "{id}: speedup {s:.2}");
             assert!(ct < tt, "{id}: CoSMIC must communicate less ({ct} vs {tt})");
         }
     }
 
     #[test]
-    fn traced_comparison_matches_untraced() {
-        let sink = TraceSink::new();
-        let traced = comparison_traced(BenchmarkId::Stock, &sink);
-        assert_eq!(traced, comparison(BenchmarkId::Stock));
-        assert!(sink.validate_tree().is_ok());
-        let compiles = sink.spans().iter().filter(|s| s.name == "compile").count();
-        assert_eq!(compiles, 2, "one compile span per mapper");
-    }
-
-    #[test]
     fn average_advantage_is_substantial() {
         let vals: Vec<f64> = [BenchmarkId::Stock, BenchmarkId::Tumor, BenchmarkId::Movielens]
             .iter()
-            .map(|&id| comparison(id).0)
+            .map(|&id| comparison(id, &TraceSink::new()).0)
             .collect();
         let g = geomean(&vals);
         assert!(g > 1.5, "geomean speedup over TABLA should be material, got {g:.2}");

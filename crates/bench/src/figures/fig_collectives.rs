@@ -23,7 +23,8 @@ use cosmic_core::cosmic_ml::convergence::{default_reprs, repr_curves, study_work
 use cosmic_core::cosmic_runtime::collectives::{CollectiveKind, CollectiveSelector, WireRepr};
 use cosmic_core::cosmic_runtime::role::{assign_roles, default_groups};
 use cosmic_core::cosmic_runtime::{ClusterTiming, FaultTimingModel, NodeCompute, CHUNK_WORDS};
-use cosmic_core::cosmic_telemetry::TraceSink;
+
+use crate::figures::FigureCtx;
 
 /// Swept cluster sizes.
 pub const NODE_COUNTS: [usize; 4] = [4, 8, 16, 32];
@@ -187,24 +188,14 @@ fn shift_summary() -> String {
     out
 }
 
-/// Renders the study.
-pub fn run() -> String {
-    run_traced(&TraceSink::new())
-}
-
-/// [`run`] with telemetry under the dense wire representation (the
-/// verbatim default every golden is blessed against).
-pub fn run_traced(sink: &TraceSink) -> String {
-    run_traced_repr(sink, WireRepr::DenseF64)
-}
-
-/// [`run`] with telemetry: for every cluster size, the selector's
-/// large-model winner *under `repr`* replays one iteration through the
-/// collective [`ClusterTiming::model`] with tracing enabled, booking
-/// the per-round `collective` spans and per-level wire counters into
-/// `sink`. All time is virtual, so same-seed traces are byte-identical
-/// — including under lossy representations.
-pub fn run_traced_repr(sink: &TraceSink, repr: WireRepr) -> String {
+/// Renders the study. For every cluster size, the selector's
+/// large-model winner *under the context's wire representation* replays
+/// one iteration through the collective [`ClusterTiming::model`] with
+/// tracing enabled, booking the per-round `collective` spans and
+/// per-level wire counters into the context's sink. All time is
+/// virtual, so same-seed traces are byte-identical — including under
+/// lossy representations.
+pub fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Collective strategies — throughput (records/s) by node count (FPGA cluster, b=10k)\n\n",
     );
@@ -225,12 +216,12 @@ pub fn run_traced_repr(sink: &TraceSink, repr: WireRepr) -> String {
 
     let faults = FaultTimingModel::none();
     for nodes in NODE_COUNTS {
-        let kind = selector_pick_repr(nodes, LARGE_WORDS, repr).0;
+        let kind = selector_pick_repr(nodes, LARGE_WORDS, ctx.repr).0;
         timing(nodes)
             .model(MINIBATCH, NodeCompute { records_per_sec: NODE_RPS }, LARGE_WORDS * 8)
             .with_collective(kind)
             .with_faults(&faults)
-            .traced(sink)
+            .traced(&ctx.sink)
             .evaluate()
             .expect("valid traced sweep point");
     }
@@ -305,7 +296,7 @@ mod tests {
             "fixed point must flip a small-model cell: {small:?}"
         );
 
-        let report = run();
+        let report = run(&FigureCtx::default());
         assert!(report.contains("crossover shift"), "the tables mark shifted cells");
         assert!(
             report.contains("halving_doubling under dense_f64 -> flat_star under top_k:512"),
@@ -325,34 +316,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The lossy traced replay (what CI double-runs as
-    /// `fig_collectives --repr fixed_point`) is deterministic too.
-    #[test]
-    fn lossy_traced_exports_are_deterministic() {
-        let run = || {
-            let sink = TraceSink::new();
-            let report = run_traced_repr(&sink, WireRepr::FixedPoint { frac_bits: 20 });
-            assert!(sink.validate_tree().is_ok());
-            (report, sink.chrome_trace_json(), sink.metrics_json())
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn traced_report_is_deterministic() {
-        let run = || {
-            let sink = TraceSink::new();
-            let report = run_traced(&sink);
-            assert!(sink.validate_tree().is_ok());
-            (report, sink.chrome_trace_json(), sink.metrics_json())
-        };
-        let (report_a, trace_a, metrics_a) = run();
-        let (report_b, trace_b, metrics_b) = run();
-        assert_eq!(report_a, report_b);
-        assert_eq!(trace_a, trace_b);
-        assert_eq!(metrics_a, metrics_b);
-        assert!(report_a.contains("ring"), "the report names the strategies");
     }
 }

@@ -23,6 +23,8 @@ use cosmic_core::cosmic_director::{
 use cosmic_core::cosmic_sim::{ArrivalProfile, JobArrivalPlan};
 use cosmic_core::cosmic_telemetry::TraceSink;
 
+use crate::figures::FigureCtx;
+
 /// Physical nodes in the overload study's deliberately small cluster.
 pub const SWEEP_CLUSTER_NODES: usize = 64;
 
@@ -80,8 +82,9 @@ pub fn sweep_config(policy: FairnessPolicy) -> DirectorConfig {
 /// Runs one offered-load point under one policy and reduces the report
 /// to the three overload curves.
 pub fn sweep_point(policy: FairnessPolicy, mean_interarrival_s: f64) -> SweepPoint {
-    let report = Director::run(&sweep_config(policy), &sweep_plan(mean_interarrival_s))
-        .expect("the sweep plan must drain");
+    let report =
+        Director::run(&sweep_config(policy), &sweep_plan(mean_interarrival_s), &TraceSink::new())
+            .expect("the sweep plan must drain");
     let submitted = (SWEEP_JOBS - report.rejected.len()).max(1);
     SweepPoint {
         arrival_rate_per_s: 1.0 / mean_interarrival_s,
@@ -125,25 +128,15 @@ pub fn config(policy: FairnessPolicy) -> DirectorConfig {
 
 /// Runs the full plan under `policy`, booking the director's spans and
 /// counters into `sink`.
-pub fn run_policy_traced(policy: FairnessPolicy, sink: &TraceSink) -> DirectorReport {
-    Director::run_traced(&config(policy), &plan(), sink)
+pub fn run_policy(policy: FairnessPolicy, sink: &TraceSink) -> DirectorReport {
+    Director::run(&config(policy), &plan(), sink)
         .expect("the seeded plan must drain on a 1024-node cluster")
 }
 
-/// Runs the full plan under `policy` with a private sink.
-pub fn run_policy(policy: FairnessPolicy) -> DirectorReport {
-    run_policy_traced(policy, &TraceSink::new())
-}
-
-/// Renders the study.
-pub fn run() -> String {
-    run_traced(&TraceSink::new())
-}
-
-/// [`run`] with telemetry: every policy's run books its admission,
+/// Renders the study: every policy's run books its admission,
 /// completion, and reallocation events — plus the director counters —
-/// into `sink`. Same seed, byte-identical exported trace.
-pub fn run_traced(sink: &TraceSink) -> String {
+/// into the context's sink. Same seed, byte-identical exported trace.
+pub fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Multi-tenant director — 120 jobs on one 1024-node cluster\n\n\
          | policy | done | makespan (s) | p50 JCT (s) | p99 JCT (s) | Jain | reallocs | \
@@ -151,7 +144,7 @@ pub fn run_traced(sink: &TraceSink) -> String {
          |---|---|---|---|---|---|---|---|---|\n",
     );
     for policy in FairnessPolicy::ALL {
-        let report = run_policy_traced(policy, sink);
+        let report = run_policy(policy, &ctx.sink);
         let reallocs: usize = report.jobs.iter().map(|j| j.reallocations).sum();
         let preempted: usize = report.jobs.iter().map(|j| j.preempted_nodes).sum();
         let lookups = report.cache.hits + report.cache.misses;
@@ -225,7 +218,7 @@ mod tests {
     #[test]
     fn every_policy_completes_every_job_at_scale() {
         for policy in FairnessPolicy::ALL {
-            let report = run_policy(policy);
+            let report = run_policy(policy, &TraceSink::new());
             assert_eq!(report.jobs.len(), JOBS, "{}: all jobs complete", policy.label());
             assert!(report.rejected.is_empty());
             assert_eq!(report.cluster_nodes, CLUSTER_NODES);
@@ -237,10 +230,10 @@ mod tests {
 
     #[test]
     fn fifo_is_static_and_elastic_policies_arbitrate() {
-        let fifo = run_policy(FairnessPolicy::StrictFifo);
+        let fifo = run_policy(FairnessPolicy::StrictFifo, &TraceSink::new());
         assert!(fifo.jobs.iter().all(|j| j.reallocations == 0));
         for policy in [FairnessPolicy::WeightedMaxMin, FairnessPolicy::ThroughputGreedy] {
-            let report = run_policy(policy);
+            let report = run_policy(policy, &TraceSink::new());
             let reallocs: usize = report.jobs.iter().map(|j| j.reallocations).sum();
             assert!(reallocs > 0, "{}: contention must trigger resizes", policy.label());
         }
@@ -248,7 +241,7 @@ mod tests {
 
     #[test]
     fn shared_cache_carries_most_schedule_builds() {
-        let report = run_policy(FairnessPolicy::WeightedMaxMin);
+        let report = run_policy(FairnessPolicy::WeightedMaxMin, &TraceSink::new());
         assert!(
             report.cache.hits > report.cache.misses,
             "tenants share shapes: {:?}",
@@ -312,21 +305,5 @@ mod tests {
                 fifo.goodput_records_per_s
             );
         }
-    }
-
-    #[test]
-    fn report_and_telemetry_are_byte_identical_per_seed() {
-        let run = || {
-            let sink = TraceSink::new();
-            let report = run_traced(&sink);
-            assert!(sink.validate_tree().is_ok());
-            (report, sink.chrome_trace_json(), sink.metrics_json())
-        };
-        let (report_a, trace_a, metrics_a) = run();
-        let (report_b, trace_b, metrics_b) = run();
-        assert_eq!(report_a, report_b);
-        assert_eq!(trace_a, trace_b);
-        assert_eq!(metrics_a, metrics_b);
-        assert!(report_a.contains("IDENTICAL"), "the resize proof must land bit-identical");
     }
 }

@@ -25,6 +25,8 @@ use cosmic_core::cosmic_runtime::{
 };
 use cosmic_core::cosmic_telemetry::TraceSink;
 
+use crate::figures::FigureCtx;
+
 /// Nodes in the study cluster.
 pub const NODES: usize = 8;
 
@@ -76,15 +78,11 @@ pub fn churn_plan(rate: f64) -> FaultPlan {
 }
 
 /// One sweep point: a detector-mode run of `kind` under `churn_plan
-/// (rate)`, booking the full span tree into `sink`. Returns the outcome.
-pub fn churn_run_traced(kind: CollectiveKind, rate: f64, sink: &TraceSink) -> TrainOutcome {
-    churn_run_traced_on(kind, rate, TransportKind::Sim, sink)
-}
-
-/// [`churn_run_traced`] on a chosen wire backend: `--transport tcp`
-/// routes the churned run's gradients over real loopback sockets while
-/// the detector, checkpoints, and rejoins adjudicate identically.
-pub fn churn_run_traced_on(
+/// (rate)` over `transport`, booking the full span tree into `sink`.
+/// Returns the outcome. [`TransportKind::Tcp`] routes the churned run's
+/// gradients over real loopback sockets while the detector,
+/// checkpoints, and rejoins adjudicate identically.
+pub fn churn_run(
     kind: CollectiveKind,
     rate: f64,
     transport: TransportKind,
@@ -111,11 +109,6 @@ pub fn churn_run_traced_on(
     .expect("churn plans leave a majority alive")
 }
 
-/// [`churn_run_traced`] with a private sink.
-pub fn churn_run(kind: CollectiveKind, rate: f64) -> TrainOutcome {
-    churn_run_traced(kind, rate, &TraceSink::new())
-}
-
 /// The virtual makespan of a traced run: the latest close over all
 /// finished spans.
 pub fn virtual_makespan(sink: &TraceSink) -> f64 {
@@ -131,27 +124,17 @@ pub fn wire_bytes(sink: &TraceSink) -> f64 {
 /// one sweep point.
 pub fn virtual_throughput(kind: CollectiveKind, rate: f64) -> f64 {
     let sink = TraceSink::new();
-    let out = churn_run_traced(kind, rate, &sink);
+    let out = churn_run(kind, rate, TransportKind::Sim, &sink);
     (out.iterations * MINIBATCH) as f64 / virtual_makespan(&sink)
 }
 
-/// Renders the study.
-pub fn run() -> String {
-    run_traced(&TraceSink::new())
-}
-
-/// [`run`] with telemetry: the highest-churn flat-star run books its
-/// full span tree — suspicions, expulsions, checkpoints, rejoins,
-/// partition heals — and membership counters into `sink`. Same seed,
-/// byte-identical exported trace.
-pub fn run_traced(sink: &TraceSink) -> String {
-    run_traced_on(sink, TransportKind::Sim)
-}
-
-/// [`run_traced`] on a chosen wire backend (the binary's `--transport`
-/// flag): every churn run in the sweep — and the reference run booked
-/// into `sink` — moves its gradients through that backend.
-pub fn run_traced_on(sink: &TraceSink, transport: TransportKind) -> String {
+/// Renders the study: the highest-churn flat-star run books its full
+/// span tree — suspicions, expulsions, checkpoints, rejoins, partition
+/// heals — and membership counters into the context's sink. Same seed,
+/// byte-identical exported trace. Every churn run in the sweep — and
+/// that reference run — moves its gradients through the context's
+/// transport.
+pub fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Elastic membership — churn under the φ-accrual detector (8 nodes, no oracle)\n\n\
          | churn | rec/s (virtual) | suspicions | reinstated | rejoins | checkpoints | partitions |\n\
@@ -159,7 +142,7 @@ pub fn run_traced_on(sink: &TraceSink, transport: TransportKind) -> String {
     );
     for &rate in &CHURN_RATES {
         let point = TraceSink::new();
-        let outcome = churn_run_traced_on(CollectiveKind::TwoLevelTree, rate, transport, &point);
+        let outcome = churn_run(CollectiveKind::TwoLevelTree, rate, ctx.transport, &point);
         let r = &outcome.faults;
         out.push_str(&format!(
             "| {:.0}% | {:.0} | {} | {} | {} | {} | {} |\n",
@@ -191,7 +174,7 @@ pub fn run_traced_on(sink: &TraceSink, transport: TransportKind) -> String {
             .into_iter()
             .map(|kind| {
                 let point = TraceSink::new();
-                churn_run_traced_on(kind, rate, transport, &point);
+                churn_run(kind, rate, ctx.transport, &point);
                 format!("{:.1}", wire_bytes(&point) / 1024.0)
             })
             .collect();
@@ -206,7 +189,7 @@ pub fn run_traced_on(sink: &TraceSink, transport: TransportKind) -> String {
     );
 
     let max_rate = CHURN_RATES[CHURN_RATES.len() - 1];
-    let outcome = churn_run_traced_on(CollectiveKind::FlatStar, max_rate, transport, sink);
+    let outcome = churn_run(CollectiveKind::FlatStar, max_rate, ctx.transport, &ctx.sink);
     let r = &outcome.faults;
     let first = outcome.loss_history.first().copied().unwrap_or(f64::NAN);
     let last = outcome.loss_history.last().copied().unwrap_or(f64::NAN);
@@ -234,9 +217,13 @@ pub fn run_traced_on(sink: &TraceSink, transport: TransportKind) -> String {
 mod tests {
     use super::*;
 
+    fn sim_run(kind: CollectiveKind, rate: f64) -> TrainOutcome {
+        churn_run(kind, rate, TransportKind::Sim, &TraceSink::new())
+    }
+
     #[test]
     fn zero_churn_is_clean_and_fastest() {
-        let out = churn_run(CollectiveKind::TwoLevelTree, 0.0);
+        let out = sim_run(CollectiveKind::TwoLevelTree, 0.0);
         assert!(out.faults.is_clean(), "no churn, no degradation");
         assert!(out.faults.suspicions.is_empty(), "no false positives at zero churn");
         let healthy = virtual_throughput(CollectiveKind::TwoLevelTree, 0.0);
@@ -246,7 +233,7 @@ mod tests {
 
     #[test]
     fn churned_runs_still_converge_with_full_membership_restored() {
-        let out = churn_run(CollectiveKind::RingAllReduce, CHURN_RATES[2]);
+        let out = sim_run(CollectiveKind::RingAllReduce, CHURN_RATES[2]);
         assert!(!out.faults.is_clean(), "the seeded plan must inject churn");
         assert!(out.faults.rejoins.iter().all(|r| r.matched), "catch-up is bit-exact");
         let first = out.loss_history[0];
@@ -270,7 +257,7 @@ mod tests {
     fn host_side_strategies_conserve_total_wire_bytes() {
         let total = |kind: CollectiveKind| {
             let sink = TraceSink::new();
-            churn_run_traced(kind, 0.0, &sink);
+            churn_run(kind, 0.0, TransportKind::Sim, &sink);
             wire_bytes(&sink)
         };
         // Every host-side allreduce moves 2(p-1) model images in total —
@@ -291,26 +278,10 @@ mod tests {
     #[test]
     fn strategies_agree_bit_for_bit_under_churn() {
         let outcomes: Vec<TrainOutcome> =
-            CollectiveKind::ALL.into_iter().map(|kind| churn_run(kind, CHURN_RATES[3])).collect();
+            CollectiveKind::ALL.into_iter().map(|kind| sim_run(kind, CHURN_RATES[3])).collect();
         for pair in outcomes.windows(2) {
             assert_eq!(pair[0].model, pair[1].model, "strategy must not change the math");
             assert_eq!(pair[0].faults.rejoins, pair[1].faults.rejoins);
         }
-    }
-
-    #[test]
-    fn traced_report_is_deterministic() {
-        let run = || {
-            let sink = TraceSink::new();
-            let report = run_traced(&sink);
-            assert!(sink.validate_tree().is_ok());
-            (report, sink.chrome_trace_json(), sink.metrics_json())
-        };
-        let (report_a, trace_a, metrics_a) = run();
-        let (report_b, trace_b, metrics_b) = run();
-        assert_eq!(report_a, report_b);
-        assert_eq!(trace_a, trace_b);
-        assert_eq!(metrics_a, metrics_b);
-        assert!(report_a.contains("rejoins"), "the report surfaces membership stats");
     }
 }

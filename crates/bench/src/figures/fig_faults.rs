@@ -22,6 +22,7 @@ use cosmic_core::cosmic_runtime::{
 };
 use cosmic_core::cosmic_telemetry::TraceSink;
 
+use crate::figures::FigureCtx;
 use crate::harness::{cosmic_node_rps, AccelKind};
 
 /// Nodes in the study cluster.
@@ -61,53 +62,34 @@ fn study_faults(rate: f64) -> FaultTimingModel {
 }
 
 /// Throughput (records/s) for `id` when every fault class runs at
-/// probability `rate` simultaneously.
-pub fn throughput_at(id: BenchmarkId, rate: f64) -> f64 {
+/// probability `rate` simultaneously, booking the degraded iteration's
+/// spans and counters (including the `recovery` phase) into `sink`.
+pub fn throughput_at(id: BenchmarkId, rate: f64, sink: &TraceSink) -> f64 {
     let (node, exchange) = study_point(id);
     let faults = study_faults(rate);
-    timing().model(MINIBATCH, node, exchange).with_faults(&faults).throughput().unwrap_or_default()
-}
-
-/// [`throughput_at`] that also books the degraded iteration's spans and
-/// counters (including the `recovery` phase) into `sink`.
-pub fn throughput_at_traced(id: BenchmarkId, rate: f64, sink: &TraceSink) -> f64 {
-    let (node, exchange) = study_point(id);
-    let faults = study_faults(rate);
-    let it = timing()
+    timing()
         .model(MINIBATCH, node, exchange)
         .with_faults(&faults)
         .traced(sink)
-        .evaluate()
-        .unwrap_or_default();
-    MINIBATCH as f64 / it.total_s()
+        .throughput()
+        .unwrap_or_default()
 }
 
-/// Retained throughput fraction vs the healthy cluster.
+/// Retained throughput fraction vs the healthy cluster (telemetry
+/// discarded).
 pub fn retained_fraction(id: BenchmarkId, rate: f64) -> f64 {
-    throughput_at(id, rate) / throughput_at(id, 0.0)
+    let sink = TraceSink::new();
+    throughput_at(id, rate, &sink) / throughput_at(id, 0.0, &sink)
 }
 
 /// The functional half: a seeded random fault plan driven through the
-/// real trainer. Returns the outcome of the degraded run.
-pub fn degraded_run(seed: u64) -> cosmic_core::cosmic_runtime::TrainOutcome {
-    degraded_run_traced(seed, &TraceSink::new())
-}
-
-/// [`degraded_run`] that also records the trainer's full span tree
+/// real trainer over `transport`, recording the trainer's full span tree
 /// (iterations, retransmits, re-elections, exclusions) and fault
-/// counters into `sink`. Same seed, byte-identical exported trace.
-pub fn degraded_run_traced(
-    seed: u64,
-    sink: &TraceSink,
-) -> cosmic_core::cosmic_runtime::TrainOutcome {
-    degraded_run_traced_on(seed, TransportKind::Sim, sink)
-}
-
-/// [`degraded_run_traced`] on a chosen wire backend: `--transport tcp`
-/// routes every gradient chunk of the degraded run through real
-/// loopback sockets, with identical fault adjudication (and identical
-/// bits) to the discrete-event default.
-pub fn degraded_run_traced_on(
+/// counters into `sink`. Returns the outcome of the degraded run. Same
+/// seed, byte-identical exported trace; [`TransportKind::Tcp`] routes
+/// every gradient chunk through real loopback sockets, with identical
+/// fault adjudication (and identical bits) to the in-process default.
+pub fn degraded_run(
     seed: u64,
     transport: TransportKind,
     sink: &TraceSink,
@@ -141,30 +123,20 @@ pub fn degraded_run_traced_on(
     trainer.train_traced(&alg, &dataset, alg.zero_model(), sink).expect("recoverable plan")
 }
 
-/// Renders the study.
-pub fn run() -> String {
-    run_traced(&TraceSink::new())
-}
-
-/// [`run`] with telemetry: the healthy column and the functional
-/// degraded run book their spans and counters into `sink` (the retained
-/// fractions reuse the untraced model so counters are not double-booked).
-pub fn run_traced(sink: &TraceSink) -> String {
-    run_traced_on(sink, TransportKind::Sim)
-}
-
-/// [`run_traced`] on a chosen wire backend (the binary's `--transport`
-/// flag). The throughput table is the timing model either way; the
-/// backend only changes how the functional degraded run moves its
+/// Renders the study: the healthy column and the functional degraded
+/// run book their spans and counters into the context's sink (the
+/// retained fractions discard theirs so counters are not
+/// double-booked). The throughput table is the timing model either way;
+/// the context's transport only changes how the degraded run moves its
 /// gradients.
-pub fn run_traced_on(sink: &TraceSink, transport: TransportKind) -> String {
+pub fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Fault study — throughput retained under faults (8-node FPGA cluster, b=10k)\n\n\
          | benchmark | healthy rec/s | p=1% | p=5% | p=20% |\n\
          |---|---|---|---|---|\n",
     );
     for id in BenchmarkId::all() {
-        let healthy = throughput_at_traced(id, 0.0, sink);
+        let healthy = throughput_at(id, 0.0, &ctx.sink);
         let cells: Vec<String> = RATES[1..]
             .iter()
             .map(|&r| format!("{:.0}%", 100.0 * retained_fraction(id, r)))
@@ -177,7 +149,7 @@ pub fn run_traced_on(sink: &TraceSink, transport: TransportKind) -> String {
          and the barrier cost is capped.\n",
     );
 
-    let outcome = degraded_run_traced_on(42, transport, sink);
+    let outcome = degraded_run(42, ctx.transport, &ctx.sink);
     let first = outcome.loss_history.first().copied().unwrap_or(f64::NAN);
     let last = outcome.loss_history.last().copied().unwrap_or(f64::NAN);
     let r = &outcome.faults;
@@ -208,7 +180,7 @@ mod tests {
         for id in [BenchmarkId::Tumor, BenchmarkId::Mnist, BenchmarkId::Stock] {
             let mut prev = f64::INFINITY;
             for &r in &RATES {
-                let t = throughput_at(id, r);
+                let t = throughput_at(id, r, &TraceSink::new());
                 assert!(t > 0.0 && t <= prev, "{id} at p={r}: {t} vs {prev}");
                 prev = t;
             }
@@ -220,22 +192,12 @@ mod tests {
         let (node, exchange) = study_point(BenchmarkId::Tumor);
         let plain = MINIBATCH as f64
             / timing().model(MINIBATCH, node, exchange).evaluate().unwrap().total_s();
-        assert!((throughput_at(BenchmarkId::Tumor, 0.0) - plain).abs() < 1e-9);
-    }
-
-    #[test]
-    fn traced_throughput_matches_untraced_and_books_recovery() {
-        use cosmic_core::cosmic_telemetry::names;
-        let sink = TraceSink::new();
-        let traced = throughput_at_traced(BenchmarkId::Tumor, 0.05, &sink);
-        assert!((traced - throughput_at(BenchmarkId::Tumor, 0.05)).abs() < 1e-9);
-        assert!(sink.validate_tree().is_ok());
-        assert!(sink.spans().iter().any(|s| s.name == names::RECOVERY && s.dur > 0.0));
+        assert!((throughput_at(BenchmarkId::Tumor, 0.0, &TraceSink::new()) - plain).abs() < 1e-9);
     }
 
     #[test]
     fn degraded_run_still_converges_and_reports() {
-        let out = degraded_run(42);
+        let out = degraded_run(42, TransportKind::Sim, &TraceSink::new());
         assert!(out.iterations > 0);
         let first = out.loss_history[0];
         let last = *out.loss_history.last().unwrap();

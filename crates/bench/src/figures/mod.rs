@@ -1,9 +1,10 @@
 //! One module per table/figure of the paper's evaluation section. Every
-//! module exposes `run() -> String` (the printable reproduction) plus the
-//! underlying data functions the tests assert shapes on. Modules whose
-//! data paths are instrumented also expose `run_traced(&TraceSink)`, and
-//! [`figure_main`] gives every `fig*`/`table*` binary a uniform
-//! `--trace <path>` flag exporting `trace.json` + `metrics.json`.
+//! module exposes one `run(&FigureCtx) -> String` (the printable
+//! reproduction) plus the underlying data functions the tests assert
+//! shapes on; the instrumented ones book their spans and counters into
+//! the context's sink. [`FIGURES`] is the registry the `cosmic-bench`
+//! binary dispatches over (`cosmic-bench <name> [--trace <path>]
+//! [--transport sim|tcp] [--repr <spec>]`).
 
 use std::path::PathBuf;
 
@@ -30,185 +31,132 @@ pub mod table1_benchmarks;
 pub mod table2_platforms;
 pub mod table3_utilization;
 
-/// Runs every experiment, concatenating the printable reports in paper
-/// order (the `reproduce` binary's body).
-pub fn run_all() -> String {
-    run_all_traced(&TraceSink::new())
+/// Everything a figure's `run` may depend on besides its own constants.
+/// The default — a fresh sink, the in-process wire, dense payloads — is
+/// the configuration every golden is blessed against.
+#[derive(Debug, Clone, Default)]
+pub struct FigureCtx {
+    /// Where instrumented figures book spans and counters. A caller
+    /// that wants no telemetry passes a fresh sink and drops it.
+    pub sink: TraceSink,
+    /// The wire the functional cluster runs (`fig_faults`,
+    /// `fig_elastic`) move their gradients over.
+    pub transport: TransportKind,
+    /// The wire representation `fig_collectives` prices its traced
+    /// replay under.
+    pub repr: WireRepr,
 }
 
-/// [`run_all`] with telemetry: each experiment runs inside its own
-/// `Exec`-layer span, and the instrumented figures (13, 17, faults) book
-/// their full span trees and counters into `sink`.
-pub fn run_all_traced(sink: &TraceSink) -> String {
-    fn section(sink: &TraceSink, name: &str, f: impl FnOnce(&TraceSink) -> String) -> String {
-        let _guard = sink.span(Layer::Exec, name);
-        f(sink)
-    }
-    [
-        section(sink, "table1_benchmarks", |_| table1_benchmarks::run()),
-        section(sink, "table2_platforms", |_| table2_platforms::run()),
-        section(sink, "fig07_speedup", |_| fig07_speedup::run()),
-        section(sink, "fig08_scalability", |_| fig08_scalability::run()),
-        section(sink, "fig09_platforms", |_| fig09_platforms::run()),
-        section(sink, "fig10_compute", |_| fig10_compute::run()),
-        section(sink, "fig11_perf_per_watt", |_| fig11_perf_per_watt::run()),
-        section(sink, "fig12_minibatch", |_| fig12_minibatch::run()),
-        section(sink, "fig13_breakdown", fig13_breakdown::run_traced),
-        section(sink, "fig14_sources", |_| fig14_sources::run()),
-        section(sink, "fig15_sensitivity", |_| fig15_sensitivity::run()),
-        section(sink, "fig16_dse", |_| fig16_dse::run()),
-        section(sink, "table3_utilization", |_| table3_utilization::run()),
-        section(sink, "fig17_tabla", fig17_tabla::run_traced),
-        section(sink, "fig_faults", fig_faults::run_traced),
-        section(sink, "fig_collectives", fig_collectives::run_traced),
-        section(sink, "fig_elastic", fig_elastic::run_traced),
-        section(sink, "fig_director", fig_director::run_traced),
-    ]
-    .join("\n")
+/// A figure module's single entry point.
+pub type FigureFn = fn(&FigureCtx) -> String;
+
+/// Every experiment, in paper order: the name `cosmic-bench` dispatches
+/// on and the module's `run`.
+pub const FIGURES: [(&str, FigureFn); 18] = [
+    ("table1_benchmarks", table1_benchmarks::run),
+    ("table2_platforms", table2_platforms::run),
+    ("fig07_speedup", fig07_speedup::run),
+    ("fig08_scalability", fig08_scalability::run),
+    ("fig09_platforms", fig09_platforms::run),
+    ("fig10_compute", fig10_compute::run),
+    ("fig11_perf_per_watt", fig11_perf_per_watt::run),
+    ("fig12_minibatch", fig12_minibatch::run),
+    ("fig13_breakdown", fig13_breakdown::run),
+    ("fig14_sources", fig14_sources::run),
+    ("fig15_sensitivity", fig15_sensitivity::run),
+    ("fig16_dse", fig16_dse::run),
+    ("table3_utilization", table3_utilization::run),
+    ("fig17_tabla", fig17_tabla::run),
+    ("fig_faults", fig_faults::run),
+    ("fig_collectives", fig_collectives::run),
+    ("fig_elastic", fig_elastic::run),
+    ("fig_director", fig_director::run),
+];
+
+/// Runs every experiment in [`FIGURES`] order, each inside its own
+/// `Exec`-layer span on the context's sink, concatenating the printable
+/// reports (the body of `cosmic-bench reproduce`).
+pub fn run_all(ctx: &FigureCtx) -> String {
+    let sections: Vec<String> = FIGURES
+        .iter()
+        .map(|(name, run)| {
+            let _guard = ctx.sink.span(Layer::Exec, name);
+            run(ctx)
+        })
+        .collect();
+    sections.join("\n")
 }
 
-/// Extracts the `--trace <path>` / `--trace=<path>` flag from a binary's
-/// arguments.
+/// Renders `command` inside a root span named after it: a [`FIGURES`]
+/// name, `reproduce` (every experiment in order as one consolidated
+/// report), or `list` (the registry's names, one per line).
 ///
 /// # Errors
 ///
-/// Returns a message when `--trace` is present without a path.
-pub fn trace_path_arg(args: &[String]) -> Result<Option<PathBuf>, String> {
-    let mut iter = args.iter().skip(1);
-    while let Some(arg) = iter.next() {
-        if arg == "--trace" {
-            return match iter.next() {
-                Some(path) => Ok(Some(PathBuf::from(path))),
-                None => Err("--trace requires a path argument".into()),
-            };
+/// Returns a message listing the registry when `command` is none of those.
+pub fn render(command: &str, ctx: &FigureCtx) -> Result<String, String> {
+    let _root = ctx.sink.span(Layer::Exec, command);
+    match command {
+        "list" => Ok(FIGURES.iter().map(|(name, _)| format!("{name}\n")).collect()),
+        "reproduce" => {
+            Ok(format!("# CoSMIC reproduction — full evaluation report\n\n{}", run_all(ctx)))
         }
-        if let Some(path) = arg.strip_prefix("--trace=") {
-            return Ok(Some(PathBuf::from(path)));
-        }
+        name => match FIGURES.iter().find(|(n, _)| *n == name) {
+            Some((_, run)) => Ok(run(ctx)),
+            None => {
+                let names: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
+                let known = names.join(", ");
+                Err(format!(
+                    "unknown figure {name:?}; expected reproduce, list, or one of: {known}"
+                ))
+            }
+        },
     }
-    Ok(None)
 }
 
-/// Extracts the `--transport {sim,tcp}` / `--transport=<kind>` flag from
-/// a binary's arguments; absent means [`TransportKind::Sim`].
+/// The `cosmic-bench` command line.
+pub const USAGE: &str = "usage: cosmic-bench <name | reproduce | list> [--trace <path>] \
+                         [--transport sim|tcp] [--repr <spec>]";
+
+/// Parses [`USAGE`] (`args[0]` is the program name; every flag also
+/// accepts the `--flag=value` spelling) into the command to [`render`],
+/// where `--trace` asked the Chrome trace to go, and the figure context
+/// the flags select. `--repr` specs are the codec's CLI spellings:
+/// `dense`, `fixed_point[:frac_bits]`, `top_k[:k]`.
 ///
 /// # Errors
 ///
-/// Returns a message when the flag is present without a value or names
-/// an unknown backend.
-pub fn transport_arg(args: &[String]) -> Result<TransportKind, String> {
+/// Returns the message to print when a flag lacks its value or names an
+/// unknown backend or representation, when an argument is not
+/// recognized, or when no command is given.
+pub fn parse_args(args: &[String]) -> Result<(String, Option<PathBuf>, FigureCtx), String> {
+    let mut command = None;
+    let mut trace = None;
+    let mut ctx = FigureCtx::default();
     let mut iter = args.iter().skip(1);
     while let Some(arg) = iter.next() {
-        let value = if arg == "--transport" {
-            match iter.next() {
-                Some(v) => v.clone(),
-                None => return Err("--transport requires a value (sim or tcp)".into()),
-            }
-        } else if let Some(v) = arg.strip_prefix("--transport=") {
-            v.to_string()
-        } else {
-            continue;
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
+            _ => (arg.as_str(), None),
         };
-        return TransportKind::parse(&value)
-            .ok_or_else(|| format!("unknown transport {value:?} (expected sim or tcp)"));
-    }
-    Ok(TransportKind::Sim)
-}
-
-/// Extracts the `--repr <spec>` / `--repr=<spec>` flag from a binary's
-/// arguments; absent means [`WireRepr::DenseF64`]. Specs are the codec's
-/// CLI spellings: `dense`, `fixed_point[:frac_bits]`, `top_k[:k]`.
-///
-/// # Errors
-///
-/// Returns a message when the flag is present without a value or names
-/// an unknown representation.
-pub fn repr_arg(args: &[String]) -> Result<WireRepr, String> {
-    let mut iter = args.iter().skip(1);
-    while let Some(arg) = iter.next() {
-        let value = if arg == "--repr" {
-            match iter.next() {
-                Some(v) => v.clone(),
-                None => return Err("--repr requires a value (dense, fixed_point, or top_k)".into()),
+        let value = |missing: &'static str| inline.or_else(|| iter.next().cloned()).ok_or(missing);
+        match flag {
+            "--trace" => trace = Some(PathBuf::from(value("--trace requires a path argument")?)),
+            "--transport" => {
+                let v = value("--transport requires a value (sim or tcp)")?;
+                ctx.transport = TransportKind::parse(&v)
+                    .ok_or_else(|| format!("unknown transport {v:?} (expected sim or tcp)"))?;
             }
-        } else if let Some(v) = arg.strip_prefix("--repr=") {
-            v.to_string()
-        } else {
-            continue;
-        };
-        return WireRepr::parse(&value).ok_or_else(|| {
-            format!("unknown repr {value:?} (expected dense, fixed_point[:bits], or top_k[:k])")
-        });
-    }
-    Ok(WireRepr::DenseF64)
-}
-
-/// Shared `main` for every `fig*`/`table*` binary: renders the experiment
-/// inside a root span named after it, prints the report, and — when
-/// `--trace <path>` was passed — exports the Chrome-trace JSON to `path`
-/// and the flat counters to a sibling `metrics.json`. All timestamps are
-/// virtual, so identical seeds produce byte-identical exports.
-pub fn figure_main(name: &str, render: impl FnOnce(&TraceSink) -> String) {
-    figure_main_transported(name, |sink, _| render(sink));
-}
-
-/// [`figure_main`] for binaries whose experiment runs the functional
-/// cluster: additionally honors `--transport {sim,tcp}`, threading the
-/// chosen wire backend into the render function. The default is the
-/// discrete-event backend, which keeps unflagged runs byte-identical to
-/// their goldens.
-pub fn figure_main_transported(
-    name: &str,
-    render: impl FnOnce(&TraceSink, TransportKind) -> String,
-) {
-    let args: Vec<String> = std::env::args().collect();
-    let (trace_path, transport) =
-        match trace_path_arg(&args).and_then(|p| transport_arg(&args).map(|t| (p, t))) {
-            Ok(pair) => pair,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
+            "--repr" => {
+                let v = value("--repr requires a value (dense, fixed_point, or top_k)")?;
+                ctx.repr = WireRepr::parse(&v).ok_or_else(|| {
+                    format!("unknown repr {v:?} (expected dense, fixed_point[:bits], or top_k[:k])")
+                })?;
             }
-        };
-    let sink = TraceSink::new();
-    let report = {
-        let _root = sink.span(Layer::Exec, name);
-        render(&sink, transport)
-    };
-    print!("{report}");
-    if let Some(path) = trace_path {
-        if let Err(e) = sink.write(&path) {
-            eprintln!("error: could not write trace to {}: {e}", path.display());
-            std::process::exit(1);
+            name if command.is_none() && !name.starts_with('-') => command = Some(name.to_string()),
+            other => return Err(format!("unexpected argument {other:?}; {USAGE}")),
         }
     }
-}
-
-/// [`figure_main`] for binaries whose experiment prices payloads under a
-/// wire representation: additionally honors `--repr <spec>`, threading
-/// the chosen codec into the render function. The default is the dense
-/// representation, which keeps unflagged runs byte-identical to their
-/// goldens.
-pub fn figure_main_repred(name: &str, render: impl FnOnce(&TraceSink, WireRepr) -> String) {
-    let args: Vec<String> = std::env::args().collect();
-    let (trace_path, repr) =
-        match trace_path_arg(&args).and_then(|p| repr_arg(&args).map(|r| (p, r))) {
-            Ok(pair) => pair,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        };
-    let sink = TraceSink::new();
-    let report = {
-        let _root = sink.span(Layer::Exec, name);
-        render(&sink, repr)
-    };
-    print!("{report}");
-    if let Some(path) = trace_path {
-        if let Err(e) = sink.write(&path) {
-            eprintln!("error: could not write trace to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    let command = command.ok_or_else(|| format!("no figure named; {USAGE}"))?;
+    Ok((command, trace, ctx))
 }

@@ -4,6 +4,8 @@
 use cosmic_core::cosmic_dsl;
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 
+use crate::figures::FigureCtx;
+
 /// Lines of DSL code the programmer writes for a benchmark (measured from
 /// the built-in program, as [`cosmic_dsl::Program::lines_of_code`]).
 pub fn measured_loc(id: BenchmarkId) -> usize {
@@ -13,7 +15,7 @@ pub fn measured_loc(id: BenchmarkId) -> usize {
 }
 
 /// Renders the table.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Table 1 — Benchmarks, algorithms, domains, datasets\n\n\
          | name | algorithm | domain | features | topology | model KB | LoC (paper) | \
@@ -67,7 +69,7 @@ mod tests {
 
     #[test]
     fn table_lists_all_rows() {
-        let t = run();
+        let t = run(&FigureCtx::default());
         for id in BenchmarkId::all() {
             assert!(t.contains(&format!("| {id} |")), "{id}");
         }

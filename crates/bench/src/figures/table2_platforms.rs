@@ -2,8 +2,10 @@
 
 use cosmic_core::cosmic_arch::{AcceleratorSpec, CpuSpec, GpuSpec};
 
+use crate::figures::FigureCtx;
+
 /// Renders the table.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let cpu = CpuSpec::xeon_e3();
     let gpu = GpuSpec::k40c();
     let fpga = AcceleratorSpec::fpga_vu9p();
@@ -52,7 +54,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn table_mentions_all_platforms() {
-        let t = super::run();
+        let t = super::run(&super::FigureCtx::default());
         for label in ["Xeon", "K40c", "VU9P", "P-ASIC-F", "P-ASIC-G"] {
             assert!(t.contains(label), "{label}");
         }

@@ -5,6 +5,7 @@ use cosmic_core::cosmic_arch::AcceleratorSpec;
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
 use cosmic_core::cosmic_planner::{utilization, Utilization};
 
+use crate::figures::FigureCtx;
 use crate::harness::{full_dfg, plan_for};
 
 /// The planned design point's utilization for one benchmark.
@@ -16,7 +17,7 @@ pub fn row(id: BenchmarkId) -> (usize, Utilization) {
 }
 
 /// Renders the table.
-pub fn run() -> String {
+pub fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Table 3 — Threads per FPGA and resource utilization (UltraScale+ VU9P)\n\n\
          | benchmark | threads | LUTs | LUT % | FFs | FF % | BRAM KB | BRAM % | DSPs | DSP % |\n\

@@ -222,7 +222,7 @@ mod tests {
     fn cosmic_beats_spark_on_every_benchmark_at_16_nodes() {
         for id in BenchmarkId::all() {
             // CF DFGs are tiny; use them plus two dense ones to keep the
-            // test fast — the full sweep runs in the figure binaries.
+            // test fast — the full sweep runs under `cosmic-bench`.
             if !matches!(id, BenchmarkId::Movielens | BenchmarkId::Tumor | BenchmarkId::Face) {
                 continue;
             }

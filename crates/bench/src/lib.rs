@@ -1,10 +1,11 @@
 //! # cosmic-bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§7).
-//! Each figure/table lives in [`figures`] as a module with a
-//! `run() -> String` that prints the same rows/series the paper reports;
-//! the `src/bin/` binaries are thin wrappers, and `benches/` drives the
-//! same modules under Criterion.
+//! Each figure/table lives in [`figures`] as a module with one
+//! `run(&FigureCtx) -> String` that prints the same rows/series the
+//! paper reports; [`figures::FIGURES`] registers them in paper order,
+//! the `cosmic-bench` binary dispatches over that registry, and
+//! `benches/` drives the same modules under Criterion.
 //!
 //! Absolute numbers come from this repository's models and simulators,
 //! not the authors' testbed; the *shapes* — who wins, by roughly what

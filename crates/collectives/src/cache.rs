@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use crate::hash::Fnv1a;
 use crate::schedule::{CommSchedule, ScheduleError};
 use crate::strategy::{Collective, CollectiveKind};
 use crate::topology::{Role, Topology};
@@ -130,14 +131,8 @@ impl BoundedScheduleCache {
 /// strategy, whatever their epochs, because [`Collective::schedule`]
 /// reads only the role structure.
 pub fn topology_fingerprint(topology: &Topology) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::default();
+    let mut eat = |v: u64| h.write_u64(v);
     eat(topology.groups as u64);
     for role in &topology.roles {
         match role {
@@ -167,7 +162,7 @@ pub fn topology_fingerprint(topology: &Topology) -> u64 {
             Role::Failed => eat(4),
         }
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@
 //!   (dense f64, shared-exponent fixed point, top-k sparsification)
 //!   every layer of the payload path prices and books by, with exact
 //!   encoded-size accounting and a scaling-factor side channel;
+//! - [`hash`] — [`Fnv1a`]: the one checksum every chunk, frame,
+//!   checkpoint, journal record, and cache key in the stack hashes with;
 //! - [`schedule`] — [`CommSchedule`]: a deterministic, ordered list of
 //!   send/reduce/share steps with word ranges and link levels, plus a
 //!   symbolic executor that *proves* a schedule moves every contribution
@@ -47,6 +49,7 @@
 
 pub mod cache;
 pub mod codec;
+pub mod hash;
 pub mod schedule;
 pub mod selector;
 pub mod strategy;
@@ -54,6 +57,7 @@ pub mod topology;
 
 pub use cache::{topology_fingerprint, BoundedScheduleCache, CacheStats};
 pub use codec::{CodecError, CodecStats, EncodedPayload, WireRepr, WORD_BYTES};
+pub use hash::Fnv1a;
 pub use schedule::{
     CommSchedule, CommStep, ExecReport, LinkLevel, ScheduleError, StepKind, SWITCH,
 };

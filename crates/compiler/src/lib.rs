@@ -52,6 +52,7 @@ pub use schedule::{BusModel, Schedule, ScheduleEstimate};
 
 use cosmic_arch::Geometry;
 use cosmic_dfg::Dfg;
+use cosmic_telemetry::{counters, Layer, TraceSink};
 
 /// Options controlling compilation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,38 +78,16 @@ impl Default for CompileOptions {
     }
 }
 
-/// Compiles a DFG for one worker thread's PE allocation: maps (Algorithm
-/// 1 or the TABLA comparator), schedules, and generates the instruction
-/// streams and memory schedule.
-pub fn compile(dfg: &Dfg, geometry: Geometry, options: &CompileOptions) -> CompiledThread {
-    let words_per_cycle = options.words_per_cycle.unwrap_or(geometry.columns as f64);
-    let map = mapping::map(dfg, geometry, options.strategy);
-    let schedule = schedule::schedule_on(dfg, &map, geometry, words_per_cycle, options.bus);
-    codegen::generate(dfg, &map, &schedule, geometry)
-}
-
-/// Convenience: the static performance estimate alone, skipping code
-/// generation (what the Planner's design-space exploration calls in a
-/// loop — "instead of simulation, which will be intractable", paper §4.4).
-pub fn estimate(dfg: &Dfg, geometry: Geometry, options: &CompileOptions) -> ScheduleEstimate {
-    let words_per_cycle = options.words_per_cycle.unwrap_or(geometry.columns as f64);
-    let map = mapping::map(dfg, geometry, options.strategy);
-    schedule::schedule_on(dfg, &map, geometry, words_per_cycle, options.bus).estimate
-}
-
-/// [`compile`] that also records the pipeline into `sink`: a `compile`
-/// span wrapping `map` and `schedule` child spans, plus counters for
-/// ops, communication edges cut by the mapping, schedule length,
-/// transfers, per-PE load, and utilization.
-pub fn compile_traced(
+/// The one map → schedule pipeline behind [`compile`] and [`estimate`]:
+/// a `map` and a `schedule` span, nested under whatever span the caller
+/// holds open on `sink`.
+fn map_and_schedule(
     dfg: &Dfg,
     geometry: Geometry,
     options: &CompileOptions,
-    sink: &cosmic_telemetry::TraceSink,
-) -> CompiledThread {
-    use cosmic_telemetry::Layer;
+    sink: &TraceSink,
+) -> (MapResult, Schedule) {
     let words_per_cycle = options.words_per_cycle.unwrap_or(geometry.columns as f64);
-    let guard = sink.span(Layer::Compile, "compile");
     let map = {
         let _map_span = sink.span(Layer::Map, "map");
         mapping::map(dfg, geometry, options.strategy)
@@ -117,33 +96,33 @@ pub fn compile_traced(
         let _sched_span = sink.span(Layer::Schedule, "schedule");
         schedule::schedule_on(dfg, &map, geometry, words_per_cycle, options.bus)
     };
-    record_compile(dfg, geometry, &map, &schedule.estimate, sink);
-    drop(guard);
+    (map, schedule)
+}
+
+/// Compiles a DFG for one worker thread's PE allocation: maps (Algorithm
+/// 1 or the TABLA comparator), schedules, and generates the instruction
+/// streams and memory schedule. Books no telemetry.
+pub fn compile(dfg: &Dfg, geometry: Geometry, options: &CompileOptions) -> CompiledThread {
+    let (map, schedule) = map_and_schedule(dfg, geometry, options, &TraceSink::new());
     codegen::generate(dfg, &map, &schedule, geometry)
 }
 
-/// [`estimate`] that also records the pipeline into `sink` (same spans
-/// and counters as [`compile_traced`], without code generation).
-pub fn estimate_traced(
+/// The static performance estimate alone, skipping code generation (what
+/// Figure 17's head-to-head compares; the Planner's design-space
+/// exploration drives [`mapping`] and [`schedule`] directly). Records the
+/// pipeline into `sink`: a `compile` span wrapping `map` and `schedule`
+/// child spans, plus counters for ops, communication edges cut by the
+/// mapping, schedule length, transfers, per-PE load, and utilization.
+pub fn estimate(
     dfg: &Dfg,
     geometry: Geometry,
     options: &CompileOptions,
-    sink: &cosmic_telemetry::TraceSink,
+    sink: &TraceSink,
 ) -> ScheduleEstimate {
-    use cosmic_telemetry::Layer;
-    let words_per_cycle = options.words_per_cycle.unwrap_or(geometry.columns as f64);
-    let guard = sink.span(Layer::Compile, "compile");
-    let map = {
-        let _map_span = sink.span(Layer::Map, "map");
-        mapping::map(dfg, geometry, options.strategy)
-    };
-    let est = {
-        let _sched_span = sink.span(Layer::Schedule, "schedule");
-        schedule::schedule_on(dfg, &map, geometry, words_per_cycle, options.bus).estimate
-    };
-    record_compile(dfg, geometry, &map, &est, sink);
-    drop(guard);
-    est
+    let _guard = sink.span(Layer::Compile, "compile");
+    let (map, schedule) = map_and_schedule(dfg, geometry, options, sink);
+    record_compile(dfg, geometry, &map, &schedule.estimate, sink);
+    schedule.estimate
 }
 
 /// Books one compiled thread's static metrics on the sink.
@@ -152,9 +131,8 @@ fn record_compile(
     geometry: Geometry,
     map: &MapResult,
     est: &ScheduleEstimate,
-    sink: &cosmic_telemetry::TraceSink,
+    sink: &TraceSink,
 ) {
-    use cosmic_telemetry::counters;
     sink.add(counters::COMPILE_OPS, est.compute_ops as f64);
     sink.add(counters::COMPILE_REMOTE_EDGES, map.remote_edges(dfg) as f64);
     sink.add(counters::COMPILE_SCHEDULE_CYCLES, est.latency_cycles as f64);
@@ -170,23 +148,22 @@ fn record_compile(
 }
 
 #[cfg(test)]
-mod traced_tests {
+mod tests {
     use super::*;
     use cosmic_dfg::{lower, DimEnv};
     use cosmic_dsl::{parse, programs};
-    use cosmic_telemetry::{counters, TraceSink};
 
     #[test]
-    fn traced_compile_matches_untraced_and_books_counters() {
+    fn estimate_matches_compile_and_books_the_pipeline() {
         let program = parse(&programs::svm(64)).expect("parses");
         let dfg = lower(&program, &DimEnv::new().with("n", 8)).expect("lowers");
         let geometry = Geometry::new(2, 8);
         let options = CompileOptions::default();
 
         let sink = TraceSink::new();
-        let traced = compile_traced(&dfg, geometry, &options, &sink);
-        let plain = compile(&dfg, geometry, &options);
-        assert_eq!(traced.estimate, plain.estimate);
+        let est = estimate(&dfg, geometry, &options, &sink);
+        let compiled = compile(&dfg, geometry, &options);
+        assert_eq!(est, compiled.estimate, "both entry points run the one pipeline");
         assert!(sink.validate_tree().is_ok());
 
         let spans = sink.spans();
@@ -196,17 +173,12 @@ mod traced_tests {
         assert_eq!(spans[2].parent, Some(0));
 
         let sums = sink.sums();
-        assert_eq!(sums[counters::COMPILE_OPS], plain.estimate.compute_ops as f64);
-        assert_eq!(sums[counters::COMPILE_SCHEDULE_CYCLES], plain.estimate.latency_cycles as f64);
+        assert_eq!(sums[counters::COMPILE_OPS], est.compute_ops as f64);
+        assert_eq!(sums[counters::COMPILE_SCHEDULE_CYCLES], est.latency_cycles as f64);
         assert_eq!(sums[counters::COMPILE_MODEL_WORDS], dfg.model_len() as f64);
         let maxima = sink.maxima();
         assert!(maxima[counters::PE_UTILIZATION] > 0.0);
         assert!(maxima[counters::PE_UTILIZATION] <= 1.0);
         assert!(maxima[counters::COMPILE_OPS_PER_PE] > 0.0);
-
-        let est_sink = TraceSink::new();
-        let est = estimate_traced(&dfg, geometry, &options, &est_sink);
-        assert_eq!(est, plain.estimate);
-        assert_eq!(est_sink.sums(), sums, "estimate books the same counters");
     }
 }

@@ -380,32 +380,6 @@ impl CosmicStack {
         Ok(trainer.train(alg, dataset, initial_model)?)
     }
 
-    /// [`CosmicStack::train`] that also records spans and counters into
-    /// `sink` (virtual-time telemetry; identical seeds produce
-    /// byte-identical exported traces).
-    pub fn train_traced(
-        &self,
-        alg: &Algorithm,
-        dataset: &Dataset,
-        initial_model: Vec<f64>,
-        epochs: usize,
-        aggregation: Aggregation,
-        sink: &cosmic_telemetry::TraceSink,
-    ) -> Result<TrainOutcome, StackError> {
-        let trainer = ClusterTrainer::new(ClusterConfig {
-            nodes: self.nodes,
-            groups: self.groups,
-            threads_per_node: self.threads_per_node(),
-            minibatch: self.minibatch,
-            learning_rate: self.learning_rate,
-            epochs,
-            aggregation,
-            faults: self.fault_plan.clone(),
-            ..ClusterConfig::default()
-        })?;
-        Ok(trainer.train_traced(alg, dataset, initial_model, sink)?)
-    }
-
     /// Checks that an analytic [`Algorithm`] gradient agrees with this
     /// stack's DFG on a sample record/model pair, within `tol`. Returns
     /// the maximum absolute difference.

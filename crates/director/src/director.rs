@@ -317,18 +317,9 @@ fn fold_min(next: &mut Option<f64>, t: f64) {
 }
 
 impl<'a> Director<'a> {
-    /// Runs `plan` under `cfg` without telemetry or faults.
-    pub fn run(
-        cfg: &DirectorConfig,
-        plan: &JobArrivalPlan,
-    ) -> Result<DirectorReport, DirectorError> {
-        let sink = TraceSink::new();
-        Director::run_traced(cfg, plan, &sink)
-    }
-
     /// Runs `plan` under `cfg` without faults, booking spans and
     /// counters into `sink` under [`Layer::Director`].
-    pub fn run_traced(
+    pub fn run(
         cfg: &DirectorConfig,
         plan: &JobArrivalPlan,
         sink: &TraceSink,

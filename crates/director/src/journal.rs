@@ -27,17 +27,16 @@
 //! director killed mid-write — and [`Journal::decode`] rolls the tail
 //! back to the last complete record, exactly like a database WAL.
 
-use crate::error::DirectorError;
+use cosmic_collectives::Fnv1a;
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use crate::error::DirectorError;
 
 /// FNV-1a over a byte slice — the same checksum family the runtime
 /// uses for chunks, frames, and checkpoints.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    let mut hash = Fnv1a::default();
+    hash.write_bytes(bytes);
+    hash.finish()
 }
 
 /// Why a job was shed instead of queued.

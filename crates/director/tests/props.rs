@@ -33,7 +33,7 @@ proptest! {
     ) {
         let policy = FairnessPolicy::ALL[policy_idx];
         let plan = JobArrivalPlan::random(seed, jobs, &profile());
-        let report = Director::run(&config(policy), &plan).expect("the loop must drain");
+        let report = Director::run(&config(policy), &plan, &TraceSink::new()).expect("the loop must drain");
         prop_assert_eq!(report.jobs.len() + report.rejected.len(), jobs);
         for job in &report.jobs {
             prop_assert!(job.completed_s >= job.admitted_s);
@@ -55,7 +55,7 @@ proptest! {
     ) {
         let policy = FairnessPolicy::ALL[policy_idx];
         let plan = JobArrivalPlan::random(seed, jobs, &profile());
-        let report = Director::run(&config(policy), &plan).expect("the loop must drain");
+        let report = Director::run(&config(policy), &plan, &TraceSink::new()).expect("the loop must drain");
         for job in &report.jobs {
             prop_assert_eq!(
                 job.granted_nodes - job.preempted_nodes,
@@ -81,8 +81,8 @@ proptest! {
         let cfg = config(policy);
         let sink_a = TraceSink::new();
         let sink_b = TraceSink::new();
-        let a = Director::run_traced(&cfg, &plan, &sink_a).expect("run a");
-        let b = Director::run_traced(&cfg, &plan, &sink_b).expect("run b");
+        let a = Director::run(&cfg, &plan, &sink_a).expect("run a");
+        let b = Director::run(&cfg, &plan, &sink_b).expect("run b");
         prop_assert_eq!(a, b);
         prop_assert_eq!(sink_a.metrics_json(), sink_b.metrics_json());
         prop_assert_eq!(sink_a.chrome_trace_json(), sink_b.chrome_trace_json());
@@ -210,10 +210,12 @@ fn fifo_is_static_and_elastic_policies_resize() {
         ..DirectorConfig::default()
     };
     let plan = JobArrivalPlan::random(3, 20, &profile);
-    let fifo = Director::run(&contended(FairnessPolicy::StrictFifo), &plan).expect("fifo");
+    let fifo = Director::run(&contended(FairnessPolicy::StrictFifo), &plan, &TraceSink::new())
+        .expect("fifo");
     assert!(fifo.jobs.iter().all(|j| j.reallocations == 0), "FIFO must never resize");
     let elastic =
-        Director::run(&contended(FairnessPolicy::WeightedMaxMin), &plan).expect("max-min");
+        Director::run(&contended(FairnessPolicy::WeightedMaxMin), &plan, &TraceSink::new())
+            .expect("max-min");
     assert!(
         elastic.jobs.iter().any(|j| j.reallocations > 0),
         "a contended plan must trigger elastic resizes"

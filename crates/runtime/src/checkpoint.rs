@@ -28,20 +28,17 @@
 use std::error::Error;
 use std::fmt;
 
+use cosmic_collectives::Fnv1a;
+
 /// FNV-1a over the little-endian bytes of each word's bit pattern.
 /// Stable across platforms, cheap, and sensitive to single-bit flips —
 /// all a deterministic simulator needs from a checksum.
 pub fn model_checksum(model: &[f64]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
+    let mut hash = Fnv1a::default();
     for word in model {
-        for byte in word.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
+        hash.write_u64(word.to_bits());
     }
-    hash
+    hash.finish()
 }
 
 /// Checkpointing cadence.

@@ -16,6 +16,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use cosmic_collectives::Fnv1a;
 use crossbeam::channel::Receiver;
 use crossbeam::sync::WaitGroup;
 use parking_lot::Mutex;
@@ -64,20 +65,12 @@ impl Chunk {
     /// must bear (FNV-1a over the offset and the payload's bit
     /// patterns — cheap, deterministic, and sensitive to any flip).
     pub fn checksum_of(offset: usize, data: &[f64]) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |bytes: [u8; 8]| {
-            for b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix((offset as u64).to_le_bytes());
+        let mut hash = Fnv1a::default();
+        hash.write_u64(offset as u64);
         for v in data {
-            mix(v.to_bits().to_le_bytes());
+            hash.write_u64(v.to_bits());
         }
-        hash
+        hash.finish()
     }
 
     /// Whether the payload still matches its checksum.

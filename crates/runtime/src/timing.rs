@@ -225,8 +225,8 @@ impl<'a> IterationModel<'a> {
     /// [`names::COLLECTIVE`] span per schedule round nests inside the
     /// aggregation and broadcast phases and wire bytes book per link
     /// level; otherwise the two hierarchy levels and the broadcast book
-    /// through the network model's traced fan helpers. Advances the
-    /// sink's virtual clock by the iteration's total time.
+    /// their fan × exchange bytes on the same per-level counters.
+    /// Advances the sink's virtual clock by the iteration's total time.
     pub fn traced(mut self, sink: &'a TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -320,9 +320,9 @@ impl<'a> IterationModel<'a> {
             None => {
                 let fan1 = self.timing.group_fan_in();
                 let fan2 = self.timing.groups.saturating_sub(1);
-                self.timing.net.fan_in_traced(self.exchange_bytes, fan1, 1, sink);
-                self.timing.net.fan_in_traced(self.exchange_bytes, fan2, 2, sink);
-                self.timing.net.fan_out_traced(self.exchange_bytes, fan1.max(fan2), sink);
+                for (level, fan) in [(1, fan1), (2, fan2), (3, fan1.max(fan2))] {
+                    sink.add(level_counter(level), (self.exchange_bytes * fan) as f64);
+                }
             }
         }
         sink.add(counters::PCIE_BYTES, (2 * self.exchange_bytes) as f64);

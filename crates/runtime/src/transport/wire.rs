@@ -22,6 +22,7 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use cosmic_collectives::codec::{decode_tagged, WireRepr};
+use cosmic_collectives::Fnv1a;
 
 use crate::buffer::WordBuf;
 use crate::node::Chunk;
@@ -315,17 +316,13 @@ fn slice8(buf: &[u8], at: usize) -> [u8; 8] {
     out
 }
 
-/// FNV-1a over raw bytes — same constants as the chunk and model
-/// checksums, so the whole stack shares one hash discipline.
+/// FNV-1a over raw bytes — the same [`Fnv1a`] the chunk and model
+/// checksums stream through, so the whole stack shares one hash
+/// discipline.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    let mut hash = Fnv1a::default();
+    hash.write_bytes(bytes);
+    hash.finish()
 }
 
 /// A typed wire-decoding failure. Malformed input is a value, never a

@@ -1,24 +1,26 @@
-//! # cosmic-sim — discrete-event simulation substrate
+//! # cosmic-sim — closed-form cluster models and seeded plans
 //!
-//! The cluster-level substrate of the CoSMIC reproduction: a deterministic
-//! discrete-event engine ([`event`]), a commodity-Ethernet network model
-//! ([`net`]) matching the paper's testbed (TP-LINK gigabit switch,
-//! full-duplex 1 Gbps ports), a PCIe expansion-slot model ([`pcie`])
-//! for host↔accelerator transfers, and a deterministic fault-injection
-//! layer ([`faults`]) that schedules crashes, stragglers, and chunk-level
-//! network pathologies reproducibly from a seed.
+//! The cluster-level substrate of the CoSMIC reproduction: a
+//! commodity-Ethernet network model ([`net`]) matching the paper's
+//! testbed (TP-LINK gigabit switch, full-duplex 1 Gbps ports), a PCIe
+//! expansion-slot model ([`pcie`]) for host↔accelerator transfers, a
+//! deterministic fault-injection layer ([`faults`],
+//! [`director_faults`]) that schedules crashes, stragglers, and
+//! chunk-level network pathologies reproducibly from a seed, and seeded
+//! job-arrival plans ([`arrivals`]) for the director.
 //!
 //! The paper's scale-out experiments ran on real clusters (EC2 and a
-//! three-node lab system); here the wire is simulated while the system
-//! software logic above it (role assignment, thread pools, circular
-//! buffers — see `cosmic-runtime`) executes for real.
+//! three-node lab system); here the wire is modelled in closed form — a
+//! transfer's cost is a function of its bytes and fan, priced through
+//! `cosmic-runtime`'s `IterationModel` — while the system software
+//! above it (role assignment, thread pools, circular buffers) executes
+//! for real.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrivals;
 pub mod director_faults;
-pub mod event;
 pub mod faults;
 pub mod net;
 pub mod pcie;
@@ -27,7 +29,9 @@ pub use arrivals::{ArrivalProfile, JobArrival, JobArrivalPlan};
 pub use director_faults::{
     DirectorFaultEvent, DirectorFaultKind, DirectorFaultPlan, DirectorFaultRates,
 };
-pub use event::{EventQueue, SimTime};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRates};
-pub use net::{level_counter, LinkPort, NetworkModel};
+pub use net::{level_counter, NetworkModel};
 pub use pcie::PcieModel;
+
+/// Simulated time in nanoseconds.
+pub type SimTime = u64;

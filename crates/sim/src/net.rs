@@ -7,9 +7,9 @@
 //! node's ingress and egress links serialize their transfers
 //! independently (full duplex).
 
-use cosmic_telemetry::{counters, TraceSink};
+use cosmic_telemetry::counters;
 
-use crate::event::SimTime;
+use crate::SimTime;
 
 /// Maps a collective link level to its wire-byte counter. One shared
 /// table so fan-in, fan-out, and the collective executor book bytes
@@ -80,67 +80,6 @@ impl NetworkModel {
     pub fn fan_out_ns(&self, bytes: usize, receivers: usize) -> SimTime {
         self.fan_in_ns(bytes, receivers)
     }
-
-    /// [`NetworkModel::fan_in_ns`] that also books the ingress bytes on
-    /// the sink's per-level wire counter (see [`level_counter`]).
-    pub fn fan_in_traced(
-        &self,
-        bytes: usize,
-        senders: usize,
-        level: usize,
-        sink: &TraceSink,
-    ) -> SimTime {
-        sink.add(level_counter(level), (bytes * senders) as f64);
-        self.fan_in_ns(bytes, senders)
-    }
-
-    /// [`NetworkModel::fan_out_ns`] that also books the egress bytes on
-    /// the per-level wire counter (see [`level_counter`]) — previously
-    /// the fan-out path could only book broadcast traffic.
-    pub fn fan_out_traced_level(
-        &self,
-        bytes: usize,
-        receivers: usize,
-        level: usize,
-        sink: &TraceSink,
-    ) -> SimTime {
-        sink.add(level_counter(level), (bytes * receivers) as f64);
-        self.fan_out_ns(bytes, receivers)
-    }
-
-    /// [`NetworkModel::fan_out_ns`] that books the egress bytes on the
-    /// sink's broadcast counter (level 3).
-    pub fn fan_out_traced(&self, bytes: usize, receivers: usize, sink: &TraceSink) -> SimTime {
-        self.fan_out_traced_level(bytes, receivers, 3, sink)
-    }
-}
-
-/// Tracks the busy time of one directed port so overlapping transfers
-/// serialize. Used by discrete-event simulations that interleave traffic
-/// from multiple sources.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkPort {
-    busy_until: SimTime,
-}
-
-impl LinkPort {
-    /// A free port.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reserves the port for a transfer arriving at `arrival` and taking
-    /// `duration`; returns the completion time.
-    pub fn reserve(&mut self, arrival: SimTime, duration: SimTime) -> SimTime {
-        let start = arrival.max(self.busy_until);
-        self.busy_until = start + duration;
-        self.busy_until
-    }
-
-    /// When the port next becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
 }
 
 #[cfg(test)]
@@ -182,19 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_fans_book_wire_bytes_per_level() {
-        let n = NetworkModel::gigabit();
-        let sink = TraceSink::new();
-        assert_eq!(n.fan_in_traced(1_000, 3, 1, &sink), n.fan_in_ns(1_000, 3));
-        assert_eq!(n.fan_in_traced(2_000, 2, 2, &sink), n.fan_in_ns(2_000, 2));
-        assert_eq!(n.fan_out_traced(500, 4, &sink), n.fan_out_ns(500, 4));
-        let sums = sink.sums();
-        assert_eq!(sums[counters::NET_BYTES_LEVEL1], 3_000.0);
-        assert_eq!(sums[counters::NET_BYTES_LEVEL2], 4_000.0);
-        assert_eq!(sums[counters::NET_BYTES_BROADCAST], 2_000.0);
-    }
-
-    #[test]
     fn fan_in_and_fan_out_share_one_level_table() {
         assert_eq!(level_counter(0), counters::NET_BYTES_PEER);
         assert_eq!(level_counter(1), counters::NET_BYTES_LEVEL1);
@@ -202,28 +128,6 @@ mod tests {
         assert_eq!(level_counter(3), counters::NET_BYTES_BROADCAST);
         assert_eq!(level_counter(4), counters::NET_BYTES_FABRIC);
         assert_eq!(level_counter(9), "net.bytes.other");
-
-        // The fan-out path books the same counters as fan-in for the
-        // same level (it used to alias fan-in untraced).
-        let n = NetworkModel::gigabit();
-        let sink = TraceSink::new();
-        assert_eq!(n.fan_out_traced_level(100, 2, 0, &sink), n.fan_out_ns(100, 2));
-        assert_eq!(n.fan_out_traced_level(100, 3, 4, &sink), n.fan_out_ns(100, 3));
-        let sums = sink.sums();
-        assert_eq!(sums[counters::NET_BYTES_PEER], 200.0);
-        assert_eq!(sums[counters::NET_BYTES_FABRIC], 300.0);
-    }
-
-    #[test]
-    fn link_port_serializes_reservations() {
-        let mut port = LinkPort::new();
-        let a = port.reserve(0, 100);
-        let b = port.reserve(10, 100); // arrives while busy
-        let c = port.reserve(500, 100); // arrives when free
-        assert_eq!(a, 100);
-        assert_eq!(b, 200);
-        assert_eq!(c, 600);
-        assert_eq!(port.busy_until(), 600);
     }
 }
 
@@ -250,20 +154,6 @@ mod property_tests {
             prop_assert!(all >= n.fan_in_ns(bytes, senders - 1));
             let serialized = (senders as f64 * bytes as f64 / n.goodput_bps() * 1e9) as SimTime;
             prop_assert!(all >= serialized);
-        }
-
-        /// A port never reorders: completion times are non-decreasing in
-        /// reservation order regardless of arrival pattern.
-        #[test]
-        fn port_reservations_are_fifo(arrivals in prop::collection::vec(0u64..10_000, 1..32)) {
-            let mut port = LinkPort::new();
-            let mut last = 0;
-            for (i, &at) in arrivals.iter().enumerate() {
-                let done = port.reserve(at, 100 + i as u64);
-                prop_assert!(done >= last, "completion must not regress");
-                prop_assert!(done >= at + 100);
-                last = done;
-            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! PCIe expansion-slot transfer model (host ↔ accelerator/GPU board).
 
-use crate::event::SimTime;
+use crate::SimTime;
 
 /// A PCIe link's effective characteristics.
 #[derive(Debug, Clone, Copy, PartialEq)]

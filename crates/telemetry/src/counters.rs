@@ -110,9 +110,6 @@ pub const CODEC_VALUES_CLIPPED: &str = "codec.values.clipped";
 /// Coordinates left behind by top-k sparsification.
 pub const CODEC_COORDS_DROPPED: &str = "codec.coords.dropped";
 
-/// Events processed by the discrete-event queue.
-pub const SIM_EVENTS: &str = "sim.events";
-
 /// Compute operations in the compiled dataflow graph.
 pub const COMPILE_OPS: &str = "compile.ops";
 /// Communication edges cut by the mapping (operands off-PE).

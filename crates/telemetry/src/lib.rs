@@ -1,8 +1,8 @@
 //! # cosmic-telemetry — virtual-time spans and deterministic counters
 //!
 //! Observability substrate for the CoSMIC stack. Every layer — DSL
-//! lowering, the compiler's mapping/scheduling, the discrete-event sim,
-//! and the scale-out runtime — records what it did into a shared
+//! lowering, the compiler's mapping/scheduling, the timing models, the
+//! scale-out runtime, and the director — records what it did into a shared
 //! [`TraceSink`]: hierarchical **spans** stamped with *virtual* time
 //! (simulated seconds for the timing models, nominal-iteration units for
 //! the functional trainer — never the wall clock) and typed **counters**

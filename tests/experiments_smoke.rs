@@ -1,14 +1,14 @@
 //! Smoke tests over the evaluation harness: the cheap experiments render
 //! well-formed reports (the full sweeps run in `cargo bench` and the
-//! `reproduce` binary).
+//! `cosmic-bench reproduce`).
 
 use cosmic::prelude::*;
-use cosmic_bench::figures;
+use cosmic_bench::figures::{self, FigureCtx};
 
 #[test]
 fn tables_render_every_benchmark() {
-    let t1 = figures::table1_benchmarks::run();
-    let t2 = figures::table2_platforms::run();
+    let t1 = figures::table1_benchmarks::run(&FigureCtx::default());
+    let t2 = figures::table2_platforms::run(&FigureCtx::default());
     for id in BenchmarkId::all() {
         assert!(t1.contains(&format!("| {id} |")), "table 1 misses {id}");
     }
@@ -19,7 +19,7 @@ fn tables_render_every_benchmark() {
 #[test]
 fn speedup_tables_have_consistent_shapes() {
     // Only the cheap benchmarks (collab filtering + thin models), so the
-    // smoke test stays fast; backprop sweeps run in the binaries.
+    // smoke test stays fast; backprop sweeps run under `cosmic-bench`.
     let id = BenchmarkId::Tumor;
     let s = figures::fig07_speedup::speedups(id);
     assert!(s.iter().all(|v| v.is_finite() && *v > 0.0));
@@ -31,7 +31,7 @@ fn speedup_tables_have_consistent_shapes() {
     let platforms = figures::fig09_platforms::speedups(id);
     assert!(platforms.iter().all(|v| v.is_finite() && *v > 0.0));
 
-    let f13 = figures::fig13_breakdown::compute_fraction(id, 10_000);
+    let f13 = figures::fig13_breakdown::compute_fraction(id, 10_000, &TraceSink::new());
     assert!((0.0..=1.0).contains(&f13));
 
     let (fpga, sw) = figures::fig14_sources::split(id);
@@ -49,7 +49,8 @@ fn minibatch_sweep_brackets_the_default() {
 
 #[test]
 fn tabla_comparison_is_material_on_a_dense_benchmark() {
-    let (speedup, cosmic_t, tabla_t) = figures::fig17_tabla::comparison(BenchmarkId::Cancer1);
+    let (speedup, cosmic_t, tabla_t) =
+        figures::fig17_tabla::comparison(BenchmarkId::Cancer1, &TraceSink::new());
     assert!(speedup > 1.2, "CoSMIC vs TABLA: {speedup:.2}");
     assert!(cosmic_t < tabla_t);
 }

@@ -4,7 +4,7 @@
 //! nothing about the training run — the model is bit-identical, the
 //! fault verdicts agree, and the socket backend's own accounting
 //! conserves (every frame and byte it sends is received). This is the
-//! cross-check the CI `transport` job pins to a fixed seed.
+//! cross-check CI pins to a fixed seed.
 
 use cosmic::cosmic_ml::{data, Aggregation, Algorithm};
 use cosmic::cosmic_runtime::{
