@@ -10,11 +10,8 @@
 //! - **check** (`--check FILE`): compares the fresh measurements
 //!   against a committed baseline file and exits non-zero when any
 //!   workload present in both slowed down by more than the gate
-//!   (default 10%, `--gate PCT`). Committed speedup ratios at or below
-//!   1.05x are gate-exempt — near parity there is no headroom for a
-//!   percentage gate to measure — and each exemption is printed. The
-//!   CI `bench` job runs this in quick mode (`COSMIC_BENCH_ITERS`)
-//!   against the committed baseline.
+//!   (default 10%, `--gate PCT`). The CI `bench` job runs this in
+//!   quick mode (`COSMIC_BENCH_ITERS`) against the committed baseline.
 //!
 //! Usage:
 //!   bench_export [--out DIR] [--date YYYY-MM-DD] [--check FILE] [--gate PCT]
@@ -193,14 +190,8 @@ fn check_against(records: &[BenchRecord], baseline_path: &str, gate: f64) -> Exi
         }
     }
 
-    // A committed ratio at (or barely above) parity has no headroom:
-    // ±noise on two near-equal measurements swings the ratio past any
-    // percentage gate without a real regression behind it. Those pairs
-    // are reported but never gate.
-    const GATE_EXEMPT_RATIO: f64 = 1.05;
     let mut regressed = false;
     let mut compared = 0usize;
-    let mut exempt: Vec<&str> = Vec::new();
     for &(path, reference, optimized) in hotpaths::SPEEDUP_PAIRS {
         let (Some(r), Some(o)) = (
             records.iter().find(|r| r.id() == reference),
@@ -214,10 +205,7 @@ fn check_against(records: &[BenchRecord], baseline_path: &str, gate: f64) -> Exi
         compared += 1;
         let current = r.ns_per_iter / o.ns_per_iter;
         let drop = (base - current) / base * 100.0;
-        let verdict = if base <= GATE_EXEMPT_RATIO {
-            exempt.push(path);
-            "exempt"
-        } else if drop > gate {
+        let verdict = if drop > gate {
             regressed = true;
             "REGRESSED"
         } else {
@@ -229,21 +217,11 @@ fn check_against(records: &[BenchRecord], baseline_path: &str, gate: f64) -> Exi
         eprintln!("bench_export: baseline shares no speedup paths with this run");
         return ExitCode::FAILURE;
     }
-    if !exempt.is_empty() {
-        println!(
-            "bench_export: {} ratio(s) at or below {GATE_EXEMPT_RATIO}x were gate-exempt: {}",
-            exempt.len(),
-            exempt.join(", "),
-        );
-    }
     if regressed {
         eprintln!("bench_export: a hot path lost more than {gate:.0}% of its baseline speedup");
         return ExitCode::FAILURE;
     }
-    println!(
-        "bench_export: {} gated hot-path speedups within {gate:.0}% of {baseline_path}",
-        compared - exempt.len(),
-    );
+    println!("bench_export: {compared} hot-path speedups within {gate:.0}% of {baseline_path}");
     ExitCode::SUCCESS
 }
 

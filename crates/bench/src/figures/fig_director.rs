@@ -3,7 +3,8 @@
 //!
 //! The paper's evaluation runs one job at a time on a dedicated
 //! cluster. Real deployments run *hundreds* — so this study drives the
-//! [`cosmic_director`] over a seeded arrival plan of [`JOBS`] jobs
+//! [`cosmic_director`](cosmic_core::cosmic_director) over a seeded
+//! arrival plan of [`JOBS`] jobs
 //! (each a DSL program with its own dataset size, mini-batch, epoch
 //! budget, and `[min, max]` node request) onto one
 //! [`CLUSTER_NODES`]-node cluster, under all three fairness policies:

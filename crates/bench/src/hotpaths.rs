@@ -23,14 +23,12 @@ use cosmic_core::cosmic_compiler::{compile, CompileOptions};
 use cosmic_core::cosmic_dfg::{lower, DimEnv};
 use cosmic_core::cosmic_dsl::{parse, programs};
 use cosmic_core::cosmic_ml::{data, Algorithm};
-use cosmic_core::cosmic_runtime::node::{chunk_vector, SigmaAggregator};
 use cosmic_core::cosmic_runtime::{fold, ClusterConfig, ClusterTrainer};
 
 /// The reference→optimized pairs whose ratio is the headline speedup:
 /// `(hot path, reference benchmark id, optimized benchmark id)`.
 pub const SPEEDUP_PAIRS: &[(&str, &str, &str)] = &[
     ("fold_kernel", "fold/reference_8x400k", "fold/fused_8x400k"),
-    ("sigma_aggregate", "sigma/reference_4x800KB", "sigma/fused_4x800KB"),
     ("machine_cycle_sim", "machine/reference_svm256_64pe", "machine/optimized_svm256_64pe"),
 ];
 
@@ -38,7 +36,6 @@ pub const SPEEDUP_PAIRS: &[(&str, &str, &str)] = &[
 /// bench target and the export harness measure the identical matrix.
 pub fn register(c: &mut Criterion) {
     bench_fold(c);
-    bench_sigma(c);
     bench_machine(c);
     bench_engine_rounds(c);
 }
@@ -73,40 +70,8 @@ fn bench_fold(c: &mut Criterion) {
     g.finish();
 }
 
-/// The full validated Sigma aggregation pipeline — chunking, rings,
-/// checksum validation, staging, final fold — with 4 peer streams of
-/// 200k words each (the `stack.rs` 800 KB workload), reference kernel
-/// vs fused.
-fn bench_sigma(c: &mut Criterion) {
-    const PEERS: usize = 4;
-    const WORDS: usize = 200_000;
-    let model: Vec<f64> = (0..WORDS).map(|i| i as f64).collect();
-    let sigma = SigmaAggregator::new(PEERS, PEERS);
-    let feed = || {
-        (0..PEERS)
-            .map(|_| {
-                let (tx, rx) = crossbeam::channel::unbounded();
-                for chunk in chunk_vector(&model) {
-                    let _ = tx.send(chunk);
-                }
-                rx
-            })
-            .collect()
-    };
-
-    let mut g = c.benchmark_group("sigma");
-    g.throughput(Throughput::Bytes((8 * WORDS * PEERS) as u64));
-    g.bench_function("reference_4x800KB", |b| {
-        b.iter(|| black_box(sigma.aggregate_validated_reference(WORDS, feed()).sum[0]))
-    });
-    g.bench_function("fused_4x800KB", |b| {
-        b.iter(|| black_box(sigma.aggregate_validated(WORDS, feed()).sum[0]))
-    });
-    g.finish();
-}
-
 /// The cycle-level PE simulator on the compiled 256-feature SVM over a
-/// 4x16 geometry (the `stack.rs` workload): per-cycle reference loop vs
+/// 4x16 geometry: per-cycle reference loop vs
 /// the prepared-stream, idle-skipping optimized loop.
 fn bench_machine(c: &mut Criterion) {
     let program = parse(&programs::svm(10_000)).expect("svm parses");

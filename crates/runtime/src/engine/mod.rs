@@ -90,7 +90,7 @@ impl<'a, O: RunObserver> Engine<'a, O> {
             node_parts.iter().map(|p| p.partition(cfg.threads_per_node)).collect();
         let steps =
             thread_parts.iter().flatten().map(Dataset::len).max().unwrap_or(0).div_ceil(per_worker);
-        let sigma = SigmaAggregator::with_ring_capacity(4, 4, cfg.ring_capacity);
+        let sigma = SigmaAggregator::new(4, 4);
         let oracle = matches!(cfg.membership, MembershipMode::Oracle);
         let transport = transport::build(cfg)?;
         Ok(Engine {

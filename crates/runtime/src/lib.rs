@@ -19,6 +19,11 @@
 //!   across nodes and accelerator threads, per-mini-batch parallel SGD
 //!   with hierarchical aggregation, producing real trained models and
 //!   degrading gracefully under injected faults;
+//! - [`transport`] — the wire behind the collective round: in-process
+//!   channels or supervised loopback TCP, one round server and one
+//!   retry loop for every socket, and the multi-process launcher
+//!   ([`transport::proc`]) whose coordinator folds worker gradients
+//!   through the same [`SigmaAggregator`] the trainer uses;
 //! - [`detector`] / [`checkpoint`] — elastic membership: φ-accrual
 //!   heartbeat failure detection on virtual time, and deterministic
 //!   checkpoint + replay catch-up so expelled nodes can rejoin with a

@@ -9,8 +9,9 @@
 //! chunk of data is copied".
 //!
 //! The pipeline validates every chunk (stripe alignment, buffer bounds,
-//! payload checksum, duplicate delivery). A peer that sends an invalid
-//! chunk is **quarantined** — its entire contribution is discarded and
+//! payload checksum, duplicate delivery) and every stream (full
+//! coverage of the model). A peer that sends an invalid chunk or stops
+//! short is **quarantined** — its entire contribution is discarded and
 //! reported — rather than poisoning the aggregate or crashing the Sigma.
 
 use std::fmt;
@@ -131,6 +132,14 @@ pub enum ChunkFault {
         /// The offending offset.
         offset: usize,
     },
+    /// The stream delivered some of the model but not all of it: a
+    /// stripe never arrived, or a chunk stopped short of its stripe's
+    /// end. (A stream with no chunk at all is an absent contribution,
+    /// not a fault.)
+    Incomplete {
+        /// The first word offset the stream left uncovered.
+        missing: usize,
+    },
 }
 
 impl fmt::Display for ChunkFault {
@@ -141,6 +150,9 @@ impl fmt::Display for ChunkFault {
                 write!(f, "chunk at offset {offset} ({len} words) overruns the buffer")
             }
             ChunkFault::Corrupt { offset } => write!(f, "corrupt chunk at offset {offset}"),
+            ChunkFault::Incomplete { missing } => {
+                write!(f, "incomplete stream: nothing covers offset {missing}")
+            }
         }
     }
 }
@@ -254,10 +266,12 @@ impl SigmaAggregator {
     ///
     /// Each `incoming` receiver is one peer's socket stream of chunks.
     /// A peer whose stream contains a misaligned, out-of-bounds, or
-    /// checksum-failing chunk is quarantined: its entire contribution
-    /// is withheld from the sum (the rest of its stream is still
-    /// drained so the pipeline never stalls). Duplicate deliveries of a
-    /// stripe already received from the same peer are dropped
+    /// checksum-failing chunk, or that ends having covered only part of
+    /// the model, is quarantined: its entire contribution is withheld
+    /// from the sum (the rest of its stream is still drained so the
+    /// pipeline never stalls). A stream with no chunk at all simply
+    /// contributes nothing. Duplicate deliveries of a stripe already
+    /// received from the same peer are dropped
     /// idempotently. The sum is folded peer-by-peer in `incoming`
     /// order, so the result for a given set of surviving peers is
     /// deterministic — quarantining peer *k* yields bit-for-bit the sum
@@ -267,21 +281,16 @@ impl SigmaAggregator {
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
     ) -> AggregateOutcome {
-        self.aggregate_impl(model_len, incoming, true)
-    }
-
-    /// [`SigmaAggregator::aggregate_validated`] with the scalar
-    /// reference fold (one full pass per peer) instead of the fused
-    /// kernel. Kept always-compiled as the equivalence oracle for the
-    /// fold proptests and the benchmark baseline; the two are
-    /// bit-identical on every input.
-    #[doc(hidden)]
-    pub fn aggregate_validated_reference(
-        &self,
-        model_len: usize,
-        incoming: Vec<Receiver<Chunk>>,
-    ) -> AggregateOutcome {
-        self.aggregate_impl(model_len, incoming, false)
+        let drained = self.drain_validated(model_len, incoming);
+        let mut sum = vec![0.0; model_len];
+        let parts: Vec<&[f64]> = drained.survivors.iter().map(Vec::as_slice).collect();
+        fold::fold_parts(&mut sum, &parts);
+        AggregateOutcome {
+            sum,
+            quarantined: drained.quarantined,
+            duplicates_dropped: drained.duplicates_dropped,
+            ring_high_water: drained.ring_high_water,
+        }
     }
 
     /// [`SigmaAggregator::aggregate_validated`] riding the fixed-point
@@ -309,30 +318,6 @@ impl SigmaAggregator {
         fold::fold_parts_i64(&mut acc, &parts);
         AggregateOutcome {
             sum: cosmic_collectives::codec::dequantize_sum(scale_exp, &acc),
-            quarantined: drained.quarantined,
-            duplicates_dropped: drained.duplicates_dropped,
-            ring_high_water: drained.ring_high_water,
-        }
-    }
-
-    /// The shared pipeline: spawn producers/consumers, drain, then run
-    /// the deterministic final fold with the chosen kernel.
-    fn aggregate_impl(
-        &self,
-        model_len: usize,
-        incoming: Vec<Receiver<Chunk>>,
-        fused: bool,
-    ) -> AggregateOutcome {
-        let drained = self.drain_validated(model_len, incoming);
-        let mut sum = vec![0.0; model_len];
-        let parts: Vec<&[f64]> = drained.survivors.iter().map(Vec::as_slice).collect();
-        if fused {
-            fold::fold_parts(&mut sum, &parts);
-        } else {
-            fold::fold_parts_reference(&mut sum, &parts);
-        }
-        AggregateOutcome {
-            sum,
             quarantined: drained.quarantined,
             duplicates_dropped: drained.duplicates_dropped,
             ring_high_water: drained.ring_high_water,
@@ -388,7 +373,10 @@ impl SigmaAggregator {
                             fault = Some(ChunkFault::Misaligned { offset: chunk.offset });
                             continue;
                         }
-                        if chunk.offset + chunk.data.len() > model_len {
+                        let end = chunk.offset + chunk.data.len();
+                        // (`offset == model_len` with an empty payload
+                        // would index one stripe past the last.)
+                        if end > model_len || chunk.offset >= model_len {
                             fault = Some(ChunkFault::Overrun {
                                 offset: chunk.offset,
                                 len: chunk.data.len(),
@@ -399,6 +387,10 @@ impl SigmaAggregator {
                             fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
                             continue;
                         }
+                        if end < model_len.min(chunk.offset + CHUNK_WORDS) {
+                            fault = Some(ChunkFault::Incomplete { missing: end });
+                            continue;
+                        }
                         let stripe = chunk.offset / CHUNK_WORDS;
                         if seen[stripe] {
                             duplicates += 1;
@@ -406,8 +398,15 @@ impl SigmaAggregator {
                         }
                         seen[stripe] = true;
                         let dst = staged.get_or_insert_with(|| vec![0.0; model_len]);
-                        dst[chunk.offset..chunk.offset + chunk.data.len()]
-                            .copy_from_slice(&chunk.data);
+                        dst[chunk.offset..end].copy_from_slice(&chunk.data);
+                    }
+                    // A stream that delivered anything must have
+                    // delivered every stripe; zero-filling the rest
+                    // would pass a partial gradient off as whole.
+                    if let (None, Some(_), Some(stripe)) =
+                        (fault, &staged, seen.iter().position(|&s| !s))
+                    {
+                        fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
                     }
                     let high_water = ring.high_water();
                     *folds[peer].lock() = PeerFold { staged, fault, duplicates, high_water };
@@ -564,6 +563,46 @@ mod tests {
         drop(tx);
         let out = sigma.aggregate_validated(8, vec![rx]);
         assert!(matches!(out.quarantined[..], [(0, ChunkFault::Overrun { offset: 0, len: 9 })]));
+
+        let (tx, rx) = channel::unbounded();
+        tx.send(Chunk::new(CHUNK_WORDS, vec![])).unwrap(); // empty, just past the end
+        drop(tx);
+        let out = sigma.aggregate_validated(CHUNK_WORDS, vec![rx]);
+        assert!(matches!(out.quarantined[..], [(0, ChunkFault::Overrun { len: 0, .. })]));
+    }
+
+    #[test]
+    fn partial_stream_is_quarantined_not_zero_filled() {
+        let sigma = SigmaAggregator::new(2, 2);
+        let len = 3 * CHUNK_WORDS;
+        let model = |p: usize| -> Vec<f64> { (0..len).map(|i| (i * 3 + p) as f64 * 0.1).collect() };
+        // Peer 1 loses its middle chunk on the way.
+        let (tx, rx) = channel::unbounded();
+        for (i, chunk) in chunk_vector(&model(1)).into_iter().enumerate() {
+            if i != 1 {
+                tx.send(chunk).unwrap();
+            }
+        }
+        drop(tx);
+        // Peer 3 sends nothing at all: absent, not faulty.
+        let (silent, rx_silent) = channel::unbounded::<Chunk>();
+        drop(silent);
+        let incoming = vec![send_model(model(0)), rx, send_model(model(2)), rx_silent];
+        let out = sigma.aggregate_validated(len, incoming);
+        assert_eq!(out.quarantined, vec![(1, ChunkFault::Incomplete { missing: CHUNK_WORDS })]);
+        let (a, c) = (model(0), model(2));
+        let mut expect = vec![0.0; len];
+        fold::fold_parts_reference(&mut expect, &[&a, &c]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.sum), bits(&expect), "sum is exactly the other two peers");
+
+        // A chunk that stops short of its stripe is incomplete too.
+        let (tx, rx) = channel::unbounded();
+        tx.send(Chunk::new(0, vec![1.0; 5])).unwrap();
+        drop(tx);
+        let out = sigma.aggregate_validated(8, vec![rx]);
+        assert_eq!(out.quarantined, vec![(0, ChunkFault::Incomplete { missing: 5 })]);
+        assert_eq!(out.sum, vec![0.0; 8]);
     }
 
     #[test]

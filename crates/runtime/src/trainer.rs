@@ -38,7 +38,7 @@ use crate::checkpoint::CheckpointConfig;
 use crate::detector::DetectorConfig;
 use crate::engine::{Engine, NullObserver, TraceObserver};
 use crate::error::RuntimeError;
-use crate::node::{ChunkFault, DEFAULT_RING_CAPACITY};
+use crate::node::ChunkFault;
 use crate::role::{assign_roles, Promotion, Topology};
 use crate::transport::{LinkConfig, TransportKind};
 
@@ -121,10 +121,6 @@ pub struct ClusterConfig {
     /// is always the canonical ascending fold over the surviving
     /// contributors, so every strategy trains bit-identically.
     pub collective: CollectiveKind,
-    /// Per-peer circular-buffer capacity of the Sigma pipeline, in
-    /// chunks. Capacity 1 degenerates to strict lock-step hand-off
-    /// between networking and aggregation.
-    pub ring_capacity: usize,
     /// How failures are learned: oracle declarations (the default,
     /// PR 1 behavior) or φ-accrual heartbeat detection with rejoin.
     pub membership: MembershipMode,
@@ -164,7 +160,6 @@ impl Default for ClusterConfig {
             deadline_factor: 4.0,
             retry: RetryPolicy::default(),
             collective: CollectiveKind::TwoLevelTree,
-            ring_capacity: DEFAULT_RING_CAPACITY,
             membership: MembershipMode::default(),
             detector: DetectorConfig::default(),
             checkpoint: CheckpointConfig::default(),
@@ -363,9 +358,6 @@ impl ClusterTrainer {
         let backoff_invalid = |b: f64| b.is_nan() || b < 0.0;
         if backoff_invalid(config.retry.backoff_base) || backoff_invalid(config.retry.backoff_cap) {
             return Err(RuntimeError::InvalidConfig("retry backoff must be non-negative".into()));
-        }
-        if config.ring_capacity == 0 {
-            return Err(RuntimeError::InvalidConfig("ring_capacity is zero".into()));
         }
         config.detector.validate().map_err(RuntimeError::InvalidConfig)?;
         config.checkpoint.validate().map_err(RuntimeError::InvalidConfig)?;

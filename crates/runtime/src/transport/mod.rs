@@ -1,18 +1,20 @@
 //! The transport seam between the iteration engine and the wire.
 //!
-//! The engine's collective round used to call the discrete-event path
-//! directly; now it calls [`Transport::round`], and the wire behind it
-//! is a backend choice:
+//! The engine's collective round calls [`Transport::round`], and the
+//! wire behind it is a backend choice:
 //!
-//! - [`SimTransport`] — the existing in-process discrete-event path
-//!   (crossbeam channels as "sockets"), the default. Byte-identical to
-//!   the pre-seam engine: same threads, same channel bounds, same fold.
+//! - [`SimTransport`] — the in-process discrete-event path (crossbeam
+//!   channels as "sockets"), the default.
 //! - [`TcpTransport`] — a real wire: every sender streams
 //!   length-prefixed, checksummed frames over a loopback TCP socket
-//!   through the fault-injecting [`WireShim`], a connection supervisor
-//!   reconnects failed links with capped-exponential backoff, and a
-//!   link that exhausts its retry budget surfaces as a [`DeadLink`]
-//!   that the engine books through the membership/failover machinery.
+//!   through the fault-injecting [`WireShim`], and a link that exhausts
+//!   its retry budget surfaces as a [`DeadLink`] that the engine books
+//!   through the membership/failover machinery.
+//!
+//! Real sockets have one client and one server, both in [`supervisor`]
+//! ([`RoundSender`], [`RoundServer`]); [`TcpTransport`] and the
+//! multi-process launcher ([`proc`]) are clients of that pair and fold
+//! what it delivers through the same [`SigmaAggregator`].
 //!
 //! The validation contract (pinned by tests): on a healthy run, both
 //! backends produce identical chunk/byte conservation counters and a
@@ -27,7 +29,7 @@ pub mod wire;
 
 pub use shim::WireShim;
 pub use sim::SimTransport;
-pub use supervisor::{RoundSender, SendReport, ServedRound};
+pub use supervisor::{RoundSender, RoundServer, SendReport, Served, ServedKind};
 pub use tcp::TcpTransport;
 pub use wire::{Frame, FrameKind, WireError};
 
@@ -37,7 +39,7 @@ use cosmic_collectives::codec::WireRepr;
 use cosmic_sim::faults::FaultPlan;
 
 use crate::error::RuntimeError;
-use crate::node::{AggregateOutcome, SigmaAggregator};
+use crate::node::{chunk_vector, AggregateOutcome, Chunk, SigmaAggregator};
 use crate::trainer::{ClusterConfig, RetryPolicy};
 
 /// Which wire the collective round runs over.
@@ -80,8 +82,6 @@ pub struct LinkConfig {
     /// Deadline on any single blocking read or write, in milliseconds.
     /// This bounds how long a receiver waits on a silent peer.
     pub read_timeout_ms: u64,
-    /// Target heartbeat cadence for long-lived links, in milliseconds.
-    pub heartbeat_interval_ms: u64,
     /// Wall milliseconds per unit of the virtual-time
     /// [`RetryPolicy`] backoff curve when it paces reconnects.
     pub backoff_unit_ms: u64,
@@ -89,12 +89,7 @@ pub struct LinkConfig {
 
 impl Default for LinkConfig {
     fn default() -> Self {
-        LinkConfig {
-            connect_timeout_ms: 1_000,
-            read_timeout_ms: 2_000,
-            heartbeat_interval_ms: 200,
-            backoff_unit_ms: 20,
-        }
+        LinkConfig { connect_timeout_ms: 1_000, read_timeout_ms: 2_000, backoff_unit_ms: 20 }
     }
 }
 
@@ -104,9 +99,6 @@ impl LinkConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.connect_timeout_ms == 0 || self.read_timeout_ms == 0 {
             return Err("link timeouts must be non-zero".to_string());
-        }
-        if self.heartbeat_interval_ms == 0 {
-            return Err("heartbeat interval must be non-zero".to_string());
         }
         Ok(())
     }
@@ -210,6 +202,26 @@ pub struct RoundCtx<'a> {
     pub repr: WireRepr,
 }
 
+impl RoundCtx<'_> {
+    /// `member`'s wire stream for this round: `part` chunked, with the
+    /// plan's chunk-level corruption and duplication applied, as
+    /// `(chunk_index, chunk)` in send order (a duplicate travels right
+    /// beside its original). Every backend sends exactly this.
+    pub fn wire_chunks(
+        &self,
+        member: usize,
+        part: &[f64],
+    ) -> impl Iterator<Item = (usize, Chunk)> + '_ {
+        let (plan, iteration) = (self.plan, self.iteration);
+        chunk_vector(part).into_iter().enumerate().flat_map(move |(ci, chunk)| {
+            let chunk =
+                if plan.chunk_corrupted(member, iteration, ci) { chunk.corrupted() } else { chunk };
+            let duplicate = plan.chunk_duplicated(member, iteration, ci).then(|| chunk.clone());
+            duplicate.into_iter().chain([chunk]).map(move |chunk| (ci, chunk))
+        })
+    }
+}
+
 /// A wire backend for the collective round.
 ///
 /// Implementations must uphold the seam invariant: given the same
@@ -259,9 +271,6 @@ mod tests {
         assert!(LinkConfig::default().validate().is_ok());
         assert!(LinkConfig { connect_timeout_ms: 0, ..LinkConfig::default() }.validate().is_err());
         assert!(LinkConfig { read_timeout_ms: 0, ..LinkConfig::default() }.validate().is_err());
-        assert!(LinkConfig { heartbeat_interval_ms: 0, ..LinkConfig::default() }
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The discrete-event backend: crossbeam channels as sockets.
 //!
-//! This is the pre-seam engine wire, verbatim — one scoped sender
-//! thread per admitted peer, bounded channels, plan-driven chunk
-//! corruption and duplication applied "on the wire", and the validated
-//! Sigma fold on the receiving side. Nothing is booked into
-//! [`TransportStats`], so traced runs export byte-identical telemetry
-//! to the pre-seam engine.
+//! One scoped sender thread per admitted peer, bounded channels,
+//! plan-driven chunk corruption and duplication applied "on the wire"
+//! ([`RoundCtx::wire_chunks`]), and the validated Sigma fold on the
+//! receiving side. Nothing is booked into [`TransportStats`], so traced
+//! runs export telemetry with no wire counters at all.
 
 use crossbeam::channel;
 use std::thread;
 
 use crate::error::RuntimeError;
-use crate::node::{chunk_vector, SigmaAggregator};
+use crate::node::SigmaAggregator;
 
 use super::{RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats};
 
@@ -30,8 +29,6 @@ impl Transport for SimTransport {
         sigma: &SigmaAggregator,
         parts: &[Option<&[f64]>],
     ) -> Result<RoundDelivery, RuntimeError> {
-        let plan = ctx.plan;
-        let iter_idx = ctx.iteration;
         let outcome = thread::scope(|s| {
             let mut receivers = Vec::new();
             for (i, &member) in ctx.senders.iter().enumerate() {
@@ -42,21 +39,9 @@ impl Transport for SimTransport {
                     let Some(part) = part else {
                         return;
                     };
-                    for (ci, chunk) in chunk_vector(part).into_iter().enumerate() {
-                        let chunk = if plan.chunk_corrupted(member, iter_idx, ci) {
-                            chunk.corrupted()
-                        } else {
-                            chunk
-                        };
-                        let duplicate =
-                            plan.chunk_duplicated(member, iter_idx, ci).then(|| chunk.clone());
+                    for (_, chunk) in ctx.wire_chunks(member, part) {
                         if tx.send(chunk).is_err() {
                             break;
-                        }
-                        if let Some(dup) = duplicate {
-                            if tx.send(dup).is_err() {
-                                break;
-                            }
                         }
                     }
                 });

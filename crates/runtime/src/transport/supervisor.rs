@@ -1,23 +1,21 @@
-//! The connection supervisor: deadline-bounded connect/read/write, a
-//! capped-exponential reconnect loop driven by the existing
-//! [`RetryPolicy`], and the store-and-forward round server.
+//! The connection supervisor: the one place a real-wire socket is
+//! connected, accepted, armed with deadlines, retried and served. The
+//! in-engine [`super::tcp::TcpTransport`] and the multi-process
+//! launcher ([`super::proc`]) are both clients of its two halves:
 //!
-//! Every real-wire exchange in the stack — the in-engine
-//! [`super::tcp::TcpTransport`] and the multi-process launcher — goes
-//! through the two halves here:
-//!
-//! - [`RoundSender::send_round`] pushes one complete chunk stream
-//!   (`Hello`, `Heartbeat`, chunks, `Done`) and awaits a typed reply,
-//!   reconnecting with capped-exponential backoff when the link fails
-//!   mid-stream. Socket-level faults from the [`WireShim`] apply only
-//!   to the first attempt, so a retransmission after a plan-injected
-//!   sever or frame flip always lands.
-//! - [`serve_round`] reads one connection's stream to completion and
-//!   returns the buffered chunks. Buffering the attempt (instead of
-//!   forwarding chunk-by-chunk) means a stream that dies mid-round
+//! - [`RoundSender`] connects within a deadline and retries an exchange
+//!   under the capped-exponential [`RetryPolicy`].
+//!   [`RoundSender::send_round`] pushes one complete chunk stream
+//!   (`Hello`, `Heartbeat`, chunks, `Done`) and awaits a typed reply;
+//!   the launcher's join handshake rides the same loop. [`WireShim`]
+//!   faults apply only to the first attempt, so a retransmission after
+//!   a plan-injected sever or frame flip always lands.
+//! - [`RoundServer`] owns the listener, the accept poll and the
+//!   store-and-forward read of one connection into a [`Served`].
+//!   Buffering the attempt means a stream that dies mid-round
 //!   contributes **nothing** — the retransmission is the only delivery,
 //!   so chunk-conservation counters match the discrete-event backend
-//!   exactly.
+//!   exactly. Callers only route what the server returns.
 //!
 //! Every blocking call carries a deadline, so a dead peer costs bounded
 //! time, never a hang: the failure surfaces as a typed
@@ -25,7 +23,7 @@
 //! machinery.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
@@ -81,88 +79,80 @@ impl RoundSender<'_> {
         shim: &WireShim<'_>,
         expect: FrameKind,
     ) -> Result<SendReport, RuntimeError> {
+        let node = self.node as u32;
+        let control = |kind, b| Frame::control(kind, node, iteration, 0, b).encode();
         let mut stats = TransportStats::default();
+        let (reply, attempts) = self.supervise(&mut stats, |stream, attempt, stats| {
+            let (sever, delay) = (shim.sever_at(attempt), shim.frame_delay(attempt));
+            self.push(stream, &control(FrameKind::Hello, 0), stats)?;
+            self.push(stream, &control(FrameKind::Heartbeat, 0), stats)?;
+            for &(ci, ref chunk) in chunks {
+                if sever == Some(ci) {
+                    // A plan-injected sever: fail the attempt so the
+                    // socket drops cold, as a dying NIC would, and let
+                    // the reconnect loop recover the round.
+                    return Err(RuntimeError::TransportFailed {
+                        peer: self.node,
+                        attempts: attempt + 1,
+                        detail: format!("link severed by fault plan before chunk {ci}"),
+                    });
+                }
+                if !delay.is_zero() {
+                    thread::sleep(delay);
+                }
+                let mut bytes = match self.repr {
+                    WireRepr::DenseF64 => Frame::chunk(node, iteration, chunk).encode(),
+                    repr => Frame::encoded_chunk(node, iteration, repr, chunk).encode(),
+                };
+                if shim.frame_corrupted(attempt, ci) {
+                    damage(&mut bytes);
+                }
+                self.push(stream, &bytes, stats)?;
+            }
+            self.push(stream, &control(FrameKind::Done, records), stats)?;
+            let reply = take(stream, stats).map_err(|err| self.classify(err, attempt))?;
+            if reply.kind != expect {
+                return Err(RuntimeError::FrameCorrupt {
+                    peer: self.node,
+                    offset: reply.a as usize,
+                    detail: format!("expected {expect:?} reply, got {:?}", reply.kind),
+                });
+            }
+            Ok(reply)
+        })?;
+        Ok(SendReport { reply, stats, attempts })
+    }
+
+    /// The one retry loop: runs `exchange` over a freshly connected,
+    /// armed socket until it succeeds or the budget exhausts. A failed
+    /// attempt's socket is dropped cold; each reconnect is booked and
+    /// waits out the virtual-time [`RetryPolicy`] curve, scaled to wall
+    /// milliseconds by the link's backoff unit. Returns the exchange's
+    /// value and the attempts spent.
+    pub(super) fn supervise<T>(
+        &self,
+        stats: &mut TransportStats,
+        mut exchange: impl FnMut(&mut TcpStream, u32, &mut TransportStats) -> Result<T, RuntimeError>,
+    ) -> Result<(T, u32), RuntimeError> {
         let budget = self.retry.max_retries.saturating_add(1);
         let mut last = "never attempted".to_string();
         for attempt in 0..budget {
             if attempt > 0 {
                 stats.reconnects += 1;
-                thread::sleep(self.backoff(attempt - 1));
+                let units = self.retry.delay(attempt - 1);
+                thread::sleep(Duration::from_millis(
+                    (units * self.link.backoff_unit_ms as f64).round() as u64,
+                ));
             }
-            match self.attempt(iteration, chunks, records, shim, expect, attempt, &mut stats) {
-                Ok(reply) => return Ok(SendReport { reply, stats, attempts: attempt + 1 }),
+            let outcome = self
+                .connect(attempt)
+                .and_then(|mut stream| exchange(&mut stream, attempt, &mut *stats));
+            match outcome {
+                Ok(value) => return Ok((value, attempt + 1)),
                 Err(err) => last = err.to_string(),
             }
         }
         Err(RuntimeError::TransportFailed { peer: self.node, attempts: budget, detail: last })
-    }
-
-    /// The wall-clock backoff before reconnect `attempt` (0-based):
-    /// the virtual-time [`RetryPolicy`] curve scaled by
-    /// [`LinkConfig::backoff_unit_ms`].
-    fn backoff(&self, attempt: u32) -> Duration {
-        let units = self.retry.delay(attempt);
-        Duration::from_millis((units * self.link.backoff_unit_ms as f64).round() as u64)
-    }
-
-    /// One connection attempt: connect, stream, await the reply.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &self,
-        iteration: u64,
-        chunks: &[(usize, Chunk)],
-        records: u64,
-        shim: &WireShim<'_>,
-        expect: FrameKind,
-        attempt: u32,
-        stats: &mut TransportStats,
-    ) -> Result<Frame, RuntimeError> {
-        let mut stream = self.connect(attempt)?;
-        let node = self.node as u32;
-        let sever = shim.sever_at(attempt);
-        let delay = shim.frame_delay(attempt);
-        self.push(&mut stream, Frame::control(FrameKind::Hello, node, iteration, 0, 0), stats)?;
-        self.push(&mut stream, Frame::control(FrameKind::Heartbeat, node, iteration, 0, 0), stats)?;
-        for &(ci, ref chunk) in chunks {
-            if sever == Some(ci) {
-                // A plan-injected sever: drop the socket cold, exactly
-                // as a dying NIC would, and let the reconnect loop
-                // recover the round.
-                drop(stream);
-                return Err(RuntimeError::TransportFailed {
-                    peer: self.node,
-                    attempts: attempt + 1,
-                    detail: format!("link severed by fault plan before chunk {ci}"),
-                });
-            }
-            if !delay.is_zero() {
-                thread::sleep(delay);
-            }
-            let mut bytes = match self.repr {
-                WireRepr::DenseF64 => Frame::chunk(node, iteration, chunk).encode(),
-                repr => Frame::encoded_chunk(node, iteration, repr, chunk).encode(),
-            };
-            if shim.frame_corrupted(attempt, ci) {
-                damage(&mut bytes);
-            }
-            self.push_bytes(&mut stream, &bytes, stats)?;
-        }
-        self.push(
-            &mut stream,
-            Frame::control(FrameKind::Done, node, iteration, 0, records),
-            stats,
-        )?;
-        let reply = Frame::read_from(&mut stream).map_err(|err| self.classify(err, attempt))?;
-        stats.frames_received += 1;
-        stats.bytes_received += reply.encoded_len() as u64;
-        if reply.kind != expect {
-            return Err(RuntimeError::FrameCorrupt {
-                peer: self.node,
-                offset: reply.a as usize,
-                detail: format!("expected {expect:?} reply, got {:?}", reply.kind),
-            });
-        }
-        Ok(reply)
     }
 
     /// Connects within the configured deadline and arms per-call
@@ -179,16 +169,8 @@ impl RoundSender<'_> {
         Ok(stream)
     }
 
+    /// Writes one encoded frame and books it.
     fn push(
-        &self,
-        stream: &mut TcpStream,
-        frame: Frame,
-        stats: &mut TransportStats,
-    ) -> Result<(), RuntimeError> {
-        self.push_bytes(stream, &frame.encode(), stats)
-    }
-
-    fn push_bytes(
         &self,
         stream: &mut TcpStream,
         bytes: &[u8],
@@ -219,66 +201,116 @@ impl RoundSender<'_> {
     }
 }
 
-/// Everything one served connection delivered.
+/// The receive side of every real wire: one loopback listener and the
+/// accept-poll-serve steps both the in-engine transport and the
+/// launcher's coordinator drive.
 #[derive(Debug)]
-pub struct ServedRound {
-    /// The sending node's id (from its `Hello`).
-    pub node: u32,
-    /// The iteration the sender stamped on the stream.
-    pub iteration: u64,
-    /// Whether this is a rejoin/catch-up handshake instead of a round
-    /// stream (the caller runs the join protocol; `chunks` is empty).
-    pub join: bool,
-    /// The sender's record count from its `Done` frame.
-    pub records: u64,
-    /// The buffered chunk stream, in arrival order.
-    pub chunks: Vec<Chunk>,
-    /// Wire accounting for this connection.
-    pub stats: TransportStats,
+pub struct RoundServer {
+    listener: TcpListener,
+    addr: SocketAddr,
+    /// The deadlines every served connection is armed with.
+    pub link: LinkConfig,
 }
 
-/// Reads one connection's round stream to completion
-/// (store-and-forward): `Hello`, any heartbeats, chunks, `Done`. A
-/// stream that fails mid-way returns `Err` and contributes nothing —
-/// the sender's retransmission is the only delivery. Join handshakes
-/// return early with [`ServedRound::join`] set.
-pub fn serve_round(stream: &mut TcpStream, link: &LinkConfig) -> Result<ServedRound, WireError> {
-    arm(stream, link).map_err(|e| WireError::Io { detail: format!("socket setup: {e}") })?;
+impl RoundServer {
+    /// Binds a fresh non-blocking loopback listener (ephemeral port).
+    pub fn bind(link: LinkConfig) -> Result<Self, RuntimeError> {
+        let fail = |detail: String| RuntimeError::TransportFailed { peer: 0, attempts: 0, detail };
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| fail(format!("bind: {e}")))?;
+        listener.set_nonblocking(true).map_err(|e| fail(format!("listener setup: {e}")))?;
+        let addr = listener.local_addr().map_err(|e| fail(format!("local_addr: {e}")))?;
+        Ok(RoundServer { listener, addr, link })
+    }
+
+    /// The address senders dial.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// One accept poll: the pending connection, reset to blocking, or —
+    /// after a short doze — `None`. The caller decides when to stop
+    /// polling and where [`RoundServer::serve`] runs (inline, or on a
+    /// reader thread).
+    pub fn poll(&self) -> Option<TcpStream> {
+        let Ok((stream, _)) = self.listener.accept() else {
+            thread::sleep(Duration::from_millis(1));
+            return None;
+        };
+        stream.set_nonblocking(false).ok()?;
+        Some(stream)
+    }
+
+    /// Reads an accepted connection's whole stream and classifies it. A
+    /// stream that fails mid-way — bad frame, missed deadline, socket
+    /// death before `Done` — yields `None` and is dropped cold.
+    pub fn serve(&self, stream: TcpStream) -> Option<Served> {
+        serve_round(stream, &self.link).ok()
+    }
+}
+
+/// Everything one served connection delivered, with the socket the
+/// caller still owes a reply on.
+#[derive(Debug)]
+pub struct Served {
+    /// The sending node's id (from its `Hello`).
+    pub node: u32,
+    /// Join handshake or round stream.
+    pub kind: ServedKind,
+    /// Wire accounting for this connection so far.
+    pub stats: TransportStats,
+    /// The open connection.
+    pub stream: TcpStream,
+}
+
+/// What a served connection carried.
+#[derive(Debug)]
+pub enum ServedKind {
+    /// `Hello(join)`: a rejoin/catch-up handshake. Nothing else was
+    /// read; the caller runs the join protocol on the stream.
+    Join,
+    /// A complete round stream: `Hello`, heartbeats, chunks, `Done`.
+    Round {
+        /// The iteration the sender stamped on the stream.
+        iteration: u64,
+        /// The sender's record count from its `Done` frame.
+        records: u64,
+        /// The buffered chunk stream, in arrival order.
+        chunks: Vec<Chunk>,
+    },
+}
+
+/// Arms `stream` and reads it to completion: `Hello`, then either a
+/// join handshake (returned at once) or heartbeats, chunks and `Done`.
+fn serve_round(mut stream: TcpStream, link: &LinkConfig) -> Result<Served, WireError> {
+    arm(&stream, link).map_err(|e| WireError::Io { detail: format!("socket setup: {e}") })?;
     let mut stats = TransportStats::default();
-    let hello = take(stream, &mut stats)?;
+    let hello = take(&mut stream, &mut stats)?;
     if hello.kind != FrameKind::Hello {
         return Err(WireError::Protocol {
             detail: format!("expected Hello to open the stream, got {:?}", hello.kind),
         });
     }
-    let mut served = ServedRound {
-        node: hello.node,
-        iteration: hello.iteration,
-        join: hello.a == 1,
-        records: 0,
-        chunks: Vec::new(),
-        stats: TransportStats::default(),
-    };
-    if served.join {
-        served.stats = stats;
-        return Ok(served);
+    let node = hello.node;
+    if hello.a == 1 {
+        return Ok(Served { node, kind: ServedKind::Join, stats, stream });
     }
+    let mut chunks = Vec::new();
     loop {
-        let frame = take(stream, &mut stats)?;
+        let frame = take(&mut stream, &mut stats)?;
         match frame.kind {
             FrameKind::Heartbeat => stats.heartbeats += 1,
             // `into_chunk` moves the payload out of the frame: the
             // words decoded off the socket are the words the Sigma
             // folds, with no per-frame copy.
-            FrameKind::Chunk => served.chunks.push(frame.into_chunk()),
+            FrameKind::Chunk => chunks.push(frame.into_chunk()),
             // Encoded chunks decode under their carried codec tag; the
             // chunk checksum travelled verbatim, so Sigma validation
             // (including corrupt-injection quarantine) is unchanged.
-            FrameKind::Encoded => served.chunks.push(frame.decode_encoded_chunk()?),
+            FrameKind::Encoded => chunks.push(frame.decode_encoded_chunk()?),
             FrameKind::Done => {
-                served.records = frame.b;
-                served.stats = stats;
-                return Ok(served);
+                let kind =
+                    ServedKind::Round { iteration: hello.iteration, records: frame.b, chunks };
+                return Ok(Served { node, kind, stats, stream });
             }
             other => {
                 return Err(WireError::Protocol {
@@ -303,7 +335,7 @@ pub fn reply(
 }
 
 /// Reads and books one frame.
-fn take(stream: &mut TcpStream, stats: &mut TransportStats) -> Result<Frame, WireError> {
+pub(super) fn take(stream: &mut TcpStream, stats: &mut TransportStats) -> Result<Frame, WireError> {
     let frame = Frame::read_from(stream)?;
     stats.frames_received += 1;
     stats.bytes_received += frame.encoded_len() as u64;

@@ -1,61 +1,76 @@
 //! The real-wire backend: loopback TCP with connection supervision.
 //!
 //! Each collective round opens one supervised TCP connection per
-//! admitted sender to the backend's own non-blocking listener. Senders
-//! stream length-prefixed, checksummed frames through the fault shim;
-//! the accept loop serves each connection store-and-forward (a stream
-//! that dies mid-round contributes nothing) and feeds complete streams
-//! into the same bounded channels the discrete-event backend uses, so
-//! the Sigma fold — and therefore the model arithmetic — is identical
-//! bit for bit.
+//! admitted sender to the backend's [`RoundServer`]. Senders stream
+//! length-prefixed, checksummed frames through the fault shim; the
+//! server reads each connection store-and-forward on its own reader
+//! thread (a stream that dies mid-round contributes nothing) and this
+//! module routes complete streams into the same bounded channels the
+//! discrete-event backend uses, so the Sigma fold — and therefore the
+//! model arithmetic — is identical bit for bit.
 //!
 //! A link whose retry budget exhausts is reported as a
 //! [`DeadLink`] rather than an error: the engine books
 //! it through the membership/failover machinery exactly like a crashed
 //! node, so a dead socket degrades the run instead of hanging it.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
-use std::time::Duration;
 
 use crossbeam::channel::{self, Sender};
 use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
-use crate::node::{chunk_vector, Chunk, SigmaAggregator};
+use crate::node::{Chunk, SigmaAggregator};
 
 use super::shim::WireShim;
-use super::supervisor::{self, RoundSender};
+use super::supervisor::{self, RoundSender, RoundServer, Served, ServedKind};
 use super::wire::{Frame, FrameKind};
 use super::{
     DeadLink, LinkConfig, RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats,
 };
 
-/// How long the accept loop dozes when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// One forwarding slot per sender; `None` once that sender finished.
+type Slots = Mutex<Vec<Option<Sender<Chunk>>>>;
 
 /// The loopback TCP wire.
 pub struct TcpTransport {
-    listener: TcpListener,
-    addr: SocketAddr,
-    link: LinkConfig,
+    server: RoundServer,
 }
 
 impl TcpTransport {
     /// Binds a fresh loopback listener (ephemeral port) for this
     /// transport's rounds.
     pub fn bind(link: LinkConfig) -> Result<Self, RuntimeError> {
-        let fail = |detail: String| RuntimeError::TransportFailed { peer: 0, attempts: 0, detail };
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| fail(format!("bind: {e}")))?;
-        listener.set_nonblocking(true).map_err(|e| fail(format!("listener setup: {e}")))?;
-        let addr = listener.local_addr().map_err(|e| fail(format!("local_addr: {e}")))?;
-        Ok(TcpTransport { listener, addr, link })
+        Ok(TcpTransport { server: RoundServer::bind(link)? })
     }
 
     /// The listener's address (loopback, ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
+    }
+
+    /// Pushes one sender's wire stream through the connection
+    /// supervisor.
+    fn send_part(
+        &self,
+        member: usize,
+        ctx: &RoundCtx<'_>,
+        part: &[f64],
+    ) -> Result<TransportStats, RuntimeError> {
+        let wire_chunks: Vec<(usize, Chunk)> = ctx.wire_chunks(member, part).collect();
+        let shim = WireShim::new(ctx.plan, member, ctx.iteration);
+        let sender = RoundSender {
+            addr: self.addr(),
+            node: member,
+            link: &self.server.link,
+            retry: ctx.retry,
+            repr: ctx.repr,
+        };
+        let report =
+            sender.send_round(ctx.iteration as u64, &wire_chunks, 0, &shim, FrameKind::Ack)?;
+        Ok(report.stats)
     }
 }
 
@@ -77,25 +92,32 @@ impl Transport for TcpTransport {
             receivers.push(rx);
             slots.push(Some(tx));
         }
-        let txs: Mutex<Vec<Option<Sender<Chunk>>>> = Mutex::new(slots);
+        let txs: Slots = Mutex::new(slots);
         let stats = Mutex::new(TransportStats::default());
         let dead: Mutex<Vec<DeadLink>> = Mutex::new(Vec::new());
         let stop = AtomicBool::new(false);
         let pending = AtomicUsize::new(ctx.senders.len());
 
         let outcome = thread::scope(|s| {
-            s.spawn(|| accept_loop(&self.listener, &self.link, ctx, &txs, &stats, &stop, s));
+            let (txs, stats, dead, stop, pending) = (&txs, &stats, &dead, &stop, &pending);
+            // Poll until every sender finished, serving each accepted
+            // connection on a reader thread of its own.
+            s.spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    if let Some(stream) = self.server.poll() {
+                        s.spawn(move || {
+                            if let Some(served) = self.server.serve(stream) {
+                                route(served, ctx, txs, stats);
+                            }
+                        });
+                    }
+                }
+            });
             for (i, &member) in ctx.senders.iter().enumerate() {
                 let part = parts[i];
-                let txs = &txs;
-                let stats = &stats;
-                let dead = &dead;
-                let stop = &stop;
-                let pending = &pending;
                 s.spawn(move || {
                     if let Some(part) = part {
-                        let report = send_part(self.addr, member, &self.link, ctx, part);
-                        match report {
+                        match self.send_part(member, ctx, part) {
                             Ok(sent) => stats.lock().merge(&sent),
                             Err(error) => {
                                 let attempts = match &error {
@@ -123,75 +145,15 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Builds one sender's wire stream — the plan's chunk-level corruption
-/// and duplication applied exactly as on the discrete-event wire — and
-/// pushes it through the connection supervisor.
-fn send_part(
-    addr: SocketAddr,
-    member: usize,
-    link: &LinkConfig,
-    ctx: &RoundCtx<'_>,
-    part: &[f64],
-) -> Result<TransportStats, RuntimeError> {
-    let mut wire_chunks: Vec<(usize, Chunk)> = Vec::new();
-    for (ci, chunk) in chunk_vector(part).into_iter().enumerate() {
-        let chunk = if ctx.plan.chunk_corrupted(member, ctx.iteration, ci) {
-            chunk.corrupted()
-        } else {
-            chunk
-        };
-        if ctx.plan.chunk_duplicated(member, ctx.iteration, ci) {
-            wire_chunks.push((ci, chunk.clone()));
-        }
-        wire_chunks.push((ci, chunk));
-    }
-    let shim = WireShim::new(ctx.plan, member, ctx.iteration);
-    let sender = RoundSender { addr, node: member, link, retry: ctx.retry, repr: ctx.repr };
-    let report = sender.send_round(ctx.iteration as u64, &wire_chunks, 0, &shim, FrameKind::Ack)?;
-    Ok(report.stats)
-}
-
-/// Accepts connections until every sender finished, spawning one
-/// store-and-forward reader per connection into the same scope.
-#[allow(clippy::too_many_arguments)]
-fn accept_loop<'scope>(
-    listener: &TcpListener,
-    link: &'scope LinkConfig,
-    ctx: &'scope RoundCtx<'scope>,
-    txs: &'scope Mutex<Vec<Option<Sender<Chunk>>>>,
-    stats: &'scope Mutex<TransportStats>,
-    stop: &'scope AtomicBool,
-    s: &'scope thread::Scope<'scope, '_>,
-) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                s.spawn(move || serve_connection(stream, link, ctx, txs, stats));
-            }
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-/// Serves one connection: reads the whole stream, and only if it
-/// arrived complete — correct iteration, known sender, slot still
-/// open — acknowledges and forwards the buffered chunks to Sigma. Any
-/// failure drops the connection cold; the sender's retransmission is
-/// the only delivery.
-fn serve_connection(
-    mut stream: TcpStream,
-    link: &LinkConfig,
-    ctx: &RoundCtx<'_>,
-    txs: &Mutex<Vec<Option<Sender<Chunk>>>>,
-    stats: &Mutex<TransportStats>,
-) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let Ok(served) = supervisor::serve_round(&mut stream, link) else {
+/// Routes one connection: only a stream that arrived complete — this
+/// round's iteration, a known sender, slot still open — is acknowledged
+/// and its buffered chunks forwarded to Sigma. Anything else drops the
+/// connection cold; the sender's retransmission is the only delivery.
+fn route(mut served: Served, ctx: &RoundCtx<'_>, txs: &Slots, stats: &Mutex<TransportStats>) {
+    let ServedKind::Round { iteration, chunks, .. } = served.kind else {
         return;
     };
-    if served.join || served.iteration != ctx.iteration as u64 {
+    if iteration != ctx.iteration as u64 {
         return;
     }
     let Some(peer) = ctx.senders.iter().position(|&n| n == served.node as usize) else {
@@ -203,13 +165,12 @@ fn serve_connection(
     let Some(tx) = txs.lock()[peer].clone() else {
         return;
     };
-    let mut conn = served.stats;
-    let ack = Frame::control(FrameKind::Ack, served.node, served.iteration, 0, 0);
-    if supervisor::reply(&mut stream, &ack, &mut conn).is_err() {
+    let ack = Frame::control(FrameKind::Ack, served.node, iteration, 0, 0);
+    if supervisor::reply(&mut served.stream, &ack, &mut served.stats).is_err() {
         return;
     }
-    stats.lock().merge(&conn);
-    for chunk in served.chunks {
+    stats.lock().merge(&served.stats);
+    for chunk in chunks {
         if tx.send(chunk).is_err() {
             break;
         }

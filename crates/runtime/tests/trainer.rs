@@ -153,7 +153,6 @@ fn degenerate_configurations_are_errors() {
             retry: RetryPolicy { backoff_base: -1.0, ..RetryPolicy::default() },
             ..ClusterConfig::default()
         },
-        ClusterConfig { ring_capacity: 0, ..ClusterConfig::default() },
     ];
     for config in bad {
         assert!(matches!(ClusterTrainer::new(config.clone()), Err(RuntimeError::InvalidConfig(_))));
@@ -391,27 +390,6 @@ fn failures_rebuild_the_schedule_over_the_survivors() {
     assert_eq!(sums[counters::COLLECTIVE_REBUILDS], 2.0);
     // Ring traffic is peer-to-peer, not hierarchical.
     assert!(sums[counters::NET_BYTES_PEER] > 0.0);
-}
-
-#[test]
-fn capacity_one_ring_trains_identically_and_in_lockstep() {
-    let alg = Algorithm::Svm { features: 6 };
-    let ds = data::generate(&alg, 256, 31);
-    let init = data::init_model(&alg, 6);
-    let config =
-        ClusterConfig { nodes: 4, groups: 2, minibatch: 64, epochs: 2, ..ClusterConfig::default() };
-    let roomy = trainer(config.clone()).train(&alg, &ds, init.clone()).expect("ok");
-
-    let strict = ClusterConfig { ring_capacity: 1, ..config };
-    let sink = TraceSink::new();
-    let tight = trainer(strict).train_traced(&alg, &ds, init, &sink).expect("capacity 1 completes");
-    assert_eq!(roomy.model, tight.model, "ring depth must not change the arithmetic");
-    let (_, diag_max) = sink.diagnostics();
-    assert_eq!(
-        diag_max[counters::RING_HIGH_WATER],
-        1.0,
-        "a one-slot ring is strict lock-step: occupancy can never exceed one"
-    );
 }
 
 #[test]
