@@ -323,6 +323,7 @@ impl RunObserver for TraceObserver<'_> {
         self.sink.add(counters::TRANSPORT_BYTES_RECEIVED, stats.bytes_received as f64);
         self.sink.add(counters::TRANSPORT_HEARTBEATS, stats.heartbeats as f64);
         self.sink.add(counters::TRANSPORT_RECONNECTS, stats.reconnects as f64);
+        self.sink.add(counters::TRANSPORT_CONNECTIONS, stats.connections as f64);
         self.sink.add(counters::TRANSPORT_LINKS_DEAD, stats.links_dead as f64);
     }
 

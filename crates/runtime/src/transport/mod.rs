@@ -12,9 +12,10 @@
 //!   through the membership/failover machinery.
 //!
 //! Real sockets have one client and one server, both in [`supervisor`]
-//! ([`RoundSender`], [`RoundServer`]); [`TcpTransport`] and the
-//! multi-process launcher ([`proc`]) are clients of that pair and fold
-//! what it delivers through the same [`SigmaAggregator`].
+//! ([`RoundSender`], [`RoundServer`]), and a link lives as long as its
+//! connection: a healthy round opens no socket. [`TcpTransport`] and
+//! the multi-process launcher ([`proc`]) are clients of that pair and
+//! fold what it delivers through the same [`SigmaAggregator`].
 //!
 //! The validation contract (pinned by tests): on a healthy run, both
 //! backends produce identical chunk/byte conservation counters and a
@@ -29,7 +30,7 @@ pub mod wire;
 
 pub use shim::WireShim;
 pub use sim::SimTransport;
-pub use supervisor::{RoundSender, RoundServer, SendReport, Served, ServedKind};
+pub use supervisor::{Handshake, Reply, RoundSender, RoundServer, SendReport, Served, ServedKind};
 pub use tcp::TcpTransport;
 pub use wire::{Frame, FrameKind, WireError};
 
@@ -118,6 +119,9 @@ impl LinkConfig {
 /// The sim backend books nothing here, so its telemetry exports are
 /// unchanged; on a healthy real-wire run, total frames/bytes sent must
 /// equal frames/bytes received — the socket-level conservation law.
+/// The one case where they differ is a stream dropped cold (a sever, a
+/// damaged frame, a delivery nobody answered): the sender books every
+/// frame it pushed, the server books nothing of that stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportStats {
     /// Frames placed on the wire.
@@ -132,6 +136,10 @@ pub struct TransportStats {
     pub heartbeats: u64,
     /// Supervised reconnects after a connect or stream failure.
     pub reconnects: u64,
+    /// Connections the server accepted and got a first stream from. On
+    /// a healthy run this is the number of links ever used — a round
+    /// opens none — and each reconnect adds the one that replaced it.
+    pub connections: u64,
     /// Links declared dead after the retry budget exhausted.
     pub links_dead: u64,
 }
@@ -145,6 +153,7 @@ impl TransportStats {
         self.bytes_received += other.bytes_received;
         self.heartbeats += other.heartbeats;
         self.reconnects += other.reconnects;
+        self.connections += other.connections;
         self.links_dead += other.links_dead;
     }
 

@@ -8,19 +8,19 @@
 //! delivered stream through the engine's own [`SigmaAggregator`] (node
 //! order is peer order, so the sum is bit-identical to a single-process
 //! fold), applies the update through [`ReplayOp`] so the
-//! checkpoint/replay log is exact, and broadcasts it back on each
-//! round's connection. Workers — rounds and join handshakes alike —
-//! send through [`RoundSender`]'s retry loop; they are separate OS
-//! processes (re-executions of the `cosmic-launcher` binary) that
-//! compute batch gradients over their own data shard and apply the
-//! identical [`ReplayOp`] — every healthy process holds a bit-identical
-//! model at every iteration.
+//! checkpoint/replay log is exact, and broadcasts it back as each
+//! stream's reply. Workers hold one [`RoundSender`] link for the whole
+//! job — rounds, join handshakes and the final report all ride its
+//! retry loop; they are separate OS processes (re-executions of the
+//! `cosmic-launcher` binary) that compute batch gradients over their
+//! own data shard and apply the identical [`ReplayOp`] — every healthy
+//! process holds a bit-identical model at every iteration.
 //!
 //! Robustness is the point, not an afterthought:
 //!
 //! - a worker that goes silent (e.g. SIGKILLed mid-run) is noticed by
 //!   the φ-accrual [`FailureDetector`] fed from per-round deliveries,
-//!   expelled from the active set within deadline-bounded accept
+//!   expelled from the active set within deadline-bounded delivery
 //!   windows, and respawned with a `--join` flag;
 //! - a joining worker catches up through the checkpoint/replay
 //!   protocol: the coordinator reconstructs the current model from its
@@ -30,7 +30,7 @@
 //! - a worker that misses an aggregation window re-syncs itself through
 //!   the same join handshake instead of silently forking its model.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::Instant;
 
@@ -45,7 +45,7 @@ use crate::error::RuntimeError;
 use crate::node::{chunk_vector, Chunk, SigmaAggregator};
 use crate::trainer::RetryPolicy;
 
-use super::supervisor::{self, RoundSender, RoundServer, ServedKind};
+use super::supervisor::{Handshake, Reply, RoundSender, RoundServer, ServedKind, Wire};
 use super::wire::{Frame, FrameKind, WireError};
 use super::{LinkConfig, TransportStats, WireShim};
 
@@ -151,7 +151,8 @@ impl LaunchSummary {
                 "\"kills\":{},\"expulsions\":{},\"rejoins\":[{}],",
                 "\"frames_sent\":{},\"frames_received\":{},",
                 "\"bytes_sent\":{},\"bytes_received\":{},",
-                "\"heartbeats\":{},\"reconnects\":{},\"links_dead\":{}}}"
+                "\"heartbeats\":{},\"reconnects\":{},\"links_dead\":{},",
+                "\"connections\":{}}}"
             ),
             self.iterations,
             self.final_checksum,
@@ -167,8 +168,22 @@ impl LaunchSummary {
             self.stats.heartbeats,
             self.stats.reconnects,
             self.stats.links_dead,
+            self.stats.connections,
         )
     }
+}
+
+/// Where a node stands in the active set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seat {
+    /// Delivers a stream every round.
+    Member,
+    /// Expelled, its `--join` respawn just started: the window it was
+    /// spawned in stays open for its handshake and first stream, so a
+    /// job whose rounds outrun a process start still takes it back.
+    Awaited,
+    /// Expelled; a joiner is admitted whenever it shows, never waited on.
+    Vacant,
 }
 
 /// One delivered round stream the coordinator still owes a reply.
@@ -176,7 +191,7 @@ struct Delivery {
     node: usize,
     records: u64,
     chunks: Vec<Chunk>,
-    stream: TcpStream,
+    reply: Reply,
 }
 
 /// The coordinator: Sigma over worker processes.
@@ -255,7 +270,7 @@ impl Coordinator {
         for node in 0..spec.nodes {
             detector.observe(node, 0.0);
         }
-        let mut member = vec![true; spec.nodes];
+        let mut member = vec![Seat::Member; spec.nodes];
         let mut children: Vec<Option<Child>> = Vec::new();
         for node in 0..spec.nodes {
             children.push(Some(self.spawn_worker(node, false)?));
@@ -305,17 +320,17 @@ impl Coordinator {
         &self,
         iter: usize,
         detector: &mut FailureDetector,
-        member: &mut [bool],
+        member: &mut [Seat],
         children: &mut [Option<Child>],
         summary: &mut LaunchSummary,
     ) -> Result<(), RuntimeError> {
         let now = iter as f64;
         for node in 0..member.len() {
-            if !member[node] {
+            if member[node] != Seat::Member {
                 continue;
             }
             if detector.level(node, now) == SuspicionLevel::Failed {
-                member[node] = false;
+                member[node] = Seat::Awaited;
                 summary.expulsions.push((node, iter));
                 summary.stats.links_dead += 1;
                 children[node] = Some(self.spawn_worker(node, true)?);
@@ -324,23 +339,27 @@ impl Coordinator {
         Ok(())
     }
 
-    /// One iteration's accept window: serve round streams from every
-    /// live member and join handshakes from rejoining workers, until
-    /// everyone delivered or the window deadline passes.
+    /// One iteration's delivery window: take round streams from every
+    /// live member and join handshakes from rejoining workers off the
+    /// server's queue, until everyone delivered or the window deadline
+    /// passes.
     fn round_window(
         &self,
         iter: usize,
         store: &CheckpointStore,
         model: &[f64],
         detector: &mut FailureDetector,
-        member: &mut [bool],
+        member: &mut [Seat],
         summary: &mut LaunchSummary,
     ) -> Result<Vec<Delivery>, RuntimeError> {
         let mut deliveries: Vec<Delivery> = Vec::new();
-        let window = self.spec.link.read_timeout();
+        // Senders await their reply for one read deadline from about the
+        // moment this window opens, and the reply is only written after
+        // the fold: close early enough that it still lands in time.
+        let window = self.spec.link.read_timeout() * 3 / 4;
         let start = Instant::now();
         loop {
-            let expected = member.iter().filter(|&&m| m).count();
+            let expected = member.iter().filter(|&&seat| seat != Seat::Vacant).count();
             let have = deliveries.len();
             if have >= expected && expected > 0 {
                 break;
@@ -348,7 +367,7 @@ impl Coordinator {
             if start.elapsed() >= window {
                 break;
             }
-            let Some(served) = self.server.poll().and_then(|s| self.server.serve(s)) else {
+            let Some(served) = self.server.next(Some(start + window)) else {
                 continue;
             };
             let node = served.node as usize;
@@ -356,27 +375,37 @@ impl Coordinator {
                 continue;
             }
             summary.stats.merge(&served.stats);
-            let ServedKind::Round { iteration, records, chunks } = served.kind else {
-                let matched = self.admit(iter, node, store, model, served.stream, summary)?;
-                member[node] = true;
-                detector.reset(node, iter as f64);
-                summary.rejoins.push((node, iter, matched));
-                continue;
+            let (iteration, records, chunks, reply) = match served.kind {
+                ServedKind::Round { iteration, records, chunks, reply } => {
+                    (iteration, records, chunks, reply)
+                }
+                ServedKind::Join(mut link) => {
+                    let matched = self.admit(iter, node, store, model, &mut link, summary)?;
+                    // The joiner streams its rounds on the same link.
+                    link.resume();
+                    member[node] = Seat::Member;
+                    detector.reset(node, iter as f64);
+                    summary.rejoins.push((node, iter, matched));
+                    continue;
+                }
             };
-            if iteration != iter as u64 || !member[node] {
+            if iteration != iter as u64 || member[node] != Seat::Member {
                 continue; // Stale retransmission or expelled sender.
             }
             detector.observe(node, iter as f64 + 1.0);
             if deliveries.iter().any(|d| d.node == node) {
                 continue; // Duplicate delivery after a late reconnect.
             }
-            deliveries.push(Delivery { node, records, chunks, stream: served.stream });
+            deliveries.push(Delivery { node, records, chunks, reply });
+        }
+        for seat in member.iter_mut().filter(|seat| **seat == Seat::Awaited) {
+            *seat = Seat::Vacant;
         }
         deliveries.sort_by_key(|d| d.node);
         Ok(deliveries)
     }
 
-    /// Completes a join handshake on a served connection: catch the
+    /// Completes a join handshake on a handed-over connection: catch the
     /// worker up from the checkpoint/replay log (never from the live
     /// model — that is the bit-identity proof) and verify its
     /// acknowledged checksum.
@@ -386,7 +415,7 @@ impl Coordinator {
         node: usize,
         store: &CheckpointStore,
         model: &[f64],
-        mut stream: TcpStream,
+        link: &mut Handshake,
         summary: &mut LaunchSummary,
     ) -> Result<bool, RuntimeError> {
         let caught = store.catch_up()?;
@@ -405,8 +434,8 @@ impl Coordinator {
             payload: caught.model.into(),
         };
         let stats = &mut summary.stats;
-        supervisor::reply(&mut stream, &snapshot, stats).map_err(|e| join_failed(node, &e))?;
-        let ack = supervisor::take(&mut stream, stats).map_err(|e| join_failed(node, &e))?;
+        link.send(&snapshot, stats).map_err(|e| join_failed(node, &e))?;
+        let ack = link.take(stats).map_err(|e| join_failed(node, &e))?;
         Ok(ack.kind == FrameKind::Ack && ack.b == expected)
     }
 
@@ -418,7 +447,7 @@ impl Coordinator {
         store: &CheckpointStore,
         model: &[f64],
         detector: &mut FailureDetector,
-        member: &mut [bool],
+        member: &mut [Seat],
         summary: &mut LaunchSummary,
     ) -> Result<(), RuntimeError> {
         let (last, expected) = (self.spec.iterations, model_checksum(model));
@@ -426,14 +455,14 @@ impl Coordinator {
             summary.workers_reported += 1;
             summary.workers_matched += usize::from(d.records == expected);
             let ack = Frame::control(FrameKind::Ack, d.node as u32, last as u64, 0, expected);
-            let _ = supervisor::reply(&mut d.stream, &ack, &mut summary.stats);
+            let _ = d.reply.send(&ack, &mut summary.stats);
         }
         Ok(())
     }
 
     /// Books the round: fold the deliveries through Sigma, apply the
-    /// `Step` through the replay log, and broadcast the update on every
-    /// contributing connection.
+    /// `Step` through the replay log, and broadcast the update as every
+    /// contributing stream's reply.
     fn apply_round(
         &self,
         iter: usize,
@@ -464,7 +493,7 @@ impl Coordinator {
                 b: active_total,
                 payload: broadcast.clone(),
             };
-            let _ = supervisor::reply(&mut d.stream, &reply, &mut summary.stats);
+            let _ = d.reply.send(&reply, &mut summary.stats);
         }
     }
 }
@@ -527,16 +556,10 @@ impl Worker {
         let alg = spec.algorithm();
         let shard = spec.shard(self.node);
         let mut model = spec.initial_model();
-        let sender = RoundSender {
-            addr: self.addr,
-            node: self.node,
-            link: &spec.link,
-            retry: &spec.retry,
-            repr: Default::default(),
-        };
+        let mut sender = RoundSender::new(self.addr, self.node, spec.link, spec.retry);
         let mut iter = 0usize;
         if self.join {
-            iter = join_handshake(&sender, &mut model)?;
+            iter = join_handshake(&mut sender, &mut model)?;
         }
         while iter < spec.iterations {
             let mut grad = alg.zero_model();
@@ -563,7 +586,7 @@ impl Worker {
                     // Missed the aggregation window: the cluster moved
                     // on without this shard. Re-sync through the join
                     // handshake rather than fork the model.
-                    iter = join_handshake(&sender, &mut model)?;
+                    iter = join_handshake(&mut sender, &mut model)?;
                 }
             }
         }
@@ -581,25 +604,26 @@ impl Worker {
 }
 
 /// The join handshake: `Hello(join)` → `Snapshot(model, resume)` →
-/// `Ack(checksum)`, each attempt over a fresh connection under the
-/// supervisor's retry loop. Returns the iteration to resume at.
-fn join_handshake(sender: &RoundSender<'_>, model: &mut Vec<f64>) -> Result<usize, RuntimeError> {
-    let node = sender.node as u32;
-    let mut attempt = |stream: &mut TcpStream| {
-        Frame::control(FrameKind::Hello, node, 0, 1, 0).write_to(stream)?;
-        let snapshot = Frame::read_from(stream)?;
+/// `Ack(checksum)` on the worker's link, under the supervisor's retry
+/// loop; the rounds that follow ride the same connection. Returns the
+/// iteration to resume at.
+fn join_handshake(sender: &mut RoundSender, model: &mut Vec<f64>) -> Result<usize, RuntimeError> {
+    let node = sender.node;
+    let mut attempt = |wire: &mut Wire| {
+        wire.send(&Frame::control(FrameKind::Hello, node as u32, 0, 1, 0))?;
+        let snapshot = Frame::read_from(&mut wire.reader)?;
         if snapshot.kind != FrameKind::Snapshot {
             return Err(WireError::Protocol {
                 detail: format!("expected Snapshot in join handshake, got {:?}", snapshot.kind),
             });
         }
         *model = snapshot.payload.into_vec();
-        Frame::control(FrameKind::Ack, node, snapshot.iteration, 0, model_checksum(model))
-            .write_to(stream)?;
+        let checksum = model_checksum(model);
+        wire.send(&Frame::control(FrameKind::Ack, node as u32, snapshot.iteration, 0, checksum))?;
         Ok(snapshot.a as usize)
     };
-    let (resume, _) = sender.supervise(&mut TransportStats::default(), |stream, _, _| {
-        attempt(stream).map_err(|e| join_failed(sender.node, &e))
+    let (resume, _) = sender.supervise(&mut TransportStats::default(), |wire, _, _| {
+        attempt(wire).map_err(|e| join_failed(node, &e))
     })?;
     Ok(resume)
 }
@@ -607,6 +631,7 @@ fn join_handshake(sender: &RoundSender<'_>, model: &mut Vec<f64>) -> Result<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
 
     #[test]
     fn shards_cover_the_dataset_disjointly() {
@@ -637,22 +662,21 @@ mod tests {
             }
             client
         };
-        let _open = [send(0, 3, true), send(9, 4, true)];
+        let _open = [send(0, 3, true), send(9, 4, true), send(0, 4, true)];
         drop(send(0, 4, false));
-        // Node 1 is expelled: it rejoins through the worker's own
-        // handshake, and only then do both members deliver.
+        // Node 1 was expelled and its respawn is awaited: the window
+        // outlasts node 0's delivery until the joiner has caught up
+        // through the worker's own handshake and delivered too.
         let worker = std::thread::spawn(move || {
-            let (link, retry) = (spec.link, spec.retry);
-            let sender =
-                RoundSender { addr, node: 1, link: &link, retry: &retry, repr: Default::default() };
+            let mut sender = RoundSender::new(addr, 1, spec.link, spec.retry);
             let mut caught = Vec::new();
-            let resume = join_handshake(&sender, &mut caught).unwrap();
-            (resume, caught, [send(1, 4, true), send(0, 4, true)])
+            let resume = join_handshake(&mut sender, &mut caught).unwrap();
+            (resume, caught, send(1, 4, true))
         });
         let model = spec.initial_model();
         let store = CheckpointStore::new(CheckpointConfig { cadence: 4 }, &model);
         let mut detector = FailureDetector::new(2, DetectorConfig::default());
-        let (mut member, mut summary) = ([true, false], LaunchSummary::default());
+        let (mut member, mut summary) = ([Seat::Member, Seat::Awaited], LaunchSummary::default());
         let deliveries = coordinator
             .round_window(4, &store, &model, &mut detector, &mut member, &mut summary)
             .unwrap();
@@ -660,6 +684,7 @@ mod tests {
         assert_eq!((resume, caught, &summary.rejoins[..]), (4, model, &[(1, 4, true)][..]));
         let delivered: Vec<_> = deliveries.iter().map(|d| (d.node, d.records)).collect();
         assert_eq!(delivered, [(0, 5), (1, 5)], "one delivery per member, in node order");
+        assert_eq!(member, [Seat::Member; 2]);
         // Booked: the stale stream, the join's Hello and Ack, the two
         // deliveries — not the unknown node, not the half stream.
         assert_eq!(summary.stats.frames_received, 2 + 2 + 2 + 2);
@@ -717,12 +742,13 @@ mod tests {
             kills: vec![(1, 2)],
             expulsions: vec![(1, 4)],
             rejoins: vec![(1, 6, true)],
-            stats: TransportStats { frames_sent: 10, ..Default::default() },
+            stats: TransportStats { frames_sent: 10, connections: 3, ..Default::default() },
         };
         let json = s.to_json();
         assert!(json.contains("\"workers_matched\":2"), "{json}");
         assert!(json.contains("\"kills\":[[1,2]]"), "{json}");
         assert!(json.contains("\"rejoins\":[[1,6,true]]"), "{json}");
         assert!(json.contains("\"frames_sent\":10"), "{json}");
+        assert!(json.ends_with("\"links_dead\":0,\"connections\":3}"), "{json}");
     }
 }

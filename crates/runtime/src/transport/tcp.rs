@@ -1,21 +1,24 @@
 //! The real-wire backend: loopback TCP with connection supervision.
 //!
-//! Each collective round opens one supervised TCP connection per
-//! admitted sender to the backend's [`RoundServer`]. Senders stream
+//! The backend holds one supervised [`RoundSender`] link per sender
+//! node and one [`RoundServer`]; both outlive the round, so after a
+//! link's first use a healthy round opens no socket. Senders stream
 //! length-prefixed, checksummed frames through the fault shim; the
-//! server reads each connection store-and-forward on its own reader
-//! thread (a stream that dies mid-round contributes nothing) and this
-//! module routes complete streams into the same bounded channels the
-//! discrete-event backend uses, so the Sigma fold — and therefore the
-//! model arithmetic — is identical bit for bit.
+//! server's reader threads take each stream store-and-forward (a stream
+//! that dies mid-round contributes nothing) and this module routes the
+//! complete ones off the delivery queue into the same per-peer channels
+//! the discrete-event backend uses, so the Sigma fold — and therefore
+//! the model arithmetic — is identical bit for bit.
 //!
 //! A link whose retry budget exhausts is reported as a
 //! [`DeadLink`] rather than an error: the engine books
 //! it through the membership/failover machinery exactly like a crashed
 //! node, so a dead socket degrades the run instead of hanging it.
 
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use crossbeam::channel::{self, Sender};
@@ -25,7 +28,7 @@ use crate::error::RuntimeError;
 use crate::node::{Chunk, SigmaAggregator};
 
 use super::shim::WireShim;
-use super::supervisor::{self, RoundSender, RoundServer, Served, ServedKind};
+use super::supervisor::{RoundSender, RoundServer, Served, ServedKind};
 use super::wire::{Frame, FrameKind};
 use super::{
     DeadLink, LinkConfig, RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats,
@@ -37,41 +40,36 @@ type Slots = Mutex<Vec<Option<Sender<Chunk>>>>;
 /// The loopback TCP wire.
 pub struct TcpTransport {
     server: RoundServer,
+    /// One link per sender node id, created on first use and kept
+    /// across rounds and membership changes. Held for a whole round,
+    /// which also keeps two rounds off the one delivery queue.
+    links: Mutex<BTreeMap<usize, RoundSender>>,
 }
 
 impl TcpTransport {
     /// Binds a fresh loopback listener (ephemeral port) for this
     /// transport's rounds.
     pub fn bind(link: LinkConfig) -> Result<Self, RuntimeError> {
-        Ok(TcpTransport { server: RoundServer::bind(link)? })
+        Ok(TcpTransport { server: RoundServer::bind(link)?, links: Mutex::default() })
     }
 
     /// The listener's address (loopback, ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.server.addr()
     }
+}
 
-    /// Pushes one sender's wire stream through the connection
-    /// supervisor.
-    fn send_part(
-        &self,
-        member: usize,
-        ctx: &RoundCtx<'_>,
-        part: &[f64],
-    ) -> Result<TransportStats, RuntimeError> {
-        let wire_chunks: Vec<(usize, Chunk)> = ctx.wire_chunks(member, part).collect();
-        let shim = WireShim::new(ctx.plan, member, ctx.iteration);
-        let sender = RoundSender {
-            addr: self.addr(),
-            node: member,
-            link: &self.server.link,
-            retry: ctx.retry,
-            repr: ctx.repr,
-        };
-        let report =
-            sender.send_round(ctx.iteration as u64, &wire_chunks, 0, &shim, FrameKind::Ack)?;
-        Ok(report.stats)
-    }
+/// Pushes one sender's wire stream through its supervised link.
+fn send_part(
+    link: &mut RoundSender,
+    ctx: &RoundCtx<'_>,
+    part: &[f64],
+) -> Result<TransportStats, RuntimeError> {
+    let wire_chunks: Vec<(usize, Chunk)> = ctx.wire_chunks(link.node, part).collect();
+    let shim = WireShim::new(ctx.plan, link.node, ctx.iteration);
+    (link.retry, link.repr) = (*ctx.retry, ctx.repr);
+    let report = link.send_round(ctx.iteration as u64, &wire_chunks, 0, &shim, FrameKind::Ack)?;
+    Ok(report.stats)
 }
 
 impl Transport for TcpTransport {
@@ -85,39 +83,37 @@ impl Transport for TcpTransport {
         sigma: &SigmaAggregator,
         parts: &[Option<&[f64]>],
     ) -> Result<RoundDelivery, RuntimeError> {
+        let mut links = self.links.lock();
+        for &member in ctx.senders {
+            links.entry(member).or_insert_with(|| {
+                RoundSender::new(self.addr(), member, self.server.link(), *ctx.retry)
+            });
+        }
+        self.server.discard_stale();
         let mut receivers = Vec::with_capacity(ctx.senders.len());
         let mut slots = Vec::with_capacity(ctx.senders.len());
         for _ in ctx.senders {
-            let (tx, rx) = channel::bounded(8);
+            // A served stream is already whole in memory, so the router
+            // hands it over in one go instead of pacing on the fold.
+            let (tx, rx) = channel::unbounded();
             receivers.push(rx);
             slots.push(Some(tx));
         }
         let txs: Slots = Mutex::new(slots);
         let stats = Mutex::new(TransportStats::default());
         let dead: Mutex<Vec<DeadLink>> = Mutex::new(Vec::new());
-        let stop = AtomicBool::new(false);
         let pending = AtomicUsize::new(ctx.senders.len());
 
         let outcome = thread::scope(|s| {
-            let (txs, stats, dead, stop, pending) = (&txs, &stats, &dead, &stop, &pending);
-            // Poll until every sender finished, serving each accepted
-            // connection on a reader thread of its own.
-            s.spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    if let Some(stream) = self.server.poll() {
-                        s.spawn(move || {
-                            if let Some(served) = self.server.serve(stream) {
-                                route(served, ctx, txs, stats);
-                            }
-                        });
-                    }
-                }
-            });
-            for (i, &member) in ctx.senders.iter().enumerate() {
+            let (txs, stats, dead, pending) = (&txs, &stats, &dead, &pending);
+            for (&member, link) in links.iter_mut() {
+                let Some(i) = ctx.senders.iter().position(|&n| n == member) else {
+                    continue; // Not in this round's membership: the link idles.
+                };
                 let part = parts[i];
                 s.spawn(move || {
                     if let Some(part) = part {
-                        match self.send_part(member, ctx, part) {
+                        match send_part(link, ctx, part) {
                             Ok(sent) => stats.lock().merge(&sent),
                             Err(error) => {
                                 let attempts = match &error {
@@ -131,26 +127,35 @@ impl Transport for TcpTransport {
                     }
                     // Drop this peer's forwarding slot so the Sigma
                     // receiver disconnects once in-flight chunks drain;
-                    // the last sender to finish stops the accept loop.
+                    // the last sender to finish ends the routing loop.
                     txs.lock()[i] = None;
                     if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        stop.store(true, Ordering::Release);
+                        self.server.wake();
                     }
                 });
             }
-            sigma.aggregate_validated(ctx.model_len, receivers)
+            let fold = s.spawn(|| sigma.aggregate_validated(ctx.model_len, receivers));
+            // Route on this thread until every sender finished: the
+            // receive side spawns nothing per round.
+            while pending.load(Ordering::Acquire) > 0 {
+                if let Some(served) = self.server.next(None) {
+                    route(served, ctx, txs, stats);
+                }
+            }
+            fold.join().unwrap_or_else(|payload| panic::resume_unwind(payload))
         });
 
         Ok(RoundDelivery { outcome, dead: dead.into_inner(), stats: stats.into_inner() })
     }
 }
 
-/// Routes one connection: only a stream that arrived complete — this
+/// Routes one delivery: only a stream that arrived complete — this
 /// round's iteration, a known sender, slot still open — is acknowledged
-/// and its buffered chunks forwarded to Sigma. Anything else drops the
-/// connection cold; the sender's retransmission is the only delivery.
-fn route(mut served: Served, ctx: &RoundCtx<'_>, txs: &Slots, stats: &Mutex<TransportStats>) {
-    let ServedKind::Round { iteration, chunks, .. } = served.kind else {
+/// and its buffered chunks forwarded to Sigma. Anything else is dropped
+/// unanswered, which shuts its connection; the sender's retransmission
+/// is the only delivery.
+fn route(served: Served, ctx: &RoundCtx<'_>, txs: &Slots, stats: &Mutex<TransportStats>) {
+    let ServedKind::Round { iteration, chunks, mut reply, .. } = served.kind else {
         return;
     };
     if iteration != ctx.iteration as u64 {
@@ -161,15 +166,16 @@ fn route(mut served: Served, ctx: &RoundCtx<'_>, txs: &Slots, stats: &Mutex<Tran
     };
     // Clone the slot *before* acknowledging: the sender nulls it the
     // moment the ack lands, and the clone keeps the channel alive while
-    // this reader drains its buffer into Sigma.
+    // the buffer drains into Sigma.
     let Some(tx) = txs.lock()[peer].clone() else {
         return;
     };
+    let mut booked = served.stats;
     let ack = Frame::control(FrameKind::Ack, served.node, iteration, 0, 0);
-    if supervisor::reply(&mut served.stream, &ack, &mut served.stats).is_err() {
+    if reply.send(&ack, &mut booked).is_err() {
         return;
     }
-    stats.lock().merge(&served.stats);
+    stats.lock().merge(&booked);
     for chunk in chunks {
         if tx.send(chunk).is_err() {
             break;
@@ -191,6 +197,35 @@ mod tests {
         model_len: usize,
     ) -> RoundCtx<'a> {
         RoundCtx { iteration: 0, model_len, plan, retry, senders, repr: WireRepr::DenseF64 }
+    }
+
+    /// Sender `node`'s seeded partial for `iteration`.
+    fn part(node: usize, iteration: usize, len: usize) -> Vec<f64> {
+        (0..len).map(|i| ((i * 31 + node * 7 + iteration * 3) % 997) as f64 / 997.0 - 0.5).collect()
+    }
+
+    /// One round of seeded partials from `senders` on `transport`, its
+    /// sum checked bit for bit against the reference fold.
+    fn checked_round(
+        transport: &TcpTransport,
+        plan: &FaultPlan,
+        iteration: usize,
+        senders: &[usize],
+        len: usize,
+    ) -> RoundDelivery {
+        let retry = RetryPolicy::default();
+        let sigma = SigmaAggregator::new(2, 2);
+        let data: Vec<Vec<f64>> = senders.iter().map(|&n| part(n, iteration, len)).collect();
+        let parts: Vec<Option<&[f64]>> = data.iter().map(|p| Some(p.as_slice())).collect();
+        let ctx = RoundCtx { iteration, ..ctx(plan, &retry, senders, len) };
+        let delivery = transport.round(&ctx, &sigma, &parts).unwrap();
+        let mut expected = vec![0.0; len];
+        let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+        crate::fold::fold_parts_reference(&mut expected, &slices);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&delivery.outcome.sum), bits(&expected), "iteration {iteration}");
+        assert!(delivery.dead.is_empty(), "iteration {iteration}: {:?}", delivery.dead);
+        delivery
     }
 
     #[test]
@@ -283,20 +318,13 @@ mod tests {
         // attempt 0 only), so exhaust the budget the honest way: point
         // the sender at a dead port via a transport whose listener is
         // dropped.
-        let plan = FaultPlan::none();
         let retry = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
         let link = LinkConfig { connect_timeout_ms: 100, ..LinkConfig::default() };
         let dead_addr = {
             let t = TcpTransport::bind(link).unwrap();
             t.addr()
         };
-        let sender = RoundSender {
-            addr: dead_addr,
-            node: 4,
-            link: &link,
-            retry: &retry,
-            repr: WireRepr::DenseF64,
-        };
+        let mut sender = RoundSender::new(dead_addr, 4, link, retry);
         let err =
             sender.send_round(0, &[], 0, &WireShim::transparent(), FrameKind::Ack).unwrap_err();
         match err {
@@ -306,6 +334,67 @@ mod tests {
             }
             other => panic!("expected TransportFailed, got {other:?}"),
         }
-        let _ = plan;
+    }
+
+    #[test]
+    fn iterations_may_restart_and_the_model_may_change_size_on_one_transport() {
+        // The benchmark ladder does exactly this: small rounds from
+        // iteration 0, then large rounds from iteration 0 again.
+        let transport = TcpTransport::bind(LinkConfig::default()).unwrap();
+        let (plan, senders) = (FaultPlan::none(), [0usize, 1, 2, 3]);
+        let mut total = TransportStats::default();
+        for len in [64, 65_536, 64, 65_536] {
+            for iteration in 0..3 {
+                total.merge(&checked_round(&transport, &plan, iteration, &senders, len).stats);
+            }
+        }
+        assert_eq!((total.connections, total.reconnects, total.links_dead), (4, 0, 0));
+        assert_eq!(total.frames_sent, total.frames_received);
+        assert_eq!(total.bytes_sent, total.bytes_received);
+    }
+
+    #[test]
+    fn a_wire_fault_costs_one_reconnect_and_the_new_connection_persists() {
+        let plan = FaultPlan::none().sever_link(1, 2, 0).corrupt_frame(3, 4, 0);
+        let transport = TcpTransport::bind(LinkConfig::default()).unwrap();
+        let senders = [0usize, 1, 2, 3];
+        let booked: Vec<(u64, u64)> = (0..7)
+            .map(|iteration| {
+                let stats = checked_round(&transport, &plan, iteration, &senders, 64).stats;
+                (stats.connections, stats.reconnects)
+            })
+            .collect();
+        // Four links dialled in round 0; each fault replaces one link in
+        // its own round and no round after it opens a socket.
+        assert_eq!(booked, [(4, 0), (0, 0), (1, 1), (0, 0), (1, 1), (0, 0), (0, 0)]);
+    }
+
+    #[test]
+    fn a_sender_absent_for_several_rounds_finds_its_link_still_alive() {
+        let transport = TcpTransport::bind(LinkConfig::default()).unwrap();
+        let plan = FaultPlan::none();
+        let mut total = TransportStats::default();
+        let memberships: [&[usize]; 6] =
+            [&[0, 1, 2, 3], &[0, 1, 3], &[0, 1, 3], &[1, 3], &[0, 1, 2, 3], &[0, 1, 2, 3, 4]];
+        for (iteration, senders) in memberships.into_iter().enumerate() {
+            total.merge(&checked_round(&transport, &plan, iteration, senders, 64).stats);
+        }
+        // Node 2 sat out three rounds and node 4 joined late: five
+        // links, five connections, none redialled.
+        assert_eq!((total.connections, total.reconnects, total.links_dead), (5, 0, 0));
+    }
+
+    #[test]
+    fn an_idle_link_is_not_a_silent_peer() {
+        // A compute phase of several read deadlines between rounds must
+        // cost nothing: the deadline arms at a stream's first byte.
+        let link = LinkConfig { read_timeout_ms: 40, ..LinkConfig::default() };
+        let transport = TcpTransport::bind(link).unwrap();
+        let (plan, senders) = (FaultPlan::none(), [0usize, 1]);
+        let first = checked_round(&transport, &plan, 0, &senders, 64).stats;
+        thread::sleep(2 * link.read_timeout() + link.read_timeout() / 2);
+        let second = checked_round(&transport, &plan, 1, &senders, 64).stats;
+        assert_eq!((first.connections, first.reconnects), (2, 0));
+        assert_eq!((second.connections, second.reconnects), (0, 0));
     }
 }

@@ -239,13 +239,14 @@ impl Frame {
             });
         }
         let (body, sum) = rest.split_at(body_bytes);
-        verify_checksum(&buf[..HEADER_BYTES + body_bytes], sum)?;
+        verify_checksum(header, body, sum)?;
         assemble(header, body)
     }
 
     /// Reads one frame off a byte stream (header first, then exactly
     /// the advertised payload). I/O failures — including read-deadline
-    /// expiry — surface as [`WireError::Io`].
+    /// expiry — surface as [`WireError::Io`]. Hand it a buffered
+    /// reader: a bare socket pays two `read` syscalls per frame.
     pub fn read_from(reader: &mut impl Read) -> Result<Self, WireError> {
         let mut header = [0u8; HEADER_BYTES];
         reader.read_exact(&mut header).map_err(WireError::from_io)?;
@@ -253,10 +254,7 @@ impl Frame {
         let mut rest = vec![0u8; 8 * words as usize + CHECKSUM_BYTES];
         reader.read_exact(&mut rest).map_err(WireError::from_io)?;
         let (body, sum) = rest.split_at(8 * words as usize);
-        let mut summed = Vec::with_capacity(HEADER_BYTES + body.len());
-        summed.extend_from_slice(&header);
-        summed.extend_from_slice(body);
-        verify_checksum(&summed, sum)?;
+        verify_checksum(&header, body, sum)?;
         assemble(&header, body)
     }
 
@@ -279,9 +277,13 @@ fn parse_header_len(header: &[u8]) -> Result<u32, WireError> {
     Ok(words)
 }
 
-/// Compares the trailing checksum against the frame bytes.
-fn verify_checksum(summed: &[u8], sum: &[u8]) -> Result<(), WireError> {
-    let expected = fnv1a(summed);
+/// Compares the trailing checksum against the frame bytes, hashing
+/// header then body in place (the digest of their concatenation).
+fn verify_checksum(header: &[u8], body: &[u8], sum: &[u8]) -> Result<(), WireError> {
+    let mut hash = Fnv1a::default();
+    hash.write_bytes(header);
+    hash.write_bytes(body);
+    let expected = hash.finish();
     let found = u64::from_le_bytes(slice8(sum, 0));
     if expected != found {
         return Err(WireError::ChecksumMismatch { expected, found });
@@ -373,7 +375,7 @@ pub enum WireError {
 }
 
 impl WireError {
-    fn from_io(err: std::io::Error) -> Self {
+    pub(super) fn from_io(err: std::io::Error) -> Self {
         WireError::Io { detail: format!("{}: {err}", err.kind()) }
     }
 

@@ -78,6 +78,8 @@ fn healthy_tcp_matches_sim_bit_for_bit_and_conserves() {
     assert!(counter(&tcp_sink, counters::TRANSPORT_HEARTBEATS) > 0.0);
     assert_eq!(counter(&tcp_sink, counters::TRANSPORT_RECONNECTS), 0.0);
     assert_eq!(counter(&tcp_sink, counters::TRANSPORT_LINKS_DEAD), 0.0);
+    // Links outlive the round: four nodes, four connections, all run.
+    assert_eq!(counter(&tcp_sink, counters::TRANSPORT_CONNECTIONS), 4.0);
 }
 
 /// Chunk-level fault plans (the kinds the sim backend also understands)
@@ -130,6 +132,13 @@ fn wire_faults_are_healed_by_retransmission() {
         counter(&tcp_sink, counters::TRANSPORT_LINKS_DEAD),
         0.0,
         "transient wire faults must never escalate to a dead link"
+    );
+    // Every reconnect replaced one of the four links' connections (one
+    // that died before completing a stream was never booked).
+    let extra = counter(&tcp_sink, counters::TRANSPORT_CONNECTIONS) - 4.0;
+    assert!(
+        extra > 0.0 && extra <= counter(&tcp_sink, counters::TRANSPORT_RECONNECTS),
+        "{extra} connections beyond the four links"
     );
 }
 

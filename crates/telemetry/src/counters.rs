@@ -88,6 +88,10 @@ pub const TRANSPORT_HEARTBEATS: &str = "transport.heartbeats";
 /// Supervised reconnects: a link was re-established after a connect or
 /// stream failure (each one implies a round retransmission).
 pub const TRANSPORT_RECONNECTS: &str = "transport.reconnects";
+/// Connections the round server accepted and got a first stream from.
+/// Links persist across rounds, so a healthy run books one per link
+/// ever used and each reconnect adds the one that replaced it.
+pub const TRANSPORT_CONNECTIONS: &str = "transport.connections";
 /// Links declared dead after the supervisor exhausted its retry
 /// budget; each flows into the membership fail/rejoin machinery.
 pub const TRANSPORT_LINKS_DEAD: &str = "transport.links.dead";

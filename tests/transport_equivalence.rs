@@ -67,6 +67,10 @@ fn sim_and_tcp_agree_on_the_pinned_seed() {
         get(&tcp_sums, counters::TRANSPORT_BYTES_RECEIVED)
     );
     assert_eq!(get(&tcp_sums, counters::TRANSPORT_LINKS_DEAD), 0.0);
+    // Links outlive the round: every round of the run rode the five
+    // connections the first one dialled.
+    assert_eq!(get(&tcp_sums, counters::TRANSPORT_CONNECTIONS), 5.0);
+    assert_eq!(get(&tcp_sums, counters::TRANSPORT_RECONNECTS), 0.0);
 }
 
 /// Under a faulty plan the two backends still agree verdict for
@@ -154,4 +158,5 @@ fn tcp_round_conserves_exact_frame_and_byte_counts() {
     assert_eq!(s.heartbeats, SENDERS as u64, "one heartbeat per connection");
     assert_eq!(s.reconnects, 0);
     assert_eq!(s.links_dead, 0);
+    assert_eq!(s.connections, SENDERS as u64, "one connection per link");
 }
