@@ -132,8 +132,8 @@ impl Machine {
     /// `pe_issued` — and every error is **exactly** what
     /// [`Machine::run_reference`] produces: a skipped cycle is by
     /// definition one where nothing issues and nothing stalls, so no
-    /// observable state can differ (`tests/machine_equivalence.rs` and
-    /// the in-module proptests hold that line).
+    /// observable state can differ (the proptests in
+    /// `tests/machine_equivalence.rs` hold that line).
     ///
     /// # Errors
     ///

@@ -69,7 +69,7 @@ mod tests {
     use super::*;
 
     // The cheap benchmarks exercise the full path; the complete sweep
-    // runs in the `fig07_speedup` binary and the Criterion bench.
+    // runs under `cosmic-bench fig07_speedup`.
     const SAMPLE: [BenchmarkId; 4] =
         [BenchmarkId::Stock, BenchmarkId::Tumor, BenchmarkId::Movielens, BenchmarkId::Face];
 

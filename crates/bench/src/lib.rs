@@ -3,9 +3,8 @@
 //! Regenerates every table and figure of the paper's evaluation (§7).
 //! Each figure/table lives in [`figures`] as a module with one
 //! `run(&FigureCtx) -> String` that prints the same rows/series the
-//! paper reports; [`figures::FIGURES`] registers them in paper order,
-//! the `cosmic-bench` binary dispatches over that registry, and
-//! `benches/` drives the same modules under Criterion.
+//! paper reports; [`figures::FIGURES`] registers them in paper order
+//! and the `cosmic-bench` binary dispatches over that registry.
 //!
 //! Absolute numbers come from this repository's models and simulators,
 //! not the authors' testbed; the *shapes* — who wins, by roughly what
@@ -17,7 +16,6 @@
 
 pub mod figures;
 pub mod harness;
-pub mod hotpaths;
 
 pub use harness::{
     cosmic_node_rps, cosmic_training_time_s, full_dfg, geomean, spark_training_time_s, AccelKind,

@@ -243,12 +243,6 @@ impl WireRepr {
         }
     }
 
-    /// True for representations whose round trip is the identity on
-    /// every finite and non-finite bit pattern.
-    pub fn is_lossless(self) -> bool {
-        matches!(self, WireRepr::DenseF64)
-    }
-
     /// Exact encoded size in bytes of a payload of `words` logical
     /// words: the size law every layer (schedule accounting, cost
     /// models, telemetry) agrees on. Empty payloads occupy zero bytes
@@ -517,6 +511,22 @@ fn take<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], CodecError> 
     match bytes.get(at..at + N).and_then(|s| <[u8; N]>::try_from(s).ok()) {
         Some(arr) => Ok(arr),
         None => Err(CodecError::Truncated { needed: at + N, got: bytes.len() }),
+    }
+}
+
+/// The logical word count an encoded payload declares, read off its
+/// header without decoding: what a receiver bounds *before*
+/// [`decode_tagged`] allocates that many words (a top-k header can
+/// declare 2³² words in eight bytes).
+pub fn declared_words(tag: u8, bytes: &[u8]) -> Result<usize, CodecError> {
+    match tag {
+        0..=2 if bytes.is_empty() => Ok(0),
+        0 => Ok(bytes.len() / WORD_BYTES),
+        1 | 2 => {
+            let head: [u8; 8] = take(bytes, 0)?;
+            Ok(u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize)
+        }
+        other => Err(CodecError::BadTag { tag: other }),
     }
 }
 

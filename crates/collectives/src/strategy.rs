@@ -14,6 +14,9 @@
 //! | [`RecursiveHalvingDoubling`] | hypercube exchange | ≈ 2·log₂P | W/2^s per round |
 //! | [`InNetworkSwitch`] | hosts ⇄ programmable switch (SwitchML) | 2 | W per host port |
 //!
+//! [`InNetworkSwitch`] is a pricing stub: its wire pattern is scheduled
+//! and priced, but no slot-pool or line-rate switch model stands behind it.
+//!
 //! Every generated schedule passes [`CommSchedule::validate`]'s
 //! exactly-once proof, and — because the numeric fold is canonical (see
 //! [`crate::schedule`]) — every strategy produces a bit-identical

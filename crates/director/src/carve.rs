@@ -196,11 +196,6 @@ impl ClusterLedger {
         self.free.len()
     }
 
-    /// Nodes currently granted to `job`.
-    pub fn granted_count(&self, job: usize) -> usize {
-        self.granted.get(&job).map_or(0, BTreeSet::len)
-    }
-
     /// The nodes `grant(job, count)` would return, without taking
     /// them — so the director can journal the grant decision before
     /// it takes effect (write-ahead discipline).

@@ -122,16 +122,6 @@ impl<T> CircularBuffer<T> {
         }
     }
 
-    /// Attempts a non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.state.lock();
-        let item = state.queue.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
-    }
-
     /// Closes the buffer: producers are refused, consumers drain what
     /// remains and then observe the end of the stream.
     pub fn close(&self) {

@@ -373,16 +373,19 @@ impl SigmaAggregator {
                             fault = Some(ChunkFault::Misaligned { offset: chunk.offset });
                             continue;
                         }
-                        let end = chunk.offset + chunk.data.len();
-                        // (`offset == model_len` with an empty payload
-                        // would index one stripe past the last.)
-                        if end > model_len || chunk.offset >= model_len {
+                        // The offset is wire-supplied: bound it before
+                        // adding to it. (`offset == model_len` with an
+                        // empty payload would index one stripe past the
+                        // last.)
+                        if chunk.offset >= model_len || chunk.data.len() > model_len - chunk.offset
+                        {
                             fault = Some(ChunkFault::Overrun {
                                 offset: chunk.offset,
                                 len: chunk.data.len(),
                             });
                             continue;
                         }
+                        let end = chunk.offset + chunk.data.len();
                         if !chunk.is_intact() {
                             fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
                             continue;
@@ -569,6 +572,18 @@ mod tests {
         drop(tx);
         let out = sigma.aggregate_validated(CHUNK_WORDS, vec![rx]);
         assert!(matches!(out.quarantined[..], [(0, ChunkFault::Overrun { len: 0, .. })]));
+
+        // An aligned offset whose end overflows `usize`: a verdict in
+        // every build profile, not an overflow panic on a pool worker.
+        let far = usize::MAX & !(CHUNK_WORDS - 1);
+        let (tx, rx) = channel::unbounded();
+        tx.send(Chunk::new(far, vec![1.0; CHUNK_WORDS])).unwrap();
+        drop(tx);
+        let out = sigma.aggregate_validated(CHUNK_WORDS, vec![rx]);
+        assert_eq!(
+            out.quarantined,
+            vec![(0, ChunkFault::Overrun { offset: far, len: CHUNK_WORDS })]
+        );
     }
 
     #[test]

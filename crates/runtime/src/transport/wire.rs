@@ -21,10 +21,11 @@ use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
-use cosmic_collectives::codec::{decode_tagged, WireRepr};
+use cosmic_collectives::codec::{declared_words, decode_tagged, WireRepr};
 use cosmic_collectives::Fnv1a;
 
 use crate::buffer::WordBuf;
+use crate::layout::CHUNK_WORDS;
 use crate::node::Chunk;
 
 /// Frame magic: `"COSM"` as a big-endian u32.
@@ -175,7 +176,9 @@ impl Frame {
     /// tag, and restores the chunk's original checksum verbatim — a
     /// stale checksum (corrupted-in-flight chunk) travels unchanged and
     /// still fails Sigma-side validation. Malformed codec bytes come
-    /// back as [`WireError::Protocol`].
+    /// back as [`WireError::Protocol`], and a declared length beyond
+    /// [`CHUNK_WORDS`] as [`WireError::Oversized`] before the decoder
+    /// allocates for it.
     pub fn decode_encoded_chunk(&self) -> Result<Chunk, WireError> {
         if self.kind != FrameKind::Encoded {
             return Err(WireError::Protocol {
@@ -194,8 +197,12 @@ impl Frame {
             bytes.extend_from_slice(&word.to_bits().to_le_bytes());
         }
         bytes.truncate(len);
-        let data = decode_tagged(tag, &bytes)
-            .map_err(|err| WireError::Protocol { detail: format!("encoded chunk: {err}") })?;
+        let malformed = |err| WireError::Protocol { detail: format!("encoded chunk: {err}") };
+        let words = declared_words(tag, &bytes).map_err(malformed)?;
+        if words > CHUNK_WORDS {
+            return Err(WireError::Oversized { words: u32::try_from(words).unwrap_or(u32::MAX) });
+        }
+        let data = decode_tagged(tag, &bytes).map_err(malformed)?;
         Ok(Chunk { offset: self.a as usize, data: WordBuf::from_vec(data), checksum })
     }
 
@@ -348,7 +355,8 @@ pub enum WireError {
         /// The unknown kind byte.
         found: u8,
     },
-    /// The advertised payload length exceeds [`MAX_PAYLOAD_WORDS`].
+    /// The advertised payload length exceeds [`MAX_PAYLOAD_WORDS`], or
+    /// an encoded chunk declares more than [`CHUNK_WORDS`] words.
     Oversized {
         /// The advertised word count.
         words: u32,
@@ -395,7 +403,7 @@ impl fmt::Display for WireError {
             WireError::BadMagic { found } => write!(f, "bad frame magic {found:#010x}"),
             WireError::BadKind { found } => write!(f, "unknown frame kind {found}"),
             WireError::Oversized { words } => {
-                write!(f, "frame payload of {words} words exceeds the cap")
+                write!(f, "payload of {words} words exceeds the cap")
             }
             WireError::ChecksumMismatch { expected, found } => {
                 write!(f, "frame checksum mismatch: expected {expected:#018x}, found {found:#018x}")
@@ -521,6 +529,14 @@ mod tests {
         let mut short = Frame::encoded_chunk(0, 0, WireRepr::FixedPoint { frac_bits: 8 }, &chunk);
         short.b = (short.b & !0xFFFF_FFFFu64) | 1;
         assert!(matches!(short.decode_encoded_chunk(), Err(WireError::Truncated { .. })));
+        // An eight-byte top-k header (count 0) declaring 2^32 - 1 words:
+        // refused before the decoder allocates 32 GiB for it.
+        let huge = Frame {
+            b: (2u64 << 32) | 8,
+            payload: [0, u64::from(u32::MAX) << 32].into_iter().map(f64::from_bits).collect(),
+            ..short
+        };
+        assert_eq!(huge.decode_encoded_chunk(), Err(WireError::Oversized { words: u32::MAX }));
         // Wrong frame kind.
         let plain = Frame::chunk(0, 0, &chunk);
         assert!(matches!(plain.decode_encoded_chunk(), Err(WireError::Protocol { .. })));

@@ -12,7 +12,7 @@
 use std::io::Cursor;
 
 use cosmic_runtime::node::Chunk;
-use cosmic_runtime::{Frame, FrameKind, WireError};
+use cosmic_runtime::{Frame, FrameKind, WireError, CHUNK_WORDS};
 use proptest::prelude::*;
 
 const KINDS: [FrameKind; 8] = [
@@ -34,6 +34,19 @@ fn frame(kind: usize, node: u32, iteration: u64, a: u64, b: u64, payload: &[u64]
         a,
         b,
         payload: payload.iter().map(|&bits| f64::from_bits(bits)).collect(),
+    }
+}
+
+/// An `Encoded` frame carrying `codec` (whole words of codec bytes)
+/// under `tag`, behind a zero chunk checksum.
+fn encoded_frame(tag: u64, codec: &[u64]) -> Frame {
+    Frame {
+        kind: FrameKind::Encoded,
+        node: 0,
+        iteration: 0,
+        a: 0,
+        b: (tag << 32) | (8 * codec.len() as u64),
+        payload: std::iter::once(0).chain(codec.iter().copied()).map(f64::from_bits).collect(),
     }
 }
 
@@ -138,11 +151,19 @@ proptest! {
     #[test]
     fn random_bytes_never_panic(
         bytes in prop::collection::vec(any::<u8>(), 0..256),
+        codec in prop::collection::vec(any::<u64>(), 0..32),
     ) {
         // Truly random bytes essentially never spell the magic plus a
         // valid checksum; the point is that classification is total.
         let _ = Frame::decode(&bytes);
         let _ = Frame::read_from(&mut Cursor::new(&bytes));
+        // The same for an encoded chunk's codec bytes, under every
+        // tag and one past: whatever decodes fits a chunk.
+        for tag in 0..4 {
+            if let Ok(chunk) = encoded_frame(tag, &codec).decode_encoded_chunk() {
+                prop_assert!(chunk.data.len() <= CHUNK_WORDS);
+            }
+        }
     }
 }
 
@@ -161,4 +182,9 @@ fn oversized_length_is_rejected() {
         Err(WireError::Oversized { words }) => assert_eq!(words, u32::MAX),
         other => panic!("expected Oversized, got {other:?}"),
     }
+    // The same guard one level in: eight codec bytes that are a top-k
+    // header (count 0) declaring 2^32 - 1 words.
+    let huge = encoded_frame(2, &[u64::from(u32::MAX) << 32]);
+    let landed = Frame::decode(&huge.encode()).expect("the frame itself is well formed");
+    assert_eq!(landed.decode_encoded_chunk(), Err(WireError::Oversized { words: u32::MAX }));
 }
