@@ -11,7 +11,7 @@ use crate::harness::{cosmic_training_time_s, geomean, spark_training_time_s, Acc
 
 /// The five system configurations of the figure (the 4-CPU-Spark
 /// baseline is the implicit 1.0).
-pub const CONFIGS: [(&str, bool, usize); 5] = [
+pub(crate) const CONFIGS: [(&str, bool, usize); 5] = [
     ("8-CPU-Spark", false, 8),
     ("16-CPU-Spark", false, 16),
     ("4-FPGA-CoSMIC", true, 4),
@@ -19,7 +19,7 @@ pub const CONFIGS: [(&str, bool, usize); 5] = [
     ("16-FPGA-CoSMIC", true, 16),
 ];
 
-/// Speedups over 4-CPU-Spark for one benchmark, in [`CONFIGS`] order.
+/// Speedups over 4-CPU-Spark for one benchmark, in `CONFIGS` order.
 pub fn speedups(id: BenchmarkId) -> [f64; 5] {
     let b = DEFAULT_MINIBATCH;
     let baseline = spark_training_time_s(id, 4, b, EPOCHS);
@@ -36,7 +36,7 @@ pub fn speedups(id: BenchmarkId) -> [f64; 5] {
 }
 
 /// Renders the figure as a markdown table with a geomean row.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 7 — Speedup over 4-node Spark (baseline: 4-CPU-Spark)\n\n\
          | benchmark | 8-Spark | 16-Spark | 4-FPGA | 8-FPGA | 16-FPGA |\n\

@@ -21,7 +21,7 @@ pub fn scaling(id: BenchmarkId) -> (f64, f64, f64, f64) {
 }
 
 /// Renders the figure.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 8 — Scalability vs own 4-node configuration\n\n\
          | benchmark | CoSMIC 8 | CoSMIC 16 | Spark 8 | Spark 16 |\n\

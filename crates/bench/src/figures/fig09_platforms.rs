@@ -12,7 +12,7 @@ use crate::harness::{cosmic_training_time_s, geomean, AccelKind, EPOCHS};
 
 /// Nodes in the in-depth sensitivity cluster (paper: the local 3-node
 /// system).
-pub const NODES: usize = 3;
+pub(crate) const NODES: usize = 3;
 
 /// Speedups over 3-FPGA for `[P-ASIC-F, P-ASIC-G, GPU]`.
 pub fn speedups(id: BenchmarkId) -> [f64; 3] {
@@ -23,7 +23,7 @@ pub fn speedups(id: BenchmarkId) -> [f64; 3] {
 }
 
 /// Renders the figure.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 9 — System-wide speedup over 3-FPGA-CoSMIC\n\n\
          | benchmark | P-ASIC-F | P-ASIC-G | GPU |\n\

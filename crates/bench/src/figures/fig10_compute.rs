@@ -12,14 +12,14 @@ use crate::harness::{cosmic_node_rps, geomean, AccelKind};
 
 /// Per-node gradient-throughput ratios over the FPGA for
 /// `[P-ASIC-F, P-ASIC-G, GPU]`.
-pub fn speedups(id: BenchmarkId) -> [f64; 3] {
+pub(crate) fn speedups(id: BenchmarkId) -> [f64; 3] {
     let b = DEFAULT_MINIBATCH;
     let fpga = cosmic_node_rps(id, AccelKind::Fpga, b);
     [AccelKind::PasicF, AccelKind::PasicG, AccelKind::Gpu].map(|a| cosmic_node_rps(id, a, b) / fpga)
 }
 
 /// Renders the figure.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 10 — Computation speedup over FPGA (no system software)\n\n\
          | benchmark | P-ASIC-F | P-ASIC-G | GPU |\n\

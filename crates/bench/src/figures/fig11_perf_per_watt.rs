@@ -11,7 +11,7 @@ use crate::figures::FigureCtx;
 use crate::harness::{cosmic_training_time_s, geomean, AccelKind, EPOCHS};
 
 /// Nodes in the comparison cluster.
-pub const NODES: usize = 3;
+pub(crate) const NODES: usize = 3;
 
 fn platform(accel: AccelKind) -> Platform {
     let cpu = CpuSpec::xeon_e3();
@@ -25,7 +25,7 @@ fn platform(accel: AccelKind) -> Platform {
 
 /// Performance-per-Watt relative to the 3-GPU system, for
 /// `[FPGA, P-ASIC-F, P-ASIC-G]`.
-pub fn ratios(id: BenchmarkId) -> [f64; 3] {
+pub(crate) fn ratios(id: BenchmarkId) -> [f64; 3] {
     let b = DEFAULT_MINIBATCH;
     let ppw = |accel: AccelKind| {
         let t = cosmic_training_time_s(id, accel, NODES, b, EPOCHS);
@@ -36,7 +36,7 @@ pub fn ratios(id: BenchmarkId) -> [f64; 3] {
 }
 
 /// Renders the figure.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 11 — Performance-per-Watt vs the 3-GPU system\n\n\
          | benchmark | FPGA | P-ASIC-F | P-ASIC-G |\n\

@@ -14,7 +14,7 @@ use crate::harness::{cosmic_training_time_s, geomean, spark_training_time_s, Acc
 pub const BATCHES: [usize; 6] = [500, 1_000, 5_000, 10_000, 50_000, 100_000];
 
 /// Nodes in the sweep cluster.
-pub const NODES: usize = 3;
+pub(crate) const NODES: usize = 3;
 
 /// Speedup over 3-node Spark @ b=10,000 for `(cosmic, spark)` at each
 /// swept batch size.
@@ -31,7 +31,7 @@ pub fn sweep(id: BenchmarkId) -> Vec<(usize, f64, f64)> {
 }
 
 /// Geomean CoSMIC-over-Spark ratio at one batch size across benchmarks.
-pub fn cosmic_over_spark(b: usize, ids: &[BenchmarkId]) -> f64 {
+pub(crate) fn cosmic_over_spark(b: usize, ids: &[BenchmarkId]) -> f64 {
     let ratios: Vec<f64> = ids
         .iter()
         .map(|&id| {
@@ -43,7 +43,7 @@ pub fn cosmic_over_spark(b: usize, ids: &[BenchmarkId]) -> f64 {
 }
 
 /// Renders the figure.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 12 — Performance vs mini-batch size (3 nodes; baseline: 3-node Spark b=10,000)\n\n\
          | benchmark | system | b=500 | b=1k | b=5k | b=10k | b=50k | b=100k |\n\

@@ -12,10 +12,10 @@ use crate::figures::FigureCtx;
 use crate::harness::{cosmic_node_rps, AccelKind};
 
 /// The swept mini-batch sizes (as in Figure 12).
-pub const BATCHES: [usize; 6] = [500, 1_000, 5_000, 10_000, 50_000, 100_000];
+pub(crate) const BATCHES: [usize; 6] = [500, 1_000, 5_000, 10_000, 50_000, 100_000];
 
 /// Nodes in the breakdown cluster.
-pub const NODES: usize = 3;
+pub(crate) const NODES: usize = 3;
 
 /// Compute fraction of the iteration time for one benchmark at one batch
 /// size, booking the iteration's phase spans and wire-byte counters
@@ -36,7 +36,7 @@ pub fn compute_fraction(id: BenchmarkId, minibatch: usize, sink: &TraceSink) -> 
 }
 
 /// Mean compute fraction across all ten benchmarks.
-pub fn mean_compute_fraction(minibatch: usize) -> f64 {
+pub(crate) fn mean_compute_fraction(minibatch: usize) -> f64 {
     let ids = BenchmarkId::all();
     let sink = TraceSink::new();
     ids.iter().map(|&id| compute_fraction(id, minibatch, &sink)).sum::<f64>() / ids.len() as f64
@@ -45,7 +45,7 @@ pub fn mean_compute_fraction(minibatch: usize) -> f64 {
 /// Renders the figure: every per-benchmark cell books its iteration
 /// spans and wire bytes into the context's sink (the mean row discards
 /// its telemetry so counters are not double-booked).
-pub fn run(ctx: &FigureCtx) -> String {
+pub(crate) fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 13 — Fraction of 3-FPGA-CoSMIC runtime (compute vs communication)\n\n\
          | benchmark | b=500 | b=1k | b=5k | b=10k | b=50k | b=100k |\n\

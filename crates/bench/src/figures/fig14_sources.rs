@@ -13,7 +13,7 @@ use crate::figures::FigureCtx;
 use crate::harness::{cosmic_node_rps, geomean, AccelKind};
 
 /// Nodes in the comparison.
-pub const NODES: usize = 3;
+pub(crate) const NODES: usize = 3;
 
 /// `(fpga_speedup, system_software_speedup)` for one benchmark: per-
 /// iteration compute-vs-compute and overhead-vs-overhead ratios.
@@ -39,7 +39,7 @@ pub fn split(id: BenchmarkId) -> (f64, f64) {
 }
 
 /// Renders the figure.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 14 — Speedup breakdown: FPGAs vs specialized system software (3 nodes)\n\n\
          | benchmark | FPGA (compute) | system software |\n\

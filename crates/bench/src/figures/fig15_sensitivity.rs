@@ -15,17 +15,17 @@ use crate::figures::FigureCtx;
 use crate::harness::full_dfg;
 
 /// Swept PE counts (rows × 16 columns), up to the full 768-PE fabric.
-pub const PE_SWEEP: [usize; 6] = [32, 64, 128, 256, 512, 768];
+pub(crate) const PE_SWEEP: [usize; 6] = [32, 64, 128, 256, 512, 768];
 
 /// Swept bandwidth multipliers over the 9.6 GB/s baseline.
-pub const BW_SWEEP: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
+pub(crate) const BW_SWEEP: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 
 fn rps(id: BenchmarkId, spec: &AcceleratorSpec) -> f64 {
     cosmic_planner::plan(full_dfg(id), spec, DEFAULT_MINIBATCH).best.records_per_sec
 }
 
 /// Throughput at each swept PE count, normalized to the first point.
-pub fn pe_sensitivity(id: BenchmarkId) -> Vec<(usize, f64)> {
+pub(crate) fn pe_sensitivity(id: BenchmarkId) -> Vec<(usize, f64)> {
     let base = AcceleratorSpec::fpga_vu9p();
     let mut first = None;
     PE_SWEEP
@@ -40,7 +40,7 @@ pub fn pe_sensitivity(id: BenchmarkId) -> Vec<(usize, f64)> {
 }
 
 /// Throughput at each swept bandwidth, normalized to the first point.
-pub fn bw_sensitivity(id: BenchmarkId) -> Vec<(f64, f64)> {
+pub(crate) fn bw_sensitivity(id: BenchmarkId) -> Vec<(f64, f64)> {
     let base = AcceleratorSpec::fpga_vu9p();
     let mut first = None;
     BW_SWEEP
@@ -55,7 +55,7 @@ pub fn bw_sensitivity(id: BenchmarkId) -> Vec<(f64, f64)> {
 }
 
 /// Renders the figure.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 15(a) — Speedup vs number of PEs (normalized to 32 PEs)\n\n\
          | benchmark | 32 | 64 | 128 | 256 | 512 | 768 |\n\

@@ -14,16 +14,16 @@ use crate::figures::FigureCtx;
 use crate::harness::full_dfg;
 
 /// The four benchmarks the paper plots.
-pub const BENCHES: [BenchmarkId; 4] =
+pub(crate) const BENCHES: [BenchmarkId; 4] =
     [BenchmarkId::Mnist, BenchmarkId::Movielens, BenchmarkId::Stock, BenchmarkId::Tumor];
 
 /// Sweeps one benchmark's design space on the VU9P.
-pub fn space(id: BenchmarkId) -> DesignSpace {
+pub(crate) fn space(id: BenchmarkId) -> DesignSpace {
     dse::sweep(full_dfg(id), &AcceleratorSpec::fpga_vu9p(), DEFAULT_MINIBATCH)
 }
 
 /// Renders the figure.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from("## Figure 16 — Design-space exploration (normalized to T1xR1)\n");
     for id in BENCHES {
         let ds = space(id);

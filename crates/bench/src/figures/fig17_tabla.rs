@@ -58,7 +58,7 @@ pub fn comparison(id: BenchmarkId, sink: &TraceSink) -> (f64, u64, u64) {
 /// Renders the figure: every head-to-head compilation books its
 /// `compile`/`map`/`schedule` spans and static counters into the
 /// context's sink.
-pub fn run(ctx: &FigureCtx) -> String {
+pub(crate) fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Figure 17 — CoSMIC template architecture vs TABLA (same PEs, UltraScale+)\n\n\
          | benchmark | speedup | CoSMIC transfers/record | TABLA transfers/record |\n\

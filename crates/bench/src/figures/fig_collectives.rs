@@ -20,23 +20,24 @@
 //! under the same gigabit cost model.
 
 use cosmic_core::cosmic_ml::convergence::{default_reprs, repr_curves, study_workloads};
-use cosmic_core::cosmic_runtime::collectives::{CollectiveKind, CollectiveSelector, WireRepr};
-use cosmic_core::cosmic_runtime::role::{assign_roles, default_groups};
+use cosmic_core::cosmic_runtime::collectives::{
+    assign_roles, default_groups, CollectiveKind, CollectiveSelector, WireRepr,
+};
 use cosmic_core::cosmic_runtime::{ClusterTiming, FaultTimingModel, NodeCompute, CHUNK_WORDS};
 
 use crate::figures::FigureCtx;
 
 /// Swept cluster sizes.
-pub const NODE_COUNTS: [usize; 4] = [4, 8, 16, 32];
+pub(crate) const NODE_COUNTS: [usize; 4] = [4, 8, 16, 32];
 
 /// The bandwidth-bound regime: a 300k-parameter model (2.4 MB/round).
-pub const LARGE_WORDS: usize = 300_000;
+pub(crate) const LARGE_WORDS: usize = 300_000;
 
 /// The latency-bound regime: a 1k-parameter model (8 KB/round).
-pub const SMALL_WORDS: usize = 1_024;
+pub(crate) const SMALL_WORDS: usize = 1_024;
 
 /// Mini-batch of the sweep (the Figure 12 midpoint).
-pub const MINIBATCH: usize = 10_000;
+pub(crate) const MINIBATCH: usize = 10_000;
 
 /// Per-node accelerator throughput of the sweep, records/s.
 const NODE_RPS: f64 = 1e5;
@@ -47,7 +48,7 @@ fn timing(nodes: usize) -> ClusterTiming {
 
 /// Steady-state throughput (records/s) of `kind` on an `nodes`-node
 /// commodity cluster exchanging `words` f64 parameters per round.
-pub fn throughput(nodes: usize, words: usize, kind: CollectiveKind) -> f64 {
+pub(crate) fn throughput(nodes: usize, words: usize, kind: CollectiveKind) -> f64 {
     let it = timing(nodes)
         .model(MINIBATCH, NodeCompute { records_per_sec: NODE_RPS }, words * 8)
         .with_collective(kind)
@@ -58,18 +59,22 @@ pub fn throughput(nodes: usize, words: usize, kind: CollectiveKind) -> f64 {
 
 /// The cost-based selector's pick for the operating point, over the
 /// four host-side strategies under the gigabit cost model.
-pub fn selector_pick(nodes: usize, words: usize) -> CollectiveKind {
+pub(crate) fn selector_pick(nodes: usize, words: usize) -> CollectiveKind {
     selector_pick_repr(nodes, words, WireRepr::DenseF64).0
 }
 
 /// The wire-representation axis: dense reference, the study's
 /// fixed-point grid, and a deep top-k sparsifier.
-pub const REPRS: [WireRepr; 3] =
+pub(crate) const REPRS: [WireRepr; 3] =
     [WireRepr::DenseF64, WireRepr::FixedPoint { frac_bits: 20 }, WireRepr::TopK { k: 512 }];
 
 /// [`selector_pick`] with payloads priced under `repr`: the pick and
 /// its schedule cost in seconds.
-pub fn selector_pick_repr(nodes: usize, words: usize, repr: WireRepr) -> (CollectiveKind, f64) {
+pub(crate) fn selector_pick_repr(
+    nodes: usize,
+    words: usize,
+    repr: WireRepr,
+) -> (CollectiveKind, f64) {
     let topology = assign_roles(nodes, default_groups(nodes)).expect("valid sweep topology");
     let sel = CollectiveSelector::host_side()
         .select_with_repr(&topology, words, CHUNK_WORDS, repr)
@@ -80,7 +85,9 @@ pub fn selector_pick_repr(nodes: usize, words: usize, repr: WireRepr) -> (Collec
 /// The (node-count, repr) cells of the sweep where compressing the
 /// payload changes which strategy is cheapest — the measured crossover
 /// shifts the repr axis exists to demonstrate.
-pub fn crossover_shifts(words: usize) -> Vec<(usize, WireRepr, CollectiveKind, CollectiveKind)> {
+pub(crate) fn crossover_shifts(
+    words: usize,
+) -> Vec<(usize, WireRepr, CollectiveKind, CollectiveKind)> {
     let mut shifts = Vec::new();
     for nodes in NODE_COUNTS {
         let dense = selector_pick_repr(nodes, words, WireRepr::DenseF64).0;
@@ -195,7 +202,7 @@ fn shift_summary() -> String {
 /// per-level wire counters into the context's sink. All time is
 /// virtual, so same-seed traces are byte-identical — including under
 /// lossy representations.
-pub fn run(ctx: &FigureCtx) -> String {
+pub(crate) fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Collective strategies — throughput (records/s) by node count (FPGA cluster, b=10k)\n\n",
     );

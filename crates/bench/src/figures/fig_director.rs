@@ -27,19 +27,19 @@ use cosmic_core::cosmic_telemetry::TraceSink;
 use crate::figures::FigureCtx;
 
 /// Physical nodes in the overload study's deliberately small cluster.
-pub const SWEEP_CLUSTER_NODES: usize = 64;
+pub(crate) const SWEEP_CLUSTER_NODES: usize = 64;
 
 /// Jobs per offered-load point.
-pub const SWEEP_JOBS: usize = 80;
+pub(crate) const SWEEP_JOBS: usize = 80;
 
 /// Mean interarrival gaps swept, in seconds. Offered load rises left
 /// to right: from comfortably underloaded to a 4× overload where the
 /// admission queue and the deadline shedder must both engage.
-pub const SWEEP_INTERARRIVALS_S: [f64; 4] = [0.016, 0.004, 0.001, 0.00025];
+pub(crate) const SWEEP_INTERARRIVALS_S: [f64; 4] = [0.016, 0.004, 0.001, 0.00025];
 
 /// One offered-load measurement under one policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// Offered arrival rate, jobs per virtual second.
     pub arrival_rate_per_s: f64,
     /// Training records of completed jobs per virtual second.
@@ -57,7 +57,7 @@ pub struct SweepPoint {
 /// The seeded arrival plan for one sweep point: every job carries an
 /// SLA deadline (`arrival + slack × ideal JCT`, slack drawn from a
 /// separate PRNG stream so the base plan is unchanged).
-pub fn sweep_plan(mean_interarrival_s: f64) -> JobArrivalPlan {
+pub(crate) fn sweep_plan(mean_interarrival_s: f64) -> JobArrivalPlan {
     let profile = ArrivalProfile {
         mean_interarrival_s,
         sla_slack: Some((1.5, 6.0)),
@@ -69,7 +69,7 @@ pub fn sweep_plan(mean_interarrival_s: f64) -> JobArrivalPlan {
 /// Director configuration for the overload study: a small cluster, a
 /// bounded admission queue, and deadline-aware shedding (automatic
 /// whenever queued jobs carry deadlines).
-pub fn sweep_config(policy: FairnessPolicy) -> DirectorConfig {
+pub(crate) fn sweep_config(policy: FairnessPolicy) -> DirectorConfig {
     DirectorConfig {
         cluster_nodes: SWEEP_CLUSTER_NODES,
         policy,
@@ -82,7 +82,7 @@ pub fn sweep_config(policy: FairnessPolicy) -> DirectorConfig {
 
 /// Runs one offered-load point under one policy and reduces the report
 /// to the three overload curves.
-pub fn sweep_point(policy: FairnessPolicy, mean_interarrival_s: f64) -> SweepPoint {
+pub(crate) fn sweep_point(policy: FairnessPolicy, mean_interarrival_s: f64) -> SweepPoint {
     let report =
         Director::run(&sweep_config(policy), &sweep_plan(mean_interarrival_s), &TraceSink::new())
             .expect("the sweep plan must drain");
@@ -98,18 +98,18 @@ pub fn sweep_point(policy: FairnessPolicy, mean_interarrival_s: f64) -> SweepPoi
 }
 
 /// Physical nodes in the shared cluster.
-pub const CLUSTER_NODES: usize = 1024;
+pub(crate) const CLUSTER_NODES: usize = 1024;
 
 /// Jobs in the arrival plan.
-pub const JOBS: usize = 120;
+pub(crate) const JOBS: usize = 120;
 
 /// Seed for the arrival plan and the resize proofs.
-pub const SEED: u64 = 2017;
+pub(crate) const SEED: u64 = 2017;
 
 /// The seeded arrival plan: near-simultaneous submissions (2 ms mean
 /// spacing against millisecond-scale jobs) so the cluster is genuinely
 /// contended and the policies have something to arbitrate.
-pub fn plan() -> JobArrivalPlan {
+pub(crate) fn plan() -> JobArrivalPlan {
     let profile = ArrivalProfile { mean_interarrival_s: 0.002, ..ArrivalProfile::default() };
     JobArrivalPlan::random(SEED, JOBS, &profile)
 }
@@ -117,7 +117,7 @@ pub fn plan() -> JobArrivalPlan {
 /// Director configuration for one policy: the shared cluster, a scaler
 /// tick every 5 virtual milliseconds, and a 128-entry schedule cache
 /// shared across all tenants.
-pub fn config(policy: FairnessPolicy) -> DirectorConfig {
+pub(crate) fn config(policy: FairnessPolicy) -> DirectorConfig {
     DirectorConfig {
         cluster_nodes: CLUSTER_NODES,
         policy,
@@ -129,7 +129,7 @@ pub fn config(policy: FairnessPolicy) -> DirectorConfig {
 
 /// Runs the full plan under `policy`, booking the director's spans and
 /// counters into `sink`.
-pub fn run_policy(policy: FairnessPolicy, sink: &TraceSink) -> DirectorReport {
+pub(crate) fn run_policy(policy: FairnessPolicy, sink: &TraceSink) -> DirectorReport {
     Director::run(&config(policy), &plan(), sink)
         .expect("the seeded plan must drain on a 1024-node cluster")
 }
@@ -137,7 +137,7 @@ pub fn run_policy(policy: FairnessPolicy, sink: &TraceSink) -> DirectorReport {
 /// Renders the study: every policy's run books its admission,
 /// completion, and reallocation events — plus the director counters —
 /// into the context's sink. Same seed, byte-identical exported trace.
-pub fn run(ctx: &FigureCtx) -> String {
+pub(crate) fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Multi-tenant director — 120 jobs on one 1024-node cluster\n\n\
          | policy | done | makespan (s) | p50 JCT (s) | p99 JCT (s) | Jain | reallocs | \

@@ -10,7 +10,7 @@
 //!
 //! The sweep crosses **churn rate** (per-node, per-iteration crash
 //! probability with rejoin after a fixed down window, plus occasional
-//! network partitions at half that rate) with all five collective
+//! network partitions at half that rate) with all four collective
 //! strategies. Throughput is measured on the virtual clock — records
 //! aggregated per virtual second over the run's full makespan — so the
 //! columns capture detection latency, barrier stretch from retries, and
@@ -28,26 +28,26 @@ use cosmic_core::cosmic_telemetry::TraceSink;
 use crate::figures::FigureCtx;
 
 /// Nodes in the study cluster.
-pub const NODES: usize = 8;
+pub(crate) const NODES: usize = 8;
 
 /// Aggregation groups.
-pub const GROUPS: usize = 2;
+pub(crate) const GROUPS: usize = 2;
 
 /// Global mini-batch per aggregation round.
-pub const MINIBATCH: usize = 512;
+pub(crate) const MINIBATCH: usize = 512;
 
 /// Epochs per run (24 aggregation rounds over the 2048-record set).
-pub const EPOCHS: usize = 6;
+pub(crate) const EPOCHS: usize = 6;
 
 /// Seed for the dataset and every churn plan.
-pub const SEED: u64 = 1742;
+pub(crate) const SEED: u64 = 1742;
 
 /// Swept per-node, per-iteration crash probabilities. Partitions run at
 /// half each rate.
-pub const CHURN_RATES: [f64; 4] = [0.0, 0.01, 0.03, 0.06];
+pub(crate) const CHURN_RATES: [f64; 4] = [0.0, 0.01, 0.03, 0.06];
 
 /// Iterations a crashed node stays down before it rejoins.
-pub const REJOIN_AFTER: usize = 4;
+pub(crate) const REJOIN_AFTER: usize = 4;
 
 fn algorithm() -> Algorithm {
     Algorithm::LogisticRegression { features: 12 }
@@ -59,7 +59,7 @@ fn iterations() -> usize {
 
 /// The seeded churn plan for one sweep point: crashes that rejoin,
 /// partitions that heal, and a matching dose of stragglers.
-pub fn churn_plan(rate: f64) -> FaultPlan {
+pub(crate) fn churn_plan(rate: f64) -> FaultPlan {
     FaultPlan::random(
         SEED,
         NODES,
@@ -82,7 +82,7 @@ pub fn churn_plan(rate: f64) -> FaultPlan {
 /// Returns the outcome. [`TransportKind::Tcp`] routes the churned run's
 /// gradients over real loopback sockets while the detector,
 /// checkpoints, and rejoins adjudicate identically.
-pub fn churn_run(
+pub(crate) fn churn_run(
     kind: CollectiveKind,
     rate: f64,
     transport: TransportKind,
@@ -111,21 +111,13 @@ pub fn churn_run(
 
 /// The virtual makespan of a traced run: the latest close over all
 /// finished spans.
-pub fn virtual_makespan(sink: &TraceSink) -> f64 {
+pub(crate) fn virtual_makespan(sink: &TraceSink) -> f64 {
     sink.spans().iter().filter(|s| s.dur.is_finite()).map(|s| s.start + s.dur).fold(0.0, f64::max)
 }
 
 /// Total wire bytes a traced run booked across all link levels.
-pub fn wire_bytes(sink: &TraceSink) -> f64 {
+pub(crate) fn wire_bytes(sink: &TraceSink) -> f64 {
     sink.sums().iter().filter(|(k, _)| k.starts_with("net.bytes.")).map(|(_, v)| v).sum()
-}
-
-/// Virtual-time throughput (records aggregated per virtual second) of
-/// one sweep point.
-pub fn virtual_throughput(kind: CollectiveKind, rate: f64) -> f64 {
-    let sink = TraceSink::new();
-    let out = churn_run(kind, rate, TransportKind::Sim, &sink);
-    (out.iterations * MINIBATCH) as f64 / virtual_makespan(&sink)
 }
 
 /// Renders the study: the highest-churn flat-star run books its full
@@ -134,7 +126,7 @@ pub fn virtual_throughput(kind: CollectiveKind, rate: f64) -> f64 {
 /// byte-identical exported trace. Every churn run in the sweep — and
 /// that reference run — moves its gradients through the context's
 /// transport.
-pub fn run(ctx: &FigureCtx) -> String {
+pub(crate) fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Elastic membership — churn under the φ-accrual detector (8 nodes, no oracle)\n\n\
          | churn | rec/s (virtual) | suspicions | reinstated | rejoins | checkpoints | partitions |\n\
@@ -160,14 +152,14 @@ pub fn run(ctx: &FigureCtx) -> String {
          rounds; partitions at churn/2 heal after 3). No oracle: the φ-accrual detector\n\
          suspects on silence, expels past φ=2, and the first heartbeat back re-admits a\n\
          node via checkpoint + replay catch-up. Virtual throughput is the same for all\n\
-         five strategies — the collective changes the wire pattern, never the barrier\n\
+         four strategies — the collective changes the wire pattern, never the barrier\n\
          clock (or the bits) — so the strategies differ only on the wire, below.\n",
     ));
 
     out.push_str(
         "\n### Wire traffic by strategy (KB over the run)\n\n\
-         | churn | flat-star | two-level-tree | ring | halving-doubling | in-network |\n\
-         |---|---|---|---|---|---|\n",
+         | churn | flat-star | two-level-tree | ring | halving-doubling |\n\
+         |---|---|---|---|---|\n",
     );
     for &rate in &CHURN_RATES {
         let cells: Vec<String> = CollectiveKind::ALL
@@ -181,11 +173,10 @@ pub fn run(ctx: &FigureCtx) -> String {
         out.push_str(&format!("| {:.0}% | {} |\n", rate * 100.0, cells.join(" | ")));
     }
     out.push_str(
-        "\nHost-side columns coincide by conservation: every host-side allreduce moves\n\
-         2(p-1) model images in total and only redistributes them across ports and\n\
-         levels (the per-port serialization, not the total, is what the selector\n\
-         prices). The fabric pays 2p through the switch. Churn shrinks traffic —\n\
-         expelled nodes stop contributing until they rejoin.\n",
+        "\nThe columns coincide by conservation: every allreduce moves 2(p-1) model\n\
+         images in total and only redistributes them across ports and levels (the\n\
+         per-port serialization, not the total, is what the selector prices). Churn\n\
+         shrinks traffic — expelled nodes stop contributing until they rejoin.\n",
     );
 
     let max_rate = CHURN_RATES[CHURN_RATES.len() - 1];
@@ -221,6 +212,14 @@ mod tests {
         churn_run(kind, rate, TransportKind::Sim, &TraceSink::new())
     }
 
+    /// Virtual-time throughput (records aggregated per virtual second)
+    /// of one sweep point.
+    fn virtual_throughput(kind: CollectiveKind, rate: f64) -> f64 {
+        let sink = TraceSink::new();
+        let out = churn_run(kind, rate, TransportKind::Sim, &sink);
+        (out.iterations * MINIBATCH) as f64 / virtual_makespan(&sink)
+    }
+
     #[test]
     fn zero_churn_is_clean_and_fastest() {
         let out = sim_run(CollectiveKind::TwoLevelTree, 0.0);
@@ -254,15 +253,14 @@ mod tests {
     }
 
     #[test]
-    fn host_side_strategies_conserve_total_wire_bytes() {
+    fn strategies_conserve_total_wire_bytes() {
         let total = |kind: CollectiveKind| {
             let sink = TraceSink::new();
             churn_run(kind, 0.0, TransportKind::Sim, &sink);
             wire_bytes(&sink)
         };
-        // Every host-side allreduce moves 2(p-1) model images in total —
-        // the strategies redistribute the same bytes across ports and
-        // levels. The fabric trades that for 2p through the switch.
+        // Every allreduce moves 2(p-1) model images in total — the
+        // strategies redistribute the same bytes across ports and levels.
         let star = total(CollectiveKind::FlatStar);
         assert!(star > 0.0);
         for kind in [
@@ -270,9 +268,8 @@ mod tests {
             CollectiveKind::RingAllReduce,
             CollectiveKind::RecursiveHalvingDoubling,
         ] {
-            assert_eq!(total(kind), star, "{kind}: host-side totals must conserve");
+            assert_eq!(total(kind), star, "{kind}: totals must conserve");
         }
-        assert_ne!(total(CollectiveKind::InNetworkSwitch), star);
     }
 
     #[test]

@@ -26,16 +26,16 @@ use crate::figures::FigureCtx;
 use crate::harness::{cosmic_node_rps, AccelKind};
 
 /// Nodes in the study cluster.
-pub const NODES: usize = 8;
+pub(crate) const NODES: usize = 8;
 
 /// Aggregation groups.
-pub const GROUPS: usize = 2;
+pub(crate) const GROUPS: usize = 2;
 
 /// Mini-batch of the analytic sweep (the Figure 12 midpoint).
-pub const MINIBATCH: usize = 10_000;
+pub(crate) const MINIBATCH: usize = 10_000;
 
 /// Swept per-chunk / per-node / per-iteration fault probabilities.
-pub const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
+pub(crate) const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 
 fn timing() -> ClusterTiming {
     ClusterTiming::commodity(NODES, GROUPS)
@@ -64,7 +64,7 @@ fn study_faults(rate: f64) -> FaultTimingModel {
 /// Throughput (records/s) for `id` when every fault class runs at
 /// probability `rate` simultaneously, booking the degraded iteration's
 /// spans and counters (including the `recovery` phase) into `sink`.
-pub fn throughput_at(id: BenchmarkId, rate: f64, sink: &TraceSink) -> f64 {
+pub(crate) fn throughput_at(id: BenchmarkId, rate: f64, sink: &TraceSink) -> f64 {
     let (node, exchange) = study_point(id);
     let faults = study_faults(rate);
     timing()
@@ -77,7 +77,7 @@ pub fn throughput_at(id: BenchmarkId, rate: f64, sink: &TraceSink) -> f64 {
 
 /// Retained throughput fraction vs the healthy cluster (telemetry
 /// discarded).
-pub fn retained_fraction(id: BenchmarkId, rate: f64) -> f64 {
+pub(crate) fn retained_fraction(id: BenchmarkId, rate: f64) -> f64 {
     let sink = TraceSink::new();
     throughput_at(id, rate, &sink) / throughput_at(id, 0.0, &sink)
 }
@@ -89,7 +89,7 @@ pub fn retained_fraction(id: BenchmarkId, rate: f64) -> f64 {
 /// seed, byte-identical exported trace; [`TransportKind::Tcp`] routes
 /// every gradient chunk through real loopback sockets, with identical
 /// fault adjudication (and identical bits) to the in-process default.
-pub fn degraded_run(
+pub(crate) fn degraded_run(
     seed: u64,
     transport: TransportKind,
     sink: &TraceSink,
@@ -129,7 +129,7 @@ pub fn degraded_run(
 /// double-booked). The throughput table is the timing model either way;
 /// the context's transport only changes how the degraded run moves its
 /// gradients.
-pub fn run(ctx: &FigureCtx) -> String {
+pub(crate) fn run(ctx: &FigureCtx) -> String {
     let mut out = String::from(
         "## Fault study — throughput retained under faults (8-node FPGA cluster, b=10k)\n\n\
          | benchmark | healthy rec/s | p=1% | p=5% | p=20% |\n\

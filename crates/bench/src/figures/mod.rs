@@ -15,21 +15,21 @@ use cosmic_core::cosmic_telemetry::{Layer, TraceSink};
 pub mod fig07_speedup;
 pub mod fig08_scalability;
 pub mod fig09_platforms;
-pub mod fig10_compute;
-pub mod fig11_perf_per_watt;
+pub(crate) mod fig10_compute;
+pub(crate) mod fig11_perf_per_watt;
 pub mod fig12_minibatch;
 pub mod fig13_breakdown;
 pub mod fig14_sources;
-pub mod fig15_sensitivity;
-pub mod fig16_dse;
+pub(crate) mod fig15_sensitivity;
+pub(crate) mod fig16_dse;
 pub mod fig17_tabla;
-pub mod fig_collectives;
-pub mod fig_director;
-pub mod fig_elastic;
-pub mod fig_faults;
+pub(crate) mod fig_collectives;
+pub(crate) mod fig_director;
+pub(crate) mod fig_elastic;
+pub(crate) mod fig_faults;
 pub mod table1_benchmarks;
 pub mod table2_platforms;
-pub mod table3_utilization;
+pub(crate) mod table3_utilization;
 
 /// Everything a figure's `run` may depend on besides its own constants.
 /// The default — a fresh sink, the in-process wire, dense payloads — is
@@ -115,10 +115,10 @@ pub fn render(command: &str, ctx: &FigureCtx) -> Result<String, String> {
 }
 
 /// The `cosmic-bench` command line.
-pub const USAGE: &str = "usage: cosmic-bench <name | reproduce | list> [--trace <path>] \
+pub(crate) const USAGE: &str = "usage: cosmic-bench <name | reproduce | list> [--trace <path>] \
                          [--transport sim|tcp] [--repr <spec>]";
 
-/// Parses [`USAGE`] (`args[0]` is the program name; every flag also
+/// Parses `USAGE` (`args[0]` is the program name; every flag also
 /// accepts the `--flag=value` spelling) into the command to [`render`],
 /// where `--trace` asked the Chrome trace to go, and the figure context
 /// the flags select. `--repr` specs are the codec's CLI spellings:

@@ -8,7 +8,7 @@ use crate::figures::FigureCtx;
 
 /// Lines of DSL code the programmer writes for a benchmark (measured from
 /// the built-in program, as [`cosmic_dsl::Program::lines_of_code`]).
-pub fn measured_loc(id: BenchmarkId) -> usize {
+pub(crate) fn measured_loc(id: BenchmarkId) -> usize {
     let bench = id.benchmark();
     let src = bench.algorithm.dsl_source(DEFAULT_MINIBATCH);
     cosmic_dsl::parse(&src).expect("builtin parses").lines_of_code()

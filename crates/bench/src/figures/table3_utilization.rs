@@ -9,7 +9,7 @@ use crate::figures::FigureCtx;
 use crate::harness::{full_dfg, plan_for};
 
 /// The planned design point's utilization for one benchmark.
-pub fn row(id: BenchmarkId) -> (usize, Utilization) {
+pub(crate) fn row(id: BenchmarkId) -> (usize, Utilization) {
     let spec = AcceleratorSpec::fpga_vu9p();
     let plan = plan_for(id, &spec, DEFAULT_MINIBATCH);
     let u = utilization(full_dfg(id), &spec, plan.best.point);
@@ -17,7 +17,7 @@ pub fn row(id: BenchmarkId) -> (usize, Utilization) {
 }
 
 /// Renders the table.
-pub fn run(_: &FigureCtx) -> String {
+pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from(
         "## Table 3 — Threads per FPGA and resource utilization (UltraScale+ VU9P)\n\n\
          | benchmark | threads | LUTs | LUT % | FFs | FF % | BRAM KB | BRAM % | DSPs | DSP % |\n\

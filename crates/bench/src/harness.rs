@@ -15,11 +15,11 @@ use cosmic_core::cosmic_runtime::{ClusterTiming, NodeCompute};
 
 /// Training epochs used throughout the evaluation (paper §7.1: "We train
 /// each benchmark for 100 epochs").
-pub const EPOCHS: usize = 100;
+pub(crate) const EPOCHS: usize = 100;
 
 /// Which accelerator sits in each node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccelKind {
+pub(crate) enum AccelKind {
     /// UltraScale+ VU9P FPGA.
     Fpga,
     /// P-ASIC-F (FPGA-matched).
@@ -31,23 +31,8 @@ pub enum AccelKind {
 }
 
 impl AccelKind {
-    /// All CoSMIC-capable platforms of Figure 9.
-    pub fn all() -> [AccelKind; 4] {
-        [AccelKind::Fpga, AccelKind::PasicF, AccelKind::PasicG, AccelKind::Gpu]
-    }
-
-    /// Display label matching the paper.
-    pub fn label(self) -> &'static str {
-        match self {
-            AccelKind::Fpga => "FPGA",
-            AccelKind::PasicF => "P-ASIC-F",
-            AccelKind::PasicG => "P-ASIC-G",
-            AccelKind::Gpu => "GPU",
-        }
-    }
-
     /// The template-accelerator spec, when this platform is one.
-    pub fn spec(self) -> Option<AcceleratorSpec> {
+    pub(crate) fn spec(self) -> Option<AcceleratorSpec> {
         match self {
             AccelKind::Fpga => Some(AcceleratorSpec::fpga_vu9p()),
             AccelKind::PasicF => Some(AcceleratorSpec::pasic_f()),
@@ -60,7 +45,7 @@ impl AccelKind {
 /// Lowers a benchmark's DSL program at its full Table 1 dimensions.
 /// Results are cached for the process lifetime (the backprop graphs run
 /// to millions of nodes).
-pub fn full_dfg(id: BenchmarkId) -> &'static Dfg {
+pub(crate) fn full_dfg(id: BenchmarkId) -> &'static Dfg {
     static CACHE: OnceLock<Mutex<HashMap<BenchmarkId, &'static Dfg>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut guard = cache.lock().expect("dfg cache poisoned");
@@ -83,7 +68,7 @@ type PlanCache = Mutex<HashMap<(BenchmarkId, u64, usize), Plan>>;
 
 /// The Planner's output for a benchmark on a template accelerator,
 /// memoized per (benchmark, platform, mini-batch).
-pub fn plan_for(id: BenchmarkId, spec: &AcceleratorSpec, minibatch: usize) -> Plan {
+pub(crate) fn plan_for(id: BenchmarkId, spec: &AcceleratorSpec, minibatch: usize) -> Plan {
     static CACHE: OnceLock<PlanCache> = OnceLock::new();
     let key = (id, spec.freq_mhz.to_bits() ^ (spec.total_pes as u64), minibatch);
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
@@ -97,7 +82,7 @@ pub fn plan_for(id: BenchmarkId, spec: &AcceleratorSpec, minibatch: usize) -> Pl
 
 /// Per-node gradient throughput (records/s) of one benchmark on one
 /// acceleration platform.
-pub fn cosmic_node_rps(id: BenchmarkId, accel: AccelKind, minibatch: usize) -> f64 {
+pub(crate) fn cosmic_node_rps(id: BenchmarkId, accel: AccelKind, minibatch: usize) -> f64 {
     let bench = id.benchmark();
     match accel.spec() {
         Some(spec) => plan_for(id, &spec, minibatch).best.records_per_sec,
@@ -118,7 +103,7 @@ pub fn cosmic_node_rps(id: BenchmarkId, accel: AccelKind, minibatch: usize) -> f
 
 /// End-to-end CoSMIC training time: accelerator compute + PCIe +
 /// hierarchical aggregation + broadcast, for `nodes` nodes.
-pub fn cosmic_training_time_s(
+pub(crate) fn cosmic_training_time_s(
     id: BenchmarkId,
     accel: AccelKind,
     nodes: usize,
@@ -126,7 +111,7 @@ pub fn cosmic_training_time_s(
     epochs: usize,
 ) -> f64 {
     let bench = id.benchmark();
-    let groups = cosmic_core::cosmic_runtime::role::default_groups(nodes);
+    let groups = cosmic_core::cosmic_runtime::collectives::default_groups(nodes);
     let timing = ClusterTiming::commodity(nodes, groups);
     let node = NodeCompute { records_per_sec: cosmic_node_rps(id, accel, minibatch) };
     let exchange = exchange_bytes(&bench, minibatch, nodes);
@@ -141,7 +126,7 @@ pub fn cosmic_training_time_s(
 }
 
 /// End-to-end Spark training time for the same workload.
-pub fn spark_training_time_s(
+pub(crate) fn spark_training_time_s(
     id: BenchmarkId,
     nodes: usize,
     minibatch: usize,
@@ -160,20 +145,15 @@ pub fn spark_training_time_s(
 }
 
 /// Bytes each node ships per aggregation round.
-pub fn exchange_bytes(bench: &Benchmark, minibatch: usize, nodes: usize) -> usize {
+pub(crate) fn exchange_bytes(bench: &Benchmark, minibatch: usize, nodes: usize) -> usize {
     bench.exchanged_params(minibatch.div_ceil(nodes)) * WORD_BYTES
 }
 
 /// Geometric mean of a slice of positive values.
-pub fn geomean(values: &[f64]) -> f64 {
+pub(crate) fn geomean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "geomean of nothing");
     let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
     (log_sum / values.len() as f64).exp()
-}
-
-/// Renders one markdown table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |\n", cells.join(" | "))
 }
 
 #[cfg(test)]

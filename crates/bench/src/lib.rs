@@ -13,11 +13,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod figures;
-pub mod harness;
-
-pub use harness::{
-    cosmic_node_rps, cosmic_training_time_s, full_dfg, geomean, spark_training_time_s, AccelKind,
-    EPOCHS,
-};
+mod harness;

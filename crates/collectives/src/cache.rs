@@ -68,21 +68,6 @@ impl BoundedScheduleCache {
         }
     }
 
-    /// The hard entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently cached (always ≤ [`Self::capacity`]).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Hit/miss/eviction totals so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -186,7 +171,7 @@ mod tests {
         let b = topo(8); // a distinct instance, same shape
         let s1 = cache.get_or_build(&TwoLevelTree, &a, &parts(8), 64, 16).unwrap();
         let s2 = cache.get_or_build(&TwoLevelTree, &b, &parts(8), 64, 16).unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
         assert!(Arc::ptr_eq(&s1, &s2));
     }
@@ -220,7 +205,7 @@ mod tests {
         cache.get_or_build(&FlatStar, &shrunk, &parts(7), 64, 16).unwrap();
         assert_eq!(cache.stats().misses, 4);
         assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.entries.len(), 4);
     }
 
     /// The regression test pinning the bound (ISSUE 8 satellite): the
@@ -233,9 +218,9 @@ mod tests {
         // Four distinct participant sets: 3..=6 nodes.
         for n in 3..=6 {
             cache.get_or_build(&FlatStar, &t, &parts(n), 64, 16).unwrap();
-            assert!(cache.len() <= cache.capacity());
+            assert!(cache.entries.len() <= cache.capacity);
         }
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries.len(), 3);
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 4, evictions: 1 });
 
         // parts(3) was least-recently-used and must be gone: a re-lookup
@@ -252,17 +237,17 @@ mod tests {
         assert_eq!(cache.stats().hits, 2, "recently-touched entry was evicted");
         cache.get_or_build(&FlatStar, &t, &parts(6), 64, 16).unwrap();
         assert_eq!(cache.stats().misses, 7, "LRU entry survived eviction");
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries.len(), 3);
     }
 
     #[test]
     fn capacity_zero_is_clamped_to_one() {
         let mut cache = BoundedScheduleCache::new(0);
-        assert_eq!(cache.capacity(), 1);
+        assert_eq!(cache.capacity, 1);
         let t = topo(4);
         cache.get_or_build(&FlatStar, &t, &parts(4), 16, 8).unwrap();
         cache.get_or_build(&FlatStar, &t, &parts(3), 16, 8).unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
         assert_eq!(cache.stats().evictions, 1);
     }
 

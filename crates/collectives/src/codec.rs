@@ -42,21 +42,21 @@ use std::fmt;
 
 /// Bytes per dense model word (gradients and models are `f64`).
 ///
-/// The single source of truth: `cosmic_collectives::schedule` and
-/// `cosmic_runtime::layout` re-export this constant.
+/// The single source of truth: the schedules here and the runtime's
+/// layout arithmetic both size by this constant.
 pub const WORD_BYTES: usize = 8;
 
 /// Fractional bits used when `fixed_point` is requested without an
 /// explicit precision.
-pub const DEFAULT_FRAC_BITS: u8 = 24;
+pub(crate) const DEFAULT_FRAC_BITS: u8 = 24;
 
 /// Coordinate budget used when `top_k` is requested without an explicit
 /// `k`.
-pub const DEFAULT_TOP_K: usize = 1024;
+pub(crate) const DEFAULT_TOP_K: usize = 1024;
 
 /// Largest representable scale exponent (the side channel stores it in
 /// one byte, and `2⁶²` already dwarfs any useful gradient precision).
-pub const MAX_SCALE_EXP: u8 = 62;
+pub(crate) const MAX_SCALE_EXP: u8 = 62;
 
 /// Bytes of the fixed-point side-channel header: scale exponent plus
 /// the word count.
@@ -263,7 +263,7 @@ impl WireRepr {
     /// folds half-width integer words with exact (reassociable)
     /// arithmetic, sustaining roughly twice the dense byte rate;
     /// sparse and dense payloads fold at the baseline rate.
-    pub fn fold_rate_factor(self) -> f64 {
+    pub(crate) fn fold_rate_factor(self) -> f64 {
         match self {
             WireRepr::DenseF64 | WireRepr::TopK { .. } => 1.0,
             WireRepr::FixedPoint { .. } => 2.0,
@@ -404,7 +404,7 @@ pub fn derive_scale(data: &[f64], frac_bits: u8) -> u8 {
 /// exponent, the `i32` values, and how many values saturated. The
 /// saturation range is symmetric (`±(2³¹ − 1)`) so magnitudes stay
 /// bounded by `i32::MAX`; NaNs quantize to zero and count as clipped.
-pub fn quantize_fixed(data: &[f64], frac_bits: u8) -> (u8, Vec<i32>, u64) {
+pub(crate) fn quantize_fixed(data: &[f64], frac_bits: u8) -> (u8, Vec<i32>, u64) {
     let scale_exp = derive_scale(data, frac_bits);
     let (values, clipped) = quantize_at_scale(data, scale_exp);
     (scale_exp, values, clipped)
@@ -414,7 +414,7 @@ pub fn quantize_fixed(data: &[f64], frac_bits: u8) -> (u8, Vec<i32>, u64) {
 /// exponent — the per-round side channel: every contributor to one
 /// aggregation round quantizes at the *same* scale so their integer
 /// values share a grid and sum exactly. Saturation and NaN handling
-/// match [`quantize_fixed`].
+/// match `quantize_fixed`.
 pub fn quantize_at_scale(data: &[f64], scale_exp: u8) -> (Vec<i32>, u64) {
     let s = pow2(i32::from(scale_exp));
     let mut clipped = 0u64;
@@ -452,7 +452,7 @@ pub fn dequantize_sum(scale_exp: u8, values: &[i64]) -> Vec<f64> {
 
 /// Reconstructs f64 words from quantized values: `q · 2⁻ᵉ`, exact in
 /// f64 for every `|q| ≤ 2³¹`.
-pub fn dequantize_fixed(scale_exp: u8, values: &[i32]) -> Vec<f64> {
+pub(crate) fn dequantize_fixed(scale_exp: u8, values: &[i32]) -> Vec<f64> {
     let inv = pow2(-(scale_exp as i32));
     values.iter().map(|&q| q as f64 * inv).collect()
 }
@@ -466,7 +466,7 @@ fn abs_bits(x: f64) -> u64 {
 /// Selects the `min(k, len)` largest-magnitude coordinates (ties break
 /// toward the lower index) and returns them in ascending index order,
 /// plus the count of coordinates left behind.
-pub fn top_k_coords(data: &[f64], k: usize) -> (Vec<(u32, f64)>, u64) {
+pub(crate) fn top_k_coords(data: &[f64], k: usize) -> (Vec<(u32, f64)>, u64) {
     assert!(data.len() <= u32::MAX as usize, "top-k payloads index with u32");
     let kept = k.min(data.len());
     let mut order: Vec<u32> = (0..data.len() as u32).collect();

@@ -13,18 +13,18 @@
 //!   (dense f64, shared-exponent fixed point, top-k sparsification)
 //!   every layer of the payload path prices and books by, with exact
 //!   encoded-size accounting and a scaling-factor side channel;
-//! - [`hash`] — [`Fnv1a`]: the one checksum every chunk, frame,
+//! - `hash` — [`Fnv1a`]: the one checksum every chunk, frame,
 //!   checkpoint, journal record, and cache key in the stack hashes with;
-//! - [`schedule`] — [`CommSchedule`]: a deterministic, ordered list of
+//! - `schedule` — [`CommSchedule`]: a deterministic, ordered list of
 //!   send/reduce/share steps with word ranges and link levels, plus a
 //!   symbolic executor that *proves* a schedule moves every contribution
 //!   exactly once and derives the aggregate by the canonical
 //!   ascending-node fold;
-//! - [`strategy`] — the [`Collective`] trait and five implementations:
-//!   [`FlatStar`], [`TwoLevelTree`] (the paper's default re-expressed
-//!   through the trait), [`RingAllReduce`], [`RecursiveHalvingDoubling`],
-//!   and [`InNetworkSwitch`];
-//! - [`selector`] — [`CollectiveSelector`]: prices every candidate
+//! - `strategy` — the [`Collective`] trait and four implementations:
+//!   [`FlatStar`], `TwoLevelTree` (the paper's default re-expressed
+//!   through the trait), `RingAllReduce` and
+//!   `RecursiveHalvingDoubling`;
+//! - `selector` — [`CollectiveSelector`]: prices every candidate
 //!   schedule through the per-port serialization model of
 //!   `cosmic-sim`'s [`NetworkModel`](cosmic_sim::NetworkModel) and picks
 //!   the cheapest — Algorithm 1's data-first minimum-communication
@@ -45,25 +45,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-pub mod cache;
+mod cache;
 pub mod codec;
-pub mod hash;
-pub mod schedule;
-pub mod selector;
-pub mod strategy;
+mod hash;
+mod schedule;
+mod selector;
+mod strategy;
 pub mod topology;
 
 pub use cache::{topology_fingerprint, BoundedScheduleCache, CacheStats};
-pub use codec::{CodecError, CodecStats, EncodedPayload, WireRepr, WORD_BYTES};
+pub use codec::WireRepr;
 pub use hash::Fnv1a;
-pub use schedule::{
-    CommSchedule, CommStep, ExecReport, LinkLevel, ScheduleError, StepKind, SWITCH,
-};
-pub use selector::{CollectiveSelector, CostModel, RoundCost, Selection};
-pub use strategy::{
-    Collective, CollectiveKind, FlatStar, InNetworkSwitch, RecursiveHalvingDoubling, RingAllReduce,
-    TwoLevelTree,
-};
+pub use schedule::{CommSchedule, ScheduleError, StepKind};
+pub use selector::{CollectiveSelector, CostModel, RoundCost};
+pub use strategy::{Collective, CollectiveKind, FlatStar};
 pub use topology::{assign_roles, default_groups, Promotion, Role, Topology, TopologyError};

@@ -37,18 +37,6 @@ use std::fmt;
 use crate::codec::WireRepr;
 use crate::strategy::CollectiveKind;
 
-/// Pseudo node id for the in-network aggregation fabric (SwitchML-style
-/// programmable switch). The switch is never a participant: it holds no
-/// model replica and contributes nothing, but it may appear as a step
-/// endpoint. Cost models treat its ports as non-blocking.
-pub const SWITCH: usize = usize::MAX;
-
-/// Bytes per dense model word (gradients and models are `f64`).
-///
-/// Re-exported from [`crate::codec`], the single source of truth shared
-/// with `cosmic_runtime::layout`.
-pub use crate::codec::WORD_BYTES;
-
 /// The link a step travels over, in the cluster's physical hierarchy.
 ///
 /// Levels map 1:1 onto telemetry byte counters (see
@@ -64,39 +52,31 @@ pub enum LinkLevel {
     MasterUp,
     /// Aggregate back down to the cluster (broadcast leg).
     Down,
-    /// Host port to/from the in-network switch fabric.
-    Fabric,
 }
 
 impl LinkLevel {
     /// All levels, in counter-index order.
-    pub const ALL: [LinkLevel; 5] = [
-        LinkLevel::Peer,
-        LinkLevel::GroupUp,
-        LinkLevel::MasterUp,
-        LinkLevel::Down,
-        LinkLevel::Fabric,
-    ];
+    #[cfg(test)]
+    const ALL: [LinkLevel; 4] =
+        [LinkLevel::Peer, LinkLevel::GroupUp, LinkLevel::MasterUp, LinkLevel::Down];
 
-    /// Dense index (0..5) used for byte bookkeeping arrays.
-    pub fn index(self) -> usize {
+    /// Dense index (0..4) used for byte bookkeeping arrays.
+    pub(crate) fn index(self) -> usize {
         match self {
             LinkLevel::Peer => 0,
             LinkLevel::GroupUp => 1,
             LinkLevel::MasterUp => 2,
             LinkLevel::Down => 3,
-            LinkLevel::Fabric => 4,
         }
     }
 
     /// Human-readable label (matches telemetry counter suffixes).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             LinkLevel::Peer => "peer",
             LinkLevel::GroupUp => "level1",
             LinkLevel::MasterUp => "level2",
             LinkLevel::Down => "broadcast",
-            LinkLevel::Fabric => "fabric",
         }
     }
 }
@@ -124,9 +104,9 @@ pub enum StepKind {
 pub struct CommStep {
     /// Round index; steps in the same round proceed concurrently.
     pub round: usize,
-    /// Sending node id (or [`SWITCH`]).
+    /// Sending node id.
     pub src: usize,
-    /// Receiving node id (or [`SWITCH`]).
+    /// Receiving node id.
     pub dst: usize,
     /// First model word moved (inclusive).
     pub lo: usize,
@@ -144,18 +124,9 @@ impl CommStep {
         self.hi.saturating_sub(self.lo)
     }
 
-    /// Dense wire bytes this step moves (`8 × words`): the logical
-    /// payload size. Schedules carrying a lossy [`WireRepr`] book the
-    /// *encoded* size instead — see [`CommStep::encoded_bytes`] and
-    /// [`CommSchedule::bytes_by_level`].
-    pub fn bytes(&self) -> usize {
-        self.words() * WORD_BYTES
-    }
-
     /// Encoded wire bytes this step moves under `repr` (side-channel
-    /// headers included). Identical to [`CommStep::bytes`] for
-    /// [`WireRepr::DenseF64`].
-    pub fn encoded_bytes(&self, repr: WireRepr) -> usize {
+    /// headers included): `8 × words` for [`WireRepr::DenseF64`].
+    pub(crate) fn encoded_bytes(&self, repr: WireRepr) -> usize {
         repr.payload_bytes(self.words())
     }
 }
@@ -168,8 +139,8 @@ pub enum ScheduleError {
     NoParticipants,
     /// The root is not one of the participants.
     NoRoot,
-    /// A step endpoint is neither a participant nor [`SWITCH`], or the
-    /// participant list is not strictly ascending.
+    /// A step endpoint is not a participant, or the participant list is
+    /// not strictly ascending.
     UnknownParticipant {
         /// The offending node id.
         node: usize,
@@ -283,22 +254,14 @@ impl Error for ScheduleError {}
 pub struct ExecReport {
     /// Wire bytes moved per [`LinkLevel::index`] (skipped segments
     /// excluded).
-    pub bytes_by_level: [usize; 5],
+    pub bytes_by_level: [usize; 4],
     /// Number of rounds the schedule spans.
     pub rounds: usize,
     /// Reduce steps that moved nothing because their source held no
     /// contribution for the range (possible after a survivor rebuild).
     pub skipped_steps: usize,
-    /// Participants that end holding the complete model (root included;
-    /// [`SWITCH`] excluded).
+    /// Participants that end holding the complete model (root included).
     pub delivered: Vec<usize>,
-}
-
-impl ExecReport {
-    /// Total wire bytes across all levels.
-    pub fn total_bytes(&self) -> usize {
-        self.bytes_by_level.iter().sum()
-    }
 }
 
 /// A deterministic communication schedule produced by a
@@ -351,11 +314,11 @@ impl CommSchedule {
     }
 
     /// Static encoded wire bytes per level over all steps (assumes
-    /// nothing is skipped; see [`ExecReport::bytes_by_level`] for the
+    /// nothing is skipped; see `ExecReport::bytes_by_level` for the
     /// executed figure). Books `repr`-encoded sizes — identical to the
     /// dense figure for [`WireRepr::DenseF64`].
-    pub fn bytes_by_level(&self) -> [usize; 5] {
-        let mut by_level = [0usize; 5];
+    pub fn bytes_by_level(&self) -> [usize; 4] {
+        let mut by_level = [0usize; 4];
         for step in &self.steps {
             by_level[step.level.index()] += step.encoded_bytes(self.repr);
         }
@@ -367,12 +330,8 @@ impl CommSchedule {
         self.bytes_by_level().iter().sum()
     }
 
-    /// Slot of `node` in the symbolic state: participant position, or
-    /// the extra trailing slot for [`SWITCH`].
+    /// Slot of `node` in the symbolic state: its participant position.
     fn slot(&self, node: usize) -> Result<usize, ScheduleError> {
-        if node == SWITCH {
-            return Ok(self.participants.len());
-        }
         self.participants
             .binary_search(&node)
             .map_err(|_| ScheduleError::UnknownParticipant { node })
@@ -404,7 +363,7 @@ impl CommSchedule {
         }
 
         let mut state = self.initial_state();
-        let mut bytes_by_level = [0usize; 5];
+        let mut bytes_by_level = [0usize; 4];
         let mut skipped_steps = 0usize;
 
         for step in &self.steps {
@@ -543,7 +502,7 @@ impl CommSchedule {
         cuts.sort_unstable();
         cuts.dedup();
         let intervals = cuts.len() - 1;
-        let slots = self.participants.len() + 1; // trailing SWITCH slot
+        let slots = self.participants.len();
         let mut own = vec![vec![None; intervals]; slots];
         for (slot, &node) in self.participants.iter().enumerate() {
             for cell in &mut own[slot] {
@@ -622,6 +581,7 @@ fn merge_disjoint(a: Vec<usize>, b: Vec<usize>) -> Result<Vec<usize>, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::WORD_BYTES;
 
     /// Hand-built flat star over nodes {0, 1, 2}: everyone reduces into
     /// 0, 0 shares back out.
@@ -669,7 +629,7 @@ mod tests {
         assert_eq!(report.bytes_by_level[LinkLevel::GroupUp.index()], 2 * 10 * WORD_BYTES);
         assert_eq!(report.bytes_by_level[LinkLevel::Down.index()], 2 * 10 * WORD_BYTES);
         assert_eq!(report.delivered, vec![0, 1, 2]);
-        assert_eq!(report.total_bytes(), s.total_bytes());
+        assert_eq!(report.bytes_by_level.iter().sum::<usize>(), s.total_bytes());
     }
 
     #[test]
@@ -856,43 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn switch_endpoints_are_always_known() {
-        let w = 6;
-        let steps: Vec<CommStep> = (0..3)
-            .map(|n| CommStep {
-                round: 0,
-                src: n,
-                dst: SWITCH,
-                lo: 0,
-                hi: w,
-                kind: StepKind::Reduce,
-                level: LinkLevel::Fabric,
-            })
-            .chain((0..3).map(|n| CommStep {
-                round: 1,
-                src: SWITCH,
-                dst: n,
-                lo: 0,
-                hi: w,
-                kind: StepKind::Share,
-                level: LinkLevel::Fabric,
-            }))
-            .collect();
-        let s = CommSchedule {
-            kind: CollectiveKind::InNetworkSwitch,
-            root: 0,
-            participants: vec![0, 1, 2],
-            model_words: w,
-            chunk_words: 2,
-            repr: WireRepr::DenseF64,
-            steps,
-        };
-        let report = s.validate().expect("switch round trip is valid");
-        assert_eq!(report.delivered, vec![0, 1, 2]);
-        assert_eq!(report.bytes_by_level[LinkLevel::Fabric.index()], 6 * w * WORD_BYTES);
-    }
-
-    #[test]
     fn reduces_from_emptied_sources_are_counted_as_skipped() {
         let mut s = star(10);
         // Node 1 reduces into 0 twice; the second finds nothing.
@@ -926,7 +849,7 @@ mod tests {
         };
         let report = s.validate().expect("one node needs no wire");
         assert_eq!(report.rounds, 0);
-        assert_eq!(report.total_bytes(), 0);
+        assert_eq!(report.bytes_by_level, [0; 4]);
         assert_eq!(report.delivered, vec![5]);
     }
 

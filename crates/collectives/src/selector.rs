@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use cosmic_sim::NetworkModel;
 
 use crate::codec::{WireRepr, WORD_BYTES};
-use crate::schedule::{CommSchedule, ScheduleError, StepKind, SWITCH};
+use crate::schedule::{CommSchedule, ScheduleError, StepKind};
 use crate::strategy::CollectiveKind;
 use crate::topology::Topology;
 
@@ -65,7 +65,7 @@ struct PortLoad {
 impl CostModel {
     /// The evaluation cluster: gigabit Ethernet ports and a ~6 GB/s
     /// host-side fold (matches `ClusterTiming::commodity`).
-    pub fn commodity() -> Self {
+    pub(crate) fn commodity() -> Self {
         CostModel { net: NetworkModel::gigabit(), agg_bytes_per_sec: 6.0e9 }
     }
 
@@ -81,9 +81,7 @@ impl CostModel {
         let goodput = self.net.goodput_bps();
         let mut costs = Vec::with_capacity(rounds);
         for round in 0..rounds {
-            // Directed ports: (node, egress?) → load. The switch's own
-            // ports are skipped (the fabric is non-blocking and folds at
-            // line rate); its traffic still loads the host-side ports.
+            // Directed ports: (node, egress?) → load.
             let mut ports: BTreeMap<(usize, bool), PortLoad> = BTreeMap::new();
             let mut reduce_bytes = 0usize;
             let mut share_bytes = 0usize;
@@ -94,18 +92,14 @@ impl CostModel {
                     StepKind::Reduce => reduce_bytes += bytes,
                     StepKind::Share => share_bytes += bytes,
                 }
-                if step.src != SWITCH {
-                    let load = ports.entry((step.src, true)).or_default();
-                    load.bytes += bytes;
-                    load.messages += messages;
-                }
-                if step.dst != SWITCH {
-                    let load = ports.entry((step.dst, false)).or_default();
-                    load.bytes += bytes;
-                    load.messages += messages;
-                    if step.kind == StepKind::Reduce {
-                        load.reduce_bytes += bytes;
-                    }
+                let egress = ports.entry((step.src, true)).or_default();
+                egress.bytes += bytes;
+                egress.messages += messages;
+                let ingress = ports.entry((step.dst, false)).or_default();
+                ingress.bytes += bytes;
+                ingress.messages += messages;
+                if step.kind == StepKind::Reduce {
+                    ingress.reduce_bytes += bytes;
                 }
             }
             let mut busiest = 0.0f64;
@@ -157,27 +151,12 @@ pub struct CollectiveSelector {
 }
 
 impl CollectiveSelector {
-    /// The four host-side strategies (no programmable switch required).
-    /// [`CollectiveKind::InNetworkSwitch`] is deliberately opt-in — it
-    /// assumes fabric hardware the commodity testbed does not have.
+    /// Every strategy, priced on the commodity cluster.
     pub fn host_side() -> Self {
         CollectiveSelector {
             cost: CostModel::commodity(),
-            candidates: vec![
-                CollectiveKind::FlatStar,
-                CollectiveKind::TwoLevelTree,
-                CollectiveKind::RingAllReduce,
-                CollectiveKind::RecursiveHalvingDoubling,
-            ],
+            candidates: CollectiveKind::ALL.to_vec(),
         }
-    }
-
-    /// Adds the in-network switch to the candidate set.
-    pub fn with_in_network(mut self) -> Self {
-        if !self.candidates.contains(&CollectiveKind::InNetworkSwitch) {
-            self.candidates.push(CollectiveKind::InNetworkSwitch);
-        }
-        self
     }
 
     /// Restricts the candidate set.
@@ -305,24 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn the_switch_is_opt_in_and_wins_when_enabled() {
-        let nodes = 32;
-        let topo = assign_roles(nodes, default_groups(nodes)).expect("valid");
-        let small = 1_024;
-        let host = CollectiveSelector::host_side();
-        assert!(!host.candidates.contains(&CollectiveKind::InNetworkSwitch));
-        let host_pick = host.select(&topo, small, CHUNK_WORDS).expect("selects");
-        assert_ne!(host_pick.kind, CollectiveKind::InNetworkSwitch);
-
-        // Line-rate in-fabric folding beats every host-side shape for a
-        // small model on a wide cluster: two rounds, W bytes per port.
-        let with_switch = CollectiveSelector::host_side().with_in_network();
-        let pick = with_switch.select(&topo, small, CHUNK_WORDS).expect("selects");
-        assert_eq!(pick.kind, CollectiveKind::InNetworkSwitch);
-        assert!(pick.cost_s < host_pick.cost_s);
-    }
-
-    #[test]
     fn round_costs_decompose_the_total() {
         let topo = assign_roles(8, 2).expect("valid");
         let participants = topo.live_node_ids();
@@ -397,9 +358,9 @@ mod tests {
     #[test]
     fn ranking_is_sorted_and_complete() {
         let topo = assign_roles(6, 2).expect("valid");
-        let selector = CollectiveSelector::host_side().with_in_network();
+        let selector = CollectiveSelector::host_side();
         let selection = selector.select(&topo, 10_000, CHUNK_WORDS).expect("selects");
-        assert_eq!(selection.ranking.len(), 5);
+        assert_eq!(selection.ranking.len(), 4);
         for pair in selection.ranking.windows(2) {
             assert!(pair[0].1 <= pair[1].1, "ranking must be sorted by cost");
         }

@@ -1,4 +1,4 @@
-//! The [`Collective`] trait and its five strategy implementations.
+//! The [`Collective`] trait and its four strategy implementations.
 //!
 //! A strategy turns (cluster [`Topology`], participant set, model size,
 //! chunk size) into a deterministic [`CommSchedule`]. All strategies
@@ -12,10 +12,6 @@
 //! | [`TwoLevelTree`] | members → group Sigmas → master (paper §5) | 3 | ≈ P/G·W per Sigma |
 //! | [`RingAllReduce`] | neighbour ring, segmented | 2(P−1) | W/P per port per round |
 //! | [`RecursiveHalvingDoubling`] | hypercube exchange | ≈ 2·log₂P | W/2^s per round |
-//! | [`InNetworkSwitch`] | hosts ⇄ programmable switch (SwitchML) | 2 | W per host port |
-//!
-//! [`InNetworkSwitch`] is a pricing stub: its wire pattern is scheduled
-//! and priced, but no slot-pool or line-rate switch model stands behind it.
 //!
 //! Every generated schedule passes [`CommSchedule::validate`]'s
 //! exactly-once proof, and — because the numeric fold is canonical (see
@@ -25,7 +21,7 @@
 use std::fmt;
 
 use crate::codec::WireRepr;
-use crate::schedule::{CommSchedule, CommStep, LinkLevel, ScheduleError, StepKind, SWITCH};
+use crate::schedule::{CommSchedule, CommStep, LinkLevel, ScheduleError, StepKind};
 use crate::topology::{Role, Topology};
 
 /// Identifies a collective strategy; the closed set the
@@ -40,18 +36,15 @@ pub enum CollectiveKind {
     RingAllReduce,
     /// Recursive halving (reduce-scatter) + doubling (allgather).
     RecursiveHalvingDoubling,
-    /// In-network aggregation on a programmable switch.
-    InNetworkSwitch,
 }
 
 impl CollectiveKind {
     /// Every strategy, in presentation order.
-    pub const ALL: [CollectiveKind; 5] = [
+    pub const ALL: [CollectiveKind; 4] = [
         CollectiveKind::FlatStar,
         CollectiveKind::TwoLevelTree,
         CollectiveKind::RingAllReduce,
         CollectiveKind::RecursiveHalvingDoubling,
-        CollectiveKind::InNetworkSwitch,
     ];
 
     /// Stable snake_case label (used in telemetry span args and bench
@@ -62,7 +55,6 @@ impl CollectiveKind {
             CollectiveKind::TwoLevelTree => "two_level_tree",
             CollectiveKind::RingAllReduce => "ring_allreduce",
             CollectiveKind::RecursiveHalvingDoubling => "halving_doubling",
-            CollectiveKind::InNetworkSwitch => "in_network_switch",
         }
     }
 
@@ -73,7 +65,6 @@ impl CollectiveKind {
             CollectiveKind::TwoLevelTree => &TwoLevelTree,
             CollectiveKind::RingAllReduce => &RingAllReduce,
             CollectiveKind::RecursiveHalvingDoubling => &RecursiveHalvingDoubling,
-            CollectiveKind::InNetworkSwitch => &InNetworkSwitch,
         }
     }
 }
@@ -198,7 +189,7 @@ impl Collective for FlatStar {
 /// follows the [`Topology`]'s repaired role assignment, so a rebuilt
 /// schedule after `fail_node` reflects re-elected Sigmas automatically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TwoLevelTree;
+pub(crate) struct TwoLevelTree;
 
 impl Collective for TwoLevelTree {
     fn kind(&self) -> CollectiveKind {
@@ -304,7 +295,7 @@ fn snap_down(word: usize, chunk: usize) -> usize {
 /// Total reduce traffic is exactly (P−1)·W words — the lower bound —
 /// at the price of 2(P−1) latency hops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingAllReduce;
+pub(crate) struct RingAllReduce;
 
 impl Collective for RingAllReduce {
     fn kind(&self) -> CollectiveKind {
@@ -389,7 +380,7 @@ impl Collective for RingAllReduce {
 /// side. Moves the same (P−1)·W reduce words as the ring but in
 /// logarithmic rounds — the latency-friendly point in the trade space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecursiveHalvingDoubling;
+pub(crate) struct RecursiveHalvingDoubling;
 
 impl Collective for RecursiveHalvingDoubling {
     fn kind(&self) -> CollectiveKind {
@@ -539,68 +530,10 @@ impl Collective for RecursiveHalvingDoubling {
     }
 }
 
-/// SwitchML-style in-network aggregation: every host streams its
-/// gradient to the programmable switch, which folds at line rate and
-/// multicasts the result back. Two rounds, W words per host port each
-/// way — the wire-optimal pattern when the fabric can fold.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InNetworkSwitch;
-
-impl Collective for InNetworkSwitch {
-    fn kind(&self) -> CollectiveKind {
-        CollectiveKind::InNetworkSwitch
-    }
-
-    fn schedule(
-        &self,
-        topology: &Topology,
-        participants: &[usize],
-        model_words: usize,
-        chunk_words: usize,
-    ) -> Result<CommSchedule, ScheduleError> {
-        check_participants(topology, participants)?;
-        let root = pick_root(topology, participants);
-        let mut steps = Vec::new();
-        if model_words > 0 {
-            for &p in participants {
-                steps.push(CommStep {
-                    round: 0,
-                    src: p,
-                    dst: SWITCH,
-                    lo: 0,
-                    hi: model_words,
-                    kind: StepKind::Reduce,
-                    level: LinkLevel::Fabric,
-                });
-            }
-            for &p in participants {
-                steps.push(CommStep {
-                    round: 1,
-                    src: SWITCH,
-                    dst: p,
-                    lo: 0,
-                    hi: model_words,
-                    kind: StepKind::Share,
-                    level: LinkLevel::Fabric,
-                });
-            }
-        }
-        Ok(CommSchedule {
-            kind: self.kind(),
-            root,
-            participants: participants.to_vec(),
-            model_words,
-            chunk_words: chunk_words.max(1),
-            repr: WireRepr::default(),
-            steps,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::WORD_BYTES;
+    use crate::codec::WORD_BYTES;
     use crate::topology::assign_roles;
 
     fn words_of(s: &CommSchedule, kind: StepKind) -> usize {
@@ -609,9 +542,7 @@ mod tests {
 
     /// Every strategy, over a grid of cluster shapes: validates, skips
     /// nothing, delivers to everyone, and moves *exactly* the words the
-    /// model requires — (P−1)·W reduce words for host-side strategies
-    /// (the bandwidth lower bound), P·W for the switch (every host port
-    /// uploads once).
+    /// model requires — (P−1)·W reduce words, the bandwidth lower bound.
     #[test]
     fn all_strategies_validate_and_move_exactly_the_required_words() {
         for (nodes, groups) in [(1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (8, 2), (9, 3), (13, 3)] {
@@ -629,10 +560,7 @@ mod tests {
                 assert_eq!(report.skipped_steps, 0, "{kind} nodes={nodes}");
                 assert_eq!(report.delivered, participants, "{kind} nodes={nodes}");
                 let p = participants.len();
-                let want_reduce = match kind {
-                    CollectiveKind::InNetworkSwitch => p * 1000,
-                    _ => (p - 1) * 1000,
-                };
+                let want_reduce = (p - 1) * 1000;
                 assert_eq!(
                     words_of(&s, StepKind::Reduce),
                     want_reduce,
@@ -734,7 +662,7 @@ mod tests {
             for step in &s.steps {
                 for endpoint in [step.src, step.dst] {
                     assert!(
-                        endpoint == SWITCH || survivors.contains(&endpoint),
+                        survivors.contains(&endpoint),
                         "{kind}: step touches dead node {endpoint}"
                     );
                 }
@@ -784,7 +712,7 @@ mod tests {
     }
 
     /// The repr-generalized bit-identity contract: for every wire
-    /// representation, all five strategies produce the same model state
+    /// representation, all four strategies produce the same model state
     /// when each participant's contribution passes through that repr's
     /// own decode — the canonical fold makes the wire pattern
     /// irrelevant, and the codec is a pure per-input transform.
@@ -833,10 +761,10 @@ mod tests {
     #[test]
     fn labels_are_stable_and_distinct() {
         let mut labels: Vec<&str> = CollectiveKind::ALL.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), 5);
+        assert_eq!(labels.len(), 4);
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), 5, "labels must be distinct");
+        assert_eq!(labels.len(), 4, "labels must be distinct");
         assert_eq!(CollectiveKind::TwoLevelTree.to_string(), "two_level_tree");
         for kind in CollectiveKind::ALL {
             assert_eq!(kind.strategy().kind(), kind);

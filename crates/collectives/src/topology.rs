@@ -93,7 +93,7 @@ pub enum Role {
 
 impl Role {
     /// Whether this node performs aggregation.
-    pub fn is_sigma(&self) -> bool {
+    pub(crate) fn is_sigma(&self) -> bool {
         matches!(self, Role::GroupSigma { .. } | Role::MasterSigma { .. })
     }
 

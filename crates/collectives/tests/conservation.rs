@@ -6,9 +6,8 @@
 //! - the generated schedule passes the exactly-once symbolic executor
 //!   with nothing skipped and everyone delivered;
 //! - it moves *exactly* the words the model requires — (P−1)·W reduce
-//!   words for host-side strategies (the all-reduce bandwidth lower
-//!   bound), P·W for the in-network switch — and the same again as
-//!   shares;
+//!   words (the all-reduce bandwidth lower bound) — and the same again
+//!   as shares;
 //! - its numeric aggregate is bit-identical to the reference
 //!   [`FlatStar`] fold over the same seeded inputs.
 
@@ -90,10 +89,7 @@ proptest! {
                 .steps.iter().filter(|s| s.kind == StepKind::Reduce).map(|s| s.words()).sum();
             let share_words: usize = schedule
                 .steps.iter().filter(|s| s.kind == StepKind::Share).map(|s| s.words()).sum();
-            let want = match kind {
-                CollectiveKind::InNetworkSwitch => p * words,
-                _ => (p - 1) * words,
-            };
+            let want = (p - 1) * words;
             prop_assert_eq!(reduce_words, want, "{} reduce words", kind);
             prop_assert_eq!(share_words, want, "{} share words", kind);
 

@@ -235,7 +235,8 @@ impl CosmicStackBuilder {
             return Err(StackError::Config("mini-batch size must be positive".into()));
         }
         let plan = cosmic_planner::plan(&dfg, &spec, minibatch);
-        let groups = self.groups.unwrap_or_else(|| cosmic_runtime::role::default_groups(nodes));
+        let groups =
+            self.groups.unwrap_or_else(|| cosmic_runtime::collectives::default_groups(nodes));
         if groups == 0 || groups > nodes {
             return Err(StackError::Config(format!(
                 "{groups} groups for {nodes} nodes is not a valid topology"

@@ -22,7 +22,7 @@ use crate::error::DirectorError;
 /// One job's disjoint slice of the cluster: a topology over the job's
 /// logical slots plus the slot → physical-node funding map.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CarveOut {
+pub(crate) struct CarveOut {
     job: usize,
     topology: Topology,
     /// `physical[slot]` is the physical node funding that logical slot,
@@ -35,7 +35,7 @@ impl CarveOut {
     /// first `grant.len()` slots with the given physical nodes. The
     /// remaining slots start failed (top-down, so empty tail groups
     /// dissolve without promotions).
-    pub fn new(job: usize, width: usize, grant: &[usize]) -> Result<Self, DirectorError> {
+    pub(crate) fn new(job: usize, width: usize, grant: &[usize]) -> Result<Self, DirectorError> {
         if grant.is_empty() || grant.len() > width {
             return Err(DirectorError::LedgerCorrupt {
                 detail: format!(
@@ -55,34 +55,29 @@ impl CarveOut {
         Ok(CarveOut { job, topology, physical })
     }
 
-    /// The owning job.
-    pub fn job(&self) -> usize {
-        self.job
-    }
-
     /// The carve's topology (live slots = funded slots).
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
     /// The job's logical width (total slots).
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.physical.len()
     }
 
     /// Funded (live) slot count.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.topology.live_nodes()
     }
 
     /// Live slot ids, ascending — the participants of every collective
     /// round this carve runs.
-    pub fn live_slots(&self) -> Vec<usize> {
+    pub(crate) fn live_slots(&self) -> Vec<usize> {
         self.topology.live_node_ids()
     }
 
     /// The physical nodes currently funding this carve, ascending.
-    pub fn physical_nodes(&self) -> Vec<usize> {
+    pub(crate) fn physical_nodes(&self) -> Vec<usize> {
         let mut nodes: Vec<usize> = self.physical.iter().flatten().copied().collect();
         nodes.sort_unstable();
         nodes
@@ -92,7 +87,7 @@ impl CarveOut {
     /// each attached through [`Topology::rejoin_node`]'s deterministic
     /// smallest-group tie-break). Returns the physical nodes actually
     /// absorbed; leftovers stay with the caller.
-    pub fn grow(&mut self, nodes: &[usize]) -> Result<Vec<usize>, DirectorError> {
+    pub(crate) fn grow(&mut self, nodes: &[usize]) -> Result<Vec<usize>, DirectorError> {
         let mut absorbed = Vec::new();
         for &node in nodes {
             let Some(slot) = self.physical.iter().position(Option::is_none) else {
@@ -112,7 +107,7 @@ impl CarveOut {
     /// handles it — and may not leave a survivor: the caller must
     /// treat a carve that would lose every live slot as a whole-job
     /// crash instead of calling this.
-    pub fn defund_nodes(&mut self, nodes: &[usize]) -> Result<Vec<usize>, DirectorError> {
+    pub(crate) fn defund_nodes(&mut self, nodes: &[usize]) -> Result<Vec<usize>, DirectorError> {
         let mut released = Vec::new();
         let slots: Vec<usize> = (0..self.physical.len())
             .filter(|&s| self.physical[s].is_some_and(|n| nodes.contains(&n)))
@@ -132,7 +127,7 @@ impl CarveOut {
     /// The physical nodes a `shrink(count)` would release, without
     /// mutating — so the director can journal the decision before it
     /// takes effect (write-ahead discipline).
-    pub fn shrink_victims(&self, count: usize) -> Vec<usize> {
+    pub(crate) fn shrink_victims(&self, count: usize) -> Vec<usize> {
         let master = self.topology.master();
         let mut victims: Vec<usize> =
             self.live_slots().into_iter().filter(|&s| Some(s) != master).collect();
@@ -144,7 +139,7 @@ impl CarveOut {
     /// Defunds `count` slots (highest live non-master slot first, each
     /// through [`Topology::fail_node`]) and returns the released
     /// physical nodes. At least one slot always survives.
-    pub fn shrink(&mut self, count: usize) -> Result<Vec<usize>, DirectorError> {
+    pub(crate) fn shrink(&mut self, count: usize) -> Result<Vec<usize>, DirectorError> {
         let mut released = Vec::new();
         let master = self.topology.master();
         let mut victims: Vec<usize> =
@@ -167,7 +162,7 @@ impl CarveOut {
 /// belong to which job. Grants are disjoint by construction and the
 /// conservation invariant is auditable at any time.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClusterLedger {
+pub(crate) struct ClusterLedger {
     nodes: usize,
     free: BTreeSet<usize>,
     granted: BTreeMap<usize, BTreeSet<usize>>,
@@ -177,7 +172,7 @@ pub struct ClusterLedger {
 
 impl ClusterLedger {
     /// A ledger over physical nodes `0..nodes`, all free.
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         ClusterLedger {
             nodes,
             free: (0..nodes).collect(),
@@ -186,26 +181,21 @@ impl ClusterLedger {
         }
     }
 
-    /// Total cluster size.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// Currently unallocated node count.
-    pub fn free_count(&self) -> usize {
+    pub(crate) fn free_count(&self) -> usize {
         self.free.len()
     }
 
     /// The nodes `grant(job, count)` would return, without taking
     /// them — so the director can journal the grant decision before
     /// it takes effect (write-ahead discipline).
-    pub fn peek_grant(&self, count: usize) -> Vec<usize> {
+    pub(crate) fn peek_grant(&self, count: usize) -> Vec<usize> {
         self.free.iter().take(count).copied().collect()
     }
 
     /// Grants the `count` lowest free nodes to `job` (possibly fewer if
     /// the cluster is tight). Returns the granted ids, ascending.
-    pub fn grant(&mut self, job: usize, count: usize) -> Vec<usize> {
+    pub(crate) fn grant(&mut self, job: usize, count: usize) -> Vec<usize> {
         let take: Vec<usize> = self.free.iter().take(count).copied().collect();
         for &n in &take {
             self.free.remove(&n);
@@ -215,7 +205,7 @@ impl ClusterLedger {
     }
 
     /// Returns specific nodes from `job` to the free pool.
-    pub fn release(&mut self, job: usize, nodes: &[usize]) -> Result<(), DirectorError> {
+    pub(crate) fn release(&mut self, job: usize, nodes: &[usize]) -> Result<(), DirectorError> {
         let owned = self.granted.entry(job).or_default();
         for &n in nodes {
             if !owned.remove(&n) {
@@ -229,7 +219,7 @@ impl ClusterLedger {
     }
 
     /// Releases everything `job` holds (job completion).
-    pub fn release_all(&mut self, job: usize) -> usize {
+    pub(crate) fn release_all(&mut self, job: usize) -> usize {
         let owned = self.granted.remove(&job).unwrap_or_default();
         let count = owned.len();
         self.free.extend(owned);
@@ -240,7 +230,7 @@ impl ClusterLedger {
     /// Granted nodes must have been released by their owners first;
     /// a node that is neither free nor already out is a typed error,
     /// because losing track of it would break conservation.
-    pub fn retire(&mut self, nodes: &[usize]) -> Result<(), DirectorError> {
+    pub(crate) fn retire(&mut self, nodes: &[usize]) -> Result<(), DirectorError> {
         for &n in nodes {
             if self.free.remove(&n) {
                 self.out.insert(n);
@@ -257,7 +247,7 @@ impl ClusterLedger {
     /// are not out of service (an overlapping slab's earlier repair
     /// may already have returned shared nodes — restoring them twice
     /// would free someone's grant). Returns how many were restored.
-    pub fn restore(&mut self, nodes: &[usize]) -> usize {
+    pub(crate) fn restore(&mut self, nodes: &[usize]) -> usize {
         let mut restored = 0;
         for &n in nodes {
             if self.out.remove(&n) {
@@ -268,15 +258,10 @@ impl ClusterLedger {
         restored
     }
 
-    /// Nodes currently out of service.
-    pub fn out_of_service(&self) -> usize {
-        self.out.len()
-    }
-
     /// Checks node conservation: grants pairwise disjoint, disjoint
     /// from the free pool and the out-of-service set, and every node
     /// accounted for exactly once.
-    pub fn audit(&self) -> Result<(), DirectorError> {
+    pub(crate) fn audit(&self) -> Result<(), DirectorError> {
         let mut seen: BTreeSet<usize> = self.free.clone();
         for &n in &self.out {
             if !seen.insert(n) {
@@ -398,7 +383,7 @@ mod tests {
         let grant = l.grant(0, 2);
         assert_eq!(grant, vec![0, 1]);
         l.retire(&[2, 3]).unwrap();
-        assert_eq!(l.out_of_service(), 2);
+        assert_eq!(l.out.len(), 2);
         assert_eq!(l.free_count(), 4);
         l.audit().unwrap();
         // Retiring an already-out node is idempotent; a granted node
@@ -406,7 +391,7 @@ mod tests {
         l.retire(&[2]).unwrap();
         assert!(l.retire(&[0]).is_err());
         assert_eq!(l.restore(&[2, 3]), 2);
-        assert_eq!(l.out_of_service(), 0);
+        assert_eq!(l.out.len(), 0);
         assert_eq!(l.free_count(), 6);
         l.audit().unwrap();
         // Restoring a node that is not out is skipped, not an error:

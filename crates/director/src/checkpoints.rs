@@ -25,7 +25,7 @@ use crate::journal::fnv1a;
 
 /// One job's checkpointed progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobCheckpoint {
+pub(crate) struct JobCheckpoint {
     /// The checkpointed job.
     pub job: usize,
     /// Rounds completed at checkpoint time.
@@ -36,7 +36,7 @@ pub struct JobCheckpoint {
 
 impl JobCheckpoint {
     /// The checksum a valid checkpoint of (job, rounds) must carry.
-    pub fn expected_checksum(job: usize, rounds: usize) -> u64 {
+    pub(crate) fn expected_checksum(job: usize, rounds: usize) -> u64 {
         let mut bytes = [0u8; 16];
         bytes[..8].copy_from_slice(&(job as u64).to_le_bytes());
         bytes[8..].copy_from_slice(&(rounds as u64).to_le_bytes());
@@ -44,7 +44,7 @@ impl JobCheckpoint {
     }
 
     /// Whether the stored checksum matches the stored fields.
-    pub fn verifies(&self) -> bool {
+    pub(crate) fn verifies(&self) -> bool {
         self.checksum == Self::expected_checksum(self.job, self.rounds)
     }
 }
@@ -70,35 +70,25 @@ impl JobCheckpointStore {
     }
 
     /// Drops `job`'s checkpoint (completion or quarantine).
-    pub fn remove(&mut self, job: usize) {
+    pub(crate) fn remove(&mut self, job: usize) {
         self.entries.remove(&job);
     }
 
     /// The checkpointed round count for `job` (0 when never
     /// checkpointed — a crash before the first cadence restarts the
     /// job from scratch).
-    pub fn rounds_for(&self, job: usize) -> usize {
+    pub(crate) fn rounds_for(&self, job: usize) -> usize {
         self.entries.get(&job).map_or(0, |c| c.rounds)
     }
 
-    /// Live entries, ascending by job id.
-    pub fn entries(&self) -> impl Iterator<Item = &JobCheckpoint> {
-        self.entries.values()
-    }
-
     /// Number of checkpointed jobs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Verifies every entry's checksum, returning the first corrupt
     /// job as the typed recovery error.
-    pub fn verify(&self) -> Result<(), DirectorError> {
+    pub(crate) fn verify(&self) -> Result<(), DirectorError> {
         for c in self.entries.values() {
             if !c.verifies() {
                 return Err(DirectorError::RecoveryFailed {

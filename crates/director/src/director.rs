@@ -822,15 +822,7 @@ impl<'a> Director<'a> {
         let views: Vec<RunningView<'_>> = self
             .running
             .values()
-            .map(|r| RunningView {
-                spec: &r.spec,
-                current: r.carve.live(),
-                observed_records_per_s: if r.round_cost_s > 0.0 {
-                    r.spec.minibatch as f64 / r.round_cost_s
-                } else {
-                    0.0
-                },
-            })
+            .map(|r| RunningView { spec: &r.spec, current: r.carve.live() })
             .collect();
         let queued_min_demand: usize = self.queue.iter().map(|q| q.spec.min_nodes).sum();
         let ops = self.scaler.plan(

@@ -31,7 +31,7 @@ const MGMT_S: f64 = 150.0e-6;
 
 /// Prices job rounds on the commodity cluster.
 #[derive(Debug)]
-pub struct ExecModel {
+pub(crate) struct ExecModel {
     node: NodeCompute,
     kind: CollectiveKind,
     cost: CostModel,
@@ -43,7 +43,7 @@ impl ExecModel {
     /// An executor pricing rounds with `kind` collectives on nodes of
     /// the given throughput, sharing a schedule cache bounded at
     /// `cache_capacity` entries.
-    pub fn new(node: NodeCompute, kind: CollectiveKind, cache_capacity: usize) -> Self {
+    pub(crate) fn new(node: NodeCompute, kind: CollectiveKind, cache_capacity: usize) -> Self {
         ExecModel {
             node,
             kind,
@@ -54,14 +54,18 @@ impl ExecModel {
     }
 
     /// Schedule-cache hit/miss/eviction totals so far.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Seconds one aggregation round of `spec` takes on `carve`'s
     /// current grant: time-shared compute, PCIe readback, the carve's
     /// collective schedule priced round by round, and management.
-    pub fn round_cost_s(&mut self, spec: &JobSpec, carve: &CarveOut) -> Result<f64, DirectorError> {
+    pub(crate) fn round_cost_s(
+        &mut self,
+        spec: &JobSpec,
+        carve: &CarveOut,
+    ) -> Result<f64, DirectorError> {
         let p = carve.live().max(1);
         let logical = carve.width().max(1);
         let share = logical.div_ceil(p) as f64;
@@ -84,7 +88,7 @@ impl ExecModel {
     /// physical nodes — no schedule build, used by the greedy policy to
     /// rank marginal node assignments. Monotone non-decreasing in `p`
     /// up to the job's logical width.
-    pub fn estimate_records_per_s(&self, spec: &JobSpec, p: usize) -> f64 {
+    pub(crate) fn estimate_records_per_s(&self, spec: &JobSpec, p: usize) -> f64 {
         let p = p.clamp(1, spec.max_nodes);
         let timing = ClusterTiming::commodity(p, groups_for(p));
         let breakdown = timing

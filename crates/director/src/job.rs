@@ -40,7 +40,7 @@ pub struct JobSpec {
 
 /// The workload table the arrival plan's `family` index maps onto —
 /// one representative of each built-in DSL program family.
-pub fn algorithm_for_family(family: usize) -> Algorithm {
+pub(crate) fn algorithm_for_family(family: usize) -> Algorithm {
     match family % 5 {
         0 => Algorithm::LinearRegression { features: 16 },
         1 => Algorithm::LogisticRegression { features: 16 },
@@ -107,17 +107,17 @@ impl JobSpec {
     }
 
     /// Aggregation rounds per epoch (ceiling division).
-    pub fn rounds_per_epoch(&self) -> usize {
+    pub(crate) fn rounds_per_epoch(&self) -> usize {
         self.records.div_ceil(self.minibatch.max(1))
     }
 
     /// Total aggregation rounds the job must complete.
-    pub fn total_rounds(&self) -> usize {
+    pub(crate) fn total_rounds(&self) -> usize {
         self.epochs * self.rounds_per_epoch()
     }
 
     /// Bytes a node ships per aggregation round (the dense model).
-    pub fn exchange_bytes(&self) -> usize {
+    pub(crate) fn exchange_bytes(&self) -> usize {
         self.algorithm.model_len() * std::mem::size_of::<f64>()
     }
 }

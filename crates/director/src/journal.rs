@@ -52,7 +52,7 @@ pub enum ShedReason {
 
 impl ShedReason {
     /// Stable label for reports and telemetry.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ShedReason::QueueFull => "queue_full",
             ShedReason::DeadlineUnreachable => "deadline_unreachable",
@@ -214,12 +214,12 @@ impl Journal {
     }
 
     /// Consumes the journal, returning its bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.bytes
     }
 
     /// Records appended so far.
-    pub fn records(&self) -> u64 {
+    pub(crate) fn records(&self) -> u64 {
         self.records
     }
 

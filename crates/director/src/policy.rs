@@ -45,28 +45,25 @@ impl FairnessPolicy {
     }
 
     /// Whether the elastic scaler reallocates under this policy.
-    pub fn is_elastic(self) -> bool {
+    pub(crate) fn is_elastic(self) -> bool {
         !matches!(self, FairnessPolicy::StrictFifo)
     }
 }
 
 /// A running job as the policy sees it.
 #[derive(Debug)]
-pub struct RunningView<'a> {
+pub(crate) struct RunningView<'a> {
     /// The job's submission.
     pub spec: &'a JobSpec,
     /// Physical nodes currently funding it.
     pub current: usize,
-    /// Observed records/s at the current grant (from the last priced
-    /// round).
-    pub observed_records_per_s: f64,
 }
 
 /// Computes per-job target widths, or `None` when the policy never
 /// reallocates. `queued_min_demand` is the summed `min_nodes` of
 /// waiting jobs — the queue pressure the elastic policies leave room
 /// for.
-pub fn target_widths(
+pub(crate) fn target_widths(
     policy: FairnessPolicy,
     running: &[RunningView<'_>],
     queued_min_demand: usize,
@@ -160,10 +157,7 @@ mod tests {
     }
 
     fn views(specs: &[JobSpec]) -> Vec<RunningView<'_>> {
-        specs
-            .iter()
-            .map(|s| RunningView { spec: s, current: s.min_nodes, observed_records_per_s: 1.0 })
-            .collect()
+        specs.iter().map(|s| RunningView { spec: s, current: s.min_nodes }).collect()
     }
 
     fn exec() -> ExecModel {

@@ -15,7 +15,7 @@ use crate::policy::{target_widths, FairnessPolicy, RunningView};
 /// One resize decision: grow (`delta > 0`) or shrink (`delta < 0`)
 /// `job` by `|delta|` nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reallocation {
+pub(crate) struct Reallocation {
     /// The job being resized.
     pub job: usize,
     /// Node-count change (negative = preemption).
@@ -24,7 +24,7 @@ pub struct Reallocation {
 
 /// Periodic reallocation driver.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ElasticScaler {
+pub(crate) struct ElasticScaler {
     interval_s: f64,
     next_tick_s: f64,
 }
@@ -32,18 +32,18 @@ pub struct ElasticScaler {
 impl ElasticScaler {
     /// A scaler ticking every `interval_s` (clamped to a positive
     /// value), first tick one interval in.
-    pub fn new(interval_s: f64) -> Self {
+    pub(crate) fn new(interval_s: f64) -> Self {
         let interval_s = if interval_s.is_finite() && interval_s > 0.0 { interval_s } else { 1.0 };
         ElasticScaler { interval_s, next_tick_s: interval_s }
     }
 
     /// Virtual time of the next tick.
-    pub fn next_tick_s(&self) -> f64 {
+    pub(crate) fn next_tick_s(&self) -> f64 {
         self.next_tick_s
     }
 
     /// Moves the tick clock strictly past `now`.
-    pub fn advance_past(&mut self, now: f64) {
+    pub(crate) fn advance_past(&mut self, now: f64) {
         while self.next_tick_s <= now {
             self.next_tick_s += self.interval_s;
         }
@@ -52,7 +52,7 @@ impl ElasticScaler {
     /// Plans this tick's reallocations: policy targets diffed against
     /// current grants, shrinks (ascending job id) before grows
     /// (ascending job id). Empty when the policy is static or satisfied.
-    pub fn plan(
+    pub(crate) fn plan(
         &self,
         policy: FairnessPolicy,
         running: &[RunningView<'_>],
@@ -112,8 +112,8 @@ mod tests {
         specs[1].weight = 4.0;
         // Job 0 holds far more than its max allows; job 1 is starved.
         let views = vec![
-            RunningView { spec: &specs[0], current: 10, observed_records_per_s: 1.0 },
-            RunningView { spec: &specs[1], current: 1, observed_records_per_s: 1.0 },
+            RunningView { spec: &specs[0], current: 10 },
+            RunningView { spec: &specs[1], current: 1 },
         ];
         let exec =
             ExecModel::new(NodeCompute { records_per_sec: 1.0e5 }, CollectiveKind::FlatStar, 4);

@@ -2,7 +2,7 @@
 
 /// Nearest-rank percentile of an unsorted sample; `p` in `[0, 100]`.
 /// Empty samples return 0.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(values: &[f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -16,7 +16,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 /// Jain's fairness index `(Σx)² / (n·Σx²)` over a non-negative sample:
 /// 1.0 means perfectly equal shares, `1/n` means one job took
 /// everything. Empty or all-zero samples return 1.0 (vacuously fair).
-pub fn jain_index(values: &[f64]) -> f64 {
+pub(crate) fn jain_index(values: &[f64]) -> f64 {
     let n = values.len();
     if n == 0 {
         return 1.0;

@@ -4,7 +4,8 @@
 //! per seed.
 
 use cosmic_director::{
-    Decision, Director, DirectorConfig, FairnessPolicy, JobCheckpointStore, Journal,
+    Decision, DecodeTail, Director, DirectorConfig, DirectorError, FairnessPolicy,
+    JobCheckpointStore, Journal,
 };
 use cosmic_runtime::RetryPolicy;
 use cosmic_sim::{ArrivalProfile, DirectorFaultPlan, DirectorFaultRates, JobArrivalPlan};
@@ -141,6 +142,75 @@ proptest! {
         prop_assert_eq!(rsink.metrics_json(), sink.metrics_json());
         let stats = recovered.recovery.expect("recovery stats");
         prop_assert_eq!(stats.replayed_records, partial.len() as u64);
+    }
+
+    /// Total decoders for the durable state: arbitrary bytes, and valid
+    /// encodings with one bit flipped or cut anywhere, decode to records
+    /// or a torn tail or a typed [`DirectorError`] — never a panic, and
+    /// never to records the intact journal does not hold.
+    #[test]
+    fn durable_state_decoders_are_total(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        seed in 0u64..200,
+        flip in any::<u64>(),
+        cut in any::<u64>(),
+    ) {
+        // Whatever decodes, decodes consistently; whatever does not is
+        // the decoder's own typed error.
+        let decode_journal = |bytes: &[u8]| match Journal::decode(bytes) {
+            Ok((records, DecodeTail::Clean)) => records,
+            Ok((records, DecodeTail::Torn { valid_bytes })) => {
+                prop_assert!(valid_bytes <= bytes.len());
+                let prefix = Journal::decode(&bytes[..valid_bytes]).expect("valid prefix");
+                prop_assert_eq!(prefix, (records.clone(), DecodeTail::Clean));
+                records
+            }
+            Err(DirectorError::JournalCorrupt { .. }) => Vec::new(),
+            Err(other) => panic!("untyped journal failure: {other:?}"),
+        };
+        let decode_store = |bytes: &[u8]| match JobCheckpointStore::from_bytes(bytes) {
+            Ok(store) => Some(store),
+            Err(DirectorError::RecoveryFailed { .. }) => None,
+            Err(other) => panic!("untyped store failure: {other:?}"),
+        };
+        decode_journal(&bytes);
+        decode_store(&bytes);
+
+        // A real journal and a real store, then damaged.
+        let plan = JobArrivalPlan::random(seed, 6, &profile());
+        let faults = DirectorFaultPlan::none().with_job_crash(0.003, 1);
+        let cfg = DirectorConfig {
+            cluster_nodes: 64,
+            checkpoint_every_rounds: 4,
+            ..DirectorConfig::default()
+        };
+        let run = Director::run_journaled(&cfg, &plan, &faults, &TraceSink::new()).expect("run");
+        let full = decode_journal(&run.journal);
+        prop_assert!(!full.is_empty());
+        let mut store = JobCheckpointStore::new();
+        for job in 0..(seed as usize % 5) {
+            store.record(job, 4 * (job + 1));
+        }
+        let encoded = store.to_bytes();
+        prop_assert_eq!(decode_store(&encoded), Some(store));
+
+        // One flipped bit, and a cut anywhere short of the end.
+        let damaged = |valid: &[u8]| {
+            let mut flipped = valid.to_vec();
+            let bit = (flip % (valid.len() as u64 * 8)) as usize;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            [flipped, valid[..(cut % valid.len() as u64) as usize].to_vec()]
+        };
+        for bad in damaged(&run.journal) {
+            let records = decode_journal(&bad);
+            prop_assert!(records.len() < full.len(), "a damaged journal lost no record");
+            prop_assert_eq!(&records[..], &full[..records.len()]);
+        }
+        // FNV-1a steps are bijections of the running state, so one
+        // flipped bit always moves the trailing sum.
+        for bad in damaged(&encoded) {
+            prop_assert_eq!(decode_store(&bad), None);
+        }
     }
 
     /// Quarantine budget: a poison job's re-admissions after its crash

@@ -63,7 +63,7 @@ pub enum Algorithm {
 
 /// L2 coefficient used by the collaborative-filtering gradient; must match
 /// the constant in `cosmic_dsl::programs::collaborative_filtering`.
-pub const CF_LAMBDA: f64 = 0.01;
+pub(crate) const CF_LAMBDA: f64 = 0.01;
 
 impl Algorithm {
     /// Length of one training record (inputs + expected outputs; for

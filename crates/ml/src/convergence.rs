@@ -49,7 +49,7 @@ pub struct ReprCurve {
 /// `repr` at every aggregation step, returning the result and the
 /// accumulated codec statistics. The dense representation takes the
 /// untransformed [`sgd::train_parallel`] path.
-pub fn train_with_repr(
+pub(crate) fn train_with_repr(
     alg: &Algorithm,
     dataset: &Dataset,
     initial_model: Vec<f64>,

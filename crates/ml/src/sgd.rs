@@ -35,7 +35,7 @@ pub fn train_sequential(
 ///   as one batched update (batched gradient descent).
 ///
 /// `worker_batches` holds each worker's slice of the mini-batch.
-pub fn parallel_step(
+pub(crate) fn parallel_step(
     alg: &Algorithm,
     worker_batches: &[&[Vec<f64>]],
     model: &mut [f64],
@@ -93,7 +93,7 @@ pub fn parallel_step(
 /// [`parallel_step`]; the sum path accumulates per worker before
 /// folding, so its floating-point summation order differs (same
 /// mathematical result).
-pub fn parallel_step_with(
+pub(crate) fn parallel_step_with(
     alg: &Algorithm,
     worker_batches: &[&[Vec<f64>]],
     model: &mut [f64],
@@ -209,7 +209,7 @@ pub fn train_parallel(
 /// # Panics
 ///
 /// Panics if `workers` or `minibatch` is zero.
-pub fn train_parallel_with(
+pub(crate) fn train_parallel_with(
     alg: &Algorithm,
     dataset: &Dataset,
     initial_model: Vec<f64>,

@@ -95,7 +95,7 @@ pub struct Benchmark {
 
 impl Benchmark {
     /// The published row for a benchmark id.
-    pub fn get(id: BenchmarkId) -> Benchmark {
+    pub(crate) fn get(id: BenchmarkId) -> Benchmark {
         use BenchmarkId::*;
         match id {
             Mnist => Benchmark {
@@ -268,7 +268,7 @@ impl Benchmark {
     }
 
     /// Model parameters at full size.
-    pub fn model_params(&self) -> usize {
+    pub(crate) fn model_params(&self) -> usize {
         self.algorithm.model_len()
     }
 
@@ -296,7 +296,7 @@ impl Benchmark {
 /// Analytic per-record gradient + update flop count for an algorithm
 /// instance (1 flop per ALU op; non-linears counted once — the baseline
 /// models apply their own non-linear weighting).
-pub fn flops_per_record(alg: &Algorithm) -> u64 {
+pub(crate) fn flops_per_record(alg: &Algorithm) -> u64 {
     let n;
     match *alg {
         Algorithm::LinearRegression { features } | Algorithm::Svm { features } => {

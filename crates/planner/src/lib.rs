@@ -21,11 +21,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod dse;
 pub mod plan;
 pub mod utilization;
 
 pub use dse::{DesignSpace, SweepPoint};
-pub use plan::{plan, AcceleratorPerf, DesignPoint, Plan};
+pub use plan::{plan, DesignPoint, Plan};
 pub use utilization::{utilization, Utilization};

@@ -14,19 +14,19 @@ use cosmic_dfg::{analysis, Dfg};
 use crate::plan::DesignPoint;
 
 /// LUTs per PE (datapath muxing, scheduler, pipeline control).
-pub const LUTS_PER_PE: f64 = 1_085.0;
+pub(crate) const LUTS_PER_PE: f64 = 1_085.0;
 /// Extra LUTs per PE carrying a non-linear (LUT-unit) operator.
-pub const LUTS_PER_NONLINEAR: f64 = 640.0;
+pub(crate) const LUTS_PER_NONLINEAR: f64 = 640.0;
 /// Fixed fabric overhead (memory interface, shifter, tree bus, AXI).
-pub const LUTS_OVERHEAD: f64 = 15_000.0;
+pub(crate) const LUTS_OVERHEAD: f64 = 15_000.0;
 /// Flip-flops per PE (five pipeline stages of 32-bit registers).
-pub const FFS_PER_PE: f64 = 985.0;
+pub(crate) const FFS_PER_PE: f64 = 985.0;
 /// Fixed flip-flop overhead.
-pub const FFS_OVERHEAD: f64 = 12_000.0;
+pub(crate) const FFS_OVERHEAD: f64 = 12_000.0;
 /// DSP slices consumed by each PE's ALU (32-bit multiply + add).
-pub const DSPS_PER_PE: f64 = 5.3;
+pub(crate) const DSPS_PER_PE: f64 = 5.3;
 /// BRAM block granularity in KB (a Xilinx 36-Kb block).
-pub const BRAM_BLOCK_KB: f64 = 4.5;
+pub(crate) const BRAM_BLOCK_KB: f64 = 4.5;
 
 /// One benchmark's resource usage at a design point — a row of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -33,18 +33,18 @@ pub struct WordBuf {
 
 impl WordBuf {
     /// The empty buffer (no allocation is shared; `len() == 0`).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         WordBuf { buf: Arc::new(Vec::new()), start: 0, len: 0 }
     }
 
     /// Takes ownership of `words` without copying them.
-    pub fn from_vec(words: Vec<f64>) -> Self {
+    pub(crate) fn from_vec(words: Vec<f64>) -> Self {
         let len = words.len();
         WordBuf { buf: Arc::new(words), start: 0, len }
     }
 
     /// Copies `words` into a fresh allocation.
-    pub fn copy_of(words: &[f64]) -> Self {
+    pub(crate) fn copy_of(words: &[f64]) -> Self {
         Self::from_vec(words.to_vec())
     }
 
@@ -53,7 +53,7 @@ impl WordBuf {
     ///
     /// # Panics
     /// If `start + len` runs past the end of this view.
-    pub fn slice(&self, start: usize, len: usize) -> Self {
+    pub(crate) fn slice(&self, start: usize, len: usize) -> Self {
         assert!(
             start + len <= self.len,
             "slice {start}+{len} out of bounds of a {}-word WordBuf",
@@ -63,13 +63,13 @@ impl WordBuf {
     }
 
     /// The words as a plain slice.
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.buf[self.start..self.start + self.len]
     }
 
     /// Recovers a `Vec<f64>`, reusing the allocation when this view is
     /// the whole buffer and the last reference to it; otherwise copies.
-    pub fn into_vec(self) -> Vec<f64> {
+    pub(crate) fn into_vec(self) -> Vec<f64> {
         if self.start == 0 && self.len == self.buf.len() {
             match Arc::try_unwrap(self.buf) {
                 Ok(vec) => vec,
@@ -83,7 +83,8 @@ impl WordBuf {
     /// Whether two views share one allocation (refcount siblings).
     /// Diagnostic for zero-copy tests: a true result proves no payload
     /// copy happened between the two hand-off points.
-    pub fn shares_allocation(&self, other: &WordBuf) -> bool {
+    #[cfg(test)]
+    pub(crate) fn shares_allocation(&self, other: &WordBuf) -> bool {
         Arc::ptr_eq(&self.buf, &other.buf)
     }
 }

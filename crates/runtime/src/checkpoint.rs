@@ -6,12 +6,12 @@
 //! node's model equals the survivors' model, not an approximation of
 //! it). This module provides both on virtual time:
 //!
-//! - [`CheckpointStore`] snapshots the model every `cadence`
+//! - `CheckpointStore` snapshots the model every `cadence`
 //!   iterations. Each [`Checkpoint`] carries an FNV-1a checksum over
 //!   the model's f64 bit patterns; [`Checkpoint::verify`] rejects a
 //!   corrupted snapshot before anyone catches up from it.
 //! - Between checkpoints the store retains each iteration's aggregated
-//!   update as a [`ReplayOp`] — the *exact operands* the trainer
+//!   update as a `ReplayOp` — the *exact operands* the trainer
 //!   applied (`model = sum / active_total` for averaging,
 //!   `model -= scale · grad` for gradient steps). Replaying those
 //!   operations over the snapshot reproduces the survivors' model bit
@@ -20,7 +20,7 @@
 //!   models instead would also be exact but costs a full model per
 //!   iteration; storing `new − old` deltas would *not* be exact
 //!   (catastrophic cancellation re-orders rounding).
-//! - [`CheckpointStore::catch_up`] packages the recovery: verify the
+//! - `CheckpointStore::catch_up` packages the recovery: verify the
 //!   newest snapshot, replay the retained ops, and report how many
 //!   bytes the joining node had to pull — the metric `fig_elastic`
 //!   charges against churn.
@@ -57,7 +57,7 @@ impl Default for CheckpointConfig {
 impl CheckpointConfig {
     /// Validates the cadence (zero would never checkpoint and never
     /// bound the replay log).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.cadence == 0 {
             return Err("checkpoint cadence must be at least 1".to_string());
         }
@@ -96,7 +96,7 @@ impl Checkpoint {
 /// One iteration's aggregated model update, stored in exactly the form
 /// the trainer applied it so replay is bit-exact.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ReplayOp {
+pub(crate) enum ReplayOp {
     /// Model-averaging: `model[i] = sum[i] / active_total`.
     Average {
         /// Element-wise sum of the surviving contributors' models.
@@ -116,7 +116,7 @@ pub enum ReplayOp {
 impl ReplayOp {
     /// Applies the update to `model` with the trainer's exact
     /// statements (same operations, same order ⇒ same bits).
-    pub fn apply(&self, model: &mut [f64]) {
+    pub(crate) fn apply(&self, model: &mut [f64]) {
         match self {
             ReplayOp::Average { sum, active_total } => {
                 for (m, s) in model.iter_mut().zip(sum) {
@@ -132,7 +132,7 @@ impl ReplayOp {
     }
 
     /// Model words carried by the op (what a catch-up transfer ships).
-    pub fn words(&self) -> usize {
+    pub(crate) fn words(&self) -> usize {
         match self {
             ReplayOp::Average { sum, .. } => sum.len(),
             ReplayOp::Step { grad, .. } => grad.len(),
@@ -142,7 +142,7 @@ impl ReplayOp {
 
 /// The result of a rejoin catch-up.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CatchUp {
+pub(crate) struct CatchUp {
     /// The reconstructed model (must equal the survivors' bit for bit).
     pub model: Vec<f64>,
     /// Iteration of the checkpoint the catch-up started from.
@@ -156,43 +156,22 @@ pub struct CatchUp {
 
 /// Checkpoint + replay-log store driving rejoin catch-up.
 #[derive(Debug, Clone)]
-pub struct CheckpointStore {
+pub(crate) struct CheckpointStore {
     cfg: CheckpointConfig,
     latest: Checkpoint,
     log: Vec<ReplayOp>,
-    taken: usize,
 }
 
 impl CheckpointStore {
     /// Starts the store with a genesis snapshot of the initial model,
     /// so a node that dies in the very first interval can still catch
     /// up.
-    pub fn new(cfg: CheckpointConfig, initial_model: &[f64]) -> Self {
-        CheckpointStore {
-            cfg,
-            latest: Checkpoint::take(0, initial_model),
-            log: Vec::new(),
-            taken: 1,
-        }
-    }
-
-    /// The most recent snapshot.
-    pub fn latest(&self) -> &Checkpoint {
-        &self.latest
-    }
-
-    /// Snapshots taken so far (including genesis).
-    pub fn taken(&self) -> usize {
-        self.taken
-    }
-
-    /// Replay ops retained since the latest snapshot.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
+    pub(crate) fn new(cfg: CheckpointConfig, initial_model: &[f64]) -> Self {
+        CheckpointStore { cfg, latest: Checkpoint::take(0, initial_model), log: Vec::new() }
     }
 
     /// Records the aggregated update some completed iteration applied.
-    pub fn record_update(&mut self, op: ReplayOp) {
+    pub(crate) fn record_update(&mut self, op: ReplayOp) {
         self.log.push(op);
     }
 
@@ -200,20 +179,19 @@ impl CheckpointStore {
     /// the cadence divides `completed`; a snapshot clears the replay
     /// log (everything before it is recoverable from the snapshot).
     /// Returns whether a snapshot was taken.
-    pub fn maybe_checkpoint(&mut self, completed: usize, model: &[f64]) -> bool {
+    pub(crate) fn maybe_checkpoint(&mut self, completed: usize, model: &[f64]) -> bool {
         if completed == 0 || !completed.is_multiple_of(self.cfg.cadence) {
             return false;
         }
         self.latest = Checkpoint::take(completed, model);
         self.log.clear();
-        self.taken += 1;
         true
     }
 
     /// Reconstructs the current model for a joining node: verify the
     /// latest snapshot, replay the retained updates, tally the bytes
     /// shipped.
-    pub fn catch_up(&self) -> Result<CatchUp, CheckpointError> {
+    pub(crate) fn catch_up(&self) -> Result<CatchUp, CheckpointError> {
         self.latest.verify()?;
         let mut model = self.latest.model.clone();
         let mut bytes = crate::layout::vector_bytes(model.len());
@@ -308,7 +286,7 @@ mod tests {
     #[test]
     fn store_checkpoints_on_cadence_and_clears_the_log() {
         let mut store = CheckpointStore::new(CheckpointConfig { cadence: 2 }, &[0.0, 0.0]);
-        assert_eq!(store.latest().iteration, 0);
+        assert_eq!(store.latest.iteration, 0);
         let mut model = vec![0.0, 0.0];
         for completed in 1..=5 {
             let op = ReplayOp::Average {
@@ -320,9 +298,8 @@ mod tests {
             let snapped = store.maybe_checkpoint(completed, &model);
             assert_eq!(snapped, completed % 2 == 0, "completed={completed}");
         }
-        assert_eq!(store.latest().iteration, 4);
-        assert_eq!(store.log_len(), 1, "only iteration 5's op is retained");
-        assert_eq!(store.taken(), 3, "genesis + iterations 2 and 4");
+        assert_eq!(store.latest.iteration, 4);
+        assert_eq!(store.log.len(), 1, "only iteration 5's op is retained");
     }
 
     #[test]

@@ -66,25 +66,16 @@ impl<T> CircularBuffer<T> {
         }
     }
 
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current item count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.state.lock().queue.len()
-    }
-
-    /// Whether the buffer currently holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.state.lock().queue.is_empty()
     }
 
     /// Peak occupancy observed so far. With more items than capacity in
     /// flight the value depends on producer/consumer interleaving, so
     /// telemetry records it as a *diagnostic* counter only.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.state.lock().high_water
     }
 
@@ -148,8 +139,7 @@ mod tests {
             assert_eq!(buf.pop(), Some(i));
         }
         assert_eq!(buf.len(), 0);
-        assert!(buf.is_empty());
-        assert_eq!(buf.capacity(), 4);
+        assert_eq!(buf.capacity, 4);
     }
 
     #[test]

@@ -39,10 +39,10 @@
 /// Tuning for the φ-accrual detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
-    /// φ at which a node becomes [`SuspicionLevel::Suspected`]. With
+    /// φ at which a node becomes `SuspicionLevel::Suspected`. With
     /// the default mean this is ~2.3 silent iterations.
     pub suspect_phi: f64,
-    /// φ at which a node is declared [`SuspicionLevel::Failed`]. With
+    /// φ at which a node is declared `SuspicionLevel::Failed`. With
     /// the default mean this is ~4.6 silent iterations.
     pub fail_phi: f64,
     /// Sliding-window length for the inter-arrival mean.
@@ -60,7 +60,7 @@ impl Default for DetectorConfig {
 
 impl DetectorConfig {
     /// Validates threshold ordering and positivity.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         // NaN fails the positivity check too, so a poisoned config is
         // rejected rather than silently never suspecting anyone.
         let positive = |x: f64| x > 0.0;
@@ -91,7 +91,7 @@ impl DetectorConfig {
 
 /// How much the detector currently distrusts a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SuspicionLevel {
+pub(crate) enum SuspicionLevel {
     /// φ below the suspicion threshold: scheduled normally.
     Healthy,
     /// φ crossed `suspect_phi`: flagged and watched, but still
@@ -132,7 +132,7 @@ impl NodeHistory {
 
 /// The φ-accrual failure detector over a fixed node-id space.
 #[derive(Debug, Clone)]
-pub struct FailureDetector {
+pub(crate) struct FailureDetector {
     cfg: DetectorConfig,
     nodes: Vec<NodeHistory>,
 }
@@ -140,19 +140,14 @@ pub struct FailureDetector {
 impl FailureDetector {
     /// A detector for node ids `0..nodes`, primed as if every node had
     /// heartbeated at virtual time zero with the nominal cadence.
-    pub fn new(nodes: usize, cfg: DetectorConfig) -> Self {
+    pub(crate) fn new(nodes: usize, cfg: DetectorConfig) -> Self {
         let prime = NodeHistory::primed(0.0, cfg.nominal_interval);
         FailureDetector { cfg, nodes: vec![prime; nodes] }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
     /// Records a heartbeat from `node` at virtual time `at`. Intervals
     /// never go negative: an out-of-order arrival counts as zero.
-    pub fn observe(&mut self, node: usize, at: f64) {
+    pub(crate) fn observe(&mut self, node: usize, at: f64) {
         let h = &mut self.nodes[node];
         let interval = (at - h.last).max(0.0);
         if h.intervals.len() < self.cfg.window {
@@ -167,20 +162,20 @@ impl FailureDetector {
     /// Forgets a node's history and re-primes it at `at` — used when a
     /// node rejoins after an expulsion, so stale pre-crash arrivals
     /// don't poison its fresh record.
-    pub fn reset(&mut self, node: usize, at: f64) {
+    pub(crate) fn reset(&mut self, node: usize, at: f64) {
         self.nodes[node] = NodeHistory::primed(at, self.cfg.nominal_interval);
     }
 
     /// The suspicion value for `node` at virtual time `now`:
     /// `elapsed / (mean · ln 10)` under the exponential model.
-    pub fn phi(&self, node: usize, now: f64) -> f64 {
+    pub(crate) fn phi(&self, node: usize, now: f64) -> f64 {
         let h = &self.nodes[node];
         let elapsed = (now - h.last).max(0.0);
         elapsed / (h.mean(self.cfg.nominal_interval) * std::f64::consts::LN_10)
     }
 
     /// [`phi`](Self::phi) thresholded into a [`SuspicionLevel`].
-    pub fn level(&self, node: usize, now: f64) -> SuspicionLevel {
+    pub(crate) fn level(&self, node: usize, now: f64) -> SuspicionLevel {
         let phi = self.phi(node, now);
         if phi >= self.cfg.fail_phi {
             SuspicionLevel::Failed

@@ -11,7 +11,7 @@ use super::Engine;
 
 /// Applies the round's surviving aggregate to the model and records the
 /// update into the replay log backing the rejoin protocol.
-pub fn apply_update<O: RunObserver>(
+pub(crate) fn apply_update<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
     total: Vec<f64>,
@@ -42,7 +42,7 @@ pub fn apply_update<O: RunObserver>(
 
 /// Takes a cadence snapshot when the checkpoint config says this
 /// completed iteration is due one.
-pub fn maybe_checkpoint<O: RunObserver>(eng: &Engine<'_, O>, st: &mut RunState) {
+pub(crate) fn maybe_checkpoint<O: RunObserver>(eng: &Engine<'_, O>, st: &mut RunState) {
     if st.store.maybe_checkpoint(st.iter_idx + 1, &st.model) {
         st.report.checkpoints += 1;
         eng.obs.checkpointed(st.iter_idx, st.model.len());

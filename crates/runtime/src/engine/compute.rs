@@ -17,14 +17,14 @@ use super::Engine;
 
 /// A node's partial for one round: the locally-aggregated vector and
 /// its contribution weight (threads for averaging, records for sums).
-pub type NodePartial = Option<(Vec<f64>, usize)>;
+pub(crate) type NodePartial = Option<(Vec<f64>, usize)>;
 
 /// Phase 1: every physically-up, unpartitioned node computes its
 /// partial in parallel; within a node, every accelerator thread in
 /// parallel. In detector mode this includes nodes the runtime has
 /// expelled — they don't know they're out, and their traffic is what
 /// triggers re-admission. A panicked node thread yields `None`.
-pub fn fan_out<O: RunObserver>(
+pub(crate) fn fan_out<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &RunState,
     step: usize,
@@ -50,7 +50,7 @@ pub fn fan_out<O: RunObserver>(
 /// Phase 1b: a node that should have computed but produced nothing had
 /// a panicking worker thread — the pool sees it locally, with no
 /// detection latency in either membership mode.
-pub fn absorb_panics<O: RunObserver>(
+pub(crate) fn absorb_panics<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
     partials: &[NodePartial],
@@ -81,7 +81,7 @@ pub fn absorb_panics<O: RunObserver>(
 /// and queue expelled senders for rejoin. Returns the admitted
 /// contributions and the barrier's virtual wait (the slowest member's
 /// completion time, capped at the deadline).
-pub fn admission_barrier<O: RunObserver>(
+pub(crate) fn admission_barrier<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
     partials: &mut [NodePartial],
@@ -139,7 +139,7 @@ pub fn admission_barrier<O: RunObserver>(
 }
 
 /// The outcome of deadline admission for one node.
-pub struct Admission {
+pub(crate) struct Admission {
     /// `None` when the node made the deadline and contributes.
     pub reason: Option<ExclusionReason>,
     /// Retransmissions spent recovering dropped chunks.
@@ -152,7 +152,7 @@ pub struct Admission {
 }
 
 /// Deadline admission for one node, in virtual time.
-pub fn admit(
+pub(crate) fn admit(
     plan: &FaultPlan,
     retry: &RetryPolicy,
     deadline_factor: f64,

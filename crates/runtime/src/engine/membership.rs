@@ -11,8 +11,8 @@ use cosmic_sim::faults::minority_nodes;
 
 use crate::detector::SuspicionLevel;
 use crate::error::RuntimeError;
-use crate::role::TopologyError;
 use crate::trainer::{PartitionOutage, Suspicion};
+use cosmic_collectives::TopologyError;
 
 use super::observer::RunObserver;
 use super::state::RunState;
@@ -20,7 +20,7 @@ use super::Engine;
 
 /// Phase 0a: absorb the plan's partitions, crashes, and oracle-visible
 /// rejoins for this iteration.
-pub fn plan_phase<O: RunObserver>(
+pub(crate) fn plan_phase<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
 ) -> Result<(), RuntimeError> {
@@ -58,7 +58,7 @@ pub fn plan_phase<O: RunObserver>(
 /// Phase 0b: the detector sweep. Suspicion is evaluated on the virtual
 /// clock at the top of the round, over the heartbeats of every
 /// previous round. No-op in oracle mode.
-pub fn detector_sweep<O: RunObserver>(
+pub(crate) fn detector_sweep<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
 ) -> Result<(), RuntimeError> {
@@ -95,7 +95,7 @@ pub fn detector_sweep<O: RunObserver>(
 /// hierarchy, recording any re-election. The repair bumps the
 /// topology's membership epoch, so the collective schedule is rebuilt
 /// over the survivors. Errors when the failure is unrecoverable.
-pub fn kill_node<O: RunObserver>(
+pub(crate) fn kill_node<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
     node: usize,
@@ -121,7 +121,7 @@ pub fn kill_node<O: RunObserver>(
 /// Whether two models are equal bit for bit (the elastic-membership
 /// correctness bar: `==` would conflate `0.0` with `-0.0` and choke on
 /// NaN).
-pub fn model_bits_equal(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn model_bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
@@ -131,7 +131,7 @@ pub fn model_bits_equal(a: &[f64], b: &[f64]) -> bool {
 /// latest checkpoint plus replayed aggregated deltas, and record the
 /// catch-up accounting — including whether the reconstruction matched
 /// the survivors' model bit for bit.
-pub fn readmit<O: RunObserver>(
+pub(crate) fn readmit<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
     node: usize,
@@ -157,7 +157,7 @@ pub fn readmit<O: RunObserver>(
 /// round on, with a caught-up model). An expulsion that turns out to
 /// have been wrong — the node was up the whole time — is additionally
 /// booked as a false suspicion.
-pub fn process_rejoins<O: RunObserver>(
+pub(crate) fn process_rejoins<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
 ) -> Result<(), RuntimeError> {

@@ -20,15 +20,15 @@
 //! for byte. Observers only watch — nothing they return feeds back into
 //! the computation — so traced and untraced runs are bit-identical.
 
-pub mod checkpoint_phase;
-pub mod compute;
-pub mod membership;
-pub mod observer;
-pub mod rounds;
-pub mod state;
+mod checkpoint_phase;
+mod compute;
+mod membership;
+mod observer;
+mod rounds;
+mod state;
 
-pub use observer::{NullObserver, RunObserver, TraceObserver};
-pub use state::{RunState, ScheduleCache};
+pub(crate) use observer::{NullObserver, RunObserver, TraceObserver};
+pub(crate) use state::RunState;
 
 use cosmic_ml::data::Dataset;
 use cosmic_ml::Algorithm;
@@ -37,9 +37,9 @@ use cosmic_sim::faults::FaultPlan;
 use crate::error::RuntimeError;
 use crate::layout;
 use crate::node::SigmaAggregator;
-use crate::role::Topology;
 use crate::trainer::{ClusterConfig, MembershipMode, TrainOutcome};
 use crate::transport::{self, Transport};
+use cosmic_collectives::Topology;
 
 /// The iteration engine: immutable run parameters plus the observer.
 ///
@@ -47,7 +47,7 @@ use crate::transport::{self, Transport};
 /// engine itself is the fixed frame the phases execute in — config,
 /// fault plan, partitioned data, the Sigma pipeline, and derived layout
 /// constants.
-pub struct Engine<'a, O: RunObserver> {
+pub(crate) struct Engine<'a, O: RunObserver> {
     pub(crate) cfg: &'a ClusterConfig,
     pub(crate) plan: &'a FaultPlan,
     pub(crate) alg: &'a Algorithm,
@@ -75,7 +75,7 @@ impl<'a, O: RunObserver> Engine<'a, O> {
     /// partitioning `dataset` across nodes and threads. Fails when the
     /// configured transport cannot come up (e.g. the TCP backend's
     /// listener fails to bind).
-    pub fn new(
+    pub(crate) fn new(
         cfg: &'a ClusterConfig,
         alg: &'a Algorithm,
         dataset: &'a Dataset,
@@ -113,7 +113,7 @@ impl<'a, O: RunObserver> Engine<'a, O> {
     /// Runs the full training loop from `initial_model` over a working
     /// copy `topology`, returning the outcome of a still-successful
     /// degraded run or the error that made it unrecoverable.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         topology: Topology,
         initial_model: Vec<f64>,

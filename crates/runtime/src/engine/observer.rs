@@ -22,9 +22,9 @@ use cosmic_telemetry::{counters, names, Layer, SpanGuard, TraceSink};
 
 use crate::checkpoint::CatchUp;
 use crate::node::AggregateOutcome;
-use crate::role::Promotion;
 use crate::trainer::ClusterConfig;
 use crate::transport::TransportStats;
+use cosmic_collectives::Promotion;
 
 use super::state::ScheduleCache;
 
@@ -35,7 +35,7 @@ use super::state::ScheduleCache;
 /// optional [`SpanGuard`]; the engine holds the guard for the phase's
 /// extent and drops it to close the span.
 #[allow(unused_variables)]
-pub trait RunObserver {
+pub(crate) trait RunObserver {
     /// The observer's virtual clock (0.0 when not tracing). Used only
     /// to stamp trace spans — never to drive execution.
     fn now(&self) -> f64 {
@@ -138,26 +138,21 @@ pub trait RunObserver {
 
 /// The untraced run: every observation is a no-op.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
+pub(crate) struct NullObserver;
 
 impl RunObserver for NullObserver {}
 
 /// Forwards every engine event to a [`TraceSink`], reproducing the
 /// trainer's historical span/counter vocabulary byte for byte.
 #[derive(Debug, Clone, Copy)]
-pub struct TraceObserver<'s> {
+pub(crate) struct TraceObserver<'s> {
     sink: &'s TraceSink,
 }
 
 impl<'s> TraceObserver<'s> {
     /// Wraps `sink`.
-    pub fn new(sink: &'s TraceSink) -> Self {
+    pub(crate) fn new(sink: &'s TraceSink) -> Self {
         TraceObserver { sink }
-    }
-
-    /// The wrapped sink.
-    pub fn sink(&self) -> &'s TraceSink {
-        self.sink
     }
 }
 

@@ -16,7 +16,7 @@ use super::state::{RunState, ScheduleCache};
 use super::Engine;
 
 /// The surviving aggregate of one collective round.
-pub struct RoundOutput {
+pub(crate) struct RoundOutput {
     /// Element-wise sum over the streams that cleared Sigma validation.
     pub sum: Vec<f64>,
     /// The rescaling denominator: contribution weight of the peers that
@@ -31,7 +31,7 @@ pub struct RoundOutput {
 /// applied on the wire; quarantined peers and dead links are withheld
 /// from the fold and from the contributor count. Returns `None` when no
 /// contribution survived (the round applies no update).
-pub fn collective_round<O: RunObserver>(
+pub(crate) fn collective_round<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
     contributions: &[NodePartial],

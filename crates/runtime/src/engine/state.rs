@@ -12,27 +12,27 @@ use cosmic_ml::Algorithm;
 
 use crate::checkpoint::CheckpointStore;
 use crate::detector::FailureDetector;
-use crate::role::Topology;
 use crate::trainer::{ClusterConfig, FaultReport, TrainOutcome};
+use cosmic_collectives::Topology;
 
 /// The cost summary of the collective schedule currently in force,
 /// keyed by the topology epoch and the admitted participant set it was
 /// built over.
 #[derive(Debug, Clone)]
-pub struct ScheduleCache {
+pub(crate) struct ScheduleCache {
     /// Topology membership epoch the schedule was built at.
     pub epoch: u64,
     /// The admitted contributor set, ascending.
     pub participants: Vec<usize>,
     /// Wire bytes the schedule moves per link level.
-    pub levels: [usize; 5],
+    pub levels: [usize; 4],
     /// Communication rounds of the schedule.
     pub rounds: usize,
 }
 
 /// Everything a run owns and mutates, from genesis to outcome.
 #[derive(Debug)]
-pub struct RunState {
+pub(crate) struct RunState {
     /// The model being trained.
     pub model: Vec<f64>,
     /// Mean dataset loss before every epoch and after the last.
@@ -78,7 +78,7 @@ pub struct RunState {
 
 impl RunState {
     /// Genesis state for one run.
-    pub fn new(cfg: &ClusterConfig, topology: Topology, initial_model: Vec<f64>) -> Self {
+    pub(crate) fn new(cfg: &ClusterConfig, topology: Topology, initial_model: Vec<f64>) -> Self {
         let store = CheckpointStore::new(cfg.checkpoint, &initial_model);
         RunState {
             model: initial_model,
@@ -100,12 +100,12 @@ impl RunState {
     }
 
     /// Records the mean loss of `alg` over `dataset` into the history.
-    pub fn record_loss(&mut self, alg: &Algorithm, dataset: &cosmic_ml::data::Dataset) {
+    pub(crate) fn record_loss(&mut self, alg: &Algorithm, dataset: &cosmic_ml::data::Dataset) {
         self.history.push(sgd::mean_loss(alg, dataset, &self.model));
     }
 
     /// Consumes the state into the run's outcome.
-    pub fn into_outcome(self) -> TrainOutcome {
+    pub(crate) fn into_outcome(self) -> TrainOutcome {
         TrainOutcome {
             model: self.model,
             loss_history: self.history,

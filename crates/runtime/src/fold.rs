@@ -23,7 +23,7 @@ const BLOCK_WORDS: usize = 1024;
 /// Scalar element-wise accumulation: `dst[i] += src[i]`.
 ///
 /// This is the reference inner loop, kept deliberately naive.
-pub fn add_assign(dst: &mut [f64], src: &[f64]) {
+pub(crate) fn add_assign(dst: &mut [f64], src: &[f64]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d += *s;
     }
@@ -103,9 +103,9 @@ pub fn fold_parts_i64_reference(sum: &mut [i64], parts: &[&[i32]]) {
 
 /// Fused integer fold: the same single-sweep blocked traversal as
 /// [`fold_parts`], accumulating i32 quantized values into i64 — the
-/// integer-accumulate path the fixed-point repr rides through the
-/// Sigma. Identical to [`fold_parts_i64_reference`] on every input.
-pub fn fold_parts_i64(sum: &mut [i64], parts: &[&[i32]]) {
+/// fold behind `SigmaAggregator::aggregate_fixed`. Identical to
+/// [`fold_parts_i64_reference`] on every input.
+pub(crate) fn fold_parts_i64(sum: &mut [i64], parts: &[&[i32]]) {
     match parts {
         [] => {}
         [only] => add_lanes_i64(sum, only),

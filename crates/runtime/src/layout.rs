@@ -15,12 +15,12 @@ pub const CHUNK_WORDS: usize = 4096;
 /// trains in `f64`). The constant itself lives with the codec's size
 /// law in `cosmic-collectives` — one source of truth, re-exported here
 /// so the layout arithmetic and the wire accounting can never drift.
-pub use cosmic_collectives::codec::WORD_BYTES;
+pub(crate) use cosmic_collectives::codec::WORD_BYTES;
 
 /// Nearly-equal shard size when `total` items are split across `parts`
 /// workers: the ceiling division every partitioner in the stack uses.
 /// `parts == 0` clamps to one part instead of dividing by zero.
-pub fn shard_size(total: usize, parts: usize) -> usize {
+pub(crate) fn shard_size(total: usize, parts: usize) -> usize {
     total.div_ceil(parts.max(1))
 }
 
@@ -28,25 +28,25 @@ pub fn shard_size(total: usize, parts: usize) -> usize {
 /// vector still occupies one (empty) chunk slot in the ring — the
 /// Sigma pipeline sizes its stripes by this, so the clamp to 1 is part
 /// of the protocol, not a convenience.
-pub fn chunk_count(words: usize) -> usize {
+pub(crate) fn chunk_count(words: usize) -> usize {
     words.div_ceil(CHUNK_WORDS).max(1)
 }
 
 /// [`chunk_count`] for a payload expressed in bytes (the timing model's
 /// `exchange_bytes`), using the same one-chunk floor.
-pub fn chunk_count_bytes(bytes: usize) -> usize {
+pub(crate) fn chunk_count_bytes(bytes: usize) -> usize {
     bytes.div_ceil(CHUNK_WORDS * WORD_BYTES).max(1)
 }
 
 /// Model words that fit a payload of `bytes` (ceiling — a ragged tail
 /// byte still needs a whole word).
-pub fn words_for_bytes(bytes: usize) -> usize {
+pub(crate) fn words_for_bytes(bytes: usize) -> usize {
     bytes.div_ceil(WORD_BYTES)
 }
 
 /// Bytes occupied by a vector of `words` model parameters (snapshot and
 /// replay-log accounting in the checkpoint store).
-pub fn vector_bytes(words: usize) -> usize {
+pub(crate) fn vector_bytes(words: usize) -> usize {
     words * WORD_BYTES
 }
 

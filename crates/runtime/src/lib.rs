@@ -8,33 +8,33 @@
 //!
 //! What executes **for real** (multi-threaded, in process):
 //!
-//! - [`circbuf`] — the bounded circular buffers that let networking
-//!   (producer) and aggregation (consumer) overlap;
-//! - [`pool`] — the internally managed thread pools that avoid per-
-//!   connection thread creation and OS-level context-switch cost;
+//! - [`CircularBuffer`] — the bounded circular buffers that let
+//!   networking (producer) and aggregation (consumer) overlap;
+//! - [`ThreadPool`] — the internally managed thread pools that avoid
+//!   per-connection thread creation and OS-level context-switch cost;
 //! - [`node`] — the Sigma-node aggregation pipeline (incoming handler →
 //!   networking pool → circular buffers → aggregation pool → aggregation
 //!   buffer), with per-chunk validation and peer quarantine;
-//! - [`trainer`] — the functional distributed trainer: data partitioned
-//!   across nodes and accelerator threads, per-mini-batch parallel SGD
-//!   with hierarchical aggregation, producing real trained models and
-//!   degrading gracefully under injected faults;
+//! - [`ClusterTrainer`] — the functional distributed trainer: data
+//!   partitioned across nodes and accelerator threads, per-mini-batch
+//!   parallel SGD with hierarchical aggregation, producing real trained
+//!   models and degrading gracefully under injected faults. Its
+//!   iteration engine (membership, compute, collective round,
+//!   checkpoint phases, φ-accrual detector) is crate-private:
+//!   [`ClusterTrainer::train`] and [`ClusterTrainer::train_traced`] are
+//!   the only ways in;
 //! - [`transport`] — the wire behind the collective round: in-process
 //!   channels or supervised loopback TCP, one round server and one
 //!   retry loop for every socket, and the multi-process launcher
 //!   ([`transport::proc`]) whose coordinator folds worker gradients
 //!   through the same [`SigmaAggregator`] the trainer uses;
-//! - [`detector`] / [`checkpoint`] — elastic membership: φ-accrual
-//!   heartbeat failure detection on virtual time, and deterministic
-//!   checkpoint + replay catch-up so expelled nodes can rejoin with a
-//!   bit-identical model.
+//! - [`checkpoint`] — deterministic checkpoint + replay catch-up so
+//!   expelled nodes can rejoin with a bit-identical model.
 //!
 //! What is **modeled** (the wire and the silicon):
 //!
-//! - [`role`] — the System Director's Sigma/Delta/master role assignment
-//!   and failure repair (re-election of dead Sigmas), now provided by
-//!   `cosmic-collectives` and re-exported here so existing paths keep
-//!   working;
+//! - [`collectives::topology`] — the System Director's Sigma/Delta/master
+//!   role assignment and failure repair (re-election of dead Sigmas);
 //! - [`timing`] — the cluster-level performance model combining the
 //!   Planner's accelerator estimates with the Ethernet/PCIe models of
 //!   `cosmic-sim`, including the producer-consumer overlap of networking
@@ -45,35 +45,30 @@
 //!
 //! Runtime failure paths do not panic: anything that can go wrong at run
 //! time is either absorbed as degradation (reported in
-//! [`trainer::FaultReport`]) or returned as a typed
-//! [`error::RuntimeError`]. The lint configuration below enforces this
-//! for non-test code.
+//! [`TrainOutcome::faults`]) or returned as a typed [`RuntimeError`].
+//! The lint configuration below enforces this for non-test code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 // Keep every function a cohesive phase: the threshold lives in the
 // workspace clippy.toml (`too-many-lines-threshold`).
 #![deny(clippy::too_many_lines)]
 
-pub mod buffer;
+mod buffer;
 pub mod checkpoint;
-pub mod circbuf;
-pub mod detector;
-pub mod engine;
-pub mod error;
+mod circbuf;
+mod detector;
+mod engine;
+mod error;
 pub mod fold;
-pub mod layout;
+mod layout;
 pub mod node;
-pub mod pool;
+mod pool;
 pub mod timing;
-pub mod trainer;
+mod trainer;
 pub mod transport;
-
-/// The System Director's role assignment and failure repair, now living
-/// in `cosmic-collectives` (strategies and the runtime share one
-/// topology vocabulary); re-exported under its historical path.
-pub use cosmic_collectives::topology as role;
 
 /// The pluggable wire representations every layer of the payload path
 /// speaks — dense f64, shared-exponent fixed point, top-k
@@ -84,48 +79,34 @@ pub use cosmic_collectives::topology as role;
 /// encode/decode actually happens.
 pub use cosmic_collectives::codec;
 
-pub use buffer::WordBuf;
-pub use checkpoint::{
-    model_checksum, CatchUp, Checkpoint, CheckpointConfig, CheckpointError, CheckpointStore,
-    ReplayOp,
-};
+pub use checkpoint::{model_checksum, Checkpoint, CheckpointConfig};
 pub use circbuf::CircularBuffer;
-pub use detector::{DetectorConfig, FailureDetector, SuspicionLevel};
-pub use engine::{Engine, NullObserver, RunObserver, RunState, ScheduleCache, TraceObserver};
+pub use detector::DetectorConfig;
 pub use error::RuntimeError;
-pub use node::{
-    AggregateOutcome, Chunk, ChunkFault, SigmaAggregator, CHUNK_WORDS, DEFAULT_RING_CAPACITY,
-};
+pub use layout::CHUNK_WORDS;
+pub use node::{Chunk, SigmaAggregator};
 pub use pool::ThreadPool;
-pub use role::{assign_roles, Promotion, Role, Topology};
-pub use timing::{
-    ClusterTiming, FaultTimingModel, IterationBreakdown, IterationModel, NodeCompute,
-};
+pub use timing::{ClusterTiming, FaultTimingModel, NodeCompute};
 
-// Re-export the collective-aggregation layer: the trainer executes the
-// schedules these strategies produce, so its vocabulary is part of the
-// runtime's public surface.
+// The collective-aggregation layer: the trainer executes the schedules
+// these strategies produce, so its vocabulary is part of the runtime's
+// public surface.
 pub use cosmic_collectives as collectives;
-pub use cosmic_collectives::{
-    CodecError, CodecStats, CollectiveKind, CollectiveSelector, CommSchedule, CostModel,
-    ScheduleError, WireRepr,
-};
+pub use cosmic_collectives::{assign_roles, CollectiveKind, Role, WireRepr};
 pub use trainer::{
-    ClusterConfig, ClusterTrainer, Exclusion, ExclusionReason, FaultReport, MembershipMode,
-    PartitionOutage, Quarantine, RejoinEvent, RetryPolicy, Suspicion, TrainOutcome,
+    ClusterConfig, ClusterTrainer, Exclusion, ExclusionReason, MembershipMode, PartitionOutage,
+    RetryPolicy, TrainOutcome,
 };
+pub use transport::wire::{Frame, FrameKind, WireError};
 pub use transport::{
-    DeadLink, Frame, FrameKind, LinkConfig, RoundCtx, RoundDelivery, SimTransport, TcpTransport,
-    Transport, TransportKind, TransportStats, WireError, WireShim,
+    LinkConfig, RoundCtx, SimTransport, TcpTransport, Transport, TransportKind, TransportStats,
 };
 
-// Re-export the fault-injection vocabulary so runtime users need not
-// depend on cosmic-sim directly.
-pub use cosmic_sim::faults::{FaultEvent, FaultKind, FaultPlan, FaultRates};
+// The fault-injection vocabulary, so runtime users need not depend on
+// cosmic-sim directly.
+pub use cosmic_sim::faults::{FaultPlan, FaultRates};
 
-// Re-export the telemetry vocabulary the traced entry points
-// ([`trainer::ClusterTrainer::train_traced`],
-// [`timing::IterationModel::traced`]) speak.
-pub use cosmic_telemetry::{
-    counters, names, Layer, SpanGuard, SpanRecord, TraceSink, TraceSummary,
-};
+// The telemetry vocabulary the traced entry points
+// ([`ClusterTrainer::train_traced`], [`timing::IterationModel::traced`])
+// speak.
+pub use cosmic_telemetry::{counters, TraceSink, TraceSummary};

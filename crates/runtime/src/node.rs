@@ -27,19 +27,16 @@ use crate::circbuf::CircularBuffer;
 use crate::fold;
 use crate::pool::ThreadPool;
 
-/// Words per chunk moved between the pools (the "smaller portions of
-/// data" of paper §3); canonical home is [`crate::layout`], re-exported
-/// here because the chunk protocol is this module's vocabulary.
-pub use crate::layout::CHUNK_WORDS;
+use crate::layout::CHUNK_WORDS;
 
 /// Default per-peer circular-buffer capacity, in chunks. Deep enough to
 /// keep the networking producer ahead of the aggregation consumer,
 /// shallow enough that a whole model never buffers.
-pub const DEFAULT_RING_CAPACITY: usize = 4;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 4;
 
 /// A contiguous piece of a partial model/gradient vector in flight.
 ///
-/// The payload is a shared [`WordBuf`] view, so cloning a chunk — for
+/// The payload is a shared `WordBuf` view, so cloning a chunk — for
 /// duplicate fault injection, frame wrapping, or ring hand-off — bumps
 /// a refcount instead of copying words.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +72,7 @@ impl Chunk {
     }
 
     /// Whether the payload still matches its checksum.
-    pub fn is_intact(&self) -> bool {
+    pub(crate) fn is_intact(&self) -> bool {
         self.checksum == Chunk::checksum_of(self.offset, &self.data)
     }
 
@@ -98,7 +95,7 @@ impl Chunk {
 
 /// Splits a vector into stripe-aligned, checksummed chunks.
 ///
-/// One shared allocation backs every chunk: each is a [`WordBuf`] view
+/// One shared allocation backs every chunk: each is a `WordBuf` view
 /// into a single copy of `values`, so the whole split costs one
 /// allocation instead of one per stripe.
 pub fn chunk_vector(values: &[f64]) -> Vec<Chunk> {
@@ -221,7 +218,7 @@ pub struct SigmaAggregator {
 
 impl SigmaAggregator {
     /// Creates the two pools with the default per-peer ring capacity
-    /// ([`DEFAULT_RING_CAPACITY`]). The paper sizes the pools to the
+    /// (`DEFAULT_RING_CAPACITY`). The paper sizes the pools to the
     /// host CPU's hardware threads; 4+4 matches the quad-core Xeon E3.
     pub fn new(networking_threads: usize, aggregation_threads: usize) -> Self {
         Self::with_ring_capacity(networking_threads, aggregation_threads, DEFAULT_RING_CAPACITY)
@@ -232,7 +229,7 @@ impl SigmaAggregator {
     /// could never pass a chunk). Capacity 1 degenerates to strict
     /// lock-step hand-off between networking and aggregation; larger
     /// rings let the producer run ahead.
-    pub fn with_ring_capacity(
+    pub(crate) fn with_ring_capacity(
         networking_threads: usize,
         aggregation_threads: usize,
         ring_capacity: usize,
@@ -242,11 +239,6 @@ impl SigmaAggregator {
             aggregation: ThreadPool::new(aggregation_threads, "aggregation"),
             ring_capacity: ring_capacity.max(1),
         }
-    }
-
-    /// The per-peer circular-buffer capacity in chunks.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring_capacity
     }
 
     /// Receives one partial vector from every connection and returns
@@ -281,7 +273,7 @@ impl SigmaAggregator {
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
     ) -> AggregateOutcome {
-        let drained = self.drain_validated(model_len, incoming);
+        let drained = self.drain_validated(model_len, incoming, stage_peer);
         let mut sum = vec![0.0; model_len];
         let parts: Vec<&[f64]> = drained.survivors.iter().map(Vec::as_slice).collect();
         fold::fold_parts(&mut sum, &parts);
@@ -293,21 +285,26 @@ impl SigmaAggregator {
         }
     }
 
-    /// [`SigmaAggregator::aggregate_validated`] riding the fixed-point
-    /// integer-accumulate path: every surviving peer's staged vector is
-    /// quantized at the shared per-round `scale_exp` (the side channel
-    /// every contributor agreed on), the quantized values are folded as
-    /// exact `i64` sums by [`fold::fold_parts_i64`], and the sum is
-    /// dequantized once at the end. Integer addition is associative, so
-    /// the result is bit-identical no matter which collective shape
-    /// delivered the contributions.
+    /// [`SigmaAggregator::aggregate_validated`] with an integer fold:
+    /// every surviving peer's staged vector is quantized at the shared
+    /// `scale_exp`, the quantized values are folded as exact `i64` sums
+    /// by `fold::fold_parts_i64`, and the sum is dequantized once at the
+    /// end. Integer addition is associative, so the result does not
+    /// depend on fold order.
+    ///
+    /// The engine does **not** call this: a `FixedPoint` round goes
+    /// through [`SigmaAggregator::aggregate_validated`] like every other
+    /// repr, whose float fold is exact on grid-point values while each
+    /// partial sum stays below `2^(53 - frac_bits)` (DESIGN.md §17).
+    /// Callers are the unit test below and the repo benchmark's
+    /// `runtime.sigma.fixed_mib_per_s` rung.
     pub fn aggregate_fixed(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
         scale_exp: u8,
     ) -> AggregateOutcome {
-        let drained = self.drain_validated(model_len, incoming);
+        let drained = self.drain_validated(model_len, incoming, stage_peer);
         let quantized: Vec<Vec<i32>> = drained
             .survivors
             .iter()
@@ -324,11 +321,16 @@ impl SigmaAggregator {
         }
     }
 
-    /// Runs the two-pool pipeline to completion and collects each
-    /// peer's validated staging buffer, leaving the final fold — float
-    /// or integer — to the caller.
-    fn drain_validated(&self, model_len: usize, incoming: Vec<Receiver<Chunk>>) -> DrainedRound {
-        let stripes = crate::layout::chunk_count(model_len);
+    /// Runs the two-pool pipeline to completion and collects what
+    /// `stage` made of each peer's stream ([`stage_peer`] outside
+    /// tests), leaving the final fold — float or integer — to the
+    /// caller.
+    fn drain_validated(
+        &self,
+        model_len: usize,
+        incoming: Vec<Receiver<Chunk>>,
+        stage: fn(&CircularBuffer<Chunk>, usize) -> PeerFold,
+    ) -> DrainedRound {
         let peers = incoming.len();
         let folds: Arc<Vec<Mutex<PeerFold>>> =
             Arc::new((0..peers).map(|_| Mutex::new(PeerFold::default())).collect());
@@ -353,66 +355,15 @@ impl SigmaAggregator {
             }
 
             // Aggregation-pool consumer: circular buffer -> this peer's
-            // staging buffer, validating as it goes.
+            // staging buffer. A consumer that unwinds leaves its peer
+            // absent from the round: the guard closes the ring and the
+            // dropped `wg` releases the wait below.
             {
-                let ring = Arc::clone(&ring);
+                let ring = CloseOnDrop(ring);
                 let folds = Arc::clone(&folds);
                 let wg = wg.clone();
                 self.aggregation.execute(move || {
-                    let mut staged: Option<Vec<f64>> = None;
-                    let mut seen = vec![false; stripes];
-                    let mut fault: Option<ChunkFault> = None;
-                    let mut duplicates = 0usize;
-                    while let Some(chunk) = ring.pop() {
-                        // A quarantined peer's stream is still drained so
-                        // its producer never blocks on a full ring.
-                        if fault.is_some() {
-                            continue;
-                        }
-                        if chunk.offset % CHUNK_WORDS != 0 {
-                            fault = Some(ChunkFault::Misaligned { offset: chunk.offset });
-                            continue;
-                        }
-                        // The offset is wire-supplied: bound it before
-                        // adding to it. (`offset == model_len` with an
-                        // empty payload would index one stripe past the
-                        // last.)
-                        if chunk.offset >= model_len || chunk.data.len() > model_len - chunk.offset
-                        {
-                            fault = Some(ChunkFault::Overrun {
-                                offset: chunk.offset,
-                                len: chunk.data.len(),
-                            });
-                            continue;
-                        }
-                        let end = chunk.offset + chunk.data.len();
-                        if !chunk.is_intact() {
-                            fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
-                            continue;
-                        }
-                        if end < model_len.min(chunk.offset + CHUNK_WORDS) {
-                            fault = Some(ChunkFault::Incomplete { missing: end });
-                            continue;
-                        }
-                        let stripe = chunk.offset / CHUNK_WORDS;
-                        if seen[stripe] {
-                            duplicates += 1;
-                            continue;
-                        }
-                        seen[stripe] = true;
-                        let dst = staged.get_or_insert_with(|| vec![0.0; model_len]);
-                        dst[chunk.offset..end].copy_from_slice(&chunk.data);
-                    }
-                    // A stream that delivered anything must have
-                    // delivered every stripe; zero-filling the rest
-                    // would pass a partial gradient off as whole.
-                    if let (None, Some(_), Some(stripe)) =
-                        (fault, &staged, seen.iter().position(|&s| !s))
-                    {
-                        fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
-                    }
-                    let high_water = ring.high_water();
-                    *folds[peer].lock() = PeerFold { staged, fault, duplicates, high_water };
+                    *folds[peer].lock() = stage(&ring.0, model_len);
                     drop(wg);
                 });
             }
@@ -444,9 +395,71 @@ impl SigmaAggregator {
     /// Total jobs submitted to the networking + aggregation pools so
     /// far: two per peer connection per aggregation pass, so the count
     /// is a deterministic function of the call history.
-    pub fn jobs_submitted(&self) -> usize {
+    pub(crate) fn jobs_submitted(&self) -> usize {
         self.networking.jobs_submitted() + self.aggregation.jobs_submitted()
     }
+}
+
+/// Closes a peer's ring when its aggregation job ends, normally or by
+/// unwind, so the networking job feeding it sees `push` return `false`
+/// instead of blocking on a consumer that is gone.
+struct CloseOnDrop(Arc<CircularBuffer<Chunk>>);
+
+impl Drop for CloseOnDrop {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// One peer's aggregation job: drains `ring` into a staging buffer of
+/// `model_len` words, validating every chunk as it goes.
+fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize) -> PeerFold {
+    let mut staged: Option<Vec<f64>> = None;
+    let mut seen = vec![false; crate::layout::chunk_count(model_len)];
+    let mut fault: Option<ChunkFault> = None;
+    let mut duplicates = 0usize;
+    while let Some(chunk) = ring.pop() {
+        // A quarantined peer's stream is still drained so its producer
+        // never blocks on a full ring.
+        if fault.is_some() {
+            continue;
+        }
+        if chunk.offset % CHUNK_WORDS != 0 {
+            fault = Some(ChunkFault::Misaligned { offset: chunk.offset });
+            continue;
+        }
+        // The offset is wire-supplied: bound it before adding to it.
+        // (`offset == model_len` with an empty payload would index one
+        // stripe past the last.)
+        if chunk.offset >= model_len || chunk.data.len() > model_len - chunk.offset {
+            fault = Some(ChunkFault::Overrun { offset: chunk.offset, len: chunk.data.len() });
+            continue;
+        }
+        let end = chunk.offset + chunk.data.len();
+        if !chunk.is_intact() {
+            fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
+            continue;
+        }
+        if end < model_len.min(chunk.offset + CHUNK_WORDS) {
+            fault = Some(ChunkFault::Incomplete { missing: end });
+            continue;
+        }
+        let stripe = chunk.offset / CHUNK_WORDS;
+        if seen[stripe] {
+            duplicates += 1;
+            continue;
+        }
+        seen[stripe] = true;
+        let dst = staged.get_or_insert_with(|| vec![0.0; model_len]);
+        dst[chunk.offset..end].copy_from_slice(&chunk.data);
+    }
+    // A stream that delivered anything must have delivered every
+    // stripe; zero-filling the rest would pass a partial gradient off
+    // as whole.
+    if let (None, Some(_), Some(stripe)) = (fault, &staged, seen.iter().position(|&s| !s)) {
+        fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
+    }
+    PeerFold { staged, fault, duplicates, high_water: ring.high_water() }
 }
 
 impl Default for SigmaAggregator {
@@ -654,7 +667,7 @@ mod tests {
         // the pipeline degrades to hand-to-hand chunk passing but must
         // still complete, and the high-water mark can only ever be 1.
         let sigma = SigmaAggregator::with_ring_capacity(2, 2, 1);
-        assert_eq!(sigma.ring_capacity(), 1);
+        assert_eq!(sigma.ring_capacity, 1);
         let len = 8 * CHUNK_WORDS + 5;
         let incoming = vec![send_model(vec![1.5; len]), send_model(vec![2.5; len])];
         let out = sigma.aggregate_validated(len, incoming);
@@ -666,7 +679,7 @@ mod tests {
     #[test]
     fn zero_ring_capacity_is_clamped_to_one() {
         let sigma = SigmaAggregator::with_ring_capacity(1, 1, 0);
-        assert_eq!(sigma.ring_capacity(), 1);
+        assert_eq!(sigma.ring_capacity, 1);
         let out = sigma.aggregate_validated(4, vec![send_model(vec![1.0; 4])]);
         assert_eq!(out.sum, vec![1.0; 4]);
     }
@@ -692,6 +705,28 @@ mod tests {
         let got_bits: Vec<u64> = out.sum.iter().map(|v| v.to_bits()).collect();
         let expect_bits: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got_bits, expect_bits, "grid-point payloads sum exactly");
+    }
+
+    #[test]
+    fn a_consumer_that_panics_mid_stream_does_not_wedge_its_producer() {
+        fn dies_after_one_chunk(ring: &CircularBuffer<Chunk>, _: usize) -> PeerFold {
+            let _ = ring.pop();
+            panic!("aggregation job panics mid-stream");
+        }
+        // One worker per pool and 16 chunks through a capacity-4 ring:
+        // once the consumer is gone the producer fills the ring and,
+        // unless the ring is closed under it, blocks in `push` on the
+        // only networking worker for the aggregator's lifetime.
+        let sigma = SigmaAggregator::new(1, 1);
+        let len = 16 * CHUNK_WORDS;
+        let drained =
+            sigma.drain_validated(len, vec![send_model(vec![1.0; len])], dies_after_one_chunk);
+        assert!(drained.survivors.is_empty(), "the peer is absent from the round");
+        assert!(drained.quarantined.is_empty());
+        // Both pools are whole: the next round on the same aggregator folds.
+        let out = sigma.aggregate_validated(len, vec![send_model(vec![2.0; len])]);
+        assert!(out.sum.iter().all(|&v| v == 2.0));
+        assert!(out.quarantined.is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! a fixed set of workers pulling closures from a channel.
 
 use crossbeam::channel::{self, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
 
@@ -15,7 +16,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A fixed-size worker pool executing submitted closures.
 ///
 /// Dropping the pool closes the queue and joins the workers (pending jobs
-/// finish first).
+/// finish first). A job that panics unwinds on its worker and is
+/// dropped; the worker goes on to the next job, so the pool always has
+/// `size` live workers.
 ///
 /// # Examples
 ///
@@ -62,9 +65,11 @@ impl ThreadPool {
                     .name(format!("cosmic-{name}-{i}"))
                     .spawn(move || {
                         // Reused worker: one blocking recv loop, no
-                        // per-task thread creation.
+                        // per-task thread creation. A panicking job
+                        // must not take the worker with it: `wait_idle`
+                        // counts on `size` workers reaching its barrier.
                         while let Ok(job) = receiver.recv() {
-                            job();
+                            let _ = catch_unwind(AssertUnwindSafe(job));
                         }
                     })
                     .expect("failed to spawn pool worker")
@@ -73,15 +78,10 @@ impl ThreadPool {
         ThreadPool { sender: Some(sender), workers, size, submitted: AtomicUsize::new(0) }
     }
 
-    /// Number of workers.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
     /// Jobs submitted through [`ThreadPool::execute`] so far (the
     /// internal barrier jobs of [`ThreadPool::wait_idle`] are not
     /// counted — they are plumbing, not work).
-    pub fn jobs_submitted(&self) -> usize {
+    pub(crate) fn jobs_submitted(&self) -> usize {
         self.submitted.load(Ordering::Relaxed)
     }
 
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn executes_all_jobs_before_drop() {
         let pool = ThreadPool::new(3, "test");
-        assert_eq!(pool.size(), 3);
+        assert_eq!(pool.size, 3);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..250 {
             let c = Arc::clone(&counter);
@@ -173,6 +173,25 @@ mod tests {
         });
         pool.wait_idle();
         assert_eq!(counter.load(Ordering::SeqCst), 65);
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_cost_the_pool_a_worker() {
+        let pool = ThreadPool::new(2, "panic");
+        for _ in 0..3 {
+            pool.execute(|| panic!("job panics on its worker"));
+        }
+        // With a worker lost, the barrier in `wait_idle` never fills.
+        pool.wait_idle();
+        let counter = Arc::new(AtomicUsize::new(0));
+        for _ in 0..8 {
+            let c = Arc::clone(&counter);
+            pool.execute(move || {
+                c.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        pool.wait_idle();
+        assert_eq!(counter.load(Ordering::SeqCst), 8);
     }
 
     #[test]

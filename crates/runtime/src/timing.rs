@@ -25,8 +25,8 @@ use cosmic_telemetry::{counters, names, Layer, TraceSink};
 
 use crate::error::RuntimeError;
 use crate::layout;
-use crate::node::CHUNK_WORDS;
-use crate::role::{assign_roles, Topology};
+use crate::layout::CHUNK_WORDS;
+use cosmic_collectives::{assign_roles, Topology};
 
 /// A node's gradient-computation capability, however produced (Planner
 /// estimate for FPGAs/P-ASICs, roofline for GPUs).
@@ -350,7 +350,7 @@ impl ClusterTiming {
     ///
     /// Errors when the group structure cannot be built over the node
     /// count (see [`assign_roles`]).
-    pub fn topology(&self) -> Result<Topology, RuntimeError> {
+    pub(crate) fn topology(&self) -> Result<Topology, RuntimeError> {
         Ok(assign_roles(self.nodes, self.groups)?)
     }
 
@@ -478,7 +478,7 @@ impl ClusterTiming {
     /// The cost model that prices [`CommSchedule`]s for this cluster:
     /// the same wire and host fold rate the analytic path uses, handed
     /// to the collective layer's per-port accounting.
-    pub fn collective_cost_model(&self) -> CostModel {
+    pub(crate) fn collective_cost_model(&self) -> CostModel {
         CostModel { net: self.net, agg_bytes_per_sec: self.agg_bytes_per_sec }
     }
 

@@ -39,8 +39,8 @@ use crate::detector::DetectorConfig;
 use crate::engine::{Engine, NullObserver, TraceObserver};
 use crate::error::RuntimeError;
 use crate::node::ChunkFault;
-use crate::role::{assign_roles, Promotion, Topology};
 use crate::transport::{LinkConfig, TransportKind};
+use cosmic_collectives::{assign_roles, Promotion, Topology};
 
 /// How the runtime learns about node failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,7 +53,7 @@ pub enum MembershipMode {
     Oracle,
     /// Elastic membership: the runtime learns about failures only from
     /// missing heartbeats (per-iteration chunk arrivals) through the
-    /// φ-accrual [`crate::detector::FailureDetector`]. Silent nodes are
+    /// φ-accrual `crate::detector::FailureDetector`. Silent nodes are
     /// suspected, then expelled; an expelled node that delivers again (a
     /// healed partition, a rejoined crash, a false declaration) is
     /// re-admitted through the checkpoint/replay rejoin protocol.

@@ -7,12 +7,12 @@
 //!   channels as "sockets"), the default.
 //! - [`TcpTransport`] — a real wire: every sender streams
 //!   length-prefixed, checksummed frames over a loopback TCP socket
-//!   through the fault-injecting [`WireShim`], and a link that exhausts
+//!   through the fault-injecting `WireShim`, and a link that exhausts
 //!   its retry budget surfaces as a [`DeadLink`] that the engine books
 //!   through the membership/failover machinery.
 //!
-//! Real sockets have one client and one server, both in [`supervisor`]
-//! ([`RoundSender`], [`RoundServer`]), and a link lives as long as its
+//! Real sockets have one client and one server, both in `supervisor`
+//! (`RoundSender`, `RoundServer`), and a link lives as long as its
 //! connection: a healthy round opens no socket. [`TcpTransport`] and
 //! the multi-process launcher ([`proc`]) are clients of that pair and
 //! fold what it delivers through the same [`SigmaAggregator`].
@@ -22,17 +22,14 @@
 //! bit-identical model for the same topology and seed.
 
 pub mod proc;
-pub mod shim;
-pub mod sim;
-pub mod supervisor;
-pub mod tcp;
+mod shim;
+mod sim;
+mod supervisor;
+mod tcp;
 pub mod wire;
 
-pub use shim::WireShim;
 pub use sim::SimTransport;
-pub use supervisor::{Handshake, Reply, RoundSender, RoundServer, SendReport, Served, ServedKind};
 pub use tcp::TcpTransport;
-pub use wire::{Frame, FrameKind, WireError};
 
 use std::time::Duration;
 
@@ -62,14 +59,6 @@ impl TransportKind {
             "sim" => Some(TransportKind::Sim),
             "tcp" => Some(TransportKind::Tcp),
             _ => None,
-        }
-    }
-
-    /// The flag spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            TransportKind::Sim => "sim",
-            TransportKind::Tcp => "tcp",
         }
     }
 }
@@ -105,12 +94,12 @@ impl LinkConfig {
     }
 
     /// The connect deadline as a [`Duration`].
-    pub fn connect_timeout(&self) -> Duration {
+    pub(crate) fn connect_timeout(&self) -> Duration {
         Duration::from_millis(self.connect_timeout_ms)
     }
 
     /// The per-call read/write deadline as a [`Duration`].
-    pub fn read_timeout(&self) -> Duration {
+    pub(crate) fn read_timeout(&self) -> Duration {
         Duration::from_millis(self.read_timeout_ms)
     }
 }
@@ -158,7 +147,7 @@ impl TransportStats {
     }
 
     /// Whether nothing was booked (the sim backend's permanent state).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         *self == TransportStats::default()
     }
 }
@@ -204,7 +193,7 @@ pub struct RoundCtx<'a> {
     pub senders: &'a [usize],
     /// The wire representation chunk payloads travel under. Sim keeps
     /// the chunks in process; Tcp frames them as
-    /// [`FrameKind::Encoded`] when this is not
+    /// `FrameKind::Encoded` when this is not
     /// [`WireRepr::DenseF64`]. The payload values are already
     /// boundary-transformed by the engine, so the wire encode is
     /// lossless and both backends stay bit-identical.
@@ -216,7 +205,7 @@ impl RoundCtx<'_> {
     /// plan's chunk-level corruption and duplication applied, as
     /// `(chunk_index, chunk)` in send order (a duplicate travels right
     /// beside its original). Every backend sends exactly this.
-    pub fn wire_chunks(
+    pub(crate) fn wire_chunks(
         &self,
         member: usize,
         part: &[f64],
@@ -254,7 +243,7 @@ pub trait Transport: Send + Sync {
 
 /// Builds the configured backend. Binding the TCP listener can fail;
 /// the sim backend cannot.
-pub fn build(cfg: &ClusterConfig) -> Result<Box<dyn Transport>, RuntimeError> {
+pub(crate) fn build(cfg: &ClusterConfig) -> Result<Box<dyn Transport>, RuntimeError> {
     match cfg.transport {
         TransportKind::Sim => Ok(Box::new(SimTransport)),
         TransportKind::Tcp => Ok(Box::new(TcpTransport::bind(cfg.link)?)),
@@ -270,8 +259,6 @@ mod tests {
         assert_eq!(TransportKind::parse("sim"), Some(TransportKind::Sim));
         assert_eq!(TransportKind::parse("tcp"), Some(TransportKind::Tcp));
         assert_eq!(TransportKind::parse("quic"), None);
-        assert_eq!(TransportKind::Sim.label(), "sim");
-        assert_eq!(TransportKind::Tcp.label(), "tcp");
         assert_eq!(TransportKind::default(), TransportKind::Sim);
     }
 

@@ -4,27 +4,27 @@
 //! This is the transport stack's end-to-end proof: real processes,
 //! real sockets, real SIGKILL. The launcher is a client of the runtime,
 //! not a copy of it. The coordinator receives through the supervisor's
-//! [`RoundServer`] and only routes what it returns, folds every
+//! `RoundServer` and only routes what it returns, folds every
 //! delivered stream through the engine's own [`SigmaAggregator`] (node
 //! order is peer order, so the sum is bit-identical to a single-process
-//! fold), applies the update through [`ReplayOp`] so the
+//! fold), applies the update through `ReplayOp` so the
 //! checkpoint/replay log is exact, and broadcasts it back as each
-//! stream's reply. Workers hold one [`RoundSender`] link for the whole
+//! stream's reply. Workers hold one `RoundSender` link for the whole
 //! job — rounds, join handshakes and the final report all ride its
 //! retry loop; they are separate OS processes (re-executions of the
 //! `cosmic-launcher` binary) that compute batch gradients over their
-//! own data shard and apply the identical [`ReplayOp`] — every healthy
+//! own data shard and apply the identical `ReplayOp` — every healthy
 //! process holds a bit-identical model at every iteration.
 //!
 //! Robustness is the point, not an afterthought:
 //!
 //! - a worker that goes silent (e.g. SIGKILLed mid-run) is noticed by
-//!   the φ-accrual [`FailureDetector`] fed from per-round deliveries,
+//!   the φ-accrual `FailureDetector` fed from per-round deliveries,
 //!   expelled from the active set within deadline-bounded delivery
 //!   windows, and respawned with a `--join` flag;
 //! - a joining worker catches up through the checkpoint/replay
 //!   protocol: the coordinator reconstructs the current model from its
-//!   latest snapshot plus the replay log ([`CheckpointStore::catch_up`])
+//!   latest snapshot plus the replay log (`CheckpointStore::catch_up`)
 //!   and ships it in a `Snapshot` frame; the worker acknowledges with
 //!   its model checksum so bit-identity is verified on the wire;
 //! - a worker that misses an aggregation window re-syncs itself through
@@ -45,9 +45,10 @@ use crate::error::RuntimeError;
 use crate::node::{chunk_vector, Chunk, SigmaAggregator};
 use crate::trainer::RetryPolicy;
 
+use super::shim::WireShim;
 use super::supervisor::{Handshake, Reply, RoundSender, RoundServer, ServedKind, Wire};
 use super::wire::{Frame, FrameKind, WireError};
-use super::{LinkConfig, TransportStats, WireShim};
+use super::{LinkConfig, TransportStats};
 
 /// Everything both halves of the launcher agree on: the job, the wire
 /// deadlines, and the retry policy. Workers receive the same values on
@@ -92,18 +93,18 @@ impl Default for JobSpec {
 
 impl JobSpec {
     /// The job's algorithm.
-    pub fn algorithm(&self) -> Algorithm {
+    pub(crate) fn algorithm(&self) -> Algorithm {
         Algorithm::LinearRegression { features: self.features }
     }
 
     /// The shared initial model every process derives independently.
-    pub fn initial_model(&self) -> Vec<f64> {
+    pub(crate) fn initial_model(&self) -> Vec<f64> {
         data::init_model(&self.algorithm(), self.seed)
     }
 
     /// Worker `node`'s data shard, derived identically in every
     /// process from the seed alone.
-    pub fn shard(&self, node: usize) -> Dataset {
+    pub(crate) fn shard(&self, node: usize) -> Dataset {
         let alg = self.algorithm();
         let mut parts = data::generate(&alg, self.samples, self.seed).partition(self.nodes);
         if node < parts.len() {
@@ -211,7 +212,7 @@ impl Coordinator {
     }
 
     /// The aggregation endpoint workers dial.
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.server.addr()
     }
 
@@ -622,10 +623,9 @@ fn join_handshake(sender: &mut RoundSender, model: &mut Vec<f64>) -> Result<usiz
         wire.send(&Frame::control(FrameKind::Ack, node as u32, snapshot.iteration, 0, checksum))?;
         Ok(snapshot.a as usize)
     };
-    let (resume, _) = sender.supervise(&mut TransportStats::default(), |wire, _, _| {
+    sender.supervise(&mut TransportStats::default(), |wire, _, _| {
         attempt(wire).map_err(|e| join_failed(node, &e))
-    })?;
-    Ok(resume)
+    })
 }
 
 #[cfg(test)]
@@ -695,7 +695,7 @@ mod tests {
     /// through, whatever was done to peer 1's stream.
     #[test]
     fn coordinator_fold_is_the_sigma_fold_over_surviving_peers() {
-        use crate::node::CHUNK_WORDS;
+        use crate::layout::CHUNK_WORDS;
         let len = 3 * CHUNK_WORDS + 7;
         let grads: Vec<Vec<f64>> =
             (0..3).map(|p| (0..len).map(|i| (i * 7 + p) as f64 * 0.125 - 3.0).collect()).collect();

@@ -21,7 +21,7 @@ use super::wire::{CHECKSUM_BYTES, HEADER_BYTES};
 
 /// Plan-driven wire damage for one sender's round stream.
 #[derive(Debug, Clone, Copy)]
-pub struct WireShim<'a> {
+pub(crate) struct WireShim<'a> {
     plan: Option<&'a FaultPlan>,
     node: usize,
     iteration: usize,
@@ -29,18 +29,18 @@ pub struct WireShim<'a> {
 
 impl<'a> WireShim<'a> {
     /// A shim for `node`'s stream at `iteration`, driven by `plan`.
-    pub fn new(plan: &'a FaultPlan, node: usize, iteration: usize) -> Self {
+    pub(super) fn new(plan: &'a FaultPlan, node: usize, iteration: usize) -> Self {
         WireShim { plan: Some(plan), node, iteration }
     }
 
     /// A transparent shim: injects nothing (healthy wire).
-    pub fn transparent() -> WireShim<'static> {
+    pub(super) fn transparent() -> WireShim<'static> {
         WireShim { plan: None, node: 0, iteration: 0 }
     }
 
     /// The chunk index before which the link is severed on this
     /// attempt, if any (first attempt only).
-    pub fn sever_at(&self, attempt: u32) -> Option<usize> {
+    pub(super) fn sever_at(&self, attempt: u32) -> Option<usize> {
         if attempt > 0 {
             return None;
         }
@@ -49,26 +49,20 @@ impl<'a> WireShim<'a> {
 
     /// Whether the frame carrying chunk `chunk` is damaged in flight on
     /// this attempt (first attempt only).
-    pub fn frame_corrupted(&self, attempt: u32, chunk: usize) -> bool {
+    pub(super) fn frame_corrupted(&self, attempt: u32, chunk: usize) -> bool {
         attempt == 0
             && self.plan.is_some_and(|p| p.frame_corrupted(self.node, self.iteration, chunk))
     }
 
     /// Added latency before each frame hits the socket on this attempt
     /// (first attempt only; zero otherwise).
-    pub fn frame_delay(&self, attempt: u32) -> Duration {
+    pub(crate) fn frame_delay(&self, attempt: u32) -> Duration {
         if attempt > 0 {
             return Duration::ZERO;
         }
         Duration::from_millis(
             self.plan.map_or(0, |p| p.frame_delay_millis(self.node, self.iteration)),
         )
-    }
-
-    /// Whether any wire fault targets this stream at all (cheap
-    /// pre-check).
-    pub fn is_active(&self) -> bool {
-        self.plan.is_some_and(|p| p.has_wire_faults(self.node, self.iteration))
     }
 }
 
@@ -77,7 +71,7 @@ impl<'a> WireShim<'a> {
 /// rejects the frame. The header is left intact so the receiver still
 /// frames the stream correctly and fails on the checksum, not on
 /// desynchronization.
-pub fn damage(encoded: &mut [u8]) {
+pub(super) fn damage(encoded: &mut [u8]) {
     if encoded.len() > HEADER_BYTES + CHECKSUM_BYTES {
         // First payload byte.
         encoded[HEADER_BYTES] ^= 0x01;
@@ -98,7 +92,6 @@ mod tests {
         let plan =
             FaultPlan::none().sever_link(1, 2, 3).corrupt_frame(1, 2, 0).delay_frames(1, 2, 4);
         let shim = WireShim::new(&plan, 1, 2);
-        assert!(shim.is_active());
         assert_eq!(shim.sever_at(0), Some(3));
         assert_eq!(shim.sever_at(1), None);
         assert!(shim.frame_corrupted(0, 0));
@@ -108,14 +101,12 @@ mod tests {
         assert_eq!(shim.frame_delay(1), Duration::ZERO);
 
         let other = WireShim::new(&plan, 0, 2);
-        assert!(!other.is_active());
         assert_eq!(other.sever_at(0), None);
     }
 
     #[test]
     fn transparent_shim_injects_nothing() {
         let shim = WireShim::transparent();
-        assert!(!shim.is_active());
         assert_eq!(shim.sever_at(0), None);
         assert!(!shim.frame_corrupted(0, 0));
         assert_eq!(shim.frame_delay(0), Duration::ZERO);

@@ -48,13 +48,12 @@ use super::{LinkConfig, TransportStats};
 
 /// The reply and accounting of one successful supervised round.
 #[derive(Debug)]
-pub struct SendReport {
+pub(crate) struct SendReport {
     /// The reply frame the receiver closed the round with.
     pub reply: Frame,
-    /// Wire accounting for every attempt, including failed ones.
+    /// Wire accounting for every attempt, including failed ones
+    /// (`reconnects` is the attempts spent beyond the first).
     pub stats: TransportStats,
-    /// Connection attempts spent (1 = clean first try).
-    pub attempts: u32,
 }
 
 /// A sender's armed connection: replies read through a buffer, a
@@ -76,7 +75,7 @@ impl Wire {
 /// One supervised sender link, named by the worker-side `node` id. The
 /// connection outlives the exchange: the next one reuses it.
 #[derive(Debug)]
-pub struct RoundSender {
+pub(crate) struct RoundSender {
     /// The receiver's address.
     pub addr: SocketAddr,
     /// The sending node's id (also the link's name in errors).
@@ -94,7 +93,7 @@ pub struct RoundSender {
 
 impl RoundSender {
     /// An unconnected dense-wire link; the first exchange dials.
-    pub fn new(addr: SocketAddr, node: usize, link: LinkConfig, retry: RetryPolicy) -> Self {
+    pub(super) fn new(addr: SocketAddr, node: usize, link: LinkConfig, retry: RetryPolicy) -> Self {
         RoundSender { addr, node, link, retry, repr: WireRepr::DenseF64, wire: None }
     }
 
@@ -103,7 +102,7 @@ impl RoundSender {
     /// `expect`. Reconnects with capped-exponential backoff on any
     /// failure; after the retry budget the link is declared dead with
     /// [`RuntimeError::TransportFailed`].
-    pub fn send_round(
+    pub(crate) fn send_round(
         &mut self,
         iteration: u64,
         chunks: &[(usize, Chunk)],
@@ -114,7 +113,7 @@ impl RoundSender {
         let (peer, node, repr) = (self.node, self.node as u32, self.repr);
         let control = |kind, b| Frame::control(kind, node, iteration, 0, b).encode();
         let mut stats = TransportStats::default();
-        let (reply, attempts) = self.supervise(&mut stats, |wire, attempt, stats| {
+        let reply = self.supervise(&mut stats, |wire, attempt, stats| {
             let fail = |detail: String| RuntimeError::TransportFailed {
                 peer,
                 attempts: attempt + 1,
@@ -170,7 +169,7 @@ impl RoundSender {
             }
             Ok(reply)
         })?;
-        Ok(SendReport { reply, stats, attempts })
+        Ok(SendReport { reply, stats })
     }
 
     /// The one retry loop: runs `exchange` over the link's armed
@@ -178,13 +177,12 @@ impl RoundSender {
     /// until it succeeds or the budget exhausts. A failed attempt's
     /// socket is dropped cold; each reconnect is booked and waits out
     /// the virtual-time [`RetryPolicy`] curve, scaled to wall
-    /// milliseconds by the link's backoff unit. Returns the exchange's
-    /// value and the attempts spent.
+    /// milliseconds by the link's backoff unit.
     pub(super) fn supervise<T>(
         &mut self,
         stats: &mut TransportStats,
         mut exchange: impl FnMut(&mut Wire, u32, &mut TransportStats) -> Result<T, RuntimeError>,
-    ) -> Result<(T, u32), RuntimeError> {
+    ) -> Result<T, RuntimeError> {
         let budget = self.retry.max_retries.saturating_add(1);
         let mut last = "never attempted".to_string();
         for attempt in 0..budget {
@@ -197,7 +195,7 @@ impl RoundSender {
             }
             let outcome = self.armed(attempt).and_then(|wire| exchange(wire, attempt, &mut *stats));
             match outcome {
-                Ok(value) => return Ok((value, attempt + 1)),
+                Ok(value) => return Ok(value),
                 Err(err) => {
                     self.wire = None;
                     last = err.to_string();
@@ -234,7 +232,7 @@ impl RoundSender {
 /// Dropping it wakes the acceptor, shuts every live connection and
 /// joins every thread.
 #[derive(Debug)]
-pub struct RoundServer {
+pub(crate) struct RoundServer {
     addr: SocketAddr,
     deliveries: Receiver<Option<Served>>,
     shared: Arc<Shared>,
@@ -261,7 +259,7 @@ struct Live {
 impl RoundServer {
     /// Binds a fresh loopback listener (ephemeral port) and starts
     /// accepting.
-    pub fn bind(link: LinkConfig) -> Result<Self, RuntimeError> {
+    pub(super) fn bind(link: LinkConfig) -> Result<Self, RuntimeError> {
         let fail = |detail: String| RuntimeError::TransportFailed { peer: 0, attempts: 0, detail };
         let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| fail(format!("bind: {e}")))?;
         let addr = listener.local_addr().map_err(|e| fail(format!("local_addr: {e}")))?;
@@ -276,12 +274,12 @@ impl RoundServer {
     }
 
     /// The address senders dial.
-    pub fn addr(&self) -> SocketAddr {
+    pub(super) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// The deadlines every served connection is armed with.
-    pub fn link(&self) -> LinkConfig {
+    pub(super) fn link(&self) -> LinkConfig {
         self.shared.link
     }
 
@@ -289,7 +287,7 @@ impl RoundServer {
     /// connection. Blocks until one arrives, `deadline` passes, or
     /// another thread calls [`RoundServer::wake`] — the last two yield
     /// `None`, and the caller decides whether to keep waiting.
-    pub fn next(&self, deadline: Option<Instant>) -> Option<Served> {
+    pub(super) fn next(&self, deadline: Option<Instant>) -> Option<Served> {
         match deadline {
             Some(at) => {
                 self.deliveries.recv_timeout(at.saturating_duration_since(Instant::now())).ok()
@@ -301,7 +299,7 @@ impl RoundServer {
 
     /// Makes one [`RoundServer::next`] return `None`: how a thread
     /// whose progress ends the caller's wait says so without a poll.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let _ = self.shared.queue.send(None);
     }
 
@@ -471,7 +469,7 @@ impl Peer {
 /// Everything one served stream delivered. Dropping it unanswered shuts
 /// its connection: the sender's retransmission is the only delivery.
 #[derive(Debug)]
-pub struct Served {
+pub(crate) struct Served {
     /// The sending node's id (from its `Hello`).
     pub node: u32,
     /// Join handshake or round stream.
@@ -483,7 +481,7 @@ pub struct Served {
 
 /// What a served stream carried.
 #[derive(Debug)]
-pub enum ServedKind {
+pub(crate) enum ServedKind {
     /// `Hello(join)`: a rejoin/catch-up handshake. Nothing else was
     /// read; the caller runs the join protocol on the connection.
     Join(Handshake),
@@ -503,14 +501,18 @@ pub enum ServedKind {
 /// The reply a served round stream is owed. Dropped without one, it
 /// shuts the connection.
 #[derive(Debug)]
-pub struct Reply {
+pub(crate) struct Reply {
     socket: Arc<TcpStream>,
     answered: bool,
 }
 
 impl Reply {
     /// Writes the reply frame, booking it into `stats`.
-    pub fn send(&mut self, frame: &Frame, stats: &mut TransportStats) -> Result<(), WireError> {
+    pub(super) fn send(
+        &mut self,
+        frame: &Frame,
+        stats: &mut TransportStats,
+    ) -> Result<(), WireError> {
         put(&self.socket, frame, stats)?;
         self.answered = true;
         Ok(())
@@ -529,25 +531,29 @@ impl Drop for Reply {
 /// [`Handshake::resume`] gives it back to serve the peer's round
 /// streams; dropping it instead shuts the connection.
 #[derive(Debug)]
-pub struct Handshake {
+pub(crate) struct Handshake {
     peer: Peer,
     server: Arc<Shared>,
 }
 
 impl Handshake {
     /// Writes one frame to the joiner, booking it into `stats`.
-    pub fn send(&mut self, frame: &Frame, stats: &mut TransportStats) -> Result<(), WireError> {
+    pub(super) fn send(
+        &mut self,
+        frame: &Frame,
+        stats: &mut TransportStats,
+    ) -> Result<(), WireError> {
         put(&self.peer.socket, frame, stats)
     }
 
     /// Reads and books the joiner's next frame.
-    pub fn take(&mut self, stats: &mut TransportStats) -> Result<Frame, WireError> {
+    pub(super) fn take(&mut self, stats: &mut TransportStats) -> Result<Frame, WireError> {
         take(&mut self.peer.reader, stats)
     }
 
     /// Hands the connection back to the server: a reader thread serves
     /// whatever the peer streams next.
-    pub fn resume(self) {
+    pub(crate) fn resume(self) {
         adopt(&self.server, self.peer);
     }
 }
@@ -599,7 +605,10 @@ mod tests {
             let mut link = RoundSender::new(addr, 3, LinkConfig::default(), RetryPolicy::default());
             let shim = WireShim::transparent();
             (0..5u64)
-                .map(|i| link.send_round(i, &[], i + 10, &shim, FrameKind::Ack).unwrap().attempts)
+                .map(|i| {
+                    let report = link.send_round(i, &[], i + 10, &shim, FrameKind::Ack).unwrap();
+                    report.stats.reconnects
+                })
                 .collect::<Vec<_>>()
         });
         let mut connections = 0;
@@ -612,7 +621,7 @@ mod tests {
             assert_eq!((served.node, iteration, records), (3, i, i + 10));
             reply.send(&ack(3, i), &mut served.stats).unwrap();
         }
-        assert_eq!(sender.join().unwrap(), [1; 5], "every exchange lands first try");
+        assert_eq!(sender.join().unwrap(), [0; 5], "every exchange lands first try");
         assert_eq!(connections, 1, "five streams, one connection");
     }
 
@@ -642,8 +651,9 @@ mod tests {
         let addr = server.addr();
         let sender = thread::spawn(move || {
             let mut link = RoundSender::new(addr, 2, LinkConfig::default(), RetryPolicy::default());
-            let (snapshot, joins) = link
-                .supervise(&mut TransportStats::default(), |wire, _, _| {
+            let mut join_stats = TransportStats::default();
+            let snapshot = link
+                .supervise(&mut join_stats, |wire, _, _| {
                     let attempt = |wire: &mut Wire| {
                         wire.send(&Frame::control(FrameKind::Hello, 2, 0, 1, 0))?;
                         let snapshot = Frame::read_from(&mut wire.reader)?;
@@ -659,7 +669,7 @@ mod tests {
                 .unwrap();
             let round =
                 link.send_round(7, &[], 3, &WireShim::transparent(), FrameKind::Ack).unwrap();
-            (snapshot, joins, round.attempts, round.stats.reconnects)
+            (snapshot, join_stats.reconnects, round.stats.reconnects)
         });
         let mut joined = server.next(None).expect("the join");
         let ServedKind::Join(mut link) = joined.kind else {
@@ -675,7 +685,7 @@ mod tests {
         reply.send(&ack(2, 7), &mut round.stats).unwrap();
         assert_eq!((round.node, iteration, records), (2, 7, 3));
         assert_eq!((joined.stats.connections, round.stats.connections), (1, 0));
-        assert_eq!(sender.join().unwrap(), (FrameKind::Snapshot, 1, 1, 0));
+        assert_eq!(sender.join().unwrap(), (FrameKind::Snapshot, 0, 0));
     }
 
     #[test]

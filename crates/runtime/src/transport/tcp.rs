@@ -54,7 +54,7 @@ impl TcpTransport {
     }
 
     /// The listener's address (loopback, ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.server.addr()
     }
 }

@@ -29,7 +29,7 @@ use crate::layout::CHUNK_WORDS;
 use crate::node::Chunk;
 
 /// Frame magic: `"COSM"` as a big-endian u32.
-pub const MAGIC: u32 = 0x434F_534D;
+pub(crate) const MAGIC: u32 = 0x434F_534D;
 
 /// Header bytes before the payload: magic(4) kind(1) node(4)
 /// iteration(8) a(8) b(8) len(4).
@@ -40,7 +40,7 @@ pub const CHECKSUM_BYTES: usize = 8;
 
 /// Ceiling on a frame's payload length in words (64 MiB of f64s) —
 /// rejects garbage lengths before any allocation.
-pub const MAX_PAYLOAD_WORDS: u32 = 1 << 23;
+pub(crate) const MAX_PAYLOAD_WORDS: u32 = 1 << 23;
 
 /// What a frame means to the peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +107,7 @@ pub struct Frame {
     /// Second kind-specific operand (chunk checksum, record count, …).
     pub b: u64,
     /// f64 payload (chunk data, model words); empty for control frames.
-    /// A shared [`WordBuf`] view: wrapping a chunk or unwrapping a
+    /// A shared `WordBuf` view: wrapping a chunk or unwrapping a
     /// received frame is a refcount bump, never a word copy.
     pub payload: WordBuf,
 }
@@ -143,7 +143,7 @@ impl Frame {
     /// [`Frame::to_chunk`], consuming the frame: the payload moves into
     /// the chunk outright, so a received frame's single allocation is
     /// handed to the Sigma with no refcount traffic at all.
-    pub fn into_chunk(self) -> Chunk {
+    pub(crate) fn into_chunk(self) -> Chunk {
         Chunk { offset: self.a as usize, data: self.payload, checksum: self.b }
     }
 
@@ -152,7 +152,7 @@ impl Frame {
     /// then the codec bytes of [`WireRepr::encode_wire`] packed eight
     /// to a word. For [`WireRepr::DenseF64`] prefer [`Frame::chunk`] —
     /// it is the same information without the packing detour.
-    pub fn encoded_chunk(node: u32, iteration: u64, repr: WireRepr, chunk: &Chunk) -> Self {
+    pub(crate) fn encoded_chunk(node: u32, iteration: u64, repr: WireRepr, chunk: &Chunk) -> Self {
         let enc = repr.encode_wire(&chunk.data);
         let mut words = Vec::with_capacity(1 + enc.bytes.len().div_ceil(8));
         words.push(f64::from_bits(chunk.checksum));
@@ -266,7 +266,7 @@ impl Frame {
     }
 
     /// Writes the encoded frame to a byte stream.
-    pub fn write_to(&self, writer: &mut impl Write) -> Result<(), WireError> {
+    pub(crate) fn write_to(&self, writer: &mut impl Write) -> Result<(), WireError> {
         writer.write_all(&self.encode()).map_err(WireError::from_io)
     }
 }
@@ -355,7 +355,7 @@ pub enum WireError {
         /// The unknown kind byte.
         found: u8,
     },
-    /// The advertised payload length exceeds [`MAX_PAYLOAD_WORDS`], or
+    /// The advertised payload length exceeds `MAX_PAYLOAD_WORDS`, or
     /// an encoded chunk declares more than [`CHUNK_WORDS`] words.
     Oversized {
         /// The advertised word count.

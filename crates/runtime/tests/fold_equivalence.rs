@@ -15,7 +15,8 @@ use crossbeam::channel::{self, Receiver};
 use proptest::prelude::*;
 
 use cosmic_runtime::fold::{fold_parts, fold_parts_reference};
-use cosmic_runtime::node::{chunk_vector, Chunk, SigmaAggregator, CHUNK_WORDS};
+use cosmic_runtime::node::{chunk_vector, Chunk, SigmaAggregator};
+use cosmic_runtime::CHUNK_WORDS;
 
 /// A finite f64 of erratic magnitude from raw entropy: mantissa in
 /// ±1000, exponent in 2^-20..2^20, never NaN or infinite.

@@ -1,12 +1,8 @@
-//! Refactor-parity suite for the phase-based engine: the engine's
-//! behavior must not depend on who is watching. A run under the no-op
-//! [`NullObserver`] (`train`) is bit-identical to the same run under
-//! the recording `TraceObserver` (`train_traced`), across random
-//! cluster shapes, seeds, fault plans, and both membership modes.
-//!
-//! (The deprecated `iteration_*` wrapper-parity suite that used to live
-//! here left with the wrappers themselves; the [`IterationModel`]
-//! builder is the only timing entry point now.)
+//! Parity suite for the phase-based engine: the engine's behavior must
+//! not depend on who is watching. `train` (the crate-private engine
+//! under its no-op observer) is bit-identical to `train_traced` (the
+//! same engine under its recording observer), across random cluster
+//! shapes, seeds, fault plans, and both membership modes.
 
 use cosmic_ml::{data, Aggregation, Algorithm};
 use cosmic_runtime::{

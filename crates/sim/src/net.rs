@@ -14,15 +14,14 @@ use crate::SimTime;
 /// Maps a collective link level to its wire-byte counter. One shared
 /// table so fan-in, fan-out, and the collective executor book bytes
 /// under the same names: 0 = peer links, 1 = group members → Sigma,
-/// 2 = group Sigmas → master, 3 = model redistribution, 4 = in-network
-/// fabric (anything else lands in `net.bytes.other`).
+/// 2 = group Sigmas → master, 3 = model redistribution (anything else
+/// lands in `net.bytes.other`).
 pub fn level_counter(level: usize) -> &'static str {
     match level {
         0 => counters::NET_BYTES_PEER,
         1 => counters::NET_BYTES_LEVEL1,
         2 => counters::NET_BYTES_LEVEL2,
         3 => counters::NET_BYTES_BROADCAST,
-        4 => counters::NET_BYTES_FABRIC,
         _ => "net.bytes.other",
     }
 }
@@ -126,7 +125,6 @@ mod tests {
         assert_eq!(level_counter(1), counters::NET_BYTES_LEVEL1);
         assert_eq!(level_counter(2), counters::NET_BYTES_LEVEL2);
         assert_eq!(level_counter(3), counters::NET_BYTES_BROADCAST);
-        assert_eq!(level_counter(4), counters::NET_BYTES_FABRIC);
         assert_eq!(level_counter(9), "net.bytes.other");
     }
 }

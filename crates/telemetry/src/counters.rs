@@ -10,9 +10,6 @@ pub const NET_BYTES_LEVEL1: &str = "net.bytes.level1";
 pub const NET_BYTES_LEVEL2: &str = "net.bytes.level2";
 /// Bytes sent redistributing the updated model.
 pub const NET_BYTES_BROADCAST: &str = "net.bytes.broadcast";
-/// Bytes exchanged with the in-network aggregation fabric (collective
-/// level 4, SwitchML-style strategies only).
-pub const NET_BYTES_FABRIC: &str = "net.bytes.fabric";
 /// Bytes moved over PCIe (partial readback + model write).
 pub const PCIE_BYTES: &str = "pcie.bytes";
 

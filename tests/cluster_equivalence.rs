@@ -5,7 +5,8 @@
 
 use cosmic::cosmic_ml::sgd::{train_parallel, TrainConfig};
 use cosmic::cosmic_ml::{data, Aggregation, Algorithm};
-use cosmic::cosmic_runtime::node::{chunk_vector, Chunk, SigmaAggregator, CHUNK_WORDS};
+use cosmic::cosmic_runtime::node::{chunk_vector, Chunk, SigmaAggregator};
+use cosmic::cosmic_runtime::CHUNK_WORDS;
 use cosmic::cosmic_runtime::{ClusterConfig, ClusterTrainer};
 use crossbeam::channel::{unbounded, Receiver};
 
@@ -114,7 +115,7 @@ fn ragged_shards_still_converge() {
 /// Role assignment scales: every topology the figures use is valid.
 #[test]
 fn topologies_used_by_the_evaluation_are_valid() {
-    use cosmic::cosmic_runtime::role::{assign_roles, default_groups};
+    use cosmic::cosmic_runtime::collectives::{assign_roles, default_groups};
     for nodes in [1usize, 2, 3, 4, 8, 16, 32] {
         let groups = default_groups(nodes);
         let topo = assign_roles(nodes, groups).expect("valid topology");

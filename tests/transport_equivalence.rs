@@ -102,10 +102,10 @@ fn faulty_plans_are_adjudicated_identically() {
 /// closed-form numbers below would move.
 #[test]
 fn tcp_round_conserves_exact_frame_and_byte_counts() {
-    use cosmic::cosmic_runtime::node::{SigmaAggregator, CHUNK_WORDS};
     use cosmic::cosmic_runtime::transport::wire::{CHECKSUM_BYTES, HEADER_BYTES};
     use cosmic::cosmic_runtime::transport::{RoundCtx, TcpTransport, Transport};
     use cosmic::cosmic_runtime::{LinkConfig, RetryPolicy};
+    use cosmic::cosmic_runtime::{SigmaAggregator, CHUNK_WORDS};
 
     const SENDERS: usize = 4;
     const WORDS: usize = 2 * CHUNK_WORDS + 17; // three chunks, ragged tail
