@@ -1,12 +1,39 @@
-//! The stack's one checksum: streaming 64-bit FNV-1a.
+//! The stack's two checksum routines, and which bytes get which.
 //!
-//! Chunks, wire frames, model checkpoints, the director journal, and the
-//! schedule-cache fingerprint all hash through this type, so the
-//! constants and the byte step exist once. It lives here because this is
-//! the lowest crate both `cosmic-runtime` and `cosmic-director` depend
-//! on. Cheap, deterministic across platforms, and sensitive to any
-//! single-bit flip — all a seeded simulator needs from a checksum (it is
-//! not a defence against crafted collisions).
+//! - [`Fnv1a`] — streaming, byte-serial 64-bit FNV-1a — hashes the
+//!   *small* formats: model checkpoints, the director journal and
+//!   checkpoints, the schedule-cache fingerprint, a chunk's offset and
+//!   a wire frame's 37 header bytes. Their bytes are pinned by goldens,
+//!   and at one multiply per byte (~1 GiB/s) nobody waits on them.
+//! - [`payload_digest`] — a bulk, word-wide digest — covers the *large*
+//!   thing, a chunk's or frame's f64 payload, at memory speed: four
+//!   independent xor-multiply lanes instead of one eight-multiplies-
+//!   per-word dependency chain. A chunk checksum is
+//!   `Fnv1a(offset) ‖ digest`, a frame trailer `Fnv1a(header) ‖ digest`,
+//!   where `‖` is [`Fnv1a::write_digest`].
+//!
+//! Both live here because this is the lowest crate `cosmic-runtime` and
+//! `cosmic-director` share. Neither is a defence against crafted
+//! collisions; what the fault model needs, and both give, is:
+//!
+//! **Any change confined to one payload word, one prefix byte, or the
+//! stored sum itself is detected with certainty.** Every step is
+//! `state' = (state ^ input) * PRIME` with `PRIME` odd, so it is a
+//! bijection of the state for a fixed input and of the input for a
+//! fixed state. (1) Change one payload word: its lane leaves that step
+//! changed, and every later step of that lane — same inputs — keeps it
+//! changed; the other lanes and the word count do not move, so the
+//! combine, a chain of the same steps over `count, lane 0..3`, ends
+//! changed: the digest differs. (2) A different digest entering
+//! `write_digest` on the same prefix state yields a different sum.
+//! (3) Change one prefix byte: the byte-serial state differs from that
+//! byte on, and `write_digest` of the same digest keeps it different.
+//! This is why the digest is seed-free and enters as **one** word-wide
+//! step: the eight byte steps of [`Fnv1a::write_u64`] carry no such
+//! guarantee for a word that changes in several bytes at once (a 16-bit
+//! model of them — two byte steps, prime `0x1b3` — maps 2¹⁶ words onto
+//! 83 % of its states). Changes that span several words are caught with
+//! the usual ~2⁻⁶⁴ odds, not with certainty.
 
 /// A running FNV-1a hash: start from [`Fnv1a::default`], feed it with
 /// [`Fnv1a::write_bytes`] / [`Fnv1a::write_u64`], read it with
@@ -18,9 +45,15 @@ impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
+    /// The one step everything here is made of.
+    #[inline]
+    const fn step(state: u64, input: u64) -> u64 {
+        (state ^ input).wrapping_mul(Self::PRIME)
+    }
+
     #[inline]
     fn write_byte(&mut self, byte: u8) {
-        self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+        self.0 = Self::step(self.0, u64::from(byte));
     }
 
     /// Folds `bytes` into the hash, in order.
@@ -42,6 +75,13 @@ impl Fnv1a {
         }
     }
 
+    /// Folds a [`payload_digest`] in as one word-wide step, so that a
+    /// changed digest always changes the hash (see the module doc).
+    #[inline]
+    pub fn write_digest(&mut self, digest: u64) {
+        self.0 = Self::step(self.0, digest);
+    }
+
     /// The hash of everything written so far.
     #[inline]
     pub const fn finish(self) -> u64 {
@@ -54,5 +94,169 @@ impl Default for Fnv1a {
     #[inline]
     fn default() -> Self {
         Fnv1a(Self::OFFSET)
+    }
+}
+
+/// Lanes in [`payload_digest`]: enough independent multiply chains to
+/// hide the multiplier's latency.
+const LANES: usize = 4;
+
+/// Steps `word` into `lane`. The word's high half is first xored onto
+/// its low half (an involution, so still a bijection of the word): a
+/// bare multiply only carries upwards, which would leave an f64's sign
+/// bit touching bit 63 of the state alone — and two sign flips anywhere
+/// in a payload cancelling exactly.
+#[inline]
+fn lane_step(lane: &mut u64, word: f64) {
+    let bits = word.to_bits();
+    *lane = Fnv1a::step(*lane, bits ^ (bits >> 32));
+}
+
+/// The bulk digest of a payload: word *i* steps into lane *i* mod 4,
+/// then the word count and the four lanes step, in that order, into one
+/// hash. Seed-free; fold it under a prefix with [`Fnv1a::write_digest`].
+/// Deterministic across platforms (wrapping integer arithmetic on the
+/// words' bit patterns), and certain to change when one word does — the
+/// module doc has the argument.
+pub fn payload_digest(words: &[f64]) -> u64 {
+    let mut lanes = [Fnv1a::OFFSET; LANES];
+    let mut quads = words.chunks_exact(LANES);
+    for quad in &mut quads {
+        for (lane, &word) in lanes.iter_mut().zip(quad) {
+            lane_step(lane, word);
+        }
+    }
+    for (lane, &word) in lanes.iter_mut().zip(quads.remainder()) {
+        lane_step(lane, word);
+    }
+    let count = Fnv1a::step(Fnv1a::OFFSET, words.len() as u64);
+    lanes.into_iter().fold(count, Fnv1a::step)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Stripe length of the runtime's chunks (`cosmic_runtime::CHUNK_WORDS`
+    /// — the runtime depends on this crate, not the other way round).
+    const CHUNK_WORDS: usize = 4096;
+
+    /// `payload_digest` one word at a time, lane picked by index.
+    fn reference(words: &[f64]) -> u64 {
+        let mut lanes = [Fnv1a::OFFSET; LANES];
+        for (i, &word) in words.iter().enumerate() {
+            lane_step(&mut lanes[i % LANES], word);
+        }
+        let mut hash = Fnv1a::default();
+        hash.write_digest(words.len() as u64);
+        for lane in lanes {
+            hash.write_digest(lane);
+        }
+        hash.finish()
+    }
+
+    /// A seeded payload with every bit position exercised.
+    fn pattern(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state =
+                    state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e_f767_814f);
+                f64::from_bits(state ^ (state >> 29))
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The unrolled routine is the per-word reference, ragged
+        /// lanes (lengths not a multiple of four) included.
+        #[test]
+        fn digest_equals_the_word_at_a_time_reference(
+            len in 0usize..4 * CHUNK_WORDS + 4,
+            seed in any::<u64>(),
+        ) {
+            let words = pattern(len, seed);
+            prop_assert_eq!(payload_digest(&words), reference(&words));
+        }
+    }
+
+    #[test]
+    fn short_payloads_match_the_reference_at_every_length() {
+        let words = pattern(4 * LANES + 3, 7);
+        for len in 0..=words.len() {
+            assert_eq!(payload_digest(&words[..len]), reference(&words[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn substituting_any_one_word_changes_the_digest() {
+        let mut words = pattern(CHUNK_WORDS + 17, 11);
+        let sealed = payload_digest(&words);
+        // Substitutions a multiply-only mix is weakest against: the
+        // sign bit, the lowest bit, a zeroed word, and all bits.
+        let edits: [fn(u64) -> u64; 4] = [|b| b ^ (1 << 63), |b| b ^ 1, |_| 0, |b| !b];
+        for at in 0..words.len() {
+            let original = words[at];
+            for edit in edits {
+                let bent = edit(original.to_bits());
+                if bent == original.to_bits() {
+                    continue;
+                }
+                words[at] = f64::from_bits(bent);
+                assert_ne!(payload_digest(&words), sealed, "word {at} -> {bent:#x} undetected");
+            }
+            words[at] = original;
+        }
+        assert_eq!(payload_digest(&words), sealed);
+    }
+
+    #[test]
+    fn sign_flips_do_not_cancel() {
+        // Two sign flips, same lane and across lanes: the upward-only
+        // carry of a bare word multiply would cancel both exactly.
+        let words = pattern(64, 3);
+        let sealed = payload_digest(&words);
+        for (a, b) in [(0, 4), (0, 1), (5, 61), (62, 63)] {
+            let mut bent = words.clone();
+            for at in [a, b] {
+                bent[at] = -bent[at];
+            }
+            assert_ne!(payload_digest(&bent), sealed, "sign flips at {a} and {b} cancelled");
+        }
+    }
+
+    #[test]
+    fn length_extension_by_a_zero_word_changes_the_digest() {
+        for len in [0, 1, 3, 4, 5, CHUNK_WORDS, CHUNK_WORDS + 17] {
+            let mut words = pattern(len, 5);
+            let sealed = payload_digest(&words);
+            words.push(0.0);
+            assert_ne!(payload_digest(&words), sealed, "len {len}");
+        }
+        assert_ne!(payload_digest(&[]), payload_digest(&[0.0]));
+    }
+
+    #[test]
+    fn a_changed_digest_or_prefix_byte_always_changes_the_sealed_sum() {
+        let seal = |prefix: &[u8], digest: u64| {
+            let mut hash = Fnv1a::default();
+            hash.write_bytes(prefix);
+            hash.write_digest(digest);
+            hash.finish()
+        };
+        let prefix = *b"thirty-seven header bytes, or so.....";
+        let digest = payload_digest(&pattern(5, 1));
+        let sealed = seal(&prefix, digest);
+        for bit in 0..64 {
+            assert_ne!(seal(&prefix, digest ^ (1 << bit)), sealed, "digest bit {bit}");
+        }
+        for byte in 0..prefix.len() {
+            for bit in 0..8 {
+                let mut bent = prefix;
+                bent[byte] ^= 1 << bit;
+                assert_ne!(seal(&bent, digest), sealed, "prefix byte {byte} bit {bit}");
+            }
+        }
     }
 }

@@ -13,8 +13,10 @@
 //!   (dense f64, shared-exponent fixed point, top-k sparsification)
 //!   every layer of the payload path prices and books by, with exact
 //!   encoded-size accounting and a scaling-factor side channel;
-//! - `hash` — [`Fnv1a`]: the one checksum every chunk, frame,
-//!   checkpoint, journal record, and cache key in the stack hashes with;
+//! - `hash` — the stack's two checksum routines: byte-serial [`Fnv1a`]
+//!   for the small golden-pinned formats (checkpoints, journal records,
+//!   cache keys, chunk and frame headers) and the word-lane
+//!   [`payload_digest`] under every chunk and frame payload;
 //! - `schedule` — [`CommSchedule`]: a deterministic, ordered list of
 //!   send/reduce/share steps with word ranges and link levels, plus a
 //!   symbolic executor that *proves* a schedule moves every contribution
@@ -58,7 +60,7 @@ pub mod topology;
 
 pub use cache::{topology_fingerprint, BoundedScheduleCache, CacheStats};
 pub use codec::WireRepr;
-pub use hash::Fnv1a;
+pub use hash::{payload_digest, Fnv1a};
 pub use schedule::{CommSchedule, ScheduleError, StepKind};
 pub use selector::{CollectiveSelector, CostModel, RoundCost};
 pub use strategy::{Collective, CollectiveKind, FlatStar};

@@ -31,8 +31,8 @@ use cosmic_collectives::Fnv1a;
 
 use crate::error::DirectorError;
 
-/// FNV-1a over a byte slice — the same checksum family the runtime
-/// uses for chunks, frames, and checkpoints.
+/// FNV-1a over a byte slice — the same [`Fnv1a`] the runtime seals
+/// model checkpoints and chunk and frame headers with.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = Fnv1a::default();
     hash.write_bytes(bytes);

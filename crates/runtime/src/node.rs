@@ -17,7 +17,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use cosmic_collectives::Fnv1a;
+use cosmic_collectives::{payload_digest, Fnv1a};
 use crossbeam::channel::Receiver;
 use crossbeam::sync::WaitGroup;
 use parking_lot::Mutex;
@@ -46,7 +46,7 @@ pub struct Chunk {
     pub offset: usize,
     /// The values (at most [`CHUNK_WORDS`] of them).
     pub data: WordBuf,
-    /// FNV-1a checksum over the offset and payload bits, computed at
+    /// [`Chunk::checksum_of`] the offset and payload bits, computed at
     /// send time and verified by the receiving Sigma.
     pub checksum: u64,
 }
@@ -60,14 +60,13 @@ impl Chunk {
     }
 
     /// The checksum a well-formed chunk at `offset` carrying `data`
-    /// must bear (FNV-1a over the offset and the payload's bit
-    /// patterns — cheap, deterministic, and sensitive to any flip).
+    /// must bear: FNV-1a over the offset, then the payload's
+    /// [`payload_digest`] — memory-speed, deterministic, and certain to
+    /// change when one payload word does.
     pub fn checksum_of(offset: usize, data: &[f64]) -> u64 {
         let mut hash = Fnv1a::default();
         hash.write_u64(offset as u64);
-        for v in data {
-            hash.write_u64(v.to_bits());
-        }
+        hash.write_digest(payload_digest(data));
         hash.finish()
     }
 

@@ -2,8 +2,10 @@
 //! backend speaks.
 //!
 //! A frame is a fixed 37-byte header, a payload of little-endian f64
-//! bit patterns, and a trailing FNV-1a checksum over everything before
-//! it:
+//! bit patterns, and a trailing checksum over both — byte-serial FNV-1a
+//! over the header, then the payload's word-lane `payload_digest`
+//! (`cosmic_collectives`' `hash` module has the scheme and why any
+//! one-byte or one-word change is certain to be caught):
 //!
 //! ```text
 //! magic:u32 | kind:u8 | node:u32 | iteration:u64 | a:u64 | b:u64 |
@@ -22,7 +24,7 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use cosmic_collectives::codec::{declared_words, decode_tagged, WireRepr};
-use cosmic_collectives::Fnv1a;
+use cosmic_collectives::{payload_digest, Fnv1a};
 
 use crate::buffer::WordBuf;
 use crate::layout::CHUNK_WORDS;
@@ -39,7 +41,8 @@ pub const HEADER_BYTES: usize = 37;
 pub const CHECKSUM_BYTES: usize = 8;
 
 /// Ceiling on a frame's payload length in words (64 MiB of f64s) —
-/// rejects garbage lengths before any allocation.
+/// rejects garbage lengths before any allocation. A
+/// [`FrameKind::Chunk`] frame is held to [`CHUNK_WORDS`] instead.
 pub(crate) const MAX_PAYLOAD_WORDS: u32 = 1 << 23;
 
 /// What a frame means to the peer.
@@ -49,8 +52,8 @@ pub enum FrameKind {
     /// Opens a connection: `a` is 1 for a rejoin/catch-up handshake,
     /// 0 for a normal round stream.
     Hello = 1,
-    /// One model chunk: `a` is the word offset, `b` the chunk's own
-    /// FNV-1a checksum (carried verbatim).
+    /// One model chunk of at most [`CHUNK_WORDS`] words: `a` is the
+    /// word offset, `b` the chunk's own checksum (carried verbatim).
     Chunk = 2,
     /// Liveness beacon feeding the φ-accrual detector.
     Heartbeat = 3,
@@ -70,7 +73,7 @@ pub enum FrameKind {
     /// One model chunk travelling in an encoded wire representation:
     /// `a` is the word offset, `b` packs the codec tag (bits 32..40)
     /// above the encoded byte length (bits 0..32). Payload word 0 is
-    /// the staged chunk's own FNV-1a checksum — verbatim, so
+    /// the staged chunk's own checksum — verbatim, so
     /// Sigma-level validation survives re-encoding — followed by the
     /// codec bytes packed eight to a word.
     Encoded = 9,
@@ -221,10 +224,11 @@ impl Frame {
         buf.extend_from_slice(&self.a.to_le_bytes());
         buf.extend_from_slice(&self.b.to_le_bytes());
         buf.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        let sum = checksum(&buf, &self.payload); // `buf` is the header so far
         for word in self.payload.iter() {
             buf.extend_from_slice(&word.to_bits().to_le_bytes());
         }
-        buf.extend_from_slice(&fnv1a(&buf).to_le_bytes());
+        buf.extend_from_slice(&sum.to_le_bytes());
         buf
     }
 
@@ -246,8 +250,7 @@ impl Frame {
             });
         }
         let (body, sum) = rest.split_at(body_bytes);
-        verify_checksum(header, body, sum)?;
-        assemble(header, body)
+        assemble(header, body, sum)
     }
 
     /// Reads one frame off a byte stream (header first, then exactly
@@ -261,8 +264,7 @@ impl Frame {
         let mut rest = vec![0u8; 8 * words as usize + CHECKSUM_BYTES];
         reader.read_exact(&mut rest).map_err(WireError::from_io)?;
         let (body, sum) = rest.split_at(8 * words as usize);
-        verify_checksum(&header, body, sum)?;
-        assemble(&header, body)
+        assemble(&header, body, sum)
     }
 
     /// Writes the encoded frame to a byte stream.
@@ -271,38 +273,43 @@ impl Frame {
     }
 }
 
-/// Validates magic and payload length, returning the word count.
+/// Validates magic and payload length — a chunk frame's against the
+/// stripe, any other kind's against [`MAX_PAYLOAD_WORDS`] — returning
+/// the word count, so a reader sizes its buffer from a checked number.
 fn parse_header_len(header: &[u8]) -> Result<u32, WireError> {
     let magic = u32::from_le_bytes(slice4(header, 0));
     if magic != MAGIC {
         return Err(WireError::BadMagic { found: magic });
     }
     let words = u32::from_le_bytes(slice4(header, 33));
-    if words > MAX_PAYLOAD_WORDS {
+    let cap =
+        if header[4] == FrameKind::Chunk as u8 { CHUNK_WORDS as u32 } else { MAX_PAYLOAD_WORDS };
+    if words > cap {
         return Err(WireError::Oversized { words });
     }
     Ok(words)
 }
 
-/// Compares the trailing checksum against the frame bytes, hashing
-/// header then body in place (the digest of their concatenation).
-fn verify_checksum(header: &[u8], body: &[u8], sum: &[u8]) -> Result<(), WireError> {
+/// A frame's trailing checksum: FNV-1a over the header bytes, then the
+/// payload's digest.
+fn checksum(header: &[u8], payload: &[f64]) -> u64 {
     let mut hash = Fnv1a::default();
     hash.write_bytes(header);
-    hash.write_bytes(body);
-    let expected = hash.finish();
+    hash.write_digest(payload_digest(payload));
+    hash.finish()
+}
+
+/// Builds the frame from a length-checked header and payload body,
+/// once the trailing checksum `sum` matches them.
+fn assemble(header: &[u8], body: &[u8], sum: &[u8]) -> Result<Frame, WireError> {
+    let payload: WordBuf =
+        body.chunks_exact(8).map(|w| f64::from_bits(u64::from_le_bytes(slice8(w, 0)))).collect();
+    let expected = checksum(header, &payload);
     let found = u64::from_le_bytes(slice8(sum, 0));
     if expected != found {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
-    Ok(())
-}
-
-/// Builds the frame from a validated header and payload body.
-fn assemble(header: &[u8], body: &[u8]) -> Result<Frame, WireError> {
     let kind = FrameKind::from_u8(header[4])?;
-    let payload =
-        body.chunks_exact(8).map(|w| f64::from_bits(u64::from_le_bytes(slice8(w, 0)))).collect();
     Ok(Frame {
         kind,
         node: u32::from_le_bytes(slice4(header, 5)),
@@ -323,15 +330,6 @@ fn slice8(buf: &[u8], at: usize) -> [u8; 8] {
     let mut out = [0u8; 8];
     out.copy_from_slice(&buf[at..at + 8]);
     out
-}
-
-/// FNV-1a over raw bytes — the same [`Fnv1a`] the chunk and model
-/// checksums stream through, so the whole stack shares one hash
-/// discipline.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a::default();
-    hash.write_bytes(bytes);
-    hash.finish()
 }
 
 /// A typed wire-decoding failure. Malformed input is a value, never a
@@ -356,7 +354,8 @@ pub enum WireError {
         found: u8,
     },
     /// The advertised payload length exceeds `MAX_PAYLOAD_WORDS`, or
-    /// an encoded chunk declares more than [`CHUNK_WORDS`] words.
+    /// a chunk frame advertises — or an encoded chunk declares — more
+    /// than [`CHUNK_WORDS`] words.
     Oversized {
         /// The advertised word count.
         words: u32,
@@ -553,11 +552,18 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_caught() {
-        let buf = sample().encode();
-        for byte in 0..buf.len() {
+        // Five words: one full round of the digest's four lanes plus a
+        // ragged one. Header, payload and trailer, every bit of every
+        // byte, through both decoders: a typed error, never a frame.
+        let buf =
+            Frame::chunk(3, 7, &Chunk::new(4096, vec![1.5, -2.25, 0.0, 1e300, -0.0])).encode();
+        assert_eq!(buf.len(), HEADER_BYTES + 5 * 8 + CHECKSUM_BYTES);
+        for bit in 0..8 * buf.len() {
             let mut bent = buf.clone();
-            bent[byte] ^= 0x01;
-            assert!(Frame::decode(&bent).is_err(), "flip at byte {byte} went undetected");
+            bent[bit / 8] ^= 1 << (bit % 8);
+            let err = Frame::decode(&bent).expect_err("a flipped bit went undetected");
+            assert!(!err.is_io(), "bit {bit}: buffer decode gave {err}");
+            assert!(Frame::read_from(&mut std::io::Cursor::new(bent)).is_err(), "bit {bit}");
         }
     }
 

@@ -126,8 +126,9 @@ proptest! {
     }
 
     /// Flipping any single bit anywhere in the frame is detected:
-    /// decode returns a typed error. With a trailing FNV-1a checksum
-    /// over header and payload there is no bit whose flip survives.
+    /// decode returns a typed error. A flip stays inside one header
+    /// byte, one payload word or the trailer, and the checksum is
+    /// certain to catch each of those: no bit's flip survives.
     #[test]
     fn any_bit_flip_is_detected(
         kind in 0usize..8,
@@ -172,16 +173,28 @@ proptest! {
 #[test]
 fn oversized_length_is_rejected() {
     let mut encoded = Frame::control(FrameKind::Heartbeat, 1, 2, 3, 4).encode();
-    // Overwrite the length field (offset 33) with a huge word count and
-    // re-seal the checksum so only the guard can reject it.
+    // Overwrite the length field (offset 33) with a huge word count:
+    // the guard answers before length or checksum are looked at.
     encoded[33..37].copy_from_slice(&u32::MAX.to_le_bytes());
-    let body_end = encoded.len() - 8;
-    let sum = cosmic_runtime::transport::wire::fnv1a(&encoded[..body_end]);
-    encoded[body_end..].copy_from_slice(&sum.to_le_bytes());
-    match Frame::decode(&encoded) {
-        Err(WireError::Oversized { words }) => assert_eq!(words, u32::MAX),
-        other => panic!("expected Oversized, got {other:?}"),
-    }
+    assert_eq!(Frame::decode(&encoded), Err(WireError::Oversized { words: u32::MAX }));
+    // The cap is the kind's: a chunk frame one word over the stripe is
+    // refused from its 37 header bytes alone — a stream reader that
+    // sized a buffer first would report the missing payload as `Io` —
+    // while a model frame of the same length is ordinary traffic.
+    let words = CHUNK_WORDS as u32 + 1;
+    let payload = vec![0u64; words as usize];
+    let model = frame(4, 1, 2, 3, 4, &payload);
+    assert_eq!(model.kind, FrameKind::Model);
+    assert!(same(&Frame::decode(&model.encode()).expect("within the large cap"), &model));
+    let chunk = Frame { kind: FrameKind::Chunk, ..model }.encode();
+    assert_eq!(Frame::decode(&chunk), Err(WireError::Oversized { words }));
+    let header_only = &chunk[..37];
+    assert_eq!(
+        Frame::read_from(&mut Cursor::new(header_only)),
+        Err(WireError::Oversized { words })
+    );
+    let full_stripe = Frame { kind: FrameKind::Chunk, ..frame(4, 1, 2, 3, 4, &payload[1..]) };
+    assert!(same(&Frame::decode(&full_stripe.encode()).expect("a full stripe fits"), &full_stripe));
     // The same guard one level in: eight codec bytes that are a top-k
     // header (count 0) declaring 2^32 - 1 words.
     let huge = encoded_frame(2, &[u64::from(u32::MAX) << 32]);

@@ -1,34 +1,47 @@
-//! Known-answer vectors for the stack's one checksum discipline
-//! (FNV-1a, 64-bit). Every on-wire and on-disk format — chunks, frames,
-//! checkpoints, the director journal, the schedule-cache key — hashes
-//! through the same function, so a drift in it would move all of them
-//! together and no round-trip test would notice. These literals would.
+//! Known-answer vectors for the stack's two checksum routines and the
+//! formats built on each. Byte-serial FNV-1a (64-bit) seals the small
+//! persisted formats — model checkpoints, the director journal, the
+//! schedule-cache key — whose literals here have never moved; the
+//! word-lane `payload_digest` sits under every chunk checksum
+//! (`Fnv1a(offset) ‖ digest`) and wire-frame trailer
+//! (`Fnv1a(header) ‖ digest`). A drift in either routine would move all
+//! of its formats together and no round-trip test would notice. These
+//! literals would.
 
 use cosmic::cosmic_director::journal::{self, Decision, Journal, Record};
 use cosmic::cosmic_runtime::checkpoint::model_checksum;
-use cosmic::cosmic_runtime::collectives::topology_fingerprint;
-use cosmic::cosmic_runtime::transport::wire::{self, Frame};
-use cosmic::cosmic_runtime::{assign_roles, Chunk};
+use cosmic::cosmic_runtime::collectives::{payload_digest, topology_fingerprint};
+use cosmic::cosmic_runtime::transport::wire::Frame;
+use cosmic::cosmic_runtime::{assign_roles, Chunk, CHUNK_WORDS};
 
 fn trailing_u64(bytes: &[u8]) -> u64 {
     let tail: [u8; 8] = bytes[bytes.len() - 8..].try_into().expect("at least 8 bytes");
     u64::from_le_bytes(tail)
 }
 
+/// SplitMix64 from state 2017, raw bit patterns: NaNs, subnormals and
+/// both zero signs included.
+fn seeded_pattern(len: usize) -> Vec<f64> {
+    let mut state = 2017u64;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            f64::from_bits(z ^ (z >> 31))
+        })
+        .collect()
+}
+
 #[test]
 fn checksums_match_their_pinned_vectors() {
-    for fnv1a in [wire::fnv1a, journal::fnv1a] {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325, "the FNV-1a offset basis");
-        assert_eq!(fnv1a(b"cosmic"), 0xbcce_f5d0_012c_7f27);
-    }
-    assert_eq!(Chunk::checksum_of(512, &[1.0, -0.0, f64::NAN]), 0xae2a_4e87_9fd0_08f7);
+    // Byte-serial FNV-1a and the formats it seals.
+    assert_eq!(journal::fnv1a(b""), 0xcbf2_9ce4_8422_2325, "the FNV-1a offset basis");
+    assert_eq!(journal::fnv1a(b"cosmic"), 0xbcce_f5d0_012c_7f27);
     assert_eq!(model_checksum(&[0.5; 3]), 0x5182_e8e8_149f_bac8);
     let topology = assign_roles(8, 2).expect("valid topology");
     assert_eq!(topology_fingerprint(&topology), 0x4971_2005_7ef4_5ce3);
-
-    let frame = Frame::chunk(3, 7, &Chunk::new(512, vec![1.0, -0.0, f64::NAN]));
-    assert_eq!(trailing_u64(&frame.encode()), 0x99a0_18d8_cbc6_1ca5);
-
     let mut journal = Journal::new();
     journal.append(&Record {
         event: 5,
@@ -36,4 +49,16 @@ fn checksums_match_their_pinned_vectors() {
         decision: Decision::Admit { job: 9, grant: vec![1, 2, 3] },
     });
     assert_eq!(trailing_u64(journal.bytes()), 0x5fba_b682_508a_01e0);
+
+    // The payload digest: empty, one word, one round of lanes plus a
+    // ragged word, and a full stripe.
+    assert_eq!(payload_digest(&[]), 0xec45_a3fb_e05f_bbdb);
+    assert_eq!(payload_digest(&[1.0]), 0x47f9_eb96_908f_7862);
+    assert_eq!(payload_digest(&[1.0, -0.0, f64::NAN, 0.5, -2.25]), 0xaea7_140f_f863_550e);
+    assert_eq!(payload_digest(&seeded_pattern(CHUNK_WORDS)), 0xf5f3_f96b_ef76_a921);
+
+    // ... and the two formats sealed with it.
+    assert_eq!(Chunk::checksum_of(512, &[1.0, -0.0, f64::NAN]), 0xd074_d1c2_8c94_19fd);
+    let frame = Frame::chunk(3, 7, &Chunk::new(512, vec![1.0, -0.0, f64::NAN]));
+    assert_eq!(trailing_u64(&frame.encode()), 0xf72e_6664_29c4_dc6b);
 }

@@ -7,6 +7,7 @@
 //! cross-check CI pins to a fixed seed.
 
 use cosmic::cosmic_ml::{data, Aggregation, Algorithm};
+use cosmic::cosmic_runtime::transport::{RoundDelivery, Transport};
 use cosmic::cosmic_runtime::{
     counters, ClusterConfig, ClusterTrainer, FaultPlan, FaultRates, MembershipMode, TraceSink,
     TrainOutcome, TransportKind,
@@ -94,6 +95,37 @@ fn faulty_plans_are_adjudicated_identically() {
     assert_eq!(sim, tcp, "fault adjudication must not depend on the wire");
 }
 
+/// Seeded partials for `senders` peers.
+fn partials(senders: usize, words: usize) -> Vec<Vec<f64>> {
+    (0..senders)
+        .map(|s| (0..words).map(|i| ((i * 31 + s * 7) % 997) as f64 / 997.0).collect())
+        .collect()
+}
+
+/// One round of `parts_data` (peer *i* sends partial *i*) driven
+/// straight through a transport, iteration 0, under `plan`.
+fn direct_round(
+    transport: &dyn Transport,
+    plan: &FaultPlan,
+    parts_data: &[Vec<f64>],
+) -> RoundDelivery {
+    use cosmic::cosmic_runtime::transport::RoundCtx;
+    use cosmic::cosmic_runtime::{RetryPolicy, SigmaAggregator};
+
+    let parts: Vec<Option<&[f64]>> = parts_data.iter().map(|p| Some(p.as_slice())).collect();
+    let senders: Vec<usize> = (0..parts_data.len()).collect();
+    let retry = RetryPolicy::default();
+    let ctx = RoundCtx {
+        iteration: 0,
+        model_len: parts_data[0].len(),
+        plan,
+        retry: &retry,
+        senders: &senders,
+        repr: Default::default(),
+    };
+    transport.round(&ctx, &SigmaAggregator::new(2, 2), &parts).expect("the round survives")
+}
+
 /// The zero-copy accounting check: drive one healthy `TcpTransport`
 /// round directly and require its wire accounting to equal the exact
 /// frame and byte counts computed from the wire constants. The chunk
@@ -103,33 +135,15 @@ fn faulty_plans_are_adjudicated_identically() {
 #[test]
 fn tcp_round_conserves_exact_frame_and_byte_counts() {
     use cosmic::cosmic_runtime::transport::wire::{CHECKSUM_BYTES, HEADER_BYTES};
-    use cosmic::cosmic_runtime::transport::{RoundCtx, TcpTransport, Transport};
-    use cosmic::cosmic_runtime::{LinkConfig, RetryPolicy};
-    use cosmic::cosmic_runtime::{SigmaAggregator, CHUNK_WORDS};
+    use cosmic::cosmic_runtime::transport::TcpTransport;
+    use cosmic::cosmic_runtime::{LinkConfig, CHUNK_WORDS};
 
     const SENDERS: usize = 4;
     const WORDS: usize = 2 * CHUNK_WORDS + 17; // three chunks, ragged tail
 
-    let parts_data: Vec<Vec<f64>> = (0..SENDERS)
-        .map(|s| (0..WORDS).map(|i| ((i * 31 + s * 7) % 997) as f64 / 997.0).collect())
-        .collect();
-    let parts: Vec<Option<&[f64]>> = parts_data.iter().map(|p| Some(p.as_slice())).collect();
-    let senders: Vec<usize> = (0..SENDERS).collect();
-    let plan = FaultPlan::none();
-    let retry = RetryPolicy::default();
-    let ctx = RoundCtx {
-        iteration: 0,
-        model_len: WORDS,
-        plan: &plan,
-        retry: &retry,
-        senders: &senders,
-        repr: Default::default(),
-    };
-
+    let parts_data = partials(SENDERS, WORDS);
     let transport = TcpTransport::bind(LinkConfig::default()).expect("loopback bind");
-    let sigma = SigmaAggregator::new(2, 2);
-    let delivery = transport.round(&ctx, &sigma, &parts).expect("healthy round");
-
+    let delivery = direct_round(&transport, &FaultPlan::none(), &parts_data);
     // The fold itself is the reference sum (zero-copy moved bytes, not
     // arithmetic).
     let mut expected_sum = vec![0.0f64; WORDS];
@@ -159,4 +173,47 @@ fn tcp_round_conserves_exact_frame_and_byte_counts() {
     assert_eq!(s.reconnects, 0);
     assert_eq!(s.links_dead, 0);
     assert_eq!(s.connections, SENDERS as u64, "one connection per link");
+}
+
+/// A fault deep in the model — chunk 2 of four, not the first — is
+/// still handed to the layer that owns it: a stale *chunk* checksum
+/// rides a well-formed frame into Sigma quarantine on either wire, a
+/// damaged *frame* is refused by the socket's decoder and retransmitted,
+/// and the fold over whoever survives is the reference fold.
+#[test]
+fn a_corrupt_chunk_is_quarantined_and_a_corrupt_frame_retransmitted() {
+    use cosmic::cosmic_runtime::fold::fold_parts_reference;
+    use cosmic::cosmic_runtime::node::ChunkFault;
+    use cosmic::cosmic_runtime::transport::{SimTransport, TcpTransport};
+    use cosmic::cosmic_runtime::{LinkConfig, CHUNK_WORDS};
+
+    const WORDS: usize = 3 * CHUNK_WORDS + 17; // four chunks, ragged tail
+    let parts_data = partials(4, WORDS);
+    let reference = |survivors: &[usize]| {
+        let parts: Vec<&[f64]> = survivors.iter().map(|&s| parts_data[s].as_slice()).collect();
+        let mut sum = vec![0.0f64; WORDS];
+        fold_parts_reference(&mut sum, &parts);
+        bits(&sum)
+    };
+    let tcp = TcpTransport::bind(LinkConfig::default()).expect("loopback bind");
+
+    let chunk_fault = FaultPlan::none().corrupt_chunk(1, 0, 2);
+    for transport in [&SimTransport as &dyn Transport, &tcp] {
+        let delivery = direct_round(transport, &chunk_fault, &parts_data);
+        assert_eq!(
+            delivery.outcome.quarantined,
+            [(1, ChunkFault::Corrupt { offset: 2 * CHUNK_WORDS })],
+            "{:?}",
+            transport.kind()
+        );
+        assert_eq!(bits(&delivery.outcome.sum), reference(&[0, 2, 3]));
+        assert!(delivery.dead.is_empty());
+        assert_eq!(delivery.stats.reconnects, 0, "a valid frame is not retransmitted");
+    }
+
+    let frame_fault = FaultPlan::none().corrupt_frame(1, 0, 2);
+    let delivery = direct_round(&tcp, &frame_fault, &parts_data);
+    assert!(delivery.outcome.quarantined.is_empty() && delivery.dead.is_empty());
+    assert_eq!(delivery.stats.reconnects, 1, "the damaged frame costs one retransmission");
+    assert_eq!(bits(&delivery.outcome.sum), reference(&[0, 1, 2, 3]));
 }
