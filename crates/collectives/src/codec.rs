@@ -15,7 +15,10 @@
 //!   Because every decoded value is `q · 2⁻ᵉ` with `|q| ≤ 2³¹ − 1`,
 //!   sums of up to `2²¹` contributions are exact in f64 — aggregation
 //!   over fixed-point payloads is order-independent and bit-identical
-//!   whether folded as floats or as integers.
+//!   whether folded as floats or as integers. The runtime folds
+//!   integers — [`quantize_into`] once at the sender, the grid verbatim
+//!   behind its [`fixed_header`], [`dequantize_sum`] once at Sigma —
+//!   and [`WireRepr::transform`] is that path's float-valued oracle.
 //! - [`WireRepr::TopK`]: magnitude top-k sparsification. Exactly
 //!   `min(k, words)` coordinates travel as `(u32 index, f64 value)`
 //!   pairs; the rest decode to zero.
@@ -37,6 +40,7 @@
 //! `round(max|x| · 2ᵉ)` still fits `i32`, so clipping only occurs for
 //! non-finite inputs or when even `e = 0` overflows (|x| ≥ 2³¹).
 
+use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 
@@ -57,6 +61,12 @@ pub(crate) const DEFAULT_TOP_K: usize = 1024;
 /// Largest representable scale exponent (the side channel stores it in
 /// one byte, and `2⁶²` already dwarfs any useful gradient precision).
 pub(crate) const MAX_SCALE_EXP: u8 = 62;
+
+/// [`WireRepr::tag`] of the fixed-point byte layout.
+pub const FIXED_TAG: u8 = 1;
+
+/// [`WireRepr::tag`] of the top-k (sparse coordinate) byte layout.
+pub const SPARSE_TAG: u8 = 2;
 
 /// Bytes of the fixed-point side-channel header: scale exponent plus
 /// the word count.
@@ -160,6 +170,21 @@ pub enum CodecError {
         /// Logical words in the payload.
         words: usize,
     },
+    /// A fixed-point header names a scale exponent beyond the codec's
+    /// range or sets a reserved byte.
+    BadHeader {
+        /// The scale exponent found.
+        scale_exp: u8,
+        /// The three reserved bytes found (all zero when well formed).
+        reserved: [u8; 3],
+    },
+    /// Bytes follow the end the payload's own header declares.
+    Trailing {
+        /// Bytes the header accounts for.
+        expected: usize,
+        /// Bytes present.
+        got: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -171,6 +196,12 @@ impl fmt::Display for CodecError {
             CodecError::BadTag { tag } => write!(f, "unknown wire-repr tag {tag}"),
             CodecError::BadCoordinate { index, words } => {
                 write!(f, "sparse coordinate {index} escapes payload of {words} word(s)")
+            }
+            CodecError::BadHeader { scale_exp, reserved } => {
+                write!(f, "fixed-point header: scale exponent {scale_exp}, reserved {reserved:?}")
+            }
+            CodecError::Trailing { expected, got } => {
+                write!(f, "encoded payload ends at byte {expected}, {got} present")
             }
         }
     }
@@ -238,8 +269,8 @@ impl WireRepr {
     pub fn tag(self) -> u8 {
         match self {
             WireRepr::DenseF64 => 0,
-            WireRepr::FixedPoint { .. } => 1,
-            WireRepr::TopK { .. } => 2,
+            WireRepr::FixedPoint { .. } => FIXED_TAG,
+            WireRepr::TopK { .. } => SPARSE_TAG,
         }
     }
 
@@ -259,9 +290,9 @@ impl WireRepr {
     }
 
     /// Relative ingress fold rate of this representation against the
-    /// dense f64 baseline, for cost models: fixed-point aggregation
-    /// folds half-width integer words with exact (reassociable)
-    /// arithmetic, sustaining roughly twice the dense byte rate;
+    /// dense f64 baseline, for cost models: Sigma stages a fixed-point
+    /// grid as half-width `i32` words and folds them into `i64` stripe
+    /// sums, so a wire byte carries twice the words of a dense one;
     /// sparse and dense payloads fold at the baseline rate.
     pub(crate) fn fold_rate_factor(self) -> f64 {
         match self {
@@ -305,46 +336,17 @@ impl WireRepr {
         (EncodedPayload { repr: self, words, bytes }, stats)
     }
 
-    /// Re-encodes an *already transformed* payload losslessly for the
-    /// wire: dense stays dense, fixed-point re-derives a scale that is
-    /// exact on quantized data (every value is already `q · 2⁻ᵉ`), and
-    /// top-k sends **all** non-zero coordinates instead of re-applying
-    /// the budget (a chunk may hold more than `k` of the round's
-    /// surviving coordinates). Decoding the result reproduces `data`
-    /// bit for bit whenever `data` is itself the output of
-    /// [`WireRepr::decode`] for this repr.
-    pub fn encode_wire(self, data: &[f64]) -> EncodedPayload {
-        if data.is_empty() {
-            return EncodedPayload { repr: self, words: 0, bytes: Vec::new() };
-        }
-        match self {
-            WireRepr::DenseF64 | WireRepr::FixedPoint { .. } => self.encode(data).0,
-            WireRepr::TopK { .. } => {
-                let coords: Vec<(u32, f64)> = data
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| v.to_bits() != 0)
-                    .map(|(i, &v)| (i as u32, v))
-                    .collect();
-                EncodedPayload {
-                    repr: self,
-                    words: data.len(),
-                    bytes: encode_sparse_bytes(data.len(), &coords),
-                }
-            }
-        }
-    }
-
-    /// Decodes wire bytes produced by [`WireRepr::encode`] (or
-    /// [`WireRepr::encode_wire`]) for this repr's tag back into f64
-    /// words.
+    /// Decodes wire bytes produced by [`WireRepr::encode`] for this
+    /// repr's tag back into f64 words.
     pub fn decode(self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
         decode_tagged(self.tag(), bytes)
     }
 
-    /// The end-to-end lossy transform a payload undergoes at the
-    /// chunking boundary: bit-identical to
-    /// `decode(encode(data))`, without materializing the byte buffer.
+    /// The end-to-end lossy transform of a payload, bit-identical to
+    /// `decode(encode(data))` without materializing the byte buffer:
+    /// what a top-k sender applies before chunking, and the oracle a
+    /// fixed-point round (quantize once, fold integers) must agree
+    /// with.
     pub fn transform(self, data: &[f64]) -> (Vec<f64>, CodecStats) {
         let words = data.len();
         let mut stats = CodecStats {
@@ -378,18 +380,38 @@ fn pow2(e: i32) -> f64 {
     f64::from_bits(((1023 + e) as u64) << 52)
 }
 
+/// Magnitude key with a total order: absolute bit pattern, so
+/// `0 < subnormals < … < ∞ < NaN` and ties are exact.
+fn abs_bits(x: f64) -> u64 {
+    x.to_bits() & !(1u64 << 63)
+}
+
 /// Derives the shared scale exponent for a payload: the largest
 /// `e ≤ frac_bits` for which the payload's peak magnitude still
 /// quantizes into `i32` without clipping. All-zero (or all-non-finite)
 /// payloads use `frac_bits` verbatim.
+///
+/// The peak is an integer reduction — magnitudes order as their bit
+/// patterns, non-finite ones count as zero — over eight independent
+/// lanes, so it runs at memory speed instead of down one `max` chain.
 pub fn derive_scale(data: &[f64], frac_bits: u8) -> u8 {
-    let cap = frac_bits.min(MAX_SCALE_EXP);
-    let mut max_abs = 0.0f64;
-    for &x in data {
-        if x.is_finite() {
-            max_abs = max_abs.max(x.abs());
+    const INFINITY_BITS: u64 = 0x7FF0_0000_0000_0000;
+    let finite_abs = |x: &f64| Some(abs_bits(*x)).filter(|&abs| abs < INFINITY_BITS).unwrap_or(0);
+    let mut lanes = [0u64; 8];
+    let mut octets = data.chunks_exact(8);
+    for octet in &mut octets {
+        for (lane, x) in lanes.iter_mut().zip(octet) {
+            *lane = (*lane).max(finite_abs(x));
         }
     }
+    let peak = octets.remainder().iter().map(finite_abs).chain(lanes).fold(0, u64::max);
+    scale_for_peak(f64::from_bits(peak), frac_bits)
+}
+
+/// The scale exponent for a payload whose largest finite magnitude is
+/// `max_abs`.
+fn scale_for_peak(max_abs: f64, frac_bits: u8) -> u8 {
+    let cap = frac_bits.min(MAX_SCALE_EXP);
     if max_abs == 0.0 {
         return cap;
     }
@@ -401,95 +423,138 @@ pub fn derive_scale(data: &[f64], frac_bits: u8) -> u8 {
 }
 
 /// Quantizes a payload at its data-derived scale: returns the scale
-/// exponent, the `i32` values, and how many values saturated. The
-/// saturation range is symmetric (`±(2³¹ − 1)`) so magnitudes stay
-/// bounded by `i32::MAX`; NaNs quantize to zero and count as clipped.
+/// exponent, the `i32` values, and how many values saturated.
 pub(crate) fn quantize_fixed(data: &[f64], frac_bits: u8) -> (u8, Vec<i32>, u64) {
     let scale_exp = derive_scale(data, frac_bits);
-    let (values, clipped) = quantize_at_scale(data, scale_exp);
+    let mut values = vec![0; data.len()];
+    let clipped = quantize_into(data, scale_exp, &mut values);
     (scale_exp, values, clipped)
 }
 
-/// Quantizes a payload onto the grid of an externally supplied scale
-/// exponent — the per-round side channel: every contributor to one
-/// aggregation round quantizes at the *same* scale so their integer
-/// values share a grid and sum exactly. Saturation and NaN handling
-/// match `quantize_fixed`.
-pub fn quantize_at_scale(data: &[f64], scale_exp: u8) -> (Vec<i32>, u64) {
+/// Quantizes `data` onto the grid of `scale_exp` into the caller's
+/// `out` (walked in step, to the shorter of the two) and returns how
+/// many values saturated. `out[i] = round(data[i] · 2ᵉ)`, halves away
+/// from zero; the saturation range is symmetric (`±(2³¹ − 1)`) so
+/// magnitudes stay bounded by `i32::MAX`; NaNs quantize to zero and
+/// count as clipped. `round` is a libm call on baseline x86-64:
+/// truncating `v ± (0.5 − 2⁻⁵⁴)` is the same function for `|v| < 2⁵²`,
+/// and a value rounds past `i32::MAX` exactly when `|v| ≥ 2³¹ − 0.5`.
+pub fn quantize_into(data: &[f64], scale_exp: u8, out: &mut [i32]) -> u64 {
+    const HALF_BELOW: f64 = 0.499_999_999_999_999_94;
+    const LIMIT: f64 = 2_147_483_647.5;
     let s = pow2(i32::from(scale_exp));
     let mut clipped = 0u64;
-    let values = data
-        .iter()
-        .map(|&x| {
-            if x.is_nan() {
-                clipped += 1;
-                return 0;
-            }
-            let r = (x * s).round();
-            if r > i32::MAX as f64 {
-                clipped += 1;
+    for (q, &x) in out.iter_mut().zip(data) {
+        let v = x * s;
+        *q = if -LIMIT < v && v < LIMIT {
+            (v + HALF_BELOW.copysign(v)) as i64 as i32
+        } else {
+            clipped += 1;
+            if v.is_nan() {
+                0
+            } else if v > 0.0 {
                 i32::MAX
-            } else if r < -(i32::MAX as f64) {
-                clipped += 1;
-                -i32::MAX
             } else {
-                r as i32
+                -i32::MAX
             }
-        })
-        .collect();
-    (values, clipped)
+        };
+    }
+    clipped
 }
 
 /// Reconstructs f64 words from an *integer-fold sum* of quantized
-/// contributions: `q · 2⁻ᵉ`, exact in f64 while `|q| < 2⁵³` — with
-/// `|qᵢ| ≤ 2³¹ − 1` that holds for any realistic peer count, which is
-/// why the integer-accumulate path is order-independent and therefore
-/// identical across collective strategies.
-pub fn dequantize_sum(scale_exp: u8, values: &[i64]) -> Vec<f64> {
+/// contributions into `out`: `q · 2⁻ᵉ`, exact in f64 while `|q| < 2⁵³`
+/// — with `|qᵢ| ≤ 2³¹ − 1` that holds for any realistic peer count,
+/// which is why the integer-accumulate path is order-independent and
+/// therefore identical across collective strategies.
+pub fn dequantize_sum(scale_exp: u8, values: &[i64], out: &mut [f64]) {
     let inv = pow2(-i32::from(scale_exp));
-    values.iter().map(|&q| q as f64 * inv).collect()
+    for (x, &q) in out.iter_mut().zip(values) {
+        *x = q as f64 * inv;
+    }
 }
 
 /// Reconstructs f64 words from quantized values: `q · 2⁻ᵉ`, exact in
 /// f64 for every `|q| ≤ 2³¹`.
-pub(crate) fn dequantize_fixed(scale_exp: u8, values: &[i32]) -> Vec<f64> {
+fn dequantize_fixed(scale_exp: u8, values: &[i32]) -> Vec<f64> {
     let inv = pow2(-(scale_exp as i32));
     values.iter().map(|&q| q as f64 * inv).collect()
 }
 
-/// Magnitude key with a total order: absolute bit pattern, so
-/// `0 < subnormals < … < ∞ < NaN` and ties are exact.
-fn abs_bits(x: f64) -> u64 {
-    x.to_bits() & !(1u64 << 63)
-}
-
 /// Selects the `min(k, len)` largest-magnitude coordinates (ties break
 /// toward the lower index) and returns them in ascending index order,
-/// plus the count of coordinates left behind.
+/// plus the count of coordinates left behind. That order is total and
+/// strict, so the kept set is unique: a selection finds it without
+/// sorting the rest.
 pub(crate) fn top_k_coords(data: &[f64], k: usize) -> (Vec<(u32, f64)>, u64) {
     assert!(data.len() <= u32::MAX as usize, "top-k payloads index with u32");
     let kept = k.min(data.len());
     let mut order: Vec<u32> = (0..data.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        abs_bits(data[b as usize]).cmp(&abs_bits(data[a as usize])).then(a.cmp(&b))
-    });
+    if 0 < kept && kept < order.len() {
+        order.select_nth_unstable_by(kept - 1, |&a, &b| {
+            abs_bits(data[b as usize]).cmp(&abs_bits(data[a as usize])).then(a.cmp(&b))
+        });
+    }
     order.truncate(kept);
     order.sort_unstable();
     let coords = order.into_iter().map(|i| (i, data[i as usize])).collect();
     (coords, (data.len() - kept) as u64)
 }
 
-/// Serializes a fixed-point payload: `[scale_exp, 0, 0, 0, words:u32]`
-/// header, then `i32` little-endian values.
+/// The fixed-point side channel, `[scale_exp, 0, 0, 0, words:u32 LE]`,
+/// ahead of `words` little-endian `i32` values.
+pub fn fixed_header(scale_exp: u8, words: usize) -> [u8; FIXED_HEADER_BYTES] {
+    assert!(words <= u32::MAX as usize, "fixed-point payloads count words with u32");
+    let w = (words as u32).to_le_bytes();
+    [scale_exp, 0, 0, 0, w[0], w[1], w[2], w[3]]
+}
+
+/// Reads a [`fixed_header`] back as `(scale_exp, words)`, strictly: a
+/// scale exponent out of range or a reserved byte set is an error.
+pub fn parse_fixed_header(head: [u8; FIXED_HEADER_BYTES]) -> Result<(u8, usize), CodecError> {
+    let [scale_exp, r0, r1, r2, w0, w1, w2, w3] = head;
+    if scale_exp > MAX_SCALE_EXP || [r0, r1, r2] != [0; 3] {
+        return Err(CodecError::BadHeader { scale_exp, reserved: [r0, r1, r2] });
+    }
+    Ok((scale_exp, u32::from_le_bytes([w0, w1, w2, w3]) as usize))
+}
+
+/// Holds an encoded payload of `got` bytes to the `expected` its own
+/// header accounts for.
+pub fn exact_len(expected: usize, got: usize) -> Result<(), CodecError> {
+    match got.cmp(&expected) {
+        Ordering::Less => Err(CodecError::Truncated { needed: expected, got }),
+        Ordering::Equal => Ok(()),
+        Ordering::Greater => Err(CodecError::Trailing { expected, got }),
+    }
+}
+
+/// Serializes a fixed-point payload: the [`fixed_header`], then `i32`
+/// little-endian values.
 fn encode_fixed_bytes(scale_exp: u8, values: &[i32]) -> Vec<u8> {
-    assert!(values.len() <= u32::MAX as usize, "fixed-point payloads count words with u32");
     let mut out = Vec::with_capacity(FIXED_HEADER_BYTES + 4 * values.len());
-    out.extend_from_slice(&[scale_exp, 0, 0, 0]);
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fixed_header(scale_exp, values.len()));
     for &q in values {
         out.extend_from_slice(&q.to_le_bytes());
     }
     out
+}
+
+/// Serializes the non-zero words of an *already sparsified* chunk as a
+/// top-k payload: **all** of them, not the budget again (a chunk may
+/// hold more than `k` of the round's surviving coordinates), so
+/// [`decode_tagged`] under the top-k tag reproduces `data` bit for bit.
+pub fn encode_wire(data: &[f64]) -> Vec<u8> {
+    if data.is_empty() {
+        return Vec::new();
+    }
+    let coords: Vec<(u32, f64)> = data
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.to_bits() != 0)
+        .map(|(i, &v)| (i as u32, v))
+        .collect();
+    encode_sparse_bytes(data.len(), &coords)
 }
 
 /// Serializes a sparse payload: `[count:u32, words:u32]` header, then
@@ -532,7 +597,8 @@ pub fn declared_words(tag: u8, bytes: &[u8]) -> Result<usize, CodecError> {
 
 /// Decodes an encoded payload identified by its one-byte wire tag.
 /// Every malformation — truncation, unknown tag, out-of-range sparse
-/// coordinate — is a typed [`CodecError`], never a panic.
+/// coordinate, a fixed-point header out of range or followed by more
+/// than its values — is a typed [`CodecError`], never a panic.
 pub fn decode_tagged(tag: u8, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
     if bytes.is_empty() && tag <= 2 {
         return Ok(Vec::new());
@@ -555,18 +621,13 @@ pub fn decode_tagged(tag: u8, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
                 .collect())
         }
         1 => {
-            let head: [u8; 8] = take(bytes, 0)?;
-            let scale_exp = head[0];
-            let words = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
-            let need = FIXED_HEADER_BYTES + 4 * words;
-            if bytes.len() < need {
-                return Err(CodecError::Truncated { needed: need, got: bytes.len() });
-            }
-            let values: Vec<i32> = bytes[FIXED_HEADER_BYTES..need]
+            let (scale_exp, words) = parse_fixed_header(take(bytes, 0)?)?;
+            exact_len(FIXED_HEADER_BYTES + 4 * words, bytes.len())?;
+            let values: Vec<i32> = bytes[FIXED_HEADER_BYTES..]
                 .chunks_exact(4)
                 .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
                 .collect();
-            Ok(dequantize_fixed(scale_exp.min(MAX_SCALE_EXP), &values))
+            Ok(dequantize_fixed(scale_exp, &values))
         }
         2 => {
             let head: [u8; 8] = take(bytes, 0)?;
@@ -598,6 +659,7 @@ pub fn decode_tagged(tag: u8, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn payload(len: usize, salt: u64) -> Vec<f64> {
         (0..len)
@@ -712,16 +774,16 @@ mod tests {
     }
 
     #[test]
-    fn wire_re_encode_of_a_transformed_payload_is_lossless() {
-        let reprs =
-            [WireRepr::DenseF64, WireRepr::FixedPoint { frac_bits: 18 }, WireRepr::TopK { k: 9 }];
-        for repr in reprs {
-            let (transformed, _) = repr.transform(&payload(200, 5));
-            let enc = repr.encode_wire(&transformed);
-            let back = repr.decode(&enc.bytes).expect("well formed");
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&back), bits(&transformed), "{repr:?}");
-        }
+    fn wire_re_encode_of_a_sparsified_chunk_is_lossless() {
+        // More survivors than the budget, a negative zero, a NaN: every
+        // non-zero bit pattern travels, whatever `k` was.
+        let (mut sparse, _) = WireRepr::TopK { k: 9 }.transform(&payload(200, 5));
+        sparse[3] = -0.0;
+        sparse[4] = f64::NAN;
+        let back = decode_tagged(WireRepr::TopK { k: 2 }.tag(), &encode_wire(&sparse));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.expect("well formed")), bits(&sparse));
+        assert!(encode_wire(&[]).is_empty());
     }
 
     #[test]
@@ -745,6 +807,30 @@ mod tests {
         assert!(matches!(decode_tagged(9, &[]), Err(CodecError::BadTag { tag: 9 })));
         assert!(matches!(decode_tagged(1, &[1, 0, 0]), Err(CodecError::Truncated { .. })));
         assert!(matches!(decode_tagged(0, &[0; 7]), Err(CodecError::Truncated { .. })));
+        // A fixed-point header is read strictly: scale exponent in
+        // range, reserved bytes zero, nothing after the last value.
+        let (good, _) = WireRepr::FixedPoint { frac_bits: 8 }.encode(&[0.5, -1.25]);
+        assert!(decode_tagged(1, &good.bytes).is_ok());
+        let bent = |at: usize, to: u8| {
+            let mut bytes = good.bytes.clone();
+            bytes[at] = to;
+            decode_tagged(1, &bytes)
+        };
+        assert_eq!(
+            bent(0, MAX_SCALE_EXP + 1),
+            Err(CodecError::BadHeader { scale_exp: MAX_SCALE_EXP + 1, reserved: [0; 3] })
+        );
+        assert_eq!(bent(0, MAX_SCALE_EXP).map(|v| v.len()), Ok(2));
+        for at in 1..4 {
+            assert!(matches!(bent(at, 1), Err(CodecError::BadHeader { scale_exp: 8, .. })));
+        }
+        let mut long = good.bytes.clone();
+        long.push(0);
+        assert_eq!(decode_tagged(1, &long), Err(CodecError::Trailing { expected: 16, got: 17 }));
+        assert_eq!(
+            decode_tagged(1, &good.bytes[..15]),
+            Err(CodecError::Truncated { needed: 16, got: 15 })
+        );
         // Sparse header claiming 2 coords over 1 word.
         let mut bad = Vec::new();
         bad.extend_from_slice(&2u32.to_le_bytes());
@@ -777,5 +863,177 @@ mod tests {
         assert_eq!(WireRepr::parse("fixed_point:99"), None);
         assert_eq!(WireRepr::parse("zstd"), None);
         assert_eq!(WireRepr::default().label(), "dense_f64");
+    }
+
+    /// `derive_scale` as it was before the lane reduction: one
+    /// `is_finite`/`max` chain.
+    fn derive_scale_reference(data: &[f64], frac_bits: u8) -> u8 {
+        let mut max_abs = 0.0f64;
+        for &x in data {
+            if x.is_finite() {
+                max_abs = max_abs.max(x.abs());
+            }
+        }
+        scale_for_peak(max_abs, frac_bits)
+    }
+
+    /// `quantize_into` as it was before the rounding trick: `f64::round`
+    /// and comparisons on the rounded value.
+    fn quantize_reference(data: &[f64], scale_exp: u8) -> (Vec<i32>, u64) {
+        let s = pow2(i32::from(scale_exp));
+        let mut clipped = 0u64;
+        let values = data
+            .iter()
+            .map(|&x| {
+                if x.is_nan() {
+                    clipped += 1;
+                    return 0;
+                }
+                let r = (x * s).round();
+                if r > i32::MAX as f64 {
+                    clipped += 1;
+                    i32::MAX
+                } else if r < -(i32::MAX as f64) {
+                    clipped += 1;
+                    -i32::MAX
+                } else {
+                    r as i32
+                }
+            })
+            .collect();
+        (values, clipped)
+    }
+
+    /// `top_k_coords` as a full sort under the same total order.
+    fn top_k_reference(data: &[f64], k: usize) -> (Vec<(u32, f64)>, u64) {
+        let kept = k.min(data.len());
+        let mut order: Vec<u32> = (0..data.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            abs_bits(data[b as usize]).cmp(&abs_bits(data[a as usize])).then(a.cmp(&b))
+        });
+        order.truncate(kept);
+        order.sort_unstable();
+        (order.into_iter().map(|i| (i, data[i as usize])).collect(), (data.len() - kept) as u64)
+    }
+
+    /// The scale exponents the differential tests sweep: both ends, the
+    /// defaults, and where `i32` and the shift budget bite.
+    const SCALES: [u8; 6] = [0, 1, 20, 24, 31, 62];
+
+    fn assert_quantizer_matches_reference(data: &[f64], scale_exp: u8) {
+        let (expect, expect_clipped) = quantize_reference(data, scale_exp);
+        let mut got = vec![i32::MIN; data.len()];
+        let clipped = quantize_into(data, scale_exp, &mut got);
+        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(
+                g,
+                e,
+                "word {i} = {:e} ({:#x}) at 2^{scale_exp}",
+                data[i],
+                data[i].to_bits()
+            );
+        }
+        assert_eq!(clipped, expect_clipped, "clipped at 2^{scale_exp}");
+    }
+
+    #[test]
+    fn quantizer_and_scale_match_their_references_on_the_named_edges() {
+        let two31 = 2_147_483_648.0f64;
+        let two52 = 4_503_599_627_370_496.0f64;
+        let mut edges = vec![f64::NAN, f64::MIN_POSITIVE, 5e-324, f64::MAX, 0.3, 1e-9];
+        edges.extend([
+            0.0,
+            0.5,
+            0.499_999_999_999_999_94,
+            0.500_000_000_000_000_1,
+            1.5,
+            2.5,
+            2_147_483_647.0,
+            2_147_483_647.499_999_8,
+            2_147_483_647.5,
+            two31,
+            two31 + 0.5,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            f64::INFINITY,
+        ]);
+        let signed: Vec<f64> = edges.iter().flat_map(|&v| [v, -v]).collect();
+        for scale_exp in SCALES {
+            // The edges name *scaled* values: feed `v · 2⁻ᵉ` so the
+            // kernel rounds exactly `v` (the division is exact).
+            let scaled: Vec<f64> = signed.iter().map(|v| v * pow2(-i32::from(scale_exp))).collect();
+            assert_quantizer_matches_reference(&scaled, scale_exp);
+            assert_quantizer_matches_reference(&signed, scale_exp);
+        }
+        for frac_bits in SCALES {
+            for window in 1..=signed.len() {
+                for data in [&signed[..window], &signed[signed.len() - window..]] {
+                    assert_eq!(
+                        derive_scale(data, frac_bits),
+                        derive_scale_reference(data, frac_bits),
+                        "{data:?} at {frac_bits}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Raw bit patterns — NaN payloads, subnormals, both infinities
+        /// — through both kernels and their references, at every swept
+        /// exponent; lengths straddle the eight-lane reduction.
+        #[test]
+        fn quantizer_and_scale_match_their_references_on_raw_bits(
+            bits in prop::collection::vec(any::<u64>(), 0..70),
+            near in prop::collection::vec(any::<u32>(), 0..70),
+        ) {
+            let mut data: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            // Raw patterns are almost never near a rounding boundary:
+            // add half-integers and their f64 neighbours.
+            for &n in &near {
+                let half = f64::from(n >> 2) - 536_870_912.0 + 0.5;
+                let nudged = f64::from_bits(half.to_bits().wrapping_add(u64::from(n & 3)) - 1);
+                data.push(nudged);
+            }
+            for scale_exp in SCALES {
+                assert_quantizer_matches_reference(&data, scale_exp);
+                let scaled: Vec<f64> =
+                    data.iter().map(|v| v * pow2(-i32::from(scale_exp))).collect();
+                assert_quantizer_matches_reference(&scaled, scale_exp);
+                prop_assert_eq!(
+                    derive_scale(&data, scale_exp),
+                    derive_scale_reference(&data, scale_exp)
+                );
+                prop_assert_eq!(
+                    derive_scale(&scaled, scale_exp),
+                    derive_scale_reference(&scaled, scale_exp)
+                );
+            }
+        }
+
+        /// The selection keeps exactly what the full sort keeps: heavy
+        /// ties (three-bit magnitudes), NaN, ±0, `k = 1`, `k ≥ len`.
+        #[test]
+        fn top_k_selection_equals_the_full_sort(
+            raw in prop::collection::vec(any::<u64>(), 0..300),
+            tied in any::<bool>(),
+            k in 0usize..320,
+        ) {
+            let palette = [0.0, -0.0, 1.0, -1.0, f64::NAN, f64::INFINITY, 5e-324, -2.5];
+            let data: Vec<f64> = raw
+                .iter()
+                .map(|&b| if tied { palette[(b % 8) as usize] } else { f64::from_bits(b) })
+                .collect();
+            for k in [k, 1, data.len(), data.len() + 1] {
+                let (got, dropped) = top_k_coords(&data, k);
+                let (expect, expect_dropped) = top_k_reference(&data, k);
+                let bits = |c: &[(u32, f64)]| {
+                    c.iter().map(|&(i, v)| (i, v.to_bits())).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(bits(&got), bits(&expect), "k = {}", k);
+                prop_assert_eq!(dropped, expect_dropped);
+            }
+        }
     }
 }

@@ -1,9 +1,12 @@
 //! Property-based contracts of the wire codecs: dense identity,
 //! fixed-point round-trip error inside the analytic grid bound, top-k
-//! coordinate conservation, and cross-strategy agreement of the
-//! schedule execution under each repr's own decode.
+//! coordinate conservation, decoders that are total on arbitrary
+//! bytes, and cross-strategy agreement of the schedule execution under
+//! each repr's own decode.
 
-use cosmic_collectives::codec::{derive_scale, WireRepr, WORD_BYTES};
+use cosmic_collectives::codec::{
+    declared_words, decode_tagged, derive_scale, CodecError, WireRepr, WORD_BYTES,
+};
 use cosmic_collectives::topology::{assign_roles, default_groups};
 use cosmic_collectives::CollectiveKind;
 use proptest::prelude::*;
@@ -77,6 +80,77 @@ proptest! {
         prop_assert_eq!(bits(&back), bits(&transformed));
         let nonzero = back.iter().filter(|v| **v != 0.0).count();
         prop_assert!(nonzero <= kept, "decode reconstructs at most k non-zeros");
+    }
+
+    /// `decode_tagged` is total: arbitrary bytes under every tag (and
+    /// one past the last) are words or a typed error, never a panic —
+    /// and whatever decodes is the length its header declared.
+    #[test]
+    fn decoders_are_total_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        small in any::<u8>(),
+    ) {
+        // Arbitrary bytes rarely spell a plausible header: also try
+        // them behind a small word count in the header's count field.
+        let mut headed = bytes.clone();
+        if let Some(count) = headed.get_mut(4..8) {
+            count.copy_from_slice(&u32::from(small % 24).to_le_bytes());
+        }
+        for tag in 0..4 {
+            for candidate in [&bytes, &headed] {
+                if let Ok(words) = decode_tagged(tag, candidate) {
+                    prop_assert_eq!(Ok(words.len()), declared_words(tag, candidate));
+                }
+            }
+        }
+    }
+
+    /// The fixed-point header is read strictly: from a valid payload,
+    /// any one byte of the header changed, or any bytes cut or added at
+    /// the end, decodes to a typed error or — for the few header values
+    /// that are themselves valid — to exactly the declared words.
+    #[test]
+    fn fixed_point_decode_is_strict_about_its_header_and_length(
+        data in finite_words(40),
+        frac_bits in 0u8..63,
+        at in 0usize..8,
+        to in any::<u8>(),
+        grow in 0usize..6,
+        cut in 0usize..6,
+    ) {
+        let repr = WireRepr::FixedPoint { frac_bits };
+        let data = [&data[..], &[0.75]].concat(); // an empty payload has no header
+        let (enc, _) = repr.encode(&data);
+        prop_assert_eq!(repr.decode(&enc.bytes).map(|w| w.len()), Ok(data.len()));
+        let mut bent = enc.bytes.clone();
+        let was = std::mem::replace(&mut bent[at], to);
+        match (at, decode_tagged(repr.tag(), &bent)) {
+            (_, Ok(words)) => {
+                prop_assert!(to == was || (at == 0 && to <= 62), "byte {at}: {was} -> {to}");
+                prop_assert_eq!(words.len(), data.len());
+            }
+            (0..=3, Err(err)) => {
+                let is_bad_header = matches!(err, CodecError::BadHeader { .. });
+                prop_assert!(is_bad_header, "{err}");
+            }
+            (_, Err(err)) => {
+                let is_length = matches!(err, CodecError::Truncated { .. } | CodecError::Trailing { .. });
+                prop_assert!(is_length, "{err}");
+            }
+        }
+        let mut long = enc.bytes.clone();
+        long.extend(std::iter::repeat_n(0, grow));
+        let expected = enc.bytes.len();
+        prop_assert_eq!(
+            decode_tagged(repr.tag(), &long).err(),
+            (grow > 0).then_some(CodecError::Trailing { expected, got: expected + grow })
+        );
+        let short = &enc.bytes[..expected - cut.min(expected)];
+        if cut > 0 && !short.is_empty() {
+            let is_truncated =
+                matches!(decode_tagged(repr.tag(), short), Err(CodecError::Truncated { .. }));
+            prop_assert!(is_truncated);
+        }
     }
 
     /// Every schedule books the exact encoded byte law — per-step

@@ -20,10 +20,12 @@ use std::sync::Arc;
 
 /// An immutable, cheaply cloneable view into a shared `f64` allocation.
 ///
-/// Dereferences to `&[f64]`, compares by content, and clones by
-/// refcount bump. Sub-views ([`WordBuf::slice`]) share the parent's
-/// allocation — striping a model into chunks costs one copy total, not
-/// one per chunk.
+/// Dereferences to `&[f64]`, compares by content — bit patterns, not
+/// float values: a word may be a NaN gradient or two packed `i32`s, and
+/// must equal itself either way — and clones by refcount bump.
+/// Sub-views ([`WordBuf::slice`]) share the parent's allocation —
+/// striping a model into chunks costs one copy total, not one per
+/// chunk.
 #[derive(Clone)]
 pub struct WordBuf {
     buf: Arc<Vec<f64>>,
@@ -114,7 +116,7 @@ impl Default for WordBuf {
 
 impl PartialEq for WordBuf {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.len == other.len && self.iter().zip(other).all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
@@ -192,6 +194,18 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, WordBuf::from_vec(vec![1.0]));
         assert_eq!(WordBuf::empty(), WordBuf::default());
+    }
+
+    #[test]
+    fn equality_is_on_bit_patterns() {
+        // Two packed `i32`s with a small negative in the high half spell
+        // a NaN; a payload holding one must still equal itself.
+        let packed = f64::from_bits(u64::from(7u32) | u64::from(-1i32 as u32) << 32);
+        assert!(packed.is_nan());
+        let grid = WordBuf::from_vec(vec![packed, 1.0]);
+        assert_eq!(grid, grid.clone());
+        assert_eq!(WordBuf::from_vec(vec![f64::NAN]), WordBuf::from_vec(vec![f64::NAN]));
+        assert_ne!(WordBuf::from_vec(vec![0.0]), WordBuf::from_vec(vec![-0.0]));
     }
 
     #[test]

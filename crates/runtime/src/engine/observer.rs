@@ -116,8 +116,8 @@ pub(crate) trait RunObserver {
     ) {
     }
 
-    /// A lossy wire codec transformed this round's contributions at
-    /// the chunking boundary. Never called for
+    /// A lossy wire codec was applied to this round's contributions
+    /// where their senders chunked them. Never called for
     /// [`WireRepr::DenseF64`], so traced dense runs book nothing new.
     fn codec_applied(&self, iteration: usize, repr: WireRepr, stats: &CodecStats) {}
 

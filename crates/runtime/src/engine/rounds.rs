@@ -2,7 +2,7 @@
 //! over the configured transport into the Sigma pipeline, and
 //! quarantine/dead-link accounting.
 
-use cosmic_collectives::codec::{CodecStats, WireRepr};
+use cosmic_collectives::codec::WireRepr;
 
 use crate::error::RuntimeError;
 use crate::layout::CHUNK_WORDS;
@@ -24,13 +24,14 @@ pub(crate) struct RoundOutput {
     pub active_total: usize,
 }
 
-/// Phase 3: collective aggregation. The admitted members stream chunked
-/// partials over the configured [`Transport`](crate::transport::Transport)
-/// — channels for the discrete-event wire, supervised sockets for TCP —
-/// into the Sigma pipeline, with injected corruption and duplication
-/// applied on the wire; quarantined peers and dead links are withheld
-/// from the fold and from the contributor count. Returns `None` when no
-/// contribution survived (the round applies no update).
+/// Phase 3: collective aggregation. The admitted members' raw partials
+/// go to the configured [`Transport`](crate::transport::Transport) —
+/// channels for the discrete-event wire, supervised sockets for TCP —
+/// which chunks them under the configured wire representation and
+/// streams them into the Sigma pipeline, with injected corruption and
+/// duplication applied on the wire; quarantined peers and dead links
+/// are withheld from the fold and from the contributor count. Returns
+/// `None` when no contribution survived (the round applies no update).
 pub(crate) fn collective_round<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
@@ -38,33 +39,12 @@ pub(crate) fn collective_round<O: RunObserver>(
     senders: &[usize],
 ) -> Result<Option<RoundOutput>, RuntimeError> {
     refresh_schedule(eng, st, senders)?;
-    // The chunking boundary is where a lossy wire repr applies its
-    // encode→decode transform: each admitted contribution, in sender
-    // order, so the result is deterministic per seed. The dense
-    // default takes the verbatim historical path — no copy, no
-    // transform, bit-identical models.
+    // The partials go to the transport raw: the chunking boundary,
+    // where a lossy wire repr applies, is `RoundCtx::wire_chunks`, on
+    // each sender's own thread.
     let repr = eng.cfg.repr;
-    let transformed: Option<Vec<Option<Vec<f64>>>> = (repr != WireRepr::DenseF64).then(|| {
-        let mut stats = CodecStats::default();
-        let out = senders
-            .iter()
-            .map(|&m| {
-                contributions[m].as_ref().map(|(p, _)| {
-                    let (values, s) = repr.transform(p);
-                    stats.merge(&s);
-                    values
-                })
-            })
-            .collect();
-        eng.obs.codec_applied(st.iter_idx, repr, &stats);
-        out
-    });
-    let parts: Vec<Option<&[f64]>> = match &transformed {
-        Some(rows) => rows.iter().map(Option::as_deref).collect(),
-        None => {
-            senders.iter().map(|&m| contributions[m].as_ref().map(|(p, _)| p.as_slice())).collect()
-        }
-    };
+    let parts: Vec<Option<&[f64]>> =
+        senders.iter().map(|&m| contributions[m].as_ref().map(|(p, _)| p.as_slice())).collect();
     let ctx = RoundCtx {
         iteration: st.iter_idx,
         model_len: eng.model_len,
@@ -74,6 +54,9 @@ pub(crate) fn collective_round<O: RunObserver>(
         repr,
     };
     let delivery = eng.transport.round(&ctx, &eng.sigma, &parts)?;
+    if repr != WireRepr::DenseF64 {
+        eng.obs.codec_applied(st.iter_idx, repr, &delivery.codec);
+    }
     let outcome = delivery.outcome;
     st.report.duplicates_dropped += outcome.duplicates_dropped;
     if let Some(cache) = &st.schedule_cache {

@@ -103,8 +103,8 @@ pub fn fold_parts_i64_reference(sum: &mut [i64], parts: &[&[i32]]) {
 
 /// Fused integer fold: the same single-sweep blocked traversal as
 /// [`fold_parts`], accumulating i32 quantized values into i64 — the
-/// fold behind `SigmaAggregator::aggregate_fixed`. Identical to
-/// [`fold_parts_i64_reference`] on every input.
+/// fold under every fixed-point round ([`fold_grid_stripe`]). Identical
+/// to [`fold_parts_i64_reference`] on every input.
 pub(crate) fn fold_parts_i64(sum: &mut [i64], parts: &[&[i32]]) {
     match parts {
         [] => {}
@@ -124,6 +124,50 @@ pub(crate) fn fold_parts_i64(sum: &mut [i64], parts: &[&[i32]]) {
             }
         }
     }
+}
+
+/// Folds one stripe of fixed-point contributions — `(values, scale_exp)`,
+/// each on its own grid `2^-scale_exp` — into `acc` as exact integer
+/// sums on one grid, and returns that grid's exponent.
+///
+/// All on one grid (the common case): [`fold_parts_i64`] as is. Else
+/// the coarser contributions align to the finest grid by left shift,
+/// exact while `31 + (finest − coarsest) + ⌈log₂ parts⌉ ≤ 63`. Past
+/// that (magnitudes > 2³² apart between peers, so only with
+/// `frac_bits > 30`) the sums' grid stops at
+/// `coarsest + 32 − ⌈log₂ parts⌉` and each finer value is rounded onto
+/// it on its own, half away from zero. Every term is a function of one
+/// contribution and the set's two extremes, and integer addition is
+/// associative: no order of `parts` changes a sum, no input wraps.
+pub(crate) fn fold_grid_stripe(acc: &mut [i64], parts: &[(&[i32], u8)]) -> u8 {
+    acc.fill(0);
+    let exps = || parts.iter().map(|&(_, scale_exp)| scale_exp);
+    let (Some(coarsest), Some(finest)) = (exps().min(), exps().max()) else {
+        return 0;
+    };
+    let headroom = 32u32.saturating_sub(parts.len().next_power_of_two().trailing_zeros());
+    let grid = finest.min(coarsest.saturating_add(headroom as u8));
+    if coarsest == finest {
+        let values: Vec<&[i32]> = parts.iter().map(|&(values, _)| values).collect();
+        fold_parts_i64(acc, &values);
+        return grid;
+    }
+    for &(values, scale_exp) in parts {
+        if scale_exp <= grid {
+            let up = grid - scale_exp;
+            for (sum, &q) in acc.iter_mut().zip(values) {
+                *sum += i64::from(q) << up;
+            }
+        } else {
+            let down = scale_exp - grid;
+            let half = 1i64 << (down - 1);
+            for (sum, &q) in acc.iter_mut().zip(values) {
+                let q = i64::from(q);
+                *sum += ((q.abs() + half) >> down) * q.signum();
+            }
+        }
+    }
+    grid
 }
 
 /// Eight-lane unrolled integer accumulation, the i64/i32 mirror of
@@ -235,5 +279,70 @@ mod tests {
         assert_eq!(fast, refr);
         assert_eq!(fast[0], 6.0);
         assert_eq!(fast[5], 4.0);
+    }
+
+    /// What `fold_grid_stripe` promises, computed the slow way: each
+    /// contribution brought onto `grid` on its own in 128-bit
+    /// arithmetic — exactly when coarser, rounded half away from zero
+    /// when finer — then summed.
+    fn aligned_sum(parts: &[(&[i32], u8)], grid: u8, i: usize) -> i128 {
+        parts
+            .iter()
+            .map(|&(values, scale_exp)| {
+                let q = i128::from(values[i]);
+                if scale_exp <= grid {
+                    q << (grid - scale_exp)
+                } else {
+                    let down = scale_exp - grid;
+                    ((q.abs() + (1 << (down - 1))) >> down) * q.signum()
+                }
+            })
+            .sum()
+    }
+
+    #[test]
+    fn grid_stripes_align_by_shift_until_i64_runs_out() {
+        let extremes = [i32::MAX, -i32::MAX, i32::MIN, 1, -1, 0, 3, -3, 1 << 30, -(1 << 30) - 1];
+        let rotated = |by: usize| -> Vec<i32> {
+            (0..extremes.len()).map(|i| extremes[(i + by) % extremes.len()]).collect()
+        };
+        let (a, b, c) = (rotated(0), rotated(3), rotated(7));
+        // (exponents, the grid the sums must land on)
+        let cases: [(&[u8], u8); 9] = [
+            (&[20, 20, 20], 20), // one grid: the fused fold as is
+            (&[20, 18, 9], 20),  // aligned to the finest
+            (&[0, 31], 31),      // 2 parts: 31 + 31 + 1 = 63, the last exact spread
+            (&[0, 32], 31),      // one past it: the finer part is rounded one bit
+            (&[31, 62], 62),
+            (&[0, 62], 31),     // as far apart as the codec allows
+            (&[0, 30, 30], 30), // 3 parts cost two bits: 31 + 30 + 2
+            (&[0, 31, 31], 30),
+            (&[7], 7),
+        ];
+        for (exps, grid) in cases {
+            let parts: Vec<(&[i32], u8)> =
+                [&a, &b, &c].into_iter().map(Vec::as_slice).zip(exps.iter().copied()).collect();
+            let mut acc = vec![i64::MIN; extremes.len()]; // stale sums must not leak
+            assert_eq!(fold_grid_stripe(&mut acc, &parts), grid, "{exps:?}");
+            for (i, &sum) in acc.iter().enumerate() {
+                assert_eq!(i128::from(sum), aligned_sum(&parts, grid, i), "{exps:?} word {i}");
+            }
+            // Order-independent, rounding included.
+            let mut reversed = parts.clone();
+            reversed.reverse();
+            let mut again = vec![0; extremes.len()];
+            assert_eq!(fold_grid_stripe(&mut again, &reversed), grid);
+            assert_eq!(again, acc, "{exps:?}");
+        }
+        // The worst case the headroom is sized for: a power-of-two
+        // number of peers, every word `i32::MIN`, the widest exact shift.
+        let floor = [i32::MIN; 3];
+        let parts = [(&floor[..], 0u8), (&floor[..], 0), (&floor[..], 0), (&floor[..], 30)];
+        let mut acc = [0i64; 3];
+        assert_eq!(fold_grid_stripe(&mut acc, &parts), 30);
+        assert_eq!(i128::from(acc[0]), aligned_sum(&parts, 30, 0));
+        // No contributions: zeros, on any grid.
+        assert_eq!(fold_grid_stripe(&mut acc, &[]), 0);
+        assert_eq!(acc, [0; 3]);
     }
 }

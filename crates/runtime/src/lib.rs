@@ -75,8 +75,8 @@ pub mod transport;
 /// sparsification — with exact encoded-size accounting and the
 /// per-round scaling-factor side channel. Canonical home is
 /// `cosmic-collectives` (the schedules and the cost model price by it);
-/// re-exported here because the runtime's chunking boundary is where
-/// encode/decode actually happens.
+/// re-exported here because the runtime's chunking boundary
+/// (`RoundCtx::wire_chunks`) is where a representation is applied.
 pub use cosmic_collectives::codec;
 
 pub use checkpoint::{model_checksum, Checkpoint, CheckpointConfig};

@@ -17,6 +17,9 @@
 use std::fmt;
 use std::sync::Arc;
 
+use cosmic_collectives::codec::{
+    dequantize_sum, derive_scale, fixed_header, parse_fixed_header, quantize_into,
+};
 use cosmic_collectives::{payload_digest, Fnv1a};
 use crossbeam::channel::Receiver;
 use crossbeam::sync::WaitGroup;
@@ -27,12 +30,24 @@ use crate::circbuf::CircularBuffer;
 use crate::fold;
 use crate::pool::ThreadPool;
 
-use crate::layout::CHUNK_WORDS;
+use crate::layout::{chunk_count, CHUNK_WORDS};
 
 /// Default per-peer circular-buffer capacity, in chunks. Deep enough to
 /// keep the networking producer ahead of the aggregation consumer,
 /// shallow enough that a whole model never buffers.
 pub(crate) const DEFAULT_RING_CAPACITY: usize = 4;
+
+/// How a [`Chunk`]'s words read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Layout {
+    /// One f64 model word per payload word.
+    #[default]
+    Dense,
+    /// A fixed-point grid exactly as the wire carries it: the codec's
+    /// header word (`scale_exp`, `words`), then the `i32` values packed
+    /// two to a word, low half first, a ragged last word zero-padded.
+    Grid,
+}
 
 /// A contiguous piece of a partial model/gradient vector in flight.
 ///
@@ -44,23 +59,27 @@ pub struct Chunk {
     /// Word offset within the model vector; always a multiple of
     /// [`CHUNK_WORDS`].
     pub offset: usize,
-    /// The values (at most [`CHUNK_WORDS`] of them).
+    /// The payload words as carried (at most [`CHUNK_WORDS`] model
+    /// words' worth), read according to `layout`.
     pub data: WordBuf,
-    /// [`Chunk::checksum_of`] the offset and payload bits, computed at
-    /// send time and verified by the receiving Sigma.
+    /// [`Chunk::checksum_of`] (dense) or [`Chunk::grid_checksum_of`]
+    /// the offset and payload bits, computed at send time and verified
+    /// by the receiving Sigma.
     pub checksum: u64,
+    /// How `data` reads.
+    pub layout: Layout,
 }
 
 impl Chunk {
-    /// Builds a chunk with a valid checksum.
+    /// Builds a dense chunk with a valid checksum.
     pub fn new(offset: usize, data: impl Into<WordBuf>) -> Self {
         let data = data.into();
         let checksum = Chunk::checksum_of(offset, &data);
-        Chunk { offset, data, checksum }
+        Chunk { offset, data, checksum, layout: Layout::Dense }
     }
 
-    /// The checksum a well-formed chunk at `offset` carrying `data`
-    /// must bear: FNV-1a over the offset, then the payload's
+    /// The checksum a well-formed dense chunk at `offset` carrying
+    /// `data` must bear: FNV-1a over the offset, then the payload's
     /// [`payload_digest`] — memory-speed, deterministic, and certain to
     /// change when one payload word does.
     pub fn checksum_of(offset: usize, data: &[f64]) -> u64 {
@@ -70,22 +89,54 @@ impl Chunk {
         hash.finish()
     }
 
+    /// [`Chunk::checksum_of`] for a [`Layout::Grid`] chunk, over the
+    /// words as carried: the offset, then the header word and the digest
+    /// of the packed values, a word-wide step each — one changed offset
+    /// byte, header field or packed word is certain to change it, and
+    /// no dense chunk's sum is a grid chunk's.
+    pub fn grid_checksum_of(offset: usize, data: &[f64]) -> u64 {
+        let mut hash = Fnv1a::default();
+        hash.write_u64(offset as u64);
+        if let Some((header, packed)) = data.split_first() {
+            hash.write_digest(header.to_bits());
+            hash.write_digest(payload_digest(packed));
+        }
+        hash.finish()
+    }
+
     /// Whether the payload still matches its checksum.
     pub(crate) fn is_intact(&self) -> bool {
-        self.checksum == Chunk::checksum_of(self.offset, &self.data)
+        self.checksum
+            == match self.layout {
+                Layout::Dense => Chunk::checksum_of(self.offset, &self.data),
+                Layout::Grid => Chunk::grid_checksum_of(self.offset, &self.data),
+            }
+    }
+
+    /// A grid chunk's `(scale_exp, words)`, if its header is one the
+    /// codec writes and `data` is exactly the words it declares: header,
+    /// `⌈words / 2⌉` packed words, zero padding in a ragged last one.
+    pub(crate) fn grid_header(&self) -> Option<(u8, usize)> {
+        let (header, packed) = self.data.split_first()?;
+        let (scale_exp, words) = parse_fixed_header(header.to_bits().to_le_bytes()).ok()?;
+        let padded = words % 2 == 1 && packed.last().is_some_and(|w| w.to_bits() >> 32 != 0);
+        (packed.len() == words.div_ceil(2) && !padded).then_some((scale_exp, words))
     }
 
     /// Returns the chunk with its payload damaged and the checksum left
     /// stale, as a corrupting link would deliver it. Used by fault
     /// injection; a validating receiver must reject the result. The
     /// payload buffer may be aliased, so the damage lands on a private
-    /// copy — the sender's own words are never altered.
+    /// copy — the sender's own words are never altered. A grid chunk is
+    /// damaged in its first packed word, not its header: the wire must
+    /// still carry it to the Sigma whose verdict it is.
     pub fn corrupted(mut self) -> Self {
-        if self.data.is_empty() {
-            self.checksum ^= 0x1; // empty payload: damage the sum
+        let at = usize::from(self.layout == Layout::Grid);
+        if self.data.len() <= at {
+            self.checksum ^= 0x1; // no payload word: damage the sum
         } else {
             let mut words = self.data.to_vec();
-            words[0] = f64::from_bits(words[0].to_bits() ^ 0x1); // one flipped bit
+            words[at] = f64::from_bits(words[at].to_bits() ^ 0x1); // one flipped bit
             self.data = WordBuf::from_vec(words);
         }
         self
@@ -106,6 +157,49 @@ pub fn chunk_vector(values: &[f64]) -> Vec<Chunk> {
             Chunk::new(start, arena.slice(start, len))
         })
         .collect()
+}
+
+/// [`chunk_vector`] for a fixed-point round, and the only place a
+/// gradient word is quantized: one [`derive_scale`] over the partial,
+/// one [`quantize_into`] pass, and every stripe — header word, packed
+/// values — a view of one arena. Returns the chunks and how many values
+/// saturated.
+pub(crate) fn grid_chunks(values: &[f64], frac_bits: u8) -> (Vec<Chunk>, u64) {
+    const STRIDE: usize = 1 + CHUNK_WORDS / 2; // a full stripe's header and pairs
+    let scale_exp = derive_scale(values, frac_bits);
+    let mut arena = Vec::with_capacity(chunk_count(values.len()) * STRIDE);
+    let mut grid = vec![0i32; CHUNK_WORDS.min(values.len())];
+    let mut clipped = 0;
+    for stripe in values.chunks(CHUNK_WORDS) {
+        let grid = &mut grid[..stripe.len()];
+        clipped += quantize_into(stripe, scale_exp, grid);
+        arena.push(f64::from_bits(u64::from_le_bytes(fixed_header(scale_exp, stripe.len()))));
+        arena.extend(grid.chunks(2).map(|pair| {
+            let high = pair.get(1).map_or(0, |&q| u64::from(q as u32) << 32);
+            f64::from_bits(u64::from(pair[0] as u32) | high)
+        }));
+    }
+    let arena = WordBuf::from_vec(arena);
+    let chunks = values.chunks(CHUNK_WORDS).enumerate().map(|(i, stripe)| {
+        let offset = i * CHUNK_WORDS;
+        let data = arena.slice(i * STRIDE, 1 + stripe.len().div_ceil(2));
+        let checksum = Chunk::grid_checksum_of(offset, &data);
+        Chunk { offset, data, checksum, layout: Layout::Grid }
+    });
+    (chunks.collect(), clipped)
+}
+
+/// Unpacks a grid chunk's packed words into `out`, one `i32` per model
+/// word.
+fn unpack_grid(packed: &[f64], out: &mut [i32]) {
+    let mut pairs = out.chunks_exact_mut(2);
+    for (pair, word) in (&mut pairs).zip(packed) {
+        let bits = word.to_bits();
+        (pair[0], pair[1]) = (bits as i32, (bits >> 32) as i32);
+    }
+    if let ([last], Some(word)) = (pairs.into_remainder(), packed.last()) {
+        *last = word.to_bits() as i32;
+    }
 }
 
 /// Why a peer's stream was quarantined.
@@ -172,12 +266,23 @@ pub struct AggregateOutcome {
     pub ring_high_water: usize,
 }
 
+/// One peer's validated contribution, staged for the final fold in the
+/// representation its stream arrived in.
+#[derive(Debug)]
+enum Staged {
+    /// Model words, as dense chunks carry them.
+    Dense(Vec<f64>),
+    /// A fixed-point grid: one `i32` per model word — half a dense
+    /// staging buffer — and each stripe's scale exponent.
+    Grid { values: Vec<i32>, exps: Vec<u8> },
+}
+
 /// What the pipeline knows once every peer stream has drained, before
 /// any final fold has run: the validated staging buffers in peer-index
 /// order plus the quarantine/duplicate/occupancy report.
 #[derive(Debug)]
 struct DrainedRound {
-    survivors: Vec<Vec<f64>>,
+    survivors: Vec<Staged>,
     quarantined: Vec<(usize, ChunkFault)>,
     duplicates_dropped: usize,
     ring_high_water: usize,
@@ -186,7 +291,7 @@ struct DrainedRound {
 /// Per-peer consumer state, collected after the pipeline drains.
 #[derive(Debug, Default)]
 struct PeerFold {
-    staged: Option<Vec<f64>>,
+    staged: Option<Staged>,
     fault: Option<ChunkFault>,
     duplicates: usize,
     high_water: usize,
@@ -262,20 +367,64 @@ impl SigmaAggregator {
     /// from the sum (the rest of its stream is still drained so the
     /// pipeline never stalls). A stream with no chunk at all simply
     /// contributes nothing. Duplicate deliveries of a stripe already
-    /// received from the same peer are dropped
-    /// idempotently. The sum is folded peer-by-peer in `incoming`
+    /// received from the same peer are dropped idempotently.
+    ///
+    /// Dense streams are folded as floats, peer-by-peer in `incoming`
     /// order, so the result for a given set of surviving peers is
     /// deterministic — quarantining peer *k* yields bit-for-bit the sum
-    /// over the remaining peers.
+    /// over the remaining peers. [`Layout::Grid`] streams are folded as
+    /// integers, stripe by stripe (`fold::fold_grid_stripe`), and
+    /// de-quantized once: exact, so in any order. A stream that changes
+    /// layout is corrupt; a round of both kinds folds the grid total last.
     pub fn aggregate_validated(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
     ) -> AggregateOutcome {
-        let drained = self.drain_validated(model_len, incoming, stage_peer);
-        let mut sum = vec![0.0; model_len];
-        let parts: Vec<&[f64]> = drained.survivors.iter().map(Vec::as_slice).collect();
-        fold::fold_parts(&mut sum, &parts);
+        self.aggregate_staged(model_len, incoming, None)
+    }
+
+    /// [`SigmaAggregator::aggregate_validated`] with every validated
+    /// dense chunk quantized at the shared `scale_exp` straight into its
+    /// peer's `i32` staging: what a fixed-point sender does
+    /// (`grid_chunks`), done on arrival, and from there the same integer
+    /// fold. The engine sends grids; this entry point serves the
+    /// benchmark rung `runtime.sigma.fixed_mib_per_s`.
+    pub fn aggregate_fixed(
+        &self,
+        model_len: usize,
+        incoming: Vec<Receiver<Chunk>>,
+        scale_exp: u8,
+    ) -> AggregateOutcome {
+        self.aggregate_staged(model_len, incoming, Some(scale_exp))
+    }
+
+    /// Drains and validates every stream — dense chunks staged as
+    /// floats, or quantized at `quantize_at` — then runs the final fold.
+    fn aggregate_staged(
+        &self,
+        model_len: usize,
+        incoming: Vec<Receiver<Chunk>>,
+        quantize_at: Option<u8>,
+    ) -> AggregateOutcome {
+        let drained = self.drain_validated(model_len, incoming, quantize_at, stage_peer);
+        let (mut dense, mut grids) = (Vec::new(), Vec::new());
+        for survivor in &drained.survivors {
+            match survivor {
+                Staged::Dense(words) => dense.push(words.as_slice()),
+                Staged::Grid { values, exps } => grids.push((values.as_slice(), exps.as_slice())),
+            }
+        }
+        let grid_total = (!grids.is_empty()).then(|| fold_grids(model_len, &grids));
+        let sum = match grid_total {
+            Some(total) if dense.is_empty() => total,
+            total => {
+                dense.extend(total.as_deref());
+                let mut sum = vec![0.0; model_len];
+                fold::fold_parts(&mut sum, &dense);
+                sum
+            }
+        };
         AggregateOutcome {
             sum,
             quarantined: drained.quarantined,
@@ -284,51 +433,15 @@ impl SigmaAggregator {
         }
     }
 
-    /// [`SigmaAggregator::aggregate_validated`] with an integer fold:
-    /// every surviving peer's staged vector is quantized at the shared
-    /// `scale_exp`, the quantized values are folded as exact `i64` sums
-    /// by `fold::fold_parts_i64`, and the sum is dequantized once at the
-    /// end. Integer addition is associative, so the result does not
-    /// depend on fold order.
-    ///
-    /// The engine does **not** call this: a `FixedPoint` round goes
-    /// through [`SigmaAggregator::aggregate_validated`] like every other
-    /// repr, whose float fold is exact on grid-point values while each
-    /// partial sum stays below `2^(53 - frac_bits)` (DESIGN.md §17).
-    /// Callers are the unit test below and the repo benchmark's
-    /// `runtime.sigma.fixed_mib_per_s` rung.
-    pub fn aggregate_fixed(
-        &self,
-        model_len: usize,
-        incoming: Vec<Receiver<Chunk>>,
-        scale_exp: u8,
-    ) -> AggregateOutcome {
-        let drained = self.drain_validated(model_len, incoming, stage_peer);
-        let quantized: Vec<Vec<i32>> = drained
-            .survivors
-            .iter()
-            .map(|part| cosmic_collectives::codec::quantize_at_scale(part, scale_exp).0)
-            .collect();
-        let parts: Vec<&[i32]> = quantized.iter().map(Vec::as_slice).collect();
-        let mut acc = vec![0i64; model_len];
-        fold::fold_parts_i64(&mut acc, &parts);
-        AggregateOutcome {
-            sum: cosmic_collectives::codec::dequantize_sum(scale_exp, &acc),
-            quarantined: drained.quarantined,
-            duplicates_dropped: drained.duplicates_dropped,
-            ring_high_water: drained.ring_high_water,
-        }
-    }
-
     /// Runs the two-pool pipeline to completion and collects what
     /// `stage` made of each peer's stream ([`stage_peer`] outside
-    /// tests), leaving the final fold — float or integer — to the
-    /// caller.
+    /// tests), leaving the final fold to the caller.
     fn drain_validated(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
-        stage: fn(&CircularBuffer<Chunk>, usize) -> PeerFold,
+        quantize_at: Option<u8>,
+        stage: fn(&CircularBuffer<Chunk>, usize, Option<u8>) -> PeerFold,
     ) -> DrainedRound {
         let peers = incoming.len();
         let folds: Arc<Vec<Mutex<PeerFold>>> =
@@ -362,7 +475,7 @@ impl SigmaAggregator {
                 let folds = Arc::clone(&folds);
                 let wg = wg.clone();
                 self.aggregation.execute(move || {
-                    *folds[peer].lock() = stage(&ring.0, model_len);
+                    *folds[peer].lock() = stage(&ring.0, model_len, quantize_at);
                     drop(wg);
                 });
             }
@@ -370,11 +483,11 @@ impl SigmaAggregator {
         wg.wait();
 
         // Collect surviving peers in index order — the determinism
-        // contract every final fold (float or integer) builds on.
+        // contract the float fold builds on.
         let mut quarantined = Vec::new();
         let mut duplicates_dropped = 0;
         let mut ring_high_water = 0;
-        let mut survivors: Vec<Vec<f64>> = Vec::new();
+        let mut survivors = Vec::new();
         for (peer, fold) in folds.iter().enumerate() {
             let mut fold = fold.lock();
             duplicates_dropped += fold.duplicates;
@@ -410,11 +523,31 @@ impl Drop for CloseOnDrop {
     }
 }
 
+/// The integer fold of a fixed-point round: every stripe's survivors
+/// accumulate into `i64` sums on one grid and de-quantize once.
+fn fold_grids(model_len: usize, grids: &[(&[i32], &[u8])]) -> Vec<f64> {
+    let mut total = vec![0.0; model_len];
+    let mut acc = vec![0i64; CHUNK_WORDS.min(model_len)];
+    for (stripe, out) in total.chunks_mut(CHUNK_WORDS).enumerate() {
+        let at = stripe * CHUNK_WORDS;
+        let parts: Vec<(&[i32], u8)> = grids
+            .iter()
+            .map(|(values, exps)| (&values[at..at + out.len()], exps[stripe]))
+            .collect();
+        let acc = &mut acc[..out.len()];
+        let scale_exp = fold::fold_grid_stripe(acc, &parts);
+        dequantize_sum(scale_exp, acc, out);
+    }
+    total
+}
+
 /// One peer's aggregation job: drains `ring` into a staging buffer of
-/// `model_len` words, validating every chunk as it goes.
-fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize) -> PeerFold {
-    let mut staged: Option<Vec<f64>> = None;
-    let mut seen = vec![false; crate::layout::chunk_count(model_len)];
+/// `model_len` words, validating every chunk as it goes. Dense chunks
+/// stage as floats, or — under `quantize_at` — as the grid of that
+/// scale exponent; grid chunks stage as the grid they carry.
+fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize, quantize_at: Option<u8>) -> PeerFold {
+    let mut staged: Option<Staged> = None;
+    let mut seen = vec![false; chunk_count(model_len)];
     let mut fault: Option<ChunkFault> = None;
     let mut duplicates = 0usize;
     while let Some(chunk) = ring.pop() {
@@ -427,14 +560,26 @@ fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize) -> PeerFold {
             fault = Some(ChunkFault::Misaligned { offset: chunk.offset });
             continue;
         }
+        // Model words carried, and the grid they stage on (if any); a
+        // malformed grid header leaves no length to check against.
+        let (len, scale_exp) = match chunk.layout {
+            Layout::Dense => (chunk.data.len(), quantize_at),
+            Layout::Grid => {
+                let Some((scale_exp, words)) = chunk.grid_header() else {
+                    fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
+                    continue;
+                };
+                (words, Some(scale_exp))
+            }
+        };
         // The offset is wire-supplied: bound it before adding to it.
         // (`offset == model_len` with an empty payload would index one
         // stripe past the last.)
-        if chunk.offset >= model_len || chunk.data.len() > model_len - chunk.offset {
-            fault = Some(ChunkFault::Overrun { offset: chunk.offset, len: chunk.data.len() });
+        if chunk.offset >= model_len || len > model_len - chunk.offset {
+            fault = Some(ChunkFault::Overrun { offset: chunk.offset, len });
             continue;
         }
-        let end = chunk.offset + chunk.data.len();
+        let end = chunk.offset + len;
         if !chunk.is_intact() {
             fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
             continue;
@@ -449,8 +594,25 @@ fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize) -> PeerFold {
             continue;
         }
         seen[stripe] = true;
-        let dst = staged.get_or_insert_with(|| vec![0.0; model_len]);
-        dst[chunk.offset..end].copy_from_slice(&chunk.data);
+        let dst = staged.get_or_insert_with(|| match scale_exp {
+            None => Staged::Dense(vec![0.0; model_len]),
+            Some(_) => Staged::Grid { values: vec![0; model_len], exps: vec![0; seen.len()] },
+        });
+        match (dst, scale_exp) {
+            (Staged::Dense(words), None) => words[chunk.offset..end].copy_from_slice(&chunk.data),
+            (Staged::Grid { values, exps }, Some(scale_exp)) => {
+                exps[stripe] = scale_exp;
+                let values = &mut values[chunk.offset..end];
+                match chunk.layout {
+                    Layout::Grid => unpack_grid(&chunk.data[1..], values),
+                    Layout::Dense => {
+                        quantize_into(&chunk.data, scale_exp, values);
+                    }
+                }
+            }
+            // The stream changed representation mid-way.
+            _ => fault = Some(ChunkFault::Corrupt { offset: chunk.offset }),
+        }
     }
     // A stream that delivered anything must have delivered every
     // stripe; zero-filling the rest would pass a partial gradient off
@@ -701,14 +863,231 @@ mod tests {
         let out = sigma.aggregate_fixed(len, incoming, scale_exp);
         assert_eq!(out.quarantined.len(), 1, "corrupt peer still quarantined");
         let expect: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        let got_bits: Vec<u64> = out.sum.iter().map(|v| v.to_bits()).collect();
-        let expect_bits: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got_bits, expect_bits, "grid-point payloads sum exactly");
+        assert_eq!(bits(&out.sum), bits(&expect), "grid-point payloads sum exactly");
+        // Off the grid, it is what a sender's own quantization gives.
+        let off: Vec<f64> = (0..len).map(|i| (i as f64).sin()).collect();
+        let fixed = sigma.aggregate_fixed(len, vec![send_model(off.clone()), send_model(a)], 20);
+        let sent = sigma.aggregate_validated(len, vec![send_grid(&off, 20), send_grid(&b, 20)]);
+        assert_ne!(bits(&fixed.sum), bits(&sent.sum));
+        let fixed = sigma.aggregate_fixed(len, vec![send_model(off.clone()), send_model(b)], 20);
+        assert_eq!(bits(&fixed.sum), bits(&sent.sum));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn send_chunks(chunks: impl IntoIterator<Item = Chunk>) -> Receiver<Chunk> {
+        let (tx, rx) = channel::unbounded();
+        for chunk in chunks {
+            tx.send(chunk).unwrap();
+        }
+        rx
+    }
+
+    fn send_grid(model: &[f64], frac_bits: u8) -> Receiver<Chunk> {
+        send_chunks(grid_chunks(model, frac_bits).0)
+    }
+
+    /// A seeded partial of magnitude ~`scale`, off every grid.
+    fn partial(len: usize, peer: usize, scale: f64) -> Vec<f64> {
+        (0..len).map(|i| ((i * 31 + peer * 7) % 997) as f64 / 997.0 * scale - scale / 3.0).collect()
+    }
+
+    /// The float-valued oracle of a fixed-point round: each partial
+    /// through `WireRepr::transform`, folded in floats.
+    fn transform_fold(len: usize, parts: &[&[f64]], frac_bits: u8) -> Vec<u64> {
+        let repr = cosmic_collectives::codec::WireRepr::FixedPoint { frac_bits };
+        let decoded: Vec<Vec<f64>> = parts.iter().map(|p| repr.transform(p).0).collect();
+        let slices: Vec<&[f64]> = decoded.iter().map(Vec::as_slice).collect();
+        let mut sum = vec![0.0; len];
+        fold::fold_parts_reference(&mut sum, &slices);
+        bits(&sum)
+    }
+
+    #[test]
+    fn grid_chunks_quantize_once_and_carry_the_codec_layout() {
+        let len = CHUNK_WORDS + 5; // a full stripe and a ragged, odd one
+        let model = partial(len, 1, 3.0);
+        let (chunks, clipped) = grid_chunks(&model, 20);
+        assert_eq!((chunks.len(), clipped), (2, 0));
+        // Stripe for stripe the bytes are the codec's own encoding of
+        // the stripe at the partial's scale.
+        let scale_exp = derive_scale(&model, 20);
+        for (chunk, stripe) in chunks.iter().zip(model.chunks(CHUNK_WORDS)) {
+            assert_eq!(chunk.layout, Layout::Grid);
+            assert_eq!(chunk.grid_header(), Some((scale_exp, stripe.len())));
+
+            assert!(chunk.is_intact());
+            assert!(chunk.data.shares_allocation(&chunks[0].data), "one arena");
+            let mut grid = vec![0; stripe.len()];
+            quantize_into(stripe, scale_exp, &mut grid);
+            let mut expect = fixed_header(scale_exp, stripe.len()).to_vec();
+            expect.extend(grid.iter().flat_map(|q| q.to_le_bytes()));
+            let carried: Vec<u8> =
+                chunk.data.iter().flat_map(|w| w.to_bits().to_le_bytes()).collect();
+            assert_eq!(carried[..expect.len()], expect[..]);
+            assert!(carried[expect.len()..].iter().all(|&b| b == 0), "zero padding");
+            let mut back = vec![0; stripe.len()];
+            unpack_grid(&chunk.data[1..], &mut back);
+            assert_eq!(back, grid);
+        }
+        // Saturation is counted where it happens.
+        assert_eq!(grid_chunks(&[f64::NAN, 1e300, 0.5], 24).1, 2);
+        assert!(grid_chunks(&[], 20).0.is_empty());
+    }
+
+    #[test]
+    fn chunks_compare_by_bits() {
+        // −1 in the high half of a packed word spells a NaN.
+        let grid = grid_chunks(&[0.0, -1.0 / 1024.0], 10).0.remove(0);
+        assert!(grid.data[1].is_nan());
+        assert_eq!(grid, grid.clone());
+        let nan = Chunk::new(0, vec![f64::NAN, 1.0]);
+        assert_eq!(nan, nan.clone());
+        assert_ne!(Chunk::new(0, vec![0.0]), Chunk::new(0, vec![-0.0]));
+        // The same words under the other layout are another chunk, with
+        // another sum.
+        let dense = Chunk::new(0, grid.data.clone());
+        assert_ne!(dense, grid);
+        assert_ne!(dense.checksum, grid.checksum);
+    }
+
+    #[test]
+    fn grid_streams_fold_to_the_integer_sum_of_the_survivors() {
+        let sigma = SigmaAggregator::new(2, 2);
+        let len = 2 * CHUNK_WORDS + 17;
+        let models: Vec<Vec<f64>> = (0..4).map(|p| partial(len, p, 2.0)).collect();
+        let fold_of = |survivors: &[usize]| {
+            let parts: Vec<&[f64]> = survivors.iter().map(|&p| models[p].as_slice()).collect();
+            transform_fold(len, &parts, 20)
+        };
+        let healthy =
+            sigma.aggregate_validated(len, models.iter().map(|m| send_grid(m, 20)).collect());
+        assert!(healthy.quarantined.is_empty());
+        assert_eq!(bits(&healthy.sum), fold_of(&[0, 1, 2, 3]));
+
+        // Quarantining peer k — by any verdict — leaves exactly the
+        // integer sum of the rest; duplicates are dropped, not summed.
+        type Bend = fn(Vec<Chunk>) -> Vec<Chunk>;
+        let cases: [(Bend, ChunkFault); 8] = [
+            (
+                |mut c| {
+                    c[1] = c[1].clone().corrupted();
+                    c
+                },
+                ChunkFault::Corrupt { offset: CHUNK_WORDS },
+            ),
+            (
+                |mut c| {
+                    c[1].offset += 1;
+                    c
+                },
+                ChunkFault::Misaligned { offset: CHUNK_WORDS + 1 },
+            ),
+            (
+                |mut c| {
+                    c[2].offset += CHUNK_WORDS;
+                    c
+                },
+                ChunkFault::Overrun { offset: 3 * CHUNK_WORDS, len: 17 },
+            ),
+            (
+                |mut c| {
+                    c.remove(1);
+                    c
+                },
+                ChunkFault::Incomplete { missing: CHUNK_WORDS },
+            ),
+            (
+                // A ragged chunk where a full stripe belongs.
+                |mut c| {
+                    c[0] = Chunk { offset: 0, ..c[2].clone() };
+                    c[0].checksum = Chunk::grid_checksum_of(0, &c[0].data);
+                    c
+                },
+                ChunkFault::Incomplete { missing: 17 },
+            ),
+            (
+                // A header claiming one word more than is packed under it.
+                |mut c| {
+                    let mut words = c[0].data.to_vec();
+                    words[0] = f64::from_bits(words[0].to_bits() + (1 << 32));
+                    c[0].data = words.into();
+                    c[0].checksum = Chunk::grid_checksum_of(0, &c[0].data);
+                    c
+                },
+                ChunkFault::Corrupt { offset: 0 },
+            ),
+            (
+                // A scale exponent the codec cannot have written.
+                |mut c| {
+                    let mut words = c[2].data.to_vec();
+                    words[0] = f64::from_bits(words[0].to_bits() | 0xFF);
+                    c[2].data = words.into();
+                    c[2].checksum = Chunk::grid_checksum_of(c[2].offset, &c[2].data);
+                    c
+                },
+                ChunkFault::Corrupt { offset: 2 * CHUNK_WORDS },
+            ),
+            (
+                // The stream turns dense half-way.
+                |mut c| {
+                    c[1] = Chunk::new(CHUNK_WORDS, vec![1.0; CHUNK_WORDS]);
+                    c
+                },
+                ChunkFault::Corrupt { offset: CHUNK_WORDS },
+            ),
+        ];
+        for (k, (bend, verdict)) in cases.into_iter().enumerate() {
+            let k = k % models.len();
+            let incoming = models
+                .iter()
+                .enumerate()
+                .map(|(p, m)| {
+                    let mut chunks = grid_chunks(m, 20).0;
+                    chunks.push(chunks[0].clone()); // a duplicate, late
+                    send_chunks(if p == k { bend(chunks) } else { chunks })
+                })
+                .collect();
+            let out = sigma.aggregate_validated(len, incoming);
+            assert_eq!(out.quarantined, vec![(k, verdict)]);
+            let rest: Vec<usize> = (0..models.len()).filter(|&p| p != k).collect();
+            assert_eq!(bits(&out.sum), fold_of(&rest), "{verdict}");
+            assert!(out.duplicates_dropped >= rest.len());
+        }
+    }
+
+    #[test]
+    fn peers_on_different_grids_share_a_stripe() {
+        let sigma = SigmaAggregator::new(2, 2);
+        let len = CHUNK_WORDS + 9;
+        // Magnitudes ~1, ~5000 and ~3e6 derive scale exponents 20, 19
+        // and 10 under `fixed_point:20`: three grids in every stripe,
+        // aligned by shift, and still the float fold's bits (sums stay
+        // far below 2^53 quanta of the finest grid).
+        let models = [partial(len, 0, 1.0), partial(len, 1, 5.0e3), partial(len, 2, 3.0e6)];
+        let exps: Vec<u8> = models.iter().map(|m| derive_scale(m, 20)).collect();
+        assert_eq!(exps, [20, 19, 10]);
+        let parts: Vec<&[f64]> = models.iter().map(Vec::as_slice).collect();
+        for order in [[0, 1, 2], [2, 0, 1], [1, 2, 0]] {
+            let incoming = order.iter().map(|&p| send_grid(&models[p], 20)).collect();
+            let out = sigma.aggregate_validated(len, incoming);
+            assert_eq!(bits(&out.sum), transform_fold(len, &parts, 20), "{order:?}");
+        }
+        // A dense peer among grid peers: floats first, grid total last.
+        let incoming = vec![send_grid(&models[0], 20), send_model(models[1].clone())];
+        let out = sigma.aggregate_validated(len, incoming);
+        let (grid, _) =
+            cosmic_collectives::codec::WireRepr::FixedPoint { frac_bits: 20 }.transform(&models[0]);
+        let mut expect = vec![0.0; len];
+        fold::fold_parts_reference(&mut expect, &[&models[1], &grid]);
+        assert_eq!(bits(&out.sum), bits(&expect));
     }
 
     #[test]
     fn a_consumer_that_panics_mid_stream_does_not_wedge_its_producer() {
-        fn dies_after_one_chunk(ring: &CircularBuffer<Chunk>, _: usize) -> PeerFold {
+        fn dies_after_one_chunk(ring: &CircularBuffer<Chunk>, _: usize, _: Option<u8>) -> PeerFold {
             let _ = ring.pop();
             panic!("aggregation job panics mid-stream");
         }
@@ -718,8 +1097,8 @@ mod tests {
         // only networking worker for the aggregator's lifetime.
         let sigma = SigmaAggregator::new(1, 1);
         let len = 16 * CHUNK_WORDS;
-        let drained =
-            sigma.drain_validated(len, vec![send_model(vec![1.0; len])], dies_after_one_chunk);
+        let incoming = vec![send_model(vec![1.0; len])];
+        let drained = sigma.drain_validated(len, incoming, None, dies_after_one_chunk);
         assert!(drained.survivors.is_empty(), "the peer is absent from the round");
         assert!(drained.quarantined.is_empty());
         // Both pools are whole: the next round on the same aggregator folds.

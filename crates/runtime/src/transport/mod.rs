@@ -33,11 +33,11 @@ pub use tcp::TcpTransport;
 
 use std::time::Duration;
 
-use cosmic_collectives::codec::WireRepr;
+use cosmic_collectives::codec::{CodecStats, WireRepr, WORD_BYTES};
 use cosmic_sim::faults::FaultPlan;
 
 use crate::error::RuntimeError;
-use crate::node::{chunk_vector, AggregateOutcome, Chunk, SigmaAggregator};
+use crate::node::{chunk_vector, grid_chunks, AggregateOutcome, Chunk, SigmaAggregator};
 use crate::trainer::{ClusterConfig, RetryPolicy};
 
 /// Which wire the collective round runs over.
@@ -175,6 +175,10 @@ pub struct RoundDelivery {
     pub dead: Vec<DeadLink>,
     /// Wire accounting (empty for the sim backend).
     pub stats: TransportStats,
+    /// What `ctx.repr` did to the partials, summed over the senders
+    /// that had one (zero on a dense round): booked where each was
+    /// chunked, once, however many times its stream was retransmitted.
+    pub codec: CodecStats,
 }
 
 /// Everything a backend needs to run one collective round.
@@ -191,32 +195,54 @@ pub struct RoundCtx<'a> {
     pub retry: &'a RetryPolicy,
     /// The admitted sender node ids, ascending.
     pub senders: &'a [usize],
-    /// The wire representation chunk payloads travel under. Sim keeps
-    /// the chunks in process; Tcp frames them as
-    /// `FrameKind::Encoded` when this is not
-    /// [`WireRepr::DenseF64`]. The payload values are already
-    /// boundary-transformed by the engine, so the wire encode is
-    /// lossless and both backends stay bit-identical.
+    /// The wire representation the partials travel under. `parts` are
+    /// raw: `RoundCtx::wire_chunks` applies it, on the sender's
+    /// thread, and is all either backend sends — Sim hands the chunks
+    /// over in process, Tcp frames them as `FrameKind::Encoded` when
+    /// this is not [`WireRepr::DenseF64`], verbatim or losslessly — so
+    /// both stay bit-identical.
     pub repr: WireRepr,
 }
 
 impl RoundCtx<'_> {
-    /// `member`'s wire stream for this round: `part` chunked, with the
-    /// plan's chunk-level corruption and duplication applied, as
-    /// `(chunk_index, chunk)` in send order (a duplicate travels right
-    /// beside its original). Every backend sends exactly this.
+    /// `member`'s wire stream for this round — the one boundary where
+    /// `repr` meets a partial: dense words are chunked as they are; a
+    /// fixed-point partial is quantized once, at one scale, into grid
+    /// chunks (`grid_chunks`); a top-k partial is sparsified, then
+    /// chunked. The plan's chunk-level corruption and duplication apply
+    /// on top, giving `(chunk_index, chunk)` in send order (a duplicate
+    /// travels right beside its original), beside what the codec did.
+    /// Every backend sends exactly this.
     pub(crate) fn wire_chunks(
         &self,
         member: usize,
         part: &[f64],
-    ) -> impl Iterator<Item = (usize, Chunk)> + '_ {
+    ) -> (CodecStats, impl Iterator<Item = (usize, Chunk)> + '_) {
+        let (stats, chunks) = match self.repr {
+            WireRepr::DenseF64 => (CodecStats::default(), chunk_vector(part)),
+            WireRepr::FixedPoint { frac_bits } => {
+                let (chunks, clipped) = grid_chunks(part, frac_bits);
+                let stats = CodecStats {
+                    dense_bytes: (part.len() * WORD_BYTES) as u64,
+                    wire_bytes: self.repr.payload_bytes(part.len()) as u64,
+                    clipped,
+                    dropped: 0,
+                };
+                (stats, chunks)
+            }
+            WireRepr::TopK { .. } => {
+                let (sparse, stats) = self.repr.transform(part);
+                (stats, chunk_vector(&sparse))
+            }
+        };
         let (plan, iteration) = (self.plan, self.iteration);
-        chunk_vector(part).into_iter().enumerate().flat_map(move |(ci, chunk)| {
+        let stream = chunks.into_iter().enumerate().flat_map(move |(ci, chunk)| {
             let chunk =
                 if plan.chunk_corrupted(member, iteration, ci) { chunk.corrupted() } else { chunk };
             let duplicate = plan.chunk_duplicated(member, iteration, ci).then(|| chunk.clone());
             duplicate.into_iter().chain([chunk]).map(move |chunk| (ci, chunk))
-        })
+        });
+        (stats, stream)
     }
 }
 
@@ -230,9 +256,10 @@ pub trait Transport: Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> TransportKind;
 
-    /// Streams every sender's chunked partial (`parts[i]` belongs to
-    /// `ctx.senders[i]`) into `sigma` and returns the validated fold,
-    /// any links that died, and the wire accounting.
+    /// Streams every sender's partial (`parts[i]`, raw, belongs to
+    /// `ctx.senders[i]`) as `RoundCtx::wire_chunks` into `sigma` and
+    /// returns the validated fold, any links that died, and the wire
+    /// and codec accounting.
     fn round(
         &self,
         ctx: &RoundCtx<'_>,

@@ -6,7 +6,9 @@
 //! receiving side. Nothing is booked into [`TransportStats`], so traced
 //! runs export telemetry with no wire counters at all.
 
+use cosmic_collectives::codec::CodecStats;
 use crossbeam::channel;
+use parking_lot::Mutex;
 use std::thread;
 
 use crate::error::RuntimeError;
@@ -29,8 +31,9 @@ impl Transport for SimTransport {
         sigma: &SigmaAggregator,
         parts: &[Option<&[f64]>],
     ) -> Result<RoundDelivery, RuntimeError> {
+        let codec = Mutex::new(CodecStats::default());
         let outcome = thread::scope(|s| {
-            let mut receivers = Vec::new();
+            let (codec, mut receivers) = (&codec, Vec::new());
             for (i, &member) in ctx.senders.iter().enumerate() {
                 let (tx, rx) = channel::bounded(8);
                 receivers.push(rx);
@@ -39,7 +42,9 @@ impl Transport for SimTransport {
                     let Some(part) = part else {
                         return;
                     };
-                    for (_, chunk) in ctx.wire_chunks(member, part) {
+                    let (stats, chunks) = ctx.wire_chunks(member, part);
+                    codec.lock().merge(&stats);
+                    for (_, chunk) in chunks {
                         if tx.send(chunk).is_err() {
                             break;
                         }
@@ -48,7 +53,12 @@ impl Transport for SimTransport {
             }
             sigma.aggregate_validated(ctx.model_len, receivers)
         });
-        Ok(RoundDelivery { outcome, dead: Vec::new(), stats: TransportStats::default() })
+        Ok(RoundDelivery {
+            outcome,
+            dead: Vec::new(),
+            stats: TransportStats::default(),
+            codec: codec.into_inner(),
+        })
     }
 }
 

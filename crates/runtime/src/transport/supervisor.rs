@@ -34,12 +34,12 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cosmic_collectives::codec::WireRepr;
+use cosmic_collectives::codec::{encode_wire, WireRepr};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
-use crate::node::Chunk;
+use crate::node::{Chunk, Layout};
 use crate::trainer::RetryPolicy;
 
 use super::shim::{damage, WireShim};
@@ -84,9 +84,12 @@ pub(crate) struct RoundSender {
     pub link: LinkConfig,
     /// Reconnect backoff policy (shared with chunk retransmission).
     pub retry: RetryPolicy,
-    /// Wire representation for chunk payloads: dense chunks travel as
-    /// plain [`FrameKind::Chunk`] frames (the historical wire,
-    /// byte-identical); anything else rides [`FrameKind::Encoded`].
+    /// Wire representation of the round: on a dense wire dense chunks
+    /// travel as plain [`FrameKind::Chunk`] frames (the historical
+    /// wire, byte-identical); grid chunks ride [`FrameKind::Encoded`]
+    /// verbatim, and dense chunks on any other wire as their non-zero
+    /// words (`encode_wire`: lossless for the sparsified chunks of a
+    /// top-k round).
     pub repr: WireRepr,
     wire: Option<Wire>,
 }
@@ -143,10 +146,14 @@ impl RoundSender {
                     wire.writer.flush().map_err(|e| fail(format!("write: {e}")))?;
                     thread::sleep(delay);
                 }
-                let mut bytes = match repr {
-                    WireRepr::DenseF64 => Frame::chunk(node, iteration, chunk).encode(),
-                    repr => Frame::encoded_chunk(node, iteration, repr, chunk).encode(),
-                };
+                let mut bytes = match (chunk.layout, repr) {
+                    (Layout::Grid, _) => Frame::grid_chunk(node, iteration, chunk),
+                    (Layout::Dense, WireRepr::DenseF64) => Frame::chunk(node, iteration, chunk),
+                    (Layout::Dense, _) => {
+                        Frame::sparse_chunk(node, iteration, chunk, &encode_wire(&chunk.data))
+                    }
+                }
+                .encode();
                 if shim.frame_corrupted(attempt, ci) {
                     damage(&mut bytes);
                 }
@@ -449,9 +456,10 @@ impl Peer {
                 // words decoded off the socket are the words the Sigma
                 // folds, with no per-frame copy.
                 FrameKind::Chunk => chunks.push(frame.into_chunk()),
-                // Encoded chunks decode under their carried codec tag; the
-                // chunk checksum travelled verbatim, so Sigma validation
-                // (including corrupt-injection quarantine) is unchanged.
+                // A grid chunk is a view of its frame, a sparse one is
+                // decoded; either way the chunk checksum travelled
+                // verbatim, so Sigma validation (including
+                // corrupt-injection quarantine) is unchanged.
                 FrameKind::Encoded => chunks.push(frame.decode_encoded_chunk()?),
                 FrameKind::Done => {
                     return Ok((hello.node, stats, Some((hello.iteration, frame.b, chunks))))

@@ -21,6 +21,7 @@ use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
+use cosmic_collectives::codec::CodecStats;
 use crossbeam::channel::{self, Sender};
 use parking_lot::Mutex;
 
@@ -59,13 +60,18 @@ impl TcpTransport {
     }
 }
 
-/// Pushes one sender's wire stream through its supervised link.
+/// Pushes one sender's wire stream through its supervised link,
+/// booking what the codec did to the partial into `codec` — once,
+/// whatever the link then costs in retransmissions.
 fn send_part(
     link: &mut RoundSender,
     ctx: &RoundCtx<'_>,
     part: &[f64],
+    codec: &Mutex<CodecStats>,
 ) -> Result<TransportStats, RuntimeError> {
-    let wire_chunks: Vec<(usize, Chunk)> = ctx.wire_chunks(link.node, part).collect();
+    let (applied, chunks) = ctx.wire_chunks(link.node, part);
+    let wire_chunks: Vec<(usize, Chunk)> = chunks.collect();
+    codec.lock().merge(&applied);
     let shim = WireShim::new(ctx.plan, link.node, ctx.iteration);
     (link.retry, link.repr) = (*ctx.retry, ctx.repr);
     let report = link.send_round(ctx.iteration as u64, &wire_chunks, 0, &shim, FrameKind::Ack)?;
@@ -101,11 +107,12 @@ impl Transport for TcpTransport {
         }
         let txs: Slots = Mutex::new(slots);
         let stats = Mutex::new(TransportStats::default());
+        let codec = Mutex::new(CodecStats::default());
         let dead: Mutex<Vec<DeadLink>> = Mutex::new(Vec::new());
         let pending = AtomicUsize::new(ctx.senders.len());
 
         let outcome = thread::scope(|s| {
-            let (txs, stats, dead, pending) = (&txs, &stats, &dead, &pending);
+            let (txs, stats, codec, dead, pending) = (&txs, &stats, &codec, &dead, &pending);
             for (&member, link) in links.iter_mut() {
                 let Some(i) = ctx.senders.iter().position(|&n| n == member) else {
                     continue; // Not in this round's membership: the link idles.
@@ -113,7 +120,7 @@ impl Transport for TcpTransport {
                 let part = parts[i];
                 s.spawn(move || {
                     if let Some(part) = part {
-                        match send_part(link, ctx, part) {
+                        match send_part(link, ctx, part, codec) {
                             Ok(sent) => stats.lock().merge(&sent),
                             Err(error) => {
                                 let attempts = match &error {
@@ -145,7 +152,12 @@ impl Transport for TcpTransport {
             fold.join().unwrap_or_else(|payload| panic::resume_unwind(payload))
         });
 
-        Ok(RoundDelivery { outcome, dead: dead.into_inner(), stats: stats.into_inner() })
+        Ok(RoundDelivery {
+            outcome,
+            dead: dead.into_inner(),
+            stats: stats.into_inner(),
+            codec: codec.into_inner(),
+        })
     }
 }
 

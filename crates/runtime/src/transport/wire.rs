@@ -23,12 +23,14 @@ use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
-use cosmic_collectives::codec::{declared_words, decode_tagged, WireRepr};
+use cosmic_collectives::codec::{
+    declared_words, decode_tagged, exact_len, parse_fixed_header, FIXED_TAG, SPARSE_TAG,
+};
 use cosmic_collectives::{payload_digest, Fnv1a};
 
 use crate::buffer::WordBuf;
 use crate::layout::CHUNK_WORDS;
-use crate::node::Chunk;
+use crate::node::{Chunk, Layout};
 
 /// Frame magic: `"COSM"` as a big-endian u32.
 pub(crate) const MAGIC: u32 = 0x434F_534D;
@@ -73,9 +75,10 @@ pub enum FrameKind {
     /// One model chunk travelling in an encoded wire representation:
     /// `a` is the word offset, `b` packs the codec tag (bits 32..40)
     /// above the encoded byte length (bits 0..32). Payload word 0 is
-    /// the staged chunk's own checksum — verbatim, so
-    /// Sigma-level validation survives re-encoding — followed by the
-    /// codec bytes packed eight to a word.
+    /// the staged chunk's own checksum — verbatim, so Sigma-level
+    /// validation survives the wire — followed by the codec bytes
+    /// packed eight to a word: a grid chunk's own words, or a sparse
+    /// chunk's non-zero coordinates.
     Encoded = 9,
 }
 
@@ -140,48 +143,74 @@ impl Frame {
     /// travels unchanged and is the Sigma's business, not the wire's).
     /// The chunk shares this frame's payload allocation.
     pub fn to_chunk(&self) -> Chunk {
-        Chunk { offset: self.a as usize, data: self.payload.clone(), checksum: self.b }
+        self.clone().into_chunk()
     }
 
     /// [`Frame::to_chunk`], consuming the frame: the payload moves into
     /// the chunk outright, so a received frame's single allocation is
     /// handed to the Sigma with no refcount traffic at all.
     pub(crate) fn into_chunk(self) -> Chunk {
-        Chunk { offset: self.a as usize, data: self.payload, checksum: self.b }
+        Chunk {
+            offset: self.a as usize,
+            data: self.payload,
+            checksum: self.b,
+            layout: Layout::Dense,
+        }
     }
 
-    /// Wraps a model chunk in its encoded wire representation: the
-    /// payload carries the chunk's own checksum verbatim (word 0) and
-    /// then the codec bytes of [`WireRepr::encode_wire`] packed eight
-    /// to a word. For [`WireRepr::DenseF64`] prefer [`Frame::chunk`] —
-    /// it is the same information without the packing detour.
-    pub(crate) fn encoded_chunk(node: u32, iteration: u64, repr: WireRepr, chunk: &Chunk) -> Self {
-        let enc = repr.encode_wire(&chunk.data);
-        let mut words = Vec::with_capacity(1 + enc.bytes.len().div_ceil(8));
-        words.push(f64::from_bits(chunk.checksum));
-        for part in enc.bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..part.len()].copy_from_slice(part);
-            words.push(f64::from_bits(u64::from_le_bytes(w)));
-        }
+    /// An [`FrameKind::Encoded`] frame for `chunk`: payload word 0 is
+    /// the chunk's own checksum, verbatim, then `codec` — `len` codec
+    /// bytes under wire tag `tag`, eight to a word.
+    fn encoded(
+        node: u32,
+        iteration: u64,
+        chunk: &Chunk,
+        tag: u8,
+        len: usize,
+        codec: impl Iterator<Item = f64>,
+    ) -> Self {
         Frame {
             kind: FrameKind::Encoded,
             node,
             iteration,
             a: chunk.offset as u64,
-            b: (u64::from(repr.tag()) << 32) | enc.bytes.len() as u64,
-            payload: WordBuf::from_vec(words),
+            b: (u64::from(tag) << 32) | len as u64,
+            payload: std::iter::once(f64::from_bits(chunk.checksum)).chain(codec).collect(),
         }
     }
 
+    /// Wraps a [`Layout::Grid`] chunk. It *is* its codec bytes — header
+    /// word, packed values — and ships as it stands behind its
+    /// checksum: nothing is re-derived on the way out.
+    pub(crate) fn grid_chunk(node: u32, iteration: u64, chunk: &Chunk) -> Self {
+        let words = chunk.grid_header().map_or(0, |(_, words)| words);
+        let codec = chunk.data.iter().copied();
+        Frame::encoded(node, iteration, chunk, FIXED_TAG, 8 + 4 * words, codec)
+    }
+
+    /// Wraps a dense chunk as `bytes`, the top-k codec bytes its sender
+    /// encoded it to (every non-zero word of a sparsified chunk, so the
+    /// receiver decodes the chunk back bit for bit).
+    pub(crate) fn sparse_chunk(node: u32, iteration: u64, chunk: &Chunk, bytes: &[u8]) -> Self {
+        let words = bytes.chunks(8).map(|part| {
+            let mut w = [0u8; 8];
+            w[..part.len()].copy_from_slice(part);
+            f64::from_bits(u64::from_le_bytes(w))
+        });
+        Frame::encoded(node, iteration, chunk, SPARSE_TAG, bytes.len(), words)
+    }
+
     /// Reconstructs the staged [`Chunk`] from an [`FrameKind::Encoded`]
-    /// frame: unpacks the codec bytes, decodes them under the carried
-    /// tag, and restores the chunk's original checksum verbatim — a
-    /// stale checksum (corrupted-in-flight chunk) travels unchanged and
-    /// still fails Sigma-side validation. Malformed codec bytes come
-    /// back as [`WireError::Protocol`], and a declared length beyond
-    /// [`CHUNK_WORDS`] as [`WireError::Oversized`] before the decoder
-    /// allocates for it.
+    /// frame, its original checksum restored verbatim — a stale one
+    /// (corrupted-in-flight chunk) travels unchanged and still fails
+    /// Sigma-side validation. A fixed-point payload decodes nothing:
+    /// its header is checked against the frame and the grid chunk is a
+    /// view of the frame's payload. Any other tag is unpacked and
+    /// decoded to a dense chunk. A declared length beyond
+    /// [`CHUNK_WORDS`] is [`WireError::Oversized`] before anything is
+    /// allocated for it; every other malformation — a header out of
+    /// range, a byte length that is not the header's, bad codec bytes —
+    /// is [`WireError::Protocol`].
     pub fn decode_encoded_chunk(&self) -> Result<Chunk, WireError> {
         if self.kind != FrameKind::Encoded {
             return Err(WireError::Protocol {
@@ -194,19 +223,32 @@ impl Frame {
         if self.payload.len() != needed {
             return Err(WireError::Truncated { needed, got: self.payload.len() });
         }
-        let checksum = self.payload[0].to_bits();
+        let (offset, checksum) = (self.a as usize, self.payload[0].to_bits());
+        let malformed = |err| WireError::Protocol { detail: format!("encoded chunk: {err}") };
+        let oversized =
+            |words| WireError::Oversized { words: u32::try_from(words).unwrap_or(u32::MAX) };
+        if tag == FIXED_TAG {
+            let header = self.payload.get(1).map_or(0, |w| w.to_bits());
+            let words = (header >> 32) as usize;
+            if words > CHUNK_WORDS {
+                return Err(oversized(words));
+            }
+            parse_fixed_header(header.to_le_bytes()).map_err(malformed)?;
+            exact_len(8 + 4 * words, len).map_err(malformed)?;
+            let data = self.payload.slice(1, needed - 1);
+            return Ok(Chunk { offset, data, checksum, layout: Layout::Grid });
+        }
         let mut bytes = Vec::with_capacity(len.div_ceil(8) * 8);
         for word in self.payload.iter().skip(1) {
             bytes.extend_from_slice(&word.to_bits().to_le_bytes());
         }
         bytes.truncate(len);
-        let malformed = |err| WireError::Protocol { detail: format!("encoded chunk: {err}") };
         let words = declared_words(tag, &bytes).map_err(malformed)?;
         if words > CHUNK_WORDS {
-            return Err(WireError::Oversized { words: u32::try_from(words).unwrap_or(u32::MAX) });
+            return Err(oversized(words));
         }
         let data = decode_tagged(tag, &bytes).map_err(malformed)?;
-        Ok(Chunk { offset: self.a as usize, data: WordBuf::from_vec(data), checksum })
+        Ok(Chunk { offset, data: WordBuf::from_vec(data), checksum, layout: Layout::Dense })
     }
 
     /// Encoded size in bytes.
@@ -418,6 +460,8 @@ impl Error for WireError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::grid_chunks;
+    use cosmic_collectives::codec::WireRepr;
 
     fn sample() -> Frame {
         Frame::chunk(3, 7, &Chunk::new(4096, vec![1.5, -2.25, 0.0, f64::MIN_POSITIVE]))
@@ -477,30 +521,46 @@ mod tests {
 
     #[test]
     fn encoded_chunk_frames_round_trip_under_every_repr() {
-        // Chunk data is already boundary-transformed under each repr,
-        // so the wire re-encode is lossless and the round trip is
-        // bit-exact — including the carried chunk checksum.
-        for repr in
-            [WireRepr::DenseF64, WireRepr::FixedPoint { frac_bits: 12 }, WireRepr::TopK { k: 3 }]
-        {
-            let raw: Vec<f64> = (0..37).map(|i| ((i * 31 % 19) as f64 - 9.0) / 16.0).collect();
-            let (staged, _) = repr.transform(&raw);
-            let chunk = Chunk::new(4096, staged);
-            let frame = Frame::encoded_chunk(5, 11, repr, &chunk);
+        let raw: Vec<f64> =
+            (0..CHUNK_WORDS + 37).map(|i| ((i * 31 % 19) as f64 - 9.0) / 16.0).collect();
+        // Fixed point: the grid chunk — a full stripe, then a ragged
+        // one — is the frame's payload behind the checksum word, at
+        // the size `payload_bytes` prices, and comes back as a view of
+        // the received frame: nothing is re-derived or decoded on the
+        // way.
+        let repr = WireRepr::FixedPoint { frac_bits: 12 };
+        for chunk in grid_chunks(&raw, 12).0 {
+            let frame = Frame::grid_chunk(5, 11, &chunk);
+            let codec_bytes = repr.payload_bytes(chunk.grid_header().expect("well formed").1);
+            assert_eq!(frame.b, (u64::from(repr.tag()) << 32) | codec_bytes as u64);
+            assert_eq!(frame.payload.len(), 1 + codec_bytes.div_ceil(8));
+            assert_eq!(frame.payload[0].to_bits(), chunk.checksum);
+            assert_eq!(frame.payload.slice(1, chunk.data.len()), chunk.data);
             let wired = Frame::decode(&frame.encode()).expect("well formed");
-            let back = wired.decode_encoded_chunk().expect("decodable");
-            assert_eq!(back, chunk, "{repr:?}");
-            assert!(back.is_intact(), "{repr:?}");
+            let back = wired.decode_encoded_chunk().expect("a grid chunk");
+            assert_eq!(back, chunk);
+            assert!(back.is_intact() && back.data.shares_allocation(&wired.payload));
         }
+        // Top-k: the sparsified chunk's coordinates, losslessly.
+        let repr = WireRepr::TopK { k: 3 };
+        let chunk = Chunk::new(4096, repr.transform(&raw[..37]).0);
+        let frame = Frame::sparse_chunk(5, 11, &chunk, &repr.encode(&raw[..37]).0.bytes);
+        let wired = Frame::decode(&frame.encode());
+        let back = wired.expect("well formed").decode_encoded_chunk().expect("decodable");
+        assert_eq!(back, chunk);
+        assert!(back.is_intact());
     }
 
     #[test]
     fn encoded_frames_shrink_the_wire_for_compressed_reprs() {
-        let (staged, _) = WireRepr::TopK { k: 4 }.transform(&vec![1.0; 512]);
-        let chunk = Chunk::new(0, staged);
-        let dense = Frame::chunk(0, 0, &chunk).encoded_len();
-        let sparse = Frame::encoded_chunk(0, 0, WireRepr::TopK { k: 4 }, &chunk).encoded_len();
+        let raw = vec![1.0; 512];
+        let dense = Frame::chunk(0, 0, &Chunk::new(0, raw.clone())).encoded_len();
+        let repr = WireRepr::TopK { k: 4 };
+        let (staged, bytes) = (repr.transform(&raw).0, repr.encode(&raw).0.bytes);
+        let sparse = Frame::sparse_chunk(0, 0, &Chunk::new(0, staged), &bytes).encoded_len();
         assert!(sparse < dense / 4, "sparse frame {sparse} vs dense {dense}");
+        let grid = Frame::grid_chunk(0, 0, &grid_chunks(&raw, 20).0[0]).encoded_len();
+        assert_eq!(grid, HEADER_BYTES + 8 * (2 + 256) + CHECKSUM_BYTES);
     }
 
     #[test]
@@ -508,36 +568,67 @@ mod tests {
         // Corrupt-injection damages the staged chunk before framing;
         // the encoded frame itself is well formed, but the carried
         // chunk checksum is stale and Sigma validation still rejects.
+        let repr = WireRepr::TopK { k: 2 };
         let corrupt = Chunk::new(0, vec![1.0, 2.0]).corrupted();
-        let frame = Frame::encoded_chunk(0, 0, WireRepr::DenseF64, &corrupt);
-        let back = Frame::decode(&frame.encode())
-            .expect("well formed")
-            .decode_encoded_chunk()
-            .expect("decodable");
-        assert!(!back.is_intact());
+        let sparse = Frame::sparse_chunk(0, 0, &corrupt, &repr.encode(&corrupt.data).0.bytes);
+        let corrupt_grid = grid_chunks(&[1.0, 2.0, 3.0], 8).0.remove(0).corrupted();
+        let grid = Frame::grid_chunk(0, 0, &corrupt_grid);
+        for (frame, corrupt) in [(sparse, corrupt), (grid, corrupt_grid)] {
+            let back = Frame::decode(&frame.encode())
+                .expect("well formed")
+                .decode_encoded_chunk()
+                .expect("the wire passes it on");
+            assert_eq!(back, corrupt);
+            assert!(!back.is_intact());
+        }
     }
 
     #[test]
     fn malformed_encoded_payloads_are_typed_not_panics() {
-        let chunk = Chunk::new(0, vec![1.0, 2.0, 3.0]);
-        let mut frame = Frame::encoded_chunk(0, 0, WireRepr::FixedPoint { frac_bits: 8 }, &chunk);
+        let grid = || Frame::grid_chunk(0, 0, &grid_chunks(&[1.0, 2.0, 3.0], 8).0[0]);
+        assert!(grid().decode_encoded_chunk().is_ok());
+        let protocol = |frame: Frame, needle: &str| match frame.decode_encoded_chunk() {
+            Err(WireError::Protocol { detail }) => assert!(detail.contains(needle), "{detail}"),
+            other => panic!("expected a protocol error naming {needle:?}, got {other:?}"),
+        };
         // Unknown codec tag.
+        let mut frame = grid();
         frame.b = (77u64 << 32) | (frame.b & 0xFFFF_FFFF);
-        assert!(matches!(frame.decode_encoded_chunk(), Err(WireError::Protocol { .. })));
+        protocol(frame, "tag 77");
         // Advertised byte length disagreeing with the payload words.
-        let mut short = Frame::encoded_chunk(0, 0, WireRepr::FixedPoint { frac_bits: 8 }, &chunk);
+        let mut short = grid();
         short.b = (short.b & !0xFFFF_FFFFu64) | 1;
         assert!(matches!(short.decode_encoded_chunk(), Err(WireError::Truncated { .. })));
-        // An eight-byte top-k header (count 0) declaring 2^32 - 1 words:
-        // refused before the decoder allocates 32 GiB for it.
+        // A grid header the codec would never write, or one that
+        // disagrees with the frame's byte length: refused at the wire.
+        let with_header = |header: u64, len: u64| {
+            let mut frame = grid();
+            let mut words = frame.payload.to_vec();
+            words[1] = f64::from_bits(header);
+            (frame.payload, frame.b) = (words.into(), (u64::from(FIXED_TAG) << 32) | len);
+            frame
+        };
+        protocol(with_header(3 << 32 | 63, 20), "scale exponent 63");
+        protocol(with_header(3 << 32 | 1 << 8 | 8, 20), "reserved");
+        protocol(with_header(4 << 32 | 8, 20), "truncated");
+        protocol(with_header(2 << 32 | 8, 20), "ends at byte 16");
+        assert!(with_header(3 << 32 | 8, 20).decode_encoded_chunk().is_ok());
+        // A header-less fixed-point payload.
+        let bare = Frame { b: u64::from(FIXED_TAG) << 32, payload: vec![0.0].into(), ..grid() };
+        protocol(bare, "truncated");
+        // Headers declaring more than a stripe — a grid of 2^32 - 1
+        // words, an eight-byte top-k header (count 0) of as many:
+        // refused before anything is allocated for them.
+        let huge = with_header(u64::from(u32::MAX) << 32, 20);
+        assert_eq!(huge.decode_encoded_chunk(), Err(WireError::Oversized { words: u32::MAX }));
         let huge = Frame {
-            b: (2u64 << 32) | 8,
+            b: (u64::from(SPARSE_TAG) << 32) | 8,
             payload: [0, u64::from(u32::MAX) << 32].into_iter().map(f64::from_bits).collect(),
-            ..short
+            ..grid()
         };
         assert_eq!(huge.decode_encoded_chunk(), Err(WireError::Oversized { words: u32::MAX }));
         // Wrong frame kind.
-        let plain = Frame::chunk(0, 0, &chunk);
+        let plain = Frame::chunk(0, 0, &Chunk::new(0, vec![1.0, 2.0, 3.0]));
         assert!(matches!(plain.decode_encoded_chunk(), Err(WireError::Protocol { .. })));
     }
 

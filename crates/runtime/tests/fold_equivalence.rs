@@ -3,7 +3,11 @@
 //! random part counts, ragged lengths, awkward exponents — and the full
 //! `aggregate_validated` pipeline (fused) matches
 //! `aggregate_validated_reference` (scalar) bit-for-bit through the
-//! quarantined-peer and survivor-rescaling paths.
+//! quarantined-peer and survivor-rescaling paths. A fixed-point round
+//! is held to two oracles the same way: the reference integer fold of
+//! each partial's own quantization, and the float fold of
+//! `WireRepr::transform`ed partials (what
+//! `CommSchedule::execute_with_codec` computes).
 //!
 //! Payload values are synthesized from raw `u64` entropy into finite
 //! floats of wildly mixed magnitudes, so any change to the per-element
@@ -14,9 +18,11 @@
 use crossbeam::channel::{self, Receiver};
 use proptest::prelude::*;
 
-use cosmic_runtime::fold::{fold_parts, fold_parts_reference};
+use cosmic_runtime::codec::{dequantize_sum, derive_scale, quantize_into, WireRepr};
+use cosmic_runtime::fold::{fold_parts, fold_parts_i64_reference, fold_parts_reference};
 use cosmic_runtime::node::{chunk_vector, Chunk, SigmaAggregator};
-use cosmic_runtime::CHUNK_WORDS;
+use cosmic_runtime::transport::{RoundCtx, SimTransport, Transport};
+use cosmic_runtime::{FaultPlan, RetryPolicy, CHUNK_WORDS};
 
 /// A finite f64 of erratic magnitude from raw entropy: mantissa in
 /// ±1000, exponent in 2^-20..2^20, never NaN or infinite.
@@ -50,6 +56,24 @@ fn streams(models: &[Vec<f64>], corrupt: Option<(usize, usize)>) -> Vec<Receiver
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// One healthy fixed-point round of `models` over the in-process wire.
+fn grid_round(models: &[Vec<f64>], frac_bits: u8) -> Vec<f64> {
+    let (plan, retry) = (FaultPlan::none(), RetryPolicy::default());
+    let senders: Vec<usize> = (0..models.len()).collect();
+    let ctx = RoundCtx {
+        iteration: 0,
+        model_len: models[0].len(),
+        plan: &plan,
+        retry: &retry,
+        senders: &senders,
+        repr: WireRepr::FixedPoint { frac_bits },
+    };
+    let parts: Vec<Option<&[f64]>> = models.iter().map(|m| Some(m.as_slice())).collect();
+    let delivery = SimTransport.round(&ctx, &SigmaAggregator::new(2, 2), &parts).expect("healthy");
+    assert!(delivery.outcome.quarantined.is_empty());
+    delivery.outcome.sum
 }
 
 proptest! {
@@ -123,5 +147,75 @@ proptest! {
         let mut refr = vec![0.0; len];
         fold_parts_reference(&mut refr, &parts);
         prop_assert_eq!(bits(&out.sum), bits(&refr));
+    }
+
+    /// The grid fold is the reference integer fold: every peer's
+    /// partial quantized once at its own derived scale (here all the
+    /// same: |x| < 2¹¹ never shrinks a scale of at most 20),
+    /// `fold_parts_i64_reference`, one `dequantize_sum`. And it is the
+    /// float fold of the `transform`ed partials, because the exactness
+    /// condition holds: sums stay far below `2^(53 − frac_bits)`.
+    #[test]
+    fn grid_round_matches_the_integer_and_the_transform_oracles(
+        peers in 1usize..5,
+        stripes in 1usize..3,
+        tail in 1usize..9,
+        frac_bits in 0u8..21,
+        entropy in any::<u64>(),
+    ) {
+        let len = (stripes - 1) * CHUNK_WORDS + tail;
+        let models: Vec<Vec<f64>> = (0..peers)
+            .map(|p| vector(len, entropy ^ (p as u64) << 24).iter().map(|x| x % 2048.0).collect())
+            .collect();
+        let sum = grid_round(&models, frac_bits);
+
+        let mut grids = vec![vec![0i32; len]; peers];
+        for (model, grid) in models.iter().zip(&mut grids) {
+            prop_assert_eq!(derive_scale(model, frac_bits), frac_bits);
+            prop_assert_eq!(quantize_into(model, frac_bits, grid), 0);
+        }
+        let parts: Vec<&[i32]> = grids.iter().map(Vec::as_slice).collect();
+        let mut acc = vec![0i64; len];
+        fold_parts_i64_reference(&mut acc, &parts);
+        let mut integer = vec![0.0; len];
+        dequantize_sum(frac_bits, &acc, &mut integer);
+        prop_assert_eq!(bits(&sum), bits(&integer));
+
+        let repr = WireRepr::FixedPoint { frac_bits };
+        let decoded: Vec<Vec<f64>> = models.iter().map(|m| repr.transform(m).0).collect();
+        let parts: Vec<&[f64]> = decoded.iter().map(Vec::as_slice).collect();
+        let mut float = vec![0.0; len];
+        fold_parts_reference(&mut float, &parts);
+        prop_assert_eq!(bits(&sum), bits(&float));
+    }
+
+    /// The same against the transform oracle alone when peers derive
+    /// different scales (peer *p* peaks near 2^(30 − 7p), so its
+    /// exponent is near `min(frac_bits, 7p)`): stripes are aligned by
+    /// shift, and the sums still fit 53 bits of the finest grid.
+    #[test]
+    fn grid_round_matches_the_transform_oracle_across_mixed_scales(
+        peers in 2usize..5,
+        tail in 1usize..9,
+        frac_bits in 0u8..21,
+        entropy in any::<u64>(),
+    ) {
+        let len = CHUNK_WORDS + tail;
+        let models: Vec<Vec<f64>> = (0..peers)
+            .map(|p| {
+                let shrink = 2f64.powi(-7 * p as i32);
+                vector(len, entropy ^ (p as u64) << 24).iter().map(|x| x * shrink).collect()
+            })
+            .collect();
+        if frac_bits >= 7 {
+            let scales: Vec<u8> = models.iter().map(|m| derive_scale(m, frac_bits)).collect();
+            prop_assert!(scales[0] < scales[1], "{scales:?}");
+        }
+        let repr = WireRepr::FixedPoint { frac_bits };
+        let decoded: Vec<Vec<f64>> = models.iter().map(|m| repr.transform(m).0).collect();
+        let parts: Vec<&[f64]> = decoded.iter().map(Vec::as_slice).collect();
+        let mut float = vec![0.0; len];
+        fold_parts_reference(&mut float, &parts);
+        prop_assert_eq!(bits(&grid_round(&models, frac_bits)), bits(&float));
     }
 }

@@ -11,7 +11,7 @@
 
 use std::io::Cursor;
 
-use cosmic_runtime::node::Chunk;
+use cosmic_runtime::node::{Chunk, ChunkFault, Layout, SigmaAggregator};
 use cosmic_runtime::{Frame, FrameKind, WireError, CHUNK_WORDS};
 use proptest::prelude::*;
 
@@ -97,6 +97,7 @@ proptest! {
             offset,
             data: data.iter().map(|&bits| f64::from_bits(bits)).collect(),
             checksum,
+            layout: Layout::Dense,
         };
         let encoded = Frame::chunk(node, iteration, &staged).encode();
         let landed = Frame::decode(&encoded).expect("chunk frame decodes").to_chunk();
@@ -164,6 +165,71 @@ proptest! {
             if let Ok(chunk) = encoded_frame(tag, &codec).decode_encoded_chunk() {
                 prop_assert!(chunk.data.len() <= CHUNK_WORDS);
             }
+        }
+    }
+}
+
+proptest! {
+    /// A fixed-point payload is total at both of its readers. Behind a
+    /// header that is sometimes the codec's and sometimes not — scale
+    /// exponent out of range, reserved bytes set, a word count that is
+    /// not what is packed under it — the wire answers a typed error or
+    /// a grid chunk, and Sigma, handed the same words with or without
+    /// the wire's check and with or without a valid sum, answers a
+    /// verdict or the exact de-quantized values. Never a panic.
+    #[test]
+    fn grid_payloads_are_total_on_the_wire_and_in_sigma(
+        scale_exp in any::<u8>(),
+        reserved in any::<u32>(),
+        declared in 0usize..40,
+        spare in 0usize..3,
+        packed in prop::collection::vec(any::<u64>(), 20..21),
+        codec_header in any::<bool>(),
+        sealed in any::<bool>(),
+    ) {
+        let (scale_exp, reserved) = if codec_header {
+            (scale_exp % 63, 0)
+        } else {
+            (scale_exp, u64::from(reserved & 0x00FF_FFFF))
+        };
+        let header = u64::from(scale_exp) | reserved << 8 | (declared as u64) << 32;
+        // `spare == 0`: exactly the declared words, zero padding.
+        let mut packed = packed[..(declared.div_ceil(2) + spare).min(packed.len())].to_vec();
+        if let (0, 1, Some(last)) = (spare, declared % 2, packed.last_mut()) {
+            *last &= 0xFFFF_FFFF;
+        }
+        let words: Vec<u64> = std::iter::once(header).chain(packed).collect();
+        let well_formed = (scale_exp <= 62 && reserved == 0 && spare == 0).then_some(declared);
+
+        let mut frame = encoded_frame(1, &words);
+        frame.b = (1 << 32) | (8 + 4 * declared as u64);
+        match (frame.decode_encoded_chunk(), well_formed) {
+            (Ok(chunk), Some(_)) => prop_assert_eq!(chunk.layout, Layout::Grid),
+            (Err(err), None) => prop_assert!(!err.is_io(), "{err}"),
+            (got, _) => prop_assert!(false, "{well_formed:?} decoded to {got:?}"),
+        }
+
+        let data: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+        let checksum = if sealed { Chunk::grid_checksum_of(0, &data) } else { 0 };
+        let chunk = Chunk { offset: 0, data: data.into(), checksum, layout: Layout::Grid };
+        let model_len = declared.max(1);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        tx.send(chunk).expect("receiver alive");
+        drop(tx);
+        let out = SigmaAggregator::new(1, 1).aggregate_validated(model_len, vec![rx]);
+        prop_assert_eq!(out.sum.len(), model_len);
+        match (well_formed, sealed, &out.quarantined[..]) {
+            (Some(1..), true, []) => {
+                let quantum = f64::from_bits((1023 - u64::from(scale_exp)) << 52);
+                for (i, got) in out.sum.iter().enumerate() {
+                    let q = (words[1 + i / 2] >> (32 * (i % 2))) as u32 as i32;
+                    prop_assert_eq!(got.to_bits(), (f64::from(q) * quantum).to_bits());
+                }
+            }
+            // Zero words where the model has one: the stripe is short.
+            (Some(0), true, [(0, ChunkFault::Incomplete { missing: 0 })]) => {}
+            (_, _, [(0, ChunkFault::Corrupt { offset: 0 })]) if !sealed || well_formed.is_none() => {}
+            (_, _, verdict) => prop_assert!(false, "{well_formed:?}/{sealed}: {verdict:?}"),
         }
     }
 }

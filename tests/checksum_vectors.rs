@@ -3,7 +3,8 @@
 //! persisted formats — model checkpoints, the director journal, the
 //! schedule-cache key — whose literals here have never moved; the
 //! word-lane `payload_digest` sits under every chunk checksum
-//! (`Fnv1a(offset) ‖ digest`) and wire-frame trailer
+//! (`Fnv1a(offset) ‖ digest`; a grid chunk's, over the words as
+//! carried, `Fnv1a(offset) ‖ header ‖ digest`) and wire-frame trailer
 //! (`Fnv1a(header) ‖ digest`). A drift in either routine would move all
 //! of its formats together and no round-trip test would notice. These
 //! literals would.
@@ -57,8 +58,16 @@ fn checksums_match_their_pinned_vectors() {
     assert_eq!(payload_digest(&[1.0, -0.0, f64::NAN, 0.5, -2.25]), 0xaea7_140f_f863_550e);
     assert_eq!(payload_digest(&seeded_pattern(CHUNK_WORDS)), 0xf5f3_f96b_ef76_a921);
 
-    // ... and the two formats sealed with it.
+    // ... and the formats sealed with it.
     assert_eq!(Chunk::checksum_of(512, &[1.0, -0.0, f64::NAN]), 0xd074_d1c2_8c94_19fd);
     let frame = Frame::chunk(3, 7, &Chunk::new(512, vec![1.0, -0.0, f64::NAN]));
     assert_eq!(trailing_u64(&frame.encode()), 0xf72e_6664_29c4_dc6b);
+
+    // A grid chunk as carried: the codec header (scale exponent 20,
+    // three words), then [7, -1] and [-2147483647, padding] packed low
+    // half first. Its sum is its own, not a dense chunk's of those words.
+    let grid =
+        [0x0000_0003_0000_0014, 0xffff_ffff_0000_0007, 0x0000_0000_8000_0001].map(f64::from_bits);
+    assert_eq!(Chunk::grid_checksum_of(512, &grid), 0xc102_3736_d3b9_07f7);
+    assert_ne!(Chunk::checksum_of(512, &grid), 0xc102_3736_d3b9_07f7);
 }

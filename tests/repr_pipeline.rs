@@ -3,7 +3,9 @@
 //! every collective strategy and both transports, book `codec.*`
 //! telemetry — and the dense default books none of it.
 
+use cosmic::cosmic_director::journal::fnv1a;
 use cosmic::cosmic_ml::{data, Aggregation, Algorithm};
+use cosmic::cosmic_runtime::checkpoint::model_checksum;
 use cosmic::cosmic_runtime::collectives::{CollectiveKind, WireRepr};
 use cosmic::cosmic_runtime::{ClusterConfig, ClusterTrainer, TransportKind};
 use cosmic::cosmic_telemetry::TraceSink;
@@ -32,8 +34,8 @@ fn train_model(cfg: ClusterConfig) -> Vec<u64> {
 }
 
 /// The collective strategy decides the wire pattern, never the
-/// arithmetic — and the codec transform happens before chunking, so
-/// the guarantee survives compression: same repr + same seed must give
+/// arithmetic — and the codec applies where a partial is chunked, once,
+/// so the guarantee survives compression: same repr + same seed must give
 /// the same bits under all five strategies.
 #[test]
 fn fixed_point_models_are_bit_identical_across_all_five_strategies() {
@@ -47,10 +49,10 @@ fn fixed_point_models_are_bit_identical_across_all_five_strategies() {
     }
 }
 
-/// The wire encode is lossless re-serialization of the already
-/// boundary-transformed payload, so the discrete-event channels and the
-/// supervised TCP sockets deliver bit-identical models even for lossy
-/// representations.
+/// Both backends send exactly `RoundCtx::wire_chunks` — a grid chunk
+/// verbatim, a sparse one losslessly — so the discrete-event channels
+/// and the supervised TCP sockets deliver bit-identical models even for
+/// lossy representations.
 #[test]
 fn lossy_training_is_bit_identical_across_sim_and_tcp() {
     let repr = WireRepr::FixedPoint { frac_bits: 20 };
@@ -98,5 +100,53 @@ fn codec_counters_book_only_on_lossy_runs() {
     let lossy = metrics(WireRepr::TopK { k: 8 });
     for counter in ["codec.bytes.dense", "codec.bytes.wire", "codec.coords.dropped"] {
         assert!(lossy.contains(counter), "lossy run must book {counter}");
+    }
+}
+
+/// `model_checksum` of the trained model and FNV-1a of `metrics.json`
+/// for one traced run of `alg` on `records` seeded records.
+fn fingerprint(alg: &Algorithm, records: usize, cfg: ClusterConfig) -> (u64, u64) {
+    let ds = data::generate(alg, records, 13);
+    let init = data::init_model(alg, 4);
+    let sink = TraceSink::new();
+    let trainer = ClusterTrainer::new(cfg).expect("valid config");
+    let out = trainer.train_traced(alg, &ds, init, &sink).expect("healthy run");
+    (model_checksum(&out.model), fnv1a(sink.metrics_json().as_bytes()))
+}
+
+/// Model bits and every booked counter (`codec.*`; on Tcp the frames,
+/// bytes and reconnects of every round) of lossy runs, as the commit
+/// *before* the fixed-point path became quantize-once / ship-the-grid /
+/// fold-integers printed them. That path is bit-identical to the
+/// float-on-grid route it replaced wherever DESIGN §17's exactness
+/// condition holds; these literals are the assertion. They were not
+/// re-blessed when the path changed and must not be for a change that
+/// claims to keep the arithmetic.
+#[test]
+fn lossy_runs_reproduce_the_pinned_model_bits_and_metrics() {
+    use TransportKind::{Sim, Tcp};
+    let small = Algorithm::LogisticRegression { features: 6 };
+    for (spelling, transport, model, metrics) in [
+        ("fixed_point:20", Sim, 0xea9e_105a_e9f9_fb7f_u64, 0x982c_c104_2449_81c6_u64),
+        ("fixed_point:20", Tcp, 0xea9e_105a_e9f9_fb7f, 0x29de_c109_bf39_b10e),
+        ("fixed_point:24", Sim, 0x84f4_6bf7_d722_e19b, 0x982c_c104_2449_81c6),
+        ("top_k:8", Sim, 0x07b8_9a3a_94b0_859e, 0x885f_90c8_ec4f_0e3b),
+        ("top_k:8", Tcp, 0x07b8_9a3a_94b0_859e, 0xec83_71c6_19fa_8df3),
+    ] {
+        let repr = WireRepr::parse(spelling).expect("a repr spelling");
+        let got = fingerprint(&small, 960, ClusterConfig { transport, ..config(repr) });
+        assert_eq!(got, (model, metrics), "{spelling} over {transport:?}");
+    }
+    // Three chunks a partial, the last one ragged.
+    let wide = Algorithm::LinearRegression { features: 9000 };
+    for (spelling, transport, model, metrics) in [
+        ("fixed_point:8", Sim, 0x8578_2a98_cc56_2cd7_u64, 0xa29f_e57a_ce3a_cdd0_u64),
+        ("fixed_point:20", Sim, 0x61b4_6a7c_cf63_d765, 0xa29f_e57a_ce3a_cdd0),
+        ("fixed_point:20", Tcp, 0x61b4_6a7c_cf63_d765, 0x78e1_7fe5_07fd_aa48),
+        ("fixed_point:40", Sim, 0x52b3_76c0_a651_4430, 0xa29f_e57a_ce3a_cdd0),
+    ] {
+        let repr = WireRepr::parse(spelling).expect("a repr spelling");
+        let cfg = ClusterConfig { transport, minibatch: 16, ..config(repr) };
+        assert_eq!(fingerprint(&wide, 64, cfg), (model, metrics), "{spelling} over {transport:?}");
     }
 }

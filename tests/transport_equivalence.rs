@@ -10,7 +10,7 @@ use cosmic::cosmic_ml::{data, Aggregation, Algorithm};
 use cosmic::cosmic_runtime::transport::{RoundDelivery, Transport};
 use cosmic::cosmic_runtime::{
     counters, ClusterConfig, ClusterTrainer, FaultPlan, FaultRates, MembershipMode, TraceSink,
-    TrainOutcome, TransportKind,
+    TrainOutcome, TransportKind, WireRepr,
 };
 use std::collections::BTreeMap;
 
@@ -102,9 +102,19 @@ fn partials(senders: usize, words: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// One round of `parts_data` (peer *i* sends partial *i*) driven
+/// One dense round of `parts_data` (peer *i* sends partial *i*) driven
 /// straight through a transport, iteration 0, under `plan`.
 fn direct_round(
+    transport: &dyn Transport,
+    plan: &FaultPlan,
+    parts_data: &[Vec<f64>],
+) -> RoundDelivery {
+    round_under(WireRepr::DenseF64, transport, plan, parts_data)
+}
+
+/// [`direct_round`] under any wire representation.
+fn round_under(
+    repr: WireRepr,
     transport: &dyn Transport,
     plan: &FaultPlan,
     parts_data: &[Vec<f64>],
@@ -121,7 +131,7 @@ fn direct_round(
         plan,
         retry: &retry,
         senders: &senders,
-        repr: Default::default(),
+        repr,
     };
     transport.round(&ctx, &SigmaAggregator::new(2, 2), &parts).expect("the round survives")
 }
@@ -216,4 +226,73 @@ fn a_corrupt_chunk_is_quarantined_and_a_corrupt_frame_retransmitted() {
     assert!(delivery.outcome.quarantined.is_empty() && delivery.dead.is_empty());
     assert_eq!(delivery.stats.reconnects, 1, "the damaged frame costs one retransmission");
     assert_eq!(bits(&delivery.outcome.sum), reference(&[0, 1, 2, 3]));
+}
+
+/// The same four faults under `fixed_point:20`, where the chunks on
+/// both wires are grids: Sim and Tcp agree on the verdict, on the
+/// duplicate count and — bit for bit — on the sum, which is the float
+/// fold of the survivors' `transform`ed partials (the oracle an exact
+/// integer fold must meet); a chunk fault costs no reconnect, a wire
+/// fault exactly one; and a lossy frame is still the size
+/// `payload_bytes` prices.
+#[test]
+fn lossy_rounds_are_adjudicated_identically_on_both_wires() {
+    use cosmic::cosmic_runtime::fold::fold_parts_reference;
+    use cosmic::cosmic_runtime::node::ChunkFault;
+    use cosmic::cosmic_runtime::transport::wire::{CHECKSUM_BYTES, HEADER_BYTES};
+    use cosmic::cosmic_runtime::transport::{SimTransport, TcpTransport};
+    use cosmic::cosmic_runtime::{LinkConfig, CHUNK_WORDS};
+
+    const WORDS: usize = 3 * CHUNK_WORDS + 17; // four chunks, ragged tail
+    let repr = WireRepr::FixedPoint { frac_bits: 20 };
+    let parts_data = partials(4, WORDS);
+    let oracle = |survivors: &[usize]| {
+        let decoded: Vec<Vec<f64>> =
+            survivors.iter().map(|&s| repr.transform(&parts_data[s]).0).collect();
+        let parts: Vec<&[f64]> = decoded.iter().map(Vec::as_slice).collect();
+        let mut sum = vec![0.0f64; WORDS];
+        fold_parts_reference(&mut sum, &parts);
+        bits(&sum)
+    };
+    let tcp = TcpTransport::bind(LinkConfig::default()).expect("loopback bind");
+    let none = FaultPlan::none;
+    // (plan, quarantined peer and verdict, duplicates, Tcp reconnects)
+    let cases = [
+        (none(), None, 0, 0),
+        (
+            none().corrupt_chunk(1, 0, 2),
+            Some((1, ChunkFault::Corrupt { offset: 2 * CHUNK_WORDS })),
+            0,
+            0,
+        ),
+        (none().duplicate_chunk(2, 0, 1), None, 1, 0),
+        (none().corrupt_frame(1, 0, 2), None, 0, 1),
+        (none().sever_link(3, 0, 1), None, 0, 1),
+    ];
+    for (plan, quarantined, duplicates, reconnects) in cases {
+        let sim = round_under(repr, &SimTransport, &plan, &parts_data);
+        let wire = round_under(repr, &tcp, &plan, &parts_data);
+        let survivors: Vec<usize> =
+            (0..4).filter(|&p| quarantined.is_none_or(|(bad, _)| bad != p)).collect();
+        for (delivery, reconnects) in [(&sim, 0), (&wire, reconnects)] {
+            assert_eq!(delivery.outcome.quarantined, Vec::from_iter(quarantined), "{plan:?}");
+            assert_eq!(delivery.outcome.duplicates_dropped, duplicates, "{plan:?}");
+            assert_eq!(bits(&delivery.outcome.sum), oracle(&survivors), "{plan:?}");
+            assert_eq!(delivery.stats.reconnects, reconnects, "{plan:?}");
+            assert!(delivery.dead.is_empty());
+            assert_eq!(delivery.codec.wire_bytes, (4 * repr.payload_bytes(WORDS)) as u64);
+            assert_eq!(delivery.codec.dense_bytes, (4 * 8 * WORDS) as u64, "booked once");
+        }
+        if reconnects + duplicates as u64 == 0 {
+            // Hello + Heartbeat + four chunk frames + Done, and the Ack
+            // back; a chunk frame carries the chunk's sum, the codec
+            // header and two values to a word.
+            let control = (HEADER_BYTES + CHECKSUM_BYTES) as u64;
+            let grid_words = |w: usize| (2 + w.div_ceil(2)) as u64;
+            let payload = 8 * (3 * grid_words(CHUNK_WORDS) + grid_words(17));
+            assert_eq!(wire.stats.frames_sent, 4 * 8);
+            assert_eq!(wire.stats.bytes_sent, 4 * (8 * control + payload));
+            assert_eq!(wire.stats.bytes_received, wire.stats.bytes_sent);
+        }
+    }
 }
