@@ -62,26 +62,36 @@ impl Dataset {
     }
 
     /// Splits the dataset into `parts` contiguous, nearly equal partitions
-    /// (the per-node partitions `D_i` of paper Figure 1). Every record
-    /// appears in exactly one partition; earlier partitions are at most one
-    /// record larger.
+    /// (the per-node partitions `D_i` of paper Figure 1): owned copies of
+    /// [`shards`] over the records.
     pub fn partition(&self, parts: usize) -> Vec<Dataset> {
-        assert!(parts > 0, "cannot partition into zero parts");
-        let n = self.records.len();
-        let base = n / parts;
-        let extra = n % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut cursor = 0;
-        for p in 0..parts {
-            let take = base + usize::from(p < extra);
-            out.push(Dataset {
-                records: self.records[cursor..cursor + take].to_vec(),
-                record_len: self.record_len,
-            });
-            cursor += take;
-        }
-        out
+        shards(&self.records, parts)
+            .into_iter()
+            .map(|shard| Dataset { records: shard.to_vec(), record_len: self.record_len })
+            .collect()
     }
+}
+
+/// Splits `items` into `parts` contiguous, nearly equal borrowed shards.
+/// Every item appears in exactly one shard; earlier shards are at most
+/// one item larger. Splitting a shard again gives the per-thread
+/// sub-partitions `D_ij`.
+///
+/// # Panics
+///
+/// Panics if `parts` is zero.
+pub fn shards<T>(items: &[T], parts: usize) -> Vec<&[T]> {
+    assert!(parts > 0, "cannot partition into zero parts");
+    let base = items.len() / parts;
+    let extra = items.len() % parts;
+    let mut rest = items;
+    (0..parts)
+        .map(|p| {
+            let (shard, tail) = rest.split_at(base + usize::from(p < extra));
+            rest = tail;
+            shard
+        })
+        .collect()
 }
 
 /// Generates `count` records for the algorithm with a learnable ground
@@ -255,6 +265,49 @@ mod tests {
         assert_eq!(total.len(), 10);
         assert_eq!(*total[0], ds.records()[0]);
         assert_eq!(*total[9], ds.records()[9]);
+    }
+
+    /// `Dataset::partition` as it was before it was written over
+    /// [`shards`]: a cursor walking owned copies.
+    fn partition_reference(records: &[Vec<f64>], parts: usize) -> Vec<Vec<Vec<f64>>> {
+        let (base, extra) = (records.len() / parts, records.len() % parts);
+        let mut cursor = 0;
+        (0..parts)
+            .map(|p| {
+                let take = base + usize::from(p < extra);
+                cursor += take;
+                records[cursor - take..cursor].to_vec()
+            })
+            .collect()
+    }
+
+    /// The engine's borrowed node → thread shards are the records the
+    /// nested `partition` copies held, for empty, short, exact and
+    /// ragged datasets.
+    #[test]
+    fn nested_shards_equal_nested_partitions() {
+        let alg = Algorithm::LinearRegression { features: 2 };
+        for (nodes, threads) in [(1, 1), (4, 1), (4, 2), (3, 3), (6, 2)] {
+            let parts = nodes * threads;
+            for count in [0, 1, parts - 1, parts, parts + 1, 97] {
+                let ds = generate(&alg, count, 5);
+                let (node_shards, node_parts) = (shards(ds.records(), nodes), ds.partition(nodes));
+                let node_refs = partition_reference(ds.records(), nodes);
+                assert_eq!(node_shards.len(), nodes);
+                for n in 0..nodes {
+                    let thread_shards = shards(node_shards[n], threads);
+                    let thread_parts = node_parts[n].partition(threads);
+                    let thread_refs = partition_reference(&node_refs[n], threads);
+                    assert_eq!(thread_shards.len(), threads);
+                    for t in 0..threads {
+                        let what =
+                            format!("{count} records, node {n}/{nodes}, thread {t}/{threads}");
+                        assert_eq!(thread_shards[t], thread_parts[t].records(), "{what}");
+                        assert_eq!(thread_shards[t], thread_refs[t].as_slice(), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

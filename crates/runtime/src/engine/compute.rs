@@ -1,11 +1,14 @@
-//! The compute phase: worker fan-out, panic absorption, and the
-//! deadline-admission barrier in virtual time.
+//! The compute phase: one dispatch to the run's resident compute
+//! workers (the [`Crew`]: created once, like the Sigma pools), panic
+//! absorption, and the deadline-admission barrier in virtual time.
 
-use std::thread;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::thread::{self, Scope};
 
-use cosmic_ml::data::Dataset;
 use cosmic_ml::{Aggregation, Algorithm};
 use cosmic_sim::faults::FaultPlan;
+use crossbeam::channel::{self, Receiver, Sender};
 
 use crate::error::RuntimeError;
 use crate::trainer::{ClusterConfig, Exclusion, ExclusionReason, RetryPolicy};
@@ -19,32 +22,193 @@ use super::Engine;
 /// its contribution weight (threads for averaging, records for sums).
 pub(crate) type NodePartial = Option<(Vec<f64>, usize)>;
 
+/// What one accelerator thread computes in one step: its partial and
+/// the records it consumed, or `None` when it had no records left.
+pub(crate) type ThreadPartial = Option<(Vec<f64>, usize)>;
+
+/// The per-thread function a [`Crew`] runs: `(node, thread, step, model)`
+/// to that thread's partial — [`thread_partial`] over the engine's
+/// shards, or a test's that panics.
+pub(crate) type Work<'a> = dyn Fn(usize, usize, usize, &[f64]) -> ThreadPartial + Sync + 'a;
+
+/// One dispatch to one worker: the step and the model to compute against.
+type Job = (usize, Arc<Vec<f64>>);
+
+/// The resident compute workers of one run: one named OS thread per
+/// (node, accelerator thread), alive from [`Crew::spawn`] until the crew
+/// is dropped — dropping the job senders ends every worker's loop, and
+/// the scope they were spawned in joins them.
+pub(crate) struct Crew {
+    /// Job senders, `jobs[node][thread]`.
+    jobs: Vec<Vec<Sender<Job>>>,
+    /// One `(node, partial)` per dispatched node per round, sent by the
+    /// node's thread-0 worker.
+    reports: Receiver<(usize, NodePartial)>,
+}
+
+impl Crew {
+    /// Spawns `nodes × threads` workers into `scope`. A worker answers
+    /// a job with `work`; a node's thread-0 worker also collects its
+    /// siblings' answers and folds the node partial, so local
+    /// aggregation stays parallel across nodes. Fails when the OS
+    /// refuses a thread.
+    pub(crate) fn spawn<'scope>(
+        scope: &'scope Scope<'scope, '_>,
+        (nodes, threads): (usize, usize),
+        aggregation: Aggregation,
+        work: &'scope Work<'scope>,
+    ) -> Result<Crew, RuntimeError> {
+        let (report, reports) = channel::unbounded();
+        let mut jobs = Vec::with_capacity(nodes);
+        for node in 0..nodes {
+            let (to_lead, siblings) = channel::unbounded();
+            let mut lead = Some((siblings, report.clone()));
+            let mut senders = Vec::with_capacity(threads);
+            for thread in 0..threads {
+                let (tx, rx) = channel::unbounded::<Job>();
+                senders.push(tx);
+                let (lead, to_lead) = (lead.take(), to_lead.clone());
+                let serve = move || {
+                    for (step, model) in rx {
+                        let model_len = model.len();
+                        // The job owns the model handle, so it is gone
+                        // before the answer is — on unwind too — and the
+                        // engine takes the model back unshared.
+                        let job = move || work(node, thread, step, &model);
+                        let mine = catch_unwind(AssertUnwindSafe(job)).ok();
+                        // A send only fails once the crew is being
+                        // dropped, and then `rx` ends this loop.
+                        let Some((siblings, report)) = &lead else {
+                            let _ = to_lead.send((thread, mine));
+                            continue;
+                        };
+                        let mut answers = vec![None; threads];
+                        answers[0] = mine;
+                        for (sibling, answer) in siblings.into_iter().take(threads - 1) {
+                            answers[sibling] = answer;
+                        }
+                        let _ = report.send((node, fold_node(answers, model_len, aggregation)));
+                    }
+                };
+                thread::Builder::new()
+                    .name(format!("cosmic-compute-{node}-{thread}"))
+                    .spawn_scoped(scope, serve)
+                    .map_err(|e| RuntimeError::WorkerPoolFailure(format!("compute worker: {e}")))?;
+            }
+            jobs.push(senders);
+        }
+        Ok(Crew { jobs, reports })
+    }
+
+    /// One round: sends `(step, model)` to every worker of every node
+    /// `dispatch` selects and waits for exactly that many reports. A
+    /// node not dispatched, or with a panicked worker, yields `None`.
+    /// No worker holds `model` any more when this returns.
+    pub(crate) fn round(
+        &self,
+        dispatch: &[bool],
+        step: usize,
+        model: &Arc<Vec<f64>>,
+    ) -> Vec<NodePartial> {
+        let mut partials = vec![None; dispatch.len()];
+        let mut awaited = 0;
+        for (senders, _) in self.jobs.iter().zip(dispatch).filter(|&(_, &go)| go) {
+            awaited += 1;
+            for tx in senders {
+                // Cannot fail: a worker outlives its job sender.
+                let _ = tx.send((step, Arc::clone(model)));
+            }
+        }
+        for (node, partial) in (&self.reports).into_iter().take(awaited) {
+            partials[node] = partial;
+        }
+        partials
+    }
+}
+
+/// Local (on-chip) aggregation across a node's worker threads, in
+/// thread order and in place in the first contributor's vector:
+/// `((0.0 + p₀) + p₁) + …` — the leading zero is arithmetic (`0.0 +
+/// -0.0` is `+0.0`). The weight is what the final operator divides by:
+/// contributing threads for averaging, records for a gradient sum. A
+/// thread without records contributes nothing, a node without any
+/// yields `(zeros, 0)`, a panicked worker (`None`) fails the whole node.
+fn fold_node(answers: Vec<Option<ThreadPartial>>, len: usize, op: Aggregation) -> NodePartial {
+    let mut node: Option<(Vec<f64>, usize)> = None;
+    for answer in answers {
+        let Some((partial, records)) = answer? else {
+            continue;
+        };
+        let weight = match op {
+            Aggregation::Average => 1,
+            Aggregation::Sum => records,
+        };
+        node = Some(match node {
+            None => (partial.into_iter().map(|v| 0.0 + v).collect(), weight),
+            Some((mut sum, total)) => {
+                for (s, v) in sum.iter_mut().zip(&partial) {
+                    *s += v;
+                }
+                (sum, total + weight)
+            }
+        });
+    }
+    Some(node.unwrap_or_else(|| (vec![0.0; len], 0)))
+}
+
+/// One accelerator thread's step over its record shard: a private model
+/// walked by SGD (averaging) or a gradient sum against the shared one.
+pub(crate) fn thread_partial(
+    alg: &Algorithm,
+    cfg: &ClusterConfig,
+    shard: &[Vec<f64>],
+    per_worker: usize,
+    step: usize,
+    model: &[f64],
+) -> ThreadPartial {
+    let lo = (step * per_worker).min(shard.len());
+    let hi = ((step + 1) * per_worker).min(shard.len());
+    if lo == hi {
+        return None;
+    }
+    let records = &shard[lo..hi];
+    let partial = match cfg.aggregation {
+        Aggregation::Average => {
+            let mut local = model.to_vec();
+            for r in records {
+                alg.sgd_update(r, &mut local, cfg.learning_rate);
+            }
+            local
+        }
+        Aggregation::Sum => {
+            let mut grad = vec![0.0; model.len()];
+            for r in records {
+                alg.accumulate_gradient(r, model, &mut grad);
+            }
+            grad
+        }
+    };
+    Some((partial, records.len()))
+}
+
 /// Phase 1: every physically-up, unpartitioned node computes its
-/// partial in parallel; within a node, every accelerator thread in
-/// parallel. In detector mode this includes nodes the runtime has
-/// expelled — they don't know they're out, and their traffic is what
-/// triggers re-admission. A panicked node thread yields `None`.
+/// partial on its resident workers. In detector mode this includes
+/// nodes the runtime has expelled — they don't know they're out, and
+/// their traffic is what triggers re-admission. The model moves into an
+/// `Arc` for the workers and back out of it: no copy either way.
 pub(crate) fn fan_out<O: RunObserver>(
     eng: &Engine<'_, O>,
-    st: &RunState,
+    crew: &Crew,
+    st: &mut RunState,
     step: usize,
 ) -> Vec<NodePartial> {
-    let (alg, per_worker, cfg) = (eng.alg, eng.per_worker, eng.cfg);
-    thread::scope(|s| {
-        let handles: Vec<Option<_>> = eng
-            .thread_parts
-            .iter()
-            .enumerate()
-            .map(|(node, subs)| {
-                if !st.up[node] || eng.plan.quiesced(node, st.iter_idx) {
-                    return None;
-                }
-                let model = &st.model;
-                Some(s.spawn(move || node_partial(alg, subs, model, step, per_worker, cfg)))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.and_then(|h| h.join().ok().flatten())).collect()
-    })
+    let dispatch: Vec<bool> = (0..eng.cfg.nodes)
+        .map(|node| st.up[node] && !eng.plan.quiesced(node, st.iter_idx))
+        .collect();
+    let model = Arc::new(std::mem::take(&mut st.model));
+    let partials = crew.round(&dispatch, step, &model);
+    st.model = Arc::try_unwrap(model).unwrap_or_else(|shared| (*shared).clone());
+    partials
 }
 
 /// Phase 1b: a node that should have computed but produced nothing had
@@ -190,74 +354,173 @@ pub(crate) fn admit(
     Admission { reason, retries, backoff, cost }
 }
 
-/// A worker thread's result: the outer `Option` is `None` when the
-/// thread panicked; the inner one is `None` when it had no records for
-/// this step.
-type ThreadResult = Option<Option<(Vec<f64>, usize)>>;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::NullObserver;
+    use crate::trainer::ClusterTrainer;
+    use cosmic_ml::data;
+    use parking_lot::Mutex;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
-/// One node's iteration: run every accelerator thread over its share of
-/// the mini-batch, then aggregate locally on chip. Returns the node
-/// partial and how many worker threads contributed, or `None` if a
-/// worker thread panicked (the node counts as failed).
-fn node_partial(
-    alg: &Algorithm,
-    subs: &[Dataset],
-    model: &[f64],
-    step: usize,
-    per_worker: usize,
-    cfg: &ClusterConfig,
-) -> Option<(Vec<f64>, usize)> {
-    let thread_results: Vec<ThreadResult> = thread::scope(|s| {
-        let handles: Vec<_> = subs
-            .iter()
-            .map(|sub| {
-                s.spawn(move || {
-                    let lo = (step * per_worker).min(sub.len());
-                    let hi = ((step + 1) * per_worker).min(sub.len());
-                    if lo == hi {
-                        return None;
-                    }
-                    let records = &sub.records()[lo..hi];
-                    let partial = match cfg.aggregation {
-                        Aggregation::Average => {
-                            let mut local = model.to_vec();
-                            for r in records {
-                                alg.sgd_update(r, &mut local, cfg.learning_rate);
-                            }
-                            local
-                        }
-                        Aggregation::Sum => {
-                            let mut grad = vec![0.0; model.len()];
-                            for r in records {
-                                alg.accumulate_gradient(r, model, &mut grad);
-                            }
-                            grad
-                        }
-                    };
-                    Some((partial, records.len()))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().ok()).collect()
-    });
-
-    // Local (on-chip) aggregation across the node's worker threads. The
-    // weight is what the final operator divides by: contributing threads
-    // for model averaging, records for a batched-gradient sum. A
-    // panicked worker fails the whole node.
-    let mut sum = vec![0.0; model.len()];
-    let mut weight = 0;
-    for result in thread_results {
-        let Some((partial, records)) = result? else {
-            continue;
-        };
-        for (s, v) in sum.iter_mut().zip(&partial) {
-            *s += v;
+    /// Runs `body` on a thread of its own and fails if it has not
+    /// returned in twenty seconds: a crew that loses a report hangs
+    /// rather than fails.
+    fn within_deadline<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, wait) = mpsc::channel();
+        thread::spawn(move || done.send(body()));
+        match wait.recv_timeout(Duration::from_secs(20)) {
+            Ok(value) => value,
+            Err(RecvTimeoutError::Timeout) => panic!("the crew hung"),
+            Err(RecvTimeoutError::Disconnected) => panic!("the test body panicked"),
         }
-        weight += match cfg.aggregation {
-            Aggregation::Average => 1,
-            Aggregation::Sum => records,
-        };
     }
-    Some((sum, weight))
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn node_fold_keeps_thread_order_the_weights_and_the_leading_zero() {
+        let answers = || {
+            vec![Some(Some((vec![-0.0, 1e16], 3))), Some(None), Some(Some((vec![-0.0, 1.0], 5)))]
+        };
+        // ((0.0 + -0.0) + -0.0) is +0.0; (-0.0 + -0.0) would be -0.0.
+        let (sum, weight) = fold_node(answers(), 2, Aggregation::Average).expect("no panic");
+        assert_eq!((bits(&sum), weight), (bits(&[0.0, 1e16 + 1.0]), 2), "contributing threads");
+        let (sum, weight) = fold_node(answers(), 2, Aggregation::Sum).expect("no panic");
+        assert_eq!((bits(&sum), weight), (bits(&[0.0, 1e16 + 1.0]), 8), "records");
+        // One contributor: its -0.0 still passes through `0.0 +`.
+        let lone = vec![Some(None), Some(Some((vec![-0.0], 1)))];
+        assert_eq!(fold_node(lone, 1, Aggregation::Sum), Some((vec![0.0], 1)));
+        assert_eq!(
+            bits(&fold_node(vec![Some(Some((vec![-0.0], 1)))], 1, Aggregation::Sum).unwrap().0),
+            bits(&[0.0])
+        );
+        // Nobody had records: zeros of the model's length, weight 0.
+        assert_eq!(
+            fold_node(vec![Some(None); 3], 4, Aggregation::Average),
+            Some((vec![0.0; 4], 0))
+        );
+        // Any panicked thread fails the node, wherever it sits.
+        for at in 0..3 {
+            let mut answers = answers();
+            answers[at] = None;
+            assert_eq!(fold_node(answers, 2, Aggregation::Average), None, "panic at {at}");
+        }
+    }
+
+    /// A panic on a lead (thread 0) or a sibling worker: that node
+    /// reports `None` for that round only, every other node reports its
+    /// partial, undispatched nodes are left alone, and the very same OS
+    /// thread answers the next dispatch.
+    #[test]
+    fn a_panicking_worker_fails_only_its_node_and_keeps_serving() {
+        const NODES: usize = 3;
+        const THREADS: usize = 2;
+        for bomb in [(1, 0, 1), (1, 1, 1), (2, 1, 0)] {
+            let (rounds, seen) = within_deadline(move || {
+                let seen: Mutex<Vec<((usize, usize), ThreadId)>> = Mutex::new(Vec::new());
+                let work = |node: usize, thread: usize, step: usize, model: &[f64]| {
+                    seen.lock().push(((node, thread), thread::current().id()));
+                    let name = format!("cosmic-compute-{node}-{thread}");
+                    assert_eq!(thread::current().name(), Some(name.as_str()));
+                    assert!((node, thread, step) != bomb, "planted panic");
+                    Some((vec![model[0] + (node * 10 + thread) as f64], 4))
+                };
+                let rounds: Vec<Vec<NodePartial>> = thread::scope(|scope| {
+                    let crew = Crew::spawn(scope, (NODES, THREADS), Aggregation::Sum, &work)
+                        .expect("threads");
+                    let model = Arc::new(vec![0.5]);
+                    let rounds = (0..3)
+                        .map(|step| crew.round(&[step != 2, true, true], step, &model))
+                        .collect();
+                    assert_eq!(Arc::strong_count(&model), 1, "workers keep no handle");
+                    rounds
+                });
+                (rounds, seen.into_inner())
+            });
+            for (step, partials) in rounds.iter().enumerate() {
+                for (node, partial) in partials.iter().enumerate() {
+                    let healthy = Some((
+                        vec![0.0 + (0.5 + (node * 10) as f64) + (0.5 + (node * 10 + 1) as f64)],
+                        8,
+                    ));
+                    let want = match (node, step) {
+                        (0, 2) => None, // not dispatched
+                        _ if (node, step) == (bomb.0, bomb.2) => None,
+                        _ => healthy,
+                    };
+                    assert_eq!(*partial, want, "bomb {bomb:?}: node {node} at step {step}");
+                }
+            }
+            for node in 0..NODES {
+                for thread in 0..THREADS {
+                    let ids: Vec<ThreadId> = seen
+                        .iter()
+                        .filter(|(w, _)| *w == (node, thread))
+                        .map(|(_, id)| *id)
+                        .collect();
+                    assert_eq!(ids.len(), if node == 0 { 2 } else { 3 }, "bomb {bomb:?}");
+                    assert!(
+                        ids.windows(2).all(|w| w[0] == w[1]),
+                        "worker {node}-{thread} was replaced"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `ExclusionReason::ThreadPanic` end to end, through the
+    /// `Engine::work` seam (no dataset can reach it: a record that
+    /// panics `sgd_update` panics `record_loss` on the engine thread
+    /// first). Node 3 is the Sigma of group {3, 4, 5}; one of its
+    /// workers panics at iteration 2. The run absorbs it exactly like a
+    /// planned crash of node 3 at that iteration: one exclusion, one
+    /// re-election, and every later update rescaled over the survivors —
+    /// the same model and loss bits as the crash run.
+    #[test]
+    fn a_thread_panic_is_excluded_reelected_around_and_trained_past_like_a_crash() {
+        for bomb_thread in [0, 1] {
+            let (panicked, crashed) = within_deadline(move || {
+                let alg = Algorithm::LogisticRegression { features: 6 };
+                let ds = data::generate(&alg, 480, 7);
+                let init = data::init_model(&alg, 3);
+                let cfg = ClusterConfig {
+                    nodes: 6,
+                    groups: 2,
+                    threads_per_node: 2,
+                    minibatch: 96,
+                    learning_rate: 0.2,
+                    ..ClusterConfig::default()
+                };
+                let trainer = ClusterTrainer::new(cfg.clone()).expect("valid config");
+                let mut eng = Engine::new(&cfg, &alg, &ds, init.len(), NullObserver).expect("sim");
+                let real = std::mem::replace(&mut eng.work, Box::new(|_, _, _, _| None));
+                eng.work = Box::new(move |node, thread, step, model: &[f64]| {
+                    assert!((node, thread, step) != (3, bomb_thread, 2), "planted panic");
+                    real(node, thread, step, model)
+                });
+                let panicked = eng.run(trainer.topology().clone(), init.clone());
+                let plan = FaultPlan::none().crash(3, 2);
+                let crashed = ClusterTrainer::new(ClusterConfig { faults: plan, ..cfg.clone() })
+                    .expect("valid config")
+                    .train(&alg, &ds, init);
+                (panicked.expect("absorbed"), crashed.expect("absorbed"))
+            });
+            let excluded =
+                Exclusion { iteration: 2, node: 3, reason: ExclusionReason::ThreadPanic };
+            assert_eq!(panicked.faults.exclusions, vec![excluded]);
+            assert!(panicked.faults.crashes.is_empty() && crashed.faults.exclusions.is_empty());
+            assert_eq!(panicked.faults.reelections.len(), 1, "kill_node ran on a Sigma");
+            assert_eq!(panicked.faults.reelections[0].1.failed, 3);
+            assert_eq!(panicked.faults.reelections, crashed.faults.reelections);
+            assert_eq!(panicked.iterations, 5);
+            assert_eq!(bits(&panicked.model), bits(&crashed.model), "survivor rescaling");
+            assert_eq!(bits(&panicked.loss_history), bits(&crashed.loss_history));
+            assert_eq!(panicked.final_topology, crashed.final_topology);
+        }
+    }
 }

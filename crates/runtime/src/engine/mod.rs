@@ -6,9 +6,9 @@
 //!
 //! 1. [`membership`] — absorb the plan's partitions/crashes/rejoins,
 //!    then the φ-accrual detector sweep (phase 0);
-//! 2. [`compute`] — worker fan-out across nodes and accelerator
-//!    threads, panic absorption, and the deadline-admission barrier in
-//!    virtual time (phases 1–2);
+//! 2. [`compute`] — one dispatch to the resident compute workers
+//!    [`Engine::run`] spawned, panic absorption, and the
+//!    deadline-admission barrier in virtual time (phases 1–2);
 //! 3. [`rounds`] — collective-schedule refresh and the chunked Sigma
 //!    aggregation with quarantine accounting (phase 3);
 //! 4. [`checkpoint_phase`] — apply the surviving update, log it for
@@ -27,10 +27,11 @@ mod observer;
 mod rounds;
 mod state;
 
+use compute::Crew;
 pub(crate) use observer::{NullObserver, RunObserver, TraceObserver};
 pub(crate) use state::RunState;
 
-use cosmic_ml::data::Dataset;
+use cosmic_ml::data::{self, Dataset};
 use cosmic_ml::Algorithm;
 use cosmic_sim::faults::FaultPlan;
 
@@ -45,20 +46,19 @@ use cosmic_collectives::Topology;
 ///
 /// Everything that *changes* during a run lives in [`RunState`]; the
 /// engine itself is the fixed frame the phases execute in — config,
-/// fault plan, partitioned data, the Sigma pipeline, and derived layout
-/// constants.
+/// fault plan, the data and its shard boundaries, the Sigma pipeline,
+/// and derived layout constants.
 pub(crate) struct Engine<'a, O: RunObserver> {
     pub(crate) cfg: &'a ClusterConfig,
     pub(crate) plan: &'a FaultPlan,
     pub(crate) alg: &'a Algorithm,
     pub(crate) dataset: &'a Dataset,
-    /// Dataset partitioned node → accelerator thread (paper Figure 1's
-    /// D_i and D_ij).
-    pub(crate) thread_parts: Vec<Vec<Dataset>>,
+    /// What accelerator thread `(node, thread)` computes in a step:
+    /// [`compute::thread_partial`] over its borrowed shard of `dataset`
+    /// (Figure 1's D_ij; no copy) — a field so tests can plant a panic.
+    pub(crate) work: Box<compute::Work<'a>>,
     pub(crate) sigma: SigmaAggregator,
     pub(crate) model_len: usize,
-    /// Records each worker thread consumes per aggregation step.
-    pub(crate) per_worker: usize,
     /// Chunks per node partial on the wire.
     pub(crate) chunks: usize,
     /// Aggregation steps per epoch.
@@ -72,7 +72,7 @@ pub(crate) struct Engine<'a, O: RunObserver> {
 
 impl<'a, O: RunObserver> Engine<'a, O> {
     /// Builds an engine over `cfg` for a model of `model_len` words,
-    /// partitioning `dataset` across nodes and threads. Fails when the
+    /// sharding `dataset` across nodes and threads. Fails when the
     /// configured transport cannot come up (e.g. the TCP backend's
     /// listener fails to bind).
     pub(crate) fn new(
@@ -85,23 +85,26 @@ impl<'a, O: RunObserver> Engine<'a, O> {
         let workers = cfg.nodes * cfg.threads_per_node;
         let per_worker = layout::shard_size(cfg.minibatch, workers);
         let chunks = layout::chunk_count(model_len);
-        let node_parts = dataset.partition(cfg.nodes);
-        let thread_parts: Vec<Vec<Dataset>> =
-            node_parts.iter().map(|p| p.partition(cfg.threads_per_node)).collect();
+        let shards: Vec<Vec<&[Vec<f64>]>> = data::shards(dataset.records(), cfg.nodes)
+            .into_iter()
+            .map(|node| data::shards(node, cfg.threads_per_node))
+            .collect();
         let steps =
-            thread_parts.iter().flatten().map(Dataset::len).max().unwrap_or(0).div_ceil(per_worker);
+            shards.iter().flatten().map(|s| s.len()).max().unwrap_or(0).div_ceil(per_worker);
         let sigma = SigmaAggregator::new(4, 4);
         let oracle = matches!(cfg.membership, MembershipMode::Oracle);
         let transport = transport::build(cfg)?;
+        let work = Box::new(move |node: usize, thread: usize, step, model: &[f64]| {
+            compute::thread_partial(alg, cfg, shards[node][thread], per_worker, step, model)
+        });
         Ok(Engine {
             cfg,
             plan: &cfg.faults,
             alg,
             dataset,
-            thread_parts,
+            work,
             sigma,
             model_len,
-            per_worker,
             chunks,
             steps,
             oracle,
@@ -112,37 +115,44 @@ impl<'a, O: RunObserver> Engine<'a, O> {
 
     /// Runs the full training loop from `initial_model` over a working
     /// copy `topology`, returning the outcome of a still-successful
-    /// degraded run or the error that made it unrecoverable.
+    /// degraded run or the error that made it unrecoverable. The compute
+    /// crew lives exactly as long as this call: every return path drops
+    /// it, and the scope joins the workers — which borrow `work`, not
+    /// the engine (nor its observer).
     pub(crate) fn run(
         &self,
         topology: Topology,
         initial_model: Vec<f64>,
     ) -> Result<TrainOutcome, RuntimeError> {
-        let mut st = RunState::new(self.cfg, topology, initial_model);
-        // Root span for the whole run; held until after the pool-job
-        // counter is booked so it encloses everything.
-        let _root = self.obs.run_started(self.cfg, self.plan);
-        for _ in 0..self.cfg.epochs {
-            st.record_loss(self.alg, self.dataset);
-            for step in 0..self.steps {
-                self.iteration(&mut st, step)?;
+        std::thread::scope(|scope| {
+            let geometry = (self.cfg.nodes, self.cfg.threads_per_node);
+            let crew = Crew::spawn(scope, geometry, self.cfg.aggregation, &*self.work)?;
+            let mut st = RunState::new(self.cfg, topology, initial_model);
+            // Root span for the whole run; held until after the pool-job
+            // counter is booked so it encloses everything.
+            let _root = self.obs.run_started(self.cfg, self.plan);
+            for _ in 0..self.cfg.epochs {
+                st.record_loss(self.alg, self.dataset);
+                for step in 0..self.steps {
+                    self.iteration(&mut st, &crew, step)?;
+                }
             }
-        }
-        st.record_loss(self.alg, self.dataset);
-        self.obs.run_finished(self.sigma.jobs_submitted());
-        Ok(st.into_outcome())
+            st.record_loss(self.alg, self.dataset);
+            self.obs.run_finished(self.sigma.jobs_submitted());
+            Ok(st.into_outcome())
+        })
     }
 
     /// One aggregation iteration: membership, compute, admission,
     /// collective, update — in phase order.
-    fn iteration(&self, st: &mut RunState, step: usize) -> Result<(), RuntimeError> {
+    fn iteration(&self, st: &mut RunState, crew: &Crew, step: usize) -> Result<(), RuntimeError> {
         let _span = self.obs.iteration_started(st.iter_idx);
         let t0 = self.obs.now();
 
         membership::plan_phase(self, st)?;
         membership::detector_sweep(self, st)?;
 
-        let mut partials = compute::fan_out(self, st, step);
+        let mut partials = compute::fan_out(self, crew, st, step);
         compute::absorb_panics(self, st, &partials)?;
         let (contributions, round_cost) = compute::admission_barrier(self, st, &mut partials, t0);
         self.obs.compute_barrier(t0, round_cost);

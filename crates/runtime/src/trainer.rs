@@ -181,7 +181,7 @@ pub enum ExclusionReason {
     },
     /// A chunk was dropped more times than the retry policy allows.
     Undeliverable,
-    /// The node's OS thread panicked while computing its partial.
+    /// One of the node's compute workers panicked computing its partial.
     ThreadPanic,
     /// The connection supervisor exhausted its retry budget on the
     /// node's transport link (real-wire backends only).
@@ -377,8 +377,8 @@ impl ClusterTrainer {
     /// Functionally equivalent to [`cosmic_ml::sgd::train_parallel`] with
     /// `nodes × threads_per_node` workers (exactly equal when the worker
     /// shard sizes divide evenly), but executed through the real system
-    /// software: parallel node threads, chunked transfers, and the Sigma
-    /// aggregation pipeline.
+    /// software: compute workers resident for the run, chunked transfers,
+    /// and the Sigma aggregation pipeline.
     ///
     /// Faults scheduled in [`ClusterConfig::faults`] degrade the run —
     /// exclusions, quarantines, and re-elections are absorbed, the

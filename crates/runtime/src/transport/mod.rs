@@ -47,8 +47,8 @@ pub enum TransportKind {
     /// default, byte-identical to the pre-seam engine.
     #[default]
     Sim,
-    /// Real non-blocking TCP over loopback with connection supervision
-    /// and socket-level fault injection.
+    /// Real TCP over loopback — blocking sockets under per-call
+    /// deadlines — with supervision and socket-level fault injection.
     Tcp,
 }
 

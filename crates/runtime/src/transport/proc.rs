@@ -105,13 +105,10 @@ impl JobSpec {
     /// Worker `node`'s data shard, derived identically in every
     /// process from the seed alone.
     pub(crate) fn shard(&self, node: usize) -> Dataset {
-        let alg = self.algorithm();
-        let mut parts = data::generate(&alg, self.samples, self.seed).partition(self.nodes);
-        if node < parts.len() {
-            parts.swap_remove(node)
-        } else {
-            Dataset::from_records(Vec::new())
-        }
+        let all = data::generate(&self.algorithm(), self.samples, self.seed);
+        let shard =
+            data::shards(all.records(), self.nodes).get(node).map_or(Vec::new(), |s| s.to_vec());
+        Dataset::from_records(shard)
     }
 }
 

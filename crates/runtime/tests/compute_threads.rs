@@ -1,0 +1,78 @@
+//! The engine's compute workers are resident: a job creates them once,
+//! so the threads it creates per iteration are the transport's scoped
+//! senders and nothing else, and none of them outlives `train` —
+//! whether it returns `Ok` or an error.
+//!
+//! This binary holds exactly one test on purpose — thread ids and the
+//! thread count are process-wide, and a sibling test running beside it
+//! would move both.
+
+use cosmic_ml::{data, Algorithm};
+use cosmic_runtime::{ClusterConfig, ClusterTrainer, FaultPlan, RuntimeError};
+
+mod common;
+use common::{settled, threads};
+
+const NODES: usize = 4;
+const THREADS: usize = 2;
+
+/// The number of a freshly created thread. `ThreadId`s are handed out
+/// in creation order, so two probes differ by one more than the threads
+/// created between them.
+fn probe() -> u64 {
+    let id = std::thread::spawn(|| std::thread::current().id()).join().expect("probe thread");
+    let text = format!("{id:?}");
+    text.trim_start_matches("ThreadId(").trim_end_matches(')').parse().expect("a numeric ThreadId")
+}
+
+/// Trains `iterations` iterations over `Sim` under `faults` and returns
+/// the result with the number of threads the call created.
+fn train(iterations: usize, faults: FaultPlan) -> (Result<usize, RuntimeError>, u64) {
+    let alg = Algorithm::LinearRegression { features: 8 };
+    let minibatch = 2 * NODES * THREADS;
+    let ds = data::generate(&alg, minibatch * iterations, 5);
+    let cfg = ClusterConfig {
+        nodes: NODES,
+        groups: 1,
+        threads_per_node: THREADS,
+        minibatch,
+        faults,
+        ..ClusterConfig::default()
+    };
+    let trainer = ClusterTrainer::new(cfg).expect("valid config");
+    let before = probe();
+    let result = trainer.train(&alg, &ds, data::init_model(&alg, 1));
+    (result.map(|out| out.iterations), probe() - before - 1)
+}
+
+#[test]
+fn a_job_creates_its_compute_threads_once_and_takes_them_with_it() {
+    const SHORT: usize = 8;
+    let before = threads();
+
+    let (short, created_short) = train(SHORT, FaultPlan::none());
+    assert_eq!(short, Ok(SHORT));
+    assert_eq!(settled(before), before, "a thread outlived an Ok train()");
+    let (long, created_long) = train(4 * SHORT, FaultPlan::none());
+    assert_eq!(long, Ok(4 * SHORT));
+    assert_eq!(settled(before), before, "a thread outlived an Ok train()");
+
+    // Sigma's pools and the compute crew are per job; what is left per
+    // iteration is one scoped sender per admitted node in
+    // `SimTransport::round`.
+    let senders = NODES as u64;
+    let grown = created_long - created_short;
+    assert!(
+        grown <= senders * 3 * SHORT as u64,
+        "{grown} threads for {} more iterations: more than the transport's {senders} scoped \
+         senders a round, so the compute phase is creating threads per iteration again \
+         ({created_short} for {SHORT} iterations, {created_long} for {})",
+        3 * SHORT,
+        4 * SHORT,
+    );
+
+    let doomed = (0..NODES).fold(FaultPlan::none(), |plan, node| plan.crash(node, 2));
+    let (failed, _) = train(SHORT, doomed);
+    assert_eq!(failed, Err(RuntimeError::AllNodesFailed { iteration: 2 }));
+    assert_eq!(settled(before), before, "a thread outlived a failed train()");
+}

@@ -11,24 +11,10 @@ use cosmic_runtime::{
     FaultPlan, LinkConfig, RetryPolicy, RoundCtx, SigmaAggregator, TcpTransport, Transport,
     TransportStats,
 };
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Threads in this process, where the platform says (`/proc`).
-fn threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find_map(|line| line.strip_prefix("Threads:")?.trim().parse().ok())
-}
-
-/// The thread count once it stops exceeding `expected`: a round's scoped
-/// sender threads have returned by the time `round` does, but the kernel
-/// may still be reaping them. A leaked thread never settles.
-fn settled(expected: Option<usize>) -> Option<usize> {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while threads() > expected && Instant::now() < deadline {
-        std::thread::yield_now();
-    }
-    threads()
-}
+mod common;
+use common::{settled, threads};
 
 #[test]
 fn two_hundred_rounds_ride_four_connections_and_a_flat_thread_count() {
