@@ -40,7 +40,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Result latency in cycles.
-    pub fn latency(self) -> u64 {
+    pub(crate) fn latency(self) -> u64 {
         match self {
             AluOp::Bin(k) => u64::from(k.latency()),
             AluOp::Un(_) => 2,
@@ -48,7 +48,7 @@ impl AluOp {
     }
 
     /// Whether the op needs the PE's non-linear unit.
-    pub fn is_nonlinear(self) -> bool {
+    pub(crate) fn is_nonlinear(self) -> bool {
         match self {
             AluOp::Bin(k) => k.is_nonlinear(),
             AluOp::Un(_) => true,

@@ -21,18 +21,20 @@
 //!   circuit layer) that renders a planned accelerator as synthesizable-
 //!   style RTL text.
 //!
-//! [`platform`] carries the chip specifications of Table 2 (UltraScale+
-//! VU9P, the two P-ASICs, and the comparison CPU/GPU), and [`isa`] defines
-//! the compiled-program representation shared with `cosmic-compiler`.
+//! [`AcceleratorSpec`] and its siblings carry the chip specifications of
+//! Table 2 (UltraScale+ VU9P, the two P-ASICs, and the comparison
+//! CPU/GPU), and [`ThreadProgram`] defines the compiled-program
+//! representation shared with `cosmic-compiler`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod geometry;
-pub mod isa;
+mod geometry;
+mod isa;
 pub mod machine;
 pub mod microcode;
-pub mod platform;
+mod platform;
 pub mod rtl;
 
 pub use geometry::{Geometry, PeId};

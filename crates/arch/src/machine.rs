@@ -34,11 +34,6 @@ impl RunError {
     fn new(message: impl Into<String>) -> Self {
         RunError { message: message.into() }
     }
-
-    /// The diagnostic message.
-    pub fn message(&self) -> &str {
-        &self.message
-    }
 }
 
 impl fmt::Display for RunError {
@@ -901,7 +896,7 @@ mod tests {
             mem_schedule: vec![],
         };
         let err = Machine::new(geometry, 16.0).run(&program, &[], &[]).unwrap_err();
-        assert!(err.message().contains("deadlock"));
+        assert!(err.to_string().contains("deadlock"));
     }
 
     #[test]

@@ -112,21 +112,16 @@ impl AcceleratorSpec {
         }
     }
 
-    /// Cycle time in nanoseconds.
-    pub fn cycle_ns(&self) -> f64 {
-        1_000.0 / self.freq_mhz
-    }
-
     /// Off-chip words (4 bytes) the memory system can supply per cycle.
     /// For the FPGA this equals `columns` by the Planner's construction;
     /// for the P-ASICs the higher clock makes it smaller or larger.
-    pub fn mem_words_per_cycle(&self) -> f64 {
+    pub(crate) fn mem_words_per_cycle(&self) -> f64 {
         self.bandwidth_gbps * 1e9 / (self.freq_mhz * 1e6) / 4.0
     }
 
     /// Sustained streaming efficiency of the DRAM/AXI path (row misses,
     /// refresh, bus turnaround); applied by the performance models.
-    pub const MEM_EFFICIENCY: f64 = 0.72;
+    pub(crate) const MEM_EFFICIENCY: f64 = 0.72;
 
     /// Effective sustained words per cycle.
     pub fn effective_words_per_cycle(&self) -> f64 {
@@ -206,13 +201,6 @@ pub enum Platform {
 }
 
 impl Platform {
-    /// The host CPU spec.
-    pub fn cpu(&self) -> CpuSpec {
-        match *self {
-            Platform::Cpu(c) | Platform::Accelerated(c, _) | Platform::Gpu(c, _) => c,
-        }
-    }
-
     /// System power of one node under load, in watts. Host CPUs are not
     /// fully loaded when an accelerator does the gradient work; the
     /// derating mirrors the paper's WattsUp whole-system methodology.
@@ -270,12 +258,5 @@ mod tests {
         let gpu = Platform::Gpu(cpu, GpuSpec::k40c());
         assert!(pasic_f.node_power_w() < fpga.node_power_w());
         assert!(fpga.node_power_w() < gpu.node_power_w());
-        assert_eq!(fpga.cpu().cores, 4);
-    }
-
-    #[test]
-    fn cycle_time() {
-        assert!((AcceleratorSpec::fpga_vu9p().cycle_ns() - 6.666).abs() < 1e-2);
-        assert!((AcceleratorSpec::pasic_f().cycle_ns() - 1.0).abs() < 1e-9);
     }
 }

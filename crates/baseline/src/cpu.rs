@@ -25,7 +25,7 @@ pub struct CpuComputeModel {
 impl CpuComputeModel {
     /// Spark MLlib on the Xeon E3-1275 v5 (with vectorized OpenBLAS, as
     /// in the paper's baseline build).
-    pub fn mllib_xeon() -> Self {
+    pub(crate) fn mllib_xeon() -> Self {
         CpuComputeModel {
             spec: CpuSpec::xeon_e3(),
             efficiency: 0.030,
@@ -34,27 +34,11 @@ impl CpuComputeModel {
         }
     }
 
-    /// An optimized native-code CPU path (used for the aggregation work
-    /// CoSMIC keeps on the host CPUs — no JVM in the loop).
-    pub fn native_xeon() -> Self {
-        CpuComputeModel {
-            spec: CpuSpec::xeon_e3(),
-            efficiency: 0.25,
-            mem_efficiency: 0.8,
-            per_record_ns: 40.0,
-        }
-    }
-
     /// Seconds to process one training record's gradient + update.
-    pub fn seconds_per_record(&self, flops: u64, bytes: usize) -> f64 {
+    pub(crate) fn seconds_per_record(&self, flops: u64, bytes: usize) -> f64 {
         let flop_s = flops as f64 / (self.spec.peak_gflops() * 1e9 * self.efficiency);
         let mem_s = bytes as f64 / (self.spec.mem_bw_gbps * 1e9 * self.mem_efficiency);
         flop_s.max(mem_s) + self.per_record_ns / 1e9
-    }
-
-    /// Records per second for a workload with the given per-record cost.
-    pub fn records_per_sec(&self, flops: u64, bytes: usize) -> f64 {
-        1.0 / self.seconds_per_record(flops, bytes)
     }
 }
 
@@ -83,18 +67,9 @@ mod tests {
     }
 
     #[test]
-    fn native_is_faster_than_mllib() {
-        let flops = 100_000;
-        let bytes = 8_000;
-        let mllib = CpuComputeModel::mllib_xeon().records_per_sec(flops, bytes);
-        let native = CpuComputeModel::native_xeon().records_per_sec(flops, bytes);
-        assert!(native > 2.0 * mllib);
-    }
-
-    #[test]
     fn per_record_overhead_floors_tiny_records() {
         let m = CpuComputeModel::mllib_xeon();
-        let rps = m.records_per_sec(10, 12);
+        let rps = 1.0 / m.seconds_per_record(10, 12);
         assert!(rps < 1.7e6, "iterator overhead must cap throughput, got {rps}");
     }
 }

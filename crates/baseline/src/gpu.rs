@@ -52,7 +52,7 @@ impl GpuModel {
     /// access) achieve only a few percent — which is why the paper
     /// measures the GPU merely ~1.9x faster than the FPGA outside
     /// backpropagation (Fig. 10).
-    pub fn mem_efficiency(&self, alg: &Algorithm) -> f64 {
+    pub(crate) fn mem_efficiency(&self, alg: &Algorithm) -> f64 {
         match alg {
             Algorithm::Backprop { .. } => 0.70,
             Algorithm::LinearRegression { .. }

@@ -3,13 +3,13 @@
 //! Calibrated cost models for the three baselines the paper measures
 //! CoSMIC against (§7.1):
 //!
-//! - [`cpu`] — per-node MLlib-style CPU execution on the Xeon E3 host
+//! - [`CpuComputeModel`] — per-node MLlib-style CPU execution on the Xeon E3 host
 //!   (roofline with a JVM/MLlib efficiency factor and per-record
 //!   iterator overhead);
-//! - [`spark`] — Spark 2.1 cluster behaviour: per-stage scheduling
+//! - [`SparkModel`] — Spark 2.1 cluster behaviour: per-stage scheduling
 //!   overhead, serialization, synchronous non-overlapped tree reduce,
 //!   and torrent broadcast;
-//! - [`gpu`] — the Tesla K40c node: per-algorithm-family roofline
+//! - [`GpuModel`] — the Tesla K40c node: per-algorithm-family roofline
 //!   efficiency (matrix-matrix backprop runs well; thin vector kernels
 //!   are memory- or PCIe-bound) with kernel-launch and staging costs;
 //! - [`power`] — whole-system power for the Performance-per-Watt
@@ -21,11 +21,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cpu;
-pub mod gpu;
+mod cpu;
+mod gpu;
 pub mod power;
-pub mod spark;
+mod spark;
 
 pub use cpu::CpuComputeModel;
 pub use gpu::GpuModel;

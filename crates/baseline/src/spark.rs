@@ -134,7 +134,7 @@ pub struct SparkIteration {
 
 impl SparkIteration {
     /// Total stage time.
-    pub fn total_s(&self) -> f64 {
+    pub(crate) fn total_s(&self) -> f64 {
         self.compute_s + self.schedule_s + self.reduce_s + self.broadcast_s
     }
 

@@ -58,7 +58,7 @@ impl MapResult {
 /// How a produced value reaches its remote consumers — one transaction
 /// per producer, since the row and tree buses are broadcast media.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommKind {
+pub(crate) enum CommKind {
     /// All consumers are local; no transfer.
     None,
     /// Exactly one remote consumer, adjacent in the row: neighbor link.
@@ -71,7 +71,7 @@ pub enum CommKind {
 }
 
 /// Classifies every node's outbound communication under a mapping.
-pub fn comm_kinds(dfg: &Dfg, map: &MapResult, geometry: Geometry) -> Vec<CommKind> {
+pub(crate) fn comm_kinds(dfg: &Dfg, map: &MapResult, geometry: Geometry) -> Vec<CommKind> {
     #[derive(Clone, Copy)]
     struct Fan {
         first_pe: PeId,

@@ -86,7 +86,7 @@ pub fn schedule(dfg: &Dfg, map: &MapResult, geometry: Geometry, words_per_cycle:
 }
 
 /// [`schedule`] with an explicit interconnect model.
-pub fn schedule_on(
+pub(crate) fn schedule_on(
     dfg: &Dfg,
     map: &MapResult,
     geometry: Geometry,

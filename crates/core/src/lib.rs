@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::error::Error;
 use std::fmt;
@@ -64,10 +65,10 @@ pub use cosmic_telemetry;
 
 /// The commonly used names, importable in one line.
 pub mod prelude {
-    pub use crate::{CosmicStack, CosmicStackBuilder, StackError};
+    pub use crate::{CosmicStack, StackError};
     pub use cosmic_arch::{AcceleratorSpec, Geometry, Machine, PlatformKind};
     pub use cosmic_compiler::{CompileOptions, MappingStrategy};
-    pub use cosmic_dfg::{analysis::DfgStats, DimEnv};
+    pub use cosmic_dfg::DimEnv;
     pub use cosmic_ml::{Aggregation, Algorithm, Benchmark, BenchmarkId};
     pub use cosmic_planner::DesignPoint;
     pub use cosmic_runtime::{
@@ -83,7 +84,7 @@ use cosmic_dsl::Program;
 use cosmic_ml::data::Dataset;
 use cosmic_ml::{Aggregation, Algorithm};
 use cosmic_planner::Plan;
-use cosmic_runtime::{ClusterConfig, ClusterTrainer, FaultPlan, RuntimeError, TrainOutcome};
+use cosmic_runtime::{ClusterConfig, ClusterTrainer, RuntimeError, TrainOutcome};
 
 /// An error from assembling or driving the stack.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,7 +151,6 @@ pub struct CosmicStackBuilder {
     threads_override: Option<usize>,
     minibatch_override: Option<usize>,
     learning_rate: f64,
-    fault_plan: FaultPlan,
 }
 
 impl CosmicStackBuilder {
@@ -206,15 +206,6 @@ impl CosmicStackBuilder {
         self
     }
 
-    /// Injects a deterministic fault schedule into functional training
-    /// (defaults to the healthy [`FaultPlan::none`]). The run degrades
-    /// gracefully and reports what happened in
-    /// [`TrainOutcome::faults`](cosmic_runtime::TrainOutcome).
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
     /// Runs the front end, the translator, and the Planner.
     ///
     /// # Errors
@@ -252,7 +243,6 @@ impl CosmicStackBuilder {
             minibatch,
             threads_override: self.threads_override,
             learning_rate: if self.learning_rate > 0.0 { self.learning_rate } else { 0.05 },
-            fault_plan: self.fault_plan,
         })
     }
 }
@@ -269,7 +259,6 @@ pub struct CosmicStack {
     minibatch: usize,
     threads_override: Option<usize>,
     learning_rate: f64,
-    fault_plan: FaultPlan,
 }
 
 impl CosmicStack {
@@ -303,16 +292,6 @@ impl CosmicStack {
         self.nodes
     }
 
-    /// Aggregation groups.
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// Effective mini-batch size.
-    pub fn minibatch(&self) -> usize {
-        self.minibatch
-    }
-
     /// Worker threads per accelerator (Planner's choice unless
     /// overridden).
     pub fn threads_per_node(&self) -> usize {
@@ -334,7 +313,7 @@ impl CosmicStack {
     }
 
     /// The cluster timing model for this system specification.
-    pub fn timing(&self) -> cosmic_runtime::ClusterTiming {
+    pub(crate) fn timing(&self) -> cosmic_runtime::ClusterTiming {
         cosmic_runtime::ClusterTiming::commodity(self.nodes, self.groups)
     }
 
@@ -354,11 +333,8 @@ impl CosmicStack {
     /// stack's DFG — see [`CosmicStack::verify_gradient`]) on `dataset`
     /// through the real system software.
     ///
-    /// Degrades gracefully under the builder's
-    /// [`fault_plan`](CosmicStackBuilder::fault_plan): crashed Sigmas
-    /// are re-elected, stragglers past the deadline are excluded, and
-    /// the outcome's fault report records what happened. Errors with
-    /// [`StackError::Runtime`] only when the run is unrecoverable.
+    /// Errors with [`StackError::Runtime`] only when the run is
+    /// unrecoverable.
     pub fn train(
         &self,
         alg: &Algorithm,
@@ -375,7 +351,6 @@ impl CosmicStack {
             learning_rate: self.learning_rate,
             epochs,
             aggregation,
-            faults: self.fault_plan.clone(),
             ..ClusterConfig::default()
         })?;
         Ok(trainer.train(alg, dataset, initial_model)?)
@@ -435,7 +410,7 @@ mod tests {
     fn builder_produces_consistent_stack() {
         let stack = svm_stack(32);
         assert_eq!(stack.dfg().model_len(), 32);
-        assert_eq!(stack.minibatch(), 64);
+        assert_eq!(stack.minibatch, 64);
         assert_eq!(stack.nodes(), 4);
         assert!(stack.threads_per_node() >= 1);
         assert!(stack.plan().best.records_per_sec > 0.0);

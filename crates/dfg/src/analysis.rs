@@ -1,16 +1,13 @@
 //! Static analyses over dataflow graphs.
 //!
-//! These feed the Planner (storage footprint, parallelism), the performance
-//! estimator (critical path, width profile), and the baseline cost models
-//! (flop counts).
+//! These feed the Planner (storage footprint, parallelism) and the
+//! performance estimator (critical path, width profile).
 
-use std::collections::HashMap;
-
-use crate::graph::{Dfg, Node, NodeId, OpKind};
+use crate::graph::{Dfg, Node, NodeId};
 
 /// Word size of the fixed-point datapath, in bytes (the template
 /// architecture processes 32-bit words, as in TABLA).
-pub const WORD_BYTES: usize = 4;
+pub(crate) const WORD_BYTES: usize = 4;
 
 /// Length of the longest dependence chain through compute nodes, counting
 /// each compute node as one level (leaves are level 0).
@@ -18,23 +15,6 @@ pub const WORD_BYTES: usize = 4;
 /// This bounds the schedule makespan from below regardless of PE count.
 pub fn critical_path(dfg: &Dfg) -> u32 {
     depth_map(dfg).into_iter().max().unwrap_or(0)
-}
-
-/// Longest dependence chain weighted by per-op ALU latency, in cycles.
-pub fn critical_path_cycles(dfg: &Dfg) -> u64 {
-    let mut depth = vec![0u64; dfg.len()];
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        depth[i] = match node {
-            Node::Op { kind, a, b } => {
-                u64::from(kind.latency()) + depth[a.index()].max(depth[b.index()])
-            }
-            // LUT lookups are pipelined single-cycle reads after a 2-cycle
-            // address computation.
-            Node::Unary { a, .. } => 2 + depth[a.index()],
-            _ => 0,
-        };
-    }
-    depth.into_iter().max().unwrap_or(0)
 }
 
 /// Per-node depth (number of compute nodes on the longest path from any
@@ -72,7 +52,7 @@ pub fn height_map(dfg: &Dfg) -> Vec<u32> {
 /// Number of operations at each ASAP level — the DFG's intrinsic
 /// parallelism profile. `profile[d]` is the count of compute nodes whose
 /// depth is `d + 1`.
-pub fn width_profile(dfg: &Dfg) -> Vec<usize> {
+pub(crate) fn width_profile(dfg: &Dfg) -> Vec<usize> {
     let depth = depth_map(dfg);
     let mut profile: Vec<usize> = Vec::new();
     for (i, node) in dfg.nodes().iter().enumerate() {
@@ -93,19 +73,6 @@ pub fn max_width(dfg: &Dfg) -> usize {
     width_profile(dfg).into_iter().max().unwrap_or(0)
 }
 
-/// Histogram of compute operations by opcode name.
-pub fn op_histogram(dfg: &Dfg) -> HashMap<String, usize> {
-    let mut hist = HashMap::new();
-    for node in dfg.nodes() {
-        match node {
-            Node::Op { kind, .. } => *hist.entry(kind.to_string()).or_insert(0) += 1,
-            Node::Unary { func, .. } => *hist.entry(func.to_string()).or_insert(0) += 1,
-            _ => {}
-        }
-    }
-    hist
-}
-
 /// Whether the graph uses any non-linear operation, requiring the PE
 /// look-up-table unit to be instantiated (paper §5.1: the non-linear unit
 /// "is only instantiated in a PE if the Compiler schedules a non-linear
@@ -118,21 +85,6 @@ pub fn uses_nonlinear(dfg: &Dfg) -> bool {
     })
 }
 
-/// Floating-point-equivalent operation count of one gradient evaluation
-/// (each ALU op = 1; LUT non-linears weighted as `nonlinear_weight` to
-/// reflect their cost on general-purpose hardware).
-pub fn flops(dfg: &Dfg, nonlinear_weight: usize) -> usize {
-    dfg.nodes()
-        .iter()
-        .map(|n| match n {
-            Node::Op { kind: OpKind::Div, .. } => nonlinear_weight,
-            Node::Op { .. } => 1,
-            Node::Unary { .. } => nonlinear_weight,
-            _ => 0,
-        })
-        .sum()
-}
-
 /// Per-thread on-chip storage requirement, in bytes: model parameters,
 /// one training record, and live intermediate values.
 pub fn storage_bytes(dfg: &Dfg) -> usize {
@@ -142,52 +94,6 @@ pub fn storage_bytes(dfg: &Dfg) -> usize {
     // count; a 2x max-width window is a conservative buffer plan.
     let live_interims = (2 * max_width(dfg)).min(interims.max(1));
     (dfg.model_len() + dfg.data_len() + live_interims + dfg.gradient_len()) * WORD_BYTES
-}
-
-/// Aggregate statistics used in reports and by the Planner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DfgStats {
-    /// Total nodes including leaves.
-    pub nodes: usize,
-    /// Compute operations.
-    pub ops: usize,
-    /// Critical path in op levels.
-    pub critical_path: u32,
-    /// Maximum level width.
-    pub max_width: usize,
-    /// Flattened training-record length.
-    pub data_len: usize,
-    /// Flattened model length.
-    pub model_len: usize,
-    /// Per-thread storage in bytes.
-    pub storage_bytes: usize,
-    /// Whether a LUT unit is required.
-    pub uses_nonlinear: bool,
-}
-
-impl DfgStats {
-    /// Computes the statistics of a graph.
-    pub fn of(dfg: &Dfg) -> Self {
-        DfgStats {
-            nodes: dfg.len(),
-            ops: dfg.op_count(),
-            critical_path: critical_path(dfg),
-            max_width: max_width(dfg),
-            data_len: dfg.data_len(),
-            model_len: dfg.model_len(),
-            storage_bytes: storage_bytes(dfg),
-            uses_nonlinear: uses_nonlinear(dfg),
-        }
-    }
-
-    /// Average parallelism: ops ÷ critical path.
-    pub fn avg_parallelism(&self) -> f64 {
-        if self.critical_path == 0 {
-            0.0
-        } else {
-            self.ops as f64 / f64::from(self.critical_path)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +113,6 @@ mod tests {
         let dfg = linreg(8);
         // mul (1) + 3 reduction levels + sub + gradient mul = 6.
         assert_eq!(critical_path(&dfg), 6);
-        assert_eq!(DfgStats::of(&dfg).critical_path, 6);
     }
 
     #[test]
@@ -221,29 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_ops() {
-        let dfg = linreg(4);
-        let hist = op_histogram(&dfg);
-        assert_eq!(hist["*"], 8); // 4 dot-product + 4 gradient
-        assert_eq!(hist["+"], 3);
-        assert_eq!(hist["-"], 1);
-    }
-
-    #[test]
     fn nonlinear_detection() {
         assert!(!uses_nonlinear(&linreg(4)));
         let p = parse(&programs::logistic_regression(64)).unwrap();
         let dfg = lower(&p, &DimEnv::new().with("n", 4)).unwrap();
         assert!(uses_nonlinear(&dfg));
-    }
-
-    #[test]
-    fn flops_weights_nonlinears() {
-        let p = parse(&programs::logistic_regression(64)).unwrap();
-        let dfg = lower(&p, &DimEnv::new().with("n", 4)).unwrap();
-        let base = flops(&dfg, 1);
-        let weighted = flops(&dfg, 10);
-        assert_eq!(weighted - base, 9); // exactly one sigmoid
     }
 
     #[test]
@@ -267,18 +154,5 @@ mod tests {
         let dfg = DfgBuilder::new().finish(0, 0);
         assert_eq!(critical_path(&dfg), 0);
         assert_eq!(max_width(&dfg), 0);
-        assert_eq!(DfgStats::of(&dfg).avg_parallelism(), 0.0);
-    }
-
-    #[test]
-    fn critical_path_cycles_weights_div() {
-        let mut b = DfgBuilder::new();
-        let x = b.data(0);
-        let w = b.model(0);
-        let d = b.op(OpKind::Div, w, x);
-        b.set_gradient(0, d, 0);
-        let dfg = b.finish(1, 1);
-        assert_eq!(critical_path_cycles(&dfg), 4);
-        assert_eq!(critical_path(&dfg), 1);
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-pub use cosmic_dsl::UnaryFn;
+use cosmic_dsl::UnaryFn;
 
 /// Identifies a node within one [`Dfg`].
 ///
@@ -94,7 +94,7 @@ impl fmt::Display for OpKind {
 }
 
 /// Applies a unary non-linear function (the PE LUT unit's repertoire).
-pub fn apply_unary(func: UnaryFn, x: f64) -> f64 {
+pub(crate) fn apply_unary(func: UnaryFn, x: f64) -> f64 {
     match func {
         UnaryFn::Sigmoid => 1.0 / (1.0 + (-x).exp()),
         UnaryFn::Gaussian => (-(x * x)).exp(),
@@ -309,7 +309,7 @@ impl DfgBuilder {
     }
 
     /// Returns the (deduplicated) node for a compile-time constant.
-    pub fn constant(&mut self, value: f64) -> NodeId {
+    pub(crate) fn constant(&mut self, value: f64) -> NodeId {
         let bits = value.to_bits();
         if let Some(&id) = self.const_cache.get(&bits) {
             return id;
@@ -326,7 +326,7 @@ impl DfgBuilder {
     }
 
     /// Appends a unary non-linear operation node.
-    pub fn unary(&mut self, func: UnaryFn, a: NodeId) -> NodeId {
+    pub(crate) fn unary(&mut self, func: UnaryFn, a: NodeId) -> NodeId {
         debug_assert!(a.index() < self.nodes.len());
         self.push(Node::Unary { func, a })
     }

@@ -33,19 +33,6 @@ pub fn evaluate(dfg: &Dfg, record: &[f64], model: &[f64]) -> Vec<f64> {
     dfg.gradient_outputs().iter().map(|id| values[id.index()]).collect()
 }
 
-/// Applies one stochastic-gradient-descent step in place:
-/// `θ[slot] ← θ[slot] − μ · g` for every gradient component (paper Eq. 2).
-///
-/// # Panics
-///
-/// Panics on length mismatches (see [`evaluate`]).
-pub fn sgd_step(dfg: &Dfg, record: &[f64], model: &mut [f64], learning_rate: f64) {
-    let gradient = evaluate(dfg, record, model);
-    for (slot, g) in dfg.gradient_model_slots().iter().zip(&gradient) {
-        model[*slot as usize] -= learning_rate * g;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +79,15 @@ mod tests {
         // w·x = 0 ⇒ sigmoid = 0.5; y = 1 ⇒ e = -0.5; g = e·x = -1.0.
         let g = evaluate(&dfg, &[2.0, 1.0], &[0.0]);
         assert!((g[0] + 1.0).abs() < 1e-12);
+    }
+
+    /// One stochastic-gradient-descent step in place: `θ[slot] ← θ[slot] −
+    /// μ · g` for every gradient component (paper Eq. 2).
+    fn sgd_step(dfg: &Dfg, record: &[f64], model: &mut [f64], learning_rate: f64) {
+        let gradient = evaluate(dfg, record, model);
+        for (slot, g) in dfg.gradient_model_slots().iter().zip(&gradient) {
+            model[*slot as usize] -= learning_rate * g;
+        }
     }
 
     #[test]

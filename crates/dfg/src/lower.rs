@@ -61,11 +61,6 @@ impl LowerError {
     fn new(message: impl Into<String>) -> Self {
         LowerError { message: message.into() }
     }
-
-    /// The diagnostic message.
-    pub fn message(&self) -> &str {
-        &self.message
-    }
 }
 
 impl fmt::Display for LowerError {
@@ -438,7 +433,7 @@ mod tests {
     fn unbound_dimension_is_an_error() {
         let program = parse(&programs::svm(64)).unwrap();
         let err = lower(&program, &DimEnv::new()).unwrap_err();
-        assert!(err.message().contains("unbound dimension"));
+        assert!(err.to_string().contains("unbound dimension"));
     }
 
     #[test]
@@ -449,7 +444,7 @@ mod tests {
         )
         .unwrap();
         let err = lower(&program, &DimEnv::new().with("n", 4).with("m", 5)).unwrap_err();
-        assert!(err.message().contains("shape"));
+        assert!(err.to_string().contains("shape"));
     }
 
     #[test]

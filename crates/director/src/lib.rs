@@ -45,7 +45,7 @@
 //! ## Determinism
 //!
 //! Everything is a pure function of the seed: arrival plans come from
-//! [`cosmic_sim::arrivals`], the event loop breaks every tie by
+//! [`cosmic_sim::JobArrivalPlan`], the event loop breaks every tie by
 //! (virtual time, job id), and all throughput arithmetic is fixed-order
 //! f64 — so a director run's telemetry exports are byte-identical per
 //! seed, the same contract the rest of the stack honours.

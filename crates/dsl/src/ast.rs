@@ -284,7 +284,7 @@ impl Program {
     }
 
     /// All declarations, in source order.
-    pub fn declarations(&self) -> &[Decl] {
+    pub(crate) fn declarations(&self) -> &[Decl] {
         &self.decls
     }
 
@@ -294,18 +294,13 @@ impl Program {
     }
 
     /// The declared aggregation operator (defaults to averaging).
-    pub fn aggregator(&self) -> AggregatorOp {
+    pub(crate) fn aggregator(&self) -> AggregatorOp {
         self.aggregator
     }
 
     /// The declared mini-batch size, if the program specified one.
     pub fn minibatch(&self) -> Option<usize> {
         self.minibatch
-    }
-
-    /// Finds a declaration by name.
-    pub fn decl(&self, name: &str) -> Option<&Decl> {
-        self.decls.iter().find(|d| d.name == name)
     }
 
     /// Iterates over declarations of one semantic class.
@@ -338,8 +333,6 @@ mod tests {
             AggregatorOp::Sum,
             Some(512),
         );
-        assert_eq!(p.decl("w").unwrap().ty, DeclType::Model);
-        assert!(p.decl("z").is_none());
         assert_eq!(p.aggregator(), AggregatorOp::Sum);
         assert_eq!(p.minibatch(), Some(512));
         assert_eq!(p.decls_of(DeclType::Model).count(), 1);

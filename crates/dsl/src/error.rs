@@ -18,7 +18,7 @@ pub struct DslError {
 
 /// Which stage of the front end rejected the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Tokenization failed (e.g. an illegal character).
     Lex,
     /// The token stream did not match the grammar.
@@ -29,7 +29,7 @@ pub enum Phase {
 
 impl DslError {
     /// Creates a lexical error.
-    pub fn lex(message: impl Into<String>, span: Span) -> Self {
+    pub(crate) fn lex(message: impl Into<String>, span: Span) -> Self {
         DslError { phase: Phase::Lex, message: message.into(), span }
     }
 
@@ -39,18 +39,8 @@ impl DslError {
     }
 
     /// Creates a semantic-validation error.
-    pub fn validate(message: impl Into<String>, span: Span) -> Self {
+    pub(crate) fn validate(message: impl Into<String>, span: Span) -> Self {
         DslError { phase: Phase::Validate, message: message.into(), span }
-    }
-
-    /// The phase in which the error occurred.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
-    /// The diagnostic message, without location information.
-    pub fn message(&self) -> &str {
-        &self.message
     }
 
     /// The source span the diagnostic points at.
@@ -80,7 +70,6 @@ mod tests {
     fn display_includes_phase_and_location() {
         let e = DslError::parse("expected `;`", Span::new(3, 4, 2, 1));
         assert_eq!(e.to_string(), "parse error at 2:1: expected `;`");
-        assert_eq!(e.phase(), Phase::Parse);
     }
 
     #[test]

@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn rejects_illegal_character() {
         let err = Lexer::new("w @ x").tokenize().unwrap_err();
-        assert!(err.message().contains('@'));
+        assert!(err.to_string().contains('@'));
     }
 
     #[test]

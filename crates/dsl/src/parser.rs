@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn rejects_iterator_with_nonzero_lower_bound() {
         let err = parse("iterator i[1:n];").unwrap_err();
-        assert!(err.message().contains("lower bound"));
+        assert!(err.to_string().contains("lower bound"));
     }
 
     #[test]
@@ -492,7 +492,8 @@ mod tests {
     #[test]
     fn literal_dims_accepted() {
         let p = parse("model w[10]; iterator i[0:10];").unwrap();
-        assert_eq!(p.decl("w").unwrap().dims, vec![Dim::Literal(10)]);
-        assert_eq!(p.decl("i").unwrap().dims, vec![Dim::Literal(10)]);
+        for decl in p.declarations() {
+            assert_eq!(decl.dims, vec![Dim::Literal(10)], "{}", decl.name);
+        }
     }
 }

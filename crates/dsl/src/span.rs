@@ -25,7 +25,7 @@ impl Span {
     /// Returns the smallest span covering both `self` and `other`.
     ///
     /// Line/column information is taken from whichever span starts first.
-    pub fn merge(self, other: Span) -> Span {
+    pub(crate) fn merge(self, other: Span) -> Span {
         let (first, _) = if self.start <= other.start { (self, other) } else { (other, self) };
         Span {
             start: self.start.min(other.start),

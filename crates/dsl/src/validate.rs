@@ -22,7 +22,7 @@ use crate::error::DslError;
 /// # Errors
 ///
 /// Returns a [`DslError`] for the first violated rule.
-pub fn validate(program: &Program) -> Result<(), DslError> {
+pub(crate) fn validate(program: &Program) -> Result<(), DslError> {
     let mut checker = Checker::new(program)?;
     for stmt in program.statements() {
         checker.check_stmt(stmt)?;
@@ -236,49 +236,51 @@ mod tests {
     #[test]
     fn rejects_duplicate_declaration() {
         let err = parse("model w[n]; gradient w[n]; iterator i[0:n]; w[i] = 1;").unwrap_err();
-        assert!(err.message().contains("already declared"));
+        assert!(err.to_string().contains("already declared"));
     }
 
     #[test]
     fn rejects_undeclared_reference() {
         let err = parse("model w[n]; iterator i[0:n]; w[i] = q * 2;").unwrap_err();
-        assert!(err.message().contains("not declared"));
+        assert!(err.to_string().contains("not declared"));
     }
 
     #[test]
     fn rejects_assignment_to_input() {
         let err = parse("model_input x[n]; iterator i[0:n]; x[i] = 1;").unwrap_err();
-        assert!(err.message().contains("training data"));
+        assert!(err.to_string().contains("training data"));
     }
 
     #[test]
     fn rejects_wrong_arity() {
         let err = parse("model w[n]; iterator i[0:n]; s = w[i][i];").unwrap_err();
-        assert!(err.message().contains("subscript"));
+        assert!(err.to_string().contains("subscript"));
     }
 
     #[test]
     fn rejects_unassigned_gradient() {
         let err = parse("gradient g[n]; model w[n]; iterator i[0:n]; s = w[i];").unwrap_err();
-        assert!(err.message().contains("never assigned"));
+        assert!(err.to_string().contains("never assigned"));
     }
 
     #[test]
     fn rejects_non_iterator_subscript() {
         let err = parse("model w[n]; model v[n]; iterator i[0:n]; s = w[v];").unwrap_err();
-        assert!(err.message().contains("not an iterator") || err.message().contains("iterator"));
+        assert!(
+            err.to_string().contains("not an iterator") || err.to_string().contains("iterator")
+        );
     }
 
     #[test]
     fn rejects_reduction_over_non_iterator() {
         let err = parse("model w[n]; iterator i[0:n]; s = sum[w](w[i]);").unwrap_err();
-        assert!(err.message().contains("not an iterator"));
+        assert!(err.to_string().contains("not an iterator"));
     }
 
     #[test]
     fn rejects_interim_use_before_definition() {
         let err = parse("model w[n]; iterator i[0:n]; s = t + 1; t = 2;").unwrap_err();
-        assert!(err.message().contains("not declared"));
+        assert!(err.to_string().contains("not declared"));
     }
 
     #[test]
@@ -288,12 +290,12 @@ mod tests {
              a[i] = w[i]; s = a;",
         )
         .unwrap_err();
-        assert!(err.message().contains("dimension"));
+        assert!(err.to_string().contains("dimension"));
     }
 
     #[test]
     fn iterator_cannot_be_used_as_value() {
         let err = parse("model w[n]; iterator i[0:n]; s = i * 2;").unwrap_err();
-        assert!(err.message().contains("used as a value"));
+        assert!(err.to_string().contains("used as a value"));
     }
 }

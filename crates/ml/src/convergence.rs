@@ -6,7 +6,7 @@
 //! [`WireRepr::FixedPoint`] and [`WireRepr::TopK`] shrink the payload
 //! at the cost of perturbing each worker's contribution. This module
 //! runs the same workload under every representation — the contribution
-//! transform of [`sgd::train_parallel_with`] is exactly the codec's
+//! transform of `sgd::train_parallel_with` is exactly the codec's
 //! encode→decode round trip — so the curves isolate the *statistical*
 //! cost of compression from its (separately modelled) wire savings.
 //!

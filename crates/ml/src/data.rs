@@ -56,11 +56,6 @@ impl Dataset {
         self.record_len
     }
 
-    /// Size of the dataset in bytes at the accelerator's 4-byte word size.
-    pub fn bytes(&self) -> usize {
-        self.records.len() * self.record_len * crate::suite::WORD_BYTES
-    }
-
     /// Splits the dataset into `parts` contiguous, nearly equal partitions
     /// (the per-node partitions `D_i` of paper Figure 1): owned copies of
     /// [`shards`] over the records.
@@ -314,13 +309,6 @@ mod tests {
     #[should_panic(expected = "zero parts")]
     fn partition_zero_panics() {
         generate(&Algorithm::Svm { features: 2 }, 4, 0).partition(0);
-    }
-
-    #[test]
-    fn bytes_accounts_words() {
-        let alg = Algorithm::LinearRegression { features: 3 };
-        let ds = generate(&alg, 8, 1);
-        assert_eq!(ds.bytes(), 8 * 4 * 4);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! - [`data`] — seeded synthetic dataset generators matching the shapes of
 //!   Table 1 (real datasets such as MNIST or the Netflix Prize data are
 //!   not redistributable; performance depends only on shapes);
-//! - [`sgd`] — sequential SGD, mini-batched SGD, and the parallelized SGD
-//!   of Eq. 3 (average aggregation, Zinkevich et al.) plus batched
-//!   gradient descent (sum aggregation);
+//! - [`sgd`] — mini-batched, parallelized SGD (Eq. 3: average
+//!   aggregation, Zinkevich et al.) and batched gradient descent (sum
+//!   aggregation); with one worker it is sequential SGD;
 //! - [`suite`] — the 10 benchmarks of Table 1 with their published
 //!   metadata and scalable synthetic instantiations.
 //!
@@ -25,8 +25,8 @@
 //!
 //! let alg = Algorithm::LinearRegression { features: 8 };
 //! let dataset = data::generate(&alg, 256, 7);
-//! let mut model = alg.zero_model();
-//! let history = sgd::train_sequential(&alg, &dataset, &mut model, 0.05, 3);
+//! let config = sgd::TrainConfig { epochs: 3, minibatch: 32, ..Default::default() };
+//! let history = sgd::train_parallel(&alg, &dataset, alg.zero_model(), &config).loss_history;
 //! assert!(history.last().unwrap() < &history[0]);
 //! ```
 
@@ -37,7 +37,6 @@
 mod algorithm;
 pub mod convergence;
 pub mod data;
-pub mod metrics;
 pub mod sgd;
 pub mod suite;
 

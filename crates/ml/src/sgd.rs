@@ -1,29 +1,8 @@
-//! Gradient-descent optimizers: sequential SGD and the parallel variants
-//! the CoSMIC stack distributes (paper §2.2, Eq. 3).
+//! Gradient-descent optimizers: the parallel variants of SGD the CoSMIC
+//! stack distributes (paper §2.2, Eq. 3); one worker is sequential SGD.
 
 use crate::algorithm::{Aggregation, Algorithm};
 use crate::data::Dataset;
-
-/// Trains sequentially with per-record SGD for `epochs` passes, updating
-/// `model` in place. Returns the mean dataset loss measured *before* each
-/// epoch and once after the last (length `epochs + 1`).
-pub fn train_sequential(
-    alg: &Algorithm,
-    dataset: &Dataset,
-    model: &mut [f64],
-    learning_rate: f64,
-    epochs: usize,
-) -> Vec<f64> {
-    let mut history = Vec::with_capacity(epochs + 1);
-    for _ in 0..epochs {
-        history.push(mean_loss(alg, dataset, model));
-        for record in dataset.records() {
-            alg.sgd_update(record, model, learning_rate);
-        }
-    }
-    history.push(mean_loss(alg, dataset, model));
-    history
-}
 
 /// One parallelized-SGD aggregation step over a single global mini-batch
 /// (paper Eq. 3): every worker starts from `model`, runs sequential SGD
@@ -285,15 +264,6 @@ pub fn mean_loss(alg: &Algorithm, dataset: &Dataset, model: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::data;
-
-    #[test]
-    fn sequential_training_converges_linreg() {
-        let alg = Algorithm::LinearRegression { features: 8 };
-        let ds = data::generate(&alg, 512, 11);
-        let mut model = alg.zero_model();
-        let hist = train_sequential(&alg, &ds, &mut model, 0.1, 5);
-        assert!(hist.last().unwrap() < &(hist[0] * 0.5), "loss must halve: {hist:?}");
-    }
 
     #[test]
     fn parallel_training_converges_for_all_families() {

@@ -8,7 +8,6 @@
 use std::fmt;
 
 use crate::algorithm::Algorithm;
-use crate::data::{self, Dataset};
 
 /// Fixed-point word size of the accelerator datapath, in bytes.
 pub const WORD_BYTES: usize = 4;
@@ -249,12 +248,6 @@ impl Benchmark {
         }
     }
 
-    /// Generates a synthetic dataset of `records` training vectors with
-    /// this benchmark's full-size shape.
-    pub fn dataset(&self, records: usize, seed: u64) -> Dataset {
-        data::generate(&self.algorithm, records, seed)
-    }
-
     /// Bytes per training record at the accelerator word size.
     pub fn bytes_per_record(&self) -> usize {
         self.algorithm.record_len() * WORD_BYTES
@@ -411,13 +404,6 @@ mod tests {
         let b = BenchmarkId::Movielens.benchmark();
         assert_eq!(b.exchanged_params(10), 200);
         assert_eq!(b.exchanged_params(10_000_000), b.model_params());
-    }
-
-    #[test]
-    fn datasets_generate_with_full_shape() {
-        let b = BenchmarkId::Tumor.benchmark();
-        let ds = b.dataset(4, 1);
-        assert_eq!(ds.record_len(), 2001);
     }
 
     #[test]

@@ -58,19 +58,6 @@ pub struct Plan {
     pub t_max: usize,
 }
 
-impl Plan {
-    /// Seconds each thread spends on one record.
-    pub fn seconds_per_record_per_thread(&self) -> f64 {
-        self.best.cycles_per_record as f64 / (self.spec.freq_mhz * 1e6)
-    }
-
-    /// Seconds for this accelerator to process `records` training records
-    /// across all threads.
-    pub fn seconds_for(&self, records: usize) -> f64 {
-        records as f64 / self.best.records_per_sec
-    }
-}
-
 /// Runs the Planner for one algorithm DFG on one chip, with the
 /// programmer's mini-batch size bounding useful parallelism.
 ///
@@ -252,16 +239,6 @@ mod tests {
         let one = plan(&d, &spec, 1); // forced single thread
         let many = plan(&d, &spec, 10_000);
         assert!(many.best.records_per_sec >= one.best.records_per_sec);
-    }
-
-    #[test]
-    fn seconds_for_scales_linearly() {
-        let d = dfg("logreg", &DimEnv::new().with("n", 32));
-        let p = plan(&d, &small_spec(), 10_000);
-        let t1 = p.seconds_for(1_000);
-        let t2 = p.seconds_for(2_000);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
-        assert!(p.seconds_per_record_per_thread() > 0.0);
     }
 
     #[test]

@@ -141,3 +141,85 @@ fn refresh_schedule<O: RunObserver>(
     });
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::NullObserver;
+    use crate::node::{ChunkFault, SigmaAggregator};
+    use crate::trainer::{ClusterConfig, ClusterTrainer};
+    use crate::transport::{RoundDelivery, SimTransport, Transport, TransportKind};
+    use cosmic_ml::{data, Algorithm};
+    use cosmic_sim::faults::FaultPlan;
+
+    /// The in-process wire, with sender `at.1`'s partial of iteration
+    /// `at.0` marked to trip [`SigmaAggregator::tripwired`].
+    struct Marked {
+        at: (usize, usize),
+    }
+
+    impl Transport for Marked {
+        fn kind(&self) -> TransportKind {
+            TransportKind::Sim
+        }
+
+        fn round(
+            &self,
+            ctx: &RoundCtx<'_>,
+            sigma: &SigmaAggregator,
+            parts: &[Option<&[f64]>],
+        ) -> Result<RoundDelivery, RuntimeError> {
+            if ctx.iteration != self.at.0 {
+                return SimTransport.round(ctx, sigma, parts);
+            }
+            let mut marked = parts[self.at.1].unwrap_or_default().to_vec();
+            marked[0] = SigmaAggregator::TRIPWIRE;
+            let mut parts = parts.to_vec();
+            parts[self.at.1] = Some(&marked);
+            SimTransport.round(ctx, sigma, &parts)
+        }
+    }
+
+    /// An aggregation job that unwinds takes its peer out of the sum
+    /// *and* out of `active_total`: the run is, bit for bit, the run in
+    /// which that peer's stream was quarantined for a corrupt chunk.
+    #[test]
+    fn an_aborted_aggregation_job_leaves_the_denominator_with_its_peer() {
+        let alg = Algorithm::LogisticRegression { features: 6 };
+        let ds = data::generate(&alg, 240, 7);
+        let init = data::init_model(&alg, 3);
+        let cfg = ClusterConfig {
+            nodes: 4,
+            groups: 2,
+            minibatch: 48,
+            learning_rate: 0.2,
+            ..ClusterConfig::default()
+        };
+        let trainer = ClusterTrainer::new(cfg.clone()).expect("valid config");
+        let mut eng = Engine::new(&cfg, &alg, &ds, init.len(), NullObserver).expect("sim");
+        eng.sigma = SigmaAggregator::new(4, 4).tripwired();
+        eng.transport = Box::new(Marked { at: (2, 1) });
+        let aborted = eng.run(trainer.topology().clone(), init.clone()).expect("absorbed");
+
+        let plan = FaultPlan::none().corrupt_chunk(1, 2, 0);
+        let corrupted = ClusterTrainer::new(ClusterConfig { faults: plan, ..cfg.clone() })
+            .expect("valid config")
+            .train(&alg, &ds, init.clone())
+            .expect("absorbed");
+        let healthy = trainer.train(&alg, &ds, init).expect("healthy");
+
+        let verdicts = |faults: &[Quarantine]| -> Vec<(usize, usize, ChunkFault)> {
+            faults.iter().map(|q| (q.iteration, q.node, q.fault)).collect()
+        };
+        assert_eq!(verdicts(&aborted.faults.quarantines), [(2, 1, ChunkFault::Aborted)]);
+        assert_eq!(
+            verdicts(&corrupted.faults.quarantines),
+            [(2, 1, ChunkFault::Corrupt { offset: 0 })]
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&aborted.model), bits(&corrupted.model), "survivor rescaling");
+        assert_eq!(bits(&aborted.loss_history), bits(&corrupted.loss_history));
+        assert_ne!(bits(&aborted.model), bits(&healthy.model), "the round was not a no-op");
+        assert_eq!(aborted.iterations, healthy.iterations, "and the next one ran");
+    }
+}

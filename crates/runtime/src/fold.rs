@@ -1,14 +1,14 @@
 //! The aggregation fold kernels: one scalar reference, one fused/
 //! unrolled fast path, bit-identical by construction.
 //!
-//! The Sigma's final fold sums the staged per-peer vectors into the
-//! aggregation buffer **in peer-index order** — that ordering is the
-//! determinism contract (quarantining peer *k* yields bit-for-bit the
-//! sum over the remaining peers). The reference kernel walks the whole
-//! buffer once per peer; the fast kernel walks it once *total*,
-//! sweeping cache-sized blocks and adding every peer's block before
-//! moving on, with the inner loop unrolled into eight accumulation
-//! lanes.
+//! The Sigma's final fold sums the chunk views each peer delivered into
+//! the aggregation buffer, a stripe at a time, **in peer-index order** —
+//! that ordering is the determinism contract (quarantining peer *k*
+//! yields bit-for-bit the sum over the remaining peers). The reference
+//! kernel walks the whole buffer once per peer; the fast kernel walks
+//! it once *total*, sweeping cache-sized blocks and adding every peer's
+//! block before moving on, with the inner loop unrolled into eight
+//! accumulation lanes.
 //!
 //! Both kernels perform, for every element `i`, exactly the additions
 //! `sum[i] += part0[i]; sum[i] += part1[i]; …` in the same peer order
@@ -101,34 +101,41 @@ pub fn fold_parts_i64_reference(sum: &mut [i64], parts: &[&[i32]]) {
     }
 }
 
+/// Two `i32` values as one packed word of a grid chunk (`Layout::Grid`):
+/// low half first.
+pub(crate) fn pack_pair(low: i32, high: i32) -> f64 {
+    f64::from_bits(u64::from(low as u32) | u64::from(high as u32) << 32)
+}
+
+/// The `i32` values of packed words, [`pack_pair`] undone.
+fn quanta(packed: &[f64]) -> impl Iterator<Item = i32> + '_ {
+    packed.iter().flat_map(|word| [word.to_bits() as i32, (word.to_bits() >> 32) as i32])
+}
+
 /// Fused integer fold: the same single-sweep blocked traversal as
-/// [`fold_parts`], accumulating i32 quantized values into i64 — the
-/// fold under every fixed-point round ([`fold_grid_stripe`]). Identical
-/// to [`fold_parts_i64_reference`] on every input.
-pub(crate) fn fold_parts_i64(sum: &mut [i64], parts: &[&[i32]]) {
-    match parts {
-        [] => {}
-        [only] => add_lanes_i64(sum, only),
-        many => {
-            let len = sum.len();
-            let mut at = 0;
-            while at < len {
-                let end = (at + BLOCK_WORDS).min(len);
-                for part in many {
-                    let stop = end.min(part.len());
-                    if at < stop {
-                        add_lanes_i64(&mut sum[at..stop], &part[at..stop]);
-                    }
-                }
-                at = end;
+/// [`fold_parts`], accumulating i32 quantized values — read where the
+/// wire left them, packed two to a word — into i64: the fold under
+/// every fixed-point round ([`fold_grid_stripe`]). Identical to
+/// [`fold_parts_i64_reference`] of the unpacked values on every input.
+fn fold_parts_i64(sum: &mut [i64], parts: &[(&[f64], u8)]) {
+    let len = sum.len();
+    let mut at = 0;
+    while at < len {
+        let end = (at + BLOCK_WORDS).min(len);
+        for (packed, _) in parts {
+            let stop = end.min(2 * packed.len());
+            if at < stop {
+                add_lanes_i64(&mut sum[at..stop], &packed[at / 2..]);
             }
         }
+        at = end;
     }
 }
 
-/// Folds one stripe of fixed-point contributions — `(values, scale_exp)`,
-/// each on its own grid `2^-scale_exp` — into `acc` as exact integer
-/// sums on one grid, and returns that grid's exponent.
+/// Folds one stripe of fixed-point contributions — `(packed, scale_exp)`,
+/// a grid chunk's packed words, each on its own grid `2^-scale_exp` —
+/// into `acc` as exact integer sums on one grid, and returns that
+/// grid's exponent.
 ///
 /// All on one grid (the common case): [`fold_parts_i64`] as is. Else
 /// the coarser contributions align to the finest grid by left shift,
@@ -139,7 +146,7 @@ pub(crate) fn fold_parts_i64(sum: &mut [i64], parts: &[&[i32]]) {
 /// it on its own, half away from zero. Every term is a function of one
 /// contribution and the set's two extremes, and integer addition is
 /// associative: no order of `parts` changes a sum, no input wraps.
-pub(crate) fn fold_grid_stripe(acc: &mut [i64], parts: &[(&[i32], u8)]) -> u8 {
+pub(crate) fn fold_grid_stripe(acc: &mut [i64], parts: &[(&[f64], u8)]) -> u8 {
     acc.fill(0);
     let exps = || parts.iter().map(|&(_, scale_exp)| scale_exp);
     let (Some(coarsest), Some(finest)) = (exps().min(), exps().max()) else {
@@ -148,20 +155,19 @@ pub(crate) fn fold_grid_stripe(acc: &mut [i64], parts: &[(&[i32], u8)]) -> u8 {
     let headroom = 32u32.saturating_sub(parts.len().next_power_of_two().trailing_zeros());
     let grid = finest.min(coarsest.saturating_add(headroom as u8));
     if coarsest == finest {
-        let values: Vec<&[i32]> = parts.iter().map(|&(values, _)| values).collect();
-        fold_parts_i64(acc, &values);
+        fold_parts_i64(acc, parts);
         return grid;
     }
-    for &(values, scale_exp) in parts {
+    for &(packed, scale_exp) in parts {
         if scale_exp <= grid {
             let up = grid - scale_exp;
-            for (sum, &q) in acc.iter_mut().zip(values) {
+            for (sum, q) in acc.iter_mut().zip(quanta(packed)) {
                 *sum += i64::from(q) << up;
             }
         } else {
             let down = scale_exp - grid;
             let half = 1i64 << (down - 1);
-            for (sum, &q) in acc.iter_mut().zip(values) {
+            for (sum, q) in acc.iter_mut().zip(quanta(packed)) {
                 let q = i64::from(q);
                 *sum += ((q.abs() + half) >> down) * q.signum();
             }
@@ -170,24 +176,25 @@ pub(crate) fn fold_grid_stripe(acc: &mut [i64], parts: &[(&[i32], u8)]) -> u8 {
     grid
 }
 
-/// Eight-lane unrolled integer accumulation, the i64/i32 mirror of
-/// [`add_lanes`].
-fn add_lanes_i64(dst: &mut [i64], src: &[i32]) {
-    let n = dst.len().min(src.len());
+/// Eight-lane unrolled integer accumulation of packed values, four words
+/// a step; an odd `dst` takes the low half of one word more.
+fn add_lanes_i64(dst: &mut [i64], packed: &[f64]) {
+    let n = dst.len().min(2 * packed.len());
     let (head_d, tail_d) = dst[..n].split_at_mut(n - n % 8);
-    let (head_s, tail_s) = src[..n].split_at(n - n % 8);
-    for (d, s) in head_d.chunks_exact_mut(8).zip(head_s.chunks_exact(8)) {
-        d[0] += i64::from(s[0]);
-        d[1] += i64::from(s[1]);
-        d[2] += i64::from(s[2]);
-        d[3] += i64::from(s[3]);
-        d[4] += i64::from(s[4]);
-        d[5] += i64::from(s[5]);
-        d[6] += i64::from(s[6]);
-        d[7] += i64::from(s[7]);
+    let (head_s, tail_s) = packed.split_at(head_d.len() / 2);
+    let (low, high) = (|w: f64| i64::from(w.to_bits() as i32), |w: f64| w.to_bits() as i64 >> 32);
+    for (d, s) in head_d.chunks_exact_mut(8).zip(head_s.chunks_exact(4)) {
+        d[0] += low(s[0]);
+        d[1] += high(s[0]);
+        d[2] += low(s[1]);
+        d[3] += high(s[1]);
+        d[4] += low(s[2]);
+        d[5] += high(s[2]);
+        d[6] += low(s[3]);
+        d[7] += high(s[3]);
     }
-    for (d, s) in tail_d.iter_mut().zip(tail_s) {
-        *d += i64::from(*s);
+    for (d, q) in tail_d.iter_mut().zip(quanta(tail_s)) {
+        *d += i64::from(q);
     }
 }
 
@@ -207,6 +214,12 @@ mod tests {
                 mant * 2f64.powi(exp)
             })
             .collect()
+    }
+
+    /// `values` as a grid chunk carries them: two to a word, low half
+    /// first, a ragged last word zero-padded.
+    fn pack(values: &[i32]) -> Vec<f64> {
+        values.chunks(2).map(|pair| pack_pair(pair[0], pair.get(1).copied().unwrap_or(0))).collect()
     }
 
     #[test]
@@ -251,9 +264,11 @@ mod tests {
                     })
                     .collect();
                 let slices: Vec<&[i32]> = parts.iter().map(Vec::as_slice).collect();
+                let packed: Vec<Vec<f64>> = parts.iter().map(|p| pack(p)).collect();
+                let views: Vec<(&[f64], u8)> = packed.iter().map(|p| (p.as_slice(), 0)).collect();
                 let mut fast = vec![0i64; len];
                 let mut refr = vec![0i64; len];
-                fold_parts_i64(&mut fast, &slices);
+                fold_parts_i64(&mut fast, &views);
                 fold_parts_i64_reference(&mut refr, &slices);
                 assert_eq!(fast, refr, "peers={peers} len={len}");
             }
@@ -262,10 +277,11 @@ mod tests {
 
     #[test]
     fn short_integer_parts_only_touch_their_prefix() {
-        let mut sum = vec![1i64; 10];
-        fold_parts_i64(&mut sum, &[&[2i32; 4], &[3i32; 10]]);
+        let mut sum = vec![1i64; 11];
+        fold_parts_i64(&mut sum, &[(&pack(&[2; 4]), 0), (&pack(&[3; 11]), 0)]);
         assert_eq!(sum[0], 6);
         assert_eq!(sum[5], 4);
+        assert_eq!(sum[10], 4, "the odd last word's low half");
     }
 
     #[test]
@@ -307,6 +323,7 @@ mod tests {
             (0..extremes.len()).map(|i| extremes[(i + by) % extremes.len()]).collect()
         };
         let (a, b, c) = (rotated(0), rotated(3), rotated(7));
+        let carried = [pack(&a), pack(&b), pack(&c)];
         // (exponents, the grid the sums must land on)
         let cases: [(&[u8], u8); 9] = [
             (&[20, 20, 20], 20), // one grid: the fused fold as is
@@ -322,13 +339,15 @@ mod tests {
         for (exps, grid) in cases {
             let parts: Vec<(&[i32], u8)> =
                 [&a, &b, &c].into_iter().map(Vec::as_slice).zip(exps.iter().copied()).collect();
+            let packed: Vec<(&[f64], u8)> =
+                carried.iter().map(Vec::as_slice).zip(exps.iter().copied()).collect();
             let mut acc = vec![i64::MIN; extremes.len()]; // stale sums must not leak
-            assert_eq!(fold_grid_stripe(&mut acc, &parts), grid, "{exps:?}");
+            assert_eq!(fold_grid_stripe(&mut acc, &packed), grid, "{exps:?}");
             for (i, &sum) in acc.iter().enumerate() {
                 assert_eq!(i128::from(sum), aligned_sum(&parts, grid, i), "{exps:?} word {i}");
             }
             // Order-independent, rounding included.
-            let mut reversed = parts.clone();
+            let mut reversed = packed.clone();
             reversed.reverse();
             let mut again = vec![0; extremes.len()];
             assert_eq!(fold_grid_stripe(&mut again, &reversed), grid);
@@ -338,9 +357,10 @@ mod tests {
         // number of peers, every word `i32::MIN`, the widest exact shift.
         let floor = [i32::MIN; 3];
         let parts = [(&floor[..], 0u8), (&floor[..], 0), (&floor[..], 0), (&floor[..], 30)];
+        let carried = pack(&floor);
         let mut acc = [0i64; 3];
-        assert_eq!(fold_grid_stripe(&mut acc, &parts), 30);
-        assert_eq!(i128::from(acc[0]), aligned_sum(&parts, 30, 0));
+        assert_eq!(fold_grid_stripe(&mut acc, &parts.map(|(_, exp)| (&carried[..], exp))), 30);
+        assert_eq!(i128::from(acc[2]), aligned_sum(&parts, 30, 2), "the odd last word");
         // No contributions: zeros, on any grid.
         assert_eq!(fold_grid_stripe(&mut acc, &[]), 0);
         assert_eq!(acc, [0; 3]);

@@ -2,17 +2,19 @@
 //! real threads.
 //!
 //! An incoming network handler dispatches each connection's received data
-//! to the **Networking Pool**, whose threads copy chunks into bounded
+//! to the **Networking Pool**, whose threads move chunks into bounded
 //! **circular buffers**; threads of the **Aggregation Pool** consume the
-//! chunks and fold them into the shared **Aggregation Buffer**. Producers
-//! and consumers overlap, so aggregation starts "as soon as the first
-//! chunk of data is copied".
+//! chunks, validating each "as soon as the first chunk of data is
+//! copied" and holding it as delivered — a refcounted view of the words
+//! the wire decoded, never a copy. When every stream has ended the held
+//! views fold, a stripe at a time, into the **Aggregation Buffer**.
 //!
 //! The pipeline validates every chunk (stripe alignment, buffer bounds,
-//! payload checksum, duplicate delivery) and every stream (full
-//! coverage of the model). A peer that sends an invalid chunk or stops
-//! short is **quarantined** — its entire contribution is discarded and
-//! reported — rather than poisoning the aggregate or crashing the Sigma.
+//! payload checksum, duplicate delivery) and every stream (one layout,
+//! full coverage of the model). A peer that sends an invalid chunk or
+//! stops short is **quarantined** — its entire contribution is discarded
+//! and reported — rather than poisoning the aggregate or crashing the
+//! Sigma.
 
 use std::fmt;
 use std::sync::Arc;
@@ -76,6 +78,12 @@ impl Chunk {
         let data = data.into();
         let checksum = Chunk::checksum_of(offset, &data);
         Chunk { offset, data, checksum, layout: Layout::Dense }
+    }
+
+    /// Seals `data` — header word, packed values — as a grid chunk.
+    fn grid(offset: usize, data: WordBuf) -> Self {
+        let checksum = Chunk::grid_checksum_of(offset, &data);
+        Chunk { offset, data, checksum, layout: Layout::Grid }
     }
 
     /// The checksum a well-formed dense chunk at `offset` carrying
@@ -159,47 +167,40 @@ pub fn chunk_vector(values: &[f64]) -> Vec<Chunk> {
         .collect()
 }
 
-/// [`chunk_vector`] for a fixed-point round, and the only place a
-/// gradient word is quantized: one [`derive_scale`] over the partial,
-/// one [`quantize_into`] pass, and every stripe — header word, packed
-/// values — a view of one arena. Returns the chunks and how many values
-/// saturated.
+/// [`chunk_vector`] for a fixed-point round: one [`derive_scale`] over
+/// the partial, one [`pack_stripe`] per stripe, and every stripe a view
+/// of one arena. Returns the chunks and how many values saturated.
 pub(crate) fn grid_chunks(values: &[f64], frac_bits: u8) -> (Vec<Chunk>, u64) {
     const STRIDE: usize = 1 + CHUNK_WORDS / 2; // a full stripe's header and pairs
     let scale_exp = derive_scale(values, frac_bits);
     let mut arena = Vec::with_capacity(chunk_count(values.len()) * STRIDE);
-    let mut grid = vec![0i32; CHUNK_WORDS.min(values.len())];
     let mut clipped = 0;
     for stripe in values.chunks(CHUNK_WORDS) {
-        let grid = &mut grid[..stripe.len()];
-        clipped += quantize_into(stripe, scale_exp, grid);
-        arena.push(f64::from_bits(u64::from_le_bytes(fixed_header(scale_exp, stripe.len()))));
-        arena.extend(grid.chunks(2).map(|pair| {
-            let high = pair.get(1).map_or(0, |&q| u64::from(q as u32) << 32);
-            f64::from_bits(u64::from(pair[0] as u32) | high)
-        }));
+        clipped += pack_stripe(stripe, scale_exp, &mut arena);
     }
     let arena = WordBuf::from_vec(arena);
     let chunks = values.chunks(CHUNK_WORDS).enumerate().map(|(i, stripe)| {
-        let offset = i * CHUNK_WORDS;
-        let data = arena.slice(i * STRIDE, 1 + stripe.len().div_ceil(2));
-        let checksum = Chunk::grid_checksum_of(offset, &data);
-        Chunk { offset, data, checksum, layout: Layout::Grid }
+        Chunk::grid(i * CHUNK_WORDS, arena.slice(i * STRIDE, 1 + stripe.len().div_ceil(2)))
     });
     (chunks.collect(), clipped)
 }
 
-/// Unpacks a grid chunk's packed words into `out`, one `i32` per model
-/// word.
-fn unpack_grid(packed: &[f64], out: &mut [i32]) {
-    let mut pairs = out.chunks_exact_mut(2);
-    for (pair, word) in (&mut pairs).zip(packed) {
-        let bits = word.to_bits();
-        (pair[0], pair[1]) = (bits as i32, (bits >> 32) as i32);
+/// The only place a gradient word is quantized: one [`quantize_into`]
+/// pass over `stripe`, a cache-resident block at a time, appended to
+/// `words` as a grid chunk carries it — header word, then the values
+/// packed two to a word. Returns how many values saturated.
+fn pack_stripe(stripe: &[f64], scale_exp: u8, words: &mut Vec<f64>) -> u64 {
+    words.push(f64::from_bits(u64::from_le_bytes(fixed_header(scale_exp, stripe.len()))));
+    let mut grid = [0i32; 512];
+    let mut clipped = 0;
+    for block in stripe.chunks(grid.len()) {
+        let grid = &mut grid[..block.len()];
+        clipped += quantize_into(block, scale_exp, grid);
+        let mut pairs = grid.chunks_exact(2);
+        words.extend(pairs.by_ref().map(|pair| fold::pack_pair(pair[0], pair[1])));
+        words.extend(pairs.remainder().first().map(|&last| fold::pack_pair(last, 0)));
     }
-    if let ([last], Some(word)) = (pairs.into_remainder(), packed.last()) {
-        *last = word.to_bits() as i32;
-    }
+    clipped
 }
 
 /// Why a peer's stream was quarantined.
@@ -230,6 +231,9 @@ pub enum ChunkFault {
         /// The first word offset the stream left uncovered.
         missing: usize,
     },
+    /// The peer's aggregation job unwound before reporting: whatever it
+    /// had validated is lost with it.
+    Aborted,
 }
 
 impl fmt::Display for ChunkFault {
@@ -243,6 +247,7 @@ impl fmt::Display for ChunkFault {
             ChunkFault::Incomplete { missing } => {
                 write!(f, "incomplete stream: nothing covers offset {missing}")
             }
+            ChunkFault::Aborted => write!(f, "aggregation job aborted"),
         }
     }
 }
@@ -266,36 +271,22 @@ pub struct AggregateOutcome {
     pub ring_high_water: usize,
 }
 
-/// One peer's validated contribution, staged for the final fold in the
-/// representation its stream arrived in.
-#[derive(Debug)]
-enum Staged {
-    /// Model words, as dense chunks carry them.
-    Dense(Vec<f64>),
-    /// A fixed-point grid: one `i32` per model word — half a dense
-    /// staging buffer — and each stripe's scale exponent.
-    Grid { values: Vec<i32>, exps: Vec<u8> },
-}
+/// One peer's validated contribution: stripe `k`'s first intact chunk,
+/// exactly as delivered — a view of the words the wire decoded.
+type Stripes = Vec<Option<Chunk>>;
 
-/// What the pipeline knows once every peer stream has drained, before
-/// any final fold has run: the validated staging buffers in peer-index
-/// order plus the quarantine/duplicate/occupancy report.
+/// What one peer's aggregation job made of its stream.
 #[derive(Debug)]
-struct DrainedRound {
-    survivors: Vec<Staged>,
-    quarantined: Vec<(usize, ChunkFault)>,
-    duplicates_dropped: usize,
-    ring_high_water: usize,
-}
-
-/// Per-peer consumer state, collected after the pipeline drains.
-#[derive(Debug, Default)]
 struct PeerFold {
-    staged: Option<Staged>,
+    /// `None` when no chunk arrived at all.
+    stripes: Option<Stripes>,
     fault: Option<ChunkFault>,
     duplicates: usize,
     high_water: usize,
 }
+
+/// A peer's aggregation job: [`stage_peer`], or a test's planted panic.
+type Stage = fn(&CircularBuffer<Chunk>, usize, Option<u8>) -> PeerFold;
 
 /// The Sigma node's aggregation machinery: two internally managed thread
 /// pools joined per-connection by bounded circular buffers.
@@ -310,14 +301,16 @@ struct PeerFold {
 /// let (tx, rx) = channel::unbounded();
 /// tx.send(Chunk::new(0, vec![1.0, 2.0])).unwrap();
 /// drop(tx);
-/// let sum = sigma.aggregate(2, vec![rx]);
-/// assert_eq!(sum, vec![1.0, 2.0]);
+/// let outcome = sigma.aggregate_validated(2, vec![rx]);
+/// assert_eq!(outcome.sum, vec![1.0, 2.0]);
 /// ```
 #[derive(Debug)]
 pub struct SigmaAggregator {
     networking: ThreadPool,
     aggregation: ThreadPool,
     ring_capacity: usize,
+    /// A field so tests can plant a panic.
+    stage: Stage,
 }
 
 impl SigmaAggregator {
@@ -342,110 +335,69 @@ impl SigmaAggregator {
             networking: ThreadPool::new(networking_threads, "networking"),
             aggregation: ThreadPool::new(aggregation_threads, "aggregation"),
             ring_capacity: ring_capacity.max(1),
+            stage: stage_peer,
         }
     }
 
-    /// Receives one partial vector from every connection and returns
-    /// their element-wise **sum** (averaging, when requested by the
-    /// aggregation operator, is a scalar division the caller applies).
-    ///
-    /// Convenience wrapper over [`SigmaAggregator::aggregate_validated`]
-    /// that discards the fault report: peers that fail validation are
-    /// silently excluded from the sum.
-    pub fn aggregate(&self, model_len: usize, incoming: Vec<Receiver<Chunk>>) -> Vec<f64> {
-        self.aggregate_validated(model_len, incoming).sum
-    }
-
     /// Receives one partial vector from every connection, validating
-    /// every chunk, and returns the element-wise sum over the peers
-    /// that passed along with the quarantine report.
+    /// every chunk, and returns the element-wise **sum** over the peers
+    /// that passed (averaging is a scalar division the caller applies)
+    /// along with the quarantine report.
     ///
     /// Each `incoming` receiver is one peer's socket stream of chunks.
     /// A peer whose stream contains a misaligned, out-of-bounds, or
     /// checksum-failing chunk, or that ends having covered only part of
     /// the model, is quarantined: its entire contribution is withheld
     /// from the sum (the rest of its stream is still drained so the
-    /// pipeline never stalls). A stream with no chunk at all simply
-    /// contributes nothing. Duplicate deliveries of a stripe already
-    /// received from the same peer are dropped idempotently.
+    /// pipeline never stalls), as is that of a peer whose aggregation
+    /// job unwound ([`ChunkFault::Aborted`]). A stream with no chunk at
+    /// all simply contributes nothing. Duplicate deliveries of a stripe
+    /// already received from the same peer are dropped idempotently.
     ///
-    /// Dense streams are folded as floats, peer-by-peer in `incoming`
-    /// order, so the result for a given set of surviving peers is
-    /// deterministic — quarantining peer *k* yields bit-for-bit the sum
-    /// over the remaining peers. [`Layout::Grid`] streams are folded as
-    /// integers, stripe by stripe (`fold::fold_grid_stripe`), and
-    /// de-quantized once: exact, so in any order. A stream that changes
-    /// layout is corrupt; a round of both kinds folds the grid total last.
+    /// Sigma holds each surviving chunk as delivered and folds after
+    /// the last stream ends, a stripe at a time. Dense chunks fold as
+    /// floats, peer-by-peer in `incoming` order, so the result for a
+    /// given set of surviving peers is deterministic — quarantining peer
+    /// *k* yields bit-for-bit the sum over the remaining peers.
+    /// [`Layout::Grid`] chunks fold as integers (`fold::fold_grid_stripe`)
+    /// and de-quantize once: exact, so in any order. A stream that
+    /// changes layout is corrupt; a stripe of both kinds folds its grid
+    /// total last.
     pub fn aggregate_validated(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
     ) -> AggregateOutcome {
-        self.aggregate_staged(model_len, incoming, None)
+        self.aggregate_at(model_len, incoming, None)
     }
 
-    /// [`SigmaAggregator::aggregate_validated`] with every validated
-    /// dense chunk quantized at the shared `scale_exp` straight into its
-    /// peer's `i32` staging: what a fixed-point sender does
-    /// (`grid_chunks`), done on arrival, and from there the same integer
-    /// fold. The engine sends grids; this entry point serves the
-    /// benchmark rung `runtime.sigma.fixed_mib_per_s`.
+    /// [`SigmaAggregator::aggregate_validated`] over dense streams, with
+    /// every validated chunk re-expressed on arrival, in its peer's
+    /// aggregation job, as the grid chunk a fixed-point sender at the
+    /// shared `scale_exp` would have sent (`pack_stripe`), and from
+    /// there the same integer fold. Layout is judged as delivered: a
+    /// stream that mixes grid chunks in is corrupt here as everywhere.
+    /// The engine sends grids; this entry point serves the benchmark
+    /// rung `runtime.sigma.fixed_mib_per_s`.
     pub fn aggregate_fixed(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
         scale_exp: u8,
     ) -> AggregateOutcome {
-        self.aggregate_staged(model_len, incoming, Some(scale_exp))
+        self.aggregate_at(model_len, incoming, Some(scale_exp))
     }
 
-    /// Drains and validates every stream — dense chunks staged as
-    /// floats, or quantized at `quantize_at` — then runs the final fold.
-    fn aggregate_staged(
+    /// Runs the two-pool pipeline to completion — every stream drained,
+    /// validated and held by `self.stage` — then folds what survived.
+    fn aggregate_at(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
         quantize_at: Option<u8>,
     ) -> AggregateOutcome {
-        let drained = self.drain_validated(model_len, incoming, quantize_at, stage_peer);
-        let (mut dense, mut grids) = (Vec::new(), Vec::new());
-        for survivor in &drained.survivors {
-            match survivor {
-                Staged::Dense(words) => dense.push(words.as_slice()),
-                Staged::Grid { values, exps } => grids.push((values.as_slice(), exps.as_slice())),
-            }
-        }
-        let grid_total = (!grids.is_empty()).then(|| fold_grids(model_len, &grids));
-        let sum = match grid_total {
-            Some(total) if dense.is_empty() => total,
-            total => {
-                dense.extend(total.as_deref());
-                let mut sum = vec![0.0; model_len];
-                fold::fold_parts(&mut sum, &dense);
-                sum
-            }
-        };
-        AggregateOutcome {
-            sum,
-            quarantined: drained.quarantined,
-            duplicates_dropped: drained.duplicates_dropped,
-            ring_high_water: drained.ring_high_water,
-        }
-    }
-
-    /// Runs the two-pool pipeline to completion and collects what
-    /// `stage` made of each peer's stream ([`stage_peer`] outside
-    /// tests), leaving the final fold to the caller.
-    fn drain_validated(
-        &self,
-        model_len: usize,
-        incoming: Vec<Receiver<Chunk>>,
-        quantize_at: Option<u8>,
-        stage: fn(&CircularBuffer<Chunk>, usize, Option<u8>) -> PeerFold,
-    ) -> DrainedRound {
-        let peers = incoming.len();
-        let folds: Arc<Vec<Mutex<PeerFold>>> =
-            Arc::new((0..peers).map(|_| Mutex::new(PeerFold::default())).collect());
+        let folds: Arc<Vec<Mutex<Option<PeerFold>>>> =
+            Arc::new(incoming.iter().map(|_| Mutex::new(None)).collect());
 
         let wg = WaitGroup::new();
         for (peer, rx) in incoming.into_iter().enumerate() {
@@ -467,15 +419,16 @@ impl SigmaAggregator {
             }
 
             // Aggregation-pool consumer: circular buffer -> this peer's
-            // staging buffer. A consumer that unwinds leaves its peer
-            // absent from the round: the guard closes the ring and the
-            // dropped `wg` releases the wait below.
+            // held stripes. A consumer that unwinds leaves its slot
+            // `None`: the guard closes the ring and the dropped `wg`
+            // releases the wait below.
             {
                 let ring = CloseOnDrop(ring);
                 let folds = Arc::clone(&folds);
                 let wg = wg.clone();
+                let stage = self.stage;
                 self.aggregation.execute(move || {
-                    *folds[peer].lock() = stage(&ring.0, model_len, quantize_at);
+                    *folds[peer].lock() = Some(stage(&ring.0, model_len, quantize_at));
                     drop(wg);
                 });
             }
@@ -484,24 +437,27 @@ impl SigmaAggregator {
 
         // Collect surviving peers in index order — the determinism
         // contract the float fold builds on.
-        let mut quarantined = Vec::new();
-        let mut duplicates_dropped = 0;
-        let mut ring_high_water = 0;
+        let mut outcome = AggregateOutcome {
+            sum: Vec::new(),
+            quarantined: Vec::new(),
+            duplicates_dropped: 0,
+            ring_high_water: 0,
+        };
         let mut survivors = Vec::new();
         for (peer, fold) in folds.iter().enumerate() {
-            let mut fold = fold.lock();
-            duplicates_dropped += fold.duplicates;
-            ring_high_water = ring_high_water.max(fold.high_water);
+            let Some(fold) = fold.lock().take() else {
+                outcome.quarantined.push((peer, ChunkFault::Aborted));
+                continue;
+            };
+            outcome.duplicates_dropped += fold.duplicates;
+            outcome.ring_high_water = outcome.ring_high_water.max(fold.high_water);
             match fold.fault {
-                Some(fault) => quarantined.push((peer, fault)),
-                None => {
-                    if let Some(staged) = fold.staged.take() {
-                        survivors.push(staged);
-                    }
-                }
+                Some(fault) => outcome.quarantined.push((peer, fault)),
+                None => survivors.extend(fold.stripes),
             }
         }
-        DrainedRound { survivors, quarantined, duplicates_dropped, ring_high_water }
+        outcome.sum = fold_stripes(model_len, &survivors);
+        outcome
     }
 
     /// Total jobs submitted to the networking + aggregation pools so
@@ -523,31 +479,51 @@ impl Drop for CloseOnDrop {
     }
 }
 
-/// The integer fold of a fixed-point round: every stripe's survivors
-/// accumulate into `i64` sums on one grid and de-quantize once.
-fn fold_grids(model_len: usize, grids: &[(&[i32], &[u8])]) -> Vec<f64> {
-    let mut total = vec![0.0; model_len];
-    let mut acc = vec![0i64; CHUNK_WORDS.min(model_len)];
-    for (stripe, out) in total.chunks_mut(CHUNK_WORDS).enumerate() {
-        let at = stripe * CHUNK_WORDS;
-        let parts: Vec<(&[i32], u8)> = grids
-            .iter()
-            .map(|(values, exps)| (&values[at..at + out.len()], exps[stripe]))
-            .collect();
-        let acc = &mut acc[..out.len()];
-        let scale_exp = fold::fold_grid_stripe(acc, &parts);
-        dequantize_sum(scale_exp, acc, out);
+/// The final fold: walks the model a stripe at a time over the views
+/// the survivors hold, in peer order. Dense views fold as floats, each
+/// element `((0.0 + p₀) + p₁) + …`; grid views fold as `i64` on one
+/// grid and de-quantize once — straight into the sum when the stripe
+/// has no dense survivor, folded in last when it has.
+fn fold_stripes(model_len: usize, survivors: &[Stripes]) -> Vec<f64> {
+    let mut sum = vec![0.0; model_len];
+    let (mut dense, mut grids) = (Vec::new(), Vec::new());
+    let (mut acc, mut total) = (Vec::new(), Vec::new());
+    for (k, out) in sum.chunks_mut(CHUNK_WORDS).enumerate() {
+        dense.clear();
+        grids.clear();
+        for chunk in survivors.iter().filter_map(|stripes| stripes[k].as_ref()) {
+            match chunk.layout {
+                Layout::Dense => dense.push(&chunk.data[..]),
+                // Parsed again, as on arrival: the words are shared, not ours.
+                Layout::Grid => grids.extend(
+                    chunk.grid_header().map(|(scale_exp, _)| (&chunk.data[1..], scale_exp)),
+                ),
+            }
+        }
+        fold::fold_parts(out, &dense);
+        if grids.is_empty() {
+            continue;
+        }
+        acc.resize(out.len(), 0);
+        let scale_exp = fold::fold_grid_stripe(&mut acc, &grids);
+        if dense.is_empty() {
+            dequantize_sum(scale_exp, &acc, out);
+        } else {
+            total.resize(out.len(), 0.0);
+            dequantize_sum(scale_exp, &acc, &mut total);
+            fold::fold_parts(out, &[&total]);
+        }
     }
-    total
+    sum
 }
 
-/// One peer's aggregation job: drains `ring` into a staging buffer of
-/// `model_len` words, validating every chunk as it goes. Dense chunks
-/// stage as floats, or — under `quantize_at` — as the grid of that
-/// scale exponent; grid chunks stage as the grid they carry.
+/// One peer's aggregation job: drains `ring`, validating every chunk as
+/// it arrives and holding each stripe's first intact one as delivered —
+/// or, under `quantize_at`, as the grid chunk of that scale exponent a
+/// fixed-point sender would have delivered in its place.
 fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize, quantize_at: Option<u8>) -> PeerFold {
-    let mut staged: Option<Staged> = None;
-    let mut seen = vec![false; chunk_count(model_len)];
+    let mut stripes: Stripes = vec![None; chunk_count(model_len)];
+    let mut layout: Option<Layout> = None;
     let mut fault: Option<ChunkFault> = None;
     let mut duplicates = 0usize;
     while let Some(chunk) = ring.pop() {
@@ -560,16 +536,16 @@ fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize, quantize_at: Optio
             fault = Some(ChunkFault::Misaligned { offset: chunk.offset });
             continue;
         }
-        // Model words carried, and the grid they stage on (if any); a
-        // malformed grid header leaves no length to check against.
-        let (len, scale_exp) = match chunk.layout {
-            Layout::Dense => (chunk.data.len(), quantize_at),
+        // Model words carried; a malformed grid header leaves no length
+        // to check against.
+        let len = match chunk.layout {
+            Layout::Dense => chunk.data.len(),
             Layout::Grid => {
-                let Some((scale_exp, words)) = chunk.grid_header() else {
+                let Some((_, words)) = chunk.grid_header() else {
                     fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
                     continue;
                 };
-                (words, Some(scale_exp))
+                words
             }
         };
         // The offset is wire-supplied: bound it before adding to it.
@@ -588,39 +564,33 @@ fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize, quantize_at: Optio
             fault = Some(ChunkFault::Incomplete { missing: end });
             continue;
         }
-        let stripe = chunk.offset / CHUNK_WORDS;
-        if seen[stripe] {
+        let slot = &mut stripes[chunk.offset / CHUNK_WORDS];
+        if slot.is_some() {
             duplicates += 1;
             continue;
         }
-        seen[stripe] = true;
-        let dst = staged.get_or_insert_with(|| match scale_exp {
-            None => Staged::Dense(vec![0.0; model_len]),
-            Some(_) => Staged::Grid { values: vec![0; model_len], exps: vec![0; seen.len()] },
-        });
-        match (dst, scale_exp) {
-            (Staged::Dense(words), None) => words[chunk.offset..end].copy_from_slice(&chunk.data),
-            (Staged::Grid { values, exps }, Some(scale_exp)) => {
-                exps[stripe] = scale_exp;
-                let values = &mut values[chunk.offset..end];
-                match chunk.layout {
-                    Layout::Grid => unpack_grid(&chunk.data[1..], values),
-                    Layout::Dense => {
-                        quantize_into(&chunk.data, scale_exp, values);
-                    }
-                }
-            }
-            // The stream changed representation mid-way.
-            _ => fault = Some(ChunkFault::Corrupt { offset: chunk.offset }),
+        // The stream changed representation mid-way.
+        if *layout.get_or_insert(chunk.layout) != chunk.layout {
+            fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
+            continue;
         }
+        *slot = Some(match quantize_at {
+            Some(scale_exp) if chunk.layout == Layout::Dense => {
+                let mut words = Vec::with_capacity(1 + len.div_ceil(2));
+                pack_stripe(&chunk.data, scale_exp, &mut words);
+                Chunk::grid(chunk.offset, WordBuf::from_vec(words))
+            }
+            _ => chunk,
+        });
     }
     // A stream that delivered anything must have delivered every
-    // stripe; zero-filling the rest would pass a partial gradient off
-    // as whole.
-    if let (None, Some(_), Some(stripe)) = (fault, &staged, seen.iter().position(|&s| !s)) {
+    // stripe; folding the rest as absent would pass a partial gradient
+    // off as whole.
+    if let (None, Some(_), Some(stripe)) = (fault, layout, stripes.iter().position(Option::is_none))
+    {
         fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
     }
-    PeerFold { staged, fault, duplicates, high_water: ring.high_water() }
+    PeerFold { stripes: layout.map(|_| stripes), fault, duplicates, high_water: ring.high_water() }
 }
 
 impl Default for SigmaAggregator {
@@ -632,7 +602,28 @@ impl Default for SigmaAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::model_checksum;
     use crossbeam::channel;
+    use proptest::prelude::*;
+
+    impl SigmaAggregator {
+        /// First word of a stream whose aggregation job
+        /// [`SigmaAggregator::tripwired`] panics.
+        pub(crate) const TRIPWIRE: f64 = 6.02e23;
+
+        /// Plants a panic in the aggregation job of any peer whose
+        /// stream starts with [`SigmaAggregator::TRIPWIRE`] — once it
+        /// has staged, so all but the report has run.
+        pub(crate) fn tripwired(mut self) -> Self {
+            self.stage = |ring, model_len, quantize_at| {
+                let fold = stage_peer(ring, model_len, quantize_at);
+                let first = fold.stripes.as_ref().and_then(|s| s[0].as_ref()).map(|c| c.data[0]);
+                assert!(first != Some(Self::TRIPWIRE), "planted panic");
+                fold
+            };
+            self
+        }
+    }
 
     fn send_model(model: Vec<f64>) -> Receiver<Chunk> {
         let (tx, rx) = channel::unbounded();
@@ -649,7 +640,7 @@ mod tests {
         let peers = 7;
         let incoming: Vec<Receiver<Chunk>> =
             (0..peers).map(|p| send_model((0..len).map(|i| (i + p) as f64).collect())).collect();
-        let sum = sigma.aggregate(len, incoming);
+        let sum = sigma.aggregate_validated(len, incoming).sum;
         for (i, v) in sum.iter().enumerate() {
             let expect: f64 = (0..peers).map(|p| (i + p) as f64).sum();
             assert_eq!(*v, expect, "element {i}");
@@ -659,7 +650,7 @@ mod tests {
     #[test]
     fn empty_connection_list_yields_zeros() {
         let sigma = SigmaAggregator::default();
-        assert_eq!(sigma.aggregate(5, vec![]), vec![0.0; 5]);
+        assert_eq!(sigma.aggregate_validated(5, vec![]).sum, vec![0.0; 5]);
     }
 
     #[test]
@@ -670,7 +661,7 @@ mod tests {
         let sigma = SigmaAggregator::new(2, 2);
         let len = 16 * CHUNK_WORDS;
         let incoming = vec![send_model(vec![1.0; len]), send_model(vec![2.0; len])];
-        let sum = sigma.aggregate(len, incoming);
+        let sum = sigma.aggregate_validated(len, incoming).sum;
         assert!(sum.iter().all(|&v| v == 3.0));
     }
 
@@ -693,7 +684,7 @@ mod tests {
         let sigma = SigmaAggregator::new(2, 2);
         for iter in 1..4 {
             let incoming = vec![send_model(vec![iter as f64; 10])];
-            assert_eq!(sigma.aggregate(10, incoming), vec![iter as f64; 10]);
+            assert_eq!(sigma.aggregate_validated(10, incoming).sum, vec![iter as f64; 10]);
         }
     }
 
@@ -818,7 +809,7 @@ mod tests {
         assert!(out.ring_high_water <= 4, "bounded by ring capacity");
         // Two jobs (producer + consumer) per peer connection.
         assert_eq!(sigma.jobs_submitted(), 4);
-        let _ = sigma.aggregate(len, vec![send_model(vec![3.0; len])]);
+        let _ = sigma.aggregate_validated(len, vec![send_model(vec![3.0; len])]);
         assert_eq!(sigma.jobs_submitted(), 6);
     }
 
@@ -928,9 +919,6 @@ mod tests {
                 chunk.data.iter().flat_map(|w| w.to_bits().to_le_bytes()).collect();
             assert_eq!(carried[..expect.len()], expect[..]);
             assert!(carried[expect.len()..].iter().all(|&b| b == 0), "zero padding");
-            let mut back = vec![0; stripe.len()];
-            unpack_grid(&chunk.data[1..], &mut back);
-            assert_eq!(back, grid);
         }
         // Saturation is counted where it happens.
         assert_eq!(grid_chunks(&[f64::NAN, 1e300, 0.5], 24).1, 2);
@@ -1086,6 +1074,110 @@ mod tests {
     }
 
     #[test]
+    fn sigma_holds_the_views_it_was_handed_not_copies() {
+        let len = 2 * CHUNK_WORDS + 17;
+        let model = partial(len, 0, 1.0);
+        for chunks in [chunk_vector(&model), grid_chunks(&model, 20).0] {
+            let ring = CircularBuffer::with_capacity(chunks.len());
+            for chunk in chunks.iter().rev() {
+                assert!(ring.push(chunk.clone()));
+            }
+            ring.close();
+            let fold = stage_peer(&ring, len, None);
+            assert_eq!(fold.fault, None);
+            let held = fold.stripes.expect("something arrived");
+            for (held, sent) in held.iter().zip(&chunks) {
+                let held = held.as_ref().expect("every stripe covered");
+                assert_eq!(held, sent, "as delivered");
+                assert!(held.data.shares_allocation(&sent.data), "a view, not a copy");
+            }
+        }
+    }
+
+    #[test]
+    fn aggregate_fixed_reproduces_the_pinned_sums_and_judges_layout_as_delivered() {
+        let sigma = SigmaAggregator::new(2, 2);
+        let len = 2 * CHUNK_WORDS + 17;
+        // Printed by the implementation that quantized into a per-peer
+        // `i32` staging buffer, before chunk views replaced it; the
+        // middle case saturates.
+        for (scale_exp, scale, pinned) in [
+            (10u8, 2.0, 0x3aed_a896_6b2e_e5db_u64),
+            (20, 5.0e3, 0xbd43_65da_98b3_e236),
+            (24, 1.0, 0x654b_2688_f7bc_dbf1),
+        ] {
+            let incoming = (0..3).map(|p| send_model(partial(len, p, scale))).collect();
+            let out = sigma.aggregate_fixed(len, incoming, scale_exp);
+            assert!(out.quarantined.is_empty());
+            assert_eq!(model_checksum(&out.sum), pinned, "scale_exp {scale_exp}");
+        }
+        // One grid chunk among dense ones is a changed layout here as in
+        // `aggregate_validated`, whatever the dense ones are turned into.
+        let mut mixed = chunk_vector(&partial(len, 1, 2.0));
+        mixed[1] = grid_chunks(&partial(len, 1, 2.0), 20).0.remove(1);
+        let alone = sigma.aggregate_fixed(len, vec![send_model(partial(len, 0, 2.0))], 20);
+        let incoming = vec![send_model(partial(len, 0, 2.0)), send_chunks(mixed)];
+        let out = sigma.aggregate_fixed(len, incoming, 20);
+        assert_eq!(out.quarantined, vec![(1, ChunkFault::Corrupt { offset: CHUNK_WORDS })]);
+        assert_eq!(bits(&out.sum), bits(&alone.sum));
+    }
+
+    proptest! {
+        /// Sigma folds after the barrier from per-stripe slots, so what
+        /// order a peer's chunks arrive in, and how many arrive twice,
+        /// moves no bit, count or verdict — dense or grid.
+        #[test]
+        fn arrival_order_and_duplicates_move_nothing(
+            peers in 2usize..5,
+            stripes in 1usize..4,
+            tail in 1usize..9,
+            bad in any::<u32>(),
+            entropy in any::<u64>(),
+        ) {
+            let len = (stripes - 1) * CHUNK_WORDS + tail;
+            let bad = bad as usize % (peers + 1); // `peers`: nobody
+            let models: Vec<Vec<f64>> =
+                (0..peers).map(|p| partial(len, p, 2.0 + p as f64)).collect();
+            let mut state = entropy | 1;
+            let mut draw = |bound: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % bound as u64) as usize
+            };
+            let sigma = SigmaAggregator::new(2, 2);
+            for frac_bits in [None, Some(20)] {
+                let mut duplicates = 0;
+                let mut streams = |scramble: bool| -> Vec<Receiver<Chunk>> {
+                    let stream = |(p, model): (usize, &Vec<f64>)| {
+                        let mut chunks =
+                            frac_bits.map_or_else(|| chunk_vector(model), |f| grid_chunks(model, f).0);
+                        if p == bad {
+                            chunks[stripes - 1] = chunks[stripes - 1].clone().corrupted();
+                        } else if scramble {
+                            for _ in 0..draw(3) {
+                                chunks.push(chunks[draw(stripes)].clone());
+                                duplicates += 1;
+                            }
+                        }
+                        for i in (1..chunks.len()).filter(|_| scramble).rev() {
+                            chunks.swap(i, draw(i + 1));
+                        }
+                        send_chunks(chunks)
+                    };
+                    models.iter().enumerate().map(stream).collect()
+                };
+                let in_order = sigma.aggregate_validated(len, streams(false));
+                let scrambled = sigma.aggregate_validated(len, streams(true));
+                prop_assert_eq!(in_order.quarantined.len(), usize::from(bad < peers));
+                prop_assert_eq!(&scrambled.quarantined, &in_order.quarantined);
+                prop_assert_eq!(bits(&scrambled.sum), bits(&in_order.sum));
+                prop_assert_eq!((in_order.duplicates_dropped, scrambled.duplicates_dropped), (0, duplicates));
+            }
+        }
+    }
+
+    #[test]
     fn a_consumer_that_panics_mid_stream_does_not_wedge_its_producer() {
         fn dies_after_one_chunk(ring: &CircularBuffer<Chunk>, _: usize, _: Option<u8>) -> PeerFold {
             let _ = ring.pop();
@@ -1095,13 +1187,14 @@ mod tests {
         // once the consumer is gone the producer fills the ring and,
         // unless the ring is closed under it, blocks in `push` on the
         // only networking worker for the aggregator's lifetime.
-        let sigma = SigmaAggregator::new(1, 1);
+        let mut sigma = SigmaAggregator::new(1, 1);
+        sigma.stage = dies_after_one_chunk;
         let len = 16 * CHUNK_WORDS;
-        let incoming = vec![send_model(vec![1.0; len])];
-        let drained = sigma.drain_validated(len, incoming, None, dies_after_one_chunk);
-        assert!(drained.survivors.is_empty(), "the peer is absent from the round");
-        assert!(drained.quarantined.is_empty());
+        let out = sigma.aggregate_validated(len, vec![send_model(vec![1.0; len])]);
+        assert_eq!(out.quarantined, vec![(0, ChunkFault::Aborted)], "a typed outcome");
+        assert_eq!(out.sum, vec![0.0; len], "and out of the sum");
         // Both pools are whole: the next round on the same aggregator folds.
+        sigma.stage = stage_peer;
         let out = sigma.aggregate_validated(len, vec![send_model(vec![2.0; len])]);
         assert!(out.sum.iter().all(|&v| v == 2.0));
         assert!(out.quarantined.is_empty());

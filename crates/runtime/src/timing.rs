@@ -12,7 +12,7 @@
 //!
 //! One iteration is timed through the builder-style [`IterationModel`]:
 //! start from [`ClusterTiming::model`], layer on
-//! [`IterationModel::with_stragglers`], [`IterationModel::with_faults`],
+//! [`IterationModel::with_faults`],
 //! [`IterationModel::with_collective`], and [`IterationModel::traced`],
 //! then [`IterationModel::evaluate`]. The eight pre-builder entry
 //! points (`iteration`, `iteration_with_faults`, …) lived on as
@@ -166,8 +166,8 @@ pub struct ClusterTiming {
 /// ```
 ///
 /// Evaluation order is fixed regardless of call order: healthy phases,
-/// then straggler stretch, then collective re-pricing, then fault
-/// recovery, then (if [`IterationModel::traced`]) the trace emission.
+/// then collective re-pricing, then fault recovery, then (if
+/// [`IterationModel::traced`]) the trace emission.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "an IterationModel does nothing until evaluate() is called"]
 pub struct IterationModel<'a> {
@@ -175,26 +175,12 @@ pub struct IterationModel<'a> {
     minibatch: usize,
     node: NodeCompute,
     exchange_bytes: usize,
-    stragglers: usize,
-    slowdown: f64,
     faults: Option<&'a FaultTimingModel>,
     collective: Option<CollectiveKind>,
     sink: Option<&'a TraceSink>,
 }
 
 impl<'a> IterationModel<'a> {
-    /// Times the round as if `stragglers` nodes ran at `slowdown` times
-    /// their normal per-record cost. Synchronous parallel SGD waits for
-    /// the slowest partial before aggregating, so a single straggler
-    /// stretches the whole round. Out-of-range inputs clamp instead of
-    /// panicking: `slowdown` below 1 (or non-finite) counts as nominal
-    /// speed, and `stragglers` is capped at the node count.
-    pub fn with_stragglers(mut self, stragglers: usize, slowdown: f64) -> Self {
-        self.stragglers = stragglers;
-        self.slowdown = slowdown;
-        self
-    }
-
     /// Prices steady-state fault rates into
     /// [`IterationBreakdown::recovery_s`]: expected retry traffic and
     /// backoff waits, deadline-capped straggler waits, and Sigma
@@ -238,12 +224,6 @@ impl<'a> IterationModel<'a> {
     /// be built); every other path is infallible.
     pub fn evaluate(&self) -> Result<IterationBreakdown, RuntimeError> {
         let mut it = self.timing.healthy_iteration(self.minibatch, self.node, self.exchange_bytes);
-
-        let slowdown = if self.slowdown.is_finite() { self.slowdown.max(1.0) } else { 1.0 };
-        if self.stragglers.min(self.timing.nodes) > 0 {
-            // The barrier waits for the slowest node's compute.
-            it.compute_s *= slowdown;
-        }
 
         let mut collective = None;
         if let Some(kind) = self.collective {
@@ -371,8 +351,6 @@ impl ClusterTiming {
             minibatch,
             node,
             exchange_bytes,
-            stragglers: 0,
-            slowdown: 1.0,
             faults: None,
             collective: None,
             sink: None,
@@ -592,37 +570,6 @@ mod tests {
         assert!((ten / one - 10.0).abs() < 1e-9);
         let epochs = t.training_time_s(10_000, 10_000, 5, node(1e5), 100_000);
         assert!((epochs / one - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn one_straggler_stretches_the_whole_round() {
-        let t = ClusterTiming::commodity(16, 2);
-        let n = node(1e5);
-        let clean = eval(t.model(10_000, n, 100_000));
-        let dragged = eval(t.model(10_000, n, 100_000).with_stragglers(1, 3.0));
-        assert!((dragged.compute_s / clean.compute_s - 3.0).abs() < 1e-9);
-        assert_eq!(dragged.aggregate_s, clean.aggregate_s);
-        // Compute-bound workloads suffer the full factor; communication-
-        // bound ones are partially shielded.
-        let heavy_comm = eval(t.model(10_000, n, 4_000_000).with_stragglers(1, 3.0));
-        let clean_comm = eval(t.model(10_000, n, 4_000_000));
-        let slow_ratio = heavy_comm.total_s() / clean_comm.total_s();
-        let fast_ratio = dragged.total_s() / clean.total_s();
-        assert!(slow_ratio < fast_ratio, "{slow_ratio} vs {fast_ratio}");
-    }
-
-    #[test]
-    fn out_of_range_straggler_inputs_clamp() {
-        let t = ClusterTiming::commodity(4, 1);
-        let clean = eval(t.model(100, node(1e5), 100));
-        // A "straggler" faster than nominal clamps to nominal speed.
-        let sub_unit = eval(t.model(100, node(1e5), 100).with_stragglers(1, 0.5));
-        assert_eq!(sub_unit, clean);
-        let nan = eval(t.model(100, node(1e5), 100).with_stragglers(1, f64::NAN));
-        assert_eq!(nan, clean);
-        // More stragglers than nodes caps at the node count.
-        let capped = eval(t.model(100, node(1e5), 100).with_stragglers(99, 2.0));
-        assert_eq!(capped, eval(t.model(100, node(1e5), 100).with_stragglers(4, 2.0)));
     }
 
     #[test]

@@ -203,7 +203,8 @@ pub struct Exclusion {
 }
 
 /// One quarantined peer stream: the Sigma rejected the node's partial
-/// for this iteration because a chunk failed validation.
+/// for this iteration because a chunk failed validation or the stream's
+/// aggregation job unwound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quarantine {
     /// The global aggregation iteration.

@@ -698,7 +698,7 @@ mod tests {
             (0..3).map(|p| (0..len).map(|i| (i * 7 + p) as f64 * 0.125 - 3.0).collect()).collect();
         let records = [40u64, 50, 60];
         type Damage = fn(&mut Vec<Chunk>);
-        let table: [(&str, Damage, &[usize]); 5] = [
+        let table: [(&str, Damage, &[usize]); 6] = [
             ("clean", |_| (), &[0, 1, 2]),
             ("corrupt chunk", |c| c[1] = c[1].clone().corrupted(), &[0, 2]),
             // The one intended verdict change from the old private
@@ -707,8 +707,17 @@ mod tests {
             ("duplicated chunk", |c| c.insert(2, c[2].clone()), &[0, 1, 2]),
             ("missing stripe", |c| drop(c.remove(1)), &[0, 2]),
             ("no chunk at all", Vec::clear, &[0, 2]),
+            (
+                "aggregation job unwound",
+                |c| {
+                    let mut words = c[0].data.to_vec();
+                    words[0] = SigmaAggregator::TRIPWIRE;
+                    c[0] = Chunk::new(0, words);
+                },
+                &[0, 2],
+            ),
         ];
-        let sigma = SigmaAggregator::new(2, 2);
+        let sigma = SigmaAggregator::new(2, 2).tripwired();
         for (name, damage, survivors) in table {
             let streams = grads.iter().zip(records).enumerate().map(|(p, (grad, n))| {
                 let mut chunks = chunk_vector(grad);

@@ -7,7 +7,8 @@
 //! is held to two oracles the same way: the reference integer fold of
 //! each partial's own quantization, and the float fold of
 //! `WireRepr::transform`ed partials (what
-//! `CommSchedule::execute_with_codec` computes).
+//! `CommSchedule::execute_with_codec` computes). A round of dense and
+//! grid streams is held, stripe by stripe, to both reference folds.
 //!
 //! Payload values are synthesized from raw `u64` entropy into finite
 //! floats of wildly mixed magnitudes, so any change to the per-element
@@ -18,9 +19,9 @@
 use crossbeam::channel::{self, Receiver};
 use proptest::prelude::*;
 
-use cosmic_runtime::codec::{dequantize_sum, derive_scale, quantize_into, WireRepr};
+use cosmic_runtime::codec::{dequantize_sum, derive_scale, fixed_header, quantize_into, WireRepr};
 use cosmic_runtime::fold::{fold_parts, fold_parts_i64_reference, fold_parts_reference};
-use cosmic_runtime::node::{chunk_vector, Chunk, SigmaAggregator};
+use cosmic_runtime::node::{chunk_vector, Chunk, Layout, SigmaAggregator};
 use cosmic_runtime::transport::{RoundCtx, SimTransport, Transport};
 use cosmic_runtime::{FaultPlan, RetryPolicy, CHUNK_WORDS};
 
@@ -52,6 +53,23 @@ fn streams(models: &[Vec<f64>], corrupt: Option<(usize, usize)>) -> Vec<Receiver
             rx
         })
         .collect()
+}
+
+/// `grid` at `scale_exp` as a fixed-point sender's stream, packed here
+/// by hand from the layout's description: per stripe the codec's header
+/// word, then the `i32`s two to a word, low half first.
+fn grid_stream(grid: &[i32], scale_exp: u8) -> Receiver<Chunk> {
+    let (tx, rx) = channel::unbounded();
+    for (k, stripe) in grid.chunks(CHUNK_WORDS).enumerate() {
+        let header = u64::from_le_bytes(fixed_header(scale_exp, stripe.len()));
+        let packed = stripe.chunks(2).map(|pair| {
+            u64::from(pair[0] as u32) | pair.get(1).map_or(0, |&q| u64::from(q as u32) << 32)
+        });
+        let data: Vec<f64> = std::iter::once(header).chain(packed).map(f64::from_bits).collect();
+        let (offset, checksum) = (k * CHUNK_WORDS, Chunk::grid_checksum_of(k * CHUNK_WORDS, &data));
+        tx.send(Chunk { offset, data: data.into(), checksum, layout: Layout::Grid }).ok();
+    }
+    rx
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -217,5 +235,54 @@ proptest! {
         let mut float = vec![0.0; len];
         fold_parts_reference(&mut float, &parts);
         prop_assert_eq!(bits(&grid_round(&models, frac_bits)), bits(&float));
+    }
+
+    /// A dense peer and two grid peers eight exponents apart, every
+    /// stripe mixed, the last ragged: element *i* is `(0.0 + dense) +
+    /// total`, `total` the reference integer sum on the finer grid
+    /// de-quantized once. With the dense peer gone the stripes are
+    /// their grid totals, and quanta that cancel read `+0.0` (an `i64`
+    /// zero de-quantizes to nothing else).
+    #[test]
+    fn mixed_stripes_fold_dense_first_and_the_grid_total_last(
+        stripes in 1usize..3,
+        tail in 1usize..9,
+        entropy in any::<u64>(),
+    ) {
+        const FINE: u8 = 20;
+        const COARSE: u8 = FINE - 8;
+        let len = (stripes - 1) * CHUNK_WORDS + tail;
+        let dense = vector(len, entropy);
+        let quantized = |salt: u64, scale_exp: u8| {
+            // |x| < 2¹⁰: below 2²² quanta on the coarse grid, 2³⁰ on the fine.
+            let model: Vec<f64> =
+                vector(len, entropy ^ salt).iter().map(|x| x % 1024.0).collect();
+            let mut grid = vec![0i32; len];
+            assert_eq!(quantize_into(&model, scale_exp, &mut grid), 0);
+            grid
+        };
+        let (mut fine, coarse) = (quantized(1 << 24, FINE), quantized(2 << 24, COARSE));
+        fine[len - 1] = -(coarse[len - 1] << (FINE - COARSE)); // cancels to zero
+        let aligned: Vec<i32> = coarse.iter().map(|q| q << (FINE - COARSE)).collect();
+        let mut acc = vec![0i64; len];
+        fold_parts_i64_reference(&mut acc, &[&fine, &aligned]);
+        let mut total = vec![0.0; len];
+        dequantize_sum(FINE, &acc, &mut total);
+        prop_assert_eq!(total[len - 1].to_bits(), 0.0f64.to_bits());
+
+        let sigma = SigmaAggregator::new(2, 2);
+        for with_dense in [true, false] {
+            let mut incoming = vec![grid_stream(&coarse, COARSE), grid_stream(&fine, FINE)];
+            let mut parts: Vec<&[f64]> = vec![&total];
+            if with_dense {
+                incoming.insert(1, streams(std::slice::from_ref(&dense), None).remove(0));
+                parts.insert(0, &dense);
+            }
+            let out = sigma.aggregate_validated(len, incoming);
+            prop_assert!(out.quarantined.is_empty());
+            let mut refr = vec![0.0; len];
+            fold_parts_reference(&mut refr, &parts);
+            prop_assert_eq!(bits(&out.sum), bits(&refr), "dense peer: {}", with_dense);
+        }
     }
 }

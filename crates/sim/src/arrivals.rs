@@ -44,18 +44,6 @@ pub struct JobArrival {
     pub sla_factor: Option<f64>,
 }
 
-impl JobArrival {
-    /// Aggregation rounds one epoch takes (ceiling division).
-    pub fn rounds_per_epoch(&self) -> usize {
-        self.records.div_ceil(self.minibatch.max(1))
-    }
-
-    /// Total aggregation rounds across all epochs.
-    pub fn total_rounds(&self) -> usize {
-        self.epochs * self.rounds_per_epoch()
-    }
-}
-
 /// Distribution knobs for [`JobArrivalPlan::random`]. All ranges are
 /// inclusive.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,8 +187,7 @@ mod tests {
             assert!(j.max_nodes >= j.min_nodes);
             assert!(j.family < p.family_count);
             assert!(j.epochs >= 1);
-            assert_eq!(j.records, j.minibatch * j.rounds_per_epoch());
-            assert!(j.total_rounds() >= 1);
+            assert!(j.records >= j.minibatch && j.records % j.minibatch == 0, "whole rounds");
             assert!(j.weight >= 1.0);
         }
     }

@@ -70,11 +70,6 @@ impl DirectorFaultPlan {
         DirectorFaultPlan::default()
     }
 
-    /// Whether any fault or poison entry exists.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.poison.is_empty()
-    }
-
     /// Whether `job`'s checkpoint replay is doomed to fail.
     pub fn is_poison(&self, job: usize) -> bool {
         self.poison.binary_search(&job).is_ok()
@@ -83,16 +78,6 @@ impl DirectorFaultPlan {
     /// Adds a whole-job crash at `at_s` (chainable).
     pub fn with_job_crash(mut self, at_s: f64, job: usize) -> Self {
         self.events.push(DirectorFaultEvent { at_s, kind: DirectorFaultKind::JobCrash { job } });
-        self.sort_events();
-        self
-    }
-
-    /// Adds a correlated slab failure at `at_s` (chainable).
-    pub fn with_slab_failure(mut self, at_s: f64, lo: usize, len: usize, repair_s: f64) -> Self {
-        self.events.push(DirectorFaultEvent {
-            at_s,
-            kind: DirectorFaultKind::SlabFailure { lo, len, repair_s },
-        });
         self.sort_events();
         self
     }
@@ -269,13 +254,13 @@ mod tests {
     fn chainable_constructors_build_explicit_plans() {
         let plan = DirectorFaultPlan::none()
             .with_job_crash(0.5, 3)
-            .with_slab_failure(0.2, 8, 4, 0.05)
+            .with_job_crash(0.2, 8)
             .with_poison(3)
             .with_poison(3);
         assert_eq!(plan.events.len(), 2);
         assert_eq!(plan.poison, vec![3]);
         // Time-sorted regardless of insertion order.
-        assert!(matches!(plan.events[0].kind, DirectorFaultKind::SlabFailure { .. }));
+        assert!(matches!(plan.events[0].kind, DirectorFaultKind::JobCrash { job: 8 }));
         assert!(plan.is_poison(3));
         assert!(!plan.is_poison(4));
     }

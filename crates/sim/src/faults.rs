@@ -97,7 +97,7 @@ pub enum FaultKind {
 
 /// Builds the minority bitmask for [`FaultKind::Partition`] from a node
 /// list. Ids ≥ 64 are ignored (the mask cannot represent them).
-pub fn minority_mask(nodes: &[usize]) -> u64 {
+pub(crate) fn minority_mask(nodes: &[usize]) -> u64 {
     nodes.iter().filter(|&&n| n < 64).fold(0u64, |m, &n| m | (1u64 << n))
 }
 
@@ -133,7 +133,7 @@ impl fmt::Display for FaultKind {
 /// One scheduled fault: a [`FaultKind`] pinned to a node and an
 /// aggregation iteration (iterations count globally across epochs).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
+pub(crate) struct FaultEvent {
     /// The node the fault strikes.
     pub node: usize,
     /// The global aggregation-iteration index at which it strikes.
@@ -215,18 +215,8 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// All scheduled events, in insertion order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// Adds an arbitrary event.
-    pub fn with_event(mut self, event: FaultEvent) -> Self {
+    pub(crate) fn with_event(mut self, event: FaultEvent) -> Self {
         self.events.push(event);
         self
     }
@@ -286,7 +276,7 @@ impl FaultPlan {
     /// Schedules `node` (crashed earlier) to power back up at
     /// `iteration`. The node is down over `[crash, rejoin)` and alive
     /// again from the rejoin iteration.
-    pub fn rejoin(self, node: usize, iteration: usize) -> Self {
+    pub(crate) fn rejoin(self, node: usize, iteration: usize) -> Self {
         self.with_event(FaultEvent { node, iteration, kind: FaultKind::Rejoin })
     }
 
@@ -450,22 +440,6 @@ impl FaultPlan {
         })
     }
 
-    /// The union of minority masks of partitions that heal exactly at
-    /// `iteration` (zero when nothing heals).
-    pub fn partition_heals_at(&self, iteration: usize) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::Partition { minority, heal_after }
-                    if e.iteration + heal_after == iteration =>
-                {
-                    Some(minority)
-                }
-                _ => None,
-            })
-            .fold(0, |acc, m| acc | m)
-    }
-
     /// Partitions that start exactly at `iteration`, as
     /// `(minority_mask, heal_iteration)` pairs.
     pub fn partitions_starting_at(&self, iteration: usize) -> Vec<(u64, usize)> {
@@ -479,15 +453,6 @@ impl FaultPlan {
                 _ => None,
             })
             .collect()
-    }
-
-    /// The iteration at which `node` crashes, if it ever does.
-    pub fn crash_iteration(&self, node: usize) -> Option<usize> {
-        self.events
-            .iter()
-            .filter(|e| e.node == node && matches!(e.kind, FaultKind::Crash))
-            .map(|e| e.iteration)
-            .min()
     }
 
     /// The node's compute slowdown for `iteration` (`1.0` = nominal).
@@ -685,7 +650,7 @@ mod tests {
     #[test]
     fn empty_plan_reports_nothing() {
         let p = FaultPlan::none();
-        assert!(p.is_empty());
+        assert!(p.events.is_empty());
         assert!(!p.crashed(0, 100));
         assert_eq!(p.straggle_factor(0, 0), 1.0);
         assert_eq!(p.chunk_drops(0, 0, 0), 0);
@@ -701,8 +666,6 @@ mod tests {
         assert!(p.crashed(3, 5));
         assert!(p.crashed(3, 99));
         assert!(!p.crashed(2, 99));
-        assert_eq!(p.crash_iteration(3), Some(5));
-        assert_eq!(p.crash_iteration(2), None);
     }
 
     #[test]
@@ -754,8 +717,8 @@ mod tests {
         let rates = FaultRates { crash: 1.0, ..FaultRates::default() };
         let p = FaultPlan::random(7, 4, 10, 2, &rates);
         // Every node crashes exactly once, in iteration 0.
-        assert_eq!(p.events().len(), 4);
-        for e in p.events() {
+        assert_eq!(p.events.len(), 4);
+        for e in &p.events {
             assert_eq!(e.iteration, 0);
             assert!(matches!(e.kind, FaultKind::Crash));
         }
@@ -764,7 +727,7 @@ mod tests {
     #[test]
     fn zero_rates_give_empty_plan() {
         let p = FaultPlan::random(1, 16, 50, 8, &FaultRates::default());
-        assert!(p.is_empty());
+        assert!(p.events.is_empty());
     }
 
     #[test]
@@ -828,8 +791,6 @@ mod tests {
             assert!(!p.quiesced(node, 7), "healed at start of iteration 7");
         }
         assert!(!p.quiesced(0, 5), "the majority side keeps running");
-        assert_eq!(p.partition_heals_at(7), minority_mask(&[1, 2]));
-        assert_eq!(p.partition_heals_at(6), 0);
         assert_eq!(p.partitions_starting_at(4), vec![(minority_mask(&[1, 2]), 7)]);
         assert!(p.partitions_starting_at(5).is_empty());
     }
@@ -852,7 +813,7 @@ mod tests {
             assert!(p.rejoined_at(node, 2));
             assert!(p.crashed(node, 2), "re-crash on the rejoin iteration");
         }
-        let rejoins = p.events().iter().filter(|e| matches!(e.kind, FaultKind::Rejoin)).count();
+        let rejoins = p.events.iter().filter(|e| matches!(e.kind, FaultKind::Rejoin)).count();
         assert!(rejoins >= 3);
     }
 
@@ -861,7 +822,7 @@ mod tests {
         let rates = FaultRates { partition: 0.5, partition_heal_after: 3, ..FaultRates::default() };
         let p = FaultPlan::random(13, 8, 40, 2, &rates);
         let partitions: Vec<(usize, u64, usize)> = p
-            .events()
+            .events
             .iter()
             .filter_map(|e| match e.kind {
                 FaultKind::Partition { minority, heal_after } => {
@@ -920,8 +881,8 @@ mod tests {
         let extended = FaultPlan::random(21, 6, 30, 3, &wired);
         // The wire stream is independent: the base schedule is a strict
         // prefix of the extended plan's event list.
-        assert_eq!(&extended.events()[..plain.events().len()], plain.events());
-        let wire_events = &extended.events()[plain.events().len()..];
+        assert_eq!(&extended.events[..plain.events.len()], &plain.events[..]);
+        let wire_events = &extended.events[plain.events.len()..];
         assert!(!wire_events.is_empty(), "these rates over 30 iterations must fire");
         for e in wire_events {
             assert!(

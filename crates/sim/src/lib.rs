@@ -3,11 +3,11 @@
 //! The cluster-level substrate of the CoSMIC reproduction: a
 //! commodity-Ethernet network model ([`net`]) matching the paper's
 //! testbed (TP-LINK gigabit switch, full-duplex 1 Gbps ports), a PCIe
-//! expansion-slot model ([`pcie`]) for host↔accelerator transfers, a
+//! expansion-slot model ([`PcieModel`]) for host↔accelerator transfers, a
 //! deterministic fault-injection layer ([`faults`],
-//! [`director_faults`]) that schedules crashes, stragglers, and
+//! [`DirectorFaultPlan`]) that schedules crashes, stragglers, and
 //! chunk-level network pathologies reproducibly from a seed, and seeded
-//! job-arrival plans ([`arrivals`]) for the director.
+//! job-arrival plans ([`JobArrivalPlan`]) for the director.
 //!
 //! The paper's scale-out experiments ran on real clusters (EC2 and a
 //! three-node lab system); here the wire is modelled in closed form — a
@@ -18,20 +18,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod arrivals;
-pub mod director_faults;
+mod arrivals;
+mod director_faults;
 pub mod faults;
 pub mod net;
-pub mod pcie;
+mod pcie;
 
 pub use arrivals::{ArrivalProfile, JobArrival, JobArrivalPlan};
 pub use director_faults::{
     DirectorFaultEvent, DirectorFaultKind, DirectorFaultPlan, DirectorFaultRates,
 };
-pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRates};
+pub use faults::{FaultKind, FaultPlan, FaultRates};
 pub use net::{level_counter, NetworkModel};
 pub use pcie::PcieModel;
 
 /// Simulated time in nanoseconds.
-pub type SimTime = u64;
+pub(crate) type SimTime = u64;

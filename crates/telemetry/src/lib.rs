@@ -44,12 +44,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod counters;
 pub mod export;
-pub mod sink;
+mod sink;
 pub mod span;
-pub mod summary;
+mod summary;
 
 pub use sink::TraceSink;
 pub use span::{Layer, SpanGuard, SpanRecord};

@@ -36,7 +36,7 @@ pub enum Layer {
 
 impl Layer {
     /// The stable lowercase label used in exports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Layer::Dsl => "dsl",
             Layer::Compile => "compile",
@@ -87,7 +87,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Whether the span has been closed with a well-formed duration.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.dur.is_finite() && self.dur >= 0.0
     }
 }

@@ -82,7 +82,7 @@ fn sigma_pipeline_stress() {
         })
         .collect();
 
-    let sum = sigma.aggregate(model_len, incoming);
+    let sum = sigma.aggregate_validated(model_len, incoming).sum;
     for (i, v) in sum.iter().enumerate() {
         let want: f64 = (0..peers).map(|p| ((i + p) % 101) as f64).sum();
         assert_eq!(*v, want, "element {i}");
