@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod codegen;
 pub mod mapping;
@@ -49,7 +50,7 @@ pub mod schedule;
 
 pub use codegen::CompiledThread;
 pub use mapping::{MapResult, MappingStrategy};
-pub use schedule::{BusModel, Schedule, ScheduleEstimate};
+pub use schedule::{BusModel, ListScheduler, Schedule, ScheduleEstimate};
 
 use cosmic_arch::Geometry;
 use cosmic_dfg::Dfg;
@@ -95,7 +96,7 @@ fn map_and_schedule(
     };
     let schedule = {
         let _sched_span = sink.span(Layer::Schedule, "schedule");
-        schedule::schedule_on(dfg, &map, geometry, words_per_cycle, options.bus)
+        ListScheduler::new(dfg).schedule(&map, geometry, words_per_cycle, options.bus)
     };
     (map, schedule)
 }

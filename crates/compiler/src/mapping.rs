@@ -23,7 +23,8 @@ pub enum MappingStrategy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MapResult {
     /// Compute/leaf node → owning PE (every node gets one; leaves sit with
-    /// their buffer's PE, constants with their first consumer).
+    /// their buffer's PE, constants — immediates, never transferred — on
+    /// PE 0).
     pub pe_of_node: Vec<PeId>,
     /// Training-record slot → PE whose data buffer receives it.
     pub data_slot_pe: Vec<PeId>,
@@ -147,72 +148,58 @@ pub fn map(dfg: &Dfg, geometry: Geometry, strategy: MappingStrategy) -> MapResul
 
 /// Paper Algorithm 1: minimum-communication data/operation mapping.
 fn map_data_first(dfg: &Dfg, geometry: Geometry, data_slot_pe: Vec<PeId>) -> MapResult {
-    let n = dfg.len();
     let pes = geometry.pes();
-    let mut pe_of_node: Vec<Option<PeId>> = vec![None; n];
+    let mut pe_of_node: Vec<Option<PeId>> = vec![None; dfg.len()];
     let mut model_slot_pe: Vec<Option<PeId>> = vec![None; dfg.model_len()];
     // The PE_i round-robin counter of Algorithm 1 (incremental assignment
     // enables parallel execution in neighboring PEs).
     let mut rr: usize = 0;
-
-    // Leaves first: data nodes sit with their streamed slot.
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        if let Node::Data { slot } = node {
-            pe_of_node[i] = Some(data_slot_pe[*slot as usize]);
-        }
-    }
+    let mut next_pe = || {
+        let pe = PeId(rr as u32);
+        rr = (rr + 1) % pes;
+        pe
+    };
 
     // Node ids are topological, so a single pass visits each vertex after
     // all of its predecessors — the "select a ready vertex" loop of
-    // Algorithm 1 without the quadratic rescan.
-    for i in 0..n {
+    // Algorithm 1 without the quadratic rescan. Data leaves sit with
+    // their streamed slot, so a DATA operand's PE is its slot's.
+    for i in 0..dfg.len() {
         let id = NodeId(i as u32);
-        let node = dfg.node(id);
-        if !matches!(node, Node::Op { .. } | Node::Unary { .. }) {
+        if !matches!(dfg.node(id), Node::Op { .. } | Node::Unary { .. }) {
             continue;
         }
-        let ops: Vec<NodeId> = dfg.operands(id).collect();
-        let class = |o: &NodeId| dfg.class_of(*o);
+        // The first operand of each class, in operand order.
+        let (mut data, mut model, mut interim) = (None, None, None);
+        for op in dfg.operands(id) {
+            match dfg.node(op) {
+                Node::Data { slot } => data = data.or(Some(data_slot_pe[slot as usize])),
+                Node::Model { slot } => model = model.or(Some(slot as usize)),
+                Node::Op { .. } | Node::Unary { .. } => {
+                    interim = interim.or(pe_of_node[op.index()])
+                }
+                Node::Const { .. } => {}
+            }
+        }
 
-        // Step 3: an operand of type DATA pins the op to the data's PE.
-        let chosen = if let Some(op) = ops.iter().find(|o| class(o) == OperandClass::Data) {
-            let pe = pe_of_node[op.index()].expect("data leaves mapped above");
-            // If the other operand is MODEL, pin that parameter here too.
-            for other in &ops {
-                if let Node::Model { slot } = dfg.node(*other) {
-                    model_slot_pe[slot as usize].get_or_insert(pe);
+        let chosen = match (data, model, interim) {
+            // Step 3: an operand of type DATA pins the op to the data's
+            // PE; a MODEL operand beside it is pinned there too.
+            (Some(pe), model, _) => {
+                if let Some(slot) = model {
+                    model_slot_pe[slot].get_or_insert(pe);
                 }
+                pe
             }
-            pe
-        }
-        // Step 4: a MODEL operand maps the op where the parameter lives;
-        // unplaced parameters get the next round-robin PE.
-        else if let Some(op) = ops.iter().find(|o| class(o) == OperandClass::Model) {
-            let Node::Model { slot } = dfg.node(*op) else { unreachable!() };
-            match model_slot_pe[slot as usize] {
-                Some(pe) => pe,
-                None => {
-                    let pe = PeId(rr as u32);
-                    rr = (rr + 1) % pes;
-                    model_slot_pe[slot as usize] = Some(pe);
-                    pe
-                }
-            }
-        }
-        // Step 5: an INTERIM operand keeps the op with the value.
-        else if let Some(op) = ops.iter().find(|o| class(o) == OperandClass::Interim) {
-            pe_of_node[op.index()].expect("interim operands are earlier ops")
-        }
-        // Constant-only expressions: round-robin.
-        else {
-            let pe = PeId(rr as u32);
-            rr = (rr + 1) % pes;
-            pe
+            // Step 4: a MODEL operand maps the op where the parameter
+            // lives; unplaced parameters get the next round-robin PE.
+            (None, Some(slot), _) => *model_slot_pe[slot].get_or_insert_with(&mut next_pe),
+            // Step 5: an INTERIM operand keeps the op with the value.
+            (None, None, Some(pe)) => pe,
+            // Constant-only expressions: round-robin.
+            (None, None, None) => next_pe(),
         };
         pe_of_node[i] = Some(chosen);
-
-        // Record where model leaves ended up for nodes mapped via DATA:
-        // handled above; interim/const need nothing.
     }
 
     finalize(dfg, geometry, pe_of_node, data_slot_pe, model_slot_pe, MappingStrategy::DataFirst)
@@ -225,18 +212,11 @@ fn map_data_first(dfg: &Dfg, geometry: Geometry, data_slot_pe: Vec<PeId>) -> Map
 /// exactly the behaviour whose communication cost grows with PE count
 /// (paper §7.2, "Comparison with TABLA").
 fn map_op_first(dfg: &Dfg, geometry: Geometry, data_slot_pe: Vec<PeId>) -> MapResult {
-    let n = dfg.len();
     let pes = geometry.pes();
-    let mut pe_of_node: Vec<Option<PeId>> = vec![None; n];
+    let mut pe_of_node: Vec<Option<PeId>> = vec![None; dfg.len()];
     let mut model_slot_pe: Vec<Option<PeId>> = vec![None; dfg.model_len()];
     let mut load = vec![0usize; pes];
     let mut rr = 0usize;
-
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        if let Node::Data { slot } = node {
-            pe_of_node[i] = Some(data_slot_pe[*slot as usize]);
-        }
-    }
 
     for (i, mapped) in pe_of_node.iter_mut().enumerate() {
         let id = NodeId(i as u32);
@@ -265,43 +245,35 @@ fn map_op_first(dfg: &Dfg, geometry: Geometry, data_slot_pe: Vec<PeId>) -> MapRe
     finalize(dfg, geometry, pe_of_node, data_slot_pe, model_slot_pe, MappingStrategy::OpFirst)
 }
 
+/// Pins every node the strategy left unplaced: leaves sit with their
+/// buffer's slot (model leaves always do), constants on PE 0, and
+/// unreferenced model slots spread round-robin.
 fn finalize(
     dfg: &Dfg,
     geometry: Geometry,
-    mut pe_of_node: Vec<Option<PeId>>,
+    pe_of_node: Vec<Option<PeId>>,
     data_slot_pe: Vec<PeId>,
     model_slot_pe: Vec<Option<PeId>>,
     strategy: MappingStrategy,
 ) -> MapResult {
-    // Give unreferenced model slots a home (spread round-robin) and pin
-    // leaves that were never consumed.
     let pes = geometry.pes();
     let model_slot_pe: Vec<PeId> = model_slot_pe
         .into_iter()
         .enumerate()
         .map(|(s, m)| m.unwrap_or(PeId((s % pes) as u32)))
         .collect();
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        if pe_of_node[i].is_none() {
-            let pe = match node {
-                Node::Model { slot } => model_slot_pe[*slot as usize],
-                Node::Const { .. } => PeId(0),
-                Node::Data { slot } => data_slot_pe[*slot as usize],
-                _ => PeId((i % pes) as u32),
-            };
-            pe_of_node[i] = Some(pe);
-        }
-        // Model leaves must agree with the slot map.
-        if let Node::Model { slot } = node {
-            pe_of_node[i] = Some(model_slot_pe[*slot as usize]);
-        }
-    }
-    MapResult {
-        pe_of_node: pe_of_node.into_iter().map(Option::unwrap).collect(),
-        data_slot_pe,
-        model_slot_pe,
-        strategy,
-    }
+    let pe_of_node = pe_of_node
+        .into_iter()
+        .zip(dfg.nodes())
+        .enumerate()
+        .map(|(i, (mapped, node))| match *node {
+            Node::Model { slot } => model_slot_pe[slot as usize],
+            Node::Data { slot } => data_slot_pe[slot as usize],
+            Node::Const { .. } => PeId(0),
+            Node::Op { .. } | Node::Unary { .. } => mapped.unwrap_or(PeId((i % pes) as u32)),
+        })
+        .collect();
+    MapResult { pe_of_node, data_slot_pe, model_slot_pe, strategy }
 }
 
 #[cfg(test)]

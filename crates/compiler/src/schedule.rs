@@ -7,8 +7,16 @@
 //! resulting makespan is the Planner's static performance estimate —
 //! the paper's §4.4 estimation tool that replaces intractable simulation
 //! during design-space exploration.
+//!
+//! **Priority contract.** Compute nodes are list-scheduled in one order:
+//! depth ascending (so every operand is scheduled before its consumer),
+//! then height descending (longest remaining chain first, paper §6), then
+//! id. The order depends on the DFG alone, so it is computed once per
+//! DFG: a [`ListScheduler`] holds it and schedules any mapping of its DFG
+//! onto any geometry, as the Planner's walk does for every geometry it
+//! estimates. [`schedule`] builds a fresh one and is the same function.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 use cosmic_arch::Geometry;
 use cosmic_dfg::{analysis, Dfg, Node, NodeId};
@@ -82,107 +90,135 @@ pub enum BusModel {
 /// Schedules a mapped DFG. `words_per_cycle` is the thread's share of the
 /// off-chip bandwidth, controlling when streamed data operands arrive.
 pub fn schedule(dfg: &Dfg, map: &MapResult, geometry: Geometry, words_per_cycle: f64) -> Schedule {
-    schedule_on(dfg, map, geometry, words_per_cycle, BusModel::Hierarchical)
+    ListScheduler::new(dfg).schedule(map, geometry, words_per_cycle, BusModel::Hierarchical)
 }
 
-/// [`schedule`] with an explicit interconnect model.
-pub(crate) fn schedule_on(
-    dfg: &Dfg,
-    map: &MapResult,
-    geometry: Geometry,
-    words_per_cycle: f64,
-    bus: BusModel,
-) -> Schedule {
-    assert!(words_per_cycle > 0.0, "bandwidth share must be positive");
-    let n = dfg.len();
-    let mut start = vec![0u64; n];
-    let mut finish = vec![0u64; n];
+/// Arrival cycle of a producer whose one outbound transaction has not
+/// been issued yet.
+const UNSENT: u64 = u64::MAX;
 
-    // Leaf availability.
-    for (i, node) in dfg.nodes().iter().enumerate() {
-        if let Node::Data { slot } = node {
-            let t = (*slot as f64 / words_per_cycle).floor() as u64;
-            start[i] = t;
-            finish[i] = t;
-        }
+/// One DFG's list scheduler: the priority order (the module doc's
+/// contract), computed once, and the schedule of any mapping of that DFG.
+#[derive(Debug, Clone)]
+pub struct ListScheduler<'a> {
+    dfg: &'a Dfg,
+    /// Compute-node ids in priority order.
+    order: Vec<u32>,
+}
+
+impl<'a> ListScheduler<'a> {
+    /// Computes `dfg`'s priority order.
+    pub fn new(dfg: &'a Dfg) -> Self {
+        let depth = analysis::depth_map(dfg);
+        let height = analysis::height_map(dfg);
+        let mut order: Vec<u32> = (0..dfg.len() as u32)
+            .filter(|&i| matches!(dfg.node(NodeId(i)), Node::Op { .. } | Node::Unary { .. }))
+            .collect();
+        // Ids make every key distinct, so an unstable sort is the order
+        // exactly.
+        order.sort_unstable_by_key(|&i| (depth[i as usize], Reverse(height[i as usize]), i));
+        ListScheduler { dfg, order }
     }
 
-    // Priority: depth level ascending (topological safety), longest
-    // remaining chain first within a level (paper §6), id as tiebreak.
-    let depth = analysis::depth_map(dfg);
-    let height = analysis::height_map(dfg);
-    let mut order: Vec<u32> = (0..n as u32)
-        .filter(|&i| matches!(dfg.node(NodeId(i)), Node::Op { .. } | Node::Unary { .. }))
-        .collect();
-    order.sort_by_key(|&i| (depth[i as usize], std::cmp::Reverse(height[i as usize]), i));
+    /// Schedules one mapping of the DFG. `words_per_cycle` is the
+    /// thread's share of the off-chip bandwidth; `bus` the interconnect
+    /// transfers route over.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words_per_cycle` is positive.
+    pub fn schedule(
+        &self,
+        map: &MapResult,
+        geometry: Geometry,
+        words_per_cycle: f64,
+        bus: BusModel,
+    ) -> Schedule {
+        assert!(words_per_cycle > 0.0, "bandwidth share must be positive");
+        let dfg = self.dfg;
+        let n = dfg.len();
+        let mut start = vec![0u64; n];
+        let mut finish = vec![0u64; n];
 
-    // One transaction per producer: the row/tree buses are broadcast
-    // media, so a single grant serves every remote consumer (the same
-    // property the hardware's Broadcast bit uses).
-    let kinds = comm_kinds(dfg, map, geometry);
-    let tree_latency = if geometry.rows > 1 {
-        geometry.route(geometry.at(0, 0), geometry.at(geometry.rows - 1, 0)).latency
-    } else {
-        2
-    };
-
-    // Resource state.
-    let mut pe_free = vec![0u64; geometry.pes()];
-    let mut pe_instrs = vec![0u64; geometry.pes()];
-    let mut row_bus_free = vec![0u64; geometry.rows];
-    let mut row_bus_count = vec![0u64; geometry.rows];
-    let mut tree_bus_free = 0u64;
-    let mut neighbor_free: HashMap<(u32, u32), u64> = HashMap::new();
-    // Producer -> broadcast arrival cycle (one transaction each).
-    let mut delivered: HashMap<u32, u64> = HashMap::new();
-
-    let mut est = ScheduleEstimate {
-        latency_cycles: 0,
-        mem_stream_cycles: (dfg.data_len() as f64 / words_per_cycle).ceil() as u64,
-        initiation_interval: 0,
-        neighbor_transfers: 0,
-        row_bus_transfers: 0,
-        tree_bus_transfers: 0,
-        compute_ops: order.len() as u64,
-        max_row_bus: 0,
-        max_pe_instrs: 0,
-    };
-
-    for &i in &order {
-        let id = NodeId(i);
-        let my_pe = map.pe_of_node[i as usize];
-        let mut ready = 0u64;
-        for op in dfg.operands(id) {
-            let j = op.index();
-            // Constants are immediates: always ready, never transferred.
-            if matches!(dfg.node(op), Node::Const { .. }) {
-                continue;
+        // Leaf availability.
+        for (i, node) in dfg.nodes().iter().enumerate() {
+            if let Node::Data { slot } = node {
+                let t = (*slot as f64 / words_per_cycle).floor() as u64;
+                start[i] = t;
+                finish[i] = t;
             }
-            let src_pe = map.pe_of_node[j];
-            let avail = if src_pe == my_pe {
-                finish[j]
-            } else if let Some(&arr) = delivered.get(&op.0) {
-                arr
-            } else {
-                // Issue the producer's single outbound transaction.
-                pe_instrs[src_pe.index()] += 1;
-                let arr = match (bus, kinds[j]) {
-                    // TABLA's flat bus: everything serializes globally.
-                    (BusModel::FlatShared, _) => {
-                        let depart = finish[j].max(tree_bus_free);
-                        tree_bus_free = depart + 1;
-                        est.tree_bus_transfers += 1;
-                        depart + 2
-                    }
-                    _ => match kinds[j] {
-                        CommKind::Neighbor(dst) => {
-                            let slot = neighbor_free.entry((src_pe.0, dst.0)).or_insert(0);
+        }
+
+        // One transaction per producer: the row/tree buses are broadcast
+        // media, so a single grant serves every remote consumer (the same
+        // property the hardware's Broadcast bit uses).
+        let kinds = comm_kinds(dfg, map, geometry);
+        let tree_latency = if geometry.rows > 1 {
+            geometry.route(geometry.at(0, 0), geometry.at(geometry.rows - 1, 0)).latency
+        } else {
+            2
+        };
+
+        // Resource state.
+        let pes = geometry.pes();
+        let mut pe_free = vec![0u64; pes];
+        let mut pe_instrs = vec![0u64; pes];
+        let mut row_bus_free = vec![0u64; geometry.rows];
+        let mut row_bus_count = vec![0u64; geometry.rows];
+        let mut tree_bus_free = 0u64;
+        // Neighbors are ±1 column in the same row: two directed links
+        // per PE, the leftward at `2·pe`, the rightward at `2·pe + 1`.
+        let mut neighbor_free = vec![0u64; 2 * pes];
+        // Producer -> broadcast arrival cycle (one transaction each).
+        let mut delivered = vec![UNSENT; n];
+
+        let mut est = ScheduleEstimate {
+            latency_cycles: 0,
+            mem_stream_cycles: (dfg.data_len() as f64 / words_per_cycle).ceil() as u64,
+            initiation_interval: 0,
+            neighbor_transfers: 0,
+            row_bus_transfers: 0,
+            tree_bus_transfers: 0,
+            compute_ops: self.order.len() as u64,
+            max_row_bus: 0,
+            max_pe_instrs: 0,
+        };
+
+        for &i in &self.order {
+            let id = NodeId(i);
+            let my_pe = map.pe_of_node[i as usize];
+            let mut ready = 0u64;
+            for op in dfg.operands(id) {
+                let j = op.index();
+                // Constants are immediates: always ready, never transferred.
+                if matches!(dfg.node(op), Node::Const { .. }) {
+                    continue;
+                }
+                let src_pe = map.pe_of_node[j];
+                let avail = if src_pe == my_pe {
+                    finish[j]
+                } else if delivered[j] != UNSENT {
+                    delivered[j]
+                } else {
+                    // Issue the producer's single outbound transaction.
+                    pe_instrs[src_pe.index()] += 1;
+                    let arr = match (bus, kinds[j]) {
+                        // TABLA's flat bus: everything serializes globally.
+                        (BusModel::FlatShared, _) => {
+                            let depart = finish[j].max(tree_bus_free);
+                            tree_bus_free = depart + 1;
+                            est.tree_bus_transfers += 1;
+                            depart + 2
+                        }
+                        (_, CommKind::Neighbor(dst)) => {
+                            let slot =
+                                &mut neighbor_free[2 * src_pe.index() + usize::from(dst > src_pe)];
                             let depart = finish[j].max(*slot);
                             *slot = depart + 1;
                             est.neighbor_transfers += 1;
                             depart + 1
                         }
-                        CommKind::RowBroadcast => {
+                        (_, CommKind::RowBroadcast) => {
                             let row = geometry.row(src_pe);
                             let depart = finish[j].max(row_bus_free[row]);
                             row_bus_free[row] = depart + 1;
@@ -190,51 +226,53 @@ pub(crate) fn schedule_on(
                             est.row_bus_transfers += 1;
                             depart + 2
                         }
-                        CommKind::AllBroadcast => {
+                        (_, CommKind::AllBroadcast) => {
                             let depart = finish[j].max(tree_bus_free);
                             tree_bus_free = depart + 1;
                             est.tree_bus_transfers += 1;
                             depart + tree_latency
                         }
-                        CommKind::None => unreachable!("remote consumer implies a transaction"),
-                    },
+                        (_, CommKind::None) => {
+                            unreachable!("remote consumer implies a transaction")
+                        }
+                    };
+                    delivered[j] = arr;
+                    arr
                 };
-                delivered.insert(op.0, arr);
-                arr
+                ready = ready.max(avail);
+            }
+            let latency = match dfg.node(id) {
+                Node::Op { kind, .. } => u64::from(kind.latency()),
+                Node::Unary { .. } => 2,
+                _ => unreachable!("only compute nodes scheduled"),
             };
-            ready = ready.max(avail);
+            let issue = ready.max(pe_free[my_pe.index()]);
+            pe_free[my_pe.index()] = issue + 1;
+            pe_instrs[my_pe.index()] += 1;
+            start[i as usize] = issue;
+            finish[i as usize] = issue + latency;
         }
-        let latency = match dfg.node(id) {
-            Node::Op { kind, .. } => u64::from(kind.latency()),
-            Node::Unary { .. } => 2,
-            _ => unreachable!("only compute nodes scheduled"),
-        };
-        let issue = ready.max(pe_free[my_pe.index()]);
-        pe_free[my_pe.index()] = issue + 1;
-        pe_instrs[my_pe.index()] += 1;
-        start[i as usize] = issue;
-        finish[i as usize] = issue + latency;
+
+        // Makespan over gradient outputs (empty DFGs degenerate to 0).
+        est.latency_cycles = dfg
+            .gradient_outputs()
+            .iter()
+            .map(|g| finish[g.index()])
+            .max()
+            .unwrap_or(0)
+            .max(est.mem_stream_cycles);
+
+        est.max_pe_instrs = pe_instrs.iter().copied().max().unwrap_or(0);
+        est.max_row_bus = row_bus_count.iter().copied().max().unwrap_or(0);
+        est.initiation_interval = est
+            .mem_stream_cycles
+            .max(est.max_pe_instrs)
+            .max(est.max_row_bus)
+            .max(est.tree_bus_transfers)
+            .max(1);
+
+        Schedule { start, finish, estimate: est }
     }
-
-    // Makespan over gradient outputs (empty DFGs degenerate to 0).
-    est.latency_cycles = dfg
-        .gradient_outputs()
-        .iter()
-        .map(|g| finish[g.index()])
-        .max()
-        .unwrap_or(0)
-        .max(est.mem_stream_cycles);
-
-    est.max_pe_instrs = pe_instrs.iter().copied().max().unwrap_or(0);
-    est.max_row_bus = row_bus_count.iter().copied().max().unwrap_or(0);
-    est.initiation_interval = est
-        .mem_stream_cycles
-        .max(est.max_pe_instrs)
-        .max(est.max_row_bus)
-        .max(est.tree_bus_transfers)
-        .max(1);
-
-    Schedule { start, finish, estimate: est }
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! Full design-space sweep for Figure 16: normalized performance of every
 //! (threads × rows) point, with the optimum marked.
 
-use cosmic_arch::{AcceleratorSpec, Geometry};
-use cosmic_compiler::{mapping, schedule, MappingStrategy};
-use cosmic_dfg::{analysis, Dfg};
+use cosmic_arch::AcceleratorSpec;
+use cosmic_dfg::Dfg;
 
-use crate::plan::{perf_at, DesignPoint};
+use crate::plan::{thread_bounds, walk, DesignPoint};
 
 /// One point of the Figure 16 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,34 +58,19 @@ impl DesignSpace {
 ///
 /// Unlike [`crate::plan()`] (which explores the paper's pruned space), this
 /// walks the *entire* row-granularity space so the full Figure 16 heat
-/// map can be drawn.
+/// map can be drawn. It estimates through the Planner's walk, but its
+/// optimum is the strict maximum (the last of equals), not the Planner's
+/// smallest-within-3 % rule.
+///
+/// # Panics
+///
+/// Panics if `minibatch` is zero or the chip has fewer PEs than one row.
 pub fn sweep(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> DesignSpace {
-    let row_max = spec.max_rows();
-    let storage = analysis::storage_bytes(dfg).max(1);
-    let t_max = ((spec.sram_kb * 1024) / storage).max(1).min(row_max).min(minibatch);
-
-    let mut points = Vec::new();
-    let mut baseline = None;
-    for rows_per_thread in 1..=row_max {
-        // Skip row counts that can't tile the budget for any explored
-        // thread count; all are feasible for threads=1.
-        let geometry = Geometry::new(rows_per_thread, spec.columns);
-        let map = mapping::map(dfg, geometry, MappingStrategy::DataFirst);
-        let est =
-            schedule::schedule(dfg, &map, geometry, spec.effective_words_per_cycle()).estimate;
-        for threads in 1..=t_max {
-            if threads * rows_per_thread > row_max {
-                break;
-            }
-            let perf = perf_at(dfg, spec, est, DesignPoint { threads, rows_per_thread });
-            if perf.point.threads == 1 && perf.point.rows_per_thread == 1 {
-                baseline = Some(perf.records_per_sec);
-            }
-            points.push(perf);
-        }
-    }
-    let baseline = baseline.expect("T1xR1 is always feasible");
-    let points: Vec<SweepPoint> = points
+    let (_, t_max) = thread_bounds(dfg, spec, minibatch);
+    let threads: Vec<usize> = (1..=t_max).collect();
+    let (t1r1, explored) = walk(dfg, spec, 1..=spec.max_rows(), &threads);
+    let baseline = t1r1.records_per_sec;
+    let points: Vec<SweepPoint> = explored
         .into_iter()
         .map(|p| SweepPoint {
             point: p.point,
@@ -94,12 +78,12 @@ pub fn sweep(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> DesignSpace
             speedup_vs_t1r1: p.records_per_sec / baseline,
         })
         .collect();
+    // T1xR1 is point 0, the optimum of a sweep that found nothing better.
     let best = points
         .iter()
         .enumerate()
         .max_by(|(_, a), (_, b)| a.records_per_sec.total_cmp(&b.records_per_sec))
-        .map(|(i, _)| i)
-        .expect("non-empty sweep");
+        .map_or(0, |(i, _)| i);
     DesignSpace { points, best, t_max }
 }
 

@@ -1,7 +1,7 @@
 //! The Planner: design-point selection from static estimates.
 
 use cosmic_arch::{AcceleratorSpec, Geometry};
-use cosmic_compiler::{mapping, schedule, MappingStrategy, ScheduleEstimate};
+use cosmic_compiler::{mapping, BusModel, ListScheduler, MappingStrategy, ScheduleEstimate};
 use cosmic_dfg::{analysis, Dfg};
 
 /// One candidate accelerator configuration: `threads` worker threads,
@@ -61,69 +61,81 @@ pub struct Plan {
 /// Runs the Planner for one algorithm DFG on one chip, with the
 /// programmer's mini-batch size bounding useful parallelism.
 ///
-/// Exploration follows the paper's pruning: thread counts are powers of
-/// two up to `t_max` (plus `t_max` itself), rows per thread sweep the row
-/// budget. Each point is estimated by scheduling the DFG once per
-/// distinct geometry and analytically applying the per-thread bandwidth
-/// share — the memory interface is time-multiplexed round-robin across
-/// threads (paper §5.2).
+/// Exploration follows the paper's pruning: rows per thread are powers
+/// of two below the row budget plus the budget itself, thread counts
+/// powers of two below `t_max` plus `t_max` itself. Each point is
+/// estimated by scheduling the DFG once per distinct geometry and
+/// analytically applying the per-thread bandwidth share — the memory
+/// interface is time-multiplexed round-robin across threads (paper §5.2).
 ///
 /// # Panics
 ///
-/// Panics if `minibatch` is zero.
+/// Panics if `minibatch` is zero or the chip has fewer PEs than one row.
 pub fn plan(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> Plan {
+    let (t_max_storage, t_max) = thread_bounds(dfg, spec, minibatch);
+    let (t1r1, explored) = walk(dfg, spec, pow2_sweep(spec.max_rows()), &pow2_sweep(t_max));
+    // "The smallest, best-performing design point" (paper §4.4): a point
+    // must be materially faster to justify more rows; a near-tie goes to
+    // the smaller allocation. T1xR1 is the first point explored, so
+    // seeding with it changes nothing.
+    let best = explored.iter().fold(t1r1, |best, &perf| {
+        let better = perf.records_per_sec > best.records_per_sec * 1.03
+            || (perf.records_per_sec > best.records_per_sec * 0.97
+                && perf.point.rows() < best.point.rows());
+        if better {
+            perf
+        } else {
+            best
+        }
+    });
+    Plan { spec: *spec, best, explored, t_max_storage, t_max }
+}
+
+/// The storage-derived thread bound and `t_max = min(storage, rows,
+/// mini-batch)`.
+///
+/// # Panics
+///
+/// Panics if `minibatch` is zero or the chip has fewer PEs than one row.
+pub(crate) fn thread_bounds(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> (usize, usize) {
     assert!(minibatch > 0, "mini-batch must be positive");
-    let row_max = spec.max_rows();
+    assert!(spec.max_rows() > 0, "the chip must hold at least one row of PEs");
     let storage = analysis::storage_bytes(dfg).max(1);
     let t_max_storage = ((spec.sram_kb * 1024) / storage).max(1);
-    let t_max = t_max_storage.min(row_max).min(minibatch);
+    (t_max_storage, t_max_storage.min(spec.max_rows()).min(minibatch))
+}
 
-    let mut explored = Vec::new();
-    let mut best: Option<AcceleratorPerf> = None;
-
-    for rows_per_thread in row_sweep(row_max) {
+/// The estimation walk both walkers share ([`plan`] and Fig 16's
+/// [`crate::dse::sweep`]): T1xR1, where both start, and every feasible
+/// candidate, `rows` outer and the ascending `threads` inner. Each row
+/// count is mapped and scheduled once, at full bandwidth and with the
+/// DFG's one priority order; [`perf_at`] applies each thread's share.
+pub(crate) fn walk(
+    dfg: &Dfg,
+    spec: &AcceleratorSpec,
+    rows: impl IntoIterator<Item = usize>,
+    threads: &[usize],
+) -> (AcceleratorPerf, Vec<AcceleratorPerf>) {
+    let scheduler = ListScheduler::new(dfg);
+    let estimate = |rows_per_thread| {
         let geometry = Geometry::new(rows_per_thread, spec.columns);
-        // Schedule once per geometry at full bandwidth; thread sharing is
-        // applied analytically below.
         let map = mapping::map(dfg, geometry, MappingStrategy::DataFirst);
-        let est =
-            schedule::schedule(dfg, &map, geometry, spec.effective_words_per_cycle()).estimate;
-
-        for threads in thread_sweep(t_max) {
-            if threads * rows_per_thread > row_max {
-                continue;
-            }
-            let point = DesignPoint { threads, rows_per_thread };
-            let perf = perf_at(dfg, spec, est, point);
-            explored.push(perf);
-            // "The smallest, best-performing design point" (paper §4.4):
-            // a point must be materially faster to justify more rows; a
-            // near-tie goes to the smaller allocation.
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    perf.records_per_sec > b.records_per_sec * 1.03
-                        || (perf.records_per_sec > b.records_per_sec * 0.97
-                            && point.rows() < b.point.rows())
-                }
-            };
-            if better {
-                best = Some(perf);
-            }
+        let words_per_cycle = spec.effective_words_per_cycle();
+        scheduler.schedule(&map, geometry, words_per_cycle, BusModel::Hierarchical).estimate
+    };
+    let t1r1 = perf_at(dfg, spec, estimate(1), DesignPoint { threads: 1, rows_per_thread: 1 });
+    let mut points = Vec::new();
+    for rows_per_thread in rows {
+        let est = if rows_per_thread == 1 { t1r1.estimate } else { estimate(rows_per_thread) };
+        for &threads in threads.iter().take_while(|&&t| t * rows_per_thread <= spec.max_rows()) {
+            points.push(perf_at(dfg, spec, est, DesignPoint { threads, rows_per_thread }));
         }
     }
-
-    Plan {
-        spec: *spec,
-        best: best.expect("at least one design point"),
-        explored,
-        t_max_storage,
-        t_max,
-    }
+    (t1r1, points)
 }
 
 /// Estimates one design point from a geometry's full-bandwidth schedule.
-pub(crate) fn perf_at(
+fn perf_at(
     dfg: &Dfg,
     spec: &AcceleratorSpec,
     est: ScheduleEstimate,
@@ -144,29 +156,12 @@ pub(crate) fn perf_at(
     AcceleratorPerf { point, cycles_per_record, records_per_sec, estimate: est }
 }
 
-/// Rows-per-thread candidates: 1, 2, 4, ... plus the full budget.
-fn row_sweep(row_max: usize) -> Vec<usize> {
-    let mut v = Vec::new();
-    let mut r = 1;
-    while r < row_max {
-        v.push(r);
-        r *= 2;
-    }
-    v.push(row_max);
-    v.dedup();
-    v
-}
-
-/// Thread candidates: powers of two up to the bound, plus the bound.
-fn thread_sweep(t_max: usize) -> Vec<usize> {
-    let mut v = Vec::new();
-    let mut t = 1;
-    while t < t_max {
-        v.push(t);
-        t *= 2;
-    }
-    v.push(t_max);
-    v.dedup();
+/// The pruned candidates for rows per thread and for threads: 1, 2, 4,
+/// ... below `bound`, plus `bound` itself.
+fn pow2_sweep(bound: usize) -> Vec<usize> {
+    let mut v: Vec<usize> =
+        std::iter::successors(Some(1), |p| Some(p * 2)).take_while(|&p| p < bound).collect();
+    v.push(bound);
     v
 }
 
@@ -243,10 +238,10 @@ mod tests {
 
     #[test]
     fn sweeps_cover_bounds() {
-        assert_eq!(row_sweep(48), vec![1, 2, 4, 8, 16, 32, 48]);
-        assert_eq!(thread_sweep(3), vec![1, 2, 3]);
-        assert_eq!(thread_sweep(1), vec![1]);
-        assert_eq!(row_sweep(1), vec![1]);
+        assert_eq!(pow2_sweep(48), vec![1, 2, 4, 8, 16, 32, 48]);
+        assert_eq!(pow2_sweep(3), vec![1, 2, 3]);
+        assert_eq!(pow2_sweep(2), vec![1, 2]);
+        assert_eq!(pow2_sweep(1), vec![1]);
     }
 
     #[test]
