@@ -41,7 +41,7 @@ pub(crate) fn collective_round<O: RunObserver>(
     refresh_schedule(eng, st, senders)?;
     // The partials go to the transport raw: the chunking boundary,
     // where a lossy wire repr applies, is `RoundCtx::wire_chunks`, on
-    // each sender's own thread.
+    // this thread while Sigma's pools drain.
     let repr = eng.cfg.repr;
     let parts: Vec<Option<&[f64]>> =
         senders.iter().map(|&m| contributions[m].as_ref().map(|(p, _)| p.as_slice())).collect();
@@ -148,14 +148,16 @@ mod tests {
     use crate::engine::NullObserver;
     use crate::node::{ChunkFault, SigmaAggregator};
     use crate::trainer::{ClusterConfig, ClusterTrainer};
-    use crate::transport::{RoundDelivery, SimTransport, Transport, TransportKind};
+    use crate::transport::{RoundDelivery, SimTransport, TcpTransport, Transport, TransportKind};
     use cosmic_ml::{data, Algorithm};
     use cosmic_sim::faults::FaultPlan;
 
-    /// The in-process wire, with sender `at.1`'s partial of iteration
-    /// `at.0` marked to trip [`SigmaAggregator::tripwired`].
+    /// `wire`, with sender `at.1`'s partial of iteration `at.0` marked
+    /// to trip [`SigmaAggregator::tripwired`] or
+    /// [`TcpTransport::tripwired`].
     struct Marked {
         at: (usize, usize),
+        wire: Box<dyn Transport>,
     }
 
     impl Transport for Marked {
@@ -170,13 +172,13 @@ mod tests {
             parts: &[Option<&[f64]>],
         ) -> Result<RoundDelivery, RuntimeError> {
             if ctx.iteration != self.at.0 {
-                return SimTransport.round(ctx, sigma, parts);
+                return self.wire.round(ctx, sigma, parts);
             }
             let mut marked = parts[self.at.1].unwrap_or_default().to_vec();
             marked[0] = SigmaAggregator::TRIPWIRE;
             let mut parts = parts.to_vec();
             parts[self.at.1] = Some(&marked);
-            SimTransport.round(ctx, sigma, &parts)
+            self.wire.round(ctx, sigma, &parts)
         }
     }
 
@@ -198,7 +200,7 @@ mod tests {
         let trainer = ClusterTrainer::new(cfg.clone()).expect("valid config");
         let mut eng = Engine::new(&cfg, &alg, &ds, init.len(), NullObserver).expect("sim");
         eng.sigma = SigmaAggregator::new(4, 4).tripwired();
-        eng.transport = Box::new(Marked { at: (2, 1) });
+        eng.transport = Box::new(Marked { at: (2, 1), wire: Box::new(SimTransport) });
         let aborted = eng.run(trainer.topology().clone(), init.clone()).expect("absorbed");
 
         let plan = FaultPlan::none().corrupt_chunk(1, 2, 0);
@@ -221,5 +223,34 @@ mod tests {
         assert_eq!(bits(&aborted.loss_history), bits(&corrupted.loss_history));
         assert_ne!(bits(&aborted.model), bits(&healthy.model), "the round was not a no-op");
         assert_eq!(aborted.iterations, healthy.iterations, "and the next one ran");
+    }
+
+    /// A link sender that panics costs its node the link, not the round:
+    /// the engine books it `LinkDead` and the job trains on.
+    #[test]
+    fn a_panicking_link_sender_is_booked_as_a_dead_link() {
+        let alg = Algorithm::LogisticRegression { features: 6 };
+        let ds = data::generate(&alg, 240, 7);
+        let init = data::init_model(&alg, 3);
+        let cfg = ClusterConfig {
+            nodes: 4,
+            groups: 2,
+            minibatch: 48,
+            learning_rate: 0.2,
+            transport: TransportKind::Tcp,
+            ..ClusterConfig::default()
+        };
+        let trainer = ClusterTrainer::new(cfg.clone()).expect("valid config");
+        let mut eng = Engine::new(&cfg, &alg, &ds, init.len(), NullObserver).expect("loopback");
+        let tcp = TcpTransport::bind(cfg.link).expect("loopback").tripwired();
+        eng.transport = Box::new(Marked { at: (2, 1), wire: Box::new(tcp) });
+        let out = eng.run(trainer.topology().clone(), init.clone()).expect("absorbed");
+
+        let reasons: Vec<(usize, usize, ExclusionReason)> =
+            out.faults.exclusions.iter().map(|e| (e.iteration, e.node, e.reason)).collect();
+        assert_eq!(reasons, [(2, 1, ExclusionReason::LinkDead { attempts: 1 })]);
+        assert!(out.faults.quarantines.is_empty());
+        let healthy = trainer.train(&alg, &ds, init).expect("healthy");
+        assert_eq!(out.iterations, healthy.iterations, "the job trained on");
     }
 }

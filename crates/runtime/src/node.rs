@@ -368,7 +368,19 @@ impl SigmaAggregator {
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
     ) -> AggregateOutcome {
-        self.aggregate_at(model_len, incoming, None)
+        self.aggregate_at(model_len, incoming, None, || {})
+    }
+
+    /// [`SigmaAggregator::aggregate_validated`] with the caller as the
+    /// wire: `feed` runs on this thread while the pools drain `incoming`,
+    /// and must end every stream (drop each sender) before it returns.
+    pub(crate) fn aggregate_while(
+        &self,
+        model_len: usize,
+        incoming: Vec<Receiver<Chunk>>,
+        feed: impl FnOnce(),
+    ) -> AggregateOutcome {
+        self.aggregate_at(model_len, incoming, None, feed)
     }
 
     /// [`SigmaAggregator::aggregate_validated`] over dense streams, with
@@ -385,16 +397,18 @@ impl SigmaAggregator {
         incoming: Vec<Receiver<Chunk>>,
         scale_exp: u8,
     ) -> AggregateOutcome {
-        self.aggregate_at(model_len, incoming, Some(scale_exp))
+        self.aggregate_at(model_len, incoming, Some(scale_exp), || {})
     }
 
-    /// Runs the two-pool pipeline to completion — every stream drained,
-    /// validated and held by `self.stage` — then folds what survived.
+    /// Dispatches the two-pool pipeline, runs `feed`, and waits for it
+    /// to complete — every stream drained, validated and held by
+    /// `self.stage` — then folds what survived.
     fn aggregate_at(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
         quantize_at: Option<u8>,
+        feed: impl FnOnce(),
     ) -> AggregateOutcome {
         let folds: Arc<Vec<Mutex<Option<PeerFold>>>> =
             Arc::new(incoming.iter().map(|_| Mutex::new(None)).collect());
@@ -433,6 +447,7 @@ impl SigmaAggregator {
                 });
             }
         }
+        feed();
         wg.wait();
 
         // Collect surviving peers in index order — the determinism

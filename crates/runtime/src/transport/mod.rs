@@ -11,6 +11,10 @@
 //!   its retry budget surfaces as a [`DeadLink`] that the engine books
 //!   through the membership/failover machinery.
 //!
+//! Neither creates a thread per round: the caller chunks (and on TCP
+//! routes) while Sigma's pools drain, and TCP writes on one resident
+//! sender thread per link.
+//!
 //! Real sockets have one client and one server, both in `supervisor`
 //! (`RoundSender`, `RoundServer`), and a link lives as long as its
 //! connection: a healthy round opens no socket. [`TcpTransport`] and
@@ -196,7 +200,7 @@ pub struct RoundCtx<'a> {
     /// The admitted sender node ids, ascending.
     pub senders: &'a [usize],
     /// The wire representation the partials travel under. `parts` are
-    /// raw: `RoundCtx::wire_chunks` applies it, on the sender's
+    /// raw: `RoundCtx::wire_chunks` applies it, on the round's calling
     /// thread, and is all either backend sends — Sim hands the chunks
     /// over in process, Tcp frames them as `FrameKind::Encoded` when
     /// this is not [`WireRepr::DenseF64`], verbatim or losslessly — so

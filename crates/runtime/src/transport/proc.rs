@@ -569,7 +569,7 @@ impl Worker {
                 iter as u64,
                 &chunks,
                 shard.len() as u64,
-                &WireShim::transparent(),
+                &WireShim::default(),
                 FrameKind::Model,
             ) {
                 Ok(report) => {
@@ -594,7 +594,7 @@ impl Worker {
             spec.iterations as u64,
             &[],
             model_checksum(&model),
-            &WireShim::transparent(),
+            &WireShim::default(),
             FrameKind::Ack,
         );
         Ok(())

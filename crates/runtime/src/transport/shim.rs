@@ -19,39 +19,42 @@ use cosmic_sim::faults::FaultPlan;
 
 use super::wire::{CHECKSUM_BYTES, HEADER_BYTES};
 
-/// Plan-driven wire damage for one sender's round stream.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WireShim<'a> {
-    plan: Option<&'a FaultPlan>,
-    node: usize,
-    iteration: usize,
+/// Plan-driven wire damage for one sender's round stream, read from
+/// the plan once and owned, so it can travel with the stream. The
+/// default shim injects nothing (healthy wire).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WireShim {
+    /// The chunk index before which the first attempt is severed.
+    sever: Option<usize>,
+    /// Added latency before each of the first attempt's frames.
+    delay: Duration,
+    /// The chunk indices whose first-attempt frames are damaged.
+    corrupted: Vec<usize>,
 }
 
-impl<'a> WireShim<'a> {
-    /// A shim for `node`'s stream at `iteration`, driven by `plan`.
-    pub(super) fn new(plan: &'a FaultPlan, node: usize, iteration: usize) -> Self {
-        WireShim { plan: Some(plan), node, iteration }
-    }
-
-    /// A transparent shim: injects nothing (healthy wire).
-    pub(super) fn transparent() -> WireShim<'static> {
-        WireShim { plan: None, node: 0, iteration: 0 }
+impl WireShim {
+    /// The shim for `node`'s stream of `chunks` chunk indices at
+    /// `iteration`, read from `plan`.
+    pub(super) fn new(plan: &FaultPlan, node: usize, iteration: usize, chunks: usize) -> Self {
+        WireShim {
+            sever: plan.sever_at(node, iteration),
+            delay: Duration::from_millis(plan.frame_delay_millis(node, iteration)),
+            corrupted: (0..chunks)
+                .filter(|&ci| plan.frame_corrupted(node, iteration, ci))
+                .collect(),
+        }
     }
 
     /// The chunk index before which the link is severed on this
     /// attempt, if any (first attempt only).
     pub(super) fn sever_at(&self, attempt: u32) -> Option<usize> {
-        if attempt > 0 {
-            return None;
-        }
-        self.plan.and_then(|p| p.sever_at(self.node, self.iteration))
+        self.sever.filter(|_| attempt == 0)
     }
 
     /// Whether the frame carrying chunk `chunk` is damaged in flight on
     /// this attempt (first attempt only).
     pub(super) fn frame_corrupted(&self, attempt: u32, chunk: usize) -> bool {
-        attempt == 0
-            && self.plan.is_some_and(|p| p.frame_corrupted(self.node, self.iteration, chunk))
+        attempt == 0 && self.corrupted.contains(&chunk)
     }
 
     /// Added latency before each frame hits the socket on this attempt
@@ -60,9 +63,7 @@ impl<'a> WireShim<'a> {
         if attempt > 0 {
             return Duration::ZERO;
         }
-        Duration::from_millis(
-            self.plan.map_or(0, |p| p.frame_delay_millis(self.node, self.iteration)),
-        )
+        self.delay
     }
 }
 
@@ -91,7 +92,7 @@ mod tests {
     fn shim_reads_the_plan_on_attempt_zero_only() {
         let plan =
             FaultPlan::none().sever_link(1, 2, 3).corrupt_frame(1, 2, 0).delay_frames(1, 2, 4);
-        let shim = WireShim::new(&plan, 1, 2);
+        let shim = WireShim::new(&plan, 1, 2, 4);
         assert_eq!(shim.sever_at(0), Some(3));
         assert_eq!(shim.sever_at(1), None);
         assert!(shim.frame_corrupted(0, 0));
@@ -100,13 +101,15 @@ mod tests {
         assert_eq!(shim.frame_delay(0), Duration::from_millis(4));
         assert_eq!(shim.frame_delay(1), Duration::ZERO);
 
-        let other = WireShim::new(&plan, 0, 2);
+        let other = WireShim::new(&plan, 0, 2, 4);
         assert_eq!(other.sever_at(0), None);
+        assert!(!other.frame_corrupted(0, 0));
+        assert_eq!(other.frame_delay(0), Duration::ZERO);
     }
 
     #[test]
-    fn transparent_shim_injects_nothing() {
-        let shim = WireShim::transparent();
+    fn default_shim_injects_nothing() {
+        let shim = WireShim::default();
         assert_eq!(shim.sever_at(0), None);
         assert!(!shim.frame_corrupted(0, 0));
         assert_eq!(shim.frame_delay(0), Duration::ZERO);

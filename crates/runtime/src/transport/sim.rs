@@ -1,15 +1,14 @@
 //! The discrete-event backend: crossbeam channels as sockets.
 //!
-//! One scoped sender thread per admitted peer, bounded channels,
-//! plan-driven chunk corruption and duplication applied "on the wire"
-//! ([`RoundCtx::wire_chunks`]), and the validated Sigma fold on the
-//! receiving side. Nothing is booked into [`TransportStats`], so traced
-//! runs export telemetry with no wire counters at all.
+//! The caller is the wire: while Sigma's pools drain, the calling
+//! thread chunks each admitted peer's partial in turn
+//! ([`RoundCtx::wire_chunks`], plan-driven chunk corruption and
+//! duplication included) into that peer's unbounded channel, and the
+//! round creates no thread. Nothing is booked into [`TransportStats`],
+//! so traced runs export telemetry with no wire counters at all.
 
 use cosmic_collectives::codec::CodecStats;
 use crossbeam::channel;
-use parking_lot::Mutex;
-use std::thread;
 
 use crate::error::RuntimeError;
 use crate::node::SigmaAggregator;
@@ -31,34 +30,27 @@ impl Transport for SimTransport {
         sigma: &SigmaAggregator,
         parts: &[Option<&[f64]>],
     ) -> Result<RoundDelivery, RuntimeError> {
-        let codec = Mutex::new(CodecStats::default());
-        let outcome = thread::scope(|s| {
-            let (codec, mut receivers) = (&codec, Vec::new());
-            for (i, &member) in ctx.senders.iter().enumerate() {
-                let (tx, rx) = channel::bounded(8);
-                receivers.push(rx);
-                let part = parts[i];
-                s.spawn(move || {
-                    let Some(part) = part else {
-                        return;
-                    };
-                    let (stats, chunks) = ctx.wire_chunks(member, part);
-                    codec.lock().merge(&stats);
-                    for (_, chunk) in chunks {
-                        if tx.send(chunk).is_err() {
-                            break;
-                        }
+        // Unbounded: a partial's chunks are views of one arena already,
+        // so a bound would save no memory, only block the one feeder.
+        let (txs, receivers): (Vec<_>, Vec<_>) =
+            ctx.senders.iter().map(|_| channel::unbounded()).unzip();
+        let mut codec = CodecStats::default();
+        let outcome = sigma.aggregate_while(ctx.model_len, receivers, || {
+            // Each `tx` drops at the end of its turn, ending that stream.
+            for ((tx, &member), part) in txs.into_iter().zip(ctx.senders).zip(parts) {
+                let Some(part) = part else {
+                    continue;
+                };
+                let (stats, chunks) = ctx.wire_chunks(member, part);
+                codec.merge(&stats);
+                for (_, chunk) in chunks {
+                    if tx.send(chunk).is_err() {
+                        break;
                     }
-                });
+                }
             }
-            sigma.aggregate_validated(ctx.model_len, receivers)
         });
-        Ok(RoundDelivery {
-            outcome,
-            dead: Vec::new(),
-            stats: TransportStats::default(),
-            codec: codec.into_inner(),
-        })
+        Ok(RoundDelivery { outcome, dead: Vec::new(), stats: TransportStats::default(), codec })
     }
 }
 

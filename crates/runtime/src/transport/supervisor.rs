@@ -110,7 +110,7 @@ impl RoundSender {
         iteration: u64,
         chunks: &[(usize, Chunk)],
         records: u64,
-        shim: &WireShim<'_>,
+        shim: &WireShim,
         expect: FrameKind,
     ) -> Result<SendReport, RuntimeError> {
         let (peer, node, repr) = (self.node, self.node as u32, self.repr);
@@ -251,7 +251,7 @@ pub(crate) struct RoundServer {
 struct Shared {
     /// The deadlines every served connection is armed with.
     link: LinkConfig,
-    /// The delivery queue; `None` is a [`RoundServer::wake`].
+    /// The delivery queue; `None` is a [`Waker::wake`].
     queue: Sender<Option<Served>>,
     live: Mutex<Live>,
 }
@@ -292,8 +292,8 @@ impl RoundServer {
 
     /// The next delivery, in arrival order across every live
     /// connection. Blocks until one arrives, `deadline` passes, or
-    /// another thread calls [`RoundServer::wake`] — the last two yield
-    /// `None`, and the caller decides whether to keep waiting.
+    /// another thread calls [`Waker::wake`] — the last two yield `None`,
+    /// and the caller decides whether to keep waiting.
     pub(super) fn next(&self, deadline: Option<Instant>) -> Option<Served> {
         match deadline {
             Some(at) => {
@@ -304,10 +304,9 @@ impl RoundServer {
         .flatten()
     }
 
-    /// Makes one [`RoundServer::next`] return `None`: how a thread
-    /// whose progress ends the caller's wait says so without a poll.
-    pub(crate) fn wake(&self) {
-        let _ = self.shared.queue.send(None);
+    /// A handle any thread can end one [`RoundServer::next`] wait with.
+    pub(super) fn waker(&self) -> Waker {
+        Waker(self.shared.queue.clone())
     }
 
     /// Drops cold every delivery still queued. Called between rounds,
@@ -316,6 +315,18 @@ impl RoundServer {
     /// being served.
     pub(super) fn discard_stale(&self) {
         while self.deliveries.try_recv().is_ok() {}
+    }
+}
+
+/// How a thread whose progress ends a [`RoundServer::next`] wait says
+/// so without a poll.
+#[derive(Debug, Clone)]
+pub(super) struct Waker(Sender<Option<Served>>);
+
+impl Waker {
+    /// Makes one `next` (the current or the coming one) return `None`.
+    pub(super) fn wake(&self) {
+        let _ = self.0.send(None);
     }
 }
 
@@ -611,7 +622,7 @@ mod tests {
         let addr = server.addr();
         let sender = thread::spawn(move || {
             let mut link = RoundSender::new(addr, 3, LinkConfig::default(), RetryPolicy::default());
-            let shim = WireShim::transparent();
+            let shim = WireShim::default();
             (0..5u64)
                 .map(|i| {
                     let report = link.send_round(i, &[], i + 10, &shim, FrameKind::Ack).unwrap();
@@ -640,7 +651,7 @@ mod tests {
         let mut link = RoundSender::new(server.addr(), 1, LinkConfig::default(), retry);
         let sender = thread::spawn(move || {
             let started = Instant::now();
-            let outcome = link.send_round(0, &[], 0, &WireShim::transparent(), FrameKind::Ack);
+            let outcome = link.send_round(0, &[], 0, &WireShim::default(), FrameKind::Ack);
             (outcome, started.elapsed())
         });
         drop(server.next(None).expect("a delivery"));
@@ -675,8 +686,7 @@ mod tests {
                     })
                 })
                 .unwrap();
-            let round =
-                link.send_round(7, &[], 3, &WireShim::transparent(), FrameKind::Ack).unwrap();
+            let round = link.send_round(7, &[], 3, &WireShim::default(), FrameKind::Ack).unwrap();
             (snapshot, join_stats.reconnects, round.stats.reconnects)
         });
         let mut joined = server.next(None).expect("the join");
@@ -700,8 +710,9 @@ mod tests {
     fn a_wake_or_a_deadline_ends_the_wait_without_a_delivery() {
         let server = RoundServer::bind(LinkConfig::default()).unwrap();
         assert!(server.next(Some(Instant::now() + Duration::from_millis(5))).is_none());
+        let waker = server.waker();
         thread::scope(|s| {
-            s.spawn(|| server.wake());
+            s.spawn(move || waker.wake());
             assert!(server.next(None).is_none());
         });
     }

@@ -1,81 +1,177 @@
 //! The real-wire backend: loopback TCP with connection supervision.
 //!
-//! The backend holds one supervised [`RoundSender`] link per sender
-//! node and one [`RoundServer`]; both outlive the round, so after a
-//! link's first use a healthy round opens no socket. Senders stream
-//! length-prefixed, checksummed frames through the fault shim; the
-//! server's reader threads take each stream store-and-forward (a stream
-//! that dies mid-round contributes nothing) and this module routes the
-//! complete ones off the delivery queue into the same per-peer channels
-//! the discrete-event backend uses, so the Sigma fold — and therefore
-//! the model arithmetic — is identical bit for bit.
+//! One [`RoundServer`] and, per sender node, one supervised
+//! [`RoundSender`] owned by a resident worker thread
+//! (`cosmic-link-sender-{node}`) outlive the round: after a link's first
+//! use a healthy round opens no socket and creates no thread. Inside
+//! [`SigmaAggregator::aggregate_while`]'s feed the caller chunks each
+//! partial and posts the owned stream to its link's worker (link *k*
+//! writes while the caller chunks *k + 1*), then routes the complete
+//! streams the server's readers deliver (store-and-forward: a stream
+//! that dies mid-round contributes nothing) into the per-peer channels
+//! the discrete-event backend feeds too, so the Sigma fold — and the
+//! model arithmetic — is identical bit for bit.
 //!
-//! A link whose retry budget exhausts is reported as a
-//! [`DeadLink`] rather than an error: the engine books
-//! it through the membership/failover machinery exactly like a crashed
+//! A link whose retry budget exhausts, or whose send panics, is
+//! reported as a [`DeadLink`] rather than an error: the engine books it
+//! through the membership/failover machinery exactly like a crashed
 //! node, so a dead socket degrades the run instead of hanging it.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::net::SocketAddr;
-use std::panic;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
-use cosmic_collectives::codec::CodecStats;
-use crossbeam::channel::{self, Sender};
+use cosmic_collectives::codec::{CodecStats, WireRepr};
+use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
 use crate::node::{Chunk, SigmaAggregator};
+use crate::trainer::RetryPolicy;
 
 use super::shim::WireShim;
-use super::supervisor::{RoundSender, RoundServer, Served, ServedKind};
+use super::supervisor::{RoundSender, RoundServer, Served, ServedKind, Waker};
 use super::wire::{Frame, FrameKind};
 use super::{
     DeadLink, LinkConfig, RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats,
 };
 
-/// One forwarding slot per sender; `None` once that sender finished.
-type Slots = Mutex<Vec<Option<Sender<Chunk>>>>;
+/// A link worker's send: [`send_post`], or a test's planted panic.
+type SendFn = fn(&mut RoundSender, &Post) -> Result<TransportStats, RuntimeError>;
 
 /// The loopback TCP wire.
 pub struct TcpTransport {
     server: RoundServer,
-    /// One link per sender node id, created on first use and kept
-    /// across rounds and membership changes. Held for a whole round,
-    /// which also keeps two rounds off the one delivery queue.
-    links: Mutex<BTreeMap<usize, RoundSender>>,
+    /// One resident sender per node id, created with its first stream
+    /// and kept across rounds and membership changes. Held for a whole
+    /// round, which also keeps two rounds off the one delivery queue.
+    links: Mutex<BTreeMap<usize, Link>>,
+    /// A field so tests can plant a panic.
+    send: SendFn,
+}
+
+/// A node's resident sender: the mailbox of the worker that owns its
+/// [`RoundSender`].
+struct Link {
+    posts: Sender<Post>,
+    worker: JoinHandle<()>,
+}
+
+/// What a round's caller and its link workers share: one forwarding
+/// channel per sender (`None` once it finished), the books, and how
+/// many posts are still out.
+struct Round {
+    txs: Mutex<Vec<Option<Sender<Chunk>>>>,
+    stats: Mutex<TransportStats>,
+    dead: Mutex<Vec<DeadLink>>,
+    pending: AtomicUsize,
+    waker: Waker,
+}
+
+/// One round's stream for one link, owned: the worker borrows nothing.
+/// Also the drop guard: however a post ends, dropping it closes its
+/// slot — Sigma's stream ends once in-flight chunks drain — and the
+/// last one dropped wakes the routing caller.
+struct Post {
+    iteration: u64,
+    chunks: Vec<(usize, Chunk)>,
+    shim: WireShim,
+    retry: RetryPolicy,
+    repr: WireRepr,
+    round: Arc<Round>,
+    slot: usize,
+}
+
+impl Post {
+    /// Books `node`'s send: what it cost the wire, or the link.
+    fn book(&self, node: usize, sent: Result<TransportStats, RuntimeError>) {
+        match sent {
+            Ok(stats) => self.round.stats.lock().merge(&stats),
+            Err(error) => {
+                let attempts = match &error {
+                    RuntimeError::TransportFailed { attempts, .. } => *attempts,
+                    _ => self.retry.max_retries.saturating_add(1),
+                };
+                self.round.stats.lock().links_dead += 1;
+                self.round.dead.lock().push(DeadLink { node, attempts, error });
+            }
+        }
+    }
+}
+
+impl Drop for Post {
+    fn drop(&mut self) {
+        self.round.txs.lock()[self.slot] = None;
+        if self.round.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.round.waker.wake();
+        }
+    }
 }
 
 impl TcpTransport {
     /// Binds a fresh loopback listener (ephemeral port) for this
     /// transport's rounds.
     pub fn bind(link: LinkConfig) -> Result<Self, RuntimeError> {
-        Ok(TcpTransport { server: RoundServer::bind(link)?, links: Mutex::default() })
+        let server = RoundServer::bind(link)?;
+        Ok(TcpTransport { server, links: Mutex::default(), send: send_post })
     }
 
     /// The listener's address (loopback, ephemeral port).
     pub(crate) fn addr(&self) -> SocketAddr {
         self.server.addr()
     }
+
+    /// Starts `node`'s link worker over a fresh, undialled link.
+    fn spawn(&self, node: usize, retry: RetryPolicy) -> Result<Link, RuntimeError> {
+        let link = RoundSender::new(self.addr(), node, self.server.link(), retry);
+        let (send, (posts, mailbox)) = (self.send, channel::unbounded());
+        let worker = thread::Builder::new()
+            .name(format!("cosmic-link-sender-{node}"))
+            .spawn(move || serve_posts(link, mailbox, send))
+            .map_err(|e| {
+                let detail = format!("link sender thread: {e}");
+                RuntimeError::TransportFailed { peer: node, attempts: 0, detail }
+            })?;
+        Ok(Link { posts, worker })
+    }
 }
 
-/// Pushes one sender's wire stream through its supervised link,
-/// booking what the codec did to the partial into `codec` — once,
-/// whatever the link then costs in retransmissions.
-fn send_part(
-    link: &mut RoundSender,
-    ctx: &RoundCtx<'_>,
-    part: &[f64],
-    codec: &Mutex<CodecStats>,
-) -> Result<TransportStats, RuntimeError> {
-    let (applied, chunks) = ctx.wire_chunks(link.node, part);
-    let wire_chunks: Vec<(usize, Chunk)> = chunks.collect();
-    codec.lock().merge(&applied);
-    let shim = WireShim::new(ctx.plan, link.node, ctx.iteration);
-    (link.retry, link.repr) = (*ctx.retry, ctx.repr);
-    let report = link.send_round(ctx.iteration as u64, &wire_chunks, 0, &shim, FrameKind::Ack)?;
+impl Drop for TcpTransport {
+    /// Closes every mailbox and joins every worker — idle between
+    /// rounds, so each ends at once; the server then joins its threads.
+    fn drop(&mut self) {
+        for (_, link) in std::mem::take(self.links.get_mut()) {
+            drop(link.posts);
+            let _ = link.worker.join();
+        }
+    }
+}
+
+/// Pushes one post's stream through its supervised link.
+fn send_post(link: &mut RoundSender, post: &Post) -> Result<TransportStats, RuntimeError> {
+    let report = link.send_round(post.iteration, &post.chunks, 0, &post.shim, FrameKind::Ack)?;
     Ok(report.stats)
+}
+
+/// A link worker: sends and books each post, then drops it. A send that
+/// panics is the link's death, typed, and the link is replaced by an
+/// undialled one, so the half-written connection drops cold.
+fn serve_posts(mut link: RoundSender, posts: Receiver<Post>, send: SendFn) {
+    for post in posts {
+        (link.retry, link.repr) = (post.retry, post.repr);
+        let sent = catch_unwind(AssertUnwindSafe(|| send(&mut link, &post)));
+        let sent = sent.unwrap_or_else(|panic| {
+            link = RoundSender::new(link.addr, link.node, link.link, link.retry);
+            let why = panic.downcast_ref::<String>().map(String::as_str);
+            let why = why.or_else(|| panic.downcast_ref::<&str>().copied()).unwrap_or("?");
+            let detail = format!("link sender panicked: {why}");
+            Err(RuntimeError::TransportFailed { peer: link.node, attempts: 1, detail })
+        });
+        post.book(link.node, sent);
+    }
 }
 
 impl Transport for TcpTransport {
@@ -90,74 +186,59 @@ impl Transport for TcpTransport {
         parts: &[Option<&[f64]>],
     ) -> Result<RoundDelivery, RuntimeError> {
         let mut links = self.links.lock();
-        for &member in ctx.senders {
-            links.entry(member).or_insert_with(|| {
-                RoundSender::new(self.addr(), member, self.server.link(), *ctx.retry)
-            });
-        }
         self.server.discard_stale();
-        let mut receivers = Vec::with_capacity(ctx.senders.len());
-        let mut slots = Vec::with_capacity(ctx.senders.len());
-        for _ in ctx.senders {
-            // A served stream is already whole in memory, so the router
-            // hands it over in one go instead of pacing on the fold.
-            let (tx, rx) = channel::unbounded();
-            receivers.push(rx);
-            slots.push(Some(tx));
-        }
-        let txs: Slots = Mutex::new(slots);
-        let stats = Mutex::new(TransportStats::default());
-        let codec = Mutex::new(CodecStats::default());
-        let dead: Mutex<Vec<DeadLink>> = Mutex::new(Vec::new());
-        let pending = AtomicUsize::new(ctx.senders.len());
-
-        let outcome = thread::scope(|s| {
-            let (txs, stats, codec, dead, pending) = (&txs, &stats, &codec, &dead, &pending);
-            for (&member, link) in links.iter_mut() {
-                let Some(i) = ctx.senders.iter().position(|&n| n == member) else {
-                    continue; // Not in this round's membership: the link idles.
+        // A served stream is already whole in memory, so the router
+        // hands it over in one go instead of pacing on the fold. A
+        // sender without a part posts nothing: its slot starts closed.
+        let (txs, receivers): (Vec<_>, Vec<_>) = parts
+            .iter()
+            .map(|part| {
+                let (tx, rx) = channel::unbounded();
+                (part.map(|_| tx), rx)
+            })
+            .unzip();
+        let round = Arc::new(Round {
+            txs: Mutex::new(txs),
+            stats: Mutex::default(),
+            dead: Mutex::default(),
+            pending: AtomicUsize::new(parts.iter().flatten().count()),
+            waker: self.server.waker(),
+        });
+        let mut codec = CodecStats::default();
+        let outcome = sigma.aggregate_while(ctx.model_len, receivers, || {
+            for (slot, (&member, part)) in ctx.senders.iter().zip(parts).enumerate() {
+                let Some(part) = part else {
+                    continue;
                 };
-                let part = parts[i];
-                s.spawn(move || {
-                    if let Some(part) = part {
-                        match send_part(link, ctx, part, codec) {
-                            Ok(sent) => stats.lock().merge(&sent),
-                            Err(error) => {
-                                let attempts = match &error {
-                                    RuntimeError::TransportFailed { attempts, .. } => *attempts,
-                                    _ => ctx.retry.max_retries.saturating_add(1),
-                                };
-                                stats.lock().links_dead += 1;
-                                dead.lock().push(DeadLink { node: member, attempts, error });
-                            }
-                        }
-                    }
-                    // Drop this peer's forwarding slot so the Sigma
-                    // receiver disconnects once in-flight chunks drain;
-                    // the last sender to finish ends the routing loop.
-                    txs.lock()[i] = None;
-                    if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        self.server.wake();
-                    }
-                });
-            }
-            let fold = s.spawn(|| sigma.aggregate_validated(ctx.model_len, receivers));
-            // Route on this thread until every sender finished: the
-            // receive side spawns nothing per round.
-            while pending.load(Ordering::Acquire) > 0 {
-                if let Some(served) = self.server.next(None) {
-                    route(served, ctx, txs, stats);
+                // Booked once, whatever the link then costs in
+                // retransmissions.
+                let (applied, chunks) = ctx.wire_chunks(member, part);
+                let chunks: Vec<(usize, Chunk)> = chunks.collect();
+                codec.merge(&applied);
+                let shim = WireShim::new(ctx.plan, member, ctx.iteration, chunks.len());
+                let (iteration, retry, repr) = (ctx.iteration as u64, *ctx.retry, ctx.repr);
+                let round = Arc::clone(&round);
+                let post = Post { iteration, chunks, shim, retry, repr, round, slot };
+                let link = match links.entry(member) {
+                    Entry::Occupied(link) => Ok(link.into_mut()),
+                    Entry::Vacant(vacant) => self.spawn(member, retry).map(|l| vacant.insert(l)),
+                };
+                match link {
+                    // Cannot fail: a worker outlives its mailbox.
+                    Ok(link) => drop(link.posts.send(post)),
+                    Err(error) => post.book(member, Err(error)),
                 }
             }
-            fold.join().unwrap_or_else(|payload| panic::resume_unwind(payload))
+            // Route on this thread until every post is done.
+            while round.pending.load(Ordering::Acquire) > 0 {
+                if let Some(served) = self.server.next(None) {
+                    route(served, ctx, &round);
+                }
+            }
         });
-
-        Ok(RoundDelivery {
-            outcome,
-            dead: dead.into_inner(),
-            stats: stats.into_inner(),
-            codec: codec.into_inner(),
-        })
+        let dead = std::mem::take(&mut *round.dead.lock());
+        let stats = *round.stats.lock();
+        Ok(RoundDelivery { outcome, dead, stats, codec })
     }
 }
 
@@ -166,7 +247,7 @@ impl Transport for TcpTransport {
 /// and its buffered chunks forwarded to Sigma. Anything else is dropped
 /// unanswered, which shuts its connection; the sender's retransmission
 /// is the only delivery.
-fn route(served: Served, ctx: &RoundCtx<'_>, txs: &Slots, stats: &Mutex<TransportStats>) {
+fn route(served: Served, ctx: &RoundCtx<'_>, round: &Round) {
     let ServedKind::Round { iteration, chunks, mut reply, .. } = served.kind else {
         return;
     };
@@ -176,10 +257,10 @@ fn route(served: Served, ctx: &RoundCtx<'_>, txs: &Slots, stats: &Mutex<Transpor
     let Some(peer) = ctx.senders.iter().position(|&n| n == served.node as usize) else {
         return;
     };
-    // Clone the slot *before* acknowledging: the sender nulls it the
+    // Clone the slot *before* acknowledging: the sender closes it the
     // moment the ack lands, and the clone keeps the channel alive while
     // the buffer drains into Sigma.
-    let Some(tx) = txs.lock()[peer].clone() else {
+    let Some(tx) = round.txs.lock()[peer].clone() else {
         return;
     };
     let mut booked = served.stats;
@@ -187,7 +268,7 @@ fn route(served: Served, ctx: &RoundCtx<'_>, txs: &Slots, stats: &Mutex<Transpor
     if reply.send(&ack, &mut booked).is_err() {
         return;
     }
-    stats.lock().merge(&booked);
+    round.stats.lock().merge(&booked);
     for chunk in chunks {
         if tx.send(chunk).is_err() {
             break;
@@ -198,9 +279,25 @@ fn route(served: Served, ctx: &RoundCtx<'_>, txs: &Slots, stats: &Mutex<Transpor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::RetryPolicy;
-    use cosmic_collectives::codec::WireRepr;
     use cosmic_sim::faults::FaultPlan;
+
+    impl TcpTransport {
+        /// Plants a panic in the link worker of any stream that starts
+        /// with [`SigmaAggregator::TRIPWIRE`], before it writes a byte.
+        /// Takes effect for links created after it.
+        pub(crate) fn tripwired(mut self) -> Self {
+            self.send = |link, post| {
+                let first = post.chunks.first().and_then(|(_, chunk)| chunk.data.first());
+                assert!(first != Some(&SigmaAggregator::TRIPWIRE), "planted panic");
+                send_post(link, post)
+            };
+            self
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn ctx<'a>(
         plan: &'a FaultPlan,
@@ -234,7 +331,6 @@ mod tests {
         let mut expected = vec![0.0; len];
         let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         crate::fold::fold_parts_reference(&mut expected, &slices);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&delivery.outcome.sum), bits(&expected), "iteration {iteration}");
         assert!(delivery.dead.is_empty(), "iteration {iteration}: {:?}", delivery.dead);
         delivery
@@ -337,8 +433,7 @@ mod tests {
             t.addr()
         };
         let mut sender = RoundSender::new(dead_addr, 4, link, retry);
-        let err =
-            sender.send_round(0, &[], 0, &WireShim::transparent(), FrameKind::Ack).unwrap_err();
+        let err = sender.send_round(0, &[], 0, &WireShim::default(), FrameKind::Ack).unwrap_err();
         match err {
             RuntimeError::TransportFailed { peer, attempts, .. } => {
                 assert_eq!(peer, 4);
@@ -408,5 +503,35 @@ mod tests {
         let second = checked_round(&transport, &plan, 1, &senders, 64).stats;
         assert_eq!((first.connections, first.reconnects), (2, 0));
         assert_eq!((second.connections, second.reconnects), (0, 0));
+    }
+
+    #[test]
+    fn a_sender_that_panics_is_a_dead_link_not_a_wedged_round() {
+        let transport = TcpTransport::bind(LinkConfig::default()).unwrap().tripwired();
+        let (plan, retry, senders) = (FaultPlan::none(), RetryPolicy::default(), [0usize, 1, 2]);
+        let sigma = SigmaAggregator::new(2, 2);
+        let data: Vec<Vec<f64>> = senders.iter().map(|&n| part(n, 0, 64)).collect();
+        let mut marked = data[1].clone();
+        marked[0] = SigmaAggregator::TRIPWIRE;
+        let parts = [Some(&data[0][..]), Some(&marked[..]), Some(&data[2][..])];
+        let delivery = transport.round(&ctx(&plan, &retry, &senders, 64), &sigma, &parts).unwrap();
+        let [dead] = &delivery.dead[..] else {
+            panic!("expected one dead link, got {:?}", delivery.dead);
+        };
+        assert_eq!((dead.node, dead.attempts, delivery.stats.links_dead), (1, 1, 1));
+        assert!(
+            matches!(&dead.error, RuntimeError::TransportFailed { peer: 1, detail, .. }
+                if detail.contains("planted panic")),
+            "{dead:?}"
+        );
+        let mut expected = vec![0.0; 64];
+        crate::fold::fold_parts_reference(&mut expected, &[&data[0], &data[2]]);
+        assert_eq!(bits(&delivery.outcome.sum), bits(&expected), "the other peers, bit for bit");
+
+        // The worker caught its panic and serves the next round itself.
+        let worker = || transport.links.lock()[&1].worker.thread().id();
+        let before = worker();
+        checked_round(&transport, &plan, 1, &senders, 64);
+        assert_eq!(worker(), before);
     }
 }

@@ -1,5 +1,6 @@
 //! Process-wide thread accounting shared by the single-test lifetime
-//! binaries (`transport_lifetime.rs`, `compute_threads.rs`).
+//! binaries (`transport_lifetime.rs`, `compute_threads.rs`): how many
+//! threads are alive, and how many were created between two probes.
 
 use std::time::{Duration, Instant};
 
@@ -18,4 +19,13 @@ pub fn settled(expected: Option<usize>) -> Option<usize> {
         std::thread::yield_now();
     }
     threads()
+}
+
+/// The number of a freshly created thread. `ThreadId`s are handed out
+/// in creation order, so two probes differ by one more than the threads
+/// created between them.
+pub fn probe() -> u64 {
+    let id = std::thread::spawn(|| std::thread::current().id()).join().expect("probe thread");
+    let text = format!("{id:?}");
+    text.trim_start_matches("ThreadId(").trim_end_matches(')').parse().expect("a numeric ThreadId")
 }

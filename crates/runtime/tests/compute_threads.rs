@@ -1,7 +1,7 @@
-//! The engine's compute workers are resident: a job creates them once,
-//! so the threads it creates per iteration are the transport's scoped
-//! senders and nothing else, and none of them outlives `train` —
-//! whether it returns `Ok` or an error.
+//! A job creates its threads once: the compute crew and Sigma's pools
+//! at the start of `train`, and then not one thread an iteration — the
+//! `Sim` round's caller is its wire — and none of them outlives
+//! `train`, whether it returns `Ok` or an error.
 //!
 //! This binary holds exactly one test on purpose — thread ids and the
 //! thread count are process-wide, and a sibling test running beside it
@@ -11,19 +11,10 @@ use cosmic_ml::{data, Algorithm};
 use cosmic_runtime::{ClusterConfig, ClusterTrainer, FaultPlan, RuntimeError};
 
 mod common;
-use common::{settled, threads};
+use common::{probe, settled, threads};
 
 const NODES: usize = 4;
 const THREADS: usize = 2;
-
-/// The number of a freshly created thread. `ThreadId`s are handed out
-/// in creation order, so two probes differ by one more than the threads
-/// created between them.
-fn probe() -> u64 {
-    let id = std::thread::spawn(|| std::thread::current().id()).join().expect("probe thread");
-    let text = format!("{id:?}");
-    text.trim_start_matches("ThreadId(").trim_end_matches(')').parse().expect("a numeric ThreadId")
-}
 
 /// Trains `iterations` iterations over `Sim` under `faults` and returns
 /// the result with the number of threads the call created.
@@ -57,17 +48,14 @@ fn a_job_creates_its_compute_threads_once_and_takes_them_with_it() {
     assert_eq!(long, Ok(4 * SHORT));
     assert_eq!(settled(before), before, "a thread outlived an Ok train()");
 
-    // Sigma's pools and the compute crew are per job; what is left per
-    // iteration is one scoped sender per admitted node in
-    // `SimTransport::round`.
-    let senders = NODES as u64;
-    let grown = created_long - created_short;
-    assert!(
-        grown <= senders * 3 * SHORT as u64,
-        "{grown} threads for {} more iterations: more than the transport's {senders} scoped \
-         senders a round, so the compute phase is creating threads per iteration again \
-         ({created_short} for {SHORT} iterations, {created_long} for {})",
-        3 * SHORT,
+    // Sigma's pools and the compute crew are per job, and a `Sim` round
+    // runs on the engine's own thread: four times the iterations, not
+    // one thread more.
+    assert_eq!(
+        created_long,
+        created_short,
+        "{SHORT} iterations created {created_short} threads and {} created {created_long}: \
+         something creates threads per iteration again",
         4 * SHORT,
     );
 

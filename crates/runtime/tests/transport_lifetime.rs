@@ -1,10 +1,11 @@
-//! A `TcpTransport`'s links outlive its rounds: after the first round a
-//! healthy round opens no socket and leaves no thread behind, and
-//! dropping the transport takes every thread it started with it.
+//! A `TcpTransport`'s links outlive its rounds: the first round dials
+//! every link and starts its reader and its resident sender, after
+//! which a healthy round opens no socket and creates no thread, and
+//! dropping the transport joins every thread it started.
 //!
 //! This binary holds exactly one test on purpose — it reads the
-//! process-wide thread count, which a sibling test running beside it
-//! would move.
+//! process-wide thread count and thread ids, which a sibling test
+//! running beside it would move.
 
 use cosmic_runtime::fold::fold_parts_reference;
 use cosmic_runtime::{
@@ -14,7 +15,7 @@ use cosmic_runtime::{
 use std::time::Instant;
 
 mod common;
-use common::{settled, threads};
+use common::{probe, settled, threads};
 
 #[test]
 fn two_hundred_rounds_ride_four_connections_and_a_flat_thread_count() {
@@ -27,7 +28,7 @@ fn two_hundred_rounds_ride_four_connections_and_a_flat_thread_count() {
     let transport = TcpTransport::bind(LinkConfig::default()).expect("loopback bind");
 
     let mut total = TransportStats::default();
-    let mut after_first = None;
+    let (mut after_first, mut probed) = (None, 0);
     for iteration in 0..200 {
         let data: Vec<Vec<f64>> = (0..SENDERS)
             .map(|s| (0..WORDS).map(|i| ((i * 31 + s * 7 + iteration) % 997) as f64).collect())
@@ -50,7 +51,8 @@ fn two_hundred_rounds_ride_four_connections_and_a_flat_thread_count() {
         total.merge(&delivery.stats);
         if iteration == 0 {
             assert_eq!(delivery.stats.connections, SENDERS as u64, "round 0 dials every link");
-            after_first = settled(before.map(|n| n + 1 + SENDERS));
+            after_first = settled(before.map(|n| n + 1 + 2 * SENDERS));
+            probed = probe();
         } else {
             assert_eq!(delivery.stats.connections, 0, "round {iteration} opened a socket");
             assert_eq!(settled(after_first), after_first, "round {iteration} left a thread");
@@ -59,8 +61,9 @@ fn two_hundred_rounds_ride_four_connections_and_a_flat_thread_count() {
     assert_eq!((total.connections, total.reconnects, total.links_dead), (SENDERS as u64, 0, 0));
     assert_eq!(total.frames_sent, total.frames_received);
     assert_eq!(total.bytes_sent, total.bytes_received);
+    assert_eq!(probe() - probed, 1, "rounds 1-199 created a thread");
     if let (Some(before), Some(held)) = (before, after_first) {
-        assert_eq!(held, before + 1 + SENDERS, "one acceptor and one reader per link");
+        assert_eq!(held, before + 1 + 2 * SENDERS, "an acceptor, and a reader and a sender a link");
     }
 
     let started = Instant::now();
