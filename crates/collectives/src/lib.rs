@@ -16,7 +16,9 @@
 //! - `hash` — the stack's two checksum routines: byte-serial [`Fnv1a`]
 //!   for the small golden-pinned formats (checkpoints, journal records,
 //!   cache keys, chunk and frame headers) and the word-lane
-//!   [`payload_digest`] under every chunk and frame payload;
+//!   [`payload_digest`] under every chunk and frame payload (computed in
+//!   the frame codec's one byte pass by [`encode_with_digest`] and
+//!   [`decode_with_digest`]);
 //! - `schedule` — [`CommSchedule`]: a deterministic, ordered list of
 //!   send/reduce/share steps with word ranges and link levels, plus a
 //!   symbolic executor that *proves* a schedule moves every contribution
@@ -60,7 +62,7 @@ pub mod topology;
 
 pub use cache::{topology_fingerprint, BoundedScheduleCache, CacheStats};
 pub use codec::WireRepr;
-pub use hash::{payload_digest, Fnv1a};
+pub use hash::{decode_with_digest, encode_with_digest, payload_digest, Fnv1a};
 pub use schedule::{CommSchedule, ScheduleError, StepKind};
 pub use selector::{CollectiveSelector, CostModel, RoundCost};
 pub use strategy::{Collective, CollectiveKind, FlatStar};

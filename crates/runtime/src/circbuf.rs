@@ -6,6 +6,10 @@
 //! the aggregation threads are the consumers." The bound keeps the memory
 //! needed for aggregating partial results from many sources small while
 //! still overlapping communication with computation.
+//!
+//! Sigma does not use one: its aggregation jobs drain the wire's own
+//! per-peer queues, which are unbounded (`SigmaAggregator` says why).
+//! The buffer stays public as the measured hand-off primitive.
 
 use std::collections::VecDeque;
 
@@ -43,7 +47,6 @@ pub struct CircularBuffer<T> {
 struct State<T> {
     queue: VecDeque<T>,
     closed: bool,
-    high_water: usize,
 }
 
 impl<T> CircularBuffer<T> {
@@ -55,11 +58,7 @@ impl<T> CircularBuffer<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "circular buffer capacity must be positive");
         CircularBuffer {
-            state: Mutex::new(State {
-                queue: VecDeque::with_capacity(capacity),
-                closed: false,
-                high_water: 0,
-            }),
+            state: Mutex::new(State { queue: VecDeque::with_capacity(capacity), closed: false }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             capacity,
@@ -72,13 +71,6 @@ impl<T> CircularBuffer<T> {
         self.state.lock().queue.len()
     }
 
-    /// Peak occupancy observed so far. With more items than capacity in
-    /// flight the value depends on producer/consumer interleaving, so
-    /// telemetry records it as a *diagnostic* counter only.
-    pub(crate) fn high_water(&self) -> usize {
-        self.state.lock().high_water
-    }
-
     /// Pushes an item, blocking while full. Returns `false` (dropping the
     /// item) if the buffer was closed.
     pub fn push(&self, item: T) -> bool {
@@ -89,7 +81,6 @@ impl<T> CircularBuffer<T> {
             }
             if state.queue.len() < self.capacity {
                 state.queue.push_back(item);
-                state.high_water = state.high_water.max(state.queue.len());
                 self.not_empty.notify_one();
                 return true;
             }
@@ -207,23 +198,6 @@ mod tests {
             let items: Vec<usize> = seen.iter().filter(|(q, _)| *q == p).map(|&(_, i)| i).collect();
             assert_eq!(items, (0..n).collect::<Vec<_>>(), "producer {p} order");
         }
-    }
-
-    #[test]
-    fn high_water_tracks_peak_occupancy() {
-        let buf = CircularBuffer::with_capacity(4);
-        assert_eq!(buf.high_water(), 0);
-        buf.push(1);
-        buf.push(2);
-        buf.push(3);
-        assert_eq!(buf.high_water(), 3);
-        buf.pop();
-        buf.pop();
-        buf.pop();
-        // Draining never lowers the mark.
-        assert_eq!(buf.high_water(), 3);
-        buf.push(4);
-        assert_eq!(buf.high_water(), 3);
     }
 
     #[test]

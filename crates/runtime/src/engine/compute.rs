@@ -1,5 +1,5 @@
 //! The compute phase: one dispatch to the run's resident compute
-//! workers (the [`Crew`]: created once, like the Sigma pools), panic
+//! workers (the [`Crew`]: created once, like Sigma's pool), panic
 //! absorption, and the deadline-admission barrier in virtual time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -91,7 +91,7 @@ impl<'a, O: RunObserver> Engine<'a, O> {
             .collect();
         let steps =
             shards.iter().flatten().map(|s| s.len()).max().unwrap_or(0).div_ceil(per_worker);
-        let sigma = SigmaAggregator::new(4, 4);
+        let sigma = SigmaAggregator::default();
         let oracle = matches!(cfg.membership, MembershipMode::Oracle);
         let transport = transport::build(cfg)?;
         let work = Box::new(move |node: usize, thread: usize, step, model: &[f64]| {

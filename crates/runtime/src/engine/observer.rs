@@ -291,7 +291,6 @@ impl RunObserver for TraceObserver<'_> {
         self.sink.add(counters::CHUNKS_SENT, (senders * chunks) as f64);
         self.sink.add(counters::CHUNKS_QUARANTINED, outcome.quarantined.len() as f64);
         self.sink.add(counters::CHUNKS_DUPLICATED, outcome.duplicates_dropped as f64);
-        self.sink.record_max_diagnostic(counters::RING_HIGH_WATER, outcome.ring_high_water as f64);
     }
 
     fn codec_applied(&self, iteration: usize, repr: WireRepr, stats: &CodecStats) {

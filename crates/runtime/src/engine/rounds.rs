@@ -41,7 +41,7 @@ pub(crate) fn collective_round<O: RunObserver>(
     refresh_schedule(eng, st, senders)?;
     // The partials go to the transport raw: the chunking boundary,
     // where a lossy wire repr applies, is `RoundCtx::wire_chunks`, on
-    // this thread while Sigma's pools drain.
+    // this thread while Sigma's aggregation pool drains.
     let repr = eng.cfg.repr;
     let parts: Vec<Option<&[f64]>> =
         senders.iter().map(|&m| contributions[m].as_ref().map(|(p, _)| p.as_slice())).collect();
@@ -199,7 +199,7 @@ mod tests {
         };
         let trainer = ClusterTrainer::new(cfg.clone()).expect("valid config");
         let mut eng = Engine::new(&cfg, &alg, &ds, init.len(), NullObserver).expect("sim");
-        eng.sigma = SigmaAggregator::new(4, 4).tripwired();
+        eng.sigma = SigmaAggregator::default().tripwired();
         eng.transport = Box::new(Marked { at: (2, 1), wire: Box::new(SimTransport) });
         let aborted = eng.run(trainer.topology().clone(), init.clone()).expect("absorbed");
 

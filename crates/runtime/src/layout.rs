@@ -7,8 +7,8 @@
 //! are the single source of truth so the three layers can never drift
 //! apart on how big a chunk or a shard is.
 
-/// Words (f64 model parameters) per chunk moved between the pools (the
-/// "smaller portions of data" of paper §3).
+/// Words (f64 model parameters) per chunk handed from the wire to Sigma
+/// (the "smaller portions of data" of paper §3).
 pub const CHUNK_WORDS: usize = 4096;
 
 /// Bytes per model word on the wire and in checkpoints (the runtime

@@ -8,13 +8,14 @@
 //!
 //! What executes **for real** (multi-threaded, in process):
 //!
-//! - [`CircularBuffer`] — the bounded circular buffers that let
-//!   networking (producer) and aggregation (consumer) overlap;
+//! - [`CircularBuffer`] — the paper's bounded producer/consumer
+//!   hand-off, kept as a measured primitive: Sigma itself hands each
+//!   chunk over once, through the queue the wire fills;
 //! - [`ThreadPool`] — the internally managed thread pools that avoid
 //!   per-connection thread creation and OS-level context-switch cost;
-//! - [`node`] — the Sigma-node aggregation pipeline (incoming handler →
-//!   networking pool → circular buffers → aggregation pool → aggregation
-//!   buffer), with per-chunk validation and peer quarantine;
+//! - [`node`] — the Sigma-node aggregation pipeline (the wire's receivers
+//!   → one queue per peer → one aggregation-pool job per peer →
+//!   aggregation buffer), with per-chunk validation and peer quarantine;
 //! - [`ClusterTrainer`] — the functional distributed trainer: data
 //!   partitioned across nodes and accelerator threads, per-mini-batch
 //!   parallel SGD with hierarchical aggregation, producing real trained

@@ -1,13 +1,14 @@
 //! The Sigma-node aggregation pipeline (paper Figure 2), executed with
 //! real threads.
 //!
-//! An incoming network handler dispatches each connection's received data
-//! to the **Networking Pool**, whose threads move chunks into bounded
-//! **circular buffers**; threads of the **Aggregation Pool** consume the
-//! chunks, validating each "as soon as the first chunk of data is
-//! copied" and holding it as delivered — a refcounted view of the words
-//! the wire decoded, never a copy. When every stream has ended the held
-//! views fold, a stripe at a time, into the **Aggregation Buffer**.
+//! The paper's networking stage is the wire's own receivers — TCP's link
+//! readers and router, the launcher's readers, `Sim`'s caller — and each
+//! fills one queue per peer stream. That queue is the one hand-off: one
+//! **Aggregation Pool** job per peer drains it, validating each chunk
+//! "as soon as the first chunk of data is copied" and holding it as
+//! delivered — a refcounted view of the words the wire decoded, never a
+//! copy. When every stream has ended the held views fold, a stripe at a
+//! time, into the **Aggregation Buffer**.
 //!
 //! The pipeline validates every chunk (stripe alignment, buffer bounds,
 //! payload checksum, duplicate delivery) and every stream (one layout,
@@ -28,16 +29,10 @@ use crossbeam::sync::WaitGroup;
 use parking_lot::Mutex;
 
 use crate::buffer::WordBuf;
-use crate::circbuf::CircularBuffer;
 use crate::fold;
 use crate::pool::ThreadPool;
 
 use crate::layout::{chunk_count, CHUNK_WORDS};
-
-/// Default per-peer circular-buffer capacity, in chunks. Deep enough to
-/// keep the networking producer ahead of the aggregation consumer,
-/// shallow enough that a whole model never buffers.
-pub(crate) const DEFAULT_RING_CAPACITY: usize = 4;
 
 /// How a [`Chunk`]'s words read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,8 +49,8 @@ pub enum Layout {
 /// A contiguous piece of a partial model/gradient vector in flight.
 ///
 /// The payload is a shared `WordBuf` view, so cloning a chunk — for
-/// duplicate fault injection, frame wrapping, or ring hand-off — bumps
-/// a refcount instead of copying words.
+/// duplicate fault injection or frame wrapping — bumps a refcount
+/// instead of copying words.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     /// Word offset within the model vector; always a multiple of
@@ -264,11 +259,6 @@ pub struct AggregateOutcome {
     /// (delivery is idempotent; duplicates are not a quarantine
     /// offence).
     pub duplicates_dropped: usize,
-    /// Peak circular-buffer occupancy over every peer ring in this pass.
-    /// **Diagnostic**: with more chunks in flight than ring capacity the
-    /// peak depends on producer/consumer interleaving, so telemetry
-    /// keeps it out of the deterministic `metrics.json` exports.
-    pub ring_high_water: usize,
 }
 
 /// One peer's validated contribution: stripe `k`'s first intact chunk,
@@ -282,14 +272,23 @@ struct PeerFold {
     stripes: Option<Stripes>,
     fault: Option<ChunkFault>,
     duplicates: usize,
-    high_water: usize,
 }
 
 /// A peer's aggregation job: [`stage_peer`], or a test's planted panic.
-type Stage = fn(&CircularBuffer<Chunk>, usize, Option<u8>) -> PeerFold;
+type Stage = fn(&Receiver<Chunk>, usize, Option<u8>) -> PeerFold;
 
-/// The Sigma node's aggregation machinery: two internally managed thread
-/// pools joined per-connection by bounded circular buffers.
+/// The Sigma node's aggregation machinery: an internally managed
+/// aggregation pool that runs one job per peer stream a pass, each
+/// draining the queue the wire's receiver fills for that peer.
+///
+/// The queue is an unbounded channel, not a ring the producer pushes
+/// into: a producer that blocked on a full ring whose job is still
+/// queued behind jobs waiting on that same producer's other streams
+/// would deadlock the round whenever peers outnumber workers. A bound
+/// would save nothing anyway — `Sim`'s chunks are views of one arena,
+/// and a TCP stream is whole in memory before it is routed. A job that
+/// unwinds drops its receiver, so the producer's next `send` fails
+/// instead of queueing for nobody.
 ///
 /// # Examples
 ///
@@ -306,35 +305,23 @@ type Stage = fn(&CircularBuffer<Chunk>, usize, Option<u8>) -> PeerFold;
 /// ```
 #[derive(Debug)]
 pub struct SigmaAggregator {
-    networking: ThreadPool,
     aggregation: ThreadPool,
-    ring_capacity: usize,
     /// A field so tests can plant a panic.
     stage: Stage,
 }
 
 impl SigmaAggregator {
-    /// Creates the two pools with the default per-peer ring capacity
-    /// (`DEFAULT_RING_CAPACITY`). The paper sizes the pools to the
-    /// host CPU's hardware threads; 4+4 matches the quad-core Xeon E3.
-    pub fn new(networking_threads: usize, aggregation_threads: usize) -> Self {
-        Self::with_ring_capacity(networking_threads, aggregation_threads, DEFAULT_RING_CAPACITY)
-    }
-
-    /// Creates the two pools with an explicit per-peer circular-buffer
-    /// capacity in chunks (clamped to at least 1 — a zero-capacity ring
-    /// could never pass a chunk). Capacity 1 degenerates to strict
-    /// lock-step hand-off between networking and aggregation; larger
-    /// rings let the producer run ahead.
-    pub(crate) fn with_ring_capacity(
-        networking_threads: usize,
-        aggregation_threads: usize,
-        ring_capacity: usize,
-    ) -> Self {
+    /// Creates the aggregation pool with `aggregation_threads` workers.
+    /// The paper sizes its pools to the host CPU's hardware threads; 4
+    /// matches the quad-core Xeon E3.
+    ///
+    /// The first argument sizes nothing: the paper's networking pool is
+    /// the wire's own receivers (TCP's link readers and router, the
+    /// launcher's readers, `Sim`'s caller), which fill the per-peer
+    /// queues this pool drains. It stays so the signature does.
+    pub fn new(_networking_threads: usize, aggregation_threads: usize) -> Self {
         SigmaAggregator {
-            networking: ThreadPool::new(networking_threads, "networking"),
             aggregation: ThreadPool::new(aggregation_threads, "aggregation"),
-            ring_capacity: ring_capacity.max(1),
             stage: stage_peer,
         }
     }
@@ -348,8 +335,8 @@ impl SigmaAggregator {
     /// A peer whose stream contains a misaligned, out-of-bounds, or
     /// checksum-failing chunk, or that ends having covered only part of
     /// the model, is quarantined: its entire contribution is withheld
-    /// from the sum (the rest of its stream is still drained so the
-    /// pipeline never stalls), as is that of a peer whose aggregation
+    /// from the sum (the rest of its stream is still drained, so its job
+    /// ends when the stream does), as is that of a peer whose aggregation
     /// job unwound ([`ChunkFault::Aborted`]). A stream with no chunk at
     /// all simply contributes nothing. Duplicate deliveries of a stripe
     /// already received from the same peer are dropped idempotently.
@@ -372,7 +359,7 @@ impl SigmaAggregator {
     }
 
     /// [`SigmaAggregator::aggregate_validated`] with the caller as the
-    /// wire: `feed` runs on this thread while the pools drain `incoming`,
+    /// wire: `feed` runs on this thread while the pool drains `incoming`,
     /// and must end every stream (drop each sender) before it returns.
     pub(crate) fn aggregate_while(
         &self,
@@ -400,8 +387,8 @@ impl SigmaAggregator {
         self.aggregate_at(model_len, incoming, Some(scale_exp), || {})
     }
 
-    /// Dispatches the two-pool pipeline, runs `feed`, and waits for it
-    /// to complete — every stream drained, validated and held by
+    /// Dispatches one aggregation job per peer, runs `feed`, and waits
+    /// for every job — each stream drained, validated and held by
     /// `self.stage` — then folds what survived.
     fn aggregate_at(
         &self,
@@ -415,49 +402,24 @@ impl SigmaAggregator {
 
         let wg = WaitGroup::new();
         for (peer, rx) in incoming.into_iter().enumerate() {
-            // Bounded ring: forces networking and aggregation to overlap
-            // rather than buffering whole models.
-            let ring = Arc::new(CircularBuffer::<Chunk>::with_capacity(self.ring_capacity));
-
-            // Networking-pool producer: socket -> circular buffer.
-            {
-                let ring = Arc::clone(&ring);
-                self.networking.execute(move || {
-                    while let Ok(chunk) = rx.recv() {
-                        if !ring.push(chunk) {
-                            break;
-                        }
-                    }
-                    ring.close();
-                });
-            }
-
-            // Aggregation-pool consumer: circular buffer -> this peer's
-            // held stripes. A consumer that unwinds leaves its slot
-            // `None`: the guard closes the ring and the dropped `wg`
-            // releases the wait below.
-            {
-                let ring = CloseOnDrop(ring);
-                let folds = Arc::clone(&folds);
-                let wg = wg.clone();
-                let stage = self.stage;
-                self.aggregation.execute(move || {
-                    *folds[peer].lock() = Some(stage(&ring.0, model_len, quantize_at));
-                    drop(wg);
-                });
-            }
+            // A job that unwinds leaves its slot `None`; unwinding drops
+            // `rx`, which refuses the producer's next send, and `wg`,
+            // which releases the wait below.
+            let folds = Arc::clone(&folds);
+            let wg = wg.clone();
+            let stage = self.stage;
+            self.aggregation.execute(move || {
+                *folds[peer].lock() = Some(stage(&rx, model_len, quantize_at));
+                drop(wg);
+            });
         }
         feed();
         wg.wait();
 
         // Collect surviving peers in index order — the determinism
         // contract the float fold builds on.
-        let mut outcome = AggregateOutcome {
-            sum: Vec::new(),
-            quarantined: Vec::new(),
-            duplicates_dropped: 0,
-            ring_high_water: 0,
-        };
+        let mut outcome =
+            AggregateOutcome { sum: Vec::new(), quarantined: Vec::new(), duplicates_dropped: 0 };
         let mut survivors = Vec::new();
         for (peer, fold) in folds.iter().enumerate() {
             let Some(fold) = fold.lock().take() else {
@@ -465,7 +427,6 @@ impl SigmaAggregator {
                 continue;
             };
             outcome.duplicates_dropped += fold.duplicates;
-            outcome.ring_high_water = outcome.ring_high_water.max(fold.high_water);
             match fold.fault {
                 Some(fault) => outcome.quarantined.push((peer, fault)),
                 None => survivors.extend(fold.stripes),
@@ -475,22 +436,11 @@ impl SigmaAggregator {
         outcome
     }
 
-    /// Total jobs submitted to the networking + aggregation pools so
-    /// far: two per peer connection per aggregation pass, so the count
-    /// is a deterministic function of the call history.
+    /// Total jobs submitted to the aggregation pool so far: one per
+    /// peer stream per aggregation pass, so the count is a
+    /// deterministic function of the call history.
     pub(crate) fn jobs_submitted(&self) -> usize {
-        self.networking.jobs_submitted() + self.aggregation.jobs_submitted()
-    }
-}
-
-/// Closes a peer's ring when its aggregation job ends, normally or by
-/// unwind, so the networking job feeding it sees `push` return `false`
-/// instead of blocking on a consumer that is gone.
-struct CloseOnDrop(Arc<CircularBuffer<Chunk>>);
-
-impl Drop for CloseOnDrop {
-    fn drop(&mut self) {
-        self.0.close();
+        self.aggregation.jobs_submitted()
     }
 }
 
@@ -532,18 +482,18 @@ fn fold_stripes(model_len: usize, survivors: &[Stripes]) -> Vec<f64> {
     sum
 }
 
-/// One peer's aggregation job: drains `ring`, validating every chunk as
+/// One peer's aggregation job: drains `rx`, validating every chunk as
 /// it arrives and holding each stripe's first intact one as delivered —
 /// or, under `quantize_at`, as the grid chunk of that scale exponent a
 /// fixed-point sender would have delivered in its place.
-fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize, quantize_at: Option<u8>) -> PeerFold {
+fn stage_peer(rx: &Receiver<Chunk>, model_len: usize, quantize_at: Option<u8>) -> PeerFold {
     let mut stripes: Stripes = vec![None; chunk_count(model_len)];
     let mut layout: Option<Layout> = None;
     let mut fault: Option<ChunkFault> = None;
     let mut duplicates = 0usize;
-    while let Some(chunk) = ring.pop() {
-        // A quarantined peer's stream is still drained so its producer
-        // never blocks on a full ring.
+    for chunk in rx {
+        // A quarantined peer's stream is still read to its end, so the
+        // job ends when the stream does.
         if fault.is_some() {
             continue;
         }
@@ -605,7 +555,7 @@ fn stage_peer(ring: &CircularBuffer<Chunk>, model_len: usize, quantize_at: Optio
     {
         fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
     }
-    PeerFold { stripes: layout.map(|_| stripes), fault, duplicates, high_water: ring.high_water() }
+    PeerFold { stripes: layout.map(|_| stripes), fault, duplicates }
 }
 
 impl Default for SigmaAggregator {
@@ -630,8 +580,8 @@ mod tests {
         /// stream starts with [`SigmaAggregator::TRIPWIRE`] — once it
         /// has staged, so all but the report has run.
         pub(crate) fn tripwired(mut self) -> Self {
-            self.stage = |ring, model_len, quantize_at| {
-                let fold = stage_peer(ring, model_len, quantize_at);
+            self.stage = |rx, model_len, quantize_at| {
+                let fold = stage_peer(rx, model_len, quantize_at);
                 let first = fold.stripes.as_ref().and_then(|s| s[0].as_ref()).map(|c| c.data[0]);
                 assert!(first != Some(Self::TRIPWIRE), "planted panic");
                 fold
@@ -669,15 +619,22 @@ mod tests {
     }
 
     #[test]
-    fn overlap_is_real_chunks_exceed_ring_capacity() {
-        // 16 chunks per peer through rings of capacity 4: reception and
-        // aggregation must interleave or the producer would deadlock
-        // (the networking job only finishes if consumers drain).
-        let sigma = SigmaAggregator::new(2, 2);
+    fn sixteen_peers_drain_through_one_aggregation_worker() {
+        // 16 peers × 16 chunks, one worker: each job drains its peer's
+        // queue to the end while the other fifteen wait their turn. A
+        // bounded ring the producer had to feed would wedge here.
+        let sigma = SigmaAggregator::new(1, 1);
         let len = 16 * CHUNK_WORDS;
-        let incoming = vec![send_model(vec![1.0; len]), send_model(vec![2.0; len])];
-        let sum = sigma.aggregate_validated(len, incoming).sum;
-        assert!(sum.iter().all(|&v| v == 3.0));
+        let models: Vec<Vec<f64>> = (0..16).map(|p| partial(len, p, 1.0 + p as f64)).collect();
+        let out = sigma.aggregate_validated(len, models.iter().cloned().map(send_model).collect());
+        assert!(out.quarantined.is_empty());
+        let mut expect = vec![0.0; len];
+        fold::fold_parts_reference(
+            &mut expect,
+            &models.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+        );
+        assert_eq!(bits(&out.sum), bits(&expect));
+        assert_eq!(sigma.jobs_submitted(), 16);
     }
 
     #[test]
@@ -815,40 +772,14 @@ mod tests {
     }
 
     #[test]
-    fn outcome_reports_ring_high_water_and_job_counts() {
+    fn each_peer_stream_costs_one_job() {
         let sigma = SigmaAggregator::new(2, 2);
         let len = 2 * CHUNK_WORDS;
         let incoming = vec![send_model(vec![1.0; len]), send_model(vec![2.0; len])];
-        let out = sigma.aggregate_validated(len, incoming);
-        assert!(out.ring_high_water >= 1, "chunks flowed through the rings");
-        assert!(out.ring_high_water <= 4, "bounded by ring capacity");
-        // Two jobs (producer + consumer) per peer connection.
-        assert_eq!(sigma.jobs_submitted(), 4);
+        let _ = sigma.aggregate_validated(len, incoming);
+        assert_eq!(sigma.jobs_submitted(), 2);
         let _ = sigma.aggregate_validated(len, vec![send_model(vec![3.0; len])]);
-        assert_eq!(sigma.jobs_submitted(), 6);
-    }
-
-    #[test]
-    fn capacity_one_ring_completes_in_strict_lockstep() {
-        // Satellite regression: with the ring squeezed to a single slot
-        // the pipeline degrades to hand-to-hand chunk passing but must
-        // still complete, and the high-water mark can only ever be 1.
-        let sigma = SigmaAggregator::with_ring_capacity(2, 2, 1);
-        assert_eq!(sigma.ring_capacity, 1);
-        let len = 8 * CHUNK_WORDS + 5;
-        let incoming = vec![send_model(vec![1.5; len]), send_model(vec![2.5; len])];
-        let out = sigma.aggregate_validated(len, incoming);
-        assert!(out.sum.iter().all(|&v| v == 4.0));
-        assert!(out.quarantined.is_empty());
-        assert_eq!(out.ring_high_water, 1);
-    }
-
-    #[test]
-    fn zero_ring_capacity_is_clamped_to_one() {
-        let sigma = SigmaAggregator::with_ring_capacity(1, 1, 0);
-        assert_eq!(sigma.ring_capacity, 1);
-        let out = sigma.aggregate_validated(4, vec![send_model(vec![1.0; 4])]);
-        assert_eq!(out.sum, vec![1.0; 4]);
+        assert_eq!(sigma.jobs_submitted(), 3);
     }
 
     #[test]
@@ -1093,12 +1024,7 @@ mod tests {
         let len = 2 * CHUNK_WORDS + 17;
         let model = partial(len, 0, 1.0);
         for chunks in [chunk_vector(&model), grid_chunks(&model, 20).0] {
-            let ring = CircularBuffer::with_capacity(chunks.len());
-            for chunk in chunks.iter().rev() {
-                assert!(ring.push(chunk.clone()));
-            }
-            ring.close();
-            let fold = stage_peer(&ring, len, None);
+            let fold = stage_peer(&send_chunks(chunks.iter().rev().cloned()), len, None);
             assert_eq!(fold.fault, None);
             let held = fold.stripes.expect("something arrived");
             for (held, sent) in held.iter().zip(&chunks) {
@@ -1194,21 +1120,34 @@ mod tests {
 
     #[test]
     fn a_consumer_that_panics_mid_stream_does_not_wedge_its_producer() {
-        fn dies_after_one_chunk(ring: &CircularBuffer<Chunk>, _: usize, _: Option<u8>) -> PeerFold {
-            let _ = ring.pop();
+        fn dies_after_one_chunk(rx: &Receiver<Chunk>, _: usize, _: Option<u8>) -> PeerFold {
+            let _ = rx.recv();
             panic!("aggregation job panics mid-stream");
         }
-        // One worker per pool and 16 chunks through a capacity-4 ring:
-        // once the consumer is gone the producer fills the ring and,
-        // unless the ring is closed under it, blocks in `push` on the
-        // only networking worker for the aggregator's lifetime.
+        // One worker, and a producer that keeps sending: once the job is
+        // gone its receiver is too, so a send is refused rather than
+        // queued for nobody, and the producer stops.
         let mut sigma = SigmaAggregator::new(1, 1);
         sigma.stage = dies_after_one_chunk;
         let len = 16 * CHUNK_WORDS;
-        let out = sigma.aggregate_validated(len, vec![send_model(vec![1.0; len])]);
+        let chunks = chunk_vector(&vec![1.0; len]);
+        let (tx, rx) = channel::unbounded();
+        let mut refused = false;
+        let out = sigma.aggregate_while(len, vec![rx], || {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            for chunk in chunks.iter().cycle() {
+                refused = tx.send(chunk.clone()).is_err();
+                if refused || std::time::Instant::now() > deadline {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            drop(tx);
+        });
+        assert!(refused, "the producer learns its consumer is gone");
         assert_eq!(out.quarantined, vec![(0, ChunkFault::Aborted)], "a typed outcome");
         assert_eq!(out.sum, vec![0.0; len], "and out of the sum");
-        // Both pools are whole: the next round on the same aggregator folds.
+        // The pool is whole: the next round on the same aggregator folds.
         sigma.stage = stage_peer;
         let out = sigma.aggregate_validated(len, vec![send_model(vec![2.0; len])]);
         assert!(out.sum.iter().all(|&v| v == 2.0));
@@ -1217,9 +1156,8 @@ mod tests {
 
     #[test]
     fn quarantined_peer_stream_is_fully_drained() {
-        // A long stream that goes bad on its first chunk must still be
-        // consumed to completion, or the networking producer would block
-        // forever on the capacity-4 ring.
+        // A long stream that goes bad on its first chunk is still read to
+        // its end: nothing is left queued once the pass returns.
         let sigma = SigmaAggregator::new(1, 1);
         let len = 16 * CHUNK_WORDS;
         let (tx, rx) = channel::unbounded();
@@ -1227,8 +1165,9 @@ mod tests {
             tx.send(if i == 0 { chunk.corrupted() } else { chunk }).unwrap();
         }
         drop(tx);
-        let out = sigma.aggregate_validated(len, vec![rx]);
+        let out = sigma.aggregate_validated(len, vec![rx.clone()]);
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.sum, vec![0.0; len]);
+        assert!(rx.is_empty());
     }
 }

@@ -4,7 +4,10 @@
 //! Networking Pool and Aggregation Pool, limiting the number of active
 //! threads and reusing them" — avoiding the cost of creating a thread per
 //! connection and of generic OS scheduling. This pool is that primitive:
-//! a fixed set of workers pulling closures from a channel.
+//! a fixed set of workers pulling closures from a channel. Sigma runs one
+//! as its aggregation pool, a job per peer stream a round; the
+//! networking role belongs to the wire's own receivers (TCP's resident
+//! link readers and senders, `Sim`'s caller), so no pool plays it.
 
 use crossbeam::channel::{self, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -5,7 +5,7 @@
 //! (each computing a private partial update over its data sub-partition),
 //! aggregates locally, ships the node partial to its group's Sigma over a
 //! channel ("socket"), and the Sigma pipeline of [`crate::node`] folds
-//! the stream through its networking/aggregation pools. A master Sigma
+//! the stream through its aggregation pool. A master Sigma
 //! combines group aggregates and redistributes the model.
 //!
 //! The trainer is **fault tolerant**: a [`FaultPlan`] injects node

@@ -12,8 +12,8 @@
 //!   through the membership/failover machinery.
 //!
 //! Neither creates a thread per round: the caller chunks (and on TCP
-//! routes) while Sigma's pools drain, and TCP writes on one resident
-//! sender thread per link.
+//! routes) while Sigma's aggregation pool drains, and TCP writes on one
+//! resident sender thread per link.
 //!
 //! Real sockets have one client and one server, both in `supervisor`
 //! (`RoundSender`, `RoundServer`), and a link lives as long as its

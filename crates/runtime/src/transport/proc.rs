@@ -205,7 +205,7 @@ impl Coordinator {
     /// Binds the aggregation listener.
     pub fn bind(spec: JobSpec) -> Result<Self, RuntimeError> {
         let server = RoundServer::bind(spec.link)?;
-        Ok(Coordinator { spec, server, sigma: SigmaAggregator::new(4, 4), kill: None })
+        Ok(Coordinator { spec, server, sigma: SigmaAggregator::default(), kill: None })
     }
 
     /// The aggregation endpoint workers dial.
@@ -499,8 +499,10 @@ impl Coordinator {
 /// Folds `(records, chunks)` deliveries, in order, through the Sigma
 /// pipeline: the sum, which deliveries contributed (a quarantined or
 /// chunkless stream does not, and gets no `Model` echo), and the
-/// records behind the contributors. The streams are already whole, so
-/// each channel is filled and closed before the pass starts.
+/// records behind the contributors. The server's readers are Sigma's
+/// networking stage and have read each stream whole, so each peer's
+/// channel is filled and closed before the pass starts, and Sigma's one
+/// job per peer drains it.
 fn fold_round(
     sigma: &SigmaAggregator,
     len: usize,

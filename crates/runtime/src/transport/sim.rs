@@ -1,11 +1,12 @@
 //! The discrete-event backend: crossbeam channels as sockets.
 //!
-//! The caller is the wire: while Sigma's pools drain, the calling
-//! thread chunks each admitted peer's partial in turn
-//! ([`RoundCtx::wire_chunks`], plan-driven chunk corruption and
-//! duplication included) into that peer's unbounded channel, and the
-//! round creates no thread. Nothing is booked into [`TransportStats`],
-//! so traced runs export telemetry with no wire counters at all.
+//! The caller is the wire: the calling thread chunks each admitted
+//! peer's partial in turn ([`RoundCtx::wire_chunks`], plan-driven chunk
+//! corruption and duplication included) into that peer's unbounded
+//! channel, which Sigma's aggregation job for that peer drains directly
+//! — one hand-off per chunk — and the round creates no thread. Nothing
+//! is booked into [`TransportStats`], so traced runs export telemetry
+//! with no wire counters at all.
 
 use cosmic_collectives::codec::CodecStats;
 use crossbeam::channel;
@@ -82,6 +83,31 @@ mod tests {
         assert!(delivery.dead.is_empty());
         assert!(delivery.stats.is_empty());
         assert_eq!(SimTransport.kind(), TransportKind::Sim);
+    }
+
+    #[test]
+    fn the_caller_feeds_more_peers_than_aggregation_workers() {
+        let plan = FaultPlan::none();
+        let retry = RetryPolicy::default();
+        let senders: Vec<usize> = (0..16).collect();
+        let model_len = 16 * crate::layout::CHUNK_WORDS;
+        let ctx = RoundCtx {
+            iteration: 0,
+            model_len,
+            plan: &plan,
+            retry: &retry,
+            senders: &senders,
+            repr: Default::default(),
+        };
+        let data: Vec<Vec<f64>> =
+            senders.iter().map(|&n| (0..model_len).map(|i| (i * 7 + n) as f64).collect()).collect();
+        let parts: Vec<Option<&[f64]>> = data.iter().map(|p| Some(p.as_slice())).collect();
+        let sigma = SigmaAggregator::new(1, 1);
+        let delivery = SimTransport.round(&ctx, &sigma, &parts).unwrap();
+        let expected: Vec<f64> =
+            (0..model_len).map(|i| senders.iter().map(|&n| (i * 7 + n) as f64).sum()).collect();
+        assert_eq!(delivery.outcome.sum, expected);
+        assert_eq!(sigma.jobs_submitted(), 16);
     }
 
     #[test]

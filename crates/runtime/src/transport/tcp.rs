@@ -9,8 +9,11 @@
 //! writes while the caller chunks *k + 1*), then routes the complete
 //! streams the server's readers deliver (store-and-forward: a stream
 //! that dies mid-round contributes nothing) into the per-peer channels
-//! the discrete-event backend feeds too, so the Sigma fold — and the
-//! model arithmetic — is identical bit for bit.
+//! the discrete-event backend feeds too. Sigma's aggregation job for
+//! each peer drains its channel directly, so the Sigma fold — and the
+//! model arithmetic — is identical bit for bit. The channels are
+//! unbounded: the router never waits on a fold, however many peers
+//! share the aggregation workers.
 //!
 //! A link whose retry budget exhausts, or whose send panics, is
 //! reported as a [`DeadLink`] rather than an error: the engine books it
@@ -503,6 +506,26 @@ mod tests {
         let second = checked_round(&transport, &plan, 1, &senders, 64).stats;
         assert_eq!((first.connections, first.reconnects), (2, 0));
         assert_eq!((second.connections, second.reconnects), (0, 0));
+    }
+
+    #[test]
+    fn sixteen_links_route_into_one_aggregation_worker() {
+        // The router feeds sixteen queues while the one worker drains
+        // them a peer at a time: routing must never wait on the fold.
+        let transport = TcpTransport::bind(LinkConfig::default()).unwrap();
+        let (plan, retry) = (FaultPlan::none(), RetryPolicy::default());
+        let senders: Vec<usize> = (0..16).collect();
+        let len = 16 * crate::layout::CHUNK_WORDS;
+        let data: Vec<Vec<f64>> = senders.iter().map(|&n| part(n, 0, len)).collect();
+        let parts: Vec<Option<&[f64]>> = data.iter().map(|p| Some(p.as_slice())).collect();
+        let sigma = SigmaAggregator::new(1, 1);
+        let delivery = transport.round(&ctx(&plan, &retry, &senders, len), &sigma, &parts).unwrap();
+        let mut expected = vec![0.0; len];
+        let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+        crate::fold::fold_parts_reference(&mut expected, &slices);
+        assert_eq!(bits(&delivery.outcome.sum), bits(&expected));
+        assert!(delivery.dead.is_empty() && delivery.outcome.quarantined.is_empty());
+        assert_eq!(sigma.jobs_submitted(), 16);
     }
 
     #[test]

@@ -16,17 +16,18 @@
 //! word offset in `a` and the chunk's own checksum — verbatim — in
 //! `b`, so Sigma-level chunk validation survives the wire unchanged).
 //! Decoding never panics: every malformed input — truncated buffer,
-//! wrong magic, unknown kind, oversized length, flipped bit — comes
-//! back as a typed [`WireError`].
+//! wrong magic, unknown kind, a length over its kind's cap, flipped bit
+//! — comes back as a typed [`WireError`], and the header is checked
+//! before anything is allocated for the payload.
 
 use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
 use cosmic_collectives::codec::{
-    declared_words, decode_tagged, exact_len, parse_fixed_header, FIXED_TAG, SPARSE_TAG,
+    declared_words, decode_tagged, exact_len, parse_fixed_header, WireRepr, FIXED_TAG, SPARSE_TAG,
 };
-use cosmic_collectives::{payload_digest, Fnv1a};
+use cosmic_collectives::{decode_with_digest, encode_with_digest, Fnv1a};
 
 use crate::buffer::WordBuf;
 use crate::layout::CHUNK_WORDS;
@@ -42,9 +43,10 @@ pub const HEADER_BYTES: usize = 37;
 /// Trailing checksum bytes.
 pub const CHECKSUM_BYTES: usize = 8;
 
-/// Ceiling on a frame's payload length in words (64 MiB of f64s) —
-/// rejects garbage lengths before any allocation. A
-/// [`FrameKind::Chunk`] frame is held to [`CHUNK_WORDS`] instead.
+/// Ceiling on a [`FrameKind::Model`] or [`FrameKind::Snapshot`] frame's
+/// payload length in words (64 MiB of f64s) — rejects garbage lengths
+/// before any allocation. Every other kind has a tighter cap
+/// ([`FrameKind::max_payload_words`]).
 pub(crate) const MAX_PAYLOAD_WORDS: u32 = 1 << 23;
 
 /// What a frame means to the peer.
@@ -95,6 +97,27 @@ impl FrameKind {
             8 => Ok(FrameKind::Shutdown),
             9 => Ok(FrameKind::Encoded),
             other => Err(WireError::BadKind { found: other }),
+        }
+    }
+
+    /// The most payload words a frame of this kind may advertise: none
+    /// for a control frame, a stripe for a chunk, one stripe's
+    /// worst-case codec bytes (top-k keeping every word) behind the
+    /// checksum word for an encoded chunk, [`MAX_PAYLOAD_WORDS`] for a
+    /// model or snapshot.
+    fn max_payload_words(self) -> u32 {
+        match self {
+            FrameKind::Hello
+            | FrameKind::Heartbeat
+            | FrameKind::Done
+            | FrameKind::Ack
+            | FrameKind::Shutdown => 0,
+            FrameKind::Chunk => CHUNK_WORDS as u32,
+            FrameKind::Encoded => {
+                let codec = WireRepr::TopK { k: CHUNK_WORDS }.payload_bytes(CHUNK_WORDS);
+                1 + codec.div_ceil(8) as u32
+            }
+            FrameKind::Model | FrameKind::Snapshot => MAX_PAYLOAD_WORDS,
         }
     }
 }
@@ -256,7 +279,8 @@ impl Frame {
         HEADER_BYTES + 8 * self.payload.len() + CHECKSUM_BYTES
     }
 
-    /// Encodes the frame: header, payload, trailing checksum.
+    /// Encodes the frame: header, payload, trailing checksum — the
+    /// payload's bytes written and digested in one pass.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
         buf.extend_from_slice(&MAGIC.to_le_bytes());
@@ -266,11 +290,10 @@ impl Frame {
         buf.extend_from_slice(&self.a.to_le_bytes());
         buf.extend_from_slice(&self.b.to_le_bytes());
         buf.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let sum = checksum(&buf, &self.payload); // `buf` is the header so far
-        for word in self.payload.iter() {
-            buf.extend_from_slice(&word.to_bits().to_le_bytes());
-        }
-        buf.extend_from_slice(&sum.to_le_bytes());
+        let mut sum = Fnv1a::default();
+        sum.write_bytes(&buf); // the header
+        sum.write_digest(encode_with_digest(&self.payload, &mut buf));
+        buf.extend_from_slice(&sum.finish().to_le_bytes());
         buf
     }
 
@@ -283,7 +306,7 @@ impl Frame {
             });
         }
         let (header, rest) = buf.split_at(HEADER_BYTES);
-        let words = parse_header_len(header)?;
+        let (kind, words) = parse_header(header)?;
         let body_bytes = 8 * words as usize;
         if rest.len() != body_bytes + CHECKSUM_BYTES {
             return Err(WireError::Truncated {
@@ -292,7 +315,7 @@ impl Frame {
             });
         }
         let (body, sum) = rest.split_at(body_bytes);
-        assemble(header, body, sum)
+        assemble(kind, header, body, sum)
     }
 
     /// Reads one frame off a byte stream (header first, then exactly
@@ -302,11 +325,11 @@ impl Frame {
     pub fn read_from(reader: &mut impl Read) -> Result<Self, WireError> {
         let mut header = [0u8; HEADER_BYTES];
         reader.read_exact(&mut header).map_err(WireError::from_io)?;
-        let words = parse_header_len(&header)?;
+        let (kind, words) = parse_header(&header)?;
         let mut rest = vec![0u8; 8 * words as usize + CHECKSUM_BYTES];
         reader.read_exact(&mut rest).map_err(WireError::from_io)?;
         let (body, sum) = rest.split_at(8 * words as usize);
-        assemble(&header, body, sum)
+        assemble(kind, &header, body, sum)
     }
 
     /// Writes the encoded frame to a byte stream.
@@ -315,50 +338,41 @@ impl Frame {
     }
 }
 
-/// Validates magic and payload length — a chunk frame's against the
-/// stripe, any other kind's against [`MAX_PAYLOAD_WORDS`] — returning
-/// the word count, so a reader sizes its buffer from a checked number.
-fn parse_header_len(header: &[u8]) -> Result<u32, WireError> {
+/// Validates magic, kind and payload length — against the kind's cap,
+/// [`FrameKind::max_payload_words`] — returning the kind and the word
+/// count, so a reader sizes its buffer from a checked number.
+fn parse_header(header: &[u8]) -> Result<(FrameKind, u32), WireError> {
     let magic = u32::from_le_bytes(slice4(header, 0));
     if magic != MAGIC {
         return Err(WireError::BadMagic { found: magic });
     }
+    let kind = FrameKind::from_u8(header[4])?;
     let words = u32::from_le_bytes(slice4(header, 33));
-    let cap =
-        if header[4] == FrameKind::Chunk as u8 { CHUNK_WORDS as u32 } else { MAX_PAYLOAD_WORDS };
-    if words > cap {
+    if words > kind.max_payload_words() {
         return Err(WireError::Oversized { words });
     }
-    Ok(words)
+    Ok((kind, words))
 }
 
-/// A frame's trailing checksum: FNV-1a over the header bytes, then the
-/// payload's digest.
-fn checksum(header: &[u8], payload: &[f64]) -> u64 {
+/// Builds the frame from a checked header and payload body, once the
+/// trailing checksum `sum` — FNV-1a over the header bytes, then the
+/// digest of the words decoded in the same pass — matches.
+fn assemble(kind: FrameKind, header: &[u8], body: &[u8], sum: &[u8]) -> Result<Frame, WireError> {
+    let mut words = Vec::with_capacity(body.len() / 8);
     let mut hash = Fnv1a::default();
     hash.write_bytes(header);
-    hash.write_digest(payload_digest(payload));
-    hash.finish()
-}
-
-/// Builds the frame from a length-checked header and payload body,
-/// once the trailing checksum `sum` matches them.
-fn assemble(header: &[u8], body: &[u8], sum: &[u8]) -> Result<Frame, WireError> {
-    let payload: WordBuf =
-        body.chunks_exact(8).map(|w| f64::from_bits(u64::from_le_bytes(slice8(w, 0)))).collect();
-    let expected = checksum(header, &payload);
-    let found = u64::from_le_bytes(slice8(sum, 0));
+    hash.write_digest(decode_with_digest(body, &mut words));
+    let (expected, found) = (hash.finish(), u64::from_le_bytes(slice8(sum, 0)));
     if expected != found {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
-    let kind = FrameKind::from_u8(header[4])?;
     Ok(Frame {
         kind,
         node: u32::from_le_bytes(slice4(header, 5)),
         iteration: u64::from_le_bytes(slice8(header, 9)),
         a: u64::from_le_bytes(slice8(header, 17)),
         b: u64::from_le_bytes(slice8(header, 25)),
-        payload,
+        payload: WordBuf::from_vec(words),
     })
 }
 
@@ -395,9 +409,10 @@ pub enum WireError {
         /// The unknown kind byte.
         found: u8,
     },
-    /// The advertised payload length exceeds `MAX_PAYLOAD_WORDS`, or
-    /// a chunk frame advertises — or an encoded chunk declares — more
-    /// than [`CHUNK_WORDS`] words.
+    /// The advertised payload length exceeds the frame kind's cap (none
+    /// for a control frame, a stripe for a chunk, `MAX_PAYLOAD_WORDS`
+    /// for a model), or an encoded chunk declares more than
+    /// [`CHUNK_WORDS`] words.
     Oversized {
         /// The advertised word count.
         words: u32,

@@ -1,4 +1,4 @@
-//! A job creates its threads once: the compute crew and Sigma's pools
+//! A job creates its threads once: the compute crew and Sigma's pool
 //! at the start of `train`, and then not one thread an iteration — the
 //! `Sim` round's caller is its wire — and none of them outlives
 //! `train`, whether it returns `Ok` or an error.
@@ -48,7 +48,7 @@ fn a_job_creates_its_compute_threads_once_and_takes_them_with_it() {
     assert_eq!(long, Ok(4 * SHORT));
     assert_eq!(settled(before), before, "a thread outlived an Ok train()");
 
-    // Sigma's pools and the compute crew are per job, and a `Sim` round
+    // Sigma's pool and the compute crew are per job, and a `Sim` round
     // runs on the engine's own thread: four times the iterations, not
     // one thread more.
     assert_eq!(

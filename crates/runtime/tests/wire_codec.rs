@@ -12,7 +12,7 @@
 use std::io::Cursor;
 
 use cosmic_runtime::node::{Chunk, ChunkFault, Layout, SigmaAggregator};
-use cosmic_runtime::{Frame, FrameKind, WireError, CHUNK_WORDS};
+use cosmic_runtime::{Frame, FrameKind, WireError, WireRepr, CHUNK_WORDS};
 use proptest::prelude::*;
 
 const KINDS: [FrameKind; 8] = [
@@ -26,14 +26,19 @@ const KINDS: [FrameKind; 8] = [
     FrameKind::Shutdown,
 ];
 
+/// A frame of `KINDS[kind]` carrying `payload` — dropped for a control
+/// kind, which carries none.
 fn frame(kind: usize, node: u32, iteration: u64, a: u64, b: u64, payload: &[u64]) -> Frame {
+    let kind = KINDS[kind % KINDS.len()];
+    let carries = matches!(kind, FrameKind::Chunk | FrameKind::Model | FrameKind::Snapshot);
+    let payload = if carries { payload } else { &[] };
     Frame {
-        kind: KINDS[kind % KINDS.len()],
+        kind,
         node,
         iteration,
         a,
         b,
-        payload: payload.iter().map(|&bits| f64::from_bits(bits)).collect(),
+        payload: payload.iter().map(|&w| f64::from_bits(w)).collect(),
     }
 }
 
@@ -266,4 +271,40 @@ fn oversized_length_is_rejected() {
     let huge = encoded_frame(2, &[u64::from(u32::MAX) << 32]);
     let landed = Frame::decode(&huge.encode()).expect("the frame itself is well formed");
     assert_eq!(landed.decode_encoded_chunk(), Err(WireError::Oversized { words: u32::MAX }));
+}
+
+/// Each kind's cap is read off the 37 header bytes, before a payload
+/// buffer is sized: a control frame carries nothing, an encoded chunk at
+/// most one stripe's worst-case codec bytes behind its checksum word.
+#[test]
+fn payload_caps_are_per_kind_and_checked_before_allocation() {
+    let header_claiming = |frame: &Frame, words: u32| {
+        let mut header = frame.encode()[..37].to_vec();
+        header[33..37].copy_from_slice(&words.to_le_bytes());
+        Frame::read_from(&mut Cursor::new(header))
+    };
+    let heartbeat = Frame::control(FrameKind::Heartbeat, 1, 2, 3, 4);
+    assert_eq!(header_claiming(&heartbeat, 1), Err(WireError::Oversized { words: 1 }));
+    // A top-k chunk that keeps every word of a full stripe: the largest
+    // codec payload there is, and it still round-trips.
+    let repr = WireRepr::TopK { k: CHUNK_WORDS };
+    let stripe: Vec<f64> = (0..CHUNK_WORDS).map(|i| i as f64 + 0.5).collect();
+    let (payload, _) = repr.encode(&stripe);
+    let cap = 1 + payload.bytes.len().div_ceil(8) as u32;
+    assert_eq!((payload.bytes.len(), cap), (repr.payload_bytes(CHUNK_WORDS), 6146));
+    let worst = Chunk::new(0, stripe);
+    let words = payload.bytes.chunks(8).map(|part| {
+        let mut w = [0u8; 8];
+        w[..part.len()].copy_from_slice(part);
+        u64::from_le_bytes(w)
+    });
+    let encoded = Frame {
+        b: (u64::from(repr.tag()) << 32) | payload.bytes.len() as u64,
+        payload: std::iter::once(worst.checksum).chain(words).map(f64::from_bits).collect(),
+        ..encoded_frame(2, &[])
+    };
+    assert_eq!(encoded.payload.len() as u32, cap);
+    let landed = Frame::read_from(&mut Cursor::new(encoded.encode())).expect("at the cap");
+    assert_eq!(landed.decode_encoded_chunk(), Ok(worst));
+    assert_eq!(header_claiming(&encoded, cap + 1), Err(WireError::Oversized { words: cap + 1 }));
 }

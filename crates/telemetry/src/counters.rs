@@ -177,9 +177,6 @@ pub const DIRECTOR_RECOVERY_REPLAYED: &str = "director.recovery.replayed";
 /// (**diagnostic**, see [`DIRECTOR_RECOVERY_REPLAYED`]).
 pub const DIRECTOR_RECOVERY_TORN_BYTES: &str = "director.recovery.torn_bytes";
 
-/// Jobs submitted to the Sigma's networking + aggregation pools.
+/// Jobs submitted to the Sigma's aggregation pool: one per peer stream
+/// per round.
 pub const POOL_JOBS: &str = "pool.jobs";
-/// Circular-buffer high-water mark (**diagnostic**: with more chunks
-/// than ring capacity the peak occupancy depends on thread scheduling,
-/// so this is excluded from `metrics.json`).
-pub const RING_HIGH_WATER: &str = "ring.high_water";

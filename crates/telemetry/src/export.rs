@@ -83,8 +83,8 @@ impl TraceSink {
 
     /// Renders the deterministic counters as a flat JSON object:
     /// `counters` (sums) and `maxima`, keys sorted. Diagnostic counters
-    /// are deliberately excluded — their values depend on thread
-    /// scheduling (see [`TraceSink::diagnostics`]).
+    /// are deliberately excluded — their values depend on where or when
+    /// the run was observed (see [`TraceSink::diagnostics`]).
     pub fn metrics_json(&self) -> String {
         let render = |map: &std::collections::BTreeMap<String, f64>| {
             let body: Vec<String> = map

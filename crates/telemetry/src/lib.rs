@@ -21,9 +21,10 @@
 //!
 //! Counters come in two classes: **deterministic** counters (the
 //! default; exported) and **diagnostic** counters whose values depend on
-//! thread scheduling — circular-buffer high-water marks, for example.
-//! Diagnostics are kept out of `metrics.json` so exports stay
-//! reproducible; read them through [`TraceSink::diagnostics`].
+//! where or when a run was observed — the journal records a recovering
+//! director replayed, for example. Diagnostics are kept out of
+//! `metrics.json` so exports stay reproducible; read them through
+//! [`TraceSink::diagnostics`].
 //!
 //! # Examples
 //!
@@ -45,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod counters;
 pub mod export;

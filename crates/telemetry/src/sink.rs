@@ -18,7 +18,6 @@ struct SinkState {
     sums: BTreeMap<String, f64>,
     maxima: BTreeMap<String, f64>,
     diag_sums: BTreeMap<String, f64>,
-    diag_maxima: BTreeMap<String, f64>,
 }
 
 /// A shared recorder of spans and counters on a virtual clock.
@@ -151,22 +150,12 @@ impl TraceSink {
         }
     }
 
-    /// Adds to a **diagnostic** counter: scheduling-dependent
-    /// measurements (ring high-water marks, queue peaks) that are kept
-    /// out of `metrics.json` so exports stay byte-identical.
+    /// Adds to a **diagnostic** counter: measurements that depend on
+    /// where or when a run was observed (a director's recovery replay)
+    /// and are kept out of `metrics.json` so exports stay byte-identical.
     pub fn add_diagnostic(&self, name: &str, value: f64) {
         if value.is_finite() {
             *self.state.lock().diag_sums.entry(name.to_string()).or_insert(0.0) += value;
-        }
-    }
-
-    /// Running maximum of a **diagnostic** counter (see
-    /// [`TraceSink::add_diagnostic`]).
-    pub fn record_max_diagnostic(&self, name: &str, value: f64) {
-        if value.is_finite() {
-            let mut state = self.state.lock();
-            let slot = state.diag_maxima.entry(name.to_string()).or_insert(f64::NEG_INFINITY);
-            *slot = slot.max(value);
         }
     }
 
@@ -190,10 +179,9 @@ impl TraceSink {
         self.state.lock().maxima.clone()
     }
 
-    /// Snapshot of the diagnostic counters: `(sums, maxima)`.
-    pub fn diagnostics(&self) -> (BTreeMap<String, f64>, BTreeMap<String, f64>) {
-        let state = self.state.lock();
-        (state.diag_sums.clone(), state.diag_maxima.clone())
+    /// Snapshot of the (summed) diagnostic counters, sorted by name.
+    pub fn diagnostics(&self) -> BTreeMap<String, f64> {
+        self.state.lock().diag_sums.clone()
     }
 
     /// Checks that the recorded spans form a well-formed tree: every
@@ -284,15 +272,11 @@ mod tests {
         sink.record_max("m", 1.0);
         sink.record_max("m", 0.5);
         sink.add_diagnostic("d", 1.0);
-        sink.record_max_diagnostic("dm", 7.0);
         assert_eq!(sink.sums()["a"], 5.0);
         assert_eq!(sink.maxima()["m"], 1.0);
-        let (ds, dm) = sink.diagnostics();
-        assert_eq!(ds["d"], 1.0);
-        assert_eq!(dm["dm"], 7.0);
+        assert_eq!(sink.diagnostics()["d"], 1.0);
         // Diagnostics never leak into the deterministic views.
         assert!(!sink.sums().contains_key("d"));
-        assert!(!sink.maxima().contains_key("dm"));
     }
 
     #[test]
