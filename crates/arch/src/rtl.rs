@@ -14,6 +14,9 @@
 
 use std::fmt::Write as _;
 
+use cosmic_dfg::OpKind;
+use cosmic_dsl::UnaryFn;
+
 use crate::isa::{AluOp, PeInstr, SendTarget, Src, ThreadProgram};
 
 /// Emits the top-level Verilog for a compiled single-thread accelerator.
@@ -88,27 +91,79 @@ fn emit_pe(v: &mut String, pe: usize, stream: &[PeInstr]) {
     let _ = writeln!(v, "  always @(posedge clk) begin");
     let _ = writeln!(v, "    if (!rst_n) begin state <= 0; done <= 1'b0; end");
     let _ = writeln!(v, "    else case (state)");
+    // One state per instruction, written without `core::fmt`: the text is
+    // what `{:?}` of the op and the target would print.
     for (i, instr) in stream.iter().enumerate() {
+        v.push_str("      ");
+        push_decimal(v, i as u64);
         match *instr {
             PeInstr::Compute { op, a, b, tag } => {
-                let _ = writeln!(v, "      {i}: begin // compute tag {tag} ({op:?})");
-                let _ = write!(v, "        interim_buf[{}] <= ", tag % 256);
+                v.push_str(": begin // compute tag ");
+                push_decimal(v, u64::from(tag));
+                v.push_str(match op {
+                    AluOp::Bin(kind) => match kind {
+                        OpKind::Add => " (Bin(Add))",
+                        OpKind::Sub => " (Bin(Sub))",
+                        OpKind::Mul => " (Bin(Mul))",
+                        OpKind::Div => " (Bin(Div))",
+                        OpKind::Gt => " (Bin(Gt))",
+                        OpKind::Lt => " (Bin(Lt))",
+                        OpKind::Ge => " (Bin(Ge))",
+                        OpKind::Le => " (Bin(Le))",
+                    },
+                    AluOp::Un(func) => match func {
+                        UnaryFn::Sigmoid => " (Un(Sigmoid))",
+                        UnaryFn::Gaussian => " (Un(Gaussian))",
+                        UnaryFn::Log => " (Un(Log))",
+                        UnaryFn::Sqrt => " (Un(Sqrt))",
+                        UnaryFn::Exp => " (Un(Exp))",
+                        UnaryFn::Abs => " (Un(Abs))",
+                    },
+                });
+                v.push_str("\n        interim_buf[");
+                push_decimal(v, u64::from(tag % 256));
+                v.push_str("] <= ");
                 write_alu(v, op, a, b);
                 v.push_str(";\n");
             }
             PeInstr::Send { tag, dst } => {
-                let _ = writeln!(v, "      {i}: begin // send tag {tag} -> {dst:?}");
-                let _ = write!(v, "        // grant-arbitrated transfer of tag {tag} toward ");
-                let _ = match dst {
-                    SendTarget::Pe(p) => write!(v, "pe {p}"),
-                    SendTarget::Row(r) => write!(v, "row {r} broadcast"),
-                    SendTarget::All => v.write_str("all-rows broadcast"),
-                };
+                v.push_str(": begin // send tag ");
+                push_decimal(v, u64::from(tag));
+                v.push_str(" -> ");
+                match dst {
+                    SendTarget::Pe(p) => {
+                        v.push_str("Pe(PeId(");
+                        push_decimal(v, u64::from(p.0));
+                        v.push_str("))");
+                    }
+                    SendTarget::Row(r) => {
+                        v.push_str("Row(");
+                        push_decimal(v, u64::from(r));
+                        v.push(')');
+                    }
+                    SendTarget::All => v.push_str("All"),
+                }
+                v.push_str("\n        // grant-arbitrated transfer of tag ");
+                push_decimal(v, u64::from(tag));
+                v.push_str(" toward ");
+                match dst {
+                    SendTarget::Pe(p) => {
+                        v.push_str("pe pe");
+                        push_decimal(v, u64::from(p.0));
+                    }
+                    SendTarget::Row(r) => {
+                        v.push_str("row ");
+                        push_decimal(v, u64::from(r));
+                        v.push_str(" broadcast");
+                    }
+                    SendTarget::All => v.push_str("all-rows broadcast"),
+                }
                 v.push_str("\n        /* bus drive */;\n");
             }
         }
-        let _ = writeln!(v, "        state <= {};", i + 1);
-        v.push_str("      end\n");
+        v.push_str("        state <= ");
+        push_decimal(v, i as u64 + 1);
+        v.push_str(";\n      end\n");
     }
     let _ = writeln!(v, "      default: done <= 1'b1;");
     let _ = writeln!(v, "    endcase");
@@ -193,20 +248,47 @@ fn emit_memory_interface(v: &mut String, program: &ThreadProgram) {
     let _ = writeln!(v, "endmodule");
 }
 
+/// Appends `n` in decimal.
+fn push_decimal(v: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    v.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
 /// Renders one operand straight into `v`.
 fn write_src(v: &mut String, src: Src) {
-    let _ = match src {
-        Src::Data(s) => write!(v, "data_buf[{}]", s % 256),
-        Src::Model(s) => write!(v, "model_buf[{}]", s % 256),
-        Src::Imm(x) => write!(v, "32'h{:08X} /* {x} */", (x as f32).to_bits()),
-        Src::Tag(t) => write!(v, "interim_buf[{}]", t % 256),
+    let (buffer, slot) = match src {
+        Src::Data(s) => ("data_buf[", s),
+        Src::Model(s) => ("model_buf[", s),
+        Src::Tag(t) => ("interim_buf[", t),
+        Src::Imm(x) => {
+            v.push_str("32'h");
+            let bits = (x as f32).to_bits();
+            v.extend((0..8).rev().map(|nibble| {
+                let digit = (bits >> (4 * nibble)) & 0xF;
+                char::from(b"0123456789ABCDEF"[digit as usize])
+            }));
+            // The immediate's decimal rendering stays with `core::fmt`.
+            let _ = write!(v, " /* {x} */");
+            return;
+        }
     };
+    v.push_str(buffer);
+    push_decimal(v, u64::from(slot % 256));
+    v.push(']');
 }
 
 /// Renders an ALU expression straight into `v`. A LUT expression is
 /// lower-cased whole, its immediates' hex digits included.
 fn write_alu(v: &mut String, op: AluOp, a: Src, b: Src) {
-    use cosmic_dfg::OpKind;
     let (open, infix, close) = match op {
         AluOp::Bin(OpKind::Add) => ("", " + ", ""),
         AluOp::Bin(OpKind::Sub) => ("", " - ", ""),
@@ -218,7 +300,14 @@ fn write_alu(v: &mut String, op: AluOp, a: Src, b: Src) {
         AluOp::Bin(OpKind::Le) => ("(", " <= ", ") ? 32'd1 : 32'd0"),
         AluOp::Un(f) => {
             let from = v.len();
-            let _ = write!(v, "lut_{f:?}(");
+            v.push_str(match f {
+                UnaryFn::Sigmoid => "lut_sigmoid(",
+                UnaryFn::Gaussian => "lut_gaussian(",
+                UnaryFn::Log => "lut_log(",
+                UnaryFn::Sqrt => "lut_sqrt(",
+                UnaryFn::Exp => "lut_exp(",
+                UnaryFn::Abs => "lut_abs(",
+            });
             write_src(v, a);
             v.push(')');
             v[from..].make_ascii_lowercase();
@@ -271,8 +360,6 @@ mod tests {
     #[test]
     fn every_instruction_shape_renders_exactly() {
         use crate::geometry::PeId;
-        use cosmic_dfg::OpKind;
-        use cosmic_dsl::UnaryFn;
         let stream = [
             PeInstr::Compute {
                 op: AluOp::Un(UnaryFn::Sigmoid),

@@ -252,7 +252,9 @@ impl Dfg {
 /// Incrementally builds a [`Dfg`].
 ///
 /// Leaves (`data`, `model`, `constant`) are deduplicated, so requesting the
-/// same slot twice yields the same node.
+/// same slot twice yields the same node. The data and model leaves are
+/// cached densely by slot, so their caches grow to the largest slot
+/// requested.
 ///
 /// # Examples
 ///
@@ -270,8 +272,10 @@ impl Dfg {
 #[derive(Debug, Default)]
 pub struct DfgBuilder {
     nodes: Vec<Node>,
-    data_cache: HashMap<u32, NodeId>,
-    model_cache: HashMap<u32, NodeId>,
+    /// Training-record slot -> its leaf.
+    data_leaves: Vec<Option<NodeId>>,
+    /// Model slot -> its leaf.
+    model_leaves: Vec<Option<NodeId>>,
     const_cache: HashMap<u64, NodeId>,
     gradients: Vec<(u32, NodeId, u32)>,
 }
@@ -282,30 +286,24 @@ impl DfgBuilder {
         Self::default()
     }
 
-    fn push(&mut self, node: Node) -> NodeId {
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("DFG larger than u32::MAX nodes"));
-        self.nodes.push(node);
-        id
+    /// Creates an empty builder whose leaf caches already span a record of
+    /// `data_len` slots and a model of `model_len`.
+    pub(crate) fn with_leaves(data_len: usize, model_len: usize) -> Self {
+        DfgBuilder {
+            data_leaves: vec![None; data_len],
+            model_leaves: vec![None; model_len],
+            ..Self::default()
+        }
     }
 
     /// Returns the (deduplicated) leaf node for training-record slot `slot`.
     pub fn data(&mut self, slot: u32) -> NodeId {
-        if let Some(&id) = self.data_cache.get(&slot) {
-            return id;
-        }
-        let id = self.push(Node::Data { slot });
-        self.data_cache.insert(slot, id);
-        id
+        leaf(&mut self.nodes, &mut self.data_leaves, Node::Data { slot }, slot)
     }
 
     /// Returns the (deduplicated) leaf node for model slot `slot`.
     pub fn model(&mut self, slot: u32) -> NodeId {
-        if let Some(&id) = self.model_cache.get(&slot) {
-            return id;
-        }
-        let id = self.push(Node::Model { slot });
-        self.model_cache.insert(slot, id);
-        id
+        leaf(&mut self.nodes, &mut self.model_leaves, Node::Model { slot }, slot)
     }
 
     /// Returns the (deduplicated) node for a compile-time constant.
@@ -314,7 +312,7 @@ impl DfgBuilder {
         if let Some(&id) = self.const_cache.get(&bits) {
             return id;
         }
-        let id = self.push(Node::Const { value });
+        let id = push(&mut self.nodes, Node::Const { value });
         self.const_cache.insert(bits, id);
         id
     }
@@ -322,13 +320,13 @@ impl DfgBuilder {
     /// Appends a binary operation node.
     pub fn op(&mut self, kind: OpKind, a: NodeId, b: NodeId) -> NodeId {
         debug_assert!(a.index() < self.nodes.len() && b.index() < self.nodes.len());
-        self.push(Node::Op { kind, a, b })
+        push(&mut self.nodes, Node::Op { kind, a, b })
     }
 
     /// Appends a unary non-linear operation node.
     pub(crate) fn unary(&mut self, func: UnaryFn, a: NodeId) -> NodeId {
         debug_assert!(a.index() < self.nodes.len());
-        self.push(Node::Unary { func, a })
+        push(&mut self.nodes, Node::Unary { func, a })
     }
 
     /// Builds a balanced binary reduction tree over `items`.
@@ -336,25 +334,26 @@ impl DfgBuilder {
     /// Returns the root. An empty slice reduces to the operation's identity
     /// (0 for `Add`, 1 for `Mul`).
     pub fn reduce(&mut self, kind: OpKind, items: &[NodeId]) -> NodeId {
-        match items {
-            [] => self.constant(if kind == OpKind::Mul { 1.0 } else { 0.0 }),
-            [one] => *one,
-            _ => {
-                let mut level: Vec<NodeId> = items.to_vec();
-                while level.len() > 1 {
-                    let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                    for pair in level.chunks(2) {
-                        next.push(if pair.len() == 2 {
-                            self.op(kind, pair[0], pair[1])
-                        } else {
-                            pair[0]
-                        });
-                    }
-                    level = next;
-                }
-                level[0]
-            }
+        self.reduce_in_place(kind, &mut items.to_vec())
+    }
+
+    /// [`DfgBuilder::reduce`] over a scratch slice: each level's nodes
+    /// overwrite the front of `items`.
+    pub(crate) fn reduce_in_place(&mut self, kind: OpKind, items: &mut [NodeId]) -> NodeId {
+        let mut len = items.len();
+        if len == 0 {
+            return self.constant(if kind == OpKind::Mul { 1.0 } else { 0.0 });
         }
+        while len > 1 {
+            for i in 0..len / 2 {
+                items[i] = self.op(kind, items[2 * i], items[2 * i + 1]);
+            }
+            if len % 2 == 1 {
+                items[len / 2] = items[len - 1];
+            }
+            len = len.div_ceil(2);
+        }
+        items[0]
     }
 
     /// Registers `node` as the producer of gradient slot `grad_slot`, which
@@ -381,6 +380,21 @@ impl DfgBuilder {
         let gradients = self.gradients.iter().map(|&(_, n, _)| n).collect();
         Dfg { nodes: self.nodes, gradients, gradient_model_slot, data_len, model_len }
     }
+}
+
+fn push(nodes: &mut Vec<Node>, node: Node) -> NodeId {
+    let id = NodeId(u32::try_from(nodes.len()).expect("DFG larger than u32::MAX nodes"));
+    nodes.push(node);
+    id
+}
+
+/// The cached leaf for `slot`, pushing `node` on its first request.
+fn leaf(nodes: &mut Vec<Node>, cache: &mut Vec<Option<NodeId>>, node: Node, slot: u32) -> NodeId {
+    let slot = slot as usize;
+    if slot >= cache.len() {
+        cache.resize(slot + 1, None);
+    }
+    *cache[slot].get_or_insert_with(|| push(nodes, node))
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ impl Error for LowerError {}
 
 /// A declared variable's resolved shape and its base slot in the flattened
 /// data/model vector.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct VarInfo {
     ty: DeclType,
     shape: Vec<usize>,
@@ -81,8 +81,18 @@ struct VarInfo {
 }
 
 impl VarInfo {
-    fn flat_len(&self) -> usize {
-        self.shape.iter().product()
+    /// Lays a declaration out at `*cursor` and advances the cursor past it,
+    /// refusing one that does not fit the 32-bit slot space.
+    fn place(decl: &Decl, shape: Vec<usize>, cursor: &mut u32) -> Result<Self, LowerError> {
+        let end = shape
+            .iter()
+            .try_fold(1usize, |len, &dim| len.checked_mul(dim))
+            .and_then(|len| u32::try_from(len).ok())
+            .and_then(|len| cursor.checked_add(len))
+            .ok_or_else(|| too_large(decl.ty, &decl.name, &shape))?;
+        let info = VarInfo { ty: decl.ty, shape, base_slot: *cursor };
+        *cursor = end;
+        Ok(info)
     }
 
     fn flatten(&self, indices: &[usize], name: &str) -> Result<u32, LowerError> {
@@ -102,8 +112,16 @@ impl VarInfo {
             }
             flat = flat * dim + idx;
         }
-        Ok(self.base_slot + u32::try_from(flat).expect("variable larger than u32::MAX"))
+        // `place` checked that the whole variable fits past `base_slot`.
+        u32::try_from(flat)
+            .ok()
+            .and_then(|flat| self.base_slot.checked_add(flat))
+            .ok_or_else(|| too_large(self.ty, name, &self.shape))
     }
+}
+
+fn too_large(ty: DeclType, name: &str, shape: &[usize]) -> LowerError {
+    LowerError::new(format!("{ty} `{name}` of shape {shape:?} overflows the 32-bit slot space"))
 }
 
 /// Lowers a validated DSL [`Program`] into a [`Dfg`], binding symbolic
@@ -119,20 +137,39 @@ impl VarInfo {
 ///
 /// # Errors
 ///
-/// Returns [`LowerError`] if a dimension is unbound, shapes mismatch, an
-/// interim value is referenced at an index never assigned, or an index is
-/// out of bounds.
+/// Returns [`LowerError`] if a dimension is unbound, a declaration does
+/// not fit the 32-bit slot space, shapes mismatch, an interim value is
+/// referenced at an index never assigned, an index is out of bounds, or a
+/// gradient element is assigned twice or never. Every check on the
+/// declarations runs before the first node is built.
 pub fn lower(program: &Program, env: &DimEnv) -> Result<Dfg, LowerError> {
     Lowerer::new(program, env)?.run(program)
 }
 
+/// One lowering's state. Walking the index space allocates nothing per
+/// point: the bindings, the subscripts and the reduction operands live on
+/// stacks reused across the whole program. An error abandons the lowering,
+/// so a stack an error leaves dirty is never read again.
 struct Lowerer<'p> {
     vars: HashMap<&'p str, VarInfo>,
     iterators: HashMap<&'p str, usize>,
-    /// Gradient base slot -> model base slot (per gradient decl).
+    /// Gradient name -> its model's base slot.
     gradient_pairs: HashMap<&'p str, u32>,
-    /// Interim scalar values: (name, flattened index vector) -> node.
-    interims: HashMap<(String, Vec<usize>), NodeId>,
+    /// Interim scalar values: name -> flattened index vector -> node.
+    interims: HashMap<&'p str, HashMap<Vec<usize>, NodeId>>,
+    /// The iterator bindings in scope, outermost first. Lookups search
+    /// from the innermost, so a reduction's iterator shadows a same-named
+    /// l-value iterator.
+    bindings: Vec<(&'p str, usize)>,
+    /// The subscripts of the reference being resolved.
+    indices: Vec<usize>,
+    /// The operands of the reductions being lowered, innermost last.
+    items: Vec<NodeId>,
+    /// Each gradient declaration's name and slot range, in declaration
+    /// order.
+    gradient_spans: Vec<(&'p str, usize, usize)>,
+    /// Which gradient slots have been assigned.
+    assigned: Vec<bool>,
     builder: DfgBuilder,
     data_len: usize,
     model_len: usize,
@@ -149,24 +186,16 @@ impl<'p> Lowerer<'p> {
 
         // Data slots: inputs first, outputs after.
         let mut data_cursor = 0u32;
-        for decl in program.decls_of(DeclType::ModelInput) {
-            let shape = resolve_shape(decl)?;
-            let info = VarInfo { ty: DeclType::ModelInput, shape, base_slot: data_cursor };
-            data_cursor += u32::try_from(info.flat_len()).expect("input too large");
-            vars.insert(decl.name.as_str(), info);
-        }
-        for decl in program.decls_of(DeclType::ModelOutput) {
-            let shape = resolve_shape(decl)?;
-            let info = VarInfo { ty: DeclType::ModelOutput, shape, base_slot: data_cursor };
-            data_cursor += u32::try_from(info.flat_len()).expect("output too large");
-            vars.insert(decl.name.as_str(), info);
+        for ty in [DeclType::ModelInput, DeclType::ModelOutput] {
+            for decl in program.decls_of(ty) {
+                let info = VarInfo::place(decl, resolve_shape(decl)?, &mut data_cursor)?;
+                vars.insert(decl.name.as_str(), info);
+            }
         }
 
         let mut model_cursor = 0u32;
         for decl in program.decls_of(DeclType::Model) {
-            let shape = resolve_shape(decl)?;
-            let info = VarInfo { ty: DeclType::Model, shape, base_slot: model_cursor };
-            model_cursor += u32::try_from(info.flat_len()).expect("model too large");
+            let info = VarInfo::place(decl, resolve_shape(decl)?, &mut model_cursor)?;
             vars.insert(decl.name.as_str(), info);
         }
 
@@ -181,6 +210,7 @@ impl<'p> Lowerer<'p> {
             )));
         }
         let mut gradient_pairs = HashMap::new();
+        let mut gradient_spans = Vec::with_capacity(grads.len());
         let mut grad_cursor = 0u32;
         for (g, m) in grads.iter().zip(&models) {
             let g_shape = resolve_shape(g)?;
@@ -191,8 +221,9 @@ impl<'p> Lowerer<'p> {
                     g.name, m.name
                 )));
             }
-            let info = VarInfo { ty: DeclType::Gradient, shape: g_shape, base_slot: grad_cursor };
-            grad_cursor += u32::try_from(info.flat_len()).expect("gradient too large");
+            let info = VarInfo::place(g, g_shape, &mut grad_cursor)?;
+            let start = info.base_slot as usize;
+            gradient_spans.push((g.name.as_str(), start, grad_cursor as usize - start));
             vars.insert(g.name.as_str(), info);
             gradient_pairs.insert(g.name.as_str(), vars[m.name.as_str()].base_slot);
         }
@@ -205,14 +236,20 @@ impl<'p> Lowerer<'p> {
             iterators.insert(decl.name.as_str(), bound);
         }
 
+        let (data_len, model_len) = (data_cursor as usize, model_cursor as usize);
         Ok(Lowerer {
             vars,
             iterators,
             gradient_pairs,
             interims: HashMap::new(),
-            builder: DfgBuilder::new(),
-            data_len: data_cursor as usize,
-            model_len: model_cursor as usize,
+            bindings: Vec::new(),
+            indices: Vec::new(),
+            items: Vec::new(),
+            gradient_spans,
+            assigned: vec![false; grad_cursor as usize],
+            builder: DfgBuilder::with_leaves(data_len, model_len),
+            data_len,
+            model_len,
         })
     }
 
@@ -220,27 +257,32 @@ impl<'p> Lowerer<'p> {
         for stmt in program.statements() {
             self.lower_stmt(stmt)?;
         }
+        for &(name, start, len) in &self.gradient_spans {
+            if let Some(offset) = self.assigned[start..start + len].iter().position(|&set| !set) {
+                return Err(LowerError::new(format!(
+                    "gradient `{name}` leaves element {offset} unassigned"
+                )));
+            }
+        }
         Ok(self.builder.finish(self.data_len, self.model_len))
     }
 
     /// Lowers one statement, iterating over the cartesian product of the
     /// ranges of every iterator appearing in the l-value subscripts.
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), LowerError> {
-        // Collect the distinct iterators of the l-value, in order.
-        let mut its: Vec<&str> = Vec::new();
+    fn lower_stmt(&mut self, stmt: &'p Stmt) -> Result<(), LowerError> {
+        // Bind the distinct iterators of the l-value, in order.
+        self.bindings.clear();
         for idx in &stmt.lvalue.indices {
-            match idx {
-                Index::Iterator(name) => {
-                    if !its.contains(&name.as_str()) {
-                        its.push(name);
-                    }
+            if let Index::Iterator(name) = idx {
+                if !self.bindings.iter().any(|&(bound, _)| bound == name) {
+                    self.bindings.push((name, 0));
                 }
-                Index::Literal(_) => {}
             }
         }
-        let ranges: Vec<usize> = its
+        let ranges: Vec<usize> = self
+            .bindings
             .iter()
-            .map(|name| {
+            .map(|&(name, _)| {
                 self.iterators
                     .get(name)
                     .copied()
@@ -248,75 +290,68 @@ impl<'p> Lowerer<'p> {
             })
             .collect::<Result<_, _>>()?;
 
-        // Walk the index space with an odometer.
-        let mut point = vec![0usize; its.len()];
+        // Walk the index space with the bindings as an odometer.
         loop {
-            let bindings: HashMap<&str, usize> =
-                its.iter().copied().zip(point.iter().copied()).collect();
-            self.lower_stmt_at(stmt, &bindings)?;
-
-            // Advance odometer.
-            let mut d = point.len();
+            self.lower_stmt_at(stmt)?;
+            let mut d = ranges.len();
             loop {
                 if d == 0 {
                     return Ok(());
                 }
                 d -= 1;
-                point[d] += 1;
-                if point[d] < ranges[d] {
+                self.bindings[d].1 += 1;
+                if self.bindings[d].1 < ranges[d] {
                     break;
                 }
-                point[d] = 0;
+                self.bindings[d].1 = 0;
             }
         }
     }
 
-    fn lower_stmt_at(
-        &mut self,
-        stmt: &Stmt,
-        bindings: &HashMap<&str, usize>,
-    ) -> Result<(), LowerError> {
-        let value = self.lower_expr(&stmt.expr, bindings)?;
-        let indices = resolve_indices(&stmt.lvalue.indices, bindings)?;
+    fn lower_stmt_at(&mut self, stmt: &'p Stmt) -> Result<(), LowerError> {
+        let value = self.lower_expr(&stmt.expr)?;
+        resolve_indices(&stmt.lvalue.indices, &self.bindings, &mut self.indices)?;
         let name = stmt.lvalue.name.as_str();
-        match self.vars.get(name).map(|v| v.ty) {
-            Some(DeclType::Gradient) => {
-                let info = self.vars[name].clone();
-                let grad_slot = info.flatten(&indices, name)?;
-                let model_base = self.gradient_pairs[name];
-                let model_slot = model_base + (grad_slot - info.base_slot);
+        match self.vars.get(name) {
+            Some(info) if info.ty == DeclType::Gradient => {
+                let grad_slot = info.flatten(&self.indices, name)?;
+                let model_slot = self.gradient_pairs[name] + (grad_slot - info.base_slot);
+                let set = &mut self.assigned[grad_slot as usize];
+                if *set {
+                    return Err(LowerError::new(format!(
+                        "gradient `{name}{:?}` is assigned twice",
+                        self.indices
+                    )));
+                }
+                *set = true;
                 self.builder.set_gradient(grad_slot, value, model_slot);
             }
-            Some(DeclType::Model) => {
+            Some(info) if info.ty == DeclType::Model => {
                 return Err(LowerError::new(format!(
                     "cannot assign model parameter `{name}` in the gradient program; the SGD \
                      update rule is applied by the stack"
                 )));
             }
-            Some(other) => {
-                return Err(LowerError::new(format!("cannot assign to {other} `{name}`")));
+            Some(info) => {
+                return Err(LowerError::new(format!("cannot assign to {} `{name}`", info.ty)));
             }
             None => {
-                self.interims.insert((name.to_owned(), indices), value);
+                self.interims.entry(name).or_default().insert(self.indices.clone(), value);
             }
         }
         Ok(())
     }
 
-    fn lower_expr(
-        &mut self,
-        expr: &Expr,
-        bindings: &HashMap<&str, usize>,
-    ) -> Result<NodeId, LowerError> {
+    fn lower_expr(&mut self, expr: &'p Expr) -> Result<NodeId, LowerError> {
         match expr {
             Expr::Number(n, _) => Ok(self.builder.constant(*n)),
             Expr::Binary { op, lhs, rhs, .. } => {
-                let a = self.lower_expr(lhs, bindings)?;
-                let b = self.lower_expr(rhs, bindings)?;
+                let a = self.lower_expr(lhs)?;
+                let b = self.lower_expr(rhs)?;
                 Ok(self.builder.op(bin_op(*op), a, b))
             }
             Expr::Unary { func, arg, .. } => {
-                let a = self.lower_expr(arg, bindings)?;
+                let a = self.lower_expr(arg)?;
                 Ok(self.builder.unary(*func, a))
             }
             Expr::Reduce { is_sum, iterator, body, .. } => {
@@ -324,54 +359,68 @@ impl<'p> Lowerer<'p> {
                     .iterators
                     .get(iterator.as_str())
                     .ok_or_else(|| LowerError::new(format!("unknown iterator `{iterator}`")))?;
-                let mut items = Vec::with_capacity(range);
-                let mut inner = bindings.clone();
+                let (scope, first) = (self.bindings.len(), self.items.len());
+                self.bindings.push((iterator, 0));
                 for v in 0..range {
-                    inner.insert(iterator.as_str(), v);
-                    items.push(self.lower_expr(body, &inner)?);
+                    self.bindings[scope].1 = v;
+                    let item = self.lower_expr(body)?;
+                    self.items.push(item);
                 }
+                self.bindings.truncate(scope);
                 let kind = if *is_sum { OpKind::Add } else { OpKind::Mul };
-                Ok(self.builder.reduce(kind, &items))
+                let root = self.builder.reduce_in_place(kind, &mut self.items[first..]);
+                self.items.truncate(first);
+                Ok(root)
             }
             Expr::Ref { name, indices, .. } => {
-                let indices = resolve_indices(indices, bindings)?;
-                if let Some(info) = self.vars.get(name.as_str()).cloned() {
-                    let slot = info.flatten(&indices, name)?;
+                resolve_indices(indices, &self.bindings, &mut self.indices)?;
+                if let Some(info) = self.vars.get(name.as_str()) {
+                    let slot = info.flatten(&self.indices, name)?;
                     match info.ty {
                         DeclType::ModelInput | DeclType::ModelOutput => Ok(self.builder.data(slot)),
                         DeclType::Model => Ok(self.builder.model(slot)),
                         DeclType::Gradient => Err(LowerError::new(format!(
                             "gradient `{name}` cannot be read inside the gradient program"
                         ))),
-                        DeclType::Iterator => unreachable!("validated earlier"),
+                        DeclType::Iterator => unreachable!("iterators are never variables"),
                     }
                 } else {
-                    self.interims.get(&(name.clone(), indices.clone())).copied().ok_or_else(|| {
-                        LowerError::new(format!(
-                            "interim `{name}{indices:?}` referenced before assignment"
-                        ))
-                    })
+                    self.interims
+                        .get(name.as_str())
+                        .and_then(|points| points.get(self.indices.as_slice()))
+                        .copied()
+                        .ok_or_else(|| {
+                            LowerError::new(format!(
+                                "interim `{name}{:?}` referenced before assignment",
+                                self.indices
+                            ))
+                        })
                 }
             }
         }
     }
 }
 
-/// Resolves AST subscripts to concrete indices under iterator bindings.
+/// Resolves AST subscripts to concrete indices into `out`, each iterator
+/// bound by its innermost binding.
 fn resolve_indices(
     indices: &[Index],
-    bindings: &HashMap<&str, usize>,
-) -> Result<Vec<usize>, LowerError> {
-    indices
-        .iter()
-        .map(|idx| match idx {
+    bindings: &[(&str, usize)],
+    out: &mut Vec<usize>,
+) -> Result<(), LowerError> {
+    out.clear();
+    for idx in indices {
+        out.push(match idx {
             Index::Iterator(name) => bindings
-                .get(name.as_str())
-                .copied()
-                .ok_or_else(|| LowerError::new(format!("iterator `{name}` not in scope"))),
-            Index::Literal(n) => Ok(*n),
-        })
-        .collect()
+                .iter()
+                .rev()
+                .find(|&&(bound, _)| bound == name)
+                .map(|&(_, value)| value)
+                .ok_or_else(|| LowerError::new(format!("iterator `{name}` not in scope")))?,
+            Index::Literal(n) => *n,
+        });
+    }
+    Ok(())
 }
 
 fn bin_op(op: cosmic_dsl::BinOp) -> OpKind {
@@ -493,6 +542,166 @@ mod tests {
             assert!(dfg.op_count() > 0, "{name}");
             assert!(dfg.gradient_len() > 0, "{name}");
         }
+    }
+
+    /// A parsed but unvalidated program: the table below also reaches the
+    /// checks that validation would normally pre-empt.
+    fn unvalidated(src: &str) -> Program {
+        cosmic_dsl::Parser::new(cosmic_dsl::Lexer::new(src).tokenize().unwrap())
+            .parse_program()
+            .unwrap()
+    }
+
+    /// Every `LowerError` the lowerer can raise, by the exact text it
+    /// prints.
+    #[test]
+    fn every_error_message_is_pinned() {
+        let n = |size: usize| DimEnv::new().with("n", size);
+        let cases: [(&str, DimEnv, &str); 18] = [
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; g[i] = w[i];",
+                DimEnv::new(),
+                "unbound dimension `n`",
+            ),
+            (
+                "model_input x[n]; model w[4]; gradient g[4]; iterator i[0:4]; g[i] = w[i];",
+                n(1 << 32),
+                "model_input `x` of shape [4294967296] overflows the 32-bit slot space",
+            ),
+            (
+                "model_input x[n]; model_output y[n]; model w[4]; gradient g[4]; \
+                 iterator i[0:4]; g[i] = w[i];",
+                n(1 << 31),
+                "model_output `y` of shape [2147483648] overflows the 32-bit slot space",
+            ),
+            (
+                "model w[n][n]; gradient g[n][n]; iterator i[0:4]; g[i][i] = w[i][i];",
+                n(1 << 16),
+                "model `w` of shape [65536, 65536] overflows the 32-bit slot space",
+            ),
+            (
+                "model w[n]; model v[n]; gradient g[n]; iterator i[0:n]; g[i] = w[i];",
+                n(4),
+                "1 gradient declaration(s) for 2 model declaration(s); they must pair 1:1",
+            ),
+            (
+                "model w[n]; gradient g[m]; iterator i[0:n]; g[i] = w[i];",
+                n(4).with("m", 5),
+                "gradient `g` has shape [5] but its model `w` has [4]",
+            ),
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; g[i] = w[i];",
+                n(0),
+                "iterator `i` has zero range",
+            ),
+            (
+                "model w[n][n]; gradient g[n][n]; iterator i[0:n]; g[i][i] = w[i];",
+                n(2),
+                "`w` expects 2 subscript(s), got 1",
+            ),
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; g[i] = w[4];",
+                n(4),
+                "index 4 out of bounds for `w` (dimension 4)",
+            ),
+            ("model w[n]; gradient g[n]; g[j] = w[0];", n(1), "unknown iterator `j`"),
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; g[i] = sum[j](w[i]);",
+                n(1),
+                "unknown iterator `j`",
+            ),
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; g[i] = w[i]; w[i] = w[i];",
+                n(2),
+                "cannot assign model parameter `w` in the gradient program; the SGD update \
+                 rule is applied by the stack",
+            ),
+            (
+                "model_input x[n]; model w[n]; gradient g[n]; iterator i[0:n]; \
+                 g[i] = w[i]; x[i] = w[i];",
+                n(2),
+                "cannot assign to model_input `x`",
+            ),
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; g[i] = g[i];",
+                n(2),
+                "gradient `g` cannot be read inside the gradient program",
+            ),
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; p[0] = w[0]; g[i] = p[i];",
+                n(2),
+                "interim `p[1]` referenced before assignment",
+            ),
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; iterator j[0:n]; \
+                 s = w[j]; g[i] = s + w[i];",
+                n(2),
+                "iterator `j` not in scope",
+            ),
+            (
+                "model w[n]; gradient g[n]; iterator i[0:n]; g[i] = w[i]; g[1] = w[0];",
+                n(2),
+                "gradient `g[1]` is assigned twice",
+            ),
+            (
+                "model w[n]; gradient g[n]; g[0] = w[0];",
+                n(2),
+                "gradient `g` leaves element 1 unassigned",
+            ),
+        ];
+        for (src, env, message) in cases {
+            let err = lower(&unvalidated(src), &env).unwrap_err();
+            assert_eq!(err.to_string(), format!("lowering error: {message}"), "{src}");
+        }
+    }
+
+    /// `g[i] = sum[i](…)`: the reduction's `i` shadows the l-value's
+    /// inside the body, and the l-value's is back in scope after it.
+    #[test]
+    fn a_reduction_iterator_shadows_the_lvalue_iterator() {
+        let env = DimEnv::new().with("n", 3);
+        let record = [1.0, 2.0, 3.0];
+        let model = [4.0, 5.0, 6.0];
+        let inner = parse(
+            "model_input x[n]; model w[n]; gradient g[n]; iterator i[0:n];
+             g[i] = sum[i](w[i] * x[i]);",
+        )
+        .unwrap();
+        let dfg = lower(&inner, &env).unwrap();
+        assert_eq!(crate::interp::evaluate(&dfg, &record, &model), vec![32.0; 3]);
+        let after = parse(
+            "model_input x[n]; model w[n]; gradient g[n]; iterator i[0:n];
+             g[i] = sum[i](w[i]) * x[i];",
+        )
+        .unwrap();
+        let dfg = lower(&after, &env).unwrap();
+        assert_eq!(crate::interp::evaluate(&dfg, &record, &model), vec![15.0, 30.0, 45.0]);
+    }
+
+    /// A dimension past the 32-bit slot space is an error, not the
+    /// `u32::try_from(..).expect` panic it once was.
+    #[test]
+    fn an_oversized_dimension_is_an_error() {
+        let program = parse(&programs::linear_regression(64)).unwrap();
+        let err = lower(&program, &DimEnv::new().with("n", 1 << 32)).unwrap_err();
+        assert!(err.to_string().contains("overflows the 32-bit slot space"), "{err}");
+    }
+
+    /// A shape whose element count wraps `usize` to 0 is an error, not a
+    /// graph with one data slot.
+    #[test]
+    fn a_wrapping_shape_product_is_an_error() {
+        let program = parse(
+            "model_input x[n][n]; model w[4]; gradient g[4]; iterator i[0:4];
+             g[i] = w[i] * x[0][0];",
+        )
+        .unwrap();
+        let err = lower(&program, &DimEnv::new().with("n", 1 << 32)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "lowering error: model_input `x` of shape [4294967296, 4294967296] overflows the \
+             32-bit slot space"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use cosmic_arch::AcceleratorSpec;
 use cosmic_dfg::Dfg;
 
-use crate::plan::{thread_bounds, walk, DesignPoint};
+use crate::plan::{cores, thread_bounds, walk, DesignPoint};
 
 /// One point of the Figure 16 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,9 +66,20 @@ impl DesignSpace {
 ///
 /// Panics if `minibatch` is zero or the chip has fewer PEs than one row.
 pub fn sweep(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> DesignSpace {
+    sweep_on(dfg, spec, minibatch, cores())
+}
+
+/// [`sweep`] with the walk fanned out to `workers` threads.
+pub(crate) fn sweep_on(
+    dfg: &Dfg,
+    spec: &AcceleratorSpec,
+    minibatch: usize,
+    workers: usize,
+) -> DesignSpace {
     let (_, t_max) = thread_bounds(dfg, spec, minibatch);
     let threads: Vec<usize> = (1..=t_max).collect();
-    let (t1r1, explored) = walk(dfg, spec, 1..=spec.max_rows(), &threads);
+    let rows: Vec<usize> = (1..=spec.max_rows()).collect();
+    let (t1r1, explored) = walk(dfg, spec, &rows, &threads, workers);
     let baseline = t1r1.records_per_sec;
     let points: Vec<SweepPoint> = explored
         .into_iter()

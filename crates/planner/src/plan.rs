@@ -1,5 +1,9 @@
 //! The Planner: design-point selection from static estimates.
 
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use cosmic_arch::{AcceleratorSpec, Geometry};
 use cosmic_compiler::{mapping, BusModel, ListScheduler, MappingStrategy, ScheduleEstimate};
 use cosmic_dfg::{analysis, Dfg};
@@ -67,13 +71,21 @@ pub struct Plan {
 /// estimated by scheduling the DFG once per distinct geometry and
 /// analytically applying the per-thread bandwidth share — the memory
 /// interface is time-multiplexed round-robin across threads (paper §5.2).
+/// The geometries are estimated on every core; the plan does not depend
+/// on how many there are.
 ///
 /// # Panics
 ///
 /// Panics if `minibatch` is zero or the chip has fewer PEs than one row.
 pub fn plan(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> Plan {
+    plan_on(dfg, spec, minibatch, cores())
+}
+
+/// [`plan`] with the walk fanned out to `workers` threads.
+pub(crate) fn plan_on(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize, workers: usize) -> Plan {
     let (t_max_storage, t_max) = thread_bounds(dfg, spec, minibatch);
-    let (t1r1, explored) = walk(dfg, spec, pow2_sweep(spec.max_rows()), &pow2_sweep(t_max));
+    let (t1r1, explored) =
+        walk(dfg, spec, &pow2_sweep(spec.max_rows()), &pow2_sweep(t_max), workers);
     // "The smallest, best-performing design point" (paper §4.4): a point
     // must be materially faster to justify more rows; a near-tie goes to
     // the smaller allocation. T1xR1 is the first point explored, so
@@ -105,17 +117,31 @@ pub(crate) fn thread_bounds(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize)
     (t_max_storage, t_max_storage.min(spec.max_rows()).min(minibatch))
 }
 
+/// The cores the walk fans out to.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 /// The estimation walk both walkers share ([`plan`] and Fig 16's
-/// [`crate::dse::sweep`]): T1xR1, where both start, and every feasible
-/// candidate, `rows` outer and the ascending `threads` inner. Each row
-/// count is mapped and scheduled once, at full bandwidth and with the
-/// DFG's one priority order; [`perf_at`] applies each thread's share.
+/// [`crate::dse::sweep`]): every feasible candidate, `rows` outer and the
+/// ascending `threads` inner. Both walkers start at T1xR1, so `rows`
+/// starts at 1, and T1xR1 is returned beside the points. Each row count is
+/// mapped and scheduled once, at full bandwidth and with the DFG's one
+/// priority order; [`perf_at`] applies each thread's share.
+///
+/// The row counts are estimated on the caller and on up to `workers - 1`
+/// scoped threads, each taking the next unclaimed row count. Every
+/// estimate lands at its row count's position, so the result is the same
+/// for any `workers`. A worker's panic is re-raised on the caller when the
+/// scope ends.
 pub(crate) fn walk(
     dfg: &Dfg,
     spec: &AcceleratorSpec,
-    rows: impl IntoIterator<Item = usize>,
+    rows: &[usize],
     threads: &[usize],
+    workers: usize,
 ) -> (AcceleratorPerf, Vec<AcceleratorPerf>) {
+    debug_assert_eq!(rows.first(), Some(&1), "the walk starts at T1xR1");
     let scheduler = ListScheduler::new(dfg);
     let estimate = |rows_per_thread| {
         let geometry = Geometry::new(rows_per_thread, spec.columns);
@@ -123,10 +149,30 @@ pub(crate) fn walk(
         let words_per_cycle = spec.effective_words_per_cycle();
         scheduler.schedule(&map, geometry, words_per_cycle, BusModel::Hierarchical).estimate
     };
-    let t1r1 = perf_at(dfg, spec, estimate(1), DesignPoint { threads: 1, rows_per_thread: 1 });
+    let slots: Vec<OnceLock<ScheduleEstimate>> = rows.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&rows_per_thread) = rows.get(i) else { break };
+        let _ = slots[i].set(estimate(rows_per_thread));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(rows.len()) {
+            scope.spawn(work);
+        }
+        work();
+    });
+    // The scope has joined every worker, so every slot is filled.
+    let estimates: Vec<ScheduleEstimate> = slots
+        .into_iter()
+        .zip(rows)
+        .map(|(slot, &rows_per_thread)| {
+            slot.into_inner().unwrap_or_else(|| estimate(rows_per_thread))
+        })
+        .collect();
+    let t1r1 = perf_at(dfg, spec, estimates[0], DesignPoint { threads: 1, rows_per_thread: 1 });
     let mut points = Vec::new();
-    for rows_per_thread in rows {
-        let est = if rows_per_thread == 1 { t1r1.estimate } else { estimate(rows_per_thread) };
+    for (&rows_per_thread, &est) in rows.iter().zip(&estimates) {
         for &threads in threads.iter().take_while(|&&t| t * rows_per_thread <= spec.max_rows()) {
             points.push(perf_at(dfg, spec, est, DesignPoint { threads, rows_per_thread }));
         }
@@ -168,6 +214,7 @@ fn pow2_sweep(bound: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dse::sweep_on;
     use cosmic_dfg::{lower, DimEnv};
     use cosmic_dsl::{parse, programs};
 
@@ -234,6 +281,29 @@ mod tests {
         let one = plan(&d, &spec, 1); // forced single thread
         let many = plan(&d, &spec, 10_000);
         assert!(many.best.records_per_sec >= one.best.records_per_sec);
+    }
+
+    /// The walk's fan-out changes nothing: three Table 1 programs at the
+    /// compile golden's scale (mnist's backprop at an eighth, stock's
+    /// linreg, movielens' CF) plan and sweep identically on 1, 2 and 7
+    /// workers.
+    #[test]
+    fn the_walk_is_the_same_on_any_number_of_workers() {
+        let spec = AcceleratorSpec::fpga_vu9p();
+        let table1 = [
+            ("backprop", DimEnv::new().with("n", 98).with("h", 98).with("o", 2)),
+            ("linreg", DimEnv::new().with("n", 8_000)),
+            ("cf", DimEnv::new().with("k", 10)),
+        ];
+        for (name, env) in &table1 {
+            let d = dfg(name, env);
+            let plans = [1, 2, 7].map(|workers| plan_on(&d, &spec, 10_000, workers));
+            assert_eq!(plans[0], plans[1], "{name}");
+            assert_eq!(plans[0], plans[2], "{name}");
+            let sweeps = [1, 2, 7].map(|workers| sweep_on(&d, &spec, 10_000, workers));
+            assert_eq!(sweeps[0], sweeps[1], "{name}");
+            assert_eq!(sweeps[0], sweeps[2], "{name}");
+        }
     }
 
     #[test]

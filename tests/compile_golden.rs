@@ -1,9 +1,9 @@
-//! The compile side's golden: for every Table 1 program, what the
-//! Planner chose and every point it estimated, the chosen geometry's
+//! The compile side's golden: for every Table 1 program, the
+//! Translator's DFG, what the Planner chose and every point it estimated, the chosen geometry's
 //! list schedule, Algorithm 1's remote edges and the Constructor's RTL,
 //! pinned as FNV-1a digests (the stack's own `Fnv1a`). A performance
-//! pass over the Planner, the mapper, the scheduler or the RTL emitter
-//! must leave every row byte-identical.
+//! pass over the Translator, the Planner, the mapper, the scheduler or
+//! the RTL emitter must leave every row byte-identical.
 //!
 //! The eight linear, logistic, SVM and CF programs run at their
 //! published dimensions; the two backprop programs (`mnist`,
@@ -15,7 +15,7 @@ use cosmic::cosmic_compiler::schedule::{self, ListScheduler};
 use cosmic::cosmic_compiler::{
     codegen, mapping, BusModel, MappingStrategy, Schedule, ScheduleEstimate,
 };
-use cosmic::cosmic_dfg::{lower, Dfg, DimEnv};
+use cosmic::cosmic_dfg::{lower, Dfg, DimEnv, Node};
 use cosmic::cosmic_dsl::{parse, programs};
 use cosmic::cosmic_ml::{suite::DEFAULT_MINIBATCH, Algorithm, BenchmarkId};
 use cosmic::cosmic_planner::plan::AcceleratorPerf;
@@ -27,6 +27,10 @@ use proptest::prelude::*;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Golden {
     name: &'static str,
+    /// Digest of the lowered DFG: every node (variant, operands, slot or
+    /// constant bits), the gradient outputs, the gradient→model slots,
+    /// `data_len` and `model_len`.
+    dfg: u64,
     /// `Plan.best` as (threads, rows per thread, cycles per record).
     best: (usize, usize, u64),
     /// Digest of every `Plan.explored` entry, both thread bounds and
@@ -42,10 +46,11 @@ struct Golden {
 }
 
 /// Captured from the compile side as it stood before its first
-/// performance pass.
+/// performance pass; the `dfg` column before the Translator's.
 const GOLDEN: [Golden; 10] = [
     Golden {
         name: "mnist",
+        dfg: 0x126553053356a86f,
         best: (48, 1, 6127),
         explored: 0xe8b5d4632c34d2b5,
         schedule: 0x62a16296fa16d7e8,
@@ -56,6 +61,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "acoustic",
+        dfg: 0xf71a28d437291147,
         best: (48, 1, 4304),
         explored: 0x8089c543d1727919,
         schedule: 0x57e987a0b6ddaa52,
@@ -66,6 +72,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "stock",
+        dfg: 0x7e1a6f221ca612dd,
         best: (32, 1, 23225),
         explored: 0x42a879f97b394c3e,
         schedule: 0xc0c79889d3f8260d,
@@ -76,6 +83,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "texture",
+        dfg: 0x5daac36e45bbe4cd,
         best: (30, 1, 44718),
         explored: 0x87a844be033efee3,
         schedule: 0xe849d0ff08c3e568,
@@ -86,6 +94,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "tumor",
+        dfg: 0xbc30d765f9f3eceb,
         best: (32, 1, 5809),
         explored: 0x894cebb2c784d6cd,
         schedule: 0x1eff605de4ec7661,
@@ -96,6 +105,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "cancer1",
+        dfg: 0x38efc8dee315b6dc,
         best: (32, 1, 17517),
         explored: 0x0106f1e13ceeac67,
         schedule: 0x72429d8f4f364d60,
@@ -106,6 +116,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "movielens",
+        dfg: 0x666e8361a4a11424,
         best: (48, 1, 38),
         explored: 0x8c3d1d2c89399a31,
         schedule: 0xbd9cd94375e01471,
@@ -116,6 +127,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "netflix",
+        dfg: 0x666e8361a4a11424,
         best: (48, 1, 38),
         explored: 0x8c3d1d2c89399a31,
         schedule: 0xbd9cd94375e01471,
@@ -126,6 +138,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "face",
+        dfg: 0x7b528b8502e85c66,
         best: (48, 1, 7473),
         explored: 0x1d45348c9dc33827,
         schedule: 0x086da3d759c4c0a7,
@@ -136,6 +149,7 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "cancer2",
+        dfg: 0xfdcc0449cb077790,
         best: (48, 1, 30601),
         explored: 0xa93752c08723ba29,
         schedule: 0xfb18fd71c7168b19,
@@ -198,6 +212,31 @@ fn plan_digest(plan: &Plan) -> u64 {
     hash.finish()
 }
 
+fn dfg_digest(dfg: &Dfg) -> u64 {
+    let mut hash = Fnv1a::default();
+    hash.write_u64(dfg.data_len() as u64);
+    hash.write_u64(dfg.model_len() as u64);
+    hash.write_u64(dfg.len() as u64);
+    for node in dfg.nodes() {
+        let words = match *node {
+            Node::Data { slot } => [0, u64::from(slot), 0, 0],
+            Node::Model { slot } => [1, u64::from(slot), 0, 0],
+            Node::Const { value } => [2, value.to_bits(), 0, 0],
+            Node::Op { kind, a, b } => [3, kind as u64, u64::from(a.0), u64::from(b.0)],
+            Node::Unary { func, a } => [4, func as u64, u64::from(a.0), 0],
+        };
+        for word in words {
+            hash.write_u64(word);
+        }
+    }
+    hash.write_u64(dfg.gradient_len() as u64);
+    for (&node, &model) in dfg.gradient_outputs().iter().zip(dfg.gradient_model_slots()) {
+        hash.write_u64(u64::from(node.0));
+        hash.write_u64(u64::from(model));
+    }
+    hash.finish()
+}
+
 fn schedule_digest(schedule: &Schedule) -> u64 {
     let mut hash = Fnv1a::default();
     hash.write_u64(schedule.start.len() as u64);
@@ -225,6 +264,7 @@ fn compile_row(id: BenchmarkId) -> Golden {
     rtl.write_bytes(verilog.as_bytes());
     Golden {
         name: id.name(),
+        dfg: dfg_digest(&dfg),
         best: (
             plan.best.point.threads,
             plan.best.point.rows_per_thread,
@@ -246,11 +286,12 @@ fn every_table1_compile_matches_its_golden() {
         let mut table = String::new();
         for g in &rows {
             table.push_str(&format!(
-                "    Golden {{\n        name: {:?},\n        best: {:?},\n        \
+                "    Golden {{\n        name: {:?},\n        dfg: {:#018x},\n        best: {:?},\n        \
                  explored: {:#018x},\n        schedule: {:#018x},\n        \
                  estimate: {:#018x},\n        remote_edges: {},\n        rtl_len: {},\n        \
                  rtl: {:#018x},\n    }},\n",
                 g.name,
+                g.dfg,
                 g.best,
                 g.explored,
                 g.schedule,

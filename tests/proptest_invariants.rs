@@ -14,11 +14,39 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 proptest! {
-    /// The DSL front end never panics, whatever bytes it is fed — it
-    /// either parses or returns a diagnostic.
+    /// The DSL front end never panics, whatever text it is fed — it
+    /// either parses or returns a diagnostic. The text is mostly
+    /// printable ASCII, so the grammar gets exercised, with any `char`
+    /// mixed in.
     #[test]
-    fn parser_never_panics(src in "[ -~\\n]{0,160}") {
+    fn parser_never_panics(words in prop::collection::vec(any::<u32>(), 0..513)) {
+        let src: String = words
+            .iter()
+            .map(|&w| match w % 6 {
+                0 => char::from_u32((w >> 3) % 0x11_0000).unwrap_or(char::REPLACEMENT_CHARACTER),
+                1 => '\n',
+                _ => char::from(b' ' + (w >> 3) as u8 % 95),
+            })
+            .collect();
         let _ = cosmic_dsl::parse(&src);
+    }
+
+    /// The Translator is total over the five families: any dimensions,
+    /// those past the 32-bit slot space included, lower to a graph or to a
+    /// `LowerError`, never to a panic.
+    #[test]
+    fn lower_never_panics(family in 0usize..5, words in prop::collection::vec(any::<u64>(), 3..4)) {
+        let dims: Vec<usize> = words
+            .iter()
+            .map(|&w| if w % 8 == 0 { (1usize << 32) + (w >> 8) as usize } else { (w % 65) as usize })
+            .collect();
+        let name = ["linreg", "logreg", "svm", "backprop", "cf"][family];
+        let program = cosmic_dsl::parse(&programs::by_name(name, 64).unwrap()).unwrap();
+        let env =
+            DimEnv::new().with("n", dims[0]).with("h", dims[1]).with("o", dims[2]).with("k", dims[0]);
+        if let Ok(dfg) = lower(&program, &env) {
+            prop_assert_eq!(dfg.gradient_len(), dfg.model_len());
+        }
     }
 
     /// Balanced reduction trees compute exactly the serial sum (floats
