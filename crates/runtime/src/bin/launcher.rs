@@ -9,17 +9,29 @@
 //!
 //! ```text
 //! cosmic-launcher --nodes 3 --iterations 12 --samples 240 --seed 11 \
-//!     [--kill NODE:ITER] [--metrics PATH]
+//!     [--kill NODE:ITER] [--metrics PATH] [--trace PATH]
 //! ```
+//!
+//! `--metrics` writes the summary line; `--trace` writes the engine's
+//! Chrome trace, and its `metrics.json` beside it — the very exports
+//! `ClusterTrainer::train_traced` records on `JobSpec::config`.
 
 use std::net::SocketAddr;
+use std::path::Path;
 use std::process::ExitCode;
 
 use cosmic_runtime::transport::proc::{Coordinator, JobSpec, Worker};
+use cosmic_runtime::TraceSink;
+
+/// What the coordinator writes besides its stdout line.
+struct Outputs {
+    metrics: Option<String>,
+    trace: Option<String>,
+}
 
 /// A parsed command line: which half of the launcher to run.
 enum Mode {
-    Coordinator { spec: JobSpec, kill: Option<(usize, usize)>, metrics: Option<String> },
+    Coordinator { spec: JobSpec, kill: Option<(usize, usize)>, out: Outputs },
     Worker { spec: JobSpec, node: usize, addr: SocketAddr, join: bool },
 }
 
@@ -29,7 +41,7 @@ fn parse_args() -> Result<Mode, String> {
     let mut addr: Option<SocketAddr> = None;
     let mut join = false;
     let mut kill: Option<(usize, usize)> = None;
-    let mut metrics: Option<String> = None;
+    let mut out = Outputs { metrics: None, trace: None };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--join" {
@@ -60,7 +72,8 @@ fn parse_args() -> Result<Mode, String> {
                     .ok_or_else(|| format!("--kill wants NODE:ITER, got {value}"))?;
                 kill = Some((n.parse().map_err(|e| bad(&e))?, i.parse().map_err(|e| bad(&e))?));
             }
-            "--metrics" => metrics = Some(value),
+            "--metrics" => out.metrics = Some(value),
+            "--trace" => out.trace = Some(value),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -68,7 +81,7 @@ fn parse_args() -> Result<Mode, String> {
     match (worker, addr) {
         (Some(node), Some(addr)) => Ok(Mode::Worker { spec, node, addr, join }),
         (Some(_), None) => Err("--worker needs --addr".into()),
-        (None, _) => Ok(Mode::Coordinator { spec, kill, metrics }),
+        (None, _) => Ok(Mode::Coordinator { spec, kill, out }),
     }
 }
 
@@ -77,15 +90,22 @@ fn run() -> Result<(), String> {
         Mode::Worker { spec, node, addr, join } => {
             Worker::new(spec, node, addr, join).run().map_err(|e| e.to_string())
         }
-        Mode::Coordinator { spec, kill, metrics } => {
+        Mode::Coordinator { spec, kill, out } => {
             let mut coordinator = Coordinator::bind(spec).map_err(|e| e.to_string())?;
             coordinator.kill = kill;
-            let summary = coordinator.run().map_err(|e| e.to_string())?;
-            let json = summary.to_json();
+            let sink = TraceSink::new();
+            let summary = match &out.trace {
+                Some(_) => coordinator.run_traced(&sink),
+                None => coordinator.run(),
+            };
+            let json = summary.map_err(|e| e.to_string())?.to_json();
             println!("{json}");
-            if let Some(path) = metrics {
+            if let Some(path) = out.metrics {
                 std::fs::write(&path, format!("{json}\n"))
                     .map_err(|e| format!("write {path}: {e}"))?;
+            }
+            if let Some(path) = out.trace {
+                sink.write(Path::new(&path)).map_err(|e| format!("write {path}: {e}"))?;
             }
             Ok(())
         }

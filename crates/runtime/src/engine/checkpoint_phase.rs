@@ -1,5 +1,5 @@
-//! The round's closing phase: apply the surviving aggregate to the
-//! model, log it for replay, and take cadence snapshots.
+//! The round's closing phase: apply the surviving update to the model,
+//! log it for replay, and take cadence snapshots.
 
 use cosmic_ml::Aggregation;
 
@@ -10,33 +10,27 @@ use super::state::RunState;
 use super::Engine;
 
 /// Applies the round's surviving aggregate to the model and records the
-/// update into the replay log backing the rejoin protocol.
+/// update into the replay log backing the rejoin protocol. The logged
+/// op's own statements are the ones applied, so replay reproduces the
+/// model bit for bit.
 pub(crate) fn apply_update<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
     total: Vec<f64>,
     active_total: usize,
 ) {
-    match eng.cfg.aggregation {
-        Aggregation::Average => {
-            // Partials are worker models; averaging over the surviving
-            // contributors yields the parallelized-SGD update (Eq. 3b).
-            for (m, s) in st.model.iter_mut().zip(&total) {
-                *m = s / active_total as f64;
-            }
-            st.store
-                .record_update(ReplayOp::Average { sum: total, active_total: active_total as f64 });
-        }
+    let op = match eng.cfg.aggregation {
+        // Partials are worker models; averaging over the surviving
+        // contributors yields the parallelized-SGD update (Eq. 3b).
+        Aggregation::Average => ReplayOp::Average { sum: total, active_total: active_total as f64 },
+        // Partials are gradient sums over the records the survivors
+        // actually processed.
         Aggregation::Sum => {
-            // Partials are gradient sums over the records the survivors
-            // actually processed.
-            let scale = eng.cfg.learning_rate / active_total as f64;
-            for (m, g) in st.model.iter_mut().zip(&total) {
-                *m -= scale * g;
-            }
-            st.store.record_update(ReplayOp::Step { grad: total, scale });
+            ReplayOp::Step { grad: total, scale: eng.cfg.learning_rate / active_total as f64 }
         }
-    }
+    };
+    op.apply(&mut st.model);
+    st.store.record_update(op);
     st.iterations += 1;
 }
 

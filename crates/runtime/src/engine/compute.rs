@@ -1,16 +1,20 @@
-//! The compute phase: one dispatch to the run's resident compute
-//! workers (the [`Crew`]: created once, like Sigma's pool), panic
-//! absorption, and the deadline-admission barrier in virtual time.
+//! The compute phase: one request to the run's [`Compute`] — its
+//! resident compute workers (the [`Crew`]: created once, like Sigma's
+//! pool) or a deployment's worker processes — panic absorption, and the
+//! deadline-admission barrier in virtual time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::{self, Scope};
 
+use cosmic_ml::data::{self, Dataset};
 use cosmic_ml::{Aggregation, Algorithm};
 use cosmic_sim::faults::FaultPlan;
 use crossbeam::channel::{self, Receiver, Sender};
 
+use crate::checkpoint::CheckpointStore;
 use crate::error::RuntimeError;
+use crate::layout;
 use crate::trainer::{ClusterConfig, Exclusion, ExclusionReason, RetryPolicy};
 
 use super::membership::kill_node;
@@ -22,14 +26,141 @@ use super::Engine;
 /// its contribution weight (threads for averaging, records for sums).
 pub(crate) type NodePartial = Option<(Vec<f64>, usize)>;
 
+/// What reached the engine from one node in a round: `None` when
+/// nothing did (the node was not dispatched, or its worker process
+/// stayed silent: no heartbeat), else its [`NodePartial`], itself `None`
+/// when a compute worker panicked.
+pub(crate) type Arrival = Option<NodePartial>;
+
 /// What one accelerator thread computes in one step: its partial and
 /// the records it consumed, or `None` when it had no records left.
 pub(crate) type ThreadPartial = Option<(Vec<f64>, usize)>;
 
 /// The per-thread function a [`Crew`] runs: `(node, thread, step, model)`
-/// to that thread's partial — [`thread_partial`] over the engine's
-/// shards, or a test's that panics.
+/// to that thread's partial — [`Shards::thread_partial`], or a test's
+/// that panics.
 pub(crate) type Work<'a> = dyn Fn(usize, usize, usize, &[f64]) -> ThreadPartial + Sync + 'a;
+
+/// One round's request to the compute phase.
+pub(crate) struct Request<'r> {
+    /// The global aggregation iteration.
+    pub iteration: usize,
+    /// The step within the epoch.
+    pub step: usize,
+    /// The nodes the fault plan lets compute this round.
+    pub dispatch: &'r [bool],
+    /// The model every node computes against.
+    pub model: &'r Arc<Vec<f64>>,
+    /// Runtime membership going into the round.
+    pub member: &'r [bool],
+    /// The checkpoint/replay store a catching-up worker is served from.
+    pub store: &'r CheckpointStore,
+}
+
+/// The engine's one seam: where a round's node partials come from. The
+/// in-process trainer asks its [`Crew`]; the launcher's coordinator asks
+/// its worker processes. Membership, the collective round, the update,
+/// checkpoints and the observer are the same engine either way.
+pub(crate) trait Compute {
+    /// One [`Arrival`] per node for `req`.
+    fn partials(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError>;
+
+    /// The round closed on `model`, the model every node computes
+    /// against next.
+    fn settle(&mut self, _model: &[f64]) {}
+
+    /// Whether the run records its loss history: a pass over the whole
+    /// dataset on the engine's thread before every epoch and after the
+    /// last. A deployment that reports no loss skips them, and its
+    /// outcome's history is empty; nothing else depends on it.
+    fn records_loss(&self) -> bool {
+        true
+    }
+}
+
+impl Compute for Crew {
+    fn partials(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError> {
+        let partials = self.round(req.dispatch, req.step, req.model);
+        Ok(partials.into_iter().zip(req.dispatch).map(|(p, &go)| go.then_some(p)).collect())
+    }
+}
+
+/// The engine's data rule: node `n`'s accelerator thread `t` owns
+/// `shards[n][t]` of the dataset (Figure 1's D_ij; no copy), and step
+/// `s` of every epoch takes its records `[s·w, (s+1)·w)`.
+pub(crate) struct Shards<'a> {
+    shards: Vec<Vec<&'a [Vec<f64>]>>,
+    /// `w`: records per worker per step.
+    per_worker: usize,
+    /// Aggregation steps per epoch.
+    pub steps: usize,
+}
+
+impl<'a> Shards<'a> {
+    /// Shards `dataset` across `cfg`'s nodes, then each node's share
+    /// across its threads.
+    pub(crate) fn new(cfg: &ClusterConfig, dataset: &'a Dataset) -> Self {
+        let per_worker = layout::shard_size(cfg.minibatch, cfg.nodes * cfg.threads_per_node);
+        let shards: Vec<Vec<&[Vec<f64>]>> = data::shards(dataset.records(), cfg.nodes)
+            .into_iter()
+            .map(|node| data::shards(node, cfg.threads_per_node))
+            .collect();
+        let longest = shards.iter().flatten().map(|s| s.len()).max().unwrap_or(0);
+        Shards { shards, per_worker, steps: longest.div_ceil(per_worker) }
+    }
+
+    /// One accelerator thread's step over its records: a private model
+    /// walked by SGD (averaging) or a gradient sum against the shared one.
+    pub(crate) fn thread_partial(
+        &self,
+        alg: &Algorithm,
+        cfg: &ClusterConfig,
+        (node, thread): (usize, usize),
+        step: usize,
+        model: &[f64],
+    ) -> ThreadPartial {
+        let shard = self.shards[node][thread];
+        let lo = (step * self.per_worker).min(shard.len());
+        let hi = ((step + 1) * self.per_worker).min(shard.len());
+        if lo == hi {
+            return None;
+        }
+        let records = &shard[lo..hi];
+        let partial = match cfg.aggregation {
+            Aggregation::Average => {
+                let mut local = model.to_vec();
+                for r in records {
+                    alg.sgd_update(r, &mut local, cfg.learning_rate);
+                }
+                local
+            }
+            Aggregation::Sum => {
+                let mut grad = vec![0.0; model.len()];
+                for r in records {
+                    alg.accumulate_gradient(r, model, &mut grad);
+                }
+                grad
+            }
+        };
+        Some((partial, records.len()))
+    }
+
+    /// Node `node`'s partial at `step`: its threads' partials, computed
+    /// one after another and folded exactly as a [`Crew`] folds them.
+    pub(crate) fn node_partial(
+        &self,
+        alg: &Algorithm,
+        cfg: &ClusterConfig,
+        node: usize,
+        step: usize,
+        model: &[f64],
+    ) -> NodePartial {
+        let answers = (0..cfg.threads_per_node)
+            .map(|thread| Some(self.thread_partial(alg, cfg, (node, thread), step, model)))
+            .collect();
+        fold_node(answers, model.len(), cfg.aggregation)
+    }
+}
 
 /// One dispatch to one worker: the step and the model to compute against.
 type Job = (usize, Arc<Vec<f64>>);
@@ -156,72 +287,44 @@ fn fold_node(answers: Vec<Option<ThreadPartial>>, len: usize, op: Aggregation) -
     Some(node.unwrap_or_else(|| (vec![0.0; len], 0)))
 }
 
-/// One accelerator thread's step over its record shard: a private model
-/// walked by SGD (averaging) or a gradient sum against the shared one.
-pub(crate) fn thread_partial(
-    alg: &Algorithm,
-    cfg: &ClusterConfig,
-    shard: &[Vec<f64>],
-    per_worker: usize,
-    step: usize,
-    model: &[f64],
-) -> ThreadPartial {
-    let lo = (step * per_worker).min(shard.len());
-    let hi = ((step + 1) * per_worker).min(shard.len());
-    if lo == hi {
-        return None;
-    }
-    let records = &shard[lo..hi];
-    let partial = match cfg.aggregation {
-        Aggregation::Average => {
-            let mut local = model.to_vec();
-            for r in records {
-                alg.sgd_update(r, &mut local, cfg.learning_rate);
-            }
-            local
-        }
-        Aggregation::Sum => {
-            let mut grad = vec![0.0; model.len()];
-            for r in records {
-                alg.accumulate_gradient(r, model, &mut grad);
-            }
-            grad
-        }
-    };
-    Some((partial, records.len()))
-}
-
 /// Phase 1: every physically-up, unpartitioned node computes its
-/// partial on its resident workers. In detector mode this includes
-/// nodes the runtime has expelled — they don't know they're out, and
-/// their traffic is what triggers re-admission. The model moves into an
-/// `Arc` for the workers and back out of it: no copy either way.
+/// partial. In detector mode this includes nodes the runtime has
+/// expelled — they don't know they're out, and their traffic is what
+/// triggers re-admission. The model moves into an `Arc` for the
+/// compute and back out of it: no copy either way.
 pub(crate) fn fan_out<O: RunObserver>(
     eng: &Engine<'_, O>,
-    crew: &Crew,
+    compute: &mut dyn Compute,
     st: &mut RunState,
     step: usize,
-) -> Vec<NodePartial> {
+) -> Result<Vec<Arrival>, RuntimeError> {
     let dispatch: Vec<bool> = (0..eng.cfg.nodes)
         .map(|node| st.up[node] && !eng.plan.quiesced(node, st.iter_idx))
         .collect();
     let model = Arc::new(std::mem::take(&mut st.model));
-    let partials = crew.round(&dispatch, step, &model);
+    let req = Request {
+        iteration: st.iter_idx,
+        step,
+        dispatch: &dispatch,
+        model: &model,
+        member: &st.member,
+        store: &st.store,
+    };
+    let arrivals = compute.partials(&req);
     st.model = Arc::try_unwrap(model).unwrap_or_else(|shared| (*shared).clone());
-    partials
+    arrivals
 }
 
-/// Phase 1b: a node that should have computed but produced nothing had
-/// a panicking worker thread — the pool sees it locally, with no
-/// detection latency in either membership mode.
+/// Phase 1b: a node whose compute workers answered without a partial
+/// had one panic — the pool sees it locally, with no detection latency
+/// in either membership mode.
 pub(crate) fn absorb_panics<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
-    partials: &[NodePartial],
+    arrivals: &[Arrival],
 ) -> Result<(), RuntimeError> {
-    for (node, partial) in partials.iter().enumerate() {
-        let computing = st.up[node] && !eng.plan.quiesced(node, st.iter_idx);
-        if computing && partial.is_none() {
+    for (node, arrival) in arrivals.iter().enumerate() {
+        if matches!(arrival, Some(None)) {
             st.up[node] = false;
             if st.member[node] {
                 st.report.exclusions.push(Exclusion {
@@ -248,7 +351,7 @@ pub(crate) fn absorb_panics<O: RunObserver>(
 pub(crate) fn admission_barrier<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
-    partials: &mut [NodePartial],
+    arrivals: &mut [Arrival],
     t0: f64,
 ) -> (Vec<NodePartial>, f64) {
     let mut contributions: Vec<NodePartial> = (0..eng.cfg.nodes).map(|_| None).collect();
@@ -257,7 +360,7 @@ pub(crate) fn admission_barrier<O: RunObserver>(
         if !st.up[node] || eng.plan.quiesced(node, st.iter_idx) {
             continue;
         }
-        let has_records = matches!(&partials[node], Some((_, n)) if *n > 0);
+        let has_records = matches!(&arrivals[node], Some(Some((_, n))) if *n > 0);
         if !has_records {
             continue;
         }
@@ -292,7 +395,7 @@ pub(crate) fn admission_barrier<O: RunObserver>(
             continue;
         }
         match adm.reason {
-            None => contributions[node] = partials[node].take(),
+            None => contributions[node] = arrivals[node].take().flatten(),
             Some(reason) => {
                 st.report.exclusions.push(Exclusion { iteration: st.iter_idx, node, reason });
                 eng.obs.excluded(st.iter_idx, node);

@@ -6,9 +6,10 @@
 //!
 //! 1. [`membership`] — absorb the plan's partitions/crashes/rejoins,
 //!    then the φ-accrual detector sweep (phase 0);
-//! 2. [`compute`] — one dispatch to the resident compute workers
-//!    [`Engine::run`] spawned, panic absorption, and the
-//!    deadline-admission barrier in virtual time (phases 1–2);
+//! 2. [`compute`] — one request to the run's [`Compute`] (the resident
+//!    compute workers [`Engine::run`] spawned, or a deployment's worker
+//!    processes), panic absorption, and the deadline-admission barrier
+//!    in virtual time (phases 1–2);
 //! 3. [`rounds`] — collective-schedule refresh and the chunked Sigma
 //!    aggregation with quarantine accounting (phase 3);
 //! 4. [`checkpoint_phase`] — apply the surviving update, log it for
@@ -28,10 +29,11 @@ mod rounds;
 mod state;
 
 use compute::Crew;
+pub(crate) use compute::{Arrival, Compute, Request, Shards};
 pub(crate) use observer::{NullObserver, RunObserver, TraceObserver};
 pub(crate) use state::RunState;
 
-use cosmic_ml::data::{self, Dataset};
+use cosmic_ml::data::Dataset;
 use cosmic_ml::Algorithm;
 use cosmic_sim::faults::FaultPlan;
 
@@ -54,8 +56,8 @@ pub(crate) struct Engine<'a, O: RunObserver> {
     pub(crate) alg: &'a Algorithm,
     pub(crate) dataset: &'a Dataset,
     /// What accelerator thread `(node, thread)` computes in a step:
-    /// [`compute::thread_partial`] over its borrowed shard of `dataset`
-    /// (Figure 1's D_ij; no copy) — a field so tests can plant a panic.
+    /// [`Shards::thread_partial`] over its borrowed shard of `dataset`
+    /// — a field so tests can plant a panic.
     pub(crate) work: Box<compute::Work<'a>>,
     pub(crate) sigma: SigmaAggregator,
     pub(crate) model_len: usize,
@@ -82,20 +84,14 @@ impl<'a, O: RunObserver> Engine<'a, O> {
         model_len: usize,
         obs: O,
     ) -> Result<Self, RuntimeError> {
-        let workers = cfg.nodes * cfg.threads_per_node;
-        let per_worker = layout::shard_size(cfg.minibatch, workers);
+        let shards = compute::Shards::new(cfg, dataset);
+        let steps = shards.steps;
         let chunks = layout::chunk_count(model_len);
-        let shards: Vec<Vec<&[Vec<f64>]>> = data::shards(dataset.records(), cfg.nodes)
-            .into_iter()
-            .map(|node| data::shards(node, cfg.threads_per_node))
-            .collect();
-        let steps =
-            shards.iter().flatten().map(|s| s.len()).max().unwrap_or(0).div_ceil(per_worker);
         let sigma = SigmaAggregator::default();
         let oracle = matches!(cfg.membership, MembershipMode::Oracle);
         let transport = transport::build(cfg)?;
         let work = Box::new(move |node: usize, thread: usize, step, model: &[f64]| {
-            compute::thread_partial(alg, cfg, shards[node][thread], per_worker, step, model)
+            shards.thread_partial(alg, cfg, (node, thread), step, model)
         });
         Ok(Engine {
             cfg,
@@ -114,11 +110,11 @@ impl<'a, O: RunObserver> Engine<'a, O> {
     }
 
     /// Runs the full training loop from `initial_model` over a working
-    /// copy `topology`, returning the outcome of a still-successful
-    /// degraded run or the error that made it unrecoverable. The compute
-    /// crew lives exactly as long as this call: every return path drops
-    /// it, and the scope joins the workers — which borrow `work`, not
-    /// the engine (nor its observer).
+    /// copy `topology` on a resident compute crew, returning the outcome
+    /// of a still-successful degraded run or the error that made it
+    /// unrecoverable. The crew lives exactly as long as this call: every
+    /// return path drops it, and the scope joins the workers — which
+    /// borrow `work`, not the engine (nor its observer).
     pub(crate) fn run(
         &self,
         topology: Topology,
@@ -126,59 +122,83 @@ impl<'a, O: RunObserver> Engine<'a, O> {
     ) -> Result<TrainOutcome, RuntimeError> {
         std::thread::scope(|scope| {
             let geometry = (self.cfg.nodes, self.cfg.threads_per_node);
-            let crew = Crew::spawn(scope, geometry, self.cfg.aggregation, &*self.work)?;
-            let mut st = RunState::new(self.cfg, topology, initial_model);
-            // Root span for the whole run; held until after the pool-job
-            // counter is booked so it encloses everything.
-            let _root = self.obs.run_started(self.cfg, self.plan);
-            for _ in 0..self.cfg.epochs {
-                st.record_loss(self.alg, self.dataset);
-                for step in 0..self.steps {
-                    self.iteration(&mut st, &crew, step)?;
-                }
-            }
-            st.record_loss(self.alg, self.dataset);
-            self.obs.run_finished(self.sigma.jobs_submitted());
-            Ok(st.into_outcome())
+            let mut crew = Crew::spawn(scope, geometry, self.cfg.aggregation, &*self.work)?;
+            self.run_on(&mut crew, topology, initial_model)
         })
+    }
+
+    /// [`Engine::run`] with `compute` as the compute phase: every node
+    /// partial of the run comes from it.
+    pub(crate) fn run_on(
+        &self,
+        compute: &mut dyn Compute,
+        topology: Topology,
+        initial_model: Vec<f64>,
+    ) -> Result<TrainOutcome, RuntimeError> {
+        let mut st = RunState::new(self.cfg, topology, initial_model);
+        let loss = compute.records_loss();
+        // Root span for the whole run; held until after the pool-job
+        // counter is booked so it encloses everything.
+        let _root = self.obs.run_started(self.cfg, self.plan);
+        for _ in 0..self.cfg.epochs {
+            if loss {
+                st.record_loss(self.alg, self.dataset);
+            }
+            for step in 0..self.steps {
+                self.iteration(&mut st, compute, step)?;
+            }
+        }
+        if loss {
+            st.record_loss(self.alg, self.dataset);
+        }
+        self.obs.run_finished(self.sigma.jobs_submitted());
+        Ok(st.into_outcome())
     }
 
     /// One aggregation iteration: membership, compute, admission,
     /// collective, update — in phase order.
-    fn iteration(&self, st: &mut RunState, crew: &Crew, step: usize) -> Result<(), RuntimeError> {
+    fn iteration(
+        &self,
+        st: &mut RunState,
+        compute: &mut dyn Compute,
+        step: usize,
+    ) -> Result<(), RuntimeError> {
         let _span = self.obs.iteration_started(st.iter_idx);
         let t0 = self.obs.now();
 
         membership::plan_phase(self, st)?;
         membership::detector_sweep(self, st)?;
 
-        let mut partials = compute::fan_out(self, crew, st, step);
-        compute::absorb_panics(self, st, &partials)?;
-        let (contributions, round_cost) = compute::admission_barrier(self, st, &mut partials, t0);
+        let mut arrivals = compute::fan_out(self, compute, st, step)?;
+        compute::absorb_panics(self, st, &arrivals)?;
+        let (contributions, round_cost) = compute::admission_barrier(self, st, &mut arrivals, t0);
         self.obs.compute_barrier(t0, round_cost);
 
         let senders: Vec<usize> =
             (0..self.cfg.nodes).filter(|&n| contributions[n].is_some()).collect();
         if senders.is_empty() {
-            return self.finish_round(st, round_cost, false);
+            return self.finish_round(st, compute, round_cost, false);
         }
         let Some(round) = rounds::collective_round(self, st, &contributions, &senders)? else {
-            return self.finish_round(st, round_cost, false);
+            return self.finish_round(st, compute, round_cost, false);
         };
         checkpoint_phase::apply_update(self, st, round.sum, round.active_total);
         checkpoint_phase::maybe_checkpoint(self, st);
-        self.finish_round(st, round_cost, true)
+        self.finish_round(st, compute, round_cost, true)
     }
 
-    /// Closes the round: end-of-iteration re-admission, iteration
-    /// accounting, and the virtual-clock advance. `counted` rounds
-    /// applied an update; empty rounds did not.
+    /// Closes the round: the model it leaves goes back to the compute
+    /// phase, then end-of-iteration re-admission, iteration accounting,
+    /// and the virtual-clock advance. `counted` rounds applied an update;
+    /// empty rounds did not.
     fn finish_round(
         &self,
         st: &mut RunState,
+        compute: &mut dyn Compute,
         round_cost: f64,
         counted: bool,
     ) -> Result<(), RuntimeError> {
+        compute.settle(&st.model);
         membership::process_rejoins(self, st)?;
         if counted {
             self.obs.iteration_counted();

@@ -27,8 +27,8 @@
 //! - [`transport`] — the wire behind the collective round: in-process
 //!   channels or supervised loopback TCP, one round server and one
 //!   retry loop for every socket, and the multi-process launcher
-//!   ([`transport::proc`]) whose coordinator folds worker gradients
-//!   through the same [`SigmaAggregator`] the trainer uses;
+//!   ([`transport::proc`]) whose coordinator runs the trainer's own
+//!   engine with worker processes as its compute phase;
 //! - [`checkpoint`] — deterministic checkpoint + replay catch-up so
 //!   expelled nodes can rejoin with a bit-identical model.
 //!

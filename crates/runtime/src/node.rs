@@ -2,7 +2,7 @@
 //! real threads.
 //!
 //! The paper's networking stage is the wire's own receivers — TCP's link
-//! readers and router, the launcher's readers, `Sim`'s caller — and each
+//! readers and router, `Sim`'s caller — and each
 //! fills one queue per peer stream. That queue is the one hand-off: one
 //! **Aggregation Pool** job per peer drains it, validating each chunk
 //! "as soon as the first chunk of data is copied" and holding it as
@@ -316,8 +316,8 @@ impl SigmaAggregator {
     /// matches the quad-core Xeon E3.
     ///
     /// The first argument sizes nothing: the paper's networking pool is
-    /// the wire's own receivers (TCP's link readers and router, the
-    /// launcher's readers, `Sim`'s caller), which fill the per-peer
+    /// the wire's own receivers (TCP's link readers and router, `Sim`'s
+    /// caller), which fill the per-peer
     /// queues this pool drains. It stays so the signature does.
     pub fn new(_networking_threads: usize, aggregation_threads: usize) -> Self {
         SigmaAggregator {

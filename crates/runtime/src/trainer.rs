@@ -36,7 +36,7 @@ use cosmic_telemetry::TraceSink;
 
 use crate::checkpoint::CheckpointConfig;
 use crate::detector::DetectorConfig;
-use crate::engine::{Engine, NullObserver, TraceObserver};
+use crate::engine::{Compute, Engine, NullObserver, TraceObserver};
 use crate::error::RuntimeError;
 use crate::node::ChunkFault;
 use crate::transport::{LinkConfig, TransportKind};
@@ -415,5 +415,24 @@ impl ClusterTrainer {
     ) -> Result<TrainOutcome, RuntimeError> {
         Engine::new(&self.config, alg, dataset, initial_model.len(), TraceObserver::new(sink))?
             .run(self.topology.clone(), initial_model)
+    }
+
+    /// [`ClusterTrainer::train`], or [`ClusterTrainer::train_traced`]
+    /// into `sink`, with `compute` in place of the resident compute crew:
+    /// the same engine, fed node partials computed elsewhere.
+    pub(crate) fn train_on(
+        &self,
+        compute: &mut dyn Compute,
+        alg: &Algorithm,
+        dataset: &Dataset,
+        initial_model: Vec<f64>,
+        sink: Option<&TraceSink>,
+    ) -> Result<TrainOutcome, RuntimeError> {
+        let (cfg, len, topology) = (&self.config, initial_model.len(), self.topology.clone());
+        if let Some(sink) = sink {
+            let engine = Engine::new(cfg, alg, dataset, len, TraceObserver::new(sink))?;
+            return engine.run_on(compute, topology, initial_model);
+        }
+        Engine::new(cfg, alg, dataset, len, NullObserver)?.run_on(compute, topology, initial_model)
     }
 }

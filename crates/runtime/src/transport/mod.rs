@@ -18,8 +18,9 @@
 //! Real sockets have one client and one server, both in `supervisor`
 //! (`RoundSender`, `RoundServer`), and a link lives as long as its
 //! connection: a healthy round opens no socket. [`TcpTransport`] and
-//! the multi-process launcher ([`proc`]) are clients of that pair and
-//! fold what it delivers through the same [`SigmaAggregator`].
+//! the multi-process launcher ([`proc`]) are clients of that pair: the
+//! first carries the collective round, the second the worker
+//! processes' partials into the coordinator's engine.
 //!
 //! The validation contract (pinned by tests): on a healthy run, both
 //! backends produce identical chunk/byte conservation counters and a

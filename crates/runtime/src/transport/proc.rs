@@ -1,54 +1,46 @@
-//! The multi-process launcher protocol: one coordinator process
-//! aggregating over N worker processes on loopback TCP.
+//! The multi-process launcher: one trainer, two deployments.
 //!
-//! This is the transport stack's end-to-end proof: real processes,
-//! real sockets, real SIGKILL. The launcher is a client of the runtime,
-//! not a copy of it. The coordinator receives through the supervisor's
-//! `RoundServer` and only routes what it returns, folds every
-//! delivered stream through the engine's own [`SigmaAggregator`] (node
-//! order is peer order, so the sum is bit-identical to a single-process
-//! fold), applies the update through `ReplayOp` so the
-//! checkpoint/replay log is exact, and broadcasts it back as each
-//! stream's reply. Workers hold one `RoundSender` link for the whole
-//! job — rounds, join handshakes and the final report all ride its
-//! retry loop; they are separate OS processes (re-executions of the
-//! `cosmic-launcher` binary) that compute batch gradients over their
-//! own data shard and apply the identical `ReplayOp` — every healthy
-//! process holds a bit-identical model at every iteration.
+//! The coordinator process runs [`ClusterTrainer`]'s own engine on
+//! [`JobSpec::config`]: membership and the φ-accrual detector, the
+//! collective round over loopback TCP into Sigma, the update,
+//! checkpoints and the observer. Only its compute phase is elsewhere:
+//! where the in-process trainer asks resident threads for each node's
+//! partial, the coordinator takes each worker process's stream, and
+//! answers it with the model the round left — the Sigma's broadcast.
+//! Workers (re-executions of the `cosmic-launcher` binary, one
+//! `RoundSender` link each for the job) compute by the engine's own
+//! data rule and node fold, so a healthy job trains the model, and
+//! records the trace and metrics, that [`ClusterTrainer::train_traced`]
+//! does on the same config.
 //!
-//! Robustness is the point, not an afterthought:
-//!
-//! - a worker that goes silent (e.g. SIGKILLed mid-run) is noticed by
-//!   the φ-accrual `FailureDetector` fed from per-round deliveries,
-//!   expelled from the active set within deadline-bounded delivery
-//!   windows, and respawned with a `--join` flag;
-//! - a joining worker catches up through the checkpoint/replay
-//!   protocol: the coordinator reconstructs the current model from its
-//!   latest snapshot plus the replay log (`CheckpointStore::catch_up`)
-//!   and ships it in a `Snapshot` frame; the worker acknowledges with
-//!   its model checksum so bit-identity is verified on the wire;
-//! - a worker that misses an aggregation window re-syncs itself through
-//!   the same join handshake instead of silently forking its model.
+//! What is left here is deployment: spawning workers and the fault
+//! schedule's SIGKILL; killing and respawning with `--join` a worker the
+//! engine's detector expelled, with the compute window it was respawned
+//! in held open for it (the awaited window); and the join handshake, in
+//! which a worker that rejoins or missed a window catches up from
+//! `CheckpointStore::catch_up` (never the live model — that is the
+//! bit-identity proof) and acknowledges with its model checksum. Its
+//! next stream is the heartbeat through which the engine readmits it.
 
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::Instant;
 
 use cosmic_ml::data::{self, Dataset};
-use cosmic_ml::Algorithm;
-use crossbeam::channel;
+use cosmic_ml::{Aggregation, Algorithm};
+use cosmic_telemetry::TraceSink;
 
 use crate::buffer::WordBuf;
-use crate::checkpoint::{model_checksum, CheckpointConfig, CheckpointStore, ReplayOp};
-use crate::detector::{DetectorConfig, FailureDetector, SuspicionLevel};
+use crate::checkpoint::{model_checksum, CheckpointConfig};
+use crate::engine::{Arrival, Compute, Request, Shards};
 use crate::error::RuntimeError;
-use crate::node::{chunk_vector, Chunk, SigmaAggregator};
-use crate::trainer::RetryPolicy;
+use crate::node::{chunk_vector, Chunk, Layout};
+use crate::trainer::{ClusterConfig, ClusterTrainer, MembershipMode, RetryPolicy};
 
 use super::shim::WireShim;
 use super::supervisor::{Handshake, Reply, RoundSender, RoundServer, ServedKind, Wire};
 use super::wire::{Frame, FrameKind, WireError};
-use super::{LinkConfig, TransportStats};
+use super::{LinkConfig, TransportKind, TransportStats};
 
 /// Everything both halves of the launcher agree on: the job, the wire
 /// deadlines, and the retry policy. Workers receive the same values on
@@ -57,7 +49,7 @@ use super::{LinkConfig, TransportStats};
 pub struct JobSpec {
     /// Worker process count.
     pub nodes: usize,
-    /// Aggregation iterations (batch gradient-descent steps).
+    /// Aggregation iterations (full-batch gradient-descent steps).
     pub iterations: usize,
     /// Total dataset records (partitioned across workers).
     pub samples: usize,
@@ -92,30 +84,49 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
+    /// The engine configuration of the job: full-batch gradient descent
+    /// (one step an epoch, one epoch an iteration) with one accelerator
+    /// thread per worker, φ-accrual membership, and the collective round
+    /// on loopback TCP.
+    pub fn config(&self) -> ClusterConfig {
+        ClusterConfig {
+            nodes: self.nodes,
+            groups: 1,
+            threads_per_node: 1,
+            minibatch: self.samples.max(1),
+            learning_rate: self.learning_rate,
+            epochs: self.iterations,
+            aggregation: Aggregation::Sum,
+            retry: self.retry,
+            membership: MembershipMode::Detector,
+            checkpoint: CheckpointConfig { cadence: self.checkpoint_every.max(1) },
+            transport: TransportKind::Tcp,
+            link: self.link,
+            ..ClusterConfig::default()
+        }
+    }
+
     /// The job's algorithm.
-    pub(crate) fn algorithm(&self) -> Algorithm {
+    pub fn algorithm(&self) -> Algorithm {
         Algorithm::LinearRegression { features: self.features }
     }
 
     /// The shared initial model every process derives independently.
-    pub(crate) fn initial_model(&self) -> Vec<f64> {
+    pub fn initial_model(&self) -> Vec<f64> {
         data::init_model(&self.algorithm(), self.seed)
     }
 
-    /// Worker `node`'s data shard, derived identically in every
-    /// process from the seed alone.
-    pub(crate) fn shard(&self, node: usize) -> Dataset {
-        let all = data::generate(&self.algorithm(), self.samples, self.seed);
-        let shard =
-            data::shards(all.records(), self.nodes).get(node).map_or(Vec::new(), |s| s.to_vec());
-        Dataset::from_records(shard)
+    /// The whole dataset, derived identically in every process from the
+    /// seed alone; the engine's data rule shards it.
+    pub fn dataset(&self) -> Dataset {
+        data::generate(&self.algorithm(), self.samples, self.seed)
     }
 }
 
 /// What the coordinator run produced.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LaunchSummary {
-    /// Iterations completed.
+    /// Iterations that applied an update.
     pub iterations: usize,
     /// FNV-1a checksum of the coordinator's final model.
     pub final_checksum: u64,
@@ -129,7 +140,8 @@ pub struct LaunchSummary {
     pub expulsions: Vec<(usize, usize)>,
     /// `(node, iteration, checksum_matched)` join handshakes completed.
     pub rejoins: Vec<(usize, usize, bool)>,
-    /// Wire accounting over the whole run.
+    /// The worker links' accounting over the whole run, seen from the
+    /// coordinator.
     pub stats: TransportStats,
 }
 
@@ -171,370 +183,307 @@ impl LaunchSummary {
     }
 }
 
-/// Where a node stands in the active set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Seat {
-    /// Delivers a stream every round.
-    Member,
-    /// Expelled, its `--join` respawn just started: the window it was
-    /// spawned in stays open for its handshake and first stream, so a
-    /// job whose rounds outrun a process start still takes it back.
-    Awaited,
-    /// Expelled; a joiner is admitted whenever it shows, never waited on.
-    Vacant,
-}
-
-/// One delivered round stream the coordinator still owes a reply.
-struct Delivery {
-    node: usize,
-    records: u64,
-    chunks: Vec<Chunk>,
-    reply: Reply,
-}
-
-/// The coordinator: Sigma over worker processes.
+/// The coordinator: the engine, with worker processes for its compute
+/// phase.
 pub struct Coordinator {
     spec: JobSpec,
     server: RoundServer,
-    sigma: SigmaAggregator,
     /// Kill `node` right before `iteration` (the fault schedule).
     pub kill: Option<(usize, usize)>,
 }
 
 impl Coordinator {
-    /// Binds the aggregation listener.
+    /// Binds the listener the workers dial.
     pub fn bind(spec: JobSpec) -> Result<Self, RuntimeError> {
         let server = RoundServer::bind(spec.link)?;
-        Ok(Coordinator { spec, server, sigma: SigmaAggregator::default(), kill: None })
+        Ok(Coordinator { spec, server, kill: None })
     }
 
-    /// The aggregation endpoint workers dial.
+    /// The endpoint workers dial.
     pub(crate) fn addr(&self) -> SocketAddr {
         self.server.addr()
     }
 
-    /// Spawns worker `node` as a re-execution of the current binary.
-    fn spawn_worker(&self, node: usize, join: bool) -> Result<Child, RuntimeError> {
-        let exe = std::env::current_exe().map_err(|e| RuntimeError::TransportFailed {
-            peer: node,
-            attempts: 0,
-            detail: format!("current_exe: {e}"),
-        })?;
-        let s = &self.spec;
-        let mut cmd = Command::new(exe);
-        cmd.arg("--worker")
-            .arg(node.to_string())
-            .arg("--addr")
-            .arg(self.addr().to_string())
-            .arg("--nodes")
-            .arg(s.nodes.to_string())
-            .arg("--iterations")
-            .arg(s.iterations.to_string())
-            .arg("--samples")
-            .arg(s.samples.to_string())
-            .arg("--seed")
-            .arg(s.seed.to_string())
-            .arg("--features")
-            .arg(s.features.to_string())
-            .arg("--lr")
-            .arg(s.learning_rate.to_string())
-            .arg("--read-timeout-ms")
-            .arg(s.link.read_timeout_ms.to_string())
-            .arg("--connect-timeout-ms")
-            .arg(s.link.connect_timeout_ms.to_string())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        if join {
-            cmd.arg("--join");
-        }
-        cmd.spawn().map_err(|e| RuntimeError::TransportFailed {
-            peer: node,
-            attempts: 0,
-            detail: format!("spawn worker {node}: {e}"),
-        })
+    /// Runs the whole job: spawn the workers, train through the engine,
+    /// collect the workers' final checksums.
+    pub fn run(&mut self) -> Result<LaunchSummary, RuntimeError> {
+        self.run_observed(None)
     }
 
-    /// Runs the whole job: spawn workers, drive `iterations` rounds
-    /// with failure detection and join catch-up, collect final
-    /// checksums.
-    pub fn run(&mut self) -> Result<LaunchSummary, RuntimeError> {
-        let spec = self.spec;
-        let mut model = spec.initial_model();
-        let mut store = CheckpointStore::new(
-            CheckpointConfig { cadence: spec.checkpoint_every.max(1) },
-            &model,
-        );
-        let mut detector = FailureDetector::new(spec.nodes, DetectorConfig::default());
-        for node in 0..spec.nodes {
-            detector.observe(node, 0.0);
-        }
-        let mut member = vec![Seat::Member; spec.nodes];
-        let mut children: Vec<Option<Child>> = Vec::new();
-        for node in 0..spec.nodes {
-            children.push(Some(self.spawn_worker(node, false)?));
-        }
-        let mut summary = LaunchSummary::default();
+    /// [`Coordinator::run`], recording the engine's run into `sink`.
+    pub fn run_traced(&mut self, sink: &TraceSink) -> Result<LaunchSummary, RuntimeError> {
+        self.run_observed(Some(sink))
+    }
 
-        for iter in 0..spec.iterations {
-            self.inject_kill(iter, &mut children, &mut summary);
-            self.detector_sweep(iter, &mut detector, &mut member, &mut children, &mut summary)?;
-            let deliveries =
-                self.round_window(iter, &store, &model, &mut detector, &mut member, &mut summary)?;
-            self.apply_round(iter, deliveries, &mut model, &mut store, &mut summary);
-            summary.iterations = iter + 1;
+    fn run_observed(&self, sink: Option<&TraceSink>) -> Result<LaunchSummary, RuntimeError> {
+        let (spec, cfg) = (self.spec, self.spec.config());
+        let trainer = ClusterTrainer::new(cfg.clone())?;
+        let mut workers = Workers::new(self);
+        for node in 0..spec.nodes {
+            workers.children[node] = Some(self.spawn_worker(node, false)?);
         }
-
-        self.final_window(&store, &model, &mut detector, &mut member, &mut summary)?;
-        summary.final_checksum = model_checksum(&model);
-        for child in children.iter_mut().flatten() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        let (alg, dataset) = (spec.algorithm(), spec.dataset());
+        let rounds = cfg.epochs * Shards::new(&cfg, &dataset).steps;
+        let outcome = trainer.train_on(&mut workers, &alg, &dataset, spec.initial_model(), sink)?;
+        workers.final_window(rounds, &outcome.model);
+        let summary = LaunchSummary {
+            iterations: outcome.iterations,
+            final_checksum: model_checksum(&outcome.model),
+            ..std::mem::take(&mut workers.summary)
+        };
         Ok(summary)
     }
 
-    /// Applies the scheduled SIGKILL, if this is its iteration.
-    fn inject_kill(
-        &self,
-        iter: usize,
-        children: &mut [Option<Child>],
-        summary: &mut LaunchSummary,
-    ) {
-        let Some((node, at)) = self.kill else { return };
-        if at != iter || node >= children.len() {
-            return;
+    /// Spawns worker `node` as a re-execution of the current binary.
+    fn spawn_worker(&self, node: usize, join: bool) -> Result<Child, RuntimeError> {
+        let failed =
+            |detail: String| RuntimeError::TransportFailed { peer: node, attempts: 0, detail };
+        let exe = std::env::current_exe().map_err(|e| failed(format!("current_exe: {e}")))?;
+        let s = &self.spec;
+        let args = [
+            ("--worker", node.to_string()),
+            ("--addr", self.addr().to_string()),
+            ("--nodes", s.nodes.to_string()),
+            ("--iterations", s.iterations.to_string()),
+            ("--samples", s.samples.to_string()),
+            ("--seed", s.seed.to_string()),
+            ("--features", s.features.to_string()),
+            ("--lr", s.learning_rate.to_string()),
+            ("--read-timeout-ms", s.link.read_timeout_ms.to_string()),
+            ("--connect-timeout-ms", s.link.connect_timeout_ms.to_string()),
+        ];
+        let mut cmd = Command::new(exe);
+        cmd.args(args.iter().flat_map(|(flag, value)| [*flag, value.as_str()]));
+        if join {
+            cmd.arg("--join");
         }
-        if let Some(child) = &mut children[node] {
+        cmd.stdout(Stdio::null()).stderr(Stdio::null());
+        cmd.spawn().map_err(|e| failed(format!("spawn worker {node}: {e}")))
+    }
+}
+
+/// The coordinator's compute phase: the worker processes and what the
+/// deployment did to them. Dropping it kills every worker still running.
+struct Workers<'c> {
+    coordinator: &'c Coordinator,
+    children: Vec<Option<Child>>,
+    /// Membership the last round started from: a member that left it
+    /// was expelled.
+    member: Vec<bool>,
+    /// Respawned workers the current window waits for.
+    awaited: Vec<bool>,
+    /// The round being computed.
+    iteration: usize,
+    /// This round's streams, each owed the round's update.
+    owed: Vec<(usize, Reply)>,
+    summary: LaunchSummary,
+}
+
+impl Drop for Workers<'_> {
+    fn drop(&mut self) {
+        for child in self.children.iter_mut().flatten() {
             let _ = child.kill();
             let _ = child.wait();
-            children[node] = None;
-            summary.kills.push((node, iter));
+        }
+    }
+}
+
+impl<'c> Workers<'c> {
+    fn new(coordinator: &'c Coordinator) -> Self {
+        let nodes = coordinator.spec.nodes;
+        Workers {
+            coordinator,
+            children: (0..nodes).map(|_| None).collect(),
+            member: vec![true; nodes],
+            awaited: vec![false; nodes],
+            iteration: 0,
+            owed: Vec::new(),
+            summary: LaunchSummary::default(),
         }
     }
 
-    /// Expels silent members the φ detector declared failed and
-    /// respawns them with the join flag.
-    fn detector_sweep(
-        &self,
-        iter: usize,
-        detector: &mut FailureDetector,
-        member: &mut [Seat],
-        children: &mut [Option<Child>],
-        summary: &mut LaunchSummary,
-    ) -> Result<(), RuntimeError> {
-        let now = iter as f64;
-        for node in 0..member.len() {
-            if member[node] != Seat::Member {
-                continue;
-            }
-            if detector.level(node, now) == SuspicionLevel::Failed {
-                member[node] = Seat::Awaited;
-                summary.expulsions.push((node, iter));
-                summary.stats.links_dead += 1;
-                children[node] = Some(self.spawn_worker(node, true)?);
+    /// Kills worker `node`'s process, if it has one running.
+    fn kill(&mut self, node: usize) -> bool {
+        let Some(mut child) = self.children[node].take() else {
+            return false;
+        };
+        let _ = child.kill();
+        let _ = child.wait();
+        true
+    }
+
+    /// Applies the scheduled SIGKILL, then respawns with `--join` every
+    /// worker the engine expelled since the last round.
+    fn deploy(&mut self, req: &Request<'_>) -> Result<(), RuntimeError> {
+        if let Some((node, at)) = self.coordinator.kill {
+            if at == req.iteration && node < self.children.len() && self.kill(node) {
+                self.summary.kills.push((node, at));
             }
         }
+        for node in 0..self.member.len() {
+            if self.member[node] && !req.member[node] {
+                self.summary.expulsions.push((node, req.iteration));
+                self.summary.stats.links_dead += 1;
+                self.kill(node);
+                self.children[node] = Some(self.coordinator.spawn_worker(node, true)?);
+                self.awaited[node] = true;
+            }
+        }
+        self.member = req.member.to_vec();
         Ok(())
     }
 
-    /// One iteration's delivery window: take round streams from every
-    /// live member and join handshakes from rejoining workers off the
-    /// server's queue, until everyone delivered or the window deadline
-    /// passes.
-    fn round_window(
-        &self,
-        iter: usize,
-        store: &CheckpointStore,
-        model: &[f64],
-        detector: &mut FailureDetector,
-        member: &mut [Seat],
-        summary: &mut LaunchSummary,
-    ) -> Result<Vec<Delivery>, RuntimeError> {
-        let mut deliveries: Vec<Delivery> = Vec::new();
+    /// One round's compute window: take round streams and join
+    /// handshakes off the server's queue until every member and every
+    /// awaited respawn has delivered, or the window's deadline passes.
+    /// A stream from another round, or a second one from the same node,
+    /// is dropped unanswered.
+    fn window(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError> {
+        let mut arrivals: Vec<Arrival> = vec![None; self.member.len()];
+        let expected: Vec<usize> =
+            (0..arrivals.len()).filter(|&n| req.member[n] || self.awaited[n]).collect();
         // Senders await their reply for one read deadline from about the
         // moment this window opens, and the reply is only written after
-        // the fold: close early enough that it still lands in time.
-        let window = self.spec.link.read_timeout() * 3 / 4;
-        let start = Instant::now();
-        loop {
-            let expected = member.iter().filter(|&&seat| seat != Seat::Vacant).count();
-            let have = deliveries.len();
-            if have >= expected && expected > 0 {
+        // the round: close early enough that it still lands in time.
+        let server = &self.coordinator.server;
+        let deadline = Instant::now() + self.coordinator.spec.link.read_timeout() * 3 / 4;
+        while expected.is_empty() || expected.iter().any(|&n| arrivals[n].is_none()) {
+            if Instant::now() >= deadline {
                 break;
             }
-            if start.elapsed() >= window {
-                break;
-            }
-            let Some(served) = self.server.next(Some(start + window)) else {
+            let Some(served) = server.next(Some(deadline)) else {
                 continue;
             };
             let node = served.node as usize;
-            if node >= member.len() {
+            if node >= arrivals.len() {
                 continue;
             }
-            summary.stats.merge(&served.stats);
-            let (iteration, records, chunks, reply) = match served.kind {
-                ServedKind::Round { iteration, records, chunks, reply } => {
-                    (iteration, records, chunks, reply)
-                }
+            self.summary.stats.merge(&served.stats);
+            match served.kind {
                 ServedKind::Join(mut link) => {
-                    let matched = self.admit(iter, node, store, model, &mut link, summary)?;
-                    // The joiner streams its rounds on the same link.
-                    link.resume();
-                    member[node] = Seat::Member;
-                    detector.reset(node, iter as f64);
-                    summary.rejoins.push((node, iter, matched));
-                    continue;
+                    // A handshake that fails on the wire is the joiner's
+                    // to retry; only a store that cannot reproduce the
+                    // live model ends the job.
+                    if let Some(matched) = admit(req, node, &mut link, &mut self.summary.stats)? {
+                        link.resume();
+                        self.summary.rejoins.push((node, req.iteration, matched));
+                    }
                 }
-            };
-            if iteration != iter as u64 || member[node] != Seat::Member {
-                continue; // Stale retransmission or expelled sender.
+                ServedKind::Round { iteration, records, chunks, reply } => {
+                    let fresh = iteration == req.iteration as u64 && arrivals[node].is_none();
+                    if let Some(partial) =
+                        fresh.then(|| assemble(req.model.len(), &chunks)).flatten()
+                    {
+                        arrivals[node] = Some(Some((partial, records as usize)));
+                        self.owed.push((node, reply));
+                    }
+                }
             }
-            detector.observe(node, iter as f64 + 1.0);
-            if deliveries.iter().any(|d| d.node == node) {
-                continue; // Duplicate delivery after a late reconnect.
-            }
-            deliveries.push(Delivery { node, records, chunks, reply });
         }
-        for seat in member.iter_mut().filter(|seat| **seat == Seat::Awaited) {
-            *seat = Seat::Vacant;
-        }
-        deliveries.sort_by_key(|d| d.node);
-        Ok(deliveries)
+        self.awaited.fill(false);
+        Ok(arrivals)
     }
 
-    /// Completes a join handshake on a handed-over connection: catch the
-    /// worker up from the checkpoint/replay log (never from the live
-    /// model — that is the bit-identity proof) and verify its
-    /// acknowledged checksum.
-    fn admit(
-        &self,
-        iter: usize,
-        node: usize,
-        store: &CheckpointStore,
-        model: &[f64],
-        link: &mut Handshake,
-        summary: &mut LaunchSummary,
-    ) -> Result<bool, RuntimeError> {
-        let caught = store.catch_up()?;
+    /// The post-training window: every worker reports its final model's
+    /// checksum as the record count of a chunkless stream stamped
+    /// `rounds`, and is acknowledged.
+    fn final_window(&mut self, rounds: usize, model: &[f64]) {
         let expected = model_checksum(model);
-        if model_checksum(&caught.model) != expected {
-            // Replay no longer reproduces the live model: the store is
-            // unusable for recovery.
-            return Err(RuntimeError::CheckpointCorrupt { iteration: caught.base_iteration });
-        }
-        let snapshot = Frame {
-            kind: FrameKind::Snapshot,
-            node: node as u32,
-            iteration: iter as u64,
-            a: iter as u64,
-            b: expected,
-            payload: caught.model.into(),
-        };
-        let stats = &mut summary.stats;
-        link.send(&snapshot, stats).map_err(|e| join_failed(node, &e))?;
-        let ack = link.take(stats).map_err(|e| join_failed(node, &e))?;
-        Ok(ack.kind == FrameKind::Ack && ack.b == expected)
-    }
-
-    /// The post-training window: one more round window at
-    /// `iteration == iterations`, whose chunkless streams carry each
-    /// live worker's final model checksum as the record count.
-    fn final_window(
-        &self,
-        store: &CheckpointStore,
-        model: &[f64],
-        detector: &mut FailureDetector,
-        member: &mut [Seat],
-        summary: &mut LaunchSummary,
-    ) -> Result<(), RuntimeError> {
-        let (last, expected) = (self.spec.iterations, model_checksum(model));
-        for mut d in self.round_window(last, store, model, detector, member, summary)? {
-            summary.workers_reported += 1;
-            summary.workers_matched += usize::from(d.records == expected);
-            let ack = Frame::control(FrameKind::Ack, d.node as u32, last as u64, 0, expected);
-            let _ = d.reply.send(&ack, &mut summary.stats);
-        }
-        Ok(())
-    }
-
-    /// Books the round: fold the deliveries through Sigma, apply the
-    /// `Step` through the replay log, and broadcast the update as every
-    /// contributing stream's reply.
-    fn apply_round(
-        &self,
-        iter: usize,
-        mut deliveries: Vec<Delivery>,
-        model: &mut [f64],
-        store: &mut CheckpointStore,
-        summary: &mut LaunchSummary,
-    ) {
-        let streams = deliveries.iter_mut().map(|d| (d.records, std::mem::take(&mut d.chunks)));
-        let (sum, contributed, active_total) = fold_round(&self.sigma, self.spec.features, streams);
-        if active_total == 0 {
-            return;
-        }
-        let scale = self.spec.learning_rate / active_total as f64;
-        let op = ReplayOp::Step { grad: sum.clone(), scale };
-        op.apply(model);
-        store.record_update(op);
-        store.maybe_checkpoint(iter + 1, model);
-        // One shared broadcast payload: every delivery's Model frame views
-        // the same allocation instead of cloning the sum per worker.
-        let broadcast: WordBuf = sum.into();
-        for (d, _) in deliveries.iter_mut().zip(contributed).filter(|(_, c)| *c) {
-            let reply = Frame {
-                kind: FrameKind::Model,
-                node: d.node as u32,
-                iteration: iter as u64,
-                a: 0,
-                b: active_total,
-                payload: broadcast.clone(),
+        let mut reported = vec![false; self.member.len()];
+        let deadline = Instant::now() + self.coordinator.spec.link.read_timeout() * 3 / 4;
+        while reported.contains(&false) && Instant::now() < deadline {
+            let Some(served) = self.coordinator.server.next(Some(deadline)) else {
+                continue;
             };
-            let _ = d.reply.send(&reply, &mut summary.stats);
+            let node = served.node as usize;
+            let ServedKind::Round { iteration, records, mut reply, .. } = served.kind else {
+                continue;
+            };
+            if iteration != rounds as u64 || reported.get(node) != Some(&false) {
+                continue;
+            }
+            reported[node] = true;
+            let stats = &mut self.summary.stats;
+            stats.merge(&served.stats);
+            self.summary.workers_reported += 1;
+            self.summary.workers_matched += usize::from(records == expected);
+            let ack = Frame::control(FrameKind::Ack, served.node, iteration, 0, expected);
+            let _ = reply.send(&ack, stats);
         }
     }
 }
 
-/// Folds `(records, chunks)` deliveries, in order, through the Sigma
-/// pipeline: the sum, which deliveries contributed (a quarantined or
-/// chunkless stream does not, and gets no `Model` echo), and the
-/// records behind the contributors. The server's readers are Sigma's
-/// networking stage and have read each stream whole, so each peer's
-/// channel is filled and closed before the pass starts, and Sigma's one
-/// job per peer drains it.
-fn fold_round(
-    sigma: &SigmaAggregator,
-    len: usize,
-    streams: impl Iterator<Item = (u64, Vec<Chunk>)>,
-) -> (Vec<f64>, Vec<bool>, u64) {
-    let mut records = Vec::new();
-    let incoming = streams
-        .map(|(n, chunks)| {
-            let (tx, rx) = channel::unbounded();
-            records.push(if chunks.is_empty() { None } else { Some(n) });
-            let _ = chunks.into_iter().try_for_each(|chunk| tx.send(chunk));
-            rx
-        })
-        .collect();
-    let outcome = sigma.aggregate_validated(len, incoming);
-    for &(peer, _) in &outcome.quarantined {
-        records[peer] = None;
+impl Compute for Workers<'_> {
+    fn partials(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError> {
+        self.iteration = req.iteration;
+        self.deploy(req)?;
+        self.window(req)
     }
-    let contributed = records.iter().map(Option::is_some).collect();
-    (outcome.sum, contributed, records.iter().flatten().sum())
-}
 
-fn join_failed(node: usize, err: &WireError) -> RuntimeError {
-    RuntimeError::TransportFailed {
-        peer: node,
-        attempts: 1,
-        detail: format!("join handshake: {err}"),
+    /// The launcher reports no loss: the per-epoch pass over the whole
+    /// dataset would be the coordinator's one serial stage.
+    fn records_loss(&self) -> bool {
+        false
+    }
+
+    /// Answers every stream of the round with the model it left, one
+    /// shared payload for every reply.
+    fn settle(&mut self, model: &[f64]) {
+        let (iteration, payload) = (self.iteration as u64, WordBuf::copy_of(model));
+        for (node, mut owed) in std::mem::take(&mut self.owed) {
+            let (node, payload) = (node as u32, payload.clone());
+            let reply = Frame { kind: FrameKind::Model, node, iteration, a: 0, b: 0, payload };
+            let _ = owed.send(&reply, &mut self.summary.stats);
+        }
     }
 }
 
-/// One worker process: compute the shard's batch gradient, stream it to
-/// the coordinator each round, apply the broadcast update identically.
+/// Completes a join handshake on a handed-over connection: catch the
+/// worker up from the checkpoint/replay log and verify its acknowledged
+/// checksum. `None` when the wire failed mid-handshake.
+fn admit(
+    req: &Request<'_>,
+    node: usize,
+    link: &mut Handshake,
+    stats: &mut TransportStats,
+) -> Result<Option<bool>, RuntimeError> {
+    let caught = req.store.catch_up()?;
+    let expected = model_checksum(req.model);
+    if model_checksum(&caught.model) != expected {
+        // Replay no longer reproduces the live model: the store is
+        // unusable for recovery.
+        return Err(RuntimeError::CheckpointCorrupt { iteration: caught.base_iteration });
+    }
+    let at = req.iteration as u64;
+    let payload = caught.model.into();
+    let snapshot = Frame {
+        kind: FrameKind::Snapshot,
+        node: node as u32,
+        iteration: at,
+        a: at,
+        b: expected,
+        payload,
+    };
+    let ack = link.send(&snapshot, stats).and_then(|()| link.take(stats));
+    Ok(ack.ok().map(|ack| ack.kind == FrameKind::Ack && ack.b == expected))
+}
+
+/// A worker's node partial from its stream: the dense chunks
+/// `chunk_vector` cut, in order and intact. `None` for anything else.
+fn assemble(len: usize, chunks: &[Chunk]) -> Option<Vec<f64>> {
+    let mut partial = Vec::with_capacity(len);
+    for chunk in chunks {
+        if chunk.offset != partial.len() || chunk.layout != Layout::Dense || !chunk.is_intact() {
+            return None;
+        }
+        partial.extend_from_slice(&chunk.data);
+    }
+    (partial.len() == len).then_some(partial)
+}
+
+/// One worker process: compute the node's partial by the engine's rule,
+/// stream it to the coordinator each round, and take the model it
+/// answers with.
 pub struct Worker {
     spec: JobSpec,
     node: usize,
@@ -552,48 +501,37 @@ impl Worker {
     /// Runs the worker loop to completion: rounds, re-syncs, the final
     /// checksum report.
     pub fn run(&self) -> Result<(), RuntimeError> {
-        let spec = self.spec;
-        let alg = spec.algorithm();
-        let shard = spec.shard(self.node);
+        let (spec, node) = (self.spec, self.node);
+        let (cfg, alg, dataset) = (spec.config(), spec.algorithm(), spec.dataset());
+        let shards = Shards::new(&cfg, &dataset);
+        let rounds = cfg.epochs * shards.steps;
         let mut model = spec.initial_model();
-        let mut sender = RoundSender::new(self.addr, self.node, spec.link, spec.retry);
-        let mut iter = 0usize;
-        if self.join {
-            iter = join_handshake(&mut sender, &mut model)?;
-        }
-        while iter < spec.iterations {
-            let mut grad = alg.zero_model();
-            for record in shard.records() {
-                alg.accumulate_gradient(record, &model, &mut grad);
-            }
-            let chunks: Vec<(usize, Chunk)> = chunk_vector(&grad).into_iter().enumerate().collect();
-            match sender.send_round(
-                iter as u64,
-                &chunks,
-                shard.len() as u64,
-                &WireShim::default(),
-                FrameKind::Model,
-            ) {
-                Ok(report) => {
-                    let op = ReplayOp::Step {
-                        grad: report.reply.payload.into_vec(),
-                        scale: spec.learning_rate / report.reply.b as f64,
-                    };
-                    op.apply(&mut model);
+        let mut sender = RoundSender::new(self.addr, node, spec.link, spec.retry);
+        let mut iter = if self.join { join_handshake(&mut sender, &mut model)? } else { 0 };
+        while iter < rounds {
+            let step = iter % shards.steps;
+            let (partial, records) =
+                shards.node_partial(&alg, &cfg, node, step, &model).unwrap_or_default();
+            let chunks: Vec<(usize, Chunk)> =
+                chunk_vector(&partial).into_iter().enumerate().collect();
+            let shim = WireShim::default();
+            let round =
+                sender.send_round(iter as u64, &chunks, records as u64, &shim, FrameKind::Model);
+            match round.map(|report| report.reply.payload) {
+                Ok(next) if next.len() == model.len() => {
+                    model = next.into_vec();
                     iter += 1;
                 }
-                Err(_) => {
-                    // Missed the aggregation window: the cluster moved
-                    // on without this shard. Re-sync through the join
-                    // handshake rather than fork the model.
-                    iter = join_handshake(&mut sender, &mut model)?;
-                }
+                // Missed the window, or the answer was not a model: the
+                // cluster moved on without this node. Re-sync through
+                // the join handshake rather than fork the model.
+                _ => iter = join_handshake(&mut sender, &mut model)?,
             }
         }
         // Final report: a chunkless round carrying the model checksum
         // as the record count, acknowledged by the coordinator.
         let _ = sender.send_round(
-            spec.iterations as u64,
+            rounds as u64,
             &[],
             model_checksum(&model),
             &WireShim::default(),
@@ -623,120 +561,213 @@ fn join_handshake(sender: &mut RoundSender, model: &mut Vec<f64>) -> Result<usiz
         Ok(snapshot.a as usize)
     };
     sender.supervise(&mut TransportStats::default(), |wire, _, _| {
-        attempt(wire).map_err(|e| join_failed(node, &e))
+        attempt(wire).map_err(|e| RuntimeError::TransportFailed {
+            peer: node,
+            attempts: 1,
+            detail: format!("join handshake: {e}"),
+        })
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointStore;
     use std::net::TcpStream;
+    use std::sync::Arc;
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Workers shard by the engine's rule: one step covers each node's
+    /// whole shard, and the shards cover the dataset disjointly.
     #[test]
     fn shards_cover_the_dataset_disjointly() {
         let spec = JobSpec::default();
-        let total: usize = (0..spec.nodes).map(|n| spec.shard(n).len()).sum();
+        let (cfg, dataset) = (spec.config(), spec.dataset());
+        let shards = Shards::new(&cfg, &dataset);
+        assert_eq!(shards.steps, 1, "full-batch: one step an epoch");
+        let model = spec.initial_model();
+        let records = |n| shards.node_partial(&spec.algorithm(), &cfg, n, 0, &model).map(|p| p.1);
+        let total: usize = (0..spec.nodes).map(|n| records(n).unwrap_or(0)).sum();
         assert_eq!(total, spec.samples);
     }
 
-    /// The round server's verdicts, each from a loopback socket, routed
-    /// as the launcher always has: a stale iteration and a node id
-    /// outside the job are served but rejected, a stream that dies
-    /// before `Done` delivers nothing, `Hello(join)` runs the catch-up
-    /// handshake, and one complete stream per member is a delivery.
+    /// A round stream of `partial` as a worker sends it, with 5 records,
+    /// optionally cut short before `Done`. The socket is returned open,
+    /// as a worker awaiting its reply holds it.
+    fn stream(addr: SocketAddr, node: u32, at: u64, whole: bool, partial: &[f64]) -> TcpStream {
+        let mut client = TcpStream::connect(addr).unwrap();
+        Frame::control(FrameKind::Hello, node, at, 0, 0).write_to(&mut client).unwrap();
+        for chunk in chunk_vector(partial) {
+            Frame::chunk(node, at, &chunk).write_to(&mut client).unwrap();
+        }
+        if whole {
+            Frame::control(FrameKind::Done, node, at, 0, 5).write_to(&mut client).unwrap();
+        }
+        client
+    }
+
+    /// The compute window's verdicts, each from a loopback socket: a
+    /// stale iteration and a node id outside the job are served but
+    /// rejected, a stream that dies before `Done` delivers nothing,
+    /// `Hello(join)` runs the catch-up handshake, and one whole stream
+    /// per member or awaited respawn is an arrival — answered, when the
+    /// round settles, with the model it left.
     #[test]
     fn round_window_routes_what_the_round_server_classifies() {
         let spec = JobSpec { nodes: 2, ..JobSpec::default() };
         let coordinator = Coordinator::bind(spec).unwrap();
         let addr = coordinator.addr();
-        // A chunkless stream, optionally cut short; the socket stays
-        // open, as a worker awaiting its reply would hold it.
-        let send = move |node: u32, iteration: u64, whole: bool| {
-            let mut client = TcpStream::connect(addr).unwrap();
-            Frame::control(FrameKind::Hello, node, iteration, 0, 0).write_to(&mut client).unwrap();
-            if whole {
-                Frame::control(FrameKind::Done, node, iteration, 0, 5)
-                    .write_to(&mut client)
-                    .unwrap();
-            }
-            client
-        };
-        let _open = [send(0, 3, true), send(9, 4, true), send(0, 4, true)];
-        drop(send(0, 4, false));
+        let model = spec.initial_model();
+        let partial: Vec<f64> = (0..model.len()).map(|i| i as f64 * 0.5).collect();
+        let mut stale = stream(addr, 0, 3, true, &partial);
+        let mut open = [stream(addr, 9, 4, true, &partial), stream(addr, 0, 4, true, &partial)];
+        drop(stream(addr, 0, 4, false, &partial));
         // Node 1 was expelled and its respawn is awaited: the window
         // outlasts node 0's delivery until the joiner has caught up
-        // through the worker's own handshake and delivered too.
+        // through the worker's own handshake and delivered too. It joins
+        // once the stale stream was refused (its socket shut), so that
+        // one is booked before the window can close.
+        let joiner_partial = partial.clone();
         let worker = std::thread::spawn(move || {
+            stale.set_read_timeout(Some(spec.link.read_timeout() * 2)).unwrap();
+            let _ = std::io::Read::read(&mut stale, &mut [0]);
             let mut sender = RoundSender::new(addr, 1, spec.link, spec.retry);
             let mut caught = Vec::new();
             let resume = join_handshake(&mut sender, &mut caught).unwrap();
-            (resume, caught, send(1, 4, true))
+            (resume, caught, stream(addr, 1, 4, true, &joiner_partial))
         });
-        let model = spec.initial_model();
         let store = CheckpointStore::new(CheckpointConfig { cadence: 4 }, &model);
-        let mut detector = FailureDetector::new(2, DetectorConfig::default());
-        let (mut member, mut summary) = ([Seat::Member, Seat::Awaited], LaunchSummary::default());
-        let deliveries = coordinator
-            .round_window(4, &store, &model, &mut detector, &mut member, &mut summary)
-            .unwrap();
-        let (resume, caught, _open) = worker.join().unwrap();
-        assert_eq!((resume, caught, &summary.rejoins[..]), (4, model, &[(1, 4, true)][..]));
-        let delivered: Vec<_> = deliveries.iter().map(|d| (d.node, d.records)).collect();
-        assert_eq!(delivered, [(0, 5), (1, 5)], "one delivery per member, in node order");
-        assert_eq!(member, [Seat::Member; 2]);
+        let shared = Arc::new(model.clone());
+        let req = Request {
+            iteration: 4,
+            step: 0,
+            dispatch: &[true, true],
+            model: &shared,
+            member: &[true, false],
+            store: &store,
+        };
+        let mut workers = Workers::new(&coordinator);
+        workers.awaited[1] = true;
+        let arrivals = workers.window(&req).unwrap();
+        let (resume, caught, mut joiner) = worker.join().unwrap();
+        assert_eq!(
+            (resume, &caught, &workers.summary.rejoins[..]),
+            (4, &model, &[(1, 4, true)][..])
+        );
+        let whole = Some(Some((partial, 5)));
+        assert_eq!(arrivals, [whole.clone(), whole], "one arrival per member and awaited node");
+        assert_eq!(workers.awaited, [false; 2], "the awaited window closed");
         // Booked: the stale stream, the join's Hello and Ack, the two
-        // deliveries — not the unknown node, not the half stream.
-        assert_eq!(summary.stats.frames_received, 2 + 2 + 2 + 2);
+        // arrivals — not the unknown node, not the half stream.
+        assert_eq!(workers.summary.stats.frames_received, 3 + 2 + 3 + 3);
+        // Settling answers exactly the two arrivals, with the new model.
+        let next: Vec<f64> = model.iter().map(|w| w - 1.0).collect();
+        workers.iteration = 4;
+        workers.settle(&next);
+        for (node, socket) in [(0, &mut open[1]), (1, &mut joiner)] {
+            let reply = Frame::read_from(socket).unwrap();
+            assert_eq!((reply.kind, reply.node, reply.iteration), (FrameKind::Model, node, 4));
+            assert_eq!(bits(&reply.payload), bits(&next), "node {node}");
+        }
+        assert!(workers.owed.is_empty());
     }
 
-    /// The coordinator's fold is Sigma's: contributor set, denominator
-    /// and sum bits are the reference fold's over the peers Sigma let
-    /// through, whatever was done to peer 1's stream.
+    /// A joiner that hangs up mid-handshake costs its own handshake, not
+    /// the job: the window books no rejoin and serves the round on.
     #[test]
-    fn coordinator_fold_is_the_sigma_fold_over_surviving_peers() {
+    fn a_joiner_that_hangs_up_mid_handshake_does_not_end_the_job() {
+        // A short window: the awaited joiner never delivers, so the
+        // window runs to its deadline and serves everything queued.
+        let link = LinkConfig { read_timeout_ms: 200, ..LinkConfig::default() };
+        let spec = JobSpec { nodes: 2, link, ..JobSpec::default() };
+        let coordinator = Coordinator::bind(spec).unwrap();
+        let addr = coordinator.addr();
+        let model = spec.initial_model();
+        let mut quitter = TcpStream::connect(addr).unwrap();
+        Frame::control(FrameKind::Hello, 1, 0, 1, 0).write_to(&mut quitter).unwrap();
+        drop(quitter);
+        let _member = stream(addr, 0, 2, true, &model);
+        let store = CheckpointStore::new(CheckpointConfig { cadence: 4 }, &model);
+        let shared = Arc::new(model.clone());
+        let req = Request {
+            iteration: 2,
+            step: 0,
+            dispatch: &[true, true],
+            model: &shared,
+            member: &[true, false],
+            store: &store,
+        };
+        let mut workers = Workers::new(&coordinator);
+        workers.awaited[1] = true;
+        let arrivals = workers.window(&req).expect("a lost joiner is not the job's failure");
+        assert_eq!(arrivals, [Some(Some((model, 5))), None]);
+        assert!(workers.summary.rejoins.is_empty());
+        // The joiner's `Hello` was served, and the member's stream.
+        assert_eq!(workers.summary.stats.frames_received, 1 + 3);
+    }
+
+    /// A worker's stream is its partial only whole, in order and intact.
+    #[test]
+    fn a_worker_stream_is_its_partial_only_whole_and_intact() {
         use crate::layout::CHUNK_WORDS;
         let len = 3 * CHUNK_WORDS + 7;
-        let grads: Vec<Vec<f64>> =
-            (0..3).map(|p| (0..len).map(|i| (i * 7 + p) as f64 * 0.125 - 3.0).collect()).collect();
-        let records = [40u64, 50, 60];
+        let partial: Vec<f64> = (0..len).map(|i| (i * 7) as f64 * 0.125 - 3.0).collect();
         type Damage = fn(&mut Vec<Chunk>);
-        let table: [(&str, Damage, &[usize]); 6] = [
-            ("clean", |_| (), &[0, 1, 2]),
-            ("corrupt chunk", |c| c[1] = c[1].clone().corrupted(), &[0, 2]),
-            // The one intended verdict change from the old private
-            // rebuild: dropped idempotently, as everywhere else in the
-            // stack, not quarantined.
-            ("duplicated chunk", |c| c.insert(2, c[2].clone()), &[0, 1, 2]),
-            ("missing stripe", |c| drop(c.remove(1)), &[0, 2]),
-            ("no chunk at all", Vec::clear, &[0, 2]),
-            (
-                "aggregation job unwound",
-                |c| {
-                    let mut words = c[0].data.to_vec();
-                    words[0] = SigmaAggregator::TRIPWIRE;
-                    c[0] = Chunk::new(0, words);
-                },
-                &[0, 2],
-            ),
+        let table: [(&str, Damage, bool); 6] = [
+            ("clean", |_| (), true),
+            ("corrupt chunk", |c| c[1] = c[1].clone().corrupted(), false),
+            ("duplicated chunk", |c| c.insert(2, c[2].clone()), false),
+            ("missing stripe", |c| drop(c.remove(1)), false),
+            ("reordered", |c| c.swap(0, 1), false),
+            ("no chunk at all", Vec::clear, false),
         ];
-        let sigma = SigmaAggregator::new(2, 2).tripwired();
-        for (name, damage, survivors) in table {
-            let streams = grads.iter().zip(records).enumerate().map(|(p, (grad, n))| {
-                let mut chunks = chunk_vector(grad);
-                if p == 1 {
-                    damage(&mut chunks);
+        for (name, damage, whole) in table {
+            let mut chunks = chunk_vector(&partial);
+            damage(&mut chunks);
+            let got = assemble(len, &chunks);
+            assert_eq!(got.is_some(), whole, "{name}");
+            if let Some(got) = got {
+                assert_eq!(bits(&got), bits(&partial), "{name}");
+            }
+        }
+        assert_eq!(assemble(0, &[]), Some(Vec::new()), "an empty model is an empty stream");
+    }
+
+    proptest::proptest! {
+        /// Whatever a worker's stream delivers, `assemble` is total and
+        /// exact: the stream as cut is its partial bit for bit, and one
+        /// with chunks dropped, duplicated, moved, corrupted, truncated
+        /// or re-addressed, in any mix, is refused.
+        #[test]
+        fn assemble_refuses_every_broken_stream(
+            len in 1usize..3 * crate::layout::CHUNK_WORDS + 9,
+            damage in proptest::prop::collection::vec(proptest::any::<u64>(), 0..4),
+        ) {
+            let partial: Vec<f64> = (0..len).map(|i| i as f64 - 0.5).collect();
+            let cut = chunk_vector(&partial);
+            let mut chunks = cut.clone();
+            for pick in damage {
+                if chunks.is_empty() {
+                    break;
                 }
-                (n, chunks)
-            });
-            let (sum, contributed, active_total) = fold_round(&sigma, len, streams);
-            let contributors: Vec<usize> = (0..3).filter(|&p| contributed[p]).collect();
-            assert_eq!(contributors, survivors, "{name}: contributor set");
-            assert_eq!(active_total, survivors.iter().map(|&p| records[p]).sum(), "{name}");
-            let parts: Vec<&[f64]> = survivors.iter().map(|&p| grads[p].as_slice()).collect();
-            let mut expect = vec![0.0; len];
-            crate::fold::fold_parts_reference(&mut expect, &parts);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&sum), bits(&expect), "{name}: sum bits");
+                let (n, at) = (chunks.len(), (pick >> 8) as usize % chunks.len());
+                let c = chunks[at].clone();
+                match pick % 6 {
+                    0 => drop(chunks.remove(at)),
+                    1 => chunks.insert(at, c),
+                    2 => chunks.swap(at, (at + 1) % n),
+                    3 => chunks[at] = c.corrupted(),
+                    4 if c.data.len() > 1 => {
+                        chunks[at] = Chunk::new(c.offset, c.data[..c.data.len() - 1].to_vec());
+                    }
+                    _ => chunks[at] = Chunk::new(c.offset + 1, c.data.to_vec()),
+                }
+            }
+            let whole = (chunks == cut).then(|| bits(&partial));
+            proptest::prop_assert_eq!(assemble(len, &chunks).map(|p| bits(&p)), whole);
         }
     }
 

@@ -10,6 +10,9 @@
 
 use std::process::Command;
 
+use cosmic_runtime::transport::proc::JobSpec;
+use cosmic_runtime::{model_checksum, ClusterTrainer, TraceSink};
+
 /// Runs the launcher binary and returns its one-line JSON summary.
 fn launch(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_cosmic-launcher"))
@@ -65,6 +68,43 @@ fn healthy_processes_end_bit_identical() {
     assert!(field(&json, "heartbeats") > 0, "{json}");
     assert!(json.contains("\"kills\":[]"), "{json}");
     assert!(json.contains("\"expulsions\":[]"), "{json}");
+}
+
+/// The launcher's oracle: one trainer, two deployments. A healthy job
+/// trains exactly what the in-process engine trains on the job's config
+/// — loopback TCP, φ-accrual membership — with its compute on threads:
+/// the same model bits, and byte for byte the same trace and metrics.
+#[test]
+fn a_healthy_job_is_the_in_process_tcp_run() {
+    let dir = std::env::temp_dir().join(format!("cosmic-launcher-oracle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let trace = dir.join("trace.json");
+    let json = launch(&[
+        "--nodes",
+        "3",
+        "--iterations",
+        "9",
+        "--samples",
+        "181",
+        "--seed",
+        "23",
+        "--trace",
+        trace.to_str().expect("UTF-8 path"),
+    ]);
+    let spec = JobSpec { nodes: 3, iterations: 9, samples: 181, seed: 23, ..JobSpec::default() };
+    let sink = TraceSink::new();
+    let trainer = ClusterTrainer::new(spec.config()).expect("valid config");
+    let out = trainer
+        .train_traced(&spec.algorithm(), &spec.dataset(), spec.initial_model(), &sink)
+        .expect("healthy run");
+    let checksum = format!("\"final_checksum\":\"{:#018x}\"", model_checksum(&out.model));
+    assert!(json.contains(&checksum), "model bits: {json} vs {checksum}");
+    assert_eq!(field(&json, "iterations"), out.iterations as u64, "{json}");
+    assert_eq!(field(&json, "workers_matched"), 3, "{json}");
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("launcher export");
+    assert!(read("trace.json") == sink.chrome_trace_json(), "trace.json differs");
+    assert_eq!(read("metrics.json"), sink.metrics_json());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The headline scenario: SIGKILL worker 1 before iteration 2. The run
