@@ -175,8 +175,9 @@ impl ThreadProgram {
     }
 
     /// Basic structural validation: instruction streams match the
-    /// geometry, placements are in range, and every gradient source names
-    /// an existing PE.
+    /// geometry, placements are in range, every data and model operand
+    /// names a placed slot, and every send and gradient source names an
+    /// existing PE.
     ///
     /// # Errors
     ///
@@ -202,6 +203,19 @@ impl ThreadProgram {
         }
         for (pe, stream) in self.instrs.iter().enumerate() {
             for instr in stream {
+                if let PeInstr::Compute { a, b, .. } = instr {
+                    for src in [a, b] {
+                        match *src {
+                            Src::Data(s) if s as usize >= self.data_placement.len() => {
+                                return Err(format!("pe{pe} reads out-of-range data slot {s}"));
+                            }
+                            Src::Model(s) if s as usize >= self.model_placement.len() => {
+                                return Err(format!("pe{pe} reads out-of-range model slot {s}"));
+                            }
+                            _ => {}
+                        }
+                    }
+                }
                 if let PeInstr::Send { dst, .. } = instr {
                     match dst {
                         SendTarget::Pe(p) => {
@@ -290,6 +304,25 @@ mod tests {
         let mut p = trivial_program();
         p.instrs[0].push(PeInstr::Send { tag: 10, dst: SendTarget::Pe(PeId(0)) });
         assert!(p.validate().unwrap_err().contains("sends to itself"));
+    }
+
+    #[test]
+    fn validation_rejects_out_of_range_operand_slots() {
+        let mut p = trivial_program();
+        p.instrs[1][0] = PeInstr::Compute {
+            op: AluOp::Bin(OpKind::Add),
+            a: Src::Data(1),
+            b: Src::Imm(1.0),
+            tag: 11,
+        };
+        assert!(p.validate().unwrap_err().contains("out-of-range data slot 1"));
+        p.instrs[1][0] = PeInstr::Compute {
+            op: AluOp::Bin(OpKind::Add),
+            a: Src::Imm(1.0),
+            b: Src::Model(3),
+            tag: 11,
+        };
+        assert!(p.validate().unwrap_err().contains("out-of-range model slot 3"));
     }
 
     #[test]

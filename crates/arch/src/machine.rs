@@ -13,11 +13,29 @@
 //! The simulator computes *values* as well as *cycles*: its gradients are
 //! checked against the DFG reference interpreter, and its makespans
 //! validate the Planner's static performance estimator.
+//!
+//! [`Machine::run`] is event-driven. Before the first cycle, every value a
+//! PE reads or produces is given a slot in that PE's own store. Slots are
+//! numbered densely per PE, so a store holds only the tags its PE
+//! touches. Model words and immediates become constants, and every send
+//! gets its grant class, its latency and the slots of the receivers that
+//! read its value. A PE is then visited only on a cycle when its head
+//! instruction may issue. A PE whose operand is not ready sleeps until the
+//! cycle it will be, which is known from the memory stream or from the
+//! producer's issue. An operand not yet produced wakes its PE when it is
+//! delivered, and so does every later delivery to that slot, because a
+//! broadcast can overwrite a value with a new ready time. A send denied a
+//! grant stays awake. The PEs awake on a cycle are visited in ascending
+//! order, which is the grant arbitration order, and a cycle on which no PE
+//! is awake is jumped over. [`Machine::run_reference`] visits every
+//! unfinished PE on every cycle, and the two agree on every outcome field
+//! and every error.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasher, Hasher};
+use std::ops::Range;
 
 use cosmic_dfg::OpKind;
 
@@ -33,6 +51,14 @@ pub struct RunError {
 impl RunError {
     fn new(message: impl Into<String>) -> Self {
         RunError { message: message.into() }
+    }
+
+    fn runaway() -> Self {
+        RunError::new("cycle safety limit exceeded (runaway program)")
+    }
+
+    fn deadlock() -> Self {
+        RunError::new("deadlock: a PE waits for a value that is never produced")
     }
 }
 
@@ -118,17 +144,17 @@ impl Machine {
     /// model parameters (preloaded into model buffers, as the broadcast
     /// write of the memory interface would).
     ///
-    /// This is the **optimized** simulator: instruction streams are
-    /// resolved once up front (routes, receiver sets, grant classes),
-    /// the per-PE value stores use a cheap multiplicative tag hash, and
-    /// stretches of cycles in which no PE can issue are skipped in one
-    /// jump to the next value/data ready event. Every outcome field —
-    /// `gradients`, `cycles`, `bus_stall_cycles`, transfer counters,
-    /// `pe_issued` — and every error is **exactly** what
-    /// [`Machine::run_reference`] produces: a skipped cycle is by
-    /// definition one where nothing issues and nothing stalls, so no
-    /// observable state can differ (the proptests in
-    /// `tests/machine_equivalence.rs` hold that line).
+    /// This is the **event-driven** simulator described in the module
+    /// doc: each cycle it visits only the PEs whose head instruction may
+    /// issue, in ascending PE order, reading operands from dense per-PE
+    /// slots, and it jumps over cycles on which no PE is awake. Every
+    /// outcome field (`gradients`, `cycles`, `bus_stall_cycles`, the
+    /// transfer counters, `pe_issued`) and every error, deadlock and
+    /// runaway included, is **exactly** what [`Machine::run_reference`]
+    /// produces. A PE left asleep on a cycle is one whose visit would have
+    /// changed nothing: it neither issues nor asks for a grant. The tests
+    /// in `tests/machine_equivalence.rs` hold that line on compiled
+    /// workloads and on random hand-built programs.
     ///
     /// # Errors
     ///
@@ -141,21 +167,64 @@ impl Machine {
         record: &[f64],
         model: &[f64],
     ) -> Result<RunOutcome, RunError> {
+        self.run_counted(program, record, model).map(|(outcome, _)| outcome)
+    }
+
+    /// [`Machine::run`], also returning its PE visits: how many times a
+    /// PE's head instruction was examined on some cycle. The reference
+    /// makes one visit per unfinished PE per cycle.
+    fn run_counted(
+        &self,
+        program: &ThreadProgram,
+        record: &[f64],
+        model: &[f64],
+    ) -> Result<(RunOutcome, u64), RunError> {
         self.check_shapes(program, record, model)?;
         let pes = self.geometry.pes();
         let data_ready = self.data_ready(record.len());
-        let prepared = self.prepare(program);
+        let prepared = self.prepare(program, model);
+        let Prepared {
+            ops,
+            streams,
+            constants,
+            sends,
+            fanout,
+            deliveries,
+            slots,
+            gradients,
+            max_latency,
+        } = &prepared;
 
-        let mut store: Vec<TagMap> = (0..pes).map(|_| TagMap::default()).collect();
-        let mut pc = vec![0usize; pes];
-        let mut done = prepared.iter().filter(|s| s.is_empty()).count();
-        // Row-bus grants are stamped with the cycle that took them, so
-        // per-cycle reset is free.
-        let mut row_stamp = vec![u64::MAX; self.geometry.rows];
-        let mut neighbor_used: Vec<(u32, u32)> = Vec::new();
+        // Slot -> (value, ready cycle); NEVER = no value has arrived.
+        let mut store = vec![(0.0, NEVER); *slots];
+        // The slots each PE's head instruction reads (NO_SLOT = none).
+        let mut watch = vec![[NO_SLOT; 2]; pes];
+        let mut pc: Vec<usize> = streams.iter().map(|s| s.start).collect();
+        let mut calendar = Calendar::new(pes);
+        let mut done = 0;
+        for (p, stream) in streams.iter().enumerate() {
+            if stream.is_empty() {
+                done += 1;
+            } else {
+                calendar.book(p, 0, 0);
+            }
+        }
+        // Grants are stamped with the cycle that took them, so the
+        // per-cycle reset is free. Neighbor links are directed: link
+        // 2p is p's link to p - 1, link 2p + 1 its link to p + 1.
+        let mut link_stamp = vec![NEVER; 2 * pes];
+        let mut row_stamp = vec![NEVER; self.geometry.rows];
+        let mut tree_stamp = NEVER;
+        let mut due: Vec<u32> = Vec::new();
+        let mut visits = 0u64;
+        // Every store write from the cycle after `late_from` on, deliveries
+        // nobody reads included: (PE, tag, ready cycle). Only a write this
+        // late can be ready past the safety limit (see the deadlock arm).
+        let late_from = SAFETY_LIMIT.saturating_sub(*max_latency);
+        let mut late_writes: Vec<(usize, Tag, u64)> = Vec::new();
 
         let mut outcome = RunOutcome {
-            gradients: vec![0.0; program.gradient_sources.len()],
+            gradients: vec![0.0; gradients.len()],
             cycles: 0,
             neighbor_transfers: 0,
             row_bus_transfers: 0,
@@ -164,142 +233,182 @@ impl Machine {
             pe_issued: vec![0; pes],
         };
 
+        // When the head instruction `op` can issue, given what the store
+        // holds now; records the slots it reads in `watch`.
+        let ready_at = |op: &Op, store: &[(f64, u64)], watch: &mut [u32; 2]| -> u64 {
+            let operand = |src: Operand, slot: &mut u32| match src {
+                Operand::Value(_) => {
+                    *slot = NO_SLOT;
+                    0
+                }
+                Operand::Data(s) => {
+                    *slot = NO_SLOT;
+                    data_ready[s as usize]
+                }
+                Operand::Slot(s) => {
+                    *slot = s;
+                    store[s as usize].1
+                }
+            };
+            match *op {
+                Op::Compute { a, b, .. } => {
+                    let [wa, wb] = watch;
+                    operand(a, wa).max(operand(b, wb))
+                }
+                Op::Send { src, .. } => {
+                    *watch = [src, NO_SLOT];
+                    store[src as usize].1
+                }
+            }
+        };
+        let value = |src: Operand, store: &[(f64, u64)]| match src {
+            Operand::Value(c) => constants[c as usize],
+            Operand::Data(s) => record[s as usize],
+            Operand::Slot(s) => store[s as usize].0,
+        };
+
         let mut now: u64 = 0;
         while done < pes {
             if now > SAFETY_LIMIT {
-                return Err(RunError::new("cycle safety limit exceeded (runaway program)"));
+                return Err(RunError::runaway());
             }
-            neighbor_used.clear();
-            let mut tree_bus_used = false;
-            let mut progressed = false;
             let mut bus_stalled = false;
-
-            for p in 0..pes {
-                let stream = &prepared[p];
-                if pc[p] >= stream.len() {
+            calendar.take_due(now, &mut due);
+            for &q in &due {
+                let q = q as usize;
+                if !calendar.visit(q, now) {
+                    continue; // a wake-up that a delivery moved earlier
+                }
+                visits += 1;
+                let op = &ops[pc[q]];
+                let at = ready_at(op, &store, &mut watch[q]);
+                if at > now {
+                    calendar.book(q, at, now);
                     continue;
                 }
-                match stream[pc[p]] {
-                    Prepared::Compute { op, a, b, tag } => {
-                        let ra = self.read(&store[p], &data_ready, record, model, program, a, now);
-                        let rb = match op {
-                            AluOp::Un(_) => Some(0.0),
-                            AluOp::Bin(_) => {
-                                self.read(&store[p], &data_ready, record, model, program, b, now)
-                            }
-                        };
-                        let (Some(va), Some(vb)) = (ra, rb) else {
-                            continue;
-                        };
-                        let value = match op {
-                            AluOp::Bin(kind) => kind.apply(va, vb),
+                match *op {
+                    Op::Compute { op, a, b, dst, tag } => {
+                        let va = value(a, &store);
+                        let result = match op {
+                            AluOp::Bin(kind) => kind.apply(va, value(b, &store)),
                             AluOp::Un(func) => cosmic_dfg_apply_unary(func, va),
                         };
                         let ready = now + op.latency();
-                        store[p].insert(tag, (value, ready));
-                        pc[p] += 1;
-                        if pc[p] == stream.len() {
-                            done += 1;
+                        store[dst as usize] = (result, ready);
+                        if now > late_from {
+                            late_writes.push((q, tag, ready));
                         }
-                        outcome.pe_issued[p] += 1;
-                        progressed = true;
                     }
-                    Prepared::Send { tag, grant, latency, ref receivers } => {
-                        let Some(&(value, ready)) = store[p].get(&tag) else {
-                            continue; // value not yet produced/arrived
-                        };
-                        if ready > now {
-                            continue;
-                        }
+                    Op::Send { src, grant, latency, send } => {
+                        let send = send as usize;
                         let granted = match grant {
                             Grant::Local => true,
-                            Grant::Neighbor { to } => {
-                                let key = (p as u32, to);
-                                if neighbor_used.contains(&key) {
-                                    false
-                                } else {
-                                    neighbor_used.push(key);
+                            Grant::Neighbor { link } => {
+                                let free = link_stamp[link as usize] != now;
+                                if free {
+                                    link_stamp[link as usize] = now;
                                     outcome.neighbor_transfers += 1;
-                                    true
                                 }
+                                free
                             }
                             Grant::RowBus { row } => {
-                                if row_stamp[row] == now {
-                                    false
-                                } else {
-                                    row_stamp[row] = now;
+                                let free = row_stamp[row as usize] != now;
+                                if free {
+                                    row_stamp[row as usize] = now;
                                     outcome.row_bus_transfers += 1;
-                                    true
                                 }
+                                free
                             }
                             Grant::TreeBus => {
-                                if tree_bus_used {
-                                    false
-                                } else {
-                                    tree_bus_used = true;
+                                let free = tree_stamp != now;
+                                if free {
+                                    tree_stamp = now;
                                     outcome.tree_bus_transfers += 1;
-                                    true
                                 }
+                                free
                             }
                         };
-                        if granted {
-                            let arrive = now + latency;
-                            for &q in receivers {
-                                store[q].insert(tag, (value, arrive));
-                            }
-                            pc[p] += 1;
-                            if pc[p] == stream.len() {
-                                done += 1;
-                            }
-                            outcome.pe_issued[p] += 1;
-                            progressed = true;
-                        } else {
+                        if !granted {
                             bus_stalled = true;
+                            calendar.book(q, now + 1, now);
+                            continue;
+                        }
+                        let arrive = now + latency;
+                        let sent = (store[src as usize].0, arrive);
+                        for &(r, slot) in &deliveries[fanout[send]..fanout[send + 1]] {
+                            store[slot as usize] = sent;
+                            if watch[r as usize].contains(&slot) {
+                                calendar.book(r as usize, arrive, now);
+                            }
+                        }
+                        if now > late_from {
+                            let (p, tag, dst) = sends[send];
+                            late_writes.extend(
+                                (0..pes)
+                                    .filter(|&r| self.delivers(p, dst, r))
+                                    .map(|r| (r, tag, arrive)),
+                            );
                         }
                     }
                 }
+                outcome.pe_issued[q] += 1;
+                pc[q] += 1;
+                if pc[q] == streams[q].end {
+                    done += 1;
+                    watch[q] = [NO_SLOT; 2];
+                } else {
+                    let at = ready_at(&ops[pc[q]], &store, &mut watch[q]);
+                    calendar.book(q, at.max(now + 1), now);
+                }
             }
-
             if bus_stalled {
                 outcome.bus_stall_cycles += 1;
             }
-            if progressed {
+            if done == pes {
                 now += 1;
-                continue;
+                break;
             }
-            // Nothing issued. A skipped cycle has no issues and (since a
-            // denied grant implies another PE's grant, i.e. progress) no
-            // stalls, so jumping straight to the next ready event books
-            // exactly what the reference books cycle by cycle. The jump
-            // clamps to SAFETY_LIMIT + 1 so a runaway program errors at
-            // the identical cycle.
-            let next_value =
-                store.iter().flat_map(|m| m.values()).map(|&(_, r)| r).filter(|&r| r > now).min();
-            let next_data = data_ready.get(data_ready.partition_point(|&r| r <= now)).copied();
-            let next = match (next_value, next_data) {
-                (Some(v), Some(d)) => v.min(d),
-                (Some(v), None) => v,
-                (None, Some(d)) => d,
-                (None, None) => {
-                    return Err(RunError::new(
-                        "deadlock: a PE waits for a value that is never produced",
-                    ))
+            match calendar.next_after(now) {
+                // The cycles in between are ones on which the reference
+                // visits every PE and none issues or stalls. The jump
+                // clamps to SAFETY_LIMIT + 1 so a runaway program errors
+                // at the identical cycle.
+                Some(next) => now = next.min(SAFETY_LIMIT + 1),
+                // No PE will ever wake: each unfinished one waits for a
+                // value nobody is left to send. The reference steps on
+                // while any stored value or record word is still due,
+                // so it reports a runaway iff one is due past the limit.
+                // A write before `late_from` is ready by the limit, and
+                // the log holds the last write of every later one.
+                None => {
+                    let last: HashMap<(usize, Tag), u64> =
+                        late_writes.iter().map(|&(q, tag, ready)| ((q, tag), ready)).collect();
+                    let last_data = data_ready.last().copied().unwrap_or(0);
+                    return Err(
+                        if last_data > SAFETY_LIMIT || last.values().any(|&r| r > SAFETY_LIMIT) {
+                            RunError::runaway()
+                        } else {
+                            RunError::deadlock()
+                        },
+                    );
                 }
-            };
-            now = next.min(SAFETY_LIMIT + 1);
+            }
         }
 
         // Collect gradients and the cycle everything was ready.
         let mut finish = now;
-        for (slot, &(pe, tag)) in program.gradient_sources.iter().enumerate() {
-            let &(value, ready) = store[pe.index()].get(&tag).ok_or_else(|| {
-                RunError::new(format!("gradient slot {slot} (tag {tag}) was never produced"))
-            })?;
+        for (slot, (&(_, tag), &s)) in program.gradient_sources.iter().zip(gradients).enumerate() {
+            let (value, ready) = store[s as usize];
+            if ready == NEVER {
+                return Err(RunError::new(format!(
+                    "gradient slot {slot} (tag {tag}) was never produced"
+                )));
+            }
             outcome.gradients[slot] = value;
             finish = finish.max(ready);
         }
         outcome.cycles = finish;
-        Ok(outcome)
+        Ok((outcome, visits))
     }
 
     /// Shared structural validation for both simulator paths.
@@ -333,65 +442,189 @@ impl Machine {
         (0..words).map(|s| (s as f64 / self.words_per_cycle).floor() as u64).collect()
     }
 
-    /// Resolves every instruction's routing once: link class, transfer
-    /// latency, and receiver set are geometry facts, not simulation
-    /// state, so the per-cycle loop never recomputes a route or
-    /// allocates a receiver list (the reference does both on every
-    /// retry of a stalled send).
-    fn prepare(&self, program: &ThreadProgram) -> Vec<Vec<Prepared>> {
+    /// Whether a send from `p` to `dst` delivers to `q`. Buses are shared
+    /// media, so a row or tree transaction delivers everywhere at once.
+    fn delivers(&self, p: usize, dst: SendTarget, q: usize) -> bool {
+        q != p
+            && match dst {
+                SendTarget::Pe(to) => to.index() == q,
+                SendTarget::Row(r) => q / self.geometry.columns == r as usize,
+                SendTarget::All => true,
+            }
+    }
+
+    /// The grant class and latency of a send from `p`: geometry facts,
+    /// not simulation state.
+    fn route(&self, p: usize, dst: SendTarget) -> (Grant, u64) {
         let pes = self.geometry.pes();
-        (0..pes)
-            .map(|p| {
-                program.instrs[p]
-                    .iter()
-                    .map(|instr| match *instr {
-                        PeInstr::Compute { op, a, b, tag } => Prepared::Compute { op, a, b, tag },
-                        PeInstr::Send { tag, dst } => {
-                            let my_row = self.geometry.row(PeId(p as u32));
-                            let (link, latency, receivers): (LinkClass, u64, Vec<usize>) = match dst
-                            {
-                                SendTarget::Pe(q) => {
-                                    let route = self.geometry.route(PeId(p as u32), q);
-                                    (route.link, route.latency, vec![q.index()])
-                                }
-                                SendTarget::Row(r) => {
-                                    let cols = self.geometry.columns;
-                                    let rcv = (0..cols)
-                                        .map(|c| r as usize * cols + c)
-                                        .filter(|&q| q != p)
-                                        .collect();
-                                    (LinkClass::RowBus(my_row), 2, rcv)
-                                }
-                                SendTarget::All => {
-                                    let route =
-                                        self.geometry.route(PeId(0), PeId((pes - 1) as u32));
-                                    let lat =
-                                        if self.geometry.rows == 1 { 2 } else { route.latency };
-                                    (
-                                        LinkClass::TreeBus,
-                                        lat,
-                                        (0..pes).filter(|&q| q != p).collect(),
-                                    )
-                                }
-                            };
-                            let grant = match link {
-                                LinkClass::Local => Grant::Local,
-                                LinkClass::Neighbor => Grant::Neighbor { to: receivers[0] as u32 },
-                                LinkClass::RowBus(row) => Grant::RowBus { row },
-                                LinkClass::TreeBus => Grant::TreeBus,
-                            };
-                            Prepared::Send { tag, grant, latency, receivers }
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+        let (link, latency) = match dst {
+            SendTarget::Pe(q) => {
+                let route = self.geometry.route(PeId(p as u32), q);
+                (route.link, route.latency)
+            }
+            SendTarget::Row(_) => (LinkClass::RowBus(self.geometry.row(PeId(p as u32))), 2),
+            SendTarget::All => {
+                let route = self.geometry.route(PeId(0), PeId((pes - 1) as u32));
+                let latency = if self.geometry.rows == 1 { 2 } else { route.latency };
+                (LinkClass::TreeBus, latency)
+            }
+        };
+        let grant = match (link, dst) {
+            (LinkClass::Neighbor, SendTarget::Pe(q)) => {
+                Grant::Neighbor { link: 2 * p as u32 + u32::from(q.index() > p) }
+            }
+            (LinkClass::RowBus(row), _) => Grant::RowBus { row: row as u32 },
+            (LinkClass::TreeBus, _) => Grant::TreeBus,
+            (LinkClass::Local | LinkClass::Neighbor, _) => Grant::Local,
+        };
+        (grant, latency)
+    }
+
+    /// Resolves the program once, before the first cycle: every operand
+    /// to a constant, a record word or a slot of its PE's store, and
+    /// every send to its grant class, latency and receiver slots.
+    ///
+    /// A PE's slots are the tags it reads (as an operand, to send, or as
+    /// a gradient) and the tags it produces, numbered PE after PE. One
+    /// table indexed by tag, stamped with the PE being numbered, does
+    /// the lookup, so it is sized by the largest tag, not by PEs × tags.
+    /// A send delivers only to the receivers that read its tag: a bus
+    /// delivers to a whole row or thread, but most receivers never look
+    /// at the value, and a value nobody reads cannot change what any PE
+    /// does. (`run_counted` logs such writes near the cycle limit, where
+    /// they can decide between deadlock and runaway.)
+    fn prepare(&self, program: &ThreadProgram, model: &[f64]) -> Prepared {
+        let pes = self.geometry.pes();
+        let tags = TagIndex::new(program);
+
+        // Every send in program order, and per tag the sends of it (a
+        // list threaded through `next_send`).
+        let mut sends = Vec::new();
+        let mut first_send = vec![NO_SEND; tags.len()];
+        let mut next_send = Vec::new();
+        for (p, stream) in program.instrs.iter().enumerate() {
+            for instr in stream {
+                if let PeInstr::Send { tag, dst } = *instr {
+                    let t = tags.index(tag);
+                    next_send.push(first_send[t]);
+                    first_send[t] = sends.len();
+                    sends.push((p, tag, dst));
+                }
+            }
+        }
+        let mut gradient_order: Vec<usize> = (0..program.gradient_sources.len()).collect();
+        gradient_order.sort_by_key(|&g| program.gradient_sources[g].0.index());
+        let mut gradient_order = gradient_order.into_iter().peekable();
+
+        // Per tag: (PE that numbered it last, its slot there, whether
+        // that PE reads it).
+        let mut table = vec![(NO_SLOT, NO_SLOT, false); tags.len()];
+        let mut slots = 0u32;
+        let mut ops = Vec::with_capacity(program.instr_count());
+        let mut streams = Vec::with_capacity(pes);
+        let mut gradients = vec![NO_SLOT; program.gradient_sources.len()];
+        let mut reads: Vec<(usize, u32)> = Vec::new();
+        let mut delivered: Vec<(usize, u32, u32)> = Vec::new();
+        // The model words, then each immediate. A unary op's unused
+        // second operand becomes `Value(0)` and is never read.
+        let mut constants = model.to_vec();
+        let mut max_latency = 0;
+        let mut send = 0;
+        for (p, stream) in program.instrs.iter().enumerate() {
+            reads.clear();
+            let mut slot = |tag: Tag, read: bool| {
+                let t = tags.index(tag);
+                let entry = &mut table[t];
+                if entry.0 != p as u32 {
+                    *entry = (p as u32, slots, false);
+                    slots += 1;
+                }
+                if read && !entry.2 {
+                    entry.2 = true;
+                    reads.push((t, entry.1));
+                }
+                entry.1
+            };
+            let first = ops.len();
+            for instr in stream {
+                ops.push(match *instr {
+                    PeInstr::Compute { op, a, b, tag } => {
+                        let mut operand = |src: Src| match src {
+                            Src::Imm(v) => {
+                                constants.push(v);
+                                Operand::Value(constants.len() as u32 - 1)
+                            }
+                            Src::Model(s) => Operand::Value(s),
+                            Src::Data(s) => Operand::Data(s),
+                            Src::Tag(t) => Operand::Slot(slot(t, true)),
+                        };
+                        let a = operand(a);
+                        let b = match op {
+                            AluOp::Bin(_) => operand(b),
+                            AluOp::Un(_) => Operand::Value(0),
+                        };
+                        max_latency = max_latency.max(op.latency());
+                        Op::Compute { op, a, b, dst: slot(tag, false), tag }
+                    }
+                    PeInstr::Send { tag, dst } => {
+                        let (grant, latency) = self.route(p, dst);
+                        max_latency = max_latency.max(latency);
+                        send += 1;
+                        Op::Send { src: slot(tag, true), grant, latency, send: send - 1 }
+                    }
+                });
+            }
+            streams.push(first..ops.len());
+            while let Some(g) =
+                gradient_order.next_if(|&g| program.gradient_sources[g].0.index() == p)
+            {
+                gradients[g] = slot(program.gradient_sources[g].1, true);
+            }
+            for &(t, s) in &reads {
+                let mut k = first_send[t];
+                while k != NO_SEND {
+                    let (from, _, dst) = sends[k];
+                    if self.delivers(from, dst, p) {
+                        delivered.push((k, p as u32, s));
+                    }
+                    k = next_send[k];
+                }
+            }
+        }
+
+        // Group the deliveries by send: send k's are
+        // `deliveries[fanout[k]..fanout[k + 1]]`.
+        let mut fanout = vec![0; sends.len() + 1];
+        for &(k, _, _) in &delivered {
+            fanout[k + 1] += 1;
+        }
+        for k in 0..sends.len() {
+            fanout[k + 1] += fanout[k];
+        }
+        let mut next = fanout.clone();
+        let mut deliveries = vec![(0, 0); delivered.len()];
+        for (k, q, s) in delivered {
+            deliveries[next[k]] = (q, s);
+            next[k] += 1;
+        }
+        Prepared {
+            ops,
+            streams,
+            constants,
+            sends,
+            fanout,
+            deliveries,
+            slots: slots as usize,
+            gradients,
+            max_latency,
+        }
     }
 
     /// The pre-optimization per-cycle simulator, kept verbatim as the
-    /// equivalence oracle for [`Machine::run`] and as the benchmark
-    /// baseline. Semantics are the contract; see `run` for what the
-    /// fast path may and may not change (nothing observable).
+    /// equivalence oracle for [`Machine::run`]: it visits every
+    /// unfinished PE on every cycle. Semantics are the contract; see
+    /// `run` for what the fast path may and may not change (nothing
+    /// observable).
     ///
     /// # Errors
     ///
@@ -578,9 +811,9 @@ impl Machine {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn read<S: BuildHasher>(
+    fn read(
         &self,
-        store: &HashMap<Tag, (f64, u64), S>,
+        store: &HashMap<Tag, (f64, u64)>,
         data_ready: &[u64],
         record: &[f64],
         model: &[f64],
@@ -613,13 +846,58 @@ impl Machine {
 /// still running past this is declared runaway.
 const SAFETY_LIMIT: u64 = 10_000_000;
 
-/// One instruction with its routing resolved ahead of time.
-#[derive(Debug, Clone)]
-enum Prepared {
-    /// An ALU operation (verbatim from the program).
-    Compute { op: AluOp, a: Src, b: Src, tag: Tag },
-    /// A send with its grant class, latency, and receiver set fixed.
-    Send { tag: Tag, grant: Grant, latency: u64, receivers: Vec<usize> },
+/// The ready cycle of a slot no value has reached, and the wake-up cycle
+/// of a PE with none booked.
+const NEVER: u64 = u64::MAX;
+
+/// A watch on no slot, and a slot not yet numbered.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Ends a list of sends in `Machine::prepare`.
+const NO_SEND: usize = usize::MAX;
+
+/// A program resolved for [`Machine::run`] by `Machine::prepare`.
+#[derive(Debug)]
+struct Prepared {
+    /// Every PE's instructions, PE after PE.
+    ops: Vec<Op>,
+    /// PE p's instructions are `ops[streams[p]]`.
+    streams: Vec<Range<usize>>,
+    /// What `Operand::Value` indexes: the model words, then immediates.
+    constants: Vec<f64>,
+    /// Every send as written: (sending PE, tag, target), in program order.
+    sends: Vec<(usize, Tag, SendTarget)>,
+    /// Send k's deliveries are `deliveries[fanout[k]..fanout[k + 1]]`.
+    fanout: Vec<usize>,
+    /// (receiving PE, its slot) for every receiver that reads the value.
+    deliveries: Vec<(u32, u32)>,
+    /// Slots across all PEs.
+    slots: usize,
+    /// The slot of each gradient source.
+    gradients: Vec<u32>,
+    /// The longest latency of any instruction.
+    max_latency: u64,
+}
+
+/// One instruction with its operands and its route resolved.
+#[derive(Debug)]
+enum Op {
+    /// An ALU operation producing `tag` into slot `dst` of its own PE.
+    Compute { op: AluOp, a: Operand, b: Operand, dst: u32, tag: Tag },
+    /// Send number `send` (an index of `Prepared::sends`), of slot `src`.
+    Send { src: u32, grant: Grant, latency: u64, send: u32 },
+}
+
+/// Where a compute operand comes from.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    /// Always ready: `Prepared::constants[i]`, an immediate or a
+    /// preloaded model word (or the unused second operand of a unary op).
+    Value(u32),
+    /// A record word, ready once the memory stream lands it.
+    Data(u32),
+    /// A slot of the PE's own store.
+    Slot(u32),
 }
 
 /// The arbitration resource a prepared send competes for.
@@ -627,50 +905,175 @@ enum Prepared {
 enum Grant {
     /// No shared medium; always granted.
     Local,
-    /// The directed neighbor link toward PE `to`.
-    Neighbor { to: u32 },
+    /// One directed neighbor link (see `link_stamp` in `run_counted`).
+    Neighbor { link: u32 },
     /// One grant per row bus per cycle.
-    RowBus { row: usize },
+    RowBus { row: u32 },
     /// One grant per cycle on the shared tree bus.
     TreeBus,
 }
 
-/// Per-PE value store keyed by the compiler's dense `u32` tags: a full
-/// SipHash per lookup is pure overhead, so the map uses a one-multiply
-/// mixer instead. (Purely an internal speedup — iteration order is
-/// never observed.)
-type TagMap = HashMap<Tag, (f64, u64), BuildTagHasher>;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct BuildTagHasher;
-
-impl BuildHasher for BuildTagHasher {
-    type Hasher = TagHasher;
-
-    fn build_hasher(&self) -> TagHasher {
-        TagHasher(0)
-    }
+/// Maps tags onto the indices of `prepare`'s slot table. The compiler's
+/// tags are DFG node ids, dense already, so they index it directly; a
+/// hand-built program with far-flung tags is renumbered by rank instead.
+enum TagIndex {
+    /// Tags index the table as they are; it has this many entries.
+    Direct(usize),
+    /// A tag's index is its rank among the program's distinct tags.
+    Ranked(Vec<Tag>),
 }
 
-/// Multiplicative mixer for `u32` keys (the only key type stored).
-#[derive(Debug, Clone, Copy)]
-struct TagHasher(u64);
-
-impl Hasher for TagHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+impl TagIndex {
+    fn new(program: &ThreadProgram) -> Self {
+        let mut len = 0;
+        for_each_tag(program, |tag| len = len.max(tag as usize + 1));
+        if len <= 4 * program.instr_count() + 4096 {
+            TagIndex::Direct(len)
+        } else {
+            let mut ranked = Vec::new();
+            for_each_tag(program, |tag| ranked.push(tag));
+            ranked.sort_unstable();
+            ranked.dedup();
+            TagIndex::Ranked(ranked)
         }
     }
 
-    fn write_u32(&mut self, n: u32) {
-        self.0 =
-            (u64::from(n).wrapping_add(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        self.0 ^= self.0 >> 33;
+    fn len(&self) -> usize {
+        match self {
+            TagIndex::Direct(len) => *len,
+            TagIndex::Ranked(ranked) => ranked.len(),
+        }
+    }
+
+    fn index(&self, tag: Tag) -> usize {
+        match self {
+            TagIndex::Direct(_) => tag as usize,
+            // Every tag of the program is present.
+            TagIndex::Ranked(ranked) => match ranked.binary_search(&tag) {
+                Ok(i) | Err(i) => i,
+            },
+        }
+    }
+}
+
+/// Calls `visit` on every tag `program` names, repeats included.
+fn for_each_tag(program: &ThreadProgram, mut visit: impl FnMut(Tag)) {
+    for instr in program.instrs.iter().flatten() {
+        match *instr {
+            PeInstr::Compute { a, b, tag, .. } => {
+                visit(tag);
+                for src in [a, b] {
+                    if let Src::Tag(t) = src {
+                        visit(t);
+                    }
+                }
+            }
+            PeInstr::Send { tag, .. } => visit(tag),
+        }
+    }
+    for &(_, tag) in &program.gradient_sources {
+        visit(tag);
+    }
+}
+
+/// The cycles on which sleeping PEs wake: one PE bitset per cycle for
+/// the next [`Calendar::RING`] cycles, and a heap for wake-ups beyond.
+/// A PE has at most one live wake-up, `wake[p]`. Moving it earlier
+/// leaves the old entry behind, and `visit` skips such stale entries.
+#[derive(Debug)]
+struct Calendar {
+    /// Words per bitset.
+    words: usize,
+    /// Bitset of cycle `t` at `ring[(t % RING) * words..][..words]`.
+    ring: Vec<u64>,
+    /// Bit `b` set: bitset `b` has a PE in it.
+    occupied: u64,
+    /// Wake-ups `RING` or more cycles ahead of the cycle that booked them.
+    later: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Each PE's live wake-up cycle, `NEVER` if it has none.
+    wake: Vec<u64>,
+    /// PEs with a live wake-up.
+    booked: usize,
+}
+
+impl Calendar {
+    const RING: u64 = 64;
+
+    fn new(pes: usize) -> Self {
+        let words = pes.div_ceil(64);
+        Calendar {
+            words,
+            ring: vec![0; Self::RING as usize * words],
+            occupied: 0,
+            later: BinaryHeap::new(),
+            wake: vec![NEVER; pes],
+            booked: 0,
+        }
+    }
+
+    /// Wakes PE `p` on cycle `at` (`now` or later), unless it already
+    /// wakes no later than that.
+    fn book(&mut self, p: usize, at: u64, now: u64) {
+        if at >= self.wake[p] {
+            return;
+        }
+        if self.wake[p] == NEVER {
+            self.booked += 1;
+        }
+        self.wake[p] = at;
+        if at - now < Self::RING {
+            let bucket = (at % Self::RING) as usize;
+            self.ring[bucket * self.words + p / 64] |= 1 << (p % 64);
+            self.occupied |= 1 << bucket;
+        } else {
+            self.later.push(Reverse((at, p as u32)));
+        }
+    }
+
+    /// Replaces `due` with the PEs booked for `now`, in ascending order
+    /// (stale entries included), and empties the cycle's bitset.
+    fn take_due(&mut self, now: u64, due: &mut Vec<u32>) {
+        let bucket = (now % Self::RING) as usize;
+        let bits = &mut self.ring[bucket * self.words..][..self.words];
+        while let Some(&Reverse((at, p))) = self.later.peek() {
+            if at > now {
+                break;
+            }
+            self.later.pop();
+            bits[p as usize / 64] |= 1 << (p % 64);
+        }
+        due.clear();
+        for (w, word) in bits.iter_mut().enumerate() {
+            let mut word = std::mem::take(word);
+            while word != 0 {
+                due.push((w * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+        self.occupied &= !(1 << bucket);
+    }
+
+    /// Starts PE `p`'s visit on cycle `now` and clears its wake-up, or
+    /// returns false if `now` is not its live wake-up (a stale entry).
+    fn visit(&mut self, p: usize, now: u64) -> bool {
+        if self.wake[p] != now {
+            return false;
+        }
+        self.wake[p] = NEVER;
+        self.booked -= 1;
+        true
+    }
+
+    /// The first cycle after `now` with a wake-up booked, or `None` if no
+    /// PE has a live one.
+    fn next_after(&self, now: u64) -> Option<u64> {
+        if self.booked == 0 {
+            return None;
+        }
+        let ahead = self.occupied.rotate_right(((now + 1) % Self::RING) as u32);
+        let ring = (ahead != 0).then(|| now + 1 + u64::from(ahead.trailing_zeros()));
+        let later = self.later.peek().map(|&Reverse((at, _))| at);
+        ring.into_iter().chain(later).min()
     }
 }
 
@@ -953,5 +1356,170 @@ mod utilization_tests {
         let out = Machine::new(geometry, 16.0).run(&program, &[2.0], &[2.0]).unwrap();
         assert_eq!(out.active_pes(), 1);
         assert!(out.pe_utilization() < 0.5);
+    }
+}
+
+#[cfg(test)]
+mod event_tests {
+    use super::*;
+    use crate::isa::Placement;
+    use cosmic_dsl::UnaryFn;
+
+    /// Reads the instruction listing format of `crates/arch/testdata`,
+    /// which `tests/machine_equivalence.rs` writes from the compiler.
+    fn parse_listing(text: &str) -> ThreadProgram {
+        const BIN: [OpKind; 8] = [
+            OpKind::Add,
+            OpKind::Sub,
+            OpKind::Mul,
+            OpKind::Div,
+            OpKind::Gt,
+            OpKind::Lt,
+            OpKind::Ge,
+            OpKind::Le,
+        ];
+        const UN: [UnaryFn; 6] = [
+            UnaryFn::Sigmoid,
+            UnaryFn::Gaussian,
+            UnaryFn::Log,
+            UnaryFn::Sqrt,
+            UnaryFn::Exp,
+            UnaryFn::Abs,
+        ];
+        let num = |s: &str| s.parse::<u32>().unwrap();
+        let src = |s: &str| match s.split_at(1) {
+            ("d", n) => Src::Data(num(n)),
+            ("m", n) => Src::Model(num(n)),
+            ("t", n) => Src::Tag(num(n)),
+            ("#", v) => Src::Imm(v.parse().unwrap()),
+            _ => panic!("bad operand {s}"),
+        };
+        let mut program = ThreadProgram {
+            geometry: Geometry::new(1, 1),
+            instrs: Vec::new(),
+            data_placement: Vec::new(),
+            model_placement: Vec::new(),
+            gradient_sources: Vec::new(),
+            mem_schedule: Vec::new(),
+        };
+        let slot = Placement { pe: PeId(0), offset: 0 };
+        for line in text.lines().filter(|line| !line.starts_with("# ")) {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let instr = match words[..] {
+                ["geometry", rows, cols] => {
+                    program.geometry = Geometry::new(num(rows) as usize, num(cols) as usize);
+                    continue;
+                }
+                ["data", n] => {
+                    program.data_placement = vec![slot; num(n) as usize];
+                    continue;
+                }
+                ["model", n] => {
+                    program.model_placement = vec![slot; num(n) as usize];
+                    continue;
+                }
+                ["gradient", pe, tag] => {
+                    program.gradient_sources.push((PeId(num(pe)), num(tag)));
+                    continue;
+                }
+                ["pe", _] => {
+                    program.instrs.push(Vec::new());
+                    continue;
+                }
+                ["send", tag, "pe", q] => {
+                    PeInstr::Send { tag: num(tag), dst: SendTarget::Pe(PeId(num(q))) }
+                }
+                ["send", tag, "row", r] => {
+                    PeInstr::Send { tag: num(tag), dst: SendTarget::Row(num(r)) }
+                }
+                ["send", tag, "all"] => PeInstr::Send { tag: num(tag), dst: SendTarget::All },
+                [op, a, b, tag] => {
+                    let bin = BIN.into_iter().find(|k| k.to_string() == op).map(AluOp::Bin);
+                    let un = UN.into_iter().find(|f| f.to_string() == op).map(AluOp::Un);
+                    let op = bin.or(un).unwrap_or_else(|| panic!("bad op {op}"));
+                    PeInstr::Compute { op, a: src(a), b: src(b), tag: num(tag) }
+                }
+                _ => panic!("bad line {line}"),
+            };
+            program.instrs.last_mut().expect("a pe line first").push(instr);
+        }
+        program
+    }
+
+    /// The saving pinned: PE visits on the svm program (n = 64, 2×8)
+    /// that `tests/machine_equivalence.rs`'s random-stimulus proptest
+    /// runs, at both of its bandwidths. Visits depend on timing only,
+    /// never on the record or model values. The program has 441
+    /// instructions; the machine that visited every unfinished PE on
+    /// every cycle made 3262 and 5246 visits.
+    #[test]
+    fn visits_on_the_svm_program_are_pinned() {
+        let program = parse_listing(include_str!("../testdata/svm_n64_2x8.txt"));
+        let record = vec![0.5; program.data_placement.len()];
+        let model = vec![0.25; program.model_placement.len()];
+        for (words_per_cycle, pinned) in [(16.0, 453), (0.5, 458)] {
+            let machine = Machine::new(program.geometry, words_per_cycle);
+            let (outcome, visits) = machine.run_counted(&program, &record, &model).unwrap();
+            assert_eq!(outcome, machine.run_reference(&program, &record, &model).unwrap());
+            eprintln!(
+                "VISITS wpc {words_per_cycle} visits {visits} cycles {} instrs {}",
+                outcome.cycles,
+                program.instr_count()
+            );
+            assert_eq!(visits, pinned, "visits at {words_per_cycle} words/cycle");
+        }
+    }
+
+    /// A program that is stuck from cycle 0 on, except that PE 0 reads
+    /// record word 1, which lands three cycles before the safety limit,
+    /// and sends it to PE 1, which never reads it. Whether that value is
+    /// ready by the limit decides between deadlock and runaway.
+    fn late_sender(geometry: Geometry) -> ThreadProgram {
+        let add =
+            |a, tag| PeInstr::Compute { op: AluOp::Bin(OpKind::Add), a, b: Src::Imm(0.0), tag };
+        let slot = Placement { pe: PeId(0), offset: 0 };
+        ThreadProgram {
+            geometry,
+            instrs: vec![
+                vec![add(Src::Data(1), 1), PeInstr::Send { tag: 1, dst: SendTarget::Pe(PeId(1)) }],
+                vec![add(Src::Tag(2), 3)],
+            ],
+            data_placement: vec![slot; 2],
+            model_placement: Vec::new(),
+            gradient_sources: vec![(PeId(1), 3)],
+            mem_schedule: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_late_unread_delivery_decides_runaway_or_deadlock() {
+        let words_per_cycle = 1.0 / (SAFETY_LIMIT as f64 - 2.5);
+        // Over the tree bus (2 rows: 4 cycles) the value lands after the
+        // limit, so the reference steps past it; over a neighbor link (1
+        // cycle) it lands first and the reference finds the deadlock.
+        for (geometry, want) in [
+            (Geometry::new(2, 1), RunError::runaway()),
+            (Geometry::new(1, 2), RunError::deadlock()),
+        ] {
+            let machine = Machine::new(geometry, words_per_cycle);
+            assert_eq!(machine.data_ready(2)[1], SAFETY_LIMIT - 3);
+            let program = late_sender(geometry);
+            let fast = machine.run(&program, &[1.0, 2.0], &[]).unwrap_err();
+            assert_eq!(fast, want, "{geometry}");
+            assert_eq!(fast, machine.run_reference(&program, &[1.0, 2.0], &[]).unwrap_err());
+        }
+    }
+
+    #[test]
+    fn out_of_range_operand_slots_are_errors_on_both_paths() {
+        let machine = Machine::new(Geometry::new(1, 1), 16.0);
+        for bad in [Src::Data(5), Src::Model(7)] {
+            let mut program = demo_program();
+            program.instrs[0][0] =
+                PeInstr::Compute { op: AluOp::Bin(OpKind::Mul), a: bad, b: Src::Model(0), tag: 2 };
+            let fast = machine.run(&program, &[3.0], &[4.0]).unwrap_err();
+            assert!(fast.to_string().contains("out-of-range"), "{fast}");
+            assert_eq!(fast, machine.run_reference(&program, &[3.0], &[4.0]).unwrap_err());
+        }
     }
 }

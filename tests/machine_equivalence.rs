@@ -1,10 +1,10 @@
-//! Satellite equivalence tests for the raw-speed pass: the optimized
-//! `Machine::run` (prepared instruction streams, fast tag maps,
-//! idle-cycle skipping) is **indistinguishable** from the per-cycle
-//! reference simulator `Machine::run_reference` on every
-//! `ThreadProgram` the compiler emits for the evaluation workloads —
-//! equal `cycles`, `bus_stall_cycles`, transfer counters, `pe_issued`,
-//! and bit-identical gradient values.
+//! Equivalence tests for the optimized machine: the event-driven
+//! `Machine::run` (dense per-PE operand slots, sleeping PEs, jumps over
+//! idle cycles) is **indistinguishable** from the per-cycle reference
+//! simulator `Machine::run_reference` on every `ThreadProgram` the
+//! compiler emits for the evaluation workloads — equal `cycles`,
+//! `bus_stall_cycles`, transfer counters, `pe_issued`, and bit-identical
+//! gradient values — and on random hand-built programs, errors included.
 
 use cosmic::cosmic_arch::machine::RunOutcome;
 use cosmic::cosmic_arch::{machine, Geometry, Machine};
@@ -122,5 +122,266 @@ proptest! {
         let fast_bits: Vec<u64> = fast.gradients.iter().map(|v| v.to_bits()).collect();
         let ref_bits: Vec<u64> = refr.gradients.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(fast_bits, ref_bits);
+    }
+}
+
+/// The differential oracle on programs no compiler would emit: random
+/// hand-built `ThreadProgram`s, on geometries up to 4×4, where tags reach
+/// a PE twice or are overwritten by a later broadcast, sends race for
+/// every interconnect level, and some programs deadlock or report a
+/// gradient nobody produces. The event-driven `run` must return exactly
+/// what `run_reference` returns, `Ok` or `Err`. (A runaway takes the
+/// reference ten million cycles, so `machine.rs`'s unit tests hold that
+/// error on two small programs instead.)
+mod random_programs {
+    use cosmic::cosmic_arch::machine::{RunError, RunOutcome};
+    use cosmic::cosmic_arch::{
+        AluOp, Geometry, Machine, PeId, PeInstr, Placement, SendTarget, Src, ThreadProgram,
+    };
+    use cosmic::cosmic_dfg::OpKind;
+    use cosmic::cosmic_dsl::UnaryFn;
+    use proptest::prelude::*;
+
+    /// SplitMix64: the programs' own generator, one stream per case.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn percent(&mut self, p: usize) -> bool {
+            self.below(100) < p
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+    }
+
+    const BIN: [OpKind; 8] = [
+        OpKind::Add,
+        OpKind::Sub,
+        OpKind::Mul,
+        OpKind::Div,
+        OpKind::Gt,
+        OpKind::Lt,
+        OpKind::Ge,
+        OpKind::Le,
+    ];
+    const UN: [UnaryFn; 6] = [
+        UnaryFn::Sigmoid,
+        UnaryFn::Gaussian,
+        UnaryFn::Log,
+        UnaryFn::Sqrt,
+        UnaryFn::Exp,
+        UnaryFn::Abs,
+    ];
+
+    /// One random program with its record, model and memory bandwidth.
+    ///
+    /// Instructions are generated one at a time onto random PEs, and a
+    /// PE reads only tags that earlier instructions produced on it or
+    /// sent to it, so generation order is a schedule and the program
+    /// finishes — unless a read draws from the whole tag pool, which may
+    /// wait for a tag sent later, or never. The pool is small, so tags
+    /// are produced twice and broadcasts overwrite values in flight.
+    fn random_case(g: &mut Gen) -> (ThreadProgram, Vec<f64>, Vec<f64>, f64) {
+        let geometry = Geometry::new(1 + g.below(4), 1 + g.below(4));
+        let pes = geometry.pes();
+        let data_words = g.below(12);
+        let model_words = g.below(6);
+        let pool = 2 + g.below(10) as u32;
+        let stray = g.percent(20);
+        let mut known: Vec<Vec<u32>> = vec![Vec::new(); pes];
+        let mut instrs: Vec<Vec<PeInstr>> = vec![Vec::new(); pes];
+        for _ in 0..g.below(6 * pes + 10) {
+            let p = g.below(pes);
+            let src = |g: &mut Gen, known: &[u32]| match g.below(if stray { 5 } else { 4 }) {
+                0 if data_words > 0 => Src::Data(g.below(data_words) as u32),
+                1 if model_words > 0 => Src::Model(g.below(model_words) as u32),
+                2 if !known.is_empty() => Src::Tag(g.pick(known)),
+                4 => Src::Tag(g.below(pool as usize + 2) as u32),
+                _ => Src::Imm((g.below(9) as f64 - 4.0) / 2.0),
+            };
+            let send = pes > 1 && !known[p].is_empty() && g.percent(40);
+            if send {
+                let tag = g.pick(&known[p]);
+                let dst = match g.below(3) {
+                    0 => {
+                        let q = (p + 1 + g.below(pes - 1)) % pes;
+                        SendTarget::Pe(PeId(q as u32))
+                    }
+                    1 => SendTarget::Row(g.below(geometry.rows) as u32),
+                    _ => SendTarget::All,
+                };
+                let receivers: Vec<usize> = match dst {
+                    SendTarget::Pe(q) => vec![q.index()],
+                    SendTarget::Row(r) => (0..geometry.columns)
+                        .map(|c| r as usize * geometry.columns + c)
+                        .filter(|&q| q != p)
+                        .collect(),
+                    SendTarget::All => (0..pes).filter(|&q| q != p).collect(),
+                };
+                for q in receivers {
+                    known[q].push(tag);
+                }
+                instrs[p].push(PeInstr::Send { tag, dst });
+            } else {
+                let op =
+                    if g.percent(25) { AluOp::Un(g.pick(&UN)) } else { AluOp::Bin(g.pick(&BIN)) };
+                let a = src(g, &known[p]);
+                let b = src(g, &known[p]);
+                let tag = g.below(pool as usize) as u32;
+                known[p].push(tag);
+                instrs[p].push(PeInstr::Compute { op, a, b, tag });
+            }
+        }
+        let mut gradient_sources = Vec::new();
+        for _ in 0..1 + g.below(4) {
+            let p = g.below(pes);
+            let tag =
+                if known[p].is_empty() || g.percent(5) { pool + 1 } else { g.pick(&known[p]) };
+            gradient_sources.push((PeId(p as u32), tag));
+        }
+        let place = |g: &mut Gen| Placement { pe: PeId(g.below(pes) as u32), offset: 0 };
+        let program = ThreadProgram {
+            geometry,
+            instrs,
+            data_placement: (0..data_words).map(|_| place(g)).collect(),
+            model_placement: (0..model_words).map(|_| place(g)).collect(),
+            gradient_sources,
+            mem_schedule: Vec::new(),
+        };
+        let value = |g: &mut Gen| (g.below(2001) as f64 - 1000.0) / 97.0;
+        let record = (0..data_words).map(|_| value(g)).collect();
+        let model = (0..model_words).map(|_| value(g)).collect();
+        let words_per_cycle = g.pick(&[0.25, 0.4, 0.5, 0.75, 1.0, 1.5, 2.5, 16.0]);
+        (program, record, model, words_per_cycle)
+    }
+
+    /// Equal outcomes, gradients compared by bits (a random program may
+    /// well compute a NaN), or equal errors.
+    fn assert_same(
+        fast: &Result<RunOutcome, RunError>,
+        refr: &Result<RunOutcome, RunError>,
+        what: &str,
+    ) {
+        match (fast, refr) {
+            (Ok(fast), Ok(refr)) => {
+                let bits = |o: &RunOutcome| o.gradients.iter().map(|v| v.to_bits()).collect();
+                let (fast_bits, ref_bits): (Vec<u64>, Vec<u64>) = (bits(fast), bits(refr));
+                assert_eq!(fast_bits, ref_bits, "{what}: gradient bits");
+                let strip = |o: &RunOutcome| RunOutcome { gradients: Vec::new(), ..o.clone() };
+                assert_eq!(strip(fast), strip(refr), "{what}");
+            }
+            _ => assert_eq!(fast, refr, "{what}"),
+        }
+    }
+
+    proptest! {
+        /// Eight random programs a case: `run` and `run_reference`
+        /// return the same outcome or the same error on every one.
+        #[test]
+        fn optimized_machine_matches_reference_on_random_programs(seed in any::<u64>()) {
+            let mut g = Gen(seed);
+            for i in 0..8 {
+                let (program, record, model, words_per_cycle) = random_case(&mut g);
+                let machine = Machine::new(program.geometry, words_per_cycle);
+                let fast = machine.run(&program, &record, &model);
+                let refr = machine.run_reference(&program, &record, &model);
+                assert_same(&fast, &refr, &format!("seed {seed} program {i}: {program:?}"));
+            }
+        }
+    }
+}
+
+/// The program `cosmic-arch`'s visit-count test runs: svm at n = 64
+/// compiled for one 2×8 thread, the program the random-stimulus
+/// proptest above compiles, as a text listing under
+/// `crates/arch/testdata` (the arch crate cannot call the compiler).
+/// Regenerate it after an intentional compiler change with
+///
+/// ```text
+/// BLESS=1 cargo test --test machine_equivalence svm_listing
+/// ```
+mod svm_listing {
+    use std::fmt::Write;
+    use std::fs;
+    use std::path::PathBuf;
+
+    use cosmic::cosmic_arch::{AluOp, Geometry, PeInstr, SendTarget, Src, ThreadProgram};
+    use cosmic::cosmic_compiler::{compile, CompileOptions};
+    use cosmic::cosmic_dfg::{lower, DimEnv};
+    use cosmic::cosmic_dsl::{parse, programs};
+
+    fn operand(src: Src) -> String {
+        match src {
+            Src::Data(s) => format!("d{s}"),
+            Src::Model(s) => format!("m{s}"),
+            Src::Tag(t) => format!("t{t}"),
+            Src::Imm(v) => format!("#{v}"),
+        }
+    }
+
+    /// The listing format `machine.rs`'s tests parse: a header, one
+    /// `gradient <pe> <tag>` line per gradient slot, then each PE's
+    /// stream after a `pe <index>` line, one instruction a line.
+    fn listing(program: &ThreadProgram) -> String {
+        let g = program.geometry;
+        let mut out = String::from(
+            "# svm, n = 64, compiled for one 2x8 thread with CompileOptions::default()\n",
+        );
+        let _ = writeln!(out, "geometry {} {}", g.rows, g.columns);
+        let _ = writeln!(out, "data {}", program.data_placement.len());
+        let _ = writeln!(out, "model {}", program.model_placement.len());
+        for &(pe, tag) in &program.gradient_sources {
+            let _ = writeln!(out, "gradient {} {tag}", pe.index());
+        }
+        for (p, stream) in program.instrs.iter().enumerate() {
+            let _ = writeln!(out, "pe {p}");
+            for instr in stream {
+                let _ = match *instr {
+                    PeInstr::Compute { op, a, b, tag } => {
+                        let op = match op {
+                            AluOp::Bin(kind) => kind.to_string(),
+                            AluOp::Un(func) => func.to_string(),
+                        };
+                        writeln!(out, "{op} {} {} {tag}", operand(a), operand(b))
+                    }
+                    PeInstr::Send { tag, dst: SendTarget::Pe(q) } => {
+                        writeln!(out, "send {tag} pe {}", q.index())
+                    }
+                    PeInstr::Send { tag, dst: SendTarget::Row(r) } => {
+                        writeln!(out, "send {tag} row {r}")
+                    }
+                    PeInstr::Send { tag, dst: SendTarget::All } => writeln!(out, "send {tag} all"),
+                };
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn svm_listing_matches_the_compiler() {
+        let program = parse(&programs::svm(10_000)).expect("svm parses");
+        let dfg = lower(&program, &DimEnv::new().with("n", 64)).expect("svm lowers");
+        let compiled = compile(&dfg, Geometry::new(2, 8), &CompileOptions::default());
+        let text = listing(&compiled.program);
+        let path =
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/arch/testdata/svm_n64_2x8.txt");
+        if std::env::var("BLESS").as_deref() == Ok("1") {
+            fs::write(&path, &text).expect("bless the svm listing");
+        }
+        let want = fs::read_to_string(&path).expect("svm listing checked in (BLESS=1 to write it)");
+        assert_eq!(text, want, "the compiled svm program drifted from its listing (BLESS=1)");
     }
 }
