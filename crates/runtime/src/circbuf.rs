@@ -7,8 +7,8 @@
 //! needed for aggregating partial results from many sources small while
 //! still overlapping communication with computation.
 //!
-//! Sigma does not use one: its aggregation jobs drain the wire's own
-//! per-peer queues, which are unbounded (`SigmaAggregator` says why).
+//! Sigma does not use one: the wire's delivering thread stages each
+//! stream into Sigma itself, so no chunk is handed between threads.
 //! The buffer stays public as the measured hand-off primitive.
 
 use std::collections::VecDeque;

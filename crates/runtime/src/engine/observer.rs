@@ -50,8 +50,8 @@ pub(crate) trait RunObserver {
         None
     }
 
-    /// The run finished; `pool_jobs` is the Sigma pipeline's total job
-    /// count.
+    /// The run finished; `pool_jobs` is how many peer streams Sigma
+    /// staged, one per peer per round.
     fn run_finished(&self, pool_jobs: usize) {}
 
     /// An aggregation iteration is starting; returns its span guard.

@@ -41,7 +41,7 @@ pub(crate) fn collective_round<O: RunObserver>(
     refresh_schedule(eng, st, senders)?;
     // The partials go to the transport raw: the chunking boundary,
     // where a lossy wire repr applies, is `RoundCtx::wire_chunks`, on
-    // this thread while Sigma's aggregation pool drains.
+    // this thread.
     let repr = eng.cfg.repr;
     let parts: Vec<Option<&[f64]>> =
         senders.iter().map(|&m| contributions[m].as_ref().map(|(p, _)| p.as_slice())).collect();

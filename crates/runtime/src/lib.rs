@@ -9,13 +9,15 @@
 //! What executes **for real** (multi-threaded, in process):
 //!
 //! - [`CircularBuffer`] — the paper's bounded producer/consumer
-//!   hand-off, kept as a measured primitive: Sigma itself hands each
-//!   chunk over once, through the queue the wire fills;
-//! - [`ThreadPool`] — the internally managed thread pools that avoid
-//!   per-connection thread creation and OS-level context-switch cost;
-//! - [`node`] — the Sigma-node aggregation pipeline (the wire's receivers
-//!   → one queue per peer → one aggregation-pool job per peer →
-//!   aggregation buffer), with per-chunk validation and peer quarantine;
+//!   hand-off, kept as a measured primitive: Sigma hands no chunk
+//!   between threads;
+//! - [`ThreadPool`] — the paper's internally managed thread pool, kept
+//!   as a measured primitive: the wire's own threads play both of the
+//!   paper's pools;
+//! - [`node`] — the Sigma-node aggregation pipeline (the wire's
+//!   delivering thread stages each peer's stream as it holds it → one
+//!   stripe fold into the aggregation buffer), with per-chunk validation
+//!   and peer quarantine;
 //! - [`ClusterTrainer`] — the functional distributed trainer: data
 //!   partitioned across nodes and accelerator threads, per-mini-batch
 //!   parallel SGD with hierarchical aggregation, producing real trained

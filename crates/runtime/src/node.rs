@@ -1,36 +1,34 @@
-//! The Sigma-node aggregation pipeline (paper Figure 2), executed with
-//! real threads.
+//! The Sigma-node aggregation pipeline (paper Figure 2).
 //!
-//! The paper's networking stage is the wire's own receivers — TCP's link
-//! readers and router, `Sim`'s caller — and each
-//! fills one queue per peer stream. That queue is the one hand-off: one
-//! **Aggregation Pool** job per peer drains it, validating each chunk
-//! "as soon as the first chunk of data is copied" and holding it as
-//! delivered — a refcounted view of the words the wire decoded, never a
-//! copy. When every stream has ended the held views fold, a stripe at a
-//! time, into the **Aggregation Buffer**.
+//! The paper's networking stage is the wire's own threads — `Sim`'s
+//! caller, TCP's link readers and routing caller — and the paper's
+//! **Aggregation Pool** collapses into the one that delivers each
+//! stream (`Sim`'s caller, TCP's routing caller): it stages the peer's
+//! stream as it holds it, validating every chunk "as soon as the first
+//! chunk of data is copied" and keeping it as delivered — a refcounted
+//! view of the words the wire decoded, never a copy. No chunk changes
+//! threads inside Sigma. When every stream has ended the
+//! held views fold, a stripe at a time, into the **Aggregation Buffer**.
 //!
 //! The pipeline validates every chunk (stripe alignment, buffer bounds,
 //! payload checksum, duplicate delivery) and every stream (one layout,
 //! full coverage of the model). A peer that sends an invalid chunk or
 //! stops short is **quarantined** — its entire contribution is discarded
 //! and reported — rather than poisoning the aggregate or crashing the
-//! Sigma.
+//! Sigma; so is a peer whose staging panics.
 
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cosmic_collectives::codec::{
     dequantize_sum, derive_scale, fixed_header, parse_fixed_header, quantize_into,
 };
 use cosmic_collectives::{payload_digest, Fnv1a};
 use crossbeam::channel::Receiver;
-use crossbeam::sync::WaitGroup;
-use parking_lot::Mutex;
 
 use crate::buffer::WordBuf;
 use crate::fold;
-use crate::pool::ThreadPool;
 
 use crate::layout::{chunk_count, CHUNK_WORDS};
 
@@ -226,8 +224,8 @@ pub enum ChunkFault {
         /// The first word offset the stream left uncovered.
         missing: usize,
     },
-    /// The peer's aggregation job unwound before reporting: whatever it
-    /// had validated is lost with it.
+    /// Staging the peer's stream unwound: whatever it had validated is
+    /// lost with it, and the rest of its stream is discarded.
     Aborted,
 }
 
@@ -242,7 +240,7 @@ impl fmt::Display for ChunkFault {
             ChunkFault::Incomplete { missing } => {
                 write!(f, "incomplete stream: nothing covers offset {missing}")
             }
-            ChunkFault::Aborted => write!(f, "aggregation job aborted"),
+            ChunkFault::Aborted => write!(f, "staging aborted"),
         }
     }
 }
@@ -265,7 +263,7 @@ pub struct AggregateOutcome {
 /// exactly as delivered — a view of the words the wire decoded.
 type Stripes = Vec<Option<Chunk>>;
 
-/// What one peer's aggregation job made of its stream.
+/// What staging made of one peer's stream.
 #[derive(Debug)]
 struct PeerFold {
     /// `None` when no chunk arrived at all.
@@ -274,21 +272,151 @@ struct PeerFold {
     duplicates: usize,
 }
 
-/// A peer's aggregation job: [`stage_peer`], or a test's planted panic.
-type Stage = fn(&Receiver<Chunk>, usize, Option<u8>) -> PeerFold;
+/// One peer's stream in staging: every pushed chunk is validated and
+/// each stripe's first intact one held as delivered — or, under
+/// `quantize_at`, as the grid chunk of that scale exponent a fixed-point
+/// sender would have delivered in its place.
+struct Stage {
+    model_len: usize,
+    quantize_at: Option<u8>,
+    stripes: Stripes,
+    layout: Option<Layout>,
+    fault: Option<ChunkFault>,
+    duplicates: usize,
+}
 
-/// The Sigma node's aggregation machinery: an internally managed
-/// aggregation pool that runs one job per peer stream a pass, each
-/// draining the queue the wire's receiver fills for that peer.
-///
-/// The queue is an unbounded channel, not a ring the producer pushes
-/// into: a producer that blocked on a full ring whose job is still
-/// queued behind jobs waiting on that same producer's other streams
-/// would deadlock the round whenever peers outnumber workers. A bound
-/// would save nothing anyway — `Sim`'s chunks are views of one arena,
-/// and a TCP stream is whole in memory before it is routed. A job that
-/// unwinds drops its receiver, so the producer's next `send` fails
-/// instead of queueing for nobody.
+impl Stage {
+    fn new(model_len: usize, quantize_at: Option<u8>) -> Self {
+        let stripes = vec![None; chunk_count(model_len)];
+        Stage { model_len, quantize_at, stripes, layout: None, fault: None, duplicates: 0 }
+    }
+
+    /// Stages the stream's next chunk. A quarantined stream takes the
+    /// rest of its chunks and ignores them.
+    fn push(&mut self, chunk: Chunk) {
+        if self.fault.is_none() {
+            self.fault = self.admit(chunk).err();
+        }
+    }
+
+    /// Holds `chunk` or drops it as a duplicate, unless it earns the
+    /// stream a verdict — checked in this order: misaligned, grid
+    /// header, overrun, intact, incomplete, duplicate, layout.
+    fn admit(&mut self, chunk: Chunk) -> Result<(), ChunkFault> {
+        let offset = chunk.offset;
+        if !offset.is_multiple_of(CHUNK_WORDS) {
+            return Err(ChunkFault::Misaligned { offset });
+        }
+        // Model words carried; a malformed grid header leaves no length
+        // to check against.
+        let len = match chunk.layout {
+            Layout::Dense => chunk.data.len(),
+            Layout::Grid => chunk.grid_header().ok_or(ChunkFault::Corrupt { offset })?.1,
+        };
+        // The offset is wire-supplied: bound it before adding to it.
+        // (`offset == model_len` with an empty payload would index one
+        // stripe past the last.)
+        if offset >= self.model_len || len > self.model_len - offset {
+            return Err(ChunkFault::Overrun { offset, len });
+        }
+        if !chunk.is_intact() {
+            return Err(ChunkFault::Corrupt { offset });
+        }
+        let end = offset + len;
+        if end < self.model_len.min(offset + CHUNK_WORDS) {
+            return Err(ChunkFault::Incomplete { missing: end });
+        }
+        let slot = &mut self.stripes[offset / CHUNK_WORDS];
+        if slot.is_some() {
+            self.duplicates += 1;
+            return Ok(());
+        }
+        // The stream changed representation mid-way.
+        if *self.layout.get_or_insert(chunk.layout) != chunk.layout {
+            return Err(ChunkFault::Corrupt { offset });
+        }
+        *slot = Some(match self.quantize_at {
+            Some(scale_exp) if chunk.layout == Layout::Dense => {
+                let mut words = Vec::with_capacity(1 + len.div_ceil(2));
+                pack_stripe(&chunk.data, scale_exp, &mut words);
+                Chunk::grid(offset, WordBuf::from_vec(words))
+            }
+            _ => chunk,
+        });
+        Ok(())
+    }
+
+    /// The stream has ended. One that delivered anything must have
+    /// delivered every stripe; folding the rest as absent would pass a
+    /// partial gradient off as whole.
+    fn finish(self) -> PeerFold {
+        let (mut fault, gap) = (self.fault, self.stripes.iter().position(Option::is_none));
+        if let (None, Some(_), Some(stripe)) = (fault, self.layout, gap) {
+            fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
+        }
+        PeerFold { stripes: self.layout.map(|_| self.stripes), fault, duplicates: self.duplicates }
+    }
+}
+
+/// A stage's push: [`Stage::push`], or a test's planted panic.
+type PushFn = fn(&mut Stage, Chunk);
+
+/// One aggregation pass: a [`Stage`] per peer stream, fed by whichever
+/// thread holds that stream's chunks, and one fold once every stream has
+/// ended.
+pub(crate) struct Pass {
+    push: PushFn,
+    model_len: usize,
+    /// `None` once the peer's staging panicked.
+    stages: Vec<Option<Stage>>,
+}
+
+impl Pass {
+    /// Stages `chunks` as (more of) peer `peer`'s stream. A push that
+    /// panics aborts the peer: it is quarantined as
+    /// [`ChunkFault::Aborted`] and the rest of its stream is discarded,
+    /// while every other peer stages on.
+    pub(crate) fn stage(&mut self, peer: usize, chunks: impl IntoIterator<Item = Chunk>) {
+        let push = self.push;
+        let slot = &mut self.stages[peer];
+        for chunk in chunks {
+            let Some(stage) = slot.as_mut() else {
+                return;
+            };
+            if catch_unwind(AssertUnwindSafe(|| push(stage, chunk))).is_err() {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Ends the pass — every stream has ended — and folds what survived.
+    /// Peers are collected in index order: the determinism contract the
+    /// float fold builds on.
+    pub(crate) fn finish(self) -> AggregateOutcome {
+        let mut outcome =
+            AggregateOutcome { sum: Vec::new(), quarantined: Vec::new(), duplicates_dropped: 0 };
+        let mut survivors = Vec::new();
+        for (peer, stage) in self.stages.into_iter().enumerate() {
+            let Some(fold) = stage.map(Stage::finish) else {
+                outcome.quarantined.push((peer, ChunkFault::Aborted));
+                continue;
+            };
+            outcome.duplicates_dropped += fold.duplicates;
+            match fold.fault {
+                Some(fault) => outcome.quarantined.push((peer, fault)),
+                None => survivors.extend(fold.stripes),
+            }
+        }
+        outcome.sum = fold_stripes(self.model_len, &survivors);
+        outcome
+    }
+}
+
+/// The Sigma node's aggregation machinery. It owns no thread: a pass
+/// stages each peer's stream on the thread that delivers it — `Sim`'s
+/// caller, TCP's routing caller, or the caller of
+/// [`SigmaAggregator::aggregate_validated`] — and folds once the last
+/// stream has ended.
 ///
 /// # Examples
 ///
@@ -305,25 +433,28 @@ type Stage = fn(&Receiver<Chunk>, usize, Option<u8>) -> PeerFold;
 /// ```
 #[derive(Debug)]
 pub struct SigmaAggregator {
-    aggregation: ThreadPool,
+    /// Peer streams staged so far, one per peer per pass.
+    staged: AtomicUsize,
     /// A field so tests can plant a panic.
-    stage: Stage,
+    push: PushFn,
 }
 
 impl SigmaAggregator {
-    /// Creates the aggregation pool with `aggregation_threads` workers.
-    /// The paper sizes its pools to the host CPU's hardware threads; 4
-    /// matches the quad-core Xeon E3.
-    ///
-    /// The first argument sizes nothing: the paper's networking pool is
-    /// the wire's own receivers (TCP's link readers and router, `Sim`'s
-    /// caller), which fill the per-peer
-    /// queues this pool drains. It stays so the signature does.
-    pub fn new(_networking_threads: usize, aggregation_threads: usize) -> Self {
-        SigmaAggregator {
-            aggregation: ThreadPool::new(aggregation_threads, "aggregation"),
-            stage: stage_peer,
-        }
+    /// Creates an aggregator. Neither argument sizes anything: the
+    /// paper's networking and aggregation pools are both the wire's
+    /// delivering thread here (`Sim`'s caller, TCP's routing caller),
+    /// which stages each stream as it holds it. They stay so the
+    /// signature does.
+    pub fn new(_networking_threads: usize, _aggregation_threads: usize) -> Self {
+        SigmaAggregator { staged: AtomicUsize::new(0), push: Stage::push }
+    }
+
+    /// Starts a pass over `peers` streams of a `model_len`-word model,
+    /// re-expressing dense chunks on the grid of `quantize_at` if given.
+    pub(crate) fn pass(&self, model_len: usize, peers: usize, quantize_at: Option<u8>) -> Pass {
+        self.staged.fetch_add(peers, Ordering::Relaxed);
+        let stages = (0..peers).map(|_| Some(Stage::new(model_len, quantize_at))).collect();
+        Pass { push: self.push, model_len, stages }
     }
 
     /// Receives one partial vector from every connection, validating
@@ -331,15 +462,16 @@ impl SigmaAggregator {
     /// that passed (averaging is a scalar division the caller applies)
     /// along with the quarantine report.
     ///
-    /// Each `incoming` receiver is one peer's socket stream of chunks.
-    /// A peer whose stream contains a misaligned, out-of-bounds, or
-    /// checksum-failing chunk, or that ends having covered only part of
-    /// the model, is quarantined: its entire contribution is withheld
-    /// from the sum (the rest of its stream is still drained, so its job
-    /// ends when the stream does), as is that of a peer whose aggregation
-    /// job unwound ([`ChunkFault::Aborted`]). A stream with no chunk at
-    /// all simply contributes nothing. Duplicate deliveries of a stripe
-    /// already received from the same peer are dropped idempotently.
+    /// Each `incoming` receiver is one peer's socket stream of chunks,
+    /// drained to its end on this thread, in peer order: a sender still
+    /// alive is waited for. A peer whose stream contains a misaligned,
+    /// out-of-bounds, or checksum-failing chunk, or that ends having
+    /// covered only part of the model, is quarantined: its entire
+    /// contribution is withheld from the sum (the rest of its stream is
+    /// still drained), as is that of a peer whose staging unwound
+    /// ([`ChunkFault::Aborted`]). A stream with no chunk at all simply
+    /// contributes nothing. Duplicate deliveries of a stripe already
+    /// received from the same peer are dropped idempotently.
     ///
     /// Sigma holds each surviving chunk as delivered and folds after
     /// the last stream ends, a stripe at a time. Dense chunks fold as
@@ -355,92 +487,46 @@ impl SigmaAggregator {
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
     ) -> AggregateOutcome {
-        self.aggregate_at(model_len, incoming, None, || {})
-    }
-
-    /// [`SigmaAggregator::aggregate_validated`] with the caller as the
-    /// wire: `feed` runs on this thread while the pool drains `incoming`,
-    /// and must end every stream (drop each sender) before it returns.
-    pub(crate) fn aggregate_while(
-        &self,
-        model_len: usize,
-        incoming: Vec<Receiver<Chunk>>,
-        feed: impl FnOnce(),
-    ) -> AggregateOutcome {
-        self.aggregate_at(model_len, incoming, None, feed)
+        self.drain(model_len, incoming, None)
     }
 
     /// [`SigmaAggregator::aggregate_validated`] over dense streams, with
-    /// every validated chunk re-expressed on arrival, in its peer's
-    /// aggregation job, as the grid chunk a fixed-point sender at the
-    /// shared `scale_exp` would have sent (`pack_stripe`), and from
-    /// there the same integer fold. Layout is judged as delivered: a
-    /// stream that mixes grid chunks in is corrupt here as everywhere.
-    /// The engine sends grids; this entry point serves the benchmark
-    /// rung `runtime.sigma.fixed_mib_per_s`.
+    /// every validated chunk re-expressed on arrival, as it is staged,
+    /// as the grid chunk a fixed-point sender at the shared `scale_exp`
+    /// would have sent (`pack_stripe`), and from there the same integer
+    /// fold. Layout is judged as delivered: a stream that mixes grid
+    /// chunks in is corrupt here as everywhere. The engine sends grids;
+    /// this entry point serves the benchmark rung
+    /// `runtime.sigma.fixed_mib_per_s`.
     pub fn aggregate_fixed(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
         scale_exp: u8,
     ) -> AggregateOutcome {
-        self.aggregate_at(model_len, incoming, Some(scale_exp), || {})
+        self.drain(model_len, incoming, Some(scale_exp))
     }
 
-    /// Dispatches one aggregation job per peer, runs `feed`, and waits
-    /// for every job — each stream drained, validated and held by
-    /// `self.stage` — then folds what survived.
-    fn aggregate_at(
+    /// Stages every stream of `incoming` on this thread, in peer order,
+    /// then folds what survived.
+    fn drain(
         &self,
         model_len: usize,
         incoming: Vec<Receiver<Chunk>>,
         quantize_at: Option<u8>,
-        feed: impl FnOnce(),
     ) -> AggregateOutcome {
-        let folds: Arc<Vec<Mutex<Option<PeerFold>>>> =
-            Arc::new(incoming.iter().map(|_| Mutex::new(None)).collect());
-
-        let wg = WaitGroup::new();
-        for (peer, rx) in incoming.into_iter().enumerate() {
-            // A job that unwinds leaves its slot `None`; unwinding drops
-            // `rx`, which refuses the producer's next send, and `wg`,
-            // which releases the wait below.
-            let folds = Arc::clone(&folds);
-            let wg = wg.clone();
-            let stage = self.stage;
-            self.aggregation.execute(move || {
-                *folds[peer].lock() = Some(stage(&rx, model_len, quantize_at));
-                drop(wg);
-            });
+        let mut pass = self.pass(model_len, incoming.len(), quantize_at);
+        for (peer, rx) in incoming.iter().enumerate() {
+            pass.stage(peer, rx);
         }
-        feed();
-        wg.wait();
-
-        // Collect surviving peers in index order — the determinism
-        // contract the float fold builds on.
-        let mut outcome =
-            AggregateOutcome { sum: Vec::new(), quarantined: Vec::new(), duplicates_dropped: 0 };
-        let mut survivors = Vec::new();
-        for (peer, fold) in folds.iter().enumerate() {
-            let Some(fold) = fold.lock().take() else {
-                outcome.quarantined.push((peer, ChunkFault::Aborted));
-                continue;
-            };
-            outcome.duplicates_dropped += fold.duplicates;
-            match fold.fault {
-                Some(fault) => outcome.quarantined.push((peer, fault)),
-                None => survivors.extend(fold.stripes),
-            }
-        }
-        outcome.sum = fold_stripes(model_len, &survivors);
-        outcome
+        pass.finish()
     }
 
-    /// Total jobs submitted to the aggregation pool so far: one per
-    /// peer stream per aggregation pass, so the count is a
-    /// deterministic function of the call history.
+    /// Peer streams staged so far — one per peer per pass, booked as
+    /// `pool.jobs` — so the count is a deterministic function of the
+    /// call history.
     pub(crate) fn jobs_submitted(&self) -> usize {
-        self.aggregation.jobs_submitted()
+        self.staged.load(Ordering::Relaxed)
     }
 }
 
@@ -482,82 +568,6 @@ fn fold_stripes(model_len: usize, survivors: &[Stripes]) -> Vec<f64> {
     sum
 }
 
-/// One peer's aggregation job: drains `rx`, validating every chunk as
-/// it arrives and holding each stripe's first intact one as delivered —
-/// or, under `quantize_at`, as the grid chunk of that scale exponent a
-/// fixed-point sender would have delivered in its place.
-fn stage_peer(rx: &Receiver<Chunk>, model_len: usize, quantize_at: Option<u8>) -> PeerFold {
-    let mut stripes: Stripes = vec![None; chunk_count(model_len)];
-    let mut layout: Option<Layout> = None;
-    let mut fault: Option<ChunkFault> = None;
-    let mut duplicates = 0usize;
-    for chunk in rx {
-        // A quarantined peer's stream is still read to its end, so the
-        // job ends when the stream does.
-        if fault.is_some() {
-            continue;
-        }
-        if chunk.offset % CHUNK_WORDS != 0 {
-            fault = Some(ChunkFault::Misaligned { offset: chunk.offset });
-            continue;
-        }
-        // Model words carried; a malformed grid header leaves no length
-        // to check against.
-        let len = match chunk.layout {
-            Layout::Dense => chunk.data.len(),
-            Layout::Grid => {
-                let Some((_, words)) = chunk.grid_header() else {
-                    fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
-                    continue;
-                };
-                words
-            }
-        };
-        // The offset is wire-supplied: bound it before adding to it.
-        // (`offset == model_len` with an empty payload would index one
-        // stripe past the last.)
-        if chunk.offset >= model_len || len > model_len - chunk.offset {
-            fault = Some(ChunkFault::Overrun { offset: chunk.offset, len });
-            continue;
-        }
-        let end = chunk.offset + len;
-        if !chunk.is_intact() {
-            fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
-            continue;
-        }
-        if end < model_len.min(chunk.offset + CHUNK_WORDS) {
-            fault = Some(ChunkFault::Incomplete { missing: end });
-            continue;
-        }
-        let slot = &mut stripes[chunk.offset / CHUNK_WORDS];
-        if slot.is_some() {
-            duplicates += 1;
-            continue;
-        }
-        // The stream changed representation mid-way.
-        if *layout.get_or_insert(chunk.layout) != chunk.layout {
-            fault = Some(ChunkFault::Corrupt { offset: chunk.offset });
-            continue;
-        }
-        *slot = Some(match quantize_at {
-            Some(scale_exp) if chunk.layout == Layout::Dense => {
-                let mut words = Vec::with_capacity(1 + len.div_ceil(2));
-                pack_stripe(&chunk.data, scale_exp, &mut words);
-                Chunk::grid(chunk.offset, WordBuf::from_vec(words))
-            }
-            _ => chunk,
-        });
-    }
-    // A stream that delivered anything must have delivered every
-    // stripe; folding the rest as absent would pass a partial gradient
-    // off as whole.
-    if let (None, Some(_), Some(stripe)) = (fault, layout, stripes.iter().position(Option::is_none))
-    {
-        fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
-    }
-    PeerFold { stripes: layout.map(|_| stripes), fault, duplicates }
-}
-
 impl Default for SigmaAggregator {
     fn default() -> Self {
         Self::new(4, 4)
@@ -572,19 +582,18 @@ mod tests {
     use proptest::prelude::*;
 
     impl SigmaAggregator {
-        /// First word of a stream whose aggregation job
+        /// First word of a stream whose staging
         /// [`SigmaAggregator::tripwired`] panics.
         pub(crate) const TRIPWIRE: f64 = 6.02e23;
 
-        /// Plants a panic in the aggregation job of any peer whose
-        /// stream starts with [`SigmaAggregator::TRIPWIRE`] — once it
-        /// has staged, so all but the report has run.
+        /// Plants a panic in the staging of any peer whose stream starts
+        /// with [`SigmaAggregator::TRIPWIRE`] — once that first chunk
+        /// has staged, so the stage holds something when it unwinds.
         pub(crate) fn tripwired(mut self) -> Self {
-            self.stage = |rx, model_len, quantize_at| {
-                let fold = stage_peer(rx, model_len, quantize_at);
-                let first = fold.stripes.as_ref().and_then(|s| s[0].as_ref()).map(|c| c.data[0]);
-                assert!(first != Some(Self::TRIPWIRE), "planted panic");
-                fold
+            self.push = |stage, chunk| {
+                let trip = chunk.offset == 0 && chunk.data.first() == Some(&Self::TRIPWIRE);
+                stage.push(chunk);
+                assert!(!trip, "planted panic");
             };
             self
         }
@@ -619,10 +628,10 @@ mod tests {
     }
 
     #[test]
-    fn sixteen_peers_drain_through_one_aggregation_worker() {
-        // 16 peers × 16 chunks, one worker: each job drains its peer's
-        // queue to the end while the other fifteen wait their turn. A
-        // bounded ring the producer had to feed would wedge here.
+    fn sixteen_peers_stage_in_turn_on_the_caller() {
+        // 16 peers × 16 chunks, staged on the calling thread: each
+        // queue is drained to its end while the other fifteen wait
+        // their turn, and every stream counts as one job.
         let sigma = SigmaAggregator::new(1, 1);
         let len = 16 * CHUNK_WORDS;
         let models: Vec<Vec<f64>> = (0..16).map(|p| partial(len, p, 1.0 + p as f64)).collect();
@@ -711,7 +720,7 @@ mod tests {
         assert!(matches!(out.quarantined[..], [(0, ChunkFault::Overrun { len: 0, .. })]));
 
         // An aligned offset whose end overflows `usize`: a verdict in
-        // every build profile, not an overflow panic on a pool worker.
+        // every build profile, not an overflow panic while staging.
         let far = usize::MAX & !(CHUNK_WORDS - 1);
         let (tx, rx) = channel::unbounded();
         tx.send(Chunk::new(far, vec![1.0; CHUNK_WORDS])).unwrap();
@@ -1024,7 +1033,9 @@ mod tests {
         let len = 2 * CHUNK_WORDS + 17;
         let model = partial(len, 0, 1.0);
         for chunks in [chunk_vector(&model), grid_chunks(&model, 20).0] {
-            let fold = stage_peer(&send_chunks(chunks.iter().rev().cloned()), len, None);
+            let mut stage = Stage::new(len, None);
+            chunks.iter().rev().cloned().for_each(|chunk| stage.push(chunk));
+            let fold = stage.finish();
             assert_eq!(fold.fault, None);
             let held = fold.stripes.expect("something arrived");
             for (held, sent) in held.iter().zip(&chunks) {
@@ -1116,42 +1127,6 @@ mod tests {
                 prop_assert_eq!((in_order.duplicates_dropped, scrambled.duplicates_dropped), (0, duplicates));
             }
         }
-    }
-
-    #[test]
-    fn a_consumer_that_panics_mid_stream_does_not_wedge_its_producer() {
-        fn dies_after_one_chunk(rx: &Receiver<Chunk>, _: usize, _: Option<u8>) -> PeerFold {
-            let _ = rx.recv();
-            panic!("aggregation job panics mid-stream");
-        }
-        // One worker, and a producer that keeps sending: once the job is
-        // gone its receiver is too, so a send is refused rather than
-        // queued for nobody, and the producer stops.
-        let mut sigma = SigmaAggregator::new(1, 1);
-        sigma.stage = dies_after_one_chunk;
-        let len = 16 * CHUNK_WORDS;
-        let chunks = chunk_vector(&vec![1.0; len]);
-        let (tx, rx) = channel::unbounded();
-        let mut refused = false;
-        let out = sigma.aggregate_while(len, vec![rx], || {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-            for chunk in chunks.iter().cycle() {
-                refused = tx.send(chunk.clone()).is_err();
-                if refused || std::time::Instant::now() > deadline {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            drop(tx);
-        });
-        assert!(refused, "the producer learns its consumer is gone");
-        assert_eq!(out.quarantined, vec![(0, ChunkFault::Aborted)], "a typed outcome");
-        assert_eq!(out.sum, vec![0.0; len], "and out of the sum");
-        // The pool is whole: the next round on the same aggregator folds.
-        sigma.stage = stage_peer;
-        let out = sigma.aggregate_validated(len, vec![send_model(vec![2.0; len])]);
-        assert!(out.sum.iter().all(|&v| v == 2.0));
-        assert!(out.quarantined.is_empty());
     }
 
     #[test]

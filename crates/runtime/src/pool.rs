@@ -1,17 +1,17 @@
-//! Internally managed worker thread pools.
+//! An internally managed worker thread pool.
 //!
 //! Paper §3: the system software "*internally* manages two thread pools,
 //! Networking Pool and Aggregation Pool, limiting the number of active
 //! threads and reusing them" — avoiding the cost of creating a thread per
 //! connection and of generic OS scheduling. This pool is that primitive:
-//! a fixed set of workers pulling closures from a channel. Sigma runs one
-//! as its aggregation pool, a job per peer stream a round; the
-//! networking role belongs to the wire's own receivers (TCP's resident
-//! link readers and senders, `Sim`'s caller), so no pool plays it.
+//! a fixed set of workers pulling closures from a channel. The runtime
+//! itself runs none: both roles belong to the wire's own threads (TCP's
+//! resident link readers and senders and its routing caller, `Sim`'s
+//! caller), which stage each stream into Sigma as they hold it. The pool
+//! stays as the measured primitive behind `runtime.pool.dispatch_us`.
 
 use crossbeam::channel::{self, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -46,7 +46,6 @@ pub struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     size: usize,
-    submitted: AtomicUsize,
 }
 
 impl ThreadPool {
@@ -78,19 +77,11 @@ impl ThreadPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        ThreadPool { sender: Some(sender), workers, size, submitted: AtomicUsize::new(0) }
-    }
-
-    /// Jobs submitted through [`ThreadPool::execute`] so far (the
-    /// internal barrier jobs of [`ThreadPool::wait_idle`] are not
-    /// counted — they are plumbing, not work).
-    pub(crate) fn jobs_submitted(&self) -> usize {
-        self.submitted.load(Ordering::Relaxed)
+        ThreadPool { sender: Some(sender), workers, size }
     }
 
     /// Submits a job for execution on some worker.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
         self.submit_inner(Box::new(job));
     }
 
@@ -210,17 +201,6 @@ mod tests {
         }
         drop(pool);
         assert!(ids.lock().len() <= 2);
-    }
-
-    #[test]
-    fn submission_counter_excludes_wait_idle_barriers() {
-        let pool = ThreadPool::new(2, "count");
-        assert_eq!(pool.jobs_submitted(), 0);
-        for _ in 0..17 {
-            pool.execute(|| {});
-        }
-        pool.wait_idle();
-        assert_eq!(pool.jobs_submitted(), 17);
     }
 
     #[test]

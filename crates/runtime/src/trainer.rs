@@ -3,9 +3,9 @@
 //!
 //! Every simulated node runs its accelerator worker threads in parallel
 //! (each computing a private partial update over its data sub-partition),
-//! aggregates locally, ships the node partial to its group's Sigma over a
-//! channel ("socket"), and the Sigma pipeline of [`crate::node`] folds
-//! the stream through its aggregation pool. A master Sigma
+//! aggregates locally, ships the node partial to its group's Sigma over
+//! the wire, and the Sigma pipeline of [`crate::node`] validates and
+//! folds the stream on the thread that delivers it. A master Sigma
 //! combines group aggregates and redistributes the model.
 //!
 //! The trainer is **fault tolerant**: a [`FaultPlan`] injects node
@@ -203,8 +203,8 @@ pub struct Exclusion {
 }
 
 /// One quarantined peer stream: the Sigma rejected the node's partial
-/// for this iteration because a chunk failed validation or the stream's
-/// aggregation job unwound.
+/// for this iteration because a chunk failed validation or staging the
+/// stream unwound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quarantine {
     /// The global aggregation iteration.

@@ -3,17 +3,18 @@
 //! The engine's collective round calls [`Transport::round`], and the
 //! wire behind it is a backend choice:
 //!
-//! - [`SimTransport`] — the in-process discrete-event path (crossbeam
-//!   channels as "sockets"), the default.
+//! - [`SimTransport`] — the in-process discrete-event path (the caller
+//!   as the wire), the default.
 //! - [`TcpTransport`] — a real wire: every sender streams
 //!   length-prefixed, checksummed frames over a loopback TCP socket
 //!   through the fault-injecting `WireShim`, and a link that exhausts
 //!   its retry budget surfaces as a [`DeadLink`] that the engine books
 //!   through the membership/failover machinery.
 //!
-//! Neither creates a thread per round: the caller chunks (and on TCP
-//! routes) while Sigma's aggregation pool drains, and TCP writes on one
-//! resident sender thread per link.
+//! Neither creates a thread per round, and Sigma owns none: the caller
+//! chunks each stream and stages it into Sigma itself — on `Sim` as it
+//! chunks, on TCP as it routes each delivered stream — and TCP writes
+//! and reads on one resident sender and one reader thread per link.
 //!
 //! Real sockets have one client and one server, both in `supervisor`
 //! (`RoundSender`, `RoundServer`), and a link lives as long as its

@@ -1,22 +1,20 @@
-//! The discrete-event backend: crossbeam channels as sockets.
+//! The discrete-event backend: the caller is the wire.
 //!
-//! The caller is the wire: the calling thread chunks each admitted
-//! peer's partial in turn ([`RoundCtx::wire_chunks`], plan-driven chunk
-//! corruption and duplication included) into that peer's unbounded
-//! channel, which Sigma's aggregation job for that peer drains directly
-//! — one hand-off per chunk — and the round creates no thread. Nothing
+//! The calling thread chunks each admitted peer's partial in turn
+//! ([`RoundCtx::wire_chunks`], plan-driven chunk corruption and
+//! duplication included) and stages each chunk into that peer's Sigma
+//! stage as it is made: no channel, no hand-off, and no thread. Nothing
 //! is booked into [`TransportStats`], so traced runs export telemetry
 //! with no wire counters at all.
 
 use cosmic_collectives::codec::CodecStats;
-use crossbeam::channel;
 
 use crate::error::RuntimeError;
 use crate::node::SigmaAggregator;
 
 use super::{RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats};
 
-/// The in-process channel wire (the default backend).
+/// The in-process wire (the default backend).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimTransport;
 
@@ -31,26 +29,17 @@ impl Transport for SimTransport {
         sigma: &SigmaAggregator,
         parts: &[Option<&[f64]>],
     ) -> Result<RoundDelivery, RuntimeError> {
-        // Unbounded: a partial's chunks are views of one arena already,
-        // so a bound would save no memory, only block the one feeder.
-        let (txs, receivers): (Vec<_>, Vec<_>) =
-            ctx.senders.iter().map(|_| channel::unbounded()).unzip();
+        let mut pass = sigma.pass(ctx.model_len, ctx.senders.len(), None);
         let mut codec = CodecStats::default();
-        let outcome = sigma.aggregate_while(ctx.model_len, receivers, || {
-            // Each `tx` drops at the end of its turn, ending that stream.
-            for ((tx, &member), part) in txs.into_iter().zip(ctx.senders).zip(parts) {
-                let Some(part) = part else {
-                    continue;
-                };
-                let (stats, chunks) = ctx.wire_chunks(member, part);
-                codec.merge(&stats);
-                for (_, chunk) in chunks {
-                    if tx.send(chunk).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
+        for (peer, (&member, part)) in ctx.senders.iter().zip(parts).enumerate() {
+            let Some(part) = part else {
+                continue;
+            };
+            let (stats, chunks) = ctx.wire_chunks(member, part);
+            codec.merge(&stats);
+            pass.stage(peer, chunks.map(|(_, chunk)| chunk));
+        }
+        let outcome = pass.finish();
         Ok(RoundDelivery { outcome, dead: Vec::new(), stats: TransportStats::default(), codec })
     }
 }
@@ -58,8 +47,14 @@ impl Transport for SimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::fold_parts_reference;
+    use crate::node::ChunkFault;
     use crate::trainer::RetryPolicy;
     use cosmic_sim::faults::FaultPlan;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn sim_round_folds_parts_and_books_nothing() {
@@ -86,7 +81,7 @@ mod tests {
     }
 
     #[test]
-    fn the_caller_feeds_more_peers_than_aggregation_workers() {
+    fn the_caller_stages_sixteen_peers_on_its_own_thread() {
         let plan = FaultPlan::none();
         let retry = RetryPolicy::default();
         let senders: Vec<usize> = (0..16).collect();
@@ -133,5 +128,43 @@ mod tests {
         assert_eq!(delivery.outcome.duplicates_dropped, 1);
         assert_eq!(delivery.outcome.quarantined.len(), 1);
         assert_eq!(delivery.outcome.quarantined[0].0, 1);
+    }
+
+    #[test]
+    fn a_staging_panic_aborts_only_its_peer_and_the_next_round_runs() {
+        let (plan, retry) = (FaultPlan::none(), RetryPolicy::default());
+        let senders = [0usize, 1, 2];
+        let model_len = 2 * crate::layout::CHUNK_WORDS + 5;
+        let ctx = RoundCtx {
+            iteration: 0,
+            model_len,
+            plan: &plan,
+            retry: &retry,
+            senders: &senders,
+            repr: Default::default(),
+        };
+        let data: Vec<Vec<f64>> = senders
+            .iter()
+            .map(|&n| (0..model_len).map(|i| ((i * 31 + n * 7) % 997) as f64 / 997.0).collect())
+            .collect();
+        let mut marked = data[1].clone();
+        marked[0] = SigmaAggregator::TRIPWIRE;
+        let sigma = SigmaAggregator::new(2, 2).tripwired();
+        let parts = [Some(&data[0][..]), Some(&marked[..]), Some(&data[2][..])];
+        let delivery = SimTransport.round(&ctx, &sigma, &parts).unwrap();
+        assert_eq!(delivery.outcome.quarantined, vec![(1, ChunkFault::Aborted)]);
+        let mut expected = vec![0.0; model_len];
+        fold_parts_reference(&mut expected, &[&data[0], &data[2]]);
+        assert_eq!(bits(&delivery.outcome.sum), bits(&expected), "the other peers, bit for bit");
+
+        // The same aggregator on the next round folds every peer.
+        let parts: Vec<Option<&[f64]>> = data.iter().map(|p| Some(p.as_slice())).collect();
+        let delivery =
+            SimTransport.round(&RoundCtx { iteration: 1, ..ctx }, &sigma, &parts).unwrap();
+        assert!(delivery.outcome.quarantined.is_empty());
+        let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+        let mut expected = vec![0.0; model_len];
+        fold_parts_reference(&mut expected, &slices);
+        assert_eq!(bits(&delivery.outcome.sum), bits(&expected));
     }
 }

@@ -3,17 +3,15 @@
 //! One [`RoundServer`] and, per sender node, one supervised
 //! [`RoundSender`] owned by a resident worker thread
 //! (`cosmic-link-sender-{node}`) outlive the round: after a link's first
-//! use a healthy round opens no socket and creates no thread. Inside
-//! [`SigmaAggregator::aggregate_while`]'s feed the caller chunks each
-//! partial and posts the owned stream to its link's worker (link *k*
-//! writes while the caller chunks *k + 1*), then routes the complete
-//! streams the server's readers deliver (store-and-forward: a stream
-//! that dies mid-round contributes nothing) into the per-peer channels
-//! the discrete-event backend feeds too. Sigma's aggregation job for
-//! each peer drains its channel directly, so the Sigma fold — and the
-//! model arithmetic — is identical bit for bit. The channels are
-//! unbounded: the router never waits on a fold, however many peers
-//! share the aggregation workers.
+//! use a healthy round opens no socket and creates no thread. The
+//! caller chunks each partial and posts the owned stream to its link's
+//! worker (link *k* writes while the caller chunks *k + 1*), then
+//! routes the complete streams the server's readers deliver
+//! (store-and-forward: a stream that dies mid-round contributes
+//! nothing). Routing acknowledges a stream and stages it into its
+//! peer's Sigma stage on the spot, while the other links are still
+//! being read — the same stages the discrete-event backend feeds, so
+//! the Sigma fold, and the model arithmetic, is identical bit for bit.
 //!
 //! A link whose retry budget exhausts, or whose send panics, is
 //! reported as a [`DeadLink`] rather than an error: the engine books it
@@ -32,7 +30,7 @@ use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
-use crate::node::{Chunk, SigmaAggregator};
+use crate::node::{Chunk, Pass, SigmaAggregator};
 use crate::trainer::RetryPolicy;
 
 use super::shim::WireShim;
@@ -63,11 +61,11 @@ struct Link {
     worker: JoinHandle<()>,
 }
 
-/// What a round's caller and its link workers share: one forwarding
-/// channel per sender (`None` once it finished), the books, and how
-/// many posts are still out.
+/// What a round's caller and its link workers share: whether each
+/// sender's slot is still open to a delivery (closed once its post
+/// finished), the books, and how many posts are still out.
 struct Round {
-    txs: Mutex<Vec<Option<Sender<Chunk>>>>,
+    open: Mutex<Vec<bool>>,
     stats: Mutex<TransportStats>,
     dead: Mutex<Vec<DeadLink>>,
     pending: AtomicUsize,
@@ -76,8 +74,8 @@ struct Round {
 
 /// One round's stream for one link, owned: the worker borrows nothing.
 /// Also the drop guard: however a post ends, dropping it closes its
-/// slot — Sigma's stream ends once in-flight chunks drain — and the
-/// last one dropped wakes the routing caller.
+/// slot — no later delivery of its stream is staged — and the last one
+/// dropped wakes the routing caller.
 struct Post {
     iteration: u64,
     chunks: Vec<(usize, Chunk)>,
@@ -107,7 +105,7 @@ impl Post {
 
 impl Drop for Post {
     fn drop(&mut self) {
-        self.round.txs.lock()[self.slot] = None;
+        self.round.open.lock()[self.slot] = false;
         if self.round.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.round.waker.wake();
         }
@@ -190,55 +188,46 @@ impl Transport for TcpTransport {
     ) -> Result<RoundDelivery, RuntimeError> {
         let mut links = self.links.lock();
         self.server.discard_stale();
-        // A served stream is already whole in memory, so the router
-        // hands it over in one go instead of pacing on the fold. A
-        // sender without a part posts nothing: its slot starts closed.
-        let (txs, receivers): (Vec<_>, Vec<_>) = parts
-            .iter()
-            .map(|part| {
-                let (tx, rx) = channel::unbounded();
-                (part.map(|_| tx), rx)
-            })
-            .unzip();
+        // A sender without a part posts nothing: its slot starts closed.
         let round = Arc::new(Round {
-            txs: Mutex::new(txs),
+            open: Mutex::new(parts.iter().map(Option::is_some).collect()),
             stats: Mutex::default(),
             dead: Mutex::default(),
             pending: AtomicUsize::new(parts.iter().flatten().count()),
             waker: self.server.waker(),
         });
+        let mut pass = sigma.pass(ctx.model_len, parts.len(), None);
         let mut codec = CodecStats::default();
-        let outcome = sigma.aggregate_while(ctx.model_len, receivers, || {
-            for (slot, (&member, part)) in ctx.senders.iter().zip(parts).enumerate() {
-                let Some(part) = part else {
-                    continue;
-                };
-                // Booked once, whatever the link then costs in
-                // retransmissions.
-                let (applied, chunks) = ctx.wire_chunks(member, part);
-                let chunks: Vec<(usize, Chunk)> = chunks.collect();
-                codec.merge(&applied);
-                let shim = WireShim::new(ctx.plan, member, ctx.iteration, chunks.len());
-                let (iteration, retry, repr) = (ctx.iteration as u64, *ctx.retry, ctx.repr);
-                let round = Arc::clone(&round);
-                let post = Post { iteration, chunks, shim, retry, repr, round, slot };
-                let link = match links.entry(member) {
-                    Entry::Occupied(link) => Ok(link.into_mut()),
-                    Entry::Vacant(vacant) => self.spawn(member, retry).map(|l| vacant.insert(l)),
-                };
-                match link {
-                    // Cannot fail: a worker outlives its mailbox.
-                    Ok(link) => drop(link.posts.send(post)),
-                    Err(error) => post.book(member, Err(error)),
-                }
+        for (slot, (&member, part)) in ctx.senders.iter().zip(parts).enumerate() {
+            let Some(part) = part else {
+                continue;
+            };
+            // Booked once, whatever the link then costs in
+            // retransmissions.
+            let (applied, chunks) = ctx.wire_chunks(member, part);
+            let chunks: Vec<(usize, Chunk)> = chunks.collect();
+            codec.merge(&applied);
+            let shim = WireShim::new(ctx.plan, member, ctx.iteration, chunks.len());
+            let (iteration, retry, repr) = (ctx.iteration as u64, *ctx.retry, ctx.repr);
+            let round = Arc::clone(&round);
+            let post = Post { iteration, chunks, shim, retry, repr, round, slot };
+            let link = match links.entry(member) {
+                Entry::Occupied(link) => Ok(link.into_mut()),
+                Entry::Vacant(vacant) => self.spawn(member, retry).map(|l| vacant.insert(l)),
+            };
+            match link {
+                // Cannot fail: a worker outlives its mailbox.
+                Ok(link) => drop(link.posts.send(post)),
+                Err(error) => post.book(member, Err(error)),
             }
-            // Route on this thread until every post is done.
-            while round.pending.load(Ordering::Acquire) > 0 {
-                if let Some(served) = self.server.next(None) {
-                    route(served, ctx, &round);
-                }
+        }
+        // Route and stage on this thread until every post is done.
+        while round.pending.load(Ordering::Acquire) > 0 {
+            if let Some(served) = self.server.next(None) {
+                route(served, ctx, &round, &mut pass);
             }
-        });
+        }
+        let outcome = pass.finish();
         let dead = std::mem::take(&mut *round.dead.lock());
         let stats = *round.stats.lock();
         Ok(RoundDelivery { outcome, dead, stats, codec })
@@ -247,10 +236,10 @@ impl Transport for TcpTransport {
 
 /// Routes one delivery: only a stream that arrived complete — this
 /// round's iteration, a known sender, slot still open — is acknowledged
-/// and its buffered chunks forwarded to Sigma. Anything else is dropped
-/// unanswered, which shuts its connection; the sender's retransmission
-/// is the only delivery.
-fn route(served: Served, ctx: &RoundCtx<'_>, round: &Round) {
+/// and its buffered chunks staged into its peer's stage. Anything else
+/// is dropped unanswered, which shuts its connection; the sender's
+/// retransmission is the only delivery.
+fn route(served: Served, ctx: &RoundCtx<'_>, round: &Round, pass: &mut Pass) {
     let ServedKind::Round { iteration, chunks, mut reply, .. } = served.kind else {
         return;
     };
@@ -260,23 +249,18 @@ fn route(served: Served, ctx: &RoundCtx<'_>, round: &Round) {
     let Some(peer) = ctx.senders.iter().position(|&n| n == served.node as usize) else {
         return;
     };
-    // Clone the slot *before* acknowledging: the sender closes it the
-    // moment the ack lands, and the clone keeps the channel alive while
-    // the buffer drains into Sigma.
-    let Some(tx) = round.txs.lock()[peer].clone() else {
+    // Read the slot *before* acknowledging: the sender closes it the
+    // moment the ack lands.
+    if !round.open.lock()[peer] {
         return;
-    };
+    }
     let mut booked = served.stats;
     let ack = Frame::control(FrameKind::Ack, served.node, iteration, 0, 0);
     if reply.send(&ack, &mut booked).is_err() {
         return;
     }
     round.stats.lock().merge(&booked);
-    for chunk in chunks {
-        if tx.send(chunk).is_err() {
-            break;
-        }
-    }
+    pass.stage(peer, chunks);
 }
 
 #[cfg(test)]
@@ -509,9 +493,9 @@ mod tests {
     }
 
     #[test]
-    fn sixteen_links_route_into_one_aggregation_worker() {
-        // The router feeds sixteen queues while the one worker drains
-        // them a peer at a time: routing must never wait on the fold.
+    fn sixteen_links_stage_on_the_routing_caller() {
+        // The router stages sixteen streams as they arrive, one at a
+        // time on its own thread, and each counts as one job.
         let transport = TcpTransport::bind(LinkConfig::default()).unwrap();
         let (plan, retry) = (FaultPlan::none(), RetryPolicy::default());
         let senders: Vec<usize> = (0..16).collect();
@@ -556,5 +540,36 @@ mod tests {
         let before = worker();
         checked_round(&transport, &plan, 1, &senders, 64);
         assert_eq!(worker(), before);
+    }
+
+    #[test]
+    fn a_staging_panic_on_the_routing_caller_aborts_only_its_peer() {
+        let transport = TcpTransport::bind(LinkConfig::default()).unwrap();
+        let (plan, retry, senders) = (FaultPlan::none(), RetryPolicy::default(), [0usize, 1, 2]);
+        let sigma = SigmaAggregator::new(2, 2).tripwired();
+        let len = 2 * crate::layout::CHUNK_WORDS + 5;
+        let data: Vec<Vec<f64>> = senders.iter().map(|&n| part(n, 0, len)).collect();
+        let mut marked = data[1].clone();
+        marked[0] = SigmaAggregator::TRIPWIRE;
+        let parts = [Some(&data[0][..]), Some(&marked[..]), Some(&data[2][..])];
+        let delivery = transport.round(&ctx(&plan, &retry, &senders, len), &sigma, &parts).unwrap();
+        assert_eq!(delivery.outcome.quarantined, vec![(1, crate::node::ChunkFault::Aborted)]);
+        assert!(delivery.dead.is_empty(), "the link delivered: {:?}", delivery.dead);
+        let mut expected = vec![0.0; len];
+        crate::fold::fold_parts_reference(&mut expected, &[&data[0], &data[2]]);
+        assert_eq!(bits(&delivery.outcome.sum), bits(&expected), "the other peers, bit for bit");
+
+        // The same aggregator and transport: the next round folds every
+        // peer, over the links the first one dialled.
+        let data: Vec<Vec<f64>> = senders.iter().map(|&n| part(n, 1, len)).collect();
+        let parts: Vec<Option<&[f64]>> = data.iter().map(|p| Some(p.as_slice())).collect();
+        let ctx = RoundCtx { iteration: 1, ..ctx(&plan, &retry, &senders, len) };
+        let delivery = transport.round(&ctx, &sigma, &parts).unwrap();
+        assert!(delivery.outcome.quarantined.is_empty() && delivery.dead.is_empty());
+        assert_eq!((delivery.stats.connections, delivery.stats.reconnects), (0, 0));
+        let mut expected = vec![0.0; len];
+        let slices: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+        crate::fold::fold_parts_reference(&mut expected, &slices);
+        assert_eq!(bits(&delivery.outcome.sum), bits(&expected));
     }
 }

@@ -58,7 +58,8 @@ fn cluster_matches_reference_across_topologies() {
 }
 
 /// The Sigma pipeline aggregates many large concurrent streams correctly
-/// (more streams than pool workers, more chunks than ring capacity).
+/// (a dozen producer threads sending seven stripes each, their streams
+/// staged in turn on the caller while the later ones are still sending).
 #[test]
 fn sigma_pipeline_stress() {
     let sigma = SigmaAggregator::new(3, 3);
@@ -69,8 +70,8 @@ fn sigma_pipeline_stress() {
         .map(|p| {
             let (tx, rx) = unbounded::<Chunk>();
             let model: Vec<f64> = (0..model_len).map(|i| ((i + p) % 101) as f64).collect();
-            // Stream from a separate thread so reception, ring buffering,
-            // and folding genuinely overlap.
+            // Stream from a separate thread so sending and staging
+            // genuinely overlap.
             std::thread::spawn(move || {
                 for chunk in chunk_vector(&model) {
                     if tx.send(chunk).is_err() {
