@@ -6,10 +6,12 @@
 //!
 //! 1. [`membership`] — absorb the plan's partitions/crashes/rejoins,
 //!    then the φ-accrual detector sweep (phase 0);
-//! 2. [`compute`] — one request to the run's [`Compute`] (the resident
-//!    compute workers [`Engine::run`] spawned, or a deployment's worker
+//! 2. [`compute`] — one request to the run's [`Compute`] (the crew
+//!    [`Engine::run`] spawned, whose job queue the engine's own thread
+//!    works beside resident helpers, or a deployment's worker
 //!    processes), panic absorption, and the deadline-admission barrier
-//!    in virtual time (phases 1–2);
+//!    in virtual time (phases 1–2); the round's spent partials go back
+//!    to it through [`Compute::settle`];
 //! 3. [`rounds`] — collective-schedule refresh and the chunked Sigma
 //!    aggregation with quarantine accounting (phase 3);
 //! 4. [`checkpoint_phase`] — apply the surviving update, log it for
@@ -90,8 +92,8 @@ impl<'a, O: RunObserver> Engine<'a, O> {
         let sigma = SigmaAggregator::default();
         let oracle = matches!(cfg.membership, MembershipMode::Oracle);
         let transport = transport::build(cfg)?;
-        let work = Box::new(move |node: usize, thread: usize, step, model: &[f64]| {
-            shards.thread_partial(alg, cfg, (node, thread), step, model)
+        let work = Box::new(move |node, thread, step, model: &[f64], partial: &mut [f64]| {
+            shards.thread_partial(alg, cfg, (node, thread), step, model, partial)
         });
         Ok(Engine {
             cfg,
@@ -110,11 +112,12 @@ impl<'a, O: RunObserver> Engine<'a, O> {
     }
 
     /// Runs the full training loop from `initial_model` over a working
-    /// copy `topology` on a resident compute crew, returning the outcome
-    /// of a still-successful degraded run or the error that made it
-    /// unrecoverable. The crew lives exactly as long as this call: every
-    /// return path drops it, and the scope joins the workers — which
-    /// borrow `work`, not the engine (nor its observer).
+    /// copy `topology` on a compute crew — this thread plus resident
+    /// helpers — returning the outcome of a still-successful degraded
+    /// run or the error that made it unrecoverable. The crew lives
+    /// exactly as long as this call: every return path drops it, and the
+    /// scope joins the helpers — which borrow `work`, not the engine (nor
+    /// its observer).
     pub(crate) fn run(
         &self,
         topology: Topology,
@@ -176,29 +179,34 @@ impl<'a, O: RunObserver> Engine<'a, O> {
 
         let senders: Vec<usize> =
             (0..self.cfg.nodes).filter(|&n| contributions[n].is_some()).collect();
-        if senders.is_empty() {
-            return self.finish_round(st, compute, round_cost, false);
-        }
-        let Some(round) = rounds::collective_round(self, st, &contributions, &senders)? else {
-            return self.finish_round(st, compute, round_cost, false);
+        let round = if senders.is_empty() {
+            None
+        } else {
+            rounds::collective_round(self, st, &contributions, &senders)?
         };
-        checkpoint_phase::apply_update(self, st, round.sum, round.active_total);
-        checkpoint_phase::maybe_checkpoint(self, st);
-        self.finish_round(st, compute, round_cost, true)
+        let counted = round.is_some();
+        if let Some(round) = round {
+            checkpoint_phase::apply_update(self, st, round.sum, round.active_total);
+            checkpoint_phase::maybe_checkpoint(self, st);
+        }
+        let spent = contributions.into_iter().chain(arrivals.into_iter().map(Option::flatten));
+        let spent = spent.flatten().map(|(partial, _)| partial).collect();
+        self.finish_round(st, compute, spent, round_cost, counted)
     }
 
-    /// Closes the round: the model it leaves goes back to the compute
-    /// phase, then end-of-iteration re-admission, iteration accounting,
-    /// and the virtual-clock advance. `counted` rounds applied an update;
-    /// empty rounds did not.
+    /// Closes the round: the model it leaves, and the partials it is
+    /// done with, go back to the compute phase, then end-of-iteration
+    /// re-admission, iteration accounting, and the virtual-clock
+    /// advance. `counted` rounds applied an update; empty rounds did not.
     fn finish_round(
         &self,
         st: &mut RunState,
         compute: &mut dyn Compute,
+        spent: Vec<Vec<f64>>,
         round_cost: f64,
         counted: bool,
     ) -> Result<(), RuntimeError> {
-        compute.settle(&st.model);
+        compute.settle(&st.model, spent);
         membership::process_rejoins(self, st)?;
         if counted {
             self.obs.iteration_counted();

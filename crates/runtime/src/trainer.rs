@@ -418,8 +418,9 @@ impl ClusterTrainer {
     }
 
     /// [`ClusterTrainer::train`], or [`ClusterTrainer::train_traced`]
-    /// into `sink`, with `compute` in place of the resident compute crew:
-    /// the same engine, fed node partials computed elsewhere.
+    /// into `sink`, with `compute` in place of the compute crew (the
+    /// engine's thread and its resident helpers): the same engine, fed
+    /// node partials computed elsewhere.
     pub(crate) fn train_on(
         &self,
         compute: &mut dyn Compute,

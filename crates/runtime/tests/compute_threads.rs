@@ -1,8 +1,9 @@
-//! A job creates its threads once: the compute crew, `NODES × THREADS`
-//! of them and nothing else, at the start of `train`, and then not one
-//! thread an iteration — the `Sim` round's caller is its wire and
-//! stages every stream into Sigma — and none of them outlives `train`,
-//! whether it returns `Ok` or an error.
+//! A job creates its threads once: the compute crew's helpers,
+//! `NODES × THREADS − 1` of them and nothing else — the engine's own
+//! thread is the crew's first worker — at the start of `train`, and then
+//! not one thread an iteration — the `Sim` round's caller is its wire
+//! and stages every stream into Sigma — and none of them outlives
+//! `train`, whether it returns `Ok` or an error.
 //!
 //! This binary holds exactly one test on purpose — thread ids and the
 //! thread count are process-wide, and a sibling test running beside it
@@ -49,11 +50,12 @@ fn a_job_creates_its_compute_threads_once_and_takes_them_with_it() {
     assert_eq!(long, Ok(4 * SHORT));
     assert_eq!(settled(before), before, "a thread outlived an Ok train()");
 
-    // The compute crew is the job's only threads: Sigma owns none.
+    // The compute crew's helpers are the job's only threads: Sigma owns
+    // none, and the engine's thread works one accelerator thread's jobs.
     assert_eq!(
         created_short,
-        (NODES * THREADS) as u64,
-        "a job created {created_short} threads; its crew is {NODES} x {THREADS}"
+        (NODES * THREADS - 1) as u64,
+        "a job created {created_short} threads; its crew is {NODES} x {THREADS} less the engine"
     );
     // And a `Sim` round runs on the engine's own thread: four times the
     // iterations, not one thread more.

@@ -177,6 +177,7 @@ pub const DIRECTOR_RECOVERY_REPLAYED: &str = "director.recovery.replayed";
 /// (**diagnostic**, see [`DIRECTOR_RECOVERY_REPLAYED`]).
 pub const DIRECTOR_RECOVERY_TORN_BYTES: &str = "director.recovery.torn_bytes";
 
-/// Jobs submitted to the Sigma's aggregation pool: one per peer stream
-/// per round.
+/// Peer streams staged into Sigma: one per sender per round, on the
+/// thread that delivers it. The name predates that design; the count
+/// is what the goldens pin.
 pub const POOL_JOBS: &str = "pool.jobs";

@@ -22,7 +22,7 @@ use TransportKind::{Sim, Tcp};
 const ALG: Algorithm = Algorithm::LinearRegression { features: 6 };
 
 /// A seeded initial model whose first and fourth weights are `-0.0`,
-/// so the first step's `model.to_vec()` carries signed zeros into the
+/// so the first step's copy of the model carries signed zeros into the
 /// workers. (Sigma's fold starts from zeros too, which hides the node
 /// fold's own leading `0.0 +` end to end; the crew's unit tests in
 /// `engine/compute.rs` pin that one directly.)
