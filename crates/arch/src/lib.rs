@@ -42,5 +42,5 @@ pub use geometry::{Geometry, PeId};
 pub use isa::{
     AluOp, MemDirection, MemScheduleEntry, PeInstr, Placement, SendTarget, Src, Tag, ThreadProgram,
 };
-pub use machine::{Machine, RunOutcome};
+pub use machine::{Loaded, Machine, RunOutcome};
 pub use platform::{AcceleratorSpec, CpuSpec, GpuSpec, Platform, PlatformKind};

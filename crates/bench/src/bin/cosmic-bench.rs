@@ -2,6 +2,8 @@
 //! of the paper's evaluation by registry name, the whole evaluation in
 //! order (`reproduce`), or the registry itself (`list`). Flags and
 //! defaults are documented on [`cosmic_bench::figures::parse_args`].
+//! `cosmic-bench director-chaos` runs the director's crash-recovery
+//! harness instead ([`cosmic_bench::chaos`]).
 //!
 //! `--trace <path>` exports the run's Chrome-trace JSON to `path` and
 //! the flat counters to a sibling `metrics.json`. All timestamps are
@@ -9,10 +11,14 @@
 
 use std::process::ExitCode;
 
+use cosmic_bench::chaos;
 use cosmic_bench::figures::{parse_args, render};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    if args.get(1).map(String::as_str) == Some("director-chaos") {
+        return chaos::run(&args[2..]);
+    }
     let rendered = parse_args(&args)
         .and_then(|(command, trace, ctx)| Ok((render(&command, &ctx)?, trace, ctx)));
     let (report, trace, ctx) = match rendered {

@@ -15,5 +15,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+pub mod chaos;
 pub mod figures;
 mod harness;

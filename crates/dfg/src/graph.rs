@@ -362,13 +362,19 @@ impl DfgBuilder {
         self.gradients.push((grad_slot, node, model_slot));
     }
 
+    /// Whether every node has its own `u32` id.
+    pub(crate) fn ids_fit(&self) -> bool {
+        u32::try_from(self.nodes.len().saturating_sub(1)).is_ok()
+    }
+
     /// Finalizes the graph.
     ///
     /// # Panics
     ///
     /// Panics if gradient slots are not exactly `0..k` for some `k` (each
-    /// set once).
+    /// set once), or if the graph has more nodes than `u32` ids.
     pub fn finish(mut self, data_len: usize, model_len: usize) -> Dfg {
+        assert!(self.ids_fit(), "DFG larger than u32::MAX + 1 nodes");
         self.gradients.sort_by_key(|&(slot, _, _)| slot);
         for (expect, &(slot, _, _)) in self.gradients.iter().enumerate() {
             assert_eq!(
@@ -382,8 +388,12 @@ impl DfgBuilder {
     }
 }
 
+/// Appends `node`. Past `u32::MAX` nodes its id wraps; [`lower`] rejects
+/// such a graph with an error and [`DfgBuilder::finish`] panics on it.
+///
+/// [`lower`]: crate::lower
 fn push(nodes: &mut Vec<Node>, node: Node) -> NodeId {
-    let id = NodeId(u32::try_from(nodes.len()).expect("DFG larger than u32::MAX nodes"));
+    let id = NodeId(nodes.len() as u32);
     nodes.push(node);
     id
 }

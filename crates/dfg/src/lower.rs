@@ -139,9 +139,10 @@ fn too_large(ty: DeclType, name: &str, shape: &[usize]) -> LowerError {
 ///
 /// Returns [`LowerError`] if a dimension is unbound, a declaration does
 /// not fit the 32-bit slot space, shapes mismatch, an interim value is
-/// referenced at an index never assigned, an index is out of bounds, or a
-/// gradient element is assigned twice or never. Every check on the
-/// declarations runs before the first node is built.
+/// referenced at an index never assigned, an index is out of bounds, a
+/// gradient element is assigned twice or never, or the graph has more
+/// nodes than 32-bit ids. Every check on the declarations runs before the
+/// first node is built.
 pub fn lower(program: &Program, env: &DimEnv) -> Result<Dfg, LowerError> {
     Lowerer::new(program, env)?.run(program)
 }
@@ -263,6 +264,9 @@ impl<'p> Lowerer<'p> {
                     "gradient `{name}` leaves element {offset} unassigned"
                 )));
             }
+        }
+        if !self.builder.ids_fit() {
+            return Err(LowerError::new("the graph has more nodes than 32-bit ids"));
         }
         Ok(self.builder.finish(self.data_len, self.model_len))
     }

@@ -143,10 +143,10 @@ mod random_programs {
     use proptest::prelude::*;
 
     /// SplitMix64: the programs' own generator, one stream per case.
-    struct Gen(u64);
+    pub(super) struct Gen(pub(super) u64);
 
     impl Gen {
-        fn next(&mut self) -> u64 {
+        pub(super) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -154,7 +154,7 @@ mod random_programs {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(super) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
 
@@ -194,7 +194,7 @@ mod random_programs {
     /// finishes — unless a read draws from the whole tag pool, which may
     /// wait for a tag sent later, or never. The pool is small, so tags
     /// are produced twice and broadcasts overwrite values in flight.
-    fn random_case(g: &mut Gen) -> (ThreadProgram, Vec<f64>, Vec<f64>, f64) {
+    pub(super) fn random_case(g: &mut Gen) -> (ThreadProgram, Vec<f64>, Vec<f64>, f64) {
         let geometry = Geometry::new(1 + g.below(4), 1 + g.below(4));
         let pes = geometry.pes();
         let data_words = g.below(12);
@@ -270,7 +270,7 @@ mod random_programs {
 
     /// Equal outcomes, gradients compared by bits (a random program may
     /// well compute a NaN), or equal errors.
-    fn assert_same(
+    pub(super) fn assert_same(
         fast: &Result<RunOutcome, RunError>,
         refr: &Result<RunOutcome, RunError>,
         what: &str,
@@ -383,5 +383,140 @@ mod svm_listing {
         }
         let want = fs::read_to_string(&path).expect("svm listing checked in (BLESS=1 to write it)");
         assert_eq!(text, want, "the compiled svm program drifted from its listing (BLESS=1)");
+    }
+}
+
+/// A program compiled for one geometry is an error on a machine of
+/// another, on both paths, whatever the PE count: fewer PEs, more PEs,
+/// or the same count in another shape.
+#[test]
+fn a_program_for_another_geometry_is_an_error_on_both_paths() {
+    let program = parse(&programs::svm(10_000)).expect("svm parses");
+    let dfg = lower(&program, &DimEnv::new().with("n", 16)).expect("svm lowers");
+    let compiled = compile(&dfg, Geometry::new(2, 8), &CompileOptions::default());
+    let record = stim(compiled.program.data_placement.len(), 3);
+    let model = stim(compiled.program.model_placement.len(), 5);
+    for geometry in [Geometry::new(1, 4), Geometry::new(4, 8), Geometry::new(4, 4)] {
+        let machine = Machine::new(geometry, 16.0);
+        let fast = machine.run(&compiled.program, &record, &model).unwrap_err();
+        assert!(fast.to_string().contains("compiled for 2x8"), "{geometry}: {fast}");
+        assert_eq!(fast, machine.run_reference(&compiled.program, &record, &model).unwrap_err());
+        assert_eq!(fast, machine.load(&compiled.program).unwrap_err());
+    }
+}
+
+/// One `Loaded` serves many runs: loaded once, a program runs eight or
+/// more (record, model) pairs, and each run equals `run_reference` on
+/// that pair in every outcome field, gradients bit for bit, and equals
+/// `Machine::run`, which loads afresh. A run that fails, deadlock
+/// included, leaves the `Loaded` fit for the next pair.
+mod loaded_reuse {
+    use cosmic::cosmic_arch::machine::{Loaded, RunError, RunOutcome};
+    use cosmic::cosmic_arch::{Geometry, Machine, ThreadProgram};
+    use cosmic::cosmic_compiler::{compile, CompileOptions};
+    use cosmic::cosmic_dfg::{lower, DimEnv};
+    use cosmic::cosmic_dsl::{parse, programs};
+    use proptest::prelude::*;
+
+    use super::random_programs::{assert_same, random_case, Gen};
+    use super::stim;
+
+    /// Runs `loaded` on each pair and holds it to the reference and to
+    /// a fresh `Machine::run`.
+    fn check_pairs(
+        machine: &Machine,
+        program: &ThreadProgram,
+        loaded: &Loaded,
+        pairs: &[(Vec<f64>, Vec<f64>)],
+        what: &str,
+    ) -> usize {
+        let mut failed = 0;
+        for (i, (record, model)) in pairs.iter().enumerate() {
+            let what = format!("{what} pair {i}");
+            let reused = loaded.run(record, model);
+            assert_same(&reused, &machine.run_reference(program, record, model), &what);
+            assert_same(&reused, &machine.run(program, record, model), &what);
+            failed += usize::from(reused.is_err());
+        }
+        failed
+    }
+
+    #[test]
+    fn one_load_runs_every_pair_like_the_reference_on_compiled_workloads() {
+        let workloads = [
+            ("svm", programs::svm(10_000), DimEnv::new().with("n", 256)),
+            (
+                "linear_regression",
+                programs::linear_regression(10_000),
+                DimEnv::new().with("n", 192),
+            ),
+            (
+                "logistic_regression",
+                programs::logistic_regression(10_000),
+                DimEnv::new().with("n", 128),
+            ),
+            (
+                "backpropagation",
+                programs::backpropagation(10_000),
+                DimEnv::new().with("n", 16).with("h", 16).with("o", 4),
+            ),
+        ];
+        for (name, src, env) in &workloads {
+            let dfg = lower(&parse(src).expect("parses"), env).expect("lowers");
+            for geometry in [Geometry::new(1, 4), Geometry::new(4, 16), Geometry::new(8, 8)] {
+                let program = compile(&dfg, geometry, &CompileOptions::default()).program;
+                let pairs: Vec<_> = (0..8)
+                    .map(|k| {
+                        let record = stim(program.data_placement.len(), 7 + 101 * k);
+                        (record, stim(program.model_placement.len(), 11 + 37 * k))
+                    })
+                    .collect();
+                for words_per_cycle in [1.0, 16.0] {
+                    let machine = Machine::new(geometry, words_per_cycle);
+                    let loaded = machine.load(&program).expect("compiled programs load");
+                    let what = format!("{name} @ {geometry} wpc={words_per_cycle}");
+                    assert_eq!(check_pairs(&machine, &program, &loaded, &pairs, &what), 0);
+                }
+            }
+        }
+    }
+
+    /// Eight (record, model) pairs for `program`, then one record a word
+    /// too long: values from `g`, so some pairs compute NaNs.
+    fn random_pairs(g: &mut Gen, program: &ThreadProgram) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut vector = |len: usize| -> Vec<f64> {
+            (0..len).map(|_| (g.below(2001) as f64 - 1000.0) / 97.0).collect()
+        };
+        let (words, model_words) = (program.data_placement.len(), program.model_placement.len());
+        let mut pairs: Vec<_> = (0..8).map(|_| (vector(words), vector(model_words))).collect();
+        pairs.push((vector(words + 1), vector(model_words)));
+        pairs
+    }
+
+    proptest! {
+        /// The random hand-built programs above, `Err` included: one
+        /// load each, nine pairs through it.
+        #[test]
+        fn one_load_runs_every_pair_like_the_reference_on_random_programs(seed in any::<u64>()) {
+            let mut g = Gen(seed);
+            for i in 0..4 {
+                let (program, _, _, words_per_cycle) = random_case(&mut g);
+                let machine = Machine::new(program.geometry, words_per_cycle);
+                let pairs = random_pairs(&mut g, &program);
+                let what = format!("seed {seed} program {i}: {program:?}");
+                match machine.load(&program) {
+                    Ok(loaded) => {
+                        let failed = check_pairs(&machine, &program, &loaded, &pairs, &what);
+                        prop_assert!(failed >= 1, "{what}: the long record must fail");
+                    }
+                    Err(e) => {
+                        let (record, model) = &pairs[0];
+                        let refr: Result<RunOutcome, RunError> =
+                            machine.run_reference(&program, record, model);
+                        prop_assert_eq!(Err(e), refr);
+                    }
+                }
+            }
+        }
     }
 }
