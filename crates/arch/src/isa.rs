@@ -183,6 +183,18 @@ impl ThreadProgram {
     ///
     /// Returns a description of the first structural problem.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_layout()?;
+        for (pe, stream) in self.instrs.iter().enumerate() {
+            for instr in stream {
+                self.validate_instr(pe, instr)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The checks of [`ThreadProgram::validate`] that read no
+    /// instruction, in its order: they come first.
+    pub(crate) fn validate_layout(&self) -> Result<(), String> {
         if self.instrs.len() != self.geometry.pes() {
             return Err(format!(
                 "{} instruction streams for {} PEs",
@@ -201,40 +213,40 @@ impl ThreadProgram {
                 return Err(format!("gradient source on out-of-range {pe}"));
             }
         }
-        for (pe, stream) in self.instrs.iter().enumerate() {
-            for instr in stream {
-                if let PeInstr::Compute { a, b, .. } = instr {
-                    for src in [a, b] {
-                        match *src {
-                            Src::Data(s) if s as usize >= self.data_placement.len() => {
-                                return Err(format!("pe{pe} reads out-of-range data slot {s}"));
-                            }
-                            Src::Model(s) if s as usize >= self.model_placement.len() => {
-                                return Err(format!("pe{pe} reads out-of-range model slot {s}"));
-                            }
-                            _ => {}
+        Ok(())
+    }
+
+    /// The checks of [`ThreadProgram::validate`] on `instr`, the next
+    /// instruction of PE `pe`.
+    pub(crate) fn validate_instr(&self, pe: usize, instr: &PeInstr) -> Result<(), String> {
+        match *instr {
+            PeInstr::Compute { a, b, .. } => {
+                for src in [a, b] {
+                    match src {
+                        Src::Data(s) if s as usize >= self.data_placement.len() => {
+                            return Err(format!("pe{pe} reads out-of-range data slot {s}"));
                         }
-                    }
-                }
-                if let PeInstr::Send { dst, .. } = instr {
-                    match dst {
-                        SendTarget::Pe(p) => {
-                            if !in_range(*p) {
-                                return Err(format!("pe{pe} sends to out-of-range {p}"));
-                            }
-                            if p.index() == pe {
-                                return Err(format!("pe{pe} sends to itself"));
-                            }
+                        Src::Model(s) if s as usize >= self.model_placement.len() => {
+                            return Err(format!("pe{pe} reads out-of-range model slot {s}"));
                         }
-                        SendTarget::Row(r) => {
-                            if *r as usize >= self.geometry.rows {
-                                return Err(format!("pe{pe} broadcasts to out-of-range row {r}"));
-                            }
-                        }
-                        SendTarget::All => {}
+                        _ => {}
                     }
                 }
             }
+            PeInstr::Send { dst: SendTarget::Pe(p), .. } => {
+                if p.index() >= self.geometry.pes() {
+                    return Err(format!("pe{pe} sends to out-of-range {p}"));
+                }
+                if p.index() == pe {
+                    return Err(format!("pe{pe} sends to itself"));
+                }
+            }
+            PeInstr::Send { dst: SendTarget::Row(r), .. } => {
+                if r as usize >= self.geometry.rows {
+                    return Err(format!("pe{pe} broadcasts to out-of-range row {r}"));
+                }
+            }
+            PeInstr::Send { dst: SendTarget::All, .. } => {}
         }
         Ok(())
     }
