@@ -88,7 +88,8 @@ pub enum PeInstr {
 pub enum SendTarget {
     /// One PE (adjacent PEs use the neighbor link; others the buses).
     Pe(PeId),
-    /// Every PE in the producer's row, over that row's shared bus.
+    /// Every PE in the producer's row, over that row's shared bus: the
+    /// row named must be the producer's own ([`ThreadProgram::validate`]).
     Row(u32),
     /// Every PE of the thread, over the tree bus.
     All,
@@ -176,8 +177,8 @@ impl ThreadProgram {
 
     /// Basic structural validation: instruction streams match the
     /// geometry, placements are in range, every data and model operand
-    /// names a placed slot, and every send and gradient source names an
-    /// existing PE.
+    /// names a placed slot, every send and gradient source names an
+    /// existing PE, and every row broadcast names its sender's row.
     ///
     /// # Errors
     ///
@@ -242,8 +243,11 @@ impl ThreadProgram {
                 }
             }
             PeInstr::Send { dst: SendTarget::Row(r), .. } => {
-                if r as usize >= self.geometry.rows {
-                    return Err(format!("pe{pe} broadcasts to out-of-range row {r}"));
+                // A row broadcast goes out on the sender's row bus, which
+                // reaches no other row.
+                let own = self.geometry.row(PeId(pe as u32));
+                if r as usize != own {
+                    return Err(format!("pe{pe} broadcasts to row {r}, not its own row {own}"));
                 }
             }
             PeInstr::Send { dst: SendTarget::All, .. } => {}
@@ -335,6 +339,16 @@ mod tests {
             tag: 11,
         };
         assert!(p.validate().unwrap_err().contains("out-of-range model slot 3"));
+    }
+
+    #[test]
+    fn validation_rejects_a_broadcast_into_another_row() {
+        let mut p = trivial_program();
+        p.geometry = Geometry::new(2, 1);
+        p.instrs[0].push(PeInstr::Send { tag: 10, dst: SendTarget::Row(0) });
+        assert!(p.validate().is_ok());
+        p.instrs[1].push(PeInstr::Send { tag: 11, dst: SendTarget::Row(0) });
+        assert_eq!(p.validate().unwrap_err(), "pe1 broadcasts to row 0, not its own row 1");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::{self, Scope};
+use std::time::{Duration, Instant};
 
 use cosmic_ml::data::{self, Dataset};
 use cosmic_ml::{Aggregation, Algorithm};
@@ -170,8 +171,10 @@ impl<'a> Shards<'a> {
 }
 
 /// The compute crew of one run: the engine's thread, which works each
-/// round it opens, and `nodes × threads − 1` helpers (`cosmic-compute-{i}`)
-/// that live until the crew is dropped and its scope joins them.
+/// round it opens, and `min(nodes × threads, width) − 1` helpers
+/// (`cosmic-compute-{i}`) that live until the crew is dropped and its
+/// scope joins them. Jobs stay keyed by `(node, thread)` and each node
+/// folds in thread order, so the width moves no bit.
 pub(crate) struct Crew<'w> {
     shared: Arc<Shared>,
     work: &'w Work<'w>,
@@ -188,7 +191,11 @@ struct Shared {
 
 /// The job queue and the open round (step and model): `answers[node]
 /// [thread]`, each node's jobs not yet answered, the folded partials and
-/// the nodes yet to fold; the spare buffers and the helpers asleep.
+/// the nodes yet to fold; the spare buffers and the helpers asleep with
+/// no wake on its way (`idle`). What the wake rule reads: when the wake
+/// in flight was sent, the fastest hand-off measured (a wake to its
+/// helper holding the lock), the longest job of the round and whether
+/// the round wakes helpers at all.
 #[derive(Default)]
 struct Board {
     round: Option<(usize, Arc<Vec<f64>>)>,
@@ -200,26 +207,44 @@ struct Board {
     spares: Vec<Vec<f64>>,
     idle: usize,
     closing: bool,
+    woken: Option<Instant>,
+    handoff: Option<Duration>,
+    longest: Duration,
+    waking: bool,
+}
+
+impl Board {
+    /// Whether a pop wakes a helper: the round wakes helpers, a job is
+    /// still queued, and a helper sleeps with no wake already on its way.
+    fn wakes(&self) -> bool {
+        self.waking && !self.queue.is_empty() && self.idle > 0 && self.woken.is_none()
+    }
 }
 
 type Guard<'b> = MutexGuard<'b, Board>;
 
 impl Shared {
     /// Runs queued jobs until none is left. A job is taken under the lock
-    /// (waking a sleeping helper if another stays queued) and run outside
-    /// it; whoever answers a node's last job folds it, outside it too.
+    /// (waking a sleeping helper if [`Board::wakes`] says so) and run, and
+    /// timed, outside it; whoever answers a node's last job folds it,
+    /// outside it too.
     fn drain<'b>(&'b self, mut board: Guard<'b>, work: &Work<'_>) -> Guard<'b> {
         while let Some((node, thread)) = board.queue.pop() {
-            if !board.queue.is_empty() && board.idle > 0 {
+            if board.wakes() {
+                board.idle -= 1;
+                board.woken = Some(Instant::now());
                 self.work.notify_one();
             }
             let (step, model) = board.round.clone().unwrap_or_default();
             let mut partial = board.spares.pop().unwrap_or_default(); // stocked by `round`
             drop(board);
+            let started = Instant::now();
             let job = || work(node, thread, step, &model, &mut partial);
             let answer = catch_unwind(AssertUnwindSafe(job)).ok().map(|records| (partial, records));
+            let took = started.elapsed();
             drop(model); // before booking: the engine takes it back unshared
             board = self.board.lock();
+            board.longest = board.longest.max(took);
             board.answers[node][thread] = answer;
             board.unanswered[node] -= 1;
             if board.unanswered[node] == 0 {
@@ -239,23 +264,34 @@ impl Shared {
     }
 
     /// A helper: work the queue, sleep until woken, return on closing.
+    /// The first helper to hold the lock after a wake measures the
+    /// hand-off; any other return from the wait (spurious, or the crew
+    /// closing) leaves `idle` itself.
     fn serve(&self, work: &Work<'_>) {
         let mut board = self.drain(self.board.lock(), work);
         while !board.closing {
             board.idle += 1;
             self.work.wait(&mut board);
-            board.idle -= 1;
+            match board.woken.take() {
+                Some(sent) => {
+                    let took = sent.elapsed();
+                    board.handoff = Some(board.handoff.map_or(took, |fastest| fastest.min(took)));
+                }
+                None => board.idle -= 1,
+            }
             board = self.drain(board, work);
         }
     }
 }
 
 impl<'w> Crew<'w> {
-    /// Spawns the helpers into `scope`; the thread that calls
-    /// [`Crew::round`] is the first worker. Fails if the OS refuses one.
+    /// Spawns `min(nodes × threads, width) − 1` helpers into `scope`; the
+    /// thread that calls [`Crew::round`] is the first worker, so a crew
+    /// one wide has no helper. Fails if the OS refuses one.
     pub(crate) fn spawn<'scope>(
         scope: &'scope Scope<'scope, '_>,
         (nodes, threads): (usize, usize),
+        width: usize,
         op: Aggregation,
         work: &'scope Work<'scope>,
     ) -> Result<Crew<'scope>, RuntimeError> {
@@ -264,7 +300,7 @@ impl<'w> Crew<'w> {
         let shared = Shared { board, work: Condvar::new(), done: Condvar::new(), op };
         // Built first: a refused thread drops it, closing the helpers so far.
         let crew = Crew { shared: Arc::new(shared), work, threads };
-        for i in 0..(nodes * threads).saturating_sub(1) {
+        for i in 0..(nodes * threads).min(width).saturating_sub(1) {
             let shared = Arc::clone(&crew.shared);
             thread::Builder::new()
                 .name(format!("cosmic-compute-{i}"))
@@ -295,6 +331,12 @@ impl<'w> Crew<'w> {
         let missing = board.queue.len().saturating_sub(board.spares.len());
         board.spares.extend((0..missing).map(|_| vec![0.0; model.len()]));
         board.round = Some((step, Arc::clone(model)));
+        // The wake rule: helpers join a round only while no hand-off is
+        // measured yet, or if the last round's longest job took at least
+        // the fastest one; a helper woken for shorter jobs would arrive
+        // after the engine had run them.
+        let longest = std::mem::take(&mut board.longest);
+        board.waking = board.handoff.is_none_or(|fastest| longest >= fastest);
         board = self.shared.drain(board, self.work);
         while board.unfolded > 0 {
             self.shared.done.wait(&mut board);
@@ -592,7 +634,10 @@ mod tests {
     /// every job until all of its round's jobs have started, so each
     /// round's jobs run on that many distinct threads: the engine's
     /// (which takes the last-queued job, `(2, 1)`, first) and helpers
-    /// `cosmic-compute-{i}`, the same `ThreadId`s in every round.
+    /// `cosmic-compute-{i}`, the same `ThreadId`s in every round. The
+    /// crew is pinned `NODES × THREADS` wide, whatever the host, and as
+    /// every job waits for the others' hand-offs, every round's longest
+    /// job outlasts a hand-off and the next round wakes helpers too.
     #[test]
     fn a_panicking_worker_fails_only_its_node_and_keeps_serving() {
         const NODES: usize = 3;
@@ -621,7 +666,8 @@ mod tests {
                     Some(4)
                 };
                 let rounds: Vec<Vec<NodePartial>> = thread::scope(|scope| {
-                    let crew = Crew::spawn(scope, (NODES, THREADS), Aggregation::Sum, &work)
+                    let width = NODES * THREADS;
+                    let crew = Crew::spawn(scope, (NODES, THREADS), width, Aggregation::Sum, &work)
                         .expect("threads");
                     let model = Arc::new(vec![0.5]);
                     let rounds = (0..DISPATCH.len())
@@ -706,10 +752,13 @@ mod tests {
     /// The crew against a sequential fold, on seeded random shapes:
     /// nodes 1–6 × threads 1–3 × both aggregations, 64 consecutive rounds
     /// on one crew under random dispatch masks and planted panics, the
-    /// spent partials handed back each round. Every round equals, bit for
-    /// bit, [`fold_node`] over the per-thread answers in thread order,
-    /// and leaves the model unshared. Case 0 is 1 × 1: no helpers, every
-    /// job — the panicking ones too — on the engine's thread.
+    /// spent partials handed back each round, on crews 1, 2 and
+    /// `nodes × threads` wide. Every round equals, bit for bit,
+    /// [`fold_node`] over the per-thread answers in thread order, and
+    /// leaves the model unshared. A crew has `min(nodes × threads, width)
+    /// − 1` helpers, each holding the board; one a single thread wide
+    /// (every width of case 0, 1 × 1) has none and runs every job — the
+    /// panicking ones too — on the engine's thread.
     #[test]
     fn the_crew_folds_every_round_like_a_sequential_fold() {
         use rand::rngs::StdRng;
@@ -731,60 +780,111 @@ mod tests {
                 }
                 plan.push((dispatch, model));
             }
-            let shape = format!("case {case}: {nodes} x {threads} {op:?}, len {len}");
-            let (rounds, ran_on, engine) = within_deadline({
-                let (plan, bombs) = (plan.clone(), bombs.clone());
-                move || {
-                    let engine = thread::current().id();
-                    let ran_on = Mutex::new(Vec::new());
-                    let work = |node, thread, step, model: &[f64], partial: &mut [f64]| {
-                        ran_on.lock().push(thread::current().id());
-                        assert!(!bombs.contains(&(node, thread, step)), "planted panic");
-                        answer(node, thread, step, model, partial)
-                    };
-                    let rounds: Vec<Vec<NodePartial>> = thread::scope(|scope| {
-                        let mut crew =
-                            Crew::spawn(scope, (nodes, threads), op, &work).expect("threads");
-                        let mut rounds = Vec::new();
-                        for (step, (dispatch, model)) in plan.into_iter().enumerate() {
-                            let model = Arc::new(model);
-                            let partials = crew.round(&dispatch, step, &model);
-                            assert_eq!(Arc::strong_count(&model), 1, "step {step}: shared");
-                            let spent = partials.iter().flatten().map(|(p, _)| p.clone());
-                            crew.settle(&model, spent.collect());
-                            rounds.push(partials);
-                        }
-                        rounds
-                    });
-                    (rounds, ran_on.into_inner(), engine)
+            for width in [1, 2, nodes * threads] {
+                let shape =
+                    format!("case {case}: {nodes} x {threads} {op:?}, len {len}, {width} wide");
+                let helpers = (nodes * threads).min(width) - 1;
+                let (rounds, ran_on, engine) = within_deadline({
+                    let (plan, bombs) = (plan.clone(), bombs.clone());
+                    move || {
+                        let engine = thread::current().id();
+                        let ran_on = Mutex::new(Vec::new());
+                        let work = |node, thread, step, model: &[f64], partial: &mut [f64]| {
+                            ran_on.lock().push(thread::current().id());
+                            assert!(!bombs.contains(&(node, thread, step)), "planted panic");
+                            answer(node, thread, step, model, partial)
+                        };
+                        let rounds: Vec<Vec<NodePartial>> = thread::scope(|scope| {
+                            let mut crew = Crew::spawn(scope, (nodes, threads), width, op, &work)
+                                .expect("threads");
+                            assert_eq!(Arc::strong_count(&crew.shared), 1 + helpers, "helpers");
+                            let mut rounds = Vec::new();
+                            for (step, (dispatch, model)) in plan.into_iter().enumerate() {
+                                let model = Arc::new(model);
+                                let partials = crew.round(&dispatch, step, &model);
+                                assert_eq!(Arc::strong_count(&model), 1, "step {step}: shared");
+                                let spent = partials.iter().flatten().map(|(p, _)| p.clone());
+                                crew.settle(&model, spent.collect());
+                                rounds.push(partials);
+                            }
+                            rounds
+                        });
+                        (rounds, ran_on.into_inner(), engine)
+                    }
+                });
+                for (step, ((dispatch, model), got)) in plan.iter().zip(&rounds).enumerate() {
+                    for node in 0..nodes {
+                        let want = dispatch[node]
+                            .then(|| {
+                                let answers = (0..threads).map(|thread| {
+                                    if bombs.contains(&(node, thread, step)) {
+                                        return None;
+                                    }
+                                    let mut partial = vec![f64::NAN; len];
+                                    let records = answer(node, thread, step, model, &mut partial);
+                                    Some((partial, records))
+                                });
+                                fold_node(answers, op, &mut Vec::new())
+                            })
+                            .flatten();
+                        let as_bits = |p: &NodePartial| p.as_ref().map(|(v, w)| (bits(v), *w));
+                        assert_eq!(
+                            as_bits(&got[node]),
+                            as_bits(&want),
+                            "{shape}: node {node}, step {step}"
+                        );
+                    }
                 }
-            });
-            for (step, ((dispatch, model), got)) in plan.iter().zip(&rounds).enumerate() {
-                for node in 0..nodes {
-                    let want = dispatch[node]
-                        .then(|| {
-                            let answers = (0..threads).map(|thread| {
-                                if bombs.contains(&(node, thread, step)) {
-                                    return None;
-                                }
-                                let mut partial = vec![f64::NAN; len];
-                                let records = answer(node, thread, step, model, &mut partial);
-                                Some((partial, records))
-                            });
-                            fold_node(answers, op, &mut Vec::new())
-                        })
-                        .flatten();
-                    let as_bits = |p: &NodePartial| p.as_ref().map(|(v, w)| (bits(v), *w));
-                    assert_eq!(
-                        as_bits(&got[node]),
-                        as_bits(&want),
-                        "{shape}: node {node}, step {step}"
-                    );
+                if helpers == 0 {
+                    assert!(ran_on.iter().all(|id| *id == engine), "{shape}: a helper ran a job");
                 }
             }
             if case == 0 {
-                assert!(bombs.len() >= 4 && ran_on.iter().all(|id| *id == engine), "{shape}");
+                assert!(bombs.len() >= 4, "case 0 plants a panic every 16 rounds");
             }
+        }
+    }
+
+    /// The wake rule, in the one direction that cannot flake: after 32
+    /// rounds of sub-µs jobs, rounds whose jobs each spin ≈ 2 ms (or the
+    /// crew's fastest measured hand-off, if that is longer) put at least
+    /// one job on a helper from the second such round on. The first may
+    /// run serially: the round before it set its rule.
+    #[test]
+    fn helpers_come_back_one_round_after_the_jobs_outlast_a_hand_off() {
+        const SHORT: usize = 32;
+        const LONG: usize = 4;
+        let (seen, engine) = within_deadline(|| {
+            let engine = thread::current().id();
+            let spin = Mutex::new(Duration::ZERO);
+            let seen = Mutex::new(Vec::new());
+            let work = |_: usize, _: usize, step: usize, _: &[f64], partial: &mut [f64]| {
+                seen.lock().push((step, thread::current().id()));
+                let (spin, started) = (*spin.lock(), Instant::now());
+                while started.elapsed() < spin {
+                    std::hint::spin_loop();
+                }
+                partial[0] = step as f64;
+                Some(1)
+            };
+            thread::scope(|scope| {
+                let crew = Crew::spawn(scope, (2, 4), 8, Aggregation::Sum, &work).expect("threads");
+                let model = Arc::new(vec![0.0]);
+                for step in 0..SHORT + LONG {
+                    if step == SHORT {
+                        let handoff = crew.shared.board.lock().handoff.unwrap_or_default();
+                        *spin.lock() = handoff.max(Duration::from_millis(2));
+                    }
+                    crew.round(&[true; 2], step, &model);
+                }
+            });
+            (seen.into_inner(), engine)
+        });
+        for step in SHORT + 1..SHORT + LONG {
+            assert!(
+                seen.iter().any(|&(at, id)| at == step && id != engine),
+                "round {step}: every job of ≈ 2 ms ran on the engine's thread"
+            );
         }
     }
 
@@ -810,8 +910,8 @@ mod tests {
                 };
             let mut ballast = Vec::new();
             let held = thread::scope(|scope| {
-                let mut crew =
-                    Crew::spawn(scope, (3, 2), Aggregation::Average, &work).expect("threads");
+                let mut crew = Crew::spawn(scope, (3, 2), 3 * 2, Aggregation::Average, &work)
+                    .expect("threads");
                 let spares = |crew: &Crew<'_>| {
                     let mut at: Vec<usize> = crew
                         .shared

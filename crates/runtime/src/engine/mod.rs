@@ -35,6 +35,8 @@ pub(crate) use compute::{Arrival, Compute, Request, Shards};
 pub(crate) use observer::{NullObserver, RunObserver, TraceObserver};
 pub(crate) use state::RunState;
 
+use std::num::NonZeroUsize;
+
 use cosmic_ml::data::Dataset;
 use cosmic_ml::Algorithm;
 use cosmic_sim::faults::FaultPlan;
@@ -112,9 +114,10 @@ impl<'a, O: RunObserver> Engine<'a, O> {
     }
 
     /// Runs the full training loop from `initial_model` over a working
-    /// copy `topology` on a compute crew — this thread plus resident
-    /// helpers — returning the outcome of a still-successful degraded
-    /// run or the error that made it unrecoverable. The crew lives
+    /// copy `topology` on a compute crew as wide as the host — this
+    /// thread plus resident helpers — returning the outcome of a
+    /// still-successful degraded run or the error that made it
+    /// unrecoverable. The crew lives
     /// exactly as long as this call: every return path drops it, and the
     /// scope joins the helpers — which borrow `work`, not the engine (nor
     /// its observer).
@@ -125,7 +128,8 @@ impl<'a, O: RunObserver> Engine<'a, O> {
     ) -> Result<TrainOutcome, RuntimeError> {
         std::thread::scope(|scope| {
             let geometry = (self.cfg.nodes, self.cfg.threads_per_node);
-            let mut crew = Crew::spawn(scope, geometry, self.cfg.aggregation, &*self.work)?;
+            let width = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            let mut crew = Crew::spawn(scope, geometry, width, self.cfg.aggregation, &*self.work)?;
             self.run_on(&mut crew, topology, initial_model)
         })
     }

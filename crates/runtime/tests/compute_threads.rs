@@ -1,9 +1,10 @@
 //! A job creates its threads once: the compute crew's helpers,
-//! `NODES × THREADS − 1` of them and nothing else — the engine's own
-//! thread is the crew's first worker — at the start of `train`, and then
-//! not one thread an iteration — the `Sim` round's caller is its wire
-//! and stages every stream into Sigma — and none of them outlives
-//! `train`, whether it returns `Ok` or an error.
+//! `min(NODES × THREADS, available_parallelism) − 1` of them and nothing
+//! else — the crew is as wide as the host, and the engine's own thread
+//! is its first worker, so on one core there are none — at the start of
+//! `train`, and then not one thread an iteration — the `Sim` round's
+//! caller is its wire and stages every stream into Sigma — and none of
+//! them outlives `train`, whether it returns `Ok` or an error.
 //!
 //! This binary holds exactly one test on purpose — thread ids and the
 //! thread count are process-wide, and a sibling test running beside it
@@ -52,10 +53,12 @@ fn a_job_creates_its_compute_threads_once_and_takes_them_with_it() {
 
     // The compute crew's helpers are the job's only threads: Sigma owns
     // none, and the engine's thread works one accelerator thread's jobs.
+    let width = std::thread::available_parallelism().map_or(1, usize::from);
     assert_eq!(
         created_short,
-        (NODES * THREADS - 1) as u64,
-        "a job created {created_short} threads; its crew is {NODES} x {THREADS} less the engine"
+        ((NODES * THREADS).min(width) - 1) as u64,
+        "a job created {created_short} threads; its crew is min({NODES} x {THREADS}, {width} \
+         cores) less the engine"
     );
     // And a `Sim` round runs on the engine's own thread: four times the
     // iterations, not one thread more.

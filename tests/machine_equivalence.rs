@@ -220,7 +220,7 @@ mod random_programs {
                         let q = (p + 1 + g.below(pes - 1)) % pes;
                         SendTarget::Pe(PeId(q as u32))
                     }
-                    1 => SendTarget::Row(g.below(geometry.rows) as u32),
+                    1 => SendTarget::Row(geometry.row(PeId(p as u32)) as u32),
                     _ => SendTarget::All,
                 };
                 let receivers: Vec<usize> = match dst {
@@ -402,6 +402,41 @@ fn a_program_for_another_geometry_is_an_error_on_both_paths() {
         assert!(fast.to_string().contains("compiled for 2x8"), "{geometry}: {fast}");
         assert_eq!(fast, machine.run_reference(&compiled.program, &record, &model).unwrap_err());
         assert_eq!(fast, machine.load(&compiled.program).unwrap_err());
+    }
+}
+
+/// A row broadcast reaches only its sender's row bus, so a program that
+/// broadcasts into another row is an error on both paths and at load,
+/// the one `validate` reports, wherever the foreign row lies.
+#[test]
+fn a_broadcast_into_another_row_is_an_error_on_both_paths() {
+    use cosmic::cosmic_arch::{AluOp, PeId, PeInstr, Placement, SendTarget, Src, ThreadProgram};
+    use cosmic::cosmic_dfg::OpKind;
+    let geometry = Geometry::new(3, 2);
+    for (sender, row) in [(0, 1), (0, 2), (3, 0), (5, 1)] {
+        let mut instrs = vec![Vec::new(); geometry.pes()];
+        let op = AluOp::Bin(OpKind::Add);
+        instrs[sender] = vec![
+            PeInstr::Compute { op, a: Src::Data(0), b: Src::Imm(1.0), tag: 1 },
+            PeInstr::Send { tag: 1, dst: SendTarget::Row(row) },
+        ];
+        let reader = row as usize * geometry.columns;
+        instrs[reader].push(PeInstr::Compute { op, a: Src::Tag(1), b: Src::Imm(2.0), tag: 2 });
+        let program = ThreadProgram {
+            geometry,
+            instrs,
+            data_placement: vec![Placement { pe: PeId(sender as u32), offset: 0 }],
+            model_placement: Vec::new(),
+            gradient_sources: vec![(PeId(reader as u32), 2)],
+            mem_schedule: Vec::new(),
+        };
+        let want = program.validate().unwrap_err();
+        assert!(want.contains(&format!("broadcasts to row {row}")), "{want}");
+        let machine = Machine::new(geometry, 1.0);
+        let fast = machine.run(&program, &[0.5], &[]).unwrap_err();
+        assert_eq!(fast.to_string(), format!("machine error: {want}"), "pe{sender} -> row {row}");
+        assert_eq!(fast, machine.run_reference(&program, &[0.5], &[]).unwrap_err());
+        assert_eq!(fast, machine.load(&program).unwrap_err());
     }
 }
 
