@@ -41,11 +41,7 @@ pub fn comparison(id: BenchmarkId, sink: &TraceSink) -> (f64, u64, u64) {
     let tabla = estimate(
         dfg,
         geometry,
-        &CompileOptions {
-            strategy: MappingStrategy::OpFirst,
-            words_per_cycle: None,
-            bus: BusModel::FlatShared,
-        },
+        &CompileOptions { strategy: MappingStrategy::OpFirst, bus: BusModel::FlatShared },
         sink,
     );
     (

@@ -54,7 +54,6 @@ fn study_faults(rate: f64) -> FaultTimingModel {
         retry_backoff_s: 250e-6,
         straggler_rate: rate,
         straggler_slowdown: 8.0,
-        deadline_factor: 4.0,
         sigma_failover_rate: rate / 10.0,
         failover_penalty_s: 5e-3,
         reschedule_penalty_s: 1e-3,

@@ -63,9 +63,11 @@ struct PortLoad {
 }
 
 impl CostModel {
-    /// The evaluation cluster: gigabit Ethernet ports and a ~6 GB/s
-    /// host-side fold (matches `ClusterTiming::commodity`).
-    pub(crate) fn commodity() -> Self {
+    /// The commodity cluster's wire and host fold: gigabit Ethernet
+    /// ports and a ~6 GB/s fold on the host cores (a memory-bound vector
+    /// add on the Xeon E3). The one definition the runtime's timing
+    /// model and the director's executor read.
+    pub fn commodity() -> Self {
         CostModel { net: NetworkModel::gigabit(), agg_bytes_per_sec: 6.0e9 }
     }
 

@@ -248,11 +248,7 @@ mod tests {
 
             for strategy in [MappingStrategy::DataFirst, MappingStrategy::OpFirst] {
                 for geometry in [Geometry::new(1, 4), Geometry::new(2, 4), Geometry::new(3, 2)] {
-                    let opts = CompileOptions {
-                        strategy,
-                        words_per_cycle: None,
-                        ..CompileOptions::default()
-                    };
+                    let opts = CompileOptions { strategy, ..CompileOptions::default() };
                     let compiled = compile(&dfg, geometry, &opts);
                     let machine = Machine::new(geometry, geometry.columns as f64);
                     let out = machine

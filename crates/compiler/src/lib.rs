@@ -61,10 +61,6 @@ use cosmic_telemetry::{counters, Layer, TraceSink};
 pub struct CompileOptions {
     /// Which mapping algorithm to use.
     pub strategy: MappingStrategy,
-    /// Off-chip words per cycle available to this thread (affects when
-    /// streamed data operands become ready). Defaults to one word per
-    /// column per cycle.
-    pub words_per_cycle: Option<f64>,
     /// Which interconnect transfers route over (TABLA's comparator uses
     /// the flat shared bus).
     pub bus: schedule::BusModel,
@@ -74,7 +70,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             strategy: MappingStrategy::DataFirst,
-            words_per_cycle: None,
             bus: schedule::BusModel::Hierarchical,
         }
     }
@@ -82,21 +77,21 @@ impl Default for CompileOptions {
 
 /// The one map → schedule pipeline behind [`compile`] and [`estimate`]:
 /// a `map` and a `schedule` span, nested under whatever span the caller
-/// holds open on `sink`.
+/// holds open on `sink`. The thread streams one off-chip word per
+/// column per cycle.
 fn map_and_schedule(
     dfg: &Dfg,
     geometry: Geometry,
     options: &CompileOptions,
     sink: &TraceSink,
 ) -> (MapResult, Schedule) {
-    let words_per_cycle = options.words_per_cycle.unwrap_or(geometry.columns as f64);
     let map = {
         let _map_span = sink.span(Layer::Map, "map");
         mapping::map(dfg, geometry, options.strategy)
     };
     let schedule = {
         let _sched_span = sink.span(Layer::Schedule, "schedule");
-        ListScheduler::new(dfg).schedule(&map, geometry, words_per_cycle, options.bus)
+        ListScheduler::new(dfg).schedule(&map, geometry, geometry.columns as f64, options.bus)
     };
     (map, schedule)
 }

@@ -35,15 +35,15 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use cosmic_collectives::{CacheStats, CollectiveKind};
-use cosmic_runtime::{NodeCompute, RetryPolicy};
+use cosmic_collectives::CacheStats;
+use cosmic_runtime::RetryPolicy;
 use cosmic_sim::{DirectorFaultKind, DirectorFaultPlan, JobArrivalPlan};
 use cosmic_telemetry::{counters, Layer, TraceSink};
 
 use crate::carve::{CarveOut, ClusterLedger};
 use crate::checkpoints::JobCheckpointStore;
 use crate::error::DirectorError;
-use crate::exec::ExecModel;
+use crate::exec::{self, ExecModel};
 use crate::job::JobSpec;
 use crate::journal::{Decision, DecodeTail, Journal, Record, ShedReason};
 use crate::policy::{FairnessPolicy, RunningView};
@@ -57,14 +57,10 @@ pub struct DirectorConfig {
     pub cluster_nodes: usize,
     /// The fairness policy arbitrating nodes.
     pub policy: FairnessPolicy,
-    /// Collective strategy every carve runs.
-    pub collective: CollectiveKind,
     /// Elastic-scaler tick interval (virtual seconds).
     pub scaler_interval_s: f64,
     /// Bound on the shared cross-job schedule cache.
     pub cache_capacity: usize,
-    /// Per-node accelerator throughput.
-    pub node: NodeCompute,
     /// Bound on the admission queue; arrivals past it are shed.
     pub max_queue: usize,
     /// Retry budget and backoff for failed checkpoint replays; a job
@@ -80,10 +76,8 @@ impl Default for DirectorConfig {
         DirectorConfig {
             cluster_nodes: 1024,
             policy: FairnessPolicy::WeightedMaxMin,
-            collective: CollectiveKind::TwoLevelTree,
             scaler_interval_s: 0.25,
             cache_capacity: 64,
-            node: NodeCompute { records_per_sec: 1.0e5 },
             max_queue: 1024,
             retry: RetryPolicy::default(),
             checkpoint_every_rounds: 8,
@@ -391,7 +385,7 @@ impl<'a> Director<'a> {
             cfg,
             sink,
             faults,
-            exec: ExecModel::new(cfg.node, cfg.collective, cfg.cache_capacity),
+            exec: ExecModel::new(cfg.cache_capacity),
             scaler: ElasticScaler::new(cfg.scaler_interval_s),
             ledger: ClusterLedger::new(cfg.cluster_nodes),
             arrivals: plan.jobs.iter().map(JobSpec::from_arrival).collect(),
@@ -557,7 +551,7 @@ impl<'a> Director<'a> {
     /// deadline declared unreachable against it really is unreachable.
     fn queued_work_node_s(&self, q: &QueuedJob) -> f64 {
         let remaining = q.spec.total_rounds().saturating_sub(q.resume_rounds) as f64;
-        remaining * q.spec.minibatch as f64 / self.cfg.node.records_per_sec.max(1.0)
+        remaining * q.spec.minibatch as f64 / exec::NODE.records_per_sec
     }
 
     /// Whether a deadline is provably unreachable given the backlog

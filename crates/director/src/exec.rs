@@ -4,12 +4,13 @@
 //! At director scale (hundreds of jobs × a thousand nodes) the
 //! functional engine — real threads per node — is not a simulator, so
 //! the director prices rounds analytically, the same way the `fig_*`
-//! studies do: per-phase costs from the commodity-cluster rates of
-//! [`ClusterTiming`], with the aggregation phase priced by building the
-//! carve's *actual* collective schedule and walking its rounds through
-//! the [`CostModel`]. Schedules come from the shared, bounded,
-//! cross-job [`BoundedScheduleCache`], so jobs whose carves share a
-//! shape share the build.
+//! studies do: per-phase costs from the one commodity cluster
+//! ([`ClusterTiming`]'s PCIe slot and management cost,
+//! [`CostModel::commodity`]'s wire and fold), with the aggregation
+//! phase priced by building the carve's *actual* collective schedule
+//! and walking its rounds through that [`CostModel`]. Schedules come
+//! from the shared, bounded, cross-job [`BoundedScheduleCache`], so
+//! jobs whose carves share a shape share the build.
 //!
 //! A job's *logical* width is fixed at `max_nodes`; a physical grant of
 //! `p ≤ max_nodes` nodes time-shares the logical workers in integer
@@ -19,38 +20,28 @@
 
 use cosmic_collectives::{BoundedScheduleCache, CacheStats, CollectiveKind, CostModel};
 use cosmic_runtime::{ClusterTiming, NodeCompute, CHUNK_WORDS};
-use cosmic_sim::{NetworkModel, PcieModel};
 
 use crate::carve::CarveOut;
 use crate::error::DirectorError;
 use crate::job::JobSpec;
 
-/// Fixed per-round orchestration overhead, matching
-/// [`ClusterTiming::commodity`]'s 150 µs management cost.
-const MGMT_S: f64 = 150.0e-6;
+/// Every node's accelerator throughput.
+pub(crate) const NODE: NodeCompute = NodeCompute { records_per_sec: 1.0e5 };
+
+/// The collective strategy every carve runs.
+const COLLECTIVE: CollectiveKind = CollectiveKind::TwoLevelTree;
 
 /// Prices job rounds on the commodity cluster.
 #[derive(Debug)]
 pub(crate) struct ExecModel {
-    node: NodeCompute,
-    kind: CollectiveKind,
-    cost: CostModel,
-    pcie: PcieModel,
     cache: BoundedScheduleCache,
 }
 
 impl ExecModel {
-    /// An executor pricing rounds with `kind` collectives on nodes of
-    /// the given throughput, sharing a schedule cache bounded at
+    /// An executor sharing a schedule cache bounded at
     /// `cache_capacity` entries.
-    pub(crate) fn new(node: NodeCompute, kind: CollectiveKind, cache_capacity: usize) -> Self {
-        ExecModel {
-            node,
-            kind,
-            cost: CostModel { net: NetworkModel::gigabit(), agg_bytes_per_sec: 6.0e9 },
-            pcie: PcieModel::gen3_x8(),
-            cache: BoundedScheduleCache::new(cache_capacity),
-        }
+    pub(crate) fn new(cache_capacity: usize) -> Self {
+        ExecModel { cache: BoundedScheduleCache::new(cache_capacity) }
     }
 
     /// Schedule-cache hit/miss/eviction totals so far.
@@ -69,19 +60,25 @@ impl ExecModel {
         let p = carve.live().max(1);
         let logical = carve.width().max(1);
         let share = logical.div_ceil(p) as f64;
-        let compute_s =
-            (spec.minibatch as f64 / logical as f64) / self.node.records_per_sec * share;
-        let pcie_s = self.pcie.transfer_ns(2 * spec.exchange_bytes()) as f64 * 1e-9 * share;
-        let words = spec.exchange_bytes().div_ceil(std::mem::size_of::<f64>());
+        let compute_s = (spec.minibatch as f64 / logical as f64) / NODE.records_per_sec * share;
+        let pcie_s =
+            ClusterTiming::pcie().transfer_ns(2 * spec.exchange_bytes()) as f64 * 1e-9 * share;
+        let net_s = self.net_s(carve, spec.exchange_bytes())?;
+        Ok(compute_s + pcie_s + net_s + ClusterTiming::MANAGEMENT_S)
+    }
+
+    /// Seconds of the carve's collective schedule for `exchange_bytes`
+    /// a node, priced round by round.
+    fn net_s(&mut self, carve: &CarveOut, exchange_bytes: usize) -> Result<f64, DirectorError> {
+        let words = exchange_bytes.div_ceil(std::mem::size_of::<f64>());
         let schedule = self.cache.get_or_build(
-            self.kind.strategy(),
+            COLLECTIVE.strategy(),
             carve.topology(),
             &carve.live_slots(),
             words,
             CHUNK_WORDS,
         )?;
-        let net_s: f64 = self.cost.round_costs_s(&schedule).iter().map(|r| r.seconds).sum();
-        Ok(compute_s + pcie_s + net_s + MGMT_S)
+        Ok(CostModel::commodity().round_costs_s(&schedule).iter().map(|r| r.seconds).sum())
     }
 
     /// Cheap analytic throughput estimate (records/s) for `spec` on `p`
@@ -92,7 +89,7 @@ impl ExecModel {
         let p = p.clamp(1, spec.max_nodes);
         let timing = ClusterTiming::commodity(p, groups_for(p));
         let breakdown = timing
-            .model(spec.minibatch, self.node, spec.exchange_bytes())
+            .model(spec.minibatch, NODE, spec.exchange_bytes())
             .evaluate()
             .unwrap_or_default();
         let total = breakdown.total_s();
@@ -112,7 +109,6 @@ fn groups_for(nodes: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosmic_collectives::CollectiveKind;
     use cosmic_sim::{ArrivalProfile, JobArrivalPlan};
 
     fn spec() -> JobSpec {
@@ -123,13 +119,9 @@ mod tests {
         s
     }
 
-    fn node() -> NodeCompute {
-        NodeCompute { records_per_sec: 1.0e5 }
-    }
-
     #[test]
     fn more_nodes_make_rounds_cheaper() {
-        let mut exec = ExecModel::new(node(), CollectiveKind::TwoLevelTree, 16);
+        let mut exec = ExecModel::new(16);
         let s = spec();
         let narrow = CarveOut::new(0, 16, &[0, 1]).unwrap();
         let wide = CarveOut::new(0, 16, &(0..16).collect::<Vec<_>>()).unwrap();
@@ -140,7 +132,7 @@ mod tests {
 
     #[test]
     fn identical_carve_shapes_hit_the_shared_cache() {
-        let mut exec = ExecModel::new(node(), CollectiveKind::TwoLevelTree, 16);
+        let mut exec = ExecModel::new(16);
         let s = spec();
         let a = CarveOut::new(0, 16, &[0, 1, 2, 3]).unwrap();
         let b = CarveOut::new(1, 16, &[100, 101, 102, 103]).unwrap();
@@ -153,7 +145,7 @@ mod tests {
 
     #[test]
     fn estimate_is_monotone_in_nodes() {
-        let exec = ExecModel::new(node(), CollectiveKind::TwoLevelTree, 4);
+        let exec = ExecModel::new(4);
         let s = spec();
         let t2 = exec.estimate_records_per_s(&s, 2);
         let t8 = exec.estimate_records_per_s(&s, 8);
@@ -161,5 +153,32 @@ mod tests {
         assert!(t2 > 0.0);
         assert!(t8 >= t2);
         assert!(t16 >= t8);
+    }
+
+    /// The executor and the runtime's timing model read one commodity
+    /// cluster: on a fully funded carve (the topology
+    /// `ClusterTiming::commodity(w, default_groups(w))` builds), the
+    /// executor's network seconds are the timing model's aggregation
+    /// plus broadcast under the same collective.
+    #[test]
+    fn a_full_width_round_prices_as_the_timing_model_does() {
+        for width in [2, 3, 8, 16, 33, 64] {
+            let carve = CarveOut::new(0, width, &(0..width).collect::<Vec<_>>()).unwrap();
+            let timing = ClusterTiming::commodity(width, groups_for(width));
+            for exchange_bytes in [8, 4096, 100_000, 2_400_000] {
+                let mut exec = ExecModel::new(1);
+                let net_s = exec.net_s(&carve, exchange_bytes).unwrap();
+                let it = timing
+                    .model(10_000, NODE, exchange_bytes)
+                    .with_collective(COLLECTIVE)
+                    .evaluate()
+                    .unwrap();
+                let model_s = it.aggregate_s + it.broadcast_s;
+                assert!(
+                    (net_s - model_s).abs() <= 1e-12 * model_s,
+                    "width {width}, {exchange_bytes} B: executor {net_s} vs timing {model_s}"
+                );
+            }
+        }
     }
 }

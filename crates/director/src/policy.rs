@@ -147,8 +147,6 @@ fn throughput_greedy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosmic_collectives::CollectiveKind;
-    use cosmic_runtime::NodeCompute;
     use cosmic_sim::{ArrivalProfile, JobArrivalPlan};
 
     fn specs(n: usize) -> Vec<JobSpec> {
@@ -161,7 +159,7 @@ mod tests {
     }
 
     fn exec() -> ExecModel {
-        ExecModel::new(NodeCompute { records_per_sec: 1.0e5 }, CollectiveKind::TwoLevelTree, 8)
+        ExecModel::new(8)
     }
 
     #[test]

@@ -84,8 +84,6 @@ impl ElasticScaler {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
-    use cosmic_collectives::CollectiveKind;
-    use cosmic_runtime::NodeCompute;
     use cosmic_sim::{ArrivalProfile, JobArrivalPlan};
 
     #[test]
@@ -115,8 +113,7 @@ mod tests {
             RunningView { spec: &specs[0], current: 10 },
             RunningView { spec: &specs[1], current: 1 },
         ];
-        let exec =
-            ExecModel::new(NodeCompute { records_per_sec: 1.0e5 }, CollectiveKind::FlatStar, 4);
+        let exec = ExecModel::new(4);
         let ops =
             ElasticScaler::new(1.0).plan(FairnessPolicy::WeightedMaxMin, &views, 0, 16, &exec);
         assert!(!ops.is_empty());

@@ -24,9 +24,9 @@
 //!   window of observed inter-arrival times, primed with the nominal
 //!   iteration interval so the detector is calibrated from round one.
 //! - Two thresholds split φ into three [`SuspicionLevel`]s: crossing
-//!   `suspect_phi` marks a node *Suspected* (flagged and watched, but
+//!   φ = 1 marks a node *Suspected* (flagged and watched, but
 //!   still scheduled — suspicion is bookkeeping, not expulsion), and
-//!   crossing `fail_phi` declares it *Failed* (membership expels it
+//!   crossing φ = 2 declares it *Failed* (membership expels it
 //!   and repairs the topology). A suspected straggler that delivers
 //!   again drops straight back to *Healthy* — that round trip is a
 //!   **false suspicion**, counted but harmless, which is the property
@@ -36,69 +36,28 @@
 //! Everything runs on virtual time supplied by the caller, so detector
 //! verdicts are bit-reproducible for a given (plan, seed).
 
-/// Tuning for the φ-accrual detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// φ at which a node becomes `SuspicionLevel::Suspected`. With
-    /// the default mean this is ~2.3 silent iterations.
-    pub suspect_phi: f64,
-    /// φ at which a node is declared `SuspicionLevel::Failed`. With
-    /// the default mean this is ~4.6 silent iterations.
-    pub fail_phi: f64,
-    /// Sliding-window length for the inter-arrival mean.
-    pub window: usize,
-    /// Expected inter-heartbeat interval (virtual seconds) used to
-    /// prime the window before real arrivals accumulate.
-    pub nominal_interval: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig { suspect_phi: 1.0, fail_phi: 2.0, window: 16, nominal_interval: 1.0 }
-    }
-}
-
-impl DetectorConfig {
-    /// Validates threshold ordering and positivity.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        // NaN fails the positivity check too, so a poisoned config is
-        // rejected rather than silently never suspecting anyone.
-        let positive = |x: f64| x > 0.0;
-        if !positive(self.suspect_phi) || !positive(self.fail_phi) {
-            return Err(format!(
-                "detector thresholds must be positive (suspect={}, fail={})",
-                self.suspect_phi, self.fail_phi
-            ));
-        }
-        if self.suspect_phi > self.fail_phi {
-            return Err(format!(
-                "suspect_phi ({}) must not exceed fail_phi ({})",
-                self.suspect_phi, self.fail_phi
-            ));
-        }
-        if self.window == 0 {
-            return Err("detector window must be at least 1".to_string());
-        }
-        if !positive(self.nominal_interval) {
-            return Err(format!(
-                "detector nominal_interval must be positive (got {})",
-                self.nominal_interval
-            ));
-        }
-        Ok(())
-    }
-}
+/// φ at which a node becomes [`SuspicionLevel::Suspected`]: ~2.3
+/// silent rounds at the nominal mean.
+const SUSPECT_PHI: f64 = 1.0;
+/// φ at which a node is declared [`SuspicionLevel::Failed`]: ~4.6
+/// silent rounds at the nominal mean.
+const FAIL_PHI: f64 = 2.0;
+/// Sliding-window length for the inter-arrival mean.
+const WINDOW: usize = 16;
+/// Expected inter-heartbeat interval (virtual seconds: one nominal
+/// round) that primes the window before real arrivals accumulate.
+const NOMINAL_INTERVAL: f64 = 1.0;
 
 /// How much the detector currently distrusts a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum SuspicionLevel {
     /// φ below the suspicion threshold: scheduled normally.
     Healthy,
-    /// φ crossed `suspect_phi`: flagged and watched, but still
+    /// φ crossed [`SUSPECT_PHI`]: flagged and watched, but still
     /// scheduled — reinstated on its next delivery, escalated by
     /// further silence.
     Suspected,
-    /// φ crossed `fail_phi`: expelled from membership; only the rejoin
+    /// φ crossed [`FAIL_PHI`]: expelled from membership; only the rejoin
     /// protocol brings it back.
     Failed,
 }
@@ -115,17 +74,17 @@ struct NodeHistory {
 }
 
 impl NodeHistory {
-    fn primed(at: f64, nominal: f64) -> Self {
-        NodeHistory { last: at, intervals: vec![nominal], cursor: 0 }
+    fn primed(at: f64) -> Self {
+        NodeHistory { last: at, intervals: vec![NOMINAL_INTERVAL], cursor: 0 }
     }
 
-    fn mean(&self, nominal: f64) -> f64 {
+    fn mean(&self) -> f64 {
         let sum: f64 = self.intervals.iter().sum();
         let mean = sum / self.intervals.len() as f64;
         if mean > 0.0 {
             mean
         } else {
-            nominal
+            NOMINAL_INTERVAL
         }
     }
 }
@@ -133,16 +92,14 @@ impl NodeHistory {
 /// The φ-accrual failure detector over a fixed node-id space.
 #[derive(Debug, Clone)]
 pub(crate) struct FailureDetector {
-    cfg: DetectorConfig,
     nodes: Vec<NodeHistory>,
 }
 
 impl FailureDetector {
     /// A detector for node ids `0..nodes`, primed as if every node had
     /// heartbeated at virtual time zero with the nominal cadence.
-    pub(crate) fn new(nodes: usize, cfg: DetectorConfig) -> Self {
-        let prime = NodeHistory::primed(0.0, cfg.nominal_interval);
-        FailureDetector { cfg, nodes: vec![prime; nodes] }
+    pub(crate) fn new(nodes: usize) -> Self {
+        FailureDetector { nodes: vec![NodeHistory::primed(0.0); nodes] }
     }
 
     /// Records a heartbeat from `node` at virtual time `at`. Intervals
@@ -150,11 +107,11 @@ impl FailureDetector {
     pub(crate) fn observe(&mut self, node: usize, at: f64) {
         let h = &mut self.nodes[node];
         let interval = (at - h.last).max(0.0);
-        if h.intervals.len() < self.cfg.window {
+        if h.intervals.len() < WINDOW {
             h.intervals.push(interval);
         } else {
             h.intervals[h.cursor] = interval;
-            h.cursor = (h.cursor + 1) % self.cfg.window;
+            h.cursor = (h.cursor + 1) % WINDOW;
         }
         h.last = at;
     }
@@ -163,7 +120,7 @@ impl FailureDetector {
     /// node rejoins after an expulsion, so stale pre-crash arrivals
     /// don't poison its fresh record.
     pub(crate) fn reset(&mut self, node: usize, at: f64) {
-        self.nodes[node] = NodeHistory::primed(at, self.cfg.nominal_interval);
+        self.nodes[node] = NodeHistory::primed(at);
     }
 
     /// The suspicion value for `node` at virtual time `now`:
@@ -171,15 +128,15 @@ impl FailureDetector {
     pub(crate) fn phi(&self, node: usize, now: f64) -> f64 {
         let h = &self.nodes[node];
         let elapsed = (now - h.last).max(0.0);
-        elapsed / (h.mean(self.cfg.nominal_interval) * std::f64::consts::LN_10)
+        elapsed / (h.mean() * std::f64::consts::LN_10)
     }
 
     /// [`phi`](Self::phi) thresholded into a [`SuspicionLevel`].
     pub(crate) fn level(&self, node: usize, now: f64) -> SuspicionLevel {
         let phi = self.phi(node, now);
-        if phi >= self.cfg.fail_phi {
+        if phi >= FAIL_PHI {
             SuspicionLevel::Failed
-        } else if phi >= self.cfg.suspect_phi {
+        } else if phi >= SUSPECT_PHI {
             SuspicionLevel::Suspected
         } else {
             SuspicionLevel::Healthy
@@ -194,27 +151,8 @@ mod tests {
     const LN10: f64 = std::f64::consts::LN_10;
 
     #[test]
-    fn default_config_validates() {
-        DetectorConfig::default().validate().expect("defaults are sane");
-    }
-
-    #[test]
-    fn bad_configs_are_rejected() {
-        let bad = [
-            DetectorConfig { suspect_phi: 0.0, ..DetectorConfig::default() },
-            DetectorConfig { fail_phi: -1.0, ..DetectorConfig::default() },
-            DetectorConfig { suspect_phi: 3.0, fail_phi: 2.0, ..DetectorConfig::default() },
-            DetectorConfig { window: 0, ..DetectorConfig::default() },
-            DetectorConfig { nominal_interval: 0.0, ..DetectorConfig::default() },
-        ];
-        for cfg in bad {
-            assert!(cfg.validate().is_err(), "{cfg:?} must be rejected");
-        }
-    }
-
-    #[test]
     fn steady_heartbeats_stay_healthy() {
-        let mut d = FailureDetector::new(2, DetectorConfig::default());
+        let mut d = FailureDetector::new(2);
         for i in 1..=20 {
             d.observe(0, i as f64);
             d.observe(1, i as f64);
@@ -226,7 +164,7 @@ mod tests {
 
     #[test]
     fn silence_walks_through_the_levels() {
-        let mut d = FailureDetector::new(1, DetectorConfig::default());
+        let mut d = FailureDetector::new(1);
         for i in 1..=5 {
             d.observe(0, i as f64);
         }
@@ -240,7 +178,7 @@ mod tests {
 
     #[test]
     fn a_late_delivery_reinstates_a_suspect() {
-        let mut d = FailureDetector::new(1, DetectorConfig::default());
+        let mut d = FailureDetector::new(1);
         for i in 1..=5 {
             d.observe(0, i as f64);
         }
@@ -255,8 +193,8 @@ mod tests {
 
     #[test]
     fn the_mean_adapts_to_a_slower_cadence() {
-        let mut fast = FailureDetector::new(1, DetectorConfig::default());
-        let mut slow = FailureDetector::new(1, DetectorConfig::default());
+        let mut fast = FailureDetector::new(1);
+        let mut slow = FailureDetector::new(1);
         for i in 1..=8 {
             fast.observe(0, i as f64);
             slow.observe(0, 3.0 * i as f64);
@@ -268,7 +206,7 @@ mod tests {
 
     #[test]
     fn reset_reprimes_history() {
-        let mut d = FailureDetector::new(1, DetectorConfig::default());
+        let mut d = FailureDetector::new(1);
         d.observe(0, 1.0);
         assert_eq!(d.level(0, 50.0), SuspicionLevel::Failed);
         d.reset(0, 50.0);
@@ -278,7 +216,7 @@ mod tests {
 
     #[test]
     fn out_of_order_and_early_queries_clamp_to_zero() {
-        let mut d = FailureDetector::new(1, DetectorConfig::default());
+        let mut d = FailureDetector::new(1);
         d.observe(0, 5.0);
         d.observe(0, 3.0); // out of order: interval clamps to 0
         assert_eq!(d.phi(0, 2.0), 0.0, "negative elapsed clamps to 0");
@@ -289,12 +227,24 @@ mod tests {
 
     #[test]
     fn window_is_a_ring() {
-        let cfg = DetectorConfig { window: 2, ..DetectorConfig::default() };
-        let mut d = FailureDetector::new(1, cfg);
-        d.observe(0, 10.0);
-        d.observe(0, 20.0);
-        d.observe(0, 30.0);
-        // Window holds the last two intervals (10, 10): mean 10.
-        assert!((d.phi(0, 40.0) - 10.0 / (10.0 * LN10)).abs() < 1e-12);
+        let mut d = FailureDetector::new(1);
+        // A long first gap, then more than a window of unit gaps: the
+        // ring has overwritten the primed slot and the long gap, so the
+        // mean is one.
+        d.observe(0, 100.0);
+        let last = 100.0 + (WINDOW + 2) as f64;
+        for i in 1..=WINDOW + 2 {
+            d.observe(0, 100.0 + i as f64);
+        }
+        assert!((d.phi(0, last + 1.0) - 1.0 / LN10).abs() < 1e-12);
+        // Until the ring wraps onto it, the long gap still counts.
+        let mut short = FailureDetector::new(1);
+        short.observe(0, 100.0);
+        for i in 1..WINDOW {
+            short.observe(0, 100.0 + i as f64);
+        }
+        let mean = (100.0 + (WINDOW - 1) as f64) / WINDOW as f64;
+        let at = 100.0 + (WINDOW - 1) as f64;
+        assert!((short.phi(0, at + 1.0) - 1.0 / (mean * LN10)).abs() < 1e-12);
     }
 }

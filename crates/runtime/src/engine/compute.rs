@@ -16,7 +16,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::checkpoint::CheckpointStore;
 use crate::error::RuntimeError;
 use crate::layout;
-use crate::trainer::{ClusterConfig, Exclusion, ExclusionReason, RetryPolicy};
+use crate::trainer::{ClusterConfig, Exclusion, ExclusionReason, DEADLINE_FACTOR, RETRY};
 
 use super::membership::kill_node;
 use super::observer::RunObserver;
@@ -466,14 +466,13 @@ pub(crate) fn admission_barrier<O: RunObserver>(
         if !has_records {
             continue;
         }
-        let adm =
-            admit(eng.plan, &eng.cfg.retry, eng.cfg.deadline_factor, node, st.iter_idx, eng.chunks);
+        let adm = admit(eng.plan, node, st.iter_idx, eng.chunks);
         if st.member[node] {
             // Only members hold up the barrier or count in the round's
             // retry traffic; an expelled node's stream is background
             // noise until it rejoins.
             st.report.chunk_retries += adm.retries;
-            round_cost = round_cost.max(adm.cost.min(eng.cfg.deadline_factor));
+            round_cost = round_cost.max(adm.cost.min(DEADLINE_FACTOR));
             if adm.retries > 0 {
                 eng.obs.retransmitted(node, t0, adm.backoff, adm.retries);
             }
@@ -508,27 +507,21 @@ pub(crate) fn admission_barrier<O: RunObserver>(
 }
 
 /// The outcome of deadline admission for one node.
-pub(crate) struct Admission {
+struct Admission {
     /// `None` when the node made the deadline and contributes.
-    pub reason: Option<ExclusionReason>,
+    reason: Option<ExclusionReason>,
     /// Retransmissions spent recovering dropped chunks.
-    pub retries: usize,
+    retries: usize,
     /// Total backoff delay spent on those retransmissions, in
     /// nominal-iteration units.
-    pub backoff: f64,
+    backoff: f64,
     /// The node's virtual completion time: straggle factor + backoff.
-    pub cost: f64,
+    cost: f64,
 }
 
-/// Deadline admission for one node, in virtual time.
-pub(crate) fn admit(
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    deadline_factor: f64,
-    node: usize,
-    iteration: usize,
-    chunks: usize,
-) -> Admission {
+/// Deadline admission for one node, in virtual time, under [`RETRY`]
+/// and [`DEADLINE_FACTOR`].
+fn admit(plan: &FaultPlan, node: usize, iteration: usize, chunks: usize) -> Admission {
     let mut retries = 0;
     let mut backoff = 0.0;
     let mut undeliverable = false;
@@ -538,12 +531,12 @@ pub(crate) fn admit(
             if drops == 0 {
                 continue;
             }
-            if drops > retry.max_retries {
+            if drops > RETRY.max_retries {
                 undeliverable = true;
             }
-            let attempts = drops.min(retry.max_retries);
+            let attempts = drops.min(RETRY.max_retries);
             for attempt in 0..attempts {
-                backoff += retry.delay(attempt);
+                backoff += RETRY.delay(attempt);
             }
             retries += attempts as usize;
         }
@@ -551,7 +544,7 @@ pub(crate) fn admit(
     let cost = plan.straggle_factor(node, iteration) + backoff;
     let reason = if undeliverable {
         Some(ExclusionReason::Undeliverable)
-    } else if cost > deadline_factor {
+    } else if cost > DEADLINE_FACTOR {
         Some(ExclusionReason::DeadlineExceeded { virtual_cost: cost })
     } else {
         None

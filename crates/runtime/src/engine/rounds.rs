@@ -6,7 +6,7 @@ use cosmic_collectives::codec::WireRepr;
 
 use crate::error::RuntimeError;
 use crate::layout::CHUNK_WORDS;
-use crate::trainer::{Exclusion, ExclusionReason, Quarantine};
+use crate::trainer::{Exclusion, ExclusionReason, Quarantine, RETRY};
 use crate::transport::RoundCtx;
 
 use super::compute::NodePartial;
@@ -49,7 +49,7 @@ pub(crate) fn collective_round<O: RunObserver>(
         iteration: st.iter_idx,
         model_len: eng.model_len,
         plan: eng.plan,
-        retry: &eng.cfg.retry,
+        retry: &RETRY,
         senders,
         repr,
     };

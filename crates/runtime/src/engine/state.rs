@@ -91,7 +91,7 @@ impl RunState {
             member: vec![true; cfg.nodes],
             suspected: vec![false; cfg.nodes],
             expelled_while_up: vec![false; cfg.nodes],
-            detector: FailureDetector::new(cfg.nodes, cfg.detector),
+            detector: FailureDetector::new(cfg.nodes),
             store,
             rejoiners: Vec::new(),
             vclock: 0.0,

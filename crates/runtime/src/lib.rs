@@ -84,7 +84,6 @@ pub use cosmic_collectives::codec;
 
 pub use checkpoint::{model_checksum, Checkpoint, CheckpointConfig};
 pub use circbuf::CircularBuffer;
-pub use detector::DetectorConfig;
 pub use error::RuntimeError;
 pub use layout::CHUNK_WORDS;
 pub use node::{Chunk, SigmaAggregator};
@@ -98,7 +97,7 @@ pub use cosmic_collectives as collectives;
 pub use cosmic_collectives::{assign_roles, CollectiveKind, Role, WireRepr};
 pub use trainer::{
     ClusterConfig, ClusterTrainer, Exclusion, ExclusionReason, MembershipMode, PartitionOutage,
-    RetryPolicy, TrainOutcome,
+    RetryPolicy, TrainOutcome, DEADLINE_FACTOR,
 };
 pub use transport::wire::{Frame, FrameKind, WireError};
 pub use transport::{

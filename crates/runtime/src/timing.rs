@@ -20,12 +20,13 @@
 //! builder is the only entry point.
 
 use cosmic_collectives::{CollectiveKind, CommSchedule, CostModel, RoundCost};
-use cosmic_sim::{level_counter, NetworkModel, PcieModel};
+use cosmic_sim::{level_counter, PcieModel};
 use cosmic_telemetry::{counters, names, Layer, TraceSink};
 
 use crate::error::RuntimeError;
 use crate::layout;
 use crate::layout::CHUNK_WORDS;
+use crate::trainer::DEADLINE_FACTOR;
 use cosmic_collectives::{assign_roles, Topology};
 
 /// A node's gradient-computation capability, however produced (Planner
@@ -89,11 +90,9 @@ pub struct FaultTimingModel {
     pub retry_backoff_s: f64,
     /// Probability a node straggles in a given iteration.
     pub straggler_rate: f64,
-    /// Compute multiplier of a straggling node.
+    /// Compute multiplier of a straggling node; the barrier waits for
+    /// it at most [`DEADLINE_FACTOR`] nominal compute times.
     pub straggler_slowdown: f64,
-    /// Aggregation deadline in units of nominal compute time; the
-    /// barrier never waits longer than this for a straggler.
-    pub deadline_factor: f64,
     /// Probability a Sigma node fails over in a given iteration.
     pub sigma_failover_rate: f64,
     /// Cost of one re-election + topology repair, in seconds.
@@ -111,7 +110,6 @@ impl FaultTimingModel {
             retry_backoff_s: 0.0,
             straggler_rate: 0.0,
             straggler_slowdown: 1.0,
-            deadline_factor: 4.0,
             sigma_failover_rate: 0.0,
             failover_penalty_s: 0.0,
             reschedule_penalty_s: 0.0,
@@ -125,22 +123,16 @@ impl Default for FaultTimingModel {
     }
 }
 
-/// The timed model of one CoSMIC cluster.
+/// The timed model of one CoSMIC cluster on the commodity hardware:
+/// the wire and host fold of [`CostModel::commodity`], a
+/// [`ClusterTiming::pcie`] slot per accelerator, and
+/// [`ClusterTiming::MANAGEMENT_S`] of orchestration a round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterTiming {
     /// Node count.
     pub nodes: usize,
     /// Aggregation groups.
     pub groups: usize,
-    /// The cluster network.
-    pub net: NetworkModel,
-    /// The accelerator's expansion slot.
-    pub pcie: PcieModel,
-    /// Host-CPU aggregation throughput in bytes/s (vector add over
-    /// received chunks; memory-bandwidth-bound on the Xeon E3).
-    pub agg_bytes_per_sec: f64,
-    /// Fixed per-iteration orchestration cost in microseconds.
-    pub mgmt_us: f64,
 }
 
 /// Builder for timing one mini-batch iteration (one aggregation round).
@@ -228,7 +220,7 @@ impl<'a> IterationModel<'a> {
         let mut collective = None;
         if let Some(kind) = self.collective {
             let schedule = self.timing.collective_schedule(self.exchange_bytes, kind)?;
-            let costs = self.timing.collective_cost_model().round_costs_s(&schedule);
+            let costs = CostModel::commodity().round_costs_s(&schedule);
             it.aggregate_s = costs.iter().filter(|r| r.reduce_bytes > 0).map(|r| r.seconds).sum();
             it.broadcast_s = costs.iter().filter(|r| r.reduce_bytes == 0).map(|r| r.seconds).sum();
             it.rounds = schedule.rounds();
@@ -313,17 +305,18 @@ impl<'a> IterationModel<'a> {
 }
 
 impl ClusterTiming {
-    /// The evaluation cluster: gigabit Ethernet, Gen3 x8 slots, ~6 GB/s
-    /// effective aggregation fold rate on the host cores.
+    /// Fixed per-iteration orchestration cost (invocation, bookkeeping)
+    /// in seconds.
+    pub const MANAGEMENT_S: f64 = 150.0e-6;
+
+    /// `nodes` commodity nodes in `groups` aggregation groups.
     pub fn commodity(nodes: usize, groups: usize) -> Self {
-        ClusterTiming {
-            nodes,
-            groups,
-            net: NetworkModel::gigabit(),
-            pcie: PcieModel::gen3_x8(),
-            agg_bytes_per_sec: 6.0e9,
-            mgmt_us: 150.0,
-        }
+        ClusterTiming { nodes, groups }
+    }
+
+    /// The accelerator's expansion slot: PCIe Gen3 x8.
+    pub fn pcie() -> PcieModel {
+        PcieModel::gen3_x8()
     }
 
     /// The System Director's topology for this cluster.
@@ -377,26 +370,26 @@ impl ClusterTiming {
         let compute_s = records_per_node / node.records_per_sec;
 
         // Partial readback + model write over PCIe.
-        let pcie_s = 2.0 * self.pcie.transfer_ns(exchange_bytes) as f64 / 1e9;
+        let pcie_s = 2.0 * Self::pcie().transfer_ns(exchange_bytes) as f64 / 1e9;
 
         // Level 1: every group Sigma absorbs its members' partials; the
         // circular-buffer pipeline overlaps folding with reception.
+        let CostModel { net, agg_bytes_per_sec } = CostModel::commodity();
         let group_fan_in = self.group_fan_in();
-        let wire1 = self.net.fan_in_ns(exchange_bytes, group_fan_in) as f64 / 1e9;
-        let fold1 = group_fan_in as f64 * exchange_bytes as f64 / self.agg_bytes_per_sec;
+        let wire1 = net.fan_in_ns(exchange_bytes, group_fan_in) as f64 / 1e9;
+        let fold1 = group_fan_in as f64 * exchange_bytes as f64 / agg_bytes_per_sec;
         // Level 2: the master absorbs the other group Sigmas' aggregates.
         let master_fan_in = self.groups.saturating_sub(1);
-        let wire2 = self.net.fan_in_ns(exchange_bytes, master_fan_in) as f64 / 1e9;
-        let fold2 = master_fan_in as f64 * exchange_bytes as f64 / self.agg_bytes_per_sec;
+        let wire2 = net.fan_in_ns(exchange_bytes, master_fan_in) as f64 / 1e9;
+        let fold2 = master_fan_in as f64 * exchange_bytes as f64 / agg_bytes_per_sec;
         // The circular-buffer pipeline chunks partials, so the two
         // hierarchy levels overlap: the slower level bounds the round.
         let aggregate_s = wire1.max(fold1).max(wire2.max(fold2));
 
         // Downward: master → group Sigmas and Sigmas → members pipeline
         // the same way (chunked store-and-forward).
-        let broadcast_s = (self.net.fan_out_ns(exchange_bytes, master_fan_in))
-            .max(self.net.fan_out_ns(exchange_bytes, group_fan_in))
-            as f64
+        let broadcast_s = (net.fan_out_ns(exchange_bytes, master_fan_in))
+            .max(net.fan_out_ns(exchange_bytes, group_fan_in)) as f64
             / 1e9;
 
         IterationBreakdown {
@@ -404,7 +397,7 @@ impl ClusterTiming {
             pcie_s,
             aggregate_s,
             broadcast_s,
-            management_s: self.mgmt_us / 1e6,
+            management_s: Self::MANAGEMENT_S,
             recovery_s: 0.0,
             rounds: 0,
         }
@@ -437,7 +430,7 @@ impl ClusterTiming {
         let s = faults.straggler_rate.clamp(0.0, 1.0);
         if s > 0.0 {
             let any_straggler = 1.0 - (1.0 - s).powi(self.nodes.min(i32::MAX as usize) as i32);
-            let waited = faults.straggler_slowdown.max(1.0).min(faults.deadline_factor.max(1.0));
+            let waited = faults.straggler_slowdown.clamp(1.0, DEADLINE_FACTOR);
             recovery += any_straggler * (waited - 1.0) * it.compute_s;
         }
 
@@ -451,13 +444,6 @@ impl ClusterTiming {
         }
 
         recovery
-    }
-
-    /// The cost model that prices [`CommSchedule`]s for this cluster:
-    /// the same wire and host fold rate the analytic path uses, handed
-    /// to the collective layer's per-port accounting.
-    pub(crate) fn collective_cost_model(&self) -> CostModel {
-        CostModel { net: self.net, agg_bytes_per_sec: self.agg_bytes_per_sec }
     }
 
     /// Builds `kind`'s communication schedule for this cluster's full
@@ -557,8 +543,9 @@ mod tests {
         let t = ClusterTiming::commodity(8, 2);
         let it = eval(t.model(10_000, node(1e5), 1_000_000));
         let topo = t.topology().expect("valid cluster");
-        let wire1 = t.net.fan_in_ns(1_000_000, topo.max_group_fan_in()) as f64 / 1e9;
-        let fold1 = topo.max_group_fan_in() as f64 * 1_000_000.0 / t.agg_bytes_per_sec;
+        let cost = CostModel::commodity();
+        let wire1 = cost.net.fan_in_ns(1_000_000, topo.max_group_fan_in()) as f64 / 1e9;
+        let fold1 = topo.max_group_fan_in() as f64 * 1_000_000.0 / cost.agg_bytes_per_sec;
         assert!(it.aggregate_s <= (wire1 + fold1) * 2.0);
     }
 
@@ -600,21 +587,23 @@ mod tests {
     #[test]
     fn deadline_caps_the_straggler_wait() {
         let t = ClusterTiming::commodity(8, 2);
-        let base = FaultTimingModel {
-            straggler_rate: 0.1,
-            straggler_slowdown: 100.0,
-            ..FaultTimingModel::none()
+        let recovery = |straggler_slowdown: f64| {
+            let faults = FaultTimingModel {
+                straggler_rate: 0.1,
+                straggler_slowdown,
+                ..FaultTimingModel::none()
+            };
+            eval(t.model(10_000, node(1e5), 1_000_000).with_faults(&faults)).recovery_s
         };
-        let tight_faults = FaultTimingModel { deadline_factor: 2.0, ..base };
-        let loose_faults = FaultTimingModel { deadline_factor: 50.0, ..base };
-        let tight = eval(t.model(10_000, node(1e5), 1_000_000).with_faults(&tight_faults));
-        let loose = eval(t.model(10_000, node(1e5), 1_000_000).with_faults(&loose_faults));
-        assert!(
-            tight.recovery_s < loose.recovery_s,
-            "a tighter deadline must bound the wait: {} vs {}",
-            tight.recovery_s,
-            loose.recovery_s
-        );
+        // Below the deadline the wait grows with the slowdown; past it
+        // the barrier stops waiting, so every slower straggler costs the
+        // same as one exactly at the deadline.
+        let below = recovery(DEADLINE_FACTOR / 2.0);
+        let at = recovery(DEADLINE_FACTOR);
+        assert!(below < at, "a slower straggler below the deadline costs more: {below} vs {at}");
+        for past in [DEADLINE_FACTOR * 2.0, 100.0] {
+            assert_eq!(recovery(past), at, "slowdown {past} is capped at the deadline");
+        }
     }
 
     #[test]
@@ -684,7 +673,7 @@ mod tests {
             assert_eq!(it.compute_s, plain.compute_s, "{kind}: compute is untouched");
             assert_eq!(it.pcie_s, plain.pcie_s);
             let schedule = t.collective_schedule(1_000_000, kind).expect("schedules");
-            let total = t.collective_cost_model().schedule_cost_s(&schedule);
+            let total = CostModel::commodity().schedule_cost_s(&schedule);
             assert!(
                 (it.aggregate_s + it.broadcast_s - total).abs() < 1e-12,
                 "{kind}: phase split must preserve the schedule's total cost"

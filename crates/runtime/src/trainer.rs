@@ -35,7 +35,6 @@ use cosmic_sim::faults::FaultPlan;
 use cosmic_telemetry::TraceSink;
 
 use crate::checkpoint::CheckpointConfig;
-use crate::detector::DetectorConfig;
 use crate::engine::{Compute, Engine, NullObserver, TraceObserver};
 use crate::error::RuntimeError;
 use crate::node::ChunkFault;
@@ -60,10 +59,21 @@ pub enum MembershipMode {
     Detector,
 }
 
+/// Per-iteration aggregation deadline, in units of the nominal node
+/// compute time: a node whose virtual completion time (its straggle
+/// factor plus retry backoffs) exceeds it is excluded from the round,
+/// and the timing model's barrier never waits longer for a straggler.
+pub const DEADLINE_FACTOR: f64 = 4.0;
+
+/// The retransmission policy of every engine round and launcher link
+/// ([`RetryPolicy::default`]).
+pub(crate) const RETRY: RetryPolicy =
+    RetryPolicy { backoff_base: 0.125, backoff_cap: 1.0, max_retries: 5 };
+
 /// Chunk-retransmission policy for dropped chunks, in virtual time.
 ///
 /// Delays are expressed in units of one nominal node-iteration compute
-/// time, the same unit as [`ClusterConfig::deadline_factor`].
+/// time, the same unit as [`DEADLINE_FACTOR`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Delay before the first retransmission.
@@ -77,7 +87,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { backoff_base: 0.125, backoff_cap: 1.0, max_retries: 5 }
+        RETRY
     }
 }
 
@@ -109,12 +119,6 @@ pub struct ClusterConfig {
     pub aggregation: Aggregation,
     /// Injected fault schedule; [`FaultPlan::none`] for a healthy run.
     pub faults: FaultPlan,
-    /// Per-iteration aggregation deadline, in units of the nominal node
-    /// compute time: a node whose virtual completion time (straggle
-    /// factor + retry backoffs) exceeds this is excluded from the round.
-    pub deadline_factor: f64,
-    /// Retransmission policy for dropped chunks.
-    pub retry: RetryPolicy,
     /// The collective-aggregation strategy whose [`cosmic_collectives::CommSchedule`]
     /// the round executes. The strategy decides the wire pattern (and
     /// therefore what the trace books per link level); the arithmetic
@@ -124,9 +128,6 @@ pub struct ClusterConfig {
     /// How failures are learned: oracle declarations (the default,
     /// PR 1 behavior) or φ-accrual heartbeat detection with rejoin.
     pub membership: MembershipMode,
-    /// φ-accrual detector tuning (used in
-    /// [`MembershipMode::Detector`]).
-    pub detector: DetectorConfig,
     /// Model-snapshot cadence backing the rejoin catch-up protocol.
     /// Checkpoints are taken in both membership modes so the recovery
     /// path is always live.
@@ -134,8 +135,8 @@ pub struct ClusterConfig {
     /// Which wire the collective round runs over: the discrete-event
     /// channel backend (the default) or supervised loopback TCP.
     pub transport: TransportKind,
-    /// Wall-clock deadlines and pacing for real-wire links (ignored by
-    /// the discrete-event backend).
+    /// Wall-clock deadlines for real-wire links (ignored by the
+    /// discrete-event backend).
     pub link: LinkConfig,
     /// The wire representation gradient payloads travel under. The
     /// default, [`WireRepr::DenseF64`], is the verbatim historical
@@ -157,11 +158,8 @@ impl Default for ClusterConfig {
             epochs: 1,
             aggregation: Aggregation::Average,
             faults: FaultPlan::none(),
-            deadline_factor: 4.0,
-            retry: RetryPolicy::default(),
             collective: CollectiveKind::TwoLevelTree,
             membership: MembershipMode::default(),
-            detector: DetectorConfig::default(),
             checkpoint: CheckpointConfig::default(),
             transport: TransportKind::default(),
             link: LinkConfig::default(),
@@ -176,7 +174,7 @@ pub enum ExclusionReason {
     /// The node's virtual completion time exceeded the deadline.
     DeadlineExceeded {
         /// The node's virtual completion time, in nominal-iteration
-        /// units (compare against [`ClusterConfig::deadline_factor`]).
+        /// units (compare against [`DEADLINE_FACTOR`]).
         virtual_cost: f64,
     },
     /// A chunk was dropped more times than the retry policy allows.
@@ -340,8 +338,8 @@ impl ClusterTrainer {
     /// Builds a trainer, assigning node roles through the System
     /// Director.
     ///
-    /// Errors with [`RuntimeError::InvalidConfig`] on degenerate worker
-    /// or deadline settings and [`RuntimeError::InvalidTopology`] when
+    /// Errors with [`RuntimeError::InvalidConfig`] on degenerate worker,
+    /// checkpoint or link settings and [`RuntimeError::InvalidTopology`] when
     /// the group structure cannot be built.
     pub fn new(config: ClusterConfig) -> Result<Self, RuntimeError> {
         if config.threads_per_node == 0 {
@@ -350,17 +348,6 @@ impl ClusterTrainer {
         if config.minibatch == 0 {
             return Err(RuntimeError::InvalidConfig("minibatch is zero".into()));
         }
-        if config.deadline_factor.is_nan() || config.deadline_factor < 1.0 {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "deadline_factor {} must be at least 1 (nominal compute time)",
-                config.deadline_factor
-            )));
-        }
-        let backoff_invalid = |b: f64| b.is_nan() || b < 0.0;
-        if backoff_invalid(config.retry.backoff_base) || backoff_invalid(config.retry.backoff_cap) {
-            return Err(RuntimeError::InvalidConfig("retry backoff must be non-negative".into()));
-        }
-        config.detector.validate().map_err(RuntimeError::InvalidConfig)?;
         config.checkpoint.validate().map_err(RuntimeError::InvalidConfig)?;
         config.link.validate().map_err(RuntimeError::InvalidConfig)?;
         let topology = assign_roles(config.nodes, config.groups)?;
@@ -403,7 +390,7 @@ impl ClusterTrainer {
     /// retransmissions, exclusions, group and master aggregation,
     /// broadcast, crashes, re-elections) plus the wire/chunk/fault
     /// counters. Time is virtual — one nominal node-iteration compute
-    /// time is the unit, the same as [`ClusterConfig::deadline_factor`]
+    /// time is the unit, the same as [`DEADLINE_FACTOR`]
     /// — so the trace from a given plan and seed is byte-identical
     /// across runs.
     pub fn train_traced(

@@ -69,8 +69,8 @@ impl TransportKind {
     }
 }
 
-/// Wall-clock deadlines and pacing for real-wire links. Irrelevant to
-/// (and ignored by) the discrete-event backend, whose time is virtual.
+/// Wall-clock deadlines for real-wire links. Irrelevant to (and
+/// ignored by) the discrete-event backend, whose time is virtual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkConfig {
     /// Deadline on establishing a connection, in milliseconds.
@@ -78,14 +78,11 @@ pub struct LinkConfig {
     /// Deadline on any single blocking read or write, in milliseconds.
     /// This bounds how long a receiver waits on a silent peer.
     pub read_timeout_ms: u64,
-    /// Wall milliseconds per unit of the virtual-time
-    /// [`RetryPolicy`] backoff curve when it paces reconnects.
-    pub backoff_unit_ms: u64,
 }
 
 impl Default for LinkConfig {
     fn default() -> Self {
-        LinkConfig { connect_timeout_ms: 1_000, read_timeout_ms: 2_000, backoff_unit_ms: 20 }
+        LinkConfig { connect_timeout_ms: 1_000, read_timeout_ms: 2_000 }
     }
 }
 

@@ -35,16 +35,20 @@ use crate::checkpoint::{model_checksum, CheckpointConfig};
 use crate::engine::{Arrival, Compute, Request, Shards};
 use crate::error::RuntimeError;
 use crate::node::{chunk_vector, Chunk, Layout};
-use crate::trainer::{ClusterConfig, ClusterTrainer, MembershipMode, RetryPolicy};
+use crate::trainer::{ClusterConfig, ClusterTrainer, MembershipMode, RETRY};
 
 use super::shim::WireShim;
 use super::supervisor::{Handshake, Reply, RoundSender, RoundServer, ServedKind, Wire};
 use super::wire::{Frame, FrameKind, WireError};
 use super::{LinkConfig, TransportKind, TransportStats};
 
-/// Everything both halves of the launcher agree on: the job, the wire
-/// deadlines, and the retry policy. Workers receive the same values on
-/// their command line so both sides derive identical data and models.
+/// Everything both halves of the launcher agree on: the job and the
+/// wire deadlines. A worker receives every field but
+/// `checkpoint_every` on its command line (`--nodes`, `--iterations`,
+/// `--samples`, `--seed`, `--features`, `--lr`, `--read-timeout-ms`,
+/// `--connect-timeout-ms`, beside its own `--worker`, `--addr` and, on
+/// a respawn, `--join`), so both sides derive identical data and
+/// models.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Worker process count.
@@ -61,10 +65,8 @@ pub struct JobSpec {
     pub learning_rate: f64,
     /// Model-snapshot cadence backing join catch-up.
     pub checkpoint_every: usize,
-    /// Wire deadlines and reconnect pacing.
+    /// Wire deadlines.
     pub link: LinkConfig,
-    /// Reconnect budget.
-    pub retry: RetryPolicy,
 }
 
 impl Default for JobSpec {
@@ -78,7 +80,6 @@ impl Default for JobSpec {
             learning_rate: 0.05,
             checkpoint_every: 4,
             link: LinkConfig::default(),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -97,7 +98,6 @@ impl JobSpec {
             learning_rate: self.learning_rate,
             epochs: self.iterations,
             aggregation: Aggregation::Sum,
-            retry: self.retry,
             membership: MembershipMode::Detector,
             checkpoint: CheckpointConfig { cadence: self.checkpoint_every.max(1) },
             transport: TransportKind::Tcp,
@@ -507,7 +507,7 @@ impl Worker {
         let shards = Shards::new(&cfg, &dataset);
         let rounds = cfg.epochs * shards.steps;
         let mut model = spec.initial_model();
-        let mut sender = RoundSender::new(self.addr, node, spec.link, spec.retry);
+        let mut sender = RoundSender::new(self.addr, node, spec.link, RETRY);
         let mut iter = if self.join { join_handshake(&mut sender, &mut model)? } else { 0 };
         while iter < rounds {
             let step = iter % shards.steps;
@@ -635,7 +635,7 @@ mod tests {
         let worker = std::thread::spawn(move || {
             stale.set_read_timeout(Some(spec.link.read_timeout() * 2)).unwrap();
             let _ = std::io::Read::read(&mut stale, &mut [0]);
-            let mut sender = RoundSender::new(addr, 1, spec.link, spec.retry);
+            let mut sender = RoundSender::new(addr, 1, spec.link, RETRY);
             let mut caught = Vec::new();
             let resume = join_handshake(&mut sender, &mut caught).unwrap();
             (resume, caught, stream(addr, 1, 4, true, &joiner_partial))

@@ -72,6 +72,10 @@ impl Wire {
     }
 }
 
+/// Wall milliseconds per unit of the virtual-time [`RetryPolicy`]
+/// backoff curve when it paces reconnects.
+const BACKOFF_UNIT_MS: u64 = 20;
+
 /// One supervised sender link, named by the worker-side `node` id. The
 /// connection outlives the exchange: the next one reuses it.
 #[derive(Debug)]
@@ -184,7 +188,7 @@ impl RoundSender {
     /// until it succeeds or the budget exhausts. A failed attempt's
     /// socket is dropped cold; each reconnect is booked and waits out
     /// the virtual-time [`RetryPolicy`] curve, scaled to wall
-    /// milliseconds by the link's backoff unit.
+    /// milliseconds by [`BACKOFF_UNIT_MS`].
     pub(super) fn supervise<T>(
         &mut self,
         stats: &mut TransportStats,
@@ -197,7 +201,7 @@ impl RoundSender {
                 stats.reconnects += 1;
                 let units = self.retry.delay(attempt - 1);
                 thread::sleep(Duration::from_millis(
-                    (units * self.link.backoff_unit_ms as f64).round() as u64,
+                    (units * BACKOFF_UNIT_MS as f64).round() as u64
                 ));
             }
             let outcome = self.armed(attempt).and_then(|wire| exchange(wire, attempt, &mut *stats));

@@ -109,7 +109,7 @@ impl JobArrivalPlan {
         let mut out = Vec::with_capacity(jobs);
         let mut clock = 0.0_f64;
         for id in 0..jobs {
-            clock += unit(&mut rng) * 2.0 * profile.mean_interarrival_s.max(0.0);
+            clock += rng.unit() * 2.0 * profile.mean_interarrival_s.max(0.0);
             let family = draw(&mut rng, (0, profile.family_count.saturating_sub(1)));
             let min_nodes = draw(&mut rng, profile.min_nodes).max(1);
             let max_nodes = draw(&mut rng, profile.max_nodes).max(min_nodes);
@@ -120,7 +120,7 @@ impl JobArrivalPlan {
             // differ visibly, drawn from one PRNG step.
             let weight = [1.0, 1.0, 2.0, 4.0][draw(&mut rng, (0, 3))];
             let sla_factor =
-                profile.sla_slack.map(|(lo, hi)| lo + unit(&mut sla_rng) * (hi - lo).max(0.0));
+                profile.sla_slack.map(|(lo, hi)| lo + sla_rng.unit() * (hi - lo).max(0.0));
             out.push(JobArrival {
                 id,
                 arrival_s: clock,
@@ -136,11 +136,6 @@ impl JobArrivalPlan {
         }
         JobArrivalPlan { seed, jobs: out }
     }
-}
-
-/// Uniform draw in `[0, 1)` from one PRNG step (53 mantissa bits).
-fn unit(rng: &mut SplitMix64) -> f64 {
-    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Uniform integer draw in the inclusive range `lo..=hi` (one step;

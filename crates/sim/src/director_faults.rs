@@ -106,14 +106,14 @@ impl DirectorFaultPlan {
         let mut plan = DirectorFaultPlan { seed, events: Vec::new(), poison: Vec::new() };
         let horizon = horizon_s.max(0.0);
         for _ in 0..rates.job_crashes {
-            let at_s = unit(&mut rng) * horizon;
+            let at_s = rng.unit() * horizon;
             let job = index(&mut rng, jobs);
             plan.events
                 .push(DirectorFaultEvent { at_s, kind: DirectorFaultKind::JobCrash { job } });
         }
         let (w_lo, w_hi) = rates.slab_width;
         for _ in 0..rates.slab_failures {
-            let at_s = unit(&mut rng) * horizon;
+            let at_s = rng.unit() * horizon;
             let len = (w_lo + index(&mut rng, w_hi.saturating_sub(w_lo) + 1)).max(1);
             let lo = index(&mut rng, cluster_nodes.saturating_sub(len).max(1));
             plan.events.push(DirectorFaultEvent {
@@ -171,11 +171,6 @@ impl Default for DirectorFaultRates {
             poison_jobs: 1,
         }
     }
-}
-
-/// Uniform draw in `[0, 1)` from one PRNG step (53 mantissa bits).
-fn unit(rng: &mut SplitMix64) -> f64 {
-    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Uniform index draw in `0..n` (one step; `n = 0` yields 0).

@@ -635,11 +635,15 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
+    /// Uniform draw in `[0, 1)` from one PRNG step (53 mantissa bits).
+    pub(crate) fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
     /// Bernoulli draw; always consumes exactly one PRNG step so event
     /// streams stay aligned across probability changes.
     fn chance(&mut self, p: f64) -> bool {
-        let draw = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        draw < p
+        self.unit() < p
     }
 }
 

@@ -141,7 +141,6 @@ fn straggler_past_deadline_is_excluded_with_exact_survivor_average() {
         aggregation: Aggregation::Average,
         // 10x nominal compute against a 4x deadline: node 3 is late.
         faults: FaultPlan::none().straggle(3, 0, 10.0),
-        deadline_factor: 4.0,
         ..ClusterConfig::default()
     };
     let trainer = ClusterTrainer::new(cfg.clone()).expect("valid config");
@@ -224,7 +223,6 @@ fn trace_summary_reproduces_iteration_breakdown_for_every_benchmark() {
         retry_backoff_s: 250e-6,
         straggler_rate: 0.05,
         straggler_slowdown: 8.0,
-        deadline_factor: 4.0,
         sigma_failover_rate: 0.005,
         failover_penalty_s: 5e-3,
         reschedule_penalty_s: 1e-3,
