@@ -1,11 +1,11 @@
-//! Property-based contracts of the wire codecs: dense identity,
-//! fixed-point round-trip error inside the analytic grid bound, top-k
-//! coordinate conservation, decoders that are total on arbitrary
-//! bytes, and cross-strategy agreement of the schedule execution under
-//! each repr's own decode.
+//! Property-based contracts of the wire codecs: fixed-point round-trip
+//! error inside the analytic grid bound, top-k coordinate conservation,
+//! word-format readers that are total on arbitrary words and declared
+//! lengths, and byte pricing of every schedule under each repr.
 
 use cosmic_collectives::codec::{
-    declared_words, decode_tagged, derive_scale, CodecError, WireRepr, WORD_BYTES,
+    derive_scale, grid_bytes, read_grid, read_sparse, write_grid, write_sparse, CodecError,
+    WireRepr, WORD_BYTES,
 };
 use cosmic_collectives::topology::{assign_roles, default_groups};
 use cosmic_collectives::CollectiveKind;
@@ -18,21 +18,6 @@ fn finite_words(max: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    /// Dense encode→decode is the bit-exact identity — on *every* bit
-    /// pattern, NaNs and infinities included — and its wire size obeys
-    /// the size law every layer prices with.
-    #[test]
-    fn dense_round_trip_is_bit_exact(bits in prop::collection::vec(0u64..u64::MAX, 0..200)) {
-        let data: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let repr = WireRepr::DenseF64;
-        let (enc, stats) = repr.encode(&data);
-        prop_assert_eq!(enc.bytes.len(), repr.payload_bytes(data.len()));
-        prop_assert_eq!(enc.bytes.len() as u64, stats.wire_bytes);
-        let back = repr.decode(&enc.bytes).expect("dense decodes");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&back), bits(&data));
-    }
-
     /// Fixed-point round-trip error is bounded by half a grid step,
     /// `2^-(e+1)` at the payload's derived scale `e` — the analytic
     /// bound DESIGN.md documents — for every non-clipping payload.
@@ -54,63 +39,79 @@ proptest! {
         }
     }
 
-    /// Top-k transmits exactly `min(k, words)` coordinates — the wire
-    /// size says so — and decode reproduces the kept values bit-exactly
-    /// while zeroing every dropped coordinate.
+    /// Top-k transmits exactly `min(k, words)` coordinates — the
+    /// writer's byte length says so — and the reader reproduces the
+    /// kept values bit-exactly while zeroing every dropped coordinate.
     #[test]
     fn top_k_conserves_exactly_k_coordinates(
         data in finite_words(200),
         k in 1usize..32,
     ) {
         let repr = WireRepr::TopK { k };
-        let (enc, stats) = repr.encode(&data);
+        let data = [&data[..], &[0.75]].concat(); // an empty payload writes nothing
+        let (transformed, stats) = repr.transform(&data);
         let kept = k.min(data.len());
-        prop_assert_eq!(enc.bytes.len(), repr.payload_bytes(data.len()));
-        if !data.is_empty() {
-            // The documented size law: 8-byte header + 12 bytes
-            // (u32 index + f64 value) per transmitted coordinate.
-            prop_assert_eq!(enc.bytes.len(), 8 + kept * 12);
-        }
         prop_assert_eq!(stats.dropped as usize, data.len() - kept);
-
-        let back = repr.decode(&enc.bytes).expect("top-k decodes");
-        prop_assert_eq!(back.len(), data.len());
-        let (transformed, _) = repr.transform(&data);
+        let coords = transformed.iter().enumerate().filter(|(_, v)| v.to_bits() != 0);
+        let mut list = Vec::new();
+        let len = write_sparse(data.len(), coords.map(|(i, &v)| (i as u32, v)), &mut list);
+        // The documented size law: 8-byte header + 12 bytes (u32 index
+        // + f64 value) per transmitted coordinate.
+        let nonzero = transformed.iter().filter(|v| **v != 0.0).count();
+        prop_assert_eq!(len, 8 + nonzero * 12);
+        prop_assert!(nonzero <= kept, "at most k non-zeros travel");
+        prop_assert_eq!(list.len(), len.div_ceil(WORD_BYTES));
+        let back = read_sparse(&list, len, data.len()).expect("the writer's words read back");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&back), bits(&transformed));
-        let nonzero = back.iter().filter(|v| **v != 0.0).count();
-        prop_assert!(nonzero <= kept, "decode reconstructs at most k non-zeros");
     }
 
-    /// `decode_tagged` is total: arbitrary bytes under every tag (and
-    /// one past the last) are words or a typed error, never a panic —
-    /// and whatever decodes is the length its header declared.
+    /// Both readers are total: arbitrary words under an arbitrary
+    /// declared byte length are a typed error or a payload of exactly
+    /// the declared length, never a panic, and a declaration over the
+    /// cap is refused as such before anything is sized from it.
     #[test]
-    fn decoders_are_total_on_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..96),
+    fn readers_are_total_on_arbitrary_words(
+        words in prop::collection::vec(any::<u64>(), 0..12),
+        len in 0usize..100,
         small in any::<u8>(),
+        cap in 0usize..40,
     ) {
-        // Arbitrary bytes rarely spell a plausible header: also try
+        // Arbitrary words rarely spell a plausible header: also try
         // them behind a small word count in the header's count field.
-        let mut headed = bytes.clone();
-        if let Some(count) = headed.get_mut(4..8) {
-            count.copy_from_slice(&u32::from(small % 24).to_le_bytes());
+        let mut headed = words.clone();
+        if let Some(header) = headed.first_mut() {
+            *header = (*header & 0xFFFF_FFFF) | u64::from(small % 24) << 32;
         }
-        for tag in 0..4 {
-            for candidate in [&bytes, &headed] {
-                if let Ok(words) = decode_tagged(tag, candidate) {
-                    prop_assert_eq!(Ok(words.len()), declared_words(tag, candidate));
+        for candidate in [&words, &headed] {
+            let data: Vec<f64> = candidate.iter().map(|&w| f64::from_bits(w)).collect();
+            let declared = candidate.first().map_or(0, |h| (h >> 32) as usize);
+            match read_sparse(&data, len, cap) {
+                Ok(out) => prop_assert_eq!(out.len(), declared),
+                Err(CodecError::Oversized { words, .. }) => prop_assert!(words > cap),
+                Err(_) => {}
+            }
+            match read_grid(&data, cap) {
+                Ok((_, n)) => {
+                    prop_assert_eq!(n, declared);
+                    prop_assert_eq!(data.len(), grid_bytes(n).div_ceil(WORD_BYTES));
                 }
+                Err(CodecError::Oversized { words, .. }) => prop_assert!(words > cap),
+                Err(_) => {}
+            }
+            if declared > cap && !data.is_empty() {
+                let oversized = Err(CodecError::Oversized { words: declared, cap });
+                prop_assert_eq!(read_grid(&data, cap), oversized);
             }
         }
     }
 
-    /// The fixed-point header is read strictly: from a valid payload,
-    /// any one byte of the header changed, or any bytes cut or added at
-    /// the end, decodes to a typed error or — for the few header values
-    /// that are themselves valid — to exactly the declared words.
+    /// The grid header is read strictly: from a valid grid, any one
+    /// byte of the header word changed, or any words cut or added at
+    /// the end, reads as a typed error or — for the few header values
+    /// that are themselves valid — exactly the declared word count.
     #[test]
-    fn fixed_point_decode_is_strict_about_its_header_and_length(
+    fn grid_reader_is_strict_about_its_header_and_length(
         data in finite_words(40),
         frac_bits in 0u8..63,
         at in 0usize..8,
@@ -118,16 +119,17 @@ proptest! {
         grow in 0usize..6,
         cut in 0usize..6,
     ) {
-        let repr = WireRepr::FixedPoint { frac_bits };
-        let data = [&data[..], &[0.75]].concat(); // an empty payload has no header
-        let (enc, _) = repr.encode(&data);
-        prop_assert_eq!(repr.decode(&enc.bytes).map(|w| w.len()), Ok(data.len()));
-        let mut bent = enc.bytes.clone();
-        let was = std::mem::replace(&mut bent[at], to);
-        match (at, decode_tagged(repr.tag(), &bent)) {
-            (_, Ok(words)) => {
+        let mut grid = Vec::new();
+        write_grid(&data, derive_scale(&data, frac_bits), &mut grid);
+        prop_assert_eq!(read_grid(&grid, usize::MAX).map(|(_, n)| n), Ok(data.len()));
+        let mut bytes = grid[0].to_bits().to_le_bytes();
+        let was = std::mem::replace(&mut bytes[at], to);
+        let mut bent = grid.clone();
+        bent[0] = f64::from_bits(u64::from_le_bytes(bytes));
+        match (at, read_grid(&bent, usize::MAX)) {
+            (_, Ok((_, n))) => {
                 prop_assert!(to == was || (at == 0 && to <= 62), "byte {at}: {was} -> {to}");
-                prop_assert_eq!(words.len(), data.len());
+                prop_assert_eq!(n, data.len());
             }
             (0..=3, Err(err)) => {
                 let is_bad_header = matches!(err, CodecError::BadHeader { .. });
@@ -138,17 +140,17 @@ proptest! {
                 prop_assert!(is_length, "{err}");
             }
         }
-        let mut long = enc.bytes.clone();
-        long.extend(std::iter::repeat_n(0, grow));
-        let expected = enc.bytes.len();
+        let mut long = grid.clone();
+        long.extend(std::iter::repeat_n(0.0, grow));
+        let expected = WORD_BYTES * grid.len();
         prop_assert_eq!(
-            decode_tagged(repr.tag(), &long).err(),
-            (grow > 0).then_some(CodecError::Trailing { expected, got: expected + grow })
+            read_grid(&long, usize::MAX).err(),
+            (grow > 0).then_some(CodecError::Trailing { expected, got: expected + WORD_BYTES * grow })
         );
-        let short = &enc.bytes[..expected - cut.min(expected)];
-        if cut > 0 && !short.is_empty() {
+        let short = &grid[..grid.len() - cut.min(grid.len() - 1)];
+        if cut > 0 && short.len() < grid.len() {
             let is_truncated =
-                matches!(decode_tagged(repr.tag(), short), Err(CodecError::Truncated { .. }));
+                matches!(read_grid(short, usize::MAX), Err(CodecError::Truncated { .. }));
             prop_assert!(is_truncated);
         }
     }

@@ -57,13 +57,23 @@ impl ExecModel {
         spec: &JobSpec,
         carve: &CarveOut,
     ) -> Result<f64, DirectorError> {
+        self.round_s(carve, spec.minibatch, spec.exchange_bytes())
+    }
+
+    /// [`ExecModel::round_cost_s`] of a `minibatch`-record round
+    /// exchanging `exchange_bytes` a node.
+    fn round_s(
+        &mut self,
+        carve: &CarveOut,
+        minibatch: usize,
+        exchange_bytes: usize,
+    ) -> Result<f64, DirectorError> {
         let p = carve.live().max(1);
         let logical = carve.width().max(1);
         let share = logical.div_ceil(p) as f64;
-        let compute_s = (spec.minibatch as f64 / logical as f64) / NODE.records_per_sec * share;
-        let pcie_s =
-            ClusterTiming::pcie().transfer_ns(2 * spec.exchange_bytes()) as f64 * 1e-9 * share;
-        let net_s = self.net_s(carve, spec.exchange_bytes())?;
+        let compute_s = (minibatch as f64 / logical as f64) / NODE.records_per_sec * share;
+        let pcie_s = ClusterTiming::pcie_round_s(exchange_bytes) * share;
+        let net_s = self.net_s(carve, exchange_bytes)?;
         Ok(compute_s + pcie_s + net_s + ClusterTiming::MANAGEMENT_S)
     }
 
@@ -159,24 +169,33 @@ mod tests {
     /// cluster: on a fully funded carve (the topology
     /// `ClusterTiming::commodity(w, default_groups(w))` builds), the
     /// executor's network seconds are the timing model's aggregation
-    /// plus broadcast under the same collective.
+    /// plus broadcast under the same collective, and its whole round —
+    /// compute, PCIe, network and management — is the model's total.
     #[test]
     fn a_full_width_round_prices_as_the_timing_model_does() {
+        const MINIBATCH: usize = 10_000;
         for width in [2, 3, 8, 16, 33, 64] {
             let carve = CarveOut::new(0, width, &(0..width).collect::<Vec<_>>()).unwrap();
             let timing = ClusterTiming::commodity(width, groups_for(width));
             for exchange_bytes in [8, 4096, 100_000, 2_400_000] {
                 let mut exec = ExecModel::new(1);
                 let net_s = exec.net_s(&carve, exchange_bytes).unwrap();
+                let round_s = exec.round_s(&carve, MINIBATCH, exchange_bytes).unwrap();
                 let it = timing
-                    .model(10_000, NODE, exchange_bytes)
+                    .model(MINIBATCH, NODE, exchange_bytes)
                     .with_collective(COLLECTIVE)
                     .evaluate()
                     .unwrap();
                 let model_s = it.aggregate_s + it.broadcast_s;
+                let case = format!("width {width}, {exchange_bytes} B");
                 assert!(
                     (net_s - model_s).abs() <= 1e-12 * model_s,
-                    "width {width}, {exchange_bytes} B: executor {net_s} vs timing {model_s}"
+                    "{case}: executor network {net_s} vs timing {model_s}"
+                );
+                assert!(
+                    (round_s - it.total_s()).abs() <= 1e-12 * it.total_s(),
+                    "{case}: executor round {round_s} vs timing {}",
+                    it.total_s()
                 );
             }
         }

@@ -5,7 +5,8 @@
 //! the job through real sockets, and prints a one-line JSON summary.
 //! Worker mode (`--worker N --addr HOST:PORT`) is what those
 //! re-executions run. See `cosmic_runtime::transport::proc` for the
-//! protocol.
+//! protocol; `JobSpec::flags` and `JobSpec::set_flag` own the job's
+//! flags.
 //!
 //! ```text
 //! cosmic-launcher --nodes 3 --iterations 12 --samples 240 --seed 11 \
@@ -49,23 +50,13 @@ fn parse_args() -> Result<Mode, String> {
             continue;
         }
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        if spec.set_flag(&flag, &value)? {
+            continue;
+        }
         let bad = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
         match flag.as_str() {
             "--worker" => worker = Some(value.parse().map_err(|e| bad(&e))?),
             "--addr" => addr = Some(value.parse().map_err(|e| bad(&e))?),
-            "--nodes" => spec.nodes = value.parse().map_err(|e| bad(&e))?,
-            "--iterations" => spec.iterations = value.parse().map_err(|e| bad(&e))?,
-            "--samples" => spec.samples = value.parse().map_err(|e| bad(&e))?,
-            "--seed" => spec.seed = value.parse().map_err(|e| bad(&e))?,
-            "--features" => spec.features = value.parse().map_err(|e| bad(&e))?,
-            "--lr" => spec.learning_rate = value.parse().map_err(|e| bad(&e))?,
-            "--checkpoint-every" => spec.checkpoint_every = value.parse().map_err(|e| bad(&e))?,
-            "--read-timeout-ms" => {
-                spec.link.read_timeout_ms = value.parse().map_err(|e| bad(&e))?
-            }
-            "--connect-timeout-ms" => {
-                spec.link.connect_timeout_ms = value.parse().map_err(|e| bad(&e))?;
-            }
             "--kill" => {
                 let (n, i) = value
                     .split_once(':')

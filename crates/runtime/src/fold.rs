@@ -16,6 +16,8 @@
 //! on every input, NaNs and signed zeros included. The proptests in
 //! [`crate::node`] and `tests/` hold that line.
 
+use cosmic_collectives::codec::grid_values;
+
 /// Words per sweep block of the fused kernel: 8 KiB of f64s, sized to
 /// sit comfortably in L1 alongside one peer block.
 const BLOCK_WORDS: usize = 1024;
@@ -101,17 +103,6 @@ pub fn fold_parts_i64_reference(sum: &mut [i64], parts: &[&[i32]]) {
     }
 }
 
-/// Two `i32` values as one packed word of a grid chunk (`Layout::Grid`):
-/// low half first.
-pub(crate) fn pack_pair(low: i32, high: i32) -> f64 {
-    f64::from_bits(u64::from(low as u32) | u64::from(high as u32) << 32)
-}
-
-/// The `i32` values of packed words, [`pack_pair`] undone.
-fn quanta(packed: &[f64]) -> impl Iterator<Item = i32> + '_ {
-    packed.iter().flat_map(|word| [word.to_bits() as i32, (word.to_bits() >> 32) as i32])
-}
-
 /// Fused integer fold: the same single-sweep blocked traversal as
 /// [`fold_parts`], accumulating i32 quantized values — read where the
 /// wire left them, packed two to a word — into i64: the fold under
@@ -161,13 +152,13 @@ pub(crate) fn fold_grid_stripe(acc: &mut [i64], parts: &[(&[f64], u8)]) -> u8 {
     for &(packed, scale_exp) in parts {
         if scale_exp <= grid {
             let up = grid - scale_exp;
-            for (sum, q) in acc.iter_mut().zip(quanta(packed)) {
+            for (sum, q) in acc.iter_mut().zip(grid_values(packed)) {
                 *sum += i64::from(q) << up;
             }
         } else {
             let down = scale_exp - grid;
             let half = 1i64 << (down - 1);
-            for (sum, q) in acc.iter_mut().zip(quanta(packed)) {
+            for (sum, q) in acc.iter_mut().zip(grid_values(packed)) {
                 let q = i64::from(q);
                 *sum += ((q.abs() + half) >> down) * q.signum();
             }
@@ -193,7 +184,7 @@ fn add_lanes_i64(dst: &mut [i64], packed: &[f64]) {
         d[6] += low(s[3]);
         d[7] += high(s[3]);
     }
-    for (d, q) in tail_d.iter_mut().zip(quanta(tail_s)) {
+    for (d, q) in tail_d.iter_mut().zip(grid_values(tail_s)) {
         *d += i64::from(q);
     }
 }
@@ -219,7 +210,11 @@ mod tests {
     /// `values` as a grid chunk carries them: two to a word, low half
     /// first, a ragged last word zero-padded.
     fn pack(values: &[i32]) -> Vec<f64> {
-        values.chunks(2).map(|pair| pack_pair(pair[0], pair.get(1).copied().unwrap_or(0))).collect()
+        let word = |low: i32, high: i32| u64::from(low as u32) | u64::from(high as u32) << 32;
+        values
+            .chunks(2)
+            .map(|p| f64::from_bits(word(p[0], p.get(1).copied().unwrap_or(0))))
+            .collect()
     }
 
     #[test]

@@ -21,9 +21,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cosmic_collectives::codec::{
-    dequantize_sum, derive_scale, fixed_header, parse_fixed_header, quantize_into,
-};
+use cosmic_collectives::codec::{dequantize_sum, derive_scale, read_grid, write_grid};
 use cosmic_collectives::{payload_digest, Fnv1a};
 use crossbeam::channel::Receiver;
 
@@ -38,9 +36,8 @@ pub enum Layout {
     /// One f64 model word per payload word.
     #[default]
     Dense,
-    /// A fixed-point grid exactly as the wire carries it: the codec's
-    /// header word (`scale_exp`, `words`), then the `i32` values packed
-    /// two to a word, low half first, a ragged last word zero-padded.
+    /// A fixed-point grid exactly as the wire carries it: the words
+    /// `codec::write_grid` writes and `codec::read_grid` parses.
     Grid,
 }
 
@@ -114,14 +111,10 @@ impl Chunk {
             }
     }
 
-    /// A grid chunk's `(scale_exp, words)`, if its header is one the
-    /// codec writes and `data` is exactly the words it declares: header,
-    /// `⌈words / 2⌉` packed words, zero padding in a ragged last one.
+    /// A grid chunk's `(scale_exp, words)`, if `data` is a grid
+    /// (`read_grid`).
     pub(crate) fn grid_header(&self) -> Option<(u8, usize)> {
-        let (header, packed) = self.data.split_first()?;
-        let (scale_exp, words) = parse_fixed_header(header.to_bits().to_le_bytes()).ok()?;
-        let padded = words % 2 == 1 && packed.last().is_some_and(|w| w.to_bits() >> 32 != 0);
-        (packed.len() == words.div_ceil(2) && !padded).then_some((scale_exp, words))
+        read_grid(&self.data, usize::MAX).ok()
     }
 
     /// Returns the chunk with its payload damaged and the checksum left
@@ -161,7 +154,7 @@ pub fn chunk_vector(values: &[f64]) -> Vec<Chunk> {
 }
 
 /// [`chunk_vector`] for a fixed-point round: one [`derive_scale`] over
-/// the partial, one [`pack_stripe`] per stripe, and every stripe a view
+/// the partial, one [`write_grid`] per stripe, and every stripe a view
 /// of one arena. Returns the chunks and how many values saturated.
 pub(crate) fn grid_chunks(values: &[f64], frac_bits: u8) -> (Vec<Chunk>, u64) {
     const STRIDE: usize = 1 + CHUNK_WORDS / 2; // a full stripe's header and pairs
@@ -169,31 +162,13 @@ pub(crate) fn grid_chunks(values: &[f64], frac_bits: u8) -> (Vec<Chunk>, u64) {
     let mut arena = Vec::with_capacity(chunk_count(values.len()) * STRIDE);
     let mut clipped = 0;
     for stripe in values.chunks(CHUNK_WORDS) {
-        clipped += pack_stripe(stripe, scale_exp, &mut arena);
+        clipped += write_grid(stripe, scale_exp, &mut arena);
     }
     let arena = WordBuf::from_vec(arena);
     let chunks = values.chunks(CHUNK_WORDS).enumerate().map(|(i, stripe)| {
         Chunk::grid(i * CHUNK_WORDS, arena.slice(i * STRIDE, 1 + stripe.len().div_ceil(2)))
     });
     (chunks.collect(), clipped)
-}
-
-/// The only place a gradient word is quantized: one [`quantize_into`]
-/// pass over `stripe`, a cache-resident block at a time, appended to
-/// `words` as a grid chunk carries it — header word, then the values
-/// packed two to a word. Returns how many values saturated.
-fn pack_stripe(stripe: &[f64], scale_exp: u8, words: &mut Vec<f64>) -> u64 {
-    words.push(f64::from_bits(u64::from_le_bytes(fixed_header(scale_exp, stripe.len()))));
-    let mut grid = [0i32; 512];
-    let mut clipped = 0;
-    for block in stripe.chunks(grid.len()) {
-        let grid = &mut grid[..block.len()];
-        clipped += quantize_into(block, scale_exp, grid);
-        let mut pairs = grid.chunks_exact(2);
-        words.extend(pairs.by_ref().map(|pair| fold::pack_pair(pair[0], pair[1])));
-        words.extend(pairs.remainder().first().map(|&last| fold::pack_pair(last, 0)));
-    }
-    clipped
 }
 
 /// Why a peer's stream was quarantined.
@@ -338,7 +313,7 @@ impl Stage {
         *slot = Some(match self.quantize_at {
             Some(scale_exp) if chunk.layout == Layout::Dense => {
                 let mut words = Vec::with_capacity(1 + len.div_ceil(2));
-                pack_stripe(&chunk.data, scale_exp, &mut words);
+                write_grid(&chunk.data, scale_exp, &mut words);
                 Chunk::grid(offset, WordBuf::from_vec(words))
             }
             _ => chunk,
@@ -493,7 +468,7 @@ impl SigmaAggregator {
     /// [`SigmaAggregator::aggregate_validated`] over dense streams, with
     /// every validated chunk re-expressed on arrival, as it is staged,
     /// as the grid chunk a fixed-point sender at the shared `scale_exp`
-    /// would have sent (`pack_stripe`), and from there the same integer
+    /// would have sent (`write_grid`), and from there the same integer
     /// fold. Layout is judged as delivered: a stream that mixes grid
     /// chunks in is corrupt here as everywhere. The engine sends grids;
     /// this entry point serves the benchmark rung
@@ -867,8 +842,9 @@ mod tests {
             assert!(chunk.is_intact());
             assert!(chunk.data.shares_allocation(&chunks[0].data), "one arena");
             let mut grid = vec![0; stripe.len()];
-            quantize_into(stripe, scale_exp, &mut grid);
-            let mut expect = fixed_header(scale_exp, stripe.len()).to_vec();
+            cosmic_collectives::codec::quantize_into(stripe, scale_exp, &mut grid);
+            let mut expect = vec![scale_exp, 0, 0, 0];
+            expect.extend((stripe.len() as u32).to_le_bytes());
             expect.extend(grid.iter().flat_map(|q| q.to_le_bytes()));
             let carried: Vec<u8> =
                 chunk.data.iter().flat_map(|w| w.to_bits().to_le_bytes()).collect();

@@ -319,6 +319,13 @@ impl ClusterTiming {
         PcieModel::gen3_x8()
     }
 
+    /// Seconds of PCIe in one node's round on an `exchange_bytes`
+    /// partial: its readback and the model's write, two transfers of
+    /// one DMA setup each.
+    pub fn pcie_round_s(exchange_bytes: usize) -> f64 {
+        2.0 * Self::pcie().transfer_ns(exchange_bytes) as f64 / 1e9
+    }
+
     /// The System Director's topology for this cluster.
     ///
     /// Errors when the group structure cannot be built over the node
@@ -369,8 +376,7 @@ impl ClusterTiming {
         let records_per_node = minibatch as f64 / self.nodes as f64;
         let compute_s = records_per_node / node.records_per_sec;
 
-        // Partial readback + model write over PCIe.
-        let pcie_s = 2.0 * Self::pcie().transfer_ns(exchange_bytes) as f64 / 1e9;
+        let pcie_s = Self::pcie_round_s(exchange_bytes);
 
         // Level 1: every group Sigma absorbs its members' partials; the
         // circular-buffer pipeline overlaps folding with reception.

@@ -44,11 +44,9 @@ use super::{LinkConfig, TransportKind, TransportStats};
 
 /// Everything both halves of the launcher agree on: the job and the
 /// wire deadlines. A worker receives every field but
-/// `checkpoint_every` on its command line (`--nodes`, `--iterations`,
-/// `--samples`, `--seed`, `--features`, `--lr`, `--read-timeout-ms`,
-/// `--connect-timeout-ms`, beside its own `--worker`, `--addr` and, on
-/// a respawn, `--join`), so both sides derive identical data and
-/// models.
+/// `checkpoint_every` on its command line, as [`JobSpec::flags`]
+/// renders them and [`JobSpec::set_flag`] parses them, so both sides
+/// derive identical data and models.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Worker process count.
@@ -104,6 +102,46 @@ impl JobSpec {
             link: self.link,
             ..ClusterConfig::default()
         }
+    }
+
+    /// The command-line flags a worker receives — every field but
+    /// `checkpoint_every` — in the order it receives them.
+    pub fn flags(&self) -> [(&'static str, String); 8] {
+        [
+            ("--nodes", self.nodes.to_string()),
+            ("--iterations", self.iterations.to_string()),
+            ("--samples", self.samples.to_string()),
+            ("--seed", self.seed.to_string()),
+            ("--features", self.features.to_string()),
+            ("--lr", self.learning_rate.to_string()),
+            ("--read-timeout-ms", self.link.read_timeout_ms.to_string()),
+            ("--connect-timeout-ms", self.link.connect_timeout_ms.to_string()),
+        ]
+    }
+
+    /// Sets the field `flag` names — one of [`JobSpec::flags`], or
+    /// `--checkpoint-every` — from `value`. `Ok(false)` when `flag`
+    /// names no field; a value that does not parse is an error.
+    pub fn set_flag(&mut self, flag: &str, value: &str) -> Result<bool, String> {
+        fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            value.parse().map_err(|e| format!("{flag} {value}: {e}"))
+        }
+        match flag {
+            "--nodes" => self.nodes = parse(flag, value)?,
+            "--iterations" => self.iterations = parse(flag, value)?,
+            "--samples" => self.samples = parse(flag, value)?,
+            "--seed" => self.seed = parse(flag, value)?,
+            "--features" => self.features = parse(flag, value)?,
+            "--lr" => self.learning_rate = parse(flag, value)?,
+            "--checkpoint-every" => self.checkpoint_every = parse(flag, value)?,
+            "--read-timeout-ms" => self.link.read_timeout_ms = parse(flag, value)?,
+            "--connect-timeout-ms" => self.link.connect_timeout_ms = parse(flag, value)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// The job's algorithm.
@@ -239,21 +277,11 @@ impl Coordinator {
         let failed =
             |detail: String| RuntimeError::TransportFailed { peer: node, attempts: 0, detail };
         let exe = std::env::current_exe().map_err(|e| failed(format!("current_exe: {e}")))?;
-        let s = &self.spec;
-        let args = [
-            ("--worker", node.to_string()),
-            ("--addr", self.addr().to_string()),
-            ("--nodes", s.nodes.to_string()),
-            ("--iterations", s.iterations.to_string()),
-            ("--samples", s.samples.to_string()),
-            ("--seed", s.seed.to_string()),
-            ("--features", s.features.to_string()),
-            ("--lr", s.learning_rate.to_string()),
-            ("--read-timeout-ms", s.link.read_timeout_ms.to_string()),
-            ("--connect-timeout-ms", s.link.connect_timeout_ms.to_string()),
-        ];
+        let own = [("--worker", node.to_string()), ("--addr", self.addr().to_string())];
         let mut cmd = Command::new(exe);
-        cmd.args(args.iter().flat_map(|(flag, value)| [*flag, value.as_str()]));
+        for (flag, value) in own.into_iter().chain(self.spec.flags()) {
+            cmd.args([flag, value.as_str()]);
+        }
         if join {
             cmd.arg("--join");
         }
@@ -579,6 +607,29 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A worker's flags parse back into the spec they were rendered
+    /// from, every field but `checkpoint_every`, which is not sent.
+    #[test]
+    fn worker_flags_round_trip_through_the_spec() {
+        let sent = JobSpec {
+            nodes: 7,
+            iterations: 30,
+            samples: 1001,
+            seed: u64::MAX - 3,
+            features: 13,
+            learning_rate: 0.1 + 0.2,
+            checkpoint_every: 9,
+            link: LinkConfig { read_timeout_ms: 1234, connect_timeout_ms: 567 },
+        };
+        let mut got = JobSpec::default();
+        for (flag, value) in sent.flags() {
+            assert_eq!(got.set_flag(flag, &value), Ok(true), "{flag}");
+        }
+        assert_eq!(got, JobSpec { checkpoint_every: got.checkpoint_every, ..sent });
+        assert_eq!(got.set_flag("--worker", "0"), Ok(false));
+        assert!(got.set_flag("--lr", "fast").is_err());
     }
 
     /// Workers shard by the engine's rule: one step covers each node's

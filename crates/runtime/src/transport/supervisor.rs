@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cosmic_collectives::codec::{encode_wire, WireRepr};
+use cosmic_collectives::codec::WireRepr;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
@@ -91,9 +91,9 @@ pub(crate) struct RoundSender {
     /// Wire representation of the round: on a dense wire dense chunks
     /// travel as plain [`FrameKind::Chunk`] frames (the historical
     /// wire, byte-identical); grid chunks ride [`FrameKind::Encoded`]
-    /// verbatim, and dense chunks on any other wire as their non-zero
-    /// words (`encode_wire`: lossless for the sparsified chunks of a
-    /// top-k round).
+    /// verbatim, and dense chunks on any other wire as the coordinate
+    /// list of their non-zero words (`Frame::sparse_chunk`: lossless
+    /// for the sparsified chunks of a top-k round).
     pub repr: WireRepr,
     wire: Option<Wire>,
 }
@@ -153,9 +153,7 @@ impl RoundSender {
                 let mut bytes = match (chunk.layout, repr) {
                     (Layout::Grid, _) => Frame::grid_chunk(node, iteration, chunk),
                     (Layout::Dense, WireRepr::DenseF64) => Frame::chunk(node, iteration, chunk),
-                    (Layout::Dense, _) => {
-                        Frame::sparse_chunk(node, iteration, chunk, &encode_wire(&chunk.data))
-                    }
+                    (Layout::Dense, _) => Frame::sparse_chunk(node, iteration, chunk),
                 }
                 .encode();
                 if shim.frame_corrupted(attempt, ci) {

@@ -25,7 +25,8 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use cosmic_collectives::codec::{
-    declared_words, decode_tagged, exact_len, parse_fixed_header, WireRepr, FIXED_TAG, SPARSE_TAG,
+    exact_len, grid_bytes, read_grid, read_sparse, write_sparse, CodecError, WireRepr, FIXED_TAG,
+    SPARSE_TAG,
 };
 use cosmic_collectives::{decode_with_digest, encode_with_digest, Fnv1a};
 
@@ -76,11 +77,10 @@ pub enum FrameKind {
     Shutdown = 8,
     /// One model chunk travelling in an encoded wire representation:
     /// `a` is the word offset, `b` packs the codec tag (bits 32..40)
-    /// above the encoded byte length (bits 0..32). Payload word 0 is
-    /// the staged chunk's own checksum — verbatim, so Sigma-level
-    /// validation survives the wire — followed by the codec bytes
-    /// packed eight to a word: a grid chunk's own words, or a sparse
-    /// chunk's non-zero coordinates.
+    /// above the codec byte length (bits 0..32). Payload word 0 is the
+    /// staged chunk's own checksum — verbatim, so Sigma-level
+    /// validation survives the wire — followed by the codec's words: a
+    /// grid chunk's own, or a sparse chunk's non-zero coordinates.
     Encoded = 9,
 }
 
@@ -182,58 +182,59 @@ impl Frame {
     }
 
     /// An [`FrameKind::Encoded`] frame for `chunk`: payload word 0 is
-    /// the chunk's own checksum, verbatim, then `codec` — `len` codec
-    /// bytes under wire tag `tag`, eight to a word.
+    /// the chunk's own checksum, verbatim, then what `write` appends —
+    /// codec words under wire tag `tag` — whose byte length it returns.
     fn encoded(
         node: u32,
         iteration: u64,
         chunk: &Chunk,
         tag: u8,
-        len: usize,
-        codec: impl Iterator<Item = f64>,
+        write: impl FnOnce(&mut Vec<f64>) -> usize,
     ) -> Self {
+        let mut payload = Vec::with_capacity(1 + chunk.data.len());
+        payload.push(f64::from_bits(chunk.checksum));
+        let len = write(&mut payload);
         Frame {
             kind: FrameKind::Encoded,
             node,
             iteration,
             a: chunk.offset as u64,
             b: (u64::from(tag) << 32) | len as u64,
-            payload: std::iter::once(f64::from_bits(chunk.checksum)).chain(codec).collect(),
+            payload: WordBuf::from_vec(payload),
         }
     }
 
-    /// Wraps a [`Layout::Grid`] chunk. It *is* its codec bytes — header
-    /// word, packed values — and ships as it stands behind its
-    /// checksum: nothing is re-derived on the way out.
+    /// Wraps a [`Layout::Grid`] chunk. It *is* its codec words and ships
+    /// as it stands behind its checksum: nothing is re-derived on the
+    /// way out.
     pub(crate) fn grid_chunk(node: u32, iteration: u64, chunk: &Chunk) -> Self {
         let words = chunk.grid_header().map_or(0, |(_, words)| words);
-        let codec = chunk.data.iter().copied();
-        Frame::encoded(node, iteration, chunk, FIXED_TAG, 8 + 4 * words, codec)
+        Frame::encoded(node, iteration, chunk, FIXED_TAG, |payload| {
+            payload.extend_from_slice(&chunk.data);
+            grid_bytes(words)
+        })
     }
 
-    /// Wraps a dense chunk as `bytes`, the top-k codec bytes its sender
-    /// encoded it to (every non-zero word of a sparsified chunk, so the
-    /// receiver decodes the chunk back bit for bit).
-    pub(crate) fn sparse_chunk(node: u32, iteration: u64, chunk: &Chunk, bytes: &[u8]) -> Self {
-        let words = bytes.chunks(8).map(|part| {
-            let mut w = [0u8; 8];
-            w[..part.len()].copy_from_slice(part);
-            f64::from_bits(u64::from_le_bytes(w))
-        });
-        Frame::encoded(node, iteration, chunk, SPARSE_TAG, bytes.len(), words)
+    /// Wraps a dense chunk as the coordinate list of every non-zero word
+    /// (a sparsified chunk's, so the receiver gets it back bit for bit).
+    pub(crate) fn sparse_chunk(node: u32, iteration: u64, chunk: &Chunk) -> Self {
+        let nonzero = chunk.data.iter().enumerate().filter(|(_, v)| v.to_bits() != 0);
+        let coords = nonzero.map(|(i, &v)| (i as u32, v));
+        Frame::encoded(node, iteration, chunk, SPARSE_TAG, |payload| {
+            write_sparse(chunk.data.len(), coords, payload)
+        })
     }
 
     /// Reconstructs the staged [`Chunk`] from an [`FrameKind::Encoded`]
     /// frame, its original checksum restored verbatim — a stale one
     /// (corrupted-in-flight chunk) travels unchanged and still fails
-    /// Sigma-side validation. A fixed-point payload decodes nothing:
-    /// its header is checked against the frame and the grid chunk is a
-    /// view of the frame's payload. Any other tag is unpacked and
-    /// decoded to a dense chunk. A declared length beyond
-    /// [`CHUNK_WORDS`] is [`WireError::Oversized`] before anything is
-    /// allocated for it; every other malformation — a header out of
-    /// range, a byte length that is not the header's, bad codec bytes —
-    /// is [`WireError::Protocol`].
+    /// Sigma-side validation. A grid is parsed (`read_grid`) and held to
+    /// the frame's byte length, and the chunk is a view of the frame's
+    /// payload; a coordinate list is read (`read_sparse`) into a dense
+    /// chunk. A declared length beyond [`CHUNK_WORDS`] is
+    /// [`WireError::Oversized`] before anything is allocated for it;
+    /// every other malformation, an unknown tag included, is
+    /// [`WireError::Protocol`].
     pub fn decode_encoded_chunk(&self) -> Result<Chunk, WireError> {
         if self.kind != FrameKind::Encoded {
             return Err(WireError::Protocol {
@@ -247,31 +248,26 @@ impl Frame {
             return Err(WireError::Truncated { needed, got: self.payload.len() });
         }
         let (offset, checksum) = (self.a as usize, self.payload[0].to_bits());
-        let malformed = |err| WireError::Protocol { detail: format!("encoded chunk: {err}") };
-        let oversized =
-            |words| WireError::Oversized { words: u32::try_from(words).unwrap_or(u32::MAX) };
-        if tag == FIXED_TAG {
-            let header = self.payload.get(1).map_or(0, |w| w.to_bits());
-            let words = (header >> 32) as usize;
-            if words > CHUNK_WORDS {
-                return Err(oversized(words));
+        let data = self.payload.slice(1, needed - 1);
+        let refused = |err| match err {
+            CodecError::Oversized { words, .. } => {
+                WireError::Oversized { words: u32::try_from(words).unwrap_or(u32::MAX) }
             }
-            parse_fixed_header(header.to_le_bytes()).map_err(malformed)?;
-            exact_len(8 + 4 * words, len).map_err(malformed)?;
-            let data = self.payload.slice(1, needed - 1);
-            return Ok(Chunk { offset, data, checksum, layout: Layout::Grid });
-        }
-        let mut bytes = Vec::with_capacity(len.div_ceil(8) * 8);
-        for word in self.payload.iter().skip(1) {
-            bytes.extend_from_slice(&word.to_bits().to_le_bytes());
-        }
-        bytes.truncate(len);
-        let words = declared_words(tag, &bytes).map_err(malformed)?;
-        if words > CHUNK_WORDS {
-            return Err(oversized(words));
-        }
-        let data = decode_tagged(tag, &bytes).map_err(malformed)?;
-        Ok(Chunk { offset, data: WordBuf::from_vec(data), checksum, layout: Layout::Dense })
+            err => WireError::Protocol { detail: format!("encoded chunk: {err}") },
+        };
+        let (data, layout) = match tag {
+            FIXED_TAG => {
+                let (_, words) = read_grid(&data, CHUNK_WORDS).map_err(refused)?;
+                exact_len(grid_bytes(words), len).map_err(refused)?;
+                (data, Layout::Grid)
+            }
+            SPARSE_TAG => {
+                let dense = read_sparse(&data, len, CHUNK_WORDS).map_err(refused)?;
+                (WordBuf::from_vec(dense), Layout::Dense)
+            }
+            tag => return Err(refused(CodecError::BadTag { tag })),
+        };
+        Ok(Chunk { offset, data, checksum, layout })
     }
 
     /// Encoded size in bytes.
@@ -559,7 +555,7 @@ mod tests {
         // Top-k: the sparsified chunk's coordinates, losslessly.
         let repr = WireRepr::TopK { k: 3 };
         let chunk = Chunk::new(4096, repr.transform(&raw[..37]).0);
-        let frame = Frame::sparse_chunk(5, 11, &chunk, &repr.encode(&raw[..37]).0.bytes);
+        let frame = Frame::sparse_chunk(5, 11, &chunk);
         let wired = Frame::decode(&frame.encode());
         let back = wired.expect("well formed").decode_encoded_chunk().expect("decodable");
         assert_eq!(back, chunk);
@@ -571,8 +567,8 @@ mod tests {
         let raw = vec![1.0; 512];
         let dense = Frame::chunk(0, 0, &Chunk::new(0, raw.clone())).encoded_len();
         let repr = WireRepr::TopK { k: 4 };
-        let (staged, bytes) = (repr.transform(&raw).0, repr.encode(&raw).0.bytes);
-        let sparse = Frame::sparse_chunk(0, 0, &Chunk::new(0, staged), &bytes).encoded_len();
+        let sparse =
+            Frame::sparse_chunk(0, 0, &Chunk::new(0, repr.transform(&raw).0)).encoded_len();
         assert!(sparse < dense / 4, "sparse frame {sparse} vs dense {dense}");
         let grid = Frame::grid_chunk(0, 0, &grid_chunks(&raw, 20).0[0]).encoded_len();
         assert_eq!(grid, HEADER_BYTES + 8 * (2 + 256) + CHECKSUM_BYTES);
@@ -583,9 +579,8 @@ mod tests {
         // Corrupt-injection damages the staged chunk before framing;
         // the encoded frame itself is well formed, but the carried
         // chunk checksum is stale and Sigma validation still rejects.
-        let repr = WireRepr::TopK { k: 2 };
         let corrupt = Chunk::new(0, vec![1.0, 2.0]).corrupted();
-        let sparse = Frame::sparse_chunk(0, 0, &corrupt, &repr.encode(&corrupt.data).0.bytes);
+        let sparse = Frame::sparse_chunk(0, 0, &corrupt);
         let corrupt_grid = grid_chunks(&[1.0, 2.0, 3.0], 8).0.remove(0).corrupted();
         let grid = Frame::grid_chunk(0, 0, &corrupt_grid);
         for (frame, corrupt) in [(sparse, corrupt), (grid, corrupt_grid)] {
@@ -606,10 +601,13 @@ mod tests {
             Err(WireError::Protocol { detail }) => assert!(detail.contains(needle), "{detail}"),
             other => panic!("expected a protocol error naming {needle:?}, got {other:?}"),
         };
-        // Unknown codec tag.
-        let mut frame = grid();
-        frame.b = (77u64 << 32) | (frame.b & 0xFFFF_FFFF);
-        protocol(frame, "tag 77");
+        // Unknown codec tags, the dense one among them: no sender
+        // encodes a dense chunk.
+        for tag in [0u64, 3, 77] {
+            let mut frame = grid();
+            frame.b = (tag << 32) | (frame.b & 0xFFFF_FFFF);
+            protocol(frame, &format!("tag {tag}"));
+        }
         // Advertised byte length disagreeing with the payload words.
         let mut short = grid();
         short.b = (short.b & !0xFFFF_FFFFu64) | 1;
@@ -645,6 +643,42 @@ mod tests {
         // Wrong frame kind.
         let plain = Frame::chunk(0, 0, &Chunk::new(0, vec![1.0, 2.0, 3.0]));
         assert!(matches!(plain.decode_encoded_chunk(), Err(WireError::Protocol { .. })));
+    }
+
+    /// What the wire delivers of a lossy partial is what
+    /// `WireRepr::transform` computes, bit for bit: a top-k partial's
+    /// chunks come back as its transformed words, and a fixed-point
+    /// partial's grid chunks, de-quantized by Sigma, as its transformed
+    /// values.
+    #[test]
+    fn transform_equals_what_the_wire_delivers() {
+        let raw: Vec<f64> = (0..2 * CHUNK_WORDS + 37)
+            .map(|i| ((i * 31 % 19) as f64 - 9.0) / 16.0 + i as f64 * 1e-3)
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let deliver = |frame: Frame| {
+            let wired = Frame::decode(&frame.encode()).expect("well formed");
+            wired.decode_encoded_chunk().expect("decodable")
+        };
+        for k in [1, 40, CHUNK_WORDS, 10 * CHUNK_WORDS] {
+            let (sparse, _) = WireRepr::TopK { k }.transform(&raw);
+            let chunks = crate::node::chunk_vector(&sparse);
+            let delivered: Vec<f64> = chunks
+                .iter()
+                .flat_map(|c| deliver(Frame::sparse_chunk(0, 0, c)).data.to_vec())
+                .collect();
+            assert_eq!(bits(&delivered), bits(&sparse), "top_k:{k}");
+        }
+        for frac_bits in [3, 20, 24] {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            for chunk in grid_chunks(&raw, frac_bits).0 {
+                tx.send(deliver(Frame::grid_chunk(0, 0, &chunk))).expect("receiver alive");
+            }
+            drop(tx);
+            let out = crate::SigmaAggregator::new(1, 1).aggregate_validated(raw.len(), vec![rx]);
+            let repr = WireRepr::FixedPoint { frac_bits };
+            assert_eq!(bits(&out.sum), bits(&repr.transform(&raw).0), "{repr}");
+        }
     }
 
     #[test]

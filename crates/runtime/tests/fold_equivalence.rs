@@ -19,7 +19,7 @@
 use crossbeam::channel::{self, Receiver};
 use proptest::prelude::*;
 
-use cosmic_runtime::codec::{dequantize_sum, derive_scale, fixed_header, quantize_into, WireRepr};
+use cosmic_runtime::codec::{dequantize_sum, derive_scale, quantize_into, WireRepr};
 use cosmic_runtime::fold::{fold_parts, fold_parts_i64_reference, fold_parts_reference};
 use cosmic_runtime::node::{chunk_vector, Chunk, Layout, SigmaAggregator};
 use cosmic_runtime::transport::{RoundCtx, SimTransport, Transport};
@@ -61,7 +61,7 @@ fn streams(models: &[Vec<f64>], corrupt: Option<(usize, usize)>) -> Vec<Receiver
 fn grid_stream(grid: &[i32], scale_exp: u8) -> Receiver<Chunk> {
     let (tx, rx) = channel::unbounded();
     for (k, stripe) in grid.chunks(CHUNK_WORDS).enumerate() {
-        let header = u64::from_le_bytes(fixed_header(scale_exp, stripe.len()));
+        let header = u64::from(scale_exp) | (stripe.len() as u64) << 32;
         let packed = stripe.chunks(2).map(|pair| {
             u64::from(pair[0] as u32) | pair.get(1).map_or(0, |&q| u64::from(q as u32) << 32)
         });

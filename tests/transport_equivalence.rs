@@ -229,70 +229,89 @@ fn a_corrupt_chunk_is_quarantined_and_a_corrupt_frame_retransmitted() {
 }
 
 /// The same four faults under `fixed_point:20`, where the chunks on
-/// both wires are grids: Sim and Tcp agree on the verdict, on the
-/// duplicate count and — bit for bit — on the sum, which is the float
-/// fold of the survivors' `transform`ed partials (the oracle an exact
-/// integer fold must meet); a chunk fault costs no reconnect, a wire
-/// fault exactly one; and a lossy frame is still the size
-/// `payload_bytes` prices.
+/// both wires are grids, and under `top_k:1000`, where they are
+/// sparsified and travel as coordinate lists: Sim and Tcp agree on the
+/// verdict, on the duplicate count and — bit for bit — on the sum,
+/// which is the float fold of the survivors' `transform`ed partials
+/// (the oracle an exact integer fold must meet); a chunk fault costs no
+/// reconnect, a wire fault exactly one; and a lossy frame is still the
+/// size its codec prices.
 #[test]
 fn lossy_rounds_are_adjudicated_identically_on_both_wires() {
     use cosmic::cosmic_runtime::fold::fold_parts_reference;
     use cosmic::cosmic_runtime::node::ChunkFault;
     use cosmic::cosmic_runtime::transport::wire::{CHECKSUM_BYTES, HEADER_BYTES};
     use cosmic::cosmic_runtime::transport::{SimTransport, TcpTransport};
-    use cosmic::cosmic_runtime::{LinkConfig, CHUNK_WORDS};
+    use cosmic::cosmic_runtime::{Chunk, LinkConfig, CHUNK_WORDS};
 
     const WORDS: usize = 3 * CHUNK_WORDS + 17; // four chunks, ragged tail
-    let repr = WireRepr::FixedPoint { frac_bits: 20 };
     let parts_data = partials(4, WORDS);
-    let oracle = |survivors: &[usize]| {
-        let decoded: Vec<Vec<f64>> =
-            survivors.iter().map(|&s| repr.transform(&parts_data[s]).0).collect();
-        let parts: Vec<&[f64]> = decoded.iter().map(Vec::as_slice).collect();
-        let mut sum = vec![0.0f64; WORDS];
-        fold_parts_reference(&mut sum, &parts);
-        bits(&sum)
-    };
     let tcp = TcpTransport::bind(LinkConfig::default()).expect("loopback bind");
-    let none = FaultPlan::none;
-    // (plan, quarantined peer and verdict, duplicates, Tcp reconnects)
-    let cases = [
-        (none(), None, 0, 0),
-        (
-            none().corrupt_chunk(1, 0, 2),
-            Some((1, ChunkFault::Corrupt { offset: 2 * CHUNK_WORDS })),
-            0,
-            0,
-        ),
-        (none().duplicate_chunk(2, 0, 1), None, 1, 0),
-        (none().corrupt_frame(1, 0, 2), None, 0, 1),
-        (none().sever_link(3, 0, 1), None, 0, 1),
-    ];
-    for (plan, quarantined, duplicates, reconnects) in cases {
-        let sim = round_under(repr, &SimTransport, &plan, &parts_data);
-        let wire = round_under(repr, &tcp, &plan, &parts_data);
-        let survivors: Vec<usize> =
-            (0..4).filter(|&p| quarantined.is_none_or(|(bad, _)| bad != p)).collect();
-        for (delivery, reconnects) in [(&sim, 0), (&wire, reconnects)] {
-            assert_eq!(delivery.outcome.quarantined, Vec::from_iter(quarantined), "{plan:?}");
-            assert_eq!(delivery.outcome.duplicates_dropped, duplicates, "{plan:?}");
-            assert_eq!(bits(&delivery.outcome.sum), oracle(&survivors), "{plan:?}");
-            assert_eq!(delivery.stats.reconnects, reconnects, "{plan:?}");
-            assert!(delivery.dead.is_empty());
-            assert_eq!(delivery.codec.wire_bytes, (4 * repr.payload_bytes(WORDS)) as u64);
-            assert_eq!(delivery.codec.dense_bytes, (4 * 8 * WORDS) as u64, "booked once");
-        }
-        if reconnects + duplicates as u64 == 0 {
-            // Hello + Heartbeat + four chunk frames + Done, and the Ack
-            // back; a chunk frame carries the chunk's sum, the codec
-            // header and two values to a word.
-            let control = (HEADER_BYTES + CHECKSUM_BYTES) as u64;
-            let grid_words = |w: usize| (2 + w.div_ceil(2)) as u64;
-            let payload = 8 * (3 * grid_words(CHUNK_WORDS) + grid_words(17));
-            assert_eq!(wire.stats.frames_sent, 4 * 8);
-            assert_eq!(wire.stats.bytes_sent, 4 * (8 * control + payload));
-            assert_eq!(wire.stats.bytes_received, wire.stats.bytes_sent);
+    for repr in [WireRepr::FixedPoint { frac_bits: 20 }, WireRepr::TopK { k: 1000 }] {
+        let sent: Vec<Vec<f64>> = parts_data.iter().map(|p| repr.transform(p).0).collect();
+        let oracle = |survivors: &[usize]| {
+            let parts: Vec<&[f64]> = survivors.iter().map(|&s| sent[s].as_slice()).collect();
+            let mut sum = vec![0.0f64; WORDS];
+            fold_parts_reference(&mut sum, &parts);
+            bits(&sum)
+        };
+        // A chunk frame's payload words: the chunk's sum, then a grid's
+        // header and two values to a word, or a coordinate list's
+        // header and twelve bytes per non-zero word.
+        let frame_words = |chunk: &[f64]| {
+            let nonzero = chunk.iter().filter(|v| v.to_bits() != 0).count();
+            1 + match repr {
+                WireRepr::TopK { .. } => (8 + 12 * nonzero).div_ceil(8),
+                _ => 1 + chunk.len().div_ceil(2),
+            } as u64
+        };
+        let none = FaultPlan::none;
+        // (plan, quarantined peer and verdict, duplicates, Tcp reconnects)
+        let cases = [
+            (none(), None, 0, 0),
+            (
+                none().corrupt_chunk(1, 0, 2),
+                Some((1, ChunkFault::Corrupt { offset: 2 * CHUNK_WORDS })),
+                0,
+                0,
+            ),
+            (none().duplicate_chunk(2, 0, 1), None, 1, 0),
+            (none().corrupt_frame(1, 0, 2), None, 0, 1),
+            (none().sever_link(3, 0, 1), None, 0, 1),
+        ];
+        for (plan, quarantined, duplicates, reconnects) in cases {
+            let sim = round_under(repr, &SimTransport, &plan, &parts_data);
+            let wire = round_under(repr, &tcp, &plan, &parts_data);
+            let survivors: Vec<usize> =
+                (0..4).filter(|&p| quarantined.is_none_or(|(bad, _)| bad != p)).collect();
+            for (delivery, reconnects) in [(&sim, 0), (&wire, reconnects)] {
+                let case = format!("{repr} {plan:?}");
+                assert_eq!(delivery.outcome.quarantined, Vec::from_iter(quarantined), "{case}");
+                assert_eq!(delivery.outcome.duplicates_dropped, duplicates, "{case}");
+                assert_eq!(bits(&delivery.outcome.sum), oracle(&survivors), "{case}");
+                assert_eq!(delivery.stats.reconnects, reconnects, "{case}");
+                assert!(delivery.dead.is_empty());
+                assert_eq!(delivery.codec.wire_bytes, (4 * repr.payload_bytes(WORDS)) as u64);
+                assert_eq!(delivery.codec.dense_bytes, (4 * 8 * WORDS) as u64, "booked once");
+            }
+            if reconnects + duplicates as u64 == 0 {
+                // Hello + Heartbeat + four chunk frames + Done, and the
+                // Ack back.
+                let control = (HEADER_BYTES + CHECKSUM_BYTES) as u64;
+                // A chunk the plan corrupts travels with its damage.
+                let damaged = |s: usize, ci: usize, chunk: &[f64]| {
+                    let chunk = Chunk::new(ci * CHUNK_WORDS, chunk.to_vec());
+                    let bad = plan.chunk_corrupted(s, 0, ci);
+                    frame_words(&if bad { chunk.corrupted() } else { chunk }.data)
+                };
+                let payload: u64 = (0..4)
+                    .flat_map(|s| sent[s].chunks(CHUNK_WORDS).enumerate().map(move |c| (s, c)))
+                    .map(|(s, (ci, chunk))| damaged(s, ci, chunk))
+                    .sum();
+                assert_eq!(wire.stats.frames_sent, 4 * 8);
+                assert_eq!(wire.stats.bytes_sent, 4 * 8 * control + 8 * payload, "{repr}");
+                assert_eq!(wire.stats.bytes_received, wire.stats.bytes_sent);
+            }
         }
     }
 }
