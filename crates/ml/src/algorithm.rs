@@ -99,19 +99,10 @@ impl Algorithm {
     pub fn loss(&self, record: &[f64], model: &[f64]) -> f64 {
         debug_assert_eq!(record.len(), self.record_len());
         match *self {
-            Algorithm::LinearRegression { features } => {
-                let (x, y) = (&record[..features], record[features]);
-                let e = dot(&model[..features], x) - y;
-                0.5 * e * e
-            }
-            Algorithm::LogisticRegression { features } => {
-                let (x, y) = (&record[..features], record[features]);
-                let p = sigmoid(dot(&model[..features], x)).clamp(1e-12, 1.0 - 1e-12);
-                -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
-            }
-            Algorithm::Svm { features } => {
-                let (x, y) = (&record[..features], record[features]);
-                (1.0 - y * dot(&model[..features], x)).max(0.0)
+            Algorithm::LinearRegression { features }
+            | Algorithm::LogisticRegression { features }
+            | Algorithm::Svm { features } => {
+                self.loss_of_dot(dot(&model[..features], &record[..features]), record[features])
             }
             Algorithm::Backprop { inputs, hidden, outputs } => {
                 let fw = forward(record, model, inputs, hidden, outputs);
@@ -132,11 +123,105 @@ impl Algorithm {
         }
     }
 
+    /// The feature count of a linear family (linreg, logreg, SVM): its
+    /// record is `features` inputs and a label, and its loss and
+    /// gradient see the model only through their dot product.
+    pub(crate) fn linear_features(&self) -> Option<usize> {
+        match *self {
+            Algorithm::LinearRegression { features }
+            | Algorithm::LogisticRegression { features }
+            | Algorithm::Svm { features } => Some(features),
+            _ => None,
+        }
+    }
+
+    /// A linear family's loss of a record labelled `y` whose inputs dot
+    /// the model to `dot`: the one statement of each family's loss,
+    /// shared by [`Algorithm::loss`] and `sgd::mean_loss`'s four-record
+    /// pass.
+    pub(crate) fn loss_of_dot(&self, dot: f64, y: f64) -> f64 {
+        match self {
+            Algorithm::LinearRegression { .. } => {
+                let e = dot - y;
+                0.5 * e * e
+            }
+            Algorithm::LogisticRegression { .. } => {
+                let p = sigmoid(dot).clamp(1e-12, 1.0 - 1e-12);
+                -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
+            }
+            Algorithm::Svm { .. } => (1.0 - y * dot).max(0.0),
+            _ => unreachable!("{self} is not a linear family"),
+        }
+    }
+
+    /// A linear family's gradient of a record with inputs `x` and label
+    /// `y` is `term · x`. This is the `term`, from `model` as it is, or
+    /// `None` where the gradient is zero: an SVM record whose margin is
+    /// met.
+    fn linear_term(&self, x: &[f64], y: f64, model: &[f64]) -> Option<f64> {
+        let dot = dot(&model[..x.len()], x);
+        match self {
+            Algorithm::LinearRegression { .. } => Some(dot - y),
+            Algorithm::LogisticRegression { .. } => Some(sigmoid(dot) - y),
+            Algorithm::Svm { .. } => (y * dot < 1.0).then_some(-y),
+            _ => unreachable!("{self} is not a linear family"),
+        }
+    }
+
     /// Applies one in-place SGD step for a single record (paper Eq. 2):
-    /// `θ ← θ − μ·∂f/∂θ`. Only the touched parameters are updated, which
-    /// matters for the sparse collaborative-filtering update.
+    /// `θ ← θ − μ·∂f/∂θ`, in one pass over the weights, and without
+    /// allocating for the linear families. Only the touched parameters
+    /// are updated, which matters for the sparse collaborative-filtering
+    /// update.
+    ///
+    /// The operations are those of the record's gradient accumulated
+    /// into a zeroed buffer ([`Algorithm::accumulate_gradient`]) and
+    /// then applied, so the bits are too. Every gradient term comes from
+    /// the model as it was before the step (the linear families' error
+    /// term; backprop's forward pass and both layers' deltas), and each
+    /// weight then becomes `w − μ·(0.0 + g)`: the `0.0 +` is the zeroed
+    /// accumulator's first add, which turns a `-0.0` term into `+0.0`.
+    /// An SVM record whose margin is met has a zero gradient, and
+    /// `w − μ·(+0.0)` is `w` for every `w`, `-0.0` included, whenever
+    /// `μ·(+0.0)` is `+0.0` (any finite non-negative `μ`), so that step
+    /// is skipped; any other `μ` still takes it. Collaborative filtering
+    /// updates each factor pair of its two latent rows from their old
+    /// values.
     pub fn sgd_update(&self, record: &[f64], model: &mut [f64], learning_rate: f64) {
         match *self {
+            Algorithm::LinearRegression { features }
+            | Algorithm::LogisticRegression { features }
+            | Algorithm::Svm { features } => {
+                let (x, y) = (&record[..features], record[features]);
+                let w = &mut model[..features];
+                match self.linear_term(x, y, w) {
+                    Some(term) => {
+                        for (w, &x) in w.iter_mut().zip(x) {
+                            *w -= learning_rate * (0.0 + term * x);
+                        }
+                    }
+                    None => {
+                        let zero_step = learning_rate * 0.0;
+                        if zero_step.to_bits() != 0 {
+                            w.iter_mut().for_each(|w| *w -= zero_step);
+                        }
+                    }
+                }
+            }
+            Algorithm::Backprop { inputs, hidden, outputs } => {
+                let deltas = backprop_deltas(record, model, inputs, hidden, outputs);
+                let (w1, w2) = model.split_at_mut(hidden * inputs);
+                for (row, &d1) in w1.chunks_exact_mut(inputs).zip(&deltas.hidden) {
+                    for (w, &x) in row.iter_mut().zip(&record[..inputs]) {
+                        *w -= learning_rate * (0.0 + d1 * x);
+                    }
+                }
+                for (row, &d2) in w2.chunks_exact_mut(hidden).zip(&deltas.output) {
+                    for (w, &a) in row.iter_mut().zip(&deltas.activation) {
+                        *w -= learning_rate * (0.0 + d2 * a);
+                    }
+                }
+            }
             Algorithm::CollabFilter { factors, .. } => {
                 let (r, u, v) = cf_record(record);
                 let ub = u * factors;
@@ -153,13 +238,6 @@ impl Algorithm {
                     model[vb + f] -= learning_rate * (e * mu + CF_LAMBDA * mv);
                 }
             }
-            _ => {
-                let mut grad = vec![0.0; self.model_len()];
-                self.accumulate_gradient(record, model, &mut grad);
-                for (w, g) in model.iter_mut().zip(&grad) {
-                    *w -= learning_rate * g;
-                }
-            }
         }
     }
 
@@ -172,52 +250,27 @@ impl Algorithm {
     pub fn accumulate_gradient(&self, record: &[f64], model: &[f64], acc: &mut [f64]) {
         assert!(acc.len() >= self.model_len(), "gradient accumulator too short");
         match *self {
-            Algorithm::LinearRegression { features } => {
+            Algorithm::LinearRegression { features }
+            | Algorithm::LogisticRegression { features }
+            | Algorithm::Svm { features } => {
                 let (x, y) = (&record[..features], record[features]);
-                let e = dot(&model[..features], x) - y;
-                for i in 0..features {
-                    acc[i] += e * x[i];
-                }
-            }
-            Algorithm::LogisticRegression { features } => {
-                let (x, y) = (&record[..features], record[features]);
-                let e = sigmoid(dot(&model[..features], x)) - y;
-                for i in 0..features {
-                    acc[i] += e * x[i];
-                }
-            }
-            Algorithm::Svm { features } => {
-                let (x, y) = (&record[..features], record[features]);
-                if y * dot(&model[..features], x) < 1.0 {
-                    for i in 0..features {
-                        acc[i] += -y * x[i];
+                if let Some(term) = self.linear_term(x, y, model) {
+                    for (a, &x) in acc.iter_mut().zip(x) {
+                        *a += term * x;
                     }
                 }
             }
             Algorithm::Backprop { inputs, hidden, outputs } => {
-                let fw = forward(record, model, inputs, hidden, outputs);
-                let w2 = &model[hidden * inputs..];
-                // Output deltas.
-                let mut d2 = vec![0.0; outputs];
-                for k in 0..outputs {
-                    let p = fw.prediction[k];
-                    d2[k] = (p - record[inputs + k]) * p * (1.0 - p);
-                }
-                // Hidden deltas.
-                let mut d1 = vec![0.0; hidden];
-                for j in 0..hidden {
-                    let back: f64 = (0..outputs).map(|k| w2[k * hidden + j] * d2[k]).sum();
-                    d1[j] = back * fw.activation[j] * (1.0 - fw.activation[j]);
-                }
-                for j in 0..hidden {
-                    for i in 0..inputs {
-                        acc[j * inputs + i] += d1[j] * record[i];
+                let deltas = backprop_deltas(record, model, inputs, hidden, outputs);
+                let (a1, a2) = acc.split_at_mut(hidden * inputs);
+                for (row, &d1) in a1.chunks_exact_mut(inputs).zip(&deltas.hidden) {
+                    for (a, &x) in row.iter_mut().zip(&record[..inputs]) {
+                        *a += d1 * x;
                     }
                 }
-                let base = hidden * inputs;
-                for k in 0..outputs {
-                    for j in 0..hidden {
-                        acc[base + k * hidden + j] += d2[k] * fw.activation[j];
+                for (row, &d2) in a2.chunks_exact_mut(hidden).zip(&deltas.output) {
+                    for (a, &h) in row.iter_mut().zip(&deltas.activation) {
+                        *a += d2 * h;
                     }
                 }
             }
@@ -360,12 +413,59 @@ fn forward(record: &[f64], model: &[f64], inputs: usize, hidden: usize, outputs:
     Forward { activation, prediction }
 }
 
+/// Backprop's per-record terms, all from one model: `w1[j][i]`'s
+/// gradient is `hidden[j] · x[i]` and `w2[k][j]`'s is `output[k] ·
+/// activation[j]`.
+struct Deltas {
+    activation: Vec<f64>,
+    hidden: Vec<f64>,
+    output: Vec<f64>,
+}
+
+fn backprop_deltas(
+    record: &[f64],
+    model: &[f64],
+    inputs: usize,
+    hidden: usize,
+    outputs: usize,
+) -> Deltas {
+    let Forward { activation, prediction: mut output } =
+        forward(record, model, inputs, hidden, outputs);
+    let w2 = &model[hidden * inputs..];
+    for (k, p) in output.iter_mut().enumerate() {
+        *p = (*p - record[inputs + k]) * *p * (1.0 - *p);
+    }
+    let hidden = (0..hidden)
+        .map(|j| {
+            let back: f64 = (0..outputs).map(|k| w2[k * hidden + j] * output[k]).sum();
+            back * activation[j] * (1.0 - activation[j])
+        })
+        .collect();
+    Deltas { activation, hidden, output }
+}
+
 fn cf_record(record: &[f64]) -> (f64, usize, usize) {
     (record[0], record[1] as usize, record[2] as usize)
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// [`dot`] of `w` with four vectors at once: each result is the chain
+/// `dot` computes — from `Iterator::sum`'s neutral `-0.0`, one product
+/// added per word, in order — and the four chains interleave.
+pub(crate) fn dot4(w: &[f64], x: [&[f64]; 4]) -> [f64; 4] {
+    let n = w.len();
+    let [x0, x1, x2, x3] = x.map(|x| &x[..n]);
+    let mut s = [-0.0f64; 4];
+    for i in 0..n {
+        s[0] += w[i] * x0[i];
+        s[1] += w[i] * x1[i];
+        s[2] += w[i] * x2[i];
+        s[3] += w[i] * x3[i];
+    }
+    s
 }
 
 fn sigmoid(x: f64) -> f64 {

@@ -1,7 +1,7 @@
 //! Gradient-descent optimizers: the parallel variants of SGD the CoSMIC
 //! stack distributes (paper §2.2, Eq. 3); one worker is sequential SGD.
 
-use crate::algorithm::{Aggregation, Algorithm};
+use crate::algorithm::{dot4, Aggregation, Algorithm};
 use crate::data::Dataset;
 
 /// One parallelized-SGD aggregation step over a single global mini-batch
@@ -252,12 +252,34 @@ fn train_parallel_impl(
     TrainResult { model, loss_history: history, aggregations }
 }
 
-/// Mean per-record loss over a dataset.
+/// Mean per-record loss over a dataset, with the bits of
+/// `records.map(|r| alg.loss(r, model)).sum::<f64>() / len`: the losses
+/// add in record order from `Iterator::sum`'s neutral `-0.0`, and each
+/// is [`Algorithm::loss`]'s. The linear families take their records
+/// four at a time, the four dot products interleaved, each the same
+/// sequential chain as the one-record dot; the last `len % 4` records,
+/// and every record of the other families, go through
+/// [`Algorithm::loss`] itself.
 pub fn mean_loss(alg: &Algorithm, dataset: &Dataset, model: &[f64]) -> f64 {
     if dataset.is_empty() {
         return 0.0;
     }
-    dataset.records().iter().map(|r| alg.loss(r, model)).sum::<f64>() / dataset.len() as f64
+    let mut records = dataset.records();
+    let mut total = -0.0;
+    if let Some(features) = alg.linear_features() {
+        let mut quads = records.chunks_exact(4);
+        for quad in &mut quads {
+            let dots = dot4(&model[..features], [&quad[0], &quad[1], &quad[2], &quad[3]]);
+            for (record, dot) in quad.iter().zip(dots) {
+                total += alg.loss_of_dot(dot, record[features]);
+            }
+        }
+        records = quads.remainder();
+    }
+    for record in records {
+        total += alg.loss(record, model);
+    }
+    total / dataset.len() as f64
 }
 
 #[cfg(test)]

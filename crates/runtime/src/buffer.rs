@@ -28,21 +28,26 @@ use std::sync::Arc;
 /// chunk.
 #[derive(Clone)]
 pub struct WordBuf {
-    buf: Arc<Vec<f64>>,
+    /// `None` for an empty buffer, which holds no allocation.
+    buf: Option<Arc<Vec<f64>>>,
     start: usize,
     len: usize,
 }
 
 impl WordBuf {
-    /// The empty buffer (no allocation is shared; `len() == 0`).
+    /// The empty buffer: `len() == 0`, and no allocation, so a control
+    /// frame's payload costs nothing.
     pub(crate) fn empty() -> Self {
-        WordBuf { buf: Arc::new(Vec::new()), start: 0, len: 0 }
+        WordBuf { buf: None, start: 0, len: 0 }
     }
 
     /// Takes ownership of `words` without copying them.
     pub(crate) fn from_vec(words: Vec<f64>) -> Self {
         let len = words.len();
-        WordBuf { buf: Arc::new(words), start: 0, len }
+        if len == 0 {
+            return Self::empty();
+        }
+        WordBuf { buf: Some(Arc::new(words)), start: 0, len }
     }
 
     /// Copies `words` into a fresh allocation.
@@ -61,24 +66,22 @@ impl WordBuf {
             "slice {start}+{len} out of bounds of a {}-word WordBuf",
             self.len
         );
-        WordBuf { buf: Arc::clone(&self.buf), start: self.start + start, len }
+        WordBuf { buf: self.buf.clone(), start: self.start + start, len }
     }
 
     /// The words as a plain slice.
     pub(crate) fn as_slice(&self) -> &[f64] {
-        &self.buf[self.start..self.start + self.len]
+        self.buf.as_deref().map_or(&[], |buf| &buf[self.start..self.start + self.len])
     }
 
     /// Recovers a `Vec<f64>`, reusing the allocation when this view is
     /// the whole buffer and the last reference to it; otherwise copies.
     pub(crate) fn into_vec(self) -> Vec<f64> {
-        if self.start == 0 && self.len == self.buf.len() {
-            match Arc::try_unwrap(self.buf) {
-                Ok(vec) => vec,
-                Err(shared) => shared[..].to_vec(),
+        match self.buf {
+            Some(buf) if self.start == 0 && self.len == buf.len() => {
+                Arc::try_unwrap(buf).unwrap_or_else(|shared| shared[..].to_vec())
             }
-        } else {
-            self.as_slice().to_vec()
+            _ => self.as_slice().to_vec(),
         }
     }
 
@@ -87,8 +90,24 @@ impl WordBuf {
     /// copy happened between the two hand-off points.
     #[cfg(test)]
     pub(crate) fn shares_allocation(&self, other: &WordBuf) -> bool {
-        Arc::ptr_eq(&self.buf, &other.buf)
+        matches!((&self.buf, &other.buf), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
+
+    /// How many views hold this one's allocation (0 for none).
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> usize {
+        self.buf.as_ref().map_or(0, Arc::strong_count)
+    }
+}
+
+/// `spare`'s buffer as an empty `Vec<U>`, for a `U` laid out as `T` is
+/// — in practice the same borrow with another lifetime, so a table of
+/// borrowed slices outlives the borrows it held and is not allocated
+/// again. `collect` reuses a vector's buffer in place when the layouts
+/// match; the `cost_ledger` test counts that it does.
+pub(crate) fn recycle<T, U>(mut spare: Vec<T>) -> Vec<U> {
+    spare.clear();
+    spare.into_iter().map(|_| unreachable!("cleared")).collect()
 }
 
 impl Deref for WordBuf {
@@ -194,6 +213,27 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, WordBuf::from_vec(vec![1.0]));
         assert_eq!(WordBuf::empty(), WordBuf::default());
+    }
+
+    #[test]
+    fn an_empty_buffer_holds_no_allocation() {
+        for empty in [WordBuf::empty(), WordBuf::from_vec(Vec::new()), WordBuf::copy_of(&[])] {
+            assert!(empty.buf.is_none());
+            assert!(empty.is_empty());
+            assert_eq!(empty.slice(0, 0), WordBuf::default());
+            assert!(!empty.shares_allocation(&WordBuf::empty()));
+            assert_eq!(empty.into_vec(), Vec::<f64>::new());
+        }
+    }
+
+    #[test]
+    fn recycle_keeps_the_buffer() {
+        let words = [1.0, 2.0];
+        let mut table: Vec<&[f64]> = Vec::with_capacity(8);
+        table.push(&words);
+        let at = table.as_ptr() as usize;
+        let kept: Vec<&'static [f64]> = recycle(table);
+        assert_eq!((kept.as_ptr() as usize, kept.len(), kept.capacity()), (at, 0, 8));
     }
 
     #[test]

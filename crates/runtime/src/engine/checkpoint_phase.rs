@@ -1,6 +1,8 @@
 //! The round's closing phase: apply the surviving update to the model,
 //! log it for replay, and take cadence snapshots.
 
+use std::sync::Arc;
+
 use cosmic_ml::Aggregation;
 
 use crate::checkpoint::ReplayOp;
@@ -29,7 +31,7 @@ pub(crate) fn apply_update<O: RunObserver>(
             ReplayOp::Step { grad: total, scale: eng.cfg.learning_rate / active_total as f64 }
         }
     };
-    op.apply(&mut st.model);
+    op.apply(Arc::<Vec<f64>>::make_mut(&mut st.model)); // unshared: no copy
     st.store.record_update(op);
     st.iterations += 1;
 }

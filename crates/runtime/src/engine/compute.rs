@@ -20,7 +20,7 @@ use crate::trainer::{ClusterConfig, Exclusion, ExclusionReason, DEADLINE_FACTOR,
 
 use super::membership::kill_node;
 use super::observer::RunObserver;
-use super::state::RunState;
+use super::state::{RoundTables, RunState};
 use super::Engine;
 
 /// A node's partial for one round: the locally-aggregated vector and
@@ -65,12 +65,18 @@ pub(crate) struct Request<'r> {
 /// its worker processes. Membership, the collective round, the update,
 /// checkpoints and the observer are the same engine either way.
 pub(crate) trait Compute {
-    /// One [`Arrival`] per node for `req`.
-    fn partials(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError>;
+    /// Appends one [`Arrival`] per node for `req` to `arrivals`, which
+    /// the engine hands over empty.
+    fn partials(
+        &mut self,
+        req: &Request<'_>,
+        arrivals: &mut Vec<Arrival>,
+    ) -> Result<(), RuntimeError>;
 
     /// The round closed on `model`, the model every node computes
-    /// against next; `spent` holds the round's arrival vectors.
-    fn settle(&mut self, model: &[f64], spent: Vec<Vec<f64>>);
+    /// against next; `spent` holds the round's arrival vectors, and
+    /// whatever the compute phase does not take from it is dropped.
+    fn settle(&mut self, model: &[f64], spent: &mut Vec<Vec<f64>>);
 
     /// Whether the run records its loss history: a pass over the whole
     /// dataset on the engine's thread before every epoch and after the
@@ -82,13 +88,17 @@ pub(crate) trait Compute {
 }
 
 impl Compute for Crew<'_> {
-    fn partials(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError> {
-        let partials = self.round(req.dispatch, req.step, req.model);
-        Ok(partials.into_iter().zip(req.dispatch).map(|(p, &go)| go.then_some(p)).collect())
+    fn partials(
+        &mut self,
+        req: &Request<'_>,
+        arrivals: &mut Vec<Arrival>,
+    ) -> Result<(), RuntimeError> {
+        self.round(req.dispatch, req.step, req.model, arrivals);
+        Ok(())
     }
 
-    fn settle(&mut self, _model: &[f64], mut spent: Vec<Vec<f64>>) {
-        self.shared.board.lock().spares.append(&mut spent);
+    fn settle(&mut self, _model: &[f64], spent: &mut Vec<Vec<f64>>) {
+        self.shared.board.lock().spares.append(spent);
     }
 }
 
@@ -190,19 +200,22 @@ struct Shared {
 }
 
 /// The job queue and the open round (step and model): `answers[node]
-/// [thread]`, each node's jobs not yet answered, the folded partials and
-/// the nodes yet to fold; the spare buffers and the helpers asleep with
-/// no wake on its way (`idle`). What the wake rule reads: when the wake
-/// in flight was sent, the fastest hand-off measured (a wake to its
-/// helper holding the lock), the longest job of the round and whether
-/// the round wakes helpers at all.
+/// [thread]`, each node's jobs not yet answered, the buffers each
+/// node's fold left over (`folded[node]`, on their way to `spares`), the
+/// round's arrivals and the nodes yet to fold, every table kept from
+/// round to round; the spare buffers and the helpers asleep with no
+/// wake on its way (`idle`). What the wake rule reads: when the wake in
+/// flight was sent, the fastest hand-off measured (a wake to its helper
+/// holding the lock), the longest job of the round and whether the
+/// round wakes helpers at all.
 #[derive(Default)]
 struct Board {
     round: Option<(usize, Arc<Vec<f64>>)>,
     queue: Vec<(usize, usize)>,
     answers: Vec<Vec<Option<ThreadPartial>>>,
     unanswered: Vec<usize>,
-    partials: Vec<NodePartial>,
+    folded: Vec<Vec<Vec<f64>>>,
+    partials: Vec<Arrival>,
     unfolded: usize,
     spares: Vec<Vec<f64>>,
     idle: usize,
@@ -248,12 +261,14 @@ impl Shared {
             board.answers[node][thread] = answer;
             board.unanswered[node] -= 1;
             if board.unanswered[node] == 0 {
-                let (mut answers, mut spent) = (std::mem::take(&mut board.answers[node]), vec![]);
+                let mut answers = std::mem::take(&mut board.answers[node]);
+                let mut spent = std::mem::take(&mut board.folded[node]);
                 drop(board);
                 let folded = fold_node(answers.drain(..), self.op, &mut spent);
                 board = self.board.lock();
                 board.spares.append(&mut spent);
-                (board.answers[node], board.partials[node]) = (answers, folded);
+                (board.answers[node], board.folded[node]) = (answers, spent);
+                board.partials[node] = Some(folded);
                 board.unfolded -= 1;
                 if board.unfolded == 0 {
                     self.done.notify_one();
@@ -295,8 +310,9 @@ impl<'w> Crew<'w> {
         op: Aggregation,
         work: &'scope Work<'scope>,
     ) -> Result<Crew<'scope>, RuntimeError> {
-        let (answers, unanswered) = (vec![vec![]; nodes], vec![0; nodes]);
-        let board = Mutex::new(Board { answers, unanswered, ..Board::default() });
+        let (answers, unanswered, folded) =
+            (vec![vec![]; nodes], vec![0; nodes], vec![vec![]; nodes]);
+        let board = Mutex::new(Board { answers, unanswered, folded, ..Board::default() });
         let shared = Shared { board, work: Condvar::new(), done: Condvar::new(), op };
         // Built first: a refused thread drops it, closing the helpers so far.
         let crew = Crew { shared: Arc::new(shared), work, threads };
@@ -311,16 +327,19 @@ impl<'w> Crew<'w> {
     }
 
     /// One round: queues a job per thread of each node `dispatch` selects,
-    /// works the queue, then waits for the nodes helpers still fold. A
-    /// node not dispatched, or with a panicked job, yields `None`.
+    /// works the queue, then waits for the nodes helpers still fold, and
+    /// appends each node's [`Arrival`] to `arrivals`: `None` for a node
+    /// not dispatched, `Some(None)` for one with a panicked job.
     pub(crate) fn round(
         &self,
         dispatch: &[bool],
         step: usize,
         model: &Arc<Vec<f64>>,
-    ) -> Vec<NodePartial> {
+        arrivals: &mut Vec<Arrival>,
+    ) {
         let mut board = self.shared.board.lock();
-        board.partials = vec![None; dispatch.len()];
+        board.partials.clear();
+        board.partials.resize(dispatch.len(), None);
         for node in (0..dispatch.len()).filter(|&node| dispatch[node]) {
             board.answers[node].resize_with(self.threads, || None);
             board.unanswered[node] = self.threads;
@@ -342,7 +361,7 @@ impl<'w> Crew<'w> {
             self.shared.done.wait(&mut board);
         }
         board.round = None;
-        std::mem::take(&mut board.partials)
+        arrivals.append(&mut board.partials);
     }
 }
 
@@ -390,31 +409,31 @@ fn fold_node(
 }
 
 /// Phase 1: every physically-up, unpartitioned node computes its
-/// partial. In detector mode this includes nodes the runtime has
-/// expelled — they don't know they're out, and their traffic is what
-/// triggers re-admission. The model moves into an `Arc` for the
-/// compute and back out of it: no copy either way.
+/// partial, into `round.arrivals`. In detector mode this includes nodes
+/// the runtime has expelled — they don't know they're out, and their
+/// traffic is what triggers re-admission. The compute shares the
+/// model's `Arc` and gives it back unshared.
 pub(crate) fn fan_out<O: RunObserver>(
     eng: &Engine<'_, O>,
     compute: &mut dyn Compute,
-    st: &mut RunState,
+    st: &RunState,
+    round: &mut RoundTables,
     step: usize,
-) -> Result<Vec<Arrival>, RuntimeError> {
-    let dispatch: Vec<bool> = (0..eng.cfg.nodes)
-        .map(|node| st.up[node] && !eng.plan.quiesced(node, st.iter_idx))
-        .collect();
-    let model = Arc::new(std::mem::take(&mut st.model));
+) -> Result<(), RuntimeError> {
+    round.dispatch.clear();
+    round.dispatch.extend(
+        (0..eng.cfg.nodes).map(|node| st.up[node] && !eng.plan.quiesced(node, st.iter_idx)),
+    );
     let req = Request {
         iteration: st.iter_idx,
         step,
-        dispatch: &dispatch,
-        model: &model,
+        dispatch: &round.dispatch,
+        model: &st.model,
         member: &st.member,
         store: &st.store,
     };
-    let arrivals = compute.partials(&req);
-    st.model = Arc::try_unwrap(model).unwrap_or_else(|shared| (*shared).clone());
-    arrivals
+    round.arrivals.clear();
+    compute.partials(&req, &mut round.arrivals)
 }
 
 /// Phase 1b: a node whose compute jobs answered without a partial had
@@ -447,16 +466,18 @@ pub(crate) fn absorb_panics<O: RunObserver>(
 /// retransmitting dropped chunks; past the deadline it is excluded and
 /// the update will be rescaled over the survivors. Every arrival is
 /// also a heartbeat: deliveries feed the detector, reinstate suspects,
-/// and queue expelled senders for rejoin. Returns the admitted
-/// contributions and the barrier's virtual wait (the slowest member's
-/// completion time, capped at the deadline).
+/// and queue expelled senders for rejoin. Moves the admitted arrivals
+/// into `round.contributions` and returns the barrier's virtual wait
+/// (the slowest member's completion time, capped at the deadline).
 pub(crate) fn admission_barrier<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
-    arrivals: &mut [Arrival],
+    round: &mut RoundTables,
     t0: f64,
-) -> (Vec<NodePartial>, f64) {
-    let mut contributions: Vec<NodePartial> = (0..eng.cfg.nodes).map(|_| None).collect();
+) -> f64 {
+    let (arrivals, contributions) = (&mut round.arrivals, &mut round.contributions);
+    contributions.clear();
+    contributions.resize(eng.cfg.nodes, None);
     let mut round_cost = 1.0f64; // nominal compute time
     for node in 0..eng.cfg.nodes {
         if !st.up[node] || eng.plan.quiesced(node, st.iter_idx) {
@@ -503,7 +524,7 @@ pub(crate) fn admission_barrier<O: RunObserver>(
             }
         }
     }
-    (contributions, round_cost)
+    round_cost
 }
 
 /// The outcome of deadline admission for one node.
@@ -578,6 +599,19 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One [`Crew::round`], each node's arrival read as its partial:
+    /// `None` when it was not dispatched or a job panicked.
+    fn round_of(
+        crew: &Crew<'_>,
+        dispatch: &[bool],
+        step: usize,
+        model: &Arc<Vec<f64>>,
+    ) -> Vec<NodePartial> {
+        let mut arrivals = Vec::new();
+        crew.round(dispatch, step, model, &mut arrivals);
+        arrivals.into_iter().map(Option::flatten).collect()
     }
 
     #[test]
@@ -664,7 +698,7 @@ mod tests {
                         .expect("threads");
                     let model = Arc::new(vec![0.5]);
                     let rounds = (0..DISPATCH.len())
-                        .map(|step| crew.round(&DISPATCH[step], step, &model))
+                        .map(|step| round_of(&crew, &DISPATCH[step], step, &model))
                         .collect();
                     assert_eq!(Arc::strong_count(&model), 1, "workers keep no handle");
                     rounds
@@ -794,10 +828,10 @@ mod tests {
                             let mut rounds = Vec::new();
                             for (step, (dispatch, model)) in plan.into_iter().enumerate() {
                                 let model = Arc::new(model);
-                                let partials = crew.round(&dispatch, step, &model);
+                                let partials = round_of(&crew, &dispatch, step, &model);
                                 assert_eq!(Arc::strong_count(&model), 1, "step {step}: shared");
                                 let spent = partials.iter().flatten().map(|(p, _)| p.clone());
-                                crew.settle(&model, spent.collect());
+                                crew.settle(&model, &mut spent.collect());
                                 rounds.push(partials);
                             }
                             rounds
@@ -868,7 +902,7 @@ mod tests {
                         let handoff = crew.shared.board.lock().handoff.unwrap_or_default();
                         *spin.lock() = handoff.max(Duration::from_millis(2));
                     }
-                    crew.round(&[true; 2], step, &model);
+                    round_of(&crew, &[true; 2], step, &model);
                 }
             });
             (seen.into_inner(), engine)
@@ -920,10 +954,10 @@ mod tests {
                 let mut held = Vec::new();
                 for step in 0..8 {
                     let model = Arc::new(vec![step as f64; len]);
-                    let partials = crew.round(&[true; 3], step, &model);
-                    let spent: Vec<Vec<f64>> =
+                    let partials = round_of(&crew, &[true; 3], step, &model);
+                    let mut spent: Vec<Vec<f64>> =
                         partials.into_iter().flatten().map(|p| p.0).collect();
-                    crew.settle(&model, spent);
+                    crew.settle(&model, &mut spent);
                     held.push(spares(&crew));
                     ballast.extend((0..JOBS).map(|_| vec![1.0; len]));
                 }

@@ -33,6 +33,7 @@ mod state;
 use compute::Crew;
 pub(crate) use compute::{Arrival, Compute, Request, Shards};
 pub(crate) use observer::{NullObserver, RunObserver, TraceObserver};
+use state::RoundTables;
 pub(crate) use state::RunState;
 
 use std::num::NonZeroUsize;
@@ -176,41 +177,49 @@ impl<'a, O: RunObserver> Engine<'a, O> {
         membership::plan_phase(self, st)?;
         membership::detector_sweep(self, st)?;
 
-        let mut arrivals = compute::fan_out(self, compute, st, step)?;
-        compute::absorb_panics(self, st, &arrivals)?;
-        let (contributions, round_cost) = compute::admission_barrier(self, st, &mut arrivals, t0);
+        // The round's tables leave the state for the round and go back
+        // at its close (an error ends the run and drops them).
+        let mut round = std::mem::take(&mut st.round);
+        compute::fan_out(self, compute, st, &mut round, step)?;
+        compute::absorb_panics(self, st, &round.arrivals)?;
+        let round_cost = compute::admission_barrier(self, st, &mut round, t0);
         self.obs.compute_barrier(t0, round_cost);
 
-        let senders: Vec<usize> =
-            (0..self.cfg.nodes).filter(|&n| contributions[n].is_some()).collect();
-        let round = if senders.is_empty() {
+        let contributions = &round.contributions;
+        round.senders.clear();
+        round.senders.extend((0..self.cfg.nodes).filter(|&n| contributions[n].is_some()));
+        let output = if round.senders.is_empty() {
             None
         } else {
-            rounds::collective_round(self, st, &contributions, &senders)?
+            rounds::collective_round(self, st, &mut round)?
         };
-        let counted = round.is_some();
-        if let Some(round) = round {
-            checkpoint_phase::apply_update(self, st, round.sum, round.active_total);
+        let counted = output.is_some();
+        if let Some(output) = output {
+            checkpoint_phase::apply_update(self, st, output.sum, output.active_total);
             checkpoint_phase::maybe_checkpoint(self, st);
         }
-        let spent = contributions.into_iter().chain(arrivals.into_iter().map(Option::flatten));
-        let spent = spent.flatten().map(|(partial, _)| partial).collect();
-        self.finish_round(st, compute, spent, round_cost, counted)
+        let spent = round.contributions.drain(..);
+        let spent = spent.chain(round.arrivals.drain(..).map(Option::flatten));
+        round.spent.extend(spent.flatten().map(|(partial, _)| partial));
+        self.finish_round(st, compute, round, round_cost, counted)
     }
 
     /// Closes the round: the model it leaves, and the partials it is
-    /// done with, go back to the compute phase, then end-of-iteration
-    /// re-admission, iteration accounting, and the virtual-clock
-    /// advance. `counted` rounds applied an update; empty rounds did not.
+    /// done with, go back to the compute phase, and its tables to the
+    /// state; then end-of-iteration re-admission, iteration accounting,
+    /// and the virtual-clock advance. `counted` rounds applied an update;
+    /// empty rounds did not.
     fn finish_round(
         &self,
         st: &mut RunState,
         compute: &mut dyn Compute,
-        spent: Vec<Vec<f64>>,
+        mut round: RoundTables,
         round_cost: f64,
         counted: bool,
     ) -> Result<(), RuntimeError> {
-        compute.settle(&st.model, spent);
+        compute.settle(&st.model, &mut round.spent);
+        round.spent.clear();
+        st.round = round;
         membership::process_rejoins(self, st)?;
         if counted {
             self.obs.iteration_counted();

@@ -4,15 +4,15 @@
 
 use cosmic_collectives::codec::WireRepr;
 
+use crate::buffer::recycle;
 use crate::error::RuntimeError;
 use crate::layout::CHUNK_WORDS;
 use crate::trainer::{Exclusion, ExclusionReason, Quarantine, RETRY};
 use crate::transport::RoundCtx;
 
-use super::compute::NodePartial;
 use super::membership::kill_node;
 use super::observer::RunObserver;
-use super::state::{RunState, ScheduleCache};
+use super::state::{RoundTables, RunState, ScheduleCache};
 use super::Engine;
 
 /// The surviving aggregate of one collective round.
@@ -32,19 +32,20 @@ pub(crate) struct RoundOutput {
 /// duplication applied on the wire; quarantined peers and dead links
 /// are withheld from the fold and from the contributor count. Returns
 /// `None` when no contribution survived (the round applies no update).
+/// Reads `round.senders` and `round.contributions`.
 pub(crate) fn collective_round<O: RunObserver>(
     eng: &Engine<'_, O>,
     st: &mut RunState,
-    contributions: &[NodePartial],
-    senders: &[usize],
+    round: &mut RoundTables,
 ) -> Result<Option<RoundOutput>, RuntimeError> {
+    let (senders, contributions) = (&round.senders, &round.contributions);
     refresh_schedule(eng, st, senders)?;
     // The partials go to the transport raw: the chunking boundary,
     // where a lossy wire repr applies, is `RoundCtx::wire_chunks`, on
     // this thread.
     let repr = eng.cfg.repr;
-    let parts: Vec<Option<&[f64]>> =
-        senders.iter().map(|&m| contributions[m].as_ref().map(|(p, _)| p.as_slice())).collect();
+    let mut parts: Vec<Option<&[f64]>> = recycle(std::mem::take(&mut round.parts));
+    parts.extend(senders.iter().map(|&m| contributions[m].as_ref().map(|(p, _)| p.as_slice())));
     let ctx = RoundCtx {
         iteration: st.iter_idx,
         model_len: eng.model_len,
@@ -53,7 +54,9 @@ pub(crate) fn collective_round<O: RunObserver>(
         senders,
         repr,
     };
-    let delivery = eng.transport.round(&ctx, &eng.sigma, &parts)?;
+    let delivery = eng.transport.round(&ctx, &eng.sigma, &parts);
+    round.parts = recycle(parts);
+    let delivery = delivery?;
     if repr != WireRepr::DenseF64 {
         eng.obs.codec_applied(st.iter_idx, repr, &delivery.codec);
     }
@@ -63,7 +66,9 @@ pub(crate) fn collective_round<O: RunObserver>(
         eng.obs.aggregated(cache, eng.cfg.collective.label(), senders.len(), eng.chunks, &outcome);
     }
     eng.obs.transported(&delivery.stats);
-    let mut rejected = vec![false; senders.len()];
+    let rejected = &mut round.rejected;
+    rejected.clear();
+    rejected.resize(senders.len(), false);
     for &(peer, fault) in &outcome.quarantined {
         rejected[peer] = true;
         st.report.quarantines.push(Quarantine {

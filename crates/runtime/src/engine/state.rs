@@ -7,6 +7,8 @@
 //! explicit where the monolithic trainer used a dozen loose `let mut`
 //! bindings.
 
+use std::sync::Arc;
+
 use cosmic_ml::sgd;
 use cosmic_ml::Algorithm;
 
@@ -14,6 +16,8 @@ use crate::checkpoint::CheckpointStore;
 use crate::detector::FailureDetector;
 use crate::trainer::{ClusterConfig, FaultReport, TrainOutcome};
 use cosmic_collectives::Topology;
+
+use super::compute::{Arrival, NodePartial};
 
 /// The cost summary of the collective schedule currently in force,
 /// keyed by the topology epoch and the admitted participant set it was
@@ -30,11 +34,36 @@ pub(crate) struct ScheduleCache {
     pub rounds: usize,
 }
 
+/// The tables an iteration fills and the next one refills, kept so a
+/// steady iteration allocates none of them. Each is empty, or holds the
+/// last round's leftovers, between iterations.
+#[derive(Debug, Default)]
+pub(crate) struct RoundTables {
+    /// The nodes the fault plan lets compute this round.
+    pub dispatch: Vec<bool>,
+    /// What reached the engine from each node.
+    pub arrivals: Vec<Arrival>,
+    /// The admitted partials, by node.
+    pub contributions: Vec<NodePartial>,
+    /// The admitted senders, ascending.
+    pub senders: Vec<usize>,
+    /// The transport's view of the senders' partials; always empty
+    /// here, so it can be lent out at any lifetime (`recycle`).
+    pub parts: Vec<Option<&'static [f64]>>,
+    /// Per sender: quarantined by Sigma or lost with its link.
+    pub rejected: Vec<bool>,
+    /// The partial buffers the round is done with, on their way back
+    /// to the compute phase.
+    pub spent: Vec<Vec<f64>>,
+}
+
 /// Everything a run owns and mutates, from genesis to outcome.
 #[derive(Debug)]
 pub(crate) struct RunState {
-    /// The model being trained.
-    pub model: Vec<f64>,
+    /// The model being trained. The compute crew shares the `Arc` while
+    /// a round computes and holds no handle once it returns, so the
+    /// update writes in place.
+    pub model: Arc<Vec<f64>>,
     /// Mean dataset loss before every epoch and after the last.
     pub history: Vec<f64>,
     /// Aggregation steps that applied an update.
@@ -74,6 +103,8 @@ pub(crate) struct RunState {
     pub vclock: f64,
     /// Everything that degraded so far.
     pub report: FaultReport,
+    /// The round's tables, between rounds.
+    pub round: RoundTables,
 }
 
 impl RunState {
@@ -81,7 +112,7 @@ impl RunState {
     pub(crate) fn new(cfg: &ClusterConfig, topology: Topology, initial_model: Vec<f64>) -> Self {
         let store = CheckpointStore::new(cfg.checkpoint, &initial_model);
         RunState {
-            model: initial_model,
+            model: Arc::new(initial_model),
             history: Vec::with_capacity(cfg.epochs + 1),
             iterations: 0,
             iter_idx: 0,
@@ -96,6 +127,7 @@ impl RunState {
             rejoiners: Vec::new(),
             vclock: 0.0,
             report: FaultReport::default(),
+            round: RoundTables::default(),
         }
     }
 
@@ -107,7 +139,7 @@ impl RunState {
     /// Consumes the state into the run's outcome.
     pub(crate) fn into_outcome(self) -> TrainOutcome {
         TrainOutcome {
-            model: self.model,
+            model: Arc::unwrap_or_clone(self.model),
             loss_history: self.history,
             iterations: self.iterations,
             faults: self.report,

@@ -21,11 +21,12 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cosmic_collectives::codec::{dequantize_sum, derive_scale, read_grid, write_grid};
+use cosmic_collectives::codec::{dequantize_sum, derive_scale, read_grid, write_grid, CodecError};
 use cosmic_collectives::{payload_digest, Fnv1a};
 use crossbeam::channel::Receiver;
+use parking_lot::Mutex;
 
-use crate::buffer::WordBuf;
+use crate::buffer::{recycle, WordBuf};
 use crate::fold;
 
 use crate::layout::{chunk_count, CHUNK_WORDS};
@@ -111,10 +112,10 @@ impl Chunk {
             }
     }
 
-    /// A grid chunk's `(scale_exp, words)`, if `data` is a grid
-    /// (`read_grid`).
-    pub(crate) fn grid_header(&self) -> Option<(u8, usize)> {
-        read_grid(&self.data, usize::MAX).ok()
+    /// A grid chunk's `(scale_exp, words)`, if `data` is a grid of at
+    /// most a stripe's words (`read_grid`).
+    pub(crate) fn grid_header(&self) -> Result<(u8, usize), CodecError> {
+        read_grid(&self.data, CHUNK_WORDS)
     }
 
     /// Returns the chunk with its payload damaged and the checksum left
@@ -179,7 +180,8 @@ pub enum ChunkFault {
         /// The offending offset.
         offset: usize,
     },
-    /// A chunk ran past the end of the aggregation buffer.
+    /// A chunk ran past the end of the aggregation buffer, or past the
+    /// end of its stripe.
     Overrun {
         /// The offending offset.
         offset: usize,
@@ -238,19 +240,12 @@ pub struct AggregateOutcome {
 /// exactly as delivered — a view of the words the wire decoded.
 type Stripes = Vec<Option<Chunk>>;
 
-/// What staging made of one peer's stream.
-#[derive(Debug)]
-struct PeerFold {
-    /// `None` when no chunk arrived at all.
-    stripes: Option<Stripes>,
-    fault: Option<ChunkFault>,
-    duplicates: usize,
-}
-
 /// One peer's stream in staging: every pushed chunk is validated and
 /// each stripe's first intact one held as delivered — or, under
 /// `quantize_at`, as the grid chunk of that scale exponent a fixed-point
-/// sender would have delivered in its place.
+/// sender would have delivered in its place. A stage outlives its pass
+/// in its aggregator's spares, its stripe table emptied.
+#[derive(Debug, Default)]
 struct Stage {
     model_len: usize,
     quantize_at: Option<u8>,
@@ -261,9 +256,12 @@ struct Stage {
 }
 
 impl Stage {
-    fn new(model_len: usize, quantize_at: Option<u8>) -> Self {
-        let stripes = vec![None; chunk_count(model_len)];
-        Stage { model_len, quantize_at, stripes, layout: None, fault: None, duplicates: 0 }
+    /// Readies the stage for a new stream, in the stripe table it has.
+    fn reset(&mut self, model_len: usize, quantize_at: Option<u8>) {
+        self.stripes.clear();
+        self.stripes.resize(chunk_count(model_len), None);
+        (self.model_len, self.quantize_at) = (model_len, quantize_at);
+        (self.layout, self.fault, self.duplicates) = (None, None, 0);
     }
 
     /// Stages the stream's next chunk. A quarantined stream takes the
@@ -276,22 +274,27 @@ impl Stage {
 
     /// Holds `chunk` or drops it as a duplicate, unless it earns the
     /// stream a verdict — checked in this order: misaligned, grid
-    /// header, overrun, intact, incomplete, duplicate, layout.
+    /// header, overrun (past the model's end, or longer than a stripe),
+    /// intact, incomplete, duplicate, layout.
     fn admit(&mut self, chunk: Chunk) -> Result<(), ChunkFault> {
         let offset = chunk.offset;
         if !offset.is_multiple_of(CHUNK_WORDS) {
             return Err(ChunkFault::Misaligned { offset });
         }
         // Model words carried; a malformed grid header leaves no length
-        // to check against.
+        // to check against, and one past a stripe is refused unread.
         let len = match chunk.layout {
             Layout::Dense => chunk.data.len(),
-            Layout::Grid => chunk.grid_header().ok_or(ChunkFault::Corrupt { offset })?.1,
+            Layout::Grid => match chunk.grid_header() {
+                Ok((_, len)) => len,
+                Err(CodecError::Oversized { words, .. }) => words,
+                Err(_) => return Err(ChunkFault::Corrupt { offset }),
+            },
         };
         // The offset is wire-supplied: bound it before adding to it.
         // (`offset == model_len` with an empty payload would index one
         // stripe past the last.)
-        if offset >= self.model_len || len > self.model_len - offset {
+        if offset >= self.model_len || len > self.model_len - offset || len > CHUNK_WORDS {
             return Err(ChunkFault::Overrun { offset, len });
         }
         if !chunk.is_intact() {
@@ -321,15 +324,20 @@ impl Stage {
         Ok(())
     }
 
-    /// The stream has ended. One that delivered anything must have
-    /// delivered every stripe; folding the rest as absent would pass a
-    /// partial gradient off as whole.
-    fn finish(self) -> PeerFold {
-        let (mut fault, gap) = (self.fault, self.stripes.iter().position(Option::is_none));
-        if let (None, Some(_), Some(stripe)) = (fault, self.layout, gap) {
-            fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
+    /// The stream has ended: its verdict, if it earned one. One that
+    /// delivered anything must have delivered every stripe; folding the
+    /// rest as absent would pass a partial gradient off as whole.
+    fn close(&mut self) -> Option<ChunkFault> {
+        let gap = self.stripes.iter().position(Option::is_none);
+        if let (None, Some(_), Some(stripe)) = (self.fault, self.layout, gap) {
+            self.fault = Some(ChunkFault::Incomplete { missing: stripe * CHUNK_WORDS });
         }
-        PeerFold { stripes: self.layout.map(|_| self.stripes), fault, duplicates: self.duplicates }
+        self.fault
+    }
+
+    /// Whether the closed stream folds: it delivered, with no verdict.
+    fn folds(&self) -> bool {
+        self.layout.is_some() && self.fault.is_none()
     }
 }
 
@@ -339,20 +347,20 @@ type PushFn = fn(&mut Stage, Chunk);
 /// One aggregation pass: a [`Stage`] per peer stream, fed by whichever
 /// thread holds that stream's chunks, and one fold once every stream has
 /// ended.
-pub(crate) struct Pass {
-    push: PushFn,
+pub(crate) struct Pass<'s> {
+    sigma: &'s SigmaAggregator,
     model_len: usize,
     /// `None` once the peer's staging panicked.
     stages: Vec<Option<Stage>>,
 }
 
-impl Pass {
+impl Pass<'_> {
     /// Stages `chunks` as (more of) peer `peer`'s stream. A push that
     /// panics aborts the peer: it is quarantined as
     /// [`ChunkFault::Aborted`] and the rest of its stream is discarded,
     /// while every other peer stages on.
     pub(crate) fn stage(&mut self, peer: usize, chunks: impl IntoIterator<Item = Chunk>) {
-        let push = self.push;
+        let push = self.sigma.push;
         let slot = &mut self.stages[peer];
         for chunk in chunks {
             let Some(stage) = slot.as_mut() else {
@@ -366,25 +374,51 @@ impl Pass {
 
     /// Ends the pass — every stream has ended — and folds what survived.
     /// Peers are collected in index order: the determinism contract the
-    /// float fold builds on.
-    pub(crate) fn finish(self) -> AggregateOutcome {
+    /// float fold builds on. Every view the pass held is dropped before
+    /// it returns, and its tables go back to the aggregator's spares
+    /// (an aborted peer's stage is lost with its unwind).
+    pub(crate) fn finish(mut self) -> AggregateOutcome {
         let mut outcome =
             AggregateOutcome { sum: Vec::new(), quarantined: Vec::new(), duplicates_dropped: 0 };
-        let mut survivors = Vec::new();
-        for (peer, stage) in self.stages.into_iter().enumerate() {
-            let Some(fold) = stage.map(Stage::finish) else {
+        for (peer, stage) in self.stages.iter_mut().enumerate() {
+            let Some(stage) = stage else {
                 outcome.quarantined.push((peer, ChunkFault::Aborted));
                 continue;
             };
-            outcome.duplicates_dropped += fold.duplicates;
-            match fold.fault {
-                Some(fault) => outcome.quarantined.push((peer, fault)),
-                None => survivors.extend(fold.stripes),
-            }
+            outcome.duplicates_dropped += stage.duplicates;
+            outcome.quarantined.extend(stage.close().map(|fault| (peer, fault)));
         }
-        outcome.sum = fold_stripes(self.model_len, &survivors);
+        let mut scratch = std::mem::take(&mut self.sigma.spares.lock().scratch);
+        outcome.sum = fold_stripes(self.model_len, &self.stages, &mut scratch);
+        let mut spares = self.sigma.spares.lock();
+        for mut stage in self.stages.drain(..).flatten() {
+            stage.stripes.clear();
+            spares.stages.push(stage);
+        }
+        (spares.slots, spares.scratch) = (self.stages, scratch);
         outcome
     }
+}
+
+/// What a pass leaves its aggregator for the next: the tables that
+/// otherwise would be allocated per pass, per peer or per fold.
+#[derive(Debug, Default)]
+struct Spares {
+    /// Closed stages, their stripe tables empty.
+    stages: Vec<Stage>,
+    /// The per-peer table of stages, empty.
+    slots: Vec<Option<Stage>>,
+    scratch: FoldScratch,
+}
+
+/// [`fold_stripes`]' working tables, kept between folds. The borrowed
+/// ones are empty between folds; [`recycle`] lends them out.
+#[derive(Debug, Default)]
+struct FoldScratch {
+    dense: Vec<&'static [f64]>,
+    grids: Vec<(&'static [f64], u8)>,
+    acc: Vec<i64>,
+    total: Vec<f64>,
 }
 
 /// The Sigma node's aggregation machinery. It owns no thread: a pass
@@ -412,6 +446,8 @@ pub struct SigmaAggregator {
     staged: AtomicUsize,
     /// A field so tests can plant a panic.
     push: PushFn,
+    /// Tables the last pass left, for the next.
+    spares: Mutex<Spares>,
 }
 
 impl SigmaAggregator {
@@ -421,15 +457,23 @@ impl SigmaAggregator {
     /// which stages each stream as it holds it. They stay so the
     /// signature does.
     pub fn new(_networking_threads: usize, _aggregation_threads: usize) -> Self {
-        SigmaAggregator { staged: AtomicUsize::new(0), push: Stage::push }
+        SigmaAggregator { staged: AtomicUsize::new(0), push: Stage::push, spares: Mutex::default() }
     }
 
     /// Starts a pass over `peers` streams of a `model_len`-word model,
-    /// re-expressing dense chunks on the grid of `quantize_at` if given.
-    pub(crate) fn pass(&self, model_len: usize, peers: usize, quantize_at: Option<u8>) -> Pass {
+    /// re-expressing dense chunks on the grid of `quantize_at` if given,
+    /// in the tables an earlier pass left (new ones where it left too
+    /// few).
+    pub(crate) fn pass(&self, model_len: usize, peers: usize, quantize_at: Option<u8>) -> Pass<'_> {
         self.staged.fetch_add(peers, Ordering::Relaxed);
-        let stages = (0..peers).map(|_| Some(Stage::new(model_len, quantize_at))).collect();
-        Pass { push: self.push, model_len, stages }
+        let mut spares = self.spares.lock();
+        let mut stages = std::mem::take(&mut spares.slots);
+        stages.extend((0..peers).map(|_| {
+            let mut stage = spares.stages.pop().unwrap_or_default();
+            stage.reset(model_len, quantize_at);
+            Some(stage)
+        }));
+        Pass { sigma: self, model_len, stages }
     }
 
     /// Receives one partial vector from every connection, validating
@@ -506,23 +550,25 @@ impl SigmaAggregator {
 }
 
 /// The final fold: walks the model a stripe at a time over the views
-/// the survivors hold, in peer order. Dense views fold as floats, each
-/// element `((0.0 + p₀) + p₁) + …`; grid views fold as `i64` on one
-/// grid and de-quantize once — straight into the sum when the stripe
-/// has no dense survivor, folded in last when it has.
-fn fold_stripes(model_len: usize, survivors: &[Stripes]) -> Vec<f64> {
+/// the closed stages that fold hold, in peer order. Dense views fold as
+/// floats, each element `((0.0 + p₀) + p₁) + …`; grid views fold as
+/// `i64` on one grid and de-quantize once — straight into the sum when
+/// the stripe has no dense survivor, folded in last when it has.
+fn fold_stripes(model_len: usize, stages: &[Option<Stage>], scratch: &mut FoldScratch) -> Vec<f64> {
     let mut sum = vec![0.0; model_len];
-    let (mut dense, mut grids) = (Vec::new(), Vec::new());
-    let (mut acc, mut total) = (Vec::new(), Vec::new());
+    let mut dense: Vec<&[f64]> = recycle(std::mem::take(&mut scratch.dense));
+    let mut grids: Vec<(&[f64], u8)> = recycle(std::mem::take(&mut scratch.grids));
+    let (acc, total) = (&mut scratch.acc, &mut scratch.total);
     for (k, out) in sum.chunks_mut(CHUNK_WORDS).enumerate() {
         dense.clear();
         grids.clear();
-        for chunk in survivors.iter().filter_map(|stripes| stripes[k].as_ref()) {
+        let survivors = stages.iter().flatten().filter(|stage| stage.folds());
+        for chunk in survivors.filter_map(|stage| stage.stripes[k].as_ref()) {
             match chunk.layout {
                 Layout::Dense => dense.push(&chunk.data[..]),
                 // Parsed again, as on arrival: the words are shared, not ours.
                 Layout::Grid => grids.extend(
-                    chunk.grid_header().map(|(scale_exp, _)| (&chunk.data[1..], scale_exp)),
+                    chunk.grid_header().ok().map(|(scale_exp, _)| (&chunk.data[1..], scale_exp)),
                 ),
             }
         }
@@ -531,15 +577,16 @@ fn fold_stripes(model_len: usize, survivors: &[Stripes]) -> Vec<f64> {
             continue;
         }
         acc.resize(out.len(), 0);
-        let scale_exp = fold::fold_grid_stripe(&mut acc, &grids);
+        let scale_exp = fold::fold_grid_stripe(acc, &grids);
         if dense.is_empty() {
-            dequantize_sum(scale_exp, &acc, out);
+            dequantize_sum(scale_exp, acc, out);
         } else {
             total.resize(out.len(), 0.0);
-            dequantize_sum(scale_exp, &acc, &mut total);
-            fold::fold_parts(out, &[&total]);
+            dequantize_sum(scale_exp, acc, total);
+            fold::fold_parts(out, &[total]);
         }
     }
+    (scratch.dense, scratch.grids) = (recycle(dense), recycle(grids));
     sum
 }
 
@@ -708,6 +755,44 @@ mod tests {
     }
 
     #[test]
+    fn a_chunk_longer_than_its_stripe_quarantines_its_peer() {
+        // Inside the model, but five words into the next stripe: folding
+        // its first stripe's worth would drop the rest without a verdict.
+        let sigma = SigmaAggregator::new(2, 2);
+        let long = Chunk::new(0, vec![1.0; CHUNK_WORDS + 5]);
+        let next = Chunk::new(CHUNK_WORDS, vec![2.0; CHUNK_WORDS]);
+        let out = sigma.aggregate_validated(2 * CHUNK_WORDS, vec![send_chunks([long, next])]);
+        assert_eq!(
+            out.quarantined,
+            vec![(0, ChunkFault::Overrun { offset: 0, len: CHUNK_WORDS + 5 })]
+        );
+        assert_eq!(out.sum, vec![0.0; 2 * CHUNK_WORDS]);
+    }
+
+    #[test]
+    fn a_pass_leaves_its_tables_and_no_view() {
+        // The second pass stages into the first one's tables; neither
+        // keeps a view of what it folded, so each sender's arena is
+        // held by the sender's own views alone once the pass returns.
+        let sigma = SigmaAggregator::new(2, 2);
+        let len = 2 * CHUNK_WORDS + 3;
+        for round in 0..2 {
+            let chunks: Vec<Vec<Chunk>> =
+                (0..3).map(|p| chunk_vector(&partial(len, p + round, 1.0))).collect();
+            let out =
+                sigma.aggregate_validated(len, chunks.iter().cloned().map(send_chunks).collect());
+            assert!(out.quarantined.is_empty());
+            let spares = sigma.spares.lock();
+            assert_eq!((spares.stages.len(), spares.slots.capacity() >= 3), (3, true));
+            assert!(spares.stages.iter().all(|stage| stage.stripes.is_empty()));
+            drop(spares);
+            for stream in &chunks {
+                assert_eq!(stream[0].data.holders(), stream.len(), "the sender's views alone");
+            }
+        }
+    }
+
+    #[test]
     fn partial_stream_is_quarantined_not_zero_filled() {
         let sigma = SigmaAggregator::new(2, 2);
         let len = 3 * CHUNK_WORDS;
@@ -837,7 +922,7 @@ mod tests {
         let scale_exp = derive_scale(&model, 20);
         for (chunk, stripe) in chunks.iter().zip(model.chunks(CHUNK_WORDS)) {
             assert_eq!(chunk.layout, Layout::Grid);
-            assert_eq!(chunk.grid_header(), Some((scale_exp, stripe.len())));
+            assert_eq!(chunk.grid_header(), Ok((scale_exp, stripe.len())));
 
             assert!(chunk.is_intact());
             assert!(chunk.data.shares_allocation(&chunks[0].data), "one arena");
@@ -889,7 +974,7 @@ mod tests {
         // Quarantining peer k — by any verdict — leaves exactly the
         // integer sum of the rest; duplicates are dropped, not summed.
         type Bend = fn(Vec<Chunk>) -> Vec<Chunk>;
-        let cases: [(Bend, ChunkFault); 8] = [
+        let cases: [(Bend, ChunkFault); 9] = [
             (
                 |mut c| {
                     c[1] = c[1].clone().corrupted();
@@ -928,10 +1013,22 @@ mod tests {
                 ChunkFault::Incomplete { missing: 17 },
             ),
             (
-                // A header claiming one word more than is packed under it.
+                // A header claiming one word more than a stripe holds:
+                // refused unread, as a dense chunk that long is.
                 |mut c| {
                     let mut words = c[0].data.to_vec();
                     words[0] = f64::from_bits(words[0].to_bits() + (1 << 32));
+                    c[0].data = words.into();
+                    c[0].checksum = Chunk::grid_checksum_of(0, &c[0].data);
+                    c
+                },
+                ChunkFault::Overrun { offset: 0, len: CHUNK_WORDS + 1 },
+            ),
+            (
+                // A header claiming two words fewer than are packed under it.
+                |mut c| {
+                    let mut words = c[0].data.to_vec();
+                    words[0] = f64::from_bits(words[0].to_bits() - (2 << 32));
                     c[0].data = words.into();
                     c[0].checksum = Chunk::grid_checksum_of(0, &c[0].data);
                     c
@@ -1009,12 +1106,12 @@ mod tests {
         let len = 2 * CHUNK_WORDS + 17;
         let model = partial(len, 0, 1.0);
         for chunks in [chunk_vector(&model), grid_chunks(&model, 20).0] {
-            let mut stage = Stage::new(len, None);
+            let mut stage = Stage::default();
+            stage.reset(len, None);
             chunks.iter().rev().cloned().for_each(|chunk| stage.push(chunk));
-            let fold = stage.finish();
-            assert_eq!(fold.fault, None);
-            let held = fold.stripes.expect("something arrived");
-            for (held, sent) in held.iter().zip(&chunks) {
+            assert_eq!(stage.close(), None);
+            assert!(stage.folds(), "something arrived");
+            for (held, sent) in stage.stripes.iter().zip(&chunks) {
                 let held = held.as_ref().expect("every stripe covered");
                 assert_eq!(held, sent, "as delivered");
                 assert!(held.data.shares_allocation(&sent.data), "a view, not a copy");

@@ -442,10 +442,15 @@ impl<'c> Workers<'c> {
 }
 
 impl Compute for Workers<'_> {
-    fn partials(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError> {
+    fn partials(
+        &mut self,
+        req: &Request<'_>,
+        arrivals: &mut Vec<Arrival>,
+    ) -> Result<(), RuntimeError> {
         self.iteration = req.iteration;
         self.deploy(req)?;
-        self.window(req)
+        arrivals.append(&mut self.window(req)?);
+        Ok(())
     }
 
     /// The launcher reports no loss: the per-epoch pass over the whole
@@ -457,7 +462,7 @@ impl Compute for Workers<'_> {
     /// Answers every stream of the round with the model it left, one
     /// shared payload for every reply. The spent partials were decoded
     /// off the wire; they are dropped.
-    fn settle(&mut self, model: &[f64], _spent: Vec<Vec<f64>>) {
+    fn settle(&mut self, model: &[f64], _spent: &mut Vec<Vec<f64>>) {
         let (iteration, payload) = (self.iteration as u64, WordBuf::copy_of(model));
         for (node, mut owed) in std::mem::take(&mut self.owed) {
             let (node, payload) = (node as u32, payload.clone());
@@ -718,7 +723,7 @@ mod tests {
         // Settling answers exactly the two arrivals, with the new model.
         let next: Vec<f64> = model.iter().map(|w| w - 1.0).collect();
         workers.iteration = 4;
-        workers.settle(&next, Vec::new());
+        workers.settle(&next, &mut Vec::new());
         for (node, socket) in [(0, &mut open[1]), (1, &mut joiner)] {
             let reply = Frame::read_from(socket).unwrap();
             assert_eq!((reply.kind, reply.node, reply.iteration), (FrameKind::Model, node, 4));

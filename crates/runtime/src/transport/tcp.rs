@@ -239,7 +239,7 @@ impl Transport for TcpTransport {
 /// and its buffered chunks staged into its peer's stage. Anything else
 /// is dropped unanswered, which shuts its connection; the sender's
 /// retransmission is the only delivery.
-fn route(served: Served, ctx: &RoundCtx<'_>, round: &Round, pass: &mut Pass) {
+fn route(served: Served, ctx: &RoundCtx<'_>, round: &Round, pass: &mut Pass<'_>) {
     let ServedKind::Round { iteration, chunks, mut reply, .. } = served.kind else {
         return;
     };
