@@ -188,12 +188,10 @@ impl GpuSpec {
     }
 }
 
-/// A complete node-level platform description: host CPU plus, optionally,
-/// an attached accelerator or GPU.
+/// A complete node-level platform description: host CPU plus an attached
+/// accelerator or GPU.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Platform {
-    /// CPU-only node (the Spark baseline).
-    Cpu(CpuSpec),
     /// CPU plus a CoSMIC template accelerator on PCIe.
     Accelerated(CpuSpec, AcceleratorSpec),
     /// CPU plus a GPU on PCIe (the GPU-CoSMIC configuration).
@@ -206,7 +204,6 @@ impl Platform {
     /// derating mirrors the paper's WattsUp whole-system methodology.
     pub fn node_power_w(&self) -> f64 {
         match *self {
-            Platform::Cpu(c) => c.tdp_w,
             Platform::Accelerated(c, a) => 0.5 * c.tdp_w + a.tdp_w,
             Platform::Gpu(c, g) => 0.5 * c.tdp_w + g.tdp_w,
         }

@@ -1,6 +1,6 @@
 //! Figure 16: the Planner's design-space exploration — normalized
 //! performance of every (threads × rows) point for four representative
-//! benchmarks, optimum marked.
+//! benchmarks, the Planner's choice marked.
 //!
 //! Paper: mnist and movielens want all 48 rows (compute-bound); stock and
 //! tumor saturate beyond 16 rows; for a fixed row count, more threads
@@ -8,7 +8,7 @@
 
 use cosmic_core::cosmic_arch::AcceleratorSpec;
 use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
-use cosmic_core::cosmic_planner::dse::{self, DesignSpace};
+use cosmic_core::cosmic_planner::{self, Plan};
 
 use crate::figures::FigureCtx;
 use crate::harness::full_dfg;
@@ -17,39 +17,44 @@ use crate::harness::full_dfg;
 pub(crate) const BENCHES: [BenchmarkId; 4] =
     [BenchmarkId::Mnist, BenchmarkId::Movielens, BenchmarkId::Stock, BenchmarkId::Tumor];
 
-/// Sweeps one benchmark's design space on the VU9P.
-pub(crate) fn space(id: BenchmarkId) -> DesignSpace {
-    dse::sweep(full_dfg(id), &AcceleratorSpec::fpga_vu9p(), DEFAULT_MINIBATCH)
+/// Walks one benchmark's unpruned design space on the VU9P.
+pub(crate) fn space(id: BenchmarkId) -> Plan {
+    cosmic_planner::grid(full_dfg(id), &AcceleratorSpec::fpga_vu9p(), DEFAULT_MINIBATCH)
 }
 
 /// Renders the figure.
 pub(crate) fn run(_: &FigureCtx) -> String {
     let mut out = String::from("## Figure 16 — Design-space exploration (normalized to T1xR1)\n");
     for id in BENCHES {
-        let ds = space(id);
-        let best = ds.optimum();
+        let grid = space(id);
+        let best = grid.best;
         out.push_str(&format!(
             "\n### {id} (optimum {} at {:.1}x, t_max = {})\n\n| threads \\ rows |",
-            best.point, best.speedup_vs_t1r1, ds.t_max
+            best.point,
+            grid.speedup(&best),
+            grid.t_max
         ));
-        // Columns: a compact set of total-row counts.
-        let row_counts: Vec<usize> = [1usize, 2, 4, 8, 16, 24, 32, 48]
+        // Columns: a compact set of total-row counts, always with the
+        // marked point's.
+        let mut row_counts: Vec<usize> = [1usize, 2, 4, 8, 16, 24, 32, 48, best.point.rows()]
             .into_iter()
-            .filter(|&r| ds.points.iter().any(|p| p.point.rows() == r))
+            .filter(|&r| grid.explored.iter().any(|p| p.point.rows() == r))
             .collect();
+        row_counts.sort_unstable();
+        row_counts.dedup();
         for r in &row_counts {
             out.push_str(&format!(" R{r} |"));
         }
         out.push('\n');
         out.push_str(&format!("|---|{}\n", "---|".repeat(row_counts.len())));
-        for t in ds.thread_counts() {
-            let curve = ds.curve(t);
+        for t in grid.thread_counts() {
+            let curve = grid.curve(t);
             out.push_str(&format!("| T{t} |"));
             for r in &row_counts {
                 match curve.iter().find(|p| p.point.rows() == *r) {
                     Some(p) => {
                         let marker = if p.point == best.point { "**" } else { "" };
-                        out.push_str(&format!(" {marker}{:.1}{marker} |", p.speedup_vs_t1r1));
+                        out.push_str(&format!(" {marker}{:.1}{marker} |", grid.speedup(p)));
                     }
                     None => out.push_str(" - |"),
                 }
@@ -70,34 +75,60 @@ mod tests {
 
     #[test]
     fn compute_bound_optimum_uses_the_whole_fabric() {
-        let ds = space(BenchmarkId::Movielens);
-        assert!(
-            ds.optimum().point.rows() >= 24,
-            "movielens wants many rows, got {}",
-            ds.optimum().point
-        );
+        let best = space(BenchmarkId::Movielens).best.point;
+        assert!(best.rows() >= 24, "movielens wants many rows, got {best}");
     }
 
     #[test]
     fn bandwidth_bound_benchmark_saturates() {
-        let ds = space(BenchmarkId::Stock);
+        let grid = space(BenchmarkId::Stock);
         // Performance at full rows is not much better than at 16 rows for
         // a single thread (paper: saturates beyond 16).
-        let one_thread = ds.curve(1);
-        let at16 = one_thread.iter().find(|p| p.point.rows() >= 16).unwrap().speedup_vs_t1r1;
-        let at48 = one_thread.last().unwrap().speedup_vs_t1r1;
+        let one_thread = grid.curve(1);
+        let at16 = grid.speedup(one_thread.iter().find(|p| p.point.rows() >= 16).unwrap());
+        let at48 = grid.speedup(one_thread.last().unwrap());
         assert!(at48 < at16 * 1.6, "stock must saturate: {at16:.1} at 16 rows vs {at48:.1} at 48");
     }
 
     #[test]
     fn more_threads_never_hurt_at_fixed_rows() {
-        let ds = space(BenchmarkId::Tumor);
-        for a in &ds.points {
-            for b in &ds.points {
+        let grid = space(BenchmarkId::Tumor);
+        for a in &grid.explored {
+            for b in &grid.explored {
                 if a.point.rows() == b.point.rows() && a.point.threads < b.point.threads {
                     assert!(b.records_per_sec >= a.records_per_sec * 0.97);
                 }
             }
+        }
+    }
+
+    /// Every table bolds exactly one cell, and it is the point the
+    /// Planner picks.
+    #[test]
+    fn the_figure_marks_the_planners_choice() {
+        let report = run(&FigureCtx::default());
+        let sections: Vec<&str> = report.split("\n### ").skip(1).collect();
+        assert_eq!(sections.len(), BENCHES.len());
+        for (id, section) in BENCHES.into_iter().zip(sections) {
+            let spec = AcceleratorSpec::fpga_vu9p();
+            let best = cosmic_planner::plan(full_dfg(id), &spec, DEFAULT_MINIBATCH).best.point;
+            assert!(section.starts_with(&format!("{id} (optimum {best} at ")), "{section}");
+            let table: Vec<Vec<&str>> = section
+                .lines()
+                .filter(|l| l.starts_with('|'))
+                .map(|l| l.split('|').map(str::trim).collect())
+                .collect();
+            let marked: Vec<(&str, &str)> = table[2..]
+                .iter()
+                .flat_map(|row| {
+                    let columns = &table[0];
+                    (0..row.len())
+                        .filter(|&i| row[i].starts_with("**"))
+                        .map(|i| (row[1], columns[i]))
+                })
+                .collect();
+            let (t, r) = (format!("T{}", best.threads), format!("R{}", best.rows()));
+            assert_eq!(marked, [(t.as_str(), r.as_str())], "{id}");
         }
     }
 }

@@ -8,17 +8,16 @@
 
 use cosmic_core::cosmic_arch::{AcceleratorSpec, Geometry};
 use cosmic_core::cosmic_compiler::{estimate, BusModel, CompileOptions, MappingStrategy};
-use cosmic_core::cosmic_ml::{suite::DEFAULT_MINIBATCH, BenchmarkId};
-use cosmic_core::cosmic_planner;
+use cosmic_core::cosmic_ml::BenchmarkId;
 use cosmic_core::cosmic_telemetry::{Layer, TraceSink};
 
 use crate::figures::FigureCtx;
 use crate::harness::{full_dfg, geomean};
 
-/// `(speedup, cosmic_transfers, tabla_transfers)` at the planned design
-/// point's geometry. Records both compilation pipelines (a `Dsl`-layer
-/// `lower` span around the shared DFG lookup, then one `compile` span
-/// tree per mapper) and their static counters into `sink`.
+/// `(speedup, cosmic_transfers, tabla_transfers)` at the full-fabric
+/// geometry (`max_rows × columns`). Records both compilation pipelines
+/// (a `Dsl`-layer `lower` span around the shared DFG lookup, then one
+/// `compile` span tree per mapper) and their static counters into `sink`.
 pub fn comparison(id: BenchmarkId, sink: &TraceSink) -> (f64, u64, u64) {
     let dfg = {
         let guard = sink.span(Layer::Dsl, "lower");
@@ -28,7 +27,6 @@ pub fn comparison(id: BenchmarkId, sink: &TraceSink) -> (f64, u64, u64) {
     let spec = AcceleratorSpec::fpga_vu9p();
     // Head-to-head on the full UltraScale+ fabric with the same PEs
     // (paper §7.2) — single-threaded, since TABLA has no multi-threading.
-    let _ = cosmic_planner::plan(dfg, &spec, DEFAULT_MINIBATCH); // warm shared caches
     let geometry = Geometry::new(spec.max_rows(), spec.columns);
 
     let cosmic = estimate(

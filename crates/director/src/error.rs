@@ -16,13 +16,6 @@ pub enum DirectorError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The cluster cannot host even the smallest job in the plan.
-    ClusterTooSmall {
-        /// Cluster size.
-        nodes: usize,
-        /// The smallest min-nodes request that does not fit.
-        required: usize,
-    },
     /// A carve-out operation hit an invalid topology transition.
     Topology(TopologyError),
     /// A collective schedule could not be built for a carve.
@@ -79,9 +72,6 @@ impl fmt::Display for DirectorError {
         match self {
             DirectorError::InvalidJob { job, reason } => {
                 write!(f, "job {job} rejected at admission: {reason}")
-            }
-            DirectorError::ClusterTooSmall { nodes, required } => {
-                write!(f, "cluster of {nodes} nodes cannot host a min-{required}-node job")
             }
             DirectorError::Topology(e) => write!(f, "carve topology: {e}"),
             DirectorError::Schedule(e) => write!(f, "carve schedule: {e}"),

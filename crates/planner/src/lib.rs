@@ -16,18 +16,15 @@
 //!    points on UltraScale+) and each point is estimated from the static
 //!    schedule.
 //!
-//! The crate also models FPGA resource utilization (Table 3) and exposes
-//! the full design-space sweep used for Figure 16.
+//! The crate also models FPGA resource utilization (Table 3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-pub mod dse;
 pub mod plan;
 pub mod utilization;
 
-pub use dse::{DesignSpace, SweepPoint};
-pub use plan::{plan, DesignPoint, Plan};
+pub use plan::{grid, plan, DesignPoint, Plan};
 pub use utilization::{utilization, Utilization};

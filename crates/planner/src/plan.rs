@@ -52,14 +52,42 @@ pub struct AcceleratorPerf {
 pub struct Plan {
     /// Chip this plan targets.
     pub spec: AcceleratorSpec,
-    /// The best (highest-throughput, smallest-on-ties) design point.
+    /// The smallest, best-performing design point (paper §4.4): the rule
+    /// folds the pruned points in walk order from T1xR1, and a point
+    /// replaces the incumbent only when it is more than 3 % faster, or
+    /// within 3 % and on fewer rows.
     pub best: AcceleratorPerf,
-    /// All feasible points estimated, in exploration order.
+    /// All feasible points estimated, in walk order (rows per thread
+    /// outer, threads inner), T1xR1 first.
     pub explored: Vec<AcceleratorPerf>,
     /// The storage-derived thread bound.
     pub t_max_storage: usize,
     /// The final thread bound `min(storage, rows, mini-batch)`.
     pub t_max: usize,
+}
+
+impl Plan {
+    /// `perf`'s throughput normalized to T1xR1, the first point explored.
+    pub fn speedup(&self, perf: &AcceleratorPerf) -> f64 {
+        perf.records_per_sec / self.explored[0].records_per_sec
+    }
+
+    /// Points for a fixed thread count, ordered by total rows — one curve
+    /// of Figure 16.
+    pub fn curve(&self, threads: usize) -> Vec<AcceleratorPerf> {
+        let mut v: Vec<AcceleratorPerf> =
+            self.explored.iter().copied().filter(|p| p.point.threads == threads).collect();
+        v.sort_by_key(|p| p.point.rows());
+        v
+    }
+
+    /// Distinct thread counts explored, ascending.
+    pub fn thread_counts(&self) -> Vec<usize> {
+        let mut v: Vec<usize> = self.explored.iter().map(|p| p.point.threads).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
 }
 
 /// Runs the Planner for one algorithm DFG on one chip, with the
@@ -82,15 +110,46 @@ pub fn plan(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> Plan {
 }
 
 /// [`plan`] with the walk fanned out to `workers` threads.
-pub(crate) fn plan_on(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize, workers: usize) -> Plan {
+fn plan_on(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize, workers: usize) -> Plan {
     let (t_max_storage, t_max) = thread_bounds(dfg, spec, minibatch);
-    let (t1r1, explored) =
-        walk(dfg, spec, &pow2_sweep(spec.max_rows()), &pow2_sweep(t_max), workers);
-    // "The smallest, best-performing design point" (paper §4.4): a point
-    // must be materially faster to justify more rows; a near-tie goes to
-    // the smaller allocation. T1xR1 is the first point explored, so
-    // seeding with it changes nothing.
-    let best = explored.iter().fold(t1r1, |best, &perf| {
+    let explored = walk(dfg, spec, &pow2_sweep(spec.max_rows()), &pow2_sweep(t_max), workers);
+    let best = smallest_best(&explored);
+    Plan { spec: *spec, best, explored, t_max_storage, t_max }
+}
+
+/// The unpruned design space Figure 16 draws: `explored` holds every
+/// feasible point, threads `1..=t_max` and rows per thread
+/// `1..=max_rows`, in walk order. `best` is [`plan`]'s choice: the rule
+/// runs over the grid's pruned points, which are the Planner's estimates
+/// in the Planner's order (the rule depends on order, so it never runs
+/// over the whole grid).
+///
+/// # Panics
+///
+/// Panics if `minibatch` is zero or the chip has fewer PEs than one row.
+pub fn grid(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> Plan {
+    grid_on(dfg, spec, minibatch, cores())
+}
+
+/// [`grid`] with the walk fanned out to `workers` threads.
+fn grid_on(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize, workers: usize) -> Plan {
+    let (t_max_storage, t_max) = thread_bounds(dfg, spec, minibatch);
+    let all = |bound: usize| (1..=bound).collect::<Vec<_>>();
+    let explored = walk(dfg, spec, &all(spec.max_rows()), &all(t_max), workers);
+    let (rows, threads) = (pow2_sweep(spec.max_rows()), pow2_sweep(t_max));
+    let pruned: Vec<AcceleratorPerf> = explored
+        .iter()
+        .copied()
+        .filter(|p| rows.contains(&p.point.rows_per_thread) && threads.contains(&p.point.threads))
+        .collect();
+    let best = smallest_best(&pruned);
+    Plan { spec: *spec, best, explored, t_max_storage, t_max }
+}
+
+/// The one selection rule, "the smallest, best-performing design point"
+/// (paper §4.4), folded from `points[0]` as [`Plan::best`] states it.
+fn smallest_best(points: &[AcceleratorPerf]) -> AcceleratorPerf {
+    points.iter().fold(points[0], |best, &perf| {
         let better = perf.records_per_sec > best.records_per_sec * 1.03
             || (perf.records_per_sec > best.records_per_sec * 0.97
                 && perf.point.rows() < best.point.rows());
@@ -99,8 +158,7 @@ pub(crate) fn plan_on(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize, worke
         } else {
             best
         }
-    });
-    Plan { spec: *spec, best, explored, t_max_storage, t_max }
+    })
 }
 
 /// The storage-derived thread bound and `t_max = min(storage, rows,
@@ -109,7 +167,7 @@ pub(crate) fn plan_on(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize, worke
 /// # Panics
 ///
 /// Panics if `minibatch` is zero or the chip has fewer PEs than one row.
-pub(crate) fn thread_bounds(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> (usize, usize) {
+fn thread_bounds(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize) -> (usize, usize) {
     assert!(minibatch > 0, "mini-batch must be positive");
     assert!(spec.max_rows() > 0, "the chip must hold at least one row of PEs");
     let storage = analysis::storage_bytes(dfg).max(1);
@@ -118,30 +176,29 @@ pub(crate) fn thread_bounds(dfg: &Dfg, spec: &AcceleratorSpec, minibatch: usize)
 }
 
 /// The cores the walk fans out to.
-pub(crate) fn cores() -> usize {
+fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-/// The estimation walk both walkers share ([`plan`] and Fig 16's
-/// [`crate::dse::sweep`]): every feasible candidate, `rows` outer and the
-/// ascending `threads` inner. Both walkers start at T1xR1, so `rows`
-/// starts at 1, and T1xR1 is returned beside the points. Each row count is
-/// mapped and scheduled once, at full bandwidth and with the DFG's one
-/// priority order; [`perf_at`] applies each thread's share.
+/// The estimation walk [`plan`] and [`grid`] share: every feasible
+/// candidate, `rows` outer and the ascending `threads` inner. Both lists
+/// start at 1, so T1xR1 is the first point. Each row count is mapped and
+/// scheduled once, at full bandwidth and with the DFG's one priority
+/// order; [`perf_at`] applies each thread's share.
 ///
 /// The row counts are estimated on the caller and on up to `workers - 1`
 /// scoped threads, each taking the next unclaimed row count. Every
 /// estimate lands at its row count's position, so the result is the same
 /// for any `workers`. A worker's panic is re-raised on the caller when the
 /// scope ends.
-pub(crate) fn walk(
+fn walk(
     dfg: &Dfg,
     spec: &AcceleratorSpec,
     rows: &[usize],
     threads: &[usize],
     workers: usize,
-) -> (AcceleratorPerf, Vec<AcceleratorPerf>) {
-    debug_assert_eq!(rows.first(), Some(&1), "the walk starts at T1xR1");
+) -> Vec<AcceleratorPerf> {
+    debug_assert_eq!((rows.first(), threads.first()), (Some(&1), Some(&1)), "T1xR1 comes first");
     let scheduler = ListScheduler::new(dfg);
     let estimate = |rows_per_thread| {
         let geometry = Geometry::new(rows_per_thread, spec.columns);
@@ -170,14 +227,13 @@ pub(crate) fn walk(
             slot.into_inner().unwrap_or_else(|| estimate(rows_per_thread))
         })
         .collect();
-    let t1r1 = perf_at(dfg, spec, estimates[0], DesignPoint { threads: 1, rows_per_thread: 1 });
     let mut points = Vec::new();
     for (&rows_per_thread, &est) in rows.iter().zip(&estimates) {
         for &threads in threads.iter().take_while(|&&t| t * rows_per_thread <= spec.max_rows()) {
             points.push(perf_at(dfg, spec, est, DesignPoint { threads, rows_per_thread }));
         }
     }
-    (t1r1, points)
+    points
 }
 
 /// Estimates one design point from a geometry's full-bandwidth schedule.
@@ -214,7 +270,6 @@ fn pow2_sweep(bound: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dse::sweep_on;
     use cosmic_dfg::{lower, DimEnv};
     use cosmic_dsl::{parse, programs};
 
@@ -283,10 +338,10 @@ mod tests {
         assert!(many.best.records_per_sec >= one.best.records_per_sec);
     }
 
-    /// The walk's fan-out changes nothing: three Table 1 programs at the
-    /// compile golden's scale (mnist's backprop at an eighth, stock's
-    /// linreg, movielens' CF) plan and sweep identically on 1, 2 and 7
-    /// workers.
+    /// The walk's fan-out changes nothing, and the grid marks the
+    /// Planner's choice: three Table 1 programs at the compile golden's
+    /// scale (mnist's backprop at an eighth, stock's linreg, movielens' CF)
+    /// plan and walk the grid identically on 1, 2 and 7 workers.
     #[test]
     fn the_walk_is_the_same_on_any_number_of_workers() {
         let spec = AcceleratorSpec::fpga_vu9p();
@@ -300,10 +355,75 @@ mod tests {
             let plans = [1, 2, 7].map(|workers| plan_on(&d, &spec, 10_000, workers));
             assert_eq!(plans[0], plans[1], "{name}");
             assert_eq!(plans[0], plans[2], "{name}");
-            let sweeps = [1, 2, 7].map(|workers| sweep_on(&d, &spec, 10_000, workers));
-            assert_eq!(sweeps[0], sweeps[1], "{name}");
-            assert_eq!(sweeps[0], sweeps[2], "{name}");
+            let grids = [1, 2, 7].map(|workers| grid_on(&d, &spec, 10_000, workers));
+            assert_eq!(grids[0], grids[1], "{name}");
+            assert_eq!(grids[0], grids[2], "{name}");
+            assert_eq!(grids[0].best, plans[0].best, "{name}");
         }
+    }
+
+    fn grid_of(name: &str, n: usize) -> Plan {
+        let env = DimEnv::new().with("n", n).with("h", 16).with("o", 4).with("k", 8);
+        grid(&dfg(name, &env), &small_spec(), 10_000)
+    }
+
+    #[test]
+    fn t1r1_is_the_baseline() {
+        let g = grid_of("linreg", 64);
+        let t1r1 = g.explored[0];
+        assert_eq!(t1r1.point, DesignPoint { threads: 1, rows_per_thread: 1 });
+        assert!((g.speedup(&t1r1) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_grid_marks_the_planners_choice() {
+        let env = DimEnv::new().with("n", 64);
+        let d = dfg("svm", &env);
+        let (g, p) = (grid(&d, &small_spec(), 10_000), plan(&d, &small_spec(), 10_000));
+        assert_eq!(g.best, p.best);
+        assert!(g.explored.len() > p.explored.len());
+        assert!(p.explored.iter().all(|e| g.explored.contains(e)));
+        assert!(g.speedup(&g.best) >= 1.0);
+    }
+
+    #[test]
+    fn curves_are_row_sorted_and_complete() {
+        let g = grid_of("logreg", 32);
+        let t_max = g.t_max;
+        assert_eq!(g.thread_counts(), (1..=t_max).collect::<Vec<_>>());
+        for t in g.thread_counts() {
+            let curve = g.curve(t);
+            // Every multiple of `t` within the row budget, ascending.
+            let rows: Vec<usize> = curve.iter().map(|p| p.point.rows()).collect();
+            assert_eq!(rows, (1..=small_spec().max_rows() / t).map(|r| r * t).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn fixed_rows_more_threads_not_slower() {
+        // Paper Fig. 16's observation, checked on the grid: compare
+        // points with equal total rows and different thread counts.
+        let g = grid_of("linreg", 128);
+        for a in &g.explored {
+            for b in &g.explored {
+                if a.point.rows() == b.point.rows() && a.point.threads < b.point.threads {
+                    assert!(
+                        b.records_per_sec >= a.records_per_sec * 0.999,
+                        "{} vs {}: {} vs {}",
+                        a.point,
+                        b.point,
+                        a.records_per_sec,
+                        b.records_per_sec
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn feasibility_respects_row_budget() {
+        let g = grid_of("svm", 32);
+        assert!(g.explored.iter().all(|p| p.point.rows() <= small_spec().max_rows()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use cosmic::cosmic_arch::AcceleratorSpec;
 use cosmic::cosmic_dfg::{lower, DimEnv};
 use cosmic::cosmic_dsl::{parse, programs};
-use cosmic::cosmic_planner::{dse, plan};
+use cosmic::cosmic_planner::grid;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = AcceleratorSpec::fpga_vu9p();
@@ -47,25 +47,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cosmic::cosmic_dfg::analysis::storage_bytes(&dfg) / 1024
         );
 
-        let p = plan(&dfg, &spec, 10_000);
+        // The full Figure 16-style grid: the Planner's choice, then one
+        // line per thread count.
+        let g = grid(&dfg, &spec, 10_000);
         println!(
-            "    Planner: t_max = {} (storage bound {}), chose {} at {:.0} records/s",
-            p.t_max, p.t_max_storage, p.best.point, p.best.records_per_sec
+            "    Planner: t_max = {} (storage bound {}), chose {} at {:.0} records/s ({:.1}x over T1xR1)",
+            g.t_max,
+            g.t_max_storage,
+            g.best.point,
+            g.best.records_per_sec,
+            g.speedup(&g.best)
         );
-
-        // The full Figure 16-style sweep, one line per thread count.
-        let space = dse::sweep(&dfg, &spec, 10_000);
-        for t in space.thread_counts().into_iter().take(4) {
-            let curve = space.curve(t);
+        for t in g.thread_counts().into_iter().take(4) {
+            let curve = g.curve(t);
             let cells: Vec<String> = curve
                 .iter()
                 .step_by((curve.len() / 6).max(1))
-                .map(|pt| format!("R{}:{:.1}x", pt.point.rows(), pt.speedup_vs_t1r1))
+                .map(|pt| format!("R{}:{:.1}x", pt.point.rows(), g.speedup(pt)))
                 .collect();
             println!("    T{t}: {}", cells.join("  "));
         }
-        let best = space.optimum();
-        println!("    sweep optimum: {} ({:.1}x over T1xR1)\n", best.point, best.speedup_vs_t1r1);
+        println!();
     }
     Ok(())
 }
