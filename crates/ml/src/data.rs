@@ -103,7 +103,7 @@ pub fn generate(alg: &Algorithm, count: usize, seed: u64) -> Dataset {
             let truth = ground_truth(&mut rng, features);
             (0..count)
                 .map(|_| {
-                    let x = feature_vec(&mut rng, features);
+                    let x = feature_vec(&mut rng, features, 1);
                     let y = dot(&truth, &x) + rng.gen_range(-0.05..0.05);
                     with_label(x, y)
                 })
@@ -113,7 +113,7 @@ pub fn generate(alg: &Algorithm, count: usize, seed: u64) -> Dataset {
             let truth = ground_truth(&mut rng, features);
             (0..count)
                 .map(|_| {
-                    let x = feature_vec(&mut rng, features);
+                    let x = feature_vec(&mut rng, features, 1);
                     let y = f64::from(dot(&truth, &x) > 0.0);
                     with_label(x, y)
                 })
@@ -123,7 +123,7 @@ pub fn generate(alg: &Algorithm, count: usize, seed: u64) -> Dataset {
             let truth = ground_truth(&mut rng, features);
             (0..count)
                 .map(|_| {
-                    let x = feature_vec(&mut rng, features);
+                    let x = feature_vec(&mut rng, features, 1);
                     let y = if dot(&truth, &x) > 0.0 { 1.0 } else { -1.0 };
                     with_label(x, y)
                 })
@@ -134,9 +134,9 @@ pub fn generate(alg: &Algorithm, count: usize, seed: u64) -> Dataset {
                 (0..hidden * inputs + outputs * hidden).map(|_| rng.gen_range(-1.0..1.0)).collect();
             (0..count)
                 .map(|_| {
-                    let x = feature_vec(&mut rng, inputs);
-                    let mut record = x.clone();
-                    record.extend(teacher_forward(&teacher, &x, inputs, hidden, outputs));
+                    let mut record = feature_vec(&mut rng, inputs, outputs);
+                    let labels = teacher_forward(&teacher, &record, inputs, hidden, outputs);
+                    record.extend(labels);
                     record
                 })
                 .collect()
@@ -169,9 +169,16 @@ fn ground_truth(rng: &mut StdRng, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
 
-fn feature_vec(rng: &mut StdRng, n: usize) -> Vec<f64> {
+/// `n` features with room for `labels` more words, so appending the
+/// labels does not reallocate. A record grown by a push holds twice its
+/// length, and each regrowth stays in the malloc arena of the block it
+/// grew from, so where a dataset lived depended on which thread had
+/// freed a block of that size last.
+fn feature_vec(rng: &mut StdRng, n: usize, labels: usize) -> Vec<f64> {
     let scale = 1.0 / (n as f64).sqrt();
-    (0..n).map(|_| rng.gen_range(-1.0..1.0) * scale * 3.0).collect()
+    let mut x = Vec::with_capacity(n + labels);
+    x.extend((0..n).map(|_| rng.gen_range(-1.0..1.0) * scale * 3.0));
+    x
 }
 
 fn with_label(mut x: Vec<f64>, y: f64) -> Vec<f64> {

@@ -2,7 +2,7 @@
 //! stack distributes (paper §2.2, Eq. 3); one worker is sequential SGD.
 
 use crate::algorithm::{dot4, Aggregation, Algorithm};
-use crate::data::Dataset;
+use crate::data::{self, Dataset};
 
 /// One parallelized-SGD aggregation step over a single global mini-batch
 /// (paper Eq. 3): every worker starts from `model`, runs sequential SGD
@@ -211,7 +211,9 @@ fn train_parallel_impl(
     let mut history = Vec::with_capacity(config.epochs + 1);
     let mut aggregations = 0;
 
-    let shards = dataset.partition(config.workers);
+    // Borrowed shards, as the runtime's engine takes them: no copy of
+    // the dataset per call.
+    let shards = data::shards(dataset.records(), config.workers);
     let per_worker = config.minibatch.div_ceil(config.workers);
 
     for _ in 0..config.epochs {
@@ -225,7 +227,7 @@ fn train_parallel_impl(
                 .map(|shard| {
                     let lo = (step * per_worker).min(shard.len());
                     let hi = ((step + 1) * per_worker).min(shard.len());
-                    &shard.records()[lo..hi]
+                    &shard[lo..hi]
                 })
                 .collect();
             match transform.as_mut() {
