@@ -49,9 +49,15 @@ pub(crate) fn run(_: &FigureCtx) -> String {
         out.push_str(&format!("|---|{}\n", "---|".repeat(row_counts.len())));
         for t in grid.thread_counts() {
             let curve = grid.curve(t);
+            let cells: Vec<_> =
+                row_counts.iter().map(|r| curve.iter().find(|p| p.point.rows() == *r)).collect();
+            // A thread count no drawn column has a point for draws no row.
+            if cells.iter().all(Option::is_none) {
+                continue;
+            }
             out.push_str(&format!("| T{t} |"));
-            for r in &row_counts {
-                match curve.iter().find(|p| p.point.rows() == *r) {
+            for cell in cells {
+                match cell {
                     Some(p) => {
                         let marker = if p.point == best.point { "**" } else { "" };
                         out.push_str(&format!(" {marker}{:.1}{marker} |", grid.speedup(p)));
@@ -129,6 +135,10 @@ mod tests {
                 .collect();
             let (t, r) = (format!("T{}", best.threads), format!("R{}", best.rows()));
             assert_eq!(marked, [(t.as_str(), r.as_str())], "{id}");
+            // Every drawn row carries a number.
+            for row in &table[2..] {
+                assert!(row[2..].iter().any(|cell| cell.contains(|c: char| c.is_ascii_digit())));
+            }
         }
     }
 }

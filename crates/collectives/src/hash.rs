@@ -140,9 +140,41 @@ pub fn payload_digest(words: &[f64]) -> u64 {
 /// is then written in place: measured faster than appending a word at
 /// a time.)
 pub fn encode_with_digest(words: &[f64], out: &mut Vec<u8>) -> u64 {
+    combine(words.len(), encode_lanes(words, [Fnv1a::OFFSET; LANES], out))
+}
+
+/// [`encode_with_digest`] of `head` followed by `tail`, written one
+/// after the other: a payload that is a leading word and a view of
+/// someone else's words is digested without first being gathered.
+pub fn encode_parts_with_digest(head: &[f64], tail: &[f64], out: &mut Vec<u8>) -> u64 {
+    // Word `i` of `tail` is payload word `head.len() + i`: its lane is
+    // reached by rotating the lanes by the head's length and back.
+    let shift = head.len() % LANES;
+    let lanes = encode_lanes(head, [Fnv1a::OFFSET; LANES], out);
+    let lanes = encode_lanes(tail, rotated(lanes, shift), out);
+    combine(head.len() + tail.len(), rotated(lanes, LANES - shift))
+}
+
+/// `lanes` rotated left by `by` (mod 4), by value: a rotation through a
+/// slice would keep the lanes in memory, and the bulk loop at half speed.
+#[inline(always)]
+fn rotated(lanes: [u64; LANES], by: usize) -> [u64; LANES] {
+    let [a, b, c, d] = lanes;
+    match by % LANES {
+        0 => [a, b, c, d],
+        1 => [b, c, d, a],
+        2 => [c, d, a, b],
+        _ => [d, a, b, c],
+    }
+}
+
+/// Appends `words`' little-endian bytes to `out`, stepping word `i` into
+/// `lanes[i % 4]`. (Always inlined: left to the inliner, the loop was
+/// measured at about half the speed of the same loop written inline.)
+#[inline(always)]
+fn encode_lanes(words: &[f64], mut lanes: [u64; LANES], out: &mut Vec<u8>) -> [u64; LANES] {
     let start = out.len();
     out.resize(start + 8 * words.len(), 0);
-    let mut lanes = [Fnv1a::OFFSET; LANES];
     let mut quads = words.chunks_exact(LANES);
     let mut slots = out[start..].chunks_exact_mut(8 * LANES);
     for (quad, slot) in (&mut quads).zip(&mut slots) {
@@ -156,7 +188,7 @@ pub fn encode_with_digest(words: &[f64], out: &mut Vec<u8>) -> u64 {
         le.copy_from_slice(&word.to_bits().to_le_bytes());
         lane_step(lane, word);
     }
-    combine(words.len(), lanes)
+    lanes
 }
 
 /// Appends the words `bytes` spells — little-endian, eight bytes each; a
@@ -263,6 +295,19 @@ mod tests {
             prop_assert_eq!(decode_with_digest(&bytes[prefix..], &mut back), payload_digest(&words));
             let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&back[prefix..]), bits(&words));
+        }
+    }
+
+    #[test]
+    fn a_payload_in_parts_digests_as_one() {
+        let words = pattern(2 * LANES + 3, 13);
+        let mut whole = Vec::new();
+        encode_with_digest(&words, &mut whole);
+        for cut in 0..=words.len() {
+            let mut bytes = Vec::new();
+            let (head, tail) = words.split_at(cut);
+            assert_eq!(encode_parts_with_digest(head, tail, &mut bytes), payload_digest(&words));
+            assert_eq!(bytes, whole, "cut at {cut}");
         }
     }
 

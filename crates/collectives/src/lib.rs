@@ -62,7 +62,9 @@ pub mod topology;
 
 pub use cache::{topology_fingerprint, BoundedScheduleCache, CacheStats};
 pub use codec::WireRepr;
-pub use hash::{decode_with_digest, encode_with_digest, payload_digest, Fnv1a};
+pub use hash::{
+    decode_with_digest, encode_parts_with_digest, encode_with_digest, payload_digest, Fnv1a,
+};
 pub use schedule::{CommSchedule, ScheduleError, StepKind};
 pub use selector::{CollectiveSelector, CostModel, RoundCost};
 pub use strategy::{Collective, CollectiveKind, FlatStar};

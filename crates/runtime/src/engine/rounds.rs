@@ -4,7 +4,8 @@
 
 use cosmic_collectives::codec::WireRepr;
 
-use crate::buffer::recycle;
+use std::mem::take;
+
 use crate::error::RuntimeError;
 use crate::layout::CHUNK_WORDS;
 use crate::trainer::{Exclusion, ExclusionReason, Quarantine, RETRY};
@@ -38,14 +39,15 @@ pub(crate) fn collective_round<O: RunObserver>(
     st: &mut RunState,
     round: &mut RoundTables,
 ) -> Result<Option<RoundOutput>, RuntimeError> {
-    let (senders, contributions) = (&round.senders, &round.contributions);
+    let (senders, contributions) = (&round.senders, &mut round.contributions);
     refresh_schedule(eng, st, senders)?;
-    // The partials go to the transport raw: the chunking boundary,
-    // where a lossy wire repr applies, is `RoundCtx::wire_chunks`, on
-    // this thread.
+    // The partials are lent to the transport raw — the chunking
+    // boundary, where a lossy wire repr applies, is
+    // `RoundCtx::wire_chunks`, on this thread — and come back, the same
+    // buffers, for `Compute::settle`.
     let repr = eng.cfg.repr;
-    let mut parts: Vec<Option<&[f64]>> = recycle(std::mem::take(&mut round.parts));
-    parts.extend(senders.iter().map(|&m| contributions[m].as_ref().map(|(p, _)| p.as_slice())));
+    let parts = &mut round.parts;
+    parts.extend(senders.iter().map(|&m| contributions[m].as_mut().map(|(p, _)| take(p))));
     let ctx = RoundCtx {
         iteration: st.iter_idx,
         model_len: eng.model_len,
@@ -54,8 +56,12 @@ pub(crate) fn collective_round<O: RunObserver>(
         senders,
         repr,
     };
-    let delivery = eng.transport.round(&ctx, &eng.sigma, &parts);
-    round.parts = recycle(parts);
+    let delivery = eng.transport.round_lent(&ctx, &eng.sigma, parts);
+    for (&m, part) in senders.iter().zip(parts.drain(..)) {
+        if let (Some((lent, _)), Some(part)) = (&mut contributions[m], part) {
+            *lent = part;
+        }
+    }
     let delivery = delivery?;
     if repr != WireRepr::DenseF64 {
         eng.obs.codec_applied(st.iter_idx, repr, &delivery.codec);
@@ -170,20 +176,22 @@ mod tests {
             TransportKind::Sim
         }
 
-        fn round(
+        fn round_lent(
             &self,
             ctx: &RoundCtx<'_>,
             sigma: &SigmaAggregator,
-            parts: &[Option<&[f64]>],
+            parts: &mut [Option<Vec<f64>>],
         ) -> Result<RoundDelivery, RuntimeError> {
-            if ctx.iteration != self.at.0 {
-                return self.wire.round(ctx, sigma, parts);
+            let Some(marked) = parts[self.at.1].as_mut().filter(|_| ctx.iteration == self.at.0)
+            else {
+                return self.wire.round_lent(ctx, sigma, parts);
+            };
+            let word = std::mem::replace(&mut marked[0], SigmaAggregator::TRIPWIRE);
+            let delivery = self.wire.round_lent(ctx, sigma, parts);
+            if let Some(marked) = &mut parts[self.at.1] {
+                marked[0] = word;
             }
-            let mut marked = parts[self.at.1].unwrap_or_default().to_vec();
-            marked[0] = SigmaAggregator::TRIPWIRE;
-            let mut parts = parts.to_vec();
-            parts[self.at.1] = Some(&marked);
-            self.wire.round(ctx, sigma, &parts)
+            delivery
         }
     }
 

@@ -47,9 +47,9 @@ pub(crate) struct RoundTables {
     pub contributions: Vec<NodePartial>,
     /// The admitted senders, ascending.
     pub senders: Vec<usize>,
-    /// The transport's view of the senders' partials; always empty
-    /// here, so it can be lent out at any lifetime (`recycle`).
-    pub parts: Vec<Option<&'static [f64]>>,
+    /// The senders' partials while they are lent to the transport;
+    /// empty between rounds.
+    pub parts: Vec<Option<Vec<f64>>>,
     /// Per sender: quarantined by Sigma or lost with its link.
     pub rejected: Vec<bool>,
     /// The partial buffers the round is done with, on their way back

@@ -46,7 +46,11 @@ pub enum Layout {
 ///
 /// The payload is a shared `WordBuf` view, so cloning a chunk — for
 /// duplicate fault injection or frame wrapping — bumps a refcount
-/// instead of copying words.
+/// instead of copying words. A chunk also carries the digest its
+/// checksum was sealed over, computed by the pass that wrote or read its
+/// words, so checking it (`Chunk::is_intact`) reads no payload word.
+/// `data` is never changed in place: a chunk over other words is built
+/// anew ([`Chunk::new`], [`Chunk::with_checksum`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     /// Word offset within the model vector; always a multiple of
@@ -61,20 +65,39 @@ pub struct Chunk {
     pub checksum: u64,
     /// How `data` reads.
     pub layout: Layout,
+    /// The [`payload_digest`] of the words `checksum` covers past its
+    /// header: all of a dense chunk's, a grid chunk's packed ones.
+    pub(crate) digest: u64,
 }
 
 impl Chunk {
     /// Builds a dense chunk with a valid checksum.
     pub fn new(offset: usize, data: impl Into<WordBuf>) -> Self {
         let data = data.into();
-        let checksum = Chunk::checksum_of(offset, &data);
-        Chunk { offset, data, checksum, layout: Layout::Dense }
+        let digest = payload_digest(&data);
+        let checksum = seal(offset, Layout::Dense, &data, digest);
+        Chunk { offset, data, checksum, layout: Layout::Dense, digest }
+    }
+
+    /// A `layout` chunk bearing `checksum` as given — a stale one is the
+    /// receiving Sigma's verdict to give, as it is for a chunk off the
+    /// wire.
+    pub fn with_checksum(
+        offset: usize,
+        data: impl Into<WordBuf>,
+        checksum: u64,
+        layout: Layout,
+    ) -> Self {
+        let data = data.into();
+        let digest = digest_of(layout, &data);
+        Chunk { offset, data, checksum, layout, digest }
     }
 
     /// Seals `data` — header word, packed values — as a grid chunk.
     fn grid(offset: usize, data: WordBuf) -> Self {
-        let checksum = Chunk::grid_checksum_of(offset, &data);
-        Chunk { offset, data, checksum, layout: Layout::Grid }
+        let digest = digest_of(Layout::Grid, &data);
+        let checksum = seal(offset, Layout::Grid, &data, digest);
+        Chunk { offset, data, checksum, layout: Layout::Grid, digest }
     }
 
     /// The checksum a well-formed dense chunk at `offset` carrying
@@ -82,10 +105,7 @@ impl Chunk {
     /// [`payload_digest`] — memory-speed, deterministic, and certain to
     /// change when one payload word does.
     pub fn checksum_of(offset: usize, data: &[f64]) -> u64 {
-        let mut hash = Fnv1a::default();
-        hash.write_u64(offset as u64);
-        hash.write_digest(payload_digest(data));
-        hash.finish()
+        seal(offset, Layout::Dense, data, payload_digest(data))
     }
 
     /// [`Chunk::checksum_of`] for a [`Layout::Grid`] chunk, over the
@@ -94,22 +114,15 @@ impl Chunk {
     /// byte, header field or packed word is certain to change it, and
     /// no dense chunk's sum is a grid chunk's.
     pub fn grid_checksum_of(offset: usize, data: &[f64]) -> u64 {
-        let mut hash = Fnv1a::default();
-        hash.write_u64(offset as u64);
-        if let Some((header, packed)) = data.split_first() {
-            hash.write_digest(header.to_bits());
-            hash.write_digest(payload_digest(packed));
-        }
-        hash.finish()
+        seal(offset, Layout::Grid, data, digest_of(Layout::Grid, data))
     }
 
-    /// Whether the payload still matches its checksum.
+    /// Whether the payload still matches its checksum: the checksum
+    /// re-sealed from the carried digest, no payload word read. The
+    /// payload is immutable, so the digest is of the very words held.
     pub(crate) fn is_intact(&self) -> bool {
-        self.checksum
-            == match self.layout {
-                Layout::Dense => Chunk::checksum_of(self.offset, &self.data),
-                Layout::Grid => Chunk::grid_checksum_of(self.offset, &self.data),
-            }
+        debug_assert_eq!(self.digest, digest_of(self.layout, &self.data), "a stale digest");
+        self.checksum == seal(self.offset, self.layout, &self.data, self.digest)
     }
 
     /// A grid chunk's `(scale_exp, words)`, if `data` is a grid of at
@@ -122,9 +135,10 @@ impl Chunk {
     /// stale, as a corrupting link would deliver it. Used by fault
     /// injection; a validating receiver must reject the result. The
     /// payload buffer may be aliased, so the damage lands on a private
-    /// copy — the sender's own words are never altered. A grid chunk is
-    /// damaged in its first packed word, not its header: the wire must
-    /// still carry it to the Sigma whose verdict it is.
+    /// copy — the sender's own words are never altered — whose digest
+    /// is taken anew. A grid chunk is damaged in its first packed word,
+    /// not its header: the wire must still carry it to the Sigma whose
+    /// verdict it is.
     pub fn corrupted(mut self) -> Self {
         let at = usize::from(self.layout == Layout::Grid);
         if self.data.len() <= at {
@@ -132,26 +146,53 @@ impl Chunk {
         } else {
             let mut words = self.data.to_vec();
             words[at] = f64::from_bits(words[at].to_bits() ^ 0x1); // one flipped bit
+            self.digest = digest_of(self.layout, &words);
             self.data = WordBuf::from_vec(words);
         }
         self
     }
 }
 
-/// Splits a vector into stripe-aligned, checksummed chunks.
-///
-/// One shared allocation backs every chunk: each is a `WordBuf` view
-/// into a single copy of `values`, so the whole split costs one
-/// allocation instead of one per stripe.
-pub fn chunk_vector(values: &[f64]) -> Vec<Chunk> {
-    let arena = WordBuf::copy_of(values);
-    (0..values.len())
+/// The digest a `layout` chunk's checksum covers: of all of `data`, or
+/// of a grid's packed words after its header.
+pub(crate) fn digest_of(layout: Layout, data: &[f64]) -> u64 {
+    match layout {
+        Layout::Dense => payload_digest(data),
+        Layout::Grid => payload_digest(data.get(1..).unwrap_or_default()),
+    }
+}
+
+/// A chunk checksum from its digest: FNV-1a over the offset, then — a
+/// grid chunk's header word first — the digest, a word-wide step each.
+/// A header-less grid seals its offset alone.
+fn seal(offset: usize, layout: Layout, data: &[f64], digest: u64) -> u64 {
+    let mut hash = Fnv1a::default();
+    hash.write_u64(offset as u64);
+    match (layout, data.first()) {
+        (Layout::Dense, _) => hash.write_digest(digest),
+        (Layout::Grid, Some(header)) => {
+            hash.write_digest(header.to_bits());
+            hash.write_digest(digest);
+        }
+        (Layout::Grid, None) => {}
+    }
+    hash.finish()
+}
+
+/// Cuts `arena` into stripe-aligned, checksummed chunks, each a view of
+/// it: no word is copied, and each is digested once, here.
+pub(crate) fn chunk_views(arena: &WordBuf) -> Vec<Chunk> {
+    (0..arena.len())
         .step_by(CHUNK_WORDS)
-        .map(|start| {
-            let len = CHUNK_WORDS.min(values.len() - start);
-            Chunk::new(start, arena.slice(start, len))
-        })
+        .map(|start| Chunk::new(start, arena.slice(start, CHUNK_WORDS.min(arena.len() - start))))
         .collect()
+}
+
+/// Splits a vector into stripe-aligned, checksummed chunks: the views
+/// (`chunk_views`) of one copy of `values`, so the whole split costs
+/// one allocation for the words instead of one per stripe.
+pub fn chunk_vector(values: &[f64]) -> Vec<Chunk> {
+    chunk_views(&WordBuf::copy_of(values))
 }
 
 /// [`chunk_vector`] for a fixed-point round: one [`derive_scale`] over
@@ -895,6 +936,12 @@ mod tests {
         send_chunks(grid_chunks(model, frac_bits).0)
     }
 
+    /// A grid chunk over `words`, sealed as a sender would have.
+    fn resealed(offset: usize, words: Vec<f64>) -> Chunk {
+        let checksum = Chunk::grid_checksum_of(offset, &words);
+        Chunk::with_checksum(offset, words, checksum, Layout::Grid)
+    }
+
     /// A seeded partial of magnitude ~`scale`, off every grid.
     fn partial(len: usize, peer: usize, scale: f64) -> Vec<f64> {
         (0..len).map(|i| ((i * 31 + peer * 7) % 997) as f64 / 997.0 * scale - scale / 3.0).collect()
@@ -1006,8 +1053,7 @@ mod tests {
             (
                 // A ragged chunk where a full stripe belongs.
                 |mut c| {
-                    c[0] = Chunk { offset: 0, ..c[2].clone() };
-                    c[0].checksum = Chunk::grid_checksum_of(0, &c[0].data);
+                    c[0] = resealed(0, c[2].data.to_vec());
                     c
                 },
                 ChunkFault::Incomplete { missing: 17 },
@@ -1018,8 +1064,7 @@ mod tests {
                 |mut c| {
                     let mut words = c[0].data.to_vec();
                     words[0] = f64::from_bits(words[0].to_bits() + (1 << 32));
-                    c[0].data = words.into();
-                    c[0].checksum = Chunk::grid_checksum_of(0, &c[0].data);
+                    c[0] = resealed(0, words);
                     c
                 },
                 ChunkFault::Overrun { offset: 0, len: CHUNK_WORDS + 1 },
@@ -1029,8 +1074,7 @@ mod tests {
                 |mut c| {
                     let mut words = c[0].data.to_vec();
                     words[0] = f64::from_bits(words[0].to_bits() - (2 << 32));
-                    c[0].data = words.into();
-                    c[0].checksum = Chunk::grid_checksum_of(0, &c[0].data);
+                    c[0] = resealed(0, words);
                     c
                 },
                 ChunkFault::Corrupt { offset: 0 },
@@ -1040,8 +1084,7 @@ mod tests {
                 |mut c| {
                     let mut words = c[2].data.to_vec();
                     words[0] = f64::from_bits(words[0].to_bits() | 0xFF);
-                    c[2].data = words.into();
-                    c[2].checksum = Chunk::grid_checksum_of(c[2].offset, &c[2].data);
+                    c[2] = resealed(c[2].offset, words);
                     c
                 },
                 ChunkFault::Corrupt { offset: 2 * CHUNK_WORDS },
@@ -1145,6 +1188,105 @@ mod tests {
         let out = sigma.aggregate_fixed(len, incoming, 20);
         assert_eq!(out.quarantined, vec![(1, ChunkFault::Corrupt { offset: CHUNK_WORDS })]);
         assert_eq!(bits(&out.sum), bits(&alone.sum));
+    }
+
+    /// The digest a chunk's checksum covers, recomputed from its words.
+    fn digest_recomputed(chunk: &Chunk) -> u64 {
+        match (chunk.layout, chunk.data.split_first()) {
+            (Layout::Dense, _) => payload_digest(&chunk.data),
+            (Layout::Grid, Some((_, packed))) => payload_digest(packed),
+            (Layout::Grid, None) => payload_digest(&[]),
+        }
+    }
+
+    /// The checksum check that reads every word.
+    fn intact_recomputed(chunk: &Chunk) -> bool {
+        chunk.checksum
+            == match chunk.layout {
+                Layout::Dense => Chunk::checksum_of(chunk.offset, &chunk.data),
+                Layout::Grid => Chunk::grid_checksum_of(chunk.offset, &chunk.data),
+            }
+    }
+
+    #[test]
+    fn every_chunk_carries_the_digest_of_its_own_words() {
+        use crate::transport::wire::{read_frame, Frame, FrameKind};
+        use cosmic_collectives::codec::WireRepr;
+        let len = 2 * CHUNK_WORDS + 37;
+        let model = partial(len, 3, 2.0);
+        let lent = WordBuf::from_vec(model.clone());
+        let mut chunks = vec![
+            Chunk::new(64, vec![1.0, -0.0, f64::NAN]),
+            Chunk::with_checksum(0, vec![1.0, 2.0], 7, Layout::Dense),
+        ];
+        chunks.extend(chunk_vector(&model));
+        chunks.extend(chunk_views(&lent));
+        chunks.extend(grid_chunks(&model, 20).0);
+        let damaged: Vec<Chunk> = chunks.iter().cloned().map(Chunk::corrupted).collect();
+        chunks.extend(damaged);
+        // Off the wire: every chunk as each wire frames it, read back.
+        let reprs =
+            [WireRepr::DenseF64, WireRepr::FixedPoint { frac_bits: 20 }, WireRepr::TopK { k: 9 }];
+        let mut wired = Vec::new();
+        for (chunk, repr) in chunks.iter().flat_map(|c| reprs.map(|r| (c, r))) {
+            let mut buf = Vec::new();
+            Frame::write_chunk(&mut buf, 1, 2, chunk, repr);
+            let (frame, digest) = read_frame(&mut &buf[..], &mut Vec::new()).expect("well formed");
+            wired.push(match frame.kind {
+                FrameKind::Chunk => {
+                    assert_eq!(frame.to_chunk(), *chunk);
+                    frame.into_chunk(digest)
+                }
+                _ => frame.decode_encoded_chunk().expect("decodable"),
+            });
+        }
+        chunks.extend(wired);
+        // A grid with no header word, which no wire carries.
+        let bare = Chunk::with_checksum(0, vec![], Chunk::grid_checksum_of(0, &[]), Layout::Grid);
+        chunks.extend([bare.clone(), bare.corrupted()]);
+        for chunk in &chunks {
+            assert_eq!(chunk.digest, digest_recomputed(chunk), "{chunk:?}");
+            assert_eq!(chunk.is_intact(), intact_recomputed(chunk), "{chunk:?}");
+        }
+        let verdicts: Vec<bool> = chunks.iter().map(Chunk::is_intact).collect();
+        assert!(verdicts.contains(&true) && verdicts.contains(&false));
+    }
+
+    #[test]
+    fn a_lent_arena_is_viewed_not_copied() {
+        let lent = WordBuf::from_vec(partial(2 * CHUNK_WORDS + 5, 1, 1.0));
+        let chunks = chunk_views(&lent);
+        assert_eq!(chunks.len(), 3);
+        assert!(chunks.iter().all(|chunk| chunk.data.shares_allocation(&lent)));
+        assert_eq!(lent.holders(), 4);
+        drop(chunks);
+        assert_eq!(lent.holders(), 1, "no view outlives its chunk");
+    }
+
+    proptest! {
+        /// The carried-digest check gives the full check's verdict on any
+        /// chunk, its checksum true, stale, or either layout's.
+        #[test]
+        fn the_carried_digest_check_is_the_full_check(
+            words in prop::collection::vec(any::<u64>(), 0..12),
+            offset in 0usize..3 * CHUNK_WORDS,
+            grid in any::<bool>(),
+            sum in 0u8..4,
+            stale in any::<u64>(),
+        ) {
+            let data: Vec<f64> = words.into_iter().map(f64::from_bits).collect();
+            let checksum = match sum {
+                0 => Chunk::checksum_of(offset, &data),
+                1 => Chunk::grid_checksum_of(offset, &data),
+                2 => Chunk::checksum_of(offset ^ 1, &data),
+                _ => stale,
+            };
+            let layout = if grid { Layout::Grid } else { Layout::Dense };
+            let chunk = Chunk::with_checksum(offset, data, checksum, layout);
+            prop_assert_eq!(chunk.digest, digest_recomputed(&chunk));
+            prop_assert_eq!(chunk.is_intact(), intact_recomputed(&chunk));
+            prop_assert_eq!(chunk.clone().corrupted().is_intact(), false);
+        }
     }
 
     proptest! {

@@ -1,6 +1,7 @@
 //! The transport seam between the iteration engine and the wire.
 //!
-//! The engine's collective round calls [`Transport::round`], and the
+//! The engine's collective round lends its partials to
+//! [`Transport::round_lent`] and gets the same buffers back, and the
 //! wire behind it is a backend choice:
 //!
 //! - [`SimTransport`] — the in-process discrete-event path (the caller
@@ -42,8 +43,9 @@ use std::time::Duration;
 use cosmic_collectives::codec::{CodecStats, WireRepr, WORD_BYTES};
 use cosmic_sim::faults::FaultPlan;
 
+use crate::buffer::WordBuf;
 use crate::error::RuntimeError;
-use crate::node::{chunk_vector, grid_chunks, AggregateOutcome, Chunk, SigmaAggregator};
+use crate::node::{chunk_views, grid_chunks, AggregateOutcome, Chunk, SigmaAggregator};
 use crate::trainer::{ClusterConfig, RetryPolicy};
 
 /// Which wire the collective round runs over.
@@ -198,8 +200,8 @@ pub struct RoundCtx<'a> {
     pub retry: &'a RetryPolicy,
     /// The admitted sender node ids, ascending.
     pub senders: &'a [usize],
-    /// The wire representation the partials travel under. `parts` are
-    /// raw: `RoundCtx::wire_chunks` applies it, on the round's calling
+    /// The wire representation the partials travel under. The partials
+    /// are raw: `RoundCtx::wire_chunks` applies it, on the round's calling
     /// thread, and is all either backend sends — Sim hands the chunks
     /// over in process, Tcp frames them as `FrameKind::Encoded` when
     /// this is not [`WireRepr::DenseF64`], verbatim or losslessly — so
@@ -209,20 +211,21 @@ pub struct RoundCtx<'a> {
 
 impl RoundCtx<'_> {
     /// `member`'s wire stream for this round — the one boundary where
-    /// `repr` meets a partial: dense words are chunked as they are; a
-    /// fixed-point partial is quantized once, at one scale, into grid
-    /// chunks (`grid_chunks`); a top-k partial is sparsified, then
-    /// chunked. The plan's chunk-level corruption and duplication apply
-    /// on top, giving `(chunk_index, chunk)` in send order (a duplicate
-    /// travels right beside its original), beside what the codec did.
-    /// Every backend sends exactly this.
+    /// `repr` meets a partial, `part`, lent as an arena: dense words are
+    /// chunked as they are, each chunk a view of `part`; a fixed-point
+    /// partial is quantized once, at one scale, into grid chunks
+    /// (`grid_chunks`); a top-k partial is sparsified, then chunked. The
+    /// plan's chunk-level corruption and duplication apply on top, giving
+    /// `(chunk_index, chunk)` in send order (a duplicate travels right
+    /// beside its original), beside what the codec did. Every backend
+    /// sends exactly this.
     pub(crate) fn wire_chunks(
         &self,
         member: usize,
-        part: &[f64],
+        part: &WordBuf,
     ) -> (CodecStats, impl Iterator<Item = (usize, Chunk)> + '_) {
         let (stats, chunks) = match self.repr {
-            WireRepr::DenseF64 => (CodecStats::default(), chunk_vector(part)),
+            WireRepr::DenseF64 => (CodecStats::default(), chunk_views(part)),
             WireRepr::FixedPoint { frac_bits } => {
                 let (chunks, clipped) = grid_chunks(part, frac_bits);
                 let stats = CodecStats {
@@ -235,7 +238,7 @@ impl RoundCtx<'_> {
             }
             WireRepr::TopK { .. } => {
                 let (sparse, stats) = self.repr.transform(part);
-                (stats, chunk_vector(&sparse))
+                (stats, chunk_views(&WordBuf::from_vec(sparse)))
             }
         };
         let (plan, iteration) = (self.plan, self.iteration);
@@ -252,7 +255,7 @@ impl RoundCtx<'_> {
 /// A wire backend for the collective round.
 ///
 /// Implementations must uphold the seam invariant: given the same
-/// senders and partials on a healthy wire, [`Transport::round`]
+/// senders and partials on a healthy wire, [`Transport::round_lent`]
 /// returns the same [`AggregateOutcome`] (bit for bit) as every other
 /// backend — the wire moves data, it never changes arithmetic.
 pub trait Transport: Send + Sync {
@@ -262,13 +265,54 @@ pub trait Transport: Send + Sync {
     /// Streams every sender's partial (`parts[i]`, raw, belongs to
     /// `ctx.senders[i]`) as `RoundCtx::wire_chunks` into `sigma` and
     /// returns the validated fold, any links that died, and the wire
-    /// and codec accounting.
+    /// and codec accounting. The partials are lent (`lend`): each
+    /// buffer is the arena its dense chunks view, no word copied, and
+    /// is back in its slot, the same allocation, when the call returns
+    /// — whatever the round met.
+    fn round_lent(
+        &self,
+        ctx: &RoundCtx<'_>,
+        sigma: &SigmaAggregator,
+        parts: &mut [Option<Vec<f64>>],
+    ) -> Result<RoundDelivery, RuntimeError>;
+
+    /// [`Transport::round_lent`] over borrowed partials, each copied into
+    /// a buffer of its own to lend: the copy a lent round spares.
     fn round(
         &self,
         ctx: &RoundCtx<'_>,
         sigma: &SigmaAggregator,
         parts: &[Option<&[f64]>],
-    ) -> Result<RoundDelivery, RuntimeError>;
+    ) -> Result<RoundDelivery, RuntimeError> {
+        let mut owned: Vec<Option<Vec<f64>>> =
+            parts.iter().map(|p| p.map(<[f64]>::to_vec)).collect();
+        self.round_lent(ctx, sigma, &mut owned)
+    }
+}
+
+/// Lends `parts` to `round` as arenas — each buffer moved into a
+/// [`WordBuf`], no word copied — and puts each back in its slot when
+/// `round` is done, even by unwinding. `round` must drop every view of
+/// them first: the hand-back takes the allocation back only from its
+/// last holder, and copies it out of a shared one.
+pub(crate) fn lend<T>(
+    parts: &mut [Option<Vec<f64>>],
+    round: impl FnOnce(&[Option<WordBuf>]) -> T,
+) -> T {
+    struct HandBack<'p> {
+        parts: &'p mut [Option<Vec<f64>>],
+        arenas: Vec<Option<WordBuf>>,
+    }
+    impl Drop for HandBack<'_> {
+        fn drop(&mut self) {
+            for (slot, arena) in self.parts.iter_mut().zip(self.arenas.drain(..)) {
+                *slot = arena.map(WordBuf::into_vec);
+            }
+        }
+    }
+    let arenas = parts.iter_mut().map(|part| part.take().map(WordBuf::from_vec)).collect();
+    let lent = HandBack { parts, arenas };
+    round(&lent.arenas)
 }
 
 /// Builds the configured backend. Binding the TCP listener can fail;
@@ -283,6 +327,7 @@ pub(crate) fn build(cfg: &ClusterConfig) -> Result<Box<dyn Transport>, RuntimeEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::RetryPolicy;
 
     #[test]
     fn transport_kind_parses_its_flag_values() {
@@ -297,6 +342,73 @@ mod tests {
         assert!(LinkConfig::default().validate().is_ok());
         assert!(LinkConfig { connect_timeout_ms: 0, ..LinkConfig::default() }.validate().is_err());
         assert!(LinkConfig { read_timeout_ms: 0, ..LinkConfig::default() }.validate().is_err());
+    }
+
+    /// A lent partial is back in its slot when the round returns — the
+    /// very allocation, its words untouched — on both wires, whatever the
+    /// round met. On TCP that needs every link worker to have dropped its
+    /// views before the caller sees the round done.
+    #[test]
+    fn a_lent_partial_comes_back_the_same_allocation_whatever_the_round_met() {
+        use crate::layout::CHUNK_WORDS;
+        let (len, senders, retry) = (2 * CHUNK_WORDS + 5, [0usize, 1, 2], RetryPolicy::default());
+        let none = FaultPlan::none;
+        let dense = WireRepr::DenseF64;
+        // (what, plan, repr, Sigma's staging trips, the link sender trips)
+        let cases = [
+            ("healthy", none(), dense, false, false),
+            ("corrupt_chunk", none().corrupt_chunk(1, 0, 1), dense, false, false),
+            ("duplicate_chunk", none().duplicate_chunk(2, 0, 0), dense, false, false),
+            ("sever_link", none().sever_link(0, 0, 1), dense, false, false),
+            ("corrupt_frame", none().corrupt_frame(1, 0, 2), dense, false, false),
+            ("staging tripwire", none(), dense, true, false),
+            ("dead link", none(), dense, false, true),
+            ("fixed point", none(), WireRepr::FixedPoint { frac_bits: 20 }, false, false),
+            ("top-k", none(), WireRepr::TopK { k: 100 }, false, false),
+        ];
+        for (what, plan, repr, staging, sending) in cases {
+            let sigma = SigmaAggregator::default();
+            let sigma = if staging { sigma.tripwired() } else { sigma };
+            let tcp = TcpTransport::bind(LinkConfig::default()).expect("loopback");
+            let tcp = if sending { tcp.tripwired() } else { tcp };
+            for wire in [&SimTransport as &dyn Transport, &tcp] {
+                for iteration in 0..8 {
+                    let mut parts: Vec<Option<Vec<f64>>> = senders
+                        .iter()
+                        .map(|&n| Some((0..len).map(|i| (i * 7 + n) as f64 / 64.0).collect()))
+                        .collect();
+                    let trips = (staging || sending) && iteration == 0;
+                    if let (true, Some(marked)) = (trips, &mut parts[1]) {
+                        marked[0] = SigmaAggregator::TRIPWIRE;
+                    }
+                    let lent: Vec<(*const f64, Vec<f64>)> =
+                        parts.iter().flatten().map(|p| (p.as_ptr(), p.clone())).collect();
+                    let ctx = RoundCtx {
+                        iteration,
+                        model_len: len,
+                        plan: &plan,
+                        retry: &retry,
+                        senders: &senders,
+                        repr,
+                    };
+                    let delivery = wire.round_lent(&ctx, &sigma, &mut parts).expect("a round");
+                    let at = format!("{what}, {:?} round {iteration}", wire.kind());
+                    for (part, (ptr, words)) in parts.iter().zip(&lent) {
+                        let part = part.as_ref().unwrap_or_else(|| panic!("{at}: slot emptied"));
+                        assert_eq!(part.as_ptr(), *ptr, "{at}: a copy came back");
+                        assert_eq!(part, words, "{at}");
+                    }
+                    let tripped = (staging, sending && wire.kind() == TransportKind::Tcp);
+                    let lost = (delivery.outcome.quarantined.len(), delivery.dead.len());
+                    let expect = match (what, tripped) {
+                        (_, (true, _)) | ("corrupt_chunk", _) if iteration == 0 => (1, 0),
+                        (_, (_, true)) if iteration == 0 => (0, 1),
+                        _ => (0, 0),
+                    };
+                    assert_eq!(lost, expect, "{at}: quarantines and dead links");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use cosmic_collectives::codec::CodecStats;
 use crate::error::RuntimeError;
 use crate::node::SigmaAggregator;
 
-use super::{RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats};
+use super::{lend, RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats};
 
 /// The in-process wire (the default backend).
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,24 +23,26 @@ impl Transport for SimTransport {
         TransportKind::Sim
     }
 
-    fn round(
+    fn round_lent(
         &self,
         ctx: &RoundCtx<'_>,
         sigma: &SigmaAggregator,
-        parts: &[Option<&[f64]>],
+        parts: &mut [Option<Vec<f64>>],
     ) -> Result<RoundDelivery, RuntimeError> {
-        let mut pass = sigma.pass(ctx.model_len, ctx.senders.len(), None);
-        let mut codec = CodecStats::default();
-        for (peer, (&member, part)) in ctx.senders.iter().zip(parts).enumerate() {
-            let Some(part) = part else {
-                continue;
-            };
-            let (stats, chunks) = ctx.wire_chunks(member, part);
-            codec.merge(&stats);
-            pass.stage(peer, chunks.map(|(_, chunk)| chunk));
-        }
-        let outcome = pass.finish();
-        Ok(RoundDelivery { outcome, dead: Vec::new(), stats: TransportStats::default(), codec })
+        lend(parts, |arenas| {
+            let mut pass = sigma.pass(ctx.model_len, ctx.senders.len(), None);
+            let mut codec = CodecStats::default();
+            for (peer, (&member, arena)) in ctx.senders.iter().zip(arenas).enumerate() {
+                let Some(arena) = arena else {
+                    continue;
+                };
+                let (stats, chunks) = ctx.wire_chunks(member, arena);
+                codec.merge(&stats);
+                pass.stage(peer, chunks.map(|(_, chunk)| chunk));
+            }
+            let outcome = pass.finish();
+            Ok(RoundDelivery { outcome, dead: Vec::new(), stats: TransportStats::default(), codec })
+        })
     }
 }
 

@@ -39,11 +39,11 @@ use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
-use crate::node::{Chunk, Layout};
+use crate::node::Chunk;
 use crate::trainer::RetryPolicy;
 
 use super::shim::{damage, WireShim};
-use super::wire::{Frame, FrameKind, WireError};
+use super::wire::{read_frame, Frame, FrameKind, WireError};
 use super::{LinkConfig, TransportStats};
 
 /// The reply and accounting of one successful supervised round.
@@ -57,18 +57,36 @@ pub(crate) struct SendReport {
 }
 
 /// A sender's armed connection: replies read through a buffer, a
-/// stream's frames coalesced onto a second handle of the same socket.
+/// stream's frames coalesced onto a second handle of the same socket,
+/// and every frame it writes or reads encoded or read through `frame`,
+/// a buffer the connection keeps.
 #[derive(Debug)]
 pub(super) struct Wire {
     pub(super) reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    frame: Vec<u8>,
 }
 
 impl Wire {
     /// Writes one frame and flushes it onto the socket.
     pub(super) fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-        frame.write_to(&mut self.writer)?;
+        let mut unbooked = TransportStats::default();
+        self.push(&mut unbooked, |out| frame.write_into(out)).map_err(WireError::from_io)?;
         self.writer.flush().map_err(WireError::from_io)
+    }
+
+    /// Queues the frame `write` encodes onto the socket, booking it.
+    fn push(
+        &mut self,
+        stats: &mut TransportStats,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
+        self.frame.clear();
+        write(&mut self.frame);
+        self.writer.write_all(&self.frame)?;
+        stats.frames_sent += 1;
+        stats.bytes_sent += self.frame.len() as u64;
+        Ok(())
     }
 }
 
@@ -92,7 +110,7 @@ pub(crate) struct RoundSender {
     /// travel as plain [`FrameKind::Chunk`] frames (the historical
     /// wire, byte-identical); grid chunks ride [`FrameKind::Encoded`]
     /// verbatim, and dense chunks on any other wire as the coordinate
-    /// list of their non-zero words (`Frame::sparse_chunk`: lossless
+    /// list of their non-zero words (`Frame::write_chunk`: lossless
     /// for the sparsified chunks of a top-k round).
     pub repr: WireRepr,
     wire: Option<Wire>,
@@ -118,7 +136,11 @@ impl RoundSender {
         expect: FrameKind,
     ) -> Result<SendReport, RuntimeError> {
         let (peer, node, repr) = (self.node, self.node as u32, self.repr);
-        let control = |kind, b| Frame::control(kind, node, iteration, 0, b).encode();
+        let control = |kind, b| {
+            move |out: &mut Vec<u8>| {
+                Frame::control(kind, node, iteration, 0, b).write_into(out);
+            }
+        };
         let mut stats = TransportStats::default();
         let reply = self.supervise(&mut stats, |wire, attempt, stats| {
             let fail = |detail: String| RuntimeError::TransportFailed {
@@ -126,17 +148,12 @@ impl RoundSender {
                 attempts: attempt + 1,
                 detail,
             };
+            let write = |e: io::Error| fail(format!("write: {e}"));
             // Books each frame as it is pushed; the socket sees them
             // coalesced, flushed before the reply is awaited.
-            let mut push = |wire: &mut Wire, bytes: &[u8]| {
-                wire.writer.write_all(bytes).map_err(|e| fail(format!("write: {e}")))?;
-                stats.frames_sent += 1;
-                stats.bytes_sent += bytes.len() as u64;
-                Ok::<(), RuntimeError>(())
-            };
             let (sever, delay) = (shim.sever_at(attempt), shim.frame_delay(attempt));
-            push(wire, &control(FrameKind::Hello, 0))?;
-            push(wire, &control(FrameKind::Heartbeat, 0))?;
+            wire.push(stats, control(FrameKind::Hello, 0)).map_err(write)?;
+            wire.push(stats, control(FrameKind::Heartbeat, 0)).map_err(write)?;
             for &(ci, ref chunk) in chunks {
                 if sever == Some(ci) {
                     // A plan-injected sever: fail the attempt so the
@@ -147,28 +164,27 @@ impl RoundSender {
                 if !delay.is_zero() {
                     // The delay is wire latency: what is already pushed
                     // goes out first.
-                    wire.writer.flush().map_err(|e| fail(format!("write: {e}")))?;
+                    wire.writer.flush().map_err(write)?;
                     thread::sleep(delay);
                 }
-                let mut bytes = match (chunk.layout, repr) {
-                    (Layout::Grid, _) => Frame::grid_chunk(node, iteration, chunk),
-                    (Layout::Dense, WireRepr::DenseF64) => Frame::chunk(node, iteration, chunk),
-                    (Layout::Dense, _) => Frame::sparse_chunk(node, iteration, chunk),
-                }
-                .encode();
-                if shim.frame_corrupted(attempt, ci) {
-                    damage(&mut bytes);
-                }
-                push(wire, &bytes)?;
+                let corrupted = shim.frame_corrupted(attempt, ci);
+                let framed = |out: &mut Vec<u8>| {
+                    Frame::write_chunk(out, node, iteration, chunk, repr);
+                    if corrupted {
+                        damage(out);
+                    }
+                };
+                wire.push(stats, framed).map_err(write)?;
             }
-            push(wire, &control(FrameKind::Done, records))?;
-            wire.writer.flush().map_err(|e| fail(format!("write: {e}")))?;
-            let reply = take(&mut wire.reader, stats).map_err(|err| match err {
-                // Stream-level trouble is a transport failure, a
-                // malformed frame a corruption report; both retry.
-                err if err.is_io() => fail(err.to_string()),
-                err => RuntimeError::FrameCorrupt { peer, offset: 0, detail: err.to_string() },
-            })?;
+            wire.push(stats, control(FrameKind::Done, records)).map_err(write)?;
+            wire.writer.flush().map_err(write)?;
+            let (reply, _) =
+                take(&mut wire.reader, &mut wire.frame, stats).map_err(|err| match err {
+                    // Stream-level trouble is a transport failure, a
+                    // malformed frame a corruption report; both retry.
+                    err if err.is_io() => fail(err.to_string()),
+                    err => RuntimeError::FrameCorrupt { peer, offset: 0, detail: err.to_string() },
+                })?;
             if reply.kind != expect {
                 return Err(RuntimeError::FrameCorrupt {
                     peer,
@@ -231,7 +247,7 @@ impl RoundSender {
     fn connect(&self) -> io::Result<Wire> {
         let stream = dial(&self.addr, &self.link)?;
         let writer = BufWriter::new(stream.try_clone()?);
-        Ok(Wire { reader: BufReader::new(stream), writer })
+        Ok(Wire { reader: BufReader::new(stream), writer, frame: Vec::new() })
     }
 }
 
@@ -368,8 +384,8 @@ fn accept_links(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         let armed = arm(&stream, &shared.link).and_then(|()| stream.try_clone());
         if let Ok(socket) = armed {
-            let peer =
-                Peer { reader: BufReader::new(stream), socket: Arc::new(socket), fresh: true };
+            let (reader, socket) = (BufReader::new(stream), Arc::new(socket));
+            let peer = Peer { reader, socket, frame: Vec::new(), fresh: true };
             adopt(shared, peer);
         }
     }
@@ -401,6 +417,8 @@ struct Peer {
     reader: BufReader<TcpStream>,
     /// A second handle of the socket: replies, and shutdown.
     socket: Arc<TcpStream>,
+    /// The buffer every frame off the socket is read through.
+    frame: Vec<u8>,
     /// No complete stream yet: the first books the connection.
     fresh: bool,
 }
@@ -450,7 +468,7 @@ impl Peer {
             }
         }
         let mut stats = TransportStats::default();
-        let hello = take(&mut self.reader, &mut stats)?;
+        let (hello, _) = take(&mut self.reader, &mut self.frame, &mut stats)?;
         if hello.kind != FrameKind::Hello {
             return Err(WireError::Protocol {
                 detail: format!("expected Hello to open the stream, got {:?}", hello.kind),
@@ -462,13 +480,14 @@ impl Peer {
         }
         let mut chunks = Vec::new();
         loop {
-            let frame = take(&mut self.reader, &mut stats)?;
+            let (frame, digest) = take(&mut self.reader, &mut self.frame, &mut stats)?;
             match frame.kind {
                 FrameKind::Heartbeat => stats.heartbeats += 1,
                 // `into_chunk` moves the payload out of the frame: the
                 // words decoded off the socket are the words the Sigma
-                // folds, with no per-frame copy.
-                FrameKind::Chunk => chunks.push(frame.into_chunk()),
+                // folds, with no per-frame copy, and the digest taken as
+                // they were decoded is the one Sigma checks.
+                FrameKind::Chunk => chunks.push(frame.into_chunk(digest)),
                 // A grid chunk is a view of its frame, a sparse one is
                 // decoded; either way the chunk checksum travelled
                 // verbatim, so Sigma validation (including
@@ -569,7 +588,7 @@ impl Handshake {
 
     /// Reads and books the joiner's next frame.
     pub(super) fn take(&mut self, stats: &mut TransportStats) -> Result<Frame, WireError> {
-        take(&mut self.peer.reader, stats)
+        take(&mut self.peer.reader, &mut self.peer.frame, stats).map(|(frame, _)| frame)
     }
 
     /// Hands the connection back to the server: a reader thread serves
@@ -587,12 +606,17 @@ fn put(mut socket: &TcpStream, frame: &Frame, stats: &mut TransportStats) -> Res
     Ok(())
 }
 
-/// Reads and books one frame.
-fn take(reader: &mut impl io::Read, stats: &mut TransportStats) -> Result<Frame, WireError> {
-    let frame = Frame::read_from(reader)?;
+/// Reads and books one frame through the link's buffer `scratch`,
+/// returning it with its payload's digest.
+fn take(
+    reader: &mut impl io::Read,
+    scratch: &mut Vec<u8>,
+    stats: &mut TransportStats,
+) -> Result<(Frame, u64), WireError> {
+    let (frame, digest) = read_frame(reader, scratch)?;
     stats.frames_received += 1;
     stats.bytes_received += frame.encoded_len() as u64;
-    Ok(frame)
+    Ok((frame, digest))
 }
 
 /// Connects within the configured deadline and arms the socket.

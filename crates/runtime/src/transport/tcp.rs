@@ -4,8 +4,11 @@
 //! [`RoundSender`] owned by a resident worker thread
 //! (`cosmic-link-sender-{node}`) outlive the round: after a link's first
 //! use a healthy round opens no socket and creates no thread. The
-//! caller chunks each partial and posts the owned stream to its link's
-//! worker (link *k* writes while the caller chunks *k + 1*), then
+//! caller cuts each lent partial into chunks that view it, no word
+//! copied, and posts the stream to its link's worker (link *k* writes
+//! while the caller chunks *k + 1*), which frames it through a buffer
+//! the link keeps; the worker drops its views before the caller can see
+//! the post done, so each partial goes back uncopied. The caller then
 //! routes the complete streams the server's readers deliver
 //! (store-and-forward: a stream that dies mid-round contributes
 //! nothing). Routing acknowledges a stream and stages it into its
@@ -37,7 +40,7 @@ use super::shim::WireShim;
 use super::supervisor::{RoundSender, RoundServer, Served, ServedKind, Waker};
 use super::wire::{Frame, FrameKind};
 use super::{
-    DeadLink, LinkConfig, RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats,
+    lend, DeadLink, LinkConfig, RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats,
 };
 
 /// A link worker's send: [`send_post`], or a test's planted panic.
@@ -73,9 +76,10 @@ struct Round {
 }
 
 /// One round's stream for one link, owned: the worker borrows nothing.
-/// Also the drop guard: however a post ends, dropping it closes its
-/// slot — no later delivery of its stream is staged — and the last one
-/// dropped wakes the routing caller.
+/// Also the drop guard: however a post ends, dropping it drops its
+/// chunks — views of a lent partial — then closes its slot, so no later
+/// delivery of its stream is staged; the last one dropped wakes the
+/// routing caller, which then holds the last view of every partial.
 struct Post {
     iteration: u64,
     chunks: Vec<(usize, Chunk)>,
@@ -105,6 +109,7 @@ impl Post {
 
 impl Drop for Post {
     fn drop(&mut self) {
+        drop(std::mem::take(&mut self.chunks));
         self.round.open.lock()[self.slot] = false;
         if self.round.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.round.waker.wake();
@@ -180,11 +185,11 @@ impl Transport for TcpTransport {
         TransportKind::Tcp
     }
 
-    fn round(
+    fn round_lent(
         &self,
         ctx: &RoundCtx<'_>,
         sigma: &SigmaAggregator,
-        parts: &[Option<&[f64]>],
+        parts: &mut [Option<Vec<f64>>],
     ) -> Result<RoundDelivery, RuntimeError> {
         let mut links = self.links.lock();
         self.server.discard_stale();
@@ -196,41 +201,44 @@ impl Transport for TcpTransport {
             pending: AtomicUsize::new(parts.iter().flatten().count()),
             waker: self.server.waker(),
         });
-        let mut pass = sigma.pass(ctx.model_len, parts.len(), None);
-        let mut codec = CodecStats::default();
-        for (slot, (&member, part)) in ctx.senders.iter().zip(parts).enumerate() {
-            let Some(part) = part else {
-                continue;
-            };
-            // Booked once, whatever the link then costs in
-            // retransmissions.
-            let (applied, chunks) = ctx.wire_chunks(member, part);
-            let chunks: Vec<(usize, Chunk)> = chunks.collect();
-            codec.merge(&applied);
-            let shim = WireShim::new(ctx.plan, member, ctx.iteration, chunks.len());
-            let (iteration, retry, repr) = (ctx.iteration as u64, *ctx.retry, ctx.repr);
-            let round = Arc::clone(&round);
-            let post = Post { iteration, chunks, shim, retry, repr, round, slot };
-            let link = match links.entry(member) {
-                Entry::Occupied(link) => Ok(link.into_mut()),
-                Entry::Vacant(vacant) => self.spawn(member, retry).map(|l| vacant.insert(l)),
-            };
-            match link {
-                // Cannot fail: a worker outlives its mailbox.
-                Ok(link) => drop(link.posts.send(post)),
-                Err(error) => post.book(member, Err(error)),
+        lend(parts, |arenas| {
+            let mut pass = sigma.pass(ctx.model_len, arenas.len(), None);
+            let mut codec = CodecStats::default();
+            for (slot, (&member, arena)) in ctx.senders.iter().zip(arenas).enumerate() {
+                let Some(arena) = arena else {
+                    continue;
+                };
+                // Booked once, whatever the link then costs in
+                // retransmissions.
+                let (applied, chunks) = ctx.wire_chunks(member, arena);
+                let chunks: Vec<(usize, Chunk)> = chunks.collect();
+                codec.merge(&applied);
+                let shim = WireShim::new(ctx.plan, member, ctx.iteration, chunks.len());
+                let (iteration, retry, repr) = (ctx.iteration as u64, *ctx.retry, ctx.repr);
+                let round = Arc::clone(&round);
+                let post = Post { iteration, chunks, shim, retry, repr, round, slot };
+                let link = match links.entry(member) {
+                    Entry::Occupied(link) => Ok(link.into_mut()),
+                    Entry::Vacant(vacant) => self.spawn(member, retry).map(|l| vacant.insert(l)),
+                };
+                match link {
+                    // Cannot fail: a worker outlives its mailbox.
+                    Ok(link) => drop(link.posts.send(post)),
+                    Err(error) => post.book(member, Err(error)),
+                }
             }
-        }
-        // Route and stage on this thread until every post is done.
-        while round.pending.load(Ordering::Acquire) > 0 {
-            if let Some(served) = self.server.next(None) {
-                route(served, ctx, &round, &mut pass);
+            // Route and stage on this thread until every post is done —
+            // and, with it, every view of `arenas` it held.
+            while round.pending.load(Ordering::Acquire) > 0 {
+                if let Some(served) = self.server.next(None) {
+                    route(served, ctx, &round, &mut pass);
+                }
             }
-        }
-        let outcome = pass.finish();
-        let dead = std::mem::take(&mut *round.dead.lock());
-        let stats = *round.stats.lock();
-        Ok(RoundDelivery { outcome, dead, stats, codec })
+            let outcome = pass.finish();
+            let dead = std::mem::take(&mut *round.dead.lock());
+            let stats = *round.stats.lock();
+            Ok(RoundDelivery { outcome, dead, stats, codec })
+        })
     }
 }
 

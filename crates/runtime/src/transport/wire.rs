@@ -28,7 +28,7 @@ use cosmic_collectives::codec::{
     exact_len, grid_bytes, read_grid, read_sparse, write_sparse, CodecError, WireRepr, FIXED_TAG,
     SPARSE_TAG,
 };
-use cosmic_collectives::{decode_with_digest, encode_with_digest, Fnv1a};
+use cosmic_collectives::{decode_with_digest, encode_parts_with_digest, Fnv1a};
 
 use crate::buffer::WordBuf;
 use crate::layout::CHUNK_WORDS;
@@ -166,63 +166,72 @@ impl Frame {
     /// travels unchanged and is the Sigma's business, not the wire's).
     /// The chunk shares this frame's payload allocation.
     pub fn to_chunk(&self) -> Chunk {
-        self.clone().into_chunk()
+        Chunk::with_checksum(self.a as usize, self.payload.clone(), self.b, Layout::Dense)
     }
 
-    /// [`Frame::to_chunk`], consuming the frame: the payload moves into
+    /// [`Frame::to_chunk`], consuming the frame whose payload digests to
+    /// `digest` (as [`read_frame`] returns it): the payload moves into
     /// the chunk outright, so a received frame's single allocation is
-    /// handed to the Sigma with no refcount traffic at all.
-    pub(crate) fn into_chunk(self) -> Chunk {
+    /// handed to the Sigma with no refcount traffic and no second pass.
+    pub(crate) fn into_chunk(self, digest: u64) -> Chunk {
         Chunk {
             offset: self.a as usize,
             data: self.payload,
             checksum: self.b,
             layout: Layout::Dense,
+            digest,
         }
     }
 
-    /// An [`FrameKind::Encoded`] frame for `chunk`: payload word 0 is
-    /// the chunk's own checksum, verbatim, then what `write` appends —
-    /// codec words under wire tag `tag` — whose byte length it returns.
-    fn encoded(
+    /// Appends `chunk`'s frame, as a link on a `repr` wire sends it, to
+    /// `out`. On a dense wire a dense chunk is a [`FrameKind::Chunk`]
+    /// frame whose payload digest the chunk already carries, so its words
+    /// are only copied. A [`Layout::Grid`] chunk *is* its codec words and
+    /// ships as it stands, written straight from its view behind its
+    /// checksum word in a [`FrameKind::Encoded`] frame: nothing is
+    /// re-derived or gathered on the way out. A dense chunk on any other
+    /// wire goes as the coordinate list of its non-zero words.
+    pub fn write_chunk(
+        out: &mut Vec<u8>,
         node: u32,
         iteration: u64,
         chunk: &Chunk,
-        tag: u8,
-        write: impl FnOnce(&mut Vec<f64>) -> usize,
-    ) -> Self {
+        repr: WireRepr,
+    ) {
+        let (a, checksum) = (chunk.offset as u64, chunk.checksum);
+        match (chunk.layout, repr) {
+            (Layout::Dense, WireRepr::DenseF64) => {
+                let head = Head { kind: FrameKind::Chunk, node, iteration, a, b: checksum };
+                write_frame(out, &head, [&chunk.data, &[]], Some(chunk.digest));
+            }
+            (Layout::Grid, _) => {
+                let words = chunk.grid_header().map_or(0, |(_, words)| words);
+                let b = (u64::from(FIXED_TAG) << 32) | grid_bytes(words) as u64;
+                let head = Head { kind: FrameKind::Encoded, node, iteration, a, b };
+                write_frame(out, &head, [&[f64::from_bits(checksum)], &chunk.data], None);
+            }
+            (Layout::Dense, _) => Frame::sparse_chunk(node, iteration, chunk).write_into(out),
+        }
+    }
+
+    /// Wraps a dense chunk as an [`FrameKind::Encoded`] frame of the
+    /// coordinate list of every non-zero word (a sparsified chunk's, so
+    /// the receiver gets it back bit for bit): payload word 0 is the
+    /// chunk's own checksum, verbatim, then the codec's words.
+    fn sparse_chunk(node: u32, iteration: u64, chunk: &Chunk) -> Self {
+        let nonzero = chunk.data.iter().enumerate().filter(|(_, v)| v.to_bits() != 0);
+        let coords = nonzero.map(|(i, &v)| (i as u32, v));
         let mut payload = Vec::with_capacity(1 + chunk.data.len());
         payload.push(f64::from_bits(chunk.checksum));
-        let len = write(&mut payload);
+        let len = write_sparse(chunk.data.len(), coords, &mut payload);
         Frame {
             kind: FrameKind::Encoded,
             node,
             iteration,
             a: chunk.offset as u64,
-            b: (u64::from(tag) << 32) | len as u64,
+            b: (u64::from(SPARSE_TAG) << 32) | len as u64,
             payload: WordBuf::from_vec(payload),
         }
-    }
-
-    /// Wraps a [`Layout::Grid`] chunk. It *is* its codec words and ships
-    /// as it stands behind its checksum: nothing is re-derived on the
-    /// way out.
-    pub(crate) fn grid_chunk(node: u32, iteration: u64, chunk: &Chunk) -> Self {
-        let words = chunk.grid_header().map_or(0, |(_, words)| words);
-        Frame::encoded(node, iteration, chunk, FIXED_TAG, |payload| {
-            payload.extend_from_slice(&chunk.data);
-            grid_bytes(words)
-        })
-    }
-
-    /// Wraps a dense chunk as the coordinate list of every non-zero word
-    /// (a sparsified chunk's, so the receiver gets it back bit for bit).
-    pub(crate) fn sparse_chunk(node: u32, iteration: u64, chunk: &Chunk) -> Self {
-        let nonzero = chunk.data.iter().enumerate().filter(|(_, v)| v.to_bits() != 0);
-        let coords = nonzero.map(|(i, &v)| (i as u32, v));
-        Frame::encoded(node, iteration, chunk, SPARSE_TAG, |payload| {
-            write_sparse(chunk.data.len(), coords, payload)
-        })
     }
 
     /// Reconstructs the staged [`Chunk`] from an [`FrameKind::Encoded`]
@@ -231,7 +240,8 @@ impl Frame {
     /// Sigma-side validation. A grid is parsed (`read_grid`) and held to
     /// the frame's byte length, and the chunk is a view of the frame's
     /// payload; a coordinate list is read (`read_sparse`) into a dense
-    /// chunk. A declared length beyond [`CHUNK_WORDS`] is
+    /// chunk. Either way the words handed over are digested here, once.
+    /// A declared length beyond [`CHUNK_WORDS`] is
     /// [`WireError::Oversized`] before anything is allocated for it;
     /// every other malformation, an unknown tag included, is
     /// [`WireError::Protocol`].
@@ -267,7 +277,7 @@ impl Frame {
             }
             tag => return Err(refused(CodecError::BadTag { tag })),
         };
-        Ok(Chunk { offset, data, checksum, layout })
+        Ok(Chunk::with_checksum(offset, data, checksum, layout))
     }
 
     /// Encoded size in bytes.
@@ -279,18 +289,21 @@ impl Frame {
     /// payload's bytes written and digested in one pass.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.push(self.kind as u8);
-        buf.extend_from_slice(&self.node.to_le_bytes());
-        buf.extend_from_slice(&self.iteration.to_le_bytes());
-        buf.extend_from_slice(&self.a.to_le_bytes());
-        buf.extend_from_slice(&self.b.to_le_bytes());
-        buf.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let mut sum = Fnv1a::default();
-        sum.write_bytes(&buf); // the header
-        sum.write_digest(encode_with_digest(&self.payload, &mut buf));
-        buf.extend_from_slice(&sum.finish().to_le_bytes());
+        self.write_into(&mut buf);
         buf
+    }
+
+    /// [`Frame::encode`], appending to `out`: a link writes frame after
+    /// frame through one buffer it keeps.
+    pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
+        let head = Head {
+            kind: self.kind,
+            node: self.node,
+            iteration: self.iteration,
+            a: self.a,
+            b: self.b,
+        };
+        write_frame(out, &head, [&self.payload, &[]], None);
     }
 
     /// Decodes one frame from an exact buffer (no trailing bytes).
@@ -311,7 +324,7 @@ impl Frame {
             });
         }
         let (body, sum) = rest.split_at(body_bytes);
-        assemble(kind, header, body, sum)
+        assemble(kind, header, body, sum).map(|(frame, _)| frame)
     }
 
     /// Reads one frame off a byte stream (header first, then exactly
@@ -319,19 +332,79 @@ impl Frame {
     /// expiry — surface as [`WireError::Io`]. Hand it a buffered
     /// reader: a bare socket pays two `read` syscalls per frame.
     pub fn read_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut header = [0u8; HEADER_BYTES];
-        reader.read_exact(&mut header).map_err(WireError::from_io)?;
-        let (kind, words) = parse_header(&header)?;
-        let mut rest = vec![0u8; 8 * words as usize + CHECKSUM_BYTES];
-        reader.read_exact(&mut rest).map_err(WireError::from_io)?;
-        let (body, sum) = rest.split_at(8 * words as usize);
-        assemble(kind, &header, body, sum)
+        read_frame(reader, &mut Vec::new()).map(|(frame, _)| frame)
     }
 
     /// Writes the encoded frame to a byte stream.
     pub(crate) fn write_to(&self, writer: &mut impl Write) -> Result<(), WireError> {
         writer.write_all(&self.encode()).map_err(WireError::from_io)
     }
+}
+
+/// A frame's header fields: everything [`write_frame`] writes before the
+/// payload, bar the magic and the length.
+struct Head {
+    kind: FrameKind,
+    node: u32,
+    iteration: u64,
+    a: u64,
+    b: u64,
+}
+
+/// The one frame writer: appends to `out` the header `head`, the payload
+/// — `words`' two slices, one after the other — and the trailing checksum,
+/// `Fnv1a(header) ‖ payload_digest(payload)`. The payload's bytes are
+/// written and, unless `digest` already holds its digest, digested in
+/// the same pass.
+fn write_frame(out: &mut Vec<u8>, head: &Head, words: [&[f64]; 2], digest: Option<u64>) {
+    let len = words[0].len() + words[1].len();
+    out.reserve(HEADER_BYTES + 8 * len + CHECKSUM_BYTES);
+    let start = out.len();
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.push(head.kind as u8);
+    out.extend_from_slice(&head.node.to_le_bytes());
+    out.extend_from_slice(&head.iteration.to_le_bytes());
+    out.extend_from_slice(&head.a.to_le_bytes());
+    out.extend_from_slice(&head.b.to_le_bytes());
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    let mut sum = Fnv1a::default();
+    sum.write_bytes(&out[start..]); // the header
+    let digest = match digest {
+        Some(digest) => {
+            for part in words {
+                let at = out.len();
+                out.resize(at + 8 * part.len(), 0);
+                for (le, word) in out[at..].chunks_exact_mut(8).zip(part.iter()) {
+                    le.copy_from_slice(&word.to_bits().to_le_bytes());
+                }
+            }
+            digest
+        }
+        None => encode_parts_with_digest(words[0], words[1], out),
+    };
+    sum.write_digest(digest);
+    out.extend_from_slice(&sum.finish().to_le_bytes());
+}
+
+/// The one frame reader: reads one frame off `reader` — header first,
+/// then exactly the advertised payload, through `scratch`, a buffer the
+/// link keeps from frame to frame — and returns it with its payload's
+/// `payload_digest`, taken as the words were decoded.
+pub fn read_frame(
+    reader: &mut impl Read,
+    scratch: &mut Vec<u8>,
+) -> Result<(Frame, u64), WireError> {
+    let mut header = [0u8; HEADER_BYTES];
+    reader.read_exact(&mut header).map_err(WireError::from_io)?;
+    let (kind, words) = parse_header(&header)?;
+    let body_bytes = 8 * words as usize;
+    if scratch.len() < body_bytes + CHECKSUM_BYTES {
+        scratch.resize(body_bytes + CHECKSUM_BYTES, 0);
+    }
+    let rest = &mut scratch[..body_bytes + CHECKSUM_BYTES];
+    reader.read_exact(rest).map_err(WireError::from_io)?;
+    let (body, sum) = rest.split_at(body_bytes);
+    assemble(kind, &header, body, sum)
 }
 
 /// Validates magic, kind and payload length — against the kind's cap,
@@ -352,24 +425,32 @@ fn parse_header(header: &[u8]) -> Result<(FrameKind, u32), WireError> {
 
 /// Builds the frame from a checked header and payload body, once the
 /// trailing checksum `sum` — FNV-1a over the header bytes, then the
-/// digest of the words decoded in the same pass — matches.
-fn assemble(kind: FrameKind, header: &[u8], body: &[u8], sum: &[u8]) -> Result<Frame, WireError> {
+/// digest of the words decoded in the same pass — matches. Returns the
+/// frame and that digest.
+fn assemble(
+    kind: FrameKind,
+    header: &[u8],
+    body: &[u8],
+    sum: &[u8],
+) -> Result<(Frame, u64), WireError> {
     let mut words = Vec::with_capacity(body.len() / 8);
     let mut hash = Fnv1a::default();
     hash.write_bytes(header);
-    hash.write_digest(decode_with_digest(body, &mut words));
+    let digest = decode_with_digest(body, &mut words);
+    hash.write_digest(digest);
     let (expected, found) = (hash.finish(), u64::from_le_bytes(slice8(sum, 0)));
     if expected != found {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
-    Ok(Frame {
+    let frame = Frame {
         kind,
         node: u32::from_le_bytes(slice4(header, 5)),
         iteration: u64::from_le_bytes(slice8(header, 9)),
         a: u64::from_le_bytes(slice8(header, 17)),
         b: u64::from_le_bytes(slice8(header, 25)),
         payload: WordBuf::from_vec(words),
-    })
+    };
+    Ok((frame, digest))
 }
 
 fn slice4(buf: &[u8], at: usize) -> [u8; 4] {
@@ -478,6 +559,13 @@ mod tests {
         Frame::chunk(3, 7, &Chunk::new(4096, vec![1.5, -2.25, 0.0, f64::MIN_POSITIVE]))
     }
 
+    /// `chunk` as a link on a `repr` wire sends it, decoded.
+    fn sent(chunk: &Chunk, repr: WireRepr) -> Frame {
+        let mut buf = Vec::new();
+        Frame::write_chunk(&mut buf, 5, 11, chunk, repr);
+        Frame::decode(&buf).expect("well formed")
+    }
+
     #[test]
     fn frames_round_trip() {
         let frame = sample();
@@ -512,7 +600,7 @@ mod tests {
         );
         let viewed = frame.to_chunk();
         assert!(viewed.data.shares_allocation(&frame.payload));
-        let moved = frame.into_chunk();
+        let moved = frame.into_chunk(chunk.digest);
         assert!(moved.data.shares_allocation(&chunk.data));
         assert_eq!(moved, chunk);
     }
@@ -541,13 +629,12 @@ mod tests {
         // way.
         let repr = WireRepr::FixedPoint { frac_bits: 12 };
         for chunk in grid_chunks(&raw, 12).0 {
-            let frame = Frame::grid_chunk(5, 11, &chunk);
+            let wired = sent(&chunk, repr);
             let codec_bytes = repr.payload_bytes(chunk.grid_header().expect("well formed").1);
-            assert_eq!(frame.b, (u64::from(repr.tag()) << 32) | codec_bytes as u64);
-            assert_eq!(frame.payload.len(), 1 + codec_bytes.div_ceil(8));
-            assert_eq!(frame.payload[0].to_bits(), chunk.checksum);
-            assert_eq!(frame.payload.slice(1, chunk.data.len()), chunk.data);
-            let wired = Frame::decode(&frame.encode()).expect("well formed");
+            assert_eq!(wired.b, (u64::from(repr.tag()) << 32) | codec_bytes as u64);
+            assert_eq!(wired.payload.len(), 1 + codec_bytes.div_ceil(8));
+            assert_eq!(wired.payload[0].to_bits(), chunk.checksum);
+            assert_eq!(wired.payload.slice(1, chunk.data.len()), chunk.data);
             let back = wired.decode_encoded_chunk().expect("a grid chunk");
             assert_eq!(back, chunk);
             assert!(back.is_intact() && back.data.shares_allocation(&wired.payload));
@@ -555,9 +642,7 @@ mod tests {
         // Top-k: the sparsified chunk's coordinates, losslessly.
         let repr = WireRepr::TopK { k: 3 };
         let chunk = Chunk::new(4096, repr.transform(&raw[..37]).0);
-        let frame = Frame::sparse_chunk(5, 11, &chunk);
-        let wired = Frame::decode(&frame.encode());
-        let back = wired.expect("well formed").decode_encoded_chunk().expect("decodable");
+        let back = sent(&chunk, repr).decode_encoded_chunk().expect("decodable");
         assert_eq!(back, chunk);
         assert!(back.is_intact());
     }
@@ -570,7 +655,8 @@ mod tests {
         let sparse =
             Frame::sparse_chunk(0, 0, &Chunk::new(0, repr.transform(&raw).0)).encoded_len();
         assert!(sparse < dense / 4, "sparse frame {sparse} vs dense {dense}");
-        let grid = Frame::grid_chunk(0, 0, &grid_chunks(&raw, 20).0[0]).encoded_len();
+        let grid = sent(&grid_chunks(&raw, 20).0[0], WireRepr::FixedPoint { frac_bits: 20 });
+        let grid = grid.encoded_len();
         assert_eq!(grid, HEADER_BYTES + 8 * (2 + 256) + CHECKSUM_BYTES);
     }
 
@@ -580,14 +666,11 @@ mod tests {
         // the encoded frame itself is well formed, but the carried
         // chunk checksum is stale and Sigma validation still rejects.
         let corrupt = Chunk::new(0, vec![1.0, 2.0]).corrupted();
-        let sparse = Frame::sparse_chunk(0, 0, &corrupt);
+        let sparse = sent(&corrupt, WireRepr::TopK { k: 2 });
         let corrupt_grid = grid_chunks(&[1.0, 2.0, 3.0], 8).0.remove(0).corrupted();
-        let grid = Frame::grid_chunk(0, 0, &corrupt_grid);
+        let grid = sent(&corrupt_grid, WireRepr::FixedPoint { frac_bits: 8 });
         for (frame, corrupt) in [(sparse, corrupt), (grid, corrupt_grid)] {
-            let back = Frame::decode(&frame.encode())
-                .expect("well formed")
-                .decode_encoded_chunk()
-                .expect("the wire passes it on");
+            let back = frame.decode_encoded_chunk().expect("the wire passes it on");
             assert_eq!(back, corrupt);
             assert!(!back.is_intact());
         }
@@ -595,7 +678,8 @@ mod tests {
 
     #[test]
     fn malformed_encoded_payloads_are_typed_not_panics() {
-        let grid = || Frame::grid_chunk(0, 0, &grid_chunks(&[1.0, 2.0, 3.0], 8).0[0]);
+        let grid =
+            || sent(&grid_chunks(&[1.0, 2.0, 3.0], 8).0[0], WireRepr::FixedPoint { frac_bits: 8 });
         assert!(grid().decode_encoded_chunk().is_ok());
         let protocol = |frame: Frame, needle: &str| match frame.decode_encoded_chunk() {
             Err(WireError::Protocol { detail }) => assert!(detail.contains(needle), "{detail}"),
@@ -656,23 +740,22 @@ mod tests {
             .map(|i| ((i * 31 % 19) as f64 - 9.0) / 16.0 + i as f64 * 1e-3)
             .collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let deliver = |frame: Frame| {
-            let wired = Frame::decode(&frame.encode()).expect("well formed");
-            wired.decode_encoded_chunk().expect("decodable")
-        };
+        let deliver =
+            |chunk: &Chunk, repr| sent(chunk, repr).decode_encoded_chunk().expect("decodable");
         for k in [1, 40, CHUNK_WORDS, 10 * CHUNK_WORDS] {
             let (sparse, _) = WireRepr::TopK { k }.transform(&raw);
             let chunks = crate::node::chunk_vector(&sparse);
             let delivered: Vec<f64> = chunks
                 .iter()
-                .flat_map(|c| deliver(Frame::sparse_chunk(0, 0, c)).data.to_vec())
+                .flat_map(|c| deliver(c, WireRepr::TopK { k }).data.to_vec())
                 .collect();
             assert_eq!(bits(&delivered), bits(&sparse), "top_k:{k}");
         }
         for frac_bits in [3, 20, 24] {
             let (tx, rx) = crossbeam::channel::unbounded();
             for chunk in grid_chunks(&raw, frac_bits).0 {
-                tx.send(deliver(Frame::grid_chunk(0, 0, &chunk))).expect("receiver alive");
+                let repr = WireRepr::FixedPoint { frac_bits };
+                tx.send(deliver(&chunk, repr)).expect("receiver alive");
             }
             drop(tx);
             let out = crate::SigmaAggregator::new(1, 1).aggregate_validated(raw.len(), vec![rx]);

@@ -67,7 +67,7 @@ fn grid_stream(grid: &[i32], scale_exp: u8) -> Receiver<Chunk> {
         });
         let data: Vec<f64> = std::iter::once(header).chain(packed).map(f64::from_bits).collect();
         let (offset, checksum) = (k * CHUNK_WORDS, Chunk::grid_checksum_of(k * CHUNK_WORDS, &data));
-        tx.send(Chunk { offset, data: data.into(), checksum, layout: Layout::Grid }).ok();
+        tx.send(Chunk::with_checksum(offset, data, checksum, Layout::Grid)).ok();
     }
     rx
 }

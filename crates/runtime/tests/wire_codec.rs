@@ -98,12 +98,8 @@ proptest! {
         checksum in any::<u64>(),
         data in prop::collection::vec(any::<u64>(), 1..48),
     ) {
-        let staged = Chunk {
-            offset,
-            data: data.iter().map(|&bits| f64::from_bits(bits)).collect(),
-            checksum,
-            layout: Layout::Dense,
-        };
+        let data: Vec<f64> = data.iter().map(|&bits| f64::from_bits(bits)).collect();
+        let staged = Chunk::with_checksum(offset, data, checksum, Layout::Dense);
         let encoded = Frame::chunk(node, iteration, &staged).encode();
         let landed = Frame::decode(&encoded).expect("chunk frame decodes").to_chunk();
         prop_assert_eq!(landed.offset, staged.offset);
@@ -216,7 +212,7 @@ proptest! {
 
         let data: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
         let checksum = if sealed { Chunk::grid_checksum_of(0, &data) } else { 0 };
-        let chunk = Chunk { offset: 0, data: data.into(), checksum, layout: Layout::Grid };
+        let chunk = Chunk::with_checksum(0, data, checksum, Layout::Grid);
         let model_len = declared.max(1);
         let (tx, rx) = crossbeam::channel::unbounded();
         tx.send(chunk).expect("receiver alive");

@@ -13,17 +13,24 @@
 //! node's threads, no more; a change that adds or removes a site updates
 //! the table, and on a mismatch the test prints it beside the count it
 //! read. The same job over loopback TCP is counted and printed but not
-//! pinned: the channels' block allocations follow thread timing.
+//! pinned: the channels' block allocations follow thread timing. The
+//! TCP path's frame buffers are pinned instead, on one thread, by the
+//! second entry ([`link_buffers_allocate_only_payloads`]).
 //!
 //! `CountingAlloc`'s `unsafe impl GlobalAlloc` is the one `unsafe` in
 //! the repository: it forwards every call to [`System`] unchanged and
 //! only adds to two counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use cosmic::cosmic_ml::{data, sgd, Algorithm};
-use cosmic::cosmic_runtime::{ClusterConfig, ClusterTrainer, Frame, FrameKind, TransportKind};
+use cosmic::cosmic_runtime::node::chunk_vector;
+use cosmic::cosmic_runtime::transport::wire::read_frame;
+use cosmic::cosmic_runtime::{
+    ClusterConfig, ClusterTrainer, Frame, FrameKind, TransportKind, WireRepr, CHUNK_WORDS,
+};
 
 struct CountingAlloc;
 
@@ -111,18 +118,20 @@ fn per_iteration(transport: TransportKind, threads_per_node: usize) -> (f64, f64
 /// round tables.
 const SIM_SITES: &[(&str, f64)] = &[
     (
-        "chunk_vector, per sender: the arena's words and its `Arc` \
-         (`WordBuf::copy_of`), and the chunk list; kept until \
-         `Transport::round` takes owned parts",
-        3.0 * 4.0,
+        "the lent partial's `Arc` (`WordBuf::from_vec` in `transport::lend`), per \
+         sender: its words are the engine's own buffer",
+        4.0,
     ),
+    ("the chunk list (`chunk_views`), per sender: views of the lent partial", 4.0),
+    ("the table of lent arenas (`transport::lend`), one a round", 1.0),
     ("the round's sum (`fold_stripes`), which the replay log keeps until the next snapshot", 1.0),
     ("the cadence snapshot (`Checkpoint::take`), one every 8 iterations", 0.125),
 ];
 
 /// Allocations per steady `Sim` iteration, down from 44.125 before the
-/// SGD step was fused and the round's tables were kept.
-const PINNED: f64 = 13.125;
+/// SGD step was fused and the round's tables were kept, and from 13.125
+/// before the wire was lent the engine's partials.
+const PINNED: f64 = 10.125;
 
 #[test]
 fn a_steady_iteration_allocates_only_at_its_named_sites() {
@@ -169,4 +178,43 @@ fn a_steady_iteration_allocates_only_at_its_named_sites() {
             table.join("\n")
         );
     }
+    link_buffers_allocate_only_payloads();
+}
+
+/// The ledger's second entry, the wire's frame buffers, on one thread:
+/// dense chunk frames written through one buffer, as a link writes them,
+/// and read back through one from a byte stream. Once each buffer has
+/// grown to a frame, writing allocates nothing, and reading only the
+/// frame's payload words and their `Arc`, which the received chunk goes
+/// on to hold. It runs inside the one test: the harness's own thread
+/// allocates as a test ends, and the counters see every thread.
+fn link_buffers_allocate_only_payloads() {
+    let model: Vec<f64> = (0..4 * CHUNK_WORDS + 17).map(|i| i as f64 / 8.0).collect();
+    let chunks = chunk_vector(&model);
+    let frames = chunks.len() as u64;
+    let mut buf = Vec::new();
+    let write = |buf: &mut Vec<u8>| {
+        for chunk in &chunks {
+            buf.clear();
+            Frame::write_chunk(buf, 1, 2, chunk, WireRepr::DenseF64);
+        }
+    };
+    write(&mut buf); // grows the buffer to a full stripe's frame
+    let (encode, _, ()) = counted(|| write(&mut buf));
+    assert_eq!(encode, 0, "encoding {frames} frames through a grown buffer");
+
+    let mut stream = Vec::new();
+    for chunk in &chunks {
+        Frame::write_chunk(&mut stream, 1, 2, chunk, WireRepr::DenseF64);
+    }
+    let (mut cursor, mut scratch) = (Cursor::new(&stream), Vec::new());
+    let first = read_frame(&mut cursor, &mut scratch).expect("well formed");
+    assert_eq!(first.0.to_chunk(), chunks[0]);
+    let (decode, _, ()) = counted(|| {
+        for chunk in &chunks[1..] {
+            let (frame, _) = read_frame(&mut cursor, &mut scratch).expect("well formed");
+            assert_eq!(frame.to_chunk(), *chunk);
+        }
+    });
+    assert_eq!(decode, 2 * (frames - 1), "decoding: each frame's words and their `Arc`");
 }
