@@ -1210,7 +1210,7 @@ mod tests {
 
     #[test]
     fn every_chunk_carries_the_digest_of_its_own_words() {
-        use crate::transport::wire::{read_frame, Frame, FrameKind};
+        use crate::transport::wire::{Frame, FrameKind, FrameReader};
         use cosmic_collectives::codec::WireRepr;
         let len = 2 * CHUNK_WORDS + 37;
         let model = partial(len, 3, 2.0);
@@ -1227,11 +1227,12 @@ mod tests {
         // Off the wire: every chunk as each wire frames it, read back.
         let reprs =
             [WireRepr::DenseF64, WireRepr::FixedPoint { frac_bits: 20 }, WireRepr::TopK { k: 9 }];
-        let mut wired = Vec::new();
+        let (mut wired, mut reader) = (Vec::new(), FrameReader::default());
         for (chunk, repr) in chunks.iter().flat_map(|c| reprs.map(|r| (c, r))) {
             let mut buf = Vec::new();
             Frame::write_chunk(&mut buf, 1, 2, chunk, repr);
-            let (frame, digest) = read_frame(&mut &buf[..], &mut Vec::new()).expect("well formed");
+            reader.feed(&buf);
+            let (frame, digest) = reader.next_frame().expect("well formed").expect("whole");
             wired.push(match frame.kind {
                 FrameKind::Chunk => {
                     assert_eq!(frame.to_chunk(), *chunk);

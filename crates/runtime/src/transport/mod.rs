@@ -1,35 +1,21 @@
 //! The transport seam between the iteration engine and the wire.
 //!
 //! The engine's collective round lends its partials to
-//! [`Transport::round_lent`] and gets the same buffers back, and the
-//! wire behind it is a backend choice:
+//! [`Transport::round_lent`] and gets the same buffers back. The wire is
+//! a backend choice: [`SimTransport`], the caller as the wire (the
+//! default), or [`TcpTransport`], loopback sockets carrying the
+//! checksummed frames of [`wire`] under the fault-injecting `WireShim`,
+//! where a link that exhausts its retry budget is a [`DeadLink`] the
+//! engine books through membership. Neither creates a thread per round.
 //!
-//! - [`SimTransport`] — the in-process discrete-event path (the caller
-//!   as the wire), the default.
-//! - [`TcpTransport`] — a real wire: every sender streams
-//!   length-prefixed, checksummed frames over a loopback TCP socket
-//!   through the fault-injecting `WireShim`, and a link that exhausts
-//!   its retry budget surfaces as a [`DeadLink`] that the engine books
-//!   through the membership/failover machinery.
-//!
-//! Neither creates a thread per round, and Sigma owns none: the caller
-//! chunks each stream and stages it into Sigma itself — on `Sim` as it
-//! chunks, on TCP as it routes each delivered stream — and TCP writes
-//! and reads on one resident sender and one reader thread per link.
-//!
-//! Real sockets have one client and one server, both in `supervisor`
-//! (`RoundSender`, `RoundServer`), and a link lives as long as its
-//! connection: a healthy round opens no socket. [`TcpTransport`] and
-//! the multi-process launcher ([`proc`]) are clients of that pair: the
-//! first carries the collective round, the second the worker
-//! processes' partials into the coordinator's engine.
-//!
-//! The validation contract (pinned by tests): on a healthy run, both
-//! backends produce identical chunk/byte conservation counters and a
+//! The link protocol is [`link`]'s state machines, which do no I/O;
+//! `supervisor` drives them over sockets, and its two halves serve
+//! [`TcpTransport`] and the multi-process launcher ([`proc`]) alike. On a
+//! healthy run both backends give identical conservation counters and a
 //! bit-identical model for the same topology and seed.
 
+pub mod link;
 pub mod proc;
-mod shim;
 mod sim;
 mod supervisor;
 mod tcp;
@@ -51,12 +37,10 @@ use crate::trainer::{ClusterConfig, RetryPolicy};
 /// Which wire the collective round runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// The in-process discrete-event path (channels as sockets); the
-    /// default, byte-identical to the pre-seam engine.
+    /// The in-process discrete-event path, the caller as the wire.
     #[default]
     Sim,
-    /// Real TCP over loopback — blocking sockets under per-call
-    /// deadlines — with supervision and socket-level fault injection.
+    /// Loopback TCP, supervised, with socket-level fault injection.
     Tcp,
 }
 
@@ -109,13 +93,11 @@ impl LinkConfig {
     }
 }
 
-/// Wire accounting for one round (or one connection's share of it).
-/// The sim backend books nothing here, so its telemetry exports are
-/// unchanged; on a healthy real-wire run, total frames/bytes sent must
-/// equal frames/bytes received — the socket-level conservation law.
-/// The one case where they differ is a stream dropped cold (a sever, a
-/// damaged frame, a delivery nobody answered): the sender books every
-/// frame it pushed, the server books nothing of that stream.
+/// Wire accounting for one round (or one connection's share of it);
+/// the sim backend books nothing. On a healthy real-wire run frames and
+/// bytes sent equal those received. A stream dropped cold (a sever, a
+/// damaged frame, a delivery nobody answered) is booked by its sender
+/// only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportStats {
     /// Frames placed on the wire.
@@ -157,9 +139,8 @@ impl TransportStats {
     }
 }
 
-/// One link the supervisor gave up on: the node is unreachable and the
-/// engine must book the failure through membership/failover instead of
-/// hanging the round.
+/// A link the supervisor gave up on: the engine books it through
+/// membership instead of hanging the round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeadLink {
     /// The unreachable node.
@@ -180,9 +161,8 @@ pub struct RoundDelivery {
     pub dead: Vec<DeadLink>,
     /// Wire accounting (empty for the sim backend).
     pub stats: TransportStats,
-    /// What `ctx.repr` did to the partials, summed over the senders
-    /// that had one (zero on a dense round): booked where each was
-    /// chunked, once, however many times its stream was retransmitted.
+    /// What `ctx.repr` did to the partials (zero on a dense round),
+    /// booked once per partial however often its stream was resent.
     pub codec: CodecStats,
 }
 
@@ -200,25 +180,19 @@ pub struct RoundCtx<'a> {
     pub retry: &'a RetryPolicy,
     /// The admitted sender node ids, ascending.
     pub senders: &'a [usize],
-    /// The wire representation the partials travel under. The partials
-    /// are raw: `RoundCtx::wire_chunks` applies it, on the round's calling
-    /// thread, and is all either backend sends — Sim hands the chunks
-    /// over in process, Tcp frames them as `FrameKind::Encoded` when
-    /// this is not [`WireRepr::DenseF64`], verbatim or losslessly — so
-    /// both stay bit-identical.
+    /// The wire representation the partials travel under: they are raw,
+    /// and `RoundCtx::wire_chunks` applies it for either backend, so both
+    /// stay bit-identical.
     pub repr: WireRepr,
 }
 
 impl RoundCtx<'_> {
-    /// `member`'s wire stream for this round — the one boundary where
-    /// `repr` meets a partial, `part`, lent as an arena: dense words are
-    /// chunked as they are, each chunk a view of `part`; a fixed-point
-    /// partial is quantized once, at one scale, into grid chunks
-    /// (`grid_chunks`); a top-k partial is sparsified, then chunked. The
-    /// plan's chunk-level corruption and duplication apply on top, giving
-    /// `(chunk_index, chunk)` in send order (a duplicate travels right
-    /// beside its original), beside what the codec did. Every backend
-    /// sends exactly this.
+    /// `member`'s wire stream for this round, the one boundary where
+    /// `repr` meets a lent partial `part`: dense chunks view it, a
+    /// fixed-point partial is quantized once into grid chunks, a top-k one
+    /// sparsified, then chunked. The plan's chunk corruption and
+    /// duplication apply on top, giving `(chunk_index, chunk)` in send
+    /// order, beside what the codec did. Every backend sends exactly this.
     pub(crate) fn wire_chunks(
         &self,
         member: usize,
@@ -262,13 +236,11 @@ pub trait Transport: Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> TransportKind;
 
-    /// Streams every sender's partial (`parts[i]`, raw, belongs to
-    /// `ctx.senders[i]`) as `RoundCtx::wire_chunks` into `sigma` and
-    /// returns the validated fold, any links that died, and the wire
-    /// and codec accounting. The partials are lent (`lend`): each
-    /// buffer is the arena its dense chunks view, no word copied, and
-    /// is back in its slot, the same allocation, when the call returns
-    /// — whatever the round met.
+    /// Streams every sender's raw partial (`parts[i]` is
+    /// `ctx.senders[i]`'s) as `RoundCtx::wire_chunks` into `sigma`: the
+    /// validated fold, any links that died, the wire and codec
+    /// accounting. Each partial is lent, no word copied, and is back in
+    /// its slot, the same allocation, when the call returns.
     fn round_lent(
         &self,
         ctx: &RoundCtx<'_>,

@@ -2,25 +2,20 @@
 //!
 //! The coordinator process runs [`ClusterTrainer`]'s own engine on
 //! [`JobSpec::config`]: membership and the φ-accrual detector, the
-//! collective round over loopback TCP into Sigma, the update,
-//! checkpoints and the observer. Only its compute phase is elsewhere:
-//! where the in-process trainer asks resident threads for each node's
-//! partial, the coordinator takes each worker process's stream, and
-//! answers it with the model the round left — the Sigma's broadcast.
-//! Workers (re-executions of the `cosmic-launcher` binary, one
-//! `RoundSender` link each for the job) compute by the engine's own
-//! data rule and node fold, so a healthy job trains the model, and
-//! records the trace and metrics, that [`ClusterTrainer::train_traced`]
-//! does on the same config.
+//! collective round into Sigma, the update, checkpoints and the
+//! observer. Only its compute phase is elsewhere: the coordinator takes
+//! each worker process's stream and answers it with the model the round
+//! left. Workers (re-executions of the `cosmic-launcher` binary, one
+//! `RoundSender` link each) compute by the engine's own data rule and
+//! node fold, so a healthy job trains the model, and records the trace
+//! and metrics, that [`ClusterTrainer::train_traced`] does.
 //!
 //! What is left here is deployment: spawning workers and the fault
-//! schedule's SIGKILL; killing and respawning with `--join` a worker the
-//! engine's detector expelled, with the compute window it was respawned
-//! in held open for it (the awaited window); and the join handshake, in
-//! which a worker that rejoins or missed a window catches up from
-//! `CheckpointStore::catch_up` (never the live model — that is the
-//! bit-identity proof) and acknowledges with its model checksum. Its
-//! next stream is the heartbeat through which the engine readmits it.
+//! schedule's SIGKILL; respawning with `--join` a worker the detector
+//! expelled, its compute window held open for it; and answering a join
+//! with `CheckpointStore::catch_up` (never the live model — that is the
+//! bit-identity proof), which the worker acknowledges with its model's
+//! checksum on the link its rounds then ride.
 
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -37,16 +32,14 @@ use crate::error::RuntimeError;
 use crate::node::{chunk_vector, Chunk, Layout};
 use crate::trainer::{ClusterConfig, ClusterTrainer, MembershipMode, RETRY};
 
-use super::shim::WireShim;
-use super::supervisor::{Handshake, Reply, RoundSender, RoundServer, ServedKind, Wire};
-use super::wire::{Frame, FrameKind, WireError};
+use super::link::{Carried, WireShim};
+use super::supervisor::{Reply, RoundSender, RoundServer, Served};
+use super::wire::{Frame, FrameKind};
 use super::{LinkConfig, TransportKind, TransportStats};
 
-/// Everything both halves of the launcher agree on: the job and the
-/// wire deadlines. A worker receives every field but
-/// `checkpoint_every` on its command line, as [`JobSpec::flags`]
-/// renders them and [`JobSpec::set_flag`] parses them, so both sides
-/// derive identical data and models.
+/// Everything both halves of the launcher agree on. A worker receives
+/// every field but `checkpoint_every` as [`JobSpec::flags`] renders them
+/// and [`JobSpec::set_flag`] parses them, so both derive identical data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Worker process count.
@@ -186,38 +179,30 @@ pub struct LaunchSummary {
 impl LaunchSummary {
     /// One-line JSON for the driving test or shell.
     pub fn to_json(&self) -> String {
-        let fmt_pairs = |v: &[(usize, usize)]| {
-            let items: Vec<String> = v.iter().map(|(n, i)| format!("[{n},{i}]")).collect();
-            format!("[{}]", items.join(","))
-        };
-        let rejoins: Vec<String> =
-            self.rejoins.iter().map(|(n, i, m)| format!("[{n},{i},{m}]")).collect();
-        format!(
-            concat!(
-                "{{\"iterations\":{},\"final_checksum\":\"{:#018x}\",",
-                "\"workers_reported\":{},\"workers_matched\":{},",
-                "\"kills\":{},\"expulsions\":{},\"rejoins\":[{}],",
-                "\"frames_sent\":{},\"frames_received\":{},",
-                "\"bytes_sent\":{},\"bytes_received\":{},",
-                "\"heartbeats\":{},\"reconnects\":{},\"links_dead\":{},",
-                "\"connections\":{}}}"
-            ),
-            self.iterations,
-            self.final_checksum,
-            self.workers_reported,
-            self.workers_matched,
-            fmt_pairs(&self.kills),
-            fmt_pairs(&self.expulsions),
-            rejoins.join(","),
-            self.stats.frames_sent,
-            self.stats.frames_received,
-            self.stats.bytes_sent,
-            self.stats.bytes_received,
-            self.stats.heartbeats,
-            self.stats.reconnects,
-            self.stats.links_dead,
-            self.stats.connections,
-        )
+        let list = |items: Vec<String>| format!("[{}]", items.join(","));
+        let pairs =
+            |v: &[(usize, usize)]| list(v.iter().map(|(n, i)| format!("[{n},{i}]")).collect());
+        let rejoins = self.rejoins.iter().map(|(n, i, m)| format!("[{n},{i},{m}]")).collect();
+        let s = &self.stats;
+        let fields = [
+            ("iterations", self.iterations.to_string()),
+            ("final_checksum", format!("\"{:#018x}\"", self.final_checksum)),
+            ("workers_reported", self.workers_reported.to_string()),
+            ("workers_matched", self.workers_matched.to_string()),
+            ("kills", pairs(&self.kills)),
+            ("expulsions", pairs(&self.expulsions)),
+            ("rejoins", list(rejoins)),
+            ("frames_sent", s.frames_sent.to_string()),
+            ("frames_received", s.frames_received.to_string()),
+            ("bytes_sent", s.bytes_sent.to_string()),
+            ("bytes_received", s.bytes_received.to_string()),
+            ("heartbeats", s.heartbeats.to_string()),
+            ("reconnects", s.reconnects.to_string()),
+            ("links_dead", s.links_dead.to_string()),
+            ("connections", s.connections.to_string()),
+        ];
+        let fields: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        format!("{{{}}}", fields.join(","))
     }
 }
 
@@ -295,8 +280,7 @@ impl Coordinator {
 struct Workers<'c> {
     coordinator: &'c Coordinator,
     children: Vec<Option<Child>>,
-    /// Membership the last round started from: a member that left it
-    /// was expelled.
+    /// Membership the last round started from (who left was expelled).
     member: Vec<bool>,
     /// Respawned workers the current window waits for.
     awaited: Vec<bool>,
@@ -304,14 +288,16 @@ struct Workers<'c> {
     iteration: usize,
     /// This round's streams, each owed the round's update.
     owed: Vec<(usize, Reply)>,
+    /// Per node, the iteration and checksum of the snapshot it was sent:
+    /// what its `Ack`, whichever window it lands in, is judged against.
+    caught: Vec<Option<(usize, u64)>>,
     summary: LaunchSummary,
 }
 
 impl Drop for Workers<'_> {
     fn drop(&mut self) {
-        for child in self.children.iter_mut().flatten() {
-            let _ = child.kill();
-            let _ = child.wait();
+        for node in 0..self.children.len() {
+            self.kill(node);
         }
     }
 }
@@ -326,6 +312,7 @@ impl<'c> Workers<'c> {
             awaited: vec![false; nodes],
             iteration: 0,
             owed: Vec::new(),
+            caught: vec![None; nodes],
             summary: LaunchSummary::default(),
         }
     }
@@ -361,53 +348,74 @@ impl<'c> Workers<'c> {
         Ok(())
     }
 
+    /// Serves the queue until `serve` says the window is complete or
+    /// its deadline passes. Senders await their reply for one read
+    /// deadline from about the moment a window opens, and the reply is
+    /// only written after the round: a window closes early enough that
+    /// it still lands in time.
+    fn serve_window(
+        &mut self,
+        mut serve: impl FnMut(&mut Self, Served) -> Result<bool, RuntimeError>,
+    ) -> Result<(), RuntimeError> {
+        let deadline = Instant::now() + self.coordinator.spec.link.read_timeout() * 3 / 4;
+        while Instant::now() < deadline {
+            let Some(served) = self.coordinator.server.next(Some(deadline)) else {
+                continue;
+            };
+            if (served.node as usize) < self.member.len() && serve(self, served)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     /// One round's compute window: take round streams and join
-    /// handshakes off the server's queue until every member and every
-    /// awaited respawn has delivered, or the window's deadline passes.
-    /// A stream from another round, or a second one from the same node,
-    /// is dropped unanswered.
+    /// handshakes until every member and every awaited respawn has
+    /// delivered. A stream from another round, or a second one from the
+    /// same node, is dropped unanswered.
     fn window(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError> {
         let mut arrivals: Vec<Arrival> = vec![None; self.member.len()];
         let expected: Vec<usize> =
             (0..arrivals.len()).filter(|&n| req.member[n] || self.awaited[n]).collect();
-        // Senders await their reply for one read deadline from about the
-        // moment this window opens, and the reply is only written after
-        // the round: close early enough that it still lands in time.
-        let server = &self.coordinator.server;
-        let deadline = Instant::now() + self.coordinator.spec.link.read_timeout() * 3 / 4;
-        while expected.is_empty() || expected.iter().any(|&n| arrivals[n].is_none()) {
-            if Instant::now() >= deadline {
-                break;
-            }
-            let Some(served) = server.next(Some(deadline)) else {
-                continue;
-            };
+        self.serve_window(|workers, mut served| {
             let node = served.node as usize;
-            if node >= arrivals.len() {
-                continue;
-            }
-            self.summary.stats.merge(&served.stats);
-            match served.kind {
-                ServedKind::Join(mut link) => {
-                    // A handshake that fails on the wire is the joiner's
-                    // to retry; only a store that cannot reproduce the
-                    // live model ends the job.
-                    if let Some(matched) = admit(req, node, &mut link, &mut self.summary.stats)? {
-                        link.resume();
-                        self.summary.rejoins.push((node, req.iteration, matched));
+            let stats = &mut workers.summary.stats;
+            stats.merge(&served.stats);
+            match served.carried {
+                // The joiner is caught up from the checkpoint/replay log,
+                // never the live model. A handshake that fails on the
+                // wire is its to retry; only a store that no longer
+                // reproduces the live model ends the job.
+                Carried::Join => {
+                    let caught = req.store.catch_up()?;
+                    let (expected, at) = (model_checksum(req.model), req.iteration as u64);
+                    if model_checksum(&caught.model) != expected {
+                        return Err(RuntimeError::CheckpointCorrupt {
+                            iteration: caught.base_iteration,
+                        });
+                    }
+                    let payload = caught.model.into();
+                    let head = Frame::control(FrameKind::Snapshot, served.node, at, at, expected);
+                    let _ = served.reply.send(&Frame { payload, ..head }, stats);
+                    workers.caught[node] = Some((req.iteration, expected));
+                }
+                Carried::Ack(checksum) => {
+                    if let Some((at, sent)) = workers.caught[node].take() {
+                        workers.summary.rejoins.push((node, at, checksum == sent));
                     }
                 }
-                ServedKind::Round { iteration, records, chunks, reply } => {
+                Carried::Round { iteration, records, chunks } => {
                     let fresh = iteration == req.iteration as u64 && arrivals[node].is_none();
                     if let Some(partial) =
                         fresh.then(|| assemble(req.model.len(), &chunks)).flatten()
                     {
                         arrivals[node] = Some(Some((partial, records as usize)));
-                        self.owed.push((node, reply));
+                        workers.owed.push((node, served.reply));
                     }
                 }
             }
-        }
+            Ok(!expected.is_empty() && expected.iter().all(|&n| arrivals[n].is_some()))
+        })?;
         self.awaited.fill(false);
         Ok(arrivals)
     }
@@ -418,26 +426,23 @@ impl<'c> Workers<'c> {
     fn final_window(&mut self, rounds: usize, model: &[f64]) {
         let expected = model_checksum(model);
         let mut reported = vec![false; self.member.len()];
-        let deadline = Instant::now() + self.coordinator.spec.link.read_timeout() * 3 / 4;
-        while reported.contains(&false) && Instant::now() < deadline {
-            let Some(served) = self.coordinator.server.next(Some(deadline)) else {
-                continue;
-            };
+        let _ = self.serve_window(|workers, mut served| {
             let node = served.node as usize;
-            let ServedKind::Round { iteration, records, mut reply, .. } = served.kind else {
-                continue;
+            let Carried::Round { iteration, records, .. } = served.carried else {
+                return Ok(false);
             };
-            if iteration != rounds as u64 || reported.get(node) != Some(&false) {
-                continue;
+            if iteration != rounds as u64 || reported[node] {
+                return Ok(false);
             }
             reported[node] = true;
-            let stats = &mut self.summary.stats;
+            let stats = &mut workers.summary.stats;
             stats.merge(&served.stats);
-            self.summary.workers_reported += 1;
-            self.summary.workers_matched += usize::from(records == expected);
+            workers.summary.workers_reported += 1;
+            workers.summary.workers_matched += usize::from(records == expected);
             let ack = Frame::control(FrameKind::Ack, served.node, iteration, 0, expected);
-            let _ = reply.send(&ack, stats);
-        }
+            let _ = served.reply.send(&ack, stats);
+            Ok(!reported.contains(&false))
+        });
     }
 }
 
@@ -470,36 +475,6 @@ impl Compute for Workers<'_> {
             let _ = owed.send(&reply, &mut self.summary.stats);
         }
     }
-}
-
-/// Completes a join handshake on a handed-over connection: catch the
-/// worker up from the checkpoint/replay log and verify its acknowledged
-/// checksum. `None` when the wire failed mid-handshake.
-fn admit(
-    req: &Request<'_>,
-    node: usize,
-    link: &mut Handshake,
-    stats: &mut TransportStats,
-) -> Result<Option<bool>, RuntimeError> {
-    let caught = req.store.catch_up()?;
-    let expected = model_checksum(req.model);
-    if model_checksum(&caught.model) != expected {
-        // Replay no longer reproduces the live model: the store is
-        // unusable for recovery.
-        return Err(RuntimeError::CheckpointCorrupt { iteration: caught.base_iteration });
-    }
-    let at = req.iteration as u64;
-    let payload = caught.model.into();
-    let snapshot = Frame {
-        kind: FrameKind::Snapshot,
-        node: node as u32,
-        iteration: at,
-        a: at,
-        b: expected,
-        payload,
-    };
-    let ack = link.send(&snapshot, stats).and_then(|()| link.take(stats));
-    Ok(ack.ok().map(|ack| ack.kind == FrameKind::Ack && ack.b == expected))
 }
 
 /// A worker's node partial from its stream: the dense chunks
@@ -541,7 +516,7 @@ impl Worker {
         let rounds = cfg.epochs * shards.steps;
         let mut model = spec.initial_model();
         let mut sender = RoundSender::new(self.addr, node, spec.link, RETRY);
-        let mut iter = if self.join { join_handshake(&mut sender, &mut model)? } else { 0 };
+        let mut iter = if self.join { rejoin(&mut sender, &mut model)? } else { 0 };
         while iter < rounds {
             let step = iter % shards.steps;
             let (partial, records) =
@@ -551,7 +526,7 @@ impl Worker {
             let shim = WireShim::default();
             let round =
                 sender.send_round(iter as u64, &chunks, records as u64, &shim, FrameKind::Model);
-            match round.map(|report| report.reply.payload) {
+            match round.map(|(reply, _)| reply.payload) {
                 Ok(next) if next.len() == model.len() => {
                     model = next.into_vec();
                     iter += 1;
@@ -559,7 +534,7 @@ impl Worker {
                 // Missed the window, or the answer was not a model: the
                 // cluster moved on without this node. Re-sync through
                 // the join handshake rather than fork the model.
-                _ => iter = join_handshake(&mut sender, &mut model)?,
+                _ => iter = rejoin(&mut sender, &mut model)?,
             }
         }
         // Final report: a chunkless round carrying the model checksum
@@ -575,38 +550,21 @@ impl Worker {
     }
 }
 
-/// The join handshake: `Hello(join)` → `Snapshot(model, resume)` →
-/// `Ack(checksum)` on the worker's link, under the supervisor's retry
-/// loop; the rounds that follow ride the same connection. Returns the
-/// iteration to resume at.
-fn join_handshake(sender: &mut RoundSender, model: &mut Vec<f64>) -> Result<usize, RuntimeError> {
-    let node = sender.node;
-    let mut attempt = |wire: &mut Wire| {
-        wire.send(&Frame::control(FrameKind::Hello, node as u32, 0, 1, 0))?;
-        let snapshot = Frame::read_from(&mut wire.reader)?;
-        if snapshot.kind != FrameKind::Snapshot {
-            return Err(WireError::Protocol {
-                detail: format!("expected Snapshot in join handshake, got {:?}", snapshot.kind),
-            });
-        }
-        *model = snapshot.payload.into_vec();
-        let checksum = model_checksum(model);
-        wire.send(&Frame::control(FrameKind::Ack, node as u32, snapshot.iteration, 0, checksum))?;
-        Ok(snapshot.a as usize)
-    };
-    sender.supervise(&mut TransportStats::default(), |wire, _, _| {
-        attempt(wire).map_err(|e| RuntimeError::TransportFailed {
-            peer: node,
-            attempts: 1,
-            detail: format!("join handshake: {e}"),
-        })
-    })
+/// Re-syncs a worker through its link's join handshake: the model it
+/// is caught up with, and the iteration to resume at.
+fn rejoin(sender: &mut RoundSender, model: &mut Vec<f64>) -> Result<usize, RuntimeError> {
+    let snapshot = sender.join()?;
+    *model = snapshot.payload.into_vec();
+    Ok(snapshot.a as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::CheckpointStore;
+    use crate::transport::supervisor::fill;
+    use crate::transport::wire::FrameReader;
+    use std::io::Write;
     use std::net::TcpStream;
     use std::sync::Arc;
 
@@ -655,13 +613,12 @@ mod tests {
     /// optionally cut short before `Done`. The socket is returned open,
     /// as a worker awaiting its reply holds it.
     fn stream(addr: SocketAddr, node: u32, at: u64, whole: bool, partial: &[f64]) -> TcpStream {
+        let mut frames = vec![Frame::control(FrameKind::Hello, node, at, 0, 0)];
+        frames.extend(chunk_vector(partial).iter().map(|chunk| Frame::chunk(node, at, chunk)));
+        frames.extend(whole.then(|| Frame::control(FrameKind::Done, node, at, 0, 5)));
         let mut client = TcpStream::connect(addr).unwrap();
-        Frame::control(FrameKind::Hello, node, at, 0, 0).write_to(&mut client).unwrap();
-        for chunk in chunk_vector(partial) {
-            Frame::chunk(node, at, &chunk).write_to(&mut client).unwrap();
-        }
-        if whole {
-            Frame::control(FrameKind::Done, node, at, 0, 5).write_to(&mut client).unwrap();
+        for frame in frames {
+            client.write_all(&frame.encode()).unwrap();
         }
         client
     }
@@ -680,21 +637,23 @@ mod tests {
         let model = spec.initial_model();
         let partial: Vec<f64> = (0..model.len()).map(|i| i as f64 * 0.5).collect();
         let mut stale = stream(addr, 0, 3, true, &partial);
-        let mut open = [stream(addr, 9, 4, true, &partial), stream(addr, 0, 4, true, &partial)];
+        let open = [stream(addr, 9, 4, true, &partial), stream(addr, 0, 4, true, &partial)];
         drop(stream(addr, 0, 4, false, &partial));
         // Node 1 was expelled and its respawn is awaited: the window
         // outlasts node 0's delivery until the joiner has caught up
-        // through the worker's own handshake and delivered too. It joins
-        // once the stale stream was refused (its socket shut), so that
-        // one is booked before the window can close.
-        let joiner_partial = partial.clone();
+        // through the worker's own handshake and delivered its round on
+        // the same link. It joins once the stale stream was refused (its
+        // socket shut), so that one is booked before the window can close.
+        let chunks: Vec<(usize, Chunk)> = chunk_vector(&partial).into_iter().enumerate().collect();
         let worker = std::thread::spawn(move || {
             stale.set_read_timeout(Some(spec.link.read_timeout() * 2)).unwrap();
             let _ = std::io::Read::read(&mut stale, &mut [0]);
             let mut sender = RoundSender::new(addr, 1, spec.link, RETRY);
             let mut caught = Vec::new();
-            let resume = join_handshake(&mut sender, &mut caught).unwrap();
-            (resume, caught, stream(addr, 1, 4, true, &joiner_partial))
+            let resume = rejoin(&mut sender, &mut caught).unwrap();
+            let shim = WireShim::default();
+            let round = sender.send_round(4, &chunks, 5, &shim, FrameKind::Model).unwrap();
+            (resume, caught, round.0)
         });
         let store = CheckpointStore::new(CheckpointConfig { cadence: 4 }, &model);
         let shared = Arc::new(model.clone());
@@ -709,23 +668,27 @@ mod tests {
         let mut workers = Workers::new(&coordinator);
         workers.awaited[1] = true;
         let arrivals = workers.window(&req).unwrap();
-        let (resume, caught, mut joiner) = worker.join().unwrap();
-        assert_eq!(
-            (resume, &caught, &workers.summary.rejoins[..]),
-            (4, &model, &[(1, 4, true)][..])
-        );
+        assert_eq!(workers.summary.rejoins, [(1, 4, true)]);
         let whole = Some(Some((partial, 5)));
         assert_eq!(arrivals, [whole.clone(), whole], "one arrival per member and awaited node");
         assert_eq!(workers.awaited, [false; 2], "the awaited window closed");
-        // Booked: the stale stream, the join's Hello and Ack, the two
-        // arrivals — not the unknown node, not the half stream.
-        assert_eq!(workers.summary.stats.frames_received, 3 + 2 + 3 + 3);
+        // Booked: the stale stream, the join's Hello and Ack, the two arrivals
+        // (the joiner's with a heartbeat); not node 9, not the half stream.
+        assert_eq!(workers.summary.stats.frames_received, 3 + 2 + 3 + 4);
         // Settling answers exactly the two arrivals, with the new model.
         let next: Vec<f64> = model.iter().map(|w| w - 1.0).collect();
         workers.iteration = 4;
         workers.settle(&next, &mut Vec::new());
-        for (node, socket) in [(0, &mut open[1]), (1, &mut joiner)] {
-            let reply = Frame::read_from(socket).unwrap();
+        let mut reader = FrameReader::default();
+        let answered = loop {
+            match reader.next_frame().unwrap() {
+                Some((reply, _)) => break reply,
+                None => fill(&open[1], &mut reader).unwrap(),
+            }
+        };
+        let (resume, caught, joiner) = worker.join().unwrap();
+        assert_eq!((resume, caught), (4, model));
+        for (node, reply) in [(0, answered), (1, joiner)] {
             assert_eq!((reply.kind, reply.node, reply.iteration), (FrameKind::Model, node, 4));
             assert_eq!(bits(&reply.payload), bits(&next), "node {node}");
         }
@@ -744,7 +707,7 @@ mod tests {
         let addr = coordinator.addr();
         let model = spec.initial_model();
         let mut quitter = TcpStream::connect(addr).unwrap();
-        Frame::control(FrameKind::Hello, 1, 0, 1, 0).write_to(&mut quitter).unwrap();
+        quitter.write_all(&Frame::control(FrameKind::Hello, 1, 0, 1, 0).encode()).unwrap();
         drop(quitter);
         let _member = stream(addr, 0, 2, true, &model);
         let store = CheckpointStore::new(CheckpointConfig { cadence: 4 }, &model);

@@ -1,28 +1,21 @@
 //! The length-prefixed, checksummed wire format every real transport
-//! backend speaks.
-//!
-//! A frame is a fixed 37-byte header, a payload of little-endian f64
-//! bit patterns, and a trailing checksum over both — byte-serial FNV-1a
-//! over the header, then the payload's word-lane `payload_digest`
-//! (`cosmic_collectives`' `hash` module has the scheme and why any
-//! one-byte or one-word change is certain to be caught):
+//! speaks: a 37-byte header, a payload of little-endian f64 bit
+//! patterns, and a trailing checksum — FNV-1a over the header, then the
+//! payload's `payload_digest` (`cosmic_collectives::hash`):
 //!
 //! ```text
 //! magic:u32 | kind:u8 | node:u32 | iteration:u64 | a:u64 | b:u64 |
 //! len:u32 | payload: len × f64-LE-bits | checksum:u64
 //! ```
 //!
-//! `a` and `b` are kind-specific operands (a chunk frame carries its
-//! word offset in `a` and the chunk's own checksum — verbatim — in
-//! `b`, so Sigma-level chunk validation survives the wire unchanged).
-//! Decoding never panics: every malformed input — truncated buffer,
-//! wrong magic, unknown kind, a length over its kind's cap, flipped bit
-//! — comes back as a typed [`WireError`], and the header is checked
-//! before anything is allocated for the payload.
+//! `a` and `b` are kind-specific operands (a chunk frame's word offset,
+//! and its chunk's own checksum, verbatim). Each format has one writer
+//! and one reader, [`FrameReader`], and decoding never panics: every
+//! malformed input is a typed [`WireError`], the header checked before
+//! anything is allocated for the payload.
 
 use std::error::Error;
 use std::fmt;
-use std::io::{Read, Write};
 
 use cosmic_collectives::codec::{
     exact_len, grid_bytes, read_grid, read_sparse, write_sparse, CodecError, WireRepr, FIXED_TAG,
@@ -45,9 +38,7 @@ pub const HEADER_BYTES: usize = 37;
 pub const CHECKSUM_BYTES: usize = 8;
 
 /// Ceiling on a [`FrameKind::Model`] or [`FrameKind::Snapshot`] frame's
-/// payload length in words (64 MiB of f64s) — rejects garbage lengths
-/// before any allocation. Every other kind has a tighter cap
-/// ([`FrameKind::max_payload_words`]).
+/// payload words (64 MiB); every other kind's is tighter.
 pub(crate) const MAX_PAYLOAD_WORDS: u32 = 1 << 23;
 
 /// What a frame means to the peer.
@@ -86,18 +77,10 @@ pub enum FrameKind {
 
 impl FrameKind {
     fn from_u8(raw: u8) -> Result<Self, WireError> {
-        match raw {
-            1 => Ok(FrameKind::Hello),
-            2 => Ok(FrameKind::Chunk),
-            3 => Ok(FrameKind::Heartbeat),
-            4 => Ok(FrameKind::Done),
-            5 => Ok(FrameKind::Model),
-            6 => Ok(FrameKind::Snapshot),
-            7 => Ok(FrameKind::Ack),
-            8 => Ok(FrameKind::Shutdown),
-            9 => Ok(FrameKind::Encoded),
-            other => Err(WireError::BadKind { found: other }),
-        }
+        use FrameKind::*;
+        let kinds = [Hello, Chunk, Heartbeat, Done, Model, Snapshot, Ack, Shutdown, Encoded];
+        let kind = kinds.get(usize::from(raw).wrapping_sub(1)).copied();
+        kind.ok_or(WireError::BadKind { found: raw })
     }
 
     /// The most payload words a frame of this kind may advertise: none
@@ -161,18 +144,15 @@ impl Frame {
         }
     }
 
-    /// Reconstructs the staged [`Chunk`] from a chunk frame (the
-    /// chunk's checksum is whatever the sender staged — a stale one
-    /// travels unchanged and is the Sigma's business, not the wire's).
-    /// The chunk shares this frame's payload allocation.
+    /// The staged [`Chunk`] a chunk frame carries, sharing its payload;
+    /// a stale checksum travels unchanged, Sigma's business.
     pub fn to_chunk(&self) -> Chunk {
         Chunk::with_checksum(self.a as usize, self.payload.clone(), self.b, Layout::Dense)
     }
 
     /// [`Frame::to_chunk`], consuming the frame whose payload digests to
-    /// `digest` (as [`read_frame`] returns it): the payload moves into
-    /// the chunk outright, so a received frame's single allocation is
-    /// handed to the Sigma with no refcount traffic and no second pass.
+    /// `digest` (as [`FrameReader::next_frame`] returns it): the payload
+    /// moves into the chunk, with no second pass.
     pub(crate) fn into_chunk(self, digest: u64) -> Chunk {
         Chunk {
             offset: self.a as usize,
@@ -184,13 +164,10 @@ impl Frame {
     }
 
     /// Appends `chunk`'s frame, as a link on a `repr` wire sends it, to
-    /// `out`. On a dense wire a dense chunk is a [`FrameKind::Chunk`]
-    /// frame whose payload digest the chunk already carries, so its words
-    /// are only copied. A [`Layout::Grid`] chunk *is* its codec words and
-    /// ships as it stands, written straight from its view behind its
-    /// checksum word in a [`FrameKind::Encoded`] frame: nothing is
-    /// re-derived or gathered on the way out. A dense chunk on any other
-    /// wire goes as the coordinate list of its non-zero words.
+    /// `out`: on a dense wire a dense chunk's words, whose digest it
+    /// carries; a [`Layout::Grid`] chunk's codec words as they stand,
+    /// behind its checksum word, in a [`FrameKind::Encoded`] frame; a
+    /// dense chunk on any other wire as the coordinates of its non-zeros.
     pub fn write_chunk(
         out: &mut Vec<u8>,
         node: u32,
@@ -201,13 +178,13 @@ impl Frame {
         let (a, checksum) = (chunk.offset as u64, chunk.checksum);
         match (chunk.layout, repr) {
             (Layout::Dense, WireRepr::DenseF64) => {
-                let head = Head { kind: FrameKind::Chunk, node, iteration, a, b: checksum };
+                let head = Frame::control(FrameKind::Chunk, node, iteration, a, checksum);
                 write_frame(out, &head, [&chunk.data, &[]], Some(chunk.digest));
             }
             (Layout::Grid, _) => {
                 let words = chunk.grid_header().map_or(0, |(_, words)| words);
                 let b = (u64::from(FIXED_TAG) << 32) | grid_bytes(words) as u64;
-                let head = Head { kind: FrameKind::Encoded, node, iteration, a, b };
+                let head = Frame::control(FrameKind::Encoded, node, iteration, a, b);
                 write_frame(out, &head, [&[f64::from_bits(checksum)], &chunk.data], None);
             }
             (Layout::Dense, _) => Frame::sparse_chunk(node, iteration, chunk).write_into(out),
@@ -223,28 +200,18 @@ impl Frame {
         let coords = nonzero.map(|(i, &v)| (i as u32, v));
         let mut payload = Vec::with_capacity(1 + chunk.data.len());
         payload.push(f64::from_bits(chunk.checksum));
-        let len = write_sparse(chunk.data.len(), coords, &mut payload);
-        Frame {
-            kind: FrameKind::Encoded,
-            node,
-            iteration,
-            a: chunk.offset as u64,
-            b: (u64::from(SPARSE_TAG) << 32) | len as u64,
-            payload: WordBuf::from_vec(payload),
-        }
+        let b = (u64::from(SPARSE_TAG) << 32)
+            | write_sparse(chunk.data.len(), coords, &mut payload) as u64;
+        let head = Frame::control(FrameKind::Encoded, node, iteration, chunk.offset as u64, b);
+        Frame { payload: WordBuf::from_vec(payload), ..head }
     }
 
-    /// Reconstructs the staged [`Chunk`] from an [`FrameKind::Encoded`]
-    /// frame, its original checksum restored verbatim — a stale one
-    /// (corrupted-in-flight chunk) travels unchanged and still fails
-    /// Sigma-side validation. A grid is parsed (`read_grid`) and held to
-    /// the frame's byte length, and the chunk is a view of the frame's
-    /// payload; a coordinate list is read (`read_sparse`) into a dense
-    /// chunk. Either way the words handed over are digested here, once.
+    /// The staged [`Chunk`] an [`FrameKind::Encoded`] frame carries, its
+    /// checksum verbatim: a grid, held to the frame's byte length, as a
+    /// view of the payload, or a coordinate list read into a dense chunk.
     /// A declared length beyond [`CHUNK_WORDS`] is
-    /// [`WireError::Oversized`] before anything is allocated for it;
-    /// every other malformation, an unknown tag included, is
-    /// [`WireError::Protocol`].
+    /// [`WireError::Oversized`] before any allocation; every other
+    /// malformation is [`WireError::Protocol`].
     pub fn decode_encoded_chunk(&self) -> Result<Chunk, WireError> {
         if self.kind != FrameKind::Encoded {
             return Err(WireError::Protocol {
@@ -293,70 +260,27 @@ impl Frame {
         buf
     }
 
-    /// [`Frame::encode`], appending to `out`: a link writes frame after
-    /// frame through one buffer it keeps.
-    pub(crate) fn write_into(&self, out: &mut Vec<u8>) {
-        let head = Head {
-            kind: self.kind,
-            node: self.node,
-            iteration: self.iteration,
-            a: self.a,
-            b: self.b,
-        };
-        write_frame(out, &head, [&self.payload, &[]], None);
+    /// [`Frame::encode`], appending to `out`: a link writes every frame,
+    /// replies included, through one buffer it keeps.
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        write_frame(out, self, [&self.payload, &[]], None);
     }
 
     /// Decodes one frame from an exact buffer (no trailing bytes).
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        if buf.len() < HEADER_BYTES + CHECKSUM_BYTES {
-            return Err(WireError::Truncated {
-                needed: HEADER_BYTES + CHECKSUM_BYTES,
-                got: buf.len(),
-            });
+        match parse(buf)? {
+            (Some((frame, _)), len) if len == buf.len() => Ok(frame),
+            (_, needed) => Err(WireError::Truncated { needed, got: buf.len() }),
         }
-        let (header, rest) = buf.split_at(HEADER_BYTES);
-        let (kind, words) = parse_header(header)?;
-        let body_bytes = 8 * words as usize;
-        if rest.len() != body_bytes + CHECKSUM_BYTES {
-            return Err(WireError::Truncated {
-                needed: HEADER_BYTES + body_bytes + CHECKSUM_BYTES,
-                got: buf.len(),
-            });
-        }
-        let (body, sum) = rest.split_at(body_bytes);
-        assemble(kind, header, body, sum).map(|(frame, _)| frame)
-    }
-
-    /// Reads one frame off a byte stream (header first, then exactly
-    /// the advertised payload). I/O failures — including read-deadline
-    /// expiry — surface as [`WireError::Io`]. Hand it a buffered
-    /// reader: a bare socket pays two `read` syscalls per frame.
-    pub fn read_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        read_frame(reader, &mut Vec::new()).map(|(frame, _)| frame)
-    }
-
-    /// Writes the encoded frame to a byte stream.
-    pub(crate) fn write_to(&self, writer: &mut impl Write) -> Result<(), WireError> {
-        writer.write_all(&self.encode()).map_err(WireError::from_io)
     }
 }
 
-/// A frame's header fields: everything [`write_frame`] writes before the
-/// payload, bar the magic and the length.
-struct Head {
-    kind: FrameKind,
-    node: u32,
-    iteration: u64,
-    a: u64,
-    b: u64,
-}
-
-/// The one frame writer: appends to `out` the header `head`, the payload
+/// The one frame writer: appends to `out` `head`'s header fields, the payload
 /// — `words`' two slices, one after the other — and the trailing checksum,
 /// `Fnv1a(header) ‖ payload_digest(payload)`. The payload's bytes are
 /// written and, unless `digest` already holds its digest, digested in
 /// the same pass.
-fn write_frame(out: &mut Vec<u8>, head: &Head, words: [&[f64]; 2], digest: Option<u64>) {
+fn write_frame(out: &mut Vec<u8>, head: &Frame, words: [&[f64]; 2], digest: Option<u64>) {
     let len = words[0].len() + words[1].len();
     out.reserve(HEADER_BYTES + 8 * len + CHECKSUM_BYTES);
     let start = out.len();
@@ -386,82 +310,142 @@ fn write_frame(out: &mut Vec<u8>, head: &Head, words: [&[f64]; 2], digest: Optio
     out.extend_from_slice(&sum.finish().to_le_bytes());
 }
 
-/// The one frame reader: reads one frame off `reader` — header first,
-/// then exactly the advertised payload, through `scratch`, a buffer the
-/// link keeps from frame to frame — and returns it with its payload's
-/// `payload_digest`, taken as the words were decoded.
-pub fn read_frame(
-    reader: &mut impl Read,
-    scratch: &mut Vec<u8>,
-) -> Result<(Frame, u64), WireError> {
-    let mut header = [0u8; HEADER_BYTES];
-    reader.read_exact(&mut header).map_err(WireError::from_io)?;
-    let (kind, words) = parse_header(&header)?;
-    let body_bytes = 8 * words as usize;
-    if scratch.len() < body_bytes + CHECKSUM_BYTES {
-        scratch.resize(body_bytes + CHECKSUM_BYTES, 0);
-    }
-    let rest = &mut scratch[..body_bytes + CHECKSUM_BYTES];
-    reader.read_exact(rest).map_err(WireError::from_io)?;
-    let (body, sum) = rest.split_at(body_bytes);
-    assemble(kind, &header, body, sum)
+/// The resumable frame reader, which does no I/O: a driver reads bytes
+/// straight into [`FrameReader::spare`] (or hands them over with
+/// [`FrameReader::feed`]), and [`FrameReader::next_frame`] yields each
+/// whole frame, however the bytes were cut, with the `payload_digest`
+/// taken as its words were decoded. The buffer is kept, so once it has
+/// grown to a frame, reading allocates only the payload.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
-/// Validates magic, kind and payload length — against the kind's cap,
-/// [`FrameKind::max_payload_words`] — returning the kind and the word
-/// count, so a reader sizes its buffer from a checked number.
-fn parse_header(header: &[u8]) -> Result<(FrameKind, u32), WireError> {
-    let magic = u32::from_le_bytes(slice4(header, 0));
-    if magic != MAGIC {
-        return Err(WireError::BadMagic { found: magic });
+/// Bytes a read asks for beyond the frame in progress, so one read
+/// takes several small frames.
+const READ_BYTES: usize = 8 * 1024;
+
+impl FrameReader {
+    /// Appends `bytes` to what is buffered.
+    pub fn feed(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let spare = self.spare();
+            let n = spare.len().min(bytes.len());
+            spare[..n].copy_from_slice(&bytes[..n]);
+            self.filled(n);
+            bytes = &bytes[n..];
+        }
     }
-    let kind = FrameKind::from_u8(header[4])?;
-    let words = u32::from_le_bytes(slice4(header, 33));
-    if words > kind.max_payload_words() {
-        return Err(WireError::Oversized { words });
+
+    /// Room past the buffered bytes: what the frame in progress still
+    /// needs (a minimal frame's length when none is), or `READ_BYTES`
+    /// if that is less. A driver reads into it and reports the count
+    /// with [`FrameReader::filled`].
+    pub fn spare(&mut self) -> &mut [u8] {
+        let buffered = &self.buf[self.start..self.end];
+        let words = parse_header(buffered).ok().flatten().map_or(0, |(_, words)| words);
+        let want = frame_bytes(words).saturating_sub(buffered.len()).max(READ_BYTES);
+        if self.buf.len() - self.end < want {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            self.buf.resize(self.buf.len().max(self.end + want), 0);
+        }
+        &mut self.buf[self.end..self.end + want]
     }
-    Ok((kind, words))
+
+    /// Counts `n` bytes read into [`FrameReader::spare`].
+    pub fn filled(&mut self, n: usize) {
+        self.end += n;
+    }
+
+    /// The next whole frame and its payload's digest, `None` until its
+    /// last byte is buffered. A malformed frame is a typed error as soon
+    /// as its bytes show it: a header, once its 37 bytes are in.
+    pub fn next_frame(&mut self) -> Result<Option<(Frame, u64)>, WireError> {
+        let (frame, len) = parse(&self.buf[self.start..self.end])?;
+        if frame.is_some() {
+            self.start += len;
+            if self.start == self.end {
+                (self.start, self.end) = (0, 0);
+            }
+        }
+        Ok(frame)
+    }
+
+    /// Whether no byte of a next frame is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
 }
 
-/// Builds the frame from a checked header and payload body, once the
-/// trailing checksum `sum` — FNV-1a over the header bytes, then the
-/// digest of the words decoded in the same pass — matches. Returns the
-/// frame and that digest.
-fn assemble(
-    kind: FrameKind,
-    header: &[u8],
-    body: &[u8],
-    sum: &[u8],
-) -> Result<(Frame, u64), WireError> {
-    let mut words = Vec::with_capacity(body.len() / 8);
+/// A frame's length in bytes, at `words` payload words.
+fn frame_bytes(words: u32) -> usize {
+    HEADER_BYTES + 8 * words as usize + CHECKSUM_BYTES
+}
+
+/// The one frame decoder: the frame at the head of `bytes` — once the
+/// trailing checksum, FNV-1a over the header bytes then the digest of
+/// the words decoded in the same pass, matches — with that digest, and
+/// the frame's length as far as the bytes show it. No frame until all of
+/// its bytes are in; the header is checked, and a malformed one refused,
+/// before anything is allocated for the payload.
+fn parse(bytes: &[u8]) -> Result<(Option<(Frame, u64)>, usize), WireError> {
+    let Some((kind, words)) = parse_header(bytes)? else {
+        return Ok((None, frame_bytes(0)));
+    };
+    let len = frame_bytes(words);
+    if bytes.len() < len {
+        return Ok((None, len));
+    }
+    let (header, rest) = bytes.split_at(HEADER_BYTES);
+    let (body, sum) = rest.split_at(8 * words as usize);
+    let mut payload = Vec::with_capacity(words as usize);
     let mut hash = Fnv1a::default();
     hash.write_bytes(header);
-    let digest = decode_with_digest(body, &mut words);
+    let digest = decode_with_digest(body, &mut payload);
     hash.write_digest(digest);
-    let (expected, found) = (hash.finish(), u64::from_le_bytes(slice8(sum, 0)));
+    let (expected, found) = (hash.finish(), u64::from_le_bytes(le(sum, 0)));
     if expected != found {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
     let frame = Frame {
         kind,
-        node: u32::from_le_bytes(slice4(header, 5)),
-        iteration: u64::from_le_bytes(slice8(header, 9)),
-        a: u64::from_le_bytes(slice8(header, 17)),
-        b: u64::from_le_bytes(slice8(header, 25)),
-        payload: WordBuf::from_vec(words),
+        node: u32::from_le_bytes(le(header, 5)),
+        iteration: u64::from_le_bytes(le(header, 9)),
+        a: u64::from_le_bytes(le(header, 17)),
+        b: u64::from_le_bytes(le(header, 25)),
+        payload: WordBuf::from_vec(payload),
     };
-    Ok((frame, digest))
+    Ok((Some((frame, digest)), len))
 }
 
-fn slice4(buf: &[u8], at: usize) -> [u8; 4] {
-    let mut out = [0u8; 4];
-    out.copy_from_slice(&buf[at..at + 4]);
-    out
+/// The one header parser: once the 37 header bytes at the head of
+/// `bytes` are in, validates magic, kind and payload length — against
+/// the kind's cap, [`FrameKind::max_payload_words`] — returning the kind
+/// and the word count, so a reader sizes its buffer from a checked
+/// number.
+fn parse_header(bytes: &[u8]) -> Result<Option<(FrameKind, u32)>, WireError> {
+    let Some(header) = bytes.get(..HEADER_BYTES) else {
+        return Ok(None);
+    };
+    let magic = u32::from_le_bytes(le(header, 0));
+    if magic != MAGIC {
+        return Err(WireError::BadMagic { found: magic });
+    }
+    let kind = FrameKind::from_u8(header[4])?;
+    let words = u32::from_le_bytes(le(header, 33));
+    if words > kind.max_payload_words() {
+        return Err(WireError::Oversized { words });
+    }
+    Ok(Some((kind, words)))
 }
 
-fn slice8(buf: &[u8], at: usize) -> [u8; 8] {
-    let mut out = [0u8; 8];
-    out.copy_from_slice(&buf[at..at + 8]);
+/// The `N` bytes of `buf` at `at`.
+fn le<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&buf[at..at + N]);
     out
 }
 
@@ -555,39 +539,11 @@ mod tests {
     use crate::node::grid_chunks;
     use cosmic_collectives::codec::WireRepr;
 
-    fn sample() -> Frame {
-        Frame::chunk(3, 7, &Chunk::new(4096, vec![1.5, -2.25, 0.0, f64::MIN_POSITIVE]))
-    }
-
     /// `chunk` as a link on a `repr` wire sends it, decoded.
     fn sent(chunk: &Chunk, repr: WireRepr) -> Frame {
         let mut buf = Vec::new();
         Frame::write_chunk(&mut buf, 5, 11, chunk, repr);
         Frame::decode(&buf).expect("well formed")
-    }
-
-    #[test]
-    fn frames_round_trip() {
-        let frame = sample();
-        let buf = frame.encode();
-        assert_eq!(buf.len(), frame.encoded_len());
-        assert_eq!(Frame::decode(&buf), Ok(frame.clone()));
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(Frame::read_from(&mut cursor), Ok(frame));
-    }
-
-    #[test]
-    fn control_frames_round_trip() {
-        for kind in [
-            FrameKind::Hello,
-            FrameKind::Heartbeat,
-            FrameKind::Done,
-            FrameKind::Ack,
-            FrameKind::Shutdown,
-        ] {
-            let frame = Frame::control(kind, 9, 42, 1, 0xDEAD_BEEF);
-            assert_eq!(Frame::decode(&frame.encode()), Ok(frame));
-        }
     }
 
     #[test]
@@ -765,15 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_typed() {
-        let buf = sample().encode();
-        for cut in [0, 1, HEADER_BYTES - 1, HEADER_BYTES, buf.len() - 1] {
-            let err = Frame::decode(&buf[..cut]);
-            assert!(matches!(err, Err(WireError::Truncated { .. })), "cut={cut} gave {err:?}");
-        }
-    }
-
-    #[test]
     fn every_single_bit_flip_is_caught() {
         // Five words: one full round of the digest's four lanes plus a
         // ragged one. Header, payload and trailer, every bit of every
@@ -786,26 +733,10 @@ mod tests {
             bent[bit / 8] ^= 1 << (bit % 8);
             let err = Frame::decode(&bent).expect_err("a flipped bit went undetected");
             assert!(!err.is_io(), "bit {bit}: buffer decode gave {err}");
-            assert!(Frame::read_from(&mut std::io::Cursor::new(bent)).is_err(), "bit {bit}");
+            let mut reader = FrameReader::default();
+            reader.feed(&bent);
+            assert!(!matches!(reader.next_frame(), Ok(Some(_))), "bit {bit}");
         }
-    }
-
-    #[test]
-    fn oversized_length_is_rejected_before_allocation() {
-        let mut buf = sample().encode();
-        buf[33..37].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(Frame::decode(&buf), Err(WireError::Oversized { .. })));
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(matches!(Frame::read_from(&mut cursor), Err(WireError::Oversized { .. })));
-    }
-
-    #[test]
-    fn io_failures_are_distinguishable() {
-        let short = sample().encode();
-        let mut cursor = std::io::Cursor::new(&short[..HEADER_BYTES - 3]);
-        let err = Frame::read_from(&mut cursor).unwrap_err();
-        assert!(err.is_io(), "{err}");
-        assert!(!WireError::BadKind { found: 0 }.is_io());
     }
 
     #[test]

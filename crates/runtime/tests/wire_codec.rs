@@ -1,7 +1,9 @@
 //! Property tests for the wire codec: random frames round-trip bit for
 //! bit, and damaged bytes — truncation anywhere, a bit flip anywhere —
 //! surface as typed [`WireError`]s, never as a panic or a silently
-//! wrong frame.
+//! wrong frame. The resumable `FrameReader` agrees with `Frame::decode`
+//! however its bytes are cut, and the served link's stream grammar is
+//! total over any sequence of well-formed frames.
 //!
 //! Payloads are generated as raw `u64` bit patterns reinterpreted as
 //! `f64` (the vendored proptest has no float strategies), which is
@@ -9,9 +11,9 @@
 //! subnormals, and both zero signs all travel the wire here, and all
 //! comparisons are on bits so NaN cannot hide a miscompare.
 
-use std::io::Cursor;
-
 use cosmic_runtime::node::{Chunk, ChunkFault, Layout, SigmaAggregator};
+use cosmic_runtime::transport::link::{Carried, ServedLink};
+use cosmic_runtime::transport::wire::FrameReader;
 use cosmic_runtime::{Frame, FrameKind, WireError, WireRepr, CHUNK_WORDS};
 use proptest::prelude::*;
 
@@ -55,6 +57,34 @@ fn encoded_frame(tag: u64, codec: &[u64]) -> Frame {
     }
 }
 
+/// `bytes` fed to a fresh [`FrameReader`] in pieces cut at `cuts` (each
+/// taken modulo what is left, so 1-byte feeds are common), polled after
+/// each: the first frame or error it yields, `None` if it still waits.
+fn fed(bytes: &[u8], cuts: &[u16]) -> Result<Option<Frame>, WireError> {
+    let (mut reader, mut rest, mut cuts) = (FrameReader::default(), bytes, cuts.iter().cycle());
+    while let (false, Some(&cut)) = (rest.is_empty(), cuts.next()) {
+        let (piece, tail) = rest.split_at(1 + cut as usize % rest.len());
+        reader.feed(piece);
+        rest = tail;
+        if let Some((frame, _)) = reader.next_frame()? {
+            return Ok(Some(frame));
+        }
+    }
+    Ok(None)
+}
+
+/// What a reader fed `bytes` in any pieces must yield: what
+/// `Frame::decode` makes of the whole buffer, a cut one waiting for
+/// more bytes rather than truncated.
+fn agrees_with_decode(bytes: &[u8], cuts: &[u16]) -> bool {
+    match (Frame::decode(bytes), fed(bytes, cuts)) {
+        (Ok(whole), Ok(Some(streamed))) => same(&whole, &streamed),
+        (Err(WireError::Truncated { .. }), Ok(None)) => true,
+        (Err(whole), streamed) => streamed == Err(whole),
+        _ => false,
+    }
+}
+
 /// Field-wise equality on bits (payload `==` would choke on NaN).
 fn same(a: &Frame, b: &Frame) -> bool {
     a.kind == b.kind
@@ -77,15 +107,16 @@ proptest! {
         a in any::<u64>(),
         b in any::<u64>(),
         payload in prop::collection::vec(any::<u64>(), 0..48),
+        cuts in prop::collection::vec(any::<u16>(), 1..8),
     ) {
         let original = frame(kind, node, iteration, a, b, &payload);
         let encoded = original.encode();
         prop_assert_eq!(encoded.len(), original.encoded_len());
         let decoded = Frame::decode(&encoded).expect("clean bytes decode");
         prop_assert!(same(&original, &decoded), "{original:?} != {decoded:?}");
-        // The streaming path agrees with the buffer path.
-        let streamed = Frame::read_from(&mut Cursor::new(&encoded)).expect("clean stream decodes");
-        prop_assert!(same(&original, &streamed));
+        // The resumable reader agrees with the buffer path however the
+        // bytes are cut.
+        prop_assert!(agrees_with_decode(&encoded, &cuts));
     }
 
     /// Chunk frames carry the staged chunk verbatim — offset, data
@@ -117,14 +148,14 @@ proptest! {
         seed in any::<u64>(),
         payload in prop::collection::vec(any::<u64>(), 0..16),
         cut in any::<u16>(),
+        cuts in prop::collection::vec(any::<u16>(), 1..8),
     ) {
         let encoded = frame(kind, 7, 3, seed, seed ^ 1, &payload).encode();
         let keep = cut as usize % encoded.len(); // strictly shorter
-        prop_assert!(Frame::decode(&encoded[..keep]).is_err());
-        // The streaming reader sees the same cut as an I/O error (the
-        // stream ends mid-frame) or a checksum/length error.
-        let streamed = Frame::read_from(&mut Cursor::new(&encoded[..keep]));
-        prop_assert!(streamed.is_err());
+        let decoded = Frame::decode(&encoded[..keep]);
+        prop_assert!(matches!(decoded, Err(WireError::Truncated { .. })), "{decoded:?}");
+        // The resumable reader waits for the rest, never a frame.
+        prop_assert!(matches!(fed(&encoded[..keep], &cuts), Ok(None)));
     }
 
     /// Flipping any single bit anywhere in the frame is detected:
@@ -137,10 +168,12 @@ proptest! {
         seed in any::<u64>(),
         payload in prop::collection::vec(any::<u64>(), 0..16),
         flip in any::<u32>(),
+        cuts in prop::collection::vec(any::<u16>(), 1..8),
     ) {
         let mut encoded = frame(kind, 7, 3, seed, seed ^ 1, &payload).encode();
         let bit = flip as usize % (encoded.len() * 8);
         encoded[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(agrees_with_decode(&encoded, &cuts), "bit {bit}");
         let err = Frame::decode(&encoded);
         prop_assert!(err.is_err(), "bit {bit} flipped undetected");
         // And the error is a deliberate classification, not an I/O
@@ -155,11 +188,14 @@ proptest! {
     fn random_bytes_never_panic(
         bytes in prop::collection::vec(any::<u8>(), 0..256),
         codec in prop::collection::vec(any::<u64>(), 0..32),
+        cuts in prop::collection::vec(any::<u16>(), 1..8),
     ) {
         // Truly random bytes essentially never spell the magic plus a
-        // valid checksum; the point is that classification is total.
+        // valid checksum; the point is that classification is total,
+        // and typed: a reader fed them waits or refuses, cut anywhere.
         let _ = Frame::decode(&bytes);
-        let _ = Frame::read_from(&mut Cursor::new(&bytes));
+        prop_assert!(agrees_with_decode(&bytes, &cuts));
+        prop_assert!(fed(&bytes, &cuts).map_or_else(|e| !e.is_io(), |frame| frame.is_none()));
         // The same for an encoded chunk's codec bytes, under every
         // tag and one past: whatever decodes fits a chunk.
         for tag in 0..4 {
@@ -256,10 +292,7 @@ fn oversized_length_is_rejected() {
     let chunk = Frame { kind: FrameKind::Chunk, ..model }.encode();
     assert_eq!(Frame::decode(&chunk), Err(WireError::Oversized { words }));
     let header_only = &chunk[..37];
-    assert_eq!(
-        Frame::read_from(&mut Cursor::new(header_only)),
-        Err(WireError::Oversized { words })
-    );
+    assert_eq!(fed(header_only, &[0]), Err(WireError::Oversized { words }));
     let full_stripe = Frame { kind: FrameKind::Chunk, ..frame(4, 1, 2, 3, 4, &payload[1..]) };
     assert!(same(&Frame::decode(&full_stripe.encode()).expect("a full stripe fits"), &full_stripe));
     // The same guard one level in: eight codec bytes that are a top-k
@@ -277,7 +310,7 @@ fn payload_caps_are_per_kind_and_checked_before_allocation() {
     let header_claiming = |frame: &Frame, words: u32| {
         let mut header = frame.encode()[..37].to_vec();
         header[33..37].copy_from_slice(&words.to_le_bytes());
-        Frame::read_from(&mut Cursor::new(header))
+        fed(&header, &[36])
     };
     let heartbeat = Frame::control(FrameKind::Heartbeat, 1, 2, 3, 4);
     assert_eq!(header_claiming(&heartbeat, 1), Err(WireError::Oversized { words: 1 }));
@@ -300,7 +333,84 @@ fn payload_caps_are_per_kind_and_checked_before_allocation() {
         ..encoded_frame(2, &[])
     };
     assert_eq!(encoded.payload.len() as u32, cap);
-    let landed = Frame::read_from(&mut Cursor::new(encoded.encode())).expect("at the cap");
+    let landed = fed(&encoded.encode(), &[u16::MAX]).expect("at the cap").expect("whole");
     assert_eq!(landed.decode_encoded_chunk(), Ok(worst));
     assert_eq!(header_claiming(&encoded, cap + 1), Err(WireError::Oversized { words: cap + 1 }));
+}
+
+/// The frames a served link's grammar is fed, by menu index: a round's
+/// `Hello`, a join's, a heartbeat, a chunk, `Done`, and the stray
+/// `Ack` and `Model` a sender never opens with.
+fn menu(pick: u8) -> Frame {
+    let control = |kind, a| Frame::control(kind, 3, 8, a, 5);
+    match pick % 7 {
+        0 => control(FrameKind::Hello, 0),
+        1 => control(FrameKind::Hello, 1),
+        2 => control(FrameKind::Heartbeat, 0),
+        3 => Frame::chunk(3, 8, &Chunk::new(0, vec![1.0, 2.0])),
+        4 => control(FrameKind::Done, 0),
+        5 => control(FrameKind::Ack, 0),
+        _ => Frame { payload: vec![0.5].into(), ..control(FrameKind::Model, 0) },
+    }
+}
+
+/// What the grammar makes of `picks`, by hand: `join`, `ack`, `round:N`
+/// (N chunks) for each stream completed, then `refused` at the first
+/// frame it does not allow.
+fn grammar(picks: &[u8]) -> Vec<String> {
+    let (mut out, mut open) = (Vec::new(), None::<Option<usize>>);
+    for &pick in picks {
+        let (next, said) = match (open, pick % 7) {
+            (None, 0) => (Some(Some(0)), None),
+            (None, 1) => (Some(None), Some("join".to_string())),
+            (Some(None), 5) => (None, Some("ack".to_string())),
+            (Some(Some(n)), 2) => (Some(Some(n)), None),
+            (Some(Some(n)), 3) => (Some(Some(n + 1)), None),
+            (Some(Some(n)), 4) => (None, Some(format!("round:{n}"))),
+            _ => {
+                out.push("refused".to_string());
+                return out;
+            }
+        };
+        // A join's `Hello` is delivered at once; its `Ack` closes it.
+        open = if said.as_deref() == Some("join") { Some(None) } else { next };
+        out.extend(said);
+    }
+    out
+}
+
+proptest! {
+    /// Any sequence of well-formed frames, cut anywhere, gives the
+    /// served link's streams or a typed protocol error — the verdicts a
+    /// hand-written grammar predicts — and never a panic.
+    #[test]
+    fn the_served_grammar_is_total(
+        picks in prop::collection::vec(0u8..7, 0..24),
+        cuts in prop::collection::vec(any::<u16>(), 1..8),
+    ) {
+        let bytes: Vec<u8> = picks.iter().flat_map(|&p| menu(p).encode()).collect();
+        let (mut link, mut rest, mut said) = (ServedLink::default(), &bytes[..], Vec::new());
+        let mut cuts = cuts.iter().cycle();
+        'feed: while let (false, Some(&cut)) = (rest.is_empty(), cuts.next()) {
+            let (piece, tail) = rest.split_at(1 + cut as usize % rest.len());
+            link.reader().feed(piece);
+            rest = tail;
+            loop {
+                match link.poll() {
+                    Ok(None) => break,
+                    Ok(Some(streamed)) => said.push(match streamed.carried {
+                        Carried::Join => "join".to_string(),
+                        Carried::Ack(_) => "ack".to_string(),
+                        Carried::Round { chunks, .. } => format!("round:{}", chunks.len()),
+                    }),
+                    Err(WireError::Protocol { .. }) => {
+                        said.push("refused".to_string());
+                        break 'feed;
+                    }
+                    Err(other) => prop_assert!(false, "{other}"),
+                }
+            }
+        }
+        prop_assert_eq!(said, grammar(&picks));
+    }
 }

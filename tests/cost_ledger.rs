@@ -15,19 +15,26 @@
 //! read. The same job over loopback TCP is counted and printed but not
 //! pinned: the channels' block allocations follow thread timing. The
 //! TCP path's frame buffers are pinned instead, on one thread, by the
-//! second entry ([`link_buffers_allocate_only_payloads`]).
+//! second and third entries ([`link_buffers_allocate_only_payloads`],
+//! [`replies_allocate_nothing_once_the_buffer_has_grown`]).
+//!
+//! The counters see every thread of the process, so the ledger runs
+//! without the test harness (`harness = false` in the root manifest):
+//! its `main` runs the entries one after another on the main thread, and
+//! the only other threads are the ones the counted jobs start. A
+//! harness's own threads would allocate inside a counted region when the
+//! host is busy.
 //!
 //! `CountingAlloc`'s `unsafe impl GlobalAlloc` is the one `unsafe` in
 //! the repository: it forwards every call to [`System`] unchanged and
 //! only adds to two counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use cosmic::cosmic_ml::{data, sgd, Algorithm};
 use cosmic::cosmic_runtime::node::chunk_vector;
-use cosmic::cosmic_runtime::transport::wire::read_frame;
+use cosmic::cosmic_runtime::transport::wire::FrameReader;
 use cosmic::cosmic_runtime::{
     ClusterConfig, ClusterTrainer, Frame, FrameKind, TransportKind, WireRepr, CHUNK_WORDS,
 };
@@ -133,7 +140,27 @@ const SIM_SITES: &[(&str, f64)] = &[
 /// before the wire was lent the engine's partials.
 const PINNED: f64 = 10.125;
 
-#[test]
+/// Runs every entry, reporting each as the test harness would.
+fn main() {
+    let entries: [(&str, fn()); 3] = [
+        (
+            "a_steady_iteration_allocates_only_at_its_named_sites",
+            a_steady_iteration_allocates_only_at_its_named_sites,
+        ),
+        ("link_buffers_allocate_only_payloads", link_buffers_allocate_only_payloads),
+        (
+            "replies_allocate_nothing_once_the_buffer_has_grown",
+            replies_allocate_nothing_once_the_buffer_has_grown,
+        ),
+    ];
+    println!("\nrunning {} tests", entries.len());
+    for (name, entry) in entries {
+        entry();
+        println!("test {name} ... ok");
+    }
+    println!("\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured\n", entries.len());
+}
+
 fn a_steady_iteration_allocates_only_at_its_named_sites() {
     // The kernels alone, per record: the linear families' SGD step and
     // loss pass allocate nothing; backprop's step allocates its
@@ -178,16 +205,15 @@ fn a_steady_iteration_allocates_only_at_its_named_sites() {
             table.join("\n")
         );
     }
-    link_buffers_allocate_only_payloads();
 }
 
 /// The ledger's second entry, the wire's frame buffers, on one thread:
 /// dense chunk frames written through one buffer, as a link writes them,
-/// and read back through one from a byte stream. Once each buffer has
-/// grown to a frame, writing allocates nothing, and reading only the
-/// frame's payload words and their `Arc`, which the received chunk goes
-/// on to hold. It runs inside the one test: the harness's own thread
-/// allocates as a test ends, and the counters see every thread.
+/// and read back through a [`FrameReader`], as a link reads them, each
+/// frame's bytes arriving on their own. Once each buffer has grown to a
+/// frame, writing allocates nothing, and reading only the frame's
+/// payload words and their `Arc`, which the received chunk goes on to
+/// hold.
 fn link_buffers_allocate_only_payloads() {
     let model: Vec<f64> = (0..4 * CHUNK_WORDS + 17).map(|i| i as f64 / 8.0).collect();
     let chunks = chunk_vector(&model);
@@ -203,18 +229,49 @@ fn link_buffers_allocate_only_payloads() {
     let (encode, _, ()) = counted(|| write(&mut buf));
     assert_eq!(encode, 0, "encoding {frames} frames through a grown buffer");
 
-    let mut stream = Vec::new();
-    for chunk in &chunks {
-        Frame::write_chunk(&mut stream, 1, 2, chunk, WireRepr::DenseF64);
-    }
-    let (mut cursor, mut scratch) = (Cursor::new(&stream), Vec::new());
-    let first = read_frame(&mut cursor, &mut scratch).expect("well formed");
-    assert_eq!(first.0.to_chunk(), chunks[0]);
+    let wired: Vec<Vec<u8>> = chunks
+        .iter()
+        .map(|chunk| {
+            let mut bytes = Vec::new();
+            Frame::write_chunk(&mut bytes, 1, 2, chunk, WireRepr::DenseF64);
+            bytes
+        })
+        .collect();
+    let mut reader = FrameReader::default();
+    let mut read = |bytes: &[u8]| {
+        reader.feed(bytes);
+        reader.next_frame().expect("well formed").expect("a whole frame").0
+    };
+    assert_eq!(read(&wired[0]).to_chunk(), chunks[0]); // grows the reader's buffer
     let (decode, _, ()) = counted(|| {
-        for chunk in &chunks[1..] {
-            let (frame, _) = read_frame(&mut cursor, &mut scratch).expect("well formed");
-            assert_eq!(frame.to_chunk(), *chunk);
+        for (bytes, chunk) in wired[1..].iter().zip(&chunks[1..]) {
+            assert_eq!(read(bytes).to_chunk(), *chunk);
         }
     });
     assert_eq!(decode, 2 * (frames - 1), "decoding: each frame's words and their `Arc`");
+}
+
+/// The ledger's third entry: a served link's replies — an `Ack`, a
+/// launcher's `Model` and a joiner's `Snapshot` — written through the
+/// buffer the link keeps. Once it has grown to the largest, writing a
+/// reply allocates nothing: the model's words are shared, not copied.
+fn replies_allocate_nothing_once_the_buffer_has_grown() {
+    let model: Vec<f64> = (0..2 * CHUNK_WORDS + 5).map(|i| i as f64).collect();
+    let carrying =
+        |kind, a| Frame { payload: model.clone().into(), ..Frame::control(kind, 1, 2, a, 7) };
+    let replies = [
+        Frame::control(FrameKind::Ack, 1, 2, 0, 3),
+        carrying(FrameKind::Model, 0),
+        carrying(FrameKind::Snapshot, 2),
+    ];
+    let mut out = Vec::new();
+    let write = |out: &mut Vec<u8>| {
+        for reply in &replies {
+            out.clear();
+            reply.write_into(out);
+        }
+    };
+    write(&mut out);
+    let (written, _, ()) = counted(|| write(&mut out));
+    assert_eq!(written, 0, "three replies through a grown buffer");
 }
