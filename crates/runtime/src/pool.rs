@@ -6,9 +6,10 @@
 //! connection and of generic OS scheduling. This pool is that primitive:
 //! a fixed set of workers pulling closures from a channel. The runtime
 //! itself runs none: both roles belong to the wire's own threads (TCP's
-//! resident link readers and senders and its routing caller, `Sim`'s
-//! caller), which stage each stream into Sigma as they hold it. The pool
-//! stays as the measured primitive behind `runtime.pool.dispatch_us`.
+//! resident link readers and its round's caller, which sends on every
+//! link; `Sim`'s caller), and the round's caller stages each stream into
+//! Sigma as it holds it. The pool stays as the measured primitive behind
+//! `runtime.pool.dispatch_us`.
 
 use crossbeam::channel::{self, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,7 +1,8 @@
 //! The link protocol with no socket inside it: both ends of a link as
 //! state machines that do no I/O and read no clock, time coming in only
 //! as an argument. A driver moves the bytes and hands over the time:
-//! `supervisor`'s threads over `TcpStream` in production, plain byte
+//! in production `supervisor` over `TcpStream` (a reader thread per
+//! served link, the calling thread for a sending one), plain byte
 //! vectors in the tests.
 //!
 //! - [`ServedLink`], the receive end of one connection: bytes in through
@@ -192,7 +193,9 @@ fn damage(encoded: &mut [u8]) {
 const BACKOFF_UNIT_MS: f64 = 20.0;
 
 /// Framed bytes a [`SendingLink`] holds before it asks for a write.
-const FLUSH_BYTES: usize = 8 * 1024;
+/// The round's caller writes every link itself, so each system call
+/// this saves comes off the round.
+const FLUSH_BYTES: usize = 64 * 1024;
 
 /// What one exchange sends, and the reply it awaits.
 #[derive(Debug, Clone, Copy)]
@@ -284,7 +287,7 @@ impl<'s> SendingLink<'s> {
                     return Step::Wait(at);
                 }
                 Phase::Dial(_) => {
-                    *self.reader = FrameReader::default();
+                    self.reader.clear();
                     self.phase = Phase::Dial(None);
                     return Step::Dial;
                 }
@@ -601,6 +604,33 @@ mod tests {
             assert_eq!(waits, curve(t0, retry)[..clean], "clean from {clean}");
             assert_eq!(link.stats.reconnects, clean as u64);
         }
+    }
+
+    #[test]
+    fn a_redial_keeps_the_reply_buffer() {
+        let (chunks, clean, mut buffers) = one_chunk();
+        let (retry, t0) = (RetryPolicy::default(), Instant::now());
+        // A first exchange grows the reader to its reply.
+        let mut link = exchange((&chunks, &clean), retry, &mut buffers, false);
+        assert!(pipe(&mut link, t0, |_, _| ()).0.is_ok());
+        let grown = buffers.1.buffer();
+        // The next is severed before its chunk, backs off and redials.
+        let severed = WireShim::new(&FaultPlan::none().sever_link(1, 0, 0), 1, 0, 1);
+        let mut link = exchange((&chunks, &severed), retry, &mut buffers, true);
+        let mut now = t0;
+        loop {
+            match link.poll(now) {
+                Step::Write(_) => link.written(),
+                Step::Wait(at) => now = at,
+                Step::Dial => break,
+                step => panic!("a sever, then a dial: {step:?}"),
+            }
+        }
+        assert_eq!(link.reader().buffer(), grown, "the redial kept the reader's allocation");
+        link.dialled();
+        let (verdict, _) = pipe(&mut link, now, |_, _| ());
+        assert_eq!(verdict.map(|ack| ack.kind), Ok(FrameKind::Ack));
+        assert_eq!(link.stats.reconnects, 1);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! engine books through membership. Neither creates a thread per round.
 //!
 //! The link protocol is [`link`]'s state machines, which do no I/O;
-//! `supervisor` drives them over sockets, and its two halves serve
-//! [`TcpTransport`] and the multi-process launcher ([`proc`]) alike. On a
-//! healthy run both backends give identical conservation counters and a
-//! bit-identical model for the same topology and seed.
+//! `supervisor` drives them over sockets, a served link on its reader
+//! thread and a sending link on the thread that sends (the round's
+//! caller for [`TcpTransport`], each worker of the multi-process
+//! launcher, [`proc`]). On a healthy run both backends give identical
+//! conservation counters and a bit-identical model for the same topology
+//! and seed.
 
 pub mod link;
 pub mod proc;
@@ -318,15 +320,15 @@ mod tests {
 
     /// A lent partial is back in its slot when the round returns — the
     /// very allocation, its words untouched — on both wires, whatever the
-    /// round met. On TCP that needs every link worker to have dropped its
-    /// views before the caller sees the round done.
+    /// round met. On TCP the round's caller holds every view until its
+    /// Sigma pass finishes.
     #[test]
     fn a_lent_partial_comes_back_the_same_allocation_whatever_the_round_met() {
         use crate::layout::CHUNK_WORDS;
         let (len, senders, retry) = (2 * CHUNK_WORDS + 5, [0usize, 1, 2], RetryPolicy::default());
         let none = FaultPlan::none;
         let dense = WireRepr::DenseF64;
-        // (what, plan, repr, Sigma's staging trips, the link sender trips)
+        // (what, plan, repr, Sigma's staging trips, a link's send trips)
         let cases = [
             ("healthy", none(), dense, false, false),
             ("corrupt_chunk", none().corrupt_chunk(1, 0, 1), dense, false, false),

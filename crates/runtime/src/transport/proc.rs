@@ -30,10 +30,10 @@ use crate::checkpoint::{model_checksum, CheckpointConfig};
 use crate::engine::{Arrival, Compute, Request, Shards};
 use crate::error::RuntimeError;
 use crate::node::{chunk_vector, Chunk, Layout};
-use crate::trainer::{ClusterConfig, ClusterTrainer, MembershipMode, RETRY};
+use crate::trainer::{ClusterConfig, ClusterTrainer, MembershipMode};
 
 use super::link::{Carried, WireShim};
-use super::supervisor::{Reply, RoundSender, RoundServer, Served};
+use super::supervisor::{Delivery, Reply, RoundSender, RoundServer, Served};
 use super::wire::{Frame, FrameKind};
 use super::{LinkConfig, TransportKind, TransportStats};
 
@@ -359,7 +359,7 @@ impl<'c> Workers<'c> {
     ) -> Result<(), RuntimeError> {
         let deadline = Instant::now() + self.coordinator.spec.link.read_timeout() * 3 / 4;
         while Instant::now() < deadline {
-            let Some(served) = self.coordinator.server.next(Some(deadline)) else {
+            let Some(Delivery::Served(served)) = self.coordinator.server.next(deadline) else {
                 continue;
             };
             if (served.node as usize) < self.member.len() && serve(self, served)? {
@@ -515,7 +515,7 @@ impl Worker {
         let shards = Shards::new(&cfg, &dataset);
         let rounds = cfg.epochs * shards.steps;
         let mut model = spec.initial_model();
-        let mut sender = RoundSender::new(self.addr, node, spec.link, RETRY);
+        let mut sender = RoundSender::new(self.addr, node, spec.link);
         let mut iter = if self.join { rejoin(&mut sender, &mut model)? } else { 0 };
         while iter < rounds {
             let step = iter % shards.steps;
@@ -648,7 +648,7 @@ mod tests {
         let worker = std::thread::spawn(move || {
             stale.set_read_timeout(Some(spec.link.read_timeout() * 2)).unwrap();
             let _ = std::io::Read::read(&mut stale, &mut [0]);
-            let mut sender = RoundSender::new(addr, 1, spec.link, RETRY);
+            let mut sender = RoundSender::new(addr, 1, spec.link);
             let mut caught = Vec::new();
             let resume = rejoin(&mut sender, &mut caught).unwrap();
             let shim = WireShim::default();

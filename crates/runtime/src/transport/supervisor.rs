@@ -1,20 +1,20 @@
 //! The connection supervisor: the one place a real-wire socket is
-//! connected, accepted, armed with deadlines, read or written, by
-//! threads that block on it and drive the [`super::link`] state
-//! machines. A link lives as long as its connection, not its round.
+//! connected, accepted, armed with deadlines, read or written, driving
+//! the [`super::link`] state machines. A link lives as long as its
+//! connection, not its round.
 //!
 //! - [`RoundSender`] keeps a link's connection and buffers between
-//!   exchanges and drives each exchange's [`SendingLink`] on the calling
-//!   thread, dialling, writing, reading and sleeping as it asks.
-//! - [`RoundServer`] owns the listener, an acceptor thread blocked in
-//!   `accept`, and a reader thread per connection that reads the socket
-//!   straight into its [`ServedLink`] and queues each stream it completes
-//!   as a [`Served`]. Callers only route what the queue yields; one they
-//!   drop unanswered shuts its connection, so the sender retransmits at
-//!   once.
+//!   exchanges; an [`Exchange`] drives one [`SendingLink`] on the calling
+//!   thread, to its end or until it awaits the reply to what it wrote.
+//! - [`RoundServer`] owns the listener, an acceptor thread and a reader
+//!   thread per connection, its [`ServedLink`]'s one driver, which queues
+//!   each stream as a [`Delivery::Served`] and, once it drops the
+//!   connection, a [`Delivery::Closed`]. A stream dropped unanswered
+//!   shuts its connection, so the sender retransmits at once.
 //!
-//! Every blocking call on a stream in flight carries a deadline, so a
-//! dead peer costs bounded time, never a hang.
+//! No reader waits on a caller mid-stream, so a caller's blocking writes
+//! always drain, and every blocking call on a stream in flight carries a
+//! deadline: a dead peer costs bounded time, never a hang.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -28,39 +28,34 @@ use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
 use crate::node::Chunk;
-use crate::trainer::RetryPolicy;
+use crate::trainer::{RetryPolicy, RETRY};
 
 use super::link::{Carried, Outgoing, SendingLink, ServedLink, Step, Streamed, WireShim};
 use super::wire::{Frame, FrameKind, FrameReader, WireError};
 use super::{LinkConfig, TransportStats};
 
-/// One supervised sender link, named by the worker-side `node` id. The
-/// connection outlives the exchange: the next one reuses it.
+/// One supervised sender link from `node` to `addr`. The connection
+/// outlives the exchange: the next one reuses it.
 #[derive(Debug)]
 pub(crate) struct RoundSender {
-    /// The receiver's address, the sending node, the deadlines.
-    pub addr: SocketAddr,
+    addr: SocketAddr,
     pub node: usize,
-    pub link: LinkConfig,
-    /// The round's retry policy and wire representation.
-    pub retry: RetryPolicy,
-    pub repr: WireRepr,
+    link: LinkConfig,
     socket: Option<TcpStream>,
     /// The frames the link writes and the replies it reads, kept.
     buffers: (Vec<u8>, FrameReader),
 }
 
 impl RoundSender {
-    /// An unconnected dense-wire link; the first exchange dials.
-    pub(super) fn new(addr: SocketAddr, node: usize, link: LinkConfig, retry: RetryPolicy) -> Self {
-        let (repr, socket, buffers) = (WireRepr::DenseF64, None, Default::default());
-        RoundSender { addr, node, link, retry, repr, socket, buffers }
+    /// An unconnected link; the first exchange dials.
+    pub(super) fn new(addr: SocketAddr, node: usize, link: LinkConfig) -> Self {
+        RoundSender { addr, node, link, socket: None, buffers: Default::default() }
     }
 
-    /// Streams one round — `chunks` as `(chunk_index, chunk)` pairs, in
-    /// order, duplicates included — and awaits a reply of kind `expect`:
-    /// the reply, and the accounting of every attempt. After the retry
-    /// budget the link is dead: [`RuntimeError::TransportFailed`].
+    /// Streams one dense round — `(chunk_index, chunk)` pairs in order,
+    /// duplicates included — and awaits a reply of kind `expect`, under
+    /// [`RETRY`]: the reply and every attempt's accounting, or the dead
+    /// link, [`RuntimeError::TransportFailed`].
     pub(crate) fn send_round(
         &mut self,
         iteration: u64,
@@ -69,7 +64,7 @@ impl RoundSender {
         shim: &WireShim,
         expect: FrameKind,
     ) -> Result<(Frame, TransportStats), RuntimeError> {
-        let repr = self.repr;
+        let repr = WireRepr::DenseF64;
         self.exchange(Outgoing::Round { iteration, chunks, records, shim, repr, expect })
     }
 
@@ -79,43 +74,88 @@ impl RoundSender {
         self.exchange(Outgoing::Join).map(|(snapshot, _)| snapshot)
     }
 
-    /// Drives one exchange's [`SendingLink`] over the link's connection.
     fn exchange(&mut self, sending: Outgoing<'_>) -> Result<(Frame, TransportStats), RuntimeError> {
-        let (out, replies) = &mut self.buffers;
-        let connected = self.socket.is_some();
-        let mut link = SendingLink::new(self.node, sending, self.retry, (out, replies), connected);
+        let mut exchange = self.start(sending, RETRY);
+        let done = loop {
+            if let Some(done) = exchange.drive(false) {
+                break done;
+            }
+        };
+        done.map(|reply| (reply, exchange.sending.stats))
+    }
+
+    /// Starts `sending` under `retry` on the link's connection and buffers.
+    pub(super) fn start<'s>(
+        &'s mut self,
+        sending: Outgoing<'s>,
+        retry: RetryPolicy,
+    ) -> Exchange<'s> {
+        let RoundSender { addr, node, link, socket, buffers: (out, replies) } = self;
+        let sending = SendingLink::new(*node, sending, retry, (out, replies), socket.is_some());
+        Exchange { sending, socket, addr: *addr, link: *link }
+    }
+}
+
+/// One exchange in flight: its [`SendingLink`] and the connection the
+/// calling thread drives it over.
+#[derive(Debug)]
+pub(super) struct Exchange<'s> {
+    pub(super) sending: SendingLink<'s>,
+    /// Dropped cold by a failed attempt, a dead link, or a send that
+    /// panicked, so the link's next exchange redials.
+    pub(super) socket: &'s mut Option<TcpStream>,
+    addr: SocketAddr,
+    link: LinkConfig,
+}
+
+impl Exchange<'_> {
+    /// Drives the exchange until its verdict or, if `pause`, until it
+    /// awaits the reply to what this call wrote (`None`).
+    pub(super) fn drive(&mut self, pause: bool) -> Option<Result<Frame, RuntimeError>> {
+        let mut wrote = false;
         loop {
             let now = Instant::now();
-            match link.poll(now) {
+            match self.sending.poll(now) {
                 Step::Dial => {
-                    self.socket = None;
+                    *self.socket = None;
                     match dial(&self.addr, &self.link) {
                         Ok(socket) => {
-                            self.socket = Some(socket);
-                            link.dialled();
+                            *self.socket = Some(socket);
+                            self.sending.dialled();
                         }
-                        Err(e) => link.failed(now, format!("connect: {e}")),
+                        Err(e) => self.sending.failed(now, format!("connect: {e}")),
                     }
                 }
-                Step::Write(bytes) => match live(&self.socket).and_then(|mut s| s.write_all(bytes))
-                {
-                    Ok(()) => link.written(),
-                    Err(e) => link.failed(now, format!("write: {e}")),
-                },
+                Step::Write(bytes) => {
+                    match live(self.socket).and_then(|mut s| s.write_all(bytes)) {
+                        Ok(()) => {
+                            wrote = true;
+                            self.sending.written();
+                        }
+                        Err(e) => self.sending.failed(now, format!("write: {e}")),
+                    }
+                }
+                Step::Read if pause && wrote => return None,
                 Step::Read => {
-                    if let Err(e) = live(&self.socket).and_then(|s| fill(s, link.reader())) {
-                        link.failed(now, format!("reply: {}", WireError::from_io(e)));
+                    if let Err(e) = live(self.socket).and_then(|s| fill(s, self.sending.reader())) {
+                        self.sending.failed(now, format!("reply: {}", WireError::from_io(e)));
                     }
                 }
                 Step::Wait(at) => thread::sleep(at.saturating_duration_since(now)),
                 Step::Done(done) => {
                     if done.is_err() {
-                        self.socket = None;
+                        *self.socket = None;
                     }
-                    return done.map(|reply| (reply, link.stats));
+                    return Some(done);
                 }
             }
         }
+    }
+
+    /// Whether the exchange rides the connection from `local`, the peer
+    /// address a [`Delivery::Closed`] names.
+    pub(super) fn rides(&self, local: SocketAddr) -> bool {
+        self.socket.as_ref().and_then(|s| s.local_addr().ok()) == Some(local)
     }
 }
 
@@ -142,7 +182,7 @@ pub(super) fn fill(mut socket: &TcpStream, reader: &mut FrameReader) -> io::Resu
 #[derive(Debug)]
 pub(crate) struct RoundServer {
     addr: SocketAddr,
-    deliveries: Receiver<Option<Served>>,
+    deliveries: Receiver<Delivery>,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
 }
@@ -152,8 +192,7 @@ pub(crate) struct RoundServer {
 struct Shared {
     /// The deadlines every served connection is armed with.
     link: LinkConfig,
-    /// The delivery queue; `None` is a [`Waker::wake`].
-    queue: Sender<Option<Served>>,
+    queue: Sender<Delivery>,
     live: Mutex<Live>,
 }
 
@@ -162,6 +201,14 @@ struct Shared {
 struct Live {
     closing: bool,
     readers: Vec<(Arc<Conn>, JoinHandle<()>)>,
+}
+
+/// What a reader thread queues: a stream read to its end, or the peer
+/// address of the connection it dropped, whose sender gets no reply.
+#[derive(Debug)]
+pub(crate) enum Delivery {
+    Served(Served),
+    Closed(SocketAddr),
 }
 
 impl RoundServer {
@@ -192,41 +239,16 @@ impl RoundServer {
     }
 
     /// The next delivery, in arrival order across every connection, or
-    /// `None` once `deadline` passes or another thread calls
-    /// [`Waker::wake`]: the caller decides whether to keep waiting.
-    pub(super) fn next(&self, deadline: Option<Instant>) -> Option<Served> {
-        match deadline {
-            Some(at) => {
-                self.deliveries.recv_timeout(at.saturating_duration_since(Instant::now())).ok()
-            }
-            None => self.deliveries.recv().ok(),
-        }
-        .flatten()
+    /// `None` once `deadline` passes.
+    pub(super) fn next(&self, deadline: Instant) -> Option<Delivery> {
+        self.deliveries.recv_timeout(deadline.saturating_duration_since(Instant::now())).ok()
     }
 
-    /// A handle any thread can end one [`RoundServer::next`] wait with.
-    pub(super) fn waker(&self) -> Waker {
-        Waker(self.shared.queue.clone())
-    }
-
-    /// Drops cold every delivery still queued. Called between rounds,
-    /// when whatever is queued is a stream its sender already gave up
-    /// on, so iteration stamps are only ever compared with the round
-    /// being served.
+    /// Drops cold every delivery still queued: between rounds, a stream
+    /// its sender gave up on, so iteration stamps are only ever compared
+    /// with the round being served.
     pub(super) fn discard_stale(&self) {
         while self.deliveries.try_recv().is_ok() {}
-    }
-}
-
-/// How a thread whose progress ends a [`RoundServer::next`] wait says
-/// so without a poll.
-#[derive(Debug, Clone)]
-pub(super) struct Waker(Sender<Option<Served>>);
-
-impl Waker {
-    /// Makes one `next` (the current or the coming one) return `None`.
-    pub(super) fn wake(&self) {
-        let _ = self.0.send(None);
     }
 }
 
@@ -261,7 +283,7 @@ impl Drop for RoundServer {
 /// ended. A listener error ends it — senders then see refused connects
 /// and report dead links, a typed failure rather than a spin.
 fn accept_links(listener: &TcpListener, shared: &Arc<Shared>) {
-    while let Ok((socket, _)) = listener.accept() {
+    while let Ok((socket, peer)) = listener.accept() {
         let mut live = shared.live.lock();
         if live.closing {
             return;
@@ -275,7 +297,7 @@ fn accept_links(listener: &TcpListener, shared: &Arc<Shared>) {
         let served = Arc::clone(&conn);
         let reader = thread::Builder::new()
             .name("cosmic-link-reader".to_string())
-            .spawn(move || serve_link(&served, &serving));
+            .spawn(move || serve_link(&served, peer, &serving));
         if let Ok(reader) = reader {
             live.readers.push((conn, reader));
         }
@@ -292,8 +314,8 @@ struct Conn {
 
 /// The reader thread: reads the socket into the connection's
 /// [`ServedLink`] and queues stream after stream until EOF, a bad frame
-/// or a deadline the link holds missed, then shuts the socket.
-fn serve_link(conn: &Arc<Conn>, shared: &Arc<Shared>) {
+/// or a missed deadline, then shuts the socket and says so for `peer`.
+fn serve_link(conn: &Arc<Conn>, peer: SocketAddr, shared: &Arc<Shared>) {
     let mut link = ServedLink::default();
     let mut next = || loop {
         if let Some(streamed) = link.poll()? {
@@ -310,11 +332,12 @@ fn serve_link(conn: &Arc<Conn>, shared: &Arc<Shared>) {
         // A joiner's `Ack` is owed nothing.
         let answered = matches!(carried, Carried::Ack(_));
         let reply = Reply { conn: Arc::clone(conn), answered };
-        if shared.queue.send(Some(Served { node, stats, carried, reply })).is_err() {
-            break;
+        if shared.queue.send(Delivery::Served(Served { node, stats, carried, reply })).is_err() {
+            return;
         }
     }
     let _ = conn.socket.shutdown(Shutdown::Both);
+    let _ = shared.queue.send(Delivery::Closed(peer));
 }
 
 /// Everything one served stream delivered. Dropping it unanswered shuts
@@ -392,19 +415,32 @@ mod tests {
         Frame::control(FrameKind::Ack, node, iteration, 0, 0)
     }
 
+    /// The next delivery, within a generous deadline.
+    fn next(server: &RoundServer) -> Delivery {
+        server.next(Instant::now() + Duration::from_secs(10)).expect("a delivery")
+    }
+
+    /// The next stream delivered.
+    fn served(server: &RoundServer) -> Served {
+        match next(server) {
+            Delivery::Served(served) => served,
+            closed => panic!("expected a stream, got {closed:?}"),
+        }
+    }
+
     #[test]
     fn one_connection_serves_stream_after_stream() {
         let server = RoundServer::bind(LinkConfig::default()).unwrap();
         let addr = server.addr();
         let sender = thread::spawn(move || {
-            let mut link = RoundSender::new(addr, 3, LinkConfig::default(), RetryPolicy::default());
+            let mut link = RoundSender::new(addr, 3, LinkConfig::default());
             let shim = WireShim::default();
             let mut round = |i| link.send_round(i, &[], i + 10, &shim, FrameKind::Ack).unwrap();
             (0..5u64).map(|i| round(i).1.reconnects).collect::<Vec<_>>()
         });
         let mut connections = 0;
         for i in 0..5u64 {
-            let mut served = server.next(None).expect("a delivery");
+            let mut served = served(&server);
             connections += served.stats.connections;
             let Carried::Round { iteration, records, .. } = served.carried else {
                 panic!("expected a round stream, got {served:?}");
@@ -421,7 +457,7 @@ mod tests {
         let server = RoundServer::bind(LinkConfig::default()).unwrap();
         let addr = server.addr();
         let sender = thread::spawn(move || {
-            let mut link = RoundSender::new(addr, 2, LinkConfig::default(), RetryPolicy::default());
+            let mut link = RoundSender::new(addr, 2, LinkConfig::default());
             let snapshot = link.join().unwrap();
             let (_, round) =
                 link.send_round(7, &[], 3, &WireShim::default(), FrameKind::Ack).unwrap();
@@ -430,19 +466,19 @@ mod tests {
         let model = vec![1.5, -2.0];
         let snapshot =
             Frame { kind: FrameKind::Snapshot, payload: model.clone().into(), ..ack(2, 7) };
-        let mut served = Vec::new();
+        let mut delivered = Vec::new();
         // The join is answered, the joiner's `Ack` is owed nothing, the round is.
         for answer in [Some(snapshot), None, Some(ack(2, 7))] {
-            let mut next = server.next(None).expect("a delivery");
+            let mut next = served(&server);
             if let Some(answer) = answer {
                 next.reply.send(&answer, &mut next.stats).unwrap();
             }
-            served.push(next);
+            delivered.push(next);
         }
-        assert!(matches!(served[0].carried, Carried::Join));
-        assert!(matches!(served[1].carried, Carried::Ack(sum) if sum == model_checksum(&model)));
-        assert!(matches!(served[2].carried, Carried::Round { iteration: 7, records: 3, .. }));
-        let booked: Vec<_> = served.iter().map(|s| s.stats.connections).collect();
+        assert!(matches!(delivered[0].carried, Carried::Join));
+        assert!(matches!(delivered[1].carried, Carried::Ack(sum) if sum == model_checksum(&model)));
+        assert!(matches!(delivered[2].carried, Carried::Round { iteration: 7, records: 3, .. }));
+        let booked: Vec<_> = delivered.iter().map(|s| s.stats.connections).collect();
         assert_eq!(booked, [1, 0, 0], "one connection");
         assert_eq!(sender.join().unwrap(), (model, 0));
     }
@@ -451,19 +487,47 @@ mod tests {
     fn a_refused_dial_fails_the_attempt() {
         let addr = RoundServer::bind(LinkConfig::default()).unwrap().addr(); // dropped
         let retry = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
-        let mut link = RoundSender::new(addr, 4, LinkConfig::default(), retry);
-        let dead = link.send_round(0, &[], 0, &WireShim::default(), FrameKind::Ack);
-        assert!(matches!(dead, Err(RuntimeError::TransportFailed { peer: 4, attempts: 1, .. })));
+        let mut link = RoundSender::new(addr, 4, LinkConfig::default());
+        let (shim, repr, expect) = (WireShim::default(), WireRepr::DenseF64, FrameKind::Ack);
+        let sending =
+            Outgoing::Round { iteration: 0, chunks: &[], records: 0, shim: &shim, repr, expect };
+        let dead = link.start(sending, retry).drive(true);
+        assert!(matches!(
+            dead,
+            Some(Err(RuntimeError::TransportFailed { peer: 4, attempts: 1, .. }))
+        ));
     }
 
     #[test]
-    fn a_wake_or_a_deadline_ends_the_wait_without_a_delivery() {
+    fn a_reader_that_drops_a_stream_names_its_connection() {
         let server = RoundServer::bind(LinkConfig::default()).unwrap();
-        assert!(server.next(Some(Instant::now() + Duration::from_millis(5))).is_none());
-        let waker = server.waker();
-        thread::scope(|s| {
-            s.spawn(move || waker.wake());
-            assert!(server.next(None).is_none());
-        });
+        let mut link = RoundSender::new(server.addr(), 5, LinkConfig::default());
+        let (retry, repr, expect) = (RetryPolicy::default(), WireRepr::DenseF64, FrameKind::Ack);
+        let chunks = [(0, Chunk::new(0, vec![1.0, 2.0]))];
+        let plan = cosmic_sim::faults::FaultPlan::none().corrupt_frame(5, 0, 0);
+        let shim = WireShim::new(&plan, 5, 0, 1);
+        let sending = Outgoing::Round {
+            iteration: 0,
+            chunks: &chunks,
+            records: 0,
+            shim: &shim,
+            repr,
+            expect,
+        };
+        let mut exchange = link.start(sending, retry);
+        assert!(exchange.drive(true).is_none(), "the stream is written and its reply owed");
+        // The damaged frame fails the reader's checksum: it drops the
+        // connection and names it by the address this sender dialled from.
+        let Delivery::Closed(peer) = next(&server) else { panic!("a closed notice") };
+        assert!(exchange.rides(peer));
+        // The sender reads its end of stream at once and retransmits
+        // (attempt 1 is clean) on a new connection.
+        assert!(exchange.drive(true).is_none());
+        assert!(!exchange.rides(peer));
+        let mut served = served(&server);
+        assert!(matches!(served.carried, Carried::Round { iteration: 0, .. }));
+        served.reply.send(&ack(5, 0), &mut served.stats).unwrap();
+        let reply = exchange.drive(true).expect("a verdict").expect("the ack");
+        assert_eq!((reply.kind, exchange.sending.stats.reconnects), (FrameKind::Ack, 1));
     }
 }

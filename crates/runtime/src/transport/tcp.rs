@@ -1,113 +1,75 @@
 //! The real-wire backend: loopback TCP with connection supervision.
 //!
-//! One [`RoundServer`] and, per sender node, one [`RoundSender`] owned by
-//! a resident worker thread (`cosmic-link-sender-{node}`) outlive the
-//! round: after a link's first use a healthy round opens no socket and
-//! creates no thread. The caller cuts each lent partial into chunks that
-//! view it and posts the stream to its link's worker (link *k* writes
-//! while the caller chunks *k + 1*); the worker drops its views before
-//! the caller can see the post done, so each partial goes back uncopied.
-//! The caller then routes the complete streams the server's reader
-//! threads deliver, acknowledging each and staging it into its peer's
-//! Sigma stage while the other links are still being read: the stages
-//! the discrete-event backend feeds, so the fold is identical bit for
-//! bit. A link whose retry budget exhausts, or whose send panics, is a
-//! [`DeadLink`], booked like a crashed node.
+//! One [`RoundServer`] and, per sender node, one [`RoundSender`] outlive
+//! the round: after a link's first use a healthy round opens no socket
+//! and creates no thread. The round's caller sends on every link:
+//! 1. *Write*: per sender in order, cut the lent partial into chunks that
+//!    view it and drive the link's exchange until it awaits its reply.
+//! 2. *Route*: acknowledge each complete stream the server's reader
+//!    threads deliver and stage it into its peer's Sigma stage (the
+//!    stages the discrete-event backend feeds, so the fold is identical
+//!    bit for bit); mark the link of each connection a reader dropped.
+//! 3. *Finish*: read each marked link's `Ack` or end of stream. A failed
+//!    attempt backs off, redials and rewrites, and routing resumes.
+//!
+//! The caller holds every chunk view until the pass finishes, so each
+//! partial goes back uncopied. A link whose retry budget exhausts, or
+//! whose send panics, is a [`DeadLink`], booked like a crashed node.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
-use cosmic_collectives::codec::{CodecStats, WireRepr};
-use crossbeam::channel::{self, Receiver, Sender};
+use cosmic_collectives::codec::CodecStats;
 use parking_lot::Mutex;
 
+use crate::buffer::WordBuf;
 use crate::error::RuntimeError;
 use crate::node::{Chunk, Pass, SigmaAggregator};
-use crate::trainer::RetryPolicy;
 
-use super::link::{Carried, WireShim};
-use super::supervisor::{RoundSender, RoundServer, Served, Waker};
+use super::link::{Carried, Outgoing, WireShim};
+use super::supervisor::{Delivery, Exchange, RoundSender, RoundServer, Served};
 use super::wire::{Frame, FrameKind};
 use super::{
     lend, DeadLink, LinkConfig, RoundCtx, RoundDelivery, Transport, TransportKind, TransportStats,
 };
 
-/// A link worker's send: [`send_post`], or a test's planted panic.
-type SendFn = fn(&mut RoundSender, &Post) -> Result<TransportStats, RuntimeError>;
-
 /// The loopback TCP wire.
 pub struct TcpTransport {
     server: RoundServer,
-    /// One resident sender per node id, created with its first stream
-    /// and kept across rounds and membership changes. Held for a whole
-    /// round, which also keeps two rounds off the one delivery queue.
-    links: Mutex<BTreeMap<usize, Link>>,
-    /// A field so tests can plant a panic.
-    send: SendFn,
+    /// One sender per node id, created with its first stream and kept
+    /// across rounds and membership changes. Held for a whole round,
+    /// which also keeps two rounds off the one delivery queue.
+    links: Mutex<BTreeMap<usize, RoundSender>>,
+    /// Whether a test planted a panic in the send of a tripwired stream.
+    #[cfg(test)]
+    tripwire: bool,
 }
 
-/// A node's resident sender: the mailbox of the worker that owns its
-/// [`RoundSender`].
-struct Link {
-    posts: Sender<Post>,
-    worker: JoinHandle<()>,
-}
-
-/// What a round's caller and its link workers share: whether each
-/// sender's slot is still open to a delivery (closed once its post
-/// finished), the books, and how many posts are still out.
-struct Round {
-    open: Mutex<Vec<bool>>,
-    stats: Mutex<TransportStats>,
-    dead: Mutex<Vec<DeadLink>>,
-    pending: AtomicUsize,
-    waker: Waker,
-}
-
-/// One round's stream for one link, owned: the worker borrows nothing.
-/// Also the drop guard: however a post ends, dropping it drops its
-/// chunks — views of a lent partial — then closes its slot, so no later
-/// delivery of its stream is staged; the last one dropped wakes the
-/// routing caller, which then holds the last view of every partial.
-struct Post {
-    iteration: u64,
+/// A sender's link and lent partial this round, with the chunks and
+/// faults its exchange borrows.
+struct Stream<'l> {
+    sender: &'l mut RoundSender,
+    arena: &'l WordBuf,
     chunks: Vec<(usize, Chunk)>,
     shim: WireShim,
-    retry: RetryPolicy,
-    repr: WireRepr,
-    round: Arc<Round>,
-    slot: usize,
 }
 
-impl Post {
-    /// Books `node`'s send: what it cost the wire, or the link.
-    fn book(&self, node: usize, sent: Result<TransportStats, RuntimeError>) {
-        match sent {
-            Ok(stats) => self.round.stats.lock().merge(&stats),
-            Err(error) => {
-                let attempts = if let RuntimeError::TransportFailed { attempts, .. } = error {
-                    attempts
-                } else {
-                    0
-                };
-                self.round.stats.lock().links_dead += 1;
-                self.round.dead.lock().push(DeadLink { node, attempts, error });
-            }
-        }
-    }
+/// A link's exchange in flight, and where it is in the round.
+struct Flight<'s> {
+    node: usize,
+    exchange: Exchange<'s>,
+    state: State,
 }
 
-impl Drop for Post {
-    fn drop(&mut self) {
-        drop(std::mem::take(&mut self.chunks));
-        self.round.open.lock()[self.slot] = false;
-        if self.round.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.round.waker.wake();
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Its stream is written and its reply owed: routing waits on it.
+    Owed,
+    /// Its `Ack`, or its connection's end, is on the socket to read.
+    Answered,
+    /// Booked: delivered, or a dead link.
+    Done,
 }
 
 impl TcpTransport {
@@ -115,57 +77,12 @@ impl TcpTransport {
     /// transport's rounds.
     pub fn bind(link: LinkConfig) -> Result<Self, RuntimeError> {
         let server = RoundServer::bind(link)?;
-        Ok(TcpTransport { server, links: Mutex::default(), send: send_post })
-    }
-
-    /// Starts `node`'s link worker over a fresh, undialled link.
-    fn spawn(&self, node: usize, retry: RetryPolicy) -> Result<Link, RuntimeError> {
-        let link = RoundSender::new(self.server.addr(), node, self.server.link(), retry);
-        let (send, (posts, mailbox)) = (self.send, channel::unbounded());
-        let worker = thread::Builder::new()
-            .name(format!("cosmic-link-sender-{node}"))
-            .spawn(move || serve_posts(link, mailbox, send))
-            .map_err(|e| {
-                let detail = format!("link sender thread: {e}");
-                RuntimeError::TransportFailed { peer: node, attempts: 0, detail }
-            })?;
-        Ok(Link { posts, worker })
-    }
-}
-
-impl Drop for TcpTransport {
-    /// Closes every mailbox and joins every worker — idle between
-    /// rounds, so each ends at once; the server then joins its threads.
-    fn drop(&mut self) {
-        for (_, link) in std::mem::take(self.links.get_mut()) {
-            drop(link.posts);
-            let _ = link.worker.join();
-        }
-    }
-}
-
-/// Pushes one post's stream through its supervised link.
-fn send_post(link: &mut RoundSender, post: &Post) -> Result<TransportStats, RuntimeError> {
-    let (_, stats) =
-        link.send_round(post.iteration, &post.chunks, 0, &post.shim, FrameKind::Ack)?;
-    Ok(stats)
-}
-
-/// A link worker: sends and books each post, then drops it. A send that
-/// panics is the link's death, typed, and the link is replaced by an
-/// undialled one, so the half-written connection drops cold.
-fn serve_posts(mut link: RoundSender, posts: Receiver<Post>, send: SendFn) {
-    for post in posts {
-        (link.retry, link.repr) = (post.retry, post.repr);
-        let sent = catch_unwind(AssertUnwindSafe(|| send(&mut link, &post)));
-        let sent = sent.unwrap_or_else(|panic| {
-            link = RoundSender::new(link.addr, link.node, link.link, link.retry);
-            let why = panic.downcast_ref::<String>().map(String::as_str);
-            let why = why.or_else(|| panic.downcast_ref::<&str>().copied()).unwrap_or("?");
-            let detail = format!("link sender panicked: {why}");
-            Err(RuntimeError::TransportFailed { peer: link.node, attempts: 1, detail })
-        });
-        post.book(link.node, sent);
+        Ok(TcpTransport {
+            server,
+            links: Mutex::default(),
+            #[cfg(test)]
+            tripwire: false,
+        })
     }
 }
 
@@ -182,100 +99,162 @@ impl Transport for TcpTransport {
     ) -> Result<RoundDelivery, RuntimeError> {
         let mut links = self.links.lock();
         self.server.discard_stale();
-        // A sender without a part posts nothing: its slot starts closed.
-        let round = Arc::new(Round {
-            open: Mutex::new(parts.iter().map(Option::is_some).collect()),
-            stats: Mutex::default(),
-            dead: Mutex::default(),
-            pending: AtomicUsize::new(parts.iter().flatten().count()),
-            waker: self.server.waker(),
-        });
+        let (addr, link) = (self.server.addr(), self.server.link());
         lend(parts, |arenas| {
+            // A sender without a part sends nothing.
+            for (&member, _) in ctx.senders.iter().zip(arenas).filter(|(_, a)| a.is_some()) {
+                links.entry(member).or_insert_with(|| RoundSender::new(addr, member, link));
+            }
+            let mut streams = Vec::with_capacity(ctx.senders.len());
+            streams.extend(links.iter_mut().filter_map(|(member, sender)| {
+                let arena = arenas[ctx.senders.iter().position(|n| n == member)?].as_ref()?;
+                Some(Stream { sender, arena, chunks: Vec::new(), shim: WireShim::default() })
+            }));
             let mut pass = sigma.pass(ctx.model_len, arenas.len(), None);
-            let mut codec = CodecStats::default();
-            for (slot, (&member, arena)) in ctx.senders.iter().zip(arenas).enumerate() {
-                let Some(arena) = arena else {
-                    continue;
-                };
+            let (mut codec, mut books) =
+                (CodecStats::default(), (TransportStats::default(), vec![]));
+            let mut flights = Vec::with_capacity(streams.len());
+            // 1. Write.
+            for Stream { sender, arena, chunks, shim } in &mut streams {
+                let node = sender.node;
                 // Booked once, whatever the link then costs in
                 // retransmissions.
-                let (applied, chunks) = ctx.wire_chunks(member, arena);
-                let chunks: Vec<(usize, Chunk)> = chunks.collect();
+                let (applied, wire) = ctx.wire_chunks(node, arena);
                 codec.merge(&applied);
-                let shim = WireShim::new(ctx.plan, member, ctx.iteration, chunks.len());
-                let (iteration, retry, repr) = (ctx.iteration as u64, *ctx.retry, ctx.repr);
-                let round = Arc::clone(&round);
-                let post = Post { iteration, chunks, shim, retry, repr, round, slot };
-                let link = match links.entry(member) {
-                    Entry::Occupied(link) => Ok(link.into_mut()),
-                    Entry::Vacant(vacant) => self.spawn(member, retry).map(|l| vacant.insert(l)),
-                };
-                match link {
-                    // Cannot fail: a worker outlives its mailbox.
-                    Ok(link) => drop(link.posts.send(post)),
-                    Err(error) => post.book(member, Err(error)),
-                }
+                chunks.extend(wire);
+                *shim = WireShim::new(ctx.plan, node, ctx.iteration, chunks.len());
+                let (iteration, repr, expect) = (ctx.iteration as u64, ctx.repr, FrameKind::Ack);
+                let sending = Outgoing::Round { iteration, chunks, records: 0, shim, repr, expect };
+                let exchange = sender.start(sending, *ctx.retry);
+                let mut flight = Flight { node, exchange, state: State::Owed };
+                flight.drive(&mut books, || {
+                    #[cfg(test)]
+                    self.trip(chunks);
+                });
+                flights.push(flight);
             }
-            // Route and stage on this thread until every post is done —
-            // and, with it, every view of `arenas` it held.
-            while round.pending.load(Ordering::Acquire) > 0 {
-                if let Some(served) = self.server.next(None) {
-                    route(served, ctx, &round, &mut pass);
+            while flights.iter().any(|f| f.state != State::Done) {
+                // 2. Route until no reply is owed.
+                while flights.iter().any(|f| f.state == State::Owed) {
+                    let owed = |f: &&mut Flight<'_>| f.state == State::Owed;
+                    match self.server.next(Instant::now() + link.read_timeout()) {
+                        Some(Delivery::Served(served)) => {
+                            route(served, ctx, &mut flights, &mut books.0, &mut pass);
+                        }
+                        Some(Delivery::Closed(peer)) => {
+                            let closed =
+                                flights.iter_mut().filter(owed).find(|f| f.exchange.rides(peer));
+                            closed.into_iter().for_each(|f| f.state = State::Answered);
+                        }
+                        // No reader spoke for a read deadline: every owed
+                        // reply is read under the socket's own.
+                        None => {
+                            flights.iter_mut().filter(owed).for_each(|f| f.state = State::Answered)
+                        }
+                    }
+                }
+                // 3. Finish: read each answer; a retry owes one again.
+                for flight in flights.iter_mut().filter(|f| f.state == State::Answered) {
+                    flight.drive(&mut books, || ());
                 }
             }
             let outcome = pass.finish();
-            let dead = std::mem::take(&mut *round.dead.lock());
-            let stats = *round.stats.lock();
+            let (stats, dead) = books;
             Ok(RoundDelivery { outcome, dead, stats, codec })
         })
     }
 }
 
+impl Flight<'_> {
+    /// Drives the exchange, after `before`, until it owes a reply again or
+    /// has a verdict, which it books. A drive that panics is the link's
+    /// death, typed, and its half-written connection drops cold.
+    fn drive(&mut self, books: &mut (TransportStats, Vec<DeadLink>), before: impl FnOnce()) {
+        let sent = catch_unwind(AssertUnwindSafe(|| {
+            before();
+            self.exchange.drive(true)
+        }));
+        let verdict = match sent {
+            Ok(None) => {
+                self.state = State::Owed;
+                return;
+            }
+            Ok(Some(verdict)) => verdict,
+            Err(panic) => {
+                *self.exchange.socket = None;
+                let why = panic.downcast_ref::<String>().map(String::as_str);
+                let why = why.or_else(|| panic.downcast_ref::<&str>().copied()).unwrap_or("?");
+                let detail = format!("link sender panicked: {why}");
+                Err(RuntimeError::TransportFailed { peer: self.node, attempts: 1, detail })
+            }
+        };
+        self.state = State::Done;
+        match verdict {
+            Ok(_) => books.0.merge(&self.exchange.sending.stats),
+            Err(error) => {
+                let attempts = match error {
+                    RuntimeError::TransportFailed { attempts, .. } => attempts,
+                    _ => 0,
+                };
+                books.0.links_dead += 1;
+                books.1.push(DeadLink { node: self.node, attempts, error });
+            }
+        }
+    }
+}
+
 /// Routes one delivery: only a stream that arrived complete — this
-/// round's iteration, a known sender, slot still open — is acknowledged
-/// and its buffered chunks staged into its peer's stage. Anything else
-/// is dropped unanswered, which shuts its connection; the sender's
-/// retransmission is the only delivery.
-fn route(mut served: Served, ctx: &RoundCtx<'_>, round: &Round, pass: &mut Pass<'_>) {
+/// round's iteration, from a sender whose reply is owed — is
+/// acknowledged and its buffered chunks staged into its peer's stage.
+/// Anything else is dropped unanswered, which shuts its connection; the
+/// sender's retransmission is the only delivery.
+fn route(
+    mut served: Served,
+    ctx: &RoundCtx<'_>,
+    flights: &mut [Flight<'_>],
+    stats: &mut TransportStats,
+    pass: &mut Pass<'_>,
+) {
     let Carried::Round { iteration, chunks, .. } = served.carried else {
         return;
     };
-    if iteration != ctx.iteration as u64 {
-        return;
-    }
-    let Some(peer) = ctx.senders.iter().position(|&n| n == served.node as usize) else {
+    let node = served.node as usize;
+    let owed = |f: &&mut Flight<'_>| f.node == node && f.state == State::Owed;
+    let (Some(flight), Some(peer)) =
+        (flights.iter_mut().find(owed), ctx.senders.iter().position(|&n| n == node))
+    else {
         return;
     };
-    // Read the slot *before* acknowledging: the sender closes it the
-    // moment the ack lands.
-    if !round.open.lock()[peer] {
-        return;
-    }
     let mut booked = served.stats;
     let ack = Frame::control(FrameKind::Ack, served.node, iteration, 0, 0);
-    if served.reply.send(&ack, &mut booked).is_err() {
+    if iteration != ctx.iteration as u64 || served.reply.send(&ack, &mut booked).is_err() {
         return;
     }
-    round.stats.lock().merge(&booked);
+    flight.state = State::Answered;
+    stats.merge(&booked);
     pass.stage(peer, chunks);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::RetryPolicy;
+    use cosmic_collectives::codec::WireRepr;
     use cosmic_sim::faults::FaultPlan;
 
     impl TcpTransport {
-        /// Plants a panic in the link worker of any stream that starts
-        /// with [`SigmaAggregator::TRIPWIRE`], before it writes a byte.
-        /// Takes effect for links created after it.
+        /// Plants a panic in the send of any stream that starts with
+        /// [`SigmaAggregator::TRIPWIRE`], before it writes a byte.
         pub(crate) fn tripwired(mut self) -> Self {
-            self.send = |link, post| {
-                let first = post.chunks.first().and_then(|(_, chunk)| chunk.data.first());
-                assert!(first != Some(&SigmaAggregator::TRIPWIRE), "planted panic");
-                send_post(link, post)
-            };
+            self.tripwire = true;
             self
+        }
+
+        /// The planted panic, if `chunks` trip it.
+        pub(super) fn trip(&self, chunks: &[(usize, Chunk)]) {
+            let first = chunks.first().and_then(|(_, chunk)| chunk.data.first());
+            let tripped = self.tripwire && first == Some(&SigmaAggregator::TRIPWIRE);
+            assert!(!tripped, "planted panic");
         }
     }
 
@@ -382,6 +361,21 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_a_reader_drops_is_retried_at_once_not_after_the_read_deadline() {
+        // The reader refuses the damaged frame and drops the connection;
+        // its closed notice, not a 60 s read deadline, sends the caller
+        // to the link's end of stream and the retransmission.
+        let link = LinkConfig { read_timeout_ms: 60_000, ..LinkConfig::default() };
+        let transport = TcpTransport::bind(link).unwrap();
+        let plan = FaultPlan::none().corrupt_frame(2, 0, 0);
+        let started = Instant::now();
+        let stats = checked_round(&transport, &plan, 0, &[0, 1, 2, 3], 64).stats;
+        assert_eq!(stats.reconnects, 1);
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs() < 10, "the round waited out a deadline: {elapsed:?}");
+    }
+
+    #[test]
     fn a_sender_absent_for_several_rounds_finds_its_link_still_alive() {
         let transport = TcpTransport::bind(LinkConfig::default()).unwrap();
         let plan = FaultPlan::none();
@@ -439,11 +433,9 @@ mod tests {
         crate::fold::fold_parts_reference(&mut expected, &[&data[0], &data[2]]);
         assert_eq!(bits(&delivery.outcome.sum), bits(&expected), "the other peers, bit for bit");
 
-        // The worker caught its panic and serves the next round itself.
-        let worker = || transport.links.lock()[&1].worker.thread().id();
-        let before = worker();
-        checked_round(&transport, &plan, 1, &senders, 64);
-        assert_eq!(worker(), before);
+        // The link dropped its connection cold and redials next round.
+        let next = checked_round(&transport, &plan, 1, &senders, 64).stats;
+        assert_eq!((next.connections, next.reconnects), (1, 0));
     }
 
     #[test]

@@ -378,6 +378,12 @@ impl FrameReader {
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
+
+    /// Drops whatever is buffered, keeping the buffer: a new connection
+    /// starts on the allocation the last one grew.
+    pub(crate) fn clear(&mut self) {
+        (self.start, self.end) = (0, 0);
+    }
 }
 
 /// A frame's length in bytes, at `words` payload words.
@@ -538,6 +544,14 @@ mod tests {
     use super::*;
     use crate::node::grid_chunks;
     use cosmic_collectives::codec::WireRepr;
+
+    impl FrameReader {
+        /// Where the reader's buffer lives: the same address while it
+        /// keeps its allocation.
+        pub(crate) fn buffer(&self) -> *const u8 {
+            self.buf.as_ptr()
+        }
+    }
 
     /// `chunk` as a link on a `repr` wire sends it, decoded.
     fn sent(chunk: &Chunk, repr: WireRepr) -> Frame {

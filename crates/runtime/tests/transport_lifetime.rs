@@ -1,7 +1,8 @@
 //! A `TcpTransport`'s links outlive its rounds: the first round dials
-//! every link and starts its reader and its resident sender, after
-//! which a healthy round opens no socket and creates no thread, and
-//! dropping the transport joins every thread it started.
+//! every link and the server starts its reader, after which a healthy
+//! round opens no socket and creates no thread — the round's caller is
+//! every link's sender — and dropping the transport joins every thread
+//! it started.
 //!
 //! This binary holds exactly one test on purpose — it reads the
 //! process-wide thread count and thread ids, which a sibling test
@@ -51,7 +52,7 @@ fn two_hundred_rounds_ride_four_connections_and_a_flat_thread_count() {
         total.merge(&delivery.stats);
         if iteration == 0 {
             assert_eq!(delivery.stats.connections, SENDERS as u64, "round 0 dials every link");
-            after_first = settled(before.map(|n| n + 1 + 2 * SENDERS));
+            after_first = settled(before.map(|n| n + 1 + SENDERS));
             probed = probe();
         } else {
             assert_eq!(delivery.stats.connections, 0, "round {iteration} opened a socket");
@@ -63,7 +64,7 @@ fn two_hundred_rounds_ride_four_connections_and_a_flat_thread_count() {
     assert_eq!(total.bytes_sent, total.bytes_received);
     assert_eq!(probe() - probed, 1, "rounds 1-199 created a thread");
     if let (Some(before), Some(held)) = (before, after_first) {
-        assert_eq!(held, before + 1 + 2 * SENDERS, "an acceptor, and a reader and a sender a link");
+        assert_eq!(held, before + 1 + SENDERS, "an acceptor, and a reader a link");
     }
 
     let started = Instant::now();
