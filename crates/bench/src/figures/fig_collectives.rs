@@ -18,12 +18,24 @@
 //! the columns isolate exactly what the wire pattern changes. The
 //! `selector` column is the pick of [`CollectiveSelector::host_side`]
 //! under the same gigabit cost model.
+//!
+//! Under `--repr`, the selector re-picks every cell and the traced
+//! replay prices its schedule's payloads under that representation. The
+//! convergence section trains two 64-feature workloads through
+//! [`ClusterTrainer`] on the in-process wire under each lossy
+//! representation, so its curves are the engine's own rounds: the
+//! quantize-at-the-chunk-boundary and integer-grid fold that training
+//! runs, not a model of them.
 
-use cosmic_core::cosmic_ml::convergence::{default_reprs, repr_curves, study_workloads};
+use cosmic_core::cosmic_ml::data::{self, Dataset};
+use cosmic_core::cosmic_ml::{Aggregation, Algorithm};
 use cosmic_core::cosmic_runtime::collectives::{
     assign_roles, default_groups, CollectiveKind, CollectiveSelector, WireRepr,
 };
-use cosmic_core::cosmic_runtime::{ClusterTiming, FaultTimingModel, NodeCompute, CHUNK_WORDS};
+use cosmic_core::cosmic_runtime::{
+    counters, ClusterConfig, ClusterTiming, ClusterTrainer, FaultTimingModel, NodeCompute,
+    TraceSink, TrainOutcome, CHUNK_WORDS,
+};
 
 use crate::figures::FigureCtx;
 
@@ -51,7 +63,7 @@ fn timing(nodes: usize) -> ClusterTiming {
 pub(crate) fn throughput(nodes: usize, words: usize, kind: CollectiveKind) -> f64 {
     let it = timing(nodes)
         .model(MINIBATCH, NodeCompute { records_per_sec: NODE_RPS }, words * 8)
-        .with_collective(kind)
+        .with_collective(kind, WireRepr::DenseF64)
         .evaluate()
         .expect("valid sweep configuration");
     MINIBATCH as f64 / it.total_s()
@@ -149,30 +161,67 @@ fn repr_table(title: &str, words: usize) -> String {
     out
 }
 
-/// Loss curves of the two `cosmic-ml` study workloads under every
-/// representation: what the compression costs *statistically*, next to
-/// the wire bytes it saves.
+/// The convergence study's workloads: report name, model and dataset
+/// seed. Each trains on 600 generated records from the seed-3 initial
+/// model.
+const STUDY: [(&str, Algorithm, u64); 2] = [
+    ("linreg-64", Algorithm::LinearRegression { features: 64 }, 21),
+    ("logreg-64", Algorithm::LogisticRegression { features: 64 }, 22),
+];
+
+/// The study's representations: dense, the 20-bit grid, and top-k
+/// keeping a quarter of the 65-word models' coordinates (it must drop
+/// some to be lossy at all).
+const STUDY_REPRS: [WireRepr; 3] =
+    [WireRepr::DenseF64, WireRepr::FixedPoint { frac_bits: 20 }, WireRepr::TopK { k: 16 }];
+
+/// Trains one study workload under `repr` through the engine on the
+/// in-process wire. Its telemetry goes to a sink of its own, so the
+/// figure's trace stays the replay's alone.
+fn study_run(alg: &Algorithm, dataset: &Dataset, repr: WireRepr) -> (TrainOutcome, TraceSink) {
+    let trainer = ClusterTrainer::new(ClusterConfig {
+        nodes: 4,
+        threads_per_node: 1,
+        minibatch: 120,
+        learning_rate: 0.2,
+        epochs: 6,
+        aggregation: Aggregation::Average,
+        repr,
+        ..ClusterConfig::default()
+    })
+    .expect("valid study config");
+    let sink = TraceSink::new();
+    let outcome =
+        trainer.train_traced(alg, dataset, data::init_model(alg, 3), &sink).expect("healthy run");
+    (outcome, sink)
+}
+
+/// Loss curves of the two study workloads under every representation,
+/// trained through the engine: what the compression costs
+/// *statistically*, next to the wire bytes it saves.
 fn convergence_section() -> String {
     let mut out = String::from(
         "### Convergence under lossy representations (4-worker averaged SGD, 6 epochs)\n\n\
          | workload | repr | initial loss | final loss | wire compression |\n\
          |---|---|---|---|---|\n",
     );
-    // The ml study sizes its own repr sweep to its 65-word models
-    // (top-k must actually drop coordinates to be a lossy demo).
-    for w in study_workloads() {
-        for curve in repr_curves(&w, &default_reprs()) {
-            let first = curve.loss_history[0];
-            let last = curve.loss_history.last().copied().unwrap_or(f64::NAN);
-            let ratio = if curve.repr == WireRepr::DenseF64 {
+    for (name, alg, seed) in STUDY {
+        let dataset = data::generate(&alg, 600, seed);
+        for repr in STUDY_REPRS {
+            let (outcome, sink) = study_run(&alg, &dataset, repr);
+            let first = outcome.loss_history[0];
+            let last = outcome.loss_history.last().copied().unwrap_or(f64::NAN);
+            let ratio = if repr == WireRepr::DenseF64 {
                 String::from("1.000x (verbatim)")
             } else {
-                format!("{:.3}x", curve.stats.compression_ratio())
+                let sums = sink.sums();
+                let bytes = |key| sums.get(key).copied().unwrap_or(0.0);
+                format!(
+                    "{:.3}x",
+                    bytes(counters::CODEC_BYTES_DENSE) / bytes(counters::CODEC_BYTES_WIRE)
+                )
             };
-            out.push_str(&format!(
-                "| {} | {} | {first:.5} | {last:.5} | {ratio} |\n",
-                w.name, curve.repr,
-            ));
+            out.push_str(&format!("| {name} | {repr} | {first:.5} | {last:.5} | {ratio} |\n"));
         }
     }
     out.push_str(
@@ -226,7 +275,7 @@ pub(crate) fn run(ctx: &FigureCtx) -> String {
         let kind = selector_pick_repr(nodes, LARGE_WORDS, ctx.repr).0;
         timing(nodes)
             .model(MINIBATCH, NodeCompute { records_per_sec: NODE_RPS }, LARGE_WORDS * 8)
-            .with_collective(kind)
+            .with_collective(kind, ctx.repr)
             .with_faults(&faults)
             .traced(&ctx.sink)
             .evaluate()
@@ -309,6 +358,44 @@ mod tests {
             report.contains("halving_doubling under dense_f64 -> flat_star under top_k:512"),
             "the shift summary names the measured cell"
         );
+    }
+
+    /// The study trains through the engine: each dense run is the
+    /// reference trainer's model bit for bit (the report's
+    /// "bit-identical" sentence), every lossy curve still descends, and
+    /// the lossy runs book fewer wire bytes than dense ones.
+    #[test]
+    fn the_study_trains_through_the_engine() {
+        use cosmic_core::cosmic_ml::sgd::{self, TrainConfig};
+        let reference = TrainConfig {
+            learning_rate: 0.2,
+            epochs: 6,
+            minibatch: 120,
+            workers: 4,
+            aggregation: Aggregation::Average,
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, alg, seed) in STUDY {
+            let dataset = data::generate(&alg, 600, seed);
+            for repr in STUDY_REPRS {
+                let (outcome, sink) = study_run(&alg, &dataset, repr);
+                if repr == WireRepr::DenseF64 {
+                    let init = data::init_model(&alg, 3);
+                    let expected = sgd::train_parallel(&alg, &dataset, init, &reference);
+                    assert_eq!(bits(&outcome.model), bits(&expected.model), "{name}");
+                    continue;
+                }
+                let history = &outcome.loss_history;
+                assert!(
+                    history[history.len() - 1] < history[0],
+                    "{name} under {repr}: {history:?}"
+                );
+                let sums = sink.sums();
+                let (dense, wire) =
+                    (sums[counters::CODEC_BYTES_DENSE], sums[counters::CODEC_BYTES_WIRE]);
+                assert!(0.0 < wire && wire < dense, "{name} under {repr}: {wire} of {dense} bytes");
+            }
+        }
     }
 
     /// Dense picks are a degenerate case of the repr-aware path, so the

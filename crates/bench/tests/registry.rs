@@ -104,7 +104,8 @@ fn run_all_is_the_registry_walked_once() {
 /// Same seed, byte-identical report, Chrome trace and metrics — for
 /// every figure that books telemetry, and for the lossy replay CI
 /// double-runs as `fig_collectives --repr fixed_point`. The needle pins
-/// that the report is the study it claims to be.
+/// that the report is the study it claims to be, and the lossy replay's
+/// metrics must not be the dense ones: it is priced under its repr.
 #[test]
 fn instrumented_figures_export_byte_identical_telemetry_per_seed() {
     let lossy = WireRepr::FixedPoint { frac_bits: 20 };
@@ -117,6 +118,7 @@ fn instrumented_figures_export_byte_identical_telemetry_per_seed() {
         ("fig_elastic", WireRepr::DenseF64, "rejoins"),
         ("fig_director", WireRepr::DenseF64, "IDENTICAL"),
     ];
+    let mut collectives = Vec::new();
     for (name, repr, needle) in cases {
         let (_, run) = FIGURES.iter().find(|(n, _)| *n == name).expect("registered");
         let export = || {
@@ -129,5 +131,9 @@ fn instrumented_figures_export_byte_identical_telemetry_per_seed() {
         let first = export();
         assert!(first.0.contains(needle), "{name}: report lacks {needle:?}");
         assert!(first == export(), "{name} ({repr}): exports differ between same-seed runs");
+        if name == "fig_collectives" {
+            collectives.push(first.2);
+        }
     }
+    assert_ne!(collectives[0], collectives[1], "the lossy replay books dense wire bytes");
 }

@@ -119,6 +119,7 @@ fn groups_for(nodes: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosmic_collectives::WireRepr;
     use cosmic_sim::{ArrivalProfile, JobArrivalPlan};
 
     fn spec() -> JobSpec {
@@ -183,7 +184,7 @@ mod tests {
                 let round_s = exec.round_s(&carve, MINIBATCH, exchange_bytes).unwrap();
                 let it = timing
                     .model(MINIBATCH, NODE, exchange_bytes)
-                    .with_collective(COLLECTIVE)
+                    .with_collective(COLLECTIVE, WireRepr::DenseF64)
                     .evaluate()
                     .unwrap();
                 let model_s = it.aggregate_s + it.broadcast_s;

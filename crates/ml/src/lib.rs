@@ -36,7 +36,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod algorithm;
-pub mod convergence;
 pub mod data;
 pub mod sgd;
 pub mod suite;

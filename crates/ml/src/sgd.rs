@@ -61,68 +61,6 @@ pub(crate) fn parallel_step(
     }
 }
 
-/// [`parallel_step`] with a per-contribution transform applied at the
-/// aggregation boundary — the hook a lossy wire representation (fixed
-/// point, top-k) uses to model what actually crosses the wire. Each
-/// worker's contribution (its updated local model under
-/// [`Aggregation::Average`], its accumulated gradient under
-/// [`Aggregation::Sum`]) passes through `transform` before the fold.
-///
-/// With the identity transform the average path is bit-identical to
-/// [`parallel_step`]; the sum path accumulates per worker before
-/// folding, so its floating-point summation order differs (same
-/// mathematical result).
-pub(crate) fn parallel_step_with(
-    alg: &Algorithm,
-    worker_batches: &[&[Vec<f64>]],
-    model: &mut [f64],
-    learning_rate: f64,
-    aggregation: Aggregation,
-    transform: &mut dyn FnMut(Vec<f64>) -> Vec<f64>,
-) {
-    let active: Vec<&&[Vec<f64>]> = worker_batches.iter().filter(|b| !b.is_empty()).collect();
-    if active.is_empty() {
-        return;
-    }
-    match aggregation {
-        Aggregation::Average => {
-            let mut sum = vec![0.0; model.len()];
-            for batch in &active {
-                let mut local = model.to_vec();
-                for record in batch.iter() {
-                    alg.sgd_update(record, &mut local, learning_rate);
-                }
-                let local = transform(local);
-                for (s, v) in sum.iter_mut().zip(&local) {
-                    *s += v;
-                }
-            }
-            let n = active.len() as f64;
-            for (m, s) in model.iter_mut().zip(&sum) {
-                *m = s / n;
-            }
-        }
-        Aggregation::Sum => {
-            let mut grad = vec![0.0; model.len()];
-            for batch in &active {
-                let mut local = vec![0.0; model.len()];
-                for record in batch.iter() {
-                    alg.accumulate_gradient(record, model, &mut local);
-                }
-                let local = transform(local);
-                for (g, v) in grad.iter_mut().zip(&local) {
-                    *g += v;
-                }
-            }
-            let total: usize = active.iter().map(|b| b.len()).sum();
-            let scale = learning_rate / total as f64;
-            for (m, g) in model.iter_mut().zip(&grad) {
-                *m -= scale * g;
-            }
-        }
-    }
-}
-
 /// Configuration for distributed training.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
@@ -175,36 +113,6 @@ pub fn train_parallel(
     initial_model: Vec<f64>,
     config: &TrainConfig,
 ) -> TrainResult {
-    train_parallel_impl(alg, dataset, initial_model, config, None)
-}
-
-/// [`train_parallel`] with a per-contribution transform applied at
-/// every aggregation step (see [`parallel_step_with`]): the convergence
-/// harness for lossy wire representations. The dense path stays
-/// [`train_parallel`] itself — pass no transform there, not an
-/// identity closure, so the verbatim code path keeps its bit-identity
-/// guarantee.
-///
-/// # Panics
-///
-/// Panics if `workers` or `minibatch` is zero.
-pub(crate) fn train_parallel_with(
-    alg: &Algorithm,
-    dataset: &Dataset,
-    initial_model: Vec<f64>,
-    config: &TrainConfig,
-    transform: &mut dyn FnMut(Vec<f64>) -> Vec<f64>,
-) -> TrainResult {
-    train_parallel_impl(alg, dataset, initial_model, config, Some(transform))
-}
-
-fn train_parallel_impl(
-    alg: &Algorithm,
-    dataset: &Dataset,
-    initial_model: Vec<f64>,
-    config: &TrainConfig,
-    mut transform: Option<&mut dyn FnMut(Vec<f64>) -> Vec<f64>>,
-) -> TrainResult {
     assert!(config.workers > 0, "need at least one worker");
     assert!(config.minibatch > 0, "mini-batch must be positive");
     let mut model = initial_model;
@@ -230,23 +138,7 @@ fn train_parallel_impl(
                     &shard[lo..hi]
                 })
                 .collect();
-            match transform.as_mut() {
-                Some(t) => parallel_step_with(
-                    alg,
-                    &batches,
-                    &mut model,
-                    config.learning_rate,
-                    config.aggregation,
-                    *t,
-                ),
-                None => parallel_step(
-                    alg,
-                    &batches,
-                    &mut model,
-                    config.learning_rate,
-                    config.aggregation,
-                ),
-            }
+            parallel_step(alg, &batches, &mut model, config.learning_rate, config.aggregation);
             aggregations += 1;
         }
     }

@@ -19,7 +19,7 @@
 //! deprecated one-line wrappers for one release and are gone; the
 //! builder is the only entry point.
 
-use cosmic_collectives::{CollectiveKind, CommSchedule, CostModel, RoundCost};
+use cosmic_collectives::{CollectiveKind, CommSchedule, CostModel, RoundCost, WireRepr};
 use cosmic_sim::{level_counter, PcieModel};
 use cosmic_telemetry::{counters, names, Layer, TraceSink};
 
@@ -143,14 +143,14 @@ pub struct ClusterTiming {
 ///
 /// ```
 /// use cosmic_runtime::timing::{ClusterTiming, FaultTimingModel, NodeCompute};
-/// use cosmic_runtime::CollectiveKind;
+/// use cosmic_runtime::{CollectiveKind, WireRepr};
 ///
 /// let timing = ClusterTiming::commodity(8, 2);
 /// let node = NodeCompute { records_per_sec: 1e5 };
 /// let faults = FaultTimingModel::none();
 /// let it = timing
 ///     .model(10_000, node, 1_000_000)
-///     .with_collective(CollectiveKind::RingAllReduce)
+///     .with_collective(CollectiveKind::RingAllReduce, WireRepr::DenseF64)
 ///     .with_faults(&faults)
 ///     .evaluate()
 ///     .unwrap();
@@ -168,7 +168,7 @@ pub struct IterationModel<'a> {
     node: NodeCompute,
     exchange_bytes: usize,
     faults: Option<&'a FaultTimingModel>,
-    collective: Option<CollectiveKind>,
+    collective: Option<(CollectiveKind, WireRepr)>,
     sink: Option<&'a TraceSink>,
 }
 
@@ -183,15 +183,18 @@ impl<'a> IterationModel<'a> {
     }
 
     /// Prices aggregation and broadcast through `kind`'s
-    /// [`CommSchedule`] instead of the fixed two-level analytic path:
-    /// reduce-carrying rounds become
+    /// [`CommSchedule`] with payloads encoded under `repr`, instead of
+    /// the fixed two-level analytic path: reduce-carrying rounds become
     /// [`IterationBreakdown::aggregate_s`], pure-share rounds become
     /// [`IterationBreakdown::broadcast_s`], and
-    /// [`IterationBreakdown::rounds`] reports the schedule depth. With a
+    /// [`IterationBreakdown::rounds`] reports the schedule depth. Both
+    /// the round costs and the traced wire counters follow `repr`'s
+    /// encoded payload sizes; pass [`WireRepr::DenseF64`] for plain
+    /// f64 payloads. With a
     /// collective set, [`IterationModel::evaluate`] can fail when the
     /// group structure cannot be built.
-    pub fn with_collective(mut self, kind: CollectiveKind) -> Self {
-        self.collective = Some(kind);
+    pub fn with_collective(mut self, kind: CollectiveKind, repr: WireRepr) -> Self {
+        self.collective = Some((kind, repr));
         self
     }
 
@@ -218,8 +221,8 @@ impl<'a> IterationModel<'a> {
         let mut it = self.timing.healthy_iteration(self.minibatch, self.node, self.exchange_bytes);
 
         let mut collective = None;
-        if let Some(kind) = self.collective {
-            let schedule = self.timing.collective_schedule(self.exchange_bytes, kind)?;
+        if let Some((kind, repr)) = self.collective {
+            let schedule = self.timing.collective_schedule(self.exchange_bytes, kind, repr)?;
             let costs = CostModel::commodity().round_costs_s(&schedule);
             it.aggregate_s = costs.iter().filter(|r| r.reduce_bytes > 0).map(|r| r.seconds).sum();
             it.broadcast_s = costs.iter().filter(|r| r.reduce_bytes == 0).map(|r| r.seconds).sum();
@@ -453,16 +456,17 @@ impl ClusterTiming {
     }
 
     /// Builds `kind`'s communication schedule for this cluster's full
-    /// topology and the given update size.
+    /// topology and the given update size, its payloads under `repr`.
     fn collective_schedule(
         &self,
         exchange_bytes: usize,
         kind: CollectiveKind,
+        repr: WireRepr,
     ) -> Result<CommSchedule, RuntimeError> {
         let topology = self.topology()?;
         let participants = topology.live_node_ids();
         let words = layout::words_for_bytes(exchange_bytes);
-        Ok(kind.strategy().schedule(&topology, &participants, words, CHUNK_WORDS)?)
+        Ok(kind.strategy().schedule(&topology, &participants, words, CHUNK_WORDS)?.with_repr(repr))
     }
 
     /// Seconds to train for `epochs` passes over `total_records` with
@@ -672,13 +676,14 @@ mod tests {
         for kind in CollectiveKind::ALL {
             let it = t
                 .model(10_000, node(1e5), 1_000_000)
-                .with_collective(kind)
+                .with_collective(kind, WireRepr::DenseF64)
                 .evaluate()
                 .expect("valid cluster");
             assert!(it.rounds > 0, "{kind}: a real schedule has rounds");
             assert_eq!(it.compute_s, plain.compute_s, "{kind}: compute is untouched");
             assert_eq!(it.pcie_s, plain.pcie_s);
-            let schedule = t.collective_schedule(1_000_000, kind).expect("schedules");
+            let schedule =
+                t.collective_schedule(1_000_000, kind, WireRepr::DenseF64).expect("schedules");
             let total = CostModel::commodity().schedule_cost_s(&schedule);
             assert!(
                 (it.aggregate_s + it.broadcast_s - total).abs() < 1e-12,
@@ -698,13 +703,13 @@ mod tests {
         let with_reschedule = FaultTimingModel { reschedule_penalty_s: 0.02, ..base };
         let without = t
             .model(10_000, node(1e5), 1_000_000)
-            .with_collective(CollectiveKind::RingAllReduce)
+            .with_collective(CollectiveKind::RingAllReduce, WireRepr::DenseF64)
             .with_faults(&base)
             .evaluate()
             .expect("valid");
         let with = t
             .model(10_000, node(1e5), 1_000_000)
-            .with_collective(CollectiveKind::RingAllReduce)
+            .with_collective(CollectiveKind::RingAllReduce, WireRepr::DenseF64)
             .with_faults(&with_reschedule)
             .evaluate()
             .expect("valid");
@@ -728,7 +733,7 @@ mod tests {
             let sink = TraceSink::new();
             let it = t
                 .model(10_000, node(1e5), 1_000_000)
-                .with_collective(CollectiveKind::TwoLevelTree)
+                .with_collective(CollectiveKind::TwoLevelTree, WireRepr::DenseF64)
                 .with_faults(&faults)
                 .traced(&sink)
                 .evaluate()
@@ -740,7 +745,7 @@ mod tests {
         assert_eq!(
             it,
             t.model(10_000, node(1e5), 1_000_000)
-                .with_collective(CollectiveKind::TwoLevelTree)
+                .with_collective(CollectiveKind::TwoLevelTree, WireRepr::DenseF64)
                 .with_faults(&faults)
                 .evaluate()
                 .expect("valid")
