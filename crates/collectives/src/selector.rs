@@ -20,12 +20,10 @@
 //! favour [`CollectiveKind::RingAllReduce`]; small models on wide
 //! clusters favour [`CollectiveKind::TwoLevelTree`].
 
-use std::collections::BTreeMap;
-
 use cosmic_sim::NetworkModel;
 
 use crate::codec::{WireRepr, WORD_BYTES};
-use crate::schedule::{CommSchedule, ScheduleError, StepKind};
+use crate::schedule::{CommSchedule, CommStep, ScheduleError, StepKind};
 use crate::strategy::CollectiveKind;
 use crate::topology::Topology;
 
@@ -73,7 +71,6 @@ impl CostModel {
 
     /// Prices every round of `schedule`.
     pub fn round_costs_s(&self, schedule: &CommSchedule) -> Vec<RoundCost> {
-        let rounds = schedule.rounds();
         // Wire messages carry *encoded* payloads, so the per-message
         // count is the encoded bytes packed into chunk-sized frames.
         // For dense payloads this is exactly ceil(words / chunk_words),
@@ -81,41 +78,52 @@ impl CostModel {
         // fewer frames and shed per-message overhead proportionally.
         let chunk_bytes = schedule.chunk_words.max(1) * WORD_BYTES;
         let goodput = self.net.goodput_bps();
-        let mut costs = Vec::with_capacity(rounds);
-        for round in 0..rounds {
-            // Directed ports: (node, egress?) → load.
-            let mut ports: BTreeMap<(usize, bool), PortLoad> = BTreeMap::new();
+        // Ingress folds run at a repr-dependent rate: fixed-point
+        // payloads accumulate as half-width integers, roughly
+        // doubling the sustained byte rate of the fold.
+        let fold_rate = self.agg_bytes_per_sec * schedule.repr.fold_rate_factor();
+        // Moving steps, in round order (a stable sort: one pass over an
+        // ordered schedule), load one table of directed ports,
+        // `2 × node + egress`; each round prices and clears the ports it
+        // touched. Loads are integer sums and the busiest port an
+        // order-free max, so the order of a round's steps moves no bit.
+        let mut moving: Vec<&CommStep> = schedule.steps.iter().filter(|s| s.words() > 0).collect();
+        moving.sort_by_key(|s| s.round);
+        let nodes = moving.iter().map(|s| s.src.max(s.dst) + 1).max().unwrap_or(0);
+        let mut ports = vec![PortLoad::default(); 2 * nodes];
+        let mut touched = Vec::new();
+        let mut moving = moving.into_iter().peekable();
+        let mut costs = Vec::with_capacity(schedule.rounds());
+        for round in 0..schedule.rounds() {
             let mut reduce_bytes = 0usize;
             let mut share_bytes = 0usize;
-            for step in schedule.steps.iter().filter(|s| s.round == round && s.words() > 0) {
+            while let Some(step) = moving.next_if(|s| s.round == round) {
                 let bytes = step.encoded_bytes(schedule.repr);
                 let messages = bytes.div_ceil(chunk_bytes);
-                match step.kind {
-                    StepKind::Reduce => reduce_bytes += bytes,
-                    StepKind::Share => share_bytes += bytes,
-                }
-                let egress = ports.entry((step.src, true)).or_default();
-                egress.bytes += bytes;
-                egress.messages += messages;
-                let ingress = ports.entry((step.dst, false)).or_default();
-                ingress.bytes += bytes;
-                ingress.messages += messages;
-                if step.kind == StepKind::Reduce {
-                    ingress.reduce_bytes += bytes;
+                let reduce = if step.kind == StepKind::Reduce { bytes } else { 0 };
+                reduce_bytes += reduce;
+                share_bytes += bytes - reduce;
+                for (port, folded) in [(2 * step.src + 1, 0), (2 * step.dst, reduce)] {
+                    let load = &mut ports[port];
+                    if load.bytes == 0 {
+                        touched.push(port);
+                    }
+                    load.bytes += bytes;
+                    load.messages += messages;
+                    load.reduce_bytes += folded;
                 }
             }
             let mut busiest = 0.0f64;
-            // Ingress folds run at a repr-dependent rate: fixed-point
-            // payloads accumulate as half-width integers, roughly
-            // doubling the sustained byte rate of the fold.
-            let fold_rate = self.agg_bytes_per_sec * schedule.repr.fold_rate_factor();
-            for load in ports.values() {
+            for &port in &touched {
+                let load = std::mem::take(&mut ports[port]);
                 let wire = load.bytes as f64 / goodput
                     + load.messages as f64 * self.net.per_message_us * 1e-6;
                 let fold = load.reduce_bytes as f64 / fold_rate;
                 busiest = busiest.max(wire.max(fold));
             }
-            let seconds = if ports.is_empty() { 0.0 } else { busiest + self.net.latency_us * 1e-6 };
+            let seconds =
+                if touched.is_empty() { 0.0 } else { busiest + self.net.latency_us * 1e-6 };
+            touched.clear();
             costs.push(RoundCost { round, seconds, reduce_bytes, share_bytes });
         }
         costs
@@ -308,6 +316,91 @@ mod tests {
             let share: usize = rounds.iter().map(|r| r.share_bytes).sum();
             assert_eq!(reduce + share, s.total_bytes(), "{kind}");
         }
+    }
+
+    /// The per-round pricing `round_costs_s` replaced: a map of
+    /// directed ports built for each round over the whole step list.
+    fn mapped_round_costs(model: &CostModel, schedule: &CommSchedule) -> Vec<RoundCost> {
+        use std::collections::BTreeMap;
+        let chunk_bytes = schedule.chunk_words.max(1) * WORD_BYTES;
+        let goodput = model.net.goodput_bps();
+        let fold_rate = model.agg_bytes_per_sec * schedule.repr.fold_rate_factor();
+        (0..schedule.rounds())
+            .map(|round| {
+                let mut ports: BTreeMap<(usize, bool), PortLoad> = BTreeMap::new();
+                let mut reduce_bytes = 0usize;
+                let mut share_bytes = 0usize;
+                for step in schedule.steps.iter().filter(|s| s.round == round && s.words() > 0) {
+                    let bytes = step.encoded_bytes(schedule.repr);
+                    let messages = bytes.div_ceil(chunk_bytes);
+                    match step.kind {
+                        StepKind::Reduce => reduce_bytes += bytes,
+                        StepKind::Share => share_bytes += bytes,
+                    }
+                    let egress = ports.entry((step.src, true)).or_default();
+                    egress.bytes += bytes;
+                    egress.messages += messages;
+                    let ingress = ports.entry((step.dst, false)).or_default();
+                    ingress.bytes += bytes;
+                    ingress.messages += messages;
+                    if step.kind == StepKind::Reduce {
+                        ingress.reduce_bytes += bytes;
+                    }
+                }
+                let mut busiest = 0.0f64;
+                for load in ports.values() {
+                    let wire = load.bytes as f64 / goodput
+                        + load.messages as f64 * model.net.per_message_us * 1e-6;
+                    let fold = load.reduce_bytes as f64 / fold_rate;
+                    busiest = busiest.max(wire.max(fold));
+                }
+                let seconds =
+                    if ports.is_empty() { 0.0 } else { busiest + model.net.latency_us * 1e-6 };
+                RoundCost { round, seconds, reduce_bytes, share_bytes }
+            })
+            .collect()
+    }
+
+    /// One port table per call prices every round bit for bit as a map
+    /// per round did: every strategy, 1–64 participants, three reprs,
+    /// payloads from one word (most steps idle) to many chunks, and
+    /// each schedule's steps reversed.
+    #[test]
+    fn round_costs_match_the_per_round_port_maps_bit_for_bit() {
+        let model = CostModel::commodity();
+        let reprs =
+            [WireRepr::DenseF64, WireRepr::FixedPoint { frac_bits: 20 }, WireRepr::TopK { k: 16 }];
+        let mut idle_rounds = 0;
+        for nodes in 1..=64 {
+            let topo = assign_roles(nodes, default_groups(nodes)).expect("valid");
+            let participants = topo.live_node_ids();
+            for kind in CollectiveKind::ALL {
+                for words in [1, 37, 1000, 20_000] {
+                    let dense =
+                        kind.strategy().schedule(&topo, &participants, words, 256).expect("builds");
+                    for repr in reprs {
+                        let s = dense.clone().with_repr(repr);
+                        let want = mapped_round_costs(&model, &s);
+                        // Step order is not round order in general.
+                        let mut reversed = s.clone();
+                        reversed.steps.reverse();
+                        assert_eq!(model.round_costs_s(&reversed), want, "{kind} {nodes} nodes");
+                        let got = model.round_costs_s(&s);
+                        assert_eq!(got.len(), want.len(), "{kind} {nodes} nodes");
+                        for (g, w) in got.iter().zip(&want) {
+                            let case =
+                                format!("{kind}, {nodes} nodes, {words} words, round {}", w.round);
+                            assert_eq!(g.round, w.round, "{case}");
+                            assert_eq!(g.seconds.to_bits(), w.seconds.to_bits(), "{case}");
+                            assert_eq!(g.reduce_bytes, w.reduce_bytes, "{case}");
+                            assert_eq!(g.share_bytes, w.share_bytes, "{case}");
+                            idle_rounds += usize::from(w.seconds == 0.0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(idle_rounds > 0, "the sweep must price rounds in which nothing moves");
     }
 
     /// Compression moves the crossover: dense, the large-model /

@@ -33,7 +33,7 @@
 //! lost progress plus the schedule rebuild, which the shared cache
 //! makes cheap.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cosmic_collectives::CacheStats;
 use cosmic_runtime::RetryPolicy;
@@ -293,6 +293,10 @@ pub struct Director<'a> {
     repairs: Vec<(f64, usize, usize)>,
     /// Jobs sitting out a poison-retry backoff: job → (due, state).
     backoffs: BTreeMap<usize, (f64, QueuedJob)>,
+    /// The DSL texts admission has seen parse.
+    parsed: BTreeSet<String>,
+    /// Scratch: the jobs whose round completes at `now`.
+    due: Vec<usize>,
     totals: Totals,
     now: f64,
     events: u64,
@@ -401,6 +405,8 @@ impl<'a> Director<'a> {
             fault_at: 0,
             repairs: Vec::new(),
             backoffs: BTreeMap::new(),
+            parsed: BTreeSet::new(),
+            due: Vec::new(),
             totals: Totals::default(),
             now: 0.0,
             events: 0,
@@ -565,7 +571,7 @@ impl<'a> Director<'a> {
             let Some(spec) = self.arrivals.pop_front() else { break };
             self.totals.submitted += 1;
             self.sink.instant(Layer::Director, "director.submit");
-            if let Err(e) = spec.validate(self.cfg.cluster_nodes) {
+            if let Err(e) = spec.validate_with(self.cfg.cluster_nodes, &mut self.parsed) {
                 let (job, reason) = match e {
                     DirectorError::InvalidJob { job, reason } => (job, reason),
                     other => (spec.id, other.to_string()),
@@ -631,13 +637,12 @@ impl<'a> Director<'a> {
     }
 
     fn complete_rounds(&mut self) -> Result<(), DirectorError> {
-        let due: Vec<usize> = self
-            .running
-            .iter()
-            .filter(|(_, r)| r.next_done_s <= self.now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        due.extend(
+            self.running.iter().filter(|(_, r)| r.next_done_s <= self.now).map(|(&id, _)| id),
+        );
+        for &id in &due {
             let Some((done, total)) = self.running.get_mut(&id).map(|r| {
                 r.rounds_done += 1;
                 (r.rounds_done, r.spec.total_rounds())
@@ -656,6 +661,7 @@ impl<'a> Director<'a> {
                 }
             }
         }
+        self.due = due;
         Ok(())
     }
 

@@ -1,6 +1,8 @@
 //! What a tenant submits: a DSL program, a dataset, and a resource
 //! request.
 
+use std::collections::BTreeSet;
+
 use cosmic_ml::Algorithm;
 use cosmic_sim::JobArrival;
 
@@ -72,6 +74,16 @@ impl JobSpec {
     /// cluster, the work must be non-empty, and the job's DSL program
     /// must parse. No node is committed to a job that fails here.
     pub fn validate(&self, cluster_nodes: usize) -> Result<(), DirectorError> {
+        self.validate_with(cluster_nodes, &mut BTreeSet::new())
+    }
+
+    /// [`JobSpec::validate`] that parses only a DSL text not in
+    /// `parsed`, the texts already seen to parse, and adds it if it does.
+    pub(crate) fn validate_with(
+        &self,
+        cluster_nodes: usize,
+        parsed: &mut BTreeSet<String>,
+    ) -> Result<(), DirectorError> {
         let reject = |reason: String| Err(DirectorError::InvalidJob { job: self.id, reason });
         if self.min_nodes == 0 {
             return reject("min_nodes must be at least 1".into());
@@ -100,8 +112,11 @@ impl JobSpec {
             }
         }
         let source = self.algorithm.dsl_source(self.minibatch);
-        if let Err(e) = cosmic_dsl::parse(&source) {
-            return reject(format!("DSL program failed to parse: {e}"));
+        if !parsed.contains(&source) {
+            if let Err(e) = cosmic_dsl::parse(&source) {
+                return reject(format!("DSL program failed to parse: {e}"));
+            }
+            parsed.insert(source);
         }
         Ok(())
     }
@@ -136,6 +151,26 @@ mod tests {
             assert!(spec.total_rounds() >= 1);
             assert!(spec.exchange_bytes() > 0);
         }
+    }
+
+    /// Admission remembers each distinct program it has seen parse,
+    /// and only those.
+    #[test]
+    fn validation_remembers_the_programs_that_parse() {
+        let plan = JobArrivalPlan::random(3, 40, &ArrivalProfile::default());
+        let specs: Vec<JobSpec> = plan.jobs.iter().map(JobSpec::from_arrival).collect();
+        let texts: BTreeSet<String> =
+            specs.iter().map(|s| s.algorithm.dsl_source(s.minibatch)).collect();
+        let mut parsed = BTreeSet::new();
+        for spec in &specs {
+            spec.validate_with(1024, &mut parsed).unwrap();
+        }
+        assert_eq!(parsed, texts);
+        let mut bad = specs[0].clone();
+        bad.min_nodes = 0;
+        let mut unseen = BTreeSet::new();
+        assert!(bad.validate_with(1024, &mut unseen).is_err());
+        assert!(unseen.is_empty(), "a job rejected on its bounds never reaches the parser");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! realizes the targets as shrink/grow operations. All three policies
 //! are deterministic: every tie breaks toward the lowest job id.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::exec::ExecModel;
 use crate::job::JobSpec;
@@ -86,27 +88,22 @@ pub(crate) fn target_widths(
 
 /// Water-filling: start every job at its floor, then hand out one node
 /// at a time to the unsaturated job with the smallest weighted
-/// allocation (`alloc / weight`), ties to the lowest id.
+/// allocation (`alloc / weight`), ties to the lowest id. Negation
+/// reverses `total_cmp` exactly, so that job ranks highest by
+/// `-alloc / weight`.
 fn weighted_max_min(running: &[RunningView<'_>], budget: usize) -> BTreeMap<usize, usize> {
-    let mut alloc: BTreeMap<usize, usize> =
-        running.iter().map(|v| (v.spec.id, v.spec.min_nodes)).collect();
-    let mut spare = budget.saturating_sub(alloc.values().sum::<usize>());
-    while spare > 0 {
-        let next = running
+    let floor: usize = running.iter().map(|v| v.spec.min_nodes).sum();
+    let headroom: usize =
+        running.iter().map(|v| v.spec.max_nodes.saturating_sub(v.spec.min_nodes)).sum();
+    // A budget covering every job's headroom saturates them all, in
+    // whatever order the nodes would have gone.
+    if budget.saturating_sub(floor) >= headroom {
+        return running
             .iter()
-            .filter(|v| alloc[&v.spec.id] < v.spec.max_nodes)
-            .map(|v| {
-                let share = alloc[&v.spec.id] as f64 / v.spec.weight;
-                (v.spec.id, share)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let Some((id, _)) = next else { break };
-        if let Some(a) = alloc.get_mut(&id) {
-            *a += 1;
-        }
-        spare -= 1;
+            .map(|v| (v.spec.id, v.spec.min_nodes.max(v.spec.max_nodes)))
+            .collect();
     }
-    alloc
+    fill(running, budget, |spec, nodes| -(nodes as f64 / spec.weight), |_| false)
 }
 
 /// Greedy aggregate-throughput: start every job at its floor, then give
@@ -118,36 +115,64 @@ fn throughput_greedy(
     budget: usize,
     exec: &ExecModel,
 ) -> BTreeMap<usize, usize> {
-    let mut alloc: BTreeMap<usize, usize> =
-        running.iter().map(|v| (v.spec.id, v.spec.min_nodes)).collect();
-    let mut spare = budget.saturating_sub(alloc.values().sum::<usize>());
+    let gain = |spec: &JobSpec, here: usize| {
+        exec.estimate_records_per_s(spec, here + 1) - exec.estimate_records_per_s(spec, here)
+    };
+    fill(running, budget, gain, |gain| gain <= 0.0)
+}
+
+/// Hands out the nodes `budget` leaves above the floors one at a time,
+/// each to the unsaturated job of highest `rank(spec, nodes)` by
+/// `total_cmp`, ties to the lowest id, until the top rank is one to
+/// `stop` at. A job's rank depends on its own allocation alone, so a
+/// max-heap of unsaturated jobs re-ranks just the winner: O(log jobs) a
+/// node for the pick sequence a scan of every job per node makes.
+fn fill(
+    running: &[RunningView<'_>],
+    budget: usize,
+    rank: impl Fn(&JobSpec, usize) -> f64,
+    stop: impl Fn(f64) -> bool,
+) -> BTreeMap<usize, usize> {
+    let mut alloc: Vec<usize> = running.iter().map(|v| v.spec.min_nodes).collect();
+    let mut spare = budget.saturating_sub(alloc.iter().sum::<usize>());
+    let mut ranks = vec![0.0; running.len()];
+    let mut heap = BinaryHeap::new();
+    for (at, v) in running.iter().enumerate().filter(|&(at, v)| alloc[at] < v.spec.max_nodes) {
+        ranks[at] = rank(v.spec, alloc[at]);
+        heap.push((total_order(ranks[at]), Reverse(v.spec.id), at));
+    }
     while spare > 0 {
-        let best = running
-            .iter()
-            .filter(|v| alloc[&v.spec.id] < v.spec.max_nodes)
-            .map(|v| {
-                let here = alloc[&v.spec.id];
-                let gain = exec.estimate_records_per_s(v.spec, here + 1)
-                    - exec.estimate_records_per_s(v.spec, here);
-                (v.spec.id, gain)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-        let Some((id, gain)) = best else { break };
-        if gain <= 0.0 {
+        let Some(mut top) = heap.peek_mut() else { break };
+        let at = top.2;
+        if stop(ranks[at]) {
             break;
         }
-        if let Some(a) = alloc.get_mut(&id) {
-            *a += 1;
-        }
+        alloc[at] += 1;
         spare -= 1;
+        if alloc[at] < running[at].spec.max_nodes {
+            ranks[at] = rank(running[at].spec, alloc[at]);
+            top.0 = total_order(ranks[at]);
+        } else {
+            PeekMut::pop(top);
+        }
     }
-    alloc
+    running.iter().zip(alloc).map(|(v, a)| (v.spec.id, a)).collect()
+}
+
+/// `x` as an integer ordered as [`f64::total_cmp`] orders floats (the
+/// standard library's own transform), so the heap ranks exactly as a
+/// scan comparing with `total_cmp` does.
+fn total_order(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::algorithm_for_family;
     use cosmic_sim::{ArrivalProfile, JobArrivalPlan};
+    use proptest::prelude::*;
 
     fn specs(n: usize) -> Vec<JobSpec> {
         let plan = JobArrivalPlan::random(11, n, &ArrivalProfile::default());
@@ -160,6 +185,140 @@ mod tests {
 
     fn exec() -> ExecModel {
         ExecModel::new(8)
+    }
+
+    /// The reference water-fill: every unsaturated job re-ranked for
+    /// each node.
+    fn scan_max_min(running: &[RunningView<'_>], budget: usize) -> BTreeMap<usize, usize> {
+        let mut alloc: BTreeMap<usize, usize> =
+            running.iter().map(|v| (v.spec.id, v.spec.min_nodes)).collect();
+        let mut spare = budget.saturating_sub(alloc.values().sum::<usize>());
+        while spare > 0 {
+            let next = running
+                .iter()
+                .filter(|v| alloc[&v.spec.id] < v.spec.max_nodes)
+                .map(|v| {
+                    let share = alloc[&v.spec.id] as f64 / v.spec.weight;
+                    (v.spec.id, share)
+                })
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let Some((id, _)) = next else { break };
+            if let Some(a) = alloc.get_mut(&id) {
+                *a += 1;
+            }
+            spare -= 1;
+        }
+        alloc
+    }
+
+    /// The reference greedy: every unsaturated job's gain re-priced for
+    /// each node.
+    fn scan_greedy(
+        running: &[RunningView<'_>],
+        budget: usize,
+        exec: &ExecModel,
+    ) -> BTreeMap<usize, usize> {
+        let mut alloc: BTreeMap<usize, usize> =
+            running.iter().map(|v| (v.spec.id, v.spec.min_nodes)).collect();
+        let mut spare = budget.saturating_sub(alloc.values().sum::<usize>());
+        while spare > 0 {
+            let best = running
+                .iter()
+                .filter(|v| alloc[&v.spec.id] < v.spec.max_nodes)
+                .map(|v| {
+                    let here = alloc[&v.spec.id];
+                    let gain = exec.estimate_records_per_s(v.spec, here + 1)
+                        - exec.estimate_records_per_s(v.spec, here);
+                    (v.spec.id, gain)
+                })
+                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+            let Some((id, gain)) = best else { break };
+            if gain <= 0.0 {
+                break;
+            }
+            if let Some(a) = alloc.get_mut(&id) {
+                *a += 1;
+            }
+            spare -= 1;
+        }
+        alloc
+    }
+
+    /// A running set built to collide: weights from {0.5, 1, 2, 3} and
+    /// floors from 1..5 tie `alloc / weight` exactly, two families and
+    /// three minibatches repeat (and so tie) gains, a fifth of the jobs
+    /// have `min_nodes == max_nodes`, and ids descend with position, so
+    /// a tie broken by position instead of id shows.
+    fn colliding(raw: &[u64]) -> Vec<JobSpec> {
+        let base = specs(1).remove(0);
+        raw.iter()
+            .enumerate()
+            .map(|(at, &r)| {
+                let pick = |shift: u32, n: u64| ((r >> shift) % n) as usize;
+                let min_nodes = 1 + pick(24, 4);
+                JobSpec {
+                    id: 1000 - 3 * at - pick(0, 3),
+                    algorithm: algorithm_for_family(pick(8, 2)),
+                    minibatch: [4, 512, 8192][pick(16, 3)],
+                    min_nodes,
+                    max_nodes: min_nodes + [0, 1, 3, 6, 12][pick(32, 5)],
+                    weight: [0.5, 1.0, 2.0, 3.0][pick(40, 4)],
+                    ..base.clone()
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The heaps hand out nodes exactly as the scans do, for
+        /// budgets from nothing to past every job's maximum.
+        #[test]
+        fn heaps_pick_as_the_scans_do(
+            raw in prop::collection::vec(any::<u64>(), 1..24),
+            drawn in any::<u64>(),
+        ) {
+            let specs = colliding(&raw);
+            let running = views(&specs);
+            let floor: usize = specs.iter().map(|s| s.min_nodes).sum();
+            let ceiling: usize = specs.iter().map(|s| s.max_nodes).sum();
+            let exec = exec();
+            let middle = floor + drawn as usize % (ceiling - floor + 1);
+            for budget in [0, floor, middle, ceiling, ceiling + 1 + drawn as usize % 8] {
+                prop_assert_eq!(
+                    weighted_max_min(&running, budget),
+                    scan_max_min(&running, budget),
+                    "max-min, budget {}", budget
+                );
+                prop_assert_eq!(
+                    throughput_greedy(&running, budget, &exec),
+                    scan_greedy(&running, budget, &exec),
+                    "greedy, budget {}", budget
+                );
+            }
+        }
+    }
+
+    /// The greedy stops once no job gains: a job whose round is all
+    /// network (four-record minibatches) loses throughput on a second
+    /// node, so both the heap and the scan leave its spare nodes free.
+    #[test]
+    fn greedy_stops_where_no_job_gains() {
+        let mut specs = colliding(&[0, 0]);
+        for s in &mut specs {
+            s.max_nodes = 8;
+        }
+        let running = views(&specs);
+        let exec = exec();
+        for s in &specs {
+            assert_eq!(s.minibatch, 4);
+            let gain = exec.estimate_records_per_s(s, 2) - exec.estimate_records_per_s(s, 1);
+            assert!(gain <= 0.0, "job {}: gain {gain}", s.id);
+        }
+        let ceiling: usize = specs.iter().map(|s| s.max_nodes).sum();
+        let floor: usize = specs.iter().map(|s| s.min_nodes).sum();
+        let heap = throughput_greedy(&running, ceiling, &exec);
+        assert_eq!(heap, scan_greedy(&running, ceiling, &exec));
+        assert_eq!(heap.values().sum::<usize>(), floor, "no node is worth handing out");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! it). This module provides both on virtual time:
 //!
 //! - `CheckpointStore` snapshots the model every `cadence`
-//!   iterations. Each [`Checkpoint`] carries an FNV-1a checksum over
-//!   the model's f64 bit patterns; [`Checkpoint::verify`] rejects a
-//!   corrupted snapshot before anyone catches up from it.
+//!   iterations. Each [`Checkpoint`] is sealed with the memory-speed
+//!   [`payload_digest`] of the model's f64 bit patterns;
+//!   [`Checkpoint::verify`] rejects a corrupted snapshot before anyone
+//!   catches up from it.
 //! - Between checkpoints the store retains each iteration's aggregated
 //!   update as a `ReplayOp` — the *exact operands* the trainer
 //!   applied (`model = sum / active_total` for averaging,
@@ -28,11 +29,13 @@
 use std::error::Error;
 use std::fmt;
 
-use cosmic_collectives::Fnv1a;
+use cosmic_collectives::{payload_digest, Fnv1a};
 
 /// FNV-1a over the little-endian bytes of each word's bit pattern.
-/// Stable across platforms, cheap, and sensitive to single-bit flips —
-/// all a deterministic simulator needs from a checksum.
+/// Stable across platforms and sensitive to single-bit flips; the
+/// launcher names models by it (`final_checksum`, the catch-up
+/// handshake). Byte-serial, so snapshots seal with [`payload_digest`]
+/// instead.
 pub fn model_checksum(model: &[f64]) -> u64 {
     let mut hash = Fnv1a::default();
     for word in model {
@@ -73,19 +76,19 @@ pub struct Checkpoint {
     pub iteration: usize,
     /// The model words at that point.
     pub model: Vec<f64>,
-    /// FNV-1a checksum of `model` (see [`model_checksum`]).
+    /// The [`payload_digest`] of `model`.
     pub checksum: u64,
 }
 
 impl Checkpoint {
     /// Snapshots `model` as of `iteration` completed iterations.
     pub fn take(iteration: usize, model: &[f64]) -> Self {
-        Checkpoint { iteration, model: model.to_vec(), checksum: model_checksum(model) }
+        Checkpoint { iteration, model: model.to_vec(), checksum: payload_digest(model) }
     }
 
     /// Re-derives the checksum and compares it to the stored one.
     pub fn verify(&self) -> Result<(), CheckpointError> {
-        if model_checksum(&self.model) == self.checksum {
+        if payload_digest(&self.model) == self.checksum {
             Ok(())
         } else {
             Err(CheckpointError::Corrupt { iteration: self.iteration })

@@ -1,16 +1,17 @@
 //! Known-answer vectors for the stack's two checksum routines and the
 //! formats built on each. Byte-serial FNV-1a (64-bit) seals the small
-//! persisted formats — model checkpoints, the director journal, the
-//! schedule-cache key — whose literals here have never moved; the
-//! word-lane `payload_digest` sits under every chunk checksum
-//! (`Fnv1a(offset) ‖ digest`; a grid chunk's, over the words as
-//! carried, `Fnv1a(offset) ‖ header ‖ digest`) and wire-frame trailer
-//! (`Fnv1a(header) ‖ digest`). A drift in either routine would move all
-//! of its formats together and no round-trip test would notice. These
-//! literals would.
+//! persisted formats — the director journal, the schedule-cache key —
+//! and names a model (`model_checksum`, the launcher's final checksum);
+//! those literals here have never moved. The word-lane `payload_digest`
+//! seals model checkpoints (the bare digest) and sits under every chunk
+//! checksum (`Fnv1a(offset) ‖ digest`; a grid chunk's, over the words
+//! as carried, `Fnv1a(offset) ‖ header ‖ digest`) and wire-frame
+//! trailer (`Fnv1a(header) ‖ digest`). A drift in either routine would
+//! move all of its formats together and no round-trip test would
+//! notice. These literals would.
 
 use cosmic::cosmic_director::journal::{self, Decision, Journal, Record};
-use cosmic::cosmic_runtime::checkpoint::model_checksum;
+use cosmic::cosmic_runtime::checkpoint::{model_checksum, Checkpoint};
 use cosmic::cosmic_runtime::collectives::{payload_digest, topology_fingerprint};
 use cosmic::cosmic_runtime::transport::wire::Frame;
 use cosmic::cosmic_runtime::{assign_roles, Chunk, CHUNK_WORDS};
@@ -59,6 +60,7 @@ fn checksums_match_their_pinned_vectors() {
     assert_eq!(payload_digest(&seeded_pattern(CHUNK_WORDS)), 0xf5f3_f96b_ef76_a921);
 
     // ... and the formats sealed with it.
+    assert_eq!(Checkpoint::take(4, &[0.5; 3]).checksum, 0xae48_ad6c_673c_2980);
     assert_eq!(Chunk::checksum_of(512, &[1.0, -0.0, f64::NAN]), 0xd074_d1c2_8c94_19fd);
     let frame = Frame::chunk(3, 7, &Chunk::new(512, vec![1.0, -0.0, f64::NAN]));
     assert_eq!(trailing_u64(&frame.encode()), 0xf72e_6664_29c4_dc6b);
