@@ -13,9 +13,11 @@
 //!     [--kill NODE:ITER] [--metrics PATH] [--trace PATH]
 //! ```
 //!
-//! `--metrics` writes the summary line; `--trace` writes the engine's
-//! Chrome trace, and its `metrics.json` beside it — the very exports
-//! `ClusterTrainer::train_traced` records on `JobSpec::config`.
+//! `--kill` SIGKILLs worker NODE at the reply boundary before iteration
+//! ITER (refused unless one exists). `--metrics` writes the summary line;
+//! `--trace` writes the engine's Chrome trace, and its `metrics.json`
+//! beside it — the very exports `ClusterTrainer::train_traced` records on
+//! `JobSpec::config`, whose round runs in process on the workers' links.
 
 use std::net::SocketAddr;
 use std::path::Path;
@@ -69,6 +71,10 @@ fn parse_args() -> Result<Mode, String> {
         }
     }
     spec.link.validate()?;
+    let (nodes, iters) = (spec.nodes, spec.iterations);
+    if let Some((n, i)) = kill.filter(|&(n, i)| n >= nodes || i == 0 || i >= iters) {
+        return Err(format!("--kill {n}:{i}: wants NODE in 0..{nodes} and ITER in 1..{iters}"));
+    }
     match (worker, addr) {
         (Some(node), Some(addr)) => Ok(Mode::Worker { spec, node, addr, join }),
         (Some(_), None) => Err("--worker needs --addr".into()),

@@ -2,20 +2,21 @@
 //!
 //! The coordinator process runs [`ClusterTrainer`]'s own engine on
 //! [`JobSpec::config`]: membership and the φ-accrual detector, the
-//! collective round into Sigma, the update, checkpoints and the
-//! observer. Only its compute phase is elsewhere: the coordinator takes
-//! each worker process's stream and answers it with the model the round
-//! left. Workers (re-executions of the `cosmic-launcher` binary, one
-//! `RoundSender` link each) compute by the engine's own data rule and
-//! node fold, so a healthy job trains the model, and records the trace
-//! and metrics, that [`ClusterTrainer::train_traced`] does.
+//! collective round into Sigma (in process), the update, checkpoints and
+//! the observer. Only its compute phase is elsewhere: the coordinator
+//! takes each worker process's stream, the one wire a partial crosses,
+//! and answers it with the model the round left. Workers (re-executions
+//! of the `cosmic-launcher` binary, one `RoundSender` link each) compute
+//! by the engine's own data rule and node fold, so a healthy job trains
+//! the model, and records the trace and metrics, that
+//! [`ClusterTrainer::train_traced`] does.
 //!
-//! What is left here is deployment: spawning workers and the fault
-//! schedule's SIGKILL; respawning with `--join` a worker the detector
-//! expelled, its compute window held open for it; and answering a join
-//! with `CheckpointStore::catch_up` (never the live model — that is the
-//! bit-identity proof), which the worker acknowledges with its model's
-//! checksum on the link its rounds then ride.
+//! What is left here is deployment: spawning workers; the fault
+//! schedule's SIGKILL at the reply boundary before its round, waited on
+//! by no window; respawning with `--join` a worker the detector expelled,
+//! its window held open for it; and answering a join with
+//! `CheckpointStore::catch_up` (never the live model), acknowledged with
+//! the worker's model checksum on the link its rounds then ride.
 
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -79,7 +80,7 @@ impl JobSpec {
     /// The engine configuration of the job: full-batch gradient descent
     /// (one step an epoch, one epoch an iteration) with one accelerator
     /// thread per worker, φ-accrual membership, and the collective round
-    /// on loopback TCP.
+    /// on the in-process wire: the worker links are the job's one wire.
     pub fn config(&self) -> ClusterConfig {
         ClusterConfig {
             nodes: self.nodes,
@@ -91,8 +92,7 @@ impl JobSpec {
             aggregation: Aggregation::Sum,
             membership: MembershipMode::Detector,
             checkpoint: CheckpointConfig { cadence: self.checkpoint_every.max(1) },
-            transport: TransportKind::Tcp,
-            link: self.link,
+            transport: TransportKind::Sim,
             ..ClusterConfig::default()
         }
     }
@@ -211,7 +211,7 @@ impl LaunchSummary {
 pub struct Coordinator {
     spec: JobSpec,
     server: RoundServer,
-    /// Kill `node` right before `iteration` (the fault schedule).
+    /// Kill `node` at the reply boundary before `iteration` ≥ 1 (the fault schedule).
     pub kill: Option<(usize, usize)>,
 }
 
@@ -249,12 +249,11 @@ impl Coordinator {
         let rounds = cfg.epochs * Shards::new(&cfg, &dataset).steps;
         let outcome = trainer.train_on(&mut workers, &alg, &dataset, spec.initial_model(), sink)?;
         workers.final_window(rounds, &outcome.model);
-        let summary = LaunchSummary {
+        Ok(LaunchSummary {
             iterations: outcome.iterations,
             final_checksum: model_checksum(&outcome.model),
             ..std::mem::take(&mut workers.summary)
-        };
-        Ok(summary)
+        })
     }
 
     /// Spawns worker `node` as a re-execution of the current binary.
@@ -284,6 +283,8 @@ struct Workers<'c> {
     member: Vec<bool>,
     /// Respawned workers the current window waits for.
     awaited: Vec<bool>,
+    /// Killed by the fault schedule and not yet respawned: no window waits on them.
+    killed: Vec<bool>,
     /// The round being computed.
     iteration: usize,
     /// This round's streams, each owed the round's update.
@@ -296,9 +297,7 @@ struct Workers<'c> {
 
 impl Drop for Workers<'_> {
     fn drop(&mut self) {
-        for node in 0..self.children.len() {
-            self.kill(node);
-        }
+        (0..self.children.len()).for_each(|node| self.kill(node));
     }
 }
 
@@ -310,6 +309,7 @@ impl<'c> Workers<'c> {
             children: (0..nodes).map(|_| None).collect(),
             member: vec![true; nodes],
             awaited: vec![false; nodes],
+            killed: vec![false; nodes],
             iteration: 0,
             owed: Vec::new(),
             caught: vec![None; nodes],
@@ -318,30 +318,23 @@ impl<'c> Workers<'c> {
     }
 
     /// Kills worker `node`'s process, if it has one running.
-    fn kill(&mut self, node: usize) -> bool {
-        let Some(mut child) = self.children[node].take() else {
-            return false;
-        };
-        let _ = child.kill();
-        let _ = child.wait();
-        true
+    fn kill(&mut self, node: usize) {
+        if let Some(mut child) = self.children[node].take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
     }
 
-    /// Applies the scheduled SIGKILL, then respawns with `--join` every
-    /// worker the engine expelled since the last round.
+    /// Respawns with `--join` every worker the engine expelled since the
+    /// last round.
     fn deploy(&mut self, req: &Request<'_>) -> Result<(), RuntimeError> {
-        if let Some((node, at)) = self.coordinator.kill {
-            if at == req.iteration && node < self.children.len() && self.kill(node) {
-                self.summary.kills.push((node, at));
-            }
-        }
         for node in 0..self.member.len() {
             if self.member[node] && !req.member[node] {
                 self.summary.expulsions.push((node, req.iteration));
                 self.summary.stats.links_dead += 1;
                 self.kill(node);
                 self.children[node] = Some(self.coordinator.spawn_worker(node, true)?);
-                self.awaited[node] = true;
+                (self.awaited[node], self.killed[node]) = (true, false);
             }
         }
         self.member = req.member.to_vec();
@@ -349,16 +342,18 @@ impl<'c> Workers<'c> {
     }
 
     /// Serves the queue until `serve` says the window is complete or
-    /// its deadline passes. Senders await their reply for one read
+    /// its deadline passes; a window with nobody to wait for (`open`
+    /// false) serves nothing. Senders await their reply for one read
     /// deadline from about the moment a window opens, and the reply is
     /// only written after the round: a window closes early enough that
     /// it still lands in time.
     fn serve_window(
         &mut self,
+        open: bool,
         mut serve: impl FnMut(&mut Self, Served) -> Result<bool, RuntimeError>,
     ) -> Result<(), RuntimeError> {
         let deadline = Instant::now() + self.coordinator.spec.link.read_timeout() * 3 / 4;
-        while Instant::now() < deadline {
+        while open && Instant::now() < deadline {
             let Some(Delivery::Served(served)) = self.coordinator.server.next(deadline) else {
                 continue;
             };
@@ -370,14 +365,15 @@ impl<'c> Workers<'c> {
     }
 
     /// One round's compute window: take round streams and join
-    /// handshakes until every member and every awaited respawn has
+    /// handshakes until every member and awaited respawn not killed has
     /// delivered. A stream from another round, or a second one from the
     /// same node, is dropped unanswered.
     fn window(&mut self, req: &Request<'_>) -> Result<Vec<Arrival>, RuntimeError> {
         let mut arrivals: Vec<Arrival> = vec![None; self.member.len()];
-        let expected: Vec<usize> =
-            (0..arrivals.len()).filter(|&n| req.member[n] || self.awaited[n]).collect();
-        self.serve_window(|workers, mut served| {
+        let expected: Vec<usize> = (0..arrivals.len())
+            .filter(|&n| (req.member[n] || self.awaited[n]) && !self.killed[n])
+            .collect();
+        self.serve_window(!expected.is_empty(), |workers, mut served| {
             let node = served.node as usize;
             let stats = &mut workers.summary.stats;
             stats.merge(&served.stats);
@@ -414,19 +410,19 @@ impl<'c> Workers<'c> {
                     }
                 }
             }
-            Ok(!expected.is_empty() && expected.iter().all(|&n| arrivals[n].is_some()))
+            Ok(expected.iter().all(|&n| arrivals[n].is_some()))
         })?;
         self.awaited.fill(false);
         Ok(arrivals)
     }
 
-    /// The post-training window: every worker reports its final model's
-    /// checksum as the record count of a chunkless stream stamped
-    /// `rounds`, and is acknowledged.
+    /// The post-training window: every worker not killed reports its
+    /// final model's checksum as the record count of a chunkless stream
+    /// stamped `rounds`, and is acknowledged.
     fn final_window(&mut self, rounds: usize, model: &[f64]) {
         let expected = model_checksum(model);
-        let mut reported = vec![false; self.member.len()];
-        let _ = self.serve_window(|workers, mut served| {
+        let mut reported = self.killed.clone();
+        let _ = self.serve_window(reported.contains(&false), |workers, mut served| {
             let node = served.node as usize;
             let Carried::Round { iteration, records, .. } = served.carried else {
                 return Ok(false);
@@ -464,10 +460,19 @@ impl Compute for Workers<'_> {
         false
     }
 
-    /// Answers every stream of the round with the model it left, one
-    /// shared payload for every reply. The spent partials were decoded
-    /// off the wire; they are dropped.
+    /// Lands the kill due next round, its worker's reply dropped unwritten
+    /// so that it sends nothing more; then answers every other stream with
+    /// the model the round left, one shared payload for every reply. The
+    /// spent partials were decoded off the wire; they are dropped.
     fn settle(&mut self, model: &[f64], _spent: &mut Vec<Vec<f64>>) {
+        let due =
+            |&(node, at): &(usize, usize)| at == self.iteration + 1 && node < self.killed.len();
+        if let Some((node, at)) = self.coordinator.kill.filter(due) {
+            self.kill(node);
+            self.killed[node] = true;
+            self.summary.kills.push((node, at));
+        }
+        self.owed.retain(|&(node, _)| !self.killed[node]);
         let (iteration, payload) = (self.iteration as u64, WordBuf::copy_of(model));
         for (node, mut owed) in std::mem::take(&mut self.owed) {
             let (node, payload) = (node as u32, payload.clone());
@@ -517,13 +522,13 @@ impl Worker {
         let mut model = spec.initial_model();
         let mut sender = RoundSender::new(self.addr, node, spec.link);
         let mut iter = if self.join { rejoin(&mut sender, &mut model)? } else { 0 };
+        let shim = WireShim::default();
         while iter < rounds {
             let step = iter % shards.steps;
             let (partial, records) =
                 shards.node_partial(&alg, &cfg, node, step, &model).unwrap_or_default();
             let chunks: Vec<(usize, Chunk)> =
                 chunk_vector(&partial).into_iter().enumerate().collect();
-            let shim = WireShim::default();
             let round =
                 sender.send_round(iter as u64, &chunks, records as u64, &shim, FrameKind::Model);
             match round.map(|(reply, _)| reply.payload) {
@@ -539,13 +544,8 @@ impl Worker {
         }
         // Final report: a chunkless round carrying the model checksum
         // as the record count, acknowledged by the coordinator.
-        let _ = sender.send_round(
-            rounds as u64,
-            &[],
-            model_checksum(&model),
-            &WireShim::default(),
-            FrameKind::Ack,
-        );
+        let _ =
+            sender.send_round(rounds as u64, &[], model_checksum(&model), &shim, FrameKind::Ack);
         Ok(())
     }
 }
@@ -727,6 +727,60 @@ mod tests {
         assert!(workers.summary.rejoins.is_empty());
         // The joiner's `Hello` was served, and the member's stream.
         assert_eq!(workers.summary.stats.frames_received, 1 + 3);
+    }
+
+    /// The scheduled kill lands in the settle of the round before it: the
+    /// victim's owed reply is dropped unwritten (its socket shut, never a
+    /// `Model`) while the others are answered, and from then on no window
+    /// waits on it: not the next round's, though its node is still a
+    /// member, nor the final report's. A one-minute deadline shows it.
+    #[test]
+    fn a_kill_lands_at_the_reply_boundary_and_no_window_waits_on_it() {
+        let link = LinkConfig { read_timeout_ms: 60_000, ..LinkConfig::default() };
+        let spec = JobSpec { nodes: 2, link, ..JobSpec::default() };
+        let mut coordinator = Coordinator::bind(spec).unwrap();
+        coordinator.kill = Some((1, 5));
+        let addr = coordinator.addr();
+        let model = spec.initial_model();
+        let store = CheckpointStore::new(CheckpointConfig { cadence: 4 }, &model);
+        let shared = Arc::new(model.clone());
+        let req = |iteration| Request {
+            iteration,
+            step: 0,
+            dispatch: &[true, true],
+            model: &shared,
+            member: &[true, true],
+            store: &store,
+        };
+        let mut workers = Workers::new(&coordinator);
+        let open = [stream(addr, 0, 4, true, &model), stream(addr, 1, 4, true, &model)];
+        let arrivals = workers.window(&req(4)).unwrap();
+        assert!(arrivals.iter().all(Option::is_some), "both members delivered round 4");
+        workers.iteration = 4;
+        workers.settle(&model, &mut Vec::new());
+        assert_eq!(
+            (workers.summary.kills.as_slice(), workers.killed.as_slice()),
+            (&[(1, 5)][..], &[false, true][..])
+        );
+        let reply = |socket: &TcpStream| {
+            let mut reader = FrameReader::default();
+            loop {
+                match reader.next_frame().unwrap() {
+                    Some((frame, _)) => break Some(frame.kind),
+                    None if fill(socket, &mut reader).is_err() => break None,
+                    None => {}
+                }
+            }
+        };
+        assert_eq!(reply(&open[0]), Some(FrameKind::Model));
+        assert_eq!(reply(&open[1]), None, "the victim's reply is never written");
+        let start = Instant::now();
+        let _next = stream(addr, 0, 5, true, &model);
+        assert_eq!(workers.window(&req(5)).unwrap(), [Some(Some((model.clone(), 5))), None]);
+        let _report = stream(addr, 0, 6, true, &[]);
+        workers.final_window(6, &model);
+        assert_eq!(workers.summary.workers_reported, 1);
+        assert!(start.elapsed() < spec.link.read_timeout() / 10, "a window waited on the corpse");
     }
 
     /// A worker's stream is its partial only whole, in order and intact.
